@@ -119,22 +119,42 @@ func resumeShard(cp *Checkpoint, i int, labeler Labeler, opts Options) (*Monitor
 
 // Checkpoint captures every shard's state plus the shared model table.
 // Models shared between shards (the provisioned set, and any entry added
-// to several registries) are stored once and restored shared. Do not
-// call concurrently with ProcessBatch. Detached slots of a dynamic
-// fleet are skipped: the checkpoint holds the attached shards
-// compacted in slot order (each shard's full runtime state — including
-// its RNG streams — lives in its pipeline snapshot, so compaction does
-// not disturb replay; only the slot numbering resets).
+// to several registries) are stored once and restored shared. The table
+// keeps the previous capture's order and appends models first seen in
+// this one, so it only ever grows while no model is dropped (an evicted
+// shard's private models are). Do not call concurrently with
+// ProcessBatch. Detached slots of a dynamic fleet are skipped: the
+// checkpoint holds the attached shards compacted in slot order (each
+// shard's full runtime state — including its RNG streams — lives in its
+// pipeline snapshot, so compaction does not disturb replay; only the
+// slot numbering resets).
 func (sm *ShardedMonitor) Checkpoint() *Checkpoint {
 	sm.mu.RLock()
 	defer sm.mu.RUnlock()
-	seen := make(map[*Model]int)
-	cp := &Checkpoint{CreatedUnixNano: time.Now().UnixNano()}
+	sm.tableMu.Lock()
+	defer sm.tableMu.Unlock()
+	live := make(map[*Model]bool)
 	for _, m := range sm.shards {
 		if m == nil {
 			continue
 		}
-		entries := m.pipe.Registry().Entries()
+		for _, e := range m.pipe.Registry().Snapshot().Entries() {
+			live[e] = true
+		}
+	}
+	cp := &Checkpoint{CreatedUnixNano: time.Now().UnixNano()}
+	seen := make(map[*Model]int, len(live))
+	for _, e := range sm.table {
+		if live[e] {
+			seen[e] = len(cp.Entries)
+			cp.Entries = append(cp.Entries, e)
+		}
+	}
+	for _, m := range sm.shards {
+		if m == nil {
+			continue
+		}
+		entries := m.pipe.Registry().Snapshot().Entries()
 		refs := make([]int, len(entries))
 		for j, e := range entries {
 			idx, ok := seen[e]
@@ -155,6 +175,7 @@ func (sm *ShardedMonitor) Checkpoint() *Checkpoint {
 			EventCounts: m.pipe.Tracer().KindCounts(),
 		})
 	}
+	sm.table = cp.Entries
 	return cp
 }
 

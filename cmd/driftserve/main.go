@@ -1035,11 +1035,23 @@ func main() {
 			code = http.StatusServiceUnavailable
 		}
 		if prim != nil {
+			ps := prim.Stats()
 			rep := map[string]interface{}{
 				"role":            "primary",
 				"epoch":           prim.Epoch(),
 				"generation":      prim.Gen(),
 				"lag_generations": prim.Lag(),
+				// What replication costs: a full after first contact is a
+				// resync, an overrun a cycle longer than -replicate-every.
+				"last_cycle_ms":    float64(ps.LastCycle) / float64(time.Millisecond),
+				"last_capture_ms":  float64(ps.LastCapture) / float64(time.Millisecond),
+				"last_cycle_bytes": ps.LastBytes,
+				"cycles":           ps.Cycles,
+				"cycle_overruns":   ps.Overruns,
+				"fulls":            ps.Fulls,
+				"deltas":           ps.Deltas,
+				"full_bytes":       ps.FullBytes,
+				"delta_bytes":      ps.DeltaBytes,
 			}
 			if e := fencedEpoch.Load(); e != 0 {
 				// A standby promoted past us: this primary is the stale side

@@ -109,12 +109,14 @@ func (c *Classifier) Fit(samples []Sample, rng *stats.RNG) []float64 {
 
 // PredictProba returns the softmax class distribution for x.
 func (c *Classifier) PredictProba(x tensor.Vector) tensor.Vector {
-	return tensor.Softmax(c.net.Forward(x))
+	return tensor.Softmax(c.net.Infer(x))
 }
 
-// Predict returns the most likely class for x.
+// Predict returns the most likely class for x. Like PredictProba it is
+// safe for concurrent use on a trained classifier: model entries are
+// shared between shards, which classify in parallel.
 func (c *Classifier) Predict(x tensor.Vector) int {
-	return c.net.Forward(x).ArgMax()
+	return c.net.Infer(x).ArgMax()
 }
 
 // Accuracy returns the fraction of samples the classifier labels

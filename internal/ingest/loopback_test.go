@@ -207,9 +207,16 @@ func TestLoopbackBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("E2E loopback in -short mode")
 	}
+	// runLoopback has already held the run to the contract: accepted ==
+	// processed == sent, events bit-identical to in-process feeding. A
+	// clean wire adds: no connection was lost and nothing was delivered
+	// twice. Retries are allowed — a queue_full NACK is back-pressure the
+	// scheduler decides, not a fault — but only as answers to a NACK: a
+	// retry for any other reason drops the connection and would show as a
+	// reconnect.
 	s := runLoopback(t, loopbackStreams(3), 0)
-	if s.Retries != 0 || s.Reconnects != 0 || s.Dups != 0 {
-		t.Errorf("clean run had retries %d, reconnects %d, dups %d", s.Retries, s.Reconnects, s.Dups)
+	if s.Reconnects != 0 || s.Dups != 0 || s.Retries != s.Nacks {
+		t.Errorf("clean run had reconnects %d, dups %d, retries %d for %d nacks", s.Reconnects, s.Dups, s.Retries, s.Nacks)
 	}
 }
 

@@ -24,10 +24,15 @@ type Param struct {
 }
 
 // Layer is one differentiable stage of a network. Forward caches whatever
-// Backward needs, so a Layer is stateful and not safe for concurrent use.
+// Backward needs, so a Layer is stateful and training is not safe for
+// concurrent use; Infer computes the same output and caches nothing, so
+// any number of goroutines may run it on one trained layer.
 type Layer interface {
 	// Forward computes the layer output for in.
 	Forward(in tensor.Vector) tensor.Vector
+	// Infer computes the value Forward would return without touching the
+	// layer's state.
+	Infer(in tensor.Vector) tensor.Vector
 	// Backward consumes the gradient of the loss with respect to the
 	// layer's output, accumulates parameter gradients, and returns the
 	// gradient with respect to the layer's input.
@@ -62,6 +67,11 @@ func NewDense(inDim, outDim int, rng *stats.RNG) *Dense {
 // Forward implements Layer.
 func (d *Dense) Forward(in tensor.Vector) tensor.Vector {
 	d.in = in
+	return d.Infer(in)
+}
+
+// Infer implements Layer.
+func (d *Dense) Infer(in tensor.Vector) tensor.Vector {
 	out := d.W.MatVec(in)
 	out.AddInPlace(d.B)
 	return out
@@ -105,6 +115,17 @@ func (r *ReLU) Forward(in tensor.Vector) tensor.Vector {
 	return out
 }
 
+// Infer implements Layer.
+func (r *ReLU) Infer(in tensor.Vector) tensor.Vector {
+	out := make(tensor.Vector, len(in))
+	for i, x := range in {
+		if x > 0 {
+			out[i] = x
+		}
+	}
+	return out
+}
+
 // Backward implements Layer.
 func (r *ReLU) Backward(gradOut tensor.Vector) tensor.Vector {
 	out := make(tensor.Vector, len(gradOut))
@@ -126,11 +147,16 @@ type Sigmoid struct {
 
 // Forward implements Layer.
 func (s *Sigmoid) Forward(in tensor.Vector) tensor.Vector {
+	s.out = s.Infer(in)
+	return s.out
+}
+
+// Infer implements Layer.
+func (s *Sigmoid) Infer(in tensor.Vector) tensor.Vector {
 	out := make(tensor.Vector, len(in))
 	for i, x := range in {
 		out[i] = 1 / (1 + math.Exp(-x))
 	}
-	s.out = out
 	return out
 }
 
@@ -154,11 +180,16 @@ type Tanh struct {
 
 // Forward implements Layer.
 func (t *Tanh) Forward(in tensor.Vector) tensor.Vector {
+	t.out = t.Infer(in)
+	return t.out
+}
+
+// Infer implements Layer.
+func (t *Tanh) Infer(in tensor.Vector) tensor.Vector {
 	out := make(tensor.Vector, len(in))
 	for i, x := range in {
 		out[i] = math.Tanh(x)
 	}
-	t.out = out
 	return out
 }
 

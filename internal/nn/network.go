@@ -8,8 +8,9 @@ import (
 	"videodrift/internal/tensor"
 )
 
-// Network is a sequential stack of layers. It is not safe for concurrent
-// use; the ensemble code trains one Network per goroutine.
+// Network is a sequential stack of layers. Training (Forward, Backward)
+// is not safe for concurrent use — the ensemble code trains one Network
+// per goroutine; Infer on a trained network is.
 type Network struct {
 	Layers []Layer
 }
@@ -22,6 +23,17 @@ func (n *Network) Forward(in tensor.Vector) tensor.Vector {
 	out := in
 	for _, l := range n.Layers {
 		out = l.Forward(out)
+	}
+	return out
+}
+
+// Infer is Forward without the per-layer caches Backward needs: the same
+// output, bit for bit, and safe to call from many goroutines at once —
+// which is how shards sharing one deployed model classify frames.
+func (n *Network) Infer(in tensor.Vector) tensor.Vector {
+	out := in
+	for _, l := range n.Layers {
+		out = l.Infer(out)
 	}
 	return out
 }

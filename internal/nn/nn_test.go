@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -302,4 +303,40 @@ func TestActivationsShapeAndValues(t *testing.T) {
 	if to[0] != 0 {
 		t.Errorf("Tanh(0) = %v", to[0])
 	}
+}
+
+// TestInferMatchesForward pins the inference path shards sharing one
+// model classify through: Infer returns Forward's output bit for bit,
+// for every layer kind, and — unlike Forward, which writes the caches
+// Backward reads — any number of goroutines may call it on one network
+// (run under -race).
+func TestInferMatchesForward(t *testing.T) {
+	rng := stats.NewRNG(9)
+	net := NewNetwork(NewDense(6, 8, rng), &ReLU{}, NewDense(8, 8, rng), &Sigmoid{}, NewDense(8, 5, rng), &Tanh{})
+	inputs := make([]tensor.Vector, 16)
+	want := make([]tensor.Vector, len(inputs))
+	for i := range inputs {
+		inputs[i] = tensor.NewVector(6)
+		for j := range inputs[i] {
+			inputs[i][j] = rng.StdNormal()
+		}
+		want[i] = net.Forward(inputs[i])
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, in := range inputs {
+				got := net.Infer(in)
+				for j := range got {
+					if math.Float64bits(got[j]) != math.Float64bits(want[i][j]) {
+						t.Errorf("input %d output %d: Infer %v, Forward %v", i, j, got[j], want[i][j])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

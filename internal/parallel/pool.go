@@ -101,7 +101,26 @@ type job struct {
 	slots  atomic.Int32               // helper slot allocator (slot 0 is the caller)
 	stop   atomic.Bool                // set on first panic: abandon remaining work
 	panics atomic.Pointer[PanicError] // first panic wins
-	wg     sync.WaitGroup
+	// gate is the hand-off state: bit 0 is set by the caller once its own
+	// drain has returned (every index is claimed, so a token dequeued from
+	// then on is stale), the bits above it count the helpers that entered
+	// before that. wg counts the tokens the caller still waits for.
+	gate atomic.Int32
+	wg   sync.WaitGroup
+}
+
+// enter admits a helper that dequeued one of the job's tokens, unless
+// the caller has already closed the job.
+func (j *job) enter() bool {
+	for {
+		g := j.gate.Load()
+		if g&1 != 0 {
+			return false
+		}
+		if j.gate.CompareAndSwap(g, g+2) {
+			return true
+		}
+	}
 }
 
 // claimRange is one participant's [lo, hi) interval of unclaimed task
@@ -214,8 +233,10 @@ func (p *Pool) spawn() {
 	for g := 0; g < p.workers-1; g++ {
 		go func() {
 			for j := range p.jobs {
-				j.run(int(j.slots.Add(1)))
-				j.wg.Done()
+				if j.enter() {
+					j.run(int(j.slots.Add(1)))
+					j.wg.Done()
+				}
 			}
 		}()
 	}
@@ -225,9 +246,12 @@ func (p *Pool) spawn() {
 // when all calls have finished. Indices are claimed in chunks from
 // per-participant work-stealing ranges, so completion order is
 // unspecified — fn must not depend on it (write results to out[i], don't
-// append). The caller participates as a worker, so progress never
-// depends on helper scheduling (nested ForEach calls cannot deadlock,
-// even on the same pool). A panic in any fn stops the job — remaining
+// append). The caller participates as a worker and waits only for
+// helpers that actually picked the job up, never for a token still
+// sitting in the hand-off buffer — so progress never depends on helper
+// scheduling and nested ForEach calls on the same pool, from the caller
+// or from a helper, complete even when every helper is busy
+// (TestNestedForEach). A panic in any fn stops the job — remaining
 // unclaimed indices may not run — and the first panic is re-raised on
 // the caller's goroutine wrapped in *PanicError, preserving the
 // panicking worker's stack.
@@ -261,15 +285,23 @@ func (p *Pool) ForEach(n int, fn func(i int)) {
 	// workers are all busy with overlapping ForEach calls, the caller just
 	// runs with fewer helpers (their un-owned ranges get stolen), keeping
 	// the pool's total concurrency bounded by Workers.
+	offered := 0
 	for g := 1; g < w; g++ {
 		j.wg.Add(1)
 		select {
 		case p.jobs <- j:
+			offered++
 		default:
 			j.wg.Done()
 		}
 	}
 	j.run(0)
+	// run(0) returns once every index is claimed, so a token no helper has
+	// dequeued yet has nothing left to hand out. Close the job and give up
+	// on those tokens: the only goroutine able to dequeue one may be this
+	// one (a helper running a nested call), and waiting for it deadlocks.
+	entered := int(j.gate.Add(1) >> 1)
+	j.wg.Add(entered - offered)
 	j.wg.Wait()
 	if pe := j.panics.Load(); pe != nil {
 		panic(pe)

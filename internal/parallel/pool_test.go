@@ -164,6 +164,58 @@ func TestWorkerPanicDoesNotLeakWorkers(t *testing.T) {
 	}
 }
 
+// TestNestedForEach is the deadlock contract: a ForEach issued from
+// inside another ForEach's task on the same pool — by the caller or by a
+// helper — completes at every worker count, however busy the helpers
+// are. It hung at workers=2 while a helper waited for a job token only
+// a free helper (there was none but itself) could dequeue: the shape
+// selection has when a shard batch running on the shared pool nests
+// MSBI's fan-out. The soft barrier holds each outer task until all of
+// them run at once (or 2 ms pass), so the nested calls are issued while
+// every helper is busy.
+func TestNestedForEach(t *testing.T) {
+	for _, workers := range []int{1, 2, 3, 8} {
+		p := New(workers)
+		var two, three atomic.Int32
+		barrier := func(started *atomic.Int32, n int32) {
+			started.Add(1)
+			for until := time.Now().Add(2 * time.Millisecond); started.Load() < n && time.Now().Before(until); {
+				runtime.Gosched()
+			}
+		}
+		const rounds = 40
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for round := 0; round < rounds; round++ {
+				var started atomic.Int32
+				p.ForEach(3, func(int) {
+					barrier(&started, int32(min(workers, 3)))
+					p.ForEach(2, func(int) { two.Add(1) })
+				})
+				started.Store(0)
+				p.ForEach(4, func(int) {
+					barrier(&started, int32(min(workers, 4)))
+					p.ForEach(3, func(int) {
+						p.ForEach(5, func(int) { three.Add(1) })
+					})
+				})
+			}
+		}()
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("workers=%d: nested ForEach deadlocked", workers)
+		}
+		if got := two.Load(); got != rounds*3*2 {
+			t.Errorf("workers=%d: two-deep nest ran %d leaf tasks, want %d", workers, got, rounds*3*2)
+		}
+		if got := three.Load(); got != rounds*4*3*5 {
+			t.Errorf("workers=%d: three-deep nest ran %d leaf tasks, want %d", workers, got, rounds*4*3*5)
+		}
+	}
+}
+
 // TestForEachSeededDeterministic is the contract the selection engine
 // depends on: per-task draws are identical regardless of worker count.
 func TestForEachSeededDeterministic(t *testing.T) {

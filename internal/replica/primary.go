@@ -103,10 +103,16 @@ type Primary struct {
 	cfg   PrimaryConfig
 	links []*standbyLink
 
-	// last/crcs are the previous cycle's capture and entry fingerprint,
-	// touched only by the Cycle goroutine.
-	last *store.Checkpoint
-	crcs []uint32
+	// last/crcs are the previous cycle's capture and entry fingerprint;
+	// differ holds the diff's reusable indexes and deltaMsg the delta
+	// message the cycle encodes — StateOverhead reserved bytes, then the
+	// store envelope written in place — so a steady-state cycle
+	// allocates for the frames that arrived, not for the state retained.
+	// All four are touched only by the Cycle goroutine.
+	last     *store.Checkpoint
+	crcs     []uint32
+	differ   store.Differ
+	deltaMsg []byte
 
 	mu       sync.Mutex
 	gen      uint64
@@ -114,6 +120,26 @@ type Primary struct {
 	fencedBy uint64
 	txMsgs   int
 	closed   bool
+	stats    PrimaryStats
+}
+
+// PrimaryStats is what a primary's cycles have cost: the operator's view
+// of whether replication keeps to its interval and how often it falls
+// back to a full snapshot.
+type PrimaryStats struct {
+	// Cycles counts cycles that captured a generation; Overruns those
+	// that took longer than the configured Interval.
+	Cycles, Overruns uint64
+	// Fulls and Deltas count messages acknowledged by a standby, by kind;
+	// FullBytes and DeltaBytes are their wire sizes summed.
+	Fulls, Deltas         uint64
+	FullBytes, DeltaBytes uint64
+	// LastCycle is the duration of the latest cycle, LastCapture the part
+	// of it spent in Capture (which waits for the serving loop to reach a
+	// batch boundary — a training stalls it), and LastBytes the wire bytes
+	// the cycle shipped to all standbys together.
+	LastCycle, LastCapture time.Duration
+	LastBytes              int
 }
 
 // NewPrimary builds a replication primary. It does not dial; the first
@@ -131,7 +157,7 @@ func NewPrimary(cfg PrimaryConfig) *Primary {
 	if cfg.Epoch == 0 {
 		cfg.Epoch = 1
 	}
-	p := &Primary{cfg: cfg}
+	p := &Primary{cfg: cfg, deltaMsg: make([]byte, StateOverhead)}
 	for _, a := range cfg.Addrs {
 		p.links = append(p.links, &standbyLink{addr: a})
 	}
@@ -146,6 +172,13 @@ func (p *Primary) Gen() uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.gen
+}
+
+// Stats returns the cycle accounting so far.
+func (p *Primary) Stats() PrimaryStats {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.stats
 }
 
 // Fenced reports whether a standby has fenced this primary.
@@ -209,6 +242,7 @@ func (p *Primary) Run(stop <-chan struct{}) {
 // stays unreachable simply lags until a later cycle. It returns
 // ErrFenced permanently once any standby reports a newer epoch.
 func (p *Primary) Cycle() error {
+	start := time.Now()
 	p.mu.Lock()
 	if p.fenced {
 		p.mu.Unlock()
@@ -225,35 +259,36 @@ func (p *Primary) Cycle() error {
 	if cp == nil {
 		return nil
 	}
+	captured := time.Since(start)
 	cp.Epoch = p.cfg.Epoch
 	cp.Gen = prevGen + 1
 
-	// Diff against the previous cycle's capture. Model entries are
-	// shared by pointer across captures, so the diff re-encodes nothing
-	// in steady state and the delta is dominated by shard runtime.
-	var (
-		deltaBytes []byte
-		fullBytes  []byte
-		nextCRCs   []uint32
-	)
+	// Diff against the previous cycle's capture. Model entries and frames
+	// are shared by pointer across captures, so the diff re-encodes
+	// neither: the delta is the frames that arrived since, one model blob
+	// if a shard trained, and kilobytes of shard runtime. fullMsg is
+	// encoded only when some standby needs it.
+	var deltaMsg, fullMsg []byte
+	var nextCRCs []uint32
 	if p.last != nil {
-		d, crcs, err := store.DiffCheckpoints(p.last, p.crcs, cp)
+		d, crcs, err := p.differ.Diff(p.last, p.crcs, cp)
 		if err == nil {
-			if deltaBytes, err = store.EncodeDelta(d); err != nil {
+			msg, err := store.AppendDelta(p.deltaMsg[:StateOverhead], d)
+			if err != nil {
 				return fmt.Errorf("replica: encode delta: %w", err)
 			}
-			nextCRCs = crcs
+			p.deltaMsg, deltaMsg, nextCRCs = msg, msg, crcs
 		} else if !errors.Is(err, store.ErrDeltaBase) {
 			return fmt.Errorf("replica: diff: %w", err)
 		}
 	}
 	if nextCRCs == nil {
 		// No base (first cycle) or unchainable: everyone gets a full.
-		data, crcs, err := store.EncodeWithCRCs(cp)
+		msg, crcs, err := store.AppendCheckpoint(make([]byte, StateOverhead), cp)
 		if err != nil {
 			return fmt.Errorf("replica: encode: %w", err)
 		}
-		fullBytes, nextCRCs = data, crcs
+		fullMsg, nextCRCs = msg, crcs
 	}
 
 	p.last, p.crcs = cp, nextCRCs
@@ -261,9 +296,14 @@ func (p *Primary) Cycle() error {
 	p.gen = cp.Gen
 	p.mu.Unlock()
 
+	type shipped struct {
+		full  bool
+		bytes int
+	}
 	var firstErr error
+	var sent []shipped
 	for _, l := range p.links {
-		kind, sent, err := p.ship(l, cp, prevGen, deltaBytes, &fullBytes)
+		full, n, err := p.ship(l, cp, prevGen, deltaMsg, &fullMsg)
 		if err != nil {
 			if errors.Is(err, ErrFenced) {
 				return err
@@ -274,19 +314,53 @@ func (p *Primary) Cycle() error {
 			p.logf("replica: standby %s: %v", l.addr, err)
 			continue
 		}
-		p.mu.Lock()
-		lag := int(p.gen - p.minAppliedGen())
-		p.mu.Unlock()
-		p.cfg.Tracer.ReplicaDeltaSent(cp.Gen, cp.Epoch, kind, sent, lag)
+		sent = append(sent, shipped{full, n})
+	}
+
+	took := time.Since(start)
+	p.mu.Lock()
+	st := &p.stats
+	st.Cycles++
+	st.LastCycle, st.LastCapture, st.LastBytes = took, captured, 0
+	for _, s := range sent {
+		st.LastBytes += s.bytes
+		if s.full {
+			st.Fulls++
+			st.FullBytes += uint64(s.bytes)
+		} else {
+			st.Deltas++
+			st.DeltaBytes += uint64(s.bytes)
+		}
+	}
+	overrun := took > p.cfg.Interval
+	if overrun {
+		st.Overruns++
+	}
+	firstOverrun, bytes := overrun && st.Overruns == 1, st.LastBytes
+	lag := int(p.gen - p.minAppliedGen())
+	p.mu.Unlock()
+	if firstOverrun {
+		p.logf("replica: cycle for generation %d took %v (%v of it waiting for the capture), longer than the %v interval; %d bytes shipped; later overruns are counted, not logged",
+			cp.Gen, took.Round(time.Millisecond), captured.Round(time.Millisecond), p.cfg.Interval, bytes)
+	}
+	p.cfg.Tracer.ObserveStage(telemetry.StageReplicate, took)
+	for _, s := range sent {
+		kind := "delta"
+		if s.full {
+			kind = "full"
+		}
+		p.cfg.Tracer.ReplicaDeltaSent(cp.Gen, cp.Epoch, kind, s.bytes, lag, took)
 	}
 	return firstErr
 }
 
 // ship sends generation cp to one standby, choosing delta versus full
-// by what the standby holds, with one reconnect retry. fullBytes is
-// lazily encoded on first need and cached for the other standbys. It
-// returns the kind shipped and the wire payload size.
-func (p *Primary) ship(l *standbyLink, cp *store.Checkpoint, prevGen uint64, deltaBytes []byte, fullBytes *[]byte) (string, int, error) {
+// by what the standby holds, with one reconnect retry. Both messages
+// arrive complete but for their headers, which carry the per-connection
+// sequence number and are written in place per attempt; fullMsg is
+// encoded on first need and kept for the other standbys. It reports
+// whether a full was shipped and the message's wire size.
+func (p *Primary) ship(l *standbyLink, cp *store.Checkpoint, prevGen uint64, deltaMsg []byte, fullMsg *[]byte) (bool, int, error) {
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
 		if l.getConn() == nil {
@@ -298,26 +372,19 @@ func (p *Primary) ship(l *standbyLink, cp *store.Checkpoint, prevGen uint64, del
 		p.mu.Lock()
 		held := l.heldGen
 		p.mu.Unlock()
-		kind := "full"
-		var wire []byte
-		if deltaBytes != nil && held == prevGen && prevGen > 0 {
-			kind = "delta"
-			wire = EncodeState(MsgDelta, State{
-				Epoch: cp.Epoch, Seq: l.seq + 1, Gen: cp.Gen, BaseGen: prevGen, Payload: deltaBytes,
-			})
-		} else {
-			if *fullBytes == nil {
-				data, _, err := store.EncodeWithCRCs(cp)
-				if err != nil {
-					return "", 0, fmt.Errorf("replica: encode: %w", err)
-				}
-				*fullBytes = data
+		st := State{Epoch: cp.Epoch, Seq: l.seq + 1, Gen: cp.Gen}
+		msgType, msg := uint8(MsgFull), *fullMsg
+		if deltaMsg != nil && held == prevGen && prevGen > 0 {
+			msgType, msg, st.BaseGen = MsgDelta, deltaMsg, prevGen
+		} else if msg == nil {
+			var err error
+			if msg, _, err = store.AppendCheckpoint(make([]byte, StateOverhead), cp); err != nil {
+				return false, 0, fmt.Errorf("replica: encode: %w", err)
 			}
-			wire = EncodeState(MsgFull, State{
-				Epoch: cp.Epoch, Seq: l.seq + 1, Gen: cp.Gen, Payload: *fullBytes,
-			})
+			*fullMsg = msg
 		}
-		if err := p.send(l, wire); err != nil {
+		PutStateHeader(msg, msgType, st)
+		if err := p.send(l, msg); err != nil {
 			lastErr = err
 			l.drop()
 			continue
@@ -327,7 +394,7 @@ func (p *Primary) ship(l *standbyLink, cp *store.Checkpoint, prevGen uint64, del
 		if err != nil {
 			lastErr = err
 			if errors.Is(err, ErrFenced) {
-				return "", 0, err
+				return false, 0, err
 			}
 			l.drop()
 			continue
@@ -336,9 +403,9 @@ func (p *Primary) ship(l *standbyLink, cp *store.Checkpoint, prevGen uint64, del
 		l.heldGen = cp.Gen
 		l.appliedGen = ack.Gen
 		p.mu.Unlock()
-		return kind, len(wire), nil
+		return msgType == MsgFull, len(msg), nil
 	}
-	return "", 0, lastErr
+	return false, 0, lastErr
 }
 
 // connect dials a standby and consumes its Hello, adopting the

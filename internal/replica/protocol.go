@@ -100,7 +100,7 @@ type Hello struct {
 // the per-connection message sequence number (starts at 1); BaseGen is
 // the generation a delta applies on (0 for fulls).
 //
-//driftlint:wire encode=EncodeState decode=DecodeState stream=ReadMsg
+//driftlint:wire encode=EncodeState,PutStateHeader decode=DecodeState stream=ReadMsg
 type State struct {
 	Epoch   uint64
 	Seq     uint64
@@ -153,24 +153,44 @@ func DecodeHello(payload []byte) (Hello, error) {
 	}, nil
 }
 
+// StateOverhead is how many bytes of a state message precede the store
+// envelope: the wire header and the fixed state fields.
+const StateOverhead = HeaderSize + stateFields
+
+// stateFields is the size of the fixed fields in front of the envelope
+// in a state payload: epoch, seq, gen, base gen, envelope length.
+const stateFields = 4*8 + 4
+
 // EncodeState encodes a streamed generation to wire bytes under the
 // given message type (MsgFull or MsgDelta).
 func EncodeState(msgType uint8, st State) []byte {
-	payload := make([]byte, 0, 32+4+len(st.Payload))
-	payload = binary.BigEndian.AppendUint64(payload, st.Epoch)
-	payload = binary.BigEndian.AppendUint64(payload, st.Seq)
-	payload = binary.BigEndian.AppendUint64(payload, st.Gen)
-	payload = binary.BigEndian.AppendUint64(payload, st.BaseGen)
-	payload = binary.BigEndian.AppendUint32(payload, uint32(len(st.Payload)))
-	payload = append(payload, st.Payload...)
-	return append(appendHeader(make([]byte, 0, HeaderSize+len(payload)), msgType, payload), payload...)
+	wire := make([]byte, StateOverhead, StateOverhead+len(st.Payload))
+	wire = append(wire, st.Payload...)
+	PutStateHeader(wire, msgType, st)
+	return wire
+}
+
+// PutStateHeader completes a state message in place: wire already
+// holds the store envelope at wire[StateOverhead:] (st.Payload is not
+// read) and gets its wire header, state fields and payload CRC written
+// in front. It is how a primary sends one encoded generation to several
+// standbys, or retries it, without re-assembling the message: only the
+// sequence number differs.
+func PutStateHeader(wire []byte, msgType uint8, st State) {
+	payload := wire[HeaderSize:]
+	binary.BigEndian.PutUint64(payload[0:8], st.Epoch)
+	binary.BigEndian.PutUint64(payload[8:16], st.Seq)
+	binary.BigEndian.PutUint64(payload[16:24], st.Gen)
+	binary.BigEndian.PutUint64(payload[24:32], st.BaseGen)
+	binary.BigEndian.PutUint32(payload[32:36], uint32(len(payload)-stateFields))
+	appendHeader(wire[:0], msgType, payload)
 }
 
 // DecodeState decodes a streamed-generation payload. Every length is
 // checked before use, so arbitrary input yields a typed error, never a
 // panic or an unbounded allocation. Fuzzed by FuzzReadStream.
 func DecodeState(payload []byte) (State, error) {
-	if len(payload) < 36 {
+	if len(payload) < stateFields {
 		return State{}, ErrTruncated
 	}
 	st := State{
@@ -180,10 +200,10 @@ func DecodeState(payload []byte) (State, error) {
 		BaseGen: binary.BigEndian.Uint64(payload[24:32]),
 	}
 	n := int(binary.BigEndian.Uint32(payload[32:36]))
-	if n != len(payload)-36 {
-		return State{}, fmt.Errorf("%w: declared %d envelope bytes, payload carries %d", ErrTruncated, n, len(payload)-36)
+	if n != len(payload)-stateFields {
+		return State{}, fmt.Errorf("%w: declared %d envelope bytes, payload carries %d", ErrTruncated, n, len(payload)-stateFields)
 	}
-	st.Payload = payload[36:]
+	st.Payload = payload[stateFields:]
 	return st, nil
 }
 

@@ -42,7 +42,7 @@ import (
 )
 
 // Version is the current checkpoint format version.
-const Version uint16 = 1
+const Version uint16 = 2
 
 // Payload kinds carried by the envelope: full checkpoints and delta
 // checkpoints (the compact diff replication streams between
@@ -87,7 +87,7 @@ func (e *VersionError) Error() string {
 // restored as one shared object, exactly as NewShardedMonitor wires
 // them.
 //
-//driftlint:snapshot encode=Encode,EncodeWithCRCs decode=Decode,DecodeWithCRCs
+//driftlint:snapshot encode=Encode,AppendCheckpoint decode=Decode,DecodeWithCRCs
 type Checkpoint struct {
 	// CreatedUnixNano stamps when the snapshot was captured.
 	CreatedUnixNano int64
@@ -148,7 +148,7 @@ type entryRecord struct {
 // nested gob blobs with individual checksums so integrity is reportable
 // per model.
 //
-//driftlint:snapshot encode=Encode,EncodeWithCRCs decode=decodeRecord,Decode,DecodeWithCRCs
+//driftlint:snapshot encode=Encode,AppendCheckpoint decode=decodeRecord,Decode,DecodeWithCRCs
 type checkpointRecord struct {
 	CreatedUnixNano int64
 	Frames          int64
@@ -269,6 +269,12 @@ func Encode(cp *Checkpoint) ([]byte, error) {
 // call can verify the shared entry prefix without re-encoding every
 // model.
 func EncodeWithCRCs(cp *Checkpoint) ([]byte, []uint32, error) {
+	return AppendCheckpoint(nil, cp)
+}
+
+// AppendCheckpoint is EncodeWithCRCs appending the envelope to dst,
+// the full-snapshot twin of AppendDelta.
+func AppendCheckpoint(dst []byte, cp *Checkpoint) ([]byte, []uint32, error) {
 	rec := checkpointRecord{
 		CreatedUnixNano: cp.CreatedUnixNano,
 		Frames:          cp.Frames,
@@ -293,24 +299,26 @@ func EncodeWithCRCs(cp *Checkpoint) ([]byte, []uint32, error) {
 			}
 		}
 	}
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(rec); err != nil {
+	start := len(dst)
+	out := bytes.NewBuffer(append(dst, make([]byte, headerSize)...))
+	if err := gob.NewEncoder(out).Encode(rec); err != nil {
 		return nil, nil, fmt.Errorf("store: encode checkpoint: %w", err)
 	}
-	return sealEnvelope(kindCheckpoint, payload.Bytes()), rec.EntryCRCs, nil
+	dst = out.Bytes()
+	sealEnvelope(dst[start:], kindCheckpoint)
+	return dst, rec.EntryCRCs, nil
 }
 
-// sealEnvelope wraps a gob payload in the versioned, checksummed
-// header.
-func sealEnvelope(kind uint16, payload []byte) []byte {
-	out := make([]byte, headerSize+len(payload))
-	copy(out[0:4], magic[:])
-	binary.LittleEndian.PutUint16(out[4:6], Version)
-	binary.LittleEndian.PutUint16(out[6:8], kind)
-	binary.LittleEndian.PutUint64(out[8:16], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(out[16:20], crc32.ChecksumIEEE(payload))
-	copy(out[headerSize:], payload)
-	return out
+// sealEnvelope fills in the versioned, checksummed header of an
+// envelope whose payload was written in place behind headerSize
+// reserved bytes.
+func sealEnvelope(env []byte, kind uint16) {
+	payload := env[headerSize:]
+	copy(env[0:4], magic[:])
+	binary.LittleEndian.PutUint16(env[4:6], Version)
+	binary.LittleEndian.PutUint16(env[6:8], kind)
+	binary.LittleEndian.PutUint64(env[8:16], uint64(len(payload)))
+	binary.LittleEndian.PutUint32(env[16:20], crc32.ChecksumIEEE(payload))
 }
 
 // decodeEnvelope validates the header and checksum and returns the

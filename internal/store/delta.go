@@ -7,29 +7,41 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
+	"slices"
+	"sort"
 
 	"videodrift/internal/core"
+	"videodrift/internal/vidsim"
 )
 
 // ErrDeltaBase reports a delta that does not chain off the checkpoint
-// it was applied to: the base generation, entry count or entry digest
+// it was applied to: the base generation, entry table or frame walk
 // disagrees. Replication standbys treat it as a desync and resync from
 // a full snapshot; LoadLatestChain treats it as the end of the
 // appliable chain.
 var ErrDeltaBase = errors.New("store: delta base mismatch")
 
-// Delta is the compact diff between two consecutive checkpoint
-// generations. Model entries are immutable once provisioned, so the
-// diff carries only the entry blobs appended since the base — plus the
-// full per-shard runtime state, which is kilobytes (martingale, RNG
-// positions, selection buffers) against the megabytes of VAE and
-// ensemble weights a full snapshot ships. Because the shard state is
-// complete, applying a delta onto any base whose entry table matches
-// BaseDigest reproduces the target generation exactly; generation
-// numbers order the stream and measure lag, the digest is the
-// correctness check.
+// Delta is the diff between two consecutive checkpoint generations. It
+// ships what a generation added and references everything else in the
+// base:
 //
-//driftlint:snapshot encode=EncodeDelta,DiffCheckpoints decode=DecodeDelta,ApplyDelta
+//   - Model entries are immutable once provisioned, so the diff carries
+//     only the entry blobs appended since the base.
+//   - Frames are immutable once submitted (see vidsim.Frame) and make up
+//     nearly all of a shard's runtime bytes — the forensics pre-roll,
+//     the selection buffer, the frames of every retained declaration. A
+//     frame the base already holds travels as a reference into the
+//     base's frame walk; only frames first seen in this generation
+//     travel as bodies.
+//   - The rest of the shard runtime (martingale, RNG positions, counters,
+//     declaration evidence) is kilobytes and travels whole.
+//
+// Generation numbers order the stream and measure lag; BaseDigest and
+// BaseFrameDigest are the correctness check that the base is the one the
+// references were taken against.
+//
+//driftlint:snapshot encode=appendDelta,Differ.Diff decode=DecodeDelta,ApplyDelta
 type Delta struct {
 	// BaseGen is the generation this delta applies on; Gen is the
 	// generation the application produces.
@@ -49,8 +61,89 @@ type Delta struct {
 	// each with its own CRC.
 	NewEntries [][]byte
 	NewCRCs    []uint32
-	// Shards is the complete per-shard runtime state at Gen.
+	// Shards is the per-shard runtime state at Gen with every frame list
+	// (walkFrameLists) emptied; Runs rebuild them.
 	Shards []ShardState
+	// BaseFrames is the length of the base's frame walk and
+	// BaseFrameDigest a CRC-32 over the walked frames' stream indices and
+	// pixel counts: the frame-side twin of BaseEntries/BaseDigest.
+	BaseFrames      int
+	BaseFrameDigest uint32
+	// Runs lists, in walk order of Shards, the frames of every non-empty
+	// frame list as runs of consecutive references.
+	Runs []FrameRun
+	// NewFrames are the frames first seen in this generation, each once
+	// however many lists (or shards) hold it. On the wire they follow the
+	// gob record as raw little-endian blocks.
+	NewFrames []vidsim.Frame
+}
+
+// FrameRun is N consecutive frame references making up (part of) one
+// frame list. A reference below Delta.BaseFrames is a position in the
+// base's frame walk; one at or above it is BaseFrames plus an index into
+// Delta.NewFrames. A run never straddles the two.
+type FrameRun struct {
+	List uint32 // ordinal of the frame list in the walk of Delta.Shards
+	Ref  uint32 // first reference of the run
+	N    uint32 // frames in the run (≥ 1)
+}
+
+// walkFrameLists calls fn with a pointer to every frame list the shards
+// hold, in the canonical order frame references count positions in:
+// shard by shard, the selection buffer, the forensics pre-roll and its
+// two replay bases, then each retained declaration's replay base and
+// frames. TestWalkCoversEveryFrameList fails when a frame list is added
+// to the shard state and not here.
+func walkFrameLists(shards []ShardState, fn func(list *[]vidsim.Frame)) {
+	for si := range shards {
+		sh := &shards[si]
+		fn(&sh.Pipeline.Buffer)
+		fn(&sh.Forensics.Ring)
+		fn(&sh.Forensics.Base.Buffer)
+		fn(&sh.Forensics.Mid.Buffer)
+		for di := range sh.Forensics.Declarations {
+			d := &sh.Forensics.Declarations[di]
+			fn(&d.Base.Buffer)
+			fn(&d.Frames)
+		}
+	}
+}
+
+// cloneShards copies the shard states down to the structs that own a
+// frame list, so the copy's lists can be emptied or rebuilt without
+// touching the source. Everything else stays shared.
+func cloneShards(shards []ShardState) []ShardState {
+	out := slices.Clone(shards)
+	for i := range out {
+		out[i].Forensics.Declarations = slices.Clone(out[i].Forensics.Declarations)
+	}
+	return out
+}
+
+// frameKey identifies a frame by its pixel array. Frames are immutable
+// once submitted and every list holding a frame holds a copy of the
+// header over the same array, so while both captures are alive equal
+// keys mean the same pixels; sameFrame settles the header.
+func frameKey(f *vidsim.Frame) *float64 {
+	if len(f.Pixels) == 0 {
+		return nil
+	}
+	return &f.Pixels[0]
+}
+
+// sameFrame reports whether two headers over one pixel array describe
+// the same frame.
+func sameFrame(a, b *vidsim.Frame) bool {
+	return a.Index == b.Index && a.W == b.W && a.H == b.H && len(a.Pixels) == len(b.Pixels) &&
+		a.Condition == b.Condition && slices.Equal(a.Truth, b.Truth)
+}
+
+// frameDigest folds one walked frame into the base frame digest.
+func frameDigest(crc uint32, f *vidsim.Frame) uint32 {
+	var b [16]byte
+	binary.LittleEndian.PutUint64(b[0:8], uint64(f.Index))
+	binary.LittleEndian.PutUint64(b[8:16], uint64(len(f.Pixels)))
+	return crc32.Update(crc, crc32.IEEETable, b[:])
 }
 
 // digestCRCs collapses a per-entry CRC list into the single base
@@ -79,13 +172,39 @@ func EntryCRCs(cp *Checkpoint) ([]uint32, error) {
 	return crcs, nil
 }
 
+// baseFrame is where the base's walk first met a frame.
+type baseFrame struct {
+	pos uint32
+	hdr *vidsim.Frame
+}
+
+// Differ builds deltas. It carries no state from one Diff to the next,
+// only the two pointer indexes a diff fills, so a caller that diffs
+// every cycle (the replication primary) allocates them once instead of
+// once per cycle. The zero value is ready to use; a Differ is not safe
+// for concurrent use.
+type Differ struct {
+	base  map[*float64]baseFrame // pixel array → first position in the base's walk
+	fresh map[*float64]uint32    // pixel array → index into the delta's NewFrames
+}
+
 // DiffCheckpoints builds the delta that turns base into next, and
 // returns next's per-entry CRCs for the following diff. baseCRCs must
 // be base's entry fingerprint (from EncodeWithCRCs, DecodeWithCRCs,
 // EntryCRCs, or a previous Diff). It returns ErrDeltaBase when next
 // does not extend base — a shrunken or rewritten entry table — in
 // which case the caller falls back to a full snapshot.
+//
+// Frames are matched by pixel-array identity, which is sound only
+// while base is still alive (no live frame can then reuse an address
+// base holds) and nothing has written a frame's pixels since it was
+// submitted — the invariant stated on vidsim.Frame.
 func DiffCheckpoints(base *Checkpoint, baseCRCs []uint32, next *Checkpoint) (*Delta, []uint32, error) {
+	return new(Differ).Diff(base, baseCRCs, next)
+}
+
+// Diff is DiffCheckpoints on the receiver's reusable indexes.
+func (df *Differ) Diff(base *Checkpoint, baseCRCs []uint32, next *Checkpoint) (*Delta, []uint32, error) {
 	if len(baseCRCs) != len(base.Entries) {
 		return nil, nil, fmt.Errorf("store: %d base CRCs for %d entries", len(baseCRCs), len(base.Entries))
 	}
@@ -101,7 +220,6 @@ func DiffCheckpoints(base *Checkpoint, baseCRCs []uint32, next *Checkpoint) (*De
 		Frames:          next.Frames,
 		BaseEntries:     len(base.Entries),
 		BaseDigest:      digestCRCs(baseCRCs),
-		Shards:          next.Shards,
 	}
 	for i, e := range next.Entries {
 		if i < len(base.Entries) {
@@ -137,14 +255,129 @@ func DiffCheckpoints(base *Checkpoint, baseCRCs []uint32, next *Checkpoint) (*De
 			}
 		}
 	}
+
+	// Index the base's walk by pixel array, first position wins: lists
+	// that share frames (the pre-roll and the declaration that froze it,
+	// two shards fed one stream) then resolve to the same consecutive
+	// positions, which is what keeps the runs long.
+	if df.base == nil {
+		df.base, df.fresh = map[*float64]baseFrame{}, map[*float64]uint32{}
+	}
+	// Emptied on the way out, not on the way in: a filled index would pin
+	// the base capture's frames until the next diff.
+	defer func() {
+		clear(df.base)
+		clear(df.fresh)
+	}()
+	walkFrameLists(base.Shards, func(list *[]vidsim.Frame) {
+		for i := range *list {
+			f := &(*list)[i]
+			if key := frameKey(f); key != nil {
+				if _, seen := df.base[key]; !seen {
+					df.base[key] = baseFrame{pos: uint32(d.BaseFrames), hdr: f}
+				}
+			}
+			d.BaseFrameDigest = frameDigest(d.BaseFrameDigest, f)
+			d.BaseFrames++
+		}
+	})
+
+	listNo := uint32(0)
+	walkFrameLists(next.Shards, func(list *[]vidsim.Frame) {
+		open := false // whether the last run belongs to this list
+		for i := range *list {
+			f := &(*list)[i]
+			ref, known := uint32(0), false
+			key := frameKey(f)
+			if key != nil {
+				if b, ok := df.base[key]; ok && sameFrame(b.hdr, f) {
+					ref, known = b.pos, true
+				} else if n, ok := df.fresh[key]; ok && sameFrame(&d.NewFrames[n], f) {
+					ref, known = uint32(d.BaseFrames)+n, true
+				}
+			}
+			if !known {
+				ref = uint32(d.BaseFrames + len(d.NewFrames))
+				if key != nil {
+					df.fresh[key] = uint32(len(d.NewFrames))
+				}
+				d.NewFrames = append(d.NewFrames, *f)
+			}
+			if open {
+				last := &d.Runs[len(d.Runs)-1]
+				// Extend the run unless it would cross from base positions
+				// into new-frame indices.
+				if ref == last.Ref+last.N && ref != uint32(d.BaseFrames) {
+					last.N++
+					continue
+				}
+			}
+			d.Runs = append(d.Runs, FrameRun{List: listNo, Ref: ref, N: 1})
+			open = true
+		}
+		listNo++
+	})
+	d.Shards = cloneShards(next.Shards)
+	walkFrameLists(d.Shards, func(list *[]vidsim.Frame) { *list = nil })
 	return d, nextCRCs, nil
+}
+
+// check validates everything about a delta that does not need its base:
+// what EncodeDelta refuses to write and DecodeDelta refuses to return.
+func (d *Delta) check() error {
+	if d.BaseEntries < 0 {
+		return fmt.Errorf("store: delta claims %d base entries", d.BaseEntries)
+	}
+	if len(d.NewCRCs) != len(d.NewEntries) {
+		return fmt.Errorf("store: delta has %d entry checksums for %d entries", len(d.NewCRCs), len(d.NewEntries))
+	}
+	refs := d.BaseEntries + len(d.NewEntries)
+	for si, sh := range d.Shards {
+		for _, ref := range sh.Registry {
+			if ref < 0 || ref >= refs {
+				return fmt.Errorf("store: delta shard %d references entry %d of %d", si, ref, refs)
+			}
+		}
+		if cur := sh.Pipeline.Current; cur < 0 || cur >= len(sh.Registry) {
+			return fmt.Errorf("store: delta shard %d deploys registry slot %d of %d", si, cur, len(sh.Registry))
+		}
+	}
+	if d.BaseFrames < 0 {
+		return fmt.Errorf("store: delta claims %d base frames", d.BaseFrames)
+	}
+	lists, inline := 0, false
+	walkFrameLists(d.Shards, func(list *[]vidsim.Frame) {
+		lists++
+		inline = inline || len(*list) > 0
+	})
+	if inline {
+		return errors.New("store: delta shard state carries frames inline; frames travel as runs (build deltas with DiffCheckpoints)")
+	}
+	base, fresh := uint64(d.BaseFrames), uint64(len(d.NewFrames))
+	for i, r := range d.Runs {
+		if uint64(r.List) >= uint64(lists) || (i > 0 && r.List < d.Runs[i-1].List) {
+			return fmt.Errorf("store: delta frame run %d names list %d of %d out of order", i, r.List, lists)
+		}
+		end := uint64(r.Ref) + uint64(r.N)
+		inBase := end <= base
+		inFresh := uint64(r.Ref) >= base && end <= base+fresh
+		if r.N == 0 || !(inBase || inFresh) {
+			// Typed as a base mismatch so a standby answers it the way it
+			// answers any reference it cannot satisfy: resync from a full.
+			return fmt.Errorf("%w: frame run %d references [%d,%d) of %d base + %d new frames", ErrDeltaBase, i, r.Ref, end, base, fresh)
+		}
+	}
+	return nil
 }
 
 // ApplyDelta verifies d against base and produces the target
 // checkpoint plus its per-entry CRCs. baseCRCs may be nil, in which
 // case the fingerprint is recomputed via EntryCRCs (a re-encode —
 // replication paths pass the CRCs they already hold instead). It
-// returns ErrDeltaBase when the delta does not chain off base.
+// returns ErrDeltaBase when the delta does not chain off base. The
+// result shares base's model entries and the pixel arrays of every
+// frame it references — nothing the base already held is copied — so
+// base must be treated as immutable from here on, as checkpoints are.
 func ApplyDelta(base *Checkpoint, baseCRCs []uint32, d *Delta) (*Checkpoint, []uint32, error) {
 	if baseCRCs == nil {
 		var err error
@@ -161,14 +394,97 @@ func ApplyDelta(base *Checkpoint, baseCRCs []uint32, d *Delta) (*Checkpoint, []u
 	if got := digestCRCs(baseCRCs); got != d.BaseDigest {
 		return nil, nil, fmt.Errorf("%w: base digest %08x, delta expects %08x", ErrDeltaBase, got, d.BaseDigest)
 	}
+	if err := d.check(); err != nil {
+		return nil, nil, err
+	}
+
+	// The base's walk as its lists plus the walk position each starts at.
+	var (
+		baseLists [][]vidsim.Frame
+		starts    []int
+		walked    int
+		digest    uint32
+	)
+	walkFrameLists(base.Shards, func(list *[]vidsim.Frame) {
+		if len(*list) == 0 {
+			return
+		}
+		baseLists = append(baseLists, *list)
+		starts = append(starts, walked)
+		walked += len(*list)
+		for i := range *list {
+			digest = frameDigest(digest, &(*list)[i])
+		}
+	})
+	if walked != d.BaseFrames || digest != d.BaseFrameDigest {
+		return nil, nil, fmt.Errorf("%w: base walks %d frames (digest %08x), delta references %d (digest %08x)",
+			ErrDeltaBase, walked, digest, d.BaseFrames, d.BaseFrameDigest)
+	}
+	// view returns a run's frames as a sub-slice of the one list that
+	// holds them all (capacity clipped, so nobody appends into a shared
+	// array), or nil when they span lists.
+	view := func(r FrameRun) []vidsim.Frame {
+		lo, n := int(r.Ref), int(r.N)
+		if lo >= d.BaseFrames {
+			lo -= d.BaseFrames
+			return d.NewFrames[lo : lo+n : lo+n]
+		}
+		li := sort.SearchInts(starts, lo+1) - 1
+		if lo -= starts[li]; lo+n <= len(baseLists[li]) {
+			return baseLists[li][lo : lo+n : lo+n]
+		}
+		return nil
+	}
+	// gather appends a run's frames to dst, list by list.
+	gather := func(dst []vidsim.Frame, r FrameRun) []vidsim.Frame {
+		if v := view(r); v != nil {
+			return append(dst, v...)
+		}
+		li := sort.SearchInts(starts, int(r.Ref)+1) - 1
+		for left, pos := int(r.N), int(r.Ref); left > 0; li++ {
+			from := baseLists[li][pos-starts[li]:]
+			if len(from) > left {
+				from = from[:left]
+			}
+			dst = append(dst, from...)
+			left -= len(from)
+			pos += len(from)
+		}
+		return dst
+	}
+
 	next := &Checkpoint{
 		CreatedUnixNano: d.CreatedUnixNano,
 		Frames:          d.Frames,
 		Gen:             d.Gen,
 		Epoch:           d.Epoch,
 		Entries:         make([]*core.ModelEntry, 0, len(base.Entries)+len(d.NewEntries)),
-		Shards:          d.Shards,
+		Shards:          cloneShards(d.Shards),
 	}
+	runs, listNo := d.Runs, uint32(0)
+	walkFrameLists(next.Shards, func(list *[]vidsim.Frame) {
+		n, total := 0, 0
+		for n < len(runs) && runs[n].List == listNo {
+			total += int(runs[n].N)
+			n++
+		}
+		// A list that is one run of one list — every unchanged declaration,
+		// every cycle — shares that list's headers as well as its pixels:
+		// an apply allocates for what changed, not for what is retained.
+		if n == 1 {
+			*list = view(runs[0])
+		}
+		if n > 0 && *list == nil {
+			out := make([]vidsim.Frame, 0, total)
+			for _, r := range runs[:n] {
+				out = gather(out, r)
+			}
+			*list = out
+		}
+		runs = runs[n:]
+		listNo++
+	})
+
 	next.Entries = append(next.Entries, base.Entries...)
 	nextCRCs := make([]uint32, 0, len(baseCRCs)+len(d.NewCRCs))
 	nextCRCs = append(nextCRCs, baseCRCs...)
@@ -189,58 +505,193 @@ func ApplyDelta(base *Checkpoint, baseCRCs []uint32, d *Delta) (*Checkpoint, []u
 
 // EncodeDelta serializes a delta into the shared versioned, checksummed
 // envelope under the delta payload kind.
-func EncodeDelta(d *Delta) ([]byte, error) {
-	if len(d.NewCRCs) != len(d.NewEntries) {
-		return nil, fmt.Errorf("store: delta has %d entry checksums for %d entries", len(d.NewCRCs), len(d.NewEntries))
+func EncodeDelta(d *Delta) ([]byte, error) { return AppendDelta(nil, d) }
+
+// AppendDelta is EncodeDelta appending the envelope to dst — what lets
+// a replication primary encode every cycle into one buffer, behind
+// whatever framing it reserved at the front, and send it from there.
+func AppendDelta(dst []byte, d *Delta) ([]byte, error) {
+	if err := d.check(); err != nil {
+		return nil, err
 	}
-	refs := d.BaseEntries + len(d.NewEntries)
-	for si, sh := range d.Shards {
-		for _, ref := range sh.Registry {
-			if ref < 0 || ref >= refs {
-				return nil, fmt.Errorf("store: delta shard %d references entry %d of %d", si, ref, refs)
+	return appendDelta(dst, d)
+}
+
+// appendDelta lays the payload out as
+//
+//	u32  length of the gob record
+//	gob  the Delta without NewFrames
+//	u32  number of new frames, then each as
+//	     i64 index, i64 W, i64 H, u32+bytes condition,
+//	     u32 objects × (i64 class, 5 × f64), u32 pixels × f64
+//
+// all little-endian like the envelope. Pixels are the bulk of a delta;
+// writing them as one block each is a memmove, where gob spends a
+// varint encode per value.
+func appendDelta(dst []byte, d *Delta) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, make([]byte, headerSize+4)...)
+	rec := *d
+	rec.NewFrames = nil
+	buf := bytes.NewBuffer(dst)
+	if err := gob.NewEncoder(buf).Encode(&rec); err != nil {
+		return nil, fmt.Errorf("store: encode delta: %w", err)
+	}
+	dst = buf.Bytes()
+	gobStart := start + headerSize + 4
+	binary.LittleEndian.PutUint32(dst[gobStart-4:], uint32(len(dst)-gobStart))
+
+	size := 4
+	for i := range d.NewFrames {
+		size += frameWireSize(&d.NewFrames[i])
+	}
+	dst = slices.Grow(dst, size)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(d.NewFrames)))
+	for i := range d.NewFrames {
+		dst = appendFrame(dst, &d.NewFrames[i])
+	}
+	sealEnvelope(dst[start:], kindDelta)
+	return dst, nil
+}
+
+// frameWireSize is the exact size appendFrame writes for f.
+func frameWireSize(f *vidsim.Frame) int {
+	return 3*8 + 4 + len(f.Condition) + 4 + len(f.Truth)*6*8 + 4 + len(f.Pixels)*8
+}
+
+// appendFrame writes one new frame body (layout at appendDelta).
+func appendFrame(dst []byte, f *vidsim.Frame) []byte {
+	le := binary.LittleEndian
+	dst = le.AppendUint64(dst, uint64(f.Index))
+	dst = le.AppendUint64(dst, uint64(f.W))
+	dst = le.AppendUint64(dst, uint64(f.H))
+	dst = le.AppendUint32(dst, uint32(len(f.Condition)))
+	dst = append(dst, f.Condition...)
+	dst = le.AppendUint32(dst, uint32(len(f.Truth)))
+	for _, o := range f.Truth {
+		dst = le.AppendUint64(dst, uint64(o.Class))
+		for _, v := range [...]float64{o.X, o.Y, o.W, o.H, o.Intensity} {
+			dst = le.AppendUint64(dst, math.Float64bits(v))
+		}
+	}
+	dst = le.AppendUint32(dst, uint32(len(f.Pixels)))
+	for _, v := range f.Pixels {
+		dst = le.AppendUint64(dst, math.Float64bits(v))
+	}
+	return dst
+}
+
+// frameReader decodes new frame bodies off a validated payload. Every
+// count is checked against the bytes actually left before anything is
+// allocated for it, so a lying length yields ErrTruncated, never a
+// panic or an allocation the input did not pay for.
+type frameReader struct {
+	b   []byte
+	err error
+}
+
+func (r *frameReader) take(n int) []byte {
+	if r.err != nil || n < 0 || n > len(r.b) {
+		r.err = fmt.Errorf("%w: delta frame section ends early", ErrTruncated)
+		return nil
+	}
+	out := r.b[:n]
+	r.b = r.b[n:]
+	return out
+}
+
+func (r *frameReader) u32() int {
+	if b := r.take(4); b != nil {
+		return int(binary.LittleEndian.Uint32(b))
+	}
+	return 0
+}
+
+func (r *frameReader) u64() uint64 {
+	if b := r.take(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
+}
+
+// count reads an element count and checks that many elements of size
+// bytes each are still there.
+func (r *frameReader) count(size int) int {
+	n := r.u32()
+	if r.err == nil && n > len(r.b)/size {
+		r.err = fmt.Errorf("%w: delta frame section claims %d elements of %d bytes, %d bytes left", ErrTruncated, n, size, len(r.b))
+	}
+	if r.err != nil {
+		return 0
+	}
+	return n
+}
+
+// frame decodes one body straight into the arrays the frame keeps.
+// Empty lists decode to nil, as gob decodes them in a full checkpoint.
+func (r *frameReader) frame() vidsim.Frame {
+	f := vidsim.Frame{Index: int(r.u64()), W: int(r.u64()), H: int(r.u64())}
+	f.Condition = string(r.take(r.count(1)))
+	if n := r.count(6 * 8); n > 0 {
+		f.Truth = make([]vidsim.Object, n)
+		for i := range f.Truth {
+			o := &f.Truth[i]
+			o.Class = vidsim.Class(r.u64())
+			for _, v := range [...]*float64{&o.X, &o.Y, &o.W, &o.H, &o.Intensity} {
+				*v = math.Float64frombits(r.u64())
 			}
 		}
 	}
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(d); err != nil {
-		return nil, fmt.Errorf("store: encode delta: %w", err)
+	if n := r.count(8); n > 0 {
+		raw := r.take(8 * n)
+		f.Pixels = make([]float64, n)
+		for i := range f.Pixels {
+			f.Pixels[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
 	}
-	return sealEnvelope(kindDelta, payload.Bytes()), nil
+	return f
 }
 
 // DecodeDelta parses and validates a delta from envelope bytes,
 // returning typed errors (never panicking) on malformed input. The
-// base digest is checked later, at ApplyDelta time.
+// base digests are checked later, at ApplyDelta time.
 func DecodeDelta(data []byte) (*Delta, error) {
 	payload, err := decodeEnvelope(data, kindDelta)
 	if err != nil {
 		return nil, err
 	}
+	r := frameReader{b: payload}
+	rec := r.take(r.u32())
+	if r.err != nil {
+		return nil, fmt.Errorf("%w: delta record", ErrTruncated)
+	}
 	var d Delta
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&d); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(rec)).Decode(&d); err != nil {
 		return nil, fmt.Errorf("store: decode delta: %w", err)
 	}
-	if d.BaseEntries < 0 {
-		return nil, fmt.Errorf("store: delta claims %d base entries", d.BaseEntries)
-	}
-	if len(d.NewCRCs) != len(d.NewEntries) {
-		return nil, fmt.Errorf("store: delta has %d entry checksums for %d entries", len(d.NewCRCs), len(d.NewEntries))
-	}
 	for i, blob := range d.NewEntries {
-		if crc32.ChecksumIEEE(blob) != d.NewCRCs[i] {
+		if i < len(d.NewCRCs) && crc32.ChecksumIEEE(blob) != d.NewCRCs[i] {
 			return nil, fmt.Errorf("%w (delta entry %d)", ErrChecksum, i)
 		}
 	}
-	refs := d.BaseEntries + len(d.NewEntries)
-	for si, sh := range d.Shards {
-		for _, ref := range sh.Registry {
-			if ref < 0 || ref >= refs {
-				return nil, fmt.Errorf("store: delta shard %d references entry %d of %d", si, ref, refs)
-			}
+	// New frames come from the raw section only, whatever the gob record
+	// claims. The smallest body is an empty frame: three integers and
+	// three zero counts.
+	d.NewFrames = nil
+	if n := r.count(3*8 + 3*4); n > 0 {
+		d.NewFrames = make([]vidsim.Frame, n)
+		for i := range d.NewFrames {
+			d.NewFrames[i] = r.frame()
 		}
-		if cur := sh.Pipeline.Current; cur < 0 || cur >= len(sh.Registry) {
-			return nil, fmt.Errorf("store: delta shard %d deploys registry slot %d of %d", si, cur, len(sh.Registry))
-		}
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	if len(r.b) != 0 {
+		return nil, fmt.Errorf("store: %d stray bytes after the delta's frames", len(r.b))
+	}
+	if err := d.check(); err != nil {
+		return nil, err
 	}
 	return &d, nil
 }

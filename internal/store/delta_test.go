@@ -1,10 +1,14 @@
 package store
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"reflect"
 	"testing"
 
 	"videodrift/internal/core"
+	"videodrift/internal/forensics"
 	"videodrift/internal/vidsim"
 )
 
@@ -37,6 +41,159 @@ func nextGeneration(t testing.TB, base *Checkpoint, addEntry bool) *Checkpoint {
 		}
 	}
 	return next
+}
+
+// framedGenerations returns two consecutive generations whose shards
+// hold frames the way a live fleet's do: a pre-roll, a selection buffer
+// and a retained declaration, sharing pixel arrays between lists and
+// between shards; next keeps most of base's frames, drops some and adds
+// new ones.
+func framedGenerations(t testing.TB) (base, next *Checkpoint) {
+	t.Helper()
+	fr := vidsim.GenerateTraining(testCond(vidsim.Day()), testW, testH, 40, 17)
+	withFrames := func(cp *Checkpoint, ring, buffer, declared []vidsim.Frame) *Checkpoint {
+		sh := append([]ShardState(nil), cp.Shards...)
+		sh[0].Forensics = forensics.RecorderState{
+			Enabled: true, Window: 8, Keep: 2, Frame: 100,
+			Ring:         append([]vidsim.Frame(nil), ring...),
+			Declarations: []forensics.Declaration{{ID: "drift-00000042", Frame: 42, Frames: declared}},
+		}
+		sh[1].Pipeline.Buffer = append([]vidsim.Frame(nil), buffer...)
+		cp.Shards = sh
+		return cp
+	}
+	base = withFrames(testCheckpoint(t), fr[0:12], fr[6:16], fr[2:9])
+	base.Gen = 1
+	next = withFrames(nextGeneration(t, base, false), fr[4:20], fr[10:24], fr[2:9])
+	return base, next
+}
+
+// allFrames collects every frame of a checkpoint's shard state, in walk
+// order.
+func allFrames(cp *Checkpoint) []vidsim.Frame {
+	var out []vidsim.Frame
+	walkFrameLists(cp.Shards, func(list *[]vidsim.Frame) { out = append(out, *list...) })
+	return out
+}
+
+// TestWalkCoversEveryFrameList pins walkFrameLists to the shard state's
+// type: every []vidsim.Frame reachable from ShardState must be a list the
+// walk visits, or a delta would carry it inline (and a full checkpoint's
+// worth of it every cycle).
+func TestWalkCoversEveryFrameList(t *testing.T) {
+	frameList := reflect.TypeOf([]vidsim.Frame(nil))
+	var count func(reflect.Type) int
+	count = func(ty reflect.Type) int {
+		switch {
+		case ty == frameList:
+			return 1
+		case ty.Kind() == reflect.Slice || ty.Kind() == reflect.Array || ty.Kind() == reflect.Pointer:
+			return count(ty.Elem()) // one element stands for all
+		case ty.Kind() == reflect.Struct:
+			n := 0
+			for i := 0; i < ty.NumField(); i++ {
+				n += count(ty.Field(i).Type)
+			}
+			return n
+		}
+		return 0
+	}
+	want := count(reflect.TypeOf(ShardState{}))
+	shards := []ShardState{{Forensics: forensics.RecorderState{Declarations: make([]forensics.Declaration, 1)}}}
+	got := 0
+	walkFrameLists(shards, func(*[]vidsim.Frame) { got++ })
+	if got != want {
+		t.Fatalf("walkFrameLists visits %d frame lists of a one-declaration shard, its type holds %d", got, want)
+	}
+}
+
+// TestDeltaFramesShippedOnce is the frame table's contract: a frame the
+// base holds travels as a reference, a new frame travels once however
+// many lists and shards hold it, and the applied checkpoint equals the
+// full round trip while sharing the base's pixel arrays.
+func TestDeltaFramesShippedOnce(t *testing.T) {
+	base, next := framedGenerations(t)
+	full, baseCRCs, err := EncodeWithCRCs(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The standby's copy of the base: decoded, so it shares nothing with
+	// the primary's capture.
+	sbBase, sbCRCs, err := DecodeWithCRCs(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	d, _, err := DiffCheckpoints(base, baseCRCs, next)
+	if err != nil {
+		t.Fatalf("diff: %v", err)
+	}
+	// base holds frames 0..15, next 2..23: eight new frames, each in two
+	// lists of two different shards.
+	if len(d.NewFrames) != 8 {
+		t.Fatalf("delta carries %d new frames, want 8", len(d.NewFrames))
+	}
+	if d.BaseFrames != len(allFrames(base)) {
+		t.Fatalf("delta pins %d base frames, the base walks %d", d.BaseFrames, len(allFrames(base)))
+	}
+	for _, f := range allFrames(&Checkpoint{Shards: d.Shards}) {
+		t.Fatalf("delta shard state still carries frame %d inline", f.Index)
+	}
+	wire, err := EncodeDelta(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frameBytes := 8 * testDim
+	if limit := 8*frameBytes + 16<<10; len(wire) > limit {
+		t.Fatalf("delta is %d bytes for 8 new frames of %d bytes, want at most %d", len(wire), frameBytes, limit)
+	}
+	dd, err := DecodeDelta(wire)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	applied, _, err := ApplyDelta(sbBase, sbCRCs, dd)
+	if err != nil {
+		t.Fatalf("apply: %v", err)
+	}
+
+	nextFull, err := Encode(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Decode(nextFull)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(applied.Shards, want.Shards) {
+		t.Fatal("shard state rebuilt from the delta differs from the full round trip")
+	}
+
+	// Nothing the base held was copied: every pixel array of the applied
+	// checkpoint is the standby base's or one of the eight shipped.
+	held := map[*float64]bool{}
+	for _, f := range allFrames(sbBase) {
+		held[&f.Pixels[0]] = true
+	}
+	fresh := map[*float64]bool{}
+	for _, f := range allFrames(applied) {
+		if !held[&f.Pixels[0]] {
+			fresh[&f.Pixels[0]] = true
+		}
+	}
+	if len(fresh) != 8 {
+		t.Fatalf("applied checkpoint holds %d pixel arrays the base did not, want the 8 shipped", len(fresh))
+	}
+	// A list that is one run of one base list shares even its headers:
+	// the declaration froze frames 2..8 of the pre-roll, which is where
+	// the base's walk met them first.
+	if a, b := applied.Shards[0].Forensics.Declarations[0].Frames, sbBase.Shards[0].Forensics.Ring[2:]; &a[0] != &b[0] {
+		t.Error("an unchanged declaration's frame list was rebuilt instead of shared")
+	}
+	// Applying twice is safe: the first apply did not consume the delta.
+	again, _, err := ApplyDelta(sbBase, sbCRCs, dd)
+	if err != nil || !reflect.DeepEqual(again.Shards, want.Shards) {
+		t.Fatalf("second apply of one delta: %v", err)
+	}
 }
 
 func TestDeltaRoundTrip(t *testing.T) {
@@ -173,6 +330,47 @@ func TestApplyRejectsWrongBase(t *testing.T) {
 	if _, _, err := ApplyDelta(base, baseCRCs, &wrongDigest); !errors.Is(err, ErrDeltaBase) {
 		t.Fatalf("wrong digest: %v, want ErrDeltaBase", err)
 	}
+
+	// The frame side of the same contract: a delta whose references were
+	// taken against another frame population, or point past what base and
+	// delta hold, is a base mismatch — never a panic, never a misapply.
+	fbase, fnext := framedGenerations(t)
+	_, fCRCs, err := EncodeWithCRCs(fbase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fd, _, err := DiffCheckpoints(fbase, fCRCs, fnext)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ApplyDelta(base, baseCRCs, fd); !errors.Is(err, ErrDeltaBase) {
+		t.Fatalf("delta applied to a base holding other frames: %v, want ErrDeltaBase", err)
+	}
+	otherFrames := *fd
+	otherFrames.BaseFrameDigest ^= 1
+	if _, _, err := ApplyDelta(fbase, fCRCs, &otherFrames); !errors.Is(err, ErrDeltaBase) {
+		t.Fatalf("wrong frame digest: %v, want ErrDeltaBase", err)
+	}
+	for name, run := range map[string]FrameRun{
+		"past the base walk":  {List: 0, Ref: uint32(fd.BaseFrames) - 1, N: 2},
+		"past the new frames": {List: 0, Ref: uint32(fd.BaseFrames + len(fd.NewFrames)), N: 1},
+		"wrapping":            {List: 0, Ref: ^uint32(0), N: 2},
+		"empty":               {List: 0, Ref: 0, N: 0},
+	} {
+		bad := *fd
+		bad.Runs = append([]FrameRun{run}, fd.Runs...)
+		if _, _, err := ApplyDelta(fbase, fCRCs, &bad); !errors.Is(err, ErrDeltaBase) {
+			t.Errorf("run %s: %v, want ErrDeltaBase", name, err)
+		}
+		if _, err := EncodeDelta(&bad); !errors.Is(err, ErrDeltaBase) {
+			t.Errorf("run %s encoded: %v, want ErrDeltaBase", name, err)
+		}
+	}
+	badList := *fd
+	badList.Runs = append(append([]FrameRun(nil), fd.Runs...), FrameRun{List: 1 << 20, Ref: 0, N: 1})
+	if _, _, err := ApplyDelta(fbase, fCRCs, &badList); err == nil {
+		t.Error("a run naming a list the shards do not have was applied")
+	}
 }
 
 func TestDecodeDeltaRejectsDamage(t *testing.T) {
@@ -211,6 +409,44 @@ func TestDecodeDeltaRejectsDamage(t *testing.T) {
 	}
 	if _, err := DecodeDelta(full); err == nil {
 		t.Fatal("DecodeDelta accepted a checkpoint envelope")
+	}
+
+	// Damage inside the raw frame section, with the envelope re-sealed so
+	// only the section's own bounds checks stand between it and a panic.
+	fbase, fnext := framedGenerations(t)
+	_, fCRCs, err := EncodeWithCRCs(fbase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fd, _, err := DiffCheckpoints(fbase, fCRCs, fnext)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fwire, err := EncodeDelta(fd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reseal := func(b []byte) []byte {
+		binary.LittleEndian.PutUint64(b[8:16], uint64(len(b)-headerSize))
+		binary.LittleEndian.PutUint32(b[16:20], crc32.ChecksumIEEE(b[headerSize:]))
+		return b
+	}
+	frames := headerSize + 4 + int(binary.LittleEndian.Uint32(fwire[headerSize:])) // the new-frame count
+	if got := binary.LittleEndian.Uint32(fwire[frames:]); got != uint32(len(fd.NewFrames)) {
+		t.Fatalf("frame section starts with %d, want the %d new frames", got, len(fd.NewFrames))
+	}
+	cut := reseal(append([]byte(nil), fwire[:len(fwire)-100]...))
+	if _, err := DecodeDelta(cut); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("frame section cut short: %v, want ErrTruncated", err)
+	}
+	lying := append([]byte(nil), fwire...)
+	binary.LittleEndian.PutUint32(lying[frames:], 1<<30) // a billion frames in a few kilobytes
+	if _, err := DecodeDelta(reseal(lying)); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("lying frame count: %v, want ErrTruncated", err)
+	}
+	stray := reseal(append(append([]byte(nil), fwire...), 0, 0, 0))
+	if _, err := DecodeDelta(stray); err == nil {
+		t.Fatal("stray bytes after the frame section decoded")
 	}
 }
 

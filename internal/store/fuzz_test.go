@@ -63,6 +63,23 @@ func FuzzDecodeDelta(f *testing.F) {
 	f.Add(valid[:len(valid)-7])
 	full, _ := Encode(base)
 	f.Add(full) // wrong envelope kind
+	// A delta with a frame table: references into the base's walk plus
+	// new frame bodies in the raw section, whole and cut inside a body.
+	fbase, fnext := framedGenerations(f)
+	fcrcs, err := EntryCRCs(fbase)
+	if err != nil {
+		f.Fatalf("fingerprinting framed checkpoint: %v", err)
+	}
+	fd, _, err := DiffCheckpoints(fbase, fcrcs, fnext)
+	if err != nil {
+		f.Fatalf("diffing framed generations: %v", err)
+	}
+	framed, err := EncodeDelta(fd)
+	if err != nil {
+		f.Fatalf("encoding framed delta: %v", err)
+	}
+	f.Add(framed)
+	f.Add(framed[:len(framed)-testDim*4])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := DecodeDelta(data)
@@ -82,6 +99,12 @@ func FuzzDecodeDelta(f *testing.F) {
 				if ref < 0 || ref >= refs {
 					t.Fatalf("accepted shard %d with dangling entry ref %d of %d", si, ref, refs)
 				}
+			}
+		}
+		frames := uint64(got.BaseFrames) + uint64(len(got.NewFrames))
+		for _, r := range got.Runs {
+			if r.N == 0 || uint64(r.Ref)+uint64(r.N) > frames {
+				t.Fatalf("accepted frame run %+v over %d frames", r, frames)
 			}
 		}
 	})

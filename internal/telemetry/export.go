@@ -60,6 +60,12 @@ type Snapshot struct {
 	ReplicaDeltasApplied uint64 `json:"replica_deltas_applied,omitempty"`
 	Promotions           uint64 `json:"promotions,omitempty"`
 	ReplicaLagGens       int    `json:"replica_lag_generations,omitempty"`
+	// ReplicaFullBytes and ReplicaDeltaBytes are the wire bytes a primary
+	// shipped, by message kind; ReplicaCycleSeconds is how long its latest
+	// replication cycle took (the "replicate" stage has the distribution).
+	ReplicaFullBytes    uint64  `json:"replica_full_bytes,omitempty"`
+	ReplicaDeltaBytes   uint64  `json:"replica_delta_bytes,omitempty"`
+	ReplicaCycleSeconds float64 `json:"replica_cycle_seconds,omitempty"`
 
 	// LastCheckpointUnixNano is when the last checkpoint was persisted
 	// (0 when none has been).
@@ -107,6 +113,9 @@ func (t *Tracer) Snapshot() Snapshot {
 		ReplicaDeltasApplied:   t.counts[KindReplicaDeltaApplied],
 		Promotions:             t.counts[KindReplicaPromoted],
 		ReplicaLagGens:         t.replicaLag,
+		ReplicaFullBytes:       t.replicaFullBytes,
+		ReplicaDeltaBytes:      t.replicaDeltaBytes,
+		ReplicaCycleSeconds:    t.replicaCycle.Seconds(),
 		Health:                 t.health,
 		LastCheckpointUnixNano: t.lastCheckpoint,
 		Martingale:             t.martingale,
@@ -230,6 +239,13 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 		p("# TYPE videodrift_replica_deltas_total counter\n")
 		p("videodrift_replica_deltas_total{role=\"primary\"} %d\n", s.ReplicaDeltasSent)
 		p("videodrift_replica_deltas_total{role=\"standby\"} %d\n", s.ReplicaDeltasApplied)
+		p("# HELP videodrift_replica_bytes_total Wire bytes a primary shipped to its standbys, by message kind (a full after first contact is a resync).\n")
+		p("# TYPE videodrift_replica_bytes_total counter\n")
+		p("videodrift_replica_bytes_total{kind=\"full\"} %d\n", s.ReplicaFullBytes)
+		p("videodrift_replica_bytes_total{kind=\"delta\"} %d\n", s.ReplicaDeltaBytes)
+		p("# HELP videodrift_replica_cycle_seconds Duration of the primary's latest replication cycle (capture, diff, encode, send, ack).\n")
+		p("# TYPE videodrift_replica_cycle_seconds gauge\n")
+		p("videodrift_replica_cycle_seconds %s\n", promFloat(s.ReplicaCycleSeconds))
 		p("# HELP videodrift_replica_lag_generations Generations the slowest connected standby trails the primary by.\n")
 		p("# TYPE videodrift_replica_lag_generations gauge\n")
 		p("videodrift_replica_lag_generations %d\n", s.ReplicaLagGens)

@@ -228,6 +228,7 @@ const (
 	StageTrain                   // provisioning a new model mid-stream
 	StageODINDetect              // ODIN-Detect clustering per frame
 	StageCheckpoint              // one checkpoint capture + atomic write
+	StageReplicate               // one replication cycle: capture, diff, encode, send, ack
 
 	stageCount
 )
@@ -242,6 +243,7 @@ var stageNames = [stageCount]string{
 	"train",
 	"odin_detect",
 	"checkpoint",
+	"replicate",
 }
 
 // String returns the stage's snake_case name.
@@ -341,9 +343,11 @@ type Event struct {
 	Health  string `json:"health,omitempty"`
 
 	// Replication fields: the checkpoint generation a replica event
-	// carries and the fencing epoch it was streamed or promoted under.
-	Gen   uint64 `json:"gen,omitempty"`
-	Epoch uint64 `json:"epoch,omitempty"`
+	// carries, the fencing epoch it was streamed or promoted under, and
+	// (replica_delta_sent) how long the cycle that shipped it took.
+	Gen     uint64  `json:"gen,omitempty"`
+	Epoch   uint64  `json:"epoch,omitempty"`
+	CycleMS float64 `json:"cycle_ms,omitempty"`
 }
 
 // Config parameterizes a Tracer. The zero value is usable.
@@ -383,7 +387,10 @@ type Tracer struct {
 
 	lastCheckpoint int64 // unix nanos of the last persisted checkpoint
 
-	replicaLag int // newest generation minus slowest standby's ack
+	replicaLag        int // newest generation minus slowest standby's ack
+	replicaFullBytes  uint64
+	replicaDeltaBytes uint64
+	replicaCycle      time.Duration // latest replication cycle
 
 	health Health // current degradation state
 
@@ -625,16 +632,25 @@ func (t *Tracer) HealthChanged(h Health, reason string) {
 }
 
 // ReplicaDeltaSent records a replication primary shipping generation
-// gen (reason "full" or "delta") of the given encoded size, and
-// refreshes the replication-lag gauge (newest generation minus the
-// slowest connected standby's acknowledged generation).
-func (t *Tracer) ReplicaDeltaSent(gen, epoch uint64, reason string, bytes, lagGens int) {
+// gen (reason "full" or "delta") of the given encoded size in a cycle
+// that took cycle end to end, and refreshes the replication-lag gauge
+// (newest generation minus the slowest connected standby's acknowledged
+// generation). Bytes accumulate per kind: a full after first contact
+// shows up as the full counter moving.
+func (t *Tracer) ReplicaDeltaSent(gen, epoch uint64, reason string, bytes, lagGens int, cycle time.Duration) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	t.replicaLag = lagGens
-	t.emit(Event{Kind: KindReplicaDeltaSent, Gen: gen, Epoch: epoch, Reason: reason, Bytes: bytes}, true)
+	t.replicaCycle = cycle
+	if reason == "full" {
+		t.replicaFullBytes += uint64(bytes)
+	} else {
+		t.replicaDeltaBytes += uint64(bytes)
+	}
+	t.emit(Event{Kind: KindReplicaDeltaSent, Gen: gen, Epoch: epoch, Reason: reason, Bytes: bytes,
+		CycleMS: float64(cycle) / float64(time.Millisecond)}, true)
 	t.mu.Unlock()
 }
 

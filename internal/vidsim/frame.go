@@ -46,6 +46,17 @@ func (o Object) Bottom() float64 { return o.Y + o.H/2 }
 // scene state; production code paths never read it (annotation goes
 // through detect.Oracle, mirroring the paper where Mask R-CNN output
 // defines ground truth), but tests and the drift-point bookkeeping do.
+//
+// Invariant: a frame is immutable once it has been submitted to a
+// pipeline. Frame values are copied freely — the selection buffer, the
+// forensics pre-roll, every retained declaration and every checkpoint
+// hold copies of the header over the SAME Pixels and Truth arrays — and
+// delta checkpoints (internal/store) identify a frame by its Pixels
+// array to ship it to a standby once. Code that needs different pixels
+// makes a new array (as faults.Injector does before corrupting one);
+// writing through Pixels after submission would silently desynchronize
+// every holder, and the standby from the primary
+// (TestDeltaChainEqualsFull is the tripwire).
 type Frame struct {
 	Index     int
 	W, H      int

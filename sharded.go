@@ -114,6 +114,14 @@ type ShardedMonitor struct {
 	baseModels []*Model
 	baseOpts   Options
 
+	// tableMu guards table, the model table of the last Checkpoint. The
+	// next capture numbers its entries in that order and appends the ones
+	// it has not seen, so consecutive checkpoints' tables extend each other
+	// whichever shard trained a model — what lets replication ship a
+	// training as one new entry instead of a full snapshot.
+	tableMu sync.Mutex
+	table   []*Model
+
 	faults       *faults.Injector
 	maxRestarts  int
 	stallTimeout time.Duration
