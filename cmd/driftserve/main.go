@@ -63,7 +63,10 @@
 // NACKs, and tenants idle past -idle-evict detach to free their shard.
 // /healthz gains a per-tenant "ingest" section and /metrics the
 // ingest_* series; `drifttool health <addr>` renders both. Feed it with
-// cmd/driftfeed. Ingest mode excludes -state-dir and -chaos.
+// cmd/driftfeed. Ingest mode excludes -state-dir and -chaos. On SIGTERM
+// or SIGINT the pump gets ten seconds to finish its batch; if it has not,
+// the process writes every goroutine's stack to stderr and exits 1 rather
+// than ignore the signal.
 //
 // With -chaos, a seeded fault schedule is replayed against the run:
 // pixel corruption (quarantined at the admission gate), injected worker
@@ -1143,7 +1146,10 @@ func main() {
 	close(shutdown)
 	f := flt.Load()
 	if f.router != nil {
-		<-pumpDone
+		if !waitStopped(pumpDone, pumpStopTimeout, os.Stderr) {
+			fmt.Fprintf(os.Stderr, "%v: ingest pump still running after %v (goroutine dump above); exiting without a final flush\n", s, pumpStopTimeout)
+			os.Exit(1)
+		}
 		if n, err := f.router.Pump(); err != nil {
 			log.Printf("ingest final drain: %v", err)
 		} else {

@@ -44,6 +44,8 @@ type Classifier struct {
 	cfg Config
 	net *nn.Network
 	opt *nn.Adam
+
+	params []*nn.Param // net.Params(), built once: they alias the layers' storage
 }
 
 // New creates an untrained classifier with weights drawn from rng.
@@ -60,15 +62,12 @@ func New(cfg Config, rng *stats.RNG) *Classifier {
 	if cfg.Epochs <= 0 {
 		cfg.Epochs = 10
 	}
-	return &Classifier{
-		cfg: cfg,
-		net: nn.NewNetwork(
-			nn.NewDense(cfg.InputDim, cfg.HiddenDim, rng),
-			&nn.ReLU{},
-			nn.NewDense(cfg.HiddenDim, cfg.NumClasses, rng),
-		),
-		opt: nn.NewAdam(cfg.LR),
-	}
+	net := nn.NewNetwork(
+		nn.NewDense(cfg.InputDim, cfg.HiddenDim, rng),
+		&nn.ReLU{},
+		nn.NewDense(cfg.HiddenDim, cfg.NumClasses, rng),
+	)
+	return &Classifier{cfg: cfg, net: net, opt: nn.NewAdam(cfg.LR), params: net.Params()}
 }
 
 // Config returns the configuration the classifier was built with.
@@ -80,11 +79,11 @@ func (c *Classifier) NumClasses() int { return c.cfg.NumClasses }
 // TrainStep performs one stochastic gradient step on a single example and
 // returns the cross-entropy loss.
 func (c *Classifier) TrainStep(x tensor.Vector, label int) float64 {
-	c.net.ZeroGrad()
+	nn.ZeroGrads(c.params)
 	logits := c.net.Forward(x)
 	loss, grad := nn.SoftmaxCrossEntropy(logits, label)
 	c.net.Backward(grad)
-	c.opt.Step(c.net.Params())
+	c.opt.Step(c.params)
 	return loss
 }
 

@@ -4,8 +4,11 @@ import (
 	"math"
 	"testing"
 
+	"videodrift/internal/dataset"
+	"videodrift/internal/query"
 	"videodrift/internal/stats"
 	"videodrift/internal/tensor"
+	"videodrift/internal/vision"
 )
 
 // gaussianBlobs builds a 2-class dataset of well-separated Gaussian blobs
@@ -176,5 +179,24 @@ func TestEnsembleDeterministicGivenSeed(t *testing.T) {
 	x := tensor.Vector{0.5, -0.5, 0.1, 0}
 	if a.PredictProba(x).Dist(b.PredictProba(x)) > 1e-12 {
 		t.Error("ensemble training is not deterministic given a fixed seed")
+	}
+}
+
+// BenchmarkClassifierFit times the fit set-up runs once per network (24
+// of them for a four-sequence dataset): the experiment-scale query
+// classifier, 60 epochs over 300 BDD training frames, 18 000 single-example
+// Adam steps. The data is real because the cost was: ReLU rows that die on
+// it leave a fifth of the first moments idle long enough to go subnormal.
+func BenchmarkClassifierFit(b *testing.B) {
+	ann := query.NewAnnotator(30)
+	var samples []Sample
+	for _, f := range dataset.BDD(0.02).TrainingFrames(0, 300) {
+		samples = append(samples, Sample{X: vision.QueryFeatures(f.Pixels, f.W, f.H), Label: ann.CountLabel(f)})
+	}
+	cfg := Config{InputDim: len(samples[0].X), HiddenDim: 48, NumClasses: ann.NumClasses(query.Count), LR: 5e-3, Epochs: 60}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		New(cfg, stats.NewRNG(7)).Fit(samples, stats.NewRNG(8))
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"videodrift/internal/core"
 	"videodrift/internal/dataset"
 	"videodrift/internal/odin"
+	"videodrift/internal/parallel"
 	"videodrift/internal/query"
 )
 
@@ -79,18 +80,25 @@ func BuildEnvShell(ds *dataset.Dataset, cfg Config, kind query.Kind) *Env {
 
 // BuildEnv provisions one model per dataset sequence (trained on that
 // condition's training frames, annotated by the oracle — §5.4) and
-// assembles the registry the Model Selector chooses from.
+// assembles the registry the Model Selector chooses from. The sequences
+// are provisioned concurrently on the shared pool; each has its own seed
+// and the registry keeps dataset order, so the result does not depend on
+// the pool's size.
 func BuildEnv(ds *dataset.Dataset, cfg Config, kind query.Kind) *Env {
+	return buildEnv(ds, cfg, kind, parallel.Shared(0))
+}
+
+func buildEnv(ds *dataset.Dataset, cfg Config, kind query.Kind, pool *parallel.Pool) *Env {
 	env := BuildEnvShell(ds, cfg, kind)
 	labeler := env.Labeler()
 
 	entries := make([]*core.ModelEntry, len(ds.Sequences))
-	for i := range ds.Sequences {
+	pool.ForEach(len(entries), func(i int) {
 		frames := ds.TrainingFrames(i, cfg.TrainFrames)
 		p := env.Provision
 		p.Seed = cfg.Seed + int64(i)*31
 		entries[i] = core.Provision(ds.Sequences[i].Name, frames, labeler, p)
-	}
+	})
 	env.Registry = core.NewRegistry(entries...)
 	return env
 }

@@ -27,6 +27,11 @@ type Param struct {
 // Backward needs, so a Layer is stateful and training is not safe for
 // concurrent use; Infer computes the same output and caches nothing, so
 // any number of goroutines may run it on one trained layer.
+//
+// A training step runs every layer once forward and once backward, so
+// the vectors Forward and Backward return may be the layer's own scratch:
+// they are valid until the same method is next called on that layer.
+// Infer always returns a fresh vector.
 type Layer interface {
 	// Forward computes the layer output for in.
 	Forward(in tensor.Vector) tensor.Vector
@@ -48,7 +53,8 @@ type Dense struct {
 	GW *tensor.Matrix
 	GB tensor.Vector
 
-	in tensor.Vector // cached input for Backward
+	in      tensor.Vector // cached input for Backward
+	out, gi tensor.Vector // Forward's and Backward's results, reused
 }
 
 // NewDense returns a Dense layer with Xavier-initialized weights and zero
@@ -67,7 +73,9 @@ func NewDense(inDim, outDim int, rng *stats.RNG) *Dense {
 // Forward implements Layer.
 func (d *Dense) Forward(in tensor.Vector) tensor.Vector {
 	d.in = in
-	return d.Infer(in)
+	d.out = d.W.MatVecInto(d.out, in)
+	d.out.AddInPlace(d.B)
+	return d.out
 }
 
 // Infer implements Layer.
@@ -81,7 +89,8 @@ func (d *Dense) Infer(in tensor.Vector) tensor.Vector {
 func (d *Dense) Backward(gradOut tensor.Vector) tensor.Vector {
 	d.GW.AddOuterInPlace(1, gradOut, d.in)
 	d.GB.AddInPlace(gradOut)
-	return d.W.MatVecT(gradOut)
+	d.gi = d.W.MatVecTInto(d.gi, gradOut)
+	return d.gi
 }
 
 // Params implements Layer.
@@ -94,25 +103,27 @@ func (d *Dense) Params() []*Param {
 
 // ReLU is the rectified linear activation.
 type ReLU struct {
-	mask []bool
+	mask    []bool
+	out, gi tensor.Vector // Forward's and Backward's results, reused
 }
 
 // Forward implements Layer.
 func (r *ReLU) Forward(in tensor.Vector) tensor.Vector {
 	if cap(r.mask) < len(in) {
 		r.mask = make([]bool, len(in))
+		r.out = make(tensor.Vector, len(in))
+		r.gi = make(tensor.Vector, len(in))
 	}
-	r.mask = r.mask[:len(in)]
-	out := make(tensor.Vector, len(in))
+	r.mask, r.out, r.gi = r.mask[:len(in)], r.out[:len(in)], r.gi[:len(in)]
 	for i, x := range in {
+		r.mask[i] = x > 0
 		if x > 0 {
-			out[i] = x
-			r.mask[i] = true
+			r.out[i] = x
 		} else {
-			r.mask[i] = false
+			r.out[i] = 0
 		}
 	}
-	return out
+	return r.out
 }
 
 // Infer implements Layer.
@@ -128,13 +139,14 @@ func (r *ReLU) Infer(in tensor.Vector) tensor.Vector {
 
 // Backward implements Layer.
 func (r *ReLU) Backward(gradOut tensor.Vector) tensor.Vector {
-	out := make(tensor.Vector, len(gradOut))
 	for i, g := range gradOut {
 		if r.mask[i] {
-			out[i] = g
+			r.gi[i] = g
+		} else {
+			r.gi[i] = 0
 		}
 	}
-	return out
+	return r.gi
 }
 
 // Params implements Layer.

@@ -59,8 +59,13 @@ func (n *Network) Params() []*Param {
 }
 
 // ZeroGrad clears every parameter gradient.
-func (n *Network) ZeroGrad() {
-	for _, p := range n.Params() {
+func (n *Network) ZeroGrad() { ZeroGrads(n.Params()) }
+
+// ZeroGrads clears the gradients of params. A training loop that keeps
+// the slice Params returned uses it in place of ZeroGrad, which builds
+// that slice again.
+func ZeroGrads(params []*Param) {
+	for _, p := range params {
 		for i := range p.Grad {
 			p.Grad[i] = 0
 		}

@@ -6,8 +6,11 @@ import (
 	"testing"
 	"testing/quick"
 
+	"videodrift/internal/dataset"
+	"videodrift/internal/query"
 	"videodrift/internal/stats"
 	"videodrift/internal/tensor"
+	"videodrift/internal/vision"
 )
 
 func buildMLP(rng *stats.RNG, dims ...int) *Network {
@@ -339,4 +342,416 @@ func TestInferMatchesForward(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// adamStepReference is Adam.Step as it stood before the idle-coordinate
+// shortcuts: the plain loop, with arithmetic on every coordinate at every
+// step. The differential tests hold Step to its bits.
+func adamStepReference(o *Adam, params []*Param) {
+	if o.m == nil {
+		o.m = make([][]float64, len(params))
+		o.v = make([][]float64, len(params))
+		for i, p := range params {
+			o.m[i] = make([]float64, len(p.Value))
+			o.v[i] = make([]float64, len(p.Value))
+		}
+	}
+	o.t++
+	c1 := 1 - math.Pow(o.Beta1, float64(o.t))
+	c2 := 1 - math.Pow(o.Beta2, float64(o.t))
+	for i, p := range params {
+		m, v := o.m[i], o.v[i]
+		for j := range p.Value {
+			g := p.Grad[j]
+			m[j] = o.Beta1*m[j] + (1-o.Beta1)*g
+			v[j] = o.Beta2*v[j] + (1-o.Beta2)*g*g
+			mHat := m[j] / c1
+			vHat := v[j] / c2
+			p.Value[j] -= o.LR * mHat / (math.Sqrt(vHat) + o.Epsilon)
+		}
+	}
+}
+
+// sameBits reports whether two slices hold identical bit patterns, so
+// that −0 ≠ +0 and a NaN equals itself.
+func sameBits(a, b []float64) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return len(a) == len(b)
+}
+
+// adamSchedule is one coordinate's adversarial life: its initial Value,
+// its gradient at each step, and optionally a Value written from outside
+// (Network.Restore does this to a live optimizer) before a given step.
+type adamSchedule struct {
+	name    string
+	value   float64
+	grad    func(step int, rng *stats.RNG) float64
+	resetAt int // 0: never
+	resetTo float64
+}
+
+// laterStep is when TestAdamStepMatchesReference changes hyperparameters
+// under a live optimizer.
+const laterStep = 12000
+
+func adamSchedules() []adamSchedule {
+	noise := func(rng *stats.RNG) float64 { return rng.Normal(0, 1) }
+	negZero := math.Copysign(0, -1)
+	return []adamSchedule{
+		{name: "dense", value: 0.3, grad: func(_ int, rng *stats.RNG) float64 { return noise(rng) }},
+		{name: "always-zero", value: -0.7, grad: func(int, *stats.RNG) float64 { return 0 }},
+		{name: "zero-after-40", value: 0.2, grad: func(s int, rng *stats.RNG) float64 {
+			if s < 40 {
+				return noise(rng)
+			}
+			return 0
+		}},
+		{name: "zero-after-40-negative", value: 0.2, grad: func(s int, rng *stats.RNG) float64 {
+			if s < 40 {
+				return -math.Abs(noise(rng))
+			}
+			return negZero
+		}},
+		{name: "intermittent", value: 0.05, grad: func(s int, rng *stats.RNG) float64 {
+			// Idle runs from a handful of steps to thousands: past
+			// absorption, into the subnormals, onto the fixed point.
+			if s%9000 < 8200 && s%700 > 3 {
+				return 0
+			}
+			return noise(rng)
+		}},
+		{name: "sparse-coin", value: -1.5, grad: func(_ int, rng *stats.RNG) float64 {
+			if rng.Float64() < 0.9 {
+				return 0
+			}
+			return noise(rng)
+		}},
+		{name: "tiny-constant", value: 0.4, grad: func(int, *stats.RNG) float64 { return 1e-300 }},
+		{name: "zero-then-tiny", value: 0.4, grad: func(s int, rng *stats.RNG) float64 {
+			// A returning gradient too small to swamp the resting
+			// moment: both must still hold the reference's m.
+			switch {
+			case s < 30:
+				return noise(rng)
+			case s%7500 < 7400:
+				return 0
+			default:
+				return 1e-300 * noise(rng)
+			}
+		}},
+		{name: "zero-then-subnormal", value: -0.4, grad: func(s int, rng *stats.RNG) float64 {
+			switch {
+			case s < 30:
+				return noise(rng)
+			case s%7500 < 7400:
+				return 0
+			default:
+				return 5e-324 * float64(rng.Intn(90)-45)
+			}
+		}},
+		{name: "value-zero", value: 0, grad: func(s int, rng *stats.RNG) float64 {
+			if s%50 == 49 {
+				return 1e-300 * noise(rng)
+			}
+			return 0
+		}},
+		{name: "value-tiny", value: 1e-300, grad: func(s int, rng *stats.RNG) float64 {
+			if s < 20 {
+				return 1e-300 * noise(rng)
+			}
+			return 0
+		}},
+		{name: "value-subnormal", value: -3e-310, grad: func(s int, rng *stats.RNG) float64 {
+			if s < 20 {
+				return 1e-315 * noise(rng)
+			}
+			return 0
+		}},
+		{name: "value-huge", value: 1e200, grad: func(s int, rng *stats.RNG) float64 {
+			if s%3000 < 10 {
+				return 1e150 * noise(rng)
+			}
+			return 0
+		}},
+		{name: "negzero-then-zero", value: 0.6, grad: func(s int, rng *stats.RNG) float64 {
+			// Under a fast decay m underflows to −0 and, while g is −0,
+			// stays there; the first +0 gradient makes it +0.
+			switch {
+			case s < 25:
+				return -math.Abs(noise(rng))
+			case s < 5000:
+				return negZero
+			default:
+				return 0
+			}
+		}},
+		{name: "value-near-max", value: 1e300, grad: func(s int, rng *stats.RNG) float64 {
+			// Bursts end on multiples of 3000, so m is still large when
+			// the hyperparameters change at laterStep.
+			if s%3000 >= 2990 {
+				return 1e300 * noise(rng)
+			}
+			return 0
+		}},
+		{name: "restored-to-zero", value: 0.9, resetAt: 9000, resetTo: negZero,
+			grad: func(s int, rng *stats.RNG) float64 {
+				if s < 25 {
+					return -math.Abs(noise(rng))
+				}
+				return negZero
+			}},
+		{name: "restored-to-tiny", value: 0.9, resetAt: 300, resetTo: 1e-290,
+			grad: func(s int, rng *stats.RNG) float64 {
+				if s < 25 {
+					return noise(rng)
+				}
+				return 0
+			}},
+	}
+}
+
+// TestAdamStepMatchesReference drives Step and the retained plain loop
+// over the same adversarial gradient schedules and hyperparameters and
+// demands the same bits — Value, and both moments — after every step.
+// Each guard in Step has a row that fails without it: Epsilon == 0 with
+// an always-zero gradient is 0/0 in the reference (the hyperparameter
+// range), Beta2 turning negative does the same through v (v >= 0),
+// Beta1 = 0.25 with a −0 gradient leaves m on −0, which must not rest
+// and which a −0 Value restored under it must not absorb (x > 0), a
+// collapsing c1 overflows m/c1 (|x| <= 2^500), and everything else
+// leans on |m| <= L·|x|.
+func TestAdamStepMatchesReference(t *testing.T) {
+	steps := 21000
+	if testing.Short() {
+		steps = 9500
+	}
+	hypers := []struct {
+		name  string
+		set   func(o *Adam)
+		later func(o *Adam) // applied before step laterStep, if set
+	}{
+		{name: "default"},
+		{name: "classifier", set: func(o *Adam) { o.LR = 5e-3 }},
+		{name: "small-lr-big-eps", set: func(o *Adam) { o.LR, o.Epsilon = 1e-6, 1 }},
+		{name: "big-lr-small-eps", set: func(o *Adam) { o.LR, o.Epsilon = 10, 1e-20 }},
+		{name: "fast-decay", set: func(o *Adam) { o.Beta1 = 0.25 }},
+		{name: "slow-decay", set: func(o *Adam) { o.Beta1, o.Beta2 = 0.99, 0.9 }},
+		{name: "no-momentum", set: func(o *Adam) { o.Beta1 = 0 }},
+		{name: "eps-zero", set: func(o *Adam) { o.Epsilon = 0 }},
+		{name: "eps-out-of-range", set: func(o *Adam) { o.Epsilon = 1e-200 }},
+		{name: "lr-out-of-range", set: func(o *Adam) { o.LR = 1e-40 }},
+		// A resting m is only at rest under the Beta1 that put it there.
+		{name: "beta1-changes", later: func(o *Adam) { o.Beta1 = 0.5 }},
+		// v turns negative under moments that are already absorbed.
+		{name: "beta2-turns-negative", later: func(o *Adam) { o.Beta2 = -0.5 }},
+		// c1 collapses to 1e-12 under a large m: m/c1 overflows, and
+		// L·|x| overflows with it for the Value near MaxFloat64.
+		{name: "m-over-c1-overflows", set: func(o *Adam) { o.LR, o.Epsilon = 0x1p-100, 0x1p100 },
+			later: func(o *Adam) { o.Beta1 = 1 - 0x1p-53 }},
+	}
+	scheds := adamSchedules()
+	for _, h := range hypers {
+		t.Run(h.name, func(t *testing.T) {
+			// Two tensors, as a layer has, so the per-tensor moment
+			// slices are exercised too: schedule k is coordinate j of
+			// tensor i.
+			half := len(scheds) / 2
+			locate := func(k int) (i, j int) {
+				if k < half {
+					return 0, k
+				}
+				return 1, k - half
+			}
+			newParams := func() []*Param {
+				ps := []*Param{
+					{Value: make([]float64, half), Grad: make([]float64, half)},
+					{Value: make([]float64, len(scheds)-half), Grad: make([]float64, len(scheds)-half)},
+				}
+				for k, s := range scheds {
+					i, j := locate(k)
+					ps[i].Value[j] = s.value
+				}
+				return ps
+			}
+			got, want := newParams(), newParams()
+			og, ow := NewAdam(1e-3), NewAdam(1e-3)
+			if h.set != nil {
+				h.set(og)
+				h.set(ow)
+			}
+			rngs := make([]*stats.RNG, len(scheds))
+			for k := range rngs {
+				rngs[k] = stats.NewRNG(int64(1000 + k))
+			}
+			for step := 0; step < steps; step++ {
+				if h.later != nil && step == laterStep {
+					h.later(og)
+					h.later(ow)
+				}
+				for k, s := range scheds {
+					i, j := locate(k)
+					g := s.grad(step, rngs[k])
+					got[i].Grad[j], want[i].Grad[j] = g, g
+					if s.resetAt != 0 && step == s.resetAt {
+						got[i].Value[j], want[i].Value[j] = s.resetTo, s.resetTo
+					}
+				}
+				og.Step(got)
+				adamStepReference(ow, want)
+				for i := range got {
+					if !sameBits(got[i].Value, want[i].Value) || !sameBits(og.m[i], ow.m[i]) || !sameBits(og.v[i], ow.v[i]) {
+						for j := range got[i].Value {
+							k := i*half + j
+							t.Logf("%-24s Value %x / %x  m %x / %x  v %x / %x", scheds[k].name,
+								got[i].Value[j], want[i].Value[j], og.m[i][j], ow.m[i][j], og.v[i][j], ow.v[i][j])
+						}
+						t.Fatalf("step %d: Step and the reference diverge (got / want above)", step)
+					}
+				}
+			}
+			// The mechanism, not only the outcome: under the default
+			// decay a coordinate idle since step 0 or 40 is subnormal
+			// by now, and Step must have learnt its resting point —
+			// otherwise it is still multiplying subnormals every step.
+			if og.Beta1 == 0.9 && steps > 9000 {
+				for k, s := range scheds {
+					if s.name != "zero-after-40" && s.name != "zero-after-40-negative" {
+						continue
+					}
+					i, j := locate(k)
+					mb := math.Float64bits(og.m[i][j]) &^ signBit
+					if mb == 0 || mb >= minNormalBits {
+						t.Fatalf("%s: m = %x after %d idle steps, expected a non-zero subnormal", s.name, og.m[i][j], steps)
+					}
+					if mb > og.rest {
+						t.Errorf("%s: m = %x is above the learnt resting point %d ulp: Step still multiplies it", s.name, og.m[i][j], og.rest)
+					}
+				}
+			}
+		})
+	}
+}
+
+// queryFit is the fixture behind the experiment-scale query classifier's
+// fit (core.Provision under experiments.BuildEnv): 300 BDD training
+// frames through vision.QueryFeatures, bucketed car counts as 16 classes,
+// a 9→48→16 MLP. It is here, rather than a synthetic gradient stream,
+// because the idle coordinates come from this data: ReLU rows that die
+// and feature columns that are 0 throughout one condition.
+type queryFit struct {
+	xs     []tensor.Vector
+	labels []int
+}
+
+func newQueryFit() queryFit {
+	ds := dataset.BDD(0.02)
+	ann := query.NewAnnotator(30)
+	var f queryFit
+	for _, fr := range ds.TrainingFrames(0, 300) {
+		f.xs = append(f.xs, vision.QueryFeatures(fr.Pixels, fr.W, fr.H))
+		f.labels = append(f.labels, ann.CountLabel(fr))
+	}
+	return f
+}
+
+// epoch runs one shuffled pass of single-example steps, as
+// classifier.Fit does.
+func (f queryFit) epoch(net *Network, params []*Param, rng *stats.RNG, step func([]*Param)) {
+	for _, i := range rng.Perm(len(f.xs)) {
+		ZeroGrads(params)
+		_, grad := SoftmaxCrossEntropy(net.Forward(f.xs[i]), f.labels[i])
+		net.Backward(grad)
+		step(params)
+	}
+}
+
+// TestAdamStepMatchesReferenceOnQueryFit repeats the differential test on
+// the training run whose cost the shortcuts exist for, and checks that the
+// run still has the property that made it slow.
+func TestAdamStepMatchesReferenceOnQueryFit(t *testing.T) {
+	epochs := 60
+	if testing.Short() {
+		epochs = 30 // 9 000 steps: past the ≈ 6 700 a moment needs to go subnormal
+	}
+	fit := newQueryFit()
+	got, want := buildMLP(stats.NewRNG(7), 9, 48, 16), buildMLP(stats.NewRNG(7), 9, 48, 16)
+	pg, pw := got.Params(), want.Params()
+	og, ow := NewAdam(5e-3), NewAdam(5e-3)
+	rg, rw := stats.NewRNG(8), stats.NewRNG(8)
+	for e := 0; e < epochs; e++ {
+		fit.epoch(got, pg, rg, og.Step)
+		fit.epoch(want, pw, rw, func(ps []*Param) { adamStepReference(ow, ps) })
+		for i := range pg {
+			if !sameBits(pg[i].Value, pw[i].Value) || !sameBits(og.m[i], ow.m[i]) || !sameBits(og.v[i], ow.v[i]) {
+				t.Fatalf("epoch %d, tensor %d: Step and the reference diverge", e, i)
+			}
+		}
+	}
+	subnormal, resting := 0, 0
+	for i := range ow.m {
+		for _, m := range ow.m[i] {
+			if mb := math.Float64bits(m) &^ signBit; mb != 0 && mb < minNormalBits {
+				subnormal++
+				if mb <= og.rest {
+					resting++
+				}
+			}
+		}
+	}
+	t.Logf("%d of %d first moments subnormal after %d epochs, %d at rest", subnormal, got.ParamCount(), epochs, resting)
+	if subnormal < got.ParamCount()/10 {
+		t.Errorf("only %d of %d first moments are subnormal: the fixture no longer reproduces the idle coordinates", subnormal, got.ParamCount())
+	}
+	if resting < subnormal*9/10 {
+		t.Errorf("%d of %d subnormal moments are above the learnt resting point: Step still multiplies them", subnormal-resting, subnormal)
+	}
+}
+
+// BenchmarkAdamStep times one optimizer step over the 1 264 parameters of
+// the experiment-scale query classifier (9→48→16). dense: every
+// coordinate has a gradient. idle_late: half of them have had none for
+// 8 000 steps, as the dead ReLU rows of a 60-epoch fit have, so their
+// first moments sit in the subnormals — the regime that cost ten dense
+// steps before Step stopped doing arithmetic there.
+func BenchmarkAdamStep(b *testing.B) {
+	for _, bc := range []struct {
+		name   string
+		idle   bool
+		warmup int
+	}{
+		{"dense", false, 100},
+		{"idle_late", true, 8000},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			rng := stats.NewRNG(3)
+			params := buildMLP(rng, 9, 48, 16).Params()
+			fill := func(idle bool) {
+				for _, p := range params {
+					for j := range p.Grad {
+						p.Grad[j] = rng.Normal(0, 0.1)
+						if idle && j < len(p.Grad)/2 {
+							p.Grad[j] = 0
+						}
+					}
+				}
+			}
+			opt := NewAdam(5e-3)
+			fill(false)
+			for i := 0; i < 50; i++ {
+				opt.Step(params)
+			}
+			fill(bc.idle)
+			for i := 0; i < bc.warmup; i++ {
+				opt.Step(params)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				opt.Step(params)
+			}
+		})
+	}
 }

@@ -49,6 +49,11 @@ type Adam struct {
 	t int
 	m [][]float64
 	v [][]float64
+
+	// rest is the bit pattern of the largest subnormal |m| seen to
+	// satisfy fl(Beta1·m) == m under restBeta (see Step); 0 before any.
+	rest     uint64
+	restBeta float64
 }
 
 // NewAdam returns an Adam optimizer with standard defaults
@@ -57,7 +62,46 @@ func NewAdam(lr float64) *Adam {
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Epsilon: 1e-8}
 }
 
+const (
+	signBit       = 1 << 63
+	minNormalBits = 1 << 52 // bit pattern of 2^-1022
+)
+
 // Step implements Optimizer.
+//
+// A coordinate whose gradient is zero (a dead ReLU row, an input feature
+// that is 0 under one condition) is idle: its first moment decays as
+// Beta1^k, and after a few thousand steps of a long fit it is subnormal,
+// where every multiply and divide takes a microcode assist — ten times
+// the cost of a dense step once half the coordinates idle. Step leaves
+// out two pieces of arithmetic on an idle coordinate, each only where the
+// result is known beforehand, so m, v and Value hold at every step
+// exactly the bits the plain loop (adamStepReference in the tests) would
+// have produced. When a precondition fails the plain arithmetic runs.
+//
+// 1. Rest. Write u = 2^-1074 and a subnormal m = n·u. fl(Beta1·m) is
+// Beta1·n rounded to the nearest integer, times u, so m is a fixed point
+// exactly when |Beta1·n − n| <= 1/2 (ties to even). If r·u is a fixed
+// point then r·|Beta1−1| <= 1/2, so for n < r the distance is strictly
+// below 1/2 and n·u is one too: fixed points are downward closed. A
+// decaying m therefore comes to rest on one (4u for Beta1 = 0.9) and
+// stays. rest remembers the largest fixed point the multiply has
+// confirmed under the current Beta1; any non-zero |m| at or below it, with
+// g == ±0, has fl(Beta1·m) + (1−Beta1)·g == m + ±0 == m, and the
+// multiply is skipped. (m == ±0 is not skipped: −0 + +0 is +0.)
+//
+// 2. Absorption. Let v >= 0, 0 < |x| <= 2^500 for x = Value, and
+// LR, Epsilon, c1, c2 all within [2^-100, 2^100]. The update is
+// u = fl(fl(LR·fl(m/c1)) / d) with d = fl(sqrt(fl(v/c2)) + Epsilon) >=
+// Epsilon, because v/c2 is in [0, +Inf] and rounding is monotone.
+// Rounding to nearest at most doubles a positive real, gradual underflow
+// included, so |u| <= 2^3·LR·|m|/(c1·Epsilon). absorbLimit returns
+// L <= 2^2·2^-64·c1·Epsilon/LR, so |m| <= fl(L·|x|) <= 2·L·|x| gives
+// |u| <= 2^-58·|x|, and every intermediate is that bound times at most
+// two hyperparameters: nothing overflows. 2^-58·|x| is less than half
+// the gap from x to either neighbour, subnormal x included, so
+// fl(x − u) == x, and the divides and the square root are skipped.
+// (x == ±0 is not: −0 − −0 is +0.)
 func (o *Adam) Step(params []*Param) {
 	if o.m == nil {
 		o.m = make([][]float64, len(params))
@@ -70,17 +114,48 @@ func (o *Adam) Step(params []*Param) {
 	o.t++
 	c1 := 1 - math.Pow(o.Beta1, float64(o.t))
 	c2 := 1 - math.Pow(o.Beta2, float64(o.t))
+	if o.Beta1 != o.restBeta {
+		o.rest, o.restBeta = 0, o.Beta1
+	}
+	lim := o.absorbLimit(c1, c2)
 	for i, p := range params {
 		m, v := o.m[i], o.v[i]
 		for j := range p.Value {
 			g := p.Grad[j]
-			m[j] = o.Beta1*m[j] + (1-o.Beta1)*g
+			// mb-1 wraps for m == ±0, which therefore never rests.
+			mb := math.Float64bits(m[j]) &^ signBit
+			if g != 0 || mb-1 >= o.rest {
+				mj := o.Beta1*m[j] + (1-o.Beta1)*g
+				if g == 0 && mj == m[j] && mb-1 < minNormalBits-1 {
+					o.rest = mb
+				}
+				m[j] = mj
+			}
 			v[j] = o.Beta2*v[j] + (1-o.Beta2)*g*g
+			// The absorption argument does not need g == 0; only an idle
+			// m is ever small enough, so nothing else pays for the test.
+			if g == 0 && v[j] >= 0 {
+				if x := math.Abs(p.Value[j]); x > 0 && x <= 0x1p500 && math.Abs(m[j]) <= lim*x {
+					continue
+				}
+			}
 			mHat := m[j] / c1
 			vHat := v[j] / c2
 			p.Value[j] -= o.LR * mHat / (math.Sqrt(vHat) + o.Epsilon)
 		}
 	}
+}
+
+// absorbLimit returns the L of Step's absorption argument, or -1 (no
+// |m| is at or below -|x|) when a hyperparameter or bias correction is
+// outside the range the argument covers.
+func (o *Adam) absorbLimit(c1, c2 float64) float64 {
+	for _, h := range [...]float64{o.LR, o.Epsilon, c1, c2} {
+		if !(h >= 0x1p-100 && h <= 0x1p100) {
+			return -1
+		}
+	}
+	return 0x1p-64 * c1 * o.Epsilon / o.LR
 }
 
 // ClipGrads scales all gradients down so their global L2 norm does not

@@ -41,8 +41,9 @@ func (k Kind) FeatureFn() vision.FeatureFunc {
 }
 
 // Annotator turns detector output into query labels — the role Mask R-CNN
-// plays in the paper (§5.4, §6.3). It is not safe for concurrent use
-// (detectors keep scratch state).
+// plays in the paper (§5.4, §6.3). It is safe for concurrent use when its
+// detector is; the sliding-window detectors keep no state between calls,
+// and boot provisions every sequence at once through one Annotator.
 //
 // Count labels are reported in buckets of Bucket cars (default 2): the
 // occupancy statistics the classifiers run on resolve counts to roughly

@@ -53,11 +53,15 @@ func (m *Matrix) Clone() *Matrix {
 }
 
 // MatVec returns m·v. It panics when v's length differs from m.Cols.
-func (m *Matrix) MatVec(v Vector) Vector {
+func (m *Matrix) MatVec(v Vector) Vector { return m.MatVecInto(nil, v) }
+
+// MatVecInto is MatVec into dst's storage, reallocated only when it is
+// too small; it returns the result. dst must not alias v.
+func (m *Matrix) MatVecInto(dst, v Vector) Vector {
 	if len(v) != m.Cols {
 		panic(fmt.Sprintf("tensor: MatVec shape mismatch (%dx%d)·%d", m.Rows, m.Cols, len(v)))
 	}
-	out := make(Vector, m.Rows)
+	out := resize(dst, m.Rows)
 	for i := 0; i < m.Rows; i++ {
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		s := 0.0
@@ -70,11 +74,16 @@ func (m *Matrix) MatVec(v Vector) Vector {
 }
 
 // MatVecT returns mᵀ·v. It panics when v's length differs from m.Rows.
-func (m *Matrix) MatVecT(v Vector) Vector {
+func (m *Matrix) MatVecT(v Vector) Vector { return m.MatVecTInto(nil, v) }
+
+// MatVecTInto is MatVecT into dst's storage, reallocated only when it is
+// too small; it returns the result. dst must not alias v.
+func (m *Matrix) MatVecTInto(dst, v Vector) Vector {
 	if len(v) != m.Rows {
 		panic(fmt.Sprintf("tensor: MatVecT shape mismatch (%dx%d)ᵀ·%d", m.Rows, m.Cols, len(v)))
 	}
-	out := make(Vector, m.Cols)
+	out := resize(dst, m.Cols)
+	out.Fill(0)
 	for i := 0; i < m.Rows; i++ {
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		vi := v[i]
@@ -83,6 +92,15 @@ func (m *Matrix) MatVecT(v Vector) Vector {
 		}
 	}
 	return out
+}
+
+// resize returns v with length n, reusing its storage when it is large
+// enough. The contents are unspecified.
+func resize(v Vector, n int) Vector {
+	if cap(v) < n {
+		return make(Vector, n)
+	}
+	return v[:n]
 }
 
 // AddOuterInPlace accumulates a·(u⊗v) into m, i.e. m[i][j] += a*u[i]*v[j].

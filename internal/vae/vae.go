@@ -103,13 +103,7 @@ func (v *VAE) params() []*nn.Param {
 	return ps
 }
 
-func (v *VAE) zeroGrad() {
-	for _, p := range v.params() {
-		for i := range p.Grad {
-			p.Grad[i] = 0
-		}
-	}
-}
+func (v *VAE) zeroGrad() { nn.ZeroGrads(v.params()) }
 
 // TrainStep performs one stochastic gradient step on a single input frame
 // (flattened pixels in [0,1]) and returns the total loss (mean-pixel BCE +
@@ -193,8 +187,8 @@ func (v *VAE) Encode(x tensor.Vector) (mu, logvar tensor.Vector) {
 	if len(x) != v.cfg.InputDim {
 		panic(fmt.Sprintf("vae: Encode input dim %d, want %d", len(x), v.cfg.InputDim))
 	}
-	h := v.encAct.Forward(v.enc.Forward(x))
-	return v.muHead.Forward(h), v.lvHead.Forward(h).Clip(-10, 10)
+	h := v.encAct.Infer(v.enc.Infer(x))
+	return v.muHead.Infer(h), v.lvHead.Infer(h).Clip(-10, 10)
 }
 
 // Embed returns the deterministic latent embedding of x (the posterior
@@ -211,8 +205,8 @@ func (v *VAE) Decode(z tensor.Vector) tensor.Vector {
 	if len(z) != v.cfg.LatentDim {
 		panic(fmt.Sprintf("vae: Decode latent dim %d, want %d", len(z), v.cfg.LatentDim))
 	}
-	d := v.decAct.Forward(v.dec.Forward(z))
-	logits := v.out.Forward(d)
+	d := v.decAct.Infer(v.dec.Infer(z))
+	logits := v.out.Infer(d)
 	out := make(tensor.Vector, len(logits))
 	for i, l := range logits {
 		out[i] = 1 / (1 + math.Exp(-l))

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Runs the hot-path benchmarks behind the kNN kernel and the parallel
 # selection engine (kNN scoring brute vs fast, Drift Inspector observe,
-# MSBI worker/model scaling, sharded monitoring throughput) and writes
-# the results as machine-readable JSON.
+# MSBI worker/model scaling, sharded monitoring throughput) and the
+# training benchmarks (one Adam step dense and with idle coordinates, one
+# experiment-scale classifier fit), and writes the results as
+# machine-readable JSON.
 #
 # Usage:  scripts/bench_knn.sh [out.json]
 #   BENCHTIME=200ms COUNT=3 scripts/bench_knn.sh   # quicker / repeated runs
@@ -14,9 +16,12 @@
 # the kernel and the pool actually spend their time, and the mutex/block
 # profiles expose any contention the work-stealing pool introduces.
 #
-# Output (default BENCH_knn.json): one entry per benchmark line with the
-# parsed iteration count and every reported metric (ns/op, B/op,
-# allocs/op, ns/frame) keyed by a JSON-safe unit name.
+# Output (default BENCH_knn.json): the box the numbers belong to (CPU
+# model, GOMAXPROCS, online processors — a baseline from another box is
+# not a regression), then one entry per benchmark line with the parsed
+# iteration count and every reported metric (ns/op, B/op, allocs/op,
+# ns/frame) keyed by a JSON-safe unit name. The profiles cover the root
+# package's benchmarks only: go test profiles one package per run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -37,18 +42,23 @@ fi
 
 raw=$(go test -run=NONE \
 	-bench 'KNNScore|DriftInspectorObserve|Featurize$|MSBIParallel|ShardedThroughput' \
-	-benchtime "$benchtime" -count "$count" "${profflags[@]}" .)
+	-benchtime "$benchtime" -count "$count" "${profflags[@]}" .
+	go test -run=NONE -bench 'AdamStep|ClassifierFit' \
+		-benchtime "$benchtime" -count "$count" ./internal/nn ./internal/classifier)
 printf '%s\n' "$raw" >&2
 if [ -n "${PROFILE:-}" ]; then
 	echo "profiles in $PROFILE: cpu.out mutex.out block.out (resolve with $PROFILE/bench.test)" >&2
 fi
 
-printf '%s\n' "$raw" | awk -v date="$(date -u +%FT%TZ)" '
+printf '%s\n' "$raw" | awk -v date="$(date -u +%FT%TZ)" -v nproc="$(nproc)" '
 /^goos:/   { goos = $2 }
 /^goarch:/ { goarch = $2 }
 /^cpu:/    { sub(/^cpu: */, ""); cpu = $0 }
 /^Benchmark/ {
 	name = $1
+	# The -N suffix is GOMAXPROCS; go test leaves it off at 1.
+	procs = 1
+	if (match(name, /-[0-9]+$/)) procs = substr(name, RSTART + 1) + 0
 	sub(/-[0-9]+$/, "", name)
 	entry = sprintf("{\"name\":\"%s\",\"iterations\":%s", name, $2)
 	for (i = 3; i + 1 <= NF; i += 2) {
@@ -71,6 +81,8 @@ END {
 	printf "  \"goos\": \"%s\",\n", goos
 	printf "  \"goarch\": \"%s\",\n", goarch
 	printf "  \"cpu\": \"%s\",\n", cpu
+	printf "  \"gomaxprocs\": %d,\n", procs
+	printf "  \"nproc\": %d,\n", nproc
 	printf "  \"benchmarks\": [\n"
 	for (i = 0; i < n; i++)
 		printf "    %s%s\n", entries[i], (i < n - 1 ? "," : "")

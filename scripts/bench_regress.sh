@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
-# Bench-regression smoke: re-runs the regression-gated hot-path
-# benchmarks (the kNN kernel fast path and the sharded monitoring
-# fan-out) and fails when any of them lands more than THRESHOLD percent
-# slower than the committed BENCH_knn.json baseline.
+# Bench-regression smoke: re-runs the regression-gated benchmarks (the
+# kNN kernel fast path, the sharded monitoring fan-out, one Adam step
+# dense and with idle coordinates, one experiment-scale classifier fit)
+# and fails when any of them lands more than THRESHOLD percent slower
+# than the committed BENCH_knn.json baseline. It prints the box the
+# baseline was recorded on next to this one: across boxes the deltas are
+# differences, not regressions.
 #
 # Usage:  scripts/bench_regress.sh [baseline.json]
 #   THRESHOLD=25 BENCHTIME=300ms COUNT=3 scripts/bench_regress.sh
@@ -26,25 +29,37 @@ if [ ! -f "$baseline" ]; then
 	exit 1
 fi
 
-# The gated set: kernel-regime kNN scoring and the sharded fan-out.
-pattern='KNNScore/sigma512x64|ShardedThroughput'
-
-raw=$(go test -run=NONE -bench "$pattern" -benchtime "$benchtime" -count "$count" .)
+# The gated set: kernel-regime kNN scoring, the sharded fan-out, and
+# training (the idle_late step is the one that cost ten dense steps).
+raw=$(go test -run=NONE -bench 'KNNScore/sigma512x64|ShardedThroughput' \
+	-benchtime "$benchtime" -count "$count" .
+	go test -run=NONE -bench 'AdamStep|ClassifierFit' \
+		-benchtime "$benchtime" -count "$count" ./internal/nn ./internal/classifier)
 printf '%s\n' "$raw" >&2
 
-printf '%s\n' "$raw" | awk -v thr="$threshold" -v baseline="$baseline" '
+printf '%s\n' "$raw" | awk -v thr="$threshold" -v baseline="$baseline" -v nproc="$(nproc)" '
 BEGIN {
-	# Pull ns_per_op per benchmark out of the committed JSON (one
-	# benchmark object per line; no jq in the image).
+	# Pull the recording box and ns_per_op per benchmark out of the
+	# committed JSON (one field or benchmark object per line; no jq in
+	# the image).
 	while ((getline line < baseline) > 0) {
+		if (line ~ /^  "(cpu|gomaxprocs|nproc)":/) {
+			key = line; sub(/^  "/, "", key); sub(/".*/, "", key)
+			val = line; sub(/^[^:]*: *"?/, "", val); sub(/"?,? *$/, "", val)
+			box[key] = val
+		}
 		if (line !~ /"name":/ || line !~ /"ns_per_op":/) continue
 		name = line; sub(/.*"name":"/, "", name); sub(/".*/, "", name)
 		ns = line; sub(/.*"ns_per_op":/, "", ns); sub(/[,}].*/, "", ns)
 		base[name] = ns + 0
 	}
 }
+/^cpu:/ { sub(/^cpu: */, ""); cpu = $0 }
 /^Benchmark/ {
-	name = $1; sub(/-[0-9]+$/, "", name)
+	name = $1
+	procs = 1
+	if (match(name, /-[0-9]+$/)) procs = substr(name, RSTART + 1) + 0
+	sub(/-[0-9]+$/, "", name)
 	if ($4 != "ns/op") next
 	ns = $3 + 0
 	if (!(name in cur) || ns < cur[name]) cur[name] = ns
@@ -53,6 +68,8 @@ BEGIN {
 }
 END {
 	status = 0
+	printf "  baseline box: %s, GOMAXPROCS %s, %s processors\n", box["cpu"], box["gomaxprocs"], box["nproc"]
+	printf "  this box:     %s, GOMAXPROCS %d, %d processors\n", cpu, procs, nproc
 	for (i = 1; i <= n; i++) {
 		name = names[i]
 		if (!(name in base)) {
