@@ -122,13 +122,17 @@ func resumeShard(cp *Checkpoint, i int, labeler Labeler, opts Options) (*Monitor
 // to several registries) are stored once and restored shared. The table
 // keeps the previous capture's order and appends models first seen in
 // this one, so it only ever grows while no model is dropped (an evicted
-// shard's private models are). Do not call concurrently with
-// ProcessBatch. Detached slots of a dynamic fleet are skipped: the
+// shard's private models are). Safe to call at any time from any
+// goroutine: a capture waits for the ProcessBatch(es) call in flight and
+// so always lands on a batch boundary; the caller need not synchronize
+// with the feed. Detached slots of a dynamic fleet are skipped: the
 // checkpoint holds the attached shards compacted in slot order (each
 // shard's full runtime state — including its RNG streams — lives in its
 // pipeline snapshot, so compaction does not disturb replay; only the
 // slot numbering resets).
 func (sm *ShardedMonitor) Checkpoint() *Checkpoint {
+	sm.batchMu.Lock()
+	defer sm.batchMu.Unlock()
 	sm.mu.RLock()
 	defer sm.mu.RUnlock()
 	sm.tableMu.Lock()

@@ -1,6 +1,7 @@
 package videodrift
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -230,5 +231,109 @@ func TestMonitorCheckpointResume(t *testing.T) {
 	if _, err := ResumeSharded(smCp, facadeLabeler,
 		ShardedOptions{Options: opts, Shards: 3}); err == nil {
 		t.Error("ResumeSharded accepted a shard-count mismatch")
+	}
+}
+
+// TestCheckpointAnyTime pins the capture rule driftserve relies on: a
+// goroutine may call ShardedMonitor.Checkpoint whenever it likes, with
+// no handshake with the feed. Every capture lands on a batch boundary
+// (all shards at the same frame here, since the feed is lockstep), the
+// captures do not disturb the run, and a fleet resumed from a mid-run
+// capture finishes the stream bit-identically to the uninterrupted run.
+func TestCheckpointAnyTime(t *testing.T) {
+	models := getCkptModels()
+	const shards, total, resumes = 4, 200, 12
+	opts := Defaults(facadeDim, facadeClasses)
+	opts.Pipeline.Selector = MSBI
+	opts.Forensics = ForensicsConfig{Enabled: true}
+	sopts := ShardedOptions{Options: opts, Shards: shards, Workers: 2}
+	streams := make([][]Frame, shards)
+	for s := range streams {
+		streams[s] = driftStream(total, 60+25*s, int64(300+10*s))
+	}
+	want := runBatches(NewShardedMonitor(models, facadeLabeler, sopts), streams, 0, total)
+
+	live := NewShardedMonitor(models, facadeLabeler, sopts)
+	stop := make(chan struct{})
+	stopped := make(chan struct{})
+	var captures int
+	var kept []*Checkpoint // one per distinct stream position
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			cp := live.Checkpoint()
+			captures++
+			for s, sh := range cp.Shards {
+				if f := int64(sh.Pipeline.Metrics.Frames); f != cp.Frames {
+					t.Errorf("capture %d is torn: shard %d at frame %d, the checkpoint at %d", captures, s, f, cp.Frames)
+				}
+			}
+			if len(kept) == 0 || kept[len(kept)-1].Frames != cp.Frames {
+				kept = append(kept, cp)
+			}
+			runtime.Gosched()
+		}
+	}()
+	// Both sides yield between calls so that on one processor the two
+	// still interleave per batch instead of per 10 ms preemption.
+	got := make([][]Event, shards)
+	for step := 0; step < total; step++ {
+		for s, evs := range runBatches(live, streams, step, step+1) {
+			got[s] = append(got[s], evs...)
+		}
+		runtime.Gosched()
+	}
+	close(stop)
+	<-stopped
+	for s := range want {
+		for step := range want[s] {
+			if got[s][step] != want[s][step] {
+				t.Fatalf("shard %d frame %d: event %+v under concurrent captures, %+v without", s, step, got[s][step], want[s][step])
+			}
+		}
+	}
+
+	var mid []*Checkpoint
+	for _, cp := range kept {
+		if cp.Frames > 0 && cp.Frames < total {
+			mid = append(mid, cp)
+		}
+	}
+	t.Logf("%d captures, %d distinct mid-run positions", captures, len(mid))
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(mid) < resumes {
+		t.Fatalf("only %d mid-run captures at distinct positions; the capture goroutine was starved", len(mid))
+	}
+	for k := 0; k < resumes; k++ {
+		// Through the on-disk codec, so the resumed fleet shares nothing
+		// with the live one.
+		path, err := st.Save(mid[k*len(mid)/resumes])
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp, err := LoadCheckpoint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resumed, err := ResumeSharded(cp, facadeLabeler, sopts)
+		if err != nil {
+			t.Fatalf("resuming the capture at frame %d: %v", cp.Frames, err)
+		}
+		cut := int(cp.Frames)
+		for s, evs := range runBatches(resumed, streams, cut, total) {
+			for j, ev := range evs {
+				if ev != want[s][cut+j] {
+					t.Fatalf("capture at frame %d, shard %d frame %d: resumed event %+v, uninterrupted %+v", cut, s, cut+j, ev, want[s][cut+j])
+				}
+			}
+		}
 	}
 }

@@ -53,8 +53,8 @@ import (
 	"videodrift/internal/dataset"
 	"videodrift/internal/experiments"
 	"videodrift/internal/forensics"
-	"videodrift/internal/ingest"
 	"videodrift/internal/query"
+	"videodrift/internal/serve"
 	"videodrift/internal/store"
 )
 
@@ -208,42 +208,26 @@ func health(w io.Writer, addr string) int {
 		return 1
 	}
 	defer resp.Body.Close()
-	var h struct {
-		Status       string `json:"status"`
-		Mode         string `json:"mode"`
-		Streaming    bool   `json:"streaming"`
-		Shards       int    `json:"shards"`
-		ActiveShards int    `json:"active_shards"`
-		Frames       int64  `json:"frames"`
-		Quarantined  int64  `json:"quarantined_frames"`
-		TrainFails   int64  `json:"training_failures"`
-		ShardHealth  []struct {
-			State    string `json:"state"`
-			Stalled  bool   `json:"stalled"`
-			Restarts int    `json:"restarts"`
-			Dropped  int    `json:"dropped"`
-		} `json:"shard_health"`
-		Ingest *ingest.Stats `json:"ingest"`
-
-		StateDir string  `json:"state_dir"`
-		CkptAge  float64 `json:"last_checkpoint_age_seconds"`
-	}
+	var h serve.Health
 	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
 		fmt.Fprintf(os.Stderr, "drifttool health: decoding %s: %v\n", url, err)
 		return 1
 	}
 	fmt.Fprintf(w, "%s: %s (HTTP %d)\n", url, h.Status, resp.StatusCode)
+	if h.Error != "" {
+		fmt.Fprintf(w, "  error: %s\n", h.Error)
+	}
 	fmt.Fprintf(w, "  mode: %s   streaming: %v\n", h.Mode, h.Streaming)
 	fmt.Fprintf(w, "  shards: %d (%d attached)   frames: %d   quarantined: %d   training failures: %d\n",
 		h.Shards, h.ActiveShards, h.Frames, h.Quarantined, h.TrainFails)
 	dropped := 0
 	for i, sh := range h.ShardHealth {
-		dropped += sh.Dropped
+		dropped += sh.DroppedFrames
 		stalled := ""
 		if sh.Stalled {
 			stalled = "   STALLED"
 		}
-		fmt.Fprintf(w, "  shard %d: %s (restarts %d, dropped %d)%s\n", i, sh.State, sh.Restarts, sh.Dropped, stalled)
+		fmt.Fprintf(w, "  shard %d: %s (restarts %d, dropped %d)%s\n", i, sh.State, sh.Restarts, sh.DroppedFrames, stalled)
 	}
 	if h.StateDir != "" {
 		fmt.Fprintf(w, "  checkpoints: %s (last %.1fs ago)\n", h.StateDir, h.CkptAge)

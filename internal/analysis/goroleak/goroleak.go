@@ -45,6 +45,7 @@ var CoveredPackages = []string{
 	"videodrift/internal/core",
 	"videodrift/internal/ingest",
 	"videodrift/internal/parallel",
+	"videodrift/internal/serve",
 }
 
 // Analyzer flags goroutine spawn sites with no provable stop path.

@@ -125,21 +125,25 @@ type Primary struct {
 
 // PrimaryStats is what a primary's cycles have cost: the operator's view
 // of whether replication keeps to its interval and how often it falls
-// back to a full snapshot.
+// back to a full snapshot. The JSON form is part of driftserve's
+// /healthz replication block (the durations appear there in ms).
 type PrimaryStats struct {
 	// Cycles counts cycles that captured a generation; Overruns those
 	// that took longer than the configured Interval.
-	Cycles, Overruns uint64
+	Cycles   uint64 `json:"cycles"`
+	Overruns uint64 `json:"cycle_overruns"`
 	// Fulls and Deltas count messages acknowledged by a standby, by kind;
 	// FullBytes and DeltaBytes are their wire sizes summed.
-	Fulls, Deltas         uint64
-	FullBytes, DeltaBytes uint64
+	Fulls      uint64 `json:"fulls"`
+	Deltas     uint64 `json:"deltas"`
+	FullBytes  uint64 `json:"full_bytes"`
+	DeltaBytes uint64 `json:"delta_bytes"`
 	// LastCycle is the duration of the latest cycle, LastCapture the part
-	// of it spent in Capture (which waits for the serving loop to reach a
-	// batch boundary — a training stalls it), and LastBytes the wire bytes
-	// the cycle shipped to all standbys together.
-	LastCycle, LastCapture time.Duration
-	LastBytes              int
+	// of it spent in Capture (which waits for the batch in flight — a
+	// training stalls it), and LastBytes the wire bytes the cycle shipped
+	// to all standbys together.
+	LastCycle, LastCapture time.Duration `json:"-"`
+	LastBytes              int           `json:"last_cycle_bytes"`
 }
 
 // NewPrimary builds a replication primary. It does not dial; the first

@@ -1,0 +1,90 @@
+package serve
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"time"
+
+	"videodrift/internal/dataset"
+)
+
+// Config is driftserve's configuration: one field per command-line
+// flag, named after it, and nothing else (cmd/driftserve holds the
+// defaults and the help text).
+type Config struct {
+	Addr            string        // -addr
+	Dataset         string        // -dataset
+	Scale           float64       // -scale
+	Selector        string        // -selector
+	Train           int           // -train
+	Shards          int           // -shards
+	Workers         int           // -workers
+	Batch           int           // -batch
+	FPS             float64       // -fps
+	Frames          int           // -frames
+	Ring            int           // -ring
+	PerFrame        bool          // -perframe
+	Verbose         bool          // -v
+	StateDir        string        // -state-dir
+	CheckpointEvery time.Duration // -checkpoint-every
+	Chaos           int64         // -chaos
+	StallTimeout    time.Duration // -stall-timeout
+	Forensics       bool          // -forensics
+	IngestAddr      string        // -ingest-addr
+	MaxTenants      int           // -max-tenants
+	TenantQueue     int           // -tenant-queue
+	IdleEvict       time.Duration // -idle-evict
+	ReplicateTo     string        // -replicate-to
+	ReplicateEvery  time.Duration // -replicate-every
+	ReplicaFaults   int64         // -replica-faults
+	StandbyOf       string        // -standby-of
+	ReplicaAddr     string        // -replica-addr
+	ProbeEvery      time.Duration // -probe-every
+	ProbeFails      int           // -probe-fails
+}
+
+// Validate reports the first usage error in the configuration: a bad
+// value is refused here, not met as undefined behavior deep in the
+// pipeline.
+func (c *Config) Validate() error {
+	ingest, standby := c.IngestAddr != "", c.StandbyOf != ""
+	for _, rule := range []struct {
+		broken bool
+		usage  string
+	}{
+		{c.Shards < 1, fmt.Sprintf("-shards must be >= 1, got %d", c.Shards)},
+		{c.Batch < 1, fmt.Sprintf("-batch must be >= 1, got %d", c.Batch)},
+		{c.Ring < 1, fmt.Sprintf("-ring must be >= 1, got %d", c.Ring)},
+		{c.FPS < 0 || math.IsNaN(c.FPS) || math.IsInf(c.FPS, 0), fmt.Sprintf("-fps must be a finite rate >= 0, got %v", c.FPS)},
+		{c.Frames < 0, fmt.Sprintf("-frames must be >= 0, got %d", c.Frames)},
+		{c.Train < 1, fmt.Sprintf("-train must be >= 1, got %d", c.Train)},
+		{ingest && c.StateDir != "", "-state-dir does not combine with -ingest-addr: a dynamic tenant fleet has no warm-restart path yet"},
+		{ingest && c.Chaos != 0, "-chaos drives the synthetic self-feed; with -ingest-addr, inject network faults from the driftfeed side"},
+		{ingest && c.MaxTenants < 1, fmt.Sprintf("-max-tenants must be >= 1, got %d", c.MaxTenants)},
+		{ingest && c.TenantQueue < 1, fmt.Sprintf("-tenant-queue must be >= 1, got %d", c.TenantQueue)},
+		{ingest && c.IdleEvict < 0, fmt.Sprintf("-idle-evict must be >= 0, got %v", c.IdleEvict)},
+		{standby && c.ReplicaAddr == "", "-standby-of needs -replica-addr to accept the primary's replication stream"},
+		{standby && c.ReplicateTo != "", "-standby-of and -replicate-to are exclusive: a standby becomes a primary only by promotion"},
+		{standby && c.StateDir != "", "-state-dir does not combine with -standby-of yet: the standby's state is the replicated stream"},
+		{standby && c.Chaos != 0, "-chaos drives a live fleet; a standby has none until promotion"},
+		{standby && c.ProbeEvery <= 0, fmt.Sprintf("-probe-every must be > 0, got %v", c.ProbeEvery)},
+		{standby && c.ProbeFails < 1, fmt.Sprintf("-probe-fails must be >= 1, got %d", c.ProbeFails)},
+		{!standby && c.ReplicaAddr != "", "-replica-addr needs -standby-of"},
+		{c.ReplicateTo != "" && c.ReplicateEvery <= 0, fmt.Sprintf("-replicate-every must be > 0, got %v", c.ReplicateEvery)},
+		{c.ReplicaFaults != 0 && c.ReplicateTo == "", "-replica-faults needs -replicate-to"},
+	} {
+		if rule.broken {
+			return errors.New(rule.usage)
+		}
+	}
+	return nil
+}
+
+// datasets maps -dataset names to the bundled stream analogs.
+var datasets = map[string]func(scale float64) *dataset.Dataset{
+	"bdd":    dataset.BDD,
+	"detrac": dataset.Detrac,
+	"tokyo":  dataset.Tokyo,
+	"slow":   dataset.SlowDrift,
+}

@@ -1,0 +1,546 @@
+// Package serve is driftserve's server: the drift-aware monitor fleet
+// behind an HTTP telemetry surface, fed by the synthetic self-feed or
+// the network ingestion tier, optionally persisting checkpoints,
+// replicating to hot standbys, or running as a hot standby itself.
+// cmd/driftserve is flag parsing over New, Start and Shutdown;
+// DESIGN.md §17 has the lifecycle, the capture rule and the health
+// schema.
+package serve
+
+import (
+	"errors"
+	"fmt"
+	"io"
+	"log"
+	"net"
+	"net/http"
+	"os"
+	"runtime/pprof"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"videodrift"
+	"videodrift/internal/core"
+	"videodrift/internal/dataset"
+	"videodrift/internal/experiments"
+	"videodrift/internal/faults"
+	"videodrift/internal/ingest"
+	"videodrift/internal/query"
+	"videodrift/internal/replica"
+	"videodrift/internal/telemetry"
+)
+
+// chaosHorizon is the per-shard frame window the -chaos schedule covers;
+// faults land within the first chaosHorizon frames of each shard.
+const chaosHorizon = 5000
+
+// replicaFaultHorizon is the transmission window the -replica-faults
+// schedule covers.
+const replicaFaultHorizon = 1000
+
+// buildEnv provisions the models; a variable so the package's tests
+// provision once for all the servers they start.
+var buildEnv = experiments.BuildEnv
+
+// fleet is the live serving state: the monitor fleet and, in ingest
+// mode, the tier feeding it. A standby has none until it promotes.
+type fleet struct {
+	mon    *videodrift.ShardedMonitor
+	router *ingest.Router
+	isrv   *ingest.Server
+	iln    net.Listener
+}
+
+// Server is one driftserve process's worth of state. Build it with New
+// (which provisions the models), bring it up with Start, stop it with
+// Shutdown.
+type Server struct {
+	cfg  Config
+	ds   *dataset.Dataset
+	sel  core.SelectorKind
+	env  *experiments.Env
+	inj  *faults.Injector            // -chaos schedule, nil when off
+	st   *videodrift.CheckpointStore // -state-dir, nil when off
+	boot *videodrift.Checkpoint      // the warm-restart checkpoint, nil on a cold start
+	// base is the tracer a request without ?shard= or ?tenant= reads:
+	// shard 0's in self-feed mode, the fleet's own in ingest mode; it
+	// also carries the replication events.
+	base *telemetry.Tracer
+
+	// flt is published through an atomic pointer because a standby
+	// installs its fleet at promotion, with requests in flight.
+	flt        atomic.Pointer[fleet]
+	processed  atomic.Int64
+	feedEnded  atomic.Bool  // the self-feed reached its -frames budget
+	promoteErr atomic.Value // string: why a promotion could not build its fleet
+
+	prim        *replica.Primary
+	fencedEpoch atomic.Uint64
+	sb          *replica.Standby
+
+	lastCkpt atomic.Int64 // unix-nanos of the last save (of boot, before the first)
+	// framesAtSave is touched by the checkpoint scheduler and, once that
+	// has exited, by Shutdown.
+	framesAtSave int64
+
+	hsrv     *http.Server
+	hln, rln net.Listener
+	// stop ends every goroutine in run (feed, checkpoint scheduler,
+	// replication loop, standby probe); the accept loops in serving end
+	// when Shutdown closes their listeners, after the final flush.
+	stop    chan struct{}
+	run     sync.WaitGroup
+	serving sync.WaitGroup
+}
+
+// New validates cfg and builds the server's state: the dataset, the
+// warm-restart checkpoint if -state-dir holds one, and otherwise the
+// provisioned models (seconds of training; a standby skips it, its
+// models arrive over the replication stream). Nothing listens or runs
+// until Start.
+func New(cfg Config) (*Server, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	s := &Server{cfg: cfg, stop: make(chan struct{}), framesAtSave: -1, sel: core.SelectorMSBO}
+	build, ok := datasets[cfg.Dataset]
+	if !ok {
+		return nil, fmt.Errorf("unknown dataset %q", cfg.Dataset)
+	}
+	s.ds = build(cfg.Scale)
+	if cfg.Selector == "msbi" {
+		s.sel = core.SelectorMSBI
+	}
+	// With -state-dir, try a warm restart from the newest intact
+	// checkpoint before paying for provisioning. LoadLatest already skips
+	// damaged generations; if every generation is damaged we cold-start
+	// rather than refuse to serve.
+	if cfg.StateDir != "" {
+		var err error
+		if s.st, err = videodrift.OpenStore(cfg.StateDir); err != nil {
+			return nil, fmt.Errorf("opening state dir: %w", err)
+		}
+		cp, path, err := s.st.LoadLatest()
+		switch {
+		case err == nil:
+			fmt.Fprintf(os.Stderr, "warm restart from %s: frame %d, %d models, %d shards\n",
+				path, cp.Frames, len(cp.Entries), len(cp.Shards))
+			if len(cp.Shards) != cfg.Shards {
+				log.Printf("checkpoint holds %d shards; overriding -shards %d", len(cp.Shards), cfg.Shards)
+				s.cfg.Shards = len(cp.Shards)
+			}
+			s.boot = cp
+		case !errors.Is(err, videodrift.ErrNoCheckpoint):
+			log.Printf("no usable checkpoint (%v); cold-starting", err)
+		}
+	}
+	ecfg := experiments.DefaultConfig()
+	ecfg.Scale = cfg.Scale
+	ecfg.TrainFrames = cfg.Train
+	if s.boot != nil || cfg.StandbyOf != "" {
+		s.env = experiments.BuildEnvShell(s.ds, ecfg, query.Count)
+	} else {
+		// Nothing may reach stderr between this line and the end of
+		// provisioning: the benchmark times provisioning from that gap.
+		fmt.Fprintf(os.Stderr, "provisioning %d models for %s (%d training frames each)...\n",
+			len(s.ds.Sequences), s.ds.Name, ecfg.TrainFrames)
+		s.env = buildEnv(s.ds, ecfg, query.Count)
+	}
+	s.base = s.newTracer()
+	// With -chaos, generate a lockstep-preserving fault schedule (no
+	// drops or duplications: every shard must keep advancing one frame
+	// per batch) and replay it deterministically against the run.
+	if cfg.Chaos != 0 {
+		sched := faults.Generate(cfg.Chaos, faults.GenConfig{
+			Shards: s.cfg.Shards, Frames: chaosHorizon,
+			CorruptRate:   0.002,
+			Panics:        s.cfg.Shards,
+			TrainFailures: 1,
+		})
+		s.inj = faults.NewInjector(sched)
+		fmt.Fprintf(os.Stderr, "chaos seed %d: %d scheduled faults over the first %d frames/shard\n",
+			cfg.Chaos, len(sched.Faults), chaosHorizon)
+	}
+	s.lastCkpt.Store(time.Now().UnixNano()) // freshness clock starts at boot
+	return s, nil
+}
+
+func (s *Server) newTracer() *telemetry.Tracer {
+	return telemetry.New(telemetry.Config{RingSize: s.cfg.Ring, PerFrame: s.cfg.PerFrame})
+}
+
+// Start brings the server up in the order a client may depend on: the
+// fleet and its feed (not on a standby), the checkpoint scheduler, the
+// replication primary, the standby's replication listener and health
+// probe, and last the HTTP listener — so a /healthz that answers means
+// everything before it is up. On an error nothing is left running.
+func (s *Server) Start() (err error) {
+	defer func() {
+		if err != nil {
+			s.halt(false)
+		}
+	}()
+	if s.cfg.StandbyOf == "" {
+		if err := s.deploy(s.boot); err != nil {
+			return err
+		}
+	}
+	if s.st != nil {
+		s.every(s.cfg.CheckpointEvery, func() bool {
+			s.saveCheckpoint("interval")
+			return false
+		})
+	}
+	if s.cfg.ReplicateTo != "" {
+		s.startPrimary()
+	}
+	if s.cfg.StandbyOf != "" {
+		if err := s.startStandby(); err != nil {
+			return err
+		}
+	}
+	if s.hln, err = net.Listen("tcp", s.cfg.Addr); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "serving telemetry on %s (endpoints: /metrics /snapshot /events /healthz /debug/pprof/)\n", s.hln.Addr())
+	s.hsrv = &http.Server{Handler: s.handler()}
+	s.accept("http serve", func() error { return s.hsrv.Serve(s.hln) })
+	return nil
+}
+
+// Addr, IngestAddr and ReplicaAddr return the bound HTTP, ingestion and
+// replication addresses ("" while that listener is not open), so a
+// configuration may name port 0.
+func (s *Server) Addr() string { return addrOf(s.hln) }
+
+func (s *Server) IngestAddr() string {
+	if f := s.flt.Load(); f != nil {
+		return addrOf(f.iln)
+	}
+	return ""
+}
+
+func (s *Server) ReplicaAddr() string { return addrOf(s.rln) }
+
+func addrOf(ln net.Listener) string {
+	if ln == nil {
+		return ""
+	}
+	return ln.Addr().String()
+}
+
+// deploy builds the fleet and starts feeding it: at boot from the
+// provisioned models (cp nil) or the warm-restart checkpoint, at
+// promotion from the replicated one. It is the one place the mode
+// decides the fleet's shape. In ingest mode the tier owns the
+// tenant↔slot lifecycle, so the fleet starts empty over the models
+// alone and shards attach on each tenant's first frame; a fleet that
+// continues a checkpoint adopts its tenants' streams mid-sequence.
+// Otherwise the fleet is fixed: one shard per stream, each with its own
+// tracer (the base tracer is shard 0's), resumed from cp when there is
+// one so the self-feed picks up where that state left off.
+func (s *Server) deploy(cp *videodrift.Checkpoint) error {
+	pcfg := s.env.PipelineConfig(s.sel)
+	opts := videodrift.ShardedOptions{
+		Options: videodrift.Options{
+			// Keep the experiment env's recovery-path provisioning (fewer
+			// epochs, smaller ensemble) rather than the registry defaults.
+			Provision: pcfg.Provision,
+			Pipeline:  pcfg,
+			Tracer:    s.base,
+			Forensics: videodrift.ForensicsConfig{Enabled: s.cfg.Forensics},
+		},
+		Workers:      s.cfg.Workers,
+		Faults:       s.inj,
+		StallTimeout: s.cfg.StallTimeout,
+	}
+	models := s.env.Registry.Entries()
+	if cp != nil {
+		models = cp.Entries
+	}
+	if s.cfg.IngestAddr != "" {
+		f := &fleet{mon: videodrift.NewDynamicSharded(models, s.env.Labeler(), opts)}
+		if err := s.startIngest(f, cp != nil); err != nil {
+			return err
+		}
+		s.flt.Store(f)
+		return nil
+	}
+	opts.Shards = s.cfg.Shards
+	if cp != nil {
+		opts.Shards = len(cp.Shards)
+	}
+	opts.Tracers = []*telemetry.Tracer{s.base}
+	for len(opts.Tracers) < opts.Shards {
+		opts.Tracers = append(opts.Tracers, s.newTracer())
+	}
+	f := &fleet{}
+	if cp != nil {
+		var err error
+		if f.mon, err = videodrift.ResumeSharded(cp, s.env.Labeler(), opts); err != nil {
+			return fmt.Errorf("resuming fleet: %w", err)
+		}
+	} else {
+		f.mon = videodrift.NewShardedMonitor(models, s.env.Labeler(), opts)
+	}
+	s.processed.Store(int64(f.mon.Stats().Frames)) // nonzero after a warm restart or a promotion
+	s.flt.Store(f)
+	s.startSelfFeed(f.mon)
+	return nil
+}
+
+// every runs f on each tick of period, on a goroutine of its own, until
+// f reports it is done or the server stops.
+func (s *Server) every(period time.Duration, f func() (done bool)) {
+	s.run.Add(1)
+	go func() {
+		defer s.run.Done()
+		tick := time.NewTicker(period)
+		defer tick.Stop()
+		for {
+			select {
+			case <-s.stop:
+				return
+			case <-tick.C:
+				if f() {
+					return
+				}
+			}
+		}
+	}()
+}
+
+// accept runs one listener's accept loop, on a goroutine of its own,
+// until Shutdown closes the listener.
+func (s *Server) accept(what string, serve func() error) {
+	s.serving.Add(1)
+	go func() {
+		defer s.serving.Done()
+		if err := serve(); err != nil && !errors.Is(err, net.ErrClosed) && !errors.Is(err, http.ErrServerClosed) {
+			log.Printf("%s: %v", what, err)
+		}
+	}()
+}
+
+// saveCheckpoint captures the fleet and writes it to the state
+// directory, unless no frame arrived since the last save. A failed
+// write never loses state — the store's atomic temp+rename leaves the
+// previous generation intact — so it is retried with capped backoff.
+func (s *Server) saveCheckpoint(reason string) {
+	n := s.processed.Load()
+	if n == s.framesAtSave {
+		return
+	}
+	start := time.Now()
+	mon := s.flt.Load().mon
+	cp := mon.Checkpoint()
+	if s.prim != nil {
+		// A warm restart of a replicating primary must resume the same
+		// fencing epoch (and generation counter) it streamed under.
+		cp.Gen, cp.Epoch = s.prim.Gen(), s.prim.Epoch()
+	}
+	eachTracer := func(f func(*telemetry.Tracer)) {
+		for k := 0; k < mon.Shards(); k++ {
+			f(mon.Shard(k).Telemetry())
+		}
+	}
+	retry := faults.DefaultRetry()
+	var path string
+	err := retry.Do(func() (serr error) {
+		path, serr = s.st.Save(cp)
+		return serr
+	}, func(attempt int, serr error) {
+		log.Printf("checkpoint (%s) attempt %d: %v", reason, attempt, serr)
+		eachTracer(func(tr *telemetry.Tracer) { tr.CheckpointFailed(attempt, serr.Error()) })
+	})
+	if err != nil {
+		log.Printf("checkpoint (%s): giving up after %d attempts: %v", reason, retry.Attempts, err)
+		return
+	}
+	d := time.Since(start)
+	s.lastCkpt.Store(time.Now().UnixNano())
+	s.framesAtSave = n
+	size := 0
+	if fi, err := os.Stat(path); err == nil {
+		size = int(fi.Size())
+	}
+	eachTracer(func(tr *telemetry.Tracer) { tr.CheckpointSaved(path, size, d) })
+	if s.cfg.Verbose {
+		fmt.Fprintf(os.Stderr, "checkpoint (%s): %s, %d bytes in %v\n", reason, path, size, d)
+	}
+}
+
+// startPrimary makes this process a replication primary: capture a
+// generation every -replicate-every and stream it (delta where
+// possible) to each standby, under a fencing epoch resumed from the
+// warm-restart checkpoint when there is one. The capture is the fleet's
+// own Checkpoint: it waits for the batch in flight itself, so there is
+// nothing to coordinate with the feed.
+func (s *Server) startPrimary() {
+	epoch := uint64(1)
+	if s.boot != nil {
+		epoch = max(epoch, s.boot.Epoch)
+	}
+	addrs := strings.FieldsFunc(s.cfg.ReplicateTo, func(r rune) bool { return r == ',' || r == ' ' })
+	rcfg := replica.PrimaryConfig{
+		Addrs:    addrs,
+		Epoch:    epoch,
+		Capture:  s.flt.Load().mon.Checkpoint,
+		Interval: s.cfg.ReplicateEvery,
+		Tracer:   s.base,
+		Logf:     log.Printf,
+		OnFenced: s.fencedEpoch.Store,
+	}
+	if s.cfg.ReplicaFaults != 0 {
+		sched := faults.GenerateReplica(s.cfg.ReplicaFaults, replicaFaultHorizon, 0.05, 0.02)
+		rcfg.TxFault = faults.NewReplicaInjector(sched).Tx
+		fmt.Fprintf(os.Stderr, "replica faults seed %d: %d scheduled over the first %d transmissions\n",
+			s.cfg.ReplicaFaults, len(sched.Faults), replicaFaultHorizon)
+	}
+	s.prim = replica.NewPrimary(rcfg)
+	fmt.Fprintf(os.Stderr, "replicating to %s every %v (fencing epoch %d)\n",
+		strings.Join(addrs, ", "), s.cfg.ReplicateEvery, epoch)
+	s.run.Add(1)
+	go func() {
+		defer s.run.Done()
+		s.prim.Run(s.stop)
+	}()
+}
+
+// startStandby makes this process a hot standby: accept the primary's
+// replication stream into a warm checkpoint, health-probe the primary
+// every -probe-every, and promote once it has been unreachable
+// -probe-fails times in a row. Any HTTP answer — even 503 — proves the
+// primary is alive: promotion is for a dead peer, not a degraded one (a
+// degraded primary still owns its stream).
+func (s *Server) startStandby() error {
+	s.sb = replica.NewStandby(replica.StandbyConfig{Tracer: s.base, Logf: log.Printf})
+	var err error
+	if s.rln, err = net.Listen("tcp", s.cfg.ReplicaAddr); err != nil {
+		return fmt.Errorf("replica listen: %w", err)
+	}
+	fmt.Fprintf(os.Stderr, "standby of %s: accepting replication on %s\n", s.cfg.StandbyOf, s.rln.Addr())
+	s.accept("replica serve", func() error { return s.sb.Serve(s.rln) })
+
+	url := s.cfg.StandbyOf
+	if !strings.Contains(url, "://") {
+		url = "http://" + url
+	}
+	url = strings.TrimSuffix(url, "/") + "/healthz"
+	client := &http.Client{Timeout: s.cfg.ProbeEvery}
+	fails := 0
+	s.every(s.cfg.ProbeEvery, func() bool {
+		resp, err := client.Get(url)
+		if err == nil {
+			resp.Body.Close()
+			fails = 0
+			return false
+		}
+		fails++
+		// With nothing replicated yet there is nothing to promote.
+		if fails < s.cfg.ProbeFails || s.sb.Gen() == 0 {
+			return false
+		}
+		// Promotion is terminal either way: the replication stream is
+		// severed and the old primary fenced, so a fleet that cannot be
+		// built must be seen (/healthz 503), not retried behind a 200.
+		if err := s.promote(fmt.Sprintf("primary unreachable after %d probes", fails)); err != nil {
+			log.Printf("promote: %v", err)
+			s.promoteErr.Store(err.Error())
+		}
+		return true
+	})
+	return nil
+}
+
+// promote bumps the fencing epoch past everything seen (any
+// reconnecting stale primary is answered with Fenced) and deploys a
+// live fleet from the replicated state.
+func (s *Server) promote(reason string) error {
+	cp, epoch, err := s.sb.Promote(reason)
+	if err != nil {
+		return err
+	}
+	log.Printf("promoted to primary at generation %d, epoch %d (%s): %d models, %d shards",
+		cp.Gen, epoch, reason, len(cp.Entries), len(cp.Shards))
+	return s.deploy(cp)
+}
+
+// Shutdown stops the server: the feed and the periodic goroutines
+// first, so the pump has put its last batch into the fleet; then the
+// final drain and, on a primary, a last generation to the standbys, so
+// they hold the exact stopping point; then the listeners; and with
+// -state-dir a final checkpoint. It returns once every goroutine Start
+// or a promotion began has exited — or, if the feed has not stopped
+// within stopTimeout, with an error and every goroutine's stack on
+// stderr, nothing flushed. Call it once, after a successful Start.
+func (s *Server) Shutdown() error { return s.halt(true) }
+
+// halt is Shutdown; without flush it leaves out the drain, the final
+// generation and the final checkpoint — what a failed Start needs, and
+// the nearest a test in the same process gets to kill -9.
+func (s *Server) halt(flush bool) error {
+	close(s.stop)
+	stopped := make(chan struct{})
+	go func() {
+		s.run.Wait()
+		close(stopped)
+	}()
+	if !waitStopped(stopped, stopTimeout, os.Stderr) {
+		return fmt.Errorf("feed still running after %v (goroutine dump above); exiting without a final flush", stopTimeout)
+	}
+	f := s.flt.Load()
+	if flush && f != nil && f.router != nil {
+		s.pump(f.router)
+	}
+	if s.prim != nil {
+		if flush {
+			fmt.Fprintln(os.Stderr, "flushing final generation to standbys...")
+			if err := s.prim.Cycle(); err != nil && !errors.Is(err, replica.ErrFenced) {
+				log.Printf("replica: final flush: %v", err)
+			}
+		}
+		s.prim.Close()
+	}
+	if s.hsrv != nil {
+		s.hsrv.Close()
+	}
+	if f != nil && f.isrv != nil {
+		f.isrv.Close()
+	}
+	if s.rln != nil {
+		s.rln.Close()
+		s.sb.Close()
+	}
+	s.serving.Wait()
+	if flush && s.st != nil {
+		fmt.Fprintf(os.Stderr, "flushing final checkpoint to %s...\n", s.st.Dir())
+		s.saveCheckpoint("shutdown")
+	}
+	return nil
+}
+
+// stopTimeout is how long Shutdown waits for the feed to finish its
+// batch (and the periodic goroutines their cycle). A pump inside a
+// recovery training returns in well under a second; one that has not
+// returned in ten is wedged, and a process that waits for it ignores
+// SIGTERM for good.
+const stopTimeout = 10 * time.Second
+
+// waitStopped waits for done to close, for at most timeout. When the
+// wait runs out it writes every goroutine's stack to w — what the
+// operator needs to see where the feed is stuck — and reports false.
+func waitStopped(done <-chan struct{}, timeout time.Duration, w io.Writer) bool {
+	t := time.NewTimer(timeout)
+	defer t.Stop()
+	select {
+	case <-done:
+		return true
+	case <-t.C:
+		// A failed write to stderr on the way out has nowhere to go.
+		_ = pprof.Lookup("goroutine").WriteTo(w, 2)
+		return false
+	}
+}

@@ -98,6 +98,14 @@ type ShardedOptions struct {
 // the shard is declared failed and later frames for it are dropped and
 // counted, while the remaining shards keep serving.
 type ShardedMonitor struct {
+	// batchMu is held for the whole of a ProcessBatch(es) call and of a
+	// Checkpoint, so a capture requested at any time waits for the batch
+	// in flight and lands on a batch boundary. It is taken before mu and
+	// is a plain mutex on purpose: observers (Health, Stats, Shards,
+	// Active) only read-lock mu, and a capture that waited for a batch
+	// as a pending writer on mu would park every one of them behind it
+	// for the rest of the batch — a 300 ms training (DESIGN.md §17).
+	batchMu sync.Mutex
 	// mu guards the shards/states slice headers against dynamic
 	// Attach/Detach. Batch processing and Health hold the read lock (slot
 	// contents are still single-writer per slot: one worker per shard plus
@@ -181,21 +189,22 @@ func (st *shardState) save(m *Monitor) {
 	st.setStats(m.pipe.Metrics())
 }
 
-// ShardHealth is the supervisor's live view of one shard.
+// ShardHealth is the supervisor's live view of one shard; the JSON form
+// is what driftserve's /healthz reports per shard.
 type ShardHealth struct {
 	// State is the worst of the shard's pipeline health (training
 	// retries, degraded serving) and the supervisor's view (breaker
 	// tripped → HealthFailed, wedged → at least HealthDegraded).
-	State Health
+	State Health `json:"state"`
 	// Stalled reports a frame in flight longer than StallTimeout.
-	Stalled bool
+	Stalled bool `json:"stalled"`
 	// Detached reports an unoccupied dynamic slot (no tenant attached);
 	// a detached slot is healthy and never stalled.
-	Detached bool
+	Detached bool `json:"detached,omitempty"`
 	// Restarts is the total number of supervised worker restarts.
-	Restarts int
+	Restarts int `json:"restarts"`
 	// DroppedFrames counts frames discarded after the breaker tripped.
-	DroppedFrames int
+	DroppedFrames int `json:"dropped"`
 }
 
 // ShardedHealth aggregates shard health for readiness checks.
@@ -395,6 +404,8 @@ func (sm *ShardedMonitor) Detach(i int) error {
 // Health().Shards[i].DroppedFrames. It is the batch-size-1 case of
 // ProcessBatches.
 func (sm *ShardedMonitor) ProcessBatch(frames []Frame) ([]Event, error) {
+	sm.batchMu.Lock()
+	defer sm.batchMu.Unlock()
 	sm.mu.RLock()
 	defer sm.mu.RUnlock()
 	if len(frames) != len(sm.shards) {
@@ -425,6 +436,8 @@ func (sm *ShardedMonitor) ProcessBatch(frames []Frame) ([]Event, error) {
 // snapshot plus forensics rewind) and re-runs the whole batch; a crash
 // loop trips the breaker and drops the batch.
 func (sm *ShardedMonitor) ProcessBatches(batches [][]Frame) ([][]Event, error) {
+	sm.batchMu.Lock()
+	defer sm.batchMu.Unlock()
 	sm.mu.RLock()
 	defer sm.mu.RUnlock()
 	if len(batches) != len(sm.shards) {

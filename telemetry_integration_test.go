@@ -94,9 +94,8 @@ func TestTelemetryDriftEventsMatchBDD(t *testing.T) {
 }
 
 // TestFacadeTelemetry exercises the public wiring: Options.Tracer flows to
-// Monitor.Telemetry() and SafeMonitor.Telemetry(), per-state frame
-// accounting reaches Stats(), and the Prometheus export carries the
-// documented metric names.
+// Monitor.Telemetry(), per-state frame accounting reaches Stats(), and
+// the Prometheus export carries the documented metric names.
 func TestFacadeTelemetry(t *testing.T) {
 	opts := Defaults(facadeDim, facadeClasses)
 	day := BuildModel("day", facadeFrames(facadeCond(vidsim.Day()), 200, 1), facadeLabeler, opts)
@@ -153,17 +152,5 @@ func TestFacadeTelemetry(t *testing.T) {
 		if !strings.Contains(out, name) {
 			t.Errorf("Prometheus output missing %q", name)
 		}
-	}
-
-	// SafeMonitor passthrough.
-	opts2 := Defaults(facadeDim, facadeClasses)
-	tr2 := NewTracer(TracerConfig{})
-	opts2.Tracer = tr2
-	sm := NewSafeMonitor([]*Model{day}, facadeLabeler, opts2)
-	if sm.Telemetry() != tr2 {
-		t.Error("SafeMonitor.Telemetry() did not return the configured tracer")
-	}
-	if st := sm.Stats(); st.Frames != 0 {
-		t.Errorf("fresh SafeMonitor Stats() = %+v", st)
 	}
 }
