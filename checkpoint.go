@@ -137,7 +137,13 @@ func (sm *ShardedMonitor) Checkpoint() *Checkpoint {
 	defer sm.mu.RUnlock()
 	sm.tableMu.Lock()
 	defer sm.tableMu.Unlock()
+	// The provisioned models are live whether or not a shard is attached:
+	// an empty dynamic fleet's checkpoint must still carry them, or the
+	// standby it promotes has nothing to attach a tenant over.
 	live := make(map[*Model]bool)
+	for _, e := range sm.baseModels {
+		live[e] = true
+	}
 	for _, m := range sm.shards {
 		if m == nil {
 			continue
@@ -148,11 +154,22 @@ func (sm *ShardedMonitor) Checkpoint() *Checkpoint {
 	}
 	cp := &Checkpoint{CreatedUnixNano: time.Now().UnixNano()}
 	seen := make(map[*Model]int, len(live))
+	ref := func(e *Model) int {
+		idx, ok := seen[e]
+		if !ok {
+			idx = len(cp.Entries)
+			cp.Entries = append(cp.Entries, e)
+			seen[e] = idx
+		}
+		return idx
+	}
 	for _, e := range sm.table {
 		if live[e] {
-			seen[e] = len(cp.Entries)
-			cp.Entries = append(cp.Entries, e)
+			ref(e)
 		}
+	}
+	for _, e := range sm.baseModels {
+		ref(e)
 	}
 	for _, m := range sm.shards {
 		if m == nil {
@@ -161,13 +178,7 @@ func (sm *ShardedMonitor) Checkpoint() *Checkpoint {
 		entries := m.pipe.Registry().Snapshot().Entries()
 		refs := make([]int, len(entries))
 		for j, e := range entries {
-			idx, ok := seen[e]
-			if !ok {
-				idx = len(cp.Entries)
-				cp.Entries = append(cp.Entries, e)
-				seen[e] = idx
-			}
-			refs[j] = idx
+			refs[j] = ref(e)
 		}
 		if f := int64(m.pipe.Metrics().Frames); f > cp.Frames {
 			cp.Frames = f

@@ -2,10 +2,12 @@ package videodrift
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"videodrift/internal/store"
 	"videodrift/internal/vidsim"
 )
 
@@ -96,6 +98,54 @@ func TestDynamicAttachDetach(t *testing.T) {
 	}
 	if sm.Shard(1).Current() != day.Name {
 		t.Fatalf("reused slot deploys %q, want the base model", sm.Shard(1).Current())
+	}
+}
+
+// TestDynamicEmptyFleetCheckpoint pins what a standby that promotes
+// before any tenant ever attached depends on: an empty dynamic fleet's
+// checkpoint carries the provisioned models, in order, through the
+// codec, and the fleet a promotion builds over them attaches a tenant
+// and serves it exactly as the original would have. A tenant that came
+// and went leaves the table as it was.
+func TestDynamicEmptyFleetCheckpoint(t *testing.T) {
+	models := getCkptModels()
+	opts := ShardedOptions{Options: Defaults(facadeDim, facadeClasses), Workers: 2}
+	stream := driftStream(120, 40, 7)
+
+	sm := NewDynamicSharded(models, facadeLabeler, opts)
+	cp := sm.Checkpoint()
+	if len(cp.Shards) != 0 || !slices.Equal(cp.Entries, models) {
+		t.Fatalf("empty fleet checkpointed %d shards and %d entries, want 0 shards and the %d provisioned models in order",
+			len(cp.Shards), len(cp.Entries), len(models))
+	}
+	wire, err := store.Encode(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replicated, err := store.Decode(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	promoted := NewDynamicSharded(replicated.Entries, facadeLabeler, opts)
+	for _, fleet := range []*ShardedMonitor{sm, promoted} {
+		if slot, err := fleet.Attach(nil); err != nil || slot != 0 {
+			t.Fatalf("attach over %d checkpointed models: slot %d, %v", len(replicated.Entries), slot, err)
+		}
+	}
+	want, got := mustBatches(sm, [][]Frame{stream}), mustBatches(promoted, [][]Frame{stream})
+	if !slices.Equal(got[0], want[0]) {
+		t.Fatal("the promoted fleet's tenant diverged from the original fleet's")
+	}
+	if sm.Stats().DriftsDetected == 0 {
+		t.Fatal("the fixture stream never drifted; the comparison tested nothing")
+	}
+
+	if err := promoted.Detach(0); err != nil {
+		t.Fatal(err)
+	}
+	if again := promoted.Checkpoint(); len(again.Shards) != 0 || !slices.Equal(again.Entries, replicated.Entries) {
+		t.Fatalf("after attach and detach: %d shards, %d entries, want the %d provisioned models again",
+			len(again.Shards), len(again.Entries), len(replicated.Entries))
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -73,24 +72,8 @@ func runLoopback(t *testing.T, streams map[string][]vidsim.Frame, faultSeed int6
 		time.Sleep(time.Millisecond)
 	}
 
-	// One pump driver, as driftserve runs it.
-	var pumpErr atomic.Value
-	pumpDone := make(chan struct{})
-	stopPump := make(chan struct{})
-	go func() {
-		defer close(pumpDone)
-		for {
-			if _, err := router.Pump(); err != nil {
-				pumpErr.Store(err)
-				return
-			}
-			select {
-			case <-stopPump:
-				return
-			case <-time.After(500 * time.Microsecond):
-			}
-		}
-	}()
+	// The pump loop driftserve runs.
+	pumped := runPump(t, router)
 
 	var mu sync.Mutex
 	total := ClientStats{}
@@ -137,21 +120,7 @@ func runLoopback(t *testing.T, streams map[string][]vidsim.Frame, faultSeed int6
 	for _, stream := range streams {
 		want += int64(len(stream))
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for router.Stats().Processed < want {
-		if err, _ := pumpErr.Load().(error); err != nil {
-			t.Fatalf("pump failed: %v", err)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("drain timed out: processed %d of %d accepted frames", router.Stats().Processed, want)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(stopPump)
-	<-pumpDone
-	if err, _ := pumpErr.Load().(error); err != nil {
-		t.Fatalf("pump failed: %v", err)
-	}
+	awaitPumped(t, pumped, "the queues to drain", func() bool { return router.Stats().Processed >= want })
 
 	rs := router.Stats()
 	if rs.Accepted != want || rs.Processed != want {
@@ -243,7 +212,7 @@ func TestLoopbackBitIdenticalUnderFaults(t *testing.T) {
 // TestLoopbackBackpressure pins the end-to-end backpressure contract
 // over the wire: with a tiny queue and no background pump, the server
 // NACKs queue-full, the client backs off (its Sleep hook pumps, as a
-// real deployment's pump cadence would), and every frame is eventually
+// real deployment's pump loop would meanwhile), and every frame is eventually
 // delivered exactly once — backpressure costs latency, never frames.
 func TestLoopbackBackpressure(t *testing.T) {
 	_, opts := sharedModels()

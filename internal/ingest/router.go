@@ -1,10 +1,11 @@
 package ingest
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -64,7 +65,8 @@ type Config struct {
 // Router owns the tenant↔shard mapping over a dynamic ShardedMonitor:
 // per-tenant bounded queues on the ingress side, the count-based
 // Batcher on the egress side. Submit (any connection goroutine) and
-// Pump (one driver goroutine) are safe to call concurrently.
+// Pump (one driver goroutine — Run, in a server) are safe to call
+// concurrently.
 //
 // The backpressure contract: a submitted frame is either queued (and
 // eventually processed, exactly once, in sequence order) or rejected
@@ -74,13 +76,22 @@ type Router struct {
 	sm  *videodrift.ShardedMonitor
 	cfg Config
 
-	// mu guards the tenant table and queues (Submit side).
+	// mu guards the tenant table and queues (Submit side). order holds
+	// the same tenants sorted by id — the order Pump feeds and Stats
+	// reports them in, kept at insert so neither sorts.
 	mu      sync.Mutex
 	tenants map[string]*tenant
+	order   []*tenant
+
+	// wake holds at most one token: "a frame was queued since Run last
+	// woke". Submit leaves it after appending the frame, so a Submit
+	// racing a drain costs Run one empty Pump, never a frame left waiting.
+	wake chan struct{}
 
 	// procMu serializes Pump: queue drain, batch feed, idle eviction.
 	procMu  sync.Mutex
 	batcher *videodrift.Batcher
+	work    []drained // Pump's scratch, reused across calls
 
 	// Aggregate counters (under mu).
 	accepted, processed      int64
@@ -88,18 +99,30 @@ type Router struct {
 	nackFull, nackSeq        int64
 	nackLimit, nackMalformed int64
 	evictions, attaches      int64
+	pumps                    int64
+}
+
+// drained is one tenant's share of a Pump: the frames moved out of its
+// queue and the slot they go to.
+type drained struct {
+	t      *tenant
+	slot   int
+	frames []vidsim.Frame
 }
 
 // tenant is one stream's routing state. slot == -1 while detached
 // (idle-evicted); nextSeq persists across evictions so the stream's
 // exactly-once contract survives reattachment.
 type tenant struct {
-	id       string
-	slot     int
-	nextSeq  uint64
-	queue    []vidsim.Frame
-	lastSeen time.Time
-	tracer   *telemetry.Tracer
+	id      string
+	slot    int
+	nextSeq uint64
+	// queue fills while Pump feeds the frames it swapped out; spare is
+	// the emptied buffer of the drain before, which the next drain swaps
+	// back in, so a warm tenant's queue never re-grows.
+	queue, spare []vidsim.Frame
+	lastSeen     time.Time
+	tracer       *telemetry.Tracer
 
 	accepted, processed int64
 	dups                int64
@@ -129,6 +152,7 @@ func NewRouter(sm *videodrift.ShardedMonitor, cfg Config) *Router {
 		sm:      sm,
 		cfg:     cfg,
 		tenants: make(map[string]*tenant),
+		wake:    make(chan struct{}, 1),
 		batcher: sm.NewBatcher(cfg.BatchSize),
 	}
 }
@@ -174,6 +198,8 @@ func (r *Router) Submit(m FrameMsg) Verdict {
 				t.tracer = r.cfg.NewTracer(m.Tenant)
 			}
 			r.tenants[m.Tenant] = t
+			at, _ := slices.BinarySearchFunc(r.order, t.id, func(o *tenant, id string) int { return cmp.Compare(o.id, id) })
+			r.order = slices.Insert(r.order, at, t)
 		}
 		slot, err := r.sm.Attach(t.tracer)
 		if err != nil {
@@ -211,13 +237,17 @@ func (r *Router) Submit(m FrameMsg) Verdict {
 	t.nextSeq++
 	t.accepted++
 	r.accepted++
+	select {
+	case r.wake <- struct{}{}:
+	default: // a token is already waiting; that Pump will take this frame too
+	}
 	return Verdict{Ack: true}
 }
 
 // activeLocked counts attached tenants. Callers hold r.mu.
 func (r *Router) activeLocked() int {
 	n := 0
-	for _, t := range r.tenants { //lint:allow determinism counting attached tenants is commutative
+	for _, t := range r.order {
 		if t.slot >= 0 {
 			n++
 		}
@@ -233,106 +263,131 @@ func (r *Router) CountMalformed() {
 	r.mu.Unlock()
 }
 
+// Run is the pump loop a server runs on one goroutine: it sleeps until
+// Submit has queued a frame, or — only with IdleEvict set — until the
+// next attached tenant is due for eviction, calls Pump, hands pumped
+// what Pump returned, and returns when stop closes. Nothing is timed:
+// a frame that arrives alone is fed alone, frames that arrive while a
+// Pump is busy (a training, a burst) are fed together by the next one,
+// BatchSize at a time, and a fleet with no traffic and no tenant to
+// evict makes no Pump call at all.
+func (r *Router) Run(stop <-chan struct{}, pumped func(n int, err error)) {
+	// The eviction timer: armed only while an attached tenant has an idle
+	// window running, so its channel is never ready otherwise.
+	evict := time.NewTimer(0)
+	evict.Stop()
+	defer evict.Stop()
+	for {
+		select {
+		case <-stop:
+			return
+		case <-r.wake:
+		case <-evict.C:
+		}
+		n, due, err := r.pump()
+		pumped(n, err)
+		if due.IsZero() {
+			evict.Stop()
+		} else {
+			evict.Reset(due.Sub(r.cfg.Now()))
+		}
+	}
+}
+
 // Pump drains every tenant queue through the fleet: frames feed the
-// count-based Batcher in sorted tenant order (deterministic for any
-// map layout), flush into ProcessBatches, and idle tenants detach.
-// Call it from one driver goroutine on a steady cadence; it returns
-// the number of frames processed this call. A *BatchMismatchError from
+// count-based Batcher in tenant-id order (deterministic for any map
+// layout), flush into ProcessBatches, and idle tenants detach. Call it
+// from one driver goroutine — Run, or a test's own; it returns the
+// number of frames processed this call. A *BatchMismatchError from
 // a concurrent Attach is retried internally (the Batcher keeps its
 // queues), so no frame is lost to a slot-count race.
 func (r *Router) Pump() (int, error) {
+	n, _, err := r.pump()
+	return n, err
+}
+
+// pump is Pump; evictDue is when the first still-attached tenant's idle
+// window runs out (zero when there is none, or no IdleEvict), which is
+// all that Run need wake for without traffic.
+func (r *Router) pump() (total int, evictDue time.Time, err error) {
 	r.procMu.Lock()
 	defer r.procMu.Unlock()
 
 	// Move queued frames out under mu, then feed without holding it so
 	// Submit never blocks on the fleet.
 	r.mu.Lock()
-	type drained struct {
-		t      *tenant
-		slot   int
-		frames []vidsim.Frame
-	}
-	var work []drained
-	for _, id := range r.sortedTenantsLocked() {
-		t := r.tenants[id]
+	work := r.work[:0]
+	for _, t := range r.order {
 		if len(t.queue) == 0 || t.slot < 0 {
 			continue
 		}
 		work = append(work, drained{t: t, slot: t.slot, frames: t.queue})
-		t.queue = nil
+		t.queue, t.spare = t.spare, nil
 	}
+	r.work = work[:0]
 	r.mu.Unlock()
 
-	total := 0
-	flush := func(evs [][]videodrift.Event, err error) error {
-		if err != nil {
-			return err
-		}
-		for _, shard := range evs {
-			total += len(shard)
-		}
-		return nil
-	}
 	for _, w := range work {
 		for _, f := range w.frames {
-			if err := flush(r.batcher.Add(w.slot, f)); err != nil {
-				if err := r.retryFlush(flush, err); err != nil {
-					return total, err
-				}
+			n, err := r.flushed(r.batcher.Add(w.slot, f))
+			total += n
+			if err != nil {
+				return total, time.Time{}, err
 			}
 		}
 	}
-	if err := flush(r.batcher.Flush()); err != nil {
-		if err := r.retryFlush(flush, err); err != nil {
-			return total, err
-		}
+	n, err := r.flushed(r.batcher.Flush())
+	total += n
+	if err != nil {
+		return total, time.Time{}, err
 	}
 
 	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.pumps++
 	r.processed += int64(total)
 	for _, w := range work {
 		w.t.processed += int64(len(w.frames))
+		clear(w.frames) // the fleet has the frames; do not pin their pixels
+		w.t.spare = w.frames[:0]
+	}
+	if r.cfg.IdleEvict <= 0 {
+		return total, time.Time{}, nil
 	}
 	now := r.cfg.Now()
-	if r.cfg.IdleEvict > 0 {
-		for _, id := range r.sortedTenantsLocked() {
-			t := r.tenants[id]
-			if t.slot < 0 || len(t.queue) > 0 || now.Sub(t.lastSeen) < r.cfg.IdleEvict {
-				continue
-			}
+	for _, t := range r.order {
+		if t.slot < 0 {
+			continue
+		}
+		due := t.lastSeen.Add(r.cfg.IdleEvict)
+		if len(t.queue) == 0 && !now.Before(due) {
 			if err := r.sm.Detach(t.slot); err == nil {
 				t.slot = -1
 				r.evictions++
 			}
+		} else if now.Before(due) && (evictDue.IsZero() || due.Before(evictDue)) {
+			evictDue = due
 		}
 	}
-	r.mu.Unlock()
-	return total, nil
+	return total, evictDue, nil
 }
 
-// retryFlush re-runs a failed batcher flush: a BatchMismatchError
-// means a tenant attached between queueing and flushing, and Flush
-// pads to the new slot count on the retry. Anything else (or a retry
-// that keeps failing) is a real fault.
-func (r *Router) retryFlush(flush func([][]videodrift.Event, error) error, err error) error {
-	var mismatch *videodrift.BatchMismatchError
-	for attempt := 0; attempt < 3 && errors.As(err, &mismatch); attempt++ {
-		if err = flush(r.batcher.Flush()); err == nil {
-			return nil
+// flushed counts the frames one Batcher flush processed. A
+// *BatchMismatchError means a tenant attached between queueing and
+// flushing: Flush pads to the new slot count on the retry. Anything
+// else (or a retry that keeps failing) is a real fault.
+func (r *Router) flushed(evs [][]videodrift.Event, err error) (int, error) {
+	if err != nil {
+		var mismatch *videodrift.BatchMismatchError
+		for attempt := 0; attempt < 3 && errors.As(err, &mismatch); attempt++ {
+			evs, err = r.batcher.Flush()
 		}
 	}
-	return err
-}
-
-// sortedTenantsLocked returns the tenant ids in sorted order. Callers
-// hold r.mu.
-func (r *Router) sortedTenantsLocked() []string {
-	ids := make([]string, 0, len(r.tenants))
-	for id := range r.tenants { //lint:allow determinism ids are sorted before use
-		ids = append(ids, id)
+	n := 0
+	for _, shard := range evs {
+		n += len(shard)
 	}
-	sort.Strings(ids)
-	return ids
+	return n, err
 }
 
 // TenantStats is one tenant's ingestion counters.
@@ -368,6 +423,12 @@ type Stats struct {
 	NackedMalformed int64 `json:"nacked_malformed"`
 	Attaches        int64 `json:"attaches"`
 	Evictions       int64 `json:"evictions"`
+	// Pumps counts completed Pump calls and PumpedFrames the frames they
+	// fed the fleet (it is Processed under the name the pair is read by):
+	// their ratio is the mean frames per wake-up — 1 on an idle wire, up
+	// to the queue depth behind a training.
+	Pumps        int64 `json:"pumps"`
+	PumpedFrames int64 `json:"pumped_frames"`
 	// Tenants holds the per-tenant detail, sorted by tenant id.
 	Tenants []TenantStats `json:"tenants"`
 }
@@ -388,9 +449,11 @@ func (r *Router) Stats() Stats {
 		NackedMalformed: r.nackMalformed,
 		Attaches:        r.attaches,
 		Evictions:       r.evictions,
+		Pumps:           r.pumps,
+		PumpedFrames:    r.processed,
+		Tenants:         make([]TenantStats, 0, len(r.order)),
 	}
-	for _, id := range r.sortedTenantsLocked() {
-		t := r.tenants[id]
+	for _, t := range r.order {
 		s.Tenants = append(s.Tenants, TenantStats{
 			Tenant:     t.id,
 			Slot:       t.slot,
@@ -439,6 +502,8 @@ func (r *Router) WritePrometheus(w io.Writer) error {
 	p("ingest_nack_total{code=\"malformed\"} %d\n", s.NackedMalformed)
 	p("# TYPE ingest_tenant_attach_total counter\ningest_tenant_attach_total %d\n", s.Attaches)
 	p("# TYPE ingest_tenant_evict_total counter\ningest_tenant_evict_total %d\n", s.Evictions)
+	p("# TYPE ingest_pump_runs_total counter\ningest_pump_runs_total %d\n", s.Pumps)
+	p("# TYPE ingest_pump_frames_total counter\ningest_pump_frames_total %d\n", s.PumpedFrames)
 	p("# TYPE ingest_tenant_queue_depth gauge\n")
 	for _, t := range s.Tenants {
 		p("ingest_tenant_queue_depth{tenant=%q} %d\n", t.Tenant, t.Queued)

@@ -15,9 +15,9 @@ import (
 
 // startIngest opens the network ingestion tier over f's fleet: the TCP
 // wire server accepts tenant streams, the router queues them with
-// backpressure, and the pump drains the queues through the fleet every
-// 2 ms. resume marks a promoted standby, whose tenants fail
-// over mid-stream.
+// backpressure, and the router's pump loop drains the queues through the
+// fleet whenever a frame has arrived. resume marks a promoted standby,
+// whose tenants fail over mid-stream.
 func (s *Server) startIngest(f *fleet, resume bool) error {
 	var err error
 	if f.iln, err = net.Listen("tcp", s.cfg.IngestAddr); err != nil {
@@ -34,16 +34,16 @@ func (s *Server) startIngest(f *fleet, resume bool) error {
 	f.isrv = ingest.NewServer(f.router, ingest.ServerConfig{Logf: log.Printf})
 	fmt.Fprintf(os.Stderr, "ingesting frames on %s (wire protocol over TCP; HTTP fallback at POST /ingest)\n", f.iln.Addr())
 	s.accept("ingest serve", func() error { return f.isrv.Serve(f.iln) })
-	s.every(2*time.Millisecond, func() bool {
-		s.pump(f.router)
-		return false
-	})
+	s.run.Add(1)
+	go func() {
+		defer s.run.Done()
+		f.router.Run(s.stop, s.pumped)
+	}()
 	return nil
 }
 
-// pump drains the tenant queues through the fleet once.
-func (s *Server) pump(router *ingest.Router) {
-	n, err := router.Pump()
+// pumped accounts for one Router.Pump.
+func (s *Server) pumped(n int, err error) {
 	if err != nil {
 		log.Printf("ingest pump: %v", err)
 	}

@@ -493,7 +493,7 @@ func (s *Server) halt(flush bool) error {
 	}
 	f := s.flt.Load()
 	if flush && f != nil && f.router != nil {
-		s.pump(f.router)
+		s.pumped(f.router.Pump())
 	}
 	if s.prim != nil {
 		if flush {

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Runs the hot-path benchmarks behind the kNN kernel and the parallel
 # selection engine (kNN scoring brute vs fast, Drift Inspector observe,
-# MSBI worker/model scaling, sharded monitoring throughput) and the
+# MSBI worker/model scaling, sharded monitoring throughput), the
 # training benchmarks (one Adam step dense and with idle coordinates, one
-# experiment-scale classifier fit), and writes the results as
-# machine-readable JSON.
+# experiment-scale classifier fit) and the ingest router's per-arrival
+# path (Submit + Pump per frame, 1 and 8 tenants), and writes the results
+# as machine-readable JSON.
 #
 # Usage:  scripts/bench_knn.sh [out.json]
 #   BENCHTIME=200ms COUNT=3 scripts/bench_knn.sh   # quicker / repeated runs
@@ -44,7 +45,9 @@ raw=$(go test -run=NONE \
 	-bench 'KNNScore|DriftInspectorObserve|Featurize$|MSBIParallel|ShardedThroughput' \
 	-benchtime "$benchtime" -count "$count" "${profflags[@]}" .
 	go test -run=NONE -bench 'AdamStep|ClassifierFit' \
-		-benchtime "$benchtime" -count "$count" ./internal/nn ./internal/classifier)
+		-benchtime "$benchtime" -count "$count" ./internal/nn ./internal/classifier
+	go test -run=NONE -bench 'RouterSubmitPump' -benchmem \
+		-benchtime "$benchtime" -count "$count" ./internal/ingest)
 printf '%s\n' "$raw" >&2
 if [ -n "${PROFILE:-}" ]; then
 	echo "profiles in $PROFILE: cpu.out mutex.out block.out (resolve with $PROFILE/bench.test)" >&2
