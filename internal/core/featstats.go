@@ -44,6 +44,9 @@ type FeatWindowStats struct {
 
 	recent  []float64 // flat ring of recent feature vectors, featRecentCap×dim
 	n, head int
+	// snap is State's capture of the ring as it stands, nil once the ring
+	// has changed. It is handed out and never written again.
+	snap []tensor.Vector
 }
 
 // NewFeatWindowStats builds the accumulator against a non-empty
@@ -98,6 +101,7 @@ func (fw *FeatWindowStats) Observe(feat tensor.Vector) {
 	if len(feat) != fw.dim {
 		return
 	}
+	fw.snap = nil
 	copy(fw.recent[fw.head*fw.dim:(fw.head+1)*fw.dim], feat)
 	fw.head = (fw.head + 1) % featRecentCap
 	if fw.n < featRecentCap {
@@ -111,6 +115,7 @@ func (fw *FeatWindowStats) Recent() int { return fw.n }
 // Reset clears the recent window (after a model switch); the reference
 // statistics are immutable and survive.
 func (fw *FeatWindowStats) Reset() {
+	fw.snap = nil
 	fw.n = 0
 	fw.head = 0
 }
@@ -174,15 +179,23 @@ type FeatStatsState struct {
 	Recent []tensor.Vector
 }
 
-// State captures the recent window for checkpointing.
+// State captures the recent window for checkpointing. The supervisor
+// snapshots every frame and the ring changes on one frame in SampleEvery,
+// so the capture — one backing array, the vectors views into it — is kept
+// and handed out again until Observe, Reset or SetState changes the ring.
+// Captures are shared between the snapshots that hold them: read-only.
 func (fw *FeatWindowStats) State() FeatStatsState {
-	out := make([]tensor.Vector, 0, fw.n)
-	start := (fw.head - fw.n + featRecentCap) % featRecentCap
-	for i := 0; i < fw.n; i++ {
-		row := (start + i) % featRecentCap
-		out = append(out, append(tensor.Vector(nil), fw.recent[row*fw.dim:(row+1)*fw.dim]...))
+	if fw.snap == nil {
+		flat := make([]float64, fw.n*fw.dim)
+		fw.snap = make([]tensor.Vector, fw.n)
+		start := (fw.head - fw.n + featRecentCap) % featRecentCap
+		for i := range fw.snap {
+			row := (start + i) % featRecentCap
+			fw.snap[i] = flat[i*fw.dim : (i+1)*fw.dim : (i+1)*fw.dim]
+			copy(fw.snap[i], fw.recent[row*fw.dim:(row+1)*fw.dim])
+		}
 	}
-	return FeatStatsState{Recent: out}
+	return FeatStatsState{Recent: fw.snap}
 }
 
 // SetState replaces the recent window with one captured by State against

@@ -154,3 +154,102 @@ func TestFeatStatsDeterministicAndRestorable(t *testing.T) {
 		t.Error("mismatched-length vector was folded into the window")
 	}
 }
+
+// TestFeatStatsStateIsImmutable pins the sharing contract of State: a
+// capture is a copy of the ring as it stood — later observations neither
+// show in it (it does not alias the live ring) nor in the capture after
+// it (each change of the ring gets a capture of its own) — and while the
+// ring stands still the same capture is handed out again at no cost,
+// which is what makes the supervisor's per-frame snapshot cheap.
+func TestFeatStatsStateIsImmutable(t *testing.T) {
+	const dim = 4
+	ref := featRef(100, dim)
+	vec := func(i int) tensor.Vector {
+		v := make(tensor.Vector, dim)
+		for d := range v {
+			v[d] = float64(d) + 0.05*float64((i*(d+7))%23) - 0.5
+		}
+		return v
+	}
+	clone := func(st FeatStatsState) [][]uint64 {
+		out := make([][]uint64, len(st.Recent))
+		for i, v := range st.Recent {
+			for _, x := range v {
+				out[i] = append(out[i], math.Float64bits(x))
+			}
+		}
+		return out
+	}
+	same := func(t *testing.T, st FeatStatsState, want [][]uint64, what string) {
+		t.Helper()
+		got := clone(st)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d vectors, want %d", what, len(got), len(want))
+		}
+		for i := range want {
+			for d := range want[i] {
+				if got[i][d] != want[i][d] {
+					t.Fatalf("%s: vector %d dim %d changed", what, i, d)
+				}
+			}
+		}
+	}
+
+	fw := NewFeatWindowStats(ref)
+	if st := fw.State(); st.Recent == nil || len(st.Recent) != 0 {
+		t.Fatalf("empty ring: state %v, want an empty non-nil window", st.Recent)
+	}
+	// Before, at and past the ring's wrap.
+	for _, upTo := range []int{5, featRecentCap, featRecentCap + 9} {
+		for i := fw.Recent(); i < upTo; i++ {
+			fw.Observe(vec(i))
+		}
+		before := fw.State()
+		frozen := clone(before)
+		attr := fw.Attribution()
+
+		if again := fw.State(); &again.Recent[0] != &before.Recent[0] {
+			t.Errorf("%d observed: two States of an unchanged ring are different captures", upTo)
+		}
+		if n := testing.AllocsPerRun(50, func() { fw.State() }); n != 0 {
+			t.Errorf("%d observed: State of an unchanged ring allocates %.0f objects, want 0", upTo, n)
+		}
+
+		// The ring moves on; the capture does not.
+		for i := 0; i < featRecentCap/2; i++ {
+			fw.Observe(vec(1000 + upTo + i))
+		}
+		same(t, before, frozen, "a State taken before further Observes")
+		after := fw.State()
+		if len(after.Recent) > 0 && &after.Recent[0] == &before.Recent[0] {
+			t.Errorf("%d observed: State after Observe handed out the stale capture", upTo)
+		}
+		frozenAfter := clone(after)
+
+		// The old capture still restores the old window, bit for bit.
+		restored := NewFeatWindowStats(ref)
+		restored.SetState(before)
+		got := restored.Attribution()
+		if len(got) != len(attr) {
+			t.Fatalf("%d observed: restored attribution has %d dims, want %d", upTo, len(got), len(attr))
+		}
+		for i := range attr {
+			if got[i] != attr[i] {
+				t.Fatalf("%d observed: State → SetState → Attribution rank %d: %+v, want %+v", upTo, i, got[i], attr[i])
+			}
+		}
+		// Restoring reads the capture, it does not adopt it.
+		restored.Observe(vec(7))
+		same(t, before, frozen, "a State after SetState and Observe on the restored accumulator")
+
+		// SetState and Reset dirty the ring like Observe does.
+		fw.SetState(before)
+		same(t, after, frozenAfter, "a State taken before SetState")
+		same(t, fw.State(), frozen, "the State of a ring restored from a capture")
+		fw.Reset()
+		if st := fw.State(); len(st.Recent) != 0 {
+			t.Errorf("%d observed: %d vectors in the State after Reset", upTo, len(st.Recent))
+		}
+		same(t, before, frozen, "a State taken before Reset")
+	}
+}

@@ -34,7 +34,6 @@
 package ingest
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -117,7 +116,7 @@ type FrameMsg struct {
 // an idempotent accept — the frame had already been processed (a
 // resend after a lost ack), so the sender should advance, not retry.
 //
-//driftlint:wire encode=EncodeAck decode=DecodeAck stream=ReadMsg
+//driftlint:wire encode=EncodeAck,appendAck decode=DecodeAck stream=ReadMsg
 type Ack struct {
 	Seq uint64
 	Dup bool
@@ -153,40 +152,57 @@ type Nack struct {
 	Reason           string
 }
 
-// appendHeader appends the 14-byte header for a payload.
-func appendHeader(b []byte, msgType uint8, payload []byte) []byte {
-	b = binary.BigEndian.AppendUint32(b, Magic)
-	b = append(b, Version, msgType)
-	b = binary.BigEndian.AppendUint32(b, uint32(len(payload)))
-	b = binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
+// sealMsg completes the message that starts at b[at]: the first
+// HeaderSize bytes there are reserved, everything after them is the
+// payload, and the header — magic, version, type, payload length, payload
+// CRC — is written over the reservation. Encoders append the payload
+// behind a reserved header and seal, so a message is built in one buffer.
+func sealMsg(b []byte, at int, msgType uint8) []byte {
+	hdr, payload := b[at:at+HeaderSize], b[at+HeaderSize:]
+	binary.BigEndian.PutUint32(hdr[0:4], Magic)
+	hdr[4], hdr[5] = Version, msgType
+	binary.BigEndian.PutUint32(hdr[6:10], uint32(len(payload)))
+	binary.BigEndian.PutUint32(hdr[10:14], crc32.ChecksumIEEE(payload))
 	return b
 }
 
 // EncodeFrame encodes a frame message to wire bytes (header included).
 func EncodeFrame(m FrameMsg) []byte {
-	payload := make([]byte, 0, 1+len(m.Tenant)+8+2+2+1+len(m.Condition)+4+4*len(m.Pixels))
-	payload = append(payload, uint8(len(m.Tenant)))
-	payload = append(payload, m.Tenant...)
-	payload = binary.BigEndian.AppendUint64(payload, m.Seq)
-	payload = binary.BigEndian.AppendUint16(payload, uint16(m.W))
-	payload = binary.BigEndian.AppendUint16(payload, uint16(m.H))
-	payload = append(payload, uint8(len(m.Condition)))
-	payload = append(payload, m.Condition...)
-	payload = binary.BigEndian.AppendUint32(payload, uint32(len(m.Pixels)))
+	b := make([]byte, HeaderSize, HeaderSize+1+len(m.Tenant)+8+2+2+1+len(m.Condition)+4+4*len(m.Pixels))
+	b = append(b, uint8(len(m.Tenant)))
+	b = append(b, m.Tenant...)
+	b = binary.BigEndian.AppendUint64(b, m.Seq)
+	b = binary.BigEndian.AppendUint16(b, uint16(m.W))
+	b = binary.BigEndian.AppendUint16(b, uint16(m.H))
+	b = append(b, uint8(len(m.Condition)))
+	b = append(b, m.Condition...)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(m.Pixels)))
 	for _, p := range m.Pixels {
-		payload = binary.BigEndian.AppendUint32(payload, math.Float32bits(p))
+		b = binary.BigEndian.AppendUint32(b, math.Float32bits(p))
 	}
-	return append(appendHeader(make([]byte, 0, HeaderSize+len(payload)), MsgFrame, payload), payload...)
+	return sealMsg(b, 0, MsgFrame)
+}
+
+// ackSize is the wire size of an ack: header, seq, dup flag.
+const ackSize = HeaderSize + 8 + 1
+
+// appendAck appends an encoded ack to b — EncodeAck into a buffer the
+// caller reuses (a connection answers every frame out of one).
+func appendAck(b []byte, a Ack) []byte {
+	var hdr [HeaderSize]byte
+	at := len(b)
+	b = append(b, hdr[:]...)
+	b = binary.BigEndian.AppendUint64(b, a.Seq)
+	b = append(b, 0)
+	if a.Dup {
+		b[len(b)-1] = 1
+	}
+	return sealMsg(b, at, MsgAck)
 }
 
 // EncodeAck encodes an ack to wire bytes.
 func EncodeAck(a Ack) []byte {
-	payload := make([]byte, 9)
-	binary.BigEndian.PutUint64(payload, a.Seq)
-	if a.Dup {
-		payload[8] = 1
-	}
-	return append(appendHeader(make([]byte, 0, HeaderSize+len(payload)), MsgAck, payload), payload...)
+	return appendAck(make([]byte, 0, ackSize), a)
 }
 
 // EncodeNack encodes a nack to wire bytes. Reasons beyond 65535 bytes
@@ -195,109 +211,268 @@ func EncodeNack(n Nack) []byte {
 	if len(n.Reason) > 65535 {
 		n.Reason = n.Reason[:65535]
 	}
-	payload := make([]byte, 0, 8+1+4+2+len(n.Reason))
-	payload = binary.BigEndian.AppendUint64(payload, n.Seq)
-	payload = append(payload, n.Code)
-	payload = binary.BigEndian.AppendUint32(payload, n.RetryAfterMillis)
-	payload = binary.BigEndian.AppendUint16(payload, uint16(len(n.Reason)))
-	payload = append(payload, n.Reason...)
-	return append(appendHeader(make([]byte, 0, HeaderSize+len(payload)), MsgNack, payload), payload...)
+	b := make([]byte, HeaderSize, HeaderSize+8+1+4+2+len(n.Reason))
+	b = binary.BigEndian.AppendUint64(b, n.Seq)
+	b = append(b, n.Code)
+	b = binary.BigEndian.AppendUint32(b, n.RetryAfterMillis)
+	b = binary.BigEndian.AppendUint16(b, uint16(len(n.Reason)))
+	b = append(b, n.Reason...)
+	return sealMsg(b, 0, MsgNack)
 }
 
-// ReadMsg reads one length-prefixed message off the stream: header
-// validation (magic, version, payload cap), then exactly the declared
-// payload, then the CRC check. On a header-level error the stream
-// position is undefined (the connection should be dropped); a payload
-// CRC failure leaves the stream aligned on the next message.
-func ReadMsg(r io.Reader) (msgType uint8, payload []byte, err error) {
-	var hdr [HeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return 0, nil, ErrTruncated
-		}
-		return 0, nil, err // io.EOF between messages: clean close
+// parseHeader validates a wire header — the one place a message's magic,
+// version and declared payload length are checked — and returns its
+// fields. h holds at least HeaderSize bytes.
+func parseHeader(h []byte) (msgType uint8, n int, crc uint32, err error) {
+	h = h[:HeaderSize]
+	if binary.BigEndian.Uint32(h[0:4]) != Magic {
+		return 0, 0, 0, ErrBadMagic
 	}
-	if binary.BigEndian.Uint32(hdr[0:4]) != Magic {
-		return 0, nil, ErrBadMagic
+	if h[4] != Version {
+		return 0, 0, 0, &VersionError{Got: h[4]}
 	}
-	if hdr[4] != Version {
-		return 0, nil, &VersionError{Got: hdr[4]}
+	declared := binary.BigEndian.Uint32(h[6:10])
+	if declared > MaxPayload {
+		return 0, 0, 0, fmt.Errorf("%w: declared payload %d > %d", ErrOversized, declared, MaxPayload)
 	}
-	msgType = hdr[5]
-	n := binary.BigEndian.Uint32(hdr[6:10])
-	if n > MaxPayload {
-		return 0, nil, fmt.Errorf("%w: declared payload %d > %d", ErrOversized, n, MaxPayload)
-	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, ErrTruncated
-	}
-	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(hdr[10:14]) {
+	return h[5], int(declared), binary.BigEndian.Uint32(h[10:14]), nil
+}
+
+// checkPayload is the payload half of a message's integrity check. A
+// mismatch still reports the type: the message was consumed whole, so the
+// stream stays aligned and the receiver may answer it.
+func checkPayload(msgType uint8, payload []byte, crc uint32) (uint8, []byte, error) {
+	if crc32.ChecksumIEEE(payload) != crc {
 		return msgType, nil, ErrChecksum
 	}
 	return msgType, payload, nil
 }
 
+// connBufSize is a connection's standing read buffer: a 32×32 frame is
+// 4.1 KB on the wire, so a few fit. A message that does not fit is read
+// into a buffer of its own, so a connection's resident memory does not
+// follow the largest frame it ever carried.
+const connBufSize = 16 << 10
+
+// msgReader reads length-prefixed messages off a stream through one
+// buffer it owns: a message that arrived whole costs one Read, header and
+// payload together, and whatever else that Read returned — the next
+// message, or half of it — is served from the buffer before the stream is
+// touched again. Over a buffer of exactly HeaderSize there is no room to
+// read ahead, so it consumes the messages it returns and not a byte more
+// (ReadMsg). It knows nothing of message types: internal/replica frames
+// the same header and could lift it unchanged.
+type msgReader struct {
+	r      io.Reader
+	buf    []byte
+	rd, wr int // buf[rd:wr] is read off the stream and not yet consumed
+}
+
+// next returns the next message: header validation, then exactly the
+// declared payload, then the CRC check. The payload aliases the reader's
+// buffer and is valid until the following call, unless the message is
+// larger than the buffer, when it is the caller's own. io.EOF means the
+// stream closed between messages. On a header-level error the stream
+// position is undefined (drop the connection); a CRC failure leaves the
+// stream aligned on the next message.
+func (m *msgReader) next() (msgType uint8, payload []byte, err error) {
+	if err := m.fill(HeaderSize); err != nil {
+		if err == io.EOF && m.rd < m.wr {
+			return 0, nil, ErrTruncated
+		}
+		return 0, nil, err
+	}
+	msgType, n, crc, err := parseHeader(m.buf[m.rd:])
+	if err != nil {
+		return 0, nil, err
+	}
+	m.rd += HeaderSize
+	if HeaderSize+n > len(m.buf) {
+		payload = make([]byte, n)
+		have := copy(payload, m.buf[m.rd:m.wr])
+		m.rd, m.wr = 0, 0
+		if _, err := io.ReadFull(m.r, payload[have:]); err != nil {
+			return 0, nil, ErrTruncated
+		}
+		return checkPayload(msgType, payload, crc)
+	}
+	if err := m.fill(n); err != nil {
+		return 0, nil, ErrTruncated
+	}
+	payload = m.buf[m.rd : m.rd+n : m.rd+n]
+	m.rd += n
+	return checkPayload(msgType, payload, crc)
+}
+
+// fill reads until need unconsumed bytes are buffered (need is at most
+// the buffer's size), moving a partial message to the front when the
+// tail has no room for the rest of it. The error of a Read that also
+// completed the need is left for the next Read to repeat.
+func (m *msgReader) fill(need int) error {
+	if m.rd == m.wr {
+		m.rd, m.wr = 0, 0
+	} else if m.rd+need > len(m.buf) {
+		m.wr = copy(m.buf, m.buf[m.rd:m.wr])
+		m.rd = 0
+	}
+	for idle := 0; m.wr-m.rd < need; {
+		n, err := m.r.Read(m.buf[m.wr:])
+		m.wr += n
+		if err != nil && m.wr-m.rd < need {
+			return err
+		}
+		if n > 0 {
+			idle = 0
+		} else if idle++; idle == 100 {
+			return io.ErrNoProgress
+		}
+	}
+	return nil
+}
+
+// ReadMsg reads one length-prefixed message off the stream: header
+// validation (magic, version, payload cap), then exactly the declared
+// payload, then the CRC check — and not a byte beyond it, so the stream
+// may be handed to another reader afterwards. The payload is the
+// caller's. On a header-level error the stream position is undefined (the
+// connection should be dropped); a payload CRC failure leaves the stream
+// aligned on the next message.
+func ReadMsg(r io.Reader) (msgType uint8, payload []byte, err error) {
+	var hdr [HeaderSize]byte
+	m := msgReader{r: r, buf: hdr[:]}
+	return m.next()
+}
+
 // DecodeMsg decodes one message from a complete wire buffer (header +
-// payload), the io-free sibling of ReadMsg.
+// payload), the io-free sibling of ReadMsg. The payload aliases b.
 func DecodeMsg(b []byte) (msgType uint8, payload []byte, err error) {
 	if len(b) < HeaderSize {
 		return 0, nil, ErrTruncated
 	}
-	return ReadMsg(bytes.NewReader(b))
+	msgType, n, crc, err := parseHeader(b)
+	if err != nil {
+		return 0, nil, err
+	}
+	if len(b)-HeaderSize < n {
+		return 0, nil, ErrTruncated
+	}
+	return checkPayload(msgType, b[HeaderSize:HeaderSize+n], crc)
 }
 
-// DecodeFrameMsg decodes a frame payload (the bytes after the header).
-// This is the protocol's attack surface — every length is checked
-// before use, so arbitrary input yields a typed error, never a panic
-// or an unbounded allocation. Fuzzed by FuzzDecodeFrameMsg.
-func DecodeFrameMsg(payload []byte) (FrameMsg, error) {
-	var m FrameMsg
+// frameFields is a frame payload taken apart, every length checked. The
+// byte fields alias the payload; pix is the 4·W·H bytes of big-endian
+// float32 pixels.
+type frameFields struct {
+	tenant, cond []byte
+	seq          uint64
+	w, h         int
+	pix          []byte
+}
+
+// parseFrame is the frame parser — the protocol's attack surface. Every
+// length is checked before use, so arbitrary input yields a typed error,
+// never a panic, and nothing is allocated: the callers size their pixel
+// slice by a pixel count that the payload's own length has confirmed.
+// Fuzzed by FuzzDecodeFrameMsg through both of them.
+func parseFrame(payload []byte) (f frameFields, err error) {
 	if len(payload) < 1 {
-		return m, ErrTruncated
+		return f, ErrTruncated
 	}
 	tn := int(payload[0])
 	rest := payload[1:]
 	if tn == 0 {
-		return m, fmt.Errorf("%w: empty tenant id", ErrMalformed)
+		return f, fmt.Errorf("%w: empty tenant id", ErrMalformed)
 	}
 	if tn > MaxTenant {
-		return m, fmt.Errorf("%w: tenant id %d bytes > %d", ErrOversized, tn, MaxTenant)
+		return f, fmt.Errorf("%w: tenant id %d bytes > %d", ErrOversized, tn, MaxTenant)
 	}
 	if len(rest) < tn+8+2+2+1 {
-		return m, ErrTruncated
+		return f, ErrTruncated
 	}
-	m.Tenant = string(rest[:tn])
+	f.tenant = rest[:tn]
 	rest = rest[tn:]
-	m.Seq = binary.BigEndian.Uint64(rest[0:8])
-	m.W = int(binary.BigEndian.Uint16(rest[8:10]))
-	m.H = int(binary.BigEndian.Uint16(rest[10:12]))
+	f.seq = binary.BigEndian.Uint64(rest[0:8])
+	f.w = int(binary.BigEndian.Uint16(rest[8:10]))
+	f.h = int(binary.BigEndian.Uint16(rest[10:12]))
 	cn := int(rest[12])
 	rest = rest[13:]
-	if m.W < 1 || m.H < 1 {
-		return FrameMsg{}, fmt.Errorf("%w: %dx%d frame", ErrMalformed, m.W, m.H)
+	if f.w < 1 || f.h < 1 {
+		return frameFields{}, fmt.Errorf("%w: %dx%d frame", ErrMalformed, f.w, f.h)
 	}
-	if m.W > MaxDim || m.H > MaxDim {
-		return FrameMsg{}, fmt.Errorf("%w: %dx%d frame > %dx%d", ErrOversized, m.W, m.H, MaxDim, MaxDim)
+	if f.w > MaxDim || f.h > MaxDim {
+		return frameFields{}, fmt.Errorf("%w: %dx%d frame > %dx%d", ErrOversized, f.w, f.h, MaxDim, MaxDim)
 	}
 	if len(rest) < cn+4 {
-		return FrameMsg{}, ErrTruncated
+		return frameFields{}, ErrTruncated
 	}
-	m.Condition = string(rest[:cn])
+	f.cond = rest[:cn]
 	rest = rest[cn:]
 	npix := int(binary.BigEndian.Uint32(rest[0:4]))
 	rest = rest[4:]
-	if npix != m.W*m.H {
-		return FrameMsg{}, fmt.Errorf("%w: %d pixels for a %dx%d frame", ErrMalformed, npix, m.W, m.H)
+	if npix != f.w*f.h {
+		return frameFields{}, fmt.Errorf("%w: %d pixels for a %dx%d frame", ErrMalformed, npix, f.w, f.h)
 	}
 	if len(rest) != 4*npix {
-		return FrameMsg{}, ErrTruncated
+		return frameFields{}, ErrTruncated
 	}
-	m.Pixels = make([]float32, npix)
-	for i := range m.Pixels {
-		m.Pixels[i] = math.Float32frombits(binary.BigEndian.Uint32(rest[4*i : 4*i+4]))
+	f.pix = rest
+	return f, nil
+}
+
+// pixelsOf decodes big-endian float32 wire pixels as float32 (a wire
+// message's own precision) or widened to float64 (the monitor's).
+func pixelsOf[P float32 | float64](pix []byte) []P {
+	out := make([]P, len(pix)/4)
+	for i := range out {
+		out[i] = P(math.Float32frombits(binary.BigEndian.Uint32(pix[4*i : 4*i+4])))
 	}
-	return m, nil
+	return out
+}
+
+// DecodeFrameMsg decodes a frame payload (the bytes after the header)
+// into a wire message; the payload is not retained.
+func DecodeFrameMsg(payload []byte) (FrameMsg, error) {
+	f, err := parseFrame(payload)
+	if err != nil {
+		return FrameMsg{}, err
+	}
+	return FrameMsg{
+		Tenant:    string(f.tenant),
+		Seq:       f.seq,
+		W:         f.w,
+		H:         f.h,
+		Condition: string(f.cond),
+		Pixels:    pixelsOf[float32](f.pix),
+	}, nil
+}
+
+// frameDecoder decodes frame payloads straight into the frame the
+// pipeline keeps — FrameFromMsg(DecodeFrameMsg(payload)) without the
+// float32 slice in between: the pixels widen out of the payload into the
+// one slice the frame retains (frames are immutable once queued, so that
+// one is never pooled). A connection's frames repeat their tenant and,
+// mostly, their condition, so both strings are reused while their bytes
+// repeat. The zero value is ready; not safe for concurrent use.
+type frameDecoder struct{ tenant, cond string }
+
+func (d *frameDecoder) decode(payload []byte) (tenant string, f vidsim.Frame, err error) {
+	p, err := parseFrame(payload)
+	if err != nil {
+		return "", vidsim.Frame{}, err
+	}
+	if d.tenant != string(p.tenant) {
+		d.tenant = string(p.tenant)
+	}
+	if d.cond != string(p.cond) {
+		d.cond = string(p.cond)
+	}
+	return d.tenant, vidsim.Frame{
+		Index:     int(p.seq),
+		W:         p.w,
+		H:         p.h,
+		Pixels:    pixelsOf[float64](p.pix),
+		Condition: d.cond,
+	}, nil
 }
 
 // DecodeAck decodes an ack payload.

@@ -1,8 +1,14 @@
 package ingest
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"io"
+	"net"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -50,6 +56,139 @@ func awaitPumped(t *testing.T, pumped <-chan struct{}, what string, cond func() 
 	}
 }
 
+// startServer serves r's wire protocol on a loopback port until the test
+// ends and returns the address.
+func startServer(tb testing.TB, r *Router) string {
+	tb.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	srv := NewServer(r, ServerConfig{})
+	go srv.Serve(ln)
+	tb.Cleanup(func() { srv.Close() })
+	return ln.Addr().String()
+}
+
+// wireConn is a tenant connection driven by hand: the test decides when a
+// frame is written and when its answer is read, which ingest.Client — one
+// blocking Send — does not let it.
+type wireConn struct {
+	conn   net.Conn
+	tenant string
+}
+
+func dialWire(tb testing.TB, addr, tenant string) *wireConn {
+	tb.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { conn.Close() })
+	return &wireConn{conn: conn, tenant: tenant}
+}
+
+// send writes frame seq of the tenant's stream and returns without
+// waiting for the answer.
+func (c *wireConn) send(seq int, f vidsim.Frame) error {
+	_, err := c.conn.Write(EncodeFrame(MsgFromFrame(c.tenant, uint64(seq), f)))
+	return err
+}
+
+// reply reads one answer, which must be about frame seq: 0 for a clean
+// ack, the nack's code otherwise.
+func (c *wireConn) reply(seq int) (uint8, error) {
+	c.conn.SetReadDeadline(time.Now().Add(30 * time.Second))
+	typ, payload, err := ReadMsg(c.conn)
+	if err != nil {
+		return 0, err
+	}
+	got, code := uint64(0), uint8(0)
+	switch typ {
+	case MsgAck:
+		a, _ := DecodeAck(payload)
+		if a.Dup {
+			return 0, fmt.Errorf("tenant %s seq %d: duplicate ack", c.tenant, seq)
+		}
+		got = a.Seq
+	case MsgNack:
+		n, _ := DecodeNack(payload)
+		got, code = n.Seq, n.Code
+	}
+	if got != uint64(seq) {
+		return 0, fmt.Errorf("tenant %s: answer for seq %d, want %d", c.tenant, got, seq)
+	}
+	return code, nil
+}
+
+// deliver sends frame seq and reads its answer.
+func (c *wireConn) deliver(seq int, f vidsim.Frame) (uint8, error) {
+	if err := c.send(seq, f); err != nil {
+		return 0, err
+	}
+	return c.reply(seq)
+}
+
+// mustAck delivers frame seq and requires a clean ack.
+func (c *wireConn) mustAck(t *testing.T, seq int, f vidsim.Frame) {
+	t.Helper()
+	if code, err := c.deliver(seq, f); err != nil || code != 0 {
+		t.Fatalf("tenant %s seq %d: nack code %d, err %v; want a clean ack", c.tenant, seq, code, err)
+	}
+}
+
+// checkSerialReference holds every tenant's shard to a standalone serial
+// Monitor fed the tenant's whole stream in order: same pipeline stats,
+// same deployed model — each accepted frame was processed exactly once,
+// in its tenant's order, whoever pumped it.
+func checkSerialReference(t *testing.T, sm *videodrift.ShardedMonitor, r *Router, streams map[string][]vidsim.Frame) {
+	t.Helper()
+	models, opts := sharedModels()
+	for _, ts := range r.Stats().Tenants {
+		shardOpts := opts
+		shardOpts.Pipeline.Seed += int64(ts.Slot)
+		ref := videodrift.NewMonitor(models, testLabeler, shardOpts)
+		for i, f := range streams[ts.Tenant] {
+			ref.Process(FrameFromMsg(MsgFromFrame(ts.Tenant, uint64(i), f)))
+		}
+		if got, want := sm.ShardStats(ts.Slot), ref.Stats(); got != want {
+			t.Errorf("tenant %s: stats %+v, in-order serial reference %+v", ts.Tenant, got, want)
+		}
+		if got, want := sm.Shard(ts.Slot).Current(), ref.Current(); got != want {
+			t.Errorf("tenant %s: deployed %q, serial reference %q", ts.Tenant, got, want)
+		}
+	}
+}
+
+// settle returns once whoever was pumping has let go of the pump: a
+// frame's counters move a moment before its feeder unlocks, and a test
+// that wants the next frame fed in place must not send it into that
+// moment.
+func settle(r *Router) {
+	r.procMu.Lock()
+	r.procMu.Unlock() //lint:ignore SA2001 the critical section is the wait
+}
+
+// stalledFleet builds a dynamic fleet whose shard 0 worker blocks before
+// its frame stallAt — inside ProcessBatches, so whoever is pumping is
+// provably in there — until the test closes release; stalled closes when
+// it got there.
+func stalledFleet(stallAt int) (sm *videodrift.ShardedMonitor, inj *faults.Injector, stalled, release chan struct{}) {
+	models, opts := sharedModels()
+	inj = faults.NewInjector(faults.Schedule{Faults: []faults.Fault{
+		{Shard: 0, Frame: stallAt, Kind: faults.KindWorkerStall},
+	}})
+	stalled, release = make(chan struct{}), make(chan struct{})
+	inj.SetSleeper(func(time.Duration) {
+		close(stalled)
+		<-release
+	})
+	sm = videodrift.NewDynamicSharded(models, testLabeler, videodrift.ShardedOptions{
+		Options: opts, Workers: 2, Faults: inj,
+	})
+	return sm, inj, stalled, release
+}
+
 // TestPumpWakesOnSubmit pins the wake-up protocol: with the loop
 // running and nothing else driving Pump, every accepted frame is
 // processed, exactly once and in its tenant's order — frames submitted
@@ -57,22 +196,8 @@ func awaitPumped(t *testing.T, pumped <-chan struct{}, what string, cond func() 
 // sent too early, or taken too late, would strand them.
 func TestPumpWakesOnSubmit(t *testing.T) {
 	const stallAt = 5
-	models, opts := sharedModels()
 	streams := loopbackStreams(3)
-
-	// Shard 0's worker blocks before its frame stallAt until the test
-	// lets it go: Pump is then provably inside ProcessBatches.
-	inj := faults.NewInjector(faults.Schedule{Faults: []faults.Fault{
-		{Shard: 0, Frame: stallAt, Kind: faults.KindWorkerStall},
-	}})
-	stalled, release := make(chan struct{}), make(chan struct{})
-	inj.SetSleeper(func(time.Duration) {
-		close(stalled)
-		<-release
-	})
-	sm := videodrift.NewDynamicSharded(models, testLabeler, videodrift.ShardedOptions{
-		Options: opts, Workers: 2, Faults: inj,
-	})
+	sm, inj, stalled, release := stalledFleet(stallAt)
 	r := NewRouter(sm, Config{QueueCap: 256, BatchSize: 8})
 	pumped := runPump(t, r)
 
@@ -124,22 +249,170 @@ func TestPumpWakesOnSubmit(t *testing.T) {
 	if s.Pumps < 1 || s.Pumps > s.Accepted {
 		t.Errorf("%d pumps for %d accepted frames", s.Pumps, s.Accepted)
 	}
+	if s.PumpsInline != 0 {
+		t.Errorf("%d in-line pumps with no connection in the test: Submit must never feed", s.PumpsInline)
+	}
 	if fired := inj.Stats().Count(faults.KindWorkerStall); fired != 1 {
 		t.Fatalf("the stall fired %d times, want 1", fired)
 	}
-	for _, ts := range s.Tenants {
-		shardOpts := opts
-		shardOpts.Pipeline.Seed += int64(ts.Slot)
-		ref := videodrift.NewMonitor(models, testLabeler, shardOpts)
-		for i, f := range streams[ts.Tenant] {
-			ref.Process(FrameFromMsg(MsgFromFrame(ts.Tenant, uint64(i), f)))
+	checkSerialReference(t, sm, r, streams)
+}
+
+// TestFeedInPlace pins the protocol between feeding connections and the
+// loop, over real sockets against a running Run. With the wire quiet a
+// frame is fed by the connection that read it and the loop never wakes.
+// With shard 0 held inside ProcessBatches by tenant cam-a's connection —
+// it was the one feeding — cam-a's next ACK waits for the release (the
+// documented price: that connection is not reading its socket), while
+// the other tenants are ACKed as ever, queue behind the pump, and past
+// QueueCap are NACKed. Released, then flat out from one goroutine per
+// connection: every accepted frame is processed exactly once, in its
+// tenant's order, whoever fed it.
+func TestFeedInPlace(t *testing.T) {
+	const stallAt, queueCap = 5, 8
+	streams := loopbackStreams(3)
+	sm, inj, stalled, release := stalledFleet(stallAt)
+	r := NewRouter(sm, Config{QueueCap: queueCap, BatchSize: 8})
+	addr := startServer(t, r)
+	pumped := runPump(t, r)
+
+	// One frame at a time, each processed before the next is sent: attach
+	// every tenant (cam-a on slot 0), then bring cam-a up to the stall.
+	tenants := []string{"cam-a", "cam-b", "cam-c"}
+	conns := make(map[string]*wireConn)
+	next := make(map[string]int) // the next frame each tenant has to deliver
+	sent := int64(0)
+	oneByOne := func(id string) {
+		t.Helper()
+		conns[id].mustAck(t, next[id], streams[id][next[id]])
+		next[id]++
+		sent++
+		awaitPumped(t, pumped, "a frame sent alone", func() bool { return r.Stats().Processed == sent })
+		settle(r)
+	}
+	for _, id := range tenants {
+		conns[id] = dialWire(t, addr, id)
+		oneByOne(id)
+	}
+	for next["cam-a"] < stallAt {
+		oneByOne("cam-a")
+	}
+	if s := r.Stats(); s.Pumps != sent || s.PumpsInline != sent {
+		t.Fatalf("%d frames sent one by one: %d pumps, %d of them in-line; want every frame fed by its own connection", sent, s.Pumps, s.PumpsInline)
+	}
+
+	// cam-a's frame stallAt is acknowledged, then fed in place — into the
+	// stall. Its next frame sits in the socket.
+	a := conns["cam-a"]
+	a.mustAck(t, stallAt, streams["cam-a"][stallAt])
+	<-stalled
+	if err := a.send(stallAt+1, streams["cam-a"][stallAt+1]); err != nil {
+		t.Fatal(err)
+	}
+	next["cam-a"] = stallAt + 2
+	acked := make(chan error, 1)
+	go func() {
+		code, err := a.reply(stallAt + 1)
+		if err == nil && code != 0 {
+			err = fmt.Errorf("nack code %d", code)
 		}
-		if got, want := sm.ShardStats(ts.Slot), ref.Stats(); got != want {
-			t.Errorf("tenant %s: stats %+v, in-order serial reference %+v", ts.Tenant, got, want)
+		acked <- err
+	}()
+	// The others meanwhile: QueueCap frames queue behind the pump, each
+	// acknowledged at once; the frames after that are refused.
+	for _, id := range tenants[1:] {
+		for i := 0; i < queueCap; i++ {
+			conns[id].mustAck(t, next[id], streams[id][next[id]])
+			next[id]++
 		}
-		if got, want := sm.Shard(ts.Slot).Current(), ref.Current(); got != want {
-			t.Errorf("tenant %s: deployed %q, serial reference %q", ts.Tenant, got, want)
+		for i := 0; i < 2; i++ {
+			if code, err := conns[id].deliver(next[id], streams[id][next[id]]); err != nil || code != NackQueueFull {
+				t.Fatalf("tenant %s seq %d behind a held pump and a full queue: code %d, err %v; want NackQueueFull", id, next[id], code, err)
+			}
 		}
+	}
+	select {
+	case err := <-acked:
+		t.Fatalf("cam-a was answered (%v) while its connection was feeding a held pump", err)
+	default:
+	}
+	if s := r.Stats(); s.Processed != sent {
+		t.Fatalf("%d frames processed while the pump was held, want %d", s.Processed, sent)
+	}
+	close(release)
+	if err := <-acked; err != nil {
+		t.Fatalf("cam-a's frame after the stall: %v", err)
+	}
+
+	// The rest flat out, one goroutine per connection; a full queue is
+	// retried, it is back-pressure, not a fault.
+	var wg sync.WaitGroup
+	for _, id := range tenants {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next[id]; i < len(streams[id]); {
+				code, err := conns[id].deliver(i, streams[id][i])
+				switch {
+				case err != nil || (code != 0 && code != NackQueueFull):
+					t.Errorf("tenant %s seq %d: code %d, err %v", id, i, code, err)
+					return
+				case code == 0:
+					i++
+				default:
+					runtime.Gosched()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	want := int64(0)
+	for _, id := range tenants {
+		want += int64(len(streams[id]))
+	}
+	awaitPumped(t, pumped, "the queues to drain", func() bool { return r.Stats().Processed >= want })
+
+	s := r.Stats()
+	if s.Accepted != want || s.Processed != want || s.Dups != 0 {
+		t.Fatalf("accepted %d processed %d dups %d, want %d/%d/0", s.Accepted, s.Processed, s.Dups, want, want)
+	}
+	// An accepted frame is fed by its connection or leaves one token, and
+	// a token buys one Pump: no more pumps than frames.
+	if s.Pumps > s.Accepted || s.PumpsInline > s.Pumps {
+		t.Errorf("%d pumps (%d in-line) for %d accepted frames", s.Pumps, s.PumpsInline, s.Accepted)
+	}
+	if s.Pumps == s.PumpsInline {
+		t.Errorf("all %d pumps in-line: the frames queued behind the held pump were not the loop's", s.Pumps)
+	}
+	if fired := inj.Stats().Count(faults.KindWorkerStall); fired != 1 {
+		t.Fatalf("the stall fired %d times, want 1", fired)
+	}
+	checkSerialReference(t, sm, r, streams)
+}
+
+// TestServerWithoutRunQueues pins the fallback's other half: over a
+// router nobody Runs a connection never feeds — frames queue up to
+// QueueCap and are NACKed beyond it, and a bare Pump processes them.
+func TestServerWithoutRunQueues(t *testing.T) {
+	const queueCap = 4
+	_, opts := sharedModels()
+	r := NewRouter(testFleet(opts), Config{QueueCap: queueCap})
+	c := dialWire(t, startServer(t, r), "cam-a")
+	stream := testStream(queueCap+1, 33)
+	for i := 0; i < queueCap; i++ {
+		c.mustAck(t, i, stream[i])
+	}
+	if code, err := c.deliver(queueCap, stream[queueCap]); err != nil || code != NackQueueFull {
+		t.Fatalf("frame past QueueCap: code %d, err %v; want NackQueueFull", code, err)
+	}
+	if s := r.Stats(); s.Pumps != 0 || s.Processed != 0 || s.Tenants[0].Queued != queueCap {
+		t.Fatalf("no loop running: %d pumps, %d processed, %d queued; want 0, 0, %d", s.Pumps, s.Processed, s.Tenants[0].Queued, queueCap)
+	}
+	if n, err := r.Pump(); err != nil || n != queueCap {
+		t.Fatalf("Pump processed %d (%v), want %d", n, err, queueCap)
+	}
+	if s := r.Stats(); s.PumpsInline != 0 {
+		t.Fatalf("%d in-line pumps without a loop", s.PumpsInline)
 	}
 }
 
@@ -189,15 +462,62 @@ func TestIdleEvictWithoutTraffic(t *testing.T) {
 	}
 }
 
+// TestIdleEvictAfterInlinePumps is TestIdleEvictWithoutTraffic for a
+// fleet fed entirely in place: the loop never pumped, so the eviction
+// deadline it wakes for was armed by the connections' pumps or not at
+// all.
+func TestIdleEvictAfterInlinePumps(t *testing.T) {
+	_, opts := sharedModels()
+	sm := testFleet(opts)
+	r := NewRouter(sm, Config{IdleEvict: 100 * time.Millisecond})
+	addr := startServer(t, r)
+	pumped := runPump(t, r)
+	sent := int64(0)
+	for k, id := range []string{"cam-a", "cam-b"} {
+		c := dialWire(t, addr, id)
+		for i, f := range testStream(3, int64(31+k)) {
+			c.mustAck(t, i, f)
+			sent++
+			awaitPumped(t, pumped, "a frame sent alone", func() bool { return r.Stats().Processed == sent })
+			settle(r)
+		}
+	}
+	// A loop pump on top of these can only be the eviction timer's, which
+	// only a connection's pump can have armed.
+	if s := r.Stats(); s.PumpsInline != sent {
+		t.Fatalf("%d frames sent one by one, %d fed in place (of %d pumps)", sent, s.PumpsInline, s.Pumps)
+	}
+	awaitPumped(t, pumped, "both quiet tenants to be evicted", func() bool {
+		s := r.Stats()
+		return s.Evictions >= 2 && s.Active == 0
+	})
+	if sm.Active() != 0 {
+		t.Fatalf("%d shards attached after the idle window", sm.Active())
+	}
+}
+
+// restamp gives an encoded frame message a new sequence number in place
+// (and the CRC that goes with it): a warm sender's per-frame work without
+// its allocations.
+func restamp(wire []byte, tenant string, seq uint64) {
+	binary.BigEndian.PutUint64(wire[HeaderSize+1+len(tenant):], seq)
+	binary.BigEndian.PutUint32(wire[10:14], crc32.ChecksumIEEE(wire[HeaderSize:]))
+}
+
 // warmRounds builds two fleets of the given tenants over the same
 // streams, both past their first frames so queues, batcher and scratch
 // have their steady-state capacity. routed submits one more frame per
-// tenant to a router over the first and pumps; direct feeds the second
-// the same frames, already decoded, through a Batcher of its own the way
-// Pump does. The inspectors monitor every frame but at a significance
-// they cannot reach, so no round pays for a false alarm's selection or
-// training and every one costs the same.
-func warmRounds(tb testing.TB, tenants, batch int) (routed, direct func()) {
+// tenant to a router over the first and pumps — or, with wire, sends it
+// down the tenant's loopback connection to a Server over that router
+// with the loop running, reads the ACK, and waits for the round to be
+// processed; the sender restamps frames encoded up front and reads into
+// a fixed buffer, so it allocates nothing of its own. direct feeds the
+// second fleet the same frames, already decoded, through a Batcher of its
+// own the way Pump does — one ProcessBatches call per round, or per frame
+// with wire. The inspectors monitor every frame but at a
+// significance they cannot reach, so no round pays for a false alarm's
+// selection or training and every one costs the same.
+func warmRounds(tb testing.TB, tenants, batch int, wire bool) (routed, direct func()) {
 	tb.Helper()
 	_, opts := sharedModels()
 	opts.Pipeline.DI.R = 1e-9
@@ -217,18 +537,66 @@ func warmRounds(tb testing.TB, tenants, batch int) (routed, direct func()) {
 	}
 	// The streams loop; the sequence numbers do not.
 	seq := uint64(0)
-	routed = func() {
-		for k := range ids {
-			m := msgs[k][seq%frames]
-			m.Seq = seq
-			if v := r.Submit(m); !v.Ack || v.Dup {
-				tb.Fatalf("tenant %s seq %d: verdict %+v", ids[k], seq, v)
-			}
+	deliver := func(k int) {
+		m := msgs[k][seq%frames]
+		m.Seq = seq
+		if v := r.Submit(m); !v.Ack || v.Dup {
+			tb.Fatalf("tenant %s seq %d: verdict %+v", ids[k], seq, v)
 		}
-		seq++
+	}
+	processed := func() {
 		if n, err := r.Pump(); err != nil || n != tenants {
 			tb.Fatalf("Pump processed %d (%v), want %d", n, err, tenants)
 		}
+	}
+	if wire {
+		addr := startServer(tb, r)
+		var fed atomic.Int64
+		stop, done := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			r.Run(stop, func(n int, err error) {
+				if err != nil {
+					tb.Errorf("pump: %v", err)
+				}
+				fed.Add(int64(n))
+			})
+		}()
+		tb.Cleanup(func() {
+			close(stop)
+			<-done
+		})
+		conns := make([]net.Conn, tenants)
+		wires := make([][][]byte, tenants)
+		for k := range ids {
+			conns[k] = dialWire(tb, addr, ids[k]).conn
+			for _, m := range msgs[k] {
+				wires[k] = append(wires[k], EncodeFrame(m))
+			}
+		}
+		var ack [ackSize]byte
+		deliver = func(k int) {
+			b := wires[k][seq%frames]
+			restamp(b, ids[k], seq)
+			if _, err := conns[k].Write(b); err != nil {
+				tb.Fatal(err)
+			}
+			if _, err := io.ReadFull(conns[k], ack[:]); err != nil || ack[5] != MsgAck {
+				tb.Fatalf("tenant %s seq %d: answer type %d (%v), want an ack", ids[k], seq, ack[5], err)
+			}
+		}
+		processed = func() {
+			for fed.Load() < int64(seq)*int64(tenants) {
+				runtime.Gosched()
+			}
+		}
+	}
+	routed = func() {
+		for k := range ids {
+			deliver(k)
+		}
+		seq++
+		processed()
 	}
 	decoded := make([][]vidsim.Frame, tenants)
 	for k := range decoded {
@@ -241,6 +609,16 @@ func warmRounds(tb testing.TB, tenants, batch int) (routed, direct func()) {
 	direct = func() {
 		for k := range decoded {
 			if _, err := batcher.Add(k, decoded[k][at%frames]); err != nil {
+				tb.Fatal(err)
+			}
+			if !wire {
+				continue
+			}
+			// A frame off the wire is mostly pumped alone, and a
+			// ProcessBatches call has costs of its own: the fleet's share
+			// of a wire round is a call per frame (at most — two frames
+			// that arrive together share one).
+			if _, err := batcher.Flush(); err != nil {
 				tb.Fatal(err)
 			}
 		}
@@ -256,22 +634,47 @@ func warmRounds(tb testing.TB, tenants, batch int) (routed, direct func()) {
 	return routed, direct
 }
 
+// allocsPer is testing.AllocsPerRun that also reports bytes and leaves
+// GOMAXPROCS alone: the objects and bytes the whole process allocated per
+// call of f, every goroutine's included.
+func allocsPer(runs int, f func()) (objs, bytes float64) {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs), float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
 // TestPumpSteadyStateAllocs is the allocation gate on the per-arrival
-// path: on top of what the Batcher and the fleet allocate for the same
-// frames (the event slices, the supervisor's snapshot), a warm Submit+Pump
-// allocates each frame's pixel buffer and nothing else — no id slice,
-// no sort, no scratch, no queue re-growth — at any batch size and any
-// number of tenants.
+// path, end to end: on top of what the Batcher and the fleet allocate for
+// the same frames (the event slices, the supervisor's snapshot), a warm
+// frame allocates its own pixel buffer — the one slice the pipeline
+// keeps — and nothing else. That holds for Submit+Pump (no id slice, no
+// sort, no scratch, no queue re-growth) and for the whole connection loop
+// over loopback (no read buffer, no payload copy, no float32 slice, no
+// strings, no ACK), at any batch size and any number of tenants.
 func TestPumpSteadyStateAllocs(t *testing.T) {
-	for _, tc := range []struct{ tenants, batch int }{{1, 1}, {1, 8}, {4, 1}, {4, 8}} {
-		routed, direct := warmRounds(t, tc.tenants, tc.batch)
-		// Both fleets are at the same frame of the same streams, so they
-		// allocate the same.
-		fleet := testing.AllocsPerRun(200, direct)
-		got := testing.AllocsPerRun(200, routed)
-		if own := got - fleet; own > float64(tc.tenants) {
-			t.Errorf("%d tenants, batch %d: a Submit+Pump round allocates %.0f, the fleet alone %.0f: %.0f from the router, want <= %d (the pixel buffers)",
-				tc.tenants, tc.batch, got, fleet, own, tc.tenants)
+	for _, wire := range []bool{false, true} {
+		for _, tc := range []struct{ tenants, batch int }{{1, 1}, {1, 8}, {4, 1}, {4, 8}} {
+			t.Run(fmt.Sprintf("wire=%v/tenants=%d/batch=%d", wire, tc.tenants, tc.batch), func(t *testing.T) {
+				routed, direct := warmRounds(t, tc.tenants, tc.batch, wire)
+				// Both fleets are at the same frame of the same streams, so
+				// they allocate the same.
+				fleetObjs, fleetBytes := allocsPer(200, direct)
+				objs, bytes := allocsPer(200, routed)
+				t.Logf("per round: %.1f objects, %.0f B; the fleet alone %.1f, %.0f B", objs, bytes, fleetObjs, fleetBytes)
+				if own := objs - fleetObjs; own > float64(tc.tenants)+0.5 {
+					t.Errorf("a round allocates %.1f objects, the fleet alone %.1f: %.1f from transport and router, want <= %d (the pixel buffers)",
+						objs, fleetObjs, own, tc.tenants)
+				}
+				if own, pixels := bytes-fleetBytes, float64(tc.tenants*(8*testDim+64)); own > pixels {
+					t.Errorf("a round allocates %.0f B, the fleet alone %.0f: %.0f from transport and router, want <= %.0f (the pixel buffers)",
+						bytes, fleetBytes, own, pixels)
+				}
+			})
 		}
 	}
 }
@@ -280,9 +683,21 @@ func TestPumpSteadyStateAllocs(t *testing.T) {
 // everything under it: Submit, the wake-up token, Pump, the Batcher and
 // a supervised ProcessBatches at batch 1, per frame.
 func BenchmarkRouterSubmitPump(b *testing.B) {
+	benchRounds(b, false)
+}
+
+// BenchmarkServeConnFrame is the same arrival through the front door:
+// socket → buffered read → decode → queue → ACK → fed in place →
+// processed, per frame, the sender's write, restamp and ACK read
+// included. Less BenchmarkRouterSubmitPump it is what transport costs.
+func BenchmarkServeConnFrame(b *testing.B) {
+	benchRounds(b, true)
+}
+
+func benchRounds(b *testing.B, wire bool) {
 	for _, tenants := range []int{1, 8} {
 		b.Run(fmt.Sprintf("tenants=%d", tenants), func(b *testing.B) {
-			routed, _ := warmRounds(b, tenants, 1)
+			routed, _ := warmRounds(b, tenants, 1, wire)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i += tenants {

@@ -64,9 +64,10 @@ type Config struct {
 
 // Router owns the tenant↔shard mapping over a dynamic ShardedMonitor:
 // per-tenant bounded queues on the ingress side, the count-based
-// Batcher on the egress side. Submit (any connection goroutine) and
-// Pump (one driver goroutine — Run, in a server) are safe to call
-// concurrently.
+// Batcher on the egress side. Submit, Pump, Run and a Server's
+// connections are safe to use concurrently: admission is serialized by
+// one lock, pumping — by Run, by a connection feeding the frame it has
+// just read, by a bare Pump — by another.
 //
 // The backpressure contract: a submitted frame is either queued (and
 // eventually processed, exactly once, in sequence order) or rejected
@@ -83,15 +84,23 @@ type Router struct {
 	tenants map[string]*tenant
 	order   []*tenant
 
-	// wake holds at most one token: "a frame was queued since Run last
-	// woke". Submit leaves it after appending the frame, so a Submit
-	// racing a drain costs Run one empty Pump, never a frame left waiting.
+	// wake holds at most one token: "a frame was queued that nobody has
+	// fed". Whoever queued a frame and does not feed it leaves the token
+	// after appending the frame, so a frame racing a drain costs Run one
+	// empty Pump, never a frame left waiting.
 	wake chan struct{}
+	// evict fires when the first attached tenant's idle window runs out.
+	// Whoever pumped last re-arms it (under procMu); only Run listens.
+	evict *time.Timer
 
-	// procMu serializes Pump: queue drain, batch feed, idle eviction.
+	// procMu serializes pumping: queue drain, batch feed, idle eviction.
 	procMu  sync.Mutex
 	batcher *videodrift.Batcher
-	work    []drained // Pump's scratch, reused across calls
+	work    []drained // pump's scratch, reused across calls
+	// loop is the running Run's pumped callback, nil while no Run owns
+	// draining (under procMu). Connections feed in place only while it is
+	// set, and account their pumps through it.
+	loop func(n int, err error)
 
 	// Aggregate counters (under mu).
 	accepted, processed      int64
@@ -99,7 +108,7 @@ type Router struct {
 	nackFull, nackSeq        int64
 	nackLimit, nackMalformed int64
 	evictions, attaches      int64
-	pumps                    int64
+	pumps, pumpsInline       int64
 }
 
 // drained is one tenant's share of a Pump: the frames moved out of its
@@ -148,11 +157,14 @@ func NewRouter(sm *videodrift.ShardedMonitor, cfg Config) *Router {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
+	evict := time.NewTimer(0)
+	evict.Stop() // armed by pump, and only while a tenant's idle window runs
 	return &Router{
 		sm:      sm,
 		cfg:     cfg,
 		tenants: make(map[string]*tenant),
 		wake:    make(chan struct{}, 1),
+		evict:   evict,
 		batcher: sm.NewBatcher(cfg.BatchSize),
 	}
 }
@@ -170,14 +182,67 @@ type Verdict struct {
 	Reason     string
 }
 
-// Submit routes one decoded frame. First contact with an unknown
-// tenant attaches a shard over the shared models (the dynamic-fleet
-// lifecycle); a returning evicted tenant reattaches. Safe for
-// concurrent use by connection handlers.
+// queued reports whether the verdict put a frame on a tenant's queue (a
+// duplicate is acknowledged, not queued).
+func (v Verdict) queued() bool { return v.Ack && !v.Dup }
+
+// Submit routes one decoded frame and, when it was queued, leaves the
+// wake-up token for Run — it never feeds the fleet itself. First contact
+// with an unknown tenant attaches a shard over the shared models (the
+// dynamic-fleet lifecycle); a returning evicted tenant reattaches. Safe
+// for concurrent use by connection handlers.
 func (r *Router) Submit(m FrameMsg) Verdict {
+	v := r.enqueue(m.Tenant, FrameFromMsg(m))
+	if v.queued() {
+		r.signal()
+	}
+	return v
+}
+
+// signal leaves the wake-up token.
+func (r *Router) signal() {
+	select {
+	case r.wake <- struct{}{}:
+	default: // a token is already waiting; that Pump will take this frame too
+	}
+}
+
+// feed is what a connection does for the frame it has just queued and
+// acknowledged: when the pump is free and a Run loop owns draining, it
+// pumps right here, on the goroutine that read the frame — no hand-off,
+// no wake-up. Otherwise — another connection is feeding, a training holds
+// the pump, or nobody runs a loop — it leaves the token, and the frame
+// waits in its queue for Run (or a bare Pump) as it always did. Either
+// way the wake-up invariant holds: a queued frame implies a token in the
+// channel, a Pump that has not yet taken its queues, or a connection
+// between its enqueue and its feed.
+func (r *Router) feed() {
+	if !r.feedInPlace() {
+		r.signal()
+	}
+}
+
+func (r *Router) feedInPlace() bool {
+	if !r.procMu.TryLock() {
+		return false
+	}
+	defer r.procMu.Unlock()
+	if r.loop == nil {
+		return false
+	}
+	r.loop(r.pump(true))
+	return true
+}
+
+// enqueue is the admission half of Submit: tenant lookup and attach,
+// the sequence contract, the queue bound. f.Index carries the wire
+// sequence number. A queued frame must then be fed or signalled by the
+// caller.
+func (r *Router) enqueue(id string, f vidsim.Frame) Verdict {
+	seq := uint64(f.Index)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	t := r.tenants[m.Tenant]
+	t := r.tenants[id]
 	if t == nil || t.slot < 0 {
 		if r.activeLocked() >= r.cfg.MaxTenants {
 			r.nackLimit++
@@ -188,16 +253,16 @@ func (r *Router) Submit(m FrameMsg) Verdict {
 			}
 		}
 		if t == nil {
-			t = &tenant{id: m.Tenant, slot: -1}
+			t = &tenant{id: id, slot: -1}
 			if r.cfg.ResumeStreams {
 				// A failed-over client arrives mid-stream; its first frame's
 				// sequence number becomes this tenant's stream position.
-				t.nextSeq = m.Seq
+				t.nextSeq = seq
 			}
 			if r.cfg.NewTracer != nil {
-				t.tracer = r.cfg.NewTracer(m.Tenant)
+				t.tracer = r.cfg.NewTracer(id)
 			}
-			r.tenants[m.Tenant] = t
+			r.tenants[id] = t
 			at, _ := slices.BinarySearchFunc(r.order, t.id, func(o *tenant, id string) int { return cmp.Compare(o.id, id) })
 			r.order = slices.Insert(r.order, at, t)
 		}
@@ -210,18 +275,18 @@ func (r *Router) Submit(m FrameMsg) Verdict {
 	}
 	t.lastSeen = r.cfg.Now()
 	switch {
-	case m.Seq < t.nextSeq:
+	case seq < t.nextSeq:
 		// A resend of a frame we already accepted (its ack was lost):
 		// acknowledge idempotently so the sender advances.
 		t.dups++
 		r.dups++
 		return Verdict{Ack: true, Dup: true}
-	case m.Seq > t.nextSeq:
+	case seq > t.nextSeq:
 		t.nackSeq++
 		r.nackSeq++
 		return Verdict{
 			Code:   NackBadSeq,
-			Reason: fmt.Sprintf("want seq %d, got %d", t.nextSeq, m.Seq),
+			Reason: fmt.Sprintf("want seq %d, got %d", t.nextSeq, seq),
 		}
 	}
 	if len(t.queue) >= r.cfg.QueueCap {
@@ -233,14 +298,10 @@ func (r *Router) Submit(m FrameMsg) Verdict {
 			Reason:     fmt.Sprintf("tenant queue full (%d)", r.cfg.QueueCap),
 		}
 	}
-	t.queue = append(t.queue, FrameFromMsg(m))
+	t.queue = append(t.queue, f)
 	t.nextSeq++
 	t.accepted++
 	r.accepted++
-	select {
-	case r.wake <- struct{}{}:
-	default: // a token is already waiting; that Pump will take this frame too
-	}
 	return Verdict{Ack: true}
 }
 
@@ -263,56 +324,57 @@ func (r *Router) CountMalformed() {
 	r.mu.Unlock()
 }
 
-// Run is the pump loop a server runs on one goroutine: it sleeps until
-// Submit has queued a frame, or — only with IdleEvict set — until the
-// next attached tenant is due for eviction, calls Pump, hands pumped
-// what Pump returned, and returns when stop closes. Nothing is timed:
-// a frame that arrives alone is fed alone, frames that arrive while a
-// Pump is busy (a training, a burst) are fed together by the next one,
-// BatchSize at a time, and a fleet with no traffic and no tenant to
-// evict makes no Pump call at all.
+// Run is the pump loop a server runs on one goroutine — since
+// connections feed in place, the drainer of last resort: it sleeps until
+// a frame was queued that nobody fed (the pump was busy), or — only with
+// IdleEvict set — until the next attached tenant is due for eviction,
+// calls Pump, hands pumped what Pump returned, and returns when stop
+// closes. pumped (not nil) also accounts for the pumps connections run
+// while the loop does: those call it from their own goroutines, still
+// holding the pump — it must not pump itself — and never once Run has
+// returned, which waits for a feed in flight. Nothing is timed: a frame that arrives alone is fed alone, frames that
+// arrive while a Pump is busy (a training, a burst) are fed together by
+// the next one, BatchSize at a time, and a fleet with no traffic and no
+// tenant to evict makes no Pump call at all.
 func (r *Router) Run(stop <-chan struct{}, pumped func(n int, err error)) {
-	// The eviction timer: armed only while an attached tenant has an idle
-	// window running, so its channel is never ready otherwise.
-	evict := time.NewTimer(0)
-	evict.Stop()
-	defer evict.Stop()
+	r.procMu.Lock()
+	r.loop = pumped
+	r.procMu.Unlock()
+	defer func() {
+		r.procMu.Lock() // waits out a connection's feed in flight
+		r.loop = nil
+		r.procMu.Unlock()
+	}()
 	for {
 		select {
 		case <-stop:
 			return
 		case <-r.wake:
-		case <-evict.C:
+		case <-r.evict.C:
 		}
-		n, due, err := r.pump()
-		pumped(n, err)
-		if due.IsZero() {
-			evict.Stop()
-		} else {
-			evict.Reset(due.Sub(r.cfg.Now()))
-		}
+		pumped(r.Pump())
 	}
 }
 
 // Pump drains every tenant queue through the fleet: frames feed the
 // count-based Batcher in tenant-id order (deterministic for any map
-// layout), flush into ProcessBatches, and idle tenants detach. Call it
-// from one driver goroutine — Run, or a test's own; it returns the
-// number of frames processed this call. A *BatchMismatchError from
-// a concurrent Attach is retried internally (the Batcher keeps its
-// queues), so no frame is lost to a slot-count race.
+// layout), flush into ProcessBatches, and idle tenants detach. It is
+// what Run and feeding connections call, and safe beside them; it
+// returns the number of frames processed this call. A
+// *BatchMismatchError from a concurrent Attach is retried internally
+// (the Batcher keeps its queues), so no frame is lost to a slot-count
+// race.
 func (r *Router) Pump() (int, error) {
-	n, _, err := r.pump()
-	return n, err
-}
-
-// pump is Pump; evictDue is when the first still-attached tenant's idle
-// window runs out (zero when there is none, or no IdleEvict), which is
-// all that Run need wake for without traffic.
-func (r *Router) pump() (total int, evictDue time.Time, err error) {
 	r.procMu.Lock()
 	defer r.procMu.Unlock()
+	return r.pump(false)
+}
 
+// pump is Pump under procMu; inline marks a connection's feed. With
+// IdleEvict it leaves the eviction timer set for the first still-attached
+// tenant's idle window to run out (stopped when there is none), which is
+// all that Run need wake for without traffic — whoever pumped.
+func (r *Router) pump(inline bool) (total int, err error) {
 	// Move queued frames out under mu, then feed without holding it so
 	// Submit never blocks on the fleet.
 	r.mu.Lock()
@@ -332,19 +394,22 @@ func (r *Router) pump() (total int, evictDue time.Time, err error) {
 			n, err := r.flushed(r.batcher.Add(w.slot, f))
 			total += n
 			if err != nil {
-				return total, time.Time{}, err
+				return total, err
 			}
 		}
 	}
 	n, err := r.flushed(r.batcher.Flush())
 	total += n
 	if err != nil {
-		return total, time.Time{}, err
+		return total, err
 	}
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.pumps++
+	if inline {
+		r.pumpsInline++
+	}
 	r.processed += int64(total)
 	for _, w := range work {
 		w.t.processed += int64(len(w.frames))
@@ -352,8 +417,9 @@ func (r *Router) pump() (total int, evictDue time.Time, err error) {
 		w.t.spare = w.frames[:0]
 	}
 	if r.cfg.IdleEvict <= 0 {
-		return total, time.Time{}, nil
+		return total, nil
 	}
+	var evictDue time.Time
 	now := r.cfg.Now()
 	for _, t := range r.order {
 		if t.slot < 0 {
@@ -369,7 +435,12 @@ func (r *Router) pump() (total int, evictDue time.Time, err error) {
 			evictDue = due
 		}
 	}
-	return total, evictDue, nil
+	if evictDue.IsZero() {
+		r.evict.Stop()
+	} else {
+		r.evict.Reset(evictDue.Sub(now))
+	}
+	return total, nil
 }
 
 // flushed counts the frames one Batcher flush processed. A
@@ -429,6 +500,10 @@ type Stats struct {
 	// to the queue depth behind a training.
 	Pumps        int64 `json:"pumps"`
 	PumpedFrames int64 `json:"pumped_frames"`
+	// PumpsInline counts the Pumps a connection ran in place for the frame
+	// it had just read; the rest are Run's (and bare Pump calls). Its share
+	// of Pumps is the share of arrivals that paid no goroutine hand-off.
+	PumpsInline int64 `json:"pumps_inline"`
 	// Tenants holds the per-tenant detail, sorted by tenant id.
 	Tenants []TenantStats `json:"tenants"`
 }
@@ -451,6 +526,7 @@ func (r *Router) Stats() Stats {
 		Evictions:       r.evictions,
 		Pumps:           r.pumps,
 		PumpedFrames:    r.processed,
+		PumpsInline:     r.pumpsInline,
 		Tenants:         make([]TenantStats, 0, len(r.order)),
 	}
 	for _, t := range r.order {
@@ -502,7 +578,9 @@ func (r *Router) WritePrometheus(w io.Writer) error {
 	p("ingest_nack_total{code=\"malformed\"} %d\n", s.NackedMalformed)
 	p("# TYPE ingest_tenant_attach_total counter\ningest_tenant_attach_total %d\n", s.Attaches)
 	p("# TYPE ingest_tenant_evict_total counter\ningest_tenant_evict_total %d\n", s.Evictions)
-	p("# TYPE ingest_pump_runs_total counter\ningest_pump_runs_total %d\n", s.Pumps)
+	p("# TYPE ingest_pump_runs_total counter\n")
+	p("ingest_pump_runs_total{by=\"conn\"} %d\n", s.PumpsInline)
+	p("ingest_pump_runs_total{by=\"loop\"} %d\n", s.Pumps-s.PumpsInline)
 	p("# TYPE ingest_pump_frames_total counter\ningest_pump_frames_total %d\n", s.PumpedFrames)
 	p("# TYPE ingest_tenant_queue_depth gauge\n")
 	for _, t := range s.Tenants {

@@ -243,7 +243,12 @@ func TestRouterPrometheus(t *testing.T) {
 	_, opts := sharedModels()
 	r := NewRouter(testFleet(opts), Config{})
 	r.CountMalformed()
-	submitFrames(t, r, "cam-a", testStream(1, 18), 0, 1)
+	stream := testStream(2, 18)
+	submitFrames(t, r, "cam-a", stream, 0, 1)
+	if _, err := r.Pump(); err != nil { // a bare Pump counts with the loop's
+		t.Fatal(err)
+	}
+	submitFrames(t, r, "cam-a", stream, 1, 2)
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
@@ -251,8 +256,11 @@ func TestRouterPrometheus(t *testing.T) {
 	out := sb.String()
 	for _, want := range []string{
 		"ingest_tenants_active 1",
-		"ingest_frames_accepted_total 1",
+		"ingest_frames_accepted_total 2",
 		"ingest_nack_total{code=\"malformed\"} 1",
+		"ingest_pump_runs_total{by=\"conn\"} 0",
+		"ingest_pump_runs_total{by=\"loop\"} 1",
+		"ingest_pump_frames_total 1",
 		"ingest_tenant_queue_depth{tenant=\"cam-a\"} 1",
 	} {
 		if !strings.Contains(out, want) {

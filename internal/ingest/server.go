@@ -31,7 +31,8 @@ type ServerConfig struct {
 // Server accepts tenant connections speaking the wire protocol and
 // routes their frames. Each connection is one goroutine running a
 // strict request/response loop: read one message, answer one Ack or
-// Nack. Header-level damage (bad magic, truncation, version skew)
+// Nack — and, the answer sent, feed the fleet the frame it has queued
+// when nobody else is feeding (Router.feed). Header-level damage (bad magic, truncation, version skew)
 // desynchronizes the stream, so those close the connection after a
 // best-effort Nack; payload-level damage (CRC mismatch, malformed
 // frame) leaves the stream aligned, so those Nack and keep reading —
@@ -136,12 +137,21 @@ func (s *Server) logf(format string, args ...interface{}) {
 	}
 }
 
-// serveConn runs one connection's request/response loop.
+// serveConn runs one connection's request/response loop. The steady
+// path stays on this goroutine from socket to verdict: one buffered read,
+// one decode into the frame the pipeline keeps, the router's queue, the
+// ACK out of a reused scratch — and then, the ACK already on its way, the
+// fleet is fed right here when nobody else is feeding it (Router.feed).
+// While that feed runs a selection or a training this connection does not
+// read its socket: its client sees one slow ACK (DESIGN.md §14).
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
+	rd := msgReader{r: conn, buf: make([]byte, connBufSize)}
+	var dec frameDecoder
+	ack := make([]byte, 0, ackSize)
 	for {
 		conn.SetReadDeadline(s.cfg.Now().Add(s.cfg.ReadTimeout))
-		msgType, payload, err := s.readMsg(conn)
+		msgType, payload, err := rd.next()
 		switch {
 		case err == nil:
 		case errors.Is(err, io.EOF):
@@ -156,6 +166,10 @@ func (s *Server) serveConn(conn net.Conn) {
 			// Header damage, truncation, version skew, oversize, timeout:
 			// the stream position is unknowable — best-effort Nack, drop
 			// the connection.
+			var ne net.Error
+			if errors.As(err, &ne) && ne.Timeout() {
+				err = fmt.Errorf("no complete message within %v (slow client)", s.cfg.ReadTimeout)
+			}
 			s.router.CountMalformed()
 			s.logf("ingest: dropping connection %s: %v", conn.RemoteAddr(), err)
 			s.writeMsg(conn, EncodeNack(Nack{Code: NackMalformed, Reason: err.Error()}))
@@ -166,27 +180,22 @@ func (s *Server) serveConn(conn net.Conn) {
 				Reason: fmt.Sprintf("unexpected message type %d", msgType)}))
 			continue
 		}
-		m, err := DecodeFrameMsg(payload)
+		tenant, f, err := dec.decode(payload)
 		if err != nil {
 			s.router.CountMalformed()
 			s.writeMsg(conn, EncodeNack(Nack{Code: NackMalformed, Reason: err.Error()}))
 			continue
 		}
-		if !s.writeMsg(conn, verdictWire(m.Seq, s.router.Submit(m))) {
+		v := s.router.enqueue(tenant, f)
+		ok := s.writeMsg(conn, verdictWire(ack[:0], uint64(f.Index), v))
+		// A queued frame is fed or signalled whatever became of its ACK.
+		if v.queued() {
+			s.router.feed()
+		}
+		if !ok {
 			return
 		}
 	}
-}
-
-// readMsg reads one message, mapping a read-deadline miss to a typed
-// slow-client error.
-func (s *Server) readMsg(conn net.Conn) (uint8, []byte, error) {
-	msgType, payload, err := ReadMsg(conn)
-	var ne net.Error
-	if err != nil && errors.As(err, &ne) && ne.Timeout() {
-		return 0, nil, fmt.Errorf("no complete message within %v (slow client)", s.cfg.ReadTimeout)
-	}
-	return msgType, payload, err
 }
 
 // writeMsg writes one wire message, reporting whether the connection
@@ -199,10 +208,12 @@ func (s *Server) writeMsg(conn net.Conn, b []byte) bool {
 	return true
 }
 
-// verdictWire renders a router verdict as the wire response for seq.
-func verdictWire(seq uint64, v Verdict) []byte {
+// verdictWire renders a router verdict as the wire response for seq: an
+// ack — every frame's answer on a healthy stream — into the caller's
+// scratch, a nack into a buffer of its own.
+func verdictWire(scratch []byte, seq uint64, v Verdict) []byte {
 	if v.Ack {
-		return EncodeAck(Ack{Seq: seq, Dup: v.Dup})
+		return appendAck(scratch, Ack{Seq: seq, Dup: v.Dup})
 	}
 	return EncodeNack(Nack{
 		Seq:              seq,

@@ -12,7 +12,7 @@ package vision
 import (
 	"math"
 	"reflect"
-	"sort"
+	"slices"
 
 	"videodrift/internal/tensor"
 )
@@ -290,12 +290,14 @@ func devBin(p, med float64, devBins int) int {
 }
 
 // medianOf returns the median of xs, or fallback when xs is empty. The
-// slice is sorted in place.
+// slice is sorted in place — by slices.Sort, which orders exactly as
+// sort.Float64s does but does not make xs escape, so a caller's pool may
+// live on its stack.
 func medianOf(xs []float64, fallback float64) float64 {
 	if len(xs) == 0 {
 		return fallback
 	}
-	sort.Float64s(xs)
+	slices.Sort(xs)
 	return xs[len(xs)/2]
 }
 
@@ -341,7 +343,11 @@ func QueryFeatures(pixels tensor.Vector, w, h int) tensor.Vector {
 	// Outlier pools for intensity dims, and polarity/size-split run
 	// masses: mass[polarity][size] with polarity 0 = dark, 1 = bright and
 	// size 0 = car-run, 1 = bus-run.
-	var dark, bright []float64
+	// The pools start out in two stack buffers, roomy enough for a 32×32
+	// frame of any scene vidsim renders (at most a quarter of it is ever
+	// on one side of the cut); a larger pool grows onto the heap.
+	var darkBuf, brightBuf [256]float64
+	dark, bright := darkBuf[:0], brightBuf[:0]
 	var mass [2][2]float64
 	for y := 0; y < h; y++ {
 		row := pixels[y*w : (y+1)*w]

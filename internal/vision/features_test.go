@@ -2,6 +2,7 @@ package vision
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"videodrift/internal/stats"
@@ -182,5 +183,156 @@ func TestFeaturizerSteadyStateAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() { fz.Appearance(f.Pixels, f.W, f.H) })
 	if allocs != 0 {
 		t.Errorf("steady-state Appearance allocates %v objects/op, want 0", allocs)
+	}
+}
+
+// queryFeaturesReference is QueryFeatures as it was before its outlier
+// pools moved to the stack (and medianOf, to keep them there, from
+// sort.Float64s to slices.Sort), kept as the oracle: neither may move a
+// bit.
+func queryFeaturesReference(pixels tensor.Vector, w, h int) tensor.Vector {
+	const (
+		occWeight = 8.0
+		madScale  = 4.0
+		busRun    = 7
+	)
+	n := len(pixels)
+	med, sigma := medSigma(pixels)
+	cut := 3 * sigma
+	if cut < 0.08 {
+		cut = 0.08
+	}
+	var dark, bright []float64
+	var mass [2][2]float64
+	for y := 0; y < h; y++ {
+		row := pixels[y*w : (y+1)*w]
+		runStart := -1
+		runSum := 0.0
+		flush := func(end int) {
+			if runStart < 0 {
+				return
+			}
+			length := end - runStart
+			pol, size := 0, 0
+			if runSum > 0 {
+				pol = 1
+			}
+			if length >= busRun {
+				size = 1
+			}
+			if length >= 2 {
+				mass[pol][size] += float64(length)
+			}
+			runStart = -1
+			runSum = 0
+		}
+		for x := 0; x < w; x++ {
+			p := row[x]
+			d := p - med
+			switch {
+			case d > cut:
+				bright = append(bright, p)
+			case d < -cut:
+				dark = append(dark, p)
+			default:
+				flush(x)
+				continue
+			}
+			if runStart < 0 {
+				runStart = x
+			}
+			runSum += d
+		}
+		flush(w)
+	}
+	out := make(tensor.Vector, QueryDim)
+	out[0] = occWeight * mass[0][0] / float64(n)
+	out[1] = occWeight * mass[0][1] / float64(n)
+	out[2] = occWeight * mass[1][0] / float64(n)
+	out[3] = occWeight * mass[1][1] / float64(n)
+	out[4] = med
+	out[5] = madScale * sigma
+	presence := func(count int) float64 {
+		p := float64(count) / (0.02 * float64(n))
+		if p > 1 {
+			return 1
+		}
+		return p
+	}
+	out[6] = (medianOfReference(dark, med) - med) * presence(len(dark))
+	out[7] = (medianOfReference(bright, med) - med) * presence(len(bright))
+	out[8] = 1
+	return out
+}
+
+// medianOfReference is medianOf as it was, on sort.Float64s.
+func medianOfReference(xs []float64, fallback float64) float64 {
+	if len(xs) == 0 {
+		return fallback
+	}
+	sort.Float64s(xs)
+	return xs[len(xs)/2]
+}
+
+// TestQueryFeaturesMatchesReference holds QueryFeatures to the retained
+// implementation, exact == on all nine outputs, over 2 000 seeded frames
+// across conditions and sizes — 16×16 frames, whose pools fit the stack
+// buffers, and 32×32 and 64×64 ones, which reach or outgrow them.
+func TestQueryFeaturesMatchesReference(t *testing.T) {
+	conds := []vidsim.Condition{vidsim.Day(), vidsim.Night(), vidsim.RainCond(), vidsim.SnowCond(), vidsim.Angle(1, 5, -1), vidsim.Angle(4, 9, -1)}
+	var frames []vidsim.Frame
+	for i, c := range conds {
+		dim := 16 << (i % 3)
+		frames = append(frames, vidsim.GenerateTraining(c, dim, dim, 2000/len(conds)+1, int64(100+i))...)
+	}
+	// Round-robin over the conditions.
+	per := len(frames) / len(conds)
+	order := make([]vidsim.Frame, 0, len(frames))
+	for j := 0; j < per; j++ {
+		for i := range conds {
+			order = append(order, frames[i*per+j])
+		}
+	}
+	if len(order) < 2000 {
+		t.Fatalf("%d frames, want at least 2000", len(order))
+	}
+	spilled := 0
+	for _, f := range order {
+		got, want := QueryFeatures(f.Pixels, f.W, f.H), queryFeaturesReference(f.Pixels, f.W, f.H)
+		for d := range want {
+			if got[d] != want[d] {
+				t.Fatalf("%s frame %d (%dx%d) dim %d: %v, reference %v", f.Condition, f.Index, f.W, f.H, d, got[d], want[d])
+			}
+		}
+		if full := 8 * 256 / float64(len(f.Pixels)); want[0]+want[1] > full || want[2]+want[3] > full {
+			spilled++ // more run mass on one side than a stack buffer holds pixels
+		}
+	}
+	if spilled == 0 {
+		t.Error("no frame outgrew the stack buffers: the heap path went untested")
+	}
+	if n := testing.AllocsPerRun(100, func() { QueryFeatures(order[0].Pixels, order[0].W, order[0].H) }); n > 1 {
+		t.Errorf("QueryFeatures allocates %.0f objects per call, want 1 (its output)", n)
+	}
+}
+
+// TestMedianOfMatchesSort holds medianOf, which the appearance features
+// share, to its sort.Float64s form bit for bit — ties, signed zeroes and
+// NaNs included, where two correct sorts could order equal keys apart.
+func TestMedianOfMatchesSort(t *testing.T) {
+	rng := stats.NewRNG(5)
+	special := []float64{0, math.Copysign(0, -1), math.NaN(), 0.5, 0.5, -0.25, math.Inf(1)}
+	for n := 0; n < 200; n++ {
+		xs := make([]float64, n)
+		for i := range xs {
+			if xs[i] = rng.Float64() - 0.5; rng.Float64() < 0.3 {
+				xs[i] = special[i%len(special)]
+			}
+		}
+		got := medianOf(append([]float64(nil), xs...), 7)
+		want := medianOfReference(append([]float64(nil), xs...), 7)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%d values: median %v (%x), on sort.Float64s %v (%x)", n, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
 	}
 }

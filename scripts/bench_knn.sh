@@ -3,9 +3,10 @@
 # selection engine (kNN scoring brute vs fast, Drift Inspector observe,
 # MSBI worker/model scaling, sharded monitoring throughput), the
 # training benchmarks (one Adam step dense and with idle coordinates, one
-# experiment-scale classifier fit) and the ingest router's per-arrival
-# path (Submit + Pump per frame, 1 and 8 tenants), and writes the results
-# as machine-readable JSON.
+# experiment-scale classifier fit) and the ingest tier's per-arrival
+# path (Submit + Pump per frame, and the same frame through the front
+# door: socket → ACK → fed in place; 1 and 8 tenants), and writes the
+# results as machine-readable JSON.
 #
 # Usage:  scripts/bench_knn.sh [out.json]
 #   BENCHTIME=200ms COUNT=3 scripts/bench_knn.sh   # quicker / repeated runs
@@ -46,7 +47,7 @@ raw=$(go test -run=NONE \
 	-benchtime "$benchtime" -count "$count" "${profflags[@]}" .
 	go test -run=NONE -bench 'AdamStep|ClassifierFit' \
 		-benchtime "$benchtime" -count "$count" ./internal/nn ./internal/classifier
-	go test -run=NONE -bench 'RouterSubmitPump' -benchmem \
+	go test -run=NONE -bench 'RouterSubmitPump|ServeConnFrame' -benchmem \
 		-benchtime "$benchtime" -count "$count" ./internal/ingest)
 printf '%s\n' "$raw" >&2
 if [ -n "${PROFILE:-}" ]; then

@@ -2,7 +2,8 @@
 # Bench-regression smoke: re-runs the regression-gated benchmarks (the
 # kNN kernel fast path, the sharded monitoring fan-out, one Adam step
 # dense and with idle coordinates, one experiment-scale classifier fit,
-# the ingest router's Submit + Pump per frame) and fails when any of them
+# the ingest router's Submit + Pump per frame and the same frame through
+# a loopback connection) and fails when any of them
 # lands more than THRESHOLD percent slower than the committed
 # BENCH_knn.json baseline. It prints the box the
 # baseline was recorded on next to this one: across boxes the deltas are
@@ -32,12 +33,12 @@ fi
 
 # The gated set: kernel-regime kNN scoring, the sharded fan-out,
 # training (the idle_late step is the one that cost ten dense steps), and
-# the ingest pump, which runs once per arrival.
+# the ingest pump and the connection loop, which run once per arrival.
 raw=$(go test -run=NONE -bench 'KNNScore/sigma512x64|ShardedThroughput' \
 	-benchtime "$benchtime" -count "$count" .
 	go test -run=NONE -bench 'AdamStep|ClassifierFit' \
 		-benchtime "$benchtime" -count "$count" ./internal/nn ./internal/classifier
-	go test -run=NONE -bench 'RouterSubmitPump' \
+	go test -run=NONE -bench 'RouterSubmitPump|ServeConnFrame' \
 		-benchtime "$benchtime" -count "$count" ./internal/ingest)
 printf '%s\n' "$raw" >&2
 
