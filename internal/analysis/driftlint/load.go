@@ -3,6 +3,7 @@ package driftlint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -194,10 +195,11 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 	return pkg, nil
 }
 
-// goSources lists the buildable .go files of a directory: no _test
-// files, no hidden or generated-ignored names, and no files excluded by
-// a //go:build ignore constraint (the only constraint form this repo
-// uses).
+// goSources lists the .go files of a directory the compiler would build
+// on this platform: no _test files, no hidden or underscore-prefixed
+// names, and only files whose name suffix and //go:build line match
+// (build.Default knows GOOS, GOARCH and the GOAMD64 level, so a package
+// with one file per architecture type-checks as one of them).
 func goSources(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -211,36 +213,15 @@ func goSources(dir string) ([]string, error) {
 			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
 			continue
 		}
-		if ignored, err := buildIgnored(filepath.Join(dir, name)); err != nil {
+		if match, err := build.Default.MatchFile(dir, name); err != nil {
 			return nil, err
-		} else if ignored {
+		} else if !match {
 			continue
 		}
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	return names, nil
-}
-
-// buildIgnored reports whether the file opts out of the build with a
-// "//go:build ignore"-style constraint line.
-func buildIgnored(path string) (bool, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return false, err
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "//") {
-			if strings.HasPrefix(line, "//go:build") &&
-				strings.Contains(line, "ignore") {
-				return true, nil
-			}
-			continue
-		}
-		break // reached package clause: constraints only appear above it
-	}
-	return false, nil
 }
 
 // Expand resolves Go-tool-style package patterns ("./...",

@@ -45,7 +45,8 @@ type Classifier struct {
 	net *nn.Network
 	opt *nn.Adam
 
-	params []*nn.Param // net.Params(), built once: they alias the layers' storage
+	params []*nn.Param   // net.Params(), built once: they alias the layers' storage
+	grad   tensor.Vector // TrainStep's loss gradient, reused
 }
 
 // New creates an untrained classifier with weights drawn from rng.
@@ -81,8 +82,9 @@ func (c *Classifier) NumClasses() int { return c.cfg.NumClasses }
 func (c *Classifier) TrainStep(x tensor.Vector, label int) float64 {
 	nn.ZeroGrads(c.params)
 	logits := c.net.Forward(x)
-	loss, grad := nn.SoftmaxCrossEntropy(logits, label)
-	c.net.Backward(grad)
+	loss, grad := nn.SoftmaxCrossEntropyInto(c.grad, logits, label)
+	c.grad = grad
+	c.net.BackwardParams(grad)
 	c.opt.Step(c.params)
 	return loss
 }

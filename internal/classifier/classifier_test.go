@@ -1,10 +1,12 @@
 package classifier
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
 	"videodrift/internal/dataset"
+	"videodrift/internal/nn"
 	"videodrift/internal/query"
 	"videodrift/internal/stats"
 	"videodrift/internal/tensor"
@@ -182,21 +184,91 @@ func TestEnsembleDeterministicGivenSeed(t *testing.T) {
 	}
 }
 
+// queryFixture is the experiment-scale query classifier's training set
+// and configuration: 300 BDD training frames through vision.QueryFeatures,
+// bucketed car counts as 16 classes, a 9→48→16 MLP fitted for 60 epochs.
+func queryFixture() ([]Sample, Config) {
+	ann := query.NewAnnotator(30)
+	var samples []Sample
+	for _, f := range dataset.BDD(0.02).TrainingFrames(0, 300) {
+		samples = append(samples, Sample{X: vision.QueryFeatures(f.Pixels, f.W, f.H), Label: ann.CountLabel(f)})
+	}
+	return samples, Config{InputDim: len(samples[0].X), HiddenDim: 48, NumClasses: ann.NumClasses(query.Count), LR: 5e-3, Epochs: 60}
+}
+
+// trainStepReference is TrainStep as it stood before it stopped asking for
+// the input gradient: the whole of Network.Backward, a fresh loss gradient.
+func trainStepReference(c *Classifier, x tensor.Vector, label int) float64 {
+	nn.ZeroGrads(c.params)
+	loss, grad := nn.SoftmaxCrossEntropy(c.net.Forward(x), label)
+	c.net.Backward(grad)
+	c.opt.Step(c.params)
+	return loss
+}
+
+// TestTrainStepMatchesPlainBackward: leaving out the first layer's Wᵀ·δ
+// and reusing the loss gradient's storage change no parameter gradient, so
+// a full fit ends on the same weights and reports the same losses, bit for
+// bit — and a step allocates nothing.
+func TestTrainStepMatchesPlainBackward(t *testing.T) {
+	samples, cfg := queryFixture()
+	if testing.Short() {
+		cfg.Epochs = 10
+	}
+	got, want := New(cfg, stats.NewRNG(7)), New(cfg, stats.NewRNG(7))
+	losses := got.Fit(samples, stats.NewRNG(8))
+	rng := stats.NewRNG(8)
+	for e := 0; e < cfg.Epochs; e++ {
+		total := 0.0
+		for _, i := range rng.Perm(len(samples)) {
+			total += trainStepReference(want, samples[i].X, samples[i].Label)
+		}
+		if mean := total / float64(len(samples)); math.Float64bits(mean) != math.Float64bits(losses[e]) {
+			t.Fatalf("epoch %d: loss %v, plain Backward %v", e, losses[e], mean)
+		}
+	}
+	gb, err := got.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wb, err := want.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gb, wb) {
+		t.Error("weights differ from a fit through the plain Network.Backward")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { got.TrainStep(samples[0].X, samples[0].Label) }); allocs != 0 {
+		t.Errorf("TrainStep allocates %v times a step, want 0", allocs)
+	}
+}
+
 // BenchmarkClassifierFit times the fit set-up runs once per network (24
 // of them for a four-sequence dataset): the experiment-scale query
 // classifier, 60 epochs over 300 BDD training frames, 18 000 single-example
 // Adam steps. The data is real because the cost was: ReLU rows that die on
 // it leave a fifth of the first moments idle long enough to go subnormal.
 func BenchmarkClassifierFit(b *testing.B) {
-	ann := query.NewAnnotator(30)
-	var samples []Sample
-	for _, f := range dataset.BDD(0.02).TrainingFrames(0, 300) {
-		samples = append(samples, Sample{X: vision.QueryFeatures(f.Pixels, f.W, f.H), Label: ann.CountLabel(f)})
-	}
-	cfg := Config{InputDim: len(samples[0].X), HiddenDim: 48, NumClasses: ann.NumClasses(query.Count), LR: 5e-3, Epochs: 60}
+	samples, cfg := queryFixture()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		New(cfg, stats.NewRNG(7)).Fit(samples, stats.NewRNG(8))
+	}
+}
+
+// BenchmarkClassifierTrainStep times one step of that fit — forward, loss,
+// backward, Adam over the 1 264 parameters — on a classifier 2 000 steps in.
+func BenchmarkClassifierTrainStep(b *testing.B) {
+	samples, cfg := queryFixture()
+	c := New(cfg, stats.NewRNG(7))
+	for i := 0; i < 2000; i++ {
+		c.TrainStep(samples[i%len(samples)].X, samples[i%len(samples)].Label)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := samples[i%len(samples)]
+		c.TrainStep(s.X, s.Label)
 	}
 }

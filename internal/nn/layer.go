@@ -87,10 +87,15 @@ func (d *Dense) Infer(in tensor.Vector) tensor.Vector {
 
 // Backward implements Layer.
 func (d *Dense) Backward(gradOut tensor.Vector) tensor.Vector {
-	d.GW.AddOuterInPlace(1, gradOut, d.in)
-	d.GB.AddInPlace(gradOut)
+	d.accumulate(gradOut)
 	d.gi = d.W.MatVecTInto(d.gi, gradOut)
 	return d.gi
+}
+
+// accumulate is Backward's effect on the layer's own gradients.
+func (d *Dense) accumulate(gradOut tensor.Vector) {
+	d.GW.AddOuterInPlace(1, gradOut, d.in)
+	d.GB.AddInPlace(gradOut)
 }
 
 // Params implements Layer.

@@ -17,16 +17,22 @@ import (
 // logits (softmax(logits) − onehot(label)). This is the proper scoring rule
 // (paper §5.2.1) the classifier ensembles are trained on.
 func SoftmaxCrossEntropy(logits tensor.Vector, label int) (loss float64, grad tensor.Vector) {
+	return SoftmaxCrossEntropyInto(nil, logits, label)
+}
+
+// SoftmaxCrossEntropyInto is SoftmaxCrossEntropy with the gradient written
+// into dst's storage, reallocated only when it is too small: a training
+// loop that keeps the vector it gets back allocates nothing per step.
+func SoftmaxCrossEntropyInto(dst, logits tensor.Vector, label int) (loss float64, grad tensor.Vector) {
 	if label < 0 || label >= len(logits) {
 		panic("nn: SoftmaxCrossEntropy label out of range")
 	}
-	probs := tensor.Softmax(logits)
-	p := probs[label]
+	grad = tensor.SoftmaxInto(dst, logits)
+	p := grad[label]
 	if p < 1e-12 {
 		p = 1e-12
 	}
 	loss = -math.Log(p)
-	grad = probs.Clone()
 	grad[label] -= 1
 	return loss, grad
 }

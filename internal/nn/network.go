@@ -49,6 +49,26 @@ func (n *Network) Backward(gradOut tensor.Vector) tensor.Vector {
 	return g
 }
 
+// BackwardParams is Backward for a caller with no use for the gradient
+// with respect to the network input — a classifier's training step, whose
+// input is data. Parameter gradients accumulate exactly as under Backward;
+// a Dense first layer skips the Wᵀ·δ product that only that return value
+// needs.
+func (n *Network) BackwardParams(gradOut tensor.Vector) {
+	g := gradOut
+	for i := len(n.Layers) - 1; i > 0; i-- {
+		g = n.Layers[i].Backward(g)
+	}
+	if len(n.Layers) == 0 {
+		return
+	}
+	if d, ok := n.Layers[0].(*Dense); ok {
+		d.accumulate(g)
+		return
+	}
+	n.Layers[0].Backward(g)
+}
+
 // Params returns every trainable parameter in the network.
 func (n *Network) Params() []*Param {
 	var ps []*Param

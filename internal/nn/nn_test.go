@@ -514,26 +514,15 @@ func adamSchedules() []adamSchedule {
 	}
 }
 
-// TestAdamStepMatchesReference drives Step and the retained plain loop
-// over the same adversarial gradient schedules and hyperparameters and
-// demands the same bits — Value, and both moments — after every step.
-// Each guard in Step has a row that fails without it: Epsilon == 0 with
-// an always-zero gradient is 0/0 in the reference (the hyperparameter
-// range), Beta2 turning negative does the same through v (v >= 0),
-// Beta1 = 0.25 with a −0 gradient leaves m on −0, which must not rest
-// and which a −0 Value restored under it must not absorb (x > 0), a
-// collapsing c1 overflows m/c1 (|x| <= 2^500), and everything else
-// leans on |m| <= L·|x|.
-func TestAdamStepMatchesReference(t *testing.T) {
-	steps := 21000
-	if testing.Short() {
-		steps = 9500
-	}
-	hypers := []struct {
-		name  string
-		set   func(o *Adam)
-		later func(o *Adam) // applied before step laterStep, if set
-	}{
+// adamHyper is one row of hyperparameters for the differential tests.
+type adamHyper struct {
+	name  string
+	set   func(o *Adam)
+	later func(o *Adam) // applied to a live optimizer, if set
+}
+
+func adamHypers() []adamHyper {
+	return []adamHyper{
 		{name: "default"},
 		{name: "classifier", set: func(o *Adam) { o.LR = 5e-3 }},
 		{name: "small-lr-big-eps", set: func(o *Adam) { o.LR, o.Epsilon = 1e-6, 1 }},
@@ -553,86 +542,120 @@ func TestAdamStepMatchesReference(t *testing.T) {
 		{name: "m-over-c1-overflows", set: func(o *Adam) { o.LR, o.Epsilon = 0x1p-100, 0x1p100 },
 			later: func(o *Adam) { o.Beta1 = 1 - 0x1p-53 }},
 	}
-	scheds := adamSchedules()
-	for _, h := range hypers {
+}
+
+// forEachAdamKernel runs f as a subtest on each kernel Step can take: the
+// vector one where the CPU has it, and the scalar loop with adamVector
+// cleared.
+func forEachAdamKernel(t *testing.T, f func(t *testing.T)) {
+	had := adamVector
+	defer func() { adamVector = had }()
+	if had {
+		t.Run("vector", f)
+	}
+	adamVector = false
+	t.Run("scalar", f)
+}
+
+// TestAdamStepMatchesReference drives Step and the retained plain loop
+// over the same adversarial gradient schedules and hyperparameters and
+// demands the same bits — Value, and both moments — after every step.
+// Each guard in Step has a row that fails without it: Epsilon == 0 with
+// an always-zero gradient is 0/0 in the reference (the hyperparameter
+// range), Beta2 turning negative does the same through v (v >= 0),
+// Beta1 = 0.25 with a −0 gradient leaves m on −0, which must not rest
+// and which a −0 Value restored under it must not absorb (x > 0), a
+// collapsing c1 overflows m/c1 (|x| <= 2^500), and everything else
+// leans on |m| <= L·|x|.
+func TestAdamStepMatchesReference(t *testing.T) {
+	steps := 21000
+	if testing.Short() {
+		steps = 9500
+	}
+	for _, h := range adamHypers() {
 		t.Run(h.name, func(t *testing.T) {
-			// Two tensors, as a layer has, so the per-tensor moment
-			// slices are exercised too: schedule k is coordinate j of
-			// tensor i.
-			half := len(scheds) / 2
-			locate := func(k int) (i, j int) {
-				if k < half {
-					return 0, k
-				}
-				return 1, k - half
-			}
-			newParams := func() []*Param {
-				ps := []*Param{
-					{Value: make([]float64, half), Grad: make([]float64, half)},
-					{Value: make([]float64, len(scheds)-half), Grad: make([]float64, len(scheds)-half)},
-				}
-				for k, s := range scheds {
-					i, j := locate(k)
-					ps[i].Value[j] = s.value
-				}
-				return ps
-			}
-			got, want := newParams(), newParams()
-			og, ow := NewAdam(1e-3), NewAdam(1e-3)
-			if h.set != nil {
-				h.set(og)
-				h.set(ow)
-			}
-			rngs := make([]*stats.RNG, len(scheds))
-			for k := range rngs {
-				rngs[k] = stats.NewRNG(int64(1000 + k))
-			}
-			for step := 0; step < steps; step++ {
-				if h.later != nil && step == laterStep {
-					h.later(og)
-					h.later(ow)
-				}
-				for k, s := range scheds {
-					i, j := locate(k)
-					g := s.grad(step, rngs[k])
-					got[i].Grad[j], want[i].Grad[j] = g, g
-					if s.resetAt != 0 && step == s.resetAt {
-						got[i].Value[j], want[i].Value[j] = s.resetTo, s.resetTo
-					}
-				}
-				og.Step(got)
-				adamStepReference(ow, want)
-				for i := range got {
-					if !sameBits(got[i].Value, want[i].Value) || !sameBits(og.m[i], ow.m[i]) || !sameBits(og.v[i], ow.v[i]) {
-						for j := range got[i].Value {
-							k := i*half + j
-							t.Logf("%-24s Value %x / %x  m %x / %x  v %x / %x", scheds[k].name,
-								got[i].Value[j], want[i].Value[j], og.m[i][j], ow.m[i][j], og.v[i][j], ow.v[i][j])
-						}
-						t.Fatalf("step %d: Step and the reference diverge (got / want above)", step)
-					}
-				}
-			}
-			// The mechanism, not only the outcome: under the default
-			// decay a coordinate idle since step 0 or 40 is subnormal
-			// by now, and Step must have learnt its resting point —
-			// otherwise it is still multiplying subnormals every step.
-			if og.Beta1 == 0.9 && steps > 9000 {
-				for k, s := range scheds {
-					if s.name != "zero-after-40" && s.name != "zero-after-40-negative" {
-						continue
-					}
-					i, j := locate(k)
-					mb := math.Float64bits(og.m[i][j]) &^ signBit
-					if mb == 0 || mb >= minNormalBits {
-						t.Fatalf("%s: m = %x after %d idle steps, expected a non-zero subnormal", s.name, og.m[i][j], steps)
-					}
-					if mb > og.rest {
-						t.Errorf("%s: m = %x is above the learnt resting point %d ulp: Step still multiplies it", s.name, og.m[i][j], og.rest)
-					}
-				}
-			}
+			forEachAdamKernel(t, func(t *testing.T) { adamStepMatchesReference(t, h, steps) })
 		})
+	}
+}
+
+func adamStepMatchesReference(t *testing.T, h adamHyper, steps int) {
+	scheds := adamSchedules()
+	// Two tensors, as a layer has, so the per-tensor moment
+	// slices are exercised too: schedule k is coordinate j of
+	// tensor i.
+	half := len(scheds) / 2
+	locate := func(k int) (i, j int) {
+		if k < half {
+			return 0, k
+		}
+		return 1, k - half
+	}
+	newParams := func() []*Param {
+		ps := []*Param{
+			{Value: make([]float64, half), Grad: make([]float64, half)},
+			{Value: make([]float64, len(scheds)-half), Grad: make([]float64, len(scheds)-half)},
+		}
+		for k, s := range scheds {
+			i, j := locate(k)
+			ps[i].Value[j] = s.value
+		}
+		return ps
+	}
+	got, want := newParams(), newParams()
+	og, ow := NewAdam(1e-3), NewAdam(1e-3)
+	if h.set != nil {
+		h.set(og)
+		h.set(ow)
+	}
+	rngs := make([]*stats.RNG, len(scheds))
+	for k := range rngs {
+		rngs[k] = stats.NewRNG(int64(1000 + k))
+	}
+	for step := 0; step < steps; step++ {
+		if h.later != nil && step == laterStep {
+			h.later(og)
+			h.later(ow)
+		}
+		for k, s := range scheds {
+			i, j := locate(k)
+			g := s.grad(step, rngs[k])
+			got[i].Grad[j], want[i].Grad[j] = g, g
+			if s.resetAt != 0 && step == s.resetAt {
+				got[i].Value[j], want[i].Value[j] = s.resetTo, s.resetTo
+			}
+		}
+		og.Step(got)
+		adamStepReference(ow, want)
+		for i := range got {
+			if !sameBits(got[i].Value, want[i].Value) || !sameBits(og.m[i], ow.m[i]) || !sameBits(og.v[i], ow.v[i]) {
+				for j := range got[i].Value {
+					k := i*half + j
+					t.Logf("%-24s Value %x / %x  m %x / %x  v %x / %x", scheds[k].name,
+						got[i].Value[j], want[i].Value[j], og.m[i][j], ow.m[i][j], og.v[i][j], ow.v[i][j])
+				}
+				t.Fatalf("step %d: Step and the reference diverge (got / want above)", step)
+			}
+		}
+	}
+	// The mechanism, not only the outcome: under the default
+	// decay a coordinate idle since step 0 or 40 is subnormal
+	// by now, and Step must have learnt its resting point —
+	// otherwise it is still multiplying subnormals every step.
+	if og.Beta1 == 0.9 && steps > 9000 {
+		for k, s := range scheds {
+			if s.name != "zero-after-40" && s.name != "zero-after-40-negative" {
+				continue
+			}
+			i, j := locate(k)
+			mb := math.Float64bits(og.m[i][j]) &^ signBit
+			if mb == 0 || mb >= minNormalBits {
+				t.Fatalf("%s: m = %x after %d idle steps, expected a non-zero subnormal", s.name, og.m[i][j], steps)
+			}
+			if mb > og.rest {
+				t.Errorf("%s: m = %x is above the learnt resting point %d ulp: Step still multiplies it", s.name, og.m[i][j], og.rest)
+			}
+		}
 	}
 }
 
@@ -678,6 +701,10 @@ func TestAdamStepMatchesReferenceOnQueryFit(t *testing.T) {
 		epochs = 30 // 9 000 steps: past the ≈ 6 700 a moment needs to go subnormal
 	}
 	fit := newQueryFit()
+	forEachAdamKernel(t, func(t *testing.T) { adamStepMatchesReferenceOnQueryFit(t, fit, epochs) })
+}
+
+func adamStepMatchesReferenceOnQueryFit(t *testing.T, fit queryFit, epochs int) {
 	got, want := buildMLP(stats.NewRNG(7), 9, 48, 16), buildMLP(stats.NewRNG(7), 9, 48, 16)
 	pg, pw := got.Params(), want.Params()
 	og, ow := NewAdam(5e-3), NewAdam(5e-3)

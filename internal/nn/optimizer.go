@@ -1,6 +1,9 @@
 package nn
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // Optimizer updates network parameters from accumulated gradients. Step
 // consumes the current gradients; callers clear them (Network.ZeroGrad)
@@ -29,6 +32,7 @@ func (o *SGD) Step(params []*Param) {
 			o.velocity[i] = make([]float64, len(p.Value))
 		}
 	}
+	checkParams("SGD", params, o.velocity)
 	for i, p := range params {
 		v := o.velocity[i]
 		for j := range p.Value {
@@ -84,8 +88,8 @@ const (
 // exactly when |Beta1·n − n| <= 1/2 (ties to even). If r·u is a fixed
 // point then r·|Beta1−1| <= 1/2, so for n < r the distance is strictly
 // below 1/2 and n·u is one too: fixed points are downward closed. A
-// decaying m therefore comes to rest on one (4u for Beta1 = 0.9) and
-// stays. rest remembers the largest fixed point the multiply has
+// decaying m therefore comes to rest on one (5u for Beta1 = 0.9, whose
+// float64 is a little above nine tenths) and stays. rest remembers the largest fixed point the multiply has
 // confirmed under the current Beta1; any non-zero |m| at or below it, with
 // g == ±0, has fl(Beta1·m) + (1−Beta1)·g == m + ±0 == m, and the
 // multiply is skipped. (m == ±0 is not skipped: −0 + +0 is +0.)
@@ -102,6 +106,16 @@ const (
 // the gap from x to either neighbour, subnormal x included, so
 // fl(x − u) == x, and the divides and the square root are skipped.
 // (x == ±0 is not: −0 − −0 is +0.)
+//
+// Once Beta1^t is below 2^-53 the bias correction c1 = 1 − Beta1^t is
+// exactly 1 (step 349 under the default decay) and m/1 is m, except that
+// it quiets a signalling NaN, which the multiply by LR then does instead:
+// that divide is left out from there on.
+//
+// The loop below (stepScalar) is the definition of the arithmetic. Where
+// there is a vector unit (adam_amd64.go) whole blocks of four coordinates
+// take the same IEEE operations in the same order, four lanes at a time;
+// the two shortcuts become lane masks there.
 func (o *Adam) Step(params []*Param) {
 	if o.m == nil {
 		o.m = make([][]float64, len(params))
@@ -111,37 +125,87 @@ func (o *Adam) Step(params []*Param) {
 			o.v[i] = make([]float64, len(p.Value))
 		}
 	}
+	// The vector kernel takes raw pointers: every length it relies on is
+	// established here, before a coordinate is touched.
+	checkParams("Adam", params, o.m, o.v)
 	o.t++
-	c1 := 1 - math.Pow(o.Beta1, float64(o.t))
-	c2 := 1 - math.Pow(o.Beta2, float64(o.t))
 	if o.Beta1 != o.restBeta {
 		o.rest, o.restBeta = 0, o.Beta1
 	}
-	lim := o.absorbLimit(c1, c2)
+	k := adamConsts{
+		beta1: o.Beta1, omb1: 1 - o.Beta1,
+		beta2: o.Beta2, omb2: 1 - o.Beta2,
+		c1: 1 - math.Pow(o.Beta1, float64(o.t)),
+		c2: 1 - math.Pow(o.Beta2, float64(o.t)),
+		lr: o.LR, eps: o.Epsilon,
+	}
+	k.lim = o.absorbLimit(k.c1, k.c2)
 	for i, p := range params {
-		m, v := o.m[i], o.v[i]
-		for j := range p.Value {
-			g := p.Grad[j]
-			// mb-1 wraps for m == ±0, which therefore never rests.
-			mb := math.Float64bits(m[j]) &^ signBit
-			if g != 0 || mb-1 >= o.rest {
-				mj := o.Beta1*m[j] + (1-o.Beta1)*g
-				if g == 0 && mj == m[j] && mb-1 < minNormalBits-1 {
-					o.rest = mb
-				}
-				m[j] = mj
+		done := o.stepBlocks(p.Value, p.Grad, o.m[i], o.v[i], &k)
+		o.stepScalar(p.Value[done:], p.Grad[done:], o.m[i][done:], o.v[i][done:], &k)
+	}
+}
+
+// adamConsts is what one Step holds fixed across coordinates. The vector
+// kernel reads it by offset (adam_amd64.s): fields are eight bytes each
+// and keep this order.
+type adamConsts struct {
+	beta1, omb1 float64 // Beta1, 1 − Beta1
+	beta2, omb2 float64 // Beta2, 1 − Beta2
+	c1, c2      float64 // bias corrections at this step
+	lr, eps     float64
+	lim         float64 // absorbLimit
+	rest        uint64  // Adam.rest when the kernel was entered
+}
+
+// stepScalar steps the coordinates of one tensor, or a run of them, one
+// at a time. It is the only writer of o.rest.
+func (o *Adam) stepScalar(x, grad, m, v []float64, k *adamConsts) {
+	for j := range x {
+		g := grad[j]
+		// mb-1 wraps for m == ±0, which therefore never rests.
+		mb := math.Float64bits(m[j]) &^ signBit
+		if g != 0 || mb-1 >= o.rest {
+			mj := k.beta1*m[j] + k.omb1*g
+			if g == 0 && mj == m[j] && mb-1 < minNormalBits-1 {
+				o.rest = mb
 			}
-			v[j] = o.Beta2*v[j] + (1-o.Beta2)*g*g
-			// The absorption argument does not need g == 0; only an idle
-			// m is ever small enough, so nothing else pays for the test.
-			if g == 0 && v[j] >= 0 {
-				if x := math.Abs(p.Value[j]); x > 0 && x <= 0x1p500 && math.Abs(m[j]) <= lim*x {
-					continue
-				}
+			m[j] = mj
+		}
+		v[j] = k.beta2*v[j] + k.omb2*g*g
+		// The absorption argument does not need g == 0; only an idle
+		// m is ever small enough, so nothing else pays for the test.
+		if g == 0 && v[j] >= 0 {
+			if a := math.Abs(x[j]); a > 0 && a <= 0x1p500 && math.Abs(m[j]) <= k.lim*a {
+				continue
 			}
-			mHat := m[j] / c1
-			vHat := v[j] / c2
-			p.Value[j] -= o.LR * mHat / (math.Sqrt(vHat) + o.Epsilon)
+		}
+		mHat := m[j]
+		if k.c1 != 1 {
+			mHat /= k.c1
+		}
+		vHat := v[j] / k.c2
+		x[j] -= k.lr * mHat / (math.Sqrt(vHat) + k.eps)
+	}
+}
+
+// checkParams panics unless every tensor's gradient is as long as its
+// value and the optimizer's per-tensor state, sized on the first Step,
+// still has the shape of params.
+func checkParams(opt string, params []*Param, states ...[][]float64) {
+	for _, st := range states {
+		if len(st) != len(params) {
+			panic(fmt.Sprintf("nn: %s.Step with %d tensors, its state was sized for %d", opt, len(params), len(st)))
+		}
+	}
+	for i, p := range params {
+		if len(p.Grad) != len(p.Value) {
+			panic(fmt.Sprintf("nn: %s.Step tensor %d has %d gradients for %d values", opt, i, len(p.Grad), len(p.Value)))
+		}
+		for _, st := range states {
+			if len(st[i]) != len(p.Value) {
+				panic(fmt.Sprintf("nn: %s.Step tensor %d has %d values, its state was sized for %d", opt, i, len(p.Value), len(st[i])))
+			}
 		}
 	}
 }

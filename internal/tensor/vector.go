@@ -157,7 +157,11 @@ func (v Vector) HasNaN() bool {
 
 // Softmax returns the softmax of v computed with the max-shift trick for
 // numerical stability. The result sums to 1.
-func Softmax(v Vector) Vector {
+func Softmax(v Vector) Vector { return SoftmaxInto(nil, v) }
+
+// SoftmaxInto is Softmax into dst's storage, reallocated only when it is
+// too small; it returns the result. dst may alias v.
+func SoftmaxInto(dst, v Vector) Vector {
 	if len(v) == 0 {
 		return nil
 	}
@@ -167,7 +171,7 @@ func Softmax(v Vector) Vector {
 			max = x
 		}
 	}
-	out := make(Vector, len(v))
+	out := resize(dst, len(v))
 	sum := 0.0
 	for i, x := range v {
 		e := math.Exp(x - max)

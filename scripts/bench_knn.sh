@@ -3,10 +3,10 @@
 # selection engine (kNN scoring brute vs fast, Drift Inspector observe,
 # MSBI worker/model scaling, sharded monitoring throughput), the
 # training benchmarks (one Adam step dense and with idle coordinates, one
-# experiment-scale classifier fit) and the ingest tier's per-arrival
-# path (Submit + Pump per frame, and the same frame through the front
-# door: socket → ACK → fed in place; 1 and 8 tenants), and writes the
-# results as machine-readable JSON.
+# experiment-scale classifier fit and one step of it) and the ingest
+# tier's per-arrival path (Submit + Pump per frame, and the same frame
+# through the front door: socket → ACK → fed in place; 1 and 8 tenants),
+# and writes the results as machine-readable JSON.
 #
 # Usage:  scripts/bench_knn.sh [out.json]
 #   BENCHTIME=200ms COUNT=3 scripts/bench_knn.sh   # quicker / repeated runs
@@ -45,7 +45,7 @@ fi
 raw=$(go test -run=NONE \
 	-bench 'KNNScore|DriftInspectorObserve|Featurize$|MSBIParallel|ShardedThroughput' \
 	-benchtime "$benchtime" -count "$count" "${profflags[@]}" .
-	go test -run=NONE -bench 'AdamStep|ClassifierFit' \
+	go test -run=NONE -bench 'AdamStep|ClassifierFit|ClassifierTrainStep' \
 		-benchtime "$benchtime" -count "$count" ./internal/nn ./internal/classifier
 	go test -run=NONE -bench 'RouterSubmitPump|ServeConnFrame' -benchmem \
 		-benchtime "$benchtime" -count "$count" ./internal/ingest)

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Bench-regression smoke: re-runs the regression-gated benchmarks (the
 # kNN kernel fast path, the sharded monitoring fan-out, one Adam step
-# dense and with idle coordinates, one experiment-scale classifier fit,
-# the ingest router's Submit + Pump per frame and the same frame through
-# a loopback connection) and fails when any of them
+# dense and with idle coordinates, one experiment-scale classifier fit
+# and one step of it, the ingest router's Submit + Pump per frame and the
+# same frame through a loopback connection) and fails when any of them
 # lands more than THRESHOLD percent slower than the committed
 # BENCH_knn.json baseline. It prints the box the
 # baseline was recorded on next to this one: across boxes the deltas are
@@ -36,7 +36,7 @@ fi
 # the ingest pump and the connection loop, which run once per arrival.
 raw=$(go test -run=NONE -bench 'KNNScore/sigma512x64|ShardedThroughput' \
 	-benchtime "$benchtime" -count "$count" .
-	go test -run=NONE -bench 'AdamStep|ClassifierFit' \
+	go test -run=NONE -bench 'AdamStep|ClassifierFit|ClassifierTrainStep' \
 		-benchtime "$benchtime" -count "$count" ./internal/nn ./internal/classifier
 	go test -run=NONE -bench 'RouterSubmitPump|ServeConnFrame' \
 		-benchtime "$benchtime" -count "$count" ./internal/ingest)
