@@ -8,6 +8,7 @@ package videodrift
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"videodrift/internal/classifier"
@@ -457,6 +458,61 @@ func BenchmarkShardedThroughputBatched(b *testing.B) {
 				mustBatches(sm, batches)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*shards*size), "ns/frame")
+		})
+	}
+}
+
+// servingConfig is driftserve's `-scale 0.02 -train 300`, the benchmark's.
+func servingConfig() experiments.Config {
+	cfg := experiments.DefaultConfig()
+	cfg.Scale = 0.02
+	return cfg
+}
+
+// BenchmarkProvision measures one serving-time training — what
+// Pipeline.trainNewModel pays after a drift no model fits: 300 frames of
+// one BDD condition labelled, Σ and A_i drawn, a 20-epoch classifier fit
+// and, under MSBO only (full), the L = 3 ensemble; an MSBI pipeline
+// provisions lean.
+func BenchmarkProvision(b *testing.B) {
+	cfg := servingConfig()
+	env := experiments.BuildEnvShell(dataset.BDD(cfg.Scale), cfg, query.Count)
+	frames := env.DS.TrainingFrames(1, cfg.TrainFrames)
+	for _, tc := range []struct {
+		name string
+		sel  Selector
+	}{{"full", MSBO}, {"lean", MSBI}} {
+		b.Run(tc.name, func(b *testing.B) {
+			p := env.PipelineConfig(tc.sel).Provision.For(tc.sel)
+			for i := 0; i < b.N; i++ {
+				core.Provision("novel", frames, env.Labeler(), p)
+			}
+		})
+	}
+}
+
+// BenchmarkAttachTenant measures a tenant's first frame on a dynamic
+// fleet over the four boot models — NewPipeline, which under MSBO
+// calibrates the selector's thresholds (twelve ensemble scorings) and
+// under MSBI does not; a supervision restore pays the same.
+func BenchmarkAttachTenant(b *testing.B) {
+	for _, sel := range []Selector{MSBO, MSBI} {
+		b.Run(strings.ToLower(sel.String()), func(b *testing.B) {
+			cfg := servingConfig()
+			env := experiments.BuildEnvFor(dataset.BDD(cfg.Scale), cfg, query.Count, sel)
+			pcfg := env.PipelineConfig(sel)
+			sm := NewDynamicSharded(env.Registry.Entries(), env.Labeler(),
+				ShardedOptions{Options: Options{Provision: pcfg.Provision, Pipeline: pcfg}, Workers: 1})
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				slot, err := sm.Attach(nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := sm.Detach(slot); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

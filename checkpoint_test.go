@@ -1,29 +1,43 @@
 package videodrift
 
 import (
+	"bytes"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
 
+	"videodrift/internal/store"
 	"videodrift/internal/vidsim"
 )
 
 var (
-	ckptOnce   sync.Once
-	ckptModels []*Model
+	ckptOnce, leanOnce         sync.Once
+	ckptModels, leanCkptModels []*Model
 )
+
+func buildCkptModels(sel Selector) []*Model {
+	opts := Defaults(facadeDim, facadeClasses)
+	opts.Provision = opts.Provision.For(sel)
+	return []*Model{
+		BuildModel("day", facadeFrames(facadeCond(vidsim.Day()), 200, 41), facadeLabeler, opts),
+		BuildModel("night", facadeFrames(facadeCond(vidsim.Night()), 200, 42), facadeLabeler, opts),
+	}
+}
 
 // getCkptModels provisions the shared day/night pair once for all
 // checkpoint tests.
 func getCkptModels() []*Model {
-	ckptOnce.Do(func() {
-		opts := Defaults(facadeDim, facadeClasses)
-		ckptModels = []*Model{
-			BuildModel("day", facadeFrames(facadeCond(vidsim.Day()), 200, 41), facadeLabeler, opts),
-			BuildModel("night", facadeFrames(facadeCond(vidsim.Night()), 200, 42), facadeLabeler, opts),
-		}
-	})
+	ckptOnce.Do(func() { ckptModels = buildCkptModels(MSBO) })
 	return ckptModels
+}
+
+// getLeanCkptModels is the same pair as an MSBI deployment provisions it
+// (driftserve -selector msbi, the fleet the benchmark runs): no MSBO
+// ensembles. Only MSBI monitors can run over it.
+func getLeanCkptModels() []*Model {
+	leanOnce.Do(func() { leanCkptModels = buildCkptModels(MSBI) })
+	return leanCkptModels
 }
 
 // driftStream builds a per-shard live stream that starts in-distribution
@@ -73,24 +87,28 @@ func runBatches(sm *ShardedMonitor, streams [][]Frame, from, to int) [][]Event {
 // checkpointing mid-stream — through the real on-disk store, not an
 // in-memory copy — and resuming produces a monitor whose remaining event
 // stream is bit-identical to the uninterrupted run's, for both selectors
-// and at 1 and 4 shards. The cut lands after some shards have drifted
+// (MSBI over full and over ensemble-less models) and at 1 and 4 shards.
+// The cut lands after some shards have drifted
 // and before others, so monitoring, post-drift selection and freshly
 // switched deployments all cross the restart boundary.
 func TestRestartDeterminism(t *testing.T) {
-	models := getCkptModels()
 	const total, cut = 200, 100
 
 	for _, tc := range []struct {
 		name     string
 		selector Selector
 		shards   int
+		models   []*Model
 	}{
-		{"msbi-shards1", MSBI, 1},
-		{"msbi-shards4", MSBI, 4},
-		{"msbo-shards1", MSBO, 1},
-		{"msbo-shards4", MSBO, 4},
+		{"msbi-shards1", MSBI, 1, getCkptModels()},
+		{"msbi-shards4", MSBI, 4, getCkptModels()},
+		{"msbo-shards1", MSBO, 1, getCkptModels()},
+		{"msbo-shards4", MSBO, 4, getCkptModels()},
+		{"msbi-lean-shards1", MSBI, 1, getLeanCkptModels()},
+		{"msbi-lean-shards4", MSBI, 4, getLeanCkptModels()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			models := tc.models
 			opts := Defaults(facadeDim, facadeClasses)
 			opts.Pipeline.Selector = tc.selector
 			// Forensics rides through the same checkpoints; the restart must
@@ -335,5 +353,67 @@ func TestCheckpointAnyTime(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestLeanModelsEqualFull: an MSBI monitor never reads an ensemble, so
+// over the models an MSBI deployment provisions (none) it must do, frame
+// for frame, what it does over the full ones: the same events, stats,
+// pipeline state (RNG position included) and — through two drifts to
+// unseen conditions — the same trained classifiers, none of them with an
+// ensemble on either side.
+func TestLeanModelsEqualFull(t *testing.T) {
+	opts := Defaults(facadeDim, facadeClasses)
+	opts.Pipeline.Selector = MSBI
+	opts.Pipeline.NewModelFrames = 48
+	opts.Provision.Classifier.Epochs = 10
+	opts.Forensics = ForensicsConfig{Enabled: true}
+	segment := func(c Condition, n int, seed int64) []Frame {
+		return vidsim.GenerateTrainingStride(facadeCond(c), 16, 16, n, 1, seed)
+	}
+	stream := append(append(append(segment(vidsim.Day(), 120, 1), segment(vidsim.Night(), 120, 2)...),
+		segment(vidsim.SnowCond(), 170, 3)...), segment(vidsim.RainCond(), 170, 4)...)
+
+	full := NewMonitor(getCkptModels(), facadeLabeler, opts)
+	lean := NewMonitor(getLeanCkptModels(), facadeLabeler, opts)
+	want, got := full.ProcessBatch(stream), lean.ProcessBatch(stream)
+	if !reflect.DeepEqual(got, want) {
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("frame %d: over lean models %+v, over full ones %+v", i, got[i], want[i])
+			}
+		}
+	}
+	if a, b := lean.Stats(), full.Stats(); a != b || b.ModelsTrained < 2 || b.ModelsSelected < 1 {
+		t.Fatalf("stats over lean models %+v, over full ones %+v; want them equal, with a selection and two trainings", a, b)
+	}
+	cl, cf := lean.Checkpoint(), full.Checkpoint()
+	cl.CreatedUnixNano = cf.CreatedUnixNano
+	if !reflect.DeepEqual(cl.Shards, cf.Shards) {
+		t.Error("pipeline and forensics state over lean models differ from those over full ones")
+	}
+	for i, e := range cf.Entries {
+		l := cl.Entries[i]
+		if trained := i >= 2; l.Ensemble != nil || (e.Ensemble == nil) != trained {
+			t.Errorf("model %q: ensemble over lean models %v, over full ones %v", e.Name, l.Ensemble != nil, e.Ensemble != nil)
+		}
+		// The rest of the entry must be the lean one's, byte for byte.
+		stripped := &Model{
+			Name: e.Name, W: e.W, H: e.H, Samples: e.Samples, SampleFeats: e.SampleFeats,
+			CalibRaw: e.CalibRaw, Calib: e.Calib, Classifier: e.Classifier, CalibSample: e.CalibSample,
+		}
+		stripped.SetQueryFn(e.QueryFn())
+		cf.Entries[i] = stripped
+	}
+	bl, err := store.Encode(cl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bf, err := store.Encode(cf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(bl, bf) {
+		t.Errorf("checkpoint over lean models (%d bytes) differs from the one over full models with their ensembles taken out (%d bytes)", len(bl), len(bf))
 	}
 }

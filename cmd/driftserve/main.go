@@ -57,7 +57,12 @@
 //
 // Streams loop forever (a fresh seed per lap keeps drifts coming) unless
 // -frames bounds the total; -fps throttles each shard's rate (0 runs
-// unthrottled). -ingest-addr replaces the synthetic self-feed with the
+// unthrottled). -selector msbi provisions and trains models without
+// MSBO's deep ensembles, which only MSBO reads: set-up and every
+// serving-time training are a third to a half shorter, and the state
+// such a server checkpoints or replicates serves -selector msbi only (an
+// msbo restart or standby refuses it by name; msbo state serves either).
+// -ingest-addr replaces the synthetic self-feed with the
 // network ingestion tier (feed it with cmd/driftfeed; excludes
 // -state-dir and -chaos); -state-dir persists checkpoints and
 // warm-restarts from the newest intact one; -replicate-to streams
@@ -89,7 +94,7 @@ func main() {
 	flag.StringVar(&cfg.Addr, "addr", ":9090", "HTTP listen address")
 	flag.StringVar(&cfg.Dataset, "dataset", "bdd", "stream to monitor: bdd, detrac, tokyo, slow")
 	flag.Float64Var(&cfg.Scale, "scale", 0.02, "dataset stream scale (1.0 = paper sizes)")
-	flag.StringVar(&cfg.Selector, "selector", "msbo", "model selector: msbo or msbi")
+	flag.StringVar(&cfg.Selector, "selector", "msbo", "model selector: msbo or msbi (msbi trains no MSBO ensembles; its checkpoints and standbys are msbi-only)")
 	flag.IntVar(&cfg.Train, "train", 300, "training frames per provisioned condition")
 	flag.IntVar(&cfg.Shards, "shards", 1, "concurrent camera streams over the shared models")
 	flag.IntVar(&cfg.Workers, "workers", 0, "goroutines processing shard frames (0 = GOMAXPROCS)")

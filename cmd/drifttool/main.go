@@ -140,7 +140,7 @@ func main() {
 
 	fmt.Fprintf(os.Stderr, "provisioning %d models for %s (%d training frames each)...\n",
 		len(ds.Sequences), ds.Name, cfg.TrainFrames)
-	env := experiments.BuildEnv(ds, cfg, query.Count)
+	env := experiments.BuildEnvFor(ds, cfg, query.Count, sel)
 	pipe := core.NewPipeline(env.Registry, env.Labeler(), env.PipelineConfig(sel))
 
 	fmt.Fprintf(os.Stderr, "streaming %d frames (%d sequences, drifts at %v)...\n",

@@ -127,9 +127,9 @@ func compareContinuation(t *testing.T, resumed, ref *ShardedMonitor, got, want [
 // primary would have produced uninterrupted. Every batch ships one
 // replicated generation, so the kill point is frame-granular; each
 // config runs its own seed with a seed-derived kill offset, for both
-// selectors at 1 and 4 shards.
+// selectors (MSBI over full and over ensemble-less models) at 1 and 4
+// shards.
 func TestFailoverDeterminism(t *testing.T) {
-	models := getCkptModels()
 	const total = 200
 
 	for _, tc := range []struct {
@@ -137,13 +137,17 @@ func TestFailoverDeterminism(t *testing.T) {
 		selector Selector
 		shards   int
 		seed     int64
+		models   []*Model
 	}{
-		{"msbi-shards1", MSBI, 1, 601},
-		{"msbi-shards4", MSBI, 4, 602},
-		{"msbo-shards1", MSBO, 1, 603},
-		{"msbo-shards4", MSBO, 4, 604},
+		{"msbi-shards1", MSBI, 1, 601, getCkptModels()},
+		{"msbi-shards4", MSBI, 4, 602, getCkptModels()},
+		{"msbo-shards1", MSBO, 1, 603, getCkptModels()},
+		{"msbo-shards4", MSBO, 4, 604, getCkptModels()},
+		{"msbi-lean-shards1", MSBI, 1, 605, getLeanCkptModels()},
+		{"msbi-lean-shards4", MSBI, 4, 606, getLeanCkptModels()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			models := tc.models
 			// The kill offset is seed-derived and deliberately not round:
 			// across the table it lands before, between and after the
 			// per-shard drift offsets (60+25s).

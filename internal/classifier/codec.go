@@ -77,6 +77,16 @@ func (e *Ensemble) MarshalBinary() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// EnsembleMembers returns how many members an ensemble serialized by
+// MarshalBinary holds, without rebuilding them.
+func EnsembleMembers(data []byte) (int, error) {
+	var rec ensembleRecord
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&rec); err != nil {
+		return 0, fmt.Errorf("classifier: decode ensemble: %w", err)
+	}
+	return len(rec.Members), nil
+}
+
 // UnmarshalEnsemble reconstructs an ensemble serialized by
 // MarshalBinary.
 func UnmarshalEnsemble(data []byte) (*Ensemble, error) {

@@ -47,7 +47,7 @@ type ProvisionConfig struct {
 	SampleCount  int // |Σ_Ti|, the size of the reference sample
 	K            int // kNN parameter for the calibration scores
 	Classifier   classifier.Config
-	EnsembleSize int // L, the MSBO deep-ensemble size
+	EnsembleSize int // L, the MSBO deep-ensemble size; 0 provisions no ensemble (see For)
 	Seed         int64
 	// QueryFn is the classifier front-end mapping frame pixels to the
 	// query model's input (vision.QueryFeatures when nil; use
@@ -71,6 +71,17 @@ func DefaultProvisionConfig(frameDim, numClasses int) ProvisionConfig {
 	}
 }
 
+// For returns the configuration trimmed to what a pipeline running sel
+// reads from an entry: MSBI (Algorithm 2) needs only Σ_{T_i} and A_i and
+// never scores an ensemble, so none is fitted. Every model a deployment
+// provisions — at boot or after a drift — goes through it.
+func (c ProvisionConfig) For(sel SelectorKind) ProvisionConfig {
+	if sel == SelectorMSBI {
+		c.EnsembleSize = 0
+	}
+	return c
+}
+
 // ModelEntry bundles everything provisioned alongside one model M_i: the
 // VAE A_{T_i}, the i.i.d. sample Σ_{T_i} it generated, the precomputed
 // non-conformity calibration scores A_i, the query classifier, and the
@@ -86,7 +97,7 @@ type ModelEntry struct {
 	Calib       *conformal.SortedCalib
 
 	Classifier *classifier.Classifier // query model (nil when unsupervised)
-	Ensemble   *classifier.Ensemble   // MSBO ensemble (nil when unsupervised)
+	Ensemble   *classifier.Ensemble   // MSBO ensemble (nil when unsupervised or provisioned for MSBI)
 	queryFn    vision.FeatureFunc     // classifier front-end
 
 	// featMat is SampleFeats flattened for the kNN fast path, built
@@ -104,7 +115,8 @@ type ModelEntry struct {
 // draws the i.i.d. sample Σ_{T_i}, precomputes calibration scores, and —
 // when a labeler is supplied — trains the query classifier and the MSBO
 // ensemble on labeler-annotated frames (§5.4). A nil labeler produces an
-// unsupervised entry usable by DI and MSBI only.
+// unsupervised entry usable by DI and MSBI only. EnsembleSize 0 produces
+// the full entry minus Ensemble, bit for bit: usable by MSBI only too.
 func Provision(name string, frames []vidsim.Frame, labeler Labeler, cfg ProvisionConfig) *ModelEntry {
 	if len(frames) == 0 {
 		panic("core: Provision with no training frames")
@@ -188,8 +200,15 @@ func Provision(name string, frames []vidsim.Frame, labeler Labeler, cfg Provisio
 		cfg.Classifier.InputDim = len(labeled[0].X)
 		e.Classifier = classifier.New(cfg.Classifier, rng.Split())
 		e.Classifier.Fit(labeled, rng.Split())
-		e.Ensemble = classifier.NewEnsemble(cfg.EnsembleSize, cfg.Classifier, rng.Split())
-		e.Ensemble.Fit(labeled, rng.Split())
+		if cfg.EnsembleSize == 0 {
+			// Burn the ensemble's two Splits, so CalibSample below is the
+			// one the full entry retains.
+			rng.Int63()
+			rng.Int63()
+		} else {
+			e.Ensemble = classifier.NewEnsemble(cfg.EnsembleSize, cfg.Classifier, rng.Split())
+			e.Ensemble.Fit(labeled, rng.Split())
+		}
 		// Retain a fixed-size labeled sample for MSBO calibration.
 		n := len(labeled)
 		if n > 32 {

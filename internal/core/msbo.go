@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 
 	"videodrift/internal/classifier"
@@ -49,6 +50,22 @@ func (t MSBOThresholds) Threshold(name string) (float64, bool) {
 		margin = min
 	}
 	return avg - margin, true
+}
+
+// CheckSelector reports whether a pipeline running sel can select among
+// entries. MSBO skips an entry without an ensemble, so over the
+// supervised ones an MSBI deployment provisions (EnsembleSize 0) it would
+// select nothing and train a new model at every drift. MSBI reads none.
+func CheckSelector(sel SelectorKind, entries []*ModelEntry) error {
+	if sel != SelectorMSBO {
+		return nil
+	}
+	for _, e := range entries {
+		if e.Classifier != nil && e.Ensemble == nil {
+			return fmt.Errorf("core: SelectorMSBO over model %q, which has a classifier but no MSBO ensemble (it was provisioned for MSBI)", e.Name)
+		}
+	}
+	return nil
 }
 
 // CalibrateMSBO computes MSBOThresholds from the registry's retained

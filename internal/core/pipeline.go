@@ -168,9 +168,21 @@ func NewPipeline(reg *Registry, labeler Labeler, cfg PipelineConfig) *Pipeline {
 		labeler: labeler,
 		rng:     stats.NewRNG(cfg.Seed),
 	}
-	p.th = CalibrateMSBO(reg.Entries())
-	p.deploy(reg.Entries()[0])
+	entries := reg.Snapshot().Entries()
+	if err := CheckSelector(cfg.Selector, entries); err != nil {
+		panic(err.Error())
+	}
+	p.calibrate()
+	p.deploy(entries[0])
 	return p
+}
+
+// calibrate recomputes the MSBO thresholds over the registry. Only MSBO
+// reads them, so an MSBI pipeline skips the m×(m−1) ensemble scorings.
+func (p *Pipeline) calibrate() {
+	if p.cfg.Selector == SelectorMSBO {
+		p.th = CalibrateMSBO(p.reg.Snapshot().Entries())
+	}
 }
 
 // Current returns the deployed model entry.
@@ -315,7 +327,7 @@ func (p *Pipeline) Process(f vidsim.Frame) Outcome {
 			tr.ModelTrained(e.Name, len(p.buffer))
 			p.metrics.ModelsTrained++
 			p.reg.Add(e)
-			p.th = CalibrateMSBO(p.reg.Snapshot().Entries())
+			p.calibrate()
 			p.deploy(e)
 			out.SwitchedTo = e.Name
 			out.TrainedNew = true
@@ -403,7 +415,8 @@ func (p *Pipeline) runSelector() (*ModelEntry, []telemetry.Candidate, int) {
 }
 
 // trainNewModel provisions a model from the buffered post-drift frames
-// (§5.4: collect frames, annotate them, train the VAE and classifiers).
+// (§5.4: collect frames, annotate them, train the VAE and classifiers) —
+// without the MSBO ensemble under MSBI, which never reads one.
 // Failures — the injected fault hook or a panic inside Provision — are
 // returned as errors for the retry/degrade path. The fault hook runs
 // before the RNG seed draw and the novel-counter bump, so a failed
@@ -422,7 +435,7 @@ func (p *Pipeline) trainNewModel() (e *ModelEntry, err error) {
 	name := fmt.Sprintf("novel-%d", p.novel+1)
 	cfg := p.cfg.Provision
 	cfg.Seed = p.rng.Int63()
-	e = Provision(name, p.buffer, p.labeler, cfg)
+	e = Provision(name, p.buffer, p.labeler, cfg.For(p.cfg.Selector))
 	p.novel++
 	return e, nil
 }

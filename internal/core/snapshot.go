@@ -77,6 +77,9 @@ func RestorePipeline(reg *Registry, labeler Labeler, cfg PipelineConfig, snap Pi
 		return nil, fmt.Errorf("core: SelectorMSBO requires a labeler for the W_T window")
 	}
 	entries := reg.Entries()
+	if err := CheckSelector(cfg.Selector, entries); err != nil {
+		return nil, err
+	}
 	if snap.Current < 0 || snap.Current >= len(entries) {
 		return nil, fmt.Errorf("core: snapshot deploys entry %d, registry has %d", snap.Current, len(entries))
 	}
@@ -99,7 +102,7 @@ func RestorePipeline(reg *Registry, labeler Labeler, cfg PipelineConfig, snap Pi
 	// MSBO thresholds are a pure function of the (bit-exactly restored)
 	// ensembles and calibration samples; recomputing reproduces them
 	// exactly instead of widening the checkpoint format.
-	p.th = CalibrateMSBO(entries)
+	p.calibrate()
 	di, err := RestoreDriftInspector(p.current, cfg.DI, snap.DI)
 	if err != nil {
 		return nil, err

@@ -85,17 +85,25 @@ func BuildEnvShell(ds *dataset.Dataset, cfg Config, kind query.Kind) *Env {
 // and the registry keeps dataset order, so the result does not depend on
 // the pool's size.
 func BuildEnv(ds *dataset.Dataset, cfg Config, kind query.Kind) *Env {
-	return buildEnv(ds, cfg, kind, parallel.Shared(0))
+	return buildEnv(ds, cfg, kind, core.SelectorMSBO, parallel.Shared(0))
 }
 
-func buildEnv(ds *dataset.Dataset, cfg Config, kind query.Kind, pool *parallel.Pool) *Env {
+// BuildEnvFor is BuildEnv for a deployment that runs one selector for
+// good (driftserve): under MSBI the entries are BuildEnv's minus their
+// MSBO ensembles — four of every five network fits — and only an MSBI
+// pipeline accepts them (core.CheckSelector).
+func BuildEnvFor(ds *dataset.Dataset, cfg Config, kind query.Kind, selector core.SelectorKind) *Env {
+	return buildEnv(ds, cfg, kind, selector, parallel.Shared(0))
+}
+
+func buildEnv(ds *dataset.Dataset, cfg Config, kind query.Kind, selector core.SelectorKind, pool *parallel.Pool) *Env {
 	env := BuildEnvShell(ds, cfg, kind)
 	labeler := env.Labeler()
 
 	entries := make([]*core.ModelEntry, len(ds.Sequences))
 	pool.ForEach(len(entries), func(i int) {
 		frames := ds.TrainingFrames(i, cfg.TrainFrames)
-		p := env.Provision
+		p := env.Provision.For(selector)
 		p.Seed = cfg.Seed + int64(i)*31
 		entries[i] = core.Provision(ds.Sequences[i].Name, frames, labeler, p)
 	})

@@ -79,7 +79,7 @@ func TestBuildEnvPoolDeterminism(t *testing.T) {
 	serial.Registry = core.NewRegistry(entries...)
 
 	for _, workers := range []int{1, 2, 4} {
-		env := buildEnv(ds, cfg, query.Count, parallel.Shared(workers))
+		env := buildEnv(ds, cfg, query.Count, core.SelectorMSBO, parallel.Shared(workers))
 		requireSameRegistry(t, fmt.Sprintf("pool of %d", workers), env.Registry, serial.Registry)
 	}
 	requireSameRegistry(t, "BuildEnv", BuildEnv(ds, cfg, query.Count).Registry, serial.Registry)

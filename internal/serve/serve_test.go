@@ -14,6 +14,7 @@ import (
 
 	"videodrift"
 	"videodrift/internal/analysis/leakcheck"
+	"videodrift/internal/core"
 	"videodrift/internal/dataset"
 	"videodrift/internal/experiments"
 	"videodrift/internal/faults"
@@ -35,12 +36,12 @@ func TestMain(m *testing.M) {
 	// and servers only read the provisioned entries.
 	var mu sync.Mutex
 	envs := map[string]*experiments.Env{}
-	buildEnv = func(ds *dataset.Dataset, cfg experiments.Config, kind query.Kind) *experiments.Env {
+	buildEnv = func(ds *dataset.Dataset, cfg experiments.Config, kind query.Kind, sel core.SelectorKind) *experiments.Env {
 		mu.Lock()
 		defer mu.Unlock()
-		key := fmt.Sprintf("%s/%v/%d", ds.Name, cfg.Scale, cfg.TrainFrames)
+		key := fmt.Sprintf("%s/%v/%d/%v", ds.Name, cfg.Scale, cfg.TrainFrames, sel)
 		if envs[key] == nil {
-			envs[key] = experiments.BuildEnv(ds, cfg, kind)
+			envs[key] = experiments.BuildEnvFor(ds, cfg, kind, sel)
 		}
 		return envs[key]
 	}
@@ -195,11 +196,13 @@ func feed(t *testing.T, addr string, streams [][]vidsim.Frame, faultSeed int64, 
 
 // replay runs the frames, as the wire delivers them, through an
 // in-process Monitor configured as the server configures shard slot,
-// and returns it.
+// and returns it. Its models are the full ones whatever the server's
+// selector — what bench/reference.go replays over.
 func replay(s *Server, tenant string, slot int, frames []vidsim.Frame) *videodrift.Monitor {
 	pcfg := s.env.PipelineConfig(s.sel)
 	pcfg.Seed += int64(slot)
-	ref := videodrift.NewMonitor(s.env.Registry.Entries(), s.env.Labeler(), videodrift.Options{
+	full := buildEnv(s.ds, s.env.Cfg, query.Count, core.SelectorMSBO)
+	ref := videodrift.NewMonitor(full.Registry.Entries(), s.env.Labeler(), videodrift.Options{
 		Provision: pcfg.Provision,
 		Pipeline:  pcfg,
 		Tracer:    telemetry.New(telemetry.Config{RingSize: s.cfg.Ring}),
@@ -284,12 +287,26 @@ func TestConfigValidate(t *testing.T) {
 // wire protocol through a seeded fault schedule, every frame accepted
 // and processed, none dropped, every tenant attached — and each
 // tenant's drift declarations are those of an in-process Monitor fed
-// the same frames.
+// the same frames. Under -selector msbi the server's models have no MSBO
+// ensembles (the fleet the benchmark runs) while the replay's have them,
+// and the two must still agree.
 func TestServeIngest(t *testing.T) {
+	for _, sel := range []string{"msbo", "msbi"} {
+		t.Run(sel, func(t *testing.T) { testServeIngest(t, sel) })
+	}
+}
+
+func testServeIngest(t *testing.T, selector string) {
 	const tenants, frames = 3, 200
 	cfg := testConfig()
 	cfg.IngestAddr, cfg.MaxTenants, cfg.TenantQueue, cfg.Batch = "127.0.0.1:0", 8, 64, 8
+	cfg.Selector = selector
 	s := start(t, cfg)
+	for _, e := range s.env.Registry.Entries() {
+		if lean := e.Ensemble == nil; lean != (selector == "msbi") {
+			t.Fatalf("-selector %s provisioned model %q with ensemble: %v", selector, e.Name, !lean)
+		}
+	}
 	streams := make([][]vidsim.Frame, tenants)
 	for i := range streams {
 		streams[i] = tenantStream(s, i, frames)
@@ -539,6 +556,73 @@ func TestPromotionFailureVisible(t *testing.T) {
 	})
 	if h.Status != "promotion_failed" || !strings.Contains(h.Error, "references entry 3") || h.Mode != "standby" {
 		t.Errorf("/healthz after a failed promotion: %+v", h)
+	}
+}
+
+// TestSelectorMismatch: a -selector msbi server provisions and trains
+// models without MSBO ensembles, and MSBO over such models could select
+// none of them. So the state an MSBI server leaves — in its -state-dir,
+// on its standby — is refused by a -selector msbo server with the cause
+// spelt out, at start-up for a warm restart and in /healthz for a
+// promotion; the state an MSBO server leaves serves an MSBI one.
+func TestSelectorMismatch(t *testing.T) {
+	const cause = "models were provisioned under -selector msbi"
+	life := func(selector string) (Config, *store.Checkpoint) {
+		cfg := testConfig()
+		cfg.Selector, cfg.Frames, cfg.StateDir = selector, 60, t.TempDir()
+		s := runSelfFeed(t, cfg)
+		if err := s.Shutdown(); err != nil {
+			t.Fatal(err)
+		}
+		cp := s.flt.Load().mon.Checkpoint()
+		cp.Gen = 1
+		cfg.Frames = 120
+		return cfg, cp
+	}
+	// standby starts a standby of a dead primary that holds cp, and waits
+	// for the promotion to end one way or the other.
+	standby := func(selector string, cp *store.Checkpoint) (h Health, code int) {
+		cfg := testConfig()
+		cfg.Selector, cfg.Frames = selector, 120
+		cfg.StandbyOf, cfg.ReplicaAddr = reserveAddr(t), "127.0.0.1:0"
+		cfg.ProbeEvery, cfg.ProbeFails = 5*time.Millisecond, 2
+		s := start(t, cfg)
+		if err := s.sb.Seed(cp, nil); err != nil {
+			t.Fatal(err)
+		}
+		await(t, "the promotion", func() bool {
+			code = get(t, s, "/healthz", &h)
+			return h.Status != "standby"
+		})
+		return h, code
+	}
+
+	msbi, lean := life("msbi")
+	msbi.Selector = "msbo"
+	s, err := New(msbi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(); err == nil || !strings.Contains(err.Error(), cause) {
+		t.Errorf("-selector msbo over an msbi server's -state-dir: Start returned %v, want an error holding %q", err, cause)
+		if err == nil {
+			s.Shutdown()
+		}
+	}
+	if h, code := standby("msbo", lean); code != http.StatusServiceUnavailable || h.Status != "promotion_failed" || !strings.Contains(h.Error, cause) {
+		t.Errorf("-selector msbo standby of an msbi primary: %d %+v, want 503 promotion_failed holding %q", code, h, cause)
+	}
+	if h, code := standby("msbi", lean); code != http.StatusOK || h.Replication.Role != "promoted" {
+		t.Errorf("-selector msbi standby of an msbi primary: %d %+v, want 200 promoted", code, h)
+	}
+
+	msbo, full := life("msbo")
+	msbo.Selector = "msbi"
+	if second := runSelfFeed(t, msbo); second.boot == nil {
+		t.Error("-selector msbi over an msbo server's -state-dir cold-started")
+	}
+	if h, code := standby("msbi", full); code != http.StatusOK || h.Replication.Role != "promoted" {
+		t.Errorf("-selector msbi standby of an msbo primary: %d %+v, want 200 promoted", code, h)
 	}
 }
 

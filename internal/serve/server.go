@@ -40,9 +40,9 @@ const chaosHorizon = 5000
 // schedule covers.
 const replicaFaultHorizon = 1000
 
-// buildEnv provisions the models; a variable so the package's tests
-// provision once for all the servers they start.
-var buildEnv = experiments.BuildEnv
+// buildEnv provisions the models the selector reads; a variable so the
+// package's tests provision once for all the servers they start.
+var buildEnv = experiments.BuildEnvFor
 
 // fleet is the live serving state: the monitor fleet and, in ingest
 // mode, the tier feeding it. A standby has none until it promotes.
@@ -144,9 +144,13 @@ func New(cfg Config) (*Server, error) {
 	} else {
 		// Nothing may reach stderr between this line and the end of
 		// provisioning: the benchmark times provisioning from that gap.
-		fmt.Fprintf(os.Stderr, "provisioning %d models for %s (%d training frames each)...\n",
-			len(s.ds.Sequences), s.ds.Name, ecfg.TrainFrames)
-		s.env = buildEnv(s.ds, ecfg, query.Count)
+		what := "msbo: with MSBO ensembles"
+		if s.sel == core.SelectorMSBI {
+			what = "msbi: no MSBO ensembles"
+		}
+		fmt.Fprintf(os.Stderr, "provisioning %d models for %s (%d training frames each, %s)...\n",
+			len(s.ds.Sequences), s.ds.Name, ecfg.TrainFrames, what)
+		s.env = buildEnv(s.ds, ecfg, query.Count, s.sel)
 	}
 	s.base = s.newTracer()
 	// With -chaos, generate a lockstep-preserving fault schedule (no
@@ -259,6 +263,11 @@ func (s *Server) deploy(cp *videodrift.Checkpoint) error {
 	models := s.env.Registry.Entries()
 	if cp != nil {
 		models = cp.Entries
+	}
+	// Checked here, not at a tenant's first frame: in ingest mode the
+	// pipelines are only built when shards attach.
+	if err := core.CheckSelector(s.sel, models); err != nil {
+		return fmt.Errorf("-selector msbo cannot continue this state: its models were provisioned under -selector msbi, which trains no MSBO ensembles; run with -selector msbi (%w)", err)
 	}
 	if s.cfg.IngestAddr != "" {
 		f := &fleet{mon: videodrift.NewDynamicSharded(models, s.env.Labeler(), opts)}

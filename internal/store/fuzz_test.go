@@ -22,6 +22,12 @@ func FuzzDecode(f *testing.F) {
 	short := append([]byte(nil), valid[:headerSize+64]...)
 	binary.LittleEndian.PutUint64(short[8:], 64)
 	f.Add(short)
+	// A supervised entry without an ensemble: an MSBI server's checkpoint.
+	lean, err := Encode(leanCheckpoint(f))
+	if err != nil {
+		f.Fatalf("encoding lean seed checkpoint: %v", err)
+	}
+	f.Add(lean)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cp, err := Decode(data)
@@ -80,6 +86,19 @@ func FuzzDecodeDelta(f *testing.F) {
 	}
 	f.Add(framed)
 	f.Add(framed[:len(framed)-testDim*4])
+	// A delta that appends a supervised entry without an ensemble: an MSBI
+	// primary's stream after a training.
+	lnext := leanCheckpoint(f)
+	lnext.Gen = 2
+	ld, _, err := DiffCheckpoints(base, crcs, lnext)
+	if err != nil {
+		f.Fatalf("diffing lean generations: %v", err)
+	}
+	leanDelta, err := EncodeDelta(ld)
+	if err != nil {
+		f.Fatalf("encoding lean delta: %v", err)
+	}
+	f.Add(leanDelta)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := DecodeDelta(data)

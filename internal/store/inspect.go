@@ -7,6 +7,7 @@ import (
 	"os"
 	"time"
 
+	"videodrift/internal/classifier"
 	"videodrift/internal/telemetry"
 )
 
@@ -18,7 +19,8 @@ type ModelInfo struct {
 	Samples     int // |Σ_Ti|
 	CalibScores int
 	HasVAE      bool
-	Supervised  bool // classifier + ensemble present
+	Supervised  bool // query classifier present
+	Ensemble    int  // MSBO ensemble members; 0 for a model provisioned under MSBI, or unsupervised
 	QueryFn     string
 	Bytes       int
 	CRC32       uint32
@@ -110,6 +112,11 @@ func Inspect(path string) (*Description, error) {
 		if len(er.SampleFeats) > 0 {
 			info.FeatDim = len(er.SampleFeats[0])
 		}
+		if er.Ensemble != nil {
+			if info.Ensemble, err = classifier.EnsembleMembers(er.Ensemble); err != nil {
+				return nil, fmt.Errorf("store: entry %q: %w", er.Name, err)
+			}
+		}
 		d.Models = append(d.Models, info)
 	}
 	for _, sh := range rec.Shards {
@@ -155,7 +162,10 @@ func (d *Description) WriteText(w io.Writer) {
 	for _, m := range d.Models {
 		kind := "unsupervised"
 		if m.Supervised {
-			kind = "supervised/" + m.QueryFn
+			kind = "supervised/" + m.QueryFn + " ensemble=none" // what -selector msbo refuses
+			if m.Ensemble > 0 {
+				kind = fmt.Sprintf("supervised/%s ensemble=%d", m.QueryFn, m.Ensemble)
+			}
 		}
 		vae := ""
 		if m.HasVAE {

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"strings"
@@ -89,6 +90,92 @@ func testCheckpoint(t testing.TB) *Checkpoint {
 			{Registry: []int{0, 1}, Pipeline: pipe.Snapshot()},
 			{Registry: []int{0}, Pipeline: pipe.Snapshot()},
 		},
+	}
+}
+
+// leanDay is the day fixture as an MSBI deployment provisions it: same
+// frames and seed, no MSBO ensemble.
+func leanDay(t testing.TB) *core.ModelEntry {
+	t.Helper()
+	day := vidsim.GenerateTraining(testCond(vidsim.Day()), testW, testH, 120, 1)
+	return core.Provision("day", day, testLabeler, quickProvision(21).For(core.SelectorMSBI))
+}
+
+// leanCheckpoint is testCheckpoint with a third, supervised but
+// ensemble-less entry that shard 1 also holds.
+func leanCheckpoint(t testing.TB) *Checkpoint {
+	t.Helper()
+	cp := testCheckpoint(t)
+	cp.Entries = append(cp.Entries, leanDay(t))
+	cp.Shards[1].Registry = []int{0, 2}
+	return cp
+}
+
+// TestLeanEntryEncoding: a supervised entry without an ensemble — what an
+// MSBI deployment provisions — encodes to exactly the bytes of the full
+// entry with its ensemble taken out, round-trips to the same bytes, and
+// Inspect tells the two apart.
+func TestLeanEntryEncoding(t *testing.T) {
+	full, _ := getFixtures(t)
+	stripped := &core.ModelEntry{
+		Name: full.Name, W: full.W, H: full.H, Samples: full.Samples, SampleFeats: full.SampleFeats,
+		CalibRaw: full.CalibRaw, Calib: full.Calib, Classifier: full.Classifier, CalibSample: full.CalibSample,
+	}
+	stripped.SetQueryFn(full.QueryFn())
+	want, err := encodeEntry(stripped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lean := leanDay(t)
+	got, err := encodeEntry(lean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("the lean entry encodes to %d bytes that differ from the full entry's %d without its ensemble", len(got), len(want))
+	}
+	if whole, _ := encodeEntry(full); len(whole) <= len(want) {
+		t.Errorf("the full entry encodes to %d bytes, no more than the lean one's %d", len(whole), len(want))
+	}
+
+	cp := leanCheckpoint(t)
+	data, err := Encode(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := Decode(data)
+	if err != nil {
+		t.Fatalf("Decode of a checkpoint with an ensemble-less supervised entry: %v", err)
+	}
+	if e := back.Entries[2]; e.Classifier == nil || e.Ensemble != nil || e.QueryFn() == nil || len(e.CalibSample) != len(lean.CalibSample) {
+		t.Errorf("decoded lean entry: classifier %v, ensemble %v, %d calibration samples", e.Classifier != nil, e.Ensemble != nil, len(e.CalibSample))
+	}
+	if again, err := Encode(back); err != nil || !bytes.Equal(again, data) {
+		t.Errorf("re-encoding the decoded checkpoint: %v, %d bytes against %d", err, len(again), len(data))
+	}
+
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := s.Save(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := Inspect(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := d.Models; m[0].Ensemble != 2 || !m[2].Supervised || m[2].Ensemble != 0 || m[1].Ensemble != 0 {
+		t.Errorf("ensemble members: %d, %d, %d; want 2, 0 (unsupervised), 0 (lean)", m[0].Ensemble, m[1].Ensemble, m[2].Ensemble)
+	}
+	var buf strings.Builder
+	d.WriteText(&buf)
+	lines := strings.Split(buf.String(), "\n")
+	for i, want := range []string{"supervised/query ensemble=2 ", "unsupervised +vae ", "supervised/query ensemble=none "} {
+		if line := lines[4+i]; !strings.Contains(line, want) {
+			t.Errorf("model line %d = %q, want it to hold %q", i, line, want)
+		}
 	}
 }
 

@@ -289,16 +289,48 @@ func devBin(p, med float64, devBins int) int {
 	return b
 }
 
-// medianOf returns the median of xs, or fallback when xs is empty. The
-// slice is sorted in place — by slices.Sort, which orders exactly as
-// sort.Float64s does but does not make xs escape, so a caller's pool may
-// live on its stack.
+// medianOf returns the median of xs — element len(xs)/2 of its sorted
+// order — or fallback when xs is empty, permuting xs in place. It selects
+// (Hoare's FIND around the middle element) instead of sorting. Floats
+// that compare equal are the same bits except ±0 and NaNs, so that is the
+// value any sort leaves there — unless a −0 or a NaN is present, where an
+// unstable sort's tie order decides: those pools (no admitted frame makes
+// one) are sorted with slices.Sort as before. Every pool keeps every bit.
 func medianOf(xs []float64, fallback float64) float64 {
 	if len(xs) == 0 {
 		return fallback
 	}
-	slices.Sort(xs)
-	return xs[len(xs)/2]
+	k := len(xs) / 2
+	for _, x := range xs {
+		if x != x || x == 0 && math.Signbit(x) {
+			slices.Sort(xs)
+			return xs[k]
+		}
+	}
+	for lo, hi := 0, len(xs)-1; lo < hi; {
+		pivot := xs[k]
+		i, j := lo, hi
+		for i <= j {
+			for xs[i] < pivot {
+				i++
+			}
+			for pivot < xs[j] {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		if j < k {
+			lo = i
+		}
+		if k < i {
+			hi = j
+		}
+	}
+	return xs[k]
 }
 
 // FeaturizeFrames maps Featurize over a batch of equal-size frames.

@@ -1,7 +1,9 @@
 package vision
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -277,7 +279,10 @@ func medianOfReference(xs []float64, fallback float64) float64 {
 // TestQueryFeaturesMatchesReference holds QueryFeatures to the retained
 // implementation, exact == on all nine outputs, over 2 000 seeded frames
 // across conditions and sizes — 16×16 frames, whose pools fit the stack
-// buffers, and 32×32 and 64×64 ones, which reach or outgrow them.
+// buffers, and 32×32 and 64×64 ones, which reach or outgrow them — and
+// over hand-made frames for the pools vidsim seldom renders: none, one,
+// two and three pixels a side, and pools of a few repeated values (a
+// clamped night sky).
 func TestQueryFeaturesMatchesReference(t *testing.T) {
 	conds := []vidsim.Condition{vidsim.Day(), vidsim.Night(), vidsim.RainCond(), vidsim.SnowCond(), vidsim.Angle(1, 5, -1), vidsim.Angle(4, 9, -1)}
 	var frames []vidsim.Frame
@@ -311,6 +316,27 @@ func TestQueryFeaturesMatchesReference(t *testing.T) {
 	if spilled == 0 {
 		t.Error("no frame outgrew the stack buffers: the heap path went untested")
 	}
+	for _, dark := range []int{0, 1, 2, 3, 60} {
+		for _, bright := range []int{0, 1, 2, 3, 60} {
+			px := make(tensor.Vector, 16*16)
+			for i := range px {
+				px[i] = 0.5 + 0.001*float64(i%7)
+			}
+			for i := 0; i < dark; i++ {
+				px[2*i] = 0.05 * float64(i%3) // 0 (clamped), 0.05, 0.1
+			}
+			for i := 0; i < bright; i++ {
+				px[2*i+128] = 1 - 0.05*float64(i%2)
+			}
+			got, want := QueryFeatures(px, 16, 16), queryFeaturesReference(px, 16, 16)
+			if !slices.Equal(got, want) {
+				t.Errorf("%d dark and %d bright pixels: %v, reference %v", dark, bright, got, want)
+			}
+			if (want[6] != 0) != (dark > 0) || (want[7] != 0) != (bright > 0) {
+				t.Errorf("%d dark and %d bright pixels: intensity dims %v, %v — the pools are not the ones intended", dark, bright, want[6], want[7])
+			}
+		}
+	}
 	if n := testing.AllocsPerRun(100, func() { QueryFeatures(order[0].Pixels, order[0].W, order[0].H) }); n > 1 {
 		t.Errorf("QueryFeatures allocates %.0f objects per call, want 1 (its output)", n)
 	}
@@ -318,10 +344,21 @@ func TestQueryFeaturesMatchesReference(t *testing.T) {
 
 // TestMedianOfMatchesSort holds medianOf, which the appearance features
 // share, to its sort.Float64s form bit for bit — ties, signed zeroes and
-// NaNs included, where two correct sorts could order equal keys apart.
+// NaNs included, where two correct sorts could order equal keys apart
+// (medianOf sorts those pools and selects in the rest) — over pools of
+// every length from 0 to 199, from all-distinct to a handful of repeated
+// values, in random, sorted and reversed order.
 func TestMedianOfMatchesSort(t *testing.T) {
 	rng := stats.NewRNG(5)
 	special := []float64{0, math.Copysign(0, -1), math.NaN(), 0.5, 0.5, -0.25, math.Inf(1)}
+	check := func(what string, xs []float64) {
+		t.Helper()
+		got := medianOf(append([]float64(nil), xs...), 7)
+		want := medianOfReference(append([]float64(nil), xs...), 7)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s, %d values: median %v (%x), on sort.Float64s %v (%x)", what, len(xs), got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
 	for n := 0; n < 200; n++ {
 		xs := make([]float64, n)
 		for i := range xs {
@@ -329,10 +366,21 @@ func TestMedianOfMatchesSort(t *testing.T) {
 				xs[i] = special[i%len(special)]
 			}
 		}
-		got := medianOf(append([]float64(nil), xs...), 7)
-		want := medianOfReference(append([]float64(nil), xs...), 7)
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("%d values: median %v (%x), on sort.Float64s %v (%x)", n, got, math.Float64bits(got), want, math.Float64bits(want))
+		check("with specials", xs)
+		// Selection proper: no −0 and no NaN, so no pool is handed to the
+		// sort. distinct = 1 is one value repeated, 3 a clamped night pool.
+		for _, distinct := range []int{1, 2, 3, 8, 1 << 30} {
+			for i := range xs {
+				xs[i] = float64(rng.Intn(distinct)) / 8
+			}
+			check(fmt.Sprintf("%d distinct values", distinct), xs)
+			sort.Float64s(xs)
+			check(fmt.Sprintf("%d distinct values, sorted", distinct), xs)
+			slices.Reverse(xs)
+			check(fmt.Sprintf("%d distinct values, reversed", distinct), xs)
 		}
+	}
+	if got := medianOf(nil, 7); got != 7 {
+		t.Errorf("empty pool: %v, want the fallback", got)
 	}
 }

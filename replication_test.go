@@ -52,7 +52,16 @@ func checkpointFrames(cp *Checkpoint) []Frame {
 //     what would catch a frame whose pixels were written after
 //     submission (vidsim.Frame's invariant): the chain would keep the
 //     old values and stop matching the full round trip.
+//
+// It runs over a full day model, whose table then mixes it with the
+// ensemble-less models MSBI trains, and over the ensemble-less day model
+// an MSBI server boots with — the fleet the benchmark replicates.
 func TestDeltaChainEqualsFull(t *testing.T) {
+	t.Run("full-base", func(t *testing.T) { testDeltaChainEqualsFull(t, getCkptModels()[:1]) })
+	t.Run("lean-base", func(t *testing.T) { testDeltaChainEqualsFull(t, getLeanCkptModels()[:1]) })
+}
+
+func testDeltaChainEqualsFull(t *testing.T, base []*Model) {
 	opts := Defaults(facadeDim, facadeClasses)
 	opts.Pipeline.Selector = MSBI
 	opts.Pipeline.NewModelFrames = 48
@@ -62,7 +71,7 @@ func TestDeltaChainEqualsFull(t *testing.T) {
 	opts.Provision.Classifier.Epochs = 10
 	opts.Forensics = ForensicsConfig{Enabled: true, Window: 16, Keep: 2}
 	// A day-only registry: every other condition forces a training.
-	sm := NewDynamicSharded(getCkptModels()[:1], facadeLabeler, ShardedOptions{Options: opts, Workers: 2})
+	sm := NewDynamicSharded(base, facadeLabeler, ShardedOptions{Options: opts, Workers: 2})
 	for s := 0; s < 2; s++ {
 		if _, err := sm.Attach(nil); err != nil {
 			t.Fatal(err)
@@ -203,6 +212,11 @@ func TestDeltaChainEqualsFull(t *testing.T) {
 	}
 	if trained := sm.Stats().ModelsTrained; newEntries != trained {
 		t.Errorf("deltas carried %d new entries for %d trainings", newEntries, trained)
+	}
+	for _, e := range chain.Entries[1:] {
+		if e.Classifier == nil || e.Ensemble != nil {
+			t.Errorf("replicated model %q: classifier %v, ensemble %v; MSBI trains the first and not the second", e.Name, e.Classifier != nil, e.Ensemble != nil)
+		}
 	}
 	ps := prim.Stats()
 	if want := uint64(total / every); ps.Cycles != want || ps.Fulls != 1 || ps.Deltas != want-1 {

@@ -3,7 +3,9 @@
 # selection engine (kNN scoring brute vs fast, Drift Inspector observe,
 # MSBI worker/model scaling, sharded monitoring throughput), the
 # training benchmarks (one Adam step dense and with idle coordinates, one
-# experiment-scale classifier fit and one step of it) and the ingest
+# experiment-scale classifier fit and one step of it, one serving-time
+# training with and without the MSBO ensemble, one tenant attach under
+# each selector) and the ingest
 # tier's per-arrival path (Submit + Pump per frame, and the same frame
 # through the front door: socket → ACK → fed in place; 1 and 8 tenants),
 # and writes the results as machine-readable JSON.
@@ -43,7 +45,7 @@ if [ -n "${PROFILE:-}" ]; then
 fi
 
 raw=$(go test -run=NONE \
-	-bench 'KNNScore|DriftInspectorObserve|Featurize$|MSBIParallel|ShardedThroughput' \
+	-bench 'KNNScore|DriftInspectorObserve|Featurize$|MSBIParallel|ShardedThroughput|Provision|AttachTenant' \
 	-benchtime "$benchtime" -count "$count" "${profflags[@]}" .
 	go test -run=NONE -bench 'AdamStep|ClassifierFit|ClassifierTrainStep' \
 		-benchtime "$benchtime" -count "$count" ./internal/nn ./internal/classifier

@@ -2,8 +2,10 @@
 # Bench-regression smoke: re-runs the regression-gated benchmarks (the
 # kNN kernel fast path, the sharded monitoring fan-out, one Adam step
 # dense and with idle coordinates, one experiment-scale classifier fit
-# and one step of it, the ingest router's Submit + Pump per frame and the
-# same frame through a loopback connection) and fails when any of them
+# and one step of it, one serving-time training with and without the MSBO
+# ensemble, one tenant attach under each selector, the ingest router's
+# Submit + Pump per frame and the same frame through a loopback
+# connection) and fails when any of them
 # lands more than THRESHOLD percent slower than the committed
 # BENCH_knn.json baseline. It prints the box the
 # baseline was recorded on next to this one: across boxes the deltas are
@@ -32,9 +34,11 @@ if [ ! -f "$baseline" ]; then
 fi
 
 # The gated set: kernel-regime kNN scoring, the sharded fan-out,
-# training (the idle_late step is the one that cost ten dense steps), and
+# training (the idle_late step is the one that cost ten dense steps; a
+# lean Provision near the full one means an MSBI training fits ensembles
+# again, an msbi attach near the msbo one that it calibrates them), and
 # the ingest pump and the connection loop, which run once per arrival.
-raw=$(go test -run=NONE -bench 'KNNScore/sigma512x64|ShardedThroughput' \
+raw=$(go test -run=NONE -bench 'KNNScore/sigma512x64|ShardedThroughput|Provision|AttachTenant' \
 	-benchtime "$benchtime" -count "$count" .
 	go test -run=NONE -bench 'AdamStep|ClassifierFit|ClassifierTrainStep' \
 		-benchtime "$benchtime" -count "$count" ./internal/nn ./internal/classifier
