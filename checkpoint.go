@@ -117,6 +117,36 @@ func resumeShard(cp *Checkpoint, i int, labeler Labeler, opts Options) (*Monitor
 	return m, nil
 }
 
+// liveModels is the set of models the fleet holds, each once however many
+// shards share it; callers hold mu. The provisioned models are live
+// whether or not a shard is attached: an empty dynamic fleet's checkpoint
+// must still carry them, or the standby it promotes has nothing to attach
+// a tenant over.
+func (sm *ShardedMonitor) liveModels() map[*Model]bool {
+	live := make(map[*Model]bool)
+	for _, e := range sm.baseModels {
+		live[e] = true
+	}
+	for _, m := range sm.shards {
+		if m == nil {
+			continue
+		}
+		for _, e := range m.pipe.Registry().Snapshot().Entries() {
+			live[e] = true
+		}
+	}
+	return live
+}
+
+// Models returns how many models the fleet holds — the length of the
+// table a Checkpoint taken now would carry. It grows by one with every
+// training and only shrinks when an evicted shard's private models go.
+func (sm *ShardedMonitor) Models() int {
+	sm.mu.RLock()
+	defer sm.mu.RUnlock()
+	return len(sm.liveModels())
+}
+
 // Checkpoint captures every shard's state plus the shared model table.
 // Models shared between shards (the provisioned set, and any entry added
 // to several registries) are stored once and restored shared. The table
@@ -137,21 +167,7 @@ func (sm *ShardedMonitor) Checkpoint() *Checkpoint {
 	defer sm.mu.RUnlock()
 	sm.tableMu.Lock()
 	defer sm.tableMu.Unlock()
-	// The provisioned models are live whether or not a shard is attached:
-	// an empty dynamic fleet's checkpoint must still carry them, or the
-	// standby it promotes has nothing to attach a tenant over.
-	live := make(map[*Model]bool)
-	for _, e := range sm.baseModels {
-		live[e] = true
-	}
-	for _, m := range sm.shards {
-		if m == nil {
-			continue
-		}
-		for _, e := range m.pipe.Registry().Snapshot().Entries() {
-			live[e] = true
-		}
-	}
+	live := sm.liveModels()
 	cp := &Checkpoint{CreatedUnixNano: time.Now().UnixNano()}
 	seen := make(map[*Model]int, len(live))
 	ref := func(e *Model) int {

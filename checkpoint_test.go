@@ -399,7 +399,7 @@ func TestLeanModelsEqualFull(t *testing.T) {
 		}
 		// The rest of the entry must be the lean one's, byte for byte.
 		stripped := &Model{
-			Name: e.Name, W: e.W, H: e.H, Samples: e.Samples, SampleFeats: e.SampleFeats,
+			Name: e.Name, W: e.W, H: e.H, SampleFeats: e.SampleFeats,
 			CalibRaw: e.CalibRaw, Calib: e.Calib, Classifier: e.Classifier, CalibSample: e.CalibSample,
 		}
 		stripped.SetQueryFn(e.QueryFn())

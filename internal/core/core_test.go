@@ -113,8 +113,8 @@ func TestProvisionBuildsEntry(t *testing.T) {
 	if e.Name != "day" {
 		t.Errorf("name = %q", e.Name)
 	}
-	if len(e.Samples) != 80 {
-		t.Errorf("|Σ| = %d", len(e.Samples))
+	if len(e.SampleFeats) != 80 {
+		t.Errorf("|Σ| = %d", len(e.SampleFeats))
 	}
 	if len(e.CalibRaw) != 120 || e.Calib.Len() != 120 {
 		t.Errorf("calibration scores = %d/%d", len(e.CalibRaw), e.Calib.Len())
@@ -130,13 +130,23 @@ func TestProvisionBuildsEntry(t *testing.T) {
 	}
 }
 
+// TestServedDIConfigIsTested: the served detector parameters are the ones
+// whose null alarm rate internal/conformal's
+// TestCUSUMStaysSmallUnderUniform measures (its W = 4 row). Change them
+// there, with the new design rate, before changing them here.
+func TestServedDIConfigIsTested(t *testing.T) {
+	if c := DefaultDIConfig(); c.W != 4 || c.Kappa != 4 || c.R != 0.5 {
+		t.Errorf("DefaultDIConfig() = %+v, the tested configuration is W = 4, κ = 4, r = 0.5", c)
+	}
+}
+
 func TestProvisionUnsupervised(t *testing.T) {
 	frames := streamFrames(dayC(), 60, 13)
 	e := Provision("unsup", frames, nil, quickProvision(23))
 	if e.Classifier != nil || e.Ensemble != nil || e.CalibSample != nil {
 		t.Error("unsupervised entry has supervised artifacts")
 	}
-	if len(e.Samples) == 0 {
+	if len(e.SampleFeats) == 0 {
 		t.Error("unsupervised entry missing Σ samples")
 	}
 }

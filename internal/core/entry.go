@@ -83,16 +83,18 @@ func (c ProvisionConfig) For(sel SelectorKind) ProvisionConfig {
 }
 
 // ModelEntry bundles everything provisioned alongside one model M_i: the
-// VAE A_{T_i}, the i.i.d. sample Σ_{T_i} it generated, the precomputed
-// non-conformity calibration scores A_i, the query classifier, and the
-// MSBO uncertainty ensemble (Table 1 of the paper).
+// VAE A_{T_i}, the i.i.d. sample Σ_{T_i} in the feature space the
+// non-conformity measure reads, the precomputed calibration scores A_i,
+// the query classifier, and the MSBO uncertainty ensemble (Table 1 of the
+// paper). The pixel-space samples exist only inside Provision: an entry
+// that kept them would pin the frames it was trained on for the life of
+// the process.
 type ModelEntry struct {
 	Name string
 	W, H int // frame geometry the entry was provisioned for
 
 	VAE         *vae.VAE
-	Samples     []tensor.Vector // Σ_{T_i}, decoded pixel-space samples
-	SampleFeats []tensor.Vector // Featurize(Σ_{T_i}) — what DI measures against
+	SampleFeats []tensor.Vector // Σ_{T_i} in feature space — what DI and MSBI measure against
 	CalibRaw    []float64       // A_i, scores of training frames against Σ
 	Calib       *conformal.SortedCalib
 
@@ -182,7 +184,6 @@ func Provision(name string, frames []vidsim.Frame, labeler Labeler, cfg Provisio
 		W:           w,
 		H:           h,
 		VAE:         v,
-		Samples:     samples,
 		SampleFeats: feats,
 		CalibRaw:    calib,
 		Calib:       conformal.NewSortedCalib(calib),

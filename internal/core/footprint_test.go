@@ -1,0 +1,110 @@
+package core
+
+import (
+	"reflect"
+	"testing"
+)
+
+// floatSlices walks everything reachable from roots — unexported fields
+// included — and calls fn with the first element's address and the length
+// of every non-empty []float64 (tensor.Vector, frame pixels, weights).
+// Pointers in skip are not followed.
+func floatSlices(fn func(first *float64, n int), skip map[uintptr]bool, roots ...any) {
+	seen := map[uintptr]bool{}
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Pointer:
+			if v.IsNil() || seen[v.Pointer()] || skip[v.Pointer()] {
+				return
+			}
+			seen[v.Pointer()] = true
+			walk(v.Elem())
+		case reflect.Interface:
+			if !v.IsNil() {
+				walk(v.Elem())
+			}
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i))
+			}
+		case reflect.Map:
+			for it := v.MapRange(); it.Next(); {
+				walk(it.Value())
+			}
+		case reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				walk(v.Index(i))
+			}
+		case reflect.Slice:
+			if v.Len() == 0 {
+				return
+			}
+			if v.Type().Elem().Kind() == reflect.Float64 {
+				fn((*float64)(v.Index(0).Addr().UnsafePointer()), v.Len())
+				return
+			}
+			for i := 0; i < v.Len(); i++ {
+				walk(v.Index(i))
+			}
+		}
+	}
+	for _, r := range roots {
+		walk(reflect.ValueOf(r))
+	}
+}
+
+// TestEntryFootprint pins what an entry may hold on to: Σ_{T_i} in the
+// 4-d feature space the measure reads, A_i, and the networks. A frame's
+// worth of float64s reachable from an entry is a pixel-space sample that
+// nothing reads — 100 per model, 0.8 MB each in a checkpoint, a delta and
+// the standby — and on a served model it pins the wire frames the model
+// was trained on for the life of the process.
+func TestEntryFootprint(t *testing.T) {
+	frames := streamFrames(fogCond(), 120, 31)
+	for _, src := range []SampleSource{SourceHeldOut, SourceVAE} {
+		cfg := quickProvision(5)
+		cfg.Source = src
+		e := Provision("fog", frames, testLabeler, cfg)
+		// The VAE's own output bias is W·H long by construction.
+		skip := map[uintptr]bool{}
+		if e.VAE != nil {
+			skip[reflect.ValueOf(e.VAE).Pointer()] = true
+		}
+		vectors, frameSized := 0, 0
+		floatSlices(func(_ *float64, n int) {
+			vectors++
+			if n == testDim {
+				frameSized++
+			}
+		}, skip, e)
+		if vectors < len(e.SampleFeats) {
+			t.Fatalf("source %d: the walk found %d float vectors under an entry with %d reference features", src, vectors, len(e.SampleFeats))
+		}
+		if frameSized != 0 {
+			t.Errorf("source %d: %d vectors of W·H = %d float64s are reachable from a provisioned entry", src, frameSized, testDim)
+		}
+	}
+
+	// A served training: none of the collected frames survives in the table.
+	f := getFixture()
+	pcfg := DefaultPipelineConfig(testDim, testNumClasses)
+	pcfg.Selector = SelectorMSBI
+	pcfg.Provision = quickProvision(42)
+	p := NewPipeline(NewRegistry(f.day, f.night), testLabeler, pcfg)
+	p.buffer = frames
+	e, err := p.trainNewModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.reg.Add(e)
+	collected := map[*float64]int{}
+	for _, fr := range frames {
+		collected[&fr.Pixels[0]] = fr.Index
+	}
+	floatSlices(func(first *float64, _ int) {
+		if idx, ok := collected[first]; ok {
+			t.Errorf("the registry still holds the pixels of collected frame %d after training", idx)
+		}
+	}, nil, p.reg.Entries())
+}

@@ -26,7 +26,6 @@ func requireSameButEnsemble(t *testing.T, lean, full *ModelEntry) {
 		{"Name", lean.Name, full.Name},
 		{"W×H", [2]int{lean.W, lean.H}, [2]int{full.W, full.H}},
 		{"VAE", lean.VAE, full.VAE},
-		{"Samples", lean.Samples, full.Samples},
 		{"SampleFeats", lean.SampleFeats, full.SampleFeats},
 		{"CalibRaw", lean.CalibRaw, full.CalibRaw},
 		{"Calib", lean.Calib, full.Calib},
@@ -105,7 +104,7 @@ func TestSelectorModelMismatch(t *testing.T) {
 	f := getFixture()
 	n := f.night
 	lean := &ModelEntry{ // night without its ensemble
-		Name: n.Name, W: n.W, H: n.H, Samples: n.Samples, SampleFeats: n.SampleFeats,
+		Name: n.Name, W: n.W, H: n.H, SampleFeats: n.SampleFeats,
 		CalibRaw: n.CalibRaw, Calib: n.Calib, Classifier: n.Classifier, CalibSample: n.CalibSample,
 	}
 	lean.SetQueryFn(n.QueryFn())

@@ -32,7 +32,6 @@ func requireSameRegistry(t *testing.T, label string, got, want *core.Registry) {
 			field     string
 			got, want any
 		}{
-			{"Samples", g[i].Samples, w[i].Samples},
 			{"SampleFeats", g[i].SampleFeats, w[i].SampleFeats},
 			{"CalibRaw", g[i].CalibRaw, w[i].CalibRaw},
 			{"CalibSample", g[i].CalibSample, w[i].CalibSample},

@@ -1,0 +1,134 @@
+package replica
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
+	"hash/crc32"
+	"testing"
+
+	"videodrift/internal/classifier"
+	"videodrift/internal/core"
+	"videodrift/internal/store"
+	"videodrift/internal/tensor"
+)
+
+// legacyFull rewrites a store envelope the way builds up to PR 20 wrote
+// it: every entry blob also carries Σ_{T_i} in pixel space (the Samples
+// field the entry has since lost). The two records mirror store's wire
+// forms field for field; internal/store's TestDecodeLegacyEntryBlob holds
+// the codec itself to the same blobs.
+func legacyFull(t *testing.T, envelope []byte) []byte {
+	t.Helper()
+	type entryRecord struct {
+		Name        string
+		W, H        int
+		VAE         []byte
+		Samples     []tensor.Vector
+		SampleFeats []tensor.Vector
+		CalibRaw    []float64
+		Classifier  []byte
+		Ensemble    []byte
+		QueryFn     string
+		CalibSample []classifier.Sample
+	}
+	type checkpointRecord struct {
+		CreatedUnixNano int64
+		Frames          int64
+		Gen             uint64
+		Epoch           uint64
+		Entries         [][]byte
+		EntryCRCs       []uint32
+		Shards          []store.ShardState
+	}
+	const headerSize = 20 // magic, version, kind, payload length, payload CRC
+	var rec checkpointRecord
+	if err := gob.NewDecoder(bytes.NewReader(envelope[headerSize:])).Decode(&rec); err != nil {
+		t.Fatal(err)
+	}
+	for i, blob := range rec.Entries {
+		var er entryRecord
+		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&er); err != nil {
+			t.Fatal(err)
+		}
+		for range er.SampleFeats {
+			er.Samples = append(er.Samples, make(tensor.Vector, er.W*er.H))
+		}
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(er); err != nil {
+			t.Fatal(err)
+		}
+		rec.Entries[i] = buf.Bytes()
+		rec.EntryCRCs[i] = crc32.ChecksumIEEE(buf.Bytes())
+	}
+	out := bytes.NewBuffer(append([]byte(nil), envelope[:headerSize]...))
+	if err := gob.NewEncoder(out).Encode(rec); err != nil {
+		t.Fatal(err)
+	}
+	env := out.Bytes()
+	binary.LittleEndian.PutUint64(env[8:16], uint64(len(env)-headerSize))
+	binary.LittleEndian.PutUint32(env[16:20], crc32.ChecksumIEEE(env[headerSize:]))
+	return env
+}
+
+// TestStandbyAcrossUpgrade: a standby of this build under a primary of
+// the last one. The full it is sent carries legacy entry blobs; the
+// deltas that follow chain off the CRCs of those bytes, not off a
+// re-encode; what it would promote — and what a warm restart loads from
+// the directory it persisted the stream to — is the state a new-encoding
+// stream would have left.
+func TestStandbyAcrossUpgrade(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb := NewStandby(StandbyConfig{Store: st, Logf: t.Logf})
+
+	first := testCheckpoint(t, []*core.ModelEntry{testEntry("m0")}, 100)
+	first.Gen = 1
+	modern, err := store.Encode(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := legacyFull(t, modern)
+	if len(legacy) <= len(modern) {
+		t.Fatalf("legacy full is %d bytes, the new encoding %d", len(legacy), len(modern))
+	}
+	if _, ok := sb.apply(MsgFull, State{Gen: 1, Payload: legacy}); !ok || sb.Gen() != 1 {
+		t.Fatalf("standby refused a legacy full (at gen %d)", sb.Gen())
+	}
+
+	// The old primary trains a model: a delta off the bytes it sent.
+	base, crcs, err := store.DecodeWithCRCs(legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := testCheckpoint(t, append(base.Entries[:1:1], testEntry("m1")), 200)
+	next.Gen = 2
+	d, _, err := store.DiffCheckpoints(base, crcs, next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, err := store.EncodeDelta(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := sb.apply(MsgDelta, State{Gen: 2, BaseGen: 1, Payload: wire}); !ok || sb.Gen() != 2 {
+		t.Fatalf("standby at gen %d after a delta off a legacy full, want 2 (a resync means the chain broke)", sb.Gen())
+	}
+
+	want, err := store.Encode(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := store.Encode(sb.Latest()); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("standby state differs from the primary's generation 2 (%v)", err)
+	}
+	cp, _, applied, err := st.LoadLatestChain()
+	if err != nil || applied != 1 {
+		t.Fatalf("warm restart from the standby's directory: %d deltas applied, %v", applied, err)
+	}
+	if got, err := store.Encode(cp); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("state loaded from a legacy full and its delta differs from generation 2 (%v)", err)
+	}
+}

@@ -19,7 +19,6 @@ func testEntry(name string) *core.ModelEntry {
 		Name:        name,
 		W:           2,
 		H:           2,
-		Samples:     []tensor.Vector{{0.1, 0.2, 0.3, 0.4}},
 		SampleFeats: []tensor.Vector{{0.1, 0.2, 0.3, 0.4}},
 		CalibRaw:    calib,
 		Calib:       conformal.NewSortedCalib(calib),

@@ -95,10 +95,22 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, tr *telem
 	if err := tr.WritePrometheusTo(w); err != nil {
 		log.Printf("/metrics: %v", err)
 	}
-	if f := s.flt.Load(); f != nil && f.router != nil {
+	f := s.flt.Load()
+	if f != nil && f.router != nil {
 		if err := f.router.WritePrometheus(w); err != nil {
 			log.Printf("/metrics (ingest): %v", err)
 		}
+	}
+	models := 0
+	if f != nil {
+		models = f.mon.Models()
+	} else if s.sb != nil { // a standby holds the table it was last sent
+		if cp := s.sb.Latest(); cp != nil {
+			models = len(cp.Entries)
+		}
+	}
+	if err := telemetry.WriteProcessPrometheus(w, models); err != nil {
+		log.Printf("/metrics (process): %v", err)
 	}
 }
 

@@ -107,6 +107,18 @@ func reserveAddr(t *testing.T) string {
 // JSON body into v (when non-nil), returning the status code.
 func get(t *testing.T, s *Server, path string, v any) int {
 	t.Helper()
+	code, body := fetch(t, s, path)
+	if v != nil {
+		if err := json.Unmarshal([]byte(body), v); err != nil {
+			t.Fatalf("GET %s: %v in %q", path, err, body)
+		}
+	}
+	return code
+}
+
+// fetch GETs path and returns the status and the body.
+func fetch(t *testing.T, s *Server, path string) (int, string) {
+	t.Helper()
 	resp, err := http.Get("http://" + s.Addr() + path)
 	if err != nil {
 		t.Fatalf("GET %s: %v", path, err)
@@ -116,12 +128,7 @@ func get(t *testing.T, s *Server, path string, v any) int {
 	if err != nil {
 		t.Fatalf("GET %s: %v", path, err)
 	}
-	if v != nil {
-		if err := json.Unmarshal(body, v); err != nil {
-			t.Fatalf("GET %s: %v in %q", path, err, body)
-		}
-	}
-	return resp.StatusCode
+	return resp.StatusCode, string(body)
 }
 
 // await polls cond every few milliseconds for up to a minute.
@@ -427,6 +434,20 @@ func TestTenantTelemetry(t *testing.T) {
 			t.Errorf("GET %s: HTTP %d, want %d", path, code, want)
 		}
 	}
+	// The process families ride every exposition once, whichever tracer it
+	// was asked for.
+	models := fmt.Sprintf("\nvideodrift_registry_models %d\n", s.flt.Load().mon.Models())
+	for _, path := range []string{"/metrics", "/metrics?shard=1", "/metrics?tenant=" + drifted} {
+		_, body := fetch(t, s, path)
+		for _, family := range []string{"videodrift_registry_models", "videodrift_go_heap_objects_bytes", "videodrift_frames_total", "ingest_tenants_known"} {
+			if n := strings.Count(body, "# TYPE "+family+" "); n != 1 {
+				t.Errorf("GET %s declares %s %d times, want once", path, family, n)
+			}
+		}
+		if !strings.Contains(body, models) {
+			t.Errorf("GET %s: want %q in\n%s", path, models, body)
+		}
+	}
 	// An idle-evicted tenant's slot is detached, but its history is kept
 	// under its name.
 	await(t, "the idle tenants' eviction", func() bool {
@@ -471,6 +492,13 @@ func TestServeFailover(t *testing.T) {
 	}
 	if code := get(t, sb, "/drift/", nil); code != http.StatusServiceUnavailable {
 		t.Errorf("un-promoted standby /drift/: HTTP %d, want 503", code)
+	}
+
+	// What a warm standby holds is visible before it serves a frame.
+	await(t, "the standby's first generation", func() bool { return sb.sb.Latest() != nil })
+	want := fmt.Sprintf("\nvideodrift_registry_models %d\n", len(sb.sb.Latest().Entries))
+	if _, body := fetch(t, sb, "/metrics"); !strings.Contains(body, want) {
+		t.Errorf("un-promoted standby /metrics: want %q in\n%s", want, body)
 	}
 
 	streams := make([][]vidsim.Frame, tenants)

@@ -135,7 +135,6 @@ type entryRecord struct {
 	Name        string
 	W, H        int
 	VAE         []byte // vae.VAE.MarshalBinary, nil when absent
-	Samples     []tensor.Vector
 	SampleFeats []tensor.Vector
 	CalibRaw    []float64
 	Classifier  []byte // classifier.Classifier.MarshalBinary, nil when unsupervised
@@ -167,7 +166,6 @@ func encodeEntry(e *core.ModelEntry) ([]byte, error) {
 		Name:        e.Name,
 		W:           e.W,
 		H:           e.H,
-		Samples:     e.Samples,
 		SampleFeats: e.SampleFeats,
 		CalibRaw:    e.CalibRaw,
 		CalibSample: e.CalibSample,
@@ -223,7 +221,6 @@ func buildEntry(rec *entryRecord) (*core.ModelEntry, error) {
 		Name:        rec.Name,
 		W:           rec.W,
 		H:           rec.H,
-		Samples:     rec.Samples,
 		SampleFeats: rec.SampleFeats,
 		CalibRaw:    rec.CalibRaw,
 		Calib:       conformal.NewSortedCalib(rec.CalibRaw),

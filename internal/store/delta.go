@@ -159,7 +159,11 @@ func digestCRCs(crcs []uint32) uint32 {
 // EntryCRCs encodes each entry of cp and returns the per-entry CRCs —
 // what DiffCheckpoints and ApplyDelta accept as the base fingerprint.
 // Callers that encoded or decoded the checkpoint through
-// EncodeWithCRCs/DecodeWithCRCs already hold them and skip this.
+// EncodeWithCRCs/DecodeWithCRCs already hold them and skip this — and
+// must, for a checkpoint decoded from bytes an older build wrote: its
+// blobs carried fields the entry no longer has, so a re-encode does not
+// reproduce their CRCs and a delta built against them answers
+// ErrDeltaBase.
 func EntryCRCs(cp *Checkpoint) ([]uint32, error) {
 	crcs := make([]uint32, len(cp.Entries))
 	for i, e := range cp.Entries {

@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/binary"
+	"hash/crc32"
 	"testing"
 )
 
@@ -28,6 +29,9 @@ func FuzzDecode(f *testing.F) {
 		f.Fatalf("encoding lean seed checkpoint: %v", err)
 	}
 	f.Add(lean)
+	// What a build from before pixel-space Σ left the entry wrote.
+	legacy, _ := legacyEncode(f, testCheckpoint(f))
+	f.Add(legacy)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cp, err := Decode(data)
@@ -99,6 +103,15 @@ func FuzzDecodeDelta(f *testing.F) {
 		f.Fatalf("encoding lean delta: %v", err)
 	}
 	f.Add(leanDelta)
+	// The same delta as a pre-upgrade primary sends it: the new entry's
+	// blob still carries pixel-space Σ.
+	ld.NewEntries[0] = legacyBlob(f, lnext.Entries[2])
+	ld.NewCRCs[0] = crc32.ChecksumIEEE(ld.NewEntries[0])
+	legacyDelta, err := EncodeDelta(ld)
+	if err != nil {
+		f.Fatalf("encoding legacy delta: %v", err)
+	}
+	f.Add(legacyDelta)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := DecodeDelta(data)

@@ -101,7 +101,7 @@ func Inspect(path string) (*Description, error) {
 			Name:        er.Name,
 			W:           er.W,
 			H:           er.H,
-			Samples:     len(er.Samples),
+			Samples:     len(er.SampleFeats),
 			CalibScores: len(er.CalibRaw),
 			HasVAE:      er.VAE != nil,
 			Supervised:  er.Classifier != nil,

@@ -118,7 +118,7 @@ func leanCheckpoint(t testing.TB) *Checkpoint {
 func TestLeanEntryEncoding(t *testing.T) {
 	full, _ := getFixtures(t)
 	stripped := &core.ModelEntry{
-		Name: full.Name, W: full.W, H: full.H, Samples: full.Samples, SampleFeats: full.SampleFeats,
+		Name: full.Name, W: full.W, H: full.H, SampleFeats: full.SampleFeats,
 		CalibRaw: full.CalibRaw, Calib: full.Calib, Classifier: full.Classifier, CalibSample: full.CalibSample,
 	}
 	stripped.SetQueryFn(full.QueryFn())

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"runtime/metrics"
 	"strconv"
 )
 
@@ -310,6 +311,24 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 			p("videodrift_stage_latency_hist_seconds_count{stage=%q} %d\n", st.Stage, st.Count)
 		}
 	}
+	return err
+}
+
+// WriteProcessPrometheus writes the families that describe the process
+// rather than one tracer's stream: the models in the fleet's table and
+// the heap's object bytes as the runtime accounts them, read on the
+// spot. An exposition carries them once, whichever tracer it was asked
+// for.
+func WriteProcessPrometheus(w io.Writer, registryModels int) error {
+	heap := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	metrics.Read(heap)
+	_, err := fmt.Fprintf(w, `# HELP videodrift_registry_models Models in the fleet's shared table: the provisioned ones plus every model trained since.
+# TYPE videodrift_registry_models gauge
+videodrift_registry_models %d
+# HELP videodrift_go_heap_objects_bytes Heap memory occupied by objects, live or not yet swept (runtime/metrics /memory/classes/heap/objects:bytes).
+# TYPE videodrift_go_heap_objects_bytes gauge
+videodrift_go_heap_objects_bytes %d
+`, registryModels, heap[0].Value.Uint64())
 	return err
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -334,6 +335,36 @@ videodrift_stage_latency_hist_seconds_count{stage="classify"} 1
 `
 	if got := b.String(); got != golden {
 		t.Errorf("Prometheus exposition drifted from golden.\n--- got ---\n%s\n--- want ---\n%s", got, golden)
+	}
+}
+
+// TestProcessPrometheusGolden locks the process families the same way.
+// The heap gauge is whatever the runtime says; its line is checked for
+// shape and a plausible value, then masked.
+func TestProcessPrometheusGolden(t *testing.T) {
+	var b strings.Builder
+	if err := WriteProcessPrometheus(&b, 7); err != nil {
+		t.Fatal(err)
+	}
+	got := b.String()
+	const family = "\nvideodrift_go_heap_objects_bytes "
+	i := strings.LastIndex(got, family)
+	if i < 0 {
+		t.Fatalf("no heap sample in:\n%s", got)
+	}
+	value := strings.TrimSuffix(got[i+len(family):], "\n")
+	if n, err := strconv.ParseUint(value, 10, 64); err != nil || n < 1<<10 || n > 1<<40 {
+		t.Errorf("heap objects sample %q is not a plausible byte count (%v)", value, err)
+	}
+	const golden = `# HELP videodrift_registry_models Models in the fleet's shared table: the provisioned ones plus every model trained since.
+# TYPE videodrift_registry_models gauge
+videodrift_registry_models 7
+# HELP videodrift_go_heap_objects_bytes Heap memory occupied by objects, live or not yet swept (runtime/metrics /memory/classes/heap/objects:bytes).
+# TYPE videodrift_go_heap_objects_bytes gauge
+videodrift_go_heap_objects_bytes N
+`
+	if masked := got[:i+len(family)] + "N\n"; masked != golden {
+		t.Errorf("process exposition drifted from golden.\n--- got ---\n%s\n--- want ---\n%s", masked, golden)
 	}
 }
 

@@ -8,6 +8,9 @@
 # each selector) and the ingest
 # tier's per-arrival path (Submit + Pump per frame, and the same frame
 # through the front door: socket → ACK → fed in place; 1 and 8 tenants),
+# the admission scan every frame passes (1024 pixels, against the
+# retained per-pixel loop) and what a model costs a checkpoint or a
+# replication delta (encode time and B/entry, lean and full),
 # and writes the results as machine-readable JSON.
 #
 # Usage:  scripts/bench_knn.sh [out.json]
@@ -24,7 +27,7 @@
 # model, GOMAXPROCS, online processors — a baseline from another box is
 # not a regression), then one entry per benchmark line with the parsed
 # iteration count and every reported metric (ns/op, B/op, allocs/op,
-# ns/frame) keyed by a JSON-safe unit name. The profiles cover the root
+# ns/frame, B/entry) keyed by a JSON-safe unit name. The profiles cover the root
 # package's benchmarks only: go test profiles one package per run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -50,7 +53,9 @@ raw=$(go test -run=NONE \
 	go test -run=NONE -bench 'AdamStep|ClassifierFit|ClassifierTrainStep' \
 		-benchtime "$benchtime" -count "$count" ./internal/nn ./internal/classifier
 	go test -run=NONE -bench 'RouterSubmitPump|ServeConnFrame' -benchmem \
-		-benchtime "$benchtime" -count "$count" ./internal/ingest)
+		-benchtime "$benchtime" -count "$count" ./internal/ingest
+	go test -run=NONE -bench 'PixelsProblem|EncodeEntry' \
+		-benchtime "$benchtime" -count "$count" ./internal/core ./internal/store)
 printf '%s\n' "$raw" >&2
 if [ -n "${PROFILE:-}" ]; then
 	echo "profiles in $PROFILE: cpu.out mutex.out block.out (resolve with $PROFILE/bench.test)" >&2

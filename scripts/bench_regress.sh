@@ -5,9 +5,11 @@
 # and one step of it, one serving-time training with and without the MSBO
 # ensemble, one tenant attach under each selector, the ingest router's
 # Submit + Pump per frame and the same frame through a loopback
-# connection) and fails when any of them
+# connection, the per-frame admission scan, one model entry's encoding)
+# and fails when any of them
 # lands more than THRESHOLD percent slower than the committed
-# BENCH_knn.json baseline. It prints the box the
+# BENCH_knn.json baseline — or, for the entry encoding, more than
+# THRESHOLD percent larger (B/entry). It prints the box the
 # baseline was recorded on next to this one: across boxes the deltas are
 # differences, not regressions.
 #
@@ -36,14 +38,19 @@ fi
 # The gated set: kernel-regime kNN scoring, the sharded fan-out,
 # training (the idle_late step is the one that cost ten dense steps; a
 # lean Provision near the full one means an MSBI training fits ensembles
-# again, an msbi attach near the msbo one that it calibrates them), and
-# the ingest pump and the connection loop, which run once per arrival.
+# again, an msbi attach near the msbo one that it calibrates them),
+# the ingest pump and the connection loop, which run once per arrival,
+# the admission scan, which runs once per frame, and a model entry's
+# encoding: its bytes are what every checkpoint, delta and standby holds
+# per model (an entry that carries pixels again is 50× over).
 raw=$(go test -run=NONE -bench 'KNNScore/sigma512x64|ShardedThroughput|Provision|AttachTenant' \
 	-benchtime "$benchtime" -count "$count" .
 	go test -run=NONE -bench 'AdamStep|ClassifierFit|ClassifierTrainStep' \
 		-benchtime "$benchtime" -count "$count" ./internal/nn ./internal/classifier
 	go test -run=NONE -bench 'RouterSubmitPump|ServeConnFrame' \
-		-benchtime "$benchtime" -count "$count" ./internal/ingest)
+		-benchtime "$benchtime" -count "$count" ./internal/ingest
+	go test -run=NONE -bench 'PixelsProblem/blocked|EncodeEntry' \
+		-benchtime "$benchtime" -count "$count" ./internal/core ./internal/store)
 printf '%s\n' "$raw" >&2
 
 printf '%s\n' "$raw" | awk -v thr="$threshold" -v baseline="$baseline" -v nproc="$(nproc)" '
@@ -61,6 +68,10 @@ BEGIN {
 		name = line; sub(/.*"name":"/, "", name); sub(/".*/, "", name)
 		ns = line; sub(/.*"ns_per_op":/, "", ns); sub(/[,}].*/, "", ns)
 		base[name] = ns + 0
+		if (line ~ /"B_per_entry":/) {
+			b = line; sub(/.*"B_per_entry":/, "", b); sub(/[,}].*/, "", b)
+			baseB[name] = b + 0
+		}
 	}
 }
 /^cpu:/ { sub(/^cpu: */, ""); cpu = $0 }
@@ -74,6 +85,8 @@ BEGIN {
 	if (!(name in cur) || ns < cur[name]) cur[name] = ns
 	order[name] = ++seen[name] > 1 ? order[name] : ++n
 	names[order[name]] = name
+	for (i = 5; i + 1 <= NF; i += 2)
+		if ($(i + 1) == "B/entry") curB[name] = $i + 0
 }
 END {
 	status = 0
@@ -90,6 +103,12 @@ END {
 		if (delta > thr) { verdict = "REGRESSION"; status = 1 }
 		printf "  %-9s %-55s %11.1f ns/op vs %11.1f committed (%+.1f%%)\n",
 			verdict, name, cur[name], base[name], delta
+		if (!(name in baseB)) continue
+		delta = (curB[name] / baseB[name] - 1) * 100
+		verdict = "ok"
+		if (delta > thr) { verdict = "REGRESSION"; status = 1 }
+		printf "  %-9s %-55s %11d B/entry vs %9d committed (%+.1f%%)\n",
+			verdict, name, curB[name], baseB[name], delta
 	}
 	if (n == 0) { print "bench_regress: no benchmark lines parsed"; status = 1 }
 	exit status
