@@ -8,6 +8,7 @@ package videodrift
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -492,27 +493,48 @@ func BenchmarkProvision(b *testing.B) {
 }
 
 // BenchmarkAttachTenant measures a tenant's first frame on a dynamic
-// fleet over the four boot models — NewPipeline, which under MSBO
-// calibrates the selector's thresholds (twelve ensemble scorings) and
-// under MSBI does not; a supervision restore pays the same.
+// fleet over the four boot models, attached as the server attaches it —
+// its own tracer with the default -ring, forensics on: NewPipeline, which
+// under MSBO calibrates the selector's thresholds (twelve ensemble
+// scorings) and under MSBI does not; a supervision restore pays the
+// same. B/tenant is what an attached tenant that has yet to see a frame
+// keeps on the heap: the shard, its recorder, and a tracer whose ring
+// holds no slot it has no event for.
 func BenchmarkAttachTenant(b *testing.B) {
 	for _, sel := range []Selector{MSBO, MSBI} {
 		b.Run(strings.ToLower(sel.String()), func(b *testing.B) {
 			cfg := servingConfig()
 			env := experiments.BuildEnvFor(dataset.BDD(cfg.Scale), cfg, query.Count, sel)
 			pcfg := env.PipelineConfig(sel)
-			sm := NewDynamicSharded(env.Registry.Entries(), env.Labeler(),
-				ShardedOptions{Options: Options{Provision: pcfg.Provision, Pipeline: pcfg}, Workers: 1})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				slot, err := sm.Attach(nil)
+			sm := NewDynamicSharded(env.Registry.Entries(), env.Labeler(), ShardedOptions{
+				Options: Options{Provision: pcfg.Provision, Pipeline: pcfg, Forensics: ForensicsConfig{Enabled: true}},
+				Workers: 1,
+			})
+			attach := func() int {
+				slot, err := sm.Attach(NewTracer(TracerConfig{RingSize: 4096}))
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := sm.Detach(slot); err != nil {
+				return slot
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := sm.Detach(attach()); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.StopTimer()
+			const held = 16
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			for i := 0; i < held; i++ {
+				attach()
+			}
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(after.HeapAlloc-before.HeapAlloc)/held, "B/tenant")
+			runtime.KeepAlive(sm)
 		})
 	}
 }

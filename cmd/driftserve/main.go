@@ -101,7 +101,7 @@ func main() {
 	flag.IntVar(&cfg.Batch, "batch", 1, "frames per shard per supervised micro-batch (1 = per-frame supervision)")
 	flag.Float64Var(&cfg.FPS, "fps", 240, "per-shard rate limit in frames/second (0 = unthrottled)")
 	flag.IntVar(&cfg.Frames, "frames", 0, "stop after this many frames across all shards (0 = loop forever)")
-	flag.IntVar(&cfg.Ring, "ring", 4096, "telemetry event-ring capacity per shard")
+	flag.IntVar(&cfg.Ring, "ring", 4096, "telemetry event-ring capacity per shard; allocated as events arrive")
 	flag.BoolVar(&cfg.PerFrame, "perframe", false, "also ring per-frame FrameObserved/MartingaleUpdate events")
 	flag.BoolVar(&cfg.Verbose, "v", false, "log drift/selection events to stderr as they happen")
 	flag.StringVar(&cfg.StateDir, "state-dir", "", "checkpoint directory for persistence and warm restart (empty = off)")

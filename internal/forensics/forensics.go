@@ -15,6 +15,7 @@ package forensics
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"videodrift/internal/core"
@@ -107,6 +108,13 @@ type Declaration struct {
 	Resolution Resolution `json:"resolution,omitzero"`
 }
 
+// Mark is a point the pre-roll can be replayed from: the pipeline
+// snapshot taken just before stream frame Frame.
+type Mark struct {
+	Frame int
+	Snap  core.PipelineSnapshot
+}
+
 // Recorder captures drift declarations from one pipeline's frame stream.
 // Its own locking makes reads (Declarations, Get, State) safe against
 // the owning monitor's Record calls, but Record itself must be
@@ -120,18 +128,13 @@ type Recorder struct {
 	frame int // next stream frame index (frames seen so far)
 
 	// Pre-roll state, maintained only while the pipeline is monitoring.
-	// ring holds the last ≤2·Window frames; base is the pipeline snapshot
-	// from just before ring[0] (stream frame baseFrame). mid is a
-	// checkpoint taken when the ring crossed Window frames, promoted to
-	// base when the ring is trimmed back to Window — so a declaration
-	// always has between Window and 2·Window pre-roll frames once the
-	// stream has run that long.
-	ring      []vidsim.Frame
-	base      core.PipelineSnapshot
-	baseFrame int
-	mid       core.PipelineSnapshot
-	midFrame  int
-	haveMid   bool
+	// ring holds the frames since marks[0], the replay base; a further
+	// mark is taken every step frames, and the oldest mark goes, with the
+	// frames before the next one, as soon as the ring holds Window frames
+	// without them — so a declaration has at least Window and fewer than
+	// Window+step pre-roll frames once the stream has run that long.
+	ring  []vidsim.Frame
+	marks []Mark
 
 	// pending is true between a declaration and the pipeline's return to
 	// monitoring; pre-roll collection is suspended in between.
@@ -188,31 +191,31 @@ func (r *Recorder) Record(pipe *core.Pipeline, f vidsim.Frame, out core.Outcome)
 		return
 	}
 
+	// The one trim rule: the oldest mark goes while the frames from the
+	// next one, this frame included, still number Window. It is also what
+	// ages out a restored legacy base, Window frames before its mid.
+	// slices.Delete, here and below, zeroes the slots it vacates: a frame
+	// header left beyond len would pin its pixels.
+	for len(r.marks) > 1 && frame+1-r.marks[1].Frame >= r.cfg.Window {
+		r.ring = slices.Delete(r.ring, 0, r.marks[1].Frame-r.marks[0].Frame)
+		r.marks = slices.Delete(r.marks, 0, 1)
+	}
 	r.ring = append(r.ring, f)
 	if out.Drift {
 		r.capture(pipe, frame)
 		r.pending = true
 		return
 	}
-	w := r.cfg.Window
-	if len(r.ring) >= 2*w && r.haveMid {
-		// Trim the oldest Window frames; the mid checkpoint becomes the
-		// new replay base and a fresh mid is taken at the cut.
-		r.ring = append(r.ring[:0], r.ring[w:]...)
-		r.base, r.baseFrame = r.mid, r.midFrame
-		r.mid, r.midFrame = pipe.Snapshot(), frame+1
-	} else if len(r.ring) == w {
-		r.mid, r.midFrame, r.haveMid = pipe.Snapshot(), frame+1, true
+	if frame+1-r.marks[len(r.marks)-1].Frame >= max(1, r.cfg.Window/8) {
+		r.marks = append(r.marks, Mark{Frame: frame + 1, Snap: pipe.Snapshot()})
 	}
 }
 
 // resetPreRoll restarts pre-roll collection from pipe's current state;
 // nextFrame is the stream index of the next frame the ring will hold.
 func (r *Recorder) resetPreRoll(pipe *core.Pipeline, nextFrame int) {
-	r.base = pipe.Snapshot()
-	r.baseFrame = nextFrame
-	r.ring = r.ring[:0]
-	r.haveMid = false
+	r.ring = slices.Delete(r.ring, 0, len(r.ring))
+	r.marks = append(slices.Delete(r.marks, 0, len(r.marks)), Mark{Frame: nextFrame, Snap: pipe.Snapshot()})
 }
 
 // capture freezes the open pre-roll into a Declaration for the drift
@@ -229,13 +232,13 @@ func (r *Recorder) capture(pipe *core.Pipeline, frame int) {
 		WindowDelta: di.WindowDelta(),
 		MeanP:       di.MeanP(),
 		Attribution: di.Attribution(),
-		BaseFrame:   r.baseFrame,
-		Base:        r.base,
-		Frames:      append([]vidsim.Frame(nil), r.ring...),
+		BaseFrame:   r.marks[0].Frame,
+		Base:        r.marks[0].Snap,
+		Frames:      slices.Clone(r.ring),
 	}
 	r.recs = append(r.recs, d)
 	if len(r.recs) > r.cfg.Keep {
-		r.recs = append(r.recs[:0], r.recs[len(r.recs)-r.cfg.Keep:]...)
+		r.recs = slices.Delete(r.recs, 0, len(r.recs)-r.cfg.Keep)
 	}
 }
 
@@ -257,12 +260,8 @@ func (r *Recorder) resolve(frame int, out core.Outcome, abandoned bool) {
 	}
 	// The selector's per-candidate outcomes live in the tracer's event
 	// ring; the latest SelectionResolved belongs to this declaration.
-	evs := r.tracer.Events()
-	for i := len(evs) - 1; i >= 0; i-- {
-		if evs[i].Kind == telemetry.KindSelectionResolved {
-			d.Resolution.Candidates = evs[i].Candidates
-			break
-		}
+	if e, ok := r.tracer.Last(telemetry.KindSelectionResolved); ok {
+		d.Resolution.Candidates = e.Candidates
 	}
 }
 
@@ -296,20 +295,22 @@ func (r *Recorder) Get(id string) (Declaration, bool) {
 // RecorderState is the serializable copy of a Recorder, persisted per
 // shard inside checkpoints. It is a value type (no pointers) so gob
 // round-trips it unambiguously; Enabled distinguishes a real state from
-// the zero value a forensics-less checkpoint carries.
+// the zero value a forensics-less checkpoint carries. Base, Mid and
+// their companions are how a state written before the mark queue spells
+// its (at most two) marks: Restore reads them, State leaves them zero.
 //
-//driftlint:snapshot encode=Recorder.State decode=Restore
+//driftlint:snapshot encode=Recorder.State decode=Restore,Recorder.Rewind
 type RecorderState struct {
 	Enabled      bool
 	Window       int
 	Keep         int
 	Frame        int
 	Ring         []vidsim.Frame
-	Base         core.PipelineSnapshot
-	BaseFrame    int
-	Mid          core.PipelineSnapshot
-	MidFrame     int
-	HaveMid      bool
+	Marks        []Mark
+	Base, Mid    core.PipelineSnapshot //lint:allow snapshotsync legacy spelling of Marks, decode only
+	BaseFrame    int                   //lint:allow snapshotsync legacy spelling of Marks, decode only
+	MidFrame     int                   //lint:allow snapshotsync legacy spelling of Marks, decode only
+	HaveMid      bool                  //lint:allow snapshotsync legacy spelling of Marks, decode only
 	Pending      bool
 	Declarations []Declaration
 }
@@ -327,14 +328,10 @@ func (r *Recorder) State() RecorderState {
 		Window:       r.cfg.Window,
 		Keep:         r.cfg.Keep,
 		Frame:        r.frame,
-		Ring:         append([]vidsim.Frame(nil), r.ring...),
-		Base:         r.base,
-		BaseFrame:    r.baseFrame,
-		Mid:          r.mid,
-		MidFrame:     r.midFrame,
-		HaveMid:      r.haveMid,
+		Ring:         slices.Clone(r.ring),
+		Marks:        slices.Clone(r.marks),
 		Pending:      r.pending,
-		Declarations: append([]Declaration(nil), r.recs...),
+		Declarations: slices.Clone(r.recs),
 	}
 }
 
@@ -349,22 +346,23 @@ func Restore(s RecorderState, tracer *telemetry.Tracer) (*Recorder, error) {
 	if s.Window <= 0 || s.Keep <= 0 {
 		return nil, fmt.Errorf("forensics: recorder state has invalid sizing (window=%d keep=%d)", s.Window, s.Keep)
 	}
-	if s.Frame < 0 || s.BaseFrame < 0 || s.BaseFrame > s.Frame {
-		return nil, fmt.Errorf("forensics: recorder state has inconsistent frames (frame=%d base=%d)", s.Frame, s.BaseFrame)
+	if len(s.Marks) == 0 {
+		s.Marks = []Mark{{Frame: s.BaseFrame, Snap: s.Base}}
+		if s.HaveMid {
+			s.Marks = append(s.Marks, Mark{Frame: s.MidFrame, Snap: s.Mid})
+		}
 	}
-	return &Recorder{
-		cfg:       Config{Enabled: true, Window: s.Window, Keep: s.Keep},
-		tracer:    tracer,
-		frame:     s.Frame,
-		ring:      append([]vidsim.Frame(nil), s.Ring...),
-		base:      s.Base,
-		baseFrame: s.BaseFrame,
-		mid:       s.Mid,
-		midFrame:  s.MidFrame,
-		haveMid:   s.HaveMid,
-		pending:   s.Pending,
-		recs:      append([]Declaration(nil), s.Declarations...),
-	}, nil
+	// Record cuts the ring by the distance between marks: they must run
+	// forward to the head, the first of them at ring[0] (a pre-roll that a
+	// pending selection suspended is discarded unread).
+	first, last := s.Marks[0].Frame, s.Marks[len(s.Marks)-1].Frame
+	if !slices.IsSortedFunc(s.Marks, func(a, b Mark) int { return a.Frame - b.Frame }) ||
+		first < 0 || last > s.Frame || !s.Pending && s.Frame-first != len(s.Ring) {
+		return nil, fmt.Errorf("forensics: recorder state has inconsistent frames (frame=%d base=%d ring=%d)", s.Frame, first, len(s.Ring))
+	}
+	r := &Recorder{cfg: Config{Enabled: true, Window: s.Window, Keep: s.Keep}, tracer: tracer}
+	r.Rewind(s)
+	return r, nil
 }
 
 // Rewind restores the recorder's live state to a snapshot previously
@@ -383,12 +381,8 @@ func (r *Recorder) Rewind(s RecorderState) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.frame = s.Frame
-	r.ring = append(r.ring[:0], s.Ring...)
-	r.base = s.Base
-	r.baseFrame = s.BaseFrame
-	r.mid = s.Mid
-	r.midFrame = s.MidFrame
-	r.haveMid = s.HaveMid
+	r.ring = slices.Clone(s.Ring)
+	r.marks = slices.Clone(s.Marks)
 	r.pending = s.Pending
-	r.recs = append(r.recs[:0], s.Declarations...)
+	r.recs = slices.Clone(s.Declarations)
 }

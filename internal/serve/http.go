@@ -12,6 +12,7 @@ import (
 
 	"videodrift"
 	"videodrift/internal/telemetry"
+	"videodrift/internal/vidsim"
 )
 
 // handler routes the HTTP surface. Every route resolves the fleet per
@@ -101,17 +102,53 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, tr *telem
 			log.Printf("/metrics (ingest): %v", err)
 		}
 	}
-	models := 0
-	if f != nil {
-		models = f.mon.Models()
-	} else if s.sb != nil { // a standby holds the table it was last sent
-		if cp := s.sb.Latest(); cp != nil {
-			models = len(cp.Entries)
-		}
-	}
-	if err := telemetry.WriteProcessPrometheus(w, models); err != nil {
+	if err := telemetry.WriteProcessPrometheus(w, s.holders(f)); err != nil {
 		log.Printf("/metrics (process): %v", err)
 	}
+}
+
+// holders counts what the process retains, for one /metrics answer: the
+// model table (on a standby the one it was last sent), the frames every
+// attached shard's recorder holds, and the event rings of the base
+// tracer and the attached shards'.
+func (s *Server) holders(f *fleet) telemetry.Process {
+	var p telemetry.Process
+	p.RingEvents, p.RingCapacity = s.base.RingUse()
+	if f == nil {
+		if s.sb != nil {
+			if cp := s.sb.Latest(); cp != nil {
+				p.RegistryModels = len(cp.Entries)
+			}
+		}
+		return p
+	}
+	p.RegistryModels = f.mon.Models()
+	for k := 0; k < f.mon.Shards(); k++ {
+		m := f.mon.Shard(k)
+		if m == nil {
+			continue
+		}
+		st := m.Forensics().State()
+		var lists [][]vidsim.Frame
+		if !st.Pending { // a suspended pre-roll is the newest declaration's
+			lists = append(lists, st.Ring)
+		}
+		for _, d := range st.Declarations {
+			lists = append(lists, d.Frames)
+		}
+		for _, fs := range lists {
+			p.RetainedFrames += len(fs)
+			for i := range fs {
+				p.RetainedBytes += 8 * len(fs[i].Pixels)
+			}
+		}
+		if tr := m.Telemetry(); tr != s.base {
+			events, capacity := tr.RingUse()
+			p.RingEvents += events
+			p.RingCapacity += capacity
+		}
+	}
+	return p
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, tr *telemetry.Tracer) {

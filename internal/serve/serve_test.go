@@ -436,16 +436,42 @@ func TestTenantTelemetry(t *testing.T) {
 	}
 	// The process families ride every exposition once, whichever tracer it
 	// was asked for.
-	models := fmt.Sprintf("\nvideodrift_registry_models %d\n", s.flt.Load().mon.Models())
+	mon := s.flt.Load().mon
+	// The holders, counted from what each shard's recorder and tracer hand
+	// out: the pump has drained, so a scrape must find the same.
+	retained, ringed := 0, len(s.base.Events())
+	for k := 0; k < tenants; k++ {
+		st := mon.Shard(k).Forensics().State()
+		if !st.Pending {
+			retained += len(st.Ring)
+		}
+		for _, d := range st.Declarations {
+			retained += len(d.Frames)
+		}
+		ringed += len(mon.Shard(k).Telemetry().Events())
+	}
+	if retained == 0 || ringed < declared {
+		t.Fatalf("%d declarations, yet %d frames retained and %d events ringed", declared, retained, ringed)
+	}
+	samples := []string{
+		fmt.Sprintf("\nvideodrift_registry_models %d\n", mon.Models()),
+		fmt.Sprintf("\nvideodrift_forensics_retained_frames %d\n", retained),
+		fmt.Sprintf("\nvideodrift_forensics_retained_bytes %d\n", retained*8*len(streams[0][0].Pixels)),
+		fmt.Sprintf("\nvideodrift_events_ring_events %d\n", ringed),
+		fmt.Sprintf("\nvideodrift_events_ring_capacity %d\n", (tenants+1)*cfg.Ring),
+	}
 	for _, path := range []string{"/metrics", "/metrics?shard=1", "/metrics?tenant=" + drifted} {
 		_, body := fetch(t, s, path)
-		for _, family := range []string{"videodrift_registry_models", "videodrift_go_heap_objects_bytes", "videodrift_frames_total", "ingest_tenants_known"} {
+		for _, family := range []string{"videodrift_registry_models", "videodrift_forensics_retained_frames", "videodrift_forensics_retained_bytes",
+			"videodrift_events_ring_events", "videodrift_events_ring_capacity", "videodrift_go_heap_objects_bytes", "videodrift_frames_total", "ingest_tenants_known"} {
 			if n := strings.Count(body, "# TYPE "+family+" "); n != 1 {
 				t.Errorf("GET %s declares %s %d times, want once", path, family, n)
 			}
 		}
-		if !strings.Contains(body, models) {
-			t.Errorf("GET %s: want %q in\n%s", path, models, body)
+		for _, want := range samples {
+			if !strings.Contains(body, want) {
+				t.Errorf("GET %s: want %q in\n%s", path, want, body)
+			}
 		}
 	}
 	// An idle-evicted tenant's slot is detached, but its history is kept

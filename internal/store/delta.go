@@ -90,10 +90,11 @@ type FrameRun struct {
 
 // walkFrameLists calls fn with a pointer to every frame list the shards
 // hold, in the canonical order frame references count positions in:
-// shard by shard, the selection buffer, the forensics pre-roll and its
-// two replay bases, then each retained declaration's replay base and
-// frames. TestWalkCoversEveryFrameList fails when a frame list is added
-// to the shard state and not here.
+// shard by shard, the selection buffer, the forensics pre-roll, the two
+// replay bases of a state written before the mark queue, the marks, then
+// each retained declaration's replay base and frames.
+// TestWalkCoversEveryFrameList fails when a frame list is added to the
+// shard state and not here.
 func walkFrameLists(shards []ShardState, fn func(list *[]vidsim.Frame)) {
 	for si := range shards {
 		sh := &shards[si]
@@ -101,6 +102,9 @@ func walkFrameLists(shards []ShardState, fn func(list *[]vidsim.Frame)) {
 		fn(&sh.Forensics.Ring)
 		fn(&sh.Forensics.Base.Buffer)
 		fn(&sh.Forensics.Mid.Buffer)
+		for mi := range sh.Forensics.Marks {
+			fn(&sh.Forensics.Marks[mi].Snap.Buffer)
+		}
 		for di := range sh.Forensics.Declarations {
 			d := &sh.Forensics.Declarations[di]
 			fn(&d.Base.Buffer)
@@ -115,6 +119,7 @@ func walkFrameLists(shards []ShardState, fn func(list *[]vidsim.Frame)) {
 func cloneShards(shards []ShardState) []ShardState {
 	out := slices.Clone(shards)
 	for i := range out {
+		out[i].Forensics.Marks = slices.Clone(out[i].Forensics.Marks)
 		out[i].Forensics.Declarations = slices.Clone(out[i].Forensics.Declarations)
 	}
 	return out

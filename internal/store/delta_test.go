@@ -99,11 +99,14 @@ func TestWalkCoversEveryFrameList(t *testing.T) {
 		return 0
 	}
 	want := count(reflect.TypeOf(ShardState{}))
-	shards := []ShardState{{Forensics: forensics.RecorderState{Declarations: make([]forensics.Declaration, 1)}}}
+	shards := []ShardState{{Forensics: forensics.RecorderState{
+		Marks:        make([]forensics.Mark, 1),
+		Declarations: make([]forensics.Declaration, 1),
+	}}}
 	got := 0
 	walkFrameLists(shards, func(*[]vidsim.Frame) { got++ })
 	if got != want {
-		t.Fatalf("walkFrameLists visits %d frame lists of a one-declaration shard, its type holds %d", got, want)
+		t.Fatalf("walkFrameLists visits %d frame lists of a one-mark, one-declaration shard, its type holds %d", got, want)
 	}
 }
 

@@ -32,6 +32,9 @@ func FuzzDecode(f *testing.F) {
 	// What a build from before pixel-space Σ left the entry wrote.
 	legacy, _ := legacyEncode(f, testCheckpoint(f))
 	f.Add(legacy)
+	// And one from before the forensics mark queue: two replay bases.
+	premark, _ := legacyRecorderCheckpoint(f, 117)
+	f.Add(premark)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cp, err := Decode(data)

@@ -137,11 +137,7 @@ func (t *Tracer) Snapshot() Snapshot {
 		}
 		s.Stages = append(s.Stages, t.stages[st].snapshot(st.String()))
 	}
-	s.Events = make([]Event, t.n)
-	start := (t.head - t.n + len(t.ring)) % len(t.ring)
-	for i := 0; i < t.n; i++ {
-		s.Events[i] = t.ring[(start+i)%len(t.ring)]
-	}
+	s.Events = t.events()
 	return s
 }
 
@@ -314,21 +310,43 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 	return err
 }
 
+// Process is what a server holds beyond any one tracer's stream, counted
+// when an exposition is asked for: the models in the fleet's table, the
+// frames (and their pixel bytes) the forensics recorders pin in
+// pre-rolls and declarations, and the tracers' event slots in use and
+// allowed.
+type Process struct {
+	RegistryModels                int
+	RetainedFrames, RetainedBytes int
+	RingEvents, RingCapacity      int
+}
+
 // WriteProcessPrometheus writes the families that describe the process
-// rather than one tracer's stream: the models in the fleet's table and
-// the heap's object bytes as the runtime accounts them, read on the
-// spot. An exposition carries them once, whichever tracer it was asked
-// for.
-func WriteProcessPrometheus(w io.Writer, registryModels int) error {
+// rather than one tracer's stream: p's holders and the heap's object
+// bytes as the runtime accounts them, read on the spot. An exposition
+// carries them once, whichever tracer it was asked for.
+func WriteProcessPrometheus(w io.Writer, p Process) error {
 	heap := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
 	metrics.Read(heap)
 	_, err := fmt.Fprintf(w, `# HELP videodrift_registry_models Models in the fleet's shared table: the provisioned ones plus every model trained since.
 # TYPE videodrift_registry_models gauge
 videodrift_registry_models %d
+# HELP videodrift_forensics_retained_frames Frames the forensics recorders hold: open pre-rolls plus retained declarations.
+# TYPE videodrift_forensics_retained_frames gauge
+videodrift_forensics_retained_frames %d
+# HELP videodrift_forensics_retained_bytes Pixel bytes of the frames the forensics recorders hold.
+# TYPE videodrift_forensics_retained_bytes gauge
+videodrift_forensics_retained_bytes %d
+# HELP videodrift_events_ring_events Events held in the tracers' rings.
+# TYPE videodrift_events_ring_events gauge
+videodrift_events_ring_events %d
+# HELP videodrift_events_ring_capacity Events the tracers' rings may hold (-ring per tracer); slots are allocated as events arrive.
+# TYPE videodrift_events_ring_capacity gauge
+videodrift_events_ring_capacity %d
 # HELP videodrift_go_heap_objects_bytes Heap memory occupied by objects, live or not yet swept (runtime/metrics /memory/classes/heap/objects:bytes).
 # TYPE videodrift_go_heap_objects_bytes gauge
 videodrift_go_heap_objects_bytes %d
-`, registryModels, heap[0].Value.Uint64())
+`, p.RegistryModels, p.RetainedFrames, p.RetainedBytes, p.RingEvents, p.RingCapacity, heap[0].Value.Uint64())
 	return err
 }
 

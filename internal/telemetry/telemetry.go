@@ -352,7 +352,8 @@ type Event struct {
 
 // Config parameterizes a Tracer. The zero value is usable.
 type Config struct {
-	// RingSize is how many events the ring retains (default 1024).
+	// RingSize is how many events the ring retains at most (default
+	// 1024). It is a capacity: the ring is allocated as events arrive.
 	RingSize int
 	// PerFrame also records the per-frame FrameObserved and
 	// MartingaleUpdate events in the ring. Off by default: they are
@@ -372,9 +373,9 @@ type Tracer struct {
 	perFrame bool
 
 	seq  uint64
-	ring []Event
-	head int // next write position
-	n    int // live events in the ring
+	ring []Event // grows by append to size events, then wraps
+	size int     // Config.RingSize
+	head int     // oldest event, once the ring has wrapped
 
 	counts      [kindCount]uint64
 	stateFrames [stateCount]uint64
@@ -408,7 +409,7 @@ func New(cfg Config) *Tracer {
 	return &Tracer{
 		now:      cfg.Now,
 		perFrame: cfg.PerFrame,
-		ring:     make([]Event, cfg.RingSize),
+		size:     cfg.RingSize,
 		curFrame: -1,
 	}
 }
@@ -438,13 +439,22 @@ func (t *Tracer) emit(e Event, ring bool) {
 	e.TimeUnixNano = t.now().UnixNano()
 	e.Frame = t.curFrame
 	t.counts[e.Kind]++
-	if ring {
-		t.ring[t.head] = e
-		t.head = (t.head + 1) % len(t.ring)
-		if t.n < len(t.ring) {
-			t.n++
-		}
+	if !ring {
+		return
 	}
+	if len(t.ring) < t.size {
+		t.ring = append(t.ring, e)
+		return
+	}
+	t.ring[t.head] = e
+	t.head = (t.head + 1) % t.size
+}
+
+// events copies the ring, oldest first. The caller holds t.mu.
+func (t *Tracer) events() []Event {
+	out := make([]Event, 0, len(t.ring))
+	out = append(out, t.ring[t.head:]...)
+	return append(out, t.ring[:t.head]...)
 }
 
 // FrameObserved advances the tracer's frame counter and counts the frame
@@ -729,10 +739,30 @@ func (t *Tracer) Events() []Event {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Event, t.n)
-	start := (t.head - t.n + len(t.ring)) % len(t.ring)
-	for i := 0; i < t.n; i++ {
-		out[i] = t.ring[(start+i)%len(t.ring)]
+	return t.events()
+}
+
+// Last returns the newest retained event of the given kind.
+func (t *Tracer) Last(kind Kind) (Event, bool) {
+	if t == nil {
+		return Event{}, false
 	}
-	return out
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for i := len(t.ring) - 1; i >= 0; i-- {
+		if e := &t.ring[(t.head+i)%len(t.ring)]; e.Kind == kind {
+			return *e, true
+		}
+	}
+	return Event{}, false
+}
+
+// RingUse returns how many events the ring holds and its capacity.
+func (t *Tracer) RingUse() (events, capacity int) {
+	if t == nil {
+		return 0, 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.ring), t.size
 }

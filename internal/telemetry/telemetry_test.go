@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // --- Histogram bucket math ---
@@ -122,6 +123,86 @@ func TestRingBufferWraparound(t *testing.T) {
 	}
 }
 
+// TestTracerRingOnDemand is the ring's footprint gate: RingSize is a
+// capacity, so a fresh tracer retains its own struct and no event slots,
+// the ring grows to RingSize and no further, and every reader is safe
+// before the first event.
+func TestTracerRingOnDemand(t *testing.T) {
+	const size = 4096
+	tr := New(Config{RingSize: size})
+	if retained := unsafe.Sizeof(*tr) + uintptr(cap(tr.ring))*unsafe.Sizeof(Event{}); retained >= 8<<10 {
+		t.Errorf("a fresh tracer retains %d bytes (%d event slots), want < 8 KB", retained, cap(tr.ring))
+	}
+	if allocs := testing.AllocsPerRun(10, func() { New(Config{RingSize: size}) }); allocs > 1 {
+		t.Errorf("New makes %.0f allocations, want the tracer alone", allocs)
+	}
+	if evs := tr.Events(); len(evs) != 0 {
+		t.Errorf("empty tracer returned %d events", len(evs))
+	}
+	if s := tr.Snapshot(); len(s.Events) != 0 {
+		t.Errorf("empty tracer's snapshot holds %d events", len(s.Events))
+	}
+	if e, ok := tr.Last(KindDriftDeclared); ok {
+		t.Errorf("empty tracer's Last found %+v", e)
+	}
+	if n, c := tr.RingUse(); n != 0 || c != size {
+		t.Errorf("empty RingUse = %d of %d, want 0 of %d", n, c, size)
+	}
+
+	const total = 10000
+	for i := 0; i < total; i++ {
+		tr.DriftDeclared("m", i, 0, 0, 0, 0, nil)
+	}
+	evs := tr.Events()
+	if len(evs) != size || len(tr.Snapshot().Events) != size {
+		t.Fatalf("ring holds %d events after %d, want exactly %d", len(evs), total, size)
+	}
+	for i, e := range evs {
+		if e.Lag != total-size+i {
+			t.Fatalf("event %d is emission %d, want %d (the last %d, oldest first)", i, e.Lag, total-size+i, size)
+		}
+	}
+	if n, c := tr.RingUse(); n != size || c != size {
+		t.Errorf("full RingUse = %d of %d, want %d of %d", n, c, size, size)
+	}
+}
+
+// TestTracerLast: the newest event of a kind, before and after the ring
+// wraps, absent kinds, and the nil tracer.
+func TestTracerLast(t *testing.T) {
+	tr := New(Config{RingSize: 4})
+	tr.SelectionResolved("MSBI", "early", 1, nil)
+	tr.ModelDeployed("m")
+	if e, ok := tr.Last(KindSelectionResolved); !ok || e.Model != "early" {
+		t.Errorf("unwrapped ring: Last = %+v, %v; want the selection of \"early\"", e, ok)
+	}
+	for i := 0; i < 3; i++ { // wraps: the newest event lands in slot 0
+		if i == 1 {
+			tr.SelectionResolved("MSBI", "late", 2, nil)
+			continue
+		}
+		tr.DriftDeclared("m", i, 0, 0, 0, 0, nil)
+	}
+	if e, ok := tr.Last(KindSelectionResolved); !ok || e.Model != "late" {
+		t.Errorf("wrapped ring: Last = %+v, %v; want the selection of \"late\"", e, ok)
+	}
+	if e, ok := tr.Last(KindDriftDeclared); !ok || e.Lag != 2 {
+		t.Errorf("wrapped ring: newest drift = %+v, %v; want lag 2 (the slot behind head)", e, ok)
+	}
+	if e, ok := tr.Last(KindModelTrained); ok {
+		t.Errorf("Last found an event of a kind never emitted: %+v", e)
+	}
+	for i := 3; i < 6; i++ {
+		tr.DriftDeclared("m", i, 0, 0, 0, 0, nil)
+	}
+	if e, ok := tr.Last(KindSelectionResolved); ok {
+		t.Errorf("Last found an evicted event: %+v", e)
+	}
+	if e, ok := (*Tracer)(nil).Last(KindDriftDeclared); ok {
+		t.Errorf("nil tracer's Last found %+v", e)
+	}
+}
+
 func TestPerFrameEventsGated(t *testing.T) {
 	quiet := New(Config{RingSize: 16})
 	quiet.FrameObserved(StateMonitoring)
@@ -208,6 +289,9 @@ func TestNilTracerIsSafe(t *testing.T) {
 	}
 	if s := tr.Snapshot(); s.Frames != 0 || len(s.Stages) != 0 {
 		t.Errorf("nil tracer snapshot not zero: %+v", s)
+	}
+	if n, c := tr.RingUse(); n != 0 || c != 0 {
+		t.Errorf("nil tracer RingUse = %d of %d", n, c)
 	}
 }
 
@@ -343,7 +427,7 @@ videodrift_stage_latency_hist_seconds_count{stage="classify"} 1
 // shape and a plausible value, then masked.
 func TestProcessPrometheusGolden(t *testing.T) {
 	var b strings.Builder
-	if err := WriteProcessPrometheus(&b, 7); err != nil {
+	if err := WriteProcessPrometheus(&b, Process{RegistryModels: 7, RetainedFrames: 72, RetainedBytes: 589824, RingEvents: 5, RingCapacity: 4096}); err != nil {
 		t.Fatal(err)
 	}
 	got := b.String()
@@ -359,6 +443,18 @@ func TestProcessPrometheusGolden(t *testing.T) {
 	const golden = `# HELP videodrift_registry_models Models in the fleet's shared table: the provisioned ones plus every model trained since.
 # TYPE videodrift_registry_models gauge
 videodrift_registry_models 7
+# HELP videodrift_forensics_retained_frames Frames the forensics recorders hold: open pre-rolls plus retained declarations.
+# TYPE videodrift_forensics_retained_frames gauge
+videodrift_forensics_retained_frames 72
+# HELP videodrift_forensics_retained_bytes Pixel bytes of the frames the forensics recorders hold.
+# TYPE videodrift_forensics_retained_bytes gauge
+videodrift_forensics_retained_bytes 589824
+# HELP videodrift_events_ring_events Events held in the tracers' rings.
+# TYPE videodrift_events_ring_events gauge
+videodrift_events_ring_events 5
+# HELP videodrift_events_ring_capacity Events the tracers' rings may hold (-ring per tracer); slots are allocated as events arrive.
+# TYPE videodrift_events_ring_capacity gauge
+videodrift_events_ring_capacity 4096
 # HELP videodrift_go_heap_objects_bytes Heap memory occupied by objects, live or not yet swept (runtime/metrics /memory/classes/heap/objects:bytes).
 # TYPE videodrift_go_heap_objects_bytes gauge
 videodrift_go_heap_objects_bytes N

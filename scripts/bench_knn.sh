@@ -5,7 +5,7 @@
 # training benchmarks (one Adam step dense and with idle coordinates, one
 # experiment-scale classifier fit and one step of it, one serving-time
 # training with and without the MSBO ensemble, one tenant attach under
-# each selector) and the ingest
+# each selector and the B/tenant it leaves on the heap) and the ingest
 # tier's per-arrival path (Submit + Pump per frame, and the same frame
 # through the front door: socket → ACK → fed in place; 1 and 8 tenants),
 # the admission scan every frame passes (1024 pixels, against the
@@ -27,7 +27,7 @@
 # model, GOMAXPROCS, online processors — a baseline from another box is
 # not a regression), then one entry per benchmark line with the parsed
 # iteration count and every reported metric (ns/op, B/op, allocs/op,
-# ns/frame, B/entry) keyed by a JSON-safe unit name. The profiles cover the root
+# ns/frame, B/entry, B/tenant) keyed by a JSON-safe unit name. The profiles cover the root
 # package's benchmarks only: go test profiles one package per run.
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -8,8 +8,10 @@
 # connection, the per-frame admission scan, one model entry's encoding)
 # and fails when any of them
 # lands more than THRESHOLD percent slower than the committed
-# BENCH_knn.json baseline — or, for the entry encoding, more than
-# THRESHOLD percent larger (B/entry). It prints the box the
+# BENCH_knn.json baseline — or, for the entry encoding and the tenant
+# attach, more than THRESHOLD percent larger (B/entry, B/tenant: what a
+# model costs a checkpoint and what an attached tenant keeps on the heap
+# before its first frame). It prints the box the
 # baseline was recorded on next to this one: across boxes the deltas are
 # differences, not regressions.
 #
@@ -42,7 +44,8 @@ fi
 # the ingest pump and the connection loop, which run once per arrival,
 # the admission scan, which runs once per frame, and a model entry's
 # encoding: its bytes are what every checkpoint, delta and standby holds
-# per model (an entry that carries pixels again is 50× over).
+# per model (an entry that carries pixels again is 50× over; a tracer
+# that allocates its whole event ring at attach is 60× over on B/tenant).
 raw=$(go test -run=NONE -bench 'KNNScore/sigma512x64|ShardedThroughput|Provision|AttachTenant' \
 	-benchtime "$benchtime" -count "$count" .
 	go test -run=NONE -bench 'AdamStep|ClassifierFit|ClassifierTrainStep' \
@@ -68,8 +71,9 @@ BEGIN {
 		name = line; sub(/.*"name":"/, "", name); sub(/".*/, "", name)
 		ns = line; sub(/.*"ns_per_op":/, "", ns); sub(/[,}].*/, "", ns)
 		base[name] = ns + 0
-		if (line ~ /"B_per_entry":/) {
-			b = line; sub(/.*"B_per_entry":/, "", b); sub(/[,}].*/, "", b)
+		if (match(line, /"B_per_(entry|tenant)":/)) {
+			unitB[name] = "B/" substr(line, RSTART + 7, RLENGTH - 9)
+			b = substr(line, RSTART + RLENGTH); sub(/[,}].*/, "", b)
 			baseB[name] = b + 0
 		}
 	}
@@ -86,7 +90,7 @@ BEGIN {
 	order[name] = ++seen[name] > 1 ? order[name] : ++n
 	names[order[name]] = name
 	for (i = 5; i + 1 <= NF; i += 2)
-		if ($(i + 1) == "B/entry") curB[name] = $i + 0
+		if ($(i + 1) ~ /^B\/(entry|tenant)$/) curB[name] = $i + 0
 }
 END {
 	status = 0
@@ -107,8 +111,8 @@ END {
 		delta = (curB[name] / baseB[name] - 1) * 100
 		verdict = "ok"
 		if (delta > thr) { verdict = "REGRESSION"; status = 1 }
-		printf "  %-9s %-55s %11d B/entry vs %9d committed (%+.1f%%)\n",
-			verdict, name, curB[name], baseB[name], delta
+		printf "  %-9s %-55s %11d %s vs %9d committed (%+.1f%%)\n",
+			verdict, name, curB[name], unitB[name], baseB[name], delta
 	}
 	if (n == 0) { print "bench_regress: no benchmark lines parsed"; status = 1 }
 	exit status
