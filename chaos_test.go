@@ -174,6 +174,7 @@ func TestChaosReplayDeterminism(t *testing.T) {
 			}
 			delivered := deliverStreams(inj, streams)
 			opts := Defaults(facadeDim, facadeClasses)
+			opts.Forensics = ForensicsConfig{Enabled: true}
 			sm := NewShardedMonitor(models, facadeLabeler, ShardedOptions{
 				Options: opts, Shards: shards, Faults: inj,
 			})
@@ -181,6 +182,13 @@ func TestChaosReplayDeterminism(t *testing.T) {
 			deployed := make([]string, shards)
 			for s := range deployed {
 				deployed[s] = sm.Shard(s).Current()
+				// What the recorder kept of a stream with corrupt frames in
+				// it, across supervisor restores, still replays.
+				for _, d := range sm.Shard(s).Forensics().Declarations() {
+					if rep, err := sm.Shard(s).Explain(d.ID); err != nil || !rep.Replay.Matches {
+						t.Errorf("seed %d shard %d %s: replay matches=%v, err %v", seed, s, d.ID, rep.Replay.Matches, err)
+					}
+				}
 			}
 			return events, deployed, sm.Stats()
 		}

@@ -108,7 +108,7 @@ func main() {
 	flag.DurationVar(&cfg.CheckpointEvery, "checkpoint-every", 30*time.Second, "background checkpoint interval (needs -state-dir)")
 	flag.Int64Var(&cfg.Chaos, "chaos", 0, "replay a seeded fault schedule: pixel corruption, worker panics, training failures (0 = off)")
 	flag.DurationVar(&cfg.StallTimeout, "stall-timeout", 10*time.Second, "how long a shard may sit on one frame before /healthz reports it stalled")
-	flag.BoolVar(&cfg.Forensics, "forensics", true, "record drift declarations with replayable pre-rolls for /drift and checkpoints")
+	flag.BoolVar(&cfg.Forensics, "forensics", true, "record drift declarations with replayable pre-rolls (the frames the inspector read) for /drift and checkpoints")
 	flag.StringVar(&cfg.IngestAddr, "ingest-addr", "", "TCP listen address for the network ingestion tier; replaces the synthetic self-feed (also serves HTTP POST /ingest)")
 	flag.IntVar(&cfg.MaxTenants, "max-tenants", 64, "max concurrently attached ingestion tenants (needs -ingest-addr)")
 	flag.IntVar(&cfg.TenantQueue, "tenant-queue", 256, "per-tenant bounded ingestion queue capacity (needs -ingest-addr)")

@@ -3,9 +3,13 @@ package videodrift
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
+	"videodrift/internal/core"
+	"videodrift/internal/faults"
+	"videodrift/internal/forensics"
 	"videodrift/internal/telemetry"
 )
 
@@ -168,4 +172,147 @@ func TestExplainReportText(t *testing.T) {
 	if want := telemetry.DriftID(decls[0].Frame); decls[0].ID != want {
 		t.Errorf("declaration ID %q, telemetry DriftID %q", decls[0].ID, want)
 	}
+}
+
+// quarantineStream is a day→night drift stream with a malformed frame of
+// each kind the admission gate rejects — a NaN pixel, the wrong geometry,
+// no pixels at all — let in at the given positions, which fall between
+// the frames the inspector's stride reads, right after one and right
+// before one.
+func quarantineStream(total, driftAt int, seed int64, bad []int) []Frame {
+	clean := driftStream(total, driftAt, seed)
+	var out []Frame
+	for _, f := range clean {
+		if k := slices.Index(bad, len(out)); k >= 0 {
+			b := f
+			switch k % 3 {
+			case 0:
+				b.Pixels = slices.Clone(f.Pixels)
+				b.Pixels[7] = math.NaN()
+			case 1:
+				b.W, b.H, b.Pixels = 8, 8, f.Pixels[:64]
+			case 2:
+				b = Frame{Index: f.Index}
+			}
+			out = append(out, b)
+		}
+		out = append(out, f)
+	}
+	return out
+}
+
+// TestReplayAcrossQuarantine: the recorder keeps the frames the stride
+// read and the ones the gate quarantined, so a replay that counts its way
+// over the gaps between them has to land on the same frames as the live
+// run although quarantined frames do not move the inspector's count. It
+// does, bit for bit, through the monitor and through a supervised fleet
+// whose workers panic mid-batch after a kept frame (the recorder is
+// rewound to the batch start, At with it) — and a declaration whose At is
+// off by one is a mismatch, not a trajectory.
+func TestReplayAcrossQuarantine(t *testing.T) {
+	models := getCkptModels()
+	opts := Defaults(facadeDim, facadeClasses)
+	opts.Pipeline.Selector = MSBI
+	opts.Forensics = ForensicsConfig{Enabled: true}
+	bad := []int{52, 61, 63, 75, 88, 90, 101, 104}
+	stream := quarantineStream(220, 70, 2300, bad)
+
+	// checkReplays holds every declaration of m to the live trajectory and
+	// returns the first.
+	checkReplays := func(t *testing.T, m *Monitor, tr *Tracer) DriftDeclaration {
+		t.Helper()
+		decls := m.Forensics().Declarations()
+		if len(decls) == 0 {
+			t.Fatal("stream produced no declarations")
+		}
+		for _, d := range decls {
+			rep, err := m.Explain(d.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Replay.Matches {
+				t.Errorf("%s: replay diverged: re-declared at %d (recorded %d), martingale %v vs %v",
+					d.ID, rep.Replay.DeclaredFrame, d.Frame, rep.Replay.Martingale, d.Martingale)
+			}
+			want := martingaleTrace(tr, d.BaseFrame, d.Frame)
+			if len(rep.Replay.Points) != len(want) {
+				t.Fatalf("%s: replay traced %d updates, live run %d", d.ID, len(rep.Replay.Points), len(want))
+			}
+			for i, pt := range rep.Replay.Points {
+				if w := want[i]; pt.Frame != w.Frame || math.Float64bits(pt.Martingale) != math.Float64bits(w.Martingale) {
+					t.Fatalf("%s update %d: replay {frame %d S %v}, live {frame %d S %v}", d.ID, i, pt.Frame, pt.Martingale, w.Frame, w.Martingale)
+				}
+			}
+		}
+		return decls[0]
+	}
+
+	tracer := NewTracer(TracerConfig{RingSize: 8192, PerFrame: true})
+	mopts := opts
+	mopts.Tracer = tracer
+	ref := NewMonitor(models, facadeLabeler, mopts)
+	for _, f := range stream {
+		ref.Process(f)
+	}
+	d := checkReplays(t, ref, tracer)
+	quarantined := 0
+	for _, f := range d.Frames {
+		if core.FrameProblem(f, 16, 16) != "" {
+			quarantined++
+		}
+	}
+	if quarantined < 6 || len(d.Frames)-quarantined < 4 || len(d.Frames) > (d.Frame-d.BaseFrame)/10+1+quarantined {
+		t.Fatalf("fixture: %s keeps %d frames of %d, %d of them quarantined; want most of the %d bad frames between at least 4 sampled ones",
+			d.ID, len(d.Frames), d.Frame-d.BaseFrame+1, quarantined, len(bad))
+	}
+	for _, shift := range []int{-1, 1} {
+		off := d
+		off.At = slices.Clone(d.At)
+		for i := range off.At {
+			off.At[i] += shift
+		}
+		res, err := forensics.Replay(ref.Entries(), ref.pipe.Config(), off)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Matches || len(res.Points) >= len(martingaleTrace(tracer, d.BaseFrame, d.Frame)) {
+			t.Errorf("At shifted by %+d: matches=%v with %d updates traced; a wrong gap must not replay", shift, res.Matches, len(res.Points))
+		}
+	}
+
+	t.Run("supervised", func(t *testing.T) {
+		// Panics two frames after a kept frame of the first declaration's
+		// pre-roll, inside the kept frame's batch: the re-run must not keep
+		// it twice, nor lose where it was.
+		const size = 8
+		var panics []faults.Fault
+		for _, a := range d.At {
+			if a%size <= size-3 && (len(panics) == 0 || panics[len(panics)-1].Frame/size != a/size) {
+				panics = append(panics, faults.Fault{Shard: 0, Frame: a + 2, Kind: faults.KindWorkerPanic})
+			}
+		}
+		if len(panics) < 3 {
+			t.Fatalf("fixture: %d kept frames of %v leave room for a panic in their batch, want 3", len(panics), d.At)
+		}
+		sm := NewShardedMonitor(models, facadeLabeler, ShardedOptions{
+			Options: opts, Shards: 1,
+			Faults: faults.NewInjector(faults.Schedule{Seed: 7, Faults: panics}),
+		})
+		for at := 0; at < len(stream); at += size {
+			mustBatches(sm, [][]Frame{stream[at:min(at+size, len(stream))]})
+		}
+		if got := sm.Health().Shards[0].Restarts; got != len(panics) {
+			t.Fatalf("supervised restarts = %d, want %d", got, len(panics))
+		}
+		// Against the monitor's trace: a tracer of this run would hold the
+		// updates of every re-run batch twice.
+		got := checkReplays(t, sm.Shard(0), tracer)
+		if got.ID != d.ID || !slices.Equal(got.At, d.At) {
+			t.Errorf("supervised run declared %s keeping %v, the monitor %s keeping %v", got.ID, got.At, d.ID, d.At)
+		}
+		gs, ws := sm.Shard(0).Forensics().State(), ref.Forensics().State()
+		if !slices.Equal(gs.At, ws.At) || len(gs.Ring) != len(ws.Ring) {
+			t.Errorf("supervised pre-roll keeps %d frames at %v, the monitor %d at %v", len(gs.Ring), gs.At, len(ws.Ring), ws.At)
+		}
+	})
 }

@@ -176,6 +176,10 @@ func (di *DriftInspector) WindowDelta() float64 { return di.mart.WindowDelta() }
 // (including frames the sampling stride skipped).
 func (di *DriftInspector) Observed() int { return di.seen }
 
+// ReadLast reports whether the sampling stride fell on the last frame
+// offered — Observe read its pixels rather than only counting it.
+func (di *DriftInspector) ReadLast() bool { return di.seen > 0 && (di.seen-1)%di.cfg.SampleEvery == 0 }
+
 // Sampled returns the number of frames actually folded into the
 // martingale since the last reset.
 func (di *DriftInspector) Sampled() int { return di.sampled }

@@ -1,13 +1,14 @@
 // Package forensics turns drift declarations into explainable records.
 // A Recorder rides alongside a pipeline, keeping a rolling pre-roll of
-// the frames feeding the monitoring state plus a pipeline snapshot from
-// just before that pre-roll. When the Drift Inspector declares a drift,
-// the recorder freezes the pre-roll, the snapshot, and the inspector's
-// evidence (martingale value, windowed growth, mean p-value, ranked
-// per-feature attribution) into a Declaration; Replay can then re-run
-// the captured frames through a restored pipeline and reproduce the
-// declaration bit-identically, step by step — the "time travel" half of
-// drift forensics.
+// the frames feeding the monitoring state — the ones the inspector's
+// sampling stride read, not the ones it only counted — plus a pipeline
+// snapshot from just before that pre-roll. When the Drift Inspector
+// declares a drift, the recorder freezes the pre-roll, the snapshot, and
+// the inspector's evidence (martingale value, windowed growth, mean
+// p-value, ranked per-feature attribution) into a Declaration; Replay
+// can then re-run the captured frames through a restored pipeline and
+// reproduce the declaration bit-identically, step by step — the "time
+// travel" half of drift forensics.
 //
 // All Recorder methods are nil-safe: a nil *Recorder no-ops, so callers
 // keep a single untraced fast path (mirroring telemetry.Tracer).
@@ -34,8 +35,10 @@ type Config struct {
 	// Enabled turns forensic recording on. The zero Config (disabled)
 	// makes the facade skip recorder construction entirely.
 	Enabled bool
-	// Window is the pre-roll length in frames: how many frames before a
-	// declaration are captured for replay. 0 means DefaultWindow.
+	// Window is the pre-roll length in stream frames: how far before a
+	// declaration a replay starts. Of those frames the recorder keeps the
+	// ones the inspector read (one in DIConfig.SampleEvery) and the ones
+	// the admission gate quarantined. 0 means DefaultWindow.
 	Window int
 	// Keep bounds how many declarations are retained. 0 means DefaultKeep.
 	Keep int
@@ -96,11 +99,15 @@ type Declaration struct {
 	Attribution []telemetry.DimShift `json:"attribution,omitempty"`
 
 	// BaseFrame is the stream frame the replay base snapshot was taken
-	// before; Frames[i] is stream frame BaseFrame+i. Frames ends with the
-	// declaration frame itself.
+	// before. Frames are the frames from there on that the inspector read
+	// or the gate quarantined — all Replay needs, the rest were only
+	// counted — and At[i] is the stream frame Frames[i] is; both end with
+	// the declaration frame itself. At is nil on a declaration written
+	// before skipped frames were dropped: Frames[i] is then BaseFrame+i.
 	BaseFrame int                   `json:"base_frame"`
 	Base      core.PipelineSnapshot `json:"-"`
 	Frames    []vidsim.Frame        `json:"-"`
+	At        []int                 `json:"-"`
 
 	// Resolved reports whether the post-drift selection has concluded;
 	// Resolution is only meaningful when it has.
@@ -128,12 +135,14 @@ type Recorder struct {
 	frame int // next stream frame index (frames seen so far)
 
 	// Pre-roll state, maintained only while the pipeline is monitoring.
-	// ring holds the frames since marks[0], the replay base; a further
-	// mark is taken every step frames, and the oldest mark goes, with the
-	// frames before the next one, as soon as the ring holds Window frames
-	// without them — so a declaration has at least Window and fewer than
-	// Window+step pre-roll frames once the stream has run that long.
+	// ring holds the kept frames since marks[0], the replay base, and at
+	// the stream frame each one is; a further mark is taken every step
+	// frames, and the oldest mark goes, with the frames before the next
+	// one, as soon as Window stream frames follow it — so a declaration's
+	// pre-roll spans at least Window and fewer than Window+step stream
+	// frames once the stream has run that long.
 	ring  []vidsim.Frame
+	at    []int
 	marks []Mark
 
 	// pending is true between a declaration and the pipeline's return to
@@ -197,10 +206,18 @@ func (r *Recorder) Record(pipe *core.Pipeline, f vidsim.Frame, out core.Outcome)
 	// slices.Delete, here and below, zeroes the slots it vacates: a frame
 	// header left beyond len would pin its pixels.
 	for len(r.marks) > 1 && frame+1-r.marks[1].Frame >= r.cfg.Window {
-		r.ring = slices.Delete(r.ring, 0, r.marks[1].Frame-r.marks[0].Frame)
+		n, _ := slices.BinarySearch(r.at, r.marks[1].Frame)
+		r.ring = slices.Delete(r.ring, 0, n)
+		r.at = slices.Delete(r.at, 0, n)
 		r.marks = slices.Delete(r.marks, 0, 1)
 	}
-	r.ring = append(r.ring, f)
+	// A frame the stride skipped moved nothing but the inspector's count,
+	// which Replay advances from at; a quarantined one must be there for
+	// the gate to reject again, or the count would advance over it.
+	if out.Quarantined || out.Drift || pipe.Inspector().ReadLast() {
+		r.ring = append(r.ring, f)
+		r.at = append(r.at, frame)
+	}
 	if out.Drift {
 		r.capture(pipe, frame)
 		r.pending = true
@@ -215,6 +232,7 @@ func (r *Recorder) Record(pipe *core.Pipeline, f vidsim.Frame, out core.Outcome)
 // nextFrame is the stream index of the next frame the ring will hold.
 func (r *Recorder) resetPreRoll(pipe *core.Pipeline, nextFrame int) {
 	r.ring = slices.Delete(r.ring, 0, len(r.ring))
+	r.at = r.at[:0]
 	r.marks = append(slices.Delete(r.marks, 0, len(r.marks)), Mark{Frame: nextFrame, Snap: pipe.Snapshot()})
 }
 
@@ -235,6 +253,7 @@ func (r *Recorder) capture(pipe *core.Pipeline, frame int) {
 		BaseFrame:   r.marks[0].Frame,
 		Base:        r.marks[0].Snap,
 		Frames:      slices.Clone(r.ring),
+		At:          slices.Clone(r.at),
 	}
 	r.recs = append(r.recs, d)
 	if len(r.recs) > r.cfg.Keep {
@@ -306,6 +325,7 @@ type RecorderState struct {
 	Keep         int
 	Frame        int
 	Ring         []vidsim.Frame
+	At           []int // stream frame of each Ring frame; nil in a state written before frames were skipped
 	Marks        []Mark
 	Base, Mid    core.PipelineSnapshot //lint:allow snapshotsync legacy spelling of Marks, decode only
 	BaseFrame    int                   //lint:allow snapshotsync legacy spelling of Marks, decode only
@@ -329,6 +349,7 @@ func (r *Recorder) State() RecorderState {
 		Keep:         r.cfg.Keep,
 		Frame:        r.frame,
 		Ring:         slices.Clone(r.ring),
+		At:           slices.Clone(r.at),
 		Marks:        slices.Clone(r.marks),
 		Pending:      r.pending,
 		Declarations: slices.Clone(r.recs),
@@ -352,13 +373,19 @@ func Restore(s RecorderState, tracer *telemetry.Tracer) (*Recorder, error) {
 			s.Marks = append(s.Marks, Mark{Frame: s.MidFrame, Snap: s.Mid})
 		}
 	}
-	// Record cuts the ring by the distance between marks: they must run
-	// forward to the head, the first of them at ring[0] (a pre-roll that a
-	// pending selection suspended is discarded unread).
+	// Record cuts the ring at a mark: the marks must run forward to the
+	// head and the kept frames from the first of them to the head, a dense
+	// ring (no At) holding every one (a pre-roll that a pending selection
+	// suspended is discarded unread).
 	first, last := s.Marks[0].Frame, s.Marks[len(s.Marks)-1].Frame
-	if !slices.IsSortedFunc(s.Marks, func(a, b Mark) int { return a.Frame - b.Frame }) ||
-		first < 0 || last > s.Frame || !s.Pending && s.Frame-first != len(s.Ring) {
-		return nil, fmt.Errorf("forensics: recorder state has inconsistent frames (frame=%d base=%d ring=%d)", s.Frame, first, len(s.Ring))
+	bad := !slices.IsSortedFunc(s.Marks, func(a, b Mark) int { return a.Frame - b.Frame }) ||
+		first < 0 || last > s.Frame || s.At == nil && len(s.Ring) > 0 && !s.Pending && s.Frame-first != len(s.Ring)
+	s.At = frameIndices(s.At, first, len(s.Ring))
+	for i, a := range s.At {
+		bad = bad || a < first || a >= s.Frame || i > 0 && a <= s.At[i-1]
+	}
+	if bad || len(s.At) != len(s.Ring) {
+		return nil, fmt.Errorf("forensics: recorder state has inconsistent frames (frame=%d base=%d ring=%d at=%d)", s.Frame, first, len(s.Ring), len(s.At))
 	}
 	r := &Recorder{cfg: Config{Enabled: true, Window: s.Window, Keep: s.Keep}, tracer: tracer}
 	r.Rewind(s)
@@ -382,7 +409,22 @@ func (r *Recorder) Rewind(s RecorderState) {
 	defer r.mu.Unlock()
 	r.frame = s.Frame
 	r.ring = slices.Clone(s.Ring)
+	r.at = slices.Clone(s.At)
 	r.marks = slices.Clone(s.Marks)
 	r.pending = s.Pending
 	r.recs = slices.Clone(s.Declarations)
+}
+
+// frameIndices returns the stream frame of each of n kept frames: at
+// itself, or, for a list written before skipped frames were dropped (no
+// at), every frame from base on.
+func frameIndices(at []int, base, n int) []int {
+	if at != nil || n == 0 {
+		return at
+	}
+	at = make([]int, n)
+	for i := range at {
+		at[i] = base + i
+	}
+	return at
 }

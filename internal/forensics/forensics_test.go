@@ -1,6 +1,7 @@
 package forensics
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -44,18 +45,24 @@ var (
 	fixDay, fixNight *core.ModelEntry
 )
 
+// provisionConfig is the fixtures' light provisioning for frames of dim
+// pixels, with an MSBO ensemble of the given size (0: none).
+func provisionConfig(dim, ensemble int) core.ProvisionConfig {
+	return core.ProvisionConfig{
+		VAE:          vae.Config{InputDim: dim, HiddenDim: 32, LatentDim: 6, Beta: 0.5, LR: 2e-3},
+		VAEEpochs:    4,
+		SampleCount:  80,
+		K:            5,
+		Classifier:   classifier.Config{InputDim: vision.QueryDim, HiddenDim: 24, NumClasses: testNumClasses, LR: 5e-3, Epochs: 30},
+		EnsembleSize: ensemble,
+		Seed:         31,
+	}
+}
+
 // getEntries provisions the shared day/night pair once for the package.
 func getEntries() []*core.ModelEntry {
 	fixOnce.Do(func() {
-		pcfg := core.ProvisionConfig{
-			VAE:          vae.Config{InputDim: testDim, HiddenDim: 32, LatentDim: 6, Beta: 0.5, LR: 2e-3},
-			VAEEpochs:    4,
-			SampleCount:  80,
-			K:            5,
-			Classifier:   classifier.Config{InputDim: vision.QueryDim, HiddenDim: 24, NumClasses: testNumClasses, LR: 5e-3, Epochs: 30},
-			EnsembleSize: 3,
-			Seed:         31,
-		}
+		pcfg := provisionConfig(testDim, 3)
 		day := vidsim.GenerateTraining(lightTraffic(vidsim.Day()), testW, testH, 200, 11)
 		fixDay = core.Provision("day", day, testLabeler, pcfg)
 		pcfg.Seed = 32
@@ -71,6 +78,57 @@ func newTestPipeline(t *testing.T) (*core.Pipeline, core.PipelineConfig) {
 	cfg := core.DefaultPipelineConfig(testDim, testNumClasses)
 	cfg.Selector = core.SelectorMSBI
 	return core.NewPipeline(core.NewRegistry(ents...), testLabeler, cfg), cfg
+}
+
+// newStridePipeline is newTestPipeline with the inspector reading one
+// frame in every.
+func newStridePipeline(t *testing.T, every int) (*core.Pipeline, core.PipelineConfig) {
+	t.Helper()
+	_, cfg := newTestPipeline(t)
+	cfg.DI.SampleEvery = every
+	return core.NewPipeline(core.NewRegistry(getEntries()...), testLabeler, cfg), cfg
+}
+
+// feed runs f through pipe and r and reports, from the inspector's frame
+// count before the call rather than from anything the recorder reads,
+// whether the recorder has to keep the frame: the stride read it or the
+// gate quarantined it while the pipeline was monitoring.
+func feed(pipe *core.Pipeline, r *Recorder, every int, f vidsim.Frame) (out core.Outcome, keep bool) {
+	monitoring, seen := pipe.Monitoring(), pipe.Inspector().Observed()
+	out = pipe.Process(f)
+	r.Record(pipe, f, out)
+	return out, monitoring && (out.Quarantined || seen%every == 0)
+}
+
+// checkKept holds a kept-frame list to the stream it was cut from: at is
+// strictly increasing inside [lo, hi), each kept frame is the stream's
+// own (same pixel array, so a quarantined nil-pixel frame is compared by
+// header), and the list is exactly the frames of [lo, hi) that keep marks.
+func checkKept(t *testing.T, what string, kept []vidsim.Frame, at []int, lo, hi int, frames []vidsim.Frame, keep []bool) {
+	t.Helper()
+	if len(at) != len(kept) {
+		t.Fatalf("%s: %d frames at %d positions", what, len(kept), len(at))
+	}
+	want := 0
+	for i := lo; i < hi; i++ {
+		if keep[i] {
+			want++
+		}
+	}
+	if len(kept) != want {
+		t.Fatalf("%s: %d frames kept of [%d, %d), the stride read or the gate quarantined %d", what, len(kept), lo, hi, want)
+	}
+	for i, a := range at {
+		if a < lo || a >= hi || i > 0 && a <= at[i-1] {
+			t.Fatalf("%s: at = %v does not run strictly forward inside [%d, %d)", what, at, lo, hi)
+		}
+		if !keep[a] {
+			t.Fatalf("%s: kept frame %d, which the stride skipped", what, a)
+		}
+		if !reflect.DeepEqual(kept[i], frames[a]) || len(kept[i].Pixels) > 0 && &kept[i].Pixels[0] != &frames[a].Pixels[0] {
+			t.Fatalf("%s: kept frame %d is not stream frame %d", what, i, a)
+		}
+	}
 }
 
 func stream(cond vidsim.Condition, n int, seed int64) []vidsim.Frame {
@@ -106,51 +164,67 @@ func TestConfigDefaults(t *testing.T) {
 func step(window int) int { return max(1, window/8) }
 
 // TestPreRollRotation drives an in-distribution stream through a small
-// recorder and checks the mark queue's invariant after every frame: the
-// ring holds exactly the frames since the oldest mark, the marks run
-// forward step frames apart, and once the stream has run Window frames
-// the ring holds at least Window of them and fewer than Window+step.
+// recorder at three strides and checks the mark queue's invariant after
+// every frame: the ring holds exactly the frames since the oldest mark
+// that the stride read, the marks run forward step frames apart, and once
+// the stream has run Window frames the pre-roll spans at least Window of
+// them and fewer than Window+step. At a stride of one that is every
+// frame: the state is the dense one a recorder kept before frames were
+// skipped, At beside it.
 func TestPreRollRotation(t *testing.T) {
-	pipe, _ := newTestPipeline(t)
 	const w = 16
-	r := NewRecorder(Config{Enabled: true, Window: w}, nil, pipe)
+	for _, every := range []int{1, 3, 10} {
+		// Consecutive frames are correlated enough for a stride of one to
+		// false-alarm within frames; rotation is about the frames between
+		// alarms, so the threshold goes out of the martingale's reach.
+		_, cfg := newTestPipeline(t)
+		cfg.DI.SampleEvery, cfg.DI.R = every, 1e-9
+		pipe := core.NewPipeline(core.NewRegistry(getEntries()...), testLabeler, cfg)
+		r := NewRecorder(Config{Enabled: true, Window: w}, nil, pipe)
 
-	frames := stream(vidsim.Day(), 5*w, 101)
-	for i, f := range frames {
-		out := pipe.Process(f)
-		if out.Drift {
-			t.Fatalf("in-distribution stream declared drift at frame %d", i)
-		}
-		r.Record(pipe, f, out)
+		frames := stream(vidsim.Day(), 5*w, 101)
+		keep := make([]bool, len(frames))
+		for i, f := range frames {
+			var out core.Outcome
+			if out, keep[i] = feed(pipe, r, every, f); out.Drift {
+				t.Fatalf("stride %d: in-distribution stream declared drift at frame %d", every, i)
+			}
 
-		s := r.State()
-		if s.Frame != i+1 {
-			t.Fatalf("frame %d: recorder frame counter %d", i, s.Frame)
-		}
-		if got := s.Frame - s.Marks[0].Frame; got != len(s.Ring) {
-			t.Fatalf("frame %d: base at %d but ring holds %d frames", i, s.Marks[0].Frame, len(s.Ring))
-		}
-		for k := 1; k < len(s.Marks); k++ {
-			if gap := s.Marks[k].Frame - s.Marks[k-1].Frame; gap != step(w) {
-				t.Fatalf("frame %d: marks %d and %d are %d frames apart, want %d", i, k-1, k, gap, step(w))
+			s := r.State()
+			if s.Frame != i+1 {
+				t.Fatalf("stride %d, frame %d: recorder frame counter %d", every, i, s.Frame)
+			}
+			base := s.Marks[0].Frame
+			checkKept(t, fmt.Sprintf("stride %d, frame %d ring", every, i), s.Ring, s.At, base, s.Frame, frames, keep)
+			for k := 1; k < len(s.Marks); k++ {
+				if gap := s.Marks[k].Frame - s.Marks[k-1].Frame; gap != step(w) {
+					t.Fatalf("stride %d, frame %d: marks %d and %d are %d frames apart, want %d", every, i, k-1, k, gap, step(w))
+				}
+			}
+			if last := s.Marks[len(s.Marks)-1].Frame; last > s.Frame || s.Frame-last >= step(w) {
+				t.Fatalf("stride %d, frame %d: newest mark at %d, want within %d frames of the head", every, i, last, step(w))
+			}
+			if span := s.Frame - base; span >= w+step(w) || i+1 >= w && span < w-1 {
+				t.Fatalf("stride %d, frame %d: pre-roll spans %d frames, want %d ≤ n+1 < %d", every, i, span, w, w+step(w))
+			}
+			if every == 1 {
+				dense := s
+				dense.Ring, dense.At = frames[base:s.Frame], nil
+				for a := base; a < s.Frame; a++ {
+					dense.At = append(dense.At, a)
+				}
+				if !reflect.DeepEqual(s, dense) {
+					t.Fatalf("frame %d: at a stride of one the state is not the dense one: %d frames at %v from base %d", i, len(s.Ring), s.At, base)
+				}
 			}
 		}
-		if last := s.Marks[len(s.Marks)-1].Frame; last > s.Frame || s.Frame-last >= step(w) {
-			t.Fatalf("frame %d: newest mark at %d, want within %d frames of the head", i, last, step(w))
+		// 5·W frames force the base past the stream start many times over.
+		if s := r.State(); s.Marks[0].Frame == 0 {
+			t.Errorf("stride %d: base never moved past the stream start", every)
 		}
-		if len(s.Ring) >= w+step(w) {
-			t.Fatalf("frame %d: ring grew to %d (≥ %d+%d)", i, len(s.Ring), w, step(w))
+		if got := r.Declarations(); len(got) != 0 {
+			t.Errorf("stride %d: no-drift stream captured %d declarations", every, len(got))
 		}
-		if i+1 >= w && len(s.Ring) < w-1 {
-			t.Fatalf("frame %d: %d pre-roll frames cannot make a declaration of %d", i, len(s.Ring), w)
-		}
-	}
-	// 5·W frames force the base past the stream start many times over.
-	if s := r.State(); s.Marks[0].Frame == 0 {
-		t.Error("base never moved past the stream start")
-	}
-	if got := r.Declarations(); len(got) != 0 {
-		t.Errorf("no-drift stream captured %d declarations", len(got))
 	}
 }
 
@@ -169,53 +243,73 @@ func driftingStream(first, leg, legs int, seed int64) []vidsim.Frame {
 	return frames
 }
 
-// TestPreRollBounds is the mark queue's contract as a property: every
-// declaration made after Window frames carries at least Window and fewer
-// than Window+step pre-roll frames ending on the declaration frame, and
-// replays bit-identically — from its base and from every other mark the
-// recorder held when it fired, which is what lets the base move up to
-// the next mark without a replay noticing.
+// TestPreRollBounds is the mark queue's contract as a property, over
+// windows and strides: every declaration made Window frames or more after
+// monitoring resumed spans
+// at least Window and fewer than Window+step stream frames ending on the
+// declaration frame, keeps of them exactly the frames the stride read —
+// at most ⌈span/stride⌉ — and replays bit-identically, from its base and
+// from every other mark the recorder held when it fired, which is what
+// lets the base move up to the next mark without a replay noticing.
 func TestPreRollBounds(t *testing.T) {
 	for _, w := range []int{8, 16, 64} {
-		pipe, cfg := newTestPipeline(t)
-		r := NewRecorder(Config{Enabled: true, Window: w, Keep: 16}, nil, pipe)
-		checked := 0
-		for _, f := range driftingStream(100, 160, 4, int64(400+w)) {
-			out := pipe.Process(f)
-			r.Record(pipe, f, out)
-			if !out.Drift {
-				continue
-			}
-			decls := r.Declarations()
-			d := decls[len(decls)-1]
-			if d.BaseFrame+len(d.Frames)-1 != d.Frame {
-				t.Errorf("window %d, %s: pre-roll [%d, +%d) does not end on the declaration frame %d", w, d.ID, d.BaseFrame, len(d.Frames), d.Frame)
-			}
-			if n := len(d.Frames); d.Frame >= w && (n < w || n >= w+step(w)) {
-				t.Errorf("window %d, %s: %d pre-roll frames, want %d ≤ n < %d", w, d.ID, n, w, w+step(w))
-			}
-			marks := r.State().Marks
-			if marks[0].Frame != d.BaseFrame {
-				t.Fatalf("window %d, %s: captured base %d, oldest mark %d", w, d.ID, d.BaseFrame, marks[0].Frame)
-			}
-			for _, m := range marks {
-				from := d
-				from.BaseFrame, from.Base, from.Frames = m.Frame, m.Snap, d.Frames[m.Frame-d.BaseFrame:]
-				res, err := Replay(getEntries(), cfg, from)
-				if err != nil {
-					t.Fatalf("window %d, %s from mark %d: %v", w, d.ID, m.Frame, err)
+		for _, every := range []int{1, 3, 10} {
+			pipe, cfg := newStridePipeline(t, every)
+			r := NewRecorder(Config{Enabled: true, Window: w, Keep: 16}, nil, pipe)
+			frames := driftingStream(100, 160, 4, int64(400+w))
+			keep := make([]bool, len(frames))
+			checked, start := 0, 0 // start: where the open pre-roll began
+			for i, f := range frames {
+				var out core.Outcome
+				resumes := !pipe.Monitoring()
+				if out, keep[i] = feed(pipe, r, every, f); !out.Drift {
+					if resumes && pipe.Monitoring() {
+						start = i + 1
+					}
+					continue
 				}
-				if !res.Matches {
-					t.Errorf("window %d, %s from mark %d: re-declared at %d with S=%v Δ=%v, recorded %d, %v, %v",
-						w, d.ID, m.Frame, res.DeclaredFrame, res.Martingale, res.WindowDelta, d.Frame, d.Martingale, d.WindowDelta)
+				decls := r.Declarations()
+				d := decls[len(decls)-1]
+				what := fmt.Sprintf("window %d, stride %d, %s", w, every, d.ID)
+				checkKept(t, what, d.Frames, d.At, d.BaseFrame, d.Frame+1, frames, keep)
+				span := d.Frame - d.BaseFrame + 1
+				if d.Frame != i || d.At[len(d.At)-1] != d.Frame {
+					t.Errorf("%s: pre-roll at %v does not end on the declaration frame %d", what, d.At, i)
 				}
+				if run := i - start + 1; run < w && span != run || run >= w && (span < w || span >= w+step(w)) {
+					t.Errorf("%s: pre-roll spans %d of the %d frames since monitoring resumed, want all of them or %d ≤ n < %d", what, span, run, w, w+step(w))
+				}
+				if limit := (span + every - 1) / every; len(d.Frames) > limit {
+					t.Errorf("%s: %d frames kept of a span of %d, want ≤ %d", what, len(d.Frames), span, limit)
+				}
+				marks := r.State().Marks
+				if marks[0].Frame != d.BaseFrame {
+					t.Fatalf("%s: captured base %d, oldest mark %d", what, d.BaseFrame, marks[0].Frame)
+				}
+				for _, m := range marks {
+					res, err := Replay(pipe.Registry().Entries(), cfg, fromMark(d, m))
+					if err != nil {
+						t.Fatalf("%s from mark %d: %v", what, m.Frame, err)
+					}
+					if !res.Matches {
+						t.Errorf("%s from mark %d: re-declared at %d with S=%v Δ=%v, recorded %d, %v, %v",
+							what, m.Frame, res.DeclaredFrame, res.Martingale, res.WindowDelta, d.Frame, d.Martingale, d.WindowDelta)
+					}
+				}
+				checked++
 			}
-			checked++
-		}
-		if checked < 3 {
-			t.Errorf("window %d: only %d declarations; the stream exercised too little", w, checked)
+			if checked < 3 {
+				t.Errorf("window %d, stride %d: only %d declarations; the stream exercised too little", w, every, checked)
+			}
 		}
 	}
+}
+
+// fromMark is d replayed from a later mark of its pre-roll.
+func fromMark(d Declaration, m Mark) Declaration {
+	k, _ := slices.BinarySearch(d.At, m.Frame)
+	d.BaseFrame, d.Base, d.Frames, d.At = m.Frame, m.Snap, d.Frames[k:], d.At[k:]
+	return d
 }
 
 // TestRecorderRetention is the recorder's footprint gate: however many
@@ -334,9 +428,9 @@ func TestCaptureResolveReplay(t *testing.T) {
 	if len(d.Attribution) == 0 {
 		t.Error("no attribution captured")
 	}
-	if len(d.Frames) == 0 || d.BaseFrame+len(d.Frames)-1 != d.Frame {
-		t.Errorf("pre-roll [%d, +%d) does not end at declaration frame %d",
-			d.BaseFrame, len(d.Frames), d.Frame)
+	if len(d.Frames) == 0 || len(d.At) != len(d.Frames) || d.At[0] < d.BaseFrame || d.At[len(d.At)-1] != d.Frame {
+		t.Errorf("pre-roll of %d frames at %v from %d does not end at declaration frame %d",
+			len(d.Frames), d.At, d.BaseFrame, d.Frame)
 	}
 	if !d.Resolved {
 		t.Fatal("declaration never resolved")
@@ -362,6 +456,11 @@ func TestCaptureResolveReplay(t *testing.T) {
 	if len(res.Points) == 0 {
 		t.Error("replay traced no martingale updates")
 	}
+	for _, pt := range res.Points {
+		if !slices.Contains(d.At, pt.Frame) {
+			t.Errorf("replay traced an update at frame %d, not one of the kept frames %v", pt.Frame, d.At)
+		}
+	}
 	last := res.Points[len(res.Points)-1]
 	if math.Float64bits(last.Martingale) != math.Float64bits(d.Martingale) {
 		t.Errorf("final replayed martingale %v, recorded %v", last.Martingale, d.Martingale)
@@ -376,6 +475,15 @@ func TestCaptureResolveReplay(t *testing.T) {
 	rep.WriteText(&b)
 	if out := b.String(); !strings.Contains(out, d.ID) {
 		t.Errorf("report does not mention %s:\n%s", d.ID, out)
+	}
+	// The report counts the pre-roll in stream frames, as it always has,
+	// and says how many of them it replays.
+	span := d.Frame - d.BaseFrame + 1
+	if rep.PreRoll != span || rep.Kept != len(d.Frames) || rep.Kept >= span {
+		t.Errorf("report has pre_roll %d kept %d, want %d and %d (fewer)", rep.PreRoll, rep.Kept, span, len(d.Frames))
+	}
+	if want := fmt.Sprintf("%d pre-roll frames from frame %d, %d kept:", span, d.BaseFrame, len(d.Frames)); !strings.Contains(b.String(), want) {
+		t.Errorf("report text missing %q:\n%s", want, b.String())
 	}
 }
 
@@ -413,10 +521,53 @@ func TestRestoreValidation(t *testing.T) {
 		{"mark past head", RecorderState{Enabled: true, Window: 8, Keep: 4, Frame: 3, Ring: make([]vidsim.Frame, 3), Marks: []Mark{{Frame: 0}, {Frame: 5}}}},
 		{"marks out of order", RecorderState{Enabled: true, Window: 8, Keep: 4, Frame: 9, Ring: make([]vidsim.Frame, 5), Marks: []Mark{{Frame: 4}, {Frame: 2}}}},
 		{"ring short of its base", RecorderState{Enabled: true, Window: 8, Keep: 4, Frame: 9, Ring: make([]vidsim.Frame, 2), Marks: []Mark{{Frame: 4}, {Frame: 8}}}},
+		{"at short of the ring", RecorderState{Enabled: true, Window: 8, Keep: 4, Frame: 9, Ring: make([]vidsim.Frame, 2), At: []int{4}, Marks: []Mark{{Frame: 4}, {Frame: 8}}}},
+		{"at repeats", RecorderState{Enabled: true, Window: 8, Keep: 4, Frame: 9, Ring: make([]vidsim.Frame, 2), At: []int{5, 5}, Marks: []Mark{{Frame: 4}, {Frame: 8}}}},
+		{"at runs back", RecorderState{Enabled: true, Window: 8, Keep: 4, Frame: 9, Ring: make([]vidsim.Frame, 2), At: []int{7, 5}, Marks: []Mark{{Frame: 4}, {Frame: 8}}}},
+		{"at before the base", RecorderState{Enabled: true, Window: 8, Keep: 4, Frame: 9, Ring: make([]vidsim.Frame, 2), At: []int{3, 5}, Marks: []Mark{{Frame: 4}, {Frame: 8}}}},
+		{"at past the head", RecorderState{Enabled: true, Window: 8, Keep: 4, Frame: 9, Ring: make([]vidsim.Frame, 2), At: []int{5, 9}, Marks: []Mark{{Frame: 4}, {Frame: 8}}}},
+		{"at past the head, pending", RecorderState{Enabled: true, Window: 8, Keep: 4, Frame: 9, Pending: true, Ring: make([]vidsim.Frame, 2), At: []int{5, 9}, Marks: []Mark{{Frame: 4}, {Frame: 8}}}},
 	} {
 		if _, err := Restore(tc.s, nil); err == nil {
 			t.Errorf("%s: Restore accepted %+v", tc.name, tc.s)
 		}
+	}
+	// The same ring with its frames where the marks allow them.
+	if _, err := Restore(RecorderState{Enabled: true, Window: 8, Keep: 4, Frame: 9, Ring: make([]vidsim.Frame, 2), At: []int{4, 8}, Marks: []Mark{{Frame: 4}, {Frame: 8}}}, nil); err != nil {
+		t.Errorf("Restore refused a sparse ring inside its marks: %v", err)
+	}
+}
+
+// TestRestoreBeforeFirstKeptFrame: a recorder attached to a pipeline in
+// mid-stride has seen frames and kept none yet; that state, which has no
+// At to tell it from a dense one, restores and carries on.
+func TestRestoreBeforeFirstKeptFrame(t *testing.T) {
+	pipe, cfg := newTestPipeline(t)
+	frames := append(stream(vidsim.Day(), 63, 301), stream(vidsim.Night(), 120, 302)...)
+	for _, f := range frames[:3] {
+		pipe.Process(f)
+	}
+	r := NewRecorder(Config{Enabled: true, Window: 16}, nil, pipe)
+	for _, f := range frames[3:6] {
+		r.Record(pipe, f, pipe.Process(f))
+	}
+	s := r.State()
+	if len(s.Ring) != 0 || s.Frame-s.Marks[0].Frame != 3 {
+		t.Fatalf("fixture: %d frames kept of %d, want none of 3", len(s.Ring), s.Frame-s.Marks[0].Frame)
+	}
+	r, err := Restore(s, nil)
+	if err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	for _, f := range frames[6:] {
+		r.Record(pipe, f, pipe.Process(f))
+	}
+	decls := r.Declarations()
+	if len(decls) == 0 {
+		t.Fatal("night shift never declared a drift")
+	}
+	if res, err := Replay(pipe.Registry().Entries(), cfg, decls[0]); err != nil || !res.Matches {
+		t.Errorf("replay of %s after the restore: matches=%v, err %v", decls[0].ID, res.Matches, err)
 	}
 }
 
@@ -425,4 +576,49 @@ func TestReplayRejectsEmptyPreRoll(t *testing.T) {
 	if _, err := Replay(getEntries(), cfg, Declaration{}); err == nil {
 		t.Error("Replay accepted a declaration with no captured frames")
 	}
+}
+
+// BenchmarkRecorderRetention is the recorder's footprint at the served
+// defaults — Window 64, Keep 8, the inspector reading one frame in ten,
+// 32×32 frames of 8 KB: B/declaration is the pixels a retained
+// declaration holds, seven or eight frames where a recorder that keeps
+// what the stride skips holds 64 to 71. The timed call is State, the
+// clone the sharded supervisor takes before every batch and the
+// checkpoint scheduler every capture; it grows with the same lists.
+func BenchmarkRecorderRetention(b *testing.B) {
+	const w, h = 32, 32
+	pcfg := provisionConfig(w*h, 0) // lean, as an MSBI server provisions
+	clip := func(cond vidsim.Condition, n int, seed int64) []vidsim.Frame {
+		return vidsim.GenerateTrainingStride(lightTraffic(cond), w, h, n, 1, seed)
+	}
+	day := core.Provision("day", clip(vidsim.Day(), 200, 11), testLabeler, pcfg)
+	pcfg.Seed = 32
+	night := core.Provision("night", clip(vidsim.Night(), 200, 12), testLabeler, pcfg)
+	cfg := core.DefaultPipelineConfig(w*h, testNumClasses)
+	cfg.Selector = core.SelectorMSBI
+	pipe := core.NewPipeline(core.NewRegistry(day, night), testLabeler, cfg)
+	r := NewRecorder(Config{Enabled: true}, nil, pipe)
+	for leg := 0; leg <= DefaultKeep+1; leg++ {
+		cond := vidsim.Day()
+		if leg%2 == 1 {
+			cond = vidsim.Night()
+		}
+		for _, f := range clip(cond, 160, int64(100+leg)) {
+			r.Record(pipe, f, pipe.Process(f))
+		}
+	}
+	decls := r.Declarations()
+	if len(decls) != DefaultKeep {
+		b.Fatalf("%d declarations retained, want %d", len(decls), DefaultKeep)
+	}
+	held := 0
+	for _, d := range decls {
+		for _, f := range d.Frames {
+			held += 8 * len(f.Pixels)
+		}
+	}
+	for b.Loop() {
+		r.State()
+	}
+	b.ReportMetric(float64(held)/float64(len(decls)), "B/declaration")
 }

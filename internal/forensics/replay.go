@@ -37,7 +37,9 @@ type ReplayResult struct {
 
 // Replay re-runs a declaration's captured pre-roll through a pipeline
 // restored from the declaration's base snapshot, tracing every
-// martingale update. entries must be the registry the declaring
+// martingale update; over the frames the recorder did not keep it only
+// steps the inspector's count, which is all the live run did with them.
+// entries must be the registry the declaring
 // pipeline ran over (the facade's checkpointed entries qualify: the
 // base snapshot only references entries that existed before the
 // pre-roll, and registry insertion order is stable). cfg must carry the
@@ -46,8 +48,9 @@ type ReplayResult struct {
 // declaration, so the replay forces the label-free selector and needs
 // no labeler.
 func Replay(entries []*core.ModelEntry, cfg core.PipelineConfig, d Declaration) (ReplayResult, error) {
-	if len(d.Frames) == 0 {
-		return ReplayResult{}, fmt.Errorf("forensics: declaration %s has no captured frames", d.ID)
+	at := frameIndices(d.At, d.BaseFrame, len(d.Frames))
+	if len(d.Frames) == 0 || len(at) != len(d.Frames) {
+		return ReplayResult{}, fmt.Errorf("forensics: declaration %s has %d captured frames at %d positions", d.ID, len(d.Frames), len(at))
 	}
 	rcfg := cfg
 	rcfg.Tracer = nil
@@ -59,17 +62,24 @@ func Replay(entries []*core.ModelEntry, cfg core.PipelineConfig, d Declaration) 
 	}
 	res := ReplayResult{DeclaredFrame: -1}
 	cur := d.BaseFrame
-	pipe.Inspector().SetProbe(func(p, value, windowDelta float64) {
+	di := pipe.Inspector()
+	di.SetProbe(func(p, value, windowDelta float64) {
 		res.Points = append(res.Points, ReplayPoint{Frame: cur, PValue: p, Martingale: value, WindowDelta: windowDelta})
 	})
 	for i, f := range d.Frames {
-		cur = d.BaseFrame + i
+		// The stream frames up to the next kept one were counted, not read:
+		// nil pixels go unread too. Were the stride due on one of them — a
+		// wrong At — the inspector quarantines the nil vector and the
+		// trajectory ends there, short of the declaration: no match.
+		for ; cur < at[i]; cur++ {
+			di.Observe(nil)
+		}
 		if out := pipe.Process(f); out.Drift {
 			res.DeclaredFrame = cur
 			break
 		}
+		cur++
 	}
-	di := pipe.Inspector()
 	res.Martingale = di.MartingaleValue()
 	res.WindowDelta = di.WindowDelta()
 	res.Matches = res.DeclaredFrame == d.Frame &&

@@ -27,7 +27,8 @@ type Report struct {
 	Attribution []telemetry.DimShift `json:"attribution,omitempty"`
 
 	BaseFrame int          `json:"base_frame"`
-	PreRoll   int          `json:"pre_roll"`
+	PreRoll   int          `json:"pre_roll"` // stream frames the replay spans
+	Kept      int          `json:"kept"`     // of them, the frames it reads
 	Replay    ReplayResult `json:"replay"`
 
 	Resolved   bool       `json:"resolved"`
@@ -52,7 +53,8 @@ func BuildReport(entries []*core.ModelEntry, cfg core.PipelineConfig, d Declarat
 		MeanP:       d.MeanP,
 		Attribution: d.Attribution,
 		BaseFrame:   d.BaseFrame,
-		PreRoll:     len(d.Frames),
+		PreRoll:     d.Frame - d.BaseFrame + 1,
+		Kept:        len(d.Frames),
 		Replay:      rep,
 		Resolved:    d.Resolved,
 		Resolution:  d.Resolution,
@@ -73,8 +75,8 @@ func (rep Report) WriteText(w io.Writer) {
 	if rep.Replay.DeclaredFrame >= 0 {
 		redeclared = fmt.Sprintf("re-declared at frame %d", rep.Replay.DeclaredFrame)
 	}
-	p("  replay    %d pre-roll frames from frame %d: %s (matches recording: %s)\n",
-		rep.PreRoll, rep.BaseFrame, redeclared, match)
+	p("  replay    %d pre-roll frames from frame %d, %d kept: %s (matches recording: %s)\n",
+		rep.PreRoll, rep.BaseFrame, rep.Kept, redeclared, match)
 	if len(rep.Attribution) > 0 {
 		p("  attribution (reference vs recent window, most moved first):\n")
 		p("    %4s  %-14s  %8s  %8s  %11s  %9s\n", "dim", "name", "js", "kl", "mean shift", "var ratio")

@@ -9,8 +9,10 @@ import (
 
 	"videodrift/internal/classifier"
 	"videodrift/internal/core"
+	"videodrift/internal/forensics"
 	"videodrift/internal/store"
 	"videodrift/internal/tensor"
+	"videodrift/internal/vidsim"
 )
 
 // legacyFull rewrites a store envelope the way builds up to PR 20 wrote
@@ -74,7 +76,8 @@ func legacyFull(t *testing.T, envelope []byte) []byte {
 // TestStandbyAcrossUpgrade: a standby of this build under a primary of
 // the last one. The full it is sent carries legacy entry blobs; the
 // deltas that follow chain off the CRCs of those bytes, not off a
-// re-encode; what it would promote — and what a warm restart loads from
+// re-encode, and reference the frames of the dense recorder state it
+// carried; what it would promote — and what a warm restart loads from
 // the directory it persisted the stream to — is the state a new-encoding
 // stream would have left.
 func TestStandbyAcrossUpgrade(t *testing.T) {
@@ -86,6 +89,16 @@ func TestStandbyAcrossUpgrade(t *testing.T) {
 
 	first := testCheckpoint(t, []*core.ModelEntry{testEntry("m0")}, 100)
 	first.Gen = 1
+	// That build's recorder kept every pre-roll frame and no At.
+	var dense []vidsim.Frame
+	for i := range 20 {
+		dense = append(dense, vidsim.Frame{Index: 80 + i, W: 2, H: 2, Pixels: []float64{float64(i), 1, 2, 3}})
+	}
+	first.Shards[0].Forensics = forensics.RecorderState{
+		Enabled: true, Window: 16, Keep: 2, Frame: 100, Ring: dense,
+		Marks:        []forensics.Mark{{Frame: 80}, {Frame: 90}},
+		Declarations: []forensics.Declaration{{ID: "drift-00000060", Frame: 60, BaseFrame: 44, Frames: dense[:17]}},
+	}
 	modern, err := store.Encode(first)
 	if err != nil {
 		t.Fatal(err)
@@ -105,9 +118,20 @@ func TestStandbyAcrossUpgrade(t *testing.T) {
 	}
 	next := testCheckpoint(t, append(base.Entries[:1:1], testEntry("m1")), 200)
 	next.Gen = 2
+	// And this build's recorder, restored from that state, has since let
+	// the oldest mark go and kept one frame of the ten it saw.
+	ring := base.Shards[0].Forensics.Ring
+	next.Shards[0].Forensics = base.Shards[0].Forensics
+	next.Shards[0].Forensics.Frame = 110
+	next.Shards[0].Forensics.Ring = append(ring[10:20:20], vidsim.Frame{Index: 180, W: 2, H: 2, Pixels: []float64{9, 9, 9, 9}})
+	next.Shards[0].Forensics.At = []int{90, 91, 92, 93, 94, 95, 96, 97, 98, 99, 100}
+	next.Shards[0].Forensics.Marks = []forensics.Mark{{Frame: 90}, {Frame: 100}}
 	d, _, err := store.DiffCheckpoints(base, crcs, next)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(d.NewFrames) != 1 {
+		t.Errorf("delta off a dense full carries %d new frames, want the one kept since", len(d.NewFrames))
 	}
 	wire, err := store.EncodeDelta(d)
 	if err != nil {
@@ -130,5 +154,8 @@ func TestStandbyAcrossUpgrade(t *testing.T) {
 	}
 	if got, err := store.Encode(cp); err != nil || !bytes.Equal(got, want) {
 		t.Errorf("state loaded from a legacy full and its delta differs from generation 2 (%v)", err)
+	}
+	if _, err := forensics.Restore(cp.Shards[0].Forensics, nil); err != nil {
+		t.Errorf("recorder state loaded from a dense full and a sparse delta does not restore: %v", err)
 	}
 }

@@ -439,24 +439,37 @@ func TestTenantTelemetry(t *testing.T) {
 	mon := s.flt.Load().mon
 	// The holders, counted from what each shard's recorder and tracer hand
 	// out: the pump has drained, so a scrape must find the same.
-	retained, ringed := 0, len(s.base.Events())
+	// Retained means kept: the frames the inspector read, a fraction of
+	// the stream frames a pre-roll spans.
+	retained, retainedBytes, spanned, ringed := 0, 0, 0, len(s.base.Events())
 	for k := 0; k < tenants; k++ {
 		st := mon.Shard(k).Forensics().State()
-		if !st.Pending {
-			retained += len(st.Ring)
+		lists := [][]vidsim.Frame{st.Ring}
+		if st.Pending {
+			lists = nil
 		}
 		for _, d := range st.Declarations {
-			retained += len(d.Frames)
+			lists = append(lists, d.Frames)
+			spanned += d.Frame - d.BaseFrame + 1
+		}
+		for _, fs := range lists {
+			retained += len(fs)
+			for _, f := range fs {
+				retainedBytes += 8 * len(f.Pixels)
+			}
 		}
 		ringed += len(mon.Shard(k).Telemetry().Events())
 	}
 	if retained == 0 || ringed < declared {
 		t.Fatalf("%d declarations, yet %d frames retained and %d events ringed", declared, retained, ringed)
 	}
+	if 4*retained > spanned {
+		t.Errorf("%d frames retained for declarations spanning %d: the recorders keep frames the stride skipped", retained, spanned)
+	}
 	samples := []string{
 		fmt.Sprintf("\nvideodrift_registry_models %d\n", mon.Models()),
 		fmt.Sprintf("\nvideodrift_forensics_retained_frames %d\n", retained),
-		fmt.Sprintf("\nvideodrift_forensics_retained_bytes %d\n", retained*8*len(streams[0][0].Pixels)),
+		fmt.Sprintf("\nvideodrift_forensics_retained_bytes %d\n", retainedBytes),
 		fmt.Sprintf("\nvideodrift_events_ring_events %d\n", ringed),
 		fmt.Sprintf("\nvideodrift_events_ring_capacity %d\n", (tenants+1)*cfg.Ring),
 	}

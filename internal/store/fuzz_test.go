@@ -35,6 +35,10 @@ func FuzzDecode(f *testing.F) {
 	// And one from before the forensics mark queue: two replay bases.
 	premark, _ := legacyRecorderCheckpoint(f, 117)
 	f.Add(premark)
+	// And one from before the recorder skipped what the stride skips:
+	// dense frame lists with no At.
+	dense, _, _, _ := denseGenerations(f)
+	f.Add(dense)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cp, err := Decode(data)
@@ -115,6 +119,18 @@ func FuzzDecodeDelta(f *testing.F) {
 		f.Fatalf("encoding legacy delta: %v", err)
 	}
 	f.Add(legacyDelta)
+	// A delta off a dense full: every frame a reference into it, the
+	// stream frame of each in the shard state.
+	_, dbase, dcrcs, dnext := denseGenerations(f)
+	dd, _, err := DiffCheckpoints(dbase, dcrcs, dnext)
+	if err != nil {
+		f.Fatalf("diffing dense generations: %v", err)
+	}
+	denseDelta, err := EncodeDelta(dd)
+	if err != nil {
+		f.Fatalf("encoding dense delta: %v", err)
+	}
+	f.Add(denseDelta)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := DecodeDelta(data)

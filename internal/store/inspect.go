@@ -34,6 +34,11 @@ type ShardInfo struct {
 	Deployed string // name of the deployed model
 	Models   int    // registry size
 	Buffered int    // frames held in the selection/training buffer
+	// PreRollKept of the PreRollSpan stream frames the open forensics
+	// pre-roll covers are held: all of them in a state written before the
+	// recorder skipped what the inspector's stride skips, about one in
+	// SampleEvery since (0/0: forensics off, or suspended by a selection).
+	PreRollKept, PreRollSpan int
 
 	// EventCounts is the shard tracer's per-kind event totals at
 	// checkpoint time (nil when the shard ran untraced).
@@ -134,6 +139,13 @@ func Inspect(path string) (*Description, error) {
 		}
 		info.Deployed = names[sh.Registry[p.Current]]
 		info.EventCounts = sh.EventCounts
+		if f := sh.Forensics; f.Enabled && !f.Pending {
+			first := f.BaseFrame
+			if len(f.Marks) > 0 {
+				first = f.Marks[0].Frame
+			}
+			info.PreRollKept, info.PreRollSpan = len(f.Ring), f.Frame-first
+		}
 		if sh.Forensics.Enabled && len(sh.Forensics.Declarations) > 0 {
 			info.Declarations = len(sh.Forensics.Declarations)
 			last := sh.Forensics.Declarations[len(sh.Forensics.Declarations)-1]
@@ -176,8 +188,8 @@ func (d *Description) WriteText(w io.Writer) {
 	}
 	fmt.Fprintf(w, "  shards (%d):\n", len(d.Shards))
 	for i, s := range d.Shards {
-		fmt.Fprintf(w, "    shard %d: frame %d (sampled %d) state=%s deployed=%q registry=%d buffered=%d\n",
-			i, s.Frames, s.Sampled, s.State, s.Deployed, s.Models, s.Buffered)
+		fmt.Fprintf(w, "    shard %d: frame %d (sampled %d) state=%s deployed=%q registry=%d buffered=%d pre-roll kept/span=%d/%d\n",
+			i, s.Frames, s.Sampled, s.State, s.Deployed, s.Models, s.Buffered, s.PreRollKept, s.PreRollSpan)
 		if len(s.EventCounts) > 0 {
 			fmt.Fprintf(w, "      events:")
 			for _, kc := range s.EventCounts {

@@ -105,20 +105,44 @@ func legacyRecorderCheckpoint(t testing.TB, cut int) ([]byte, legacyRecorderStat
 		Frames:          int64(cut),
 		Shards:          []legacyShardState{{Registry: []int{0, 1}, Pipeline: pipe.Snapshot(), Forensics: rec}},
 	}
-	for _, e := range pipe.Registry().Entries() {
+	cp.Entries, cp.EntryCRCs = entryBlobs(t, pipe.Registry().Entries())
+	return sealCheckpointRecord(t, cp), rec
+}
+
+// entryBlobs encodes a registry the way a checkpoint record carries it.
+func entryBlobs(t testing.TB, entries []*core.ModelEntry) (blobs [][]byte, crcs []uint32) {
+	t.Helper()
+	for _, e := range entries {
 		blob, err := encodeEntry(e)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cp.Entries = append(cp.Entries, blob)
-		cp.EntryCRCs = append(cp.EntryCRCs, crc32.ChecksumIEEE(blob))
+		blobs = append(blobs, blob)
+		crcs = append(crcs, crc32.ChecksumIEEE(blob))
 	}
+	return blobs, crcs
+}
+
+// sealCheckpointRecord wraps an older build's checkpoint record in the
+// envelope, which has not changed.
+func sealCheckpointRecord(t testing.TB, rec any) []byte {
+	t.Helper()
 	out := bytes.NewBuffer(make([]byte, headerSize))
-	if err := gob.NewEncoder(out).Encode(cp); err != nil {
+	if err := gob.NewEncoder(out).Encode(rec); err != nil {
 		t.Fatal(err)
 	}
 	sealEnvelope(out.Bytes(), kindCheckpoint)
-	return out.Bytes(), rec
+	return out.Bytes()
+}
+
+// sameEvidence reports whether two declarations are the same drift with
+// the same evidence bits and the same resolution.
+func sameEvidence(d, w forensics.Declaration) bool {
+	return d.ID == w.ID && d.Frame == w.Frame && d.Model == w.Model && d.Lag == w.Lag && d.Sampled == w.Sampled &&
+		math.Float64bits(d.Martingale) == math.Float64bits(w.Martingale) &&
+		math.Float64bits(d.WindowDelta) == math.Float64bits(w.WindowDelta) &&
+		math.Float64bits(d.MeanP) == math.Float64bits(w.MeanP) &&
+		d.Resolved == w.Resolved && d.Resolution.Frame == w.Resolution.Frame && d.Resolution.Model == w.Resolution.Model
 }
 
 // TestRestoreLegacyRecorderState: a recorder state written before the
@@ -174,11 +198,7 @@ func TestRestoreLegacyRecorderState(t *testing.T) {
 	}
 	for i, d := range got {
 		w := want[i]
-		if d.ID != w.ID || d.Frame != w.Frame || d.Model != w.Model || d.Lag != w.Lag || d.Sampled != w.Sampled ||
-			math.Float64bits(d.Martingale) != math.Float64bits(w.Martingale) ||
-			math.Float64bits(d.WindowDelta) != math.Float64bits(w.WindowDelta) ||
-			math.Float64bits(d.MeanP) != math.Float64bits(w.MeanP) ||
-			d.Resolved != w.Resolved || d.Resolution.Frame != w.Resolution.Frame || d.Resolution.Model != w.Resolution.Model {
+		if !sameEvidence(d, w) {
 			t.Errorf("declaration %d: restored %s@%d S=%v Δ=%v → %+v, uninterrupted %s@%d S=%v Δ=%v → %+v",
 				i, d.ID, d.Frame, d.Martingale, d.WindowDelta, d.Resolution, w.ID, w.Frame, w.Martingale, w.WindowDelta, w.Resolution)
 		}

@@ -313,7 +313,8 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 // Process is what a server holds beyond any one tracer's stream, counted
 // when an exposition is asked for: the models in the fleet's table, the
 // frames (and their pixel bytes) the forensics recorders pin in
-// pre-rolls and declarations, and the tracers' event slots in use and
+// pre-rolls and declarations — the kept ones, not the stream frames a
+// pre-roll spans — and the tracers' event slots in use and
 // allowed.
 type Process struct {
 	RegistryModels                int
@@ -331,7 +332,7 @@ func WriteProcessPrometheus(w io.Writer, p Process) error {
 	_, err := fmt.Fprintf(w, `# HELP videodrift_registry_models Models in the fleet's shared table: the provisioned ones plus every model trained since.
 # TYPE videodrift_registry_models gauge
 videodrift_registry_models %d
-# HELP videodrift_forensics_retained_frames Frames the forensics recorders hold: open pre-rolls plus retained declarations.
+# HELP videodrift_forensics_retained_frames Frames the forensics recorders hold, in open pre-rolls and retained declarations: the frames kept, the ones the inspector read.
 # TYPE videodrift_forensics_retained_frames gauge
 videodrift_forensics_retained_frames %d
 # HELP videodrift_forensics_retained_bytes Pixel bytes of the frames the forensics recorders hold.

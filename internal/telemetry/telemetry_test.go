@@ -443,7 +443,7 @@ func TestProcessPrometheusGolden(t *testing.T) {
 	const golden = `# HELP videodrift_registry_models Models in the fleet's shared table: the provisioned ones plus every model trained since.
 # TYPE videodrift_registry_models gauge
 videodrift_registry_models 7
-# HELP videodrift_forensics_retained_frames Frames the forensics recorders hold: open pre-rolls plus retained declarations.
+# HELP videodrift_forensics_retained_frames Frames the forensics recorders hold, in open pre-rolls and retained declarations: the frames kept, the ones the inspector read.
 # TYPE videodrift_forensics_retained_frames gauge
 videodrift_forensics_retained_frames 72
 # HELP videodrift_forensics_retained_bytes Pixel bytes of the frames the forensics recorders hold.

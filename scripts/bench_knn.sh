@@ -9,8 +9,10 @@
 # tier's per-arrival path (Submit + Pump per frame, and the same frame
 # through the front door: socket → ACK → fed in place; 1 and 8 tenants),
 # the admission scan every frame passes (1024 pixels, against the
-# retained per-pixel loop) and what a model costs a checkpoint or a
-# replication delta (encode time and B/entry, lean and full),
+# retained per-pixel loop), what a model costs a checkpoint or a
+# replication delta (encode time and B/entry, lean and full) and what a
+# retained drift declaration holds in pixels (B/declaration, beside the
+# recorder-state clone every supervised batch pays for),
 # and writes the results as machine-readable JSON.
 #
 # Usage:  scripts/bench_knn.sh [out.json]
@@ -27,7 +29,7 @@
 # model, GOMAXPROCS, online processors — a baseline from another box is
 # not a regression), then one entry per benchmark line with the parsed
 # iteration count and every reported metric (ns/op, B/op, allocs/op,
-# ns/frame, B/entry, B/tenant) keyed by a JSON-safe unit name. The profiles cover the root
+# ns/frame, B/entry, B/tenant, B/declaration) keyed by a JSON-safe unit name. The profiles cover the root
 # package's benchmarks only: go test profiles one package per run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -54,8 +56,8 @@ raw=$(go test -run=NONE \
 		-benchtime "$benchtime" -count "$count" ./internal/nn ./internal/classifier
 	go test -run=NONE -bench 'RouterSubmitPump|ServeConnFrame' -benchmem \
 		-benchtime "$benchtime" -count "$count" ./internal/ingest
-	go test -run=NONE -bench 'PixelsProblem|EncodeEntry' \
-		-benchtime "$benchtime" -count "$count" ./internal/core ./internal/store)
+	go test -run=NONE -bench 'PixelsProblem|EncodeEntry|RecorderRetention' \
+		-benchtime "$benchtime" -count "$count" ./internal/core ./internal/store ./internal/forensics)
 printf '%s\n' "$raw" >&2
 if [ -n "${PROFILE:-}" ]; then
 	echo "profiles in $PROFILE: cpu.out mutex.out block.out (resolve with $PROFILE/bench.test)" >&2

@@ -5,13 +5,15 @@
 # and one step of it, one serving-time training with and without the MSBO
 # ensemble, one tenant attach under each selector, the ingest router's
 # Submit + Pump per frame and the same frame through a loopback
-# connection, the per-frame admission scan, one model entry's encoding)
+# connection, the per-frame admission scan, one model entry's encoding,
+# the forensics recorder's state clone)
 # and fails when any of them
 # lands more than THRESHOLD percent slower than the committed
-# BENCH_knn.json baseline — or, for the entry encoding and the tenant
-# attach, more than THRESHOLD percent larger (B/entry, B/tenant: what a
-# model costs a checkpoint and what an attached tenant keeps on the heap
-# before its first frame). It prints the box the
+# BENCH_knn.json baseline — or, for the entry encoding, the tenant
+# attach and the recorder, more than THRESHOLD percent larger (B/entry,
+# B/tenant, B/declaration: what a model costs a checkpoint, what an
+# attached tenant keeps on the heap before its first frame, and the
+# pixels a retained drift declaration holds). It prints the box the
 # baseline was recorded on next to this one: across boxes the deltas are
 # differences, not regressions.
 #
@@ -45,15 +47,17 @@ fi
 # the admission scan, which runs once per frame, and a model entry's
 # encoding: its bytes are what every checkpoint, delta and standby holds
 # per model (an entry that carries pixels again is 50× over; a tracer
-# that allocates its whole event ring at attach is 60× over on B/tenant).
+# that allocates its whole event ring at attach is 60× over on B/tenant;
+# a recorder that keeps the frames the stride skipped is 9× over on
+# B/declaration).
 raw=$(go test -run=NONE -bench 'KNNScore/sigma512x64|ShardedThroughput|Provision|AttachTenant' \
 	-benchtime "$benchtime" -count "$count" .
 	go test -run=NONE -bench 'AdamStep|ClassifierFit|ClassifierTrainStep' \
 		-benchtime "$benchtime" -count "$count" ./internal/nn ./internal/classifier
 	go test -run=NONE -bench 'RouterSubmitPump|ServeConnFrame' \
 		-benchtime "$benchtime" -count "$count" ./internal/ingest
-	go test -run=NONE -bench 'PixelsProblem/blocked|EncodeEntry' \
-		-benchtime "$benchtime" -count "$count" ./internal/core ./internal/store)
+	go test -run=NONE -bench 'PixelsProblem/blocked|EncodeEntry|RecorderRetention' \
+		-benchtime "$benchtime" -count "$count" ./internal/core ./internal/store ./internal/forensics)
 printf '%s\n' "$raw" >&2
 
 printf '%s\n' "$raw" | awk -v thr="$threshold" -v baseline="$baseline" -v nproc="$(nproc)" '
@@ -71,7 +75,7 @@ BEGIN {
 		name = line; sub(/.*"name":"/, "", name); sub(/".*/, "", name)
 		ns = line; sub(/.*"ns_per_op":/, "", ns); sub(/[,}].*/, "", ns)
 		base[name] = ns + 0
-		if (match(line, /"B_per_(entry|tenant)":/)) {
+		if (match(line, /"B_per_[a-z]+":/)) {
 			unitB[name] = "B/" substr(line, RSTART + 7, RLENGTH - 9)
 			b = substr(line, RSTART + RLENGTH); sub(/[,}].*/, "", b)
 			baseB[name] = b + 0
@@ -90,7 +94,7 @@ BEGIN {
 	order[name] = ++seen[name] > 1 ? order[name] : ++n
 	names[order[name]] = name
 	for (i = 5; i + 1 <= NF; i += 2)
-		if ($(i + 1) ~ /^B\/(entry|tenant)$/) curB[name] = $i + 0
+		if ($(i + 1) ~ /^B\/[a-z]+$/) curB[name] = $i + 0
 }
 END {
 	status = 0

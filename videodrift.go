@@ -152,7 +152,8 @@ type Options struct {
 	// Forensics enables the drift-forensics recorder when
 	// Forensics.Enabled is true: every drift declaration is captured
 	// with its attribution and a replayable pre-roll, at the cost of
-	// retaining up to 2×Window frames plus Keep declarations per shard.
+	// retaining, per shard, the frames the inspector read of a pre-roll of
+	// Window to Window+Window/8 and of Keep declarations' pre-rolls.
 	Forensics ForensicsConfig
 }
 
