@@ -374,10 +374,11 @@ func BenchmarkKNNScore(b *testing.B) {
 	}
 }
 
-// BenchmarkMSBIParallel measures Algorithm 2 as the registry grows, at
-// increasing worker counts — the near-linear-scaling contract of the
-// parallel selection engine. Every sub-benchmark computes the identical
-// result (see TestMSBIParallelDeterminism); only wall clock may differ.
+// BenchmarkMSBIParallel measures Algorithm 2 as the registry grows.
+// Selection scores its candidates on the calling goroutine — the
+// workers1 rows are the only ones left of a fan-out that read flat or
+// worse at 2, 4 and 8 workers at every registry size (DESIGN.md §13) —
+// and the names are kept so the committed baseline still lines up.
 func BenchmarkMSBIParallel(b *testing.B) {
 	for _, models := range []int{4, 8, 16} {
 		entries := make([]*core.ModelEntry, models)
@@ -386,17 +387,14 @@ func BenchmarkMSBIParallel(b *testing.B) {
 			entries[i] = core.Provision(fmt.Sprintf("angle%d", i), frames, nil, core.DefaultProvisionConfig(16*16, 2))
 		}
 		window := vidsim.GenerateTraining(vidsim.Angle(1, 5.5, -1), 16, 16, 40, 99)
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("models%d/workers%d", models, workers), func(b *testing.B) {
-				cfg := core.DefaultMSBIConfig()
-				cfg.Workers = workers
-				rng := stats.NewRNG(7)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					core.MSBI(window, entries, cfg, rng.Split())
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("models%d/workers1", models), func(b *testing.B) {
+			cfg := core.DefaultMSBIConfig()
+			rng := stats.NewRNG(7)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				core.MSBI(window, entries, cfg, rng.Split())
+			}
+		})
 	}
 }
 

@@ -233,7 +233,13 @@ func ResumeSharded(cp *Checkpoint, labeler Labeler, opts ShardedOptions) (*Shard
 		e.FeatMatrix()
 	}
 	for i := range sm.shards {
-		shardOpts := sm.shardOptions(i, opts)
+		shardOpts := opts.Options
+		if opts.Tracers != nil {
+			shardOpts.Tracer = opts.Tracers[i]
+		}
+		if opts.Faults != nil {
+			shardOpts.Pipeline.TrainFault = opts.Faults.TrainFault(i)
+		}
 		m, err := resumeShard(cp, i, labeler, shardOpts)
 		if err != nil {
 			return nil, err

@@ -192,7 +192,7 @@ func main() {
 // network ingestion tier. Exit status is 0 only when the server
 // answered 200 — the CI smoke-check contract. The "total dropped"
 // line sums supervised frame drops across shards (breaker-tripped
-// shards discarding frames); a soak asserts it stays zero.
+// shards discarding frames); scripts/smoke.sh asserts it stays zero.
 func health(w io.Writer, addr string) int {
 	url := addr
 	if !strings.Contains(url, "://") {

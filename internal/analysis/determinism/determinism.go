@@ -26,6 +26,7 @@ var CriticalPackages = []string{
 	"videodrift/internal/faults",
 	"videodrift/internal/forensics",
 	"videodrift/internal/telemetry",
+	"videodrift/internal/wire",
 }
 
 // randConstructors are the math/rand package-level functions that build

@@ -1,6 +1,5 @@
 // Package wirefix exercises wiresync: field parity between wire
-// encoders and decoders, checksum reachability, and the stream
-// reader's version/CRC coverage.
+// encoders and decoders, and checksum reachability.
 package wirefix
 
 import (
@@ -36,23 +35,9 @@ func readU64(b []byte) uint64 {
 	return uint64(readU32(b))<<32 | uint64(readU32(b[4:]))
 }
 
-// ReadFrame is the framing reader: version check, then CRC check.
-func ReadFrame(b []byte) ([]byte, error) {
-	if len(b) < 5 {
-		return nil, errBad
-	}
-	if b[0] != Version {
-		return nil, errBad
-	}
-	if crc32.ChecksumIEEE(b[5:]) != readU32(b[1:5]) {
-		return nil, errBad
-	}
-	return b[5:], nil
-}
-
 // Ping is fully covered: every field crosses the wire both ways.
 //
-//driftlint:wire encode=EncodePing decode=DecodePing stream=ReadFrame
+//driftlint:wire encode=EncodePing decode=DecodePing
 type Ping struct {
 	Seq  uint64
 	Note string // want `field Note of wire message Ping is not referenced by its decode path`
@@ -75,7 +60,7 @@ func DecodePing(payload []byte) (Ping, error) {
 
 // Pong round-trips completely: no findings.
 //
-//driftlint:wire encode=EncodePong decode=DecodePong stream=ReadFrame
+//driftlint:wire encode=EncodePong decode=DecodePong
 type Pong struct {
 	Seq uint64
 	OK  bool
@@ -100,7 +85,7 @@ func DecodePong(payload []byte) (Pong, error) {
 
 // Raw's encoder skips the integrity envelope entirely.
 //
-//driftlint:wire encode=EncodeRaw decode=DecodeRaw stream=ReadFrame
+//driftlint:wire encode=EncodeRaw decode=DecodeRaw
 type Raw struct {
 	N uint64
 }
@@ -117,40 +102,24 @@ func DecodeRaw(payload []byte) (Raw, error) {
 	return Raw{N: readU64(payload)}, nil
 }
 
-// Loose rides a framing reader that verifies nothing.
-//
-//driftlint:wire encode=EncodeLoose decode=DecodeLoose stream=ReadLoose
-type Loose struct {
-	N uint64
-}
-
-// ReadLoose neither version-checks nor CRC-checks the frame.
-func ReadLoose(b []byte) ([]byte, error) { // want `wire stream reader ReadLoose never verifies a payload checksum` `wire stream reader ReadLoose never checks the package's Version constant`
-	return b, nil
-}
-
-func EncodeLoose(l Loose) []byte {
-	payload := appendU64(nil, l.N)
-	return append(header(payload), payload...)
-}
-
-func DecodeLoose(payload []byte) (Loose, error) {
-	if len(payload) != 8 {
-		return Loose{}, errBad
-	}
-	return Loose{N: readU64(payload)}, nil
-}
-
 // Ghost's directive names a function that does not exist.
 //
-//driftlint:wire encode=EncodeGhost decode=DecodePing stream=ReadFrame
+//driftlint:wire encode=EncodeGhost decode=DecodePing
 type Ghost struct { // want `//driftlint:wire on Ghost names unknown encode function "EncodeGhost"`
+	X int
+}
+
+// Stale's directive still carries the retired stream= list: there is
+// one framing reader now and it is not this analyzer's to check.
+//
+//driftlint:wire encode=EncodePong decode=DecodePong stream=ReadFrame
+type Stale struct { // want `malformed //driftlint:wire directive: unknown token "stream=ReadFrame"`
 	X int
 }
 
 // Half's uncovered field is deliberately waived.
 //
-//driftlint:wire encode=EncodeHalf decode=DecodeHalf stream=ReadFrame
+//driftlint:wire encode=EncodeHalf decode=DecodeHalf
 type Half struct {
 	A uint64
 	//lint:allow wiresync fixture: field deliberately uncovered to prove suppression works

@@ -1,29 +1,20 @@
 // Package wiresync cross-checks the wire protocol's codec coverage:
 // for every message struct marked
 //
-//	//driftlint:wire encode=Func[,Recv.Method...] decode=Func[,...] stream=Func[,...]
+//	//driftlint:wire encode=Func[,Recv.Method...] decode=Func[,...]
 //
 // each field must be referenced (selected, or set in a keyed composite
 // literal) in at least one encode function AND one decode function —
 // adding a field to a protocol message without extending both sides
 // then fails lint instead of silently shipping zero values to peers.
 //
-// On top of field parity, the integrity envelope is checked through
-// the whole-program call graph:
-//
-//   - every encode function must reach a checksum computation (a call
-//     into hash/crc32 anywhere in its call graph — typically via a
-//     shared header helper), so no message type can ship without
-//     corruption detection;
-//   - every stream= function (the framing reader that consumes the
-//     header before payload decoding) must both verify a checksum and
-//     reference the package's Version constant, so version skew and
-//     payload damage surface as typed errors, not garbage frames.
-//
-// The call-graph requirement is what makes the check survive
-// refactors: the CRC lives in appendHeader, not in each encoder, and
-// that is fine — what must never happen is an encoder that reaches no
-// checksum at all.
+// On top of field parity, every encode function must reach a checksum
+// computation through the whole-program call graph (a call into
+// hash/crc32 anywhere in it — in this tree wire.Format.Seal, two
+// packages away), so no message type can ship without corruption
+// detection. The reading side needs no analyzer: there is one framing
+// reader, internal/wire's, and its own table test pins the magic,
+// version, cap and CRC checks.
 package wiresync
 
 import (
@@ -38,7 +29,7 @@ import (
 // Analyzer is the wire-codec parity and integrity checker.
 var Analyzer = &driftlint.Analyzer{
 	Name: "wiresync",
-	Doc:  "require every field of a marked wire message to be covered by encode and decode, and the framing path to checksum and version-check",
+	Doc:  "require every field of a marked wire message to be covered by encode and decode, and every encoder to reach a checksum",
 	Run:  run,
 }
 
@@ -50,7 +41,6 @@ type spec struct {
 	fields *types.Struct
 	encode []string
 	decode []string
-	stream []string
 }
 
 func run(pass *driftlint.Pass) error {
@@ -59,7 +49,6 @@ func run(pass *driftlint.Pass) error {
 		return nil
 	}
 	decls := collectFuncs(pass)
-	checkedStream := map[string]bool{}
 	for _, sp := range specs {
 		enc := referencedFields(pass, sp, sp.encode, decls, "encode")
 		dec := referencedFields(pass, sp, sp.decode, decls, "decode")
@@ -87,36 +76,9 @@ func run(pass *driftlint.Pass) error {
 				if fd.Body == nil {
 					continue
 				}
-				if !reaches(pass, fd, isCRCCall) {
+				if !reachesCRC(pass, fd) {
 					pass.Reportf(fd.Pos(),
 						"wire encoder %s never computes a payload checksum (no call into hash/crc32 anywhere in its call graph); receivers cannot detect corruption",
-						name)
-				}
-			}
-		}
-		for _, name := range sp.stream {
-			if checkedStream[name] {
-				continue // several messages share one framing reader
-			}
-			checkedStream[name] = true
-			fds := decls[name]
-			if len(fds) == 0 {
-				pass.Reportf(sp.pos,
-					"//driftlint:wire on %s names unknown stream function %q", sp.name, name)
-				continue
-			}
-			for _, fd := range fds {
-				if fd.Body == nil {
-					continue
-				}
-				if !reaches(pass, fd, isCRCCall) {
-					pass.Reportf(fd.Pos(),
-						"wire stream reader %s never verifies a payload checksum (no call into hash/crc32 anywhere in its call graph); corrupted payloads would decode as frames",
-						name)
-				}
-				if !reaches(pass, fd, versionConstRef(pass.Pkg)) {
-					pass.Reportf(fd.Pos(),
-						"wire stream reader %s never checks the package's Version constant; version skew would decode garbage instead of failing typed",
 						name)
 				}
 			}
@@ -125,9 +87,9 @@ func run(pass *driftlint.Pass) error {
 	return nil
 }
 
-// reaches reports whether the declaration's whole-program call graph
-// contains a node matched by pred.
-func reaches(pass *driftlint.Pass, fd *ast.FuncDecl, pred func(info *types.Info, n ast.Node) bool) bool {
+// reachesCRC reports whether the declaration's whole-program call graph
+// contains a call into hash/crc32.
+func reachesCRC(pass *driftlint.Pass, fd *ast.FuncDecl) bool {
 	fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
 	if !ok {
 		return false
@@ -135,14 +97,8 @@ func reaches(pass *driftlint.Pass, fd *ast.FuncDecl, pred func(info *types.Info,
 	for _, fi := range pass.Prog.Reachable([]*types.Func{fn}, 0) {
 		found := false
 		ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
-			if found {
-				return false
-			}
-			if pred(fi.Pkg.Info, n) {
-				found = true
-				return false
-			}
-			return true
+			found = found || isCRCCall(fi.Pkg.Info, n)
+			return !found
 		})
 		if found {
 			return true
@@ -159,20 +115,6 @@ func isCRCCall(info *types.Info, n ast.Node) bool {
 	}
 	fn := driftlint.CalleeFunc(info, call)
 	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "hash/crc32"
-}
-
-// versionConstRef matches a use of the package-level constant named
-// Version in the message's own package.
-func versionConstRef(pkg *types.Package) func(info *types.Info, n ast.Node) bool {
-	return func(info *types.Info, n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return false
-		}
-		c, ok := info.Uses[id].(*types.Const)
-		return ok && c.Name() == "Version" && c.Pkg() == pkg &&
-			c.Parent() == pkg.Scope()
-	}
 }
 
 // collectSpecs finds marked struct types and parses their directives.
@@ -228,15 +170,13 @@ func parseSpec(pass *driftlint.Pass, ts *ast.TypeSpec, line string) *spec {
 			sp.encode = strings.Split(strings.TrimPrefix(field, "encode="), ",")
 		case strings.HasPrefix(field, "decode="):
 			sp.decode = strings.Split(strings.TrimPrefix(field, "decode="), ",")
-		case strings.HasPrefix(field, "stream="):
-			sp.stream = strings.Split(strings.TrimPrefix(field, "stream="), ",")
 		default:
 			pass.Reportf(ts.Pos(), "malformed //driftlint:wire directive: unknown token %q", field)
 			return nil
 		}
 	}
-	if len(sp.encode) == 0 || len(sp.decode) == 0 || len(sp.stream) == 0 {
-		pass.Reportf(ts.Pos(), "//driftlint:wire on %s needs encode=, decode= and stream= function lists", sp.name)
+	if len(sp.encode) == 0 || len(sp.decode) == 0 {
+		pass.Reportf(ts.Pos(), "//driftlint:wire on %s needs encode= and decode= function lists", sp.name)
 		return nil
 	}
 	obj, ok := pass.TypesInfo.Defs[ts.Name].(*types.TypeName)

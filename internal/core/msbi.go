@@ -2,7 +2,6 @@ package core
 
 import (
 	"videodrift/internal/conformal"
-	"videodrift/internal/parallel"
 	"videodrift/internal/stats"
 	"videodrift/internal/telemetry"
 	"videodrift/internal/tensor"
@@ -25,12 +24,6 @@ type MSBIConfig struct {
 	// sit near zero, so the floor separates "marginally strange" from
 	// "novel distribution".
 	MeanPFloor float64
-	// Workers bounds the goroutines scoring candidate models (<= 0 uses
-	// GOMAXPROCS). The decision is independent of the worker count: every
-	// model's RNG stream is forked serially in registry order before the
-	// fan-out, and escalation rounds replay memoized p-values instead of
-	// consuming fresh randomness.
-	Workers int
 }
 
 // DefaultMSBIConfig returns the paper's MSBI parameters. W_N follows the
@@ -118,9 +111,10 @@ func replayDrifted(ps []float64, cfg DIConfig, r float64) bool {
 // The expensive work — featurizing the window and scoring it against
 // every model's reference sample — happens exactly once: frames are
 // featurized up front (features are model-independent), models are
-// scored concurrently on a bounded worker pool, and the escalation
-// rounds replay the memoized p-value traces through fresh martingales.
-// Under a fixed seed the result is identical for any Workers setting.
+// scored one after another on the calling goroutine (a fan-out measured
+// flat or worse at every registry size — DESIGN.md §13), and the
+// escalation rounds replay the memoized p-value traces through fresh
+// martingales instead of consuming fresh randomness.
 func MSBI(window []vidsim.Frame, entries []*ModelEntry, cfg MSBIConfig, rng *stats.RNG) MSBIResult {
 	if len(window) == 0 || len(entries) == 0 {
 		return MSBIResult{}
@@ -146,14 +140,23 @@ func MSBI(window []vidsim.Frame, entries []*ModelEntry, cfg MSBIConfig, rng *sta
 		feats = append(feats, fz.Appearance(f.Pixels, f.W, f.H).Clone())
 	}
 
-	// Score every model concurrently. RNG streams are forked in registry
-	// order before the fan-out, so traces[i] is the same for any worker
-	// count.
+	// Score every model on a stream of its own. One seed per entry is
+	// drawn from rng, in registry order, before any entry is scored: the
+	// traces, and rng's position after a selection, are pinned across
+	// commits (TestMSBIParallelDeterminism), and checkpointed pipelines
+	// carry that position.
+	seeds := make([]int64, len(entries))
+	for i := range seeds {
+		seeds[i] = rng.Int63()
+	}
 	traces := make([]*modelTrace, len(entries))
-	pool := parallel.Shared(cfg.Workers)
-	pool.ForEachSeeded(len(entries), rng, func(i int, r *stats.RNG) {
-		traces[i] = buildTrace(entries[i], feats, di, r)
-	})
+	child := stats.NewRNG(seeds[0]) // seeding is a tenth of a selection: no spare one
+	for i, e := range entries {
+		if i > 0 {
+			child.Reseed(seeds[i])
+		}
+		traces[i] = buildTrace(e, feats, di, child)
+	}
 
 	active := make([]int, len(entries))
 	for i := range active {

@@ -14,10 +14,6 @@ import (
 // (Algorithm 3).
 type MSBOConfig struct {
 	WT int // post-drift frames evaluated (§6.2)
-	// Workers bounds the goroutines scoring candidate ensembles (<= 0
-	// uses GOMAXPROCS). Brier scoring consumes no randomness, so the
-	// selection is identical for any worker count.
-	Workers int
 }
 
 // DefaultMSBOConfig returns the paper's W_T = 10.
@@ -136,23 +132,14 @@ func MSBO(window []classifier.Sample, entries []*ModelEntry, th MSBOThresholds, 
 	frames := window[:n]
 	res.FramesUsed = n
 
-	// Score every ensemble concurrently, then fold serially in registry
-	// order so best-candidate ties resolve exactly as a serial scan.
-	briers := make([]float64, len(entries))
-	scored := make([]bool, len(entries))
-	parallel.Shared(cfg.Workers).ForEach(len(entries), func(i int) {
-		if entries[i].Ensemble == nil {
-			return
-		}
-		briers[i] = entries[i].Ensemble.AvgBrier(frames)
-		scored[i] = true
-	})
+	// Score every ensemble in registry order; Brier scoring consumes no
+	// randomness.
 	var best *ModelEntry
-	for i, e := range entries {
-		if !scored[i] {
+	for _, e := range entries {
+		if e.Ensemble == nil {
 			continue
 		}
-		b := briers[i]
+		b := e.Ensemble.AvgBrier(frames)
 		res.Briers[e.Name] = b
 		res.Candidates = append(res.Candidates, telemetry.Candidate{Model: e.Name, Brier: b})
 		if b < res.BestBrier {

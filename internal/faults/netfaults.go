@@ -6,14 +6,14 @@ import (
 	"sync"
 
 	"videodrift/internal/stats"
+	"videodrift/internal/wire"
 )
 
-// NetHeaderBytes is the fixed header size of the ingest wire protocol
-// (internal/ingest keeps its headerSize equal to this; a test pins the
-// agreement). Injected byte corruption lands strictly past the header so
-// the receiver still frames the message correctly and the payload CRC —
-// not a desynced stream — catches the damage.
-const NetHeaderBytes = 14
+// NetHeaderBytes is the wire header's size. Injected byte corruption
+// lands strictly past the header so the receiver still frames the message
+// correctly and the payload CRC — not a desynced stream — catches the
+// damage.
+const NetHeaderBytes = wire.HeaderSize
 
 // NetFaultKind enumerates the injectable wire-level faults.
 type NetFaultKind uint8

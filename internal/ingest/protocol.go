@@ -5,28 +5,16 @@
 // ShardedMonitor fleet — the front door that turns the single-process
 // monitor into a multi-tenant service (DESIGN.md §14).
 //
-// The wire format is length-prefixed and versioned. Every message is
-//
-//	magic   u32  "VDIF" (0x56444946)
-//	version u8   1
-//	type    u8   frame | ack | nack
-//	len     u32  payload length in bytes
-//	crc     u32  CRC-32 (IEEE) of the payload
-//	payload len bytes
-//
-// all big-endian. The CRC covers the payload only; header damage is
-// caught by the magic/version/length checks. A frame payload carries
-// the tenant id, a per-tenant sequence number, the frame geometry and
-// condition tag, and the pixels as float32 (the wire quantization — the
-// monitor works on float64, so a frame that crossed the wire is the
-// float32-rounded image of the original; determinism contracts compare
-// against the quantized frame).
-//
-// Decoding never trusts a declared length: payloads are capped, dims
-// are bounded, and every structural violation surfaces as a typed
-// error (ErrBadMagic, ErrTruncated, ErrChecksum, ErrOversized,
-// ErrMalformed, *VersionError) — never a panic, never an allocation
-// sized by attacker-controlled bytes beyond the cap.
+// Every message travels in internal/wire's envelope (header, CRC, typed
+// framing errors, the connection reader) under the "VDIF" format. A
+// frame payload carries the tenant id, a per-tenant sequence number, the
+// frame geometry and condition tag, and the pixels as float32 (the wire
+// quantization — the monitor works on float64, so a frame that crossed
+// the wire is the float32-rounded image of the original; determinism
+// contracts compare against the quantized frame). Dims and lengths are
+// bounded, and a structural violation is a typed error (the wire
+// package's, or ErrMalformed) — never a panic, never an allocation sized
+// by attacker-controlled bytes.
 //
 // The package is listed in determinism.CriticalPackages, so the whole
 // of it (not just this file) is held to the deterministic-behavior
@@ -37,12 +25,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 
 	"videodrift/internal/tensor"
 	"videodrift/internal/vidsim"
+	"videodrift/internal/wire"
 )
 
 // Magic is the wire magic number, "VDIF" big-endian.
@@ -51,10 +39,8 @@ const Magic uint32 = 0x56444946
 // Version is the protocol version this package speaks.
 const Version = 1
 
-// HeaderSize is the fixed size of the wire header in bytes
-// (faults.NetHeaderBytes mirrors it so injected corruption lands in
-// the payload; a test pins the agreement).
-const HeaderSize = 14
+// HeaderSize is the fixed size of the wire header in bytes.
+const HeaderSize = wire.HeaderSize
 
 // Message types.
 const (
@@ -74,36 +60,29 @@ const (
 	MaxPayload = 4*MaxDim*MaxDim + 1 + MaxTenant + 8 + 2 + 2 + 1 + 255 + 4
 )
 
-// Typed decode errors.
+// vdif is this protocol's envelope.
+var vdif = wire.Format{Magic: Magic, Version: Version, MaxPayload: MaxPayload}
+
+// The framing errors are the wire package's under either name.
 var (
-	// ErrBadMagic reports a header that does not start with Magic — the
-	// peer is not speaking this protocol (or the stream desynced).
-	ErrBadMagic = errors.New("ingest: bad magic")
-	// ErrTruncated reports a message or payload shorter than its
-	// declared contents.
-	ErrTruncated = errors.New("ingest: truncated message")
-	// ErrChecksum reports a payload whose CRC does not match the header.
-	ErrChecksum = errors.New("ingest: payload checksum mismatch")
-	// ErrOversized reports a declared length beyond the protocol limits.
-	ErrOversized = errors.New("ingest: oversized message")
+	ErrBadMagic  = wire.ErrBadMagic
+	ErrTruncated = wire.ErrTruncated
+	ErrChecksum  = wire.ErrChecksum
+	ErrOversized = wire.ErrOversized
 	// ErrMalformed reports a structurally invalid payload (zero dims,
 	// pixel count disagreeing with geometry, empty tenant id).
 	ErrMalformed = errors.New("ingest: malformed payload")
 )
 
 // VersionError reports a protocol version this package does not speak.
-type VersionError struct{ Got uint8 }
-
-func (e *VersionError) Error() string {
-	return fmt.Sprintf("ingest: protocol version %d (want %d)", e.Got, Version)
-}
+type VersionError = wire.VersionError
 
 // FrameMsg is a decoded frame message: one video frame addressed by
 // (tenant, sequence number). Seq is per-tenant, starts at 0 and
 // increases by 1 per frame; the router uses it to detect duplicates
 // (resends after a lost ack) and gaps.
 //
-//driftlint:wire encode=EncodeFrame decode=DecodeFrameMsg stream=ReadMsg
+//driftlint:wire encode=EncodeFrame decode=DecodeFrameMsg
 type FrameMsg struct {
 	Tenant    string
 	Seq       uint64
@@ -116,7 +95,7 @@ type FrameMsg struct {
 // an idempotent accept — the frame had already been processed (a
 // resend after a lost ack), so the sender should advance, not retry.
 //
-//driftlint:wire encode=EncodeAck,appendAck decode=DecodeAck stream=ReadMsg
+//driftlint:wire encode=EncodeAck,appendAck decode=DecodeAck
 type Ack struct {
 	Seq uint64
 	Dup bool
@@ -144,26 +123,12 @@ const (
 // server's backoff hint (0 means not retryable); Reason is a short
 // human-readable diagnostic.
 //
-//driftlint:wire encode=EncodeNack decode=DecodeNack stream=ReadMsg
+//driftlint:wire encode=EncodeNack decode=DecodeNack
 type Nack struct {
 	Seq              uint64
 	Code             uint8
 	RetryAfterMillis uint32
 	Reason           string
-}
-
-// sealMsg completes the message that starts at b[at]: the first
-// HeaderSize bytes there are reserved, everything after them is the
-// payload, and the header — magic, version, type, payload length, payload
-// CRC — is written over the reservation. Encoders append the payload
-// behind a reserved header and seal, so a message is built in one buffer.
-func sealMsg(b []byte, at int, msgType uint8) []byte {
-	hdr, payload := b[at:at+HeaderSize], b[at+HeaderSize:]
-	binary.BigEndian.PutUint32(hdr[0:4], Magic)
-	hdr[4], hdr[5] = Version, msgType
-	binary.BigEndian.PutUint32(hdr[6:10], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[10:14], crc32.ChecksumIEEE(payload))
-	return b
 }
 
 // EncodeFrame encodes a frame message to wire bytes (header included).
@@ -180,7 +145,7 @@ func EncodeFrame(m FrameMsg) []byte {
 	for _, p := range m.Pixels {
 		b = binary.BigEndian.AppendUint32(b, math.Float32bits(p))
 	}
-	return sealMsg(b, 0, MsgFrame)
+	return vdif.Seal(b, 0, MsgFrame)
 }
 
 // ackSize is the wire size of an ack: header, seq, dup flag.
@@ -197,7 +162,7 @@ func appendAck(b []byte, a Ack) []byte {
 	if a.Dup {
 		b[len(b)-1] = 1
 	}
-	return sealMsg(b, at, MsgAck)
+	return vdif.Seal(b, at, MsgAck)
 }
 
 // EncodeAck encodes an ack to wire bytes.
@@ -217,146 +182,17 @@ func EncodeNack(n Nack) []byte {
 	b = binary.BigEndian.AppendUint32(b, n.RetryAfterMillis)
 	b = binary.BigEndian.AppendUint16(b, uint16(len(n.Reason)))
 	b = append(b, n.Reason...)
-	return sealMsg(b, 0, MsgNack)
+	return vdif.Seal(b, 0, MsgNack)
 }
 
-// parseHeader validates a wire header — the one place a message's magic,
-// version and declared payload length are checked — and returns its
-// fields. h holds at least HeaderSize bytes.
-func parseHeader(h []byte) (msgType uint8, n int, crc uint32, err error) {
-	h = h[:HeaderSize]
-	if binary.BigEndian.Uint32(h[0:4]) != Magic {
-		return 0, 0, 0, ErrBadMagic
-	}
-	if h[4] != Version {
-		return 0, 0, 0, &VersionError{Got: h[4]}
-	}
-	declared := binary.BigEndian.Uint32(h[6:10])
-	if declared > MaxPayload {
-		return 0, 0, 0, fmt.Errorf("%w: declared payload %d > %d", ErrOversized, declared, MaxPayload)
-	}
-	return h[5], int(declared), binary.BigEndian.Uint32(h[10:14]), nil
-}
-
-// checkPayload is the payload half of a message's integrity check. A
-// mismatch still reports the type: the message was consumed whole, so the
-// stream stays aligned and the receiver may answer it.
-func checkPayload(msgType uint8, payload []byte, crc uint32) (uint8, []byte, error) {
-	if crc32.ChecksumIEEE(payload) != crc {
-		return msgType, nil, ErrChecksum
-	}
-	return msgType, payload, nil
-}
-
-// connBufSize is a connection's standing read buffer: a 32×32 frame is
-// 4.1 KB on the wire, so a few fit. A message that does not fit is read
-// into a buffer of its own, so a connection's resident memory does not
-// follow the largest frame it ever carried.
-const connBufSize = 16 << 10
-
-// msgReader reads length-prefixed messages off a stream through one
-// buffer it owns: a message that arrived whole costs one Read, header and
-// payload together, and whatever else that Read returned — the next
-// message, or half of it — is served from the buffer before the stream is
-// touched again. Over a buffer of exactly HeaderSize there is no room to
-// read ahead, so it consumes the messages it returns and not a byte more
-// (ReadMsg). It knows nothing of message types: internal/replica frames
-// the same header and could lift it unchanged.
-type msgReader struct {
-	r      io.Reader
-	buf    []byte
-	rd, wr int // buf[rd:wr] is read off the stream and not yet consumed
-}
-
-// next returns the next message: header validation, then exactly the
-// declared payload, then the CRC check. The payload aliases the reader's
-// buffer and is valid until the following call, unless the message is
-// larger than the buffer, when it is the caller's own. io.EOF means the
-// stream closed between messages. On a header-level error the stream
-// position is undefined (drop the connection); a CRC failure leaves the
-// stream aligned on the next message.
-func (m *msgReader) next() (msgType uint8, payload []byte, err error) {
-	if err := m.fill(HeaderSize); err != nil {
-		if err == io.EOF && m.rd < m.wr {
-			return 0, nil, ErrTruncated
-		}
-		return 0, nil, err
-	}
-	msgType, n, crc, err := parseHeader(m.buf[m.rd:])
-	if err != nil {
-		return 0, nil, err
-	}
-	m.rd += HeaderSize
-	if HeaderSize+n > len(m.buf) {
-		payload = make([]byte, n)
-		have := copy(payload, m.buf[m.rd:m.wr])
-		m.rd, m.wr = 0, 0
-		if _, err := io.ReadFull(m.r, payload[have:]); err != nil {
-			return 0, nil, ErrTruncated
-		}
-		return checkPayload(msgType, payload, crc)
-	}
-	if err := m.fill(n); err != nil {
-		return 0, nil, ErrTruncated
-	}
-	payload = m.buf[m.rd : m.rd+n : m.rd+n]
-	m.rd += n
-	return checkPayload(msgType, payload, crc)
-}
-
-// fill reads until need unconsumed bytes are buffered (need is at most
-// the buffer's size), moving a partial message to the front when the
-// tail has no room for the rest of it. The error of a Read that also
-// completed the need is left for the next Read to repeat.
-func (m *msgReader) fill(need int) error {
-	if m.rd == m.wr {
-		m.rd, m.wr = 0, 0
-	} else if m.rd+need > len(m.buf) {
-		m.wr = copy(m.buf, m.buf[m.rd:m.wr])
-		m.rd = 0
-	}
-	for idle := 0; m.wr-m.rd < need; {
-		n, err := m.r.Read(m.buf[m.wr:])
-		m.wr += n
-		if err != nil && m.wr-m.rd < need {
-			return err
-		}
-		if n > 0 {
-			idle = 0
-		} else if idle++; idle == 100 {
-			return io.ErrNoProgress
-		}
-	}
-	return nil
-}
-
-// ReadMsg reads one length-prefixed message off the stream: header
-// validation (magic, version, payload cap), then exactly the declared
-// payload, then the CRC check — and not a byte beyond it, so the stream
-// may be handed to another reader afterwards. The payload is the
-// caller's. On a header-level error the stream position is undefined (the
-// connection should be dropped); a payload CRC failure leaves the stream
-// aligned on the next message.
+// ReadMsg reads one message and not a byte beyond it (wire.Format.ReadMsg).
 func ReadMsg(r io.Reader) (msgType uint8, payload []byte, err error) {
-	var hdr [HeaderSize]byte
-	m := msgReader{r: r, buf: hdr[:]}
-	return m.next()
+	return vdif.ReadMsg(r)
 }
 
-// DecodeMsg decodes one message from a complete wire buffer (header +
-// payload), the io-free sibling of ReadMsg. The payload aliases b.
+// DecodeMsg is ReadMsg over a complete buffer; the payload aliases b.
 func DecodeMsg(b []byte) (msgType uint8, payload []byte, err error) {
-	if len(b) < HeaderSize {
-		return 0, nil, ErrTruncated
-	}
-	msgType, n, crc, err := parseHeader(b)
-	if err != nil {
-		return 0, nil, err
-	}
-	if len(b)-HeaderSize < n {
-		return 0, nil, ErrTruncated
-	}
-	return checkPayload(msgType, b[HeaderSize:HeaderSize+n], crc)
+	return vdif.DecodeMsg(b)
 }
 
 // frameFields is a frame payload taken apart, every length checked. The

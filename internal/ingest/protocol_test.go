@@ -3,15 +3,14 @@ package ingest
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
-	"io"
 	"math"
 	"strings"
 	"testing"
-	"testing/iotest"
 
-	"videodrift/internal/faults"
 	"videodrift/internal/vidsim"
+	"videodrift/internal/wire"
 )
 
 // testFrameMsg builds a small valid frame message.
@@ -23,13 +22,21 @@ func testFrameMsg() FrameMsg {
 	return FrameMsg{Tenant: "cam-0", Seq: 7, W: 4, H: 3, Condition: "day", Pixels: px}
 }
 
-// TestHeaderSizeMatchesFaults pins the agreement the fault injector
-// relies on: corruption offsets start at faults.NetHeaderBytes, which
-// must equal this protocol's header size so injected damage always
-// lands in the CRC-covered payload, never desyncing the stream.
-func TestHeaderSizeMatchesFaults(t *testing.T) {
-	if HeaderSize != faults.NetHeaderBytes {
-		t.Fatalf("ingest.HeaderSize = %d, faults.NetHeaderBytes = %d — corruption could land in the header", HeaderSize, faults.NetHeaderBytes)
+// TestGoldenBytes holds one message of each type to the bytes the build
+// before internal/wire emitted for it (recorded at that commit): moving
+// the header and the CRC into a shared layer changed nothing on the wire.
+func TestGoldenBytes(t *testing.T) {
+	for name, c := range map[string]struct {
+		got  []byte
+		want string
+	}{
+		"frame": {EncodeFrame(testFrameMsg()), "5644494601010000004a60e172dc0563616d2d30000000000000000700040003036461790000000c000000003e0000003e8000003ec000003f0000003f2000003f4000003f6000003f8000003f9000003fa000003fb00000"},
+		"ack":   {EncodeAck(Ack{Seq: 1 << 40, Dup: true}), "5644494601020000000937792f8c000001000000000001"},
+		"nack":  {EncodeNack(Nack{Seq: 12, Code: NackQueueFull, RetryAfterMillis: 50, Reason: "tenant queue full"}), "56444946010300000020845bcddd000000000000000c0200000032001174656e616e742071756575652066756c6c"},
+	} {
+		if hex.EncodeToString(c.got) != c.want {
+			t.Errorf("%s: encodes to %x, the parent build's bytes are %s", name, c.got, c.want)
+		}
 	}
 }
 
@@ -123,56 +130,6 @@ func TestFrameQuantization(t *testing.T) {
 	}
 }
 
-// TestReadMsgErrors pins every header-level rejection as its typed
-// error.
-func TestReadMsgErrors(t *testing.T) {
-	wire := EncodeFrame(testFrameMsg())
-
-	damage := func(mut func(b []byte)) []byte {
-		b := append([]byte(nil), wire...)
-		mut(b)
-		return b
-	}
-	cases := []struct {
-		name string
-		b    []byte
-		want error
-	}{
-		{"bad magic", damage(func(b []byte) { b[0] = 'X' }), ErrBadMagic},
-		{"truncated header", wire[:HeaderSize-3], ErrTruncated},
-		{"truncated payload", wire[:HeaderSize+5], ErrTruncated},
-		{"crc mismatch", damage(func(b []byte) { b[len(b)-1] ^= 0x40 }), ErrChecksum},
-		{"oversized declared length", damage(func(b []byte) {
-			binary.BigEndian.PutUint32(b[6:10], MaxPayload+1)
-		}), ErrOversized},
-	}
-	for _, c := range cases {
-		if _, _, err := ReadMsg(bytes.NewReader(c.b)); !errors.Is(err, c.want) {
-			t.Errorf("%s: err %v, want %v", c.name, err, c.want)
-		}
-	}
-
-	var verr *VersionError
-	_, _, err := ReadMsg(bytes.NewReader(damage(func(b []byte) { b[4] = 9 })))
-	if !errors.As(err, &verr) || verr.Got != 9 {
-		t.Fatalf("version 9: err %v, want *VersionError{Got:9}", err)
-	}
-
-	// CRC failure must leave the stream aligned: the next message on the
-	// same reader still decodes.
-	r := bytes.NewReader(append(damage(func(b []byte) { b[len(b)-1] ^= 1 }), EncodeAck(Ack{Seq: 3})...))
-	if _, _, err := ReadMsg(r); !errors.Is(err, ErrChecksum) {
-		t.Fatalf("first message: %v, want ErrChecksum", err)
-	}
-	typ, payload, err := ReadMsg(r)
-	if err != nil || typ != MsgAck {
-		t.Fatalf("stream desynced after CRC failure: type %d err %v", typ, err)
-	}
-	if a, _ := DecodeAck(payload); a.Seq != 3 {
-		t.Fatalf("ack after CRC failure: %+v", a)
-	}
-}
-
 // TestDecodeFrameMsgErrors pins the payload-level rejections.
 func TestDecodeFrameMsgErrors(t *testing.T) {
 	valid := func() []byte {
@@ -206,180 +163,6 @@ func TestDecodeFrameMsgErrors(t *testing.T) {
 	reject("pixel count vs geometry", wrongN, ErrMalformed)
 }
 
-// wireMsg is one message as a reader returned it.
-type wireMsg struct {
-	typ     uint8
-	payload []byte
-	err     string
-}
-
-// drain reads messages until the stream ends or desyncs (any error but a
-// CRC failure, which leaves it aligned), copying each payload: a
-// msgReader's is only valid until its next call.
-func drain(next func() (uint8, []byte, error)) []wireMsg {
-	var out []wireMsg
-	for {
-		typ, payload, err := next()
-		m := wireMsg{typ: typ, payload: append([]byte(nil), payload...)}
-		if err != nil {
-			m.err = err.Error()
-		}
-		out = append(out, m)
-		if err != nil && !errors.Is(err, ErrChecksum) {
-			return out
-		}
-	}
-}
-
-// sameAsReadMsg holds a msgReader with a size-byte buffer over r to what
-// ReadMsg returns for the same stream, message by message: types,
-// payloads, typed errors and the stream's end.
-func sameAsReadMsg(t *testing.T, name string, stream []byte, r io.Reader, size int) []wireMsg {
-	t.Helper()
-	ref := bytes.NewReader(stream)
-	want := drain(func() (uint8, []byte, error) { return ReadMsg(ref) })
-	rd := msgReader{r: r, buf: make([]byte, size)}
-	got := drain(rd.next)
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d messages, ReadMsg reads %d", name, len(got), len(want))
-	}
-	for i := range want {
-		if got[i].typ != want[i].typ || got[i].err != want[i].err || !bytes.Equal(got[i].payload, want[i].payload) {
-			t.Fatalf("%s: message %d: type %d, %d payload bytes, err %q; ReadMsg: type %d, %d bytes, err %q",
-				name, i, got[i].typ, len(got[i].payload), got[i].err, want[i].typ, len(want[i].payload), want[i].err)
-		}
-	}
-	return got
-}
-
-// chunkReader hands out the stream in the chunks given, one per Read, and
-// counts the Reads.
-type chunkReader struct {
-	chunks [][]byte
-	reads  int
-}
-
-func (c *chunkReader) Read(p []byte) (int, error) {
-	if len(c.chunks) == 0 {
-		return 0, io.EOF
-	}
-	c.reads++
-	n := copy(p, c.chunks[0])
-	if c.chunks[0] = c.chunks[0][n:]; len(c.chunks[0]) == 0 {
-		c.chunks = c.chunks[1:]
-	}
-	return n, nil
-}
-
-// TestMsgReader pins the buffered reader against ReadMsg on the streams
-// a connection can see: whole messages, a byte at a time, several
-// messages and a torn one in a single read, a message larger than the
-// buffer, damage of every kind.
-func TestMsgReader(t *testing.T) {
-	frame := EncodeFrame(testFrameMsg())
-	ack, nack := EncodeAck(Ack{Seq: 3, Dup: true}), EncodeNack(Nack{Seq: 4, Code: NackBadSeq, Reason: "want seq 1, got 4"})
-	wide := testFrameMsg()
-	wide.W, wide.H, wide.Pixels = MaxDim, 1, make([]float32, MaxDim)
-	for i := range wide.Pixels {
-		wide.Pixels[i] = float32(i) / MaxDim
-	}
-	big := EncodeFrame(wide)
-	if len(big) <= connBufSize {
-		t.Fatalf("a %d-pixel frame is %d bytes on the wire and fits a %d-byte buffer: not the case this test is after", MaxDim, len(big), connBufSize)
-	}
-	cat := func(msgs ...[]byte) []byte { return bytes.Join(msgs, nil) }
-	damage := func(b []byte, at int, v byte) []byte {
-		b = append([]byte(nil), b...)
-		b[at] ^= v
-		return b
-	}
-	oversize := append([]byte(nil), ack...)
-	binary.BigEndian.PutUint32(oversize[6:10], MaxPayload+1)
-
-	streams := []struct {
-		name   string
-		stream []byte
-		msgs   int // messages before the stream's end or desync
-	}{
-		{"empty", nil, 0},
-		{"one of each", cat(frame, ack, nack), 3},
-		{"empty payload", sealMsg(make([]byte, HeaderSize), 0, MsgAck), 1},
-		{"larger than the buffer, then small", cat(ack, big, frame, big, nack), 5},
-		{"crc failure, in the buffer", cat(damage(frame, len(frame)-1, 0x40), ack), 2},
-		{"crc failure, larger than the buffer", cat(damage(big, len(big)-1, 1), ack), 2},
-		{"bad magic", cat(ack, damage(frame, 0, 0xff), ack), 1},
-		{"version skew", cat(damage(ack, 4, 8), ack), 0},
-		{"oversized declared length", cat(frame, oversize), 1},
-		{"truncated header", cat(frame, ack[:HeaderSize-3]), 1},
-		{"truncated payload", cat(ack, frame[:HeaderSize+5]), 1},
-		{"truncated payload, larger than the buffer", big[:len(big)-1], 0},
-	}
-	for _, tc := range streams {
-		for _, size := range []int{connBufSize, 64, HeaderSize} {
-			whole := sameAsReadMsg(t, tc.name, tc.stream, bytes.NewReader(tc.stream), size)
-			if len(whole) != tc.msgs+1 {
-				t.Errorf("%s: %d messages before the end, want %d", tc.name, len(whole)-1, tc.msgs)
-			}
-			sameAsReadMsg(t, tc.name+", a byte at a time", tc.stream, iotest.OneByteReader(bytes.NewReader(tc.stream)), size)
-			sameAsReadMsg(t, tc.name+", data with EOF", tc.stream, iotest.DataErrReader(bytes.NewReader(tc.stream)), size)
-		}
-	}
-
-	// The typed errors, not just their text.
-	rd := msgReader{r: bytes.NewReader(damage(ack, 4, 8)), buf: make([]byte, 64)}
-	var verr *VersionError
-	if _, _, err := rd.next(); !errors.As(err, &verr) || verr.Got != Version^8 {
-		t.Errorf("version skew: err %v, want *VersionError{Got:%d}", err, Version^8)
-	}
-	for name, tc := range map[string]struct {
-		r    io.Reader
-		want error
-	}{
-		"bad magic":         {bytes.NewReader(damage(ack, 1, 0xff)), ErrBadMagic},
-		"oversize":          {bytes.NewReader(oversize), ErrOversized},
-		"crc":               {bytes.NewReader(damage(ack, len(ack)-1, 1)), ErrChecksum},
-		"truncated header":  {bytes.NewReader(ack[:5]), ErrTruncated},
-		"truncated payload": {bytes.NewReader(ack[:len(ack)-1]), ErrTruncated},
-		"clean close":       {bytes.NewReader(nil), io.EOF},
-		"stalled":           {stalledReader{}, io.ErrNoProgress},
-	} {
-		rd := msgReader{r: tc.r, buf: make([]byte, 64)}
-		if _, _, err := rd.next(); !errors.Is(err, tc.want) {
-			t.Errorf("%s: err %v, want %v", name, err, tc.want)
-		}
-	}
-
-	// Two and a half messages in one read: the first read serves two
-	// messages, the third waits for exactly one more.
-	half := len(nack) / 2
-	cr := &chunkReader{chunks: [][]byte{cat(frame, ack, nack[:half]), nack[half:]}}
-	rd = msgReader{r: cr, buf: make([]byte, connBufSize)}
-	for i, want := range []struct {
-		typ   uint8
-		reads int
-	}{{MsgFrame, 1}, {MsgAck, 1}, {MsgNack, 2}} {
-		typ, _, err := rd.next()
-		if err != nil || typ != want.typ || cr.reads != want.reads {
-			t.Fatalf("message %d of two and a half in one read: type %d, err %v, after %d reads; want type %d after %d", i, typ, err, cr.reads, want.typ, want.reads)
-		}
-	}
-	if _, _, err := rd.next(); err != io.EOF {
-		t.Fatalf("after the last message: %v, want io.EOF", err)
-	}
-
-	// ReadMsg takes the message and nothing after it: the stream can be
-	// handed on.
-	r := bytes.NewReader(cat(ack, frame))
-	if _, _, err := ReadMsg(r); err != nil || r.Len() != len(frame) {
-		t.Fatalf("ReadMsg left %d bytes of a %d-byte message behind it (err %v)", r.Len(), len(frame), err)
-	}
-}
-
-// stalledReader never returns data nor an error.
-type stalledReader struct{}
-
-func (stalledReader) Read([]byte) (int, error) { return 0, nil }
-
 // TestFrameDecoderDoesNotAliasTheBuffer pins what "straight out of the
 // read buffer" must not mean: a decoded frame holds no reference to the
 // payload it came from, so the next message overwriting the buffer leaves
@@ -390,9 +173,9 @@ func TestFrameDecoderDoesNotAliasTheBuffer(t *testing.T) {
 	for i := range second.Pixels {
 		second.Pixels[i] = -1
 	}
-	rd := msgReader{r: bytes.NewReader(append(EncodeFrame(first), EncodeFrame(second)...)), buf: make([]byte, 128)}
+	rd := vdif.NewReader(bytes.NewReader(append(EncodeFrame(first), EncodeFrame(second)...)), 128)
 	var dec frameDecoder
-	_, payload, err := rd.next()
+	_, payload, err := rd.Next()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +183,7 @@ func TestFrameDecoderDoesNotAliasTheBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, payload, err = rd.next(); err != nil {
+	if _, payload, err = rd.Next(); err != nil {
 		t.Fatal(err)
 	}
 	tenant2, f2, err := dec.decode(payload)
@@ -431,14 +214,14 @@ func TestFrameDecoderDoesNotAliasTheBuffer(t *testing.T) {
 // warm connection's read and decode allocate the frame's pixel slice and
 // nothing else, and the ACK nothing at all.
 func TestFrameDecodeAllocs(t *testing.T) {
-	wire := EncodeFrame(testFrameMsg())
+	msg := EncodeFrame(testFrameMsg())
 	src := bytes.NewReader(nil)
-	rd := msgReader{r: src, buf: make([]byte, connBufSize)}
+	rd := vdif.NewReader(src, wire.ConnBufSize)
 	var dec frameDecoder
 	ack := make([]byte, 0, ackSize)
 	got := testing.AllocsPerRun(100, func() {
-		src.Reset(wire)
-		_, payload, err := rd.next()
+		src.Reset(msg)
+		_, payload, err := rd.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -520,33 +303,5 @@ func FuzzDecodeFrameMsg(f *testing.F) {
 				t.Fatalf("re-encode changed pixel %d", i)
 			}
 		}
-	})
-}
-
-// FuzzMsgReader throws arbitrary streams at the buffered reader, through
-// a small buffer and in arbitrary read sizes: whatever ReadMsg makes of
-// the stream — messages, typed errors, where it stops — the reader makes
-// too, and neither panics.
-func FuzzMsgReader(f *testing.F) {
-	frame, ack := EncodeFrame(testFrameMsg()), EncodeAck(Ack{Seq: 9})
-	f.Add(append(append([]byte(nil), frame...), ack...), uint8(7))
-	f.Add(append(append([]byte(nil), ack...), frame[:40]...), uint8(1))
-	f.Add(frame[:HeaderSize], uint8(3))
-	f.Add([]byte("VDIF"), uint8(0))
-	f.Fuzz(func(t *testing.T, stream []byte, chunk uint8) {
-		// A declared length the stream does not hold is allocated before it
-		// is found missing (by ReadMsg as by the reader); keep the fuzzer
-		// from spending its time on 64 MB of zeroes, at the stream's head at
-		// least.
-		if len(stream) >= 10 && binary.BigEndian.Uint32(stream[6:10]) > 1<<16 {
-			t.Skip()
-		}
-		var chunks [][]byte
-		for rest := stream; len(rest) > 0; {
-			n := min(int(chunk)+1, len(rest))
-			chunks = append(chunks, rest[:n])
-			rest = rest[n:]
-		}
-		sameAsReadMsg(t, "fuzz", stream, &chunkReader{chunks: chunks}, 48)
 	})
 }

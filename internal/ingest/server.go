@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"videodrift/internal/wire"
 )
 
 // DefaultReadTimeout bounds how long the server waits for one complete
@@ -146,12 +148,12 @@ func (s *Server) logf(format string, args ...interface{}) {
 // read its socket: its client sees one slow ACK (DESIGN.md §14).
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
-	rd := msgReader{r: conn, buf: make([]byte, connBufSize)}
+	rd := vdif.NewReader(conn, wire.ConnBufSize)
 	var dec frameDecoder
 	ack := make([]byte, 0, ackSize)
 	for {
 		conn.SetReadDeadline(s.cfg.Now().Add(s.cfg.ReadTimeout))
-		msgType, payload, err := rd.next()
+		msgType, payload, err := rd.Next()
 		switch {
 		case err == nil:
 		case errors.Is(err, io.EOF):

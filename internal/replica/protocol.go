@@ -15,29 +15,17 @@
 // a Fenced message, which the old primary treats as a terminal
 // demotion.
 //
-// The wire format mirrors internal/ingest: every message is
-//
-//	magic   u32  "VDRP" (0x56445250)
-//	version u8   1
-//	type    u8   hello | full | delta | applied | fenced
-//	len     u32  payload length in bytes
-//	crc     u32  CRC-32 (IEEE) of the payload
-//	payload len bytes
-//
-// all big-endian. Decoding never trusts a declared length: payloads
-// are capped and every structural violation surfaces as a typed error
-// (ErrBadMagic, ErrTruncated, ErrChecksum, ErrOversized, *VersionError)
-// — never a panic, never an allocation sized by attacker-controlled
-// bytes beyond the cap.
+// Every message travels in internal/wire's envelope under the "VDRP"
+// format. Connections read one message at a time into a payload of the
+// caller's own: the standby keeps a generation's bytes.
 package replica
 
 import (
-	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
+
+	"videodrift/internal/wire"
 )
 
 // Magic is the wire magic number, "VDRP" big-endian.
@@ -47,7 +35,7 @@ const Magic uint32 = 0x56445250
 const Version = 1
 
 // HeaderSize is the fixed size of the wire header in bytes.
-const HeaderSize = 14
+const HeaderSize = wire.HeaderSize
 
 // Message types.
 const (
@@ -62,32 +50,25 @@ const (
 // large model fleet, with headroom.
 const MaxPayload = 1 << 28
 
-// Typed decode errors.
+// vdrp is this protocol's envelope.
+var vdrp = wire.Format{Magic: Magic, Version: Version, MaxPayload: MaxPayload}
+
+// The framing errors are the wire package's under either name.
 var (
-	// ErrBadMagic reports a header that does not start with Magic — the
-	// peer is not speaking this protocol (or the stream desynced).
-	ErrBadMagic = errors.New("replica: bad magic")
-	// ErrTruncated reports a message or payload shorter than its
-	// declared contents.
-	ErrTruncated = errors.New("replica: truncated message")
-	// ErrChecksum reports a payload whose CRC does not match the header.
-	ErrChecksum = errors.New("replica: payload checksum mismatch")
-	// ErrOversized reports a declared length beyond the protocol limits.
-	ErrOversized = errors.New("replica: oversized message")
+	ErrBadMagic  = wire.ErrBadMagic
+	ErrTruncated = wire.ErrTruncated
+	ErrChecksum  = wire.ErrChecksum
+	ErrOversized = wire.ErrOversized
 )
 
 // VersionError reports a protocol version this package does not speak.
-type VersionError struct{ Got uint8 }
-
-func (e *VersionError) Error() string {
-	return fmt.Sprintf("replica: protocol version %d (want %d)", e.Got, Version)
-}
+type VersionError = wire.VersionError
 
 // Hello is the standby's greeting on every (re)connect: the highest
 // fencing epoch it has seen and the last generation it applied, which
 // is the primary's resume point — Gen 0 asks for a full snapshot.
 //
-//driftlint:wire encode=EncodeHello decode=DecodeHello stream=ReadMsg
+//driftlint:wire encode=EncodeHello decode=DecodeHello
 type Hello struct {
 	Epoch uint64
 	Gen   uint64
@@ -100,7 +81,7 @@ type Hello struct {
 // the per-connection message sequence number (starts at 1); BaseGen is
 // the generation a delta applies on (0 for fulls).
 //
-//driftlint:wire encode=EncodeState,PutStateHeader decode=DecodeState stream=ReadMsg
+//driftlint:wire encode=EncodeState,PutStateHeader decode=DecodeState
 type State struct {
 	Epoch   uint64
 	Seq     uint64
@@ -111,7 +92,7 @@ type State struct {
 
 // Applied acknowledges one applied generation.
 //
-//driftlint:wire encode=EncodeApplied decode=DecodeApplied stream=ReadMsg
+//driftlint:wire encode=EncodeApplied decode=DecodeApplied
 type Applied struct {
 	Gen uint64
 }
@@ -120,26 +101,24 @@ type Applied struct {
 // epoch it is fenced behind. The receiving primary must stop
 // replicating — a newer primary exists.
 //
-//driftlint:wire encode=EncodeFenced decode=DecodeFenced stream=ReadMsg
+//driftlint:wire encode=EncodeFenced decode=DecodeFenced
 type Fenced struct {
 	Epoch uint64
 }
 
-// appendHeader appends the 14-byte header for a payload.
-func appendHeader(b []byte, msgType uint8, payload []byte) []byte {
-	b = binary.BigEndian.AppendUint32(b, Magic)
-	b = append(b, Version, msgType)
-	b = binary.BigEndian.AppendUint32(b, uint32(len(payload)))
-	b = binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
-	return b
+// sealU64s seals a message whose payload is a few big-endian uint64s:
+// hello, applied and fenced.
+func sealU64s(msgType uint8, vs ...uint64) []byte {
+	b := make([]byte, HeaderSize, HeaderSize+8*len(vs))
+	for _, v := range vs {
+		b = binary.BigEndian.AppendUint64(b, v)
+	}
+	return vdrp.Seal(b, 0, msgType)
 }
 
 // EncodeHello encodes a hello to wire bytes (header included).
 func EncodeHello(h Hello) []byte {
-	payload := make([]byte, 0, 16)
-	payload = binary.BigEndian.AppendUint64(payload, h.Epoch)
-	payload = binary.BigEndian.AppendUint64(payload, h.Gen)
-	return append(appendHeader(make([]byte, 0, HeaderSize+len(payload)), MsgHello, payload), payload...)
+	return sealU64s(MsgHello, h.Epoch, h.Gen)
 }
 
 // DecodeHello decodes a hello payload.
@@ -164,26 +143,26 @@ const stateFields = 4*8 + 4
 // EncodeState encodes a streamed generation to wire bytes under the
 // given message type (MsgFull or MsgDelta).
 func EncodeState(msgType uint8, st State) []byte {
-	wire := make([]byte, StateOverhead, StateOverhead+len(st.Payload))
-	wire = append(wire, st.Payload...)
-	PutStateHeader(wire, msgType, st)
-	return wire
+	msg := make([]byte, StateOverhead, StateOverhead+len(st.Payload))
+	msg = append(msg, st.Payload...)
+	PutStateHeader(msg, msgType, st)
+	return msg
 }
 
-// PutStateHeader completes a state message in place: wire already
-// holds the store envelope at wire[StateOverhead:] (st.Payload is not
+// PutStateHeader completes a state message in place: msg already
+// holds the store envelope at msg[StateOverhead:] (st.Payload is not
 // read) and gets its wire header, state fields and payload CRC written
 // in front. It is how a primary sends one encoded generation to several
 // standbys, or retries it, without re-assembling the message: only the
 // sequence number differs.
-func PutStateHeader(wire []byte, msgType uint8, st State) {
-	payload := wire[HeaderSize:]
+func PutStateHeader(msg []byte, msgType uint8, st State) {
+	payload := msg[HeaderSize:]
 	binary.BigEndian.PutUint64(payload[0:8], st.Epoch)
 	binary.BigEndian.PutUint64(payload[8:16], st.Seq)
 	binary.BigEndian.PutUint64(payload[16:24], st.Gen)
 	binary.BigEndian.PutUint64(payload[24:32], st.BaseGen)
 	binary.BigEndian.PutUint32(payload[32:36], uint32(len(payload)-stateFields))
-	appendHeader(wire[:0], msgType, payload)
+	vdrp.Seal(msg, 0, msgType)
 }
 
 // DecodeState decodes a streamed-generation payload. Every length is
@@ -209,8 +188,7 @@ func DecodeState(payload []byte) (State, error) {
 
 // EncodeApplied encodes an apply acknowledgment to wire bytes.
 func EncodeApplied(a Applied) []byte {
-	payload := binary.BigEndian.AppendUint64(make([]byte, 0, 8), a.Gen)
-	return append(appendHeader(make([]byte, 0, HeaderSize+len(payload)), MsgApplied, payload), payload...)
+	return sealU64s(MsgApplied, a.Gen)
 }
 
 // DecodeApplied decodes an apply-acknowledgment payload.
@@ -223,8 +201,7 @@ func DecodeApplied(payload []byte) (Applied, error) {
 
 // EncodeFenced encodes a fencing rejection to wire bytes.
 func EncodeFenced(f Fenced) []byte {
-	payload := binary.BigEndian.AppendUint64(make([]byte, 0, 8), f.Epoch)
-	return append(appendHeader(make([]byte, 0, HeaderSize+len(payload)), MsgFenced, payload), payload...)
+	return sealU64s(MsgFenced, f.Epoch)
 }
 
 // DecodeFenced decodes a fencing-rejection payload.
@@ -235,46 +212,15 @@ func DecodeFenced(payload []byte) (Fenced, error) {
 	return Fenced{Epoch: binary.BigEndian.Uint64(payload)}, nil
 }
 
-// ReadMsg reads one length-prefixed message off the stream: header
-// validation (magic, version, payload cap), then exactly the declared
-// payload, then the CRC check. On a header-level error the stream
-// position is undefined and the connection should be dropped — the
-// reconnecting peer resumes from its Hello generation, which is what
-// makes a torn delta stream cost a round trip, not state.
+// ReadMsg reads one message off the stream (wire.Format.ReadMsg); the
+// payload is the caller's to keep. After a header-level error the
+// connection is dropped: the reconnecting peer resumes from its Hello
+// generation, so a torn delta stream costs a round trip, not state.
 func ReadMsg(r io.Reader) (msgType uint8, payload []byte, err error) {
-	var hdr [HeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return 0, nil, ErrTruncated
-		}
-		return 0, nil, err // io.EOF between messages: clean close
-	}
-	if binary.BigEndian.Uint32(hdr[0:4]) != Magic {
-		return 0, nil, ErrBadMagic
-	}
-	if hdr[4] != Version {
-		return 0, nil, &VersionError{Got: hdr[4]}
-	}
-	msgType = hdr[5]
-	n := binary.BigEndian.Uint32(hdr[6:10])
-	if n > MaxPayload {
-		return 0, nil, fmt.Errorf("%w: declared payload %d > %d", ErrOversized, n, MaxPayload)
-	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, ErrTruncated
-	}
-	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(hdr[10:14]) {
-		return msgType, nil, ErrChecksum
-	}
-	return msgType, payload, nil
+	return vdrp.ReadMsg(r)
 }
 
-// DecodeMsg decodes one message from a complete wire buffer (header +
-// payload), the io-free sibling of ReadMsg.
+// DecodeMsg is ReadMsg over a complete buffer; the payload aliases b.
 func DecodeMsg(b []byte) (msgType uint8, payload []byte, err error) {
-	if len(b) < HeaderSize {
-		return 0, nil, ErrTruncated
-	}
-	return ReadMsg(bytes.NewReader(b))
+	return vdrp.DecodeMsg(b)
 }

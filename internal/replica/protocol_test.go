@@ -3,6 +3,7 @@ package replica
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"io"
 	"testing"
@@ -45,6 +46,27 @@ func TestProtocolRoundTrips(t *testing.T) {
 	f := Fenced{Epoch: 9}
 	if got, err := DecodeFenced(checkMsg("fenced", EncodeFenced(f), MsgFenced)); err != nil || got != f {
 		t.Fatalf("fenced round trip: %+v, %v", got, err)
+	}
+}
+
+// TestGoldenBytes holds one message of each type to the bytes the build
+// before internal/wire emitted for it (recorded at that commit): moving
+// the header and the CRC into a shared layer changed nothing on the wire.
+func TestGoldenBytes(t *testing.T) {
+	st := State{Epoch: 7, Seq: 3, Gen: 43, BaseGen: 42, Payload: []byte("envelope bytes")}
+	for name, c := range map[string]struct {
+		got  []byte
+		want string
+	}{
+		"hello":   {EncodeHello(Hello{Epoch: 7, Gen: 42}), "564452500101000000105361ef4a0000000000000007000000000000002a"},
+		"full":    {EncodeState(MsgFull, st), "56445250010200000032ba149c2900000000000000070000000000000003000000000000002b000000000000002a0000000e656e76656c6f7065206279746573"},
+		"delta":   {EncodeState(MsgDelta, st), "56445250010300000032ba149c2900000000000000070000000000000003000000000000002b000000000000002a0000000e656e76656c6f7065206279746573"},
+		"applied": {EncodeApplied(Applied{Gen: 43}), "56445250010400000008c99e2629000000000000002b"},
+		"fenced":  {EncodeFenced(Fenced{Epoch: 9}), "564452500105000000081cfe67cd0000000000000009"},
+	} {
+		if hex.EncodeToString(c.got) != c.want {
+			t.Errorf("%s: encodes to %x, the parent build's bytes are %s", name, c.got, c.want)
+		}
 	}
 }
 

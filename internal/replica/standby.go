@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"time"
 
 	"videodrift/internal/store"
 	"videodrift/internal/telemetry"
@@ -28,12 +27,6 @@ type StandbyConfig struct {
 	Tracer *telemetry.Tracer
 	// Logf logs connection churn; nil is silent.
 	Logf func(format string, args ...any)
-	// OnApply, when set, observes every applied checkpoint (the warm
-	// fleet refresh hook). Called without internal locks held.
-	OnApply func(cp *store.Checkpoint)
-	// ApplyTimeout bounds each per-message read (default 0: none; the
-	// primary's cadence is its own business).
-	ApplyTimeout time.Duration
 }
 
 // Standby accepts replication streams from a primary and applies them
@@ -186,9 +179,6 @@ func (s *Standby) handle(conn net.Conn) {
 
 	var seq uint64
 	for {
-		if s.cfg.ApplyTimeout > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(s.cfg.ApplyTimeout))
-		}
 		msgType, payload, err := ReadMsg(conn)
 		if err != nil {
 			return
@@ -294,9 +284,6 @@ func (s *Standby) apply(msgType uint8, st State) (reply []byte, keepOpen bool) {
 	s.applied++
 	s.mu.Unlock()
 	s.cfg.Tracer.ReplicaDeltaApplied(st.Gen, st.Epoch, kind, len(st.Payload))
-	if s.cfg.OnApply != nil {
-		s.cfg.OnApply(next)
-	}
 	return EncodeApplied(Applied{Gen: st.Gen}), true
 }
 

@@ -10,7 +10,7 @@ import (
 )
 
 // Health is the /healthz document — liveness plus degradation state —
-// in every mode; `drifttool health`, the benchmark and the soak scripts
+// in every mode; `drifttool health`, the benchmark and scripts/smoke.sh
 // read it. Fields a mode has nothing to say about are left out.
 type Health struct {
 	// Status is the fleet's state ("ok", "degraded", "failed") or one of

@@ -290,7 +290,7 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-// TestServeIngest is scripts/soak.sh in process: three tenants over the
+// TestServeIngest is the retired scripts/soak.sh in process: three tenants over the
 // wire protocol through a seeded fault schedule, every frame accepted
 // and processed, none dropped, every tenant attached — and each
 // tenant's drift declarations are those of an in-process Monitor fed
@@ -502,7 +502,7 @@ func TestTenantTelemetry(t *testing.T) {
 	}
 }
 
-// TestServeFailover is scripts/failover_soak.sh in process: a
+// TestServeFailover is the retired scripts/failover_soak.sh in process: a
 // replicating primary and a hot standby, tenants streaming through the
 // failover address list, the primary torn down mid-stream with no final
 // flush. The standby promotes after -probe-fails failed probes and the
@@ -838,7 +838,7 @@ func fill(v reflect.Value) {
 }
 
 // TestHealthShape pins the /healthz schema its readers depend on —
-// bench/server.go, `drifttool health`, the soak scripts through it: the
+// bench/server.go, `drifttool health`, scripts/smoke.sh through it: the
 // keys of a fully populated document, and which of them a fleet, an
 // ingestion tier and a replication block report even at zero.
 func TestHealthShape(t *testing.T) {

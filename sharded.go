@@ -53,9 +53,9 @@ type ShardedOptions struct {
 	Workers int
 	// Tracers optionally attaches one telemetry tracer per shard
 	// (len(Tracers) must be >= Shards when set), so per-stream drift
-	// events and stage latencies stay separable. When nil, the embedded
-	// Options.Tracer — which is safe for concurrent use — is shared by
-	// every shard, or tracing is off if that is nil too.
+	// events and stage latencies stay separable. When nil (or for a shard
+	// whose element is nil), the embedded Options.Tracer — which is safe
+	// for concurrent use — is shared, or tracing is off if that is nil too.
 	Tracers []*Tracer
 	// Faults optionally attaches a deterministic fault injector (chaos
 	// testing): its worker faults fire before each shard's Process call
@@ -225,10 +225,10 @@ func (h ShardedHealth) Serving() bool {
 	return h.State != HealthFailed && !h.Stalled
 }
 
-// NewShardedMonitor builds one monitor per shard over the shared models.
-// Every shard starts with the registry's first model deployed, exactly
-// like NewMonitor; shard i's pipeline runs on seed Options.Pipeline.Seed
-// + i.
+// NewShardedMonitor builds one monitor per shard over the shared models:
+// a dynamic fleet with Shards streams attached. Every shard starts with
+// the registry's first model deployed, exactly like NewMonitor; shard i's
+// pipeline runs on seed Options.Pipeline.Seed + i.
 func NewShardedMonitor(models []*Model, labeler Labeler, opts ShardedOptions) *ShardedMonitor {
 	if opts.Shards < 1 {
 		panic("videodrift: NewShardedMonitor needs Shards >= 1")
@@ -236,20 +236,15 @@ func NewShardedMonitor(models []*Model, labeler Labeler, opts ShardedOptions) *S
 	if opts.Tracers != nil && len(opts.Tracers) < opts.Shards {
 		panic(fmt.Sprintf("videodrift: %d tracers for %d shards", len(opts.Tracers), opts.Shards))
 	}
-	sm := newSharded(opts.Shards, labeler, opts)
-	sm.baseModels = models
-	// Warm the shared feature matrices once, outside the fan-out, so no
-	// shard pays the flatten on its first frame.
-	for _, m := range models {
-		m.FeatMatrix()
-	}
-	for i := range sm.shards {
-		shardOpts := sm.shardOptions(i, opts)
-		shardOpts.Pipeline.Seed += int64(i)
-		sm.shards[i] = NewMonitor(models, labeler, shardOpts)
-		st := &shardState{opts: shardOpts}
-		st.save(sm.shards[i]) // pristine snapshot: a frame-0 panic restores to it
-		sm.states[i] = st
+	sm := NewDynamicSharded(models, labeler, opts)
+	for i := 0; i < opts.Shards; i++ {
+		var tr *Tracer
+		if opts.Tracers != nil {
+			tr = opts.Tracers[i]
+		}
+		if _, err := sm.Attach(tr); err != nil {
+			panic(err)
+		}
 	}
 	return sm
 }
@@ -270,7 +265,7 @@ func NewDynamicSharded(models []*Model, labeler Labeler, opts ShardedOptions) *S
 	return sm
 }
 
-// newSharded allocates the supervisor shell shared by NewShardedMonitor
+// newSharded allocates the supervisor shell shared by NewDynamicSharded
 // and ResumeSharded.
 func newSharded(n int, labeler Labeler, opts ShardedOptions) *ShardedMonitor {
 	sm := &ShardedMonitor{
@@ -291,19 +286,6 @@ func newSharded(n int, labeler Labeler, opts ShardedOptions) *ShardedMonitor {
 		sm.clock = time.Now
 	}
 	return sm
-}
-
-// shardOptions derives shard i's monitor options: the per-shard tracer
-// and the injector's per-shard training-fault hook.
-func (sm *ShardedMonitor) shardOptions(i int, opts ShardedOptions) Options {
-	shardOpts := opts.Options
-	if opts.Tracers != nil {
-		shardOpts.Tracer = opts.Tracers[i]
-	}
-	if opts.Faults != nil {
-		shardOpts.Pipeline.TrainFault = opts.Faults.TrainFault(i)
-	}
-	return shardOpts
 }
 
 // Shards returns the number of shard slots (attached or detached).
