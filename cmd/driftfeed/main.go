@@ -3,7 +3,9 @@
 // for the wire protocol. Each tenant is one independent camera stream
 // (its own seed schedule, so tenants drift at different times) driven
 // by one connection with exactly-once delivery: frames are resent
-// across reconnects, corruption NACKs and backpressure until acked.
+// across reconnects, corruption NACKs and backpressure until the server
+// confirms them, a window of them at a time, and the tenant's last
+// window is confirmed before driftfeed reports.
 //
 // Usage:
 //
@@ -139,9 +141,11 @@ func main() {
 				}
 				results[i].sent = n + 1
 				if *verbose && (n+1)%100 == 0 {
-					fmt.Fprintf(os.Stderr, "%s: %d/%d frames acked\n", tenant, n+1, *frames)
+					fmt.Fprintf(os.Stderr, "%s: %d/%d frames sent\n", tenant, n+1, *frames)
 				}
 			}
+			// The last frames of a window are written, not yet confirmed.
+			results[i].err = c.Flush()
 			results[i].stats = c.Stats()
 		}(i)
 	}

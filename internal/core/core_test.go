@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -216,6 +218,60 @@ func TestDriftInspectorDetectsConditionSwitch(t *testing.T) {
 	di.Reset()
 	if di.Observed() != 0 || di.MartingaleValue() != 0 {
 		t.Error("Reset left state behind")
+	}
+}
+
+// TestInspectorReadsClassifierFeatures pins the hand-off in
+// Pipeline.Process: the deployed classifier's front-end computes the
+// frame's appearance features on the way to its query vector, and an
+// inspector fed those traces the same p-values and martingale, update for
+// update, as one featurizing every sampled frame itself — through a drift
+// and its declaration, for both built-in front-ends.
+func TestInspectorReadsClassifierFeatures(t *testing.T) {
+	training := vidsim.GenerateTraining(dayC(), testW, testH, 200, 11)
+	stream := append(streamFrames(dayC(), 120, 51), streamFrames(nightC(), 120, 52)...)
+	type update struct{ p, value, delta float64 }
+	for _, fn := range []vision.FeatureFunc{vision.QueryFeatures, vision.SpatialFeatures} {
+		cfg := DefaultPipelineConfig(testDim, testNumClasses)
+		cfg.Selector = SelectorMSBI
+		cfg.Provision = quickProvision(21).For(SelectorMSBI)
+		cfg.Provision.QueryFn = fn
+		entry := Provision("day", training, testLabeler, cfg.Provision)
+		p := NewPipeline(NewRegistry(entry), testLabeler, cfg)
+		// The pipeline's inspector draws its tie-breaks from the first split
+		// of the pipeline's generator.
+		self := NewDriftInspector(entry, cfg.DI, stats.NewRNG(cfg.Seed).Split())
+		var handed, featurized []update
+		p.Inspector().SetProbe(func(pv, v, d float64) { handed = append(handed, update{pv, v, d}) })
+		self.SetProbe(func(pv, v, d float64) { featurized = append(featurized, update{pv, v, d}) })
+		declared := -1
+		for i, f := range stream {
+			out := p.Process(f)
+			if fired := self.ObserveFrame(f); fired != out.Drift {
+				t.Fatalf("%s frame %d: the pipeline's inspector declared %v, the self-featurizing one %v", vision.FeatureFuncName(fn), i, out.Drift, fired)
+			}
+			if out.Drift {
+				declared = i
+				break
+			}
+		}
+		if declared < len(stream)/2 {
+			t.Fatalf("%s: declared at frame %d, want a declaration after the drift at %d", vision.FeatureFuncName(fn), declared, len(stream)/2)
+		}
+		if len(handed) != len(featurized) || len(handed) < 2*cfg.DI.W {
+			t.Fatalf("%s: %d updates handed, %d featurized", vision.FeatureFuncName(fn), len(handed), len(featurized))
+		}
+		// The hand-off is taken: the pipeline's inspector never featurized a
+		// frame of its own (its featurizer is still the zero value).
+		if !reflect.DeepEqual(p.Inspector().fz, vision.Featurizer{}) || reflect.DeepEqual(self.fz, vision.Featurizer{}) {
+			t.Fatalf("%s: the pipeline's inspector featurized frames itself", vision.FeatureFuncName(fn))
+		}
+		for k := range handed {
+			h, s := handed[k], featurized[k]
+			if math.Float64bits(h.p) != math.Float64bits(s.p) || math.Float64bits(h.value) != math.Float64bits(s.value) || math.Float64bits(h.delta) != math.Float64bits(s.delta) {
+				t.Fatalf("%s update %d: handed features %+v, featurized %+v", vision.FeatureFuncName(fn), k, h, s)
+			}
+		}
 	}
 }
 

@@ -94,7 +94,13 @@ func (di *DriftInspector) SetTracer(tr *telemetry.Tracer) { di.tracer = tr }
 // martingale (Algorithm 1 end to end: non-conformity score, p-value with
 // uniform tie-break, betting-function update, windowed threshold test);
 // skipped frames are free.
-func (di *DriftInspector) Observe(pixels tensor.Vector) bool {
+func (di *DriftInspector) Observe(pixels tensor.Vector) bool { return di.observe(pixels, nil) }
+
+// observe is Observe for a frame whose appearance features the caller
+// may already hold: feat, when not nil, is what vision.Featurize computes
+// for the pixels, bit for bit (the deployed classifier's query vector
+// carries it), and a sampled frame is not featurized again.
+func (di *DriftInspector) observe(pixels, feat tensor.Vector) bool {
 	di.seen++
 	if (di.seen-1)%di.cfg.SampleEvery != 0 {
 		return false
@@ -119,7 +125,9 @@ func (di *DriftInspector) Observe(pixels tensor.Vector) bool {
 	if tr != nil {
 		t0 = tr.Now()
 	}
-	feat := di.fz.Appearance(pixels, di.entry.W, di.entry.H)
+	if feat == nil {
+		feat = di.fz.Appearance(pixels, di.entry.W, di.entry.H)
+	}
 	di.fstats.Observe(feat) // copies; the featurizer reuses its buffer
 	if tr != nil {
 		t1 := tr.Now()

@@ -351,9 +351,13 @@ type predictScratch struct {
 }
 
 // predictInto is Predict through s: the same class, and no allocation
-// once s is warm.
-func (e *ModelEntry) predictInto(s *predictScratch, f vidsim.Frame) int {
-	return e.Classifier.PredictInto(&s.net, s.fz.Query(e.queryFn, f.Pixels, e.W, e.H))
+// once s is warm. Beside the class it returns the frame's appearance
+// features when the entry's front-end computed them on the way (a
+// built-in one: vision.Featurizer.Query), nil otherwise; they live in s
+// until the next call.
+func (e *ModelEntry) predictInto(s *predictScratch, f vidsim.Frame) (int, tensor.Vector) {
+	q, app := s.fz.Query(e.queryFn, f.Pixels, e.W, e.H)
+	return e.Classifier.PredictInto(&s.net, q), app
 }
 
 // QuerySample converts a frame and its label into the classifier sample

@@ -7,6 +7,7 @@ import (
 	"videodrift/internal/classifier"
 	"videodrift/internal/stats"
 	"videodrift/internal/telemetry"
+	"videodrift/internal/tensor"
 	"videodrift/internal/vidsim"
 )
 
@@ -262,20 +263,24 @@ func (p *Pipeline) Process(f vidsim.Frame) Outcome {
 	// Stage timestamps come from the tracer's injected clock (see
 	// DriftInspector.Observe): time.Now here would break deterministic
 	// replay under a test clock, and driftlint's determinism analyzer
-	// rejects it.
+	// rejects it. The classifier's front-end computes the frame's
+	// appearance features on the way to its query vector (a built-in one
+	// does); the inspector reads those instead of featurizing the frame a
+	// second time.
+	var app tensor.Vector
 	if p.current.Classifier != nil {
 		if tr != nil {
 			t0 := tr.Now()
-			out.Prediction = p.current.predictInto(&p.predict, f)
+			out.Prediction, app = p.current.predictInto(&p.predict, f)
 			tr.ObserveStage(telemetry.StageClassify, tr.Now().Sub(t0))
 		} else {
-			out.Prediction = p.current.predictInto(&p.predict, f)
+			out.Prediction, app = p.current.predictInto(&p.predict, f)
 		}
 	}
 
 	switch p.state {
 	case stateMonitoring:
-		if p.di.ObserveFrame(f) {
+		if p.di.observe(f.Pixels, app) {
 			p.metrics.DriftsDetected++
 			out.Drift = true
 			p.state = stateSelecting

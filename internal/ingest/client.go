@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"videodrift/internal/vidsim"
+	"videodrift/internal/wire"
 )
 
 // Client defaults.
@@ -17,6 +18,10 @@ const (
 	DefaultMaxAttempts  = 8
 	DefaultMaxBackoff   = 200
 )
+
+// window is how many frames a windowed connection leaves unconfirmed at
+// most: the frame that makes it this many asks for their confirmation.
+const window = 8
 
 // ClientConfig parameterizes a Client.
 type ClientConfig struct {
@@ -30,15 +35,16 @@ type ClientConfig struct {
 	// (1..MaxTenant bytes).
 	Tenant string
 	// DialTimeout bounds each (re)connection attempt (<= 0 means
-	// DefaultDialTimeout); ReplyTimeout bounds the wait for each Ack or
-	// Nack (<= 0 means DefaultReplyTimeout).
+	// DefaultDialTimeout); ReplyTimeout bounds the wait for each answer
+	// (<= 0 means DefaultReplyTimeout).
 	DialTimeout  time.Duration
 	ReplyTimeout time.Duration
-	// MaxAttempts bounds transport-level retries per frame — reconnects
-	// after torn writes, resends after corruption Nacks (<= 0 means
-	// DefaultMaxAttempts). Backpressure Nacks have their own, larger
-	// budget MaxBackoff, because a full queue is the server working as
-	// designed, not failing (<= 0 means DefaultMaxBackoff).
+	// MaxAttempts bounds transport-level retries per Send, Flush or
+	// Close — reconnects after torn writes, resends after corruption
+	// Nacks (<= 0 means DefaultMaxAttempts). Backpressure Nacks have
+	// their own, larger budget MaxBackoff, because a full queue is the
+	// server working as designed, not failing (<= 0 means
+	// DefaultMaxBackoff).
 	MaxAttempts int
 	MaxBackoff  int
 	// Sleep waits out a Nack's retry-after hint (nil means time.Sleep;
@@ -46,21 +52,22 @@ type ClientConfig struct {
 	Sleep func(time.Duration)
 	// Now is the deadline clock (nil means time.Now).
 	Now func() time.Time
-	// TxFault optionally mangles the bytes of transmission msg (a
+	// TxFault optionally mangles the bytes of frame transmission msg (a
 	// per-client counter that includes retries) before they hit the
 	// wire, returning the bytes to send and whether to tear the
 	// connection down after them — the seam faults.NetInjector.Tx plugs
-	// into. Nil sends clean.
+	// into. Nil sends clean. A Sync always travels clean.
 	TxFault func(msg int, b []byte) ([]byte, bool)
 }
 
 // ClientStats counts a client's wire activity.
 type ClientStats struct {
-	// Sent counts transmissions (including retries); Acked frames
-	// accepted; Dups idempotent re-acks (a resend whose original made
-	// it); Nacks rejections of any kind; Retries re-sends of a frame;
-	// Reconnects connection re-establishments after the first;
-	// Failovers rotations to a different configured address.
+	// Sent counts frame transmissions (including retries); Acked frames
+	// confirmed; Dups idempotent re-acks (a resend whose original made
+	// it; only a stop-and-wait connection is told); Nacks rejections of
+	// any kind; Retries re-sends of a frame; Reconnects connection
+	// re-establishments after the first; Failovers rotations to a
+	// different configured address.
 	Sent, Acked, Dups, Nacks, Retries, Reconnects, Failovers int64
 }
 
@@ -73,22 +80,43 @@ func (e *NackError) Error() string {
 }
 
 // Client feeds one tenant's frame stream to an ingest server with
-// exactly-once delivery: each frame is sent and resent — across
-// reconnects, corruption rejections and backpressure — until the
-// server acknowledges it (a Dup ack counts: the earlier send made it
-// and only the ack was lost). A Client is not safe for concurrent
-// use; one goroutine owns one tenant stream, matching the protocol's
-// per-tenant total order.
+// exactly-once delivery. It opens every connection with a Sync; a server
+// that answers it takes a window of frames: Send writes its frame and
+// returns, and the frame that leaves window frames unconfirmed — and a
+// stream's first — asks with a Sync written behind it and blocks on the
+// answer, one cumulative Ack for all of them. A server that predates Sync
+// NACKs it, and the connection runs stop-and-wait: every frame is its own
+// ask, answered by its own Ack. Either way a frame is resent — across
+// reconnects, corruption rejections and backpressure — until the server
+// confirms it, and only frames the server reports it lacks are resent
+// (the seq dedup covers a reconnect racing the old connection). A Client
+// is not safe for concurrent use; one goroutine owns one tenant stream,
+// matching the protocol's per-tenant total order.
 type Client struct {
 	cfg       ClientConfig
 	addrs     []string
 	addrIdx   int // index of the address currently (or last) connected
 	connFails int // consecutive all-address connect failures
 	conn      net.Conn
-	seq       uint64 // next sequence number to assign
-	tx        int    // transmission counter (TxFault key)
-	stats     ClientStats
+	rd        wire.Reader // the connection's answers
+	synced    bool        // the connection's opening Sync was answered
+	windowed  bool        // ... by a server that speaks Sync
+
+	// The window: frames [base, seq) are unconfirmed, each sealed in its
+	// slot slots[seq%window], which the frame window places later reuses;
+	// [base, sent) went out on the current connection. hi is one past the
+	// highest frame ever transmitted (a transmission below it is a retry).
+	slots          [window][]byte
+	base, sent, hi uint64
+	seq            uint64 // next sequence number to assign
+	ask            []byte // a Sync sent alone
+	tx             int    // frame transmission counter (TxFault key)
+	stats          ClientStats
 }
+
+// clientBufSize is a connection's answer buffer: an Ack, or a round's
+// Nacks (a message beyond it is read into a buffer of its own).
+const clientBufSize = 1 << 10
 
 // Dial builds a client and establishes its first connection.
 func Dial(cfg ClientConfig) (*Client, error) {
@@ -145,6 +173,8 @@ func (c *Client) connect() error {
 			c.stats.Failovers++
 		}
 		c.conn = conn
+		c.rd = vdif.NewReader(conn, clientBufSize)
+		c.synced, c.windowed, c.sent = false, false, c.base
 		return nil
 	}
 	return lastErr
@@ -158,14 +188,16 @@ func (c *Client) drop() {
 	}
 }
 
-// Close tears the connection down. The client's stream position is
-// kept, so a later Send would reconnect and continue the sequence.
+// Flush blocks until the server has confirmed every frame Send took: one
+// Sync, and resends of only what the server reports it lacks.
+func (c *Client) Flush() error { return c.confirm() }
+
+// Close confirms every frame Send took (Flush) and tears the connection
+// down, returning Flush's error. The client's stream position is kept,
+// so a later Send would reconnect and continue the sequence.
 func (c *Client) Close() error {
-	if c.conn == nil {
-		return nil
-	}
-	err := c.conn.Close()
-	c.conn = nil
+	err := c.Flush()
+	c.drop()
 	return err
 }
 
@@ -175,15 +207,44 @@ func (c *Client) Stats() ClientStats { return c.stats }
 // Seq returns the next sequence number the client will assign.
 func (c *Client) Seq() uint64 { return c.seq }
 
-// Send delivers one frame, blocking until the server acknowledges it
-// or a retry budget runs out. On success the client's sequence
-// advances; on error the frame is not considered delivered and Send
-// may be called again with the same frame.
+// Send delivers one frame. On a windowed connection it returns once the
+// frame is written — unless it asks, when it blocks until the server has
+// confirmed the window — and on a stop-and-wait one once the server has
+// acknowledged it. On error the frame is not taken: the frames before it
+// stay unconfirmed for the next Send, Flush or Close to retry, and Send
+// may be called again with the same frame. Once the window's slots are
+// warm a Send allocates nothing.
 func (c *Client) Send(f vidsim.Frame) error {
-	wire := EncodeFrame(MsgFromFrame(c.cfg.Tenant, c.seq, f))
+	slot := &c.slots[c.seq%window]
+	if need := frameSize(len(c.cfg.Tenant), len(f.Condition), len(f.Pixels)) + syncSize(len(c.cfg.Tenant)); cap(*slot) < need {
+		*slot = make([]byte, 0, need) // room for the Sync an ask appends
+	}
+	*slot = appendFrame((*slot)[:0], c.cfg.Tenant, c.seq, f.W, f.H, f.Condition, f.Pixels)
+	c.seq++
+	// Quiet: the window has room and the connection is windowed and in
+	// step. A stream's first frame is never quiet: Dial leaves the opening
+	// Sync to it, and the round that opens a connection asks.
+	if c.conn != nil && c.windowed && c.sent == c.seq-1 && c.seq-c.base < window {
+		if c.transmit(c.seq-1, false) == nil {
+			return nil
+		}
+	}
+	if err := c.confirm(); err != nil {
+		c.seq--
+		c.sent = min(c.sent, c.seq)
+		return err
+	}
+	return nil
+}
+
+// confirm runs rounds until every frame in the window is confirmed or a
+// budget runs out: (re)connect and open with a Sync, send what the server
+// lacks and ask — or, stop-and-wait, send the oldest unconfirmed frame and
+// read its answer.
+func (c *Client) confirm() error {
 	attempts, backoffs := 0, 0
 	var lastErr error
-	for attempts < c.cfg.MaxAttempts && backoffs < c.cfg.MaxBackoff {
+	for c.base < c.seq && attempts < c.cfg.MaxAttempts && backoffs < c.cfg.MaxBackoff {
 		if c.conn == nil {
 			if err := c.connect(); err != nil {
 				lastErr = err
@@ -209,95 +270,228 @@ func (c *Client) Send(f vidsim.Frame) error {
 			c.connFails = 0
 			c.stats.Reconnects++
 		}
-		out, tear := wire, false
-		if c.cfg.TxFault != nil {
-			out, tear = c.cfg.TxFault(c.tx, wire)
-		}
-		c.tx++
-		c.stats.Sent++
-		_, werr := c.conn.Write(out)
-		if tear {
-			// Injected torn write: the connection dies mid-message, like a
-			// crashing sender. Reconnect and resend.
-			c.drop()
-			attempts++
-			c.stats.Retries++
-			lastErr = fmt.Errorf("ingest: injected torn write (tx %d)", c.tx-1)
-			continue
-		}
-		if werr != nil {
-			c.drop()
-			attempts++
-			c.stats.Retries++
-			lastErr = werr
-			continue
-		}
-		c.conn.SetReadDeadline(c.cfg.Now().Add(c.cfg.ReplyTimeout))
-		msgType, payload, err := ReadMsg(c.conn)
+		before := c.base
+		nack, err := c.round()
 		if err != nil {
-			// Lost reply: the frame may or may not have been processed.
-			// Resend — the server's seq dedup makes that idempotent.
+			// A torn write, a lost or garbled answer: the frames may or may
+			// not have been admitted. The next connection's Sync tells.
 			c.drop()
 			attempts++
-			c.stats.Retries++
 			lastErr = err
+			if errors.As(err, new(*NackError)) {
+				return err // the server is behind the window: not retryable
+			}
 			continue
 		}
-		switch msgType {
-		case MsgAck:
-			ack, err := DecodeAck(payload)
-			if err != nil {
-				c.drop()
-				attempts++
-				lastErr = err
-				continue
+		if nack == nil {
+			if c.base == before {
+				attempts++ // admitted nothing and rejected nothing: do not spin
 			}
-			c.stats.Acked++
-			if ack.Dup {
-				c.stats.Dups++
+			continue
+		}
+		lastErr = &NackError{Nack: *nack}
+		switch nack.Code {
+		case NackQueueFull, NackTenantLimit:
+			// Backpressure: the server told us when to come back.
+			backoffs++
+			d := time.Duration(nack.RetryAfterMillis) * time.Millisecond
+			if d <= 0 {
+				d = DefaultRetryAfter
 			}
-			c.seq++
-			return nil
-		case MsgNack:
-			nack, err := DecodeNack(payload)
-			if err != nil {
-				c.drop()
-				attempts++
-				lastErr = err
-				continue
-			}
-			c.stats.Nacks++
-			lastErr = &NackError{Nack: nack}
-			switch nack.Code {
-			case NackQueueFull, NackTenantLimit:
-				// Backpressure: the server told us when to come back.
-				backoffs++
-				c.stats.Retries++
-				d := time.Duration(nack.RetryAfterMillis) * time.Millisecond
-				if d <= 0 {
-					d = DefaultRetryAfter
-				}
-				c.cfg.Sleep(d)
-				continue
-			case NackMalformed, NackInternal:
-				// Wire corruption or a transient server fault: resend.
-				attempts++
-				c.stats.Retries++
-				continue
-			default:
-				// A sequence gap (or unknown code) is not retryable: the
-				// same bytes would be rejected again.
+			c.cfg.Sleep(d)
+		case NackMalformed, NackInternal:
+			// Wire corruption or a transient server fault: resend.
+			attempts++
+		case NackBadSeq:
+			// Windowed, a gap behind an earlier rejection in the round; the
+			// Sync's answer said where to resume. Stop-and-wait, the same
+			// bytes would be rejected again.
+			if !c.windowed {
 				return lastErr
 			}
-		default:
-			c.drop()
 			attempts++
-			lastErr = fmt.Errorf("ingest: unexpected reply type %d", msgType)
-			continue
+		default:
+			return lastErr // an unknown code is not retryable
 		}
+	}
+	if c.base == c.seq {
+		return nil
 	}
 	if lastErr == nil {
 		lastErr = errors.New("ingest: send retries exhausted")
 	}
-	return fmt.Errorf("ingest: frame seq %d not delivered after %d attempts: %w", c.seq, attempts+backoffs, lastErr)
+	return fmt.Errorf("ingest: frames %d..%d not confirmed after %d attempts: %w", c.base, c.seq-1, attempts+backoffs, lastErr)
+}
+
+// round is one exchange on the current connection: the opening Sync if
+// the connection has not had it, then — windowed — every frame from sent
+// on with a Sync behind the last and the answers up to the Sync's, or —
+// stop-and-wait — frame base and its answer. It returns the round's first
+// Nack, if any; an error means the connection is unusable.
+func (c *Client) round() (*Nack, error) {
+	if !c.synced {
+		if err := c.open(); err != nil {
+			return nil, err
+		}
+		if c.base == c.seq {
+			return nil, nil // the server had it all
+		}
+	}
+	if !c.windowed {
+		if err := c.transmit(c.base, false); err != nil {
+			return nil, err
+		}
+		return c.answers()
+	}
+	if c.sent == c.seq {
+		if err := c.writeSync(); err != nil {
+			return nil, err
+		}
+	}
+	for c.sent < c.seq {
+		if err := c.transmit(c.sent, c.sent == c.seq-1); err != nil {
+			return nil, err
+		}
+	}
+	return c.answers()
+}
+
+// open writes the connection's opening Sync and reads the answer: an Ack
+// makes the connection windowed and reports what the server holds, a Nack
+// (a server that predates Sync) makes it stop-and-wait.
+func (c *Client) open() error {
+	if err := c.writeSync(); err != nil {
+		return err
+	}
+	typ, payload, err := c.next()
+	if err != nil {
+		return err
+	}
+	switch typ {
+	case MsgAck:
+		a, err := DecodeAck(payload)
+		if err != nil {
+			return err
+		}
+		c.windowed = true
+		if err := c.confirmed(a.Seq); err != nil {
+			return err
+		}
+	case MsgNack:
+		c.windowed = false
+	default:
+		return fmt.Errorf("ingest: unexpected answer type %d to a sync", typ)
+	}
+	c.synced = true
+	return nil
+}
+
+// answers reads a round's answers: windowed, every Nack up to the Sync's
+// Ack, which confirms what the server holds; stop-and-wait, frame base's
+// Ack or Nack.
+func (c *Client) answers() (*Nack, error) {
+	var first *Nack
+	for {
+		typ, payload, err := c.next()
+		if err != nil {
+			return nil, err
+		}
+		switch typ {
+		case MsgNack:
+			n, err := DecodeNack(payload)
+			if err != nil {
+				return nil, err
+			}
+			c.stats.Nacks++
+			if first == nil {
+				first = &n
+			}
+			if c.windowed {
+				continue
+			}
+			return first, nil
+		case MsgAck:
+			a, err := DecodeAck(payload)
+			if err != nil {
+				return nil, err
+			}
+			if !c.windowed {
+				if a.Dup {
+					c.stats.Dups++
+				}
+				return first, c.confirmed(c.base + 1)
+			}
+			return first, c.confirmed(a.Seq)
+		default:
+			return nil, fmt.Errorf("ingest: unexpected reply type %d", typ)
+		}
+	}
+}
+
+// confirmed records that the server holds every frame below next. The
+// frames from there on must go out again; a server that lacks frames the
+// client no longer holds has lost them, which no resend repairs.
+func (c *Client) confirmed(next uint64) error {
+	if next < c.base {
+		return &NackError{Nack{Seq: c.base, Code: NackBadSeq,
+			Reason: fmt.Sprintf("server resumes at seq %d, below the client's unconfirmed %d", next, c.base)}}
+	}
+	next = min(next, c.seq)
+	c.stats.Acked += int64(next - c.base)
+	c.base, c.sent = next, next
+	return nil
+}
+
+// transmit writes frame s — with a Sync behind it in the same write when
+// it asks — through the TxFault seam.
+func (c *Client) transmit(s uint64, ask bool) error {
+	b := c.slots[s%window]
+	out, tear := b, false
+	if c.cfg.TxFault != nil {
+		out, tear = c.cfg.TxFault(c.tx, b)
+	}
+	c.tx++
+	c.stats.Sent++
+	if s < c.hi {
+		c.stats.Retries++
+	} else {
+		c.hi = s + 1
+	}
+	if tear {
+		// Injected torn write: the connection dies mid-message, like a
+		// crashing sender.
+		c.conn.Write(out)
+		c.drop()
+		return fmt.Errorf("ingest: injected torn write (tx %d)", c.tx-1)
+	}
+	if ask {
+		// Into the slot's spare capacity: its frame bytes stay as they are.
+		out = appendSync(out, Sync{Tenant: c.cfg.Tenant, Seq: c.base})
+	}
+	if err := c.write(out); err != nil {
+		return err
+	}
+	c.sent = s + 1
+	return nil
+}
+
+// writeSync writes a Sync alone.
+func (c *Client) writeSync() error {
+	c.ask = appendSync(c.ask[:0], Sync{Tenant: c.cfg.Tenant, Seq: c.base})
+	return c.write(c.ask)
+}
+
+// write writes b whole on the current connection, dropping it on failure.
+func (c *Client) write(b []byte) error {
+	if _, err := c.conn.Write(b); err != nil {
+		c.drop()
+		return err
+	}
+	return nil
+}
+
+// next reads the next answer within ReplyTimeout.
+func (c *Client) next() (uint8, []byte, error) {
+	c.conn.SetReadDeadline(c.cfg.Now().Add(c.cfg.ReplyTimeout))
+	return c.rd.Next()
 }

@@ -60,9 +60,12 @@ func TestRouterResumeStreams(t *testing.T) {
 
 // TestClientFailover drives the wire-level failover path: a client
 // configured with two addresses streams to the primary, the primary is
-// killed mid-stream, and the client rotates to the standby and resumes
-// its sequence there — no frame lost, no sequence disruption, because
-// the standby's router runs with ResumeStreams.
+// killed mid-stream with frames of the client's window in flight —
+// written, not yet confirmed — and the client rotates to the standby and
+// resumes its sequence there from the first frame the primary had not
+// confirmed: no frame lost, no sequence disruption, because the standby's
+// router runs with ResumeStreams and answers the opening Sync with the
+// client's own position.
 func TestClientFailover(t *testing.T) {
 	_, opts := sharedModels()
 
@@ -95,8 +98,13 @@ func TestClientFailover(t *testing.T) {
 			t.Fatalf("frame %d (primary): %v", i, err)
 		}
 	}
-	if got := c.Stats().Failovers; got != 0 {
-		t.Fatalf("healthy primary: %d failovers, want 0", got)
+	st := c.Stats()
+	if st.Failovers != 0 {
+		t.Fatalf("healthy primary: %d failovers, want 0", st.Failovers)
+	}
+	// The first frame asked; the seven behind it are in flight.
+	if inFlight := int64(8) - st.Acked; inFlight != window-1 {
+		t.Fatalf("%d of 8 frames unconfirmed before the kill, want %d", inFlight, window-1)
 	}
 
 	// kill -9 the primary: every connection drops, new dials are refused.
@@ -107,19 +115,22 @@ func TestClientFailover(t *testing.T) {
 			t.Fatalf("frame %d (after failover): %v", i, err)
 		}
 	}
-	st := c.Stats()
-	if st.Failovers < 1 {
-		t.Fatalf("stats %+v, want at least one failover", st)
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
 	}
-	if st.Acked != 20 {
-		t.Fatalf("acked %d frames, want all 20", st.Acked)
+	if st := c.Stats(); st.Failovers < 1 || st.Acked != 20 {
+		t.Fatalf("stats %+v, want at least one failover and all 20 frames acked", st)
 	}
 
-	// The standby adopted the stream mid-sequence: exactly the frames
-	// sent after the kill, starting at the in-flight sequence number.
+	// The standby adopted the stream mid-sequence: the frames in flight at
+	// the kill and every one after, from the first the primary had not
+	// confirmed.
 	ss := standbyRouter.Stats()
-	if ss.Accepted != 12 || len(ss.Tenants) != 1 || ss.Tenants[0].Tenant != "cam-a" {
-		t.Fatalf("standby accepted %d frames from %d tenants, want 12 from cam-a", ss.Accepted, len(ss.Tenants))
+	if want := 20 - st.Acked; ss.Accepted != want || len(ss.Tenants) != 1 || ss.Tenants[0].Tenant != "cam-a" {
+		t.Fatalf("standby accepted %d frames from %d tenants, want %d from cam-a", ss.Accepted, len(ss.Tenants), want)
+	}
+	if ss.Dups != 0 {
+		t.Fatalf("standby saw %d duplicates: a frame was resent that it already held", ss.Dups)
 	}
 	if v := standbyRouter.Submit(MsgFromFrame("cam-a", 19, stream[19])); !v.Ack || !v.Dup {
 		t.Fatalf("standby lost the adopted sequence position: %+v", v)

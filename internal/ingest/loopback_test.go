@@ -102,6 +102,13 @@ func runLoopback(t *testing.T, streams map[string][]vidsim.Frame, faultSeed int6
 					return
 				}
 			}
+			if err := c.Flush(); err != nil {
+				t.Errorf("tenant %s: %v", tenant, err)
+				return
+			}
+			if !c.windowed {
+				t.Errorf("tenant %s ended on a stop-and-wait connection: the run did not go through the window", tenant)
+			}
 			mu.Lock()
 			s := c.Stats()
 			total.Sent += s.Sent
@@ -123,8 +130,11 @@ func runLoopback(t *testing.T, streams map[string][]vidsim.Frame, faultSeed int6
 	awaitPumped(t, pumped, "the queues to drain", func() bool { return router.Stats().Processed >= want })
 
 	rs := router.Stats()
-	if rs.Accepted != want || rs.Processed != want {
-		t.Fatalf("accepted %d processed %d, want %d — frames lost or duplicated", rs.Accepted, rs.Processed, want)
+	if rs.Accepted != want || rs.Processed != want || total.Acked != want {
+		t.Fatalf("accepted %d processed %d confirmed %d, want %d — frames lost or duplicated", rs.Accepted, rs.Processed, total.Acked, want)
+	}
+	if faultSeed == 0 && rs.Dups != 0 {
+		t.Fatalf("%d duplicates on a clean wire: a frame the server held was resent", rs.Dups)
 	}
 
 	// Per tenant: replay the stream through a standalone serial Monitor
@@ -210,15 +220,18 @@ func TestLoopbackBitIdenticalUnderFaults(t *testing.T) {
 }
 
 // TestLoopbackBackpressure pins the end-to-end backpressure contract
-// over the wire: with a tiny queue and no background pump, the server
-// NACKs queue-full, the client backs off (its Sleep hook pumps, as a
-// real deployment's pump loop would meanwhile), and every frame is eventually
-// delivered exactly once — backpressure costs latency, never frames.
+// over a stop-and-wait connection (a server that predates Sync, which the
+// client falls back on): with a tiny queue and no background pump, the
+// server NACKs queue-full, the client backs off (its Sleep hook pumps, as
+// a real deployment's pump loop would meanwhile), and every frame is
+// eventually delivered exactly once — backpressure costs latency, never
+// frames. TestWindowedBackpressure is the windowed connection's.
 func TestLoopbackBackpressure(t *testing.T) {
 	_, opts := sharedModels()
 	sm := testFleet(opts)
 	router := NewRouter(sm, Config{QueueCap: 4, BatchSize: 2, RetryAfter: time.Millisecond})
 	srv := NewServer(router, ServerConfig{})
+	srv.stopAndWait = true
 	go srv.ListenAndServe("127.0.0.1:0")
 	defer srv.Close()
 	for srv.Addr() == nil {

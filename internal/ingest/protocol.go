@@ -45,8 +45,9 @@ const HeaderSize = wire.HeaderSize
 // Message types.
 const (
 	MsgFrame = 1 // client → server: one video frame
-	MsgAck   = 2 // server → client: frame accepted (or duplicate)
+	MsgAck   = 2 // server → client: frame accepted (or duplicate); a Sync's answer
 	MsgNack  = 3 // server → client: frame rejected, with reason code
+	MsgSync  = 4 // client → server: where does the tenant's stream stand?
 )
 
 // Protocol limits. Violations decode as ErrOversized.
@@ -131,21 +132,101 @@ type Nack struct {
 	Reason           string
 }
 
+// Sync asks where a tenant's stream stands: a windowed client opens every
+// connection with one and writes one behind the frame that asks for its
+// window's confirmation. Seq is the first frame the client has not had
+// confirmed. The answer is an Ack whose Seq is the tenant's next expected
+// sequence number — every frame below it is admitted, since the router
+// admits strictly in order — or, for a tenant the server does not know,
+// 0 (Seq under Config.ResumeStreams, where the first frame defines the
+// position). A Sync attaches nothing and moves no counter. A server that
+// answers one marks the connection windowed: from then on it answers a
+// frame only when it rejects it. A build that predates Sync NACKs it as
+// an unknown message type, and the client falls back to stop-and-wait.
+//
+//driftlint:wire encode=EncodeSync,appendSync decode=DecodeSync
+type Sync struct {
+	Tenant string
+	Seq    uint64
+}
+
 // EncodeFrame encodes a frame message to wire bytes (header included).
 func EncodeFrame(m FrameMsg) []byte {
-	b := make([]byte, HeaderSize, HeaderSize+1+len(m.Tenant)+8+2+2+1+len(m.Condition)+4+4*len(m.Pixels))
-	b = append(b, uint8(len(m.Tenant)))
-	b = append(b, m.Tenant...)
-	b = binary.BigEndian.AppendUint64(b, m.Seq)
-	b = binary.BigEndian.AppendUint16(b, uint16(m.W))
-	b = binary.BigEndian.AppendUint16(b, uint16(m.H))
-	b = append(b, uint8(len(m.Condition)))
-	b = append(b, m.Condition...)
-	b = binary.BigEndian.AppendUint32(b, uint32(len(m.Pixels)))
-	for _, p := range m.Pixels {
-		b = binary.BigEndian.AppendUint32(b, math.Float32bits(p))
+	b := make([]byte, 0, frameSize(len(m.Tenant), len(m.Condition), len(m.Pixels)))
+	return appendFrame(b, m.Tenant, m.Seq, m.W, m.H, m.Condition, m.Pixels)
+}
+
+// frameSize is the wire size of a frame message.
+func frameSize(tenant, cond, pixels int) int {
+	return HeaderSize + 1 + tenant + 8 + 2 + 2 + 1 + cond + 4 + 4*pixels
+}
+
+// appendFrame appends an encoded frame message to b — EncodeFrame over
+// pixels in either precision, narrowed to float32 on the way (a float32
+// pixel is itself), so a client seals a vidsim frame straight into a
+// buffer it reuses with no float32 slice in between.
+func appendFrame[P float32 | float64](b []byte, tenant string, seq uint64, w, h int, cond string, pixels []P) []byte {
+	var hdr [HeaderSize]byte
+	at := len(b)
+	b = append(b, hdr[:]...)
+	b = append(b, uint8(len(tenant)))
+	b = append(b, tenant...)
+	b = binary.BigEndian.AppendUint64(b, seq)
+	b = binary.BigEndian.AppendUint16(b, uint16(w))
+	b = binary.BigEndian.AppendUint16(b, uint16(h))
+	b = append(b, uint8(len(cond)))
+	b = append(b, cond...)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(pixels)))
+	for _, p := range pixels {
+		b = binary.BigEndian.AppendUint32(b, math.Float32bits(float32(p)))
 	}
-	return vdif.Seal(b, 0, MsgFrame)
+	return vdif.Seal(b, at, MsgFrame)
+}
+
+// appendSync appends an encoded sync to b.
+func appendSync(b []byte, s Sync) []byte {
+	var hdr [HeaderSize]byte
+	at := len(b)
+	b = append(b, hdr[:]...)
+	b = append(b, uint8(len(s.Tenant)))
+	b = append(b, s.Tenant...)
+	b = binary.BigEndian.AppendUint64(b, s.Seq)
+	return vdif.Seal(b, at, MsgSync)
+}
+
+// EncodeSync encodes a sync to wire bytes.
+func EncodeSync(s Sync) []byte {
+	return appendSync(make([]byte, 0, syncSize(len(s.Tenant))), s)
+}
+
+// syncSize is the wire size of a sync for a tenant id of that many bytes.
+func syncSize(tenant int) int { return HeaderSize + 1 + tenant + 8 }
+
+// DecodeSync decodes a sync payload.
+func DecodeSync(payload []byte) (Sync, error) {
+	tenant, seq, err := parseSync(payload)
+	if err != nil {
+		return Sync{}, err
+	}
+	return Sync{Tenant: string(tenant), Seq: seq}, nil
+}
+
+// parseSync takes a sync payload apart; the tenant id aliases it, so a
+// connection answers a sync without allocating.
+func parseSync(payload []byte) (tenant []byte, seq uint64, err error) {
+	if len(payload) < 1 {
+		return nil, 0, ErrTruncated
+	}
+	tn := int(payload[0])
+	switch {
+	case tn == 0:
+		return nil, 0, fmt.Errorf("%w: empty tenant id", ErrMalformed)
+	case tn > MaxTenant:
+		return nil, 0, fmt.Errorf("%w: tenant id %d bytes > %d", ErrOversized, tn, MaxTenant)
+	case len(payload) != 1+tn+8:
+		return nil, 0, ErrTruncated
+	}
+	return payload[1 : 1+tn], binary.BigEndian.Uint64(payload[1+tn:]), nil
 }
 
 // ackSize is the wire size of an ack: header, seq, dup flag.

@@ -20,7 +20,9 @@ import (
 // runPump starts the product's pump loop over r, as driftserve does, and
 // stops it when the test ends. The returned channel is signalled after
 // every Pump, so a test waits on the loop's own progress, never on a
-// clock; a Pump error fails the test.
+// clock; a Pump error fails the test. It returns once Run owns draining,
+// so the first frame a connection feeds is fed in place, not left for the
+// loop.
 func runPump(t *testing.T, r *Router) <-chan struct{} {
 	t.Helper()
 	pumped := make(chan struct{}, 1)
@@ -41,7 +43,15 @@ func runPump(t *testing.T, r *Router) <-chan struct{} {
 		close(stop)
 		<-done
 	})
-	return pumped
+	for {
+		r.procMu.Lock()
+		owned := r.loop != nil
+		r.procMu.Unlock()
+		if owned {
+			return pumped
+		}
+		runtime.Gosched()
+	}
 }
 
 // awaitPumped blocks until cond holds, re-checking after each Pump.
@@ -504,20 +514,31 @@ func restamp(wire []byte, tenant string, seq uint64) {
 	binary.BigEndian.PutUint32(wire[10:14], crc32.ChecksumIEEE(wire[HeaderSize:]))
 }
 
+// transport is how warmRounds delivers a round's frames to the router.
+type transport int
+
+const (
+	viaSubmit transport = iota // Router.Submit, then Pump
+	viaConn                    // a loopback connection, every frame answered
+	viaWindow                  // a loopback connection opened with a Sync: window frames, an ask behind the last
+)
+
 // warmRounds builds two fleets of the given tenants over the same
 // streams, both past their first frames so queues, batcher and scratch
 // have their steady-state capacity. routed submits one more frame per
-// tenant to a router over the first and pumps — or, with wire, sends it
-// down the tenant's loopback connection to a Server over that router
-// with the loop running, reads the ACK, and waits for the round to be
-// processed; the sender restamps frames encoded up front and reads into
-// a fixed buffer, so it allocates nothing of its own. direct feeds the
-// second fleet the same frames, already decoded, through a Batcher of its
-// own the way Pump does — one ProcessBatches call per round, or per frame
-// with wire. The inspectors monitor every frame but at a
-// significance they cannot reach, so no round pays for a false alarm's
-// selection or training and every one costs the same.
-func warmRounds(tb testing.TB, tenants, batch int, wire bool) (routed, direct func()) {
+// tenant to a router over the first and pumps — or, over a connection,
+// sends it down the tenant's loopback connection to a Server over that
+// router with the loop running, reads the ACK, and waits for the round to
+// be processed; windowed, a round is window frames a tenant and one
+// answer, to the Sync written behind the last. The sender restamps frames
+// encoded up front and reads into a fixed buffer, so it allocates nothing
+// of its own. direct feeds the second fleet the same frames, already
+// decoded, through a Batcher of its own the way Pump does — one
+// ProcessBatches call per round, or per frame over a connection. The
+// inspectors monitor every frame but at a significance they cannot reach,
+// so no round pays for a false alarm's selection or training and every
+// one costs the same.
+func warmRounds(tb testing.TB, tenants, batch int, via transport) (routed, direct func()) {
 	tb.Helper()
 	_, opts := sharedModels()
 	opts.Pipeline.DI.R = 1e-9
@@ -535,6 +556,10 @@ func warmRounds(tb testing.TB, tenants, batch int, wire bool) (routed, direct fu
 			tb.Fatal(err)
 		}
 	}
+	per := uint64(1) // frames a tenant per round
+	if via == viaWindow {
+		per = window
+	}
 	// The streams loop; the sequence numbers do not.
 	seq := uint64(0)
 	deliver := func(k int) {
@@ -549,7 +574,7 @@ func warmRounds(tb testing.TB, tenants, batch int, wire bool) (routed, direct fu
 			tb.Fatalf("Pump processed %d (%v), want %d", n, err, tenants)
 		}
 	}
-	if wire {
+	if via != viaSubmit {
 		addr := startServer(tb, r)
 		var fed atomic.Int64
 		stop, done := make(chan struct{}), make(chan struct{})
@@ -568,21 +593,41 @@ func warmRounds(tb testing.TB, tenants, batch int, wire bool) (routed, direct fu
 		})
 		conns := make([]net.Conn, tenants)
 		wires := make([][][]byte, tenants)
-		for k := range ids {
-			conns[k] = dialWire(tb, addr, ids[k]).conn
-			for _, m := range msgs[k] {
-				wires[k] = append(wires[k], EncodeFrame(m))
+		syncs := make([][]byte, tenants)
+		var ack [ackSize]byte
+		answer := func(k int, want uint64) {
+			if _, err := io.ReadFull(conns[k], ack[:]); err != nil || ack[5] != MsgAck || binary.BigEndian.Uint64(ack[HeaderSize:]) != want {
+				tb.Fatalf("tenant %s: answer % x (%v), want an ack of %d", ids[k], ack, err, want)
 			}
 		}
-		var ack [ackSize]byte
-		deliver = func(k int) {
-			b := wires[k][seq%frames]
-			restamp(b, ids[k], seq)
-			if _, err := conns[k].Write(b); err != nil {
-				tb.Fatal(err)
+		for k := range ids {
+			conns[k] = dialWire(tb, addr, ids[k]).conn
+			syncs[k] = EncodeSync(Sync{Tenant: ids[k]})
+			for _, m := range msgs[k] {
+				wires[k] = append(wires[k], append(make([]byte, 0, frameSize(len(m.Tenant), len(m.Condition), len(m.Pixels))+len(syncs[k])), EncodeFrame(m)...))
 			}
-			if _, err := io.ReadFull(conns[k], ack[:]); err != nil || ack[5] != MsgAck {
-				tb.Fatalf("tenant %s seq %d: answer type %d (%v), want an ack", ids[k], seq, ack[5], err)
+			if via == viaWindow {
+				if _, err := conns[k].Write(syncs[k]); err != nil {
+					tb.Fatal(err)
+				}
+				answer(k, 0)
+			}
+		}
+		deliver = func(k int) {
+			for s := seq; s < seq+per; s++ {
+				b := wires[k][s%frames]
+				restamp(b, ids[k], s)
+				if via == viaWindow && s == seq+per-1 {
+					b = append(b, syncs[k]...) // the ask, in the frame's write
+				}
+				if _, err := conns[k].Write(b); err != nil {
+					tb.Fatal(err)
+				}
+			}
+			if via == viaWindow {
+				answer(k, seq+per) // the position: every frame below it admitted
+			} else {
+				answer(k, seq) // the frame's own
 			}
 		}
 		processed = func() {
@@ -595,7 +640,7 @@ func warmRounds(tb testing.TB, tenants, batch int, wire bool) (routed, direct fu
 		for k := range ids {
 			deliver(k)
 		}
-		seq++
+		seq += per
 		processed()
 	}
 	decoded := make([][]vidsim.Frame, tenants)
@@ -605,24 +650,26 @@ func warmRounds(tb testing.TB, tenants, batch int, wire bool) (routed, direct fu
 		}
 	}
 	batcher := bare.NewBatcher(batch)
-	at := 0
+	at := uint64(0)
 	direct = func() {
 		for k := range decoded {
-			if _, err := batcher.Add(k, decoded[k][at%frames]); err != nil {
-				tb.Fatal(err)
-			}
-			if !wire {
-				continue
-			}
-			// A frame off the wire is mostly pumped alone, and a
-			// ProcessBatches call has costs of its own: the fleet's share
-			// of a wire round is a call per frame (at most — two frames
-			// that arrive together share one).
-			if _, err := batcher.Flush(); err != nil {
-				tb.Fatal(err)
+			for s := at; s < at+per; s++ {
+				if _, err := batcher.Add(k, decoded[k][s%frames]); err != nil {
+					tb.Fatal(err)
+				}
+				if via == viaSubmit {
+					continue
+				}
+				// A frame off the wire is mostly pumped alone, and a
+				// ProcessBatches call has costs of its own: the fleet's share
+				// of a wire round is a call per frame (at most — two frames
+				// that arrive together share one).
+				if _, err := batcher.Flush(); err != nil {
+					tb.Fatal(err)
+				}
 			}
 		}
-		at++
+		at += per
 		if _, err := batcher.Flush(); err != nil {
 			tb.Fatal(err)
 		}
@@ -662,10 +709,13 @@ func TestPumpSteadyStateAllocs(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector allocates on its own")
 	}
-	for _, wire := range []bool{false, true} {
+	for _, via := range []struct {
+		name string
+		transport
+	}{{"wire=false", viaSubmit}, {"wire=true", viaConn}, {"window", viaWindow}} {
 		for _, tc := range []struct{ tenants, batch int }{{1, 1}, {1, 8}, {4, 1}, {4, 8}} {
-			t.Run(fmt.Sprintf("wire=%v/tenants=%d/batch=%d", wire, tc.tenants, tc.batch), func(t *testing.T) {
-				routed, direct := warmRounds(t, tc.tenants, tc.batch, wire)
+			t.Run(fmt.Sprintf("%s/tenants=%d/batch=%d", via.name, tc.tenants, tc.batch), func(t *testing.T) {
+				routed, direct := warmRounds(t, tc.tenants, tc.batch, via.transport)
 				// Both fleets are at the same frame of the same streams, so
 				// they allocate the same.
 				fleetObjs, fleetBytes := allocsPer(200, direct)
@@ -688,26 +738,34 @@ func TestPumpSteadyStateAllocs(t *testing.T) {
 // everything under it: Submit, the wake-up token, Pump, the Batcher and
 // a supervised ProcessBatches at batch 1, per frame.
 func BenchmarkRouterSubmitPump(b *testing.B) {
-	benchRounds(b, false)
+	for _, tenants := range []int{1, 8} {
+		b.Run(fmt.Sprintf("tenants=%d", tenants), func(b *testing.B) { benchRounds(b, tenants, viaSubmit) })
+	}
 }
 
 // BenchmarkServeConnFrame is the same arrival through the front door:
 // socket → buffered read → decode → queue → ACK → fed in place →
 // processed, per frame, the sender's write, restamp and ACK read
 // included. Less BenchmarkRouterSubmitPump it is what transport costs.
+// window is one tenant's windowed connection: window frames and the ask
+// behind the last, one answer, per frame.
 func BenchmarkServeConnFrame(b *testing.B) {
-	benchRounds(b, true)
+	for _, tenants := range []int{1, 8} {
+		b.Run(fmt.Sprintf("tenants=%d", tenants), func(b *testing.B) { benchRounds(b, tenants, viaConn) })
+	}
+	b.Run("window", func(b *testing.B) { benchRounds(b, 1, viaWindow) })
 }
 
-func benchRounds(b *testing.B, wire bool) {
-	for _, tenants := range []int{1, 8} {
-		b.Run(fmt.Sprintf("tenants=%d", tenants), func(b *testing.B) {
-			routed, _ := warmRounds(b, tenants, 1, wire)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i += tenants {
-				routed()
-			}
-		})
+// benchRounds times warmRounds' routed rounds, per frame.
+func benchRounds(b *testing.B, tenants int, via transport) {
+	routed, _ := warmRounds(b, tenants, 1, via)
+	per := tenants
+	if via == viaWindow {
+		per *= window
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += per {
+		routed()
 	}
 }

@@ -92,6 +92,9 @@ type Router struct {
 	// after appending the frame, so a frame racing a drain costs Run one
 	// empty Pump, never a frame left waiting.
 	wake chan struct{}
+	// room, while a windowed connection waits on a full queue, is closed
+	// by the next Pump to take the queues (under mu; nil otherwise).
+	room chan struct{}
 	// evict fires when the first attached tenant's idle window runs out.
 	// Whoever pumped last re-arms it (under procMu); only Run listens.
 	evict *time.Timer
@@ -265,11 +268,55 @@ func (r *Router) Submit(m FrameMsg) Verdict {
 // admit is enqueue for a frame whose pixels the free list lent: a frame
 // that was not queued gives its buffer straight back.
 func (r *Router) admit(tenant string, f vidsim.Frame) Verdict {
-	v := r.enqueue(tenant, f)
+	v, _ := r.enqueue(tenant, f, false)
 	if !v.queued() {
 		r.free.put(f.Pixels)
 	}
 	return v
+}
+
+// admitWindowed is admit for a windowed connection's frame, which a full
+// queue does not reject: nothing answers a windowed frame unless it is
+// rejected, so a NACK among the last frames of a stream would never be
+// resent. Instead the connection stops reading until the tenant's queue
+// has room — TCP carries the backpressure to the client, whose next ask
+// waits — or until done closes (the server is closing: the frame is
+// rejected as an internal fault, which a client resends elsewhere).
+// Before it waits it feeds, since the frames filling the queue may be
+// this connection's own, read and not yet fed.
+func (r *Router) admitWindowed(tenant string, f vidsim.Frame, done <-chan struct{}) Verdict {
+	for {
+		v, room := r.enqueue(tenant, f, true)
+		if room == nil {
+			if !v.queued() {
+				r.free.put(f.Pixels)
+			}
+			return v
+		}
+		r.feed()
+		select {
+		case <-room:
+		case <-done:
+			r.free.put(f.Pixels)
+			return Verdict{Code: NackInternal, Reason: "server closing"}
+		}
+	}
+}
+
+// position is the answer to a Sync: the tenant's next expected sequence
+// number — or, for a tenant the router does not know, 0, or with
+// ResumeStreams seq, the client's own, since its first frame will define
+// the position. It attaches nothing and moves no counter.
+func (r *Router) position(tenant []byte, seq uint64) uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if t := r.tenants[string(tenant)]; t != nil {
+		return t.nextSeq
+	}
+	if r.cfg.ResumeStreams {
+		return seq
+	}
+	return 0
 }
 
 // signal leaves the wake-up token.
@@ -310,8 +357,10 @@ func (r *Router) feedInPlace() bool {
 // enqueue is the admission half of Submit: tenant lookup and attach,
 // the sequence contract, the queue bound. f.Index carries the wire
 // sequence number. A queued frame must then be fed or signalled by the
-// caller.
-func (r *Router) enqueue(id string, f vidsim.Frame) Verdict {
+// caller. With wait a full queue is not a rejection: the frame is left
+// out and enqueue returns the channel the next Pump to take the queues
+// closes (nil otherwise).
+func (r *Router) enqueue(id string, f vidsim.Frame, wait bool) (Verdict, <-chan struct{}) {
 	seq := uint64(f.Index)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -323,7 +372,7 @@ func (r *Router) enqueue(id string, f vidsim.Frame) Verdict {
 				Code:       NackTenantLimit,
 				RetryAfter: r.cfg.RetryAfter,
 				Reason:     fmt.Sprintf("fleet at max tenants (%d)", r.cfg.MaxTenants),
-			}
+			}, nil
 		}
 		if t == nil {
 			t = &tenant{id: id, slot: -1}
@@ -341,7 +390,7 @@ func (r *Router) enqueue(id string, f vidsim.Frame) Verdict {
 		}
 		slot, err := r.sm.Attach(t.tracer)
 		if err != nil {
-			return Verdict{Code: NackInternal, Reason: err.Error()}
+			return Verdict{Code: NackInternal, Reason: err.Error()}, nil
 		}
 		t.slot = slot
 		r.attaches++
@@ -353,29 +402,35 @@ func (r *Router) enqueue(id string, f vidsim.Frame) Verdict {
 		// acknowledge idempotently so the sender advances.
 		t.dups++
 		r.dups++
-		return Verdict{Ack: true, Dup: true}
+		return Verdict{Ack: true, Dup: true}, nil
 	case seq > t.nextSeq:
 		t.nackSeq++
 		r.nackSeq++
 		return Verdict{
 			Code:   NackBadSeq,
 			Reason: fmt.Sprintf("want seq %d, got %d", t.nextSeq, seq),
-		}
+		}, nil
 	}
 	if len(t.queue) >= r.cfg.QueueCap {
+		if wait {
+			if r.room == nil {
+				r.room = make(chan struct{})
+			}
+			return Verdict{}, r.room
+		}
 		t.nackFull++
 		r.nackFull++
 		return Verdict{
 			Code:       NackQueueFull,
 			RetryAfter: r.cfg.RetryAfter,
 			Reason:     fmt.Sprintf("tenant queue full (%d)", r.cfg.QueueCap),
-		}
+		}, nil
 	}
 	t.queue = append(t.queue, f)
 	t.nextSeq++
 	t.accepted++
 	r.accepted++
-	return Verdict{Ack: true}
+	return Verdict{Ack: true}, nil
 }
 
 // activeLocked counts attached tenants. Callers hold r.mu.
@@ -460,6 +515,10 @@ func (r *Router) pump(inline bool) (total int, err error) {
 		t.queue, t.spare = t.spare, nil
 	}
 	r.work = work[:0]
+	if r.room != nil {
+		close(r.room) // every queue has room now
+		r.room = nil
+	}
 	r.mu.Unlock()
 
 	for _, w := range work {

@@ -31,10 +31,13 @@ type ServerConfig struct {
 }
 
 // Server accepts tenant connections speaking the wire protocol and
-// routes their frames. Each connection is one goroutine running a
-// strict request/response loop: read one message, answer one Ack or
-// Nack — and, the answer sent, feed the fleet the frame it has queued
-// when nobody else is feeding (Router.feed). Header-level damage (bad magic, truncation, version skew)
+// routes their frames. Each connection is one goroutine reading one
+// message at a time. A stop-and-wait connection — a client that never
+// sends a Sync — is answered an Ack or Nack per frame; a windowed one —
+// a client whose Sync was answered — only when a frame is rejected, and
+// once per Sync. The answer sent, the connection feeds the fleet the
+// frames it has queued when nobody else is feeding (Router.feed).
+// Header-level damage (bad magic, truncation, version skew)
 // desynchronizes the stream, so those close the connection after a
 // best-effort Nack; payload-level damage (CRC mismatch, malformed
 // frame) leaves the stream aligned, so those Nack and keep reading —
@@ -42,6 +45,13 @@ type ServerConfig struct {
 type Server struct {
 	router *Router
 	cfg    ServerConfig
+	// done closes with Close: a windowed connection waiting for room in
+	// its tenant's queue gives up.
+	done chan struct{}
+	// stopAndWait, set by tests, makes the server answer as the builds
+	// before Sync did — an unknown message type — so a new client runs
+	// its fallback against it.
+	stopAndWait bool
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -58,7 +68,7 @@ func NewServer(r *Router, cfg ServerConfig) *Server {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	return &Server{router: r, cfg: cfg, conns: make(map[net.Conn]struct{})}
+	return &Server{router: r, cfg: cfg, done: make(chan struct{}), conns: make(map[net.Conn]struct{})}
 }
 
 // ListenAndServe listens on addr (TCP) and serves until Close.
@@ -119,7 +129,10 @@ func (s *Server) Addr() net.Addr {
 // the handlers to drain.
 func (s *Server) Close() error {
 	s.mu.Lock()
-	s.closed = true
+	if !s.closed {
+		s.closed = true
+		close(s.done)
+	}
 	ln := s.ln
 	for c := range s.conns { //lint:allow determinism closing every connection is order-independent
 		c.Close()
@@ -139,20 +152,36 @@ func (s *Server) logf(format string, args ...interface{}) {
 	}
 }
 
-// serveConn runs one connection's request/response loop. The steady
-// path stays on this goroutine from socket to verdict and allocates
-// nothing: one buffered read, one decode into a pixel buffer off the
-// router's free list, the router's queue, the ACK out of a reused scratch
-// — and then, the ACK already on its way, the fleet is fed right here
-// when nobody else is feeding it (Router.feed), and the buffer goes back.
-// While that feed runs a selection or a training this connection does not
-// read its socket: its client sees one slow ACK (DESIGN.md §14).
+// serveConn runs one connection's loop. The steady path stays on this
+// goroutine from socket to verdict and allocates nothing: one buffered
+// read, one decode into a pixel buffer off the router's free list, the
+// router's queue, an answer (if any) out of a reused scratch — and then,
+// once no further message is waiting in the read buffer, the fleet is fed
+// right here when nobody else is feeding it (Router.feed), and the
+// buffers go back. So a Sync written behind a frame is answered before
+// the frame is processed, and frames that arrived together are fed by
+// one Pump. While that feed runs a selection or a training this
+// connection does not read its socket: its client sees one slow answer
+// (DESIGN.md §14).
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
 	rd := vdif.NewReader(conn, wire.ConnBufSize)
 	dec := frameDecoder{free: &s.router.free}
-	ack := make([]byte, 0, ackSize)
+	reply := make([]byte, 0, ackSize)
+	windowed := false
+	// unfed: this connection queued a frame it has not fed yet. A queued
+	// frame is fed or signalled whatever becomes of the connection.
+	unfed := false
+	defer func() {
+		if unfed {
+			s.router.feed()
+		}
+	}()
 	for {
+		if unfed && !rd.Buffered() {
+			s.router.feed()
+			unfed = false
+		}
 		conn.SetReadDeadline(s.cfg.Now().Add(s.cfg.ReadTimeout))
 		msgType, payload, err := rd.Next()
 		switch {
@@ -178,25 +207,40 @@ func (s *Server) serveConn(conn net.Conn) {
 			s.writeMsg(conn, EncodeNack(Nack{Code: NackMalformed, Reason: err.Error()}))
 			return
 		}
-		if msgType != MsgFrame {
+		switch {
+		case msgType == MsgSync && !s.stopAndWait:
+			tenant, seq, err := parseSync(payload)
+			if err != nil {
+				s.writeMsg(conn, EncodeNack(Nack{Code: NackMalformed, Reason: err.Error()}))
+				continue
+			}
+			windowed = true
+			if !s.writeMsg(conn, appendAck(reply[:0], Ack{Seq: s.router.position(tenant, seq)})) {
+				return
+			}
+		case msgType == MsgFrame:
+			tenant, f, err := dec.decode(payload)
+			if err != nil {
+				s.router.CountMalformed()
+				s.writeMsg(conn, EncodeNack(Nack{Code: NackMalformed, Reason: err.Error()}))
+				continue
+			}
+			var v Verdict
+			if windowed {
+				v = s.router.admitWindowed(tenant, f, s.done)
+			} else {
+				v = s.router.admit(tenant, f)
+			}
+			unfed = unfed || v.queued()
+			if windowed && v.Ack {
+				continue // the next answered Sync confirms it
+			}
+			if !s.writeMsg(conn, verdictWire(reply[:0], uint64(f.Index), v)) {
+				return
+			}
+		default:
 			s.writeMsg(conn, EncodeNack(Nack{Code: NackMalformed,
 				Reason: fmt.Sprintf("unexpected message type %d", msgType)}))
-			continue
-		}
-		tenant, f, err := dec.decode(payload)
-		if err != nil {
-			s.router.CountMalformed()
-			s.writeMsg(conn, EncodeNack(Nack{Code: NackMalformed, Reason: err.Error()}))
-			continue
-		}
-		v := s.router.admit(tenant, f)
-		ok := s.writeMsg(conn, verdictWire(ack[:0], uint64(f.Index), v))
-		// A queued frame is fed or signalled whatever became of its ACK.
-		if v.queued() {
-			s.router.feed()
-		}
-		if !ok {
-			return
 		}
 	}
 }

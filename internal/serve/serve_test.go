@@ -189,6 +189,10 @@ func feed(t *testing.T, addr string, streams [][]vidsim.Frame, faultSeed int64, 
 					return
 				}
 			}
+			if err := c.Flush(); err != nil {
+				t.Errorf("tenant %d: %v", i, err)
+				return
+			}
 			mu.Lock()
 			defer mu.Unlock()
 			st := c.Stats()

@@ -44,8 +44,9 @@ import (
 // appearance-sufficient statistic of the frame (DESIGN.md §2 discusses
 // the substitution).
 func Featurize(pixels tensor.Vector, w, h int) tensor.Vector {
+	var s stackScratch
 	out := make(tensor.Vector, AppearanceDim)
-	appearanceInto(pixels, out, nil, nil, nil)
+	appearanceInto(out, pixels, s.scratch())
 	return out
 }
 
@@ -63,15 +64,35 @@ var AppearanceDimNames = [AppearanceDim]string{
 
 // Featurizer computes the same appearance vector as Featurize (and, with
 // Query, the classifier front-end's vector) while reusing its
-// outlier-pool and output scratch across calls — the
+// outlier-pool, candidate and output scratch across calls — the
 // zero-steady-state-allocation form the per-frame hot path uses. Outputs
 // are bit-identical to the allocating functions. A Featurizer is NOT safe
 // for concurrent use; give each goroutine its own (the zero value is
 // ready to use).
 type Featurizer struct {
-	dark, bright, cand []float64
-	out, query         tensor.Vector
+	s          scratch
+	out, query tensor.Vector
 }
+
+// scratch is a front-end's working storage: the two outlier pools and the
+// candidate list. The kernels take it by value and hand it back grown, so
+// a one-off call's storage stays on its stack (stackScratch) and a
+// Featurizer's is reused frame to frame.
+type scratch struct {
+	dark, bright []float64
+	cand         []int32
+}
+
+// stackScratch is a one-off call's scratch, roomy enough for a 32×32 frame
+// of any scene vidsim renders (at most a quarter of it is ever on one side
+// of the cut). Declared as a local it lives on the stack; a larger frame
+// grows onto the heap.
+type stackScratch struct {
+	dark, bright [256]float64
+	cand         [1024]int32
+}
+
+func (b *stackScratch) scratch() scratch { return scratch{b.dark[:0], b.bright[:0], b.cand[:0]} }
 
 // Appearance featurizes one frame. The returned vector is the
 // Featurizer's internal buffer: it is overwritten by the next call, so
@@ -80,44 +101,31 @@ func (fz *Featurizer) Appearance(pixels tensor.Vector, w, h int) tensor.Vector {
 	if fz.out == nil {
 		fz.out = make(tensor.Vector, AppearanceDim)
 	}
-	fz.dark, fz.bright, fz.cand = appearanceInto(pixels, fz.out, fz.dark[:0], fz.bright[:0], fz.cand[:0])
+	fz.s = appearanceInto(fz.out, pixels, fz.s)
 	return fz.out
 }
 
-// appearanceInto computes the appearance features into out, using (and
-// returning) the provided outlier-pool and candidate scratch.
-func appearanceInto(pixels tensor.Vector, out tensor.Vector, dark, bright, cand []float64) ([]float64, []float64, []float64) {
+// appearanceInto computes Featurize into out (AppearanceDim long) through
+// the scratch s, which it returns.
+func appearanceInto(out, pixels tensor.Vector, s scratch) scratch {
+	med, sigma, s := scan(pixels, s)
+	s = s.outliers(pixels, med, outlierCut(sigma), nil)
+	appearance(out, med, sigma, s.dark, s.bright, len(pixels))
+	return s
+}
+
+// appearance writes the four appearance features of a frame of n pixels
+// with median med, noise scale sigma and the given outlier pools (which
+// it permutes).
+//
+// Object-appearance dims are presence-weighted: they fade smoothly to
+// zero as the outlier pool empties, so a frame with no vehicles on the
+// road sits next to sparse frames in feature space instead of jumping
+// to a discontinuous fallback (empty-road lulls last dozens of frames
+// and must not read as drift). Presence saturates at ~one object's
+// worth of pixels.
+func appearance(out tensor.Vector, med, sigma float64, dark, bright []float64, n int) {
 	const madScale = 4.0
-	n := len(pixels)
-	if cand == nil {
-		cand = make([]float64, 0, 64)
-	}
-	med, sigma, cand := medSigmaCand(pixels, cand)
-	cut := 3 * sigma
-	if cut < 0.08 {
-		cut = 0.08
-	}
-
-	// Outlier pools: object/weather pixels on either side of the
-	// background. Only the candidate superset (|p − med| > candCut <= cut,
-	// collected during the deviation pass) needs re-testing against the
-	// final cut; the pools come out in pixel order, exactly as a full
-	// re-scan would produce them.
-	for _, p := range cand {
-		d := p - med
-		if d > cut {
-			bright = append(bright, p)
-		} else if d < -cut {
-			dark = append(dark, p)
-		}
-	}
-
-	// Object-appearance dims are presence-weighted: they fade smoothly to
-	// zero as the outlier pool empties, so a frame with no vehicles on the
-	// road sits next to sparse frames in feature space instead of jumping
-	// to a discontinuous fallback (empty-road lulls last dozens of frames
-	// and must not read as drift). Presence saturates at ~one object's
-	// worth of pixels.
 	presence := func(count int) float64 {
 		p := float64(count) / (0.02 * float64(n))
 		if p > 1 {
@@ -129,29 +137,137 @@ func appearanceInto(pixels tensor.Vector, out tensor.Vector, dark, bright, cand 
 	out[1] = madScale * sigma
 	out[2] = (medianOf(dark, med) - med) * presence(len(dark))
 	out[3] = (medianOf(bright, med) - med) * presence(len(bright))
-	return dark, bright, cand
 }
 
-// medSigma returns the pixel median and the scaled median absolute
+// outlierCut is the object/weather cut on |p − med| both front-ends
+// apply: three noise scales, and never under candCut.
+func outlierCut(sigma float64) float64 {
+	cut := 3 * sigma
+	if cut < candCut {
+		cut = candCut
+	}
+	return cut
+}
+
+// outliers walks the candidate list once. It refills the dark and bright
+// pools with the candidates beyond cut, in pixel order — what a full
+// re-scan of the frame would collect — and, when runs is not nil, adds
+// the frame's outlier runs to it (runMass). Both front-ends build on this
+// one walk; the frame is not read a third time.
+func (s scratch) outliers(pixels tensor.Vector, med, cut float64, runs *runMass) scratch {
+	dark, bright := s.dark[:0], s.bright[:0]
+	if runs == nil {
+		for _, i := range s.cand {
+			p := pixels[i]
+			if d := p - med; d > cut {
+				bright = append(bright, p)
+			} else if d < -cut {
+				dark = append(dark, p)
+			}
+		}
+		s.dark, s.bright = dark, bright
+		return s
+	}
+	// A run is a maximal stretch of index-consecutive outliers within a row
+	// of the w×h frame; its sum of p − med accumulates pixel by pixel as a
+	// row scan's does, so the runs and their masses are the scan's, bit for
+	// bit. The walk stops at w·h, where a row scan stops.
+	start, next, sum := -1, -1, 0.0
+	for _, c := range s.cand {
+		i := int(c)
+		if i >= runs.w*runs.h {
+			break
+		}
+		p := pixels[i]
+		d := p - med
+		switch {
+		case d > cut:
+			bright = append(bright, p)
+		case d < -cut:
+			dark = append(dark, p)
+		default:
+			continue
+		}
+		if i != next || i%runs.w == 0 {
+			if start >= 0 {
+				runs.add(start, next-start, sum)
+			}
+			start, sum = i, 0
+		}
+		sum += d
+		next = i + 1
+	}
+	if start >= 0 {
+		runs.add(start, next-start, sum)
+	}
+	s.dark, s.bright = dark, bright
+	return s
+}
+
+// busRun is the run length from which an outlier run reads as a bus
+// rather than a car.
+const busRun = 7
+
+// runMass sums the outlier runs of two pixels or more of a w×h frame by
+// contrast polarity (0 dark, 1 bright: the sign of the run's sum) and
+// size (0 a car-run, shorter than busRun; 1 a bus-run) — and, with
+// quarters set, by the vertical quarter of the frame the run's middle
+// falls in as well.
+type runMass struct {
+	w, h      int
+	quarters  bool
+	total     [2][2]float64
+	byQuarter [2][2][4]float64
+}
+
+// add counts the run of length pixels from pixel index start.
+func (m *runMass) add(start, length int, sum float64) {
+	if length < 2 {
+		return
+	}
+	pol, size := 0, 0
+	if sum > 0 {
+		pol = 1
+	}
+	if length >= busRun {
+		size = 1
+	}
+	m.total[pol][size] += float64(length)
+	if m.quarters {
+		x := start % m.w
+		q := (x + x + length) / 2 * 4 / m.w
+		if q >= 4 {
+			q = 3
+		}
+		m.byQuarter[pol][size][q] += float64(length)
+	}
+}
+
+// scan is the histogram kernel both front-ends share: one pass for the
+// median, one for the noise scale that also lists the candidate pixels
+// into s.cand (medSigmaCand).
+func scan(pixels tensor.Vector, s scratch) (med, sigma float64, _ scratch) {
+	if cap(s.cand) < len(pixels) {
+		s.cand = make([]int32, len(pixels))
+	}
+	med, sigma, s.cand = medSigmaCand(pixels, s.cand[:len(pixels)])
+	return med, sigma, s
+}
+
+// medSigmaCand returns the pixel median and the scaled median absolute
 // deviation using fixed histograms — O(n) with a small constant, which
 // matters because every frame on the monitoring hot path passes through
-// here. Bin resolution is chosen so quantization stays well below the
-// features' natural in-distribution spread.
-func medSigma(pixels tensor.Vector) (med, sigma float64) {
-	med, sigma, _ = medSigmaCand(pixels, nil)
-	return med, sigma
-}
-
-// medSigmaCand computes med and sigma as medSigma does and, when cand is
-// non-nil, appends every pixel whose absolute deviation from med exceeds
-// candCut — a superset of any outlier pool with cut >= candCut, collected
-// during the deviation pass so Featurize needs no third full-frame scan.
-// Candidates preserve pixel order. Subsampling the histograms was tried
+// here — and the index of every pixel whose absolute deviation from med
+// exceeds candCut, written over cand (len(pixels) long) in pixel order:
+// a superset of any outlier pool with cut >= candCut, collected during
+// the deviation pass so neither front-end reads the frame a third time.
+// Bin resolution is chosen so quantization stays well below the features'
+// natural in-distribution spread. Subsampling the histograms was tried
 // and rejected: even a half-population median (exact at bin granularity
 // for almost every frame) perturbs the martingale chain enough to flip
 // borderline drift decisions, so both passes stay full-population and
 // the speed comes from fusing and from the blocked quantile scans.
-func medSigmaCand(pixels tensor.Vector, cand []float64) (med, sigma float64, outCand []float64) {
+func medSigmaCand(pixels tensor.Vector, cand []int32) (med, sigma float64, outCand []int32) {
 	const bins = 1024
 	var hist [bins]uint32
 	n := len(pixels)
@@ -184,54 +300,57 @@ func medSigmaCand(pixels tensor.Vector, cand []float64) (med, sigma float64, out
 	// Deviations are small (noise-scale), so they get a finer grid over
 	// [0, 0.5] — the σ scale-up would otherwise amplify bin quantization
 	// into the feature itself.
+	//
+	// The |p − med| this histogram bins is the quantity the candidate test
+	// compares, so one pass does both. Unrolled ×2. Every index is written
+	// and the cursor steps past candidates only, so the test is no branch:
+	// on a noisy frame a candidate is a coin toss no predictor learns
+	// (math.Abs is branchless for the same reason).
 	const devBins = 2048
+	const devScale = 2 * float64(devBins)
 	var dev [devBins]uint32
-	if cand == nil {
-		for _, p := range pixels {
-			dev[devBin(p, med, devBins)]++
+	k := 0
+	for i = 0; i+2 <= n; i += 2 {
+		d0 := math.Abs(pixels[i] - med)
+		d1 := math.Abs(pixels[i+1] - med)
+		b0 := int(d0 * devScale)
+		b1 := int(d1 * devScale)
+		if b0 >= devBins {
+			b0 = devBins - 1
 		}
-	} else {
-		// Fused loop: the |p − med| the histogram bins is the same quantity
-		// the candidate test compares, so one pass does both. Unrolled ×2
-		// with the candidate tests kept in pixel order.
-		const devScale = 2 * float64(devBins)
-		i := 0
-		for ; i+2 <= n; i += 2 {
-			d0 := math.Abs(pixels[i] - med)
-			d1 := math.Abs(pixels[i+1] - med)
-			b0 := int(d0 * devScale)
-			b1 := int(d1 * devScale)
-			if b0 >= devBins {
-				b0 = devBins - 1
-			}
-			if b1 >= devBins {
-				b1 = devBins - 1
-			}
-			dev[b0&(devBins-1)]++
-			dev[b1&(devBins-1)]++
-			if d0 > candCut {
-				cand = append(cand, pixels[i])
-			}
-			if d1 > candCut {
-				cand = append(cand, pixels[i+1])
-			}
+		if b1 >= devBins {
+			b1 = devBins - 1
 		}
-		for ; i < n; i++ {
-			d := math.Abs(pixels[i] - med)
-			b := int(d * devScale)
-			if b >= devBins {
-				b = devBins - 1
-			}
-			dev[b&(devBins-1)]++
-			if d > candCut {
-				cand = append(cand, pixels[i])
-			}
+		dev[b0&(devBins-1)]++
+		dev[b1&(devBins-1)]++
+		cand[k] = int32(i)
+		k += b2i(d0 > candCut)
+		cand[k] = int32(i + 1)
+		k += b2i(d1 > candCut)
+	}
+	for ; i < n; i++ {
+		d := math.Abs(pixels[i] - med)
+		b := int(d * devScale)
+		if b >= devBins {
+			b = devBins - 1
 		}
+		dev[b&(devBins-1)]++
+		cand[k] = int32(i)
+		k += b2i(d > candCut)
 	}
 	q35 := uint32((n*35 + 99) / 100)
 	qBin := cumFind(dev[:], q35)
 	sigma = (float64(qBin) + 0.5) / (2 * devBins) / 0.4538
-	return med, sigma, cand
+	return med, sigma, cand[:k]
+}
+
+// b2i is 1 for true and 0 for false, which the compiler computes with a
+// SETcc rather than a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // cumFind returns the first index b with hist[0]+…+hist[b] >= target —
@@ -274,18 +393,6 @@ func clampBin(p float64, bins int) int {
 		b = bins - 1
 	} else if b < 0 {
 		b = 0
-	}
-	return b
-}
-
-// devBin maps a pixel's absolute deviation from med onto the deviation
-// grid over [0, 0.5). math.Abs is branchless — the deviation's sign is
-// noise, and a 50/50 branch on it would mispredict constantly.
-func devBin(p, med float64, devBins int) int {
-	d := math.Abs(p - med)
-	b := int(d * 2 * float64(devBins))
-	if b >= devBins {
-		b = devBins - 1
 	}
 	return b
 }
@@ -361,113 +468,67 @@ const QueryDim = 9
 // premise of the paper's §5.2 that the whole model-selection problem
 // rests on.
 func QueryFeatures(pixels tensor.Vector, w, h int) tensor.Vector {
-	// The outlier pools start out in two stack buffers, roomy enough for a
-	// 32×32 frame of any scene vidsim renders (at most a quarter of it is
-	// ever on one side of the cut); a larger pool grows onto the heap.
-	var darkBuf, brightBuf [256]float64
+	var s stackScratch
 	out := make(tensor.Vector, QueryDim)
-	queryInto(out, pixels, w, h, darkBuf[:0], brightBuf[:0])
+	queryInto(out, pixels, w, h, false, s.scratch())
 	return out
 }
 
 // Query computes fn(pixels, w, h) into the Featurizer's query buffer,
-// reusing its outlier pools: for QueryFeatures and SpatialFeatures the
-// same vector, bit for bit, with no allocation once warm — the classifier
+// reusing its scratch: for QueryFeatures and SpatialFeatures the same
+// vector, bit for bit, with no allocation once warm — the classifier
 // front-end of the per-frame hot path. Any other front-end is called as
-// it is. The result is overwritten by the next Query.
-func (fz *Featurizer) Query(fn FeatureFunc, pixels tensor.Vector, w, h int) tensor.Vector {
+// it is. Beside the vector it returns the appearance vector the vector
+// carries: for the two built-in front-ends its [4:8], which is
+// Featurize's vector for the frame bit for bit — the Drift Inspector
+// reads it instead of featurizing the frame again — and nil for any
+// other. Both are overwritten by the next Query.
+func (fz *Featurizer) Query(fn FeatureFunc, pixels tensor.Vector, w, h int) (q, app tensor.Vector) {
 	switch FeatureFuncName(fn) {
 	case FeatureFuncQuery:
 		fz.query = fz.query.Resize(QueryDim)
-		fz.dark, fz.bright = queryInto(fz.query, pixels, w, h, fz.dark[:0], fz.bright[:0])
+		fz.s = queryInto(fz.query, pixels, w, h, false, fz.s)
 	case FeatureFuncSpatial:
 		fz.query = fz.query.Resize(SpatialDim)
-		fz.dark, fz.bright = spatialInto(fz.query, pixels, w, h, fz.dark[:0], fz.bright[:0])
+		fz.s = queryInto(fz.query, pixels, w, h, true, fz.s)
 	default:
-		return fn(pixels, w, h)
+		return fn(pixels, w, h), nil
 	}
-	return fz.query
+	return fz.query, fz.query[4 : 4+AppearanceDim]
 }
 
-// queryInto computes QueryFeatures into out (QueryDim long), with the
-// given outlier-pool scratch, which it returns.
-func queryInto(out, pixels tensor.Vector, w, h int, dark, bright []float64) ([]float64, []float64) {
+// queryInto computes QueryFeatures into out (QueryDim long) — or, with
+// spatial, SpatialFeatures (SpatialDim long) — through the scratch s,
+// which it returns.
+func queryInto(out, pixels tensor.Vector, w, h int, spatial bool, s scratch) scratch {
 	const (
-		occWeight = 8.0 // occupancy fractions are small; scale them up
-		madScale  = 4.0
-		busRun    = 7
+		occWeight     = 8.0 // occupancy fractions are small; scale them up
+		quarterWeight = 16.0
 	)
-	n := len(pixels)
-	med, sigma := medSigma(pixels)
-	cut := 3 * sigma
-	if cut < 0.08 {
-		cut = 0.08
-	}
-
-	// Outlier pools for intensity dims, and polarity/size-split run
-	// masses: mass[polarity][size] with polarity 0 = dark, 1 = bright and
-	// size 0 = car-run, 1 = bus-run.
-	var mass [2][2]float64
-	for y := 0; y < h; y++ {
-		row := pixels[y*w : (y+1)*w]
-		runStart := -1
-		runSum := 0.0
-		flush := func(end int) {
-			if runStart < 0 {
-				return
-			}
-			length := end - runStart
-			pol, size := 0, 0
-			if runSum > 0 {
-				pol = 1
-			}
-			if length >= busRun {
-				size = 1
-			}
-			if length >= 2 {
-				mass[pol][size] += float64(length)
-			}
-			runStart = -1
-			runSum = 0
-		}
-		for x := 0; x < w; x++ {
-			p := row[x]
-			d := p - med
-			switch {
-			case d > cut:
-				bright = append(bright, p)
-			case d < -cut:
-				dark = append(dark, p)
-			default:
-				flush(x)
-				continue
-			}
-			if runStart < 0 {
-				runStart = x
-			}
-			runSum += d
-		}
-		flush(w)
-	}
-
-	out[0] = occWeight * mass[0][0] / float64(n) // dark car-runs
-	out[1] = occWeight * mass[0][1] / float64(n) // dark bus-runs
-	out[2] = occWeight * mass[1][0] / float64(n) // bright car-runs
-	out[3] = occWeight * mass[1][1] / float64(n) // bright bus-runs
-	out[4] = med
-	out[5] = madScale * sigma
-	// Presence-weighted object intensities (see Featurize).
-	presence := func(count int) float64 {
-		p := float64(count) / (0.02 * float64(n))
-		if p > 1 {
-			return 1
-		}
-		return p
-	}
-	out[6] = (medianOf(dark, med) - med) * presence(len(dark))
-	out[7] = (medianOf(bright, med) - med) * presence(len(bright))
+	n := float64(len(pixels))
+	med, sigma, s := scan(pixels, s)
+	runs := runMass{w: w, h: h, quarters: spatial}
+	s = s.outliers(pixels, med, outlierCut(sigma), &runs)
+	out[0] = occWeight * runs.total[0][0] / n // dark car-runs
+	out[1] = occWeight * runs.total[0][1] / n // dark bus-runs
+	out[2] = occWeight * runs.total[1][0] / n // bright car-runs
+	out[3] = occWeight * runs.total[1][1] / n // bright bus-runs
+	// The appearance statistics, presence-weighted object intensities
+	// included (see Featurize).
+	appearance(out[4:4+AppearanceDim], med, sigma, s.dark, s.bright, len(pixels))
 	out[8] = 1 // bias-like constant anchoring the scale
-	return dark, bright
+	if spatial {
+		i := QueryDim
+		for pol := 0; pol < 2; pol++ {
+			for size := 0; size < 2; size++ {
+				for q := 0; q < 4; q++ {
+					out[i] = quarterWeight * runs.byQuarter[pol][size][q] / n
+					i++
+				}
+			}
+		}
+	}
+	return s
 }
 
 // FeatureFunc is the signature shared by all frame featurizers.
@@ -521,81 +582,8 @@ const SpatialDim = QueryDim + 16
 // QueryFeatures, the polarity split keeps the learned layout features
 // condition-specific, so cross-condition degradation carries over.
 func SpatialFeatures(pixels tensor.Vector, w, h int) tensor.Vector {
-	var darkBuf, brightBuf [256]float64
+	var s stackScratch
 	out := make(tensor.Vector, SpatialDim)
-	spatialInto(out, pixels, w, h, darkBuf[:0], brightBuf[:0])
+	queryInto(out, pixels, w, h, true, s.scratch())
 	return out
-}
-
-// spatialInto computes SpatialFeatures into out (SpatialDim long), with
-// queryInto's outlier-pool scratch, which it returns.
-func spatialInto(out, pixels tensor.Vector, w, h int, dark, bright []float64) ([]float64, []float64) {
-	const (
-		quarters  = 4
-		busRun    = 7
-		occWeight = 16.0
-	)
-	dark, bright = queryInto(out[:QueryDim], pixels, w, h, dark, bright)
-	med := out[4] // background level, already computed
-	sigma := out[5] / 4
-	cut := 3 * sigma
-	if cut < 0.08 {
-		cut = 0.08
-	}
-
-	// mass[polarity][size][quarter]: polarity 0 = dark, 1 = bright;
-	// size 0 = car-run, 1 = bus-run.
-	var mass [2][2][quarters]float64
-	for y := 0; y < h; y++ {
-		row := pixels[y*w : (y+1)*w]
-		runStart := -1
-		runSum := 0.0
-		flush := func(end int) {
-			if runStart < 0 {
-				return
-			}
-			length := end - runStart
-			q := (runStart + end) / 2 * quarters / w
-			if q >= quarters {
-				q = quarters - 1
-			}
-			pol := 0
-			if runSum > 0 {
-				pol = 1
-			}
-			size := 0
-			if length >= busRun {
-				size = 1
-			}
-			if length >= 2 {
-				mass[pol][size][q] += float64(length)
-			}
-			runStart = -1
-			runSum = 0
-		}
-		for x := 0; x < w; x++ {
-			d := row[x] - med
-			if d > cut || d < -cut {
-				if runStart < 0 {
-					runStart = x
-				}
-				runSum += d
-			} else {
-				flush(x)
-			}
-		}
-		flush(w)
-	}
-
-	n := float64(len(pixels))
-	i := QueryDim
-	for pol := 0; pol < 2; pol++ {
-		for size := 0; size < 2; size++ {
-			for q := 0; q < quarters; q++ {
-				out[i] = occWeight * mass[pol][size][q] / n
-				i++
-			}
-		}
-	}
-	return dark, bright
 }

@@ -267,6 +267,28 @@ func queryFeaturesReference(pixels tensor.Vector, w, h int) tensor.Vector {
 	return out
 }
 
+// medSigma is the histogram kernel as two plain passes, the oracle of
+// medSigmaCand's fused one: the pixel median, then the 35th percentile of
+// |p − med| on a 2048-bin grid over [0, 0.5), scaled to a Gaussian σ.
+func medSigma(pixels tensor.Vector) (med, sigma float64) {
+	const bins, devBins = 1024, 2048
+	var hist [bins]uint32
+	for _, p := range pixels {
+		hist[clampBin(p, bins)]++
+	}
+	med = (float64(cumFind(hist[:], uint32((len(pixels)+1)/2))) + 0.5) / bins
+	var dev [devBins]uint32
+	for _, p := range pixels {
+		b := int(math.Abs(p-med) * 2 * float64(devBins))
+		if b >= devBins {
+			b = devBins - 1
+		}
+		dev[b]++
+	}
+	qBin := cumFind(dev[:], uint32((len(pixels)*35+99)/100))
+	return med, (float64(qBin) + 0.5) / (2 * devBins) / 0.4538
+}
+
 // medianOfReference is medianOf as it was, on sort.Float64s.
 func medianOfReference(xs []float64, fallback float64) float64 {
 	if len(xs) == 0 {
@@ -274,6 +296,41 @@ func medianOfReference(xs []float64, fallback float64) float64 {
 	}
 	sort.Float64s(xs)
 	return xs[len(xs)/2]
+}
+
+// query is Featurizer.Query's vector alone.
+func query(fz *Featurizer, fn FeatureFunc, px tensor.Vector, w, h int) tensor.Vector {
+	q, _ := fz.Query(fn, px, w, h)
+	return q
+}
+
+// checkCarriedAppearance holds the appearance vector to the one both
+// built-in front-ends carry, bit for bit: Featurize is QueryFeatures[4:8]
+// and SpatialFeatures[4:8], and it is what Featurizer.Query hands the
+// Drift Inspector beside either — which is what lets the inspector read
+// the classifier's features instead of featurizing the frame again.
+func checkCarriedAppearance(t *testing.T, fz *Featurizer, px tensor.Vector, w, h int) {
+	t.Helper()
+	type carrier struct {
+		name string
+		app  tensor.Vector
+	}
+	want := Featurize(px, w, h)
+	carriers := []carrier{
+		{"QueryFeatures[4:8]", QueryFeatures(px, w, h)[4:8]},
+		{"SpatialFeatures[4:8]", SpatialFeatures(px, w, h)[4:8]},
+	}
+	for _, fn := range []FeatureFunc{QueryFeatures, SpatialFeatures} {
+		_, app := fz.Query(fn, px, w, h)
+		carriers = append(carriers, carrier{"Featurizer.Query(" + FeatureFuncName(fn) + ")", slices.Clone(app)})
+	}
+	for _, c := range carriers {
+		for d := range want {
+			if math.Float64bits(c.app[d]) != math.Float64bits(want[d]) {
+				t.Fatalf("%dx%d frame: %s %v, Featurize %v", w, h, c.name, c.app, want)
+			}
+		}
+	}
 }
 
 // TestQueryFeaturesMatchesReference holds QueryFeatures to the retained
@@ -310,12 +367,13 @@ func TestQueryFeaturesMatchesReference(t *testing.T) {
 				t.Fatalf("%s frame %d (%dx%d) dim %d: %v, reference %v", f.Condition, f.Index, f.W, f.H, d, got[d], want[d])
 			}
 		}
-		if q := fz.Query(QueryFeatures, f.Pixels, f.W, f.H); !slices.Equal(q, want) {
+		if q, _ := fz.Query(QueryFeatures, f.Pixels, f.W, f.H); !slices.Equal(q, want) {
 			t.Fatalf("%s frame %d: Featurizer.Query %v, reference %v", f.Condition, f.Index, q, want)
 		}
-		if q, s := fz.Query(SpatialFeatures, f.Pixels, f.W, f.H), SpatialFeatures(f.Pixels, f.W, f.H); !slices.Equal(q, s) {
+		if q, s := query(&fz, SpatialFeatures, f.Pixels, f.W, f.H), SpatialFeatures(f.Pixels, f.W, f.H); !slices.Equal(q, s) {
 			t.Fatalf("%s frame %d: Featurizer.Query %v, SpatialFeatures %v", f.Condition, f.Index, q, s)
 		}
+		checkCarriedAppearance(t, &fz, f.Pixels, f.W, f.H)
 		if full := 8 * 256 / float64(len(f.Pixels)); want[0]+want[1] > full || want[2]+want[3] > full {
 			spilled++ // more run mass on one side than a stack buffer holds pixels
 		}
@@ -342,6 +400,16 @@ func TestQueryFeaturesMatchesReference(t *testing.T) {
 			if (want[6] != 0) != (dark > 0) || (want[7] != 0) != (bright > 0) {
 				t.Errorf("%d dark and %d bright pixels: intensity dims %v, %v — the pools are not the ones intended", dark, bright, want[6], want[7])
 			}
+			checkCarriedAppearance(t, &fz, px, 16, 16)
+		}
+	}
+	// A frame with more pixels than w×h (or a zero width): the row scan
+	// reads w·h of them — the pools and the runs — and the kernels count
+	// all of them.
+	for _, wh := range [][2]int{{16, 15}, {8, 16}, {0, 16}} {
+		f := order[0]
+		if got, want := QueryFeatures(f.Pixels, wh[0], wh[1]), queryFeaturesReference(f.Pixels, wh[0], wh[1]); !slices.Equal(got, want) {
+			t.Errorf("%d pixels read as %dx%d: %v, reference %v", len(f.Pixels), wh[0], wh[1], got, want)
 		}
 	}
 	if n := testing.AllocsPerRun(100, func() { QueryFeatures(order[0].Pixels, order[0].W, order[0].H) }); n > 1 {

@@ -165,6 +165,16 @@ func (m *Reader) Next() (msgType uint8, payload []byte, err error) {
 	return checkPayload(msgType, payload, crc)
 }
 
+// Buffered reports whether a whole message is already in the buffer, so
+// the next Next returns without touching the stream.
+func (m *Reader) Buffered() bool {
+	if m.wr-m.rd < HeaderSize {
+		return false
+	}
+	n := binary.BigEndian.Uint32(m.buf[m.rd+6 : m.rd+10])
+	return uint64(n) <= uint64(m.wr-m.rd-HeaderSize)
+}
+
 // fill reads until need unconsumed bytes are buffered (need is at most
 // the buffer's size), moving a partial message to the front when the
 // tail has no room for the rest of it. The error of a Read that also

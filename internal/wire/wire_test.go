@@ -296,17 +296,26 @@ func TestMsgReader(t *testing.T) {
 		}
 
 		// Two and a half messages in one read: the first read serves two
-		// messages, the third waits for exactly one more.
+		// messages, the third waits for exactly one more — and Buffered
+		// says so beforehand: a whole message is waiting after the first,
+		// half of one after the second.
 		half := len(third) / 2
 		cr := &chunkReader{chunks: [][]byte{cat(long, short, third[:half]), third[half:]}}
 		rd = p.f.NewReader(cr, ConnBufSize)
+		if rd.Buffered() {
+			t.Fatalf("%s: a reader that has not read reports a message buffered", p.name)
+		}
 		for i, want := range []struct {
-			msg   []byte
-			reads int
-		}{{long, 1}, {short, 1}, {third, 2}} {
+			msg      []byte
+			reads    int
+			buffered bool
+		}{{long, 1, true}, {short, 1, false}, {third, 2, false}} {
 			typ, _, err := rd.Next()
 			if err != nil || typ != want.msg[5] || cr.reads != want.reads {
 				t.Fatalf("%s: message %d of two and a half in one read: type %d, err %v, after %d reads; want type %d after %d", p.name, i, typ, err, cr.reads, want.msg[5], want.reads)
+			}
+			if rd.Buffered() != want.buffered {
+				t.Fatalf("%s: after message %d of two and a half in one read, Buffered %v", p.name, i, !want.buffered)
 			}
 		}
 		if _, _, err := rd.Next(); err != io.EOF {

@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
 # Runs the hot-path benchmarks behind the kNN kernel and the parallel
 # selection engine (kNN scoring brute vs fast, Drift Inspector observe,
+# the two featurizers over 512 wire-quantised night and angle frames,
 # MSBI worker/model scaling, sharded monitoring throughput), the
 # training benchmarks (one Adam step dense and with idle coordinates, one
 # experiment-scale classifier fit and one step of it, one serving-time
 # training with and without the MSBO ensemble, one tenant attach under
 # each selector and the B/tenant it leaves on the heap) and the ingest
 # tier's per-arrival path (Submit + Pump per frame, and the same frame
-# through the front door: socket → ACK → fed in place; 1 and 8 tenants),
+# through the front door: socket → ACK → fed in place, 1 and 8 tenants
+# stop-and-wait and one tenant's window of 8 frames and its ask),
 # the admission scan every frame passes (1024 pixels, against the
 # retained per-pixel loop), what a model costs a checkpoint or a
 # replication delta (encode time and B/entry, lean and full) and what a
@@ -50,7 +52,7 @@ if [ -n "${PROFILE:-}" ]; then
 fi
 
 raw=$(go test -run=NONE \
-	-bench 'KNNScore|DriftInspectorObserve|Featurize$|MSBIParallel|ShardedThroughput|Provision|AttachTenant' \
+	-bench 'KNNScore|DriftInspectorObserve|Featurize$|QueryFeatures|MSBIParallel|ShardedThroughput|Provision|AttachTenant' \
 	-benchtime "$benchtime" -count "$count" "${profflags[@]}" .
 	go test -run=NONE -bench 'AdamStep|ClassifierFit|ClassifierTrainStep' \
 		-benchtime "$benchtime" -count "$count" ./internal/nn ./internal/classifier

@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # Bench-regression smoke: re-runs the regression-gated benchmarks (the
-# kNN kernel fast path, the sharded monitoring fan-out, one Adam step
-# dense and with idle coordinates, one experiment-scale classifier fit
-# and one step of it, one serving-time training with and without the MSBO
-# ensemble, one tenant attach under each selector, the ingest router's
-# Submit + Pump per frame and the same frame through a loopback
-# connection, the per-frame admission scan, one model entry's encoding,
-# the forensics recorder's state clone)
-# and fails when any of them
+# kNN kernel fast path, the two featurizers, the sharded monitoring
+# fan-out, one Adam step dense and with idle coordinates, one
+# experiment-scale classifier fit and one step of it, one serving-time
+# training with and without the MSBO ensemble, one tenant attach under
+# each selector, the ingest router's Submit + Pump per frame and the same
+# frame through a loopback connection, stop-and-wait and windowed, the
+# per-frame admission scan, one model entry's encoding, the forensics
+# recorder's state clone) and fails when any of them
 # lands more than THRESHOLD percent slower than the committed
 # BENCH_knn.json baseline — or, for the entry encoding, the tenant
 # attach and the recorder, more than THRESHOLD percent larger (B/entry,
@@ -42,8 +42,9 @@ if [ ! -f "$baseline" ]; then
 	exit 1
 fi
 
-# The gated set: kernel-regime kNN scoring, the sharded fan-out,
-# training (the idle_late step is the one that cost ten dense steps; a
+# The gated set: kernel-regime kNN scoring, the two featurizers (every
+# frame passes the classifier's front-end, which carries the inspector's
+# features), the sharded fan-out, training (the idle_late step is the one that cost ten dense steps; a
 # lean Provision near the full one means an MSBI training fits ensembles
 # again, an msbi attach near the msbo one that it calibrates them),
 # the ingest pump and the connection loop, which run once per arrival,
@@ -53,7 +54,7 @@ fi
 # that allocates its whole event ring at attach is 60× over on B/tenant;
 # a recorder that keeps the frames the stride skipped is 9× over on
 # B/declaration).
-raw=$(go test -run=NONE -bench 'KNNScore/sigma512x64|ShardedThroughput|Provision|AttachTenant' \
+raw=$(go test -run=NONE -bench 'KNNScore/sigma512x64|Featurize$|QueryFeatures|ShardedThroughput|Provision|AttachTenant' \
 	-benchtime "$benchtime" -count "$count" .
 	go test -run=NONE -bench 'AdamStep|ClassifierFit|ClassifierTrainStep' \
 		-benchtime "$benchtime" -count "$count" ./internal/nn ./internal/classifier
