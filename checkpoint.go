@@ -95,6 +95,7 @@ func resumeShard(cp *Checkpoint, i int, labeler Labeler, opts Options) (*Monitor
 	if opts.Tracer != nil {
 		cfg.Tracer = opts.Tracer
 	}
+	cfg.Tracer.ResumeAt(sh.Pipeline.Metrics.Frames)
 	pipe, err := core.RestorePipeline(core.NewRegistry(ents...), labeler, cfg, sh.Pipeline)
 	if err != nil {
 		return nil, err
@@ -153,13 +154,13 @@ func (sm *ShardedMonitor) Models() int {
 // keeps the previous capture's order and appends models first seen in
 // this one, so it only ever grows while no model is dropped (an evicted
 // shard's private models are). Safe to call at any time from any
-// goroutine: a capture waits for the ProcessBatch(es) call in flight and
+// goroutine: a capture waits for the ProcessBatches call in flight and
 // so always lands on a batch boundary; the caller need not synchronize
 // with the feed. Detached slots of a dynamic fleet are skipped: the
 // checkpoint holds the attached shards compacted in slot order (each
-// shard's full runtime state — including its RNG streams — lives in its
-// pipeline snapshot, so compaction does not disturb replay; only the
-// slot numbering resets).
+// shard's full runtime state — including its RNG streams, its tenant
+// and stream position — travels with it, so compaction does not disturb
+// replay; only the slot numbering resets).
 func (sm *ShardedMonitor) Checkpoint() *Checkpoint {
 	sm.batchMu.Lock()
 	defer sm.batchMu.Unlock()
@@ -187,7 +188,7 @@ func (sm *ShardedMonitor) Checkpoint() *Checkpoint {
 	for _, e := range sm.baseModels {
 		ref(e)
 	}
-	for _, m := range sm.shards {
+	for i, m := range sm.shards {
 		if m == nil {
 			continue
 		}
@@ -204,6 +205,8 @@ func (sm *ShardedMonitor) Checkpoint() *Checkpoint {
 			Pipeline:    m.pipe.Snapshot(),
 			Forensics:   m.rec.State(),
 			EventCounts: m.pipe.Tracer().KindCounts(),
+			Tenant:      sm.states[i].tenant,
+			Next:        uint64(sm.states[i].next),
 		})
 	}
 	sm.table = cp.Entries
@@ -211,15 +214,12 @@ func (sm *ShardedMonitor) Checkpoint() *Checkpoint {
 }
 
 // ResumeSharded rebuilds a ShardedMonitor from a checkpoint. The shard
-// count comes from the checkpoint; opts.Shards must be zero or equal to
-// it. The worker count is free to differ — shard decisions are
-// independent of the fan-out shape, so determinism holds at any Workers
-// setting.
+// count comes from the checkpoint (an empty dynamic fleet's holds none);
+// opts.Shards must be zero or equal to it. The worker count is free to
+// differ — shard decisions are independent of the fan-out shape, so
+// determinism holds at any Workers setting.
 func ResumeSharded(cp *Checkpoint, labeler Labeler, opts ShardedOptions) (*ShardedMonitor, error) {
 	n := len(cp.Shards)
-	if n == 0 {
-		return nil, fmt.Errorf("videodrift: checkpoint holds no shards")
-	}
 	if opts.Shards != 0 && opts.Shards != n {
 		return nil, fmt.Errorf("videodrift: checkpoint holds %d shards, options ask for %d", n, opts.Shards)
 	}
@@ -245,7 +245,7 @@ func ResumeSharded(cp *Checkpoint, labeler Labeler, opts ShardedOptions) (*Shard
 			return nil, err
 		}
 		sm.shards[i] = m
-		st := &shardState{opts: shardOpts}
+		st := &shardState{opts: shardOpts, tenant: cp.Shards[i].Tenant, next: int(cp.Shards[i].Next)}
 		st.save(m)
 		sm.states[i] = st
 	}

@@ -51,9 +51,13 @@ func driftStream(total, driftAt int, seed int64) []Frame {
 // mustBatch feeds one frame per shard; a batch-shape error is a fixture
 // bug in these fixed-fleet tests, so it panics.
 func mustBatch(sm *ShardedMonitor, frames []Frame) []Event {
-	evs, err := sm.ProcessBatch(frames)
-	if err != nil {
-		panic(err)
+	batches := make([][]Frame, len(frames))
+	for i := range frames {
+		batches[i] = frames[i : i+1 : i+1]
+	}
+	evs := make([]Event, len(frames))
+	for i, ev := range mustBatches(sm, batches) {
+		evs[i] = ev[0]
 	}
 	return evs
 }

@@ -6,15 +6,18 @@
 //
 // With -shards N it drives N concurrent camera streams over one shared
 // set of provisioned models (the multi-camera deployment shape): each
-// shard is an independent monitor with its own seed, drift state and
-// telemetry tracer, and the expensive read-only state — reference
-// feature matrices, calibration scores, classifier weights — is shared.
+// stream is an in-process tenant of the same router network tenants
+// enter through, served by an independent monitor with its own seed,
+// drift state and telemetry tracer, and the expensive read-only state —
+// reference feature matrices, calibration scores, classifier weights —
+// is shared.
 //
 // Endpoints:
 //
 //	/metrics   Prometheus text-exposition format (counters, gauges,
 //	           per-stage latency quantiles); ?shard=k selects a shard,
-//	           ?tenant=<id> an ingestion tenant, neither the base tracer
+//	           ?tenant=<id> a tenant (self-k for self-fed stream k),
+//	           neither the base tracer (stream 0's when self-fed)
 //	/snapshot  the same state as one indented JSON document (?shard=k,
 //	           ?tenant=<id>)
 //	/events    the retained structured events (drifts, selections,
@@ -33,18 +36,18 @@
 //	           worker restarts, dropped frames) and checkpoint
 //	           freshness. Returns 503 when a shard's crash-loop
 //	           breaker has tripped, a worker is wedged past the stall
-//	           timeout, or checkpointing is enabled and the last
-//	           checkpoint is more than 3 intervals old, this primary
+//	           timeout, or checkpointing is enabled and the state
+//	           dir has lagged the fleet for 3 intervals, this primary
 //	           was fenced, or a promotion failed.
-//	/ingest    (ingest mode) the HTTP POST fallback of the wire
-//	           protocol: the body is one complete frame message,
-//	           verdicts map to 200/400/409/429/503
+//	/ingest    the HTTP POST fallback of the wire protocol: the body
+//	           is one complete frame message, verdicts map to
+//	           200/400/409/429/503
 //	/debug/pprof/…  the standard net/http/pprof profiles
 //
 // Usage:
 //
 //	driftserve [-addr :9090] [-dataset bdd|detrac|tokyo|slow] [-scale 0.02]
-//	           [-selector msbo|msbi] [-train 300] [-shards 1] [-workers 0]
+//	           [-selector msbi|msbo] [-train 300] [-shards 1] [-workers 0]
 //	           [-batch 1] [-fps 240] [-frames 0] [-ring 4096] [-perframe] [-v]
 //	           [-state-dir dir] [-checkpoint-every 30s]
 //	           [-chaos seed] [-stall-timeout 10s]
@@ -57,14 +60,14 @@
 //
 // Streams loop forever (a fresh seed per lap keeps drifts coming) unless
 // -frames bounds the total; -fps throttles each shard's rate (0 runs
-// unthrottled). -selector msbi provisions and trains models without
-// MSBO's deep ensembles, which only MSBO reads: set-up and every
+// unthrottled). The default -selector msbi provisions and trains models
+// without MSBO's deep ensembles, which only MSBO reads: set-up and every
 // serving-time training are a third to a half shorter, and the state
 // such a server checkpoints or replicates serves -selector msbi only (an
 // msbo restart or standby refuses it by name; msbo state serves either).
-// -ingest-addr replaces the synthetic self-feed with the
-// network ingestion tier (feed it with cmd/driftfeed; excludes
-// -state-dir and -chaos); -state-dir persists checkpoints and
+// -ingest-addr replaces the synthetic self-feed's tenants with the
+// network ingestion tier's (feed it with cmd/driftfeed; excludes
+// -chaos); -state-dir persists checkpoints, tenants included, and
 // warm-restarts from the newest intact one; -replicate-to streams
 // checkpoints to hot standbys, and -standby-of runs one (excludes
 // -state-dir, -chaos and -replicate-to); -chaos and -replica-faults
@@ -73,8 +76,8 @@
 // batch before the final flush; if it has not, the process writes every
 // goroutine's stack to stderr and exits 1 rather than ignore the signal.
 //
-// The server itself is internal/serve; DESIGN.md §17 describes what
-// each mode brings up, in what order it stops, and the /healthz schema.
+// The server itself is internal/serve; DESIGN.md §17 describes what it
+// brings up, in what order it stops, and the /healthz schema.
 package main
 
 import (
@@ -94,16 +97,16 @@ func main() {
 	flag.StringVar(&cfg.Addr, "addr", ":9090", "HTTP listen address")
 	flag.StringVar(&cfg.Dataset, "dataset", "bdd", "stream to monitor: bdd, detrac, tokyo, slow")
 	flag.Float64Var(&cfg.Scale, "scale", 0.02, "dataset stream scale (1.0 = paper sizes)")
-	flag.StringVar(&cfg.Selector, "selector", "msbo", "model selector: msbo or msbi (msbi trains no MSBO ensembles; its checkpoints and standbys are msbi-only)")
+	flag.StringVar(&cfg.Selector, "selector", "msbi", "model selector: msbi or msbo (msbi trains no MSBO ensembles; its checkpoints and standbys are msbi-only)")
 	flag.IntVar(&cfg.Train, "train", 300, "training frames per provisioned condition")
 	flag.IntVar(&cfg.Shards, "shards", 1, "concurrent camera streams over the shared models")
 	flag.IntVar(&cfg.Workers, "workers", 0, "goroutines processing shard frames (0 = GOMAXPROCS)")
-	flag.IntVar(&cfg.Batch, "batch", 1, "frames per shard per supervised micro-batch (1 = per-frame supervision)")
+	flag.IntVar(&cfg.Batch, "batch", 1, "max frames per shard per supervised micro-batch; the self-feed feeds every -batch steps (1 = per-frame supervision)")
 	flag.Float64Var(&cfg.FPS, "fps", 240, "per-shard rate limit in frames/second (0 = unthrottled)")
 	flag.IntVar(&cfg.Frames, "frames", 0, "stop after this many frames across all shards (0 = loop forever)")
 	flag.IntVar(&cfg.Ring, "ring", 4096, "telemetry event-ring capacity per shard; allocated as events arrive")
 	flag.BoolVar(&cfg.PerFrame, "perframe", false, "also ring per-frame FrameObserved/MartingaleUpdate events")
-	flag.BoolVar(&cfg.Verbose, "v", false, "log drift/selection events to stderr as they happen")
+	flag.BoolVar(&cfg.Verbose, "v", false, "log self-feed laps and checkpoints to stderr (the drift events are on /events)")
 	flag.StringVar(&cfg.StateDir, "state-dir", "", "checkpoint directory for persistence and warm restart (empty = off)")
 	flag.DurationVar(&cfg.CheckpointEvery, "checkpoint-every", 30*time.Second, "background checkpoint interval (needs -state-dir)")
 	flag.Int64Var(&cfg.Chaos, "chaos", 0, "replay a seeded fault schedule: pixel corruption, worker panics, training failures (0 = off)")
@@ -111,7 +114,7 @@ func main() {
 	flag.BoolVar(&cfg.Forensics, "forensics", true, "record drift declarations with replayable pre-rolls (the frames the inspector read) for /drift and checkpoints")
 	flag.StringVar(&cfg.IngestAddr, "ingest-addr", "", "TCP listen address for the network ingestion tier; replaces the synthetic self-feed (also serves HTTP POST /ingest)")
 	flag.IntVar(&cfg.MaxTenants, "max-tenants", 64, "max concurrently attached ingestion tenants (needs -ingest-addr)")
-	flag.IntVar(&cfg.TenantQueue, "tenant-queue", 256, "per-tenant bounded ingestion queue capacity (needs -ingest-addr)")
+	flag.IntVar(&cfg.TenantQueue, "tenant-queue", 256, "per-tenant bounded queue capacity")
 	flag.DurationVar(&cfg.IdleEvict, "idle-evict", 2*time.Minute, "detach ingestion tenants idle this long, freeing their shard (0 = never; needs -ingest-addr)")
 	flag.StringVar(&cfg.ReplicateTo, "replicate-to", "", "comma-separated standby replication addresses to stream checkpoints to")
 	flag.DurationVar(&cfg.ReplicateEvery, "replicate-every", time.Second, "steady-state replication cadence (needs -replicate-to)")

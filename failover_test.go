@@ -1,8 +1,12 @@
 package videodrift
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
+	"fmt"
 	"net"
+	"reflect"
 	"testing"
 
 	"videodrift/internal/faults"
@@ -93,8 +97,9 @@ func (h *failoverHarness) promoteAndResume(t *testing.T, sopts ShardedOptions) (
 }
 
 // compareContinuation requires the promoted fleet's event stream,
-// deployments and per-shard stats from frame g onward to be
-// bit-identical to the uninterrupted reference run's.
+// deployments, per-shard stats and retained drift declarations (with
+// their replayed reports) from frame g onward to be bit-identical to the
+// uninterrupted reference run's.
 func compareContinuation(t *testing.T, resumed, ref *ShardedMonitor, got, want [][]Event, g int) {
 	t.Helper()
 	for s := range want {
@@ -114,10 +119,31 @@ func compareContinuation(t *testing.T, resumed, ref *ShardedMonitor, got, want [
 		if a, b := resumed.ShardStats(s), ref.ShardStats(s); a != b {
 			t.Errorf("shard %d: promoted stats %+v, uninterrupted %+v", s, a, b)
 		}
+		gotDecls, gotReports := declared(t, resumed.Shard(s))
+		wantDecls, wantReports := declared(t, ref.Shard(s))
+		if !reflect.DeepEqual(stored(t, gotDecls), stored(t, wantDecls)) || !reflect.DeepEqual(stored(t, gotReports), stored(t, wantReports)) {
+			t.Errorf("shard %d: promoted declarations or their reports differ from the uninterrupted run's", s)
+		}
 	}
 	if ref.Stats().DriftsDetected == 0 {
 		t.Error("reference run never drifted; the failover exercised nothing")
 	}
+}
+
+// stored is v as a checkpoint hands it back: gob, which a promoted
+// recorder's state went through, does not tell a nil slice from an empty
+// one.
+func stored[T any](t *testing.T, v T) T {
+	t.Helper()
+	var buf bytes.Buffer
+	var out T
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // TestFailoverDeterminism is the headline high-availability guarantee:
@@ -128,7 +154,9 @@ func compareContinuation(t *testing.T, resumed, ref *ShardedMonitor, got, want [
 // replicated generation, so the kill point is frame-granular; each
 // config runs its own seed with a seed-derived kill offset, for both
 // selectors (MSBI over full and over ensemble-less models) at 1 and 4
-// shards.
+// shards. The tenant rows attach each stream by name as an ingestion
+// router does, mid-stream at a position of its own: the promoted fleet
+// must hold every tenant under its name at the position it reached.
 func TestFailoverDeterminism(t *testing.T) {
 	const total = 200
 
@@ -138,13 +166,16 @@ func TestFailoverDeterminism(t *testing.T) {
 		shards   int
 		seed     int64
 		models   []*Model
+		tenants  bool
 	}{
-		{"msbi-shards1", MSBI, 1, 601, getCkptModels()},
-		{"msbi-shards4", MSBI, 4, 602, getCkptModels()},
-		{"msbo-shards1", MSBO, 1, 603, getCkptModels()},
-		{"msbo-shards4", MSBO, 4, 604, getCkptModels()},
-		{"msbi-lean-shards1", MSBI, 1, 605, getLeanCkptModels()},
-		{"msbi-lean-shards4", MSBI, 4, 606, getLeanCkptModels()},
+		{"msbi-shards1", MSBI, 1, 601, getCkptModels(), false},
+		{"msbi-shards4", MSBI, 4, 602, getCkptModels(), false},
+		{"msbo-shards1", MSBO, 1, 603, getCkptModels(), false},
+		{"msbo-shards4", MSBO, 4, 604, getCkptModels(), false},
+		{"msbi-lean-shards1", MSBI, 1, 605, getLeanCkptModels(), false},
+		{"msbi-lean-shards4", MSBI, 4, 606, getLeanCkptModels(), false},
+		{"msbo-tenants1", MSBO, 1, 607, getCkptModels(), true},
+		{"msbi-lean-tenants4", MSBI, 4, 608, getLeanCkptModels(), true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			models := tc.models
@@ -154,17 +185,53 @@ func TestFailoverDeterminism(t *testing.T) {
 			killAt := 55 + int(tc.seed*31%97)
 			opts := Defaults(facadeDim, facadeClasses)
 			opts.Pipeline.Selector = tc.selector
+			opts.Forensics.Enabled = true
 			sopts := ShardedOptions{Options: opts, Shards: tc.shards, Workers: 2}
 
 			streams := make([][]Frame, tc.shards)
 			for s := range streams {
 				streams[s] = driftStream(total, 60+25*s, tc.seed*1000+int64(10*s))
 			}
+			tenant := func(s int) (string, int) { return fmt.Sprintf("cam-%d", s), 1000*s + 17 }
+			fleet := func() *ShardedMonitor {
+				if !tc.tenants {
+					return NewShardedMonitor(models, facadeLabeler, sopts)
+				}
+				sm := NewDynamicSharded(models, facadeLabeler, sopts)
+				for s := range streams {
+					id, start := tenant(s)
+					if _, err := sm.AttachTenant(id, uint64(start), nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return sm
+			}
+			// checkTenants holds every slot to its tenant at stream position at.
+			checkTenants := func(sm *ShardedMonitor, at int) {
+				t.Helper()
+				for s := range streams {
+					id, start := tenant(s)
+					if !tc.tenants {
+						id, start = "", 0
+					}
+					if gotID, next := sm.Tenant(s); gotID != id || (tc.tenants && next != uint64(start+at)) {
+						t.Errorf("slot %d serves %q at %d, want %q at %d", s, gotID, next, id, start+at)
+					}
+				}
+			}
+			if tc.tenants {
+				for s := range streams {
+					_, start := tenant(s)
+					for i := range streams[s] {
+						streams[s][i].Index = start + i // a router's sequence numbers
+					}
+				}
+			}
 
-			ref := NewShardedMonitor(models, facadeLabeler, sopts)
+			ref := fleet()
 			want := runBatches(ref, streams, 0, total)
 
-			prim := NewShardedMonitor(models, facadeLabeler, sopts)
+			prim := fleet()
 			h := newFailoverHarness(t, prim, nil)
 			feedBatches(t, prim, streams, 0, killAt, h.prim.Cycle)
 
@@ -176,8 +243,10 @@ func TestFailoverDeterminism(t *testing.T) {
 			if g != killAt || epoch != 2 {
 				t.Fatalf("promoted at gen %d epoch %d, want gen %d epoch 2", g, epoch, killAt)
 			}
+			checkTenants(resumed, g)
 			got := feedBatches(t, resumed, streams, g, total, nil)
 			compareContinuation(t, resumed, ref, got, want, g)
+			checkTenants(resumed, total)
 
 			// Split-brain guard: a primary resuming the old epoch is fenced
 			// at first contact with the promoted standby.

@@ -4,6 +4,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"videodrift"
+	"videodrift/internal/vidsim"
 )
 
 // TestRouterResumeStreams pins the promoted-standby admission rule: a
@@ -134,5 +137,79 @@ func TestClientFailover(t *testing.T) {
 	}
 	if v := standbyRouter.Submit(MsgFromFrame("cam-a", 19, stream[19])); !v.Ack || !v.Dup {
 		t.Fatalf("standby lost the adopted sequence position: %+v", v)
+	}
+}
+
+// TestRouterRestoresTenants: a router over a fleet resumed from a
+// checkpoint takes over the tenants the checkpoint names, at the stream
+// position each had reached — a restored tenant's stream continues
+// exactly once, as if nothing had happened — and a client ahead of the
+// checkpoint moves the position once, on first contact. Shards without a
+// name are nobody's: a tenant the checkpoint lacks attaches a fresh slot,
+// as every failed-over tenant did before shards recorded their tenant.
+func TestRouterRestoresTenants(t *testing.T) {
+	models, opts := sharedModels()
+	sm := testFleet(opts)
+	if _, err := sm.Attach(nil); err != nil { // an unnamed slot: a library fleet's
+		t.Fatal(err)
+	}
+	r := NewRouter(sm, Config{})
+	streams := map[string][]vidsim.Frame{"cam-a": testStream(30, 23), "cam-b": testStream(20, 24)}
+	submitFrames(t, r, "cam-a", streams["cam-a"], 0, 20)
+	submitFrames(t, r, "cam-b", streams["cam-b"], 0, 10)
+	if _, err := r.Pump(); err != nil {
+		t.Fatal(err)
+	}
+
+	resumed, err := videodrift.ResumeSharded(sm.Checkpoint(), testLabeler, videodrift.ShardedOptions{Options: opts, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr := NewRouter(resumed, Config{ResumeStreams: true})
+	if got := rr.Stats(); got.Known != 2 || got.Active != 2 || got.Tenants[0].Slot != 1 || got.Tenants[1].Slot != 2 {
+		t.Fatalf("restored router: %+v, want cam-a and cam-b attached in slots 1 and 2", got)
+	}
+	if a, b := rr.Position("cam-a"), rr.Position("cam-b"); a != 20 || b != 10 {
+		t.Fatalf("restored positions %d and %d, want 20 and 10", a, b)
+	}
+	// A Sync from behind is told the restored position; one from ahead is
+	// told its own.
+	if p := rr.position([]byte("cam-a"), 16); p != 20 {
+		t.Errorf("Sync at 16: answered %d, want the restored 20", p)
+	}
+	if p := rr.position([]byte("cam-b"), 12); p != 12 {
+		t.Errorf("Sync at 12 past a checkpoint at 10: answered %d, want 12", p)
+	}
+
+	if v := rr.Submit(MsgFromFrame("cam-a", 19, streams["cam-a"][19])); !v.Ack || !v.Dup {
+		t.Fatalf("a frame the checkpoint holds: %+v, want a dup ack", v)
+	}
+	submitFrames(t, rr, "cam-a", streams["cam-a"], 20, 30)
+	submitFrames(t, rr, "cam-b", streams["cam-b"], 12, 14)
+	if v := rr.Submit(MsgFromFrame("cam-b", 16, streams["cam-b"][16])); v.Ack || v.Code != NackBadSeq {
+		t.Errorf("a gap after the first frame: %+v, want NackBadSeq", v)
+	}
+	if v := rr.Submit(MsgFromFrame("cam-c", 7, streams["cam-b"][7])); !v.Ack {
+		t.Fatalf("a tenant the checkpoint lacks, mid-stream: %+v", v)
+	}
+	if _, err := rr.Pump(); err != nil {
+		t.Fatal(err)
+	}
+	for slot, want := range []struct {
+		tenant string
+		next   uint64
+	}{{"", 0}, {"cam-a", 30}, {"cam-b", 14}, {"cam-c", 8}} {
+		if id, next := resumed.Tenant(slot); id != want.tenant || next != want.next {
+			t.Errorf("slot %d serves %q at %d, want %q at %d", slot, id, next, want.tenant, want.next)
+		}
+	}
+
+	// cam-a's restored shard is the shard an uninterrupted stream leaves.
+	ref := videodrift.NewMonitor(models, testLabeler, func() videodrift.Options { o := opts; o.Pipeline.Seed++; return o }())
+	for i, f := range streams["cam-a"] {
+		ref.Process(FrameFromMsg(MsgFromFrame("cam-a", uint64(i), f)))
+	}
+	if got, want := resumed.ShardStats(1), ref.Stats(); got != want {
+		t.Errorf("cam-a across the restore: stats %+v, uninterrupted %+v", got, want)
 	}
 }

@@ -58,8 +58,8 @@ type Config struct {
 	NewTracer func(tenant string) *telemetry.Tracer
 	// ResumeStreams makes a brand-new tenant's first frame define its
 	// stream position instead of requiring seq 0 — the promoted-standby
-	// case, where clients fail over mid-stream to a server that has
-	// never seen them. Only tenant creation adopts the sequence; a
+	// and warm-restart case, where clients arrive mid-stream at a server
+	// that has not seen them. Only tenant creation adopts the sequence; a
 	// returning evicted tenant still resumes its retained position, so
 	// the exactly-once contract within one server's lifetime holds.
 	ResumeStreams bool
@@ -186,11 +186,13 @@ type drained struct {
 
 // tenant is one stream's routing state. slot == -1 while detached
 // (idle-evicted); nextSeq persists across evictions so the stream's
-// exactly-once contract survives reattachment.
+// exactly-once contract survives reattachment. resumed marks a tenant
+// restored from a checkpoint that has queued no frame since.
 type tenant struct {
 	id      string
 	slot    int
 	nextSeq uint64
+	resumed bool
 	// queue fills while Pump feeds the frames it swapped out; spare is
 	// the emptied buffer of the drain before, which the next drain swaps
 	// back in, so a warm tenant's queue never re-grows.
@@ -205,7 +207,10 @@ type tenant struct {
 
 // NewRouter builds a router over a fleet. The fleet should be a
 // dynamic one (videodrift.NewDynamicSharded); attaching tenants to a
-// fixed fleet works but competes with its preallocated slots.
+// fixed fleet works but competes with its preallocated slots. A slot
+// the fleet holds under a tenant's name — a fleet resumed from a
+// checkpoint — stays that tenant's: its stream continues at the
+// position the slot recorded, with the shard's tracer.
 func NewRouter(sm *videodrift.ShardedMonitor, cfg Config) *Router {
 	if cfg.MaxTenants <= 0 {
 		cfg.MaxTenants = DefaultMaxTenants
@@ -224,7 +229,7 @@ func NewRouter(sm *videodrift.ShardedMonitor, cfg Config) *Router {
 	}
 	evict := time.NewTimer(0)
 	evict.Stop() // armed by pump, and only while a tenant's idle window runs
-	return &Router{
+	r := &Router{
 		sm:      sm,
 		cfg:     cfg,
 		tenants: make(map[string]*tenant),
@@ -232,6 +237,21 @@ func NewRouter(sm *videodrift.ShardedMonitor, cfg Config) *Router {
 		evict:   evict,
 		batcher: sm.NewBatcher(cfg.BatchSize),
 	}
+	for slot := range sm.Shards() {
+		if id, next := sm.Tenant(slot); id != "" {
+			r.insert(&tenant{id: id, slot: slot, nextSeq: next, resumed: true,
+				tracer: sm.Shard(slot).Telemetry(), lastSeen: cfg.Now()})
+		}
+	}
+	return r
+}
+
+// insert adds a tenant to the table and to order. Callers hold r.mu, or
+// own the router alone.
+func (r *Router) insert(t *tenant) {
+	r.tenants[t.id] = t
+	at, _ := slices.BinarySearchFunc(r.order, t.id, func(o *tenant, id string) int { return cmp.Compare(o.id, id) })
+	r.order = slices.Insert(r.order, at, t)
 }
 
 // Verdict is the router's decision on one submitted frame — what the
@@ -275,6 +295,19 @@ func (r *Router) admit(tenant string, f vidsim.Frame) Verdict {
 	return v
 }
 
+// Offer admits a frame of an in-process tenant, one fed from inside the
+// server with no socket: f.Index is its sequence number, and its pixels
+// are copied, unquantised, into a buffer of the router's own, so the
+// caller keeps f. Like a windowed connection's frame it is not rejected
+// for a full queue — Offer waits for room, or for done to close. What it
+// queued waits for the caller's Feed.
+func (r *Router) Offer(tenant string, f vidsim.Frame, done <-chan struct{}) Verdict {
+	px := r.free.get(len(f.Pixels))
+	copy(px, f.Pixels)
+	f.Pixels = px
+	return r.admitWindowed(tenant, f, done)
+}
+
 // admitWindowed is admit for a windowed connection's frame, which a full
 // queue does not reject: nothing answers a windowed frame unless it is
 // rejected, so a NACK among the last frames of a stream would never be
@@ -293,7 +326,7 @@ func (r *Router) admitWindowed(tenant string, f vidsim.Frame, done <-chan struct
 			}
 			return v
 		}
-		r.feed()
+		r.Feed()
 		select {
 		case <-room:
 		case <-done:
@@ -303,14 +336,24 @@ func (r *Router) admitWindowed(tenant string, f vidsim.Frame, done <-chan struct
 	}
 }
 
+// Position is where an in-process tenant's stream resumes: the sequence
+// number the router expects from it next, 0 for a tenant it does not
+// know.
+func (r *Router) Position(tenant string) uint64 { return r.position([]byte(tenant), 0) }
+
 // position is the answer to a Sync: the tenant's next expected sequence
 // number — or, for a tenant the router does not know, 0, or with
 // ResumeStreams seq, the client's own, since its first frame will define
-// the position. It attaches nothing and moves no counter.
+// the position. A restored tenant's client may be ahead of the
+// checkpoint; its own position is then the answer, as enqueue will adopt
+// it. It attaches nothing and moves no counter.
 func (r *Router) position(tenant []byte, seq uint64) uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if t := r.tenants[string(tenant)]; t != nil {
+		if t.resumed {
+			return max(t.nextSeq, seq)
+		}
 		return t.nextSeq
 	}
 	if r.cfg.ResumeStreams {
@@ -327,16 +370,16 @@ func (r *Router) signal() {
 	}
 }
 
-// feed is what a connection does for the frame it has just queued and
-// acknowledged: when the pump is free and a Run loop owns draining, it
-// pumps right here, on the goroutine that read the frame — no hand-off,
-// no wake-up. Otherwise — another connection is feeding, a training holds
+// Feed is what a connection does for the frames it has just queued and
+// acknowledged, and an in-process tenant for the frames it offered: when
+// the pump is free and a Run loop owns draining, it pumps right here, on
+// the goroutine that queued the frame — no hand-off, no wake-up. Otherwise — another connection is feeding, a training holds
 // the pump, or nobody runs a loop — it leaves the token, and the frame
 // waits in its queue for Run (or a bare Pump) as it always did. Either
 // way the wake-up invariant holds: a queued frame implies a token in the
 // channel, a Pump that has not yet taken its queues, or a connection
 // between its enqueue and its feed.
-func (r *Router) feed() {
+func (r *Router) Feed() {
 	if !r.feedInPlace() {
 		r.signal()
 	}
@@ -384,11 +427,9 @@ func (r *Router) enqueue(id string, f vidsim.Frame, wait bool) (Verdict, <-chan 
 			if r.cfg.NewTracer != nil {
 				t.tracer = r.cfg.NewTracer(id)
 			}
-			r.tenants[id] = t
-			at, _ := slices.BinarySearchFunc(r.order, t.id, func(o *tenant, id string) int { return cmp.Compare(o.id, id) })
-			r.order = slices.Insert(r.order, at, t)
+			r.insert(t)
 		}
-		slot, err := r.sm.Attach(t.tracer)
+		slot, err := r.sm.AttachTenant(id, t.nextSeq, t.tracer)
 		if err != nil {
 			return Verdict{Code: NackInternal, Reason: err.Error()}, nil
 		}
@@ -396,6 +437,14 @@ func (r *Router) enqueue(id string, f vidsim.Frame, wait bool) (Verdict, <-chan 
 		r.attaches++
 	}
 	t.lastSeen = r.cfg.Now()
+	if t.resumed && seq > t.nextSeq {
+		// The client is ahead of the checkpoint the tenant was restored
+		// from: the frames between were confirmed by a process that died
+		// before its next capture, and no resend brings them back. Its
+		// first frame moves the position, as a new tenant's does under
+		// ResumeStreams.
+		t.nextSeq = seq
+	}
 	switch {
 	case seq < t.nextSeq:
 		// A resend of a frame we already accepted (its ack was lost):
@@ -428,6 +477,7 @@ func (r *Router) enqueue(id string, f vidsim.Frame, wait bool) (Verdict, <-chan 
 	}
 	t.queue = append(t.queue, f)
 	t.nextSeq++
+	t.resumed = false
 	t.accepted++
 	r.accepted++
 	return Verdict{Ack: true}, nil
@@ -458,12 +508,13 @@ func (r *Router) CountMalformed() {
 // IdleEvict set — until the next attached tenant is due for eviction,
 // calls Pump, hands pumped what Pump returned, and returns when stop
 // closes. pumped (not nil) also accounts for the pumps connections run
-// while the loop does: those call it from their own goroutines, still
-// holding the pump — it must not pump itself — and never once Run has
-// returned, which waits for a feed in flight. Nothing is timed: a frame that arrives alone is fed alone, frames that
-// arrive while a Pump is busy (a training, a burst) are fed together by
-// the next one, BatchSize at a time, and a fleet with no traffic and no
-// tenant to evict makes no Pump call at all.
+// while the loop does, from their own goroutines. Every pump is accounted
+// before the next begins — pumped is called holding the pump, so it must
+// not pump itself — and none once Run has returned, which waits for a
+// feed in flight. Nothing is timed: a frame that arrives alone is fed
+// alone, frames that arrive while a Pump is busy (a training, a burst)
+// are fed together by the next one, BatchSize at a time, and a fleet with
+// no traffic and no tenant to evict makes no Pump call at all.
 func (r *Router) Run(stop <-chan struct{}, pumped func(n int, err error)) {
 	r.procMu.Lock()
 	r.loop = pumped
@@ -480,7 +531,9 @@ func (r *Router) Run(stop <-chan struct{}, pumped func(n int, err error)) {
 		case <-r.wake:
 		case <-r.evict.C:
 		}
-		pumped(r.Pump())
+		r.procMu.Lock()
+		pumped(r.pump(false))
+		r.procMu.Unlock()
 	}
 }
 

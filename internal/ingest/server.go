@@ -36,7 +36,7 @@ type ServerConfig struct {
 // sends a Sync — is answered an Ack or Nack per frame; a windowed one —
 // a client whose Sync was answered — only when a frame is rejected, and
 // once per Sync. The answer sent, the connection feeds the fleet the
-// frames it has queued when nobody else is feeding (Router.feed).
+// frames it has queued when nobody else is feeding (Router.Feed).
 // Header-level damage (bad magic, truncation, version skew)
 // desynchronizes the stream, so those close the connection after a
 // best-effort Nack; payload-level damage (CRC mismatch, malformed
@@ -157,7 +157,7 @@ func (s *Server) logf(format string, args ...interface{}) {
 // read, one decode into a pixel buffer off the router's free list, the
 // router's queue, an answer (if any) out of a reused scratch — and then,
 // once no further message is waiting in the read buffer, the fleet is fed
-// right here when nobody else is feeding it (Router.feed), and the
+// right here when nobody else is feeding it (Router.Feed), and the
 // buffers go back. So a Sync written behind a frame is answered before
 // the frame is processed, and frames that arrived together are fed by
 // one Pump. While that feed runs a selection or a training this
@@ -174,12 +174,12 @@ func (s *Server) serveConn(conn net.Conn) {
 	unfed := false
 	defer func() {
 		if unfed {
-			s.router.feed()
+			s.router.Feed()
 		}
 	}()
 	for {
 		if unfed && !rd.Buffered() {
-			s.router.feed()
+			s.router.Feed()
 			unfed = false
 		}
 		conn.SetReadDeadline(s.cfg.Now().Add(s.cfg.ReadTimeout))

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"sync"
@@ -155,24 +156,20 @@ func TestReplicationStream(t *testing.T) {
 	}
 }
 
-// TestStandbyPersistsWireBytes checks the standby's on-disk chain: the
-// persisted files are the exact streamed bytes, so LoadLatestChain on
-// the standby's state dir reconstructs the primary's checkpoint.
-func TestStandbyPersistsWireBytes(t *testing.T) {
-	dir := t.TempDir()
-	st, err := store.Open(dir)
-	if err != nil {
-		t.Fatalf("open store: %v", err)
-	}
-	sb, addr := startStandby(t, StandbyConfig{Store: st})
+// TestStandbyChainsGenerations: a full and the deltas after it leave
+// the standby holding exactly the primary's last capture.
+func TestStandbyChainsGenerations(t *testing.T) {
+	sb, addr := startStandby(t, StandbyConfig{})
 
 	entries := []*core.ModelEntry{testEntry("m0")}
 	var frames int64
+	var last *store.Checkpoint
 	prim := NewPrimary(PrimaryConfig{
 		Addrs: []string{addr},
 		Capture: func() *store.Checkpoint {
 			frames += 100
-			return testCheckpoint(t, entries, frames)
+			last = testCheckpoint(t, entries, frames)
+			return last
 		},
 	})
 	defer prim.Close()
@@ -184,29 +181,16 @@ func TestStandbyPersistsWireBytes(t *testing.T) {
 	if got := sb.Gen(); got != 4 {
 		t.Fatalf("standby at gen %d, want 4", got)
 	}
-
-	cp, _, applied, err := st.LoadLatestChain()
-	if err != nil {
-		t.Fatalf("load chain from standby dir: %v", err)
-	}
-	if applied != 3 {
-		t.Fatalf("chain applied %d deltas, want 3", applied)
-	}
+	cp := sb.Latest()
 	if cp.Gen != 4 || cp.Frames != 400 {
-		t.Fatalf("chained checkpoint gen %d frames %d, want 4, 400", cp.Gen, cp.Frames)
+		t.Fatalf("standby checkpoint gen %d frames %d, want 4, 400", cp.Gen, cp.Frames)
 	}
-
-	results, err := store.VerifyDir(dir)
+	want, err := store.Encode(last)
 	if err != nil {
-		t.Fatalf("verify standby dir: %v", err)
+		t.Fatal(err)
 	}
-	if len(results) != 4 {
-		t.Fatalf("verified %d files, want 4", len(results))
-	}
-	for _, r := range results {
-		if r.Err != nil {
-			t.Fatalf("replicated file %s damaged: %v", r.Path, r.Err)
-		}
+	if got, err := store.Encode(cp); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("the standby's generation 4 differs from the primary's capture (%v)", err)
 	}
 }
 

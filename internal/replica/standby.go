@@ -19,10 +19,6 @@ type StandbyConfig struct {
 	// Epoch seeds the highest-epoch-seen accounting (a restarted
 	// standby resumes it from its checkpoint; zero is fine cold).
 	Epoch uint64
-	// Store, when set, persists every streamed generation to disk as
-	// the exact wire bytes (full envelopes and delta envelopes), so a
-	// standby restart warm-loads the replicated chain.
-	Store *store.Store
 	// Tracer records replica_delta_applied / replica_promoted events.
 	Tracer *telemetry.Tracer
 	// Logf logs connection churn; nil is silent.
@@ -60,8 +56,8 @@ func NewStandby(cfg StandbyConfig) *Standby {
 	}
 }
 
-// Seed primes the standby with a locally loaded checkpoint (warm
-// restart from Store), so the first Hello resumes from its generation
+// Seed primes the standby with a locally loaded checkpoint, so the
+// first Hello resumes from its generation
 // instead of asking for a full. crcs must be the wire-byte entry CRCs
 // (store.DecodeWithCRCs); nil recomputes them from the blobs.
 func (s *Standby) Seed(cp *store.Checkpoint, crcs []uint32) error {
@@ -261,22 +257,6 @@ func (s *Standby) apply(msgType uint8, st State) (reply []byte, keepOpen bool) {
 	if next.Gen != st.Gen {
 		s.logf("replica: envelope gen %d disagrees with stream gen %d", next.Gen, st.Gen)
 		return EncodeFenced(Fenced{Epoch: st.Epoch}), false
-	}
-
-	// Persist the exact wire bytes: the CRC chain later deltas verify
-	// is over what the primary encoded, never a local re-encode.
-	if s.cfg.Store != nil {
-		if msgType == MsgFull {
-			if _, err := s.cfg.Store.SaveEncoded(st.Payload); err != nil {
-				s.logf("replica: persist full gen %d: %v", st.Gen, err)
-			} else {
-				s.cfg.Store.PruneDeltas(st.Gen)
-			}
-		} else {
-			if _, err := s.cfg.Store.SaveDeltaEncoded(st.Gen, st.Payload); err != nil {
-				s.logf("replica: persist delta gen %d: %v", st.Gen, err)
-			}
-		}
 	}
 
 	s.mu.Lock()

@@ -9,36 +9,21 @@ import (
 
 	"videodrift"
 	"videodrift/internal/ingest"
-	"videodrift/internal/telemetry"
 	"videodrift/internal/vidsim"
 )
 
-// startIngest opens the network ingestion tier over f's fleet: the TCP
-// wire server accepts tenant streams, the router queues them with
-// backpressure, and the router's pump loop drains the queues through the
-// fleet whenever a frame has arrived. resume marks a promoted standby,
-// whose tenants fail over mid-stream.
-func (s *Server) startIngest(f *fleet, resume bool) error {
+// listenIngest opens the wire tier's listener with -ingest-addr: the
+// TCP server accepts tenant streams into the fleet's router.
+func (s *Server) listenIngest(f *fleet) error {
+	if s.cfg.IngestAddr == "" {
+		return nil
+	}
 	var err error
 	if f.iln, err = net.Listen("tcp", s.cfg.IngestAddr); err != nil {
 		return fmt.Errorf("ingest listen: %w", err)
 	}
-	f.router = ingest.NewRouter(f.mon, ingest.Config{
-		MaxTenants:    s.cfg.MaxTenants,
-		QueueCap:      s.cfg.TenantQueue,
-		BatchSize:     s.cfg.Batch,
-		IdleEvict:     s.cfg.IdleEvict,
-		ResumeStreams: resume,
-		NewTracer:     func(string) *telemetry.Tracer { return s.newTracer() },
-	})
-	f.isrv = ingest.NewServer(f.router, ingest.ServerConfig{Logf: log.Printf})
 	fmt.Fprintf(os.Stderr, "ingesting frames on %s (wire protocol over TCP; HTTP fallback at POST /ingest)\n", f.iln.Addr())
 	s.accept("ingest serve", func() error { return f.isrv.Serve(f.iln) })
-	s.run.Add(1)
-	go func() {
-		defer s.run.Done()
-		f.router.Run(s.stop, s.pumped)
-	}()
 	return nil
 }
 
@@ -50,85 +35,106 @@ func (s *Server) pumped(n int, err error) {
 	s.processed.Add(int64(n))
 }
 
-// startSelfFeed drives the synthetic streams through a fixed fleet until
-// the -frames budget is reached or the server stops. All shards advance
-// in lockstep, one frame per shard per step — every 1/-fps seconds, or
-// back to back when unthrottled, so -fps means the same stream rate at
-// any batch size; after -batch steps the per-shard micro-batches reach
-// the supervisor in one ProcessBatches call (-batch 1 is the classic
-// one-frame-per-shard cadence). The chaos and lap-seed schedules key on
-// the per-shard stream index, so batching never moves a fault or a
+// selfTenant names the self-feed's stream k; it serves from slot k.
+func selfTenant(k int) string { return fmt.Sprintf("self-%d", k) }
+
+// adopt returns cp with a tenant on every shard it keeps. A shard without
+// one was checkpointed before shards recorded their tenant: the self-feed
+// takes it over as stream k, at the position its frame count gives; a
+// wire tenant re-attaches afresh, as it did then, so the shard is dropped.
+func (s *Server) adopt(cp *videodrift.Checkpoint) *videodrift.Checkpoint {
+	named := *cp
+	named.Shards = nil
+	for k, sh := range cp.Shards {
+		if sh.Tenant == "" {
+			if s.cfg.IngestAddr != "" {
+				continue
+			}
+			sh.Tenant, sh.Next = selfTenant(k), uint64(sh.Pipeline.Metrics.Frames)
+		}
+		named.Shards = append(named.Shards, sh)
+	}
+	return &named
+}
+
+// startSelfFeed drives n synthetic streams, without -ingest-addr, as
+// in-process tenants of the router until the -frames budget is reached
+// or the server stops. The tenants advance in lockstep, one frame each
+// per step — every 1/-fps seconds, or back to back when unthrottled, so
+// -fps means the same stream rate at any batch size — and every -batch
+// steps what they offered is fed. The chaos and lap-seed schedules key
+// on each tenant's stream index, so batching never moves a fault or a
 // drift.
-func (s *Server) startSelfFeed(mon *videodrift.ShardedMonitor) {
-	n := mon.Shards()
-	// Each shard loops its own copy of the dataset on an independent
-	// lap-seed schedule, so the shards drift at different times — the
+func (s *Server) startSelfFeed(r *ingest.Router, n int) {
+	if s.cfg.IngestAddr != "" {
+		return
+	}
+	// Each tenant loops its own copy of the dataset on an independent
+	// lap-seed schedule, so the tenants drift at different times — the
 	// realistic multi-camera load — and a fresh seed per lap keeps drifts
 	// coming.
-	streams, lap := make([]*vidsim.Stream, n), make([]int, n)
-	next := func(sh int) vidsim.Frame {
+	tenants := make([]struct {
+		stream     *vidsim.Stream
+		lap, index int
+	}, n)
+	next := func(k int) vidsim.Frame {
+		t := &tenants[k]
 		for {
-			if streams[sh] != nil {
-				if f, ok := streams[sh].Next(); ok {
+			if t.stream != nil {
+				if f, ok := t.stream.Next(); ok {
+					f.Index = t.index
+					t.index++
 					return f
 				}
-				lap[sh]++
+				t.lap++
 			}
 			ds := *s.ds
-			ds.Seed += int64(sh)*104729 + int64(lap[sh])*7907
-			streams[sh] = ds.Stream()
+			ds.Seed += int64(k)*104729 + int64(t.lap)*7907
+			t.stream = ds.Stream()
 			if s.cfg.Verbose {
 				fmt.Fprintf(os.Stderr, "shard %d lap %d: %d frames, ground-truth drifts at %v\n",
-					sh, lap[sh], streams[sh].TotalLength(), streams[sh].DriftPoints())
+					k, t.lap, t.stream.TotalLength(), t.stream.DriftPoints())
 			}
 		}
 	}
-	for sh := 0; sh < n; sh++ {
+	fed := 0 // frames offered across tenants, those of earlier lives included
+	for k := range tenants {
 		// After a warm restart or a promotion, fast-forward to where the
-		// shard left off: the lap-seed schedule is deterministic, so
-		// regenerating and discarding the already-processed frames lands
+		// tenant left off: the lap-seed schedule is deterministic, so
+		// regenerating and discarding the frames already processed lands
 		// the stream on exactly the frame the interrupted run would have
-		// seen next.
-		for skip := mon.Shard(sh).Stats().Frames; skip > 0; skip-- {
-			next(sh)
+		// fed next.
+		for range r.Position(selfTenant(k)) {
+			next(k)
+			fed++
 		}
 	}
-	batches := make([][]vidsim.Frame, n)
-	index := 0 // per-shard stream index since this process started feeding
+	steps := 0
 	step := func() (done bool) {
-		for sh := range batches {
-			f := next(sh)
+		for k := range tenants {
+			f := next(k)
 			// The chaos schedule holds no drop/dup faults, so Apply yields
 			// exactly one (possibly corrupted) frame; the admission gate
 			// quarantines the corrupted ones.
-			if out := s.inj.Apply(sh, index, f); len(out) == 1 {
+			if out := s.inj.Apply(k, f.Index, f); len(out) == 1 {
 				f = out[0]
 			}
-			batches[sh] = append(batches[sh], f)
+			if !r.Offer(selfTenant(k), f, s.stop).Ack {
+				return true // the server is closing
+			}
 		}
-		index++
-		if len(batches[0]) < s.cfg.Batch {
+		if steps++; steps%s.cfg.Batch != 0 {
 			return false
 		}
-		events, err := mon.ProcessBatches(batches)
-		if err != nil {
-			// The self-feed drives a fixed fleet; a shape mismatch here
-			// is a bug, not an operational condition.
-			panic(fmt.Sprintf("serve: self-feed: %v", err))
+		if fed += n * s.cfg.Batch; s.cfg.Frames == 0 || fed < s.cfg.Frames {
+			r.Feed()
+			return false
 		}
-		for sh, evs := range events {
-			if s.cfg.Verbose {
-				logEvents(sh, index-len(evs), batches[sh], evs)
-			}
-			batches[sh] = batches[sh][:0]
-		}
-		// One event per frame fed, also from a shard whose breaker tripped.
-		if fed := s.processed.Add(int64(n * s.cfg.Batch)); s.cfg.Frames > 0 && fed >= int64(s.cfg.Frames) {
-			fmt.Fprintf(os.Stderr, "frame budget reached (%d); streams stopped, still serving\n", fed)
-			s.feedEnded.Store(true)
-			return true
-		}
-		return false
+		// Every frame offered is processed before the stream reports stopped.
+		s.pumped(r.Pump())
+		fmt.Fprintf(os.Stderr, "frame budget reached (%d); streams stopped, still serving\n", fed)
+		s.feedEnded.Store(true)
+		return true
 	}
 	if s.cfg.FPS > 0 {
 		s.every(time.Duration(float64(time.Second)/s.cfg.FPS), step)
@@ -145,18 +151,4 @@ func (s *Server) startSelfFeed(mon *videodrift.ShardedMonitor) {
 			}
 		}
 	}()
-}
-
-// logEvents is -v: the drifts and deployments of one shard's batch,
-// whose first frame is stream index first.
-func logEvents(shard, first int, frames []vidsim.Frame, events []videodrift.Event) {
-	for j, ev := range events {
-		if ev.Drift {
-			fmt.Fprintf(os.Stderr, "shard %d frame %d [%s]: drift declared\n", shard, first+j, frames[j].Condition)
-		}
-		if ev.SwitchedTo != "" {
-			fmt.Fprintf(os.Stderr, "shard %d frame %d [%s]: deployed %q (trained=%v)\n",
-				shard, first+j, frames[j].Condition, ev.SwitchedTo, ev.TrainedNew)
-		}
-	}
 }

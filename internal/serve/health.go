@@ -18,7 +18,7 @@ type Health struct {
 	Status string `json:"status"`
 	// Error is why Status is "promotion_failed".
 	Error string `json:"error,omitempty"`
-	// Mode is "selfdrive", "ingest" or "standby".
+	// Mode is "selfdrive" or "ingest" (whose tenants the fleet serves) or "standby".
 	Mode string `json:"mode"`
 	// Streaming is false once the self-feed has reached -frames.
 	Streaming    bool  `json:"streaming"`
@@ -62,9 +62,9 @@ type Replication struct {
 // answers with. 503 means do not route here: a shard's crash-loop
 // breaker tripped or a worker is wedged past -stall-timeout (degraded —
 // training retries on the still-serving deployed model — stays 200);
-// checkpoints should be flowing and the last is over three intervals
-// old; this primary was fenced; or a promotion failed. An un-promoted
-// standby is alive and warming: 200.
+// the state directory has not held the fleet's state for three
+// checkpoint intervals; this primary was fenced; or a promotion failed.
+// An un-promoted standby is alive and warming: 200.
 func (s *Server) Health() (Health, int) {
 	h := Health{Status: "standby", Mode: "standby"}
 	code := http.StatusOK
@@ -85,18 +85,17 @@ func (s *Server) Health() (Health, int) {
 		}
 		return h, code
 	}
-	fh, stats := f.mon.Health(), f.mon.Stats()
+	fh, stats, st := f.mon.Health(), f.mon.Stats(), f.router.Stats()
 	h.Status, h.Mode = fh.State.String(), "selfdrive"
+	if s.cfg.IngestAddr != "" {
+		h.Mode = "ingest"
+	}
 	h.Streaming = !s.feedEnded.Load()
 	h.Shards, h.ActiveShards = f.mon.Shards(), f.mon.Active()
 	h.Frames = s.processed.Load()
 	h.Quarantined, h.TrainFails = stats.QuarantinedFrames, stats.TrainingFailures
 	h.ShardHealth = fh.Shards
-	if f.router != nil {
-		h.Mode = "ingest"
-		st := f.router.Stats()
-		h.Ingest = &st
-	}
+	h.Ingest = &st
 	if !fh.Serving() {
 		if fh.Stalled {
 			h.Status = "stalled"
@@ -130,9 +129,7 @@ func (s *Server) Health() (Health, int) {
 		h.StateDir = s.st.Dir()
 		h.CkptAge = age.Seconds()
 		h.CkptIntervalS = s.cfg.CheckpointEvery.Seconds()
-		// A stopped stream stops producing checkpoints by design; only fail
-		// health when checkpoints should be flowing and are not.
-		if h.Streaming && age > 3*s.cfg.CheckpointEvery {
+		if age > 3*s.cfg.CheckpointEvery {
 			h.Status = "degraded"
 			code = http.StatusServiceUnavailable
 		}

@@ -65,15 +65,15 @@ func (s *Server) shard(w http.ResponseWriter, r *http.Request) *videodrift.Monit
 }
 
 // traced wraps a telemetry endpoint with the tracer its request asks
-// for: ?tenant=<id> that ingestion tenant's (kept across evictions, 404
-// when unknown), ?shard=k that shard's, neither the base tracer.
+// for: ?tenant=<id> that tenant's (kept across evictions, 404 when
+// unknown), ?shard=k that shard's, neither the base tracer.
 func (s *Server) traced(h func(http.ResponseWriter, *http.Request, *telemetry.Tracer)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
 		tr := s.base
 		if id := q.Get("tenant"); id != "" {
 			tr = nil
-			if f := s.flt.Load(); f != nil && f.router != nil {
+			if f := s.flt.Load(); f != nil {
 				tr = f.router.Tracer(id)
 			}
 			if tr == nil {
@@ -97,7 +97,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, tr *telem
 		log.Printf("/metrics: %v", err)
 	}
 	f := s.flt.Load()
-	if f != nil && f.router != nil {
+	if f != nil {
 		if err := f.router.WritePrometheus(w); err != nil {
 			log.Printf("/metrics (ingest): %v", err)
 		}
@@ -206,13 +206,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleIngest is the HTTP POST fallback of the wire protocol, where
-// there is an ingestion tier: in ingest mode, on a standby once it has
-// promoted.
+// handleIngest is the HTTP POST fallback of the wire protocol, wherever
+// there is a fleet: not on a standby before it has promoted.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	f := s.flt.Load()
-	if f == nil || f.isrv == nil {
-		http.Error(w, "no ingestion tier (self-feed mode, or a standby before promotion)", http.StatusServiceUnavailable)
+	if f == nil {
+		http.Error(w, "standby: no fleet until promotion", http.StatusServiceUnavailable)
 		return
 	}
 	f.isrv.HTTPHandler().ServeHTTP(w, r)
@@ -225,5 +224,5 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	}
 	h, _ := s.Health()
 	fmt.Fprintf(w, "driftserve: %s mode, %d shards over the %s models, %s selector\n", h.Mode, h.Shards, s.ds.Name, s.sel)
-	fmt.Fprintln(w, "endpoints: /metrics /snapshot /events (?shard=k, ?tenant=id) /drift/ /drift/<id> (?shard=k) /healthz /ingest (POST, ingest mode) /debug/pprof/")
+	fmt.Fprintln(w, "endpoints: /metrics /snapshot /events (?shard=k, ?tenant=id) /drift/ /drift/<id> (?shard=k) /healthz /ingest (POST) /debug/pprof/")
 }

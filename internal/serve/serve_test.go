@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -52,7 +53,7 @@ func TestMain(m *testing.M) {
 // small -train and an unthrottled self-feed.
 func testConfig() Config {
 	return Config{
-		Addr: "127.0.0.1:0", Dataset: "bdd", Scale: 0.02, Selector: "msbo", Train: 40,
+		Addr: "127.0.0.1:0", Dataset: "bdd", Scale: 0.02, Selector: "msbi", Train: 40,
 		Shards: 1, Batch: 1, Ring: 4096, CheckpointEvery: 30 * time.Second,
 		StallTimeout: 10 * time.Second, Forensics: true,
 		MaxTenants: 64, TenantQueue: 256, IdleEvict: 2 * time.Minute,
@@ -256,8 +257,7 @@ func TestConfigValidate(t *testing.T) {
 		{"-fps must be a finite rate >= 0, got -1", func(c *Config) { c.FPS = -1 }},
 		{"-frames must be >= 0, got -5", func(c *Config) { c.Frames = -5 }},
 		{"-train must be >= 1, got 0", func(c *Config) { c.Train = 0 }},
-		{"-state-dir does not combine with -ingest-addr: a dynamic tenant fleet has no warm-restart path yet",
-			func(c *Config) { ingestOn(c); c.StateDir = "d" }},
+		{"", func(c *Config) { ingestOn(c); c.StateDir = "d" }},
 		{"-chaos drives the synthetic self-feed; with -ingest-addr, inject network faults from the driftfeed side",
 			func(c *Config) { ingestOn(c); c.Chaos = 7 }},
 		{"-max-tenants must be >= 1, got 0", func(c *Config) { ingestOn(c); c.MaxTenants = 0 }},
@@ -510,8 +510,11 @@ func TestTenantTelemetry(t *testing.T) {
 // TestServeFailover is the retired scripts/failover_soak.sh in process: a
 // replicating primary and a hot standby, tenants streaming through the
 // failover address list, the primary torn down mid-stream with no final
-// flush. The standby promotes after -probe-fails failed probes and the
-// clients lose no frame.
+// flush once the standby holds every frame it processed. The standby
+// promotes after -probe-fails failed probes, takes every tenant over at
+// the position it reached, and the clients lose no frame: each tenant's
+// events, declarations and metrics across the two servers are an
+// uninterrupted run's.
 func TestServeFailover(t *testing.T) {
 	const tenants, frames, killAt = 3, 150, 60
 	priHTTP, sbIngest := reserveAddr(t), reserveAddr(t)
@@ -556,15 +559,16 @@ func TestServeFailover(t *testing.T) {
 	go func() {
 		defer close(killed)
 		<-reached
-		// Once the standby holds a generation that knows every tenant:
+		// Once the standby holds a generation with every tenant at killAt:
 		// kill -9, as far as one process can do it to itself — no drain,
 		// no final generation.
 		for deadline := time.Now().Add(time.Minute); ; time.Sleep(5 * time.Millisecond) {
-			if cp := sb.sb.Latest(); cp != nil && len(cp.Shards) == tenants {
+			if cp := sb.sb.Latest(); cp != nil && len(cp.Shards) == tenants &&
+				!slices.ContainsFunc(cp.Shards, func(sh store.ShardState) bool { return sh.Next != killAt }) {
 				break
 			}
 			if time.Now().After(deadline) {
-				t.Error("the standby never held a generation with every tenant")
+				t.Error("the standby never held a generation with every tenant at the kill point")
 				break
 			}
 		}
@@ -593,13 +597,26 @@ func TestServeFailover(t *testing.T) {
 	if code := get(t, sb, "/healthz", &h); code != http.StatusOK || h.Mode != "ingest" || h.Replication.Role != "promoted" {
 		t.Errorf("promoted standby /healthz: %d mode %q role %q", code, h.Mode, h.Replication.Role)
 	}
-	if in := h.Ingest; in.Active != tenants || in.Accepted < tenants*(frames-killAt-1) {
-		t.Errorf("promoted standby: %d tenants attached, %d frames accepted", in.Active, in.Accepted)
+	if in := h.Ingest; in.Active != tenants || in.Accepted != tenants*(frames-killAt) || in.Dups != 0 {
+		t.Errorf("promoted standby: %d tenants attached, %d frames accepted, %d dups", in.Active, in.Accepted, in.Dups)
 	}
 	for k, sh := range h.ShardHealth {
 		if sh.DroppedFrames != 0 {
 			t.Errorf("promoted shard %d dropped %d frames", k, sh.DroppedFrames)
 		}
+	}
+	drifts := 0
+	for _, ts := range h.Ingest.Tenants {
+		var i int
+		fmt.Sscanf(ts.Tenant, "cam-%d", &i)
+		got, want := served(t, sb, ts.Tenant, pri), replayed(t, sb, ts.Tenant, ts.Slot, streams[i])
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("tenant %s: across the failover\n%+v\nuninterrupted\n%+v", ts.Tenant, got, want)
+		}
+		drifts += want.Stats.DriftsDetected
+	}
+	if drifts == 0 {
+		t.Error("no tenant drifted: the comparison exercised nothing")
 	}
 	if got := sb.IngestAddr(); got != sbIngest {
 		t.Errorf("promoted standby ingests on %q, want %q", got, sbIngest)
@@ -698,18 +715,53 @@ func TestSelectorMismatch(t *testing.T) {
 	}
 }
 
-// declarations fetches what each shard's recorder retains.
-func declarations(t *testing.T, s *Server) []any {
-	t.Helper()
-	var out []any
-	for k := 0; k < s.cfg.Shards; k++ {
-		var got struct {
-			Declarations any `json:"declarations"`
+// outcome is what a run left for one tenant: the events its tracer
+// rings, less what differs between runs of one stream (sequence numbers,
+// clock readings, checkpoint saves); its retained declarations; its
+// metrics.
+type outcome struct {
+	Events []telemetry.Event
+	Decls  any
+	Stats  videodrift.Metrics
+}
+
+// ringed is what tr rings for outcome.
+func ringed(tr *telemetry.Tracer) []telemetry.Event {
+	var out []telemetry.Event
+	for _, e := range tr.Events() {
+		if e.Kind != telemetry.KindCheckpointSaved {
+			e.Seq, e.TimeUnixNano = 0, 0
+			out = append(out, e)
 		}
-		get(t, s, fmt.Sprintf("/drift/?shard=%d", k), &got)
-		out = append(out, got.Declarations)
 	}
 	return out
+}
+
+// served is tenant's outcome on s, whose events follow those it rang on
+// the servers s took over from, earliest first.
+func served(t *testing.T, s *Server, tenant string, before ...*Server) outcome {
+	t.Helper()
+	var o outcome
+	for _, srv := range append(before, s) {
+		o.Events = append(o.Events, ringed(srv.flt.Load().router.Tracer(tenant))...)
+	}
+	f := s.flt.Load()
+	for _, ts := range f.router.Stats().Tenants {
+		if ts.Tenant == tenant {
+			o.Decls = viaJSON(t, f.mon.Shard(ts.Slot).Forensics().Declarations())
+			o.Stats = f.mon.ShardStats(ts.Slot)
+			return o
+		}
+	}
+	t.Fatalf("no tenant %q", tenant)
+	return o
+}
+
+// replayed is the outcome of replay.
+func replayed(t *testing.T, s *Server, tenant string, slot int, frames []vidsim.Frame) outcome {
+	t.Helper()
+	ref := replay(s, tenant, slot, frames)
+	return outcome{ringed(ref.Telemetry()), viaJSON(t, ref.Forensics().Declarations()), ref.Stats()}
 }
 
 // runSelfFeed runs a self-feed server until its -frames budget is
@@ -727,39 +779,157 @@ func runSelfFeed(t *testing.T, cfg Config) *Server {
 	return s
 }
 
-// TestServeWarmRestart: a self-feed life cut short and a second life
-// warm-restarted from its state directory declare, between them, exactly
-// the drifts one uninterrupted life declares.
+// TestServeWarmRestart: a life cut short and a second life
+// warm-restarted from its state directory leave every tenant — events,
+// declarations, metrics — exactly as one uninterrupted life does. The
+// self-fed tenants' first life shuts down; the wire tenants' is killed
+// (no final flush) right after a checkpoint, and their windowed clients
+// carry on against the second, whose Sync answers hold each tenant's
+// restored position, so every frame is processed exactly once.
 func TestServeWarmRestart(t *testing.T) {
-	const total, cut = 600, 250
-	cfg := testConfig()
-	cfg.Shards, cfg.Selector, cfg.Frames = 2, "msbi", total
-	whole := runSelfFeed(t, cfg)
-	want := declarations(t, whole)
-	wantStats := whole.flt.Load().mon.Stats()
-	if wantStats.DriftsDetected == 0 {
-		t.Fatal("the uninterrupted life never drifted")
-	}
+	t.Run("selffeed", func(t *testing.T) {
+		const total, cut = 600, 250
+		cfg := testConfig()
+		cfg.Shards, cfg.Frames = 2, total
+		whole := runSelfFeed(t, cfg)
+		if whole.flt.Load().mon.Stats().DriftsDetected == 0 {
+			t.Fatal("the uninterrupted life never drifted")
+		}
 
-	cfg.StateDir, cfg.Frames = t.TempDir(), cut
-	first := runSelfFeed(t, cfg)
-	if err := first.Shutdown(); err != nil {
-		t.Fatal(err)
+		cfg.StateDir, cfg.Frames = t.TempDir(), cut
+		first := runSelfFeed(t, cfg)
+		if err := first.Shutdown(); err != nil {
+			t.Fatal(err)
+		}
+		cfg.Frames = total
+		second := runSelfFeed(t, cfg)
+		if second.boot == nil || second.boot.Frames != cut/2 {
+			t.Fatalf("the second life did not resume the first's final checkpoint: %+v", second.boot)
+		}
+		for k := range cfg.Shards {
+			if got, want := served(t, second, selfTenant(k), first), served(t, whole, selfTenant(k)); !reflect.DeepEqual(got, want) {
+				t.Errorf("tenant %s: two lives\n%+v\none life\n%+v", selfTenant(k), got, want)
+			}
+		}
+		var h Health
+		if code := get(t, second, "/healthz", &h); code != http.StatusOK || h.StateDir != cfg.StateDir || h.Mode != "selfdrive" {
+			t.Errorf("/healthz: %d, mode %q, state_dir %q", code, h.Mode, h.StateDir)
+		}
+	})
+
+	t.Run("ingest", func(t *testing.T) {
+		const tenants, frames, cut = 3, 200, 90
+		cfg := testConfig()
+		cfg.IngestAddr, cfg.StateDir, cfg.Batch = reserveAddr(t), t.TempDir(), 8
+		first := start(t, cfg)
+		streams := make([][]vidsim.Frame, tenants)
+		for i := range streams {
+			streams[i] = tenantStream(first, i, frames)
+		}
+		// Once every client has sent its first cut frames: a checkpoint that
+		// holds them all, kill -9, and a second life on the same -state-dir
+		// and address.
+		var paused sync.WaitGroup
+		paused.Add(tenants)
+		resumed := make(chan struct{})
+		var second *Server
+		var restored []uint64
+		go func() {
+			defer close(resumed)
+			paused.Wait()
+			for {
+				if h, _ := first.Health(); h.Ingest.Processed == tenants*cut {
+					break
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			first.saveCheckpoint("test")
+			if err := first.halt(false); err != nil {
+				t.Error(err)
+				return
+			}
+			var err error
+			if second, err = New(cfg); err == nil {
+				err = second.Start()
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for i := range tenants {
+				restored = append(restored, second.flt.Load().router.Position(fmt.Sprintf("cam-%d", i)))
+			}
+		}()
+		st := feed(t, cfg.IngestAddr, streams, 0, func(i, k int) {
+			if k == cut {
+				paused.Done()
+				<-resumed
+			}
+		})
+		if second == nil {
+			t.FailNow()
+		}
+		defer func() {
+			if err := second.Shutdown(); err != nil {
+				t.Error(err)
+			}
+		}()
+		if second.boot == nil {
+			t.Fatal("the second life cold-started")
+		}
+		for i, at := range restored {
+			if at != cut {
+				t.Errorf("cam-%d restored at %d, want %d", i, at, cut)
+			}
+		}
+		if st.Acked != tenants*frames {
+			t.Errorf("clients got %d frames acked, want %d", st.Acked, tenants*frames)
+		}
+		var h Health
+		await(t, "the second life's pump to drain", func() bool {
+			h, _ = second.Health()
+			return h.Ingest.Processed == tenants*(frames-cut)
+		})
+		if in := h.Ingest; in.Accepted != in.Processed || in.Dups != 0 || in.NackedSeq != 0 || in.Active != tenants || h.Mode != "ingest" {
+			t.Errorf("the second life: %+v, mode %q", in, h.Mode)
+		}
+		drifts := 0
+		for _, ts := range h.Ingest.Tenants {
+			var i int
+			fmt.Sscanf(ts.Tenant, "cam-%d", &i)
+			got, want := served(t, second, ts.Tenant, first), replayed(t, second, ts.Tenant, ts.Slot, streams[i])
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("tenant %s: two lives\n%+v\none life\n%+v", ts.Tenant, got, want)
+			}
+			drifts += want.Stats.DriftsDetected
+		}
+		if drifts == 0 {
+			t.Error("no tenant drifted: the comparison exercised nothing")
+		}
+	})
+}
+
+// TestAdoptUnnamedShards: a checkpoint written before shards recorded
+// their tenant resumes as it did then — the self-feed continues each
+// shard as its stream k, while behind -ingest-addr its tenants re-attach
+// afresh — and a named shard is its tenant's either way.
+func TestAdoptUnnamedShards(t *testing.T) {
+	cp := &store.Checkpoint{Shards: []store.ShardState{{}, {Tenant: "cam-7", Next: 12}}}
+	cp.Shards[0].Pipeline.Metrics.Frames = 40
+	tenants := func(cp *store.Checkpoint) (out []string) {
+		for _, sh := range cp.Shards {
+			out = append(out, fmt.Sprintf("%s@%d", sh.Tenant, sh.Next))
+		}
+		return out
 	}
-	cfg.Frames = total
-	second := runSelfFeed(t, cfg)
-	if second.boot == nil || second.boot.Frames != cut/2 {
-		t.Fatalf("the second life did not resume the first's final checkpoint: %+v", second.boot)
+	if got := tenants((&Server{}).adopt(cp)); !reflect.DeepEqual(got, []string{"self-0@40", "cam-7@12"}) {
+		t.Errorf("self-fed: %v", got)
 	}
-	if got := declarations(t, second); !reflect.DeepEqual(got, want) {
-		t.Errorf("two lives declared\n%v\none life\n%v", got, want)
+	if got := tenants((&Server{cfg: Config{IngestAddr: "x"}}).adopt(cp)); !reflect.DeepEqual(got, []string{"cam-7@12"}) {
+		t.Errorf("-ingest-addr: %v", got)
 	}
-	if got := second.flt.Load().mon.Stats(); got != wantStats {
-		t.Errorf("two lives: %+v, one life: %+v", got, wantStats)
-	}
-	var h Health
-	if code := get(t, second, "/healthz", &h); code != http.StatusOK || h.StateDir != cfg.StateDir {
-		t.Errorf("/healthz: %d, state_dir %q", code, h.StateDir)
+	if cp.Shards[0].Tenant != "" || len(cp.Shards) != 2 {
+		t.Error("adopt modified its argument")
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package serve is driftserve's server: the drift-aware monitor fleet
-// behind an HTTP telemetry surface, fed by the synthetic self-feed or
-// the network ingestion tier, optionally persisting checkpoints,
-// replicating to hot standbys, or running as a hot standby itself.
+// behind one tenant router and an HTTP telemetry surface, its tenants
+// the network ingestion tier's or the synthetic self-feed's, optionally
+// persisting checkpoints, replicating to hot standbys, or running as a
+// hot standby itself.
 // cmd/driftserve is flag parsing over New, Start and Shutdown;
 // DESIGN.md §17 has the lifecycle, the capture rule and the health
 // schema.
@@ -44,8 +45,8 @@ const replicaFaultHorizon = 1000
 // package's tests provision once for all the servers they start.
 var buildEnv = experiments.BuildEnvFor
 
-// fleet is the live serving state: the monitor fleet and, in ingest
-// mode, the tier feeding it. A standby has none until it promotes.
+// fleet is the live serving state: the monitor fleet, its tenant router
+// and wire server, with -ingest-addr a listener. A standby has none.
 type fleet struct {
 	mon    *videodrift.ShardedMonitor
 	router *ingest.Router
@@ -64,9 +65,9 @@ type Server struct {
 	inj  *faults.Injector            // -chaos schedule, nil when off
 	st   *videodrift.CheckpointStore // -state-dir, nil when off
 	boot *videodrift.Checkpoint      // the warm-restart checkpoint, nil on a cold start
-	// base is the tracer a request without ?shard= or ?tenant= reads:
-	// shard 0's in self-feed mode, the fleet's own in ingest mode; it
-	// also carries the replication events.
+	// base is the tracer a request without ?shard= or ?tenant= reads: the
+	// fleet's own, which the first self-fed tenant reports through (see
+	// tracerFor); it also carries the replication events.
 	base *telemetry.Tracer
 
 	// flt is published through an atomic pointer because a standby
@@ -104,14 +105,17 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Server{cfg: cfg, stop: make(chan struct{}), framesAtSave: -1, sel: core.SelectorMSBO}
+	s := &Server{cfg: cfg, stop: make(chan struct{}), framesAtSave: -1, sel: core.SelectorMSBI}
+	if cfg.IngestAddr == "" {
+		s.cfg.IdleEvict = 0 // self-fed tenants stop at -frames and keep their slots
+	}
 	build, ok := datasets[cfg.Dataset]
 	if !ok {
 		return nil, fmt.Errorf("unknown dataset %q", cfg.Dataset)
 	}
 	s.ds = build(cfg.Scale)
-	if cfg.Selector == "msbi" {
-		s.sel = core.SelectorMSBI
+	if cfg.Selector == "msbo" {
+		s.sel = core.SelectorMSBO
 	}
 	// With -state-dir, try a warm restart from the newest intact
 	// checkpoint before paying for provisioning. LoadLatest already skips
@@ -127,10 +131,6 @@ func New(cfg Config) (*Server, error) {
 		case err == nil:
 			fmt.Fprintf(os.Stderr, "warm restart from %s: frame %d, %d models, %d shards\n",
 				path, cp.Frames, len(cp.Entries), len(cp.Shards))
-			if len(cp.Shards) != cfg.Shards {
-				log.Printf("checkpoint holds %d shards; overriding -shards %d", len(cp.Shards), cfg.Shards)
-				s.cfg.Shards = len(cp.Shards)
-			}
 			s.boot = cp
 		case !errors.Is(err, videodrift.ErrNoCheckpoint):
 			log.Printf("no usable checkpoint (%v); cold-starting", err)
@@ -235,16 +235,12 @@ func addrOf(ln net.Listener) string {
 	return ln.Addr().String()
 }
 
-// deploy builds the fleet and starts feeding it: at boot from the
-// provisioned models (cp nil) or the warm-restart checkpoint, at
-// promotion from the replicated one. It is the one place the mode
-// decides the fleet's shape. In ingest mode the tier owns the
-// tenant↔slot lifecycle, so the fleet starts empty over the models
-// alone and shards attach on each tenant's first frame; a fleet that
-// continues a checkpoint adopts its tenants' streams mid-sequence.
-// Otherwise the fleet is fixed: one shard per stream, each with its own
-// tracer (the base tracer is shard 0's), resumed from cp when there is
-// one so the self-feed picks up where that state left off.
+// deploy builds the fleet and its router and starts feeding them: at
+// boot from the provisioned models (cp nil) or the warm-restart
+// checkpoint, at promotion from the replicated one. A resumed fleet's
+// router takes the checkpoint's tenants over — martingale, forensics
+// ring, collection in progress and stream position — and tenants it
+// lacks join mid-stream.
 func (s *Server) deploy(cp *videodrift.Checkpoint) error {
 	pcfg := s.env.PipelineConfig(s.sel)
 	opts := videodrift.ShardedOptions{
@@ -260,44 +256,59 @@ func (s *Server) deploy(cp *videodrift.Checkpoint) error {
 		Faults:       s.inj,
 		StallTimeout: s.cfg.StallTimeout,
 	}
-	models := s.env.Registry.Entries()
+	models, shards := s.env.Registry.Entries(), s.cfg.Shards
 	if cp != nil {
-		models = cp.Entries
+		models, shards = cp.Entries, len(cp.Shards)
 	}
-	// Checked here, not at a tenant's first frame: in ingest mode the
-	// pipelines are only built when shards attach.
+	// Checked here, not at a tenant's first frame: the pipelines are only
+	// built when tenants attach.
 	if err := core.CheckSelector(s.sel, models); err != nil {
 		return fmt.Errorf("-selector msbo cannot continue this state: its models were provisioned under -selector msbi, which trains no MSBO ensembles; run with -selector msbi (%w)", err)
 	}
-	if s.cfg.IngestAddr != "" {
-		f := &fleet{mon: videodrift.NewDynamicSharded(models, s.env.Labeler(), opts)}
-		if err := s.startIngest(f, cp != nil); err != nil {
-			return err
-		}
-		s.flt.Store(f)
-		return nil
-	}
-	opts.Shards = s.cfg.Shards
-	if cp != nil {
-		opts.Shards = len(cp.Shards)
-	}
-	opts.Tracers = []*telemetry.Tracer{s.base}
-	for len(opts.Tracers) < opts.Shards {
-		opts.Tracers = append(opts.Tracers, s.newTracer())
-	}
 	f := &fleet{}
-	if cp != nil {
+	if cp == nil {
+		f.mon = videodrift.NewDynamicSharded(models, s.env.Labeler(), opts)
+	} else {
+		cp = s.adopt(cp)
+		for _, sh := range cp.Shards {
+			opts.Tracers = append(opts.Tracers, s.tracerFor(sh.Tenant))
+		}
 		var err error
 		if f.mon, err = videodrift.ResumeSharded(cp, s.env.Labeler(), opts); err != nil {
 			return fmt.Errorf("resuming fleet: %w", err)
 		}
-	} else {
-		f.mon = videodrift.NewShardedMonitor(models, s.env.Labeler(), opts)
 	}
 	s.processed.Store(int64(f.mon.Stats().Frames)) // nonzero after a warm restart or a promotion
+	f.router = ingest.NewRouter(f.mon, ingest.Config{
+		MaxTenants:    max(s.cfg.MaxTenants, shards),
+		QueueCap:      s.cfg.TenantQueue,
+		BatchSize:     s.cfg.Batch,
+		IdleEvict:     s.cfg.IdleEvict,
+		ResumeStreams: cp != nil,
+		NewTracer:     s.tracerFor,
+	})
+	f.isrv = ingest.NewServer(f.router, ingest.ServerConfig{Logf: log.Printf})
+	if err := s.listenIngest(f); err != nil {
+		return err
+	}
 	s.flt.Store(f)
-	s.startSelfFeed(f.mon)
+	s.run.Add(1)
+	go func() {
+		defer s.run.Done()
+		f.router.Run(s.stop, s.pumped)
+	}()
+	s.startSelfFeed(f.router, shards)
 	return nil
+}
+
+// tracerFor builds a tenant's telemetry tracer. The first self-fed
+// tenant reports through the base tracer, so a request without ?shard=
+// reads the stream a single-stream server runs.
+func (s *Server) tracerFor(tenant string) *telemetry.Tracer {
+	if tenant == selfTenant(0) {
+		return s.base
+	}
+	return s.newTracer()
 }
 
 // every runs f on each tick of period, on a goroutine of its own, until
@@ -334,12 +345,14 @@ func (s *Server) accept(what string, serve func() error) {
 }
 
 // saveCheckpoint captures the fleet and writes it to the state
-// directory, unless no frame arrived since the last save. A failed
-// write never loses state — the store's atomic temp+rename leaves the
-// previous generation intact — so it is retried with capped backoff.
+// directory — unless no frame arrived since the last save, which then
+// still holds the fleet's state and counts as fresh. A failed write never
+// loses state — the store's atomic temp+rename leaves the previous
+// generation intact — so it is retried with capped backoff.
 func (s *Server) saveCheckpoint(reason string) {
 	n := s.processed.Load()
 	if n == s.framesAtSave {
+		s.lastCkpt.Store(time.Now().UnixNano())
 		return
 	}
 	start := time.Now()
@@ -352,7 +365,9 @@ func (s *Server) saveCheckpoint(reason string) {
 	}
 	eachTracer := func(f func(*telemetry.Tracer)) {
 		for k := 0; k < mon.Shards(); k++ {
-			f(mon.Shard(k).Telemetry())
+			if m := mon.Shard(k); m != nil {
+				f(m.Telemetry())
+			}
 		}
 	}
 	retry := faults.DefaultRetry()
@@ -501,7 +516,7 @@ func (s *Server) halt(flush bool) error {
 		return fmt.Errorf("feed still running after %v (goroutine dump above); exiting without a final flush", stopTimeout)
 	}
 	f := s.flt.Load()
-	if flush && f != nil && f.router != nil {
+	if flush && f != nil {
 		s.pumped(f.router.Pump())
 	}
 	if s.prim != nil {
@@ -516,7 +531,7 @@ func (s *Server) halt(flush bool) error {
 	if s.hsrv != nil {
 		s.hsrv.Close()
 	}
-	if f != nil && f.isrv != nil {
+	if f != nil {
 		f.isrv.Close()
 	}
 	if s.rln != nil {

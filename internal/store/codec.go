@@ -126,6 +126,13 @@ type ShardState struct {
 	// checkpoint time, informational (drifttool inspect reports them);
 	// nil when the shard ran untraced.
 	EventCounts []telemetry.KindCount
+	// Tenant names the stream the shard serves ("" for a shard attached
+	// without a name) and Next is that stream's position: the stream index
+	// of the frame it is fed next. Since gob decodes absent fields to zero,
+	// both are zero for every shard of a checkpoint written before shards
+	// recorded their tenant.
+	Tenant string
+	Next   uint64
 }
 
 // entryRecord is the gob wire form of one core.ModelEntry.

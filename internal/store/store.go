@@ -129,14 +129,6 @@ func (s *Store) Save(cp *Checkpoint) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return s.SaveEncoded(data)
-}
-
-// SaveEncoded writes already-encoded checkpoint envelope bytes under
-// the next sequence number — what a replication standby uses to
-// persist the exact bytes the primary streamed (re-encoding would
-// break the CRC chain later deltas verify against).
-func (s *Store) SaveEncoded(data []byte) (string, error) {
 	seq, err := s.nextSeq()
 	if err != nil {
 		return "", err
@@ -288,13 +280,7 @@ func (s *Store) SaveDelta(d *Delta) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return s.SaveDeltaEncoded(d.Gen, data)
-}
-
-// SaveDeltaEncoded writes already-encoded delta envelope bytes under
-// generation gen — the standby-side twin of SaveEncoded.
-func (s *Store) SaveDeltaEncoded(gen uint64, data []byte) (string, error) {
-	final := filepath.Join(s.dir, fmt.Sprintf("%s%08d%s", deltaPrefix, gen, deltaSuffix))
+	final := filepath.Join(s.dir, fmt.Sprintf("%s%08d%s", deltaPrefix, d.Gen, deltaSuffix))
 	if err := s.writeAtomic(final, data); err != nil {
 		return "", err
 	}
@@ -304,22 +290,6 @@ func (s *Store) SaveDeltaEncoded(gen uint64, data []byte) (string, error) {
 		}
 	}
 	return final, nil
-}
-
-// PruneDeltas removes delta files at or below gen — called once a full
-// checkpoint at that generation has been persisted and the chain below
-// it is dead weight. Failures are ignored: stale files cost disk, not
-// correctness.
-func (s *Store) PruneDeltas(gen uint64) {
-	paths, err := s.DeltaPaths()
-	if err != nil {
-		return
-	}
-	for _, p := range paths {
-		if g, ok := genOf(filepath.Base(p)); ok && g <= gen {
-			_ = s.fs.Remove(p)
-		}
-	}
 }
 
 // loadDeltaPath reads and decodes one delta file through the store's

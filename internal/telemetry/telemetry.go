@@ -473,6 +473,18 @@ func (t *Tracer) FrameObserved(state State) {
 	t.mu.Unlock()
 }
 
+// ResumeAt sets the frame counter of a tracer that follows a stream
+// resumed from a checkpoint after frames frames, so its events carry the
+// stream indices an uninterrupted run's do.
+func (t *Tracer) ResumeAt(frames int) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	t.curFrame = frames - 1
+	t.mu.Unlock()
+}
+
 // MartingaleUpdate records one sampled frame's conformal update and
 // refreshes the martingale gauges.
 func (t *Tracer) MartingaleUpdate(p, value, windowDelta, meanP float64) {

@@ -9,6 +9,9 @@
 #     nothing, accepted = processed > 0 ........................... TestServeFailover
 #   a persisting server writes its state dir; a second life resumes it
 #     ....................................... TestServeWarmRestart, TestShutdownFlushes
+#   an ingest server killed mid-stream restarts on its state dir with every
+#     tenant restored at its position; every client resumes, none lost
+#     ....................................... TestServeWarmRestart/ingest, TestRouterRestoresTenants
 #   a writer killed at any point leaves a directory that verifies
 #     .... TestCrashPointRecovery, TestDeltaCrashPointRecovery, TestVerifyDir (store)
 #   the server is race-clean ...................... go test -race ./internal/serve
@@ -69,6 +72,35 @@ grep -q "ingest: $tenants/$tenants tenants attached" <<<"$health" || fail "expec
 read -r acc proc < <(sed -n 's/.*accepted \([0-9]*\)   processed \([0-9]*\).*/\1 \2/p' <<<"$health")
 [ "${acc:-0}" -ge 1 ] && [ "$acc" = "$proc" ] || fail "accepted ${acc:-?} != processed ${proc:-?}"
 
+echo "smoke: kill -9 a persisting ingest server mid-stream, restart it on its state dir"
+ingest=(-addr "localhost:$p" -ingest-addr "localhost:$((p + 1))" -state-dir "$bin/istate" -checkpoint-every 200ms "${fleet[@]}")
+serve ingest1 "${ingest[@]}"
+up "$p"
+# The address twice: while the server is down a refused connection waits
+# and retries, as during a failover, rather than spend the frame's attempts.
+"$bin/driftfeed" -addr "localhost:$((p + 1)),localhost:$((p + 1))" -tenants "$tenants" \
+	-frames "$frames" -fps 40 -scale 0.02 >"$bin/ifeed.out" 2>&1 &
+feed=$!
+sleep 3
+kill -9 "${pids[-1]}" && wait "${pids[-1]}" 2>/dev/null || true
+serve ingest2 "${ingest[@]}"
+up "$p"
+health=$("$bin/drifttool" health "localhost:$p") || fail "restarted ingest server unhealthy"
+printf '%s\n' "$health"
+grep -q "warm restart from" "$bin/ingest2.log" || fail "the second life cold-started"
+# Restored tenants are attached without an attach: only the checkpoint put them there.
+grep -q "ingest: $tenants/$tenants tenants attached" <<<"$health" && grep -q "attaches 0 " <<<"$health" ||
+	fail "the second life did not restore its $tenants tenants"
+wait "$feed" || fail "driftfeed lost frames across the restart"
+cat "$bin/ifeed.out"
+grep -q " 0 failed" "$bin/ifeed.out" || fail "driftfeed lost frames across the restart"
+sleep 1 # the pump drains the tail
+health=$("$bin/drifttool" health "localhost:$p") || fail "restarted ingest server unhealthy"
+grep -q "total dropped: 0" <<<"$health" || fail "frames were dropped after the restart"
+read -r acc proc < <(sed -n 's/.*accepted \([0-9]*\)   processed \([0-9]*\).*/\1 \2/p' <<<"$health")
+[ "${acc:-0}" -ge 1 ] && [ "$acc" = "$proc" ] || fail "accepted ${acc:-?} != processed ${proc:-?} after the restart"
+kill -9 "${pids[-1]}" && wait "${pids[-1]}" 2>/dev/null || true
+
 echo "smoke: kill -9 a persisting self-feed server, then verify its state dir"
 serve selffeed -addr "localhost:$p" -state-dir "$bin/state" -checkpoint-every 500ms -shards 2
 up "$p"
@@ -77,4 +109,4 @@ kill -9 "${pids[-1]}" && wait "${pids[-1]}" 2>/dev/null || true
 [ -n "$(ls -A "$bin/state" 2>/dev/null)" ] || fail "the persisting server wrote no checkpoint"
 "$bin/drifttool" -verify inspect "$bin/state" || fail "a killed server left a damaged checkpoint"
 if grep -il "DATA RACE" "$bin"/*.log; then fail "race detected"; fi
-echo "smoke: ok — primary killed mid-stream, standby promoted, zero frames lost, state verified"
+echo "smoke: ok — primary killed mid-stream, standby promoted, ingest server restarted with its tenants, zero frames lost, state verified"

@@ -18,14 +18,13 @@ import (
 // before its circuit breaker trips and the shard is declared failed.
 const DefaultMaxRestarts = 3
 
-// BatchMismatchError reports a ProcessBatch/ProcessBatches call whose
-// frame or batch count does not line up with the fleet's current slot
-// count. With dynamic Attach/Detach the slot count can move between
-// assembling batches and submitting them, so callers that feed a
-// dynamic fleet should re-size and retry on this error rather than
-// treat it as fatal.
+// BatchMismatchError reports a ProcessBatches call whose batch count
+// does not line up with the fleet's current slot count. With dynamic
+// Attach/Detach the slot count can move between assembling batches and
+// submitting them, so callers that feed a dynamic fleet should re-size
+// and retry on this error rather than treat it as fatal.
 type BatchMismatchError struct {
-	Batches int // batches (or frames) the caller supplied
+	Batches int // batches the caller supplied
 	Slots   int // shard slots the fleet currently has
 }
 
@@ -48,7 +47,7 @@ type ShardedOptions struct {
 	// Shards is the number of independent streams (camera feeds) driven
 	// over the shared model registry. Must be >= 1.
 	Shards int
-	// Workers bounds the goroutines ProcessBatch fans out on (<= 0 uses
+	// Workers bounds the goroutines ProcessBatches fans out on (<= 0 uses
 	// GOMAXPROCS). Shard decisions are independent of the worker count:
 	// each shard owns its pipeline, RNG stream and martingale state.
 	Workers int
@@ -62,7 +61,7 @@ type ShardedOptions struct {
 	// testing): its worker faults fire before each shard's Process call
 	// and its per-shard training hooks are wired into every pipeline.
 	// Frame-level corruption is applied by the test harness via
-	// faults.Injector.Apply before frames reach ProcessBatch.
+	// faults.Injector.Apply before frames reach ProcessBatches.
 	Faults *faults.Injector
 	// MaxRestarts bounds consecutive panic-restarts of one shard worker
 	// on the same frame before the crash-loop breaker trips (<= 0 means
@@ -88,18 +87,18 @@ type ShardedOptions struct {
 // calibration scores, classifier weights — so memory and provisioning
 // cost stay O(models), not O(models × shards).
 //
-// ProcessBatch and ProcessBatches supervise the shard workers: a panic
-// inside Process is recovered, the shard is restored from its last
-// batch-boundary snapshot and the batch is re-fed, so a transient crash
-// is invisible in the shard's event stream. Supervision is
-// batch-granular — one snapshot per micro-batch, not per frame — which
-// is what makes batching pay: the per-frame snapshot cost of the
-// supervisor is amortized over the batch. A crash loop (more than
-// MaxRestarts consecutive panics on one batch) trips a circuit breaker:
-// the shard is declared failed and later frames for it are dropped and
-// counted, while the remaining shards keep serving.
+// ProcessBatches supervises the shard workers: a panic inside Process
+// is recovered, the shard is restored from its last batch-boundary
+// snapshot and the batch is re-fed, so a transient crash is invisible in
+// the shard's event stream. Supervision is batch-granular — one snapshot
+// per micro-batch, not per frame — which is what makes batching pay: the
+// per-frame snapshot cost of the supervisor is amortized over the batch.
+// A crash loop (more than MaxRestarts consecutive panics on one batch)
+// trips a circuit breaker: the shard is declared failed and later frames
+// for it are dropped and counted, while the remaining shards keep
+// serving.
 type ShardedMonitor struct {
-	// batchMu is held for the whole of a ProcessBatch(es) call and of a
+	// batchMu is held for the whole of a ProcessBatches call and of a
 	// Checkpoint, so a capture requested at any time waits for the batch
 	// in flight and lands on a batch boundary. It is taken before mu and
 	// is a plain mutex on purpose: observers (Health, Stats, Shards,
@@ -147,11 +146,15 @@ type ShardedMonitor struct {
 // shardState is the supervisor's bookkeeping for one shard. The atomic
 // fields are read by Health from other goroutines while a batch runs;
 // the rest is touched only by the shard's worker slot inside
-// ProcessBatch (at most one goroutine per shard at a time).
+// ProcessBatches (at most one goroutine per shard at a time).
 type shardState struct {
-	opts     Options // per-shard options (seed-shifted, tracer and fault hooks wired)
-	fed      int     // per-shard stream position (frames attempted)
-	streak   int     // consecutive restarts on the current batch
+	opts Options // per-shard options (seed-shifted, tracer and fault hooks wired)
+	// tenant names the stream the slot serves ("" if unnamed) and next is
+	// the stream index of the frame fed next; a named stream's frames
+	// carry their index, so its position follows them.
+	tenant   string
+	next     int
+	streak   int // consecutive restarts on the current batch
 	snap     core.PipelineSnapshot
 	rewind   forensics.RecorderState // the recorder at the batch start, for a restore
 	entries  []*core.ModelEntry
@@ -327,7 +330,7 @@ func (sm *ShardedMonitor) Active() int {
 // Shard returns the monitor driving stream i (nil for a detached slot) —
 // use it for per-shard queries (Current, Models, Telemetry). The
 // returned Monitor must not be fed frames concurrently with
-// ProcessBatch; feeding it directly also bypasses the supervisor (no
+// ProcessBatches; feeding it directly also bypasses the supervisor (no
 // fault injection, panic recovery or snapshotting).
 func (sm *ShardedMonitor) Shard(i int) *Monitor {
 	sm.mu.RLock()
@@ -342,8 +345,14 @@ func (sm *ShardedMonitor) Shard(i int) *Monitor {
 // attached to slot i behaves bit-identically to shard i of a fixed
 // fleet. tr optionally attaches a per-stream telemetry tracer (nil
 // shares the fleet's base tracer). Safe to call while batches run;
-// Attach briefly blocks new ProcessBatch calls, never in-flight frames.
-func (sm *ShardedMonitor) Attach(tr *Tracer) (int, error) {
+// Attach briefly blocks new ProcessBatches calls, never in-flight frames.
+func (sm *ShardedMonitor) Attach(tr *Tracer) (int, error) { return sm.AttachTenant("", 0, tr) }
+
+// AttachTenant is Attach for a named stream whose next frame has stream
+// index next; its frames carry their index in Frame.Index (a router's
+// sequence number). A Checkpoint records name and position per shard, so
+// ResumeSharded brings the stream back where it was (Tenant).
+func (sm *ShardedMonitor) AttachTenant(tenant string, next uint64, tr *Tracer) (int, error) {
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
 	if len(sm.baseModels) == 0 {
@@ -370,11 +379,25 @@ func (sm *ShardedMonitor) Attach(tr *Tracer) (int, error) {
 	}
 	shardOpts.Pipeline.Seed += int64(slot)
 	m := NewMonitor(sm.baseModels, sm.labeler, shardOpts)
-	st := &shardState{opts: shardOpts}
+	st := &shardState{opts: shardOpts, tenant: tenant, next: int(next)}
 	st.save(m)
 	sm.shards[slot] = m
 	sm.states[slot] = st
 	return slot, nil
+}
+
+// Tenant reports the stream slot i serves ("" for an unnamed or detached
+// slot) and the stream index of the frame it is fed next. It waits for
+// the batch in flight.
+func (sm *ShardedMonitor) Tenant(i int) (string, uint64) {
+	sm.batchMu.Lock()
+	defer sm.batchMu.Unlock()
+	sm.mu.RLock()
+	defer sm.mu.RUnlock()
+	if st := sm.states[i]; st != nil {
+		return st.tenant, uint64(st.next)
+	}
+	return "", 0
 }
 
 // Detach releases slot i: the shard's monitor (its private drift state,
@@ -390,35 +413,6 @@ func (sm *ShardedMonitor) Detach(i int) error {
 	sm.shards[i] = nil
 	sm.states[i] = nil
 	return nil
-}
-
-// ProcessBatch runs one frame per shard concurrently: frames[i] goes to
-// shard i, and the returned events line up index-for-index. len(frames)
-// must equal Shards (a *BatchMismatchError otherwise; with a dynamic
-// fleet the slot count can move, so callers re-size and retry). The
-// fan-out is bounded by Workers; each shard's event stream is identical
-// to feeding its Monitor serially. A failed shard (breaker tripped)
-// yields zero Events and counts the frames it drops in
-// Health().Shards[i].DroppedFrames. It is the batch-size-1 case of
-// ProcessBatches.
-func (sm *ShardedMonitor) ProcessBatch(frames []Frame) ([]Event, error) {
-	sm.batchMu.Lock()
-	defer sm.batchMu.Unlock()
-	sm.mu.RLock()
-	defer sm.mu.RUnlock()
-	if len(frames) != len(sm.shards) {
-		return nil, &BatchMismatchError{Batches: len(frames), Slots: len(sm.shards)}
-	}
-	for i, m := range sm.shards {
-		if m == nil {
-			return nil, &DetachedSlotError{Slot: i}
-		}
-	}
-	events := make([]Event, len(frames))
-	sm.pool.ForEach(len(frames), func(i int) {
-		sm.processShardBatch(i, frames[i:i+1:i+1], events[i:i+1])
-	})
-	return events, nil
 }
 
 // ProcessBatches runs a micro-batch of consecutive frames per shard
@@ -470,8 +464,11 @@ func (sm *ShardedMonitor) processBatches(batches [][]Frame, events [][]Event) ([
 // leak.
 func (sm *ShardedMonitor) processShardBatch(i int, frames []Frame, events []Event) {
 	st := sm.states[i]
-	start := st.fed
-	st.fed += len(frames)
+	start := st.next
+	if st.tenant != "" {
+		start = frames[0].Index
+	}
+	st.next = start + len(frames)
 	if st.failed.Load() {
 		st.dropped.Add(int64(len(frames)))
 		clear(events)
@@ -565,7 +562,7 @@ func (sm *ShardedMonitor) restore(i int) error {
 // Health reports the supervisor's live view of every shard: pipeline
 // degradation (training retries), tripped breakers, stall-watchdog
 // verdicts and drop/restart counts. Safe to call from other goroutines
-// (e.g. an HTTP health handler) while ProcessBatch runs.
+// (e.g. an HTTP health handler) while ProcessBatches runs.
 func (sm *ShardedMonitor) Health() ShardedHealth {
 	now := sm.clock()
 	sm.mu.RLock()
@@ -620,7 +617,7 @@ func (sm *ShardedMonitor) ShardStats(i int) Metrics {
 // based, so a batched run's event stream is bit-identical to the
 // unbatched one regardless of arrival timing. A Batcher is not safe for
 // concurrent use; feed it from the same goroutine that would otherwise
-// call ProcessBatch.
+// call ProcessBatches.
 type Batcher struct {
 	sm     *ShardedMonitor
 	size   int

@@ -143,14 +143,6 @@ func TestShardedBatchShapeErrors(t *testing.T) {
 	opts.Pipeline.Selector = MSBI
 	sm := NewShardedMonitor([]*Model{day}, nil, ShardedOptions{Options: opts, Shards: 1})
 
-	if _, err := sm.ProcessBatch(make([]Frame, 2)); err == nil {
-		t.Fatal("ProcessBatch with a frame-count mismatch returned no error")
-	} else {
-		var mismatch *BatchMismatchError
-		if !errors.As(err, &mismatch) || mismatch.Batches != 2 || mismatch.Slots != 1 {
-			t.Fatalf("ProcessBatch mismatch error = %v", err)
-		}
-	}
 	if _, err := sm.ProcessBatches(make([][]Frame, 3)); err == nil {
 		t.Fatal("ProcessBatches with a batch-count mismatch returned no error")
 	} else {
