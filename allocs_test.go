@@ -11,13 +11,15 @@ import (
 
 // TestMonitorSteadyStateAllocs is the fleet's allocation gate, set up as
 // driftserve runs it: MSBI over the lean models, a tracer per shard, one
-// worker, frames without ground truth (what the wire delivers), a Batcher
-// at batch 1 and 8 — and an in-distribution stream at a significance the
-// martingale cannot reach, so every round is a monitoring round. Each
-// round (a frame per shard, or eight) is measured on its own. Without
-// forensics a round allocates nothing: classification, featurization,
-// kNN, martingale, the supervisor's snapshot and the events all run in
-// reused storage. With forensics what a round allocates is what the
+// worker, frames without ground truth (what the wire delivers), fed the
+// way the router's pump feeds it — one ProcessBatchesInto call a round
+// into reused events, at batch 1 and 8 — and an in-distribution stream at
+// a significance the martingale cannot reach, so every round is a
+// monitoring round. Each round (a frame per shard, or eight) is measured
+// on its own. Without forensics a round allocates nothing:
+// classification, featurization, kNN, martingale, the supervisor's
+// snapshot and the events all run in reused storage. With forensics what
+// a round allocates is what the
 // recorders keep: a copy of each frame the inspector read (one object,
 // 8·W·H bytes) and, on the frames a replay mark falls on, a pipeline
 // snapshot (the martingale's ring and, when it moved, the attribution
@@ -54,18 +56,19 @@ func testMonitorSteadyStateAllocs(t *testing.T, stream []Frame, forensics bool, 
 	sm := NewShardedMonitor(getLeanCkptModels(), facadeLabeler, ShardedOptions{
 		Options: opts, Shards: shards, Workers: 1, Tracers: tracers,
 	})
-	b := sm.NewBatcher(batch)
+	batches := make([][]Frame, shards)
+	var events [][]Event
 	at := 0
 	round := func() {
-		for k := 0; k < batch; k++ {
-			for s := 0; s < shards; s++ {
-				if _, err := b.Add(s, stream[(at+37*s)%len(stream)]); err != nil {
-					t.Fatal(err)
-				}
+		for s := range batches {
+			batches[s] = batches[s][:0]
+			for k := 0; k < batch; k++ {
+				batches[s] = append(batches[s], stream[(at+k+37*s)%len(stream)])
 			}
-			at++
 		}
-		if _, err := b.Flush(); err != nil {
+		at += batch
+		var err error
+		if events, err = sm.ProcessBatchesInto(batches, events); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -85,79 +85,6 @@ func TestShardedBatchedMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestShardedBatcher pins the Batcher's count-based flush policy: Add
-// holds frames until a shard's queue reaches the batch size, a flush
-// drains every queue, the trailing Flush delivers the ragged tail, and
-// the delivered events are bit-identical to serial feeding.
-func TestShardedBatcher(t *testing.T) {
-	opts := Defaults(facadeDim, facadeClasses)
-	day := BuildModel("day", facadeFrames(facadeCond(vidsim.Day()), 200, 1), facadeLabeler, opts)
-	night := BuildModel("night", facadeFrames(facadeCond(vidsim.Night()), 200, 2), facadeLabeler, opts)
-	models := []*Model{day, night}
-	streams := batchTestStreams()
-	n := len(streams[0])
-
-	const size = 16
-	sm := NewShardedMonitor(models, facadeLabeler, ShardedOptions{
-		Options: opts, Shards: len(streams), Workers: 2,
-	})
-	b := sm.NewBatcher(size)
-	mustFlush := func(evs [][]Event, err error) [][]Event {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return evs
-	}
-	if mustFlush(b.Flush()) != nil {
-		t.Fatal("Flush on an empty batcher returned events")
-	}
-	got := make([][]Event, len(streams))
-	collect := func(flushed [][]Event) {
-		for s, evs := range flushed {
-			got[s] = append(got[s], evs...)
-		}
-	}
-	// Feed lockstep; the stream length is not a multiple of the batch
-	// size, so the tail exercises the explicit Flush path.
-	for step := 0; step < n; step++ {
-		for s := range streams {
-			before := b.Queued(s)
-			flushed := mustFlush(b.Add(s, streams[s][step]))
-			// The policy is count-based: a flush fires exactly when the
-			// adding shard's queue reaches the batch size, draining every
-			// queue (the others may be shorter — flushes are ragged).
-			if wantFlush := before+1 >= size; (flushed != nil) != wantFlush {
-				t.Fatalf("step %d shard %d: flushed=%v, want %v (queued %d before)",
-					step, s, flushed != nil, wantFlush, before)
-			}
-			if q := b.Queued(s); q >= size {
-				t.Fatalf("step %d shard %d: queue at %d, never drained", step, s, q)
-			}
-			collect(flushed)
-		}
-	}
-	if n%size != 0 && b.Queued(0) == 0 {
-		t.Fatal("expected a ragged tail left queued before the final Flush")
-	}
-	collect(mustFlush(b.Flush()))
-	if b.Queued(0) != 0 {
-		t.Fatal("Flush left frames queued")
-	}
-
-	for s := range streams {
-		want, _ := serialReference(t, models, opts, s, streams[s])
-		if len(got[s]) != len(want) {
-			t.Fatalf("shard %d: %d events for %d frames", s, len(got[s]), len(want))
-		}
-		for i := range want {
-			if got[s][i] != want[i] {
-				t.Fatalf("shard %d frame %d: event %+v, serial %+v", s, i, got[s][i], want[i])
-			}
-		}
-	}
-}
-
 // TestChaosBatchedEquivalence injects worker panics that land mid-batch
 // and checks the batched supervised run against a fault-free serial run:
 // events, deployments and the forensics recorder's state (pre-roll ring,

@@ -106,11 +106,11 @@ func declared(t *testing.T, mons ...*Monitor) (decls [][]DriftDeclaration, repor
 }
 
 // TestProcessBorrowsPixels is the borrow contract at the library's three
-// entry points: Monitor.Process, ShardedMonitor.ProcessBatches and a
-// Batcher, each fed from buffers the caller overwrites as soon as it may
-// — after every call, and for the Batcher after the flush that processed
-// them — emit the events and keep the declarations (pre-rolls and replay
-// bases included) of a run fed fresh frames.
+// entry points: Monitor.Process, ShardedMonitor.ProcessBatches and
+// ProcessBatchesInto fed the way the ingestion router's pump feeds it,
+// each from buffers the caller overwrites after every call, emit the
+// events and keep the declarations (pre-rolls and replay bases included)
+// of a run fed fresh frames.
 func TestProcessBorrowsPixels(t *testing.T) {
 	models, opts, streams := borrowFixture()
 	trainings := 0
@@ -172,31 +172,38 @@ func TestProcessBorrowsPixels(t *testing.T) {
 		}
 	})
 
-	t.Run("Batcher", func(t *testing.T) {
+	t.Run("ProcessBatchesInto", func(t *testing.T) {
 		ge, gd, gr := run(func(sm *ShardedMonitor) [][]Event {
-			b := sm.NewBatcher(size)
 			got := make([][]Event, len(streams))
-			collect := func(flushed [][]Event, err error) {
-				if err != nil {
-					t.Fatal(err)
-				}
-				for s, evs := range flushed {
-					got[s] = append(got[s], evs...)
-				}
-			}
-			// Shard s's queued frames sit in bufs[s][:Queued(s)]; the flush
-			// that takes them is the first moment they may be overwritten.
-			var l lender
-			for step := range streams[0] {
+			var (
+				l      lender
+				events [][]Event
+				err    error
+			)
+			// Pump p drains a ragged queue a shard and feeds it in rounds: round
+			// r gives every shard its queued frames [r·size, (r+1)·size), into
+			// the events of the call before.
+			at := make([]int, len(streams))
+			for p := 0; at[0] < len(streams[0]) || at[1] < len(streams[1]); p++ {
+				queues := make([][]Frame, len(streams))
 				for s := range streams {
-					flushed, err := b.Add(s, l.lendAt(s, b.Queued(s), streams[s][step]))
-					collect(flushed, err)
-					if flushed != nil {
-						l.poison()
+					end := min(at[s]+1+(5*p+3*s)%(2*size), len(streams[s]))
+					queues[s], at[s] = streams[s][at[s]:end], end
+				}
+				for r := 0; r < max(len(queues[0]), len(queues[1])); r += size {
+					batches := make([][]Frame, len(streams))
+					for s, q := range queues {
+						batches[s] = q[min(r, len(q)):min(r+size, len(q))]
+					}
+					if events, err = sm.ProcessBatchesInto(l.lend(batches), events); err != nil {
+						t.Fatal(err)
+					}
+					l.poison()
+					for s, evs := range events {
+						got[s] = append(got[s], evs...)
 					}
 				}
 			}
-			collect(b.Flush())
 			return got
 		})
 		if !reflect.DeepEqual(ge, we) || !reflect.DeepEqual(gd, wd) || !reflect.DeepEqual(gr, wr) {
@@ -327,32 +334,5 @@ func TestBorrowedRunEqualsFresh(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Deltas, want.Deltas) {
 		t.Error("delta bytes differ from the fresh-buffer run's")
-	}
-}
-
-// TestBatcherFlushReleasesFrames: a flushed Batcher keeps no frame
-// header, past its queues' lengths or within them — one left there would
-// pin its pixels, and, once the ingestion tier has recycled the buffer,
-// alias another tenant's frame.
-func TestBatcherFlushReleasesFrames(t *testing.T) {
-	models, opts, streams := borrowFixture()
-	sm := NewShardedMonitor(models, facadeLabeler, ShardedOptions{Options: opts, Shards: 2, Workers: 1})
-	b := sm.NewBatcher(4)
-	for step := 0; step < 6; step++ {
-		for s := range streams {
-			if _, err := b.Add(s, streams[s][step]); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if _, err := b.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for s, q := range b.queues {
-		for i, f := range q[:cap(q)] {
-			if f.Pixels != nil {
-				t.Errorf("shard %d slot %d of the flushed queue still holds frame %d's pixels", s, i, f.Index)
-			}
-		}
 	}
 }

@@ -153,8 +153,8 @@ func TestDynamicEmptyFleetCheckpoint(t *testing.T) {
 // against ProcessBatches and attach/detach churn — the ingest tier's
 // actual concurrency shape (connection handlers attach, the pump
 // processes, /healthz observes). Run under -race this is the fleet's
-// thread-safety contract; the feeder retries on the benign
-// *BatchMismatchError a concurrent attach induces.
+// thread-safety contract; a batch set sized before a concurrent attach
+// is still a valid one, so the feeder sees no error at all.
 func TestDynamicConcurrentHealth(t *testing.T) {
 	opts := Defaults(facadeDim, facadeClasses)
 	day := BuildModel("day", facadeFrames(facadeCond(vidsim.Day()), 200, 1), facadeLabeler, opts)
@@ -169,8 +169,8 @@ func TestDynamicConcurrentHealth(t *testing.T) {
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 
-	// Feeder: keep slot 0 busy; pad to the live slot count and retry on
-	// mismatch (an attach landed between sizing and processing).
+	// Feeder: keep slot 0 busy, sizing each batch set to the slot count
+	// an attach may grow before the call.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -180,8 +180,7 @@ func TestDynamicConcurrentHealth(t *testing.T) {
 				continue
 			}
 			batches[0] = []Frame{frames[i%len(frames)]}
-			var mismatch *BatchMismatchError
-			if _, err := sm.ProcessBatches(batches); err != nil && !errors.As(err, &mismatch) {
+			if _, err := sm.ProcessBatches(batches); err != nil {
 				t.Errorf("feeder: %v", err)
 				return
 			}

@@ -47,9 +47,9 @@ type Option func(*config)
 
 // Allow waives goroutines whose stack text contains any of the given
 // substrings — typically the qualified name of a deliberately
-// process-lifetime goroutine, e.g.
-// "videodrift/internal/parallel.(*Pool).spawn.func1" for parked shared
-// pool workers.
+// process-lifetime goroutine, e.g. "videodrift/internal/foo.(*Cache).run"
+// for a cache's refresher that lives as long as the process. No package
+// in the module waives anything today.
 func Allow(substrs ...string) Option {
 	return func(c *config) { c.allow = append(c.allow, substrs...) }
 }

@@ -185,7 +185,7 @@ func NewEnsemble(size int, cfg Config, rng *stats.RNG) *Ensemble {
 // worker pool; per-member RNG streams are forked in member order before
 // the fan-out, so the trained weights are identical to a serial fit.
 func (e *Ensemble) Fit(samples []Sample, rng *stats.RNG) {
-	parallel.Shared(0).ForEachSeeded(len(e.Members), rng, func(i int, r *stats.RNG) {
+	parallel.New(0).ForEachSeeded(len(e.Members), rng, func(i int, r *stats.RNG) {
 		e.Members[i].Fit(samples, r)
 	})
 }

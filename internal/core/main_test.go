@@ -6,12 +6,9 @@ import (
 	"videodrift/internal/analysis/leakcheck"
 )
 
-// TestMain gates the sharded-monitor tests on the leakcheck harness
-// (DESIGN.md §15): shard workers, supervisors and selection goroutines
-// must all be stopped when their tests finish. The shared parallel
-// pools' parked workers are process-lifetime by design and are waived
-// by name.
+// TestMain gates the package on the leakcheck harness (DESIGN.md §15):
+// selection, training and ensemble fan-outs must leave no goroutine
+// behind when their tests finish.
 func TestMain(m *testing.M) {
-	leakcheck.Main(m,
-		leakcheck.Allow("videodrift/internal/parallel.(*Pool).spawn.func1"))
+	leakcheck.Main(m)
 }

@@ -74,7 +74,7 @@ func CalibrateMSBO(entries []*ModelEntry) MSBOThresholds {
 	// The m×(m−1) cross-scores are independent; compute each model's row
 	// concurrently and fold the results serially in registry order.
 	rows := make([][]float64, len(entries))
-	parallel.Shared(0).ForEach(len(entries), func(i int) {
+	parallel.New(0).ForEach(len(entries), func(i int) {
 		k := entries[i]
 		if k.Ensemble == nil {
 			return

@@ -81,11 +81,11 @@ func BuildEnvShell(ds *dataset.Dataset, cfg Config, kind query.Kind) *Env {
 // BuildEnv provisions one model per dataset sequence (trained on that
 // condition's training frames, annotated by the oracle — §5.4) and
 // assembles the registry the Model Selector chooses from. The sequences
-// are provisioned concurrently on the shared pool; each has its own seed
+// are provisioned concurrently, one goroutine a core; each has its own seed
 // and the registry keeps dataset order, so the result does not depend on
 // the pool's size.
 func BuildEnv(ds *dataset.Dataset, cfg Config, kind query.Kind) *Env {
-	return buildEnv(ds, cfg, kind, core.SelectorMSBO, parallel.Shared(0))
+	return buildEnv(ds, cfg, kind, core.SelectorMSBO, parallel.New(0))
 }
 
 // BuildEnvFor is BuildEnv for a deployment that runs one selector for
@@ -93,7 +93,7 @@ func BuildEnv(ds *dataset.Dataset, cfg Config, kind query.Kind) *Env {
 // MSBO ensembles — four of every five network fits — and only an MSBI
 // pipeline accepts them (core.CheckSelector).
 func BuildEnvFor(ds *dataset.Dataset, cfg Config, kind query.Kind, selector core.SelectorKind) *Env {
-	return buildEnv(ds, cfg, kind, selector, parallel.Shared(0))
+	return buildEnv(ds, cfg, kind, selector, parallel.New(0))
 }
 
 func buildEnv(ds *dataset.Dataset, cfg Config, kind query.Kind, selector core.SelectorKind, pool *parallel.Pool) *Env {

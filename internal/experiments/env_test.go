@@ -61,7 +61,7 @@ func mustMarshal(t *testing.T, m encoding.BinaryMarshaler) []byte {
 // TestBuildEnvPoolDeterminism: set-up provisions the sequences
 // concurrently, and must hand back what the serial loop it replaced did,
 // whatever the pool's size. The concurrent Provision calls share one
-// labeler (and each nests an ensemble fan-out on the shared pool), so CI
+// labeler (and each nests an ensemble fan-out of its own), so CI
 // runs this under -race and under GOMAXPROCS 1, 2 and 4.
 func TestBuildEnvPoolDeterminism(t *testing.T) {
 	cfg := QuickConfig()
@@ -78,7 +78,7 @@ func TestBuildEnvPoolDeterminism(t *testing.T) {
 	serial.Registry = core.NewRegistry(entries...)
 
 	for _, workers := range []int{1, 2, 4} {
-		env := buildEnv(ds, cfg, query.Count, core.SelectorMSBO, parallel.Shared(workers))
+		env := buildEnv(ds, cfg, query.Count, core.SelectorMSBO, parallel.New(workers))
 		requireSameRegistry(t, fmt.Sprintf("pool of %d", workers), env.Registry, serial.Registry)
 	}
 	requireSameRegistry(t, "BuildEnv", BuildEnv(ds, cfg, query.Count).Registry, serial.Registry)

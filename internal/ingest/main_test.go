@@ -8,12 +8,9 @@ import (
 
 // TestMain gates the package on the leakcheck harness (DESIGN.md §15):
 // every server accept loop, per-connection handler and router pump
-// spawned by a test must be stopped by that test's cleanup — a leak
+// started by a test must be stopped by that test's cleanup — a leak
 // the static goroleak pass cannot see (or was told to waive) still
-// fails here. The shared parallel pools' parked workers (spun up by
-// the monitors the loopback tests drive) are process-lifetime by
-// design and are waived by name.
+// fails here.
 func TestMain(m *testing.M) {
-	leakcheck.Main(m,
-		leakcheck.Allow("videodrift/internal/parallel.(*Pool).spawn.func1"))
+	leakcheck.Main(m)
 }

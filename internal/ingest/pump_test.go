@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"io"
 	"net"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -14,6 +15,7 @@ import (
 
 	"videodrift"
 	"videodrift/internal/faults"
+	"videodrift/internal/telemetry"
 	"videodrift/internal/vidsim"
 )
 
@@ -149,14 +151,19 @@ func (c *wireConn) mustAck(t *testing.T, seq int, f vidsim.Frame) {
 
 // checkSerialReference holds every tenant's shard to a standalone serial
 // Monitor fed the tenant's whole stream in order: same pipeline stats,
-// same deployed model — each accepted frame was processed exactly once,
-// in its tenant's order, whoever pumped it.
+// same deployed model and, for a tenant with a tracer of its own (on
+// fixedClock), the same telemetry events — each accepted frame was
+// processed exactly once, in its tenant's order, whoever pumped it.
 func checkSerialReference(t *testing.T, sm *videodrift.ShardedMonitor, r *Router, streams map[string][]vidsim.Frame) {
 	t.Helper()
 	models, opts := sharedModels()
 	for _, ts := range r.Stats().Tenants {
 		shardOpts := opts
 		shardOpts.Pipeline.Seed += int64(ts.Slot)
+		tr := r.Tracer(ts.Tenant)
+		if tr != nil {
+			shardOpts.Tracer = telemetry.New(telemetry.Config{Now: fixedClock})
+		}
 		ref := videodrift.NewMonitor(models, testLabeler, shardOpts)
 		for i, f := range streams[ts.Tenant] {
 			ref.Process(FrameFromMsg(MsgFromFrame(ts.Tenant, uint64(i), f)))
@@ -166,6 +173,9 @@ func checkSerialReference(t *testing.T, sm *videodrift.ShardedMonitor, r *Router
 		}
 		if got, want := sm.Shard(ts.Slot).Current(), ref.Current(); got != want {
 			t.Errorf("tenant %s: deployed %q, serial reference %q", ts.Tenant, got, want)
+		}
+		if tr != nil && !reflect.DeepEqual(tr.Events(), shardOpts.Tracer.Events()) {
+			t.Errorf("tenant %s: telemetry events diverged from the serial reference", ts.Tenant)
 		}
 	}
 }
@@ -266,6 +276,87 @@ func TestPumpWakesOnSubmit(t *testing.T) {
 		t.Fatalf("the stall fired %d times, want 1", fired)
 	}
 	checkSerialReference(t, sm, r, streams)
+}
+
+// TestRouterAttachDuringPump is the race a fleet call's batch set used to
+// lose to: tenants make first contact from several goroutines, staggered
+// so their attaches land while Run is inside the fleet with the others'
+// frames, at BatchSize 8. A slot appended between two of a Pump's fleet
+// calls leaves its batch set valid, so no Pump errs, every frame is
+// processed exactly once and in sequence, and each tenant's events are a
+// serial Monitor's.
+func TestRouterAttachDuringPump(t *testing.T) {
+	streams := loopbackStreams(4)
+	models, opts := sharedModels()
+	sm := videodrift.NewDynamicSharded(models, testLabeler, videodrift.ShardedOptions{Options: opts, Workers: 2})
+	r := NewRouter(sm, Config{
+		BatchSize: 8,
+		NewTracer: func(string) *telemetry.Tracer { return telemetry.New(telemetry.Config{Now: fixedClock}) },
+	})
+	pumped := runPump(t, r)
+	var wg sync.WaitGroup
+	k := 0
+	for id, stream := range streams {
+		wg.Add(1)
+		go func(after int64) {
+			defer wg.Done()
+			for r.Stats().Processed < after {
+				runtime.Gosched()
+			}
+			for i, f := range stream {
+				if v := r.Submit(MsgFromFrame(id, uint64(i), f)); !v.Ack || v.Dup {
+					t.Errorf("tenant %s seq %d: verdict %+v, want clean ack", id, i, v)
+					return
+				}
+			}
+		}(int64(30 * k))
+		k++
+	}
+	wg.Wait()
+	want := int64(0)
+	for _, stream := range streams {
+		want += int64(len(stream))
+	}
+	awaitPumped(t, pumped, "the queues to drain", func() bool { return r.Stats().Processed >= want })
+	s := r.Stats()
+	if s.Accepted != want || s.Processed != want || s.Dups != 0 || s.Attaches != int64(len(streams)) {
+		t.Fatalf("accepted %d processed %d dups %d attaches %d, want %d/%d/0/%d",
+			s.Accepted, s.Processed, s.Dups, s.Attaches, want, want, len(streams))
+	}
+	checkSerialReference(t, sm, r, streams)
+}
+
+// TestPumpReleasesFrames: once a Pump returns, nothing the router keeps —
+// its batch scratch, its drain list, a tenant's queue or the spare one —
+// holds a frame header, within its length or past it. One left there
+// would pin its pixels and, once the free list has lent the buffer to the
+// next frame decoded, alias another tenant's frame.
+func TestPumpReleasesFrames(t *testing.T) {
+	_, opts := sharedModels()
+	r := NewRouter(testFleet(opts), Config{BatchSize: 4})
+	a, b := testStream(10, 21), testStream(10, 22)
+	submitFrames(t, r, "cam-a", a, 0, 6)
+	submitFrames(t, r, "cam-b", b, 0, 9)
+	if n, err := r.Pump(); err != nil || n != 15 {
+		t.Fatalf("Pump processed %d (%v), want 15", n, err)
+	}
+	pinned := func(where string, frames []vidsim.Frame) {
+		for i, f := range frames[:cap(frames)] {
+			if f.Pixels != nil {
+				t.Errorf("%s[%d] still holds frame %d's pixels", where, i, f.Index)
+			}
+		}
+	}
+	for i, batch := range r.batches[:cap(r.batches)] {
+		pinned(fmt.Sprintf("batches[%d]", i), batch)
+	}
+	for i, w := range r.work[:cap(r.work)] {
+		pinned(fmt.Sprintf("work[%d]", i), w.frames)
+	}
+	for _, tn := range r.order {
+		pinned(tn.id+" queue", tn.queue)
+		pinned(tn.id+" spare", tn.spare)
+	}
 }
 
 // TestFeedInPlace pins the protocol between feeding connections and the
@@ -524,7 +615,7 @@ const (
 )
 
 // warmRounds builds two fleets of the given tenants over the same
-// streams, both past their first frames so queues, batcher and scratch
+// streams, both past their first frames so queues, events and scratch
 // have their steady-state capacity. routed submits one more frame per
 // tenant to a router over the first and pumps — or, over a connection,
 // sends it down the tenant's loopback connection to a Server over that
@@ -533,17 +624,23 @@ const (
 // answer, to the Sync written behind the last. The sender restamps frames
 // encoded up front and reads into a fixed buffer, so it allocates nothing
 // of its own. direct feeds the second fleet the same frames, already
-// decoded, through a Batcher of its own the way Pump does — one
-// ProcessBatches call per round, or per frame over a connection. The
-// inspectors monitor every frame but at a significance they cannot reach,
-// so no round pays for a false alarm's selection or training and every
-// one costs the same.
+// decoded, into reused events the way Pump does — one ProcessBatchesInto
+// call per round, or per frame over a connection. Both fleets run one
+// worker: a fan-out allocates per fleet call, and which of a wire round's
+// frames share a call is the scheduler's choice, so only at one worker do
+// the two sides differ by exactly transport and router. The inspectors
+// monitor every frame but at a significance they cannot reach, so no
+// round pays for a false alarm's selection or training and every one
+// costs the same.
 func warmRounds(tb testing.TB, tenants, batch int, via transport) (routed, direct func()) {
 	tb.Helper()
-	_, opts := sharedModels()
+	models, opts := sharedModels()
 	opts.Pipeline.DI.R = 1e-9
-	r := NewRouter(testFleet(opts), Config{BatchSize: batch})
-	bare := testFleet(opts)
+	fleet := func() *videodrift.ShardedMonitor {
+		return videodrift.NewDynamicSharded(models, testLabeler, videodrift.ShardedOptions{Options: opts, Workers: 1})
+	}
+	r := NewRouter(fleet(), Config{BatchSize: batch})
+	bare := fleet()
 	const frames = 512
 	ids := make([]string, tenants)
 	msgs := make([][]FrameMsg, tenants)
@@ -649,30 +746,37 @@ func warmRounds(tb testing.TB, tenants, batch int, via transport) (routed, direc
 			decoded[k] = append(decoded[k], FrameFromMsg(m))
 		}
 	}
-	batcher := bare.NewBatcher(batch)
+	batches := make([][]vidsim.Frame, tenants)
+	var events [][]videodrift.Event
+	feed := func() {
+		var err error
+		if events, err = bare.ProcessBatchesInto(batches, events); err != nil {
+			tb.Fatal(err)
+		}
+		clear(batches)
+	}
 	at := uint64(0)
 	direct = func() {
-		for k := range decoded {
-			for s := at; s < at+per; s++ {
-				if _, err := batcher.Add(k, decoded[k][s%frames]); err != nil {
-					tb.Fatal(err)
-				}
-				if via == viaSubmit {
-					continue
-				}
-				// A frame off the wire is mostly pumped alone, and a
-				// ProcessBatches call has costs of its own: the fleet's share
-				// of a wire round is a call per frame (at most — two frames
-				// that arrive together share one).
-				if _, err := batcher.Flush(); err != nil {
-					tb.Fatal(err)
+		if via == viaSubmit {
+			// One Pump: a round of every tenant's frame (per is 1, below any
+			// batch size).
+			for k := range decoded {
+				batches[k] = decoded[k][at%frames : at%frames+1]
+			}
+			feed()
+		} else {
+			// A frame off the wire is mostly pumped alone, and a fleet call
+			// has costs of its own: the fleet's share of a wire round is a
+			// call per frame (at most — two frames that arrive together
+			// share one).
+			for k := range decoded {
+				for s := at; s < at+per; s++ {
+					batches[k] = decoded[k][s%frames : s%frames+1]
+					feed()
 				}
 			}
 		}
 		at += per
-		if _, err := batcher.Flush(); err != nil {
-			tb.Fatal(err)
-		}
 	}
 	for i := 0; i < 4*batch; i++ {
 		routed()
@@ -696,7 +800,7 @@ func allocsPer(runs int, f func()) (objs, bytes float64) {
 }
 
 // TestPumpSteadyStateAllocs is the allocation gate on the per-arrival
-// path, end to end: on top of what the Batcher and the fleet allocate for
+// path, end to end: on top of what the fleet allocates for
 // the same frames, a warm frame allocates nothing — its pixels are
 // decoded into a buffer off the router's free list, which the pump takes
 // back once the fleet has processed the frame. That holds for
@@ -735,8 +839,8 @@ func TestPumpSteadyStateAllocs(t *testing.T) {
 }
 
 // BenchmarkRouterSubmitPump is what one arrival costs the router and
-// everything under it: Submit, the wake-up token, Pump, the Batcher and
-// a supervised ProcessBatches at batch 1, per frame.
+// everything under it: Submit, the wake-up token, Pump and a supervised
+// fleet call on one worker at batch 1, per frame.
 func BenchmarkRouterSubmitPump(b *testing.B) {
 	for _, tenants := range []int{1, 8} {
 		b.Run(fmt.Sprintf("tenants=%d", tenants), func(b *testing.B) { benchRounds(b, tenants, viaSubmit) })

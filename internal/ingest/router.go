@@ -2,7 +2,6 @@ package ingest
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -66,8 +65,8 @@ type Config struct {
 }
 
 // Router owns the tenant↔shard mapping over a dynamic ShardedMonitor:
-// per-tenant bounded queues on the ingress side, the count-based
-// Batcher on the egress side. Submit, Pump, Run and a Server's
+// per-tenant bounded queues, drained by Pump straight into the fleet in
+// BatchSize micro-batches. Submit, Pump, Run and a Server's
 // connections are safe to use concurrently: admission is serialized by
 // one lock, pumping — by Run, by a connection feeding the frame it has
 // just read, by a bare Pump — by another.
@@ -100,9 +99,11 @@ type Router struct {
 	evict *time.Timer
 
 	// procMu serializes pumping: queue drain, batch feed, idle eviction.
+	// work, batches and events are pump's scratch, reused across calls.
 	procMu  sync.Mutex
-	batcher *videodrift.Batcher
-	work    []drained // pump's scratch, reused across calls
+	work    []drained
+	batches [][]vidsim.Frame
+	events  [][]videodrift.Event
 
 	// free holds the pixel buffers of frames the fleet has processed, for
 	// the next frames decoded to take (see freeList).
@@ -235,7 +236,6 @@ func NewRouter(sm *videodrift.ShardedMonitor, cfg Config) *Router {
 		tenants: make(map[string]*tenant),
 		wake:    make(chan struct{}, 1),
 		evict:   evict,
-		batcher: sm.NewBatcher(cfg.BatchSize),
 	}
 	for slot := range sm.Shards() {
 		if id, next := sm.Tenant(slot); id != "" {
@@ -537,14 +537,11 @@ func (r *Router) Run(stop <-chan struct{}, pumped func(n int, err error)) {
 	}
 }
 
-// Pump drains every tenant queue through the fleet: frames feed the
-// count-based Batcher in tenant-id order (deterministic for any map
-// layout), flush into ProcessBatches, and idle tenants detach. It is
-// what Run and feeding connections call, and safe beside them; it
-// returns the number of frames processed this call. A
-// *BatchMismatchError from a concurrent Attach is retried internally
-// (the Batcher keeps its queues), so no frame is lost to a slot-count
-// race.
+// Pump drains every tenant queue through the fleet in tenant-id order
+// (deterministic for any map layout), cut into micro-batches of at most
+// BatchSize frames a tenant, and detaches idle tenants. It is what Run
+// and feeding connections call, and safe beside them; it returns the
+// number of frames processed this call.
 func (r *Router) Pump() (int, error) {
 	r.procMu.Lock()
 	defer r.procMu.Unlock()
@@ -574,19 +571,32 @@ func (r *Router) pump(inline bool) (total int, err error) {
 	}
 	r.mu.Unlock()
 
+	// Round k gives every drained slot its frames [k·BatchSize,
+	// (k+1)·BatchSize): each shard's batches are cut where they would be
+	// were it fed alone, so only which shards share a fleet call depends
+	// on who else had frames.
+	slots := 0
 	for _, w := range work {
-		for _, f := range w.frames {
-			n, err := r.flushed(r.batcher.Add(w.slot, f))
-			total += n
-			if err != nil {
-				return total, err
+		slots = max(slots, w.slot+1)
+	}
+	r.batches = slices.Grow(r.batches[:0], slots)[:slots]
+	for at := 0; ; at += r.cfg.BatchSize {
+		fed := 0
+		for _, w := range work {
+			if at < len(w.frames) {
+				r.batches[w.slot] = w.frames[at:min(at+r.cfg.BatchSize, len(w.frames))]
+				fed += len(r.batches[w.slot])
 			}
 		}
-	}
-	n, err := r.flushed(r.batcher.Flush())
-	total += n
-	if err != nil {
-		return total, err
+		if fed == 0 {
+			break
+		}
+		r.events, err = r.sm.ProcessBatchesInto(r.batches, r.events)
+		clear(r.batches) // the frames go back to the free list: pin none
+		if err != nil {
+			return total, err
+		}
+		total += fed
 	}
 
 	r.mu.Lock()
@@ -632,24 +642,6 @@ func (r *Router) pump(inline bool) (total int, err error) {
 		r.evict.Reset(evictDue.Sub(now))
 	}
 	return total, nil
-}
-
-// flushed counts the frames one Batcher flush processed. A
-// *BatchMismatchError means a tenant attached between queueing and
-// flushing: Flush pads to the new slot count on the retry. Anything
-// else (or a retry that keeps failing) is a real fault.
-func (r *Router) flushed(evs [][]videodrift.Event, err error) (int, error) {
-	if err != nil {
-		var mismatch *videodrift.BatchMismatchError
-		for attempt := 0; attempt < 3 && errors.As(err, &mismatch); attempt++ {
-			evs, err = r.batcher.Flush()
-		}
-	}
-	n := 0
-	for _, shard := range evs {
-		n += len(shard)
-	}
-	return n, err
 }
 
 // TenantStats is one tenant's ingestion counters.

@@ -7,10 +7,8 @@ import (
 )
 
 // TestMain gates the package on the leakcheck harness (DESIGN.md §15):
-// any pool or job goroutine still alive after the tests fails the run.
-// The shared pools' parked workers are process-lifetime by design
-// (see sharedPools) and are waived by name.
+// a helper goroutine still alive after the tests fails the run — a
+// fan-out's helpers exit once its indices are claimed.
 func TestMain(m *testing.M) {
-	leakcheck.Main(m,
-		leakcheck.Allow("videodrift/internal/parallel.(*Pool).spawn.func1"))
+	leakcheck.Main(m)
 }

@@ -25,10 +25,9 @@ func TestForEachCoversAllIndices(t *testing.T) {
 	}
 }
 
-// TestForEachRepeatedCalls drives many fan-outs through one pool — the
-// persistent-worker shape MSBI hits (one ForEach per drift, same pool) —
-// and checks exactly-once claiming every time, including tiny n where
-// chunking degenerates to single indices.
+// TestForEachRepeatedCalls drives many fan-outs through one pool and
+// checks exactly-once claiming every time, including tiny n where there
+// are fewer indices than workers.
 func TestForEachRepeatedCalls(t *testing.T) {
 	p := New(4)
 	for round := 0; round < 200; round++ {
@@ -43,10 +42,10 @@ func TestForEachRepeatedCalls(t *testing.T) {
 	}
 }
 
-// TestForEachConcurrentCalls overlaps ForEach invocations on one shared
-// pool — the sharded-monitor shape, where several shards run MSBI on the
-// same Shared pool at once. Every call must still cover its own indices
-// exactly once, with the pool's worker bound shared between them.
+// TestForEachConcurrentCalls overlaps ForEach invocations on one pool —
+// set-up's shape, where concurrent provisions each fit an ensemble on
+// the same width. Every call must still cover its own indices exactly
+// once.
 func TestForEachConcurrentCalls(t *testing.T) {
 	p := New(4)
 	const callers, n = 8, 200
@@ -92,18 +91,6 @@ func TestNewClampsWorkers(t *testing.T) {
 	}
 }
 
-func TestSharedCachesByWorkerCount(t *testing.T) {
-	if Shared(3) != Shared(3) {
-		t.Error("Shared(3) returned distinct pools")
-	}
-	if Shared(3) == Shared(5) {
-		t.Error("Shared(3) and Shared(5) returned the same pool")
-	}
-	if got := Shared(0).Workers(); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("Shared(0).Workers() = %d, want GOMAXPROCS", got)
-	}
-}
-
 // TestForEachPropagatesPanic is the panic contract: the first worker
 // panic is re-raised on the caller's goroutine as a *PanicError carrying
 // the original value and the panicking worker's stack — not the caller's.
@@ -131,9 +118,9 @@ func TestForEachPropagatesPanic(t *testing.T) {
 }
 
 // TestWorkerPanicDoesNotLeakWorkers hammers a pool with panicking jobs
-// and checks the persistent worker count stays put: panics are recovered
-// inside the worker loop, so a worker survives its task's panic, and no
-// replacement goroutines pile up.
+// and checks the goroutine count stays put: a panic is recovered inside
+// the task, so a panicking job's helpers exit like any other job's and
+// none is left behind.
 func TestWorkerPanicDoesNotLeakWorkers(t *testing.T) {
 	p := New(4)
 	// Force the workers to start and settle before measuring.
@@ -167,12 +154,11 @@ func TestWorkerPanicDoesNotLeakWorkers(t *testing.T) {
 // TestNestedForEach is the deadlock contract: a ForEach issued from
 // inside another ForEach's task on the same pool — by the caller or by a
 // helper — completes at every worker count, however busy the helpers
-// are. It hung at workers=2 while a helper waited for a job token only
-// a free helper (there was none but itself) could dequeue: the shape
-// selection has when a shard batch running on the shared pool nests
-// MSBI's fan-out. The soft barrier holds each outer task until all of
-// them run at once (or 2 ms pass), so the nested calls are issued while
-// every helper is busy.
+// are: the shape a shard batch has when its frame starts a training
+// whose ensemble fit fans out. (A persistent pool once hung here at
+// workers=2.) The soft barrier holds each outer task until all of them
+// run at once (or 2 ms pass), so the nested calls are issued while every
+// helper is busy.
 func TestNestedForEach(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8} {
 		p := New(workers)

@@ -26,10 +26,6 @@ import (
 	"videodrift/internal/vidsim"
 )
 
-// poolWorkers are the shared pools' parked workers, process-lifetime by
-// design.
-const poolWorkers = "videodrift/internal/parallel.(*Pool).spawn.func1"
-
 // TestMain gates the package on the leakcheck harness: every goroutine
 // a Server starts must be gone once its Shutdown has returned.
 func TestMain(m *testing.M) {
@@ -46,7 +42,7 @@ func TestMain(m *testing.M) {
 		}
 		return envs[key]
 	}
-	leakcheck.Main(m, leakcheck.Allow(poolWorkers))
+	leakcheck.Main(m)
 }
 
 // testConfig is driftserve's flag defaults on loopback port 0, with a
@@ -975,7 +971,7 @@ func TestShutdownFlushes(t *testing.T) {
 	if err := sb.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
-	if err := leakcheck.Check(leakcheck.Allow(poolWorkers)); err != nil {
+	if err := leakcheck.Check(); err != nil {
 		t.Error(err)
 	}
 }

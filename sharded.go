@@ -18,20 +18,6 @@ import (
 // before its circuit breaker trips and the shard is declared failed.
 const DefaultMaxRestarts = 3
 
-// BatchMismatchError reports a ProcessBatches call whose batch count
-// does not line up with the fleet's current slot count. With dynamic
-// Attach/Detach the slot count can move between assembling batches and
-// submitting them, so callers that feed a dynamic fleet should re-size
-// and retry on this error rather than treat it as fatal.
-type BatchMismatchError struct {
-	Batches int // batches the caller supplied
-	Slots   int // shard slots the fleet currently has
-}
-
-func (e *BatchMismatchError) Error() string {
-	return fmt.Sprintf("videodrift: %d batches for %d shard slots", e.Batches, e.Slots)
-}
-
 // DetachedSlotError reports frames addressed to a shard slot that is
 // currently detached (no tenant owns it).
 type DetachedSlotError struct{ Slot int }
@@ -136,11 +122,13 @@ type ShardedMonitor struct {
 	clock        func() time.Time
 
 	// runBatches and runEvents are the ProcessBatches call in flight
-	// (under batchMu), which runShard — built once, so that a call
-	// allocates no closure for the pool — feeds shard i from.
+	// (under batchMu) and runSlots the shards it has frames for; runShard
+	// — built once, so that a call allocates no closure for the fan-out —
+	// feeds the k-th of them.
 	runBatches [][]Frame
 	runEvents  [][]Event
-	runShard   func(i int)
+	runSlots   []int
+	runShard   func(k int)
 }
 
 // shardState is the supervisor's bookkeeping for one shard. The atomic
@@ -285,7 +273,7 @@ func newSharded(n int, labeler Labeler, opts ShardedOptions) *ShardedMonitor {
 	sm := &ShardedMonitor{
 		shards:       make([]*Monitor, n),
 		states:       make([]*shardState, n),
-		pool:         parallel.Shared(opts.Workers),
+		pool:         parallel.New(opts.Workers),
 		labeler:      labeler,
 		baseOpts:     opts.Options,
 		faults:       opts.Faults,
@@ -299,10 +287,9 @@ func newSharded(n int, labeler Labeler, opts ShardedOptions) *ShardedMonitor {
 	if sm.clock == nil {
 		sm.clock = time.Now
 	}
-	sm.runShard = func(i int) {
-		if len(sm.runBatches[i]) > 0 {
-			sm.processShardBatch(i, sm.runBatches[i], sm.runEvents[i])
-		}
+	sm.runShard = func(k int) {
+		i := sm.runSlots[k]
+		sm.processShardBatch(i, sm.runBatches[i], sm.runEvents[i])
 	}
 	return sm
 }
@@ -417,41 +404,47 @@ func (sm *ShardedMonitor) Detach(i int) error {
 
 // ProcessBatches runs a micro-batch of consecutive frames per shard
 // concurrently: batches[i] goes to shard i in order, and events[i][j]
-// reports what shard i did with batches[i][j]. len(batches) must equal
-// Shards (a *BatchMismatchError otherwise) and a non-empty batch for a
-// detached slot is a *DetachedSlotError; batches may be ragged or empty
-// (shards need not advance in lockstep within one call). Each shard's
-// event stream is bit-identical to feeding its Monitor serially, under
-// any batch size and worker count — batching only amortizes the
-// supervisor's per-call snapshot over the batch. A panic anywhere in a
-// shard's batch restores the shard to the batch start (pipeline
-// snapshot plus forensics rewind) and re-runs the whole batch; a crash
-// loop trips the breaker and drops the batch. The frames are borrowed, as
-// by Monitor.Process: the caller may reuse their arrays once
-// ProcessBatches returns.
+// reports what shard i did with batches[i][j]. batches may be shorter
+// than Shards — slots only ever append, so a batch set assembled before
+// a concurrent Attach still lines up — but not longer, and a non-empty
+// batch for a detached slot is a *DetachedSlotError; batches may be
+// ragged or empty (shards need not advance in lockstep within one call).
+// Each shard's event stream is bit-identical to feeding its Monitor
+// serially, under any batch size and worker count — batching only
+// amortizes the supervisor's per-call snapshot over the batch. A panic
+// anywhere in a shard's batch restores the shard to the batch start
+// (pipeline snapshot plus forensics rewind) and re-runs the whole batch;
+// a crash loop trips the breaker and drops the batch. The frames are
+// borrowed, as by Monitor.Process: the caller may reuse their arrays
+// once ProcessBatches returns.
 func (sm *ShardedMonitor) ProcessBatches(batches [][]Frame) ([][]Event, error) {
-	return sm.processBatches(batches, nil)
+	return sm.ProcessBatchesInto(batches, nil)
 }
 
-// processBatches is ProcessBatches into events' storage, grown as needed
-// and returned: a Batcher's, reused flush after flush.
-func (sm *ShardedMonitor) processBatches(batches [][]Frame, events [][]Event) ([][]Event, error) {
+// ProcessBatchesInto is ProcessBatches into events' storage, grown as
+// needed and returned, so a caller feeding the fleet call after call —
+// the ingestion router — reuses one set of event slices.
+func (sm *ShardedMonitor) ProcessBatchesInto(batches [][]Frame, events [][]Event) ([][]Event, error) {
 	sm.batchMu.Lock()
 	defer sm.batchMu.Unlock()
 	sm.mu.RLock()
 	defer sm.mu.RUnlock()
-	if len(batches) != len(sm.shards) {
-		return nil, &BatchMismatchError{Batches: len(batches), Slots: len(sm.shards)}
+	if len(batches) > len(sm.shards) {
+		return nil, fmt.Errorf("videodrift: %d batches for %d shard slots", len(batches), len(sm.shards))
 	}
 	events = slices.Grow(events[:0], len(batches))[:len(batches)]
+	slots := sm.runSlots[:0]
 	for i, b := range batches {
 		if len(b) > 0 && sm.shards[i] == nil {
 			return nil, &DetachedSlotError{Slot: i}
 		}
 		events[i] = slices.Grow(events[i][:0], len(b))[:len(b)]
+		if len(b) > 0 {
+			slots = append(slots, i)
+		}
 	}
-	sm.runBatches, sm.runEvents = batches, events
-	sm.pool.ForEach(len(batches), sm.runShard)
+	sm.runBatches, sm.runEvents, sm.runSlots = batches, events, slots
+	sm.pool.ForEach(len(slots), sm.runShard)
 	sm.runBatches, sm.runEvents = nil, nil
 	return events, nil
 }
@@ -607,96 +600,6 @@ func (sm *ShardedMonitor) ShardStats(i int) Metrics {
 		return Metrics{}
 	}
 	return sm.states[i].loadStats()
-}
-
-// Batcher accumulates per-shard frames and flushes them into a
-// ShardedMonitor as micro-batches, amortizing the supervisor's
-// per-call snapshot cost when frames arrive one at a time. The flush
-// policy is purely count-based — a flush fires when any shard's queue
-// reaches the batch size, or on an explicit Flush — never wall-clock
-// based, so a batched run's event stream is bit-identical to the
-// unbatched one regardless of arrival timing. A Batcher is not safe for
-// concurrent use; feed it from the same goroutine that would otherwise
-// call ProcessBatches.
-type Batcher struct {
-	sm     *ShardedMonitor
-	size   int
-	queues [][]Frame
-	events [][]Event // the last flush's, whose storage the next one reuses
-}
-
-// NewBatcher returns a batcher flushing size frames per shard at a time
-// (size <= 1 degenerates to flushing on every Add — per-frame
-// supervision). The queue set grows with the fleet: frames may be added
-// for any slot a later Flush will see, so a dynamic fleet can share one
-// batcher across Attach calls.
-func (sm *ShardedMonitor) NewBatcher(size int) *Batcher {
-	if size < 1 {
-		size = 1
-	}
-	return &Batcher{sm: sm, size: size, queues: make([][]Frame, sm.Shards())}
-}
-
-// Add queues one frame for a shard slot. When the slot's queue reaches
-// the batch size every queued frame is flushed, returning the per-shard
-// events (indexed by slot, in enqueue order); otherwise Add returns
-// (nil, nil). A flush error leaves every queue intact (see Flush). The
-// frame is borrowed until the flush that processes it returns.
-func (b *Batcher) Add(shard int, f Frame) ([][]Event, error) {
-	for shard >= len(b.queues) {
-		b.queues = append(b.queues, nil)
-	}
-	b.queues[shard] = append(b.queues[shard], f)
-	if len(b.queues[shard]) >= b.size {
-		return b.Flush()
-	}
-	return nil, nil
-}
-
-// Queued reports how many frames shard i currently has waiting.
-func (b *Batcher) Queued(shard int) int {
-	if shard >= len(b.queues) {
-		return 0
-	}
-	return len(b.queues[shard])
-}
-
-// Flush drains every queue through ProcessBatches and returns the
-// per-shard events, or (nil, nil) when nothing is queued. Call it at
-// end-of-stream (or from an external cadence the caller owns) so tail
-// frames are not held back. On error — a slot count that moved under a
-// dynamic fleet, or frames for a slot detached since they were queued —
-// every queue is left intact so no frame is silently dropped; the
-// caller may re-route or retry. The events are the Batcher's, valid
-// until the next Add or Flush.
-func (b *Batcher) Flush() ([][]Event, error) {
-	queued := false
-	for _, q := range b.queues {
-		if len(q) > 0 {
-			queued = true
-			break
-		}
-	}
-	if !queued {
-		return nil, nil
-	}
-	// A dynamic fleet may have grown since the last flush; pad so the
-	// batch shape matches the slot count. (Attach between this read and
-	// the call surfaces as a BatchMismatchError, which the caller
-	// retries — Flush keeps the queues.)
-	for n := b.sm.Shards(); len(b.queues) < n; {
-		b.queues = append(b.queues, nil)
-	}
-	events, err := b.sm.processBatches(b.queues, b.events)
-	if err != nil {
-		return nil, err
-	}
-	b.events = events
-	for i, q := range b.queues {
-		clear(q) // the frames are processed: do not pin (or alias) their pixels
-		b.queues[i] = q[:0]
-	}
-	return events, nil
 }
 
 // Stats aggregates metrics across all attached shards. Safe to call

@@ -133,36 +133,28 @@ func TestShardedPanics(t *testing.T) {
 	})
 }
 
-// TestShardedBatchShapeErrors pins the typed-error contract that
-// replaced the old batch-shape panics: with dynamic attach/detach a
-// count mismatch is reachable in normal operation, so it must surface
-// as a retryable error, never a crash.
+// TestShardedBatchShapeErrors pins the batch-shape contract: more
+// batches than shard slots, or frames for a detached slot, are an error,
+// never a crash; fewer batches than slots are not (slots only ever
+// append, so a batch set assembled before an Attach still lines up).
 func TestShardedBatchShapeErrors(t *testing.T) {
 	opts := Defaults(facadeDim, facadeClasses)
 	day := BuildModel("day", facadeFrames(facadeCond(vidsim.Day()), 120, 21), nil, opts)
 	opts.Pipeline.Selector = MSBI
-	sm := NewShardedMonitor([]*Model{day}, nil, ShardedOptions{Options: opts, Shards: 1})
+	sm := NewShardedMonitor([]*Model{day}, nil, ShardedOptions{Options: opts, Shards: 2})
+	f := facadeFrames(facadeCond(vidsim.Day()), 1, 22)[0]
 
 	if _, err := sm.ProcessBatches(make([][]Frame, 3)); err == nil {
-		t.Fatal("ProcessBatches with a batch-count mismatch returned no error")
-	} else {
-		var mismatch *BatchMismatchError
-		if !errors.As(err, &mismatch) || mismatch.Batches != 3 || mismatch.Slots != 1 {
-			t.Fatalf("ProcessBatches mismatch error = %v", err)
-		}
+		t.Fatal("ProcessBatches with more batches than slots returned no error")
 	}
-
-	// A batcher whose queues outgrew the fleet reports the mismatch on
-	// flush and keeps the frames (no silent drop).
-	b := sm.NewBatcher(8)
-	f := facadeFrames(facadeCond(vidsim.Day()), 1, 22)[0]
-	if _, err := b.Add(2, f); err != nil {
-		t.Fatalf("Batcher.Add below the flush threshold errored: %v", err)
+	if evs, err := sm.ProcessBatches([][]Frame{{f}}); err != nil || len(evs) != 1 || len(evs[0]) != 1 {
+		t.Fatalf("one batch for two slots: %d event lists, %v; want slot 0's one event", len(evs), err)
 	}
-	if _, err := b.Flush(); err == nil {
-		t.Fatal("Batcher.Flush with queues beyond the fleet returned no error")
+	if err := sm.Detach(1); err != nil {
+		t.Fatal(err)
 	}
-	if b.Queued(2) != 1 {
-		t.Fatalf("queued = %d after a failed flush, want 1 (frames must survive errors)", b.Queued(2))
+	var detached *DetachedSlotError
+	if _, err := sm.ProcessBatches([][]Frame{nil, {f}}); !errors.As(err, &detached) || detached.Slot != 1 {
+		t.Fatalf("a frame for a detached slot: err %v, want *DetachedSlotError{Slot:1}", err)
 	}
 }
