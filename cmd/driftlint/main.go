@@ -1,14 +1,12 @@
-// Command driftlint is the repo's invariant multichecker: nine custom
-// analyzers that mechanically enforce what the test suite can only
-// sample — restart determinism (no wall clock / global randomness /
-// unordered iteration in replay-critical packages), checkpoint
-// completeness (every snapshot field covered by encode and decode),
-// nil-safe telemetry, tolerance-based float comparison in the
-// statistical packages, registry lock discipline, goroutine stop
-// paths, lock-acquisition-order cycles, wire-codec field and
-// integrity coverage, and enum-surface exhaustiveness. The per-package
-// passes and the whole-program passes share one type-checked load and
-// one cross-package fact layer (DESIGN.md §10, §15).
+// Command driftlint is the repo's invariant multichecker: five custom
+// analyzers that mechanically enforce what the test suite cannot check
+// — restart determinism (no wall clock / global randomness / unordered
+// iteration in replay-critical packages), checkpoint completeness
+// (every snapshot field covered by encode and decode), tolerance-based
+// float comparison in the statistical packages, goroutine stop paths
+// and lock-acquisition-order cycles. The per-package passes and the
+// whole-program passes share one type-checked load and one
+// cross-package fact layer (DESIGN.md §10, §15).
 //
 // Usage:
 //

@@ -18,11 +18,11 @@
 // drift declaration. Damaged files report typed errors instead of
 // partial output.
 //
-// Given a directory (or with -verify), inspect instead walks every
-// checkpoint and delta generation in the state dir, re-checksums each
-// envelope and every per-model entry inside it, and prints one line per
-// file. Exit status 1 if any file is damaged — the scrub a backup or a
-// standby's replicated state dir gets before being trusted.
+// Given a directory (or with -verify), inspect instead walks every full
+// checkpoint in the state dir, re-checksums each envelope and every
+// per-model entry inside it, and prints one line per file. Exit status
+// 1 if any file is damaged — the scrub a backup gets before being
+// trusted.
 //
 // The explain subcommand renders the forensic report of the drift
 // declarations a checkpoint retains (written with forensics enabled):
@@ -66,7 +66,7 @@ func main() {
 	verbose := flag.Bool("v", false, "log per-sequence accuracy while streaming")
 	driftID := flag.String("drift", "", "explain: narrow to one drift declaration ID")
 	shard := flag.Int("shard", -1, "explain: narrow to one shard (-1 = all)")
-	verify := flag.Bool("verify", false, "inspect: re-checksum every checkpoint and delta generation in a state dir; exit 1 on damage")
+	verify := flag.Bool("verify", false, "inspect: re-checksum every full checkpoint in a state dir; exit 1 on damage")
 	flag.Parse()
 
 	if flag.Arg(0) == "lint" {
@@ -238,7 +238,7 @@ func health(w io.Writer, addr string) int {
 		fmt.Fprintf(w, "    nacks: queue_full %d, bad_seq %d, tenant_limit %d, malformed %d   attaches %d   evictions %d\n",
 			in.NackedFull, in.NackedSeq, in.NackedLimit, in.NackedMalformed, in.Attaches, in.Evictions)
 		fmt.Fprintf(w, "    pump: %d runs (%d on the connection that read the frame), %.2f frames per run\n",
-			in.Pumps, in.PumpsInline, float64(in.PumpedFrames)/float64(max(in.Pumps, 1)))
+			in.Pumps, in.PumpsInline, float64(in.Processed)/float64(max(in.Pumps, 1)))
 		for _, t := range in.Tenants {
 			slot := fmt.Sprint(t.Slot)
 			if t.Slot < 0 {

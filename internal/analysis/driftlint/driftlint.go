@@ -4,20 +4,19 @@
 // environment bakes in the Go toolchain but no external modules).
 //
 // It exists to machine-check the repo's cross-cutting invariants — the
-// guarantees the compiler cannot see but the system's headline claims
-// rest on:
+// guarantees the compiler cannot see, no test can pin, and the system's
+// headline claims rest on:
 //
 //   - bit-identical warm restart (no wall clock, no global randomness,
 //     no unordered iteration feeding serialized state — analyzer
 //     "determinism");
 //   - checkpoint completeness (every snapshot-struct field covered by
 //     both its encode and decode path — analyzer "snapshotsync");
-//   - nil-safe telemetry (every exported *Tracer method usable on a nil
-//     receiver — analyzer "tracenil");
 //   - statistically meaningful float handling (no accidental ==/!= on
 //     p-values, martingale wealth or Brier scores — analyzer
 //     "floatcmp");
-//   - lock discipline on shared registries (analyzer "lockreg").
+//   - goroutine stop paths and lock-acquisition order, whole-program
+//     (analyzers "goroleak" and "lockorder").
 //
 // Analyzers run per package over type-checked syntax. A finding can be
 // suppressed at a call site with a directive comment on the same line
@@ -369,19 +368,6 @@ func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// IsPkgLevelFunc reports whether fn is the package-level (non-method)
-// function pkgPath.name.
-func IsPkgLevelFunc(fn *types.Func, pkgPath, name string) bool {
-	if fn == nil || fn.Pkg() == nil {
-		return false
-	}
-	if fn.Pkg().Path() != pkgPath || fn.Name() != name {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	return ok && sig.Recv() == nil
-}
-
 // IsFloat reports whether t's underlying type is a floating-point type
 // (including untyped float constants).
 func IsFloat(t types.Type) bool {
@@ -390,14 +376,6 @@ func IsFloat(t types.Type) bool {
 	}
 	b, ok := t.Underlying().(*types.Basic)
 	return ok && b.Info()&types.IsFloat != 0
-}
-
-// Deref strips one level of pointer.
-func Deref(t types.Type) types.Type {
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		return p.Elem()
-	}
-	return t
 }
 
 // NamedOf returns t's *types.Named after stripping pointers, or nil.

@@ -149,39 +149,7 @@ func (p *Program) PackageAt(pos token.Position) *Package {
 	return p.byFile[pos.Filename]
 }
 
-// Reachable returns the fact-layer entries reachable from the entry
-// functions through the reference graph (entries included when they have
-// bodies), in BFS order, visiting at most limit functions (limit <= 0
-// means DefaultReachLimit). The cap keeps pathological graphs from
-// dominating a run; analyzers treat a truncated walk as "unknown", which
-// for checkers means conservative.
-func (p *Program) Reachable(entries []*types.Func, limit int) []*FuncInfo {
-	if limit <= 0 {
-		limit = DefaultReachLimit
-	}
-	var queue []*FuncInfo
-	seen := map[*types.Func]bool{}
-	push := func(fn *types.Func) {
-		if fn == nil || seen[fn] {
-			return
-		}
-		seen[fn] = true
-		if fi := p.funcs[fn]; fi != nil && len(queue) < limit {
-			queue = append(queue, fi)
-		}
-	}
-	for _, fn := range entries {
-		push(fn)
-	}
-	for i := 0; i < len(queue); i++ {
-		for _, callee := range queue[i].Calls {
-			push(callee)
-		}
-	}
-	return queue
-}
-
-// DefaultReachLimit bounds Reachable's default walk.
+// DefaultReachLimit bounds a whole-program analyzer's call-graph walk.
 const DefaultReachLimit = 600
 
 // ProgPass is a whole-program analyzer's view of one run: the shared

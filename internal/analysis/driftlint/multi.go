@@ -73,7 +73,7 @@ func Main(w io.Writer, dir string, argv []string, analyzers []*Analyzer) int {
 	for _, a := range argv {
 		switch a {
 		case "-help", "--help", "help":
-			fmt.Fprintf(w, "driftlint checks the repo's determinism, checkpoint-completeness, telemetry, concurrency and wire-codec invariants.\n\n")
+			fmt.Fprintf(w, "driftlint checks the repo's determinism, checkpoint-completeness, float-comparison and concurrency invariants.\n\n")
 			fmt.Fprintf(w, "usage: driftlint [-timing] [package pattern ...]   (default ./...)\n\nanalyzers:\n")
 			for _, an := range analyzers {
 				fmt.Fprintf(w, "  %-12s %s\n", an.Name, an.Doc)

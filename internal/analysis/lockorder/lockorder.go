@@ -13,15 +13,9 @@
 // An edge A → B is recorded when a function acquires A and then,
 // lexically before A's matching non-deferred Unlock (or to the end of
 // the body when the unlock is deferred), either acquires B directly or
-// calls a function that transitively acquires B. The walk understands
-// two repo conventions:
-//
-//   - //driftlint:locked structs (lockreg's contract): a method whose
-//     name ends in "Locked" runs with its receiver's mutex held, so
-//     every lock it takes is ordered after the receiver's — even
-//     though no Lock call is lexically visible.
-//   - copy-on-write atomics: readers of an atomic.Pointer snapshot
-//     never lock, so they simply contribute no nodes or edges.
+// calls a function that transitively acquires B. Readers of a
+// copy-on-write atomic.Pointer snapshot never lock, so they simply
+// contribute no nodes or edges.
 //
 // Code behind a go statement runs on a different goroutine and does
 // not inherit the spawner's held locks; those subtrees are scanned as
@@ -63,7 +57,6 @@ type callsite struct {
 // its go subtrees, or one spawned goroutine literal.
 type unit struct {
 	fn    *types.Func // declaring function (also for goroutine units)
-	held  []string    // locks held on entry (*Locked-method contract)
 	acqs  []acq
 	calls []callsite
 }
@@ -76,12 +69,10 @@ type edgeInfo struct {
 
 func runProgram(pp *driftlint.ProgPass) error {
 	prog := pp.Prog
-	locked := collectLockedStructs(prog)
-
 	var units []*unit
 	byFn := map[*types.Func][]*unit{} // decl unit first, then its goroutine units
 	for _, fi := range prog.Funcs() {
-		us := scanUnits(fi, locked)
+		us := scanUnits(fi)
 		units = append(units, us...)
 		byFn[fi.Func] = us
 	}
@@ -131,16 +122,6 @@ func runProgram(pp *driftlint.ProgPass) error {
 		}
 	}
 	for _, u := range units {
-		for _, h := range u.held {
-			for _, a := range u.acqs {
-				addEdge(h, a.node, a.pos, "")
-			}
-			for _, c := range u.calls {
-				for _, n := range sortedSet(transAcq(c.fn)) {
-					addEdge(h, n, c.pos, c.fn.Name())
-				}
-			}
-		}
 		for i, a := range u.acqs {
 			for _, b := range u.acqs[i+1:] {
 				if b.pos < a.end {
@@ -291,11 +272,11 @@ func shortestCycle(start string, edges map[string]map[string]edgeInfo, in map[st
 // scanUnits produces the ordering units for one declaration: the body
 // with go subtrees removed, plus one unit per spawned goroutine
 // literal (recursively).
-func scanUnits(fi *driftlint.FuncInfo, locked map[*types.Named]map[string]bool) []*unit {
+func scanUnits(fi *driftlint.FuncInfo) []*unit {
 	var units []*unit
-	var scan func(body *ast.BlockStmt, held []string)
-	scan = func(body *ast.BlockStmt, held []string) {
-		u := &unit{fn: fi.Func, held: held}
+	var scan func(body *ast.BlockStmt)
+	scan = func(body *ast.BlockStmt) {
+		u := &unit{fn: fi.Func}
 		deferred := map[*ast.CallExpr]bool{}
 		type unlock struct {
 			node string
@@ -344,100 +325,11 @@ func scanUnits(fi *driftlint.FuncInfo, locked map[*types.Named]map[string]bool) 
 		}
 		units = append(units, u)
 		for _, gb := range goBodies {
-			scan(gb, nil)
+			scan(gb)
 		}
 	}
-	scan(fi.Decl.Body, heldOnEntry(fi, locked))
+	scan(fi.Decl.Body)
 	return units
-}
-
-// heldOnEntry returns the receiver mutex nodes a *Locked method holds
-// by contract (lockreg's //driftlint:locked convention).
-func heldOnEntry(fi *driftlint.FuncInfo, locked map[*types.Named]map[string]bool) []string {
-	if !strings.HasSuffix(fi.Func.Name(), "Locked") {
-		return nil
-	}
-	sig, ok := fi.Func.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return nil
-	}
-	named := driftlint.NamedOf(sig.Recv().Type())
-	fields := locked[named]
-	if fields == nil {
-		return nil
-	}
-	var held []string
-	for _, f := range sortedSet(fields) {
-		held = append(held, nodeName(named, f))
-	}
-	return held
-}
-
-// collectLockedStructs finds every //driftlint:locked struct in the
-// program and its mutex field names.
-func collectLockedStructs(prog *driftlint.Program) map[*types.Named]map[string]bool {
-	out := map[*types.Named]map[string]bool{}
-	for _, pkg := range prog.All {
-		if pkg.Err != nil {
-			continue
-		}
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				gen, ok := decl.(*ast.GenDecl)
-				if !ok || gen.Tok != token.TYPE {
-					continue
-				}
-				for _, s := range gen.Specs {
-					ts, ok := s.(*ast.TypeSpec)
-					if !ok {
-						continue
-					}
-					doc := ts.Doc
-					if doc == nil && len(gen.Specs) == 1 {
-						doc = gen.Doc
-					}
-					if !hasLockedDirective(doc) {
-						continue
-					}
-					obj, ok := pkg.Info.Defs[ts.Name].(*types.TypeName)
-					if !ok {
-						continue
-					}
-					named, ok := obj.Type().(*types.Named)
-					if !ok {
-						continue
-					}
-					st, ok := named.Underlying().(*types.Struct)
-					if !ok {
-						continue
-					}
-					fields := map[string]bool{}
-					for i := 0; i < st.NumFields(); i++ {
-						if isMutexType(st.Field(i).Type()) {
-							fields[st.Field(i).Name()] = true
-						}
-					}
-					if len(fields) > 0 {
-						out[named] = fields
-					}
-				}
-			}
-		}
-	}
-	return out
-}
-
-func hasLockedDirective(doc *ast.CommentGroup) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		text := strings.TrimSpace(c.Text)
-		if text == "//driftlint:locked" || strings.HasPrefix(text, "//driftlint:locked ") {
-			return true
-		}
-	}
-	return false
 }
 
 // lockNodeOf names the type-level lock an expression denotes:

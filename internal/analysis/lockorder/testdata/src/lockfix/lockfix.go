@@ -1,6 +1,6 @@
 // Package lockfix exercises lockorder: acquisition cycles, consistent
-// orders, cross-function edges, *Locked-method contracts, goroutine
-// boundaries and per-shard sequences.
+// orders, cross-function edges, goroutine boundaries and per-shard
+// sequences.
 package lockfix
 
 import "sync"
@@ -144,44 +144,6 @@ func spawnNoEdge(g *G, h *H) {
 		g.mu.Unlock()
 	}()
 	h.n++
-}
-
-// Reg mirrors core.Registry's contract: *Locked methods run with mu
-// held by the caller.
-//
-//driftlint:locked
-type Reg struct {
-	mu sync.Mutex
-	n  int
-}
-
-type Side struct {
-	mu sync.Mutex
-	n  int
-}
-
-// growLocked runs under Reg.mu by contract, so taking Side.mu here
-// orders Reg.mu before Side.mu with no lexical Lock in sight.
-func (r *Reg) growLocked(s *Side) {
-	r.n++
-	s.mu.Lock() // want `lock-order cycle`
-	s.n++
-	s.mu.Unlock()
-}
-
-func (r *Reg) Grow(s *Side) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.growLocked(s)
-}
-
-func sideThenReg(r *Reg, s *Side) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r.mu.Lock()
-	r.n++
-	r.mu.Unlock()
-	s.n++
 }
 
 // Shard: locking two instances of one type in sequence is the normal

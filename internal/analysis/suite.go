@@ -1,7 +1,8 @@
 // Package analysis assembles the driftlint analyzer suite — the
-// mechanically-enforced invariants behind the repo's determinism,
-// checkpoint-completeness, telemetry, concurrency and wire-codec
-// guarantees (DESIGN.md §10, §15).
+// mechanically-enforced invariants no test can check: replay
+// determinism, checkpoint completeness, float handling in the
+// statistical packages, goroutine stop paths and lock-acquisition
+// order (DESIGN.md §10, §15).
 package analysis
 
 import (
@@ -9,12 +10,8 @@ import (
 	"videodrift/internal/analysis/driftlint"
 	"videodrift/internal/analysis/floatcmp"
 	"videodrift/internal/analysis/goroleak"
-	"videodrift/internal/analysis/kindsync"
 	"videodrift/internal/analysis/lockorder"
-	"videodrift/internal/analysis/lockreg"
 	"videodrift/internal/analysis/snapshotsync"
-	"videodrift/internal/analysis/tracenil"
-	"videodrift/internal/analysis/wiresync"
 )
 
 // Suite returns every analyzer, in diagnostic-name order.
@@ -23,11 +20,7 @@ func Suite() []*driftlint.Analyzer {
 		determinism.Analyzer,
 		floatcmp.Analyzer,
 		goroleak.Analyzer,
-		kindsync.Analyzer,
 		lockorder.Analyzer,
-		lockreg.Analyzer,
 		snapshotsync.Analyzer,
-		tracenil.Analyzer,
-		wiresync.Analyzer,
 	}
 }

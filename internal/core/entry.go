@@ -249,8 +249,6 @@ func (e *ModelEntry) FeatMatrix() *tensor.RefMatrix {
 // with a bumped epoch — readers holding the old snapshot keep a
 // consistent prefix view, and epoch comparison lets per-shard caches
 // refresh only when the registry actually grew.
-//
-//driftlint:locked
 type Registry struct {
 	mu   sync.Mutex // serializes writers; readers go through snap only
 	snap atomic.Pointer[RegistrySnap]

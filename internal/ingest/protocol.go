@@ -82,8 +82,6 @@ type VersionError = wire.VersionError
 // (tenant, sequence number). Seq is per-tenant, starts at 0 and
 // increases by 1 per frame; the router uses it to detect duplicates
 // (resends after a lost ack) and gaps.
-//
-//driftlint:wire encode=EncodeFrame decode=DecodeFrameMsg
 type FrameMsg struct {
 	Tenant    string
 	Seq       uint64
@@ -95,8 +93,6 @@ type FrameMsg struct {
 // Ack is a decoded acknowledgment: frame Seq is accepted. Dup reports
 // an idempotent accept — the frame had already been processed (a
 // resend after a lost ack), so the sender should advance, not retry.
-//
-//driftlint:wire encode=EncodeAck,appendAck decode=DecodeAck
 type Ack struct {
 	Seq uint64
 	Dup bool
@@ -123,8 +119,6 @@ const (
 // Nack is a decoded rejection for frame Seq. RetryAfterMillis is the
 // server's backoff hint (0 means not retryable); Reason is a short
 // human-readable diagnostic.
-//
-//driftlint:wire encode=EncodeNack decode=DecodeNack
 type Nack struct {
 	Seq              uint64
 	Code             uint8
@@ -143,8 +137,6 @@ type Nack struct {
 // answers one marks the connection windowed: from then on it answers a
 // frame only when it rejects it. A build that predates Sync NACKs it as
 // an unknown message type, and the client falls back to stop-and-wait.
-//
-//driftlint:wire encode=EncodeSync,appendSync decode=DecodeSync
 type Sync struct {
 	Tenant string
 	Seq    uint64

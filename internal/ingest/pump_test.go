@@ -261,8 +261,8 @@ func TestPumpWakesOnSubmit(t *testing.T) {
 	awaitPumped(t, pumped, "the queues to drain", func() bool { return r.Stats().Processed >= want })
 
 	s := r.Stats()
-	if s.Accepted != want || s.Processed != want || s.PumpedFrames != want || s.Dups != 0 {
-		t.Fatalf("accepted %d processed %d pumped %d dups %d, want %d/%d/%d/0", s.Accepted, s.Processed, s.PumpedFrames, s.Dups, want, want, want)
+	if s.Accepted != want || s.Processed != want || s.Dups != 0 {
+		t.Fatalf("accepted %d processed %d dups %d, want %d/%d/0", s.Accepted, s.Processed, s.Dups, want, want)
 	}
 	// Every Pump took a token and every token was left by an accepted
 	// frame: a loop that ran more often than that woke for nothing.

@@ -677,12 +677,10 @@ type Stats struct {
 	NackedMalformed int64 `json:"nacked_malformed"`
 	Attaches        int64 `json:"attaches"`
 	Evictions       int64 `json:"evictions"`
-	// Pumps counts completed Pump calls and PumpedFrames the frames they
-	// fed the fleet (it is Processed under the name the pair is read by):
-	// their ratio is the mean frames per wake-up — 1 on an idle wire, up
-	// to the queue depth behind a training.
-	Pumps        int64 `json:"pumps"`
-	PumpedFrames int64 `json:"pumped_frames"`
+	// Pumps counts completed Pump calls: Processed / Pumps is the mean
+	// frames per wake-up — 1 on an idle wire, up to the queue depth
+	// behind a training.
+	Pumps int64 `json:"pumps"`
 	// PumpsInline counts the Pumps a connection ran in place for the frame
 	// it had just read; the rest are Run's (and bare Pump calls). Its share
 	// of Pumps is the share of arrivals that paid no goroutine hand-off.
@@ -708,7 +706,6 @@ func (r *Router) Stats() Stats {
 		Attaches:        r.attaches,
 		Evictions:       r.evictions,
 		Pumps:           r.pumps,
-		PumpedFrames:    r.processed,
 		PumpsInline:     r.pumpsInline,
 		Tenants:         make([]TenantStats, 0, len(r.order)),
 	}
@@ -764,7 +761,6 @@ func (r *Router) WritePrometheus(w io.Writer) error {
 	p("# TYPE ingest_pump_runs_total counter\n")
 	p("ingest_pump_runs_total{by=\"conn\"} %d\n", s.PumpsInline)
 	p("ingest_pump_runs_total{by=\"loop\"} %d\n", s.Pumps-s.PumpsInline)
-	p("# TYPE ingest_pump_frames_total counter\ningest_pump_frames_total %d\n", s.PumpedFrames)
 	p("# TYPE ingest_tenant_queue_depth gauge\n")
 	for _, t := range s.Tenants {
 		p("ingest_tenant_queue_depth{tenant=%q} %d\n", t.Tenant, t.Queued)

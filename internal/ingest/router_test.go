@@ -260,7 +260,7 @@ func TestRouterPrometheus(t *testing.T) {
 		"ingest_nack_total{code=\"malformed\"} 1",
 		"ingest_pump_runs_total{by=\"conn\"} 0",
 		"ingest_pump_runs_total{by=\"loop\"} 1",
-		"ingest_pump_frames_total 1",
+		"ingest_frames_processed_total 1",
 		"ingest_tenant_queue_depth{tenant=\"cam-a\"} 1",
 	} {
 		if !strings.Contains(out, want) {

@@ -67,8 +67,6 @@ type VersionError = wire.VersionError
 // Hello is the standby's greeting on every (re)connect: the highest
 // fencing epoch it has seen and the last generation it applied, which
 // is the primary's resume point — Gen 0 asks for a full snapshot.
-//
-//driftlint:wire encode=EncodeHello decode=DecodeHello
 type Hello struct {
 	Epoch uint64
 	Gen   uint64
@@ -80,8 +78,6 @@ type Hello struct {
 // re-encode, so the CRC chain later deltas verify stays intact. Seq is
 // the per-connection message sequence number (starts at 1); BaseGen is
 // the generation a delta applies on (0 for fulls).
-//
-//driftlint:wire encode=EncodeState,PutStateHeader decode=DecodeState
 type State struct {
 	Epoch   uint64
 	Seq     uint64
@@ -91,8 +87,6 @@ type State struct {
 }
 
 // Applied acknowledges one applied generation.
-//
-//driftlint:wire encode=EncodeApplied decode=DecodeApplied
 type Applied struct {
 	Gen uint64
 }
@@ -100,8 +94,6 @@ type Applied struct {
 // Fenced rejects a stream whose epoch is stale: the sender reports the
 // epoch it is fenced behind. The receiving primary must stop
 // replicating — a newer primary exists.
-//
-//driftlint:wire encode=EncodeFenced decode=DecodeFenced
 type Fenced struct {
 	Epoch uint64
 }

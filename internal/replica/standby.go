@@ -16,9 +16,6 @@ var ErrNoState = errors.New("replica: no replicated state")
 
 // StandbyConfig parameterizes a replication standby.
 type StandbyConfig struct {
-	// Epoch seeds the highest-epoch-seen accounting (a restarted
-	// standby resumes it from its checkpoint; zero is fine cold).
-	Epoch uint64
 	// Tracer records replica_delta_applied / replica_promoted events.
 	Tracer *telemetry.Tracer
 	// Logf logs connection churn; nil is silent.
@@ -36,7 +33,7 @@ type Standby struct {
 	cfg StandbyConfig
 
 	mu        sync.Mutex
-	epoch     uint64 // highest epoch seen (streamed or configured)
+	epoch     uint64 // highest epoch seen (streamed or seeded)
 	promoted  bool
 	cp        *store.Checkpoint
 	crcs      []uint32 // wire-byte entry CRCs — never from a re-encode
@@ -51,7 +48,6 @@ type Standby struct {
 func NewStandby(cfg StandbyConfig) *Standby {
 	return &Standby{
 		cfg:   cfg,
-		epoch: cfg.Epoch,
 		conns: make(map[net.Conn]struct{}),
 	}
 }

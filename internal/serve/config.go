@@ -59,9 +59,9 @@ func (c *Config) Validate() error {
 		{c.FPS < 0 || math.IsNaN(c.FPS) || math.IsInf(c.FPS, 0), fmt.Sprintf("-fps must be a finite rate >= 0, got %v", c.FPS)},
 		{c.Frames < 0, fmt.Sprintf("-frames must be >= 0, got %d", c.Frames)},
 		{c.Train < 1, fmt.Sprintf("-train must be >= 1, got %d", c.Train)},
+		{c.TenantQueue < 1, fmt.Sprintf("-tenant-queue must be >= 1, got %d", c.TenantQueue)},
 		{ingest && c.Chaos != 0, "-chaos drives the synthetic self-feed; with -ingest-addr, inject network faults from the driftfeed side"},
 		{ingest && c.MaxTenants < 1, fmt.Sprintf("-max-tenants must be >= 1, got %d", c.MaxTenants)},
-		{ingest && c.TenantQueue < 1, fmt.Sprintf("-tenant-queue must be >= 1, got %d", c.TenantQueue)},
 		{ingest && c.IdleEvict < 0, fmt.Sprintf("-idle-evict must be >= 0, got %v", c.IdleEvict)},
 		{standby && c.ReplicaAddr == "", "-standby-of needs -replica-addr to accept the primary's replication stream"},
 		{standby && c.ReplicateTo != "", "-standby-of and -replicate-to are exclusive: a standby becomes a primary only by promotion"},

@@ -253,6 +253,7 @@ func TestConfigValidate(t *testing.T) {
 		{"-fps must be a finite rate >= 0, got -1", func(c *Config) { c.FPS = -1 }},
 		{"-frames must be >= 0, got -5", func(c *Config) { c.Frames = -5 }},
 		{"-train must be >= 1, got 0", func(c *Config) { c.Train = 0 }},
+		{"-tenant-queue must be >= 1, got 0", func(c *Config) { c.TenantQueue = 0 }},
 		{"", func(c *Config) { ingestOn(c); c.StateDir = "d" }},
 		{"-chaos drives the synthetic self-feed; with -ingest-addr, inject network faults from the driftfeed side",
 			func(c *Config) { ingestOn(c); c.Chaos = 7 }},
@@ -1037,7 +1038,7 @@ func TestHealthShape(t *testing.T) {
 		shard_health shard_health.state shard_health.stalled shard_health.restarts shard_health.dropped
 		ingest ingest.known_tenants ingest.active_tenants ingest.accepted ingest.processed ingest.dups
 		ingest.nacked_full ingest.nacked_seq ingest.nacked_limit ingest.nacked_malformed
-		ingest.attaches ingest.evictions ingest.pumps ingest.pumped_frames ingest.pumps_inline ingest.tenants
+		ingest.attaches ingest.evictions ingest.pumps ingest.pumps_inline ingest.tenants
 		ingest.tenants.tenant ingest.tenants.slot ingest.tenants.queued ingest.tenants.queue_cap
 		ingest.tenants.accepted ingest.tenants.processed ingest.tenants.dups
 		ingest.tenants.nacked_full ingest.tenants.nacked_seq

@@ -18,8 +18,7 @@ import (
 // ErrDeltaBase reports a delta that does not chain off the checkpoint
 // it was applied to: the base generation, entry table or frame walk
 // disagrees. Replication standbys treat it as a desync and resync from
-// a full snapshot; LoadLatestChain treats it as the end of the
-// appliable chain.
+// a full snapshot.
 var ErrDeltaBase = errors.New("store: delta base mismatch")
 
 // Delta is the diff between two consecutive checkpoint generations. It

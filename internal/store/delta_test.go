@@ -452,167 +452,3 @@ func TestDecodeDeltaRejectsDamage(t *testing.T) {
 		t.Fatal("stray bytes after the frame section decoded")
 	}
 }
-
-func TestLoadLatestChain(t *testing.T) {
-	fs := NewMemFS()
-	st, err := OpenFS("/ckpt", fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	base := tinyCheckpoint(t, 100)
-	base.Gen, base.Epoch = 1, 1
-	if _, err := st.Save(base); err != nil {
-		t.Fatal(err)
-	}
-	crcs, err := EntryCRCs(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Three chained deltas: gen 2, 3, 4.
-	cp := base
-	for g := 0; g < 3; g++ {
-		next := tinyCheckpoint(t, cp.Frames+100)
-		next.Gen, next.Epoch = cp.Gen+1, 1
-		next.Entries = cp.Entries
-		d, nextCRCs, err := DiffCheckpoints(cp, crcs, next)
-		if err != nil {
-			t.Fatalf("diff gen %d: %v", next.Gen, err)
-		}
-		if _, err := st.SaveDelta(d); err != nil {
-			t.Fatalf("save delta gen %d: %v", next.Gen, err)
-		}
-		cp, crcs = next, nextCRCs
-	}
-
-	got, _, applied, err := st.LoadLatestChain()
-	if err != nil {
-		t.Fatalf("load chain: %v", err)
-	}
-	if applied != 3 || got.Gen != 4 || got.Frames != 400 {
-		t.Fatalf("chain: applied %d, gen %d, frames %d; want 3, 4, 400", applied, got.Gen, got.Frames)
-	}
-
-	// Damage the middle delta: the chain stops before it.
-	paths, err := st.DeltaPaths()
-	if err != nil || len(paths) != 3 {
-		t.Fatalf("delta paths: %v, %v", paths, err)
-	}
-	data, err := fs.ReadFile(paths[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-1] ^= 0xff
-	f, err := fs.CreateTemp("/ckpt", "damage-*")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(data); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Rename(f.Name(), paths[1]); err != nil {
-		t.Fatal(err)
-	}
-	got, _, applied, err = st.LoadLatestChain()
-	if err != nil {
-		t.Fatalf("load chain with damaged middle: %v", err)
-	}
-	if applied != 1 || got.Gen != 2 {
-		t.Fatalf("damaged middle: applied %d, gen %d; want 1, 2", applied, got.Gen)
-	}
-
-	// Remove it entirely: a generation gap also ends the chain.
-	if err := fs.Remove(paths[1]); err != nil {
-		t.Fatal(err)
-	}
-	got, _, applied, err = st.LoadLatestChain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if applied != 1 || got.Gen != 2 {
-		t.Fatalf("gapped chain: applied %d, gen %d; want 1, 2", applied, got.Gen)
-	}
-
-	// A newer full checkpoint supersedes the deltas at or below its
-	// generation.
-	cp4 := tinyCheckpoint(t, 1000)
-	cp4.Gen, cp4.Epoch = 4, 1
-	if _, err := st.Save(cp4); err != nil {
-		t.Fatal(err)
-	}
-	got, _, applied, err = st.LoadLatestChain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if applied != 0 || got.Gen != 4 || got.Frames != 1000 {
-		t.Fatalf("superseding full: applied %d, gen %d, frames %d; want 0, 4, 1000", applied, got.Gen, got.Frames)
-	}
-}
-
-// TestDeltaCrashPointRecovery kills a delta write at every byte offset
-// (plus fsync and rename) and asserts the chain invariant: the failed
-// SaveDelta surfaces an error, LoadLatestChain still reproduces the
-// last intact generation, and the retried save completes the chain.
-func TestDeltaCrashPointRecovery(t *testing.T) {
-	base := tinyCheckpoint(t, 100)
-	base.Gen, base.Epoch = 1, 1
-	baseCRCs, err := EntryCRCs(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	next := tinyCheckpoint(t, 200)
-	next.Gen, next.Epoch = 2, 1
-	next.Entries = base.Entries
-	d, _, err := DiffCheckpoints(base, baseCRCs, next)
-	if err != nil {
-		t.Fatal(err)
-	}
-	encoded, err := EncodeDelta(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("sweeping %d byte offsets", len(encoded))
-
-	crash := func(t *testing.T, mode string, offset int) {
-		t.Helper()
-		cfs := &crashFS{FS: NewMemFS(), mode: mode, bytes: offset}
-		st, err := OpenFS("/ckpt", cfs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := st.Save(base); err != nil {
-			t.Fatalf("seed save: %v", err)
-		}
-		cfs.armed = true
-		if _, err := st.SaveDelta(d); !errors.Is(err, errInjectedCrash) {
-			t.Fatalf("crashed delta save returned %v, want injected crash", err)
-		}
-		cp, _, applied, err := st.LoadLatestChain()
-		if err != nil {
-			t.Fatalf("LoadLatestChain after crash: %v", err)
-		}
-		if applied != 0 || cp.Frames != base.Frames {
-			t.Fatalf("recovered applied=%d frames=%d, want the base generation", applied, cp.Frames)
-		}
-		// The store is not wedged: the retried delta lands and chains.
-		if _, err := st.SaveDelta(d); err != nil {
-			t.Fatalf("retry delta save: %v", err)
-		}
-		cp, _, applied, err = st.LoadLatestChain()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if applied != 1 || cp.Frames != next.Frames {
-			t.Fatalf("after retry applied=%d frames=%d, want 1, %d", applied, cp.Frames, next.Frames)
-		}
-	}
-
-	for offset := 0; offset < len(encoded); offset++ {
-		crash(t, "write", offset)
-	}
-	crash(t, "sync", 0)
-	crash(t, "rename", 0)
-}

@@ -20,17 +20,9 @@ var ErrNoCheckpoint = errors.New("store: no checkpoint found")
 // never strands the service without state.
 const retainCheckpoints = 2
 
-// retainDeltas caps how many delta generations SaveDelta keeps: deltas
-// are superseded the moment a newer full checkpoint lands, so the cap
-// only bounds disk while a standby persists a long delta run between
-// fulls.
-const retainDeltas = 64
-
 const (
-	filePrefix  = "checkpoint-"
-	fileSuffix  = ".vdc"
-	deltaPrefix = "delta-"
-	deltaSuffix = ".vdd"
+	filePrefix = "checkpoint-"
+	fileSuffix = ".vdc"
 )
 
 // Store manages a directory of rotated checkpoint files. It is not safe
@@ -230,140 +222,4 @@ func (s *Store) loadPath(path string) (*Checkpoint, error) {
 		return nil, fmt.Errorf("%w (%s)", err, path)
 	}
 	return cp, nil
-}
-
-// genOf parses the generation number out of a delta file name, or
-// returns false for files that are not deltas.
-func genOf(name string) (uint64, bool) {
-	if !strings.HasPrefix(name, deltaPrefix) || !strings.HasSuffix(name, deltaSuffix) {
-		return 0, false
-	}
-	n, err := strconv.ParseUint(name[len(deltaPrefix):len(name)-len(deltaSuffix)], 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return n, true
-}
-
-// DeltaPaths returns the store's delta files, oldest (lowest
-// generation) first — apply order.
-func (s *Store) DeltaPaths() ([]string, error) {
-	ents, err := s.fs.ReadDir(s.dir)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	type genPath struct {
-		gen  uint64
-		path string
-	}
-	var found []genPath
-	for _, de := range ents {
-		if de.IsDir() {
-			continue
-		}
-		if gen, ok := genOf(de.Name()); ok {
-			found = append(found, genPath{gen, filepath.Join(s.dir, de.Name())})
-		}
-	}
-	sort.Slice(found, func(i, j int) bool { return found[i].gen < found[j].gen })
-	paths := make([]string, len(found))
-	for i, f := range found {
-		paths[i] = f.path
-	}
-	return paths, nil
-}
-
-// SaveDelta encodes the delta and writes it atomically as
-// delta-<gen>.vdd, pruning deltas beyond the retention cap.
-func (s *Store) SaveDelta(d *Delta) (string, error) {
-	data, err := EncodeDelta(d)
-	if err != nil {
-		return "", err
-	}
-	final := filepath.Join(s.dir, fmt.Sprintf("%s%08d%s", deltaPrefix, d.Gen, deltaSuffix))
-	if err := s.writeAtomic(final, data); err != nil {
-		return "", err
-	}
-	if paths, err := s.DeltaPaths(); err == nil {
-		for _, p := range paths[:max(0, len(paths)-retainDeltas)] {
-			_ = s.fs.Remove(p)
-		}
-	}
-	return final, nil
-}
-
-// loadDeltaPath reads and decodes one delta file through the store's
-// injected FS.
-func (s *Store) loadDeltaPath(path string) (*Delta, error) {
-	data, err := s.fs.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	d, err := DecodeDelta(data)
-	if err != nil {
-		return nil, fmt.Errorf("%w (%s)", err, path)
-	}
-	return d, nil
-}
-
-// LoadLatestChain loads the newest intact full checkpoint and applies
-// every intact delta that chains off it in generation order, stopping
-// cleanly at the first damaged, gapped or mismatching delta — a torn
-// delta write never costs more than the generations after it. It
-// returns the resulting checkpoint, its per-entry CRCs (the resume
-// fingerprint for further deltas), and how many deltas were applied.
-func (s *Store) LoadLatestChain() (*Checkpoint, []uint32, int, error) {
-	paths, err := s.Paths()
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	if len(paths) == 0 {
-		return nil, nil, 0, ErrNoCheckpoint
-	}
-	var (
-		cp       *Checkpoint
-		crcs     []uint32
-		failures []error
-	)
-	for _, p := range paths {
-		data, err := s.fs.ReadFile(p)
-		if err != nil {
-			failures = append(failures, fmt.Errorf("store: %w", err))
-			continue
-		}
-		c, cr, err := DecodeWithCRCs(data)
-		if err != nil {
-			failures = append(failures, fmt.Errorf("%w (%s)", err, p))
-			continue
-		}
-		cp, crcs = c, cr
-		break
-	}
-	if cp == nil {
-		return nil, nil, 0, errors.Join(failures...)
-	}
-	deltaPaths, err := s.DeltaPaths()
-	if err != nil {
-		return cp, crcs, 0, nil
-	}
-	applied := 0
-	for _, p := range deltaPaths {
-		d, err := s.loadDeltaPath(p)
-		if err != nil {
-			break // damaged delta ends the appliable chain
-		}
-		if d.Gen <= cp.Gen {
-			continue // superseded by the full checkpoint
-		}
-		if d.BaseGen != cp.Gen {
-			break // gap: an intermediate delta is missing
-		}
-		next, nextCRCs, err := ApplyDelta(cp, crcs, d)
-		if err != nil {
-			break
-		}
-		cp, crcs = next, nextCRCs
-		applied++
-	}
-	return cp, crcs, applied, nil
 }

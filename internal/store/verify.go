@@ -11,73 +11,49 @@ import (
 // VerifyResult is one file's integrity report from VerifyDir.
 type VerifyResult struct {
 	Path    string
-	Kind    string // "checkpoint" or "delta"
 	Bytes   int
 	Gen     uint64
 	Epoch   uint64
-	Entries int // model entry blobs carried (new entries, for a delta)
+	Entries int // model entry blobs carried
 	Shards  int
 	Err     error // nil when the file verified clean
 }
 
-// VerifyDir walks every checkpoint and delta file in a state directory
-// and re-checksums each one: envelope header, payload CRC, and every
+// VerifyDir walks every full checkpoint file in a state directory and
+// re-checksums each one: envelope header, payload CRC, and every
 // per-model entry blob CRC, without rebuilding the heavyweight model
-// objects. It reports one result per file, fulls first then deltas,
-// each in generation order — `drifttool inspect -verify` renders them
-// and exits 1 if any Err is set. Damage is reported, never fatal: a
-// torn file yields a result, not an early return.
+// objects. It reports one result per file in sequence order —
+// `drifttool inspect -verify` renders them and exits 1 if any Err is
+// set. Damage is reported, never fatal: a torn file yields a result,
+// not an early return.
 func VerifyDir(dir string) ([]VerifyResult, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	var fulls, deltas []string
+	var fulls []string
 	for _, de := range ents {
-		if de.IsDir() {
-			continue
-		}
-		if _, ok := seqOf(de.Name()); ok {
+		if _, ok := seqOf(de.Name()); ok && !de.IsDir() {
 			fulls = append(fulls, filepath.Join(dir, de.Name()))
-		} else if _, ok := genOf(de.Name()); ok {
-			deltas = append(deltas, filepath.Join(dir, de.Name()))
 		}
 	}
 	sort.Strings(fulls)
-	sort.Strings(deltas)
-	var results []VerifyResult
-	for _, p := range fulls {
-		results = append(results, verifyFile(p, false))
-	}
-	for _, p := range deltas {
-		results = append(results, verifyFile(p, true))
+	results := make([]VerifyResult, len(fulls))
+	for i, p := range fulls {
+		results[i] = verifyFile(p)
 	}
 	return results, nil
 }
 
-// verifyFile re-checksums one envelope file.
-func verifyFile(path string, delta bool) VerifyResult {
-	res := VerifyResult{Path: path, Kind: "checkpoint"}
-	if delta {
-		res.Kind = "delta"
-	}
+// verifyFile re-checksums one checkpoint file.
+func verifyFile(path string) VerifyResult {
+	res := VerifyResult{Path: path}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		res.Err = err
 		return res
 	}
 	res.Bytes = len(data)
-	if delta {
-		d, err := DecodeDelta(data)
-		if err != nil {
-			res.Err = err
-			return res
-		}
-		res.Gen, res.Epoch = d.Gen, d.Epoch
-		res.Entries = len(d.NewEntries)
-		res.Shards = len(d.Shards)
-		return res
-	}
 	payload, err := decodeEnvelope(data, kindCheckpoint)
 	if err != nil {
 		res.Err = err
@@ -112,8 +88,8 @@ func WriteVerifyText(w io.Writer, dir string, results []VerifyResult) int {
 		if r.Gen > 0 || r.Epoch > 0 {
 			gen = fmt.Sprintf(" gen=%d epoch=%d", r.Gen, r.Epoch)
 		}
-		fmt.Fprintf(w, "  %-10s %s  %d bytes  entries=%d shards=%d%s  %s\n",
-			r.Kind, filepath.Base(r.Path), r.Bytes, r.Entries, r.Shards, gen, status)
+		fmt.Fprintf(w, "  %s  %d bytes  entries=%d shards=%d%s  %s\n",
+			filepath.Base(r.Path), r.Bytes, r.Entries, r.Shards, gen, status)
 	}
 	if damaged > 0 {
 		fmt.Fprintf(w, "%d of %d files damaged\n", damaged, len(results))

@@ -19,18 +19,9 @@ func TestVerifyDir(t *testing.T) {
 	if _, err := st.Save(base); err != nil {
 		t.Fatal(err)
 	}
-	crcs, err := EntryCRCs(base)
-	if err != nil {
-		t.Fatal(err)
-	}
 	next := tinyCheckpoint(t, 200)
 	next.Gen, next.Epoch = 2, 2
-	next.Entries = base.Entries
-	d, _, err := DiffCheckpoints(base, crcs, next)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deltaPath, err := st.SaveDelta(d)
+	newest, err := st.Save(next)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,11 +37,10 @@ func TestVerifyDir(t *testing.T) {
 	if len(results) != 2 {
 		t.Fatalf("verified %d files, want 2", len(results))
 	}
-	if results[0].Kind != "checkpoint" || results[0].Gen != 1 || results[0].Epoch != 2 || results[0].Err != nil {
-		t.Fatalf("full result %+v", results[0])
-	}
-	if results[1].Kind != "delta" || results[1].Gen != 2 || results[1].Entries != 0 || results[1].Err != nil {
-		t.Fatalf("delta result %+v", results[1])
+	for i, r := range results {
+		if r.Gen != uint64(i+1) || r.Epoch != 2 || r.Entries != len(base.Entries) || r.Err != nil {
+			t.Fatalf("result %d: %+v", i, r)
+		}
 	}
 	var buf strings.Builder
 	if damaged := WriteVerifyText(&buf, dir, results); damaged != 0 {
@@ -60,14 +50,14 @@ func TestVerifyDir(t *testing.T) {
 		t.Fatalf("clean summary missing:\n%s", buf.String())
 	}
 
-	// Corrupt the delta: it is reported, the full stays clean, and the
-	// renderer counts it.
-	data, err := os.ReadFile(deltaPath)
+	// Corrupt the newest: it is reported, the older full stays clean,
+	// and the renderer counts it.
+	data, err := os.ReadFile(newest)
 	if err != nil {
 		t.Fatal(err)
 	}
 	data[len(data)-1] ^= 0xff
-	if err := os.WriteFile(deltaPath, data, 0o644); err != nil {
+	if err := os.WriteFile(newest, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	results, err = VerifyDir(dir)

@@ -2,8 +2,10 @@ package telemetry
 
 import (
 	"encoding/json"
+	"io"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -292,6 +294,30 @@ func TestNilTracerIsSafe(t *testing.T) {
 	}
 	if n, c := tr.RingUse(); n != 0 || c != 0 {
 		t.Errorf("nil tracer RingUse = %d of %d", n, c)
+	}
+
+	// Every exported method, called with zero arguments (io.Discard for
+	// a writer): a method added without its nil guard panics here.
+	v := reflect.ValueOf(tr)
+	writer := reflect.TypeFor[io.Writer]()
+	for i := 0; i < v.NumMethod(); i++ {
+		m := v.Method(i)
+		args := make([]reflect.Value, m.Type().NumIn())
+		for j := range args {
+			if in := m.Type().In(j); in == writer {
+				args[j] = reflect.ValueOf(io.Discard)
+			} else {
+				args[j] = reflect.Zero(in)
+			}
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("(*Tracer)(nil).%s panicked: %v", v.Type().Method(i).Name, r)
+				}
+			}()
+			m.Call(args)
+		}()
 	}
 }
 
@@ -724,6 +750,21 @@ func TestEnumJSONRoundTrip(t *testing.T) {
 			err := json.Unmarshal(raw, &back)
 			return back, err
 		})
+	}
+	// KindCounts walks every kind: one event of each is one counter each,
+	// in enum order.
+	tr := New(Config{RingSize: 1})
+	for k := Kind(0); k < kindCount; k++ {
+		tr.emit(Event{Kind: k}, false)
+	}
+	counts := tr.KindCounts()
+	if len(counts) != int(kindCount) {
+		t.Fatalf("KindCounts with every kind counted = %d entries, want %d", len(counts), kindCount)
+	}
+	for k, c := range counts {
+		if c.Kind != Kind(k).String() || c.Count != 1 {
+			t.Errorf("KindCounts[%d] = %+v, want {%s 1}", k, c, Kind(k))
+		}
 	}
 	var k Kind
 	if err := json.Unmarshal([]byte(`"not_a_kind"`), &k); err == nil {

@@ -13,7 +13,7 @@
 #     tenant restored at its position; every client resumes, none lost
 #     ....................................... TestServeWarmRestart/ingest, TestRouterRestoresTenants
 #   a writer killed at any point leaves a directory that verifies
-#     .... TestCrashPointRecovery, TestDeltaCrashPointRecovery, TestVerifyDir (store)
+#     ............................... TestCrashPointRecovery, TestVerifyDir (store)
 #   the server is race-clean ...................... go test -race ./internal/serve
 # (per-tenant endpoints: TestTenantTelemetry). Kept here, once, through
 # `drifttool health` and `inspect -verify`: all of it end to end in separate
