@@ -144,9 +144,9 @@ func TestChaosBatchedEquivalence(t *testing.T) {
 			t.Fatalf("shard %d recorder position: frame %d/pending %v, serial %d/%v",
 				s, gs.Frame, gs.Pending, ws.Frame, ws.Pending)
 		}
-		if len(gs.Ring) != len(ws.Ring) || gs.BaseFrame != ws.BaseFrame {
+		if len(gs.Ring) != len(ws.Ring) || gs.Marks[0].Frame != ws.Marks[0].Frame {
 			t.Fatalf("shard %d pre-roll: %d frames from %d, serial %d from %d — batch re-run corrupted the ring",
-				s, len(gs.Ring), gs.BaseFrame, len(ws.Ring), ws.BaseFrame)
+				s, len(gs.Ring), gs.Marks[0].Frame, len(ws.Ring), ws.Marks[0].Frame)
 		}
 		for i := range gs.Ring {
 			g, w := gs.Ring[i], ws.Ring[i]

@@ -161,8 +161,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "driftfeed: tenant %s failed after %d frames: %v\n", r.tenant, r.sent, r.err)
 			continue
 		}
-		fmt.Printf("tenant %s: delivered %d, sent %d, acked %d, dups %d, nacks %d, retries %d, reconnects %d, failovers %d\n",
-			r.tenant, r.sent, r.stats.Sent, r.stats.Acked, r.stats.Dups, r.stats.Nacks, r.stats.Retries, r.stats.Reconnects, r.stats.Failovers)
+		fmt.Printf("tenant %s: delivered %d, sent %d, acked %d, nacks %d, retries %d, reconnects %d, failovers %d\n",
+			r.tenant, r.sent, r.stats.Sent, r.stats.Acked, r.stats.Nacks, r.stats.Retries, r.stats.Reconnects, r.stats.Failovers)
 	}
 	fmt.Printf("driftfeed: %d tenants, %d frames delivered in %v, %d failed\n",
 		*tenants, delivered, elapsed.Round(time.Millisecond), failed)

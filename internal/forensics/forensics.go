@@ -102,8 +102,7 @@ type Declaration struct {
 	// before. Frames are the frames from there on that the inspector read
 	// or the gate quarantined — all Replay needs, the rest were only
 	// counted — and At[i] is the stream frame Frames[i] is; both end with
-	// the declaration frame itself. At is nil on a declaration written
-	// before skipped frames were dropped: Frames[i] is then BaseFrame+i.
+	// the declaration frame itself.
 	BaseFrame int                   `json:"base_frame"`
 	Base      core.PipelineSnapshot `json:"-"`
 	Frames    []vidsim.Frame        `json:"-"`
@@ -203,8 +202,7 @@ func (r *Recorder) Record(pipe *core.Pipeline, f vidsim.Frame, out core.Outcome)
 	}
 
 	// The one trim rule: the oldest mark goes while the frames from the
-	// next one, this frame included, still number Window. It is also what
-	// ages out a restored legacy base, Window frames before its mid.
+	// next one, this frame included, still number Window.
 	// slices.Delete, here and below, zeroes the slots it vacates: a frame
 	// header left beyond len would pin its pixels.
 	for len(r.marks) > 1 && frame+1-r.marks[1].Frame >= r.cfg.Window {
@@ -316,9 +314,7 @@ func (r *Recorder) Get(id string) (Declaration, bool) {
 // RecorderState is the serializable copy of a Recorder, persisted per
 // shard inside checkpoints. It is a value type (no pointers) so gob
 // round-trips it unambiguously; Enabled distinguishes a real state from
-// the zero value a forensics-less checkpoint carries. Base, Mid and
-// their companions are how a state written before the mark queue spells
-// its (at most two) marks: Restore reads them, State leaves them zero.
+// the zero value a forensics-less checkpoint carries.
 //
 //driftlint:snapshot encode=Recorder.State,Recorder.StateInto decode=Restore,Recorder.Rewind
 type RecorderState struct {
@@ -327,12 +323,8 @@ type RecorderState struct {
 	Keep         int
 	Frame        int
 	Ring         []vidsim.Frame
-	At           []int // stream frame of each Ring frame; nil in a state written before frames were skipped
+	At           []int // stream frame of each Ring frame
 	Marks        []Mark
-	Base, Mid    core.PipelineSnapshot //lint:allow snapshotsync legacy spelling of Marks, decode only
-	BaseFrame    int                   //lint:allow snapshotsync legacy spelling of Marks, decode only
-	MidFrame     int                   //lint:allow snapshotsync legacy spelling of Marks, decode only
-	HaveMid      bool                  //lint:allow snapshotsync legacy spelling of Marks, decode only
 	Pending      bool
 	Declarations []Declaration
 }
@@ -404,25 +396,19 @@ func Restore(s RecorderState, tracer *telemetry.Tracer) (*Recorder, error) {
 	if s.Window <= 0 || s.Keep <= 0 {
 		return nil, fmt.Errorf("forensics: recorder state has invalid sizing (window=%d keep=%d)", s.Window, s.Keep)
 	}
-	if len(s.Marks) == 0 {
-		s.Marks = []Mark{{Frame: s.BaseFrame, Snap: s.Base}}
-		if s.HaveMid {
-			s.Marks = append(s.Marks, Mark{Frame: s.MidFrame, Snap: s.Mid})
-		}
+	// Record cuts the ring at a mark: there is one at least, the marks run
+	// forward to the head, and the kept frames lie from the first of them
+	// to the head, At saying where each one is.
+	if len(s.Marks) == 0 || len(s.At) != len(s.Ring) {
+		return nil, fmt.Errorf("forensics: recorder state has %d marks and %d frames at %d positions", len(s.Marks), len(s.Ring), len(s.At))
 	}
-	// Record cuts the ring at a mark: the marks must run forward to the
-	// head and the kept frames from the first of them to the head, a dense
-	// ring (no At) holding every one (a pre-roll that a pending selection
-	// suspended is discarded unread).
 	first, last := s.Marks[0].Frame, s.Marks[len(s.Marks)-1].Frame
-	bad := !slices.IsSortedFunc(s.Marks, func(a, b Mark) int { return a.Frame - b.Frame }) ||
-		first < 0 || last > s.Frame || s.At == nil && len(s.Ring) > 0 && !s.Pending && s.Frame-first != len(s.Ring)
-	s.At = frameIndices(s.At, first, len(s.Ring))
+	bad := !slices.IsSortedFunc(s.Marks, func(a, b Mark) int { return a.Frame - b.Frame }) || first < 0 || last > s.Frame
 	for i, a := range s.At {
 		bad = bad || a < first || a >= s.Frame || i > 0 && a <= s.At[i-1]
 	}
-	if bad || len(s.At) != len(s.Ring) {
-		return nil, fmt.Errorf("forensics: recorder state has inconsistent frames (frame=%d base=%d ring=%d at=%d)", s.Frame, first, len(s.Ring), len(s.At))
+	if bad {
+		return nil, fmt.Errorf("forensics: recorder state has inconsistent frames (frame=%d base=%d ring=%d)", s.Frame, first, len(s.Ring))
 	}
 	r := &Recorder{cfg: Config{Enabled: true, Window: s.Window, Keep: s.Keep}, tracer: tracer}
 	r.Rewind(s)
@@ -450,18 +436,4 @@ func (r *Recorder) Rewind(s RecorderState) {
 	r.marks = slices.Clone(s.Marks)
 	r.pending = s.Pending
 	r.recs = slices.Clone(s.Declarations)
-}
-
-// frameIndices returns the stream frame of each of n kept frames: at
-// itself, or, for a list written before skipped frames were dropped (no
-// at), every frame from base on.
-func frameIndices(at []int, base, n int) []int {
-	if at != nil || n == 0 {
-		return at
-	}
-	at = make([]int, n)
-	for i := range at {
-		at[i] = base + i
-	}
-	return at
 }

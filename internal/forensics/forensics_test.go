@@ -172,8 +172,7 @@ func step(window int) int { return max(1, window/8) }
 // that the stride read, the marks run forward step frames apart, and once
 // the stream has run Window frames the pre-roll spans at least Window of
 // them and fewer than Window+step. At a stride of one that is every
-// frame: the state is the dense one a recorder kept before frames were
-// skipped, At beside it.
+// frame, At counting them off one by one.
 func TestPreRollRotation(t *testing.T) {
 	const w = 16
 	for _, every := range []int{1, 3, 10} {
@@ -520,10 +519,11 @@ func TestRestoreValidation(t *testing.T) {
 		{"bad window", RecorderState{Enabled: true, Window: 0, Keep: 4}},
 		{"bad keep", RecorderState{Enabled: true, Window: 8, Keep: -1}},
 		{"negative frame", RecorderState{Enabled: true, Window: 8, Keep: 4, Frame: -1}},
-		{"base past head", RecorderState{Enabled: true, Window: 8, Keep: 4, Frame: 3, BaseFrame: 5}},
+		{"no marks", RecorderState{Enabled: true, Window: 8, Keep: 4, Frame: 3}},
+		{"no at for the ring", RecorderState{Enabled: true, Window: 8, Keep: 4, Frame: 6, Ring: make([]vidsim.Frame, 2), Marks: []Mark{{Frame: 4}}}},
+		{"no at for a pending ring", RecorderState{Enabled: true, Window: 8, Keep: 4, Frame: 9, Pending: true, Ring: make([]vidsim.Frame, 3), Marks: []Mark{{Frame: 4}}}},
 		{"mark past head", RecorderState{Enabled: true, Window: 8, Keep: 4, Frame: 3, Ring: make([]vidsim.Frame, 3), Marks: []Mark{{Frame: 0}, {Frame: 5}}}},
 		{"marks out of order", RecorderState{Enabled: true, Window: 8, Keep: 4, Frame: 9, Ring: make([]vidsim.Frame, 5), Marks: []Mark{{Frame: 4}, {Frame: 2}}}},
-		{"ring short of its base", RecorderState{Enabled: true, Window: 8, Keep: 4, Frame: 9, Ring: make([]vidsim.Frame, 2), Marks: []Mark{{Frame: 4}, {Frame: 8}}}},
 		{"at short of the ring", RecorderState{Enabled: true, Window: 8, Keep: 4, Frame: 9, Ring: make([]vidsim.Frame, 2), At: []int{4}, Marks: []Mark{{Frame: 4}, {Frame: 8}}}},
 		{"at repeats", RecorderState{Enabled: true, Window: 8, Keep: 4, Frame: 9, Ring: make([]vidsim.Frame, 2), At: []int{5, 5}, Marks: []Mark{{Frame: 4}, {Frame: 8}}}},
 		{"at runs back", RecorderState{Enabled: true, Window: 8, Keep: 4, Frame: 9, Ring: make([]vidsim.Frame, 2), At: []int{7, 5}, Marks: []Mark{{Frame: 4}, {Frame: 8}}}},
@@ -542,8 +542,8 @@ func TestRestoreValidation(t *testing.T) {
 }
 
 // TestRestoreBeforeFirstKeptFrame: a recorder attached to a pipeline in
-// mid-stride has seen frames and kept none yet; that state, which has no
-// At to tell it from a dense one, restores and carries on.
+// mid-stride has seen frames and kept none yet; that state, an empty ring
+// with no At, restores and carries on.
 func TestRestoreBeforeFirstKeptFrame(t *testing.T) {
 	pipe, cfg := newTestPipeline(t)
 	frames := append(stream(vidsim.Day(), 63, 301), stream(vidsim.Night(), 120, 302)...)

@@ -48,9 +48,8 @@ type ReplayResult struct {
 // declaration, so the replay forces the label-free selector and needs
 // no labeler.
 func Replay(entries []*core.ModelEntry, cfg core.PipelineConfig, d Declaration) (ReplayResult, error) {
-	at := frameIndices(d.At, d.BaseFrame, len(d.Frames))
-	if len(d.Frames) == 0 || len(at) != len(d.Frames) {
-		return ReplayResult{}, fmt.Errorf("forensics: declaration %s has %d captured frames at %d positions", d.ID, len(d.Frames), len(at))
+	if len(d.Frames) == 0 || len(d.At) != len(d.Frames) {
+		return ReplayResult{}, fmt.Errorf("forensics: declaration %s has %d captured frames at %d positions", d.ID, len(d.Frames), len(d.At))
 	}
 	rcfg := cfg
 	rcfg.Tracer = nil
@@ -71,7 +70,7 @@ func Replay(entries []*core.ModelEntry, cfg core.PipelineConfig, d Declaration) 
 		// nil pixels go unread too. Were the stride due on one of them — a
 		// wrong At — the inspector quarantines the nil vector and the
 		// trajectory ends there, short of the declaration: no match.
-		for ; cur < at[i]; cur++ {
+		for ; cur < d.At[i]; cur++ {
 			di.Observe(nil)
 		}
 		if out := pipe.Process(f); out.Drift {

@@ -19,8 +19,8 @@ const (
 	DefaultMaxBackoff   = 200
 )
 
-// window is how many frames a windowed connection leaves unconfirmed at
-// most: the frame that makes it this many asks for their confirmation.
+// window is how many frames a connection leaves unconfirmed at most: the
+// frame that makes it this many asks for their confirmation.
 const window = 8
 
 // ClientConfig parameterizes a Client.
@@ -63,12 +63,10 @@ type ClientConfig struct {
 // ClientStats counts a client's wire activity.
 type ClientStats struct {
 	// Sent counts frame transmissions (including retries); Acked frames
-	// confirmed; Dups idempotent re-acks (a resend whose original made
-	// it; only a stop-and-wait connection is told); Nacks rejections of
-	// any kind; Retries re-sends of a frame; Reconnects connection
-	// re-establishments after the first; Failovers rotations to a
-	// different configured address.
-	Sent, Acked, Dups, Nacks, Retries, Reconnects, Failovers int64
+	// confirmed; Nacks rejections of any kind; Retries re-sends of a
+	// frame; Reconnects connection re-establishments after the first;
+	// Failovers rotations to a different configured address.
+	Sent, Acked, Nacks, Retries, Reconnects, Failovers int64
 }
 
 // NackError is returned when the server's rejection exhausts the
@@ -80,16 +78,16 @@ func (e *NackError) Error() string {
 }
 
 // Client feeds one tenant's frame stream to an ingest server with
-// exactly-once delivery. It opens every connection with a Sync; a server
-// that answers it takes a window of frames: Send writes its frame and
-// returns, and the frame that leaves window frames unconfirmed — and a
-// stream's first — asks with a Sync written behind it and blocks on the
-// answer, one cumulative Ack for all of them. A server that predates Sync
-// NACKs it, and the connection runs stop-and-wait: every frame is its own
-// ask, answered by its own Ack. Either way a frame is resent — across
-// reconnects, corruption rejections and backpressure — until the server
-// confirms it, and only frames the server reports it lacks are resent
-// (the seq dedup covers a reconnect racing the old connection). A Client
+// exactly-once delivery. It opens every connection with a Sync, whose
+// answer says where the server holds the stream, and then sends a window
+// of frames: Send writes its frame and returns, and the frame that leaves
+// window frames unconfirmed — and a stream's first — asks with a Sync
+// written behind it and blocks on the answer, one cumulative Ack for all
+// of them. A frame is resent — across reconnects, corruption rejections
+// and backpressure — until the server confirms it, and only frames the
+// server reports it lacks are resent (the seq dedup covers a reconnect
+// racing the old connection). A server that speaks another protocol
+// version fails the Send at once with a *VersionError. A Client
 // is not safe for concurrent use; one goroutine owns one tenant stream,
 // matching the protocol's per-tenant total order.
 type Client struct {
@@ -100,7 +98,6 @@ type Client struct {
 	conn      net.Conn
 	rd        wire.Reader // the connection's answers
 	synced    bool        // the connection's opening Sync was answered
-	windowed  bool        // ... by a server that speaks Sync
 
 	// The window: frames [base, seq) are unconfirmed, each sealed in its
 	// slot slots[seq%window], which the frame window places later reuses;
@@ -174,7 +171,7 @@ func (c *Client) connect() error {
 		}
 		c.conn = conn
 		c.rd = vdif.NewReader(conn, clientBufSize)
-		c.synced, c.windowed, c.sent = false, false, c.base
+		c.synced, c.sent = false, c.base
 		return nil
 	}
 	return lastErr
@@ -207,13 +204,12 @@ func (c *Client) Stats() ClientStats { return c.stats }
 // Seq returns the next sequence number the client will assign.
 func (c *Client) Seq() uint64 { return c.seq }
 
-// Send delivers one frame. On a windowed connection it returns once the
-// frame is written — unless it asks, when it blocks until the server has
-// confirmed the window — and on a stop-and-wait one once the server has
-// acknowledged it. On error the frame is not taken: the frames before it
-// stay unconfirmed for the next Send, Flush or Close to retry, and Send
-// may be called again with the same frame. Once the window's slots are
-// warm a Send allocates nothing.
+// Send delivers one frame. It returns once the frame is written — unless
+// it asks, when it blocks until the server has confirmed the window. On
+// error the frame is not taken: the frames before it stay unconfirmed for
+// the next Send, Flush or Close to retry, and Send may be called again
+// with the same frame. Once the window's slots are warm a Send allocates
+// nothing.
 func (c *Client) Send(f vidsim.Frame) error {
 	slot := &c.slots[c.seq%window]
 	if need := frameSize(len(c.cfg.Tenant), len(f.Condition), len(f.Pixels)) + syncSize(len(c.cfg.Tenant)); cap(*slot) < need {
@@ -221,10 +217,10 @@ func (c *Client) Send(f vidsim.Frame) error {
 	}
 	*slot = appendFrame((*slot)[:0], c.cfg.Tenant, c.seq, f.W, f.H, f.Condition, f.Pixels)
 	c.seq++
-	// Quiet: the window has room and the connection is windowed and in
-	// step. A stream's first frame is never quiet: Dial leaves the opening
-	// Sync to it, and the round that opens a connection asks.
-	if c.conn != nil && c.windowed && c.sent == c.seq-1 && c.seq-c.base < window {
+	// Quiet: the window has room and the connection is open and in step.
+	// A stream's first frame is never quiet: Dial leaves the opening Sync
+	// to it, and the round that opens a connection asks.
+	if c.conn != nil && c.synced && c.sent == c.seq-1 && c.seq-c.base < window {
 		if c.transmit(c.seq-1, false) == nil {
 			return nil
 		}
@@ -239,8 +235,7 @@ func (c *Client) Send(f vidsim.Frame) error {
 
 // confirm runs rounds until every frame in the window is confirmed or a
 // budget runs out: (re)connect and open with a Sync, send what the server
-// lacks and ask — or, stop-and-wait, send the oldest unconfirmed frame and
-// read its answer.
+// lacks and ask.
 func (c *Client) confirm() error {
 	attempts, backoffs := 0, 0
 	var lastErr error
@@ -278,8 +273,8 @@ func (c *Client) confirm() error {
 			c.drop()
 			attempts++
 			lastErr = err
-			if errors.As(err, new(*NackError)) {
-				return err // the server is behind the window: not retryable
+			if errors.As(err, new(*NackError)) || errors.As(err, new(*VersionError)) {
+				return err // the server is behind the window, or speaks another version: not retryable
 			}
 			continue
 		}
@@ -303,12 +298,8 @@ func (c *Client) confirm() error {
 			// Wire corruption or a transient server fault: resend.
 			attempts++
 		case NackBadSeq:
-			// Windowed, a gap behind an earlier rejection in the round; the
-			// Sync's answer said where to resume. Stop-and-wait, the same
-			// bytes would be rejected again.
-			if !c.windowed {
-				return lastErr
-			}
+			// A gap behind an earlier rejection in the round; the Sync's
+			// answer said where to resume.
 			attempts++
 		default:
 			return lastErr // an unknown code is not retryable
@@ -324,10 +315,9 @@ func (c *Client) confirm() error {
 }
 
 // round is one exchange on the current connection: the opening Sync if
-// the connection has not had it, then — windowed — every frame from sent
-// on with a Sync behind the last and the answers up to the Sync's, or —
-// stop-and-wait — frame base and its answer. It returns the round's first
-// Nack, if any; an error means the connection is unusable.
+// the connection has not had it, then every frame from sent on with a
+// Sync behind the last, and the answers up to the Sync's. It returns the
+// round's first Nack, if any; an error means the connection is unusable.
 func (c *Client) round() (*Nack, error) {
 	if !c.synced {
 		if err := c.open(); err != nil {
@@ -336,12 +326,6 @@ func (c *Client) round() (*Nack, error) {
 		if c.base == c.seq {
 			return nil, nil // the server had it all
 		}
-	}
-	if !c.windowed {
-		if err := c.transmit(c.base, false); err != nil {
-			return nil, err
-		}
-		return c.answers()
 	}
 	if c.sent == c.seq {
 		if err := c.writeSync(); err != nil {
@@ -356,9 +340,8 @@ func (c *Client) round() (*Nack, error) {
 	return c.answers()
 }
 
-// open writes the connection's opening Sync and reads the answer: an Ack
-// makes the connection windowed and reports what the server holds, a Nack
-// (a server that predates Sync) makes it stop-and-wait.
+// open writes the connection's opening Sync and reads the answer, the
+// Ack that reports what the server holds.
 func (c *Client) open() error {
 	if err := c.writeSync(); err != nil {
 		return err
@@ -367,28 +350,19 @@ func (c *Client) open() error {
 	if err != nil {
 		return err
 	}
-	switch typ {
-	case MsgAck:
-		a, err := DecodeAck(payload)
-		if err != nil {
-			return err
-		}
-		c.windowed = true
-		if err := c.confirmed(a.Seq); err != nil {
-			return err
-		}
-	case MsgNack:
-		c.windowed = false
-	default:
+	if typ != MsgAck {
 		return fmt.Errorf("ingest: unexpected answer type %d to a sync", typ)
 	}
+	a, err := DecodeAck(payload)
+	if err != nil {
+		return err
+	}
 	c.synced = true
-	return nil
+	return c.confirmed(a.Seq)
 }
 
-// answers reads a round's answers: windowed, every Nack up to the Sync's
-// Ack, which confirms what the server holds; stop-and-wait, frame base's
-// Ack or Nack.
+// answers reads a round's answers: every Nack up to the Sync's Ack, which
+// confirms what the server holds.
 func (c *Client) answers() (*Nack, error) {
 	var first *Nack
 	for {
@@ -406,20 +380,10 @@ func (c *Client) answers() (*Nack, error) {
 			if first == nil {
 				first = &n
 			}
-			if c.windowed {
-				continue
-			}
-			return first, nil
 		case MsgAck:
 			a, err := DecodeAck(payload)
 			if err != nil {
 				return nil, err
-			}
-			if !c.windowed {
-				if a.Dup {
-					c.stats.Dups++
-				}
-				return first, c.confirmed(c.base + 1)
 			}
 			return first, c.confirmed(a.Seq)
 		default:

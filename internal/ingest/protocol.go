@@ -36,8 +36,9 @@ import (
 // Magic is the wire magic number, "VDIF" big-endian.
 const Magic uint32 = 0x56444946
 
-// Version is the protocol version this package speaks.
-const Version = 1
+// Version is the protocol version this package speaks. A peer that
+// speaks another is refused with a *VersionError.
+const Version = 2
 
 // HeaderSize is the fixed size of the wire header in bytes.
 const HeaderSize = wire.HeaderSize
@@ -45,7 +46,7 @@ const HeaderSize = wire.HeaderSize
 // Message types.
 const (
 	MsgFrame = 1 // client → server: one video frame
-	MsgAck   = 2 // server → client: frame accepted (or duplicate); a Sync's answer
+	MsgAck   = 2 // server → client: a Sync's answer
 	MsgNack  = 3 // server → client: frame rejected, with reason code
 	MsgSync  = 4 // client → server: where does the tenant's stream stand?
 )
@@ -90,12 +91,10 @@ type FrameMsg struct {
 	Pixels    []float32
 }
 
-// Ack is a decoded acknowledgment: frame Seq is accepted. Dup reports
-// an idempotent accept — the frame had already been processed (a
-// resend after a lost ack), so the sender should advance, not retry.
+// Ack is a decoded acknowledgment, a Sync's answer: every frame of the
+// tenant's stream below Seq is admitted.
 type Ack struct {
 	Seq uint64
-	Dup bool
 }
 
 // Nack reason codes.
@@ -126,17 +125,15 @@ type Nack struct {
 	Reason           string
 }
 
-// Sync asks where a tenant's stream stands: a windowed client opens every
+// Sync asks where a tenant's stream stands: a client opens every
 // connection with one and writes one behind the frame that asks for its
 // window's confirmation. Seq is the first frame the client has not had
 // confirmed. The answer is an Ack whose Seq is the tenant's next expected
 // sequence number — every frame below it is admitted, since the router
 // admits strictly in order — or, for a tenant the server does not know,
 // 0 (Seq under Config.ResumeStreams, where the first frame defines the
-// position). A Sync attaches nothing and moves no counter. A server that
-// answers one marks the connection windowed: from then on it answers a
-// frame only when it rejects it. A build that predates Sync NACKs it as
-// an unknown message type, and the client falls back to stop-and-wait.
+// position). A Sync attaches nothing and moves no counter. The server
+// answers a frame only when it rejects it.
 type Sync struct {
 	Tenant string
 	Seq    uint64
@@ -221,20 +218,16 @@ func parseSync(payload []byte) (tenant []byte, seq uint64, err error) {
 	return payload[1 : 1+tn], binary.BigEndian.Uint64(payload[1+tn:]), nil
 }
 
-// ackSize is the wire size of an ack: header, seq, dup flag.
-const ackSize = HeaderSize + 8 + 1
+// ackSize is the wire size of an ack: header and seq.
+const ackSize = HeaderSize + 8
 
 // appendAck appends an encoded ack to b — EncodeAck into a buffer the
-// caller reuses (a connection answers every frame out of one).
+// caller reuses (a connection answers every Sync out of one).
 func appendAck(b []byte, a Ack) []byte {
 	var hdr [HeaderSize]byte
 	at := len(b)
 	b = append(b, hdr[:]...)
 	b = binary.BigEndian.AppendUint64(b, a.Seq)
-	b = append(b, 0)
-	if a.Dup {
-		b[len(b)-1] = 1
-	}
 	return vdif.Seal(b, at, MsgAck)
 }
 
@@ -398,10 +391,10 @@ func (d *frameDecoder) decode(payload []byte) (tenant string, f vidsim.Frame, er
 
 // DecodeAck decodes an ack payload.
 func DecodeAck(payload []byte) (Ack, error) {
-	if len(payload) != 9 {
+	if len(payload) != 8 {
 		return Ack{}, ErrTruncated
 	}
-	return Ack{Seq: binary.BigEndian.Uint64(payload[0:8]), Dup: payload[8] != 0}, nil
+	return Ack{Seq: binary.BigEndian.Uint64(payload)}, nil
 }
 
 // DecodeNack decodes a nack payload.

@@ -83,8 +83,9 @@ func startServer(tb testing.TB, r *Router) string {
 }
 
 // wireConn is a tenant connection driven by hand: the test decides when a
-// frame is written and when its answer is read, which ingest.Client — one
-// blocking Send — does not let it.
+// round is written and when its answer is read, which ingest.Client — one
+// blocking Send — does not let it. A round is one frame and the Sync that
+// asks for it, in one write.
 type wireConn struct {
 	conn   net.Conn
 	tenant string
@@ -100,37 +101,45 @@ func dialWire(tb testing.TB, addr, tenant string) *wireConn {
 	return &wireConn{conn: conn, tenant: tenant}
 }
 
-// send writes frame seq of the tenant's stream and returns without
-// waiting for the answer.
+// send writes frame seq of the tenant's stream with its ask behind it and
+// returns without waiting for the answer.
 func (c *wireConn) send(seq int, f vidsim.Frame) error {
-	_, err := c.conn.Write(EncodeFrame(MsgFromFrame(c.tenant, uint64(seq), f)))
+	b := EncodeFrame(MsgFromFrame(c.tenant, uint64(seq), f))
+	_, err := c.conn.Write(append(b, EncodeSync(Sync{Tenant: c.tenant, Seq: uint64(seq)})...))
 	return err
 }
 
-// reply reads one answer, which must be about frame seq: 0 for a clean
-// ack, the nack's code otherwise.
+// reply reads the answers to frame seq's round: 0 when the Sync's Ack
+// confirms the frame, the code of the Nack that rejected it otherwise.
 func (c *wireConn) reply(seq int) (uint8, error) {
 	c.conn.SetReadDeadline(time.Now().Add(30 * time.Second))
-	typ, payload, err := ReadMsg(c.conn)
-	if err != nil {
-		return 0, err
-	}
-	got, code := uint64(0), uint8(0)
-	switch typ {
-	case MsgAck:
-		a, _ := DecodeAck(payload)
-		if a.Dup {
-			return 0, fmt.Errorf("tenant %s seq %d: duplicate ack", c.tenant, seq)
+	code := uint8(0)
+	for {
+		typ, payload, err := ReadMsg(c.conn)
+		if err != nil {
+			return 0, err
 		}
-		got = a.Seq
-	case MsgNack:
-		n, _ := DecodeNack(payload)
-		got, code = n.Seq, n.Code
+		switch typ {
+		case MsgNack:
+			n, _ := DecodeNack(payload)
+			if n.Seq != uint64(seq) {
+				return 0, fmt.Errorf("tenant %s: nack for seq %d, want %d", c.tenant, n.Seq, seq)
+			}
+			code = n.Code
+		case MsgAck:
+			a, _ := DecodeAck(payload)
+			want := uint64(seq) + 1 // the position: every frame up to this one admitted
+			if code != 0 {
+				want-- // ... but this one
+			}
+			if a.Seq != want {
+				return 0, fmt.Errorf("tenant %s: frame %d's ask answered %d, want %d", c.tenant, seq, a.Seq, want)
+			}
+			return code, nil
+		default:
+			return 0, fmt.Errorf("tenant %s: answer type %d", c.tenant, typ)
+		}
 	}
-	if got != uint64(seq) {
-		return 0, fmt.Errorf("tenant %s: answer for seq %d, want %d", c.tenant, got, seq)
-	}
-	return code, nil
 }
 
 // deliver sends frame seq and reads its answer.
@@ -360,15 +369,16 @@ func TestPumpReleasesFrames(t *testing.T) {
 }
 
 // TestFeedInPlace pins the protocol between feeding connections and the
-// loop, over real sockets against a running Run. With the wire quiet a
-// frame is fed by the connection that read it and the loop never wakes.
-// With shard 0 held inside ProcessBatches by tenant cam-a's connection —
-// it was the one feeding — cam-a's next ACK waits for the release (the
-// documented price: that connection is not reading its socket), while
-// the other tenants are ACKed as ever, queue behind the pump, and past
-// QueueCap are NACKed. Released, then flat out from one goroutine per
-// connection: every accepted frame is processed exactly once, in its
-// tenant's order, whoever fed it.
+// loop, over real sockets against a running Run, one frame and its ask a
+// round. With the wire quiet a frame is fed by the connection that read
+// it and the loop never wakes. With shard 0 held inside ProcessBatches by
+// tenant cam-a's connection — it was the one feeding — cam-a's next round
+// waits for the release (the documented price: that connection is not
+// reading its socket), while the other tenants' rounds are answered as
+// ever, queue behind the pump, and past QueueCap wait for room unanswered.
+// Released, then flat out from one goroutine per connection: every
+// accepted frame is processed exactly once, in its tenant's order,
+// whoever fed it.
 func TestFeedInPlace(t *testing.T) {
 	const stallAt, queueCap = 5, 8
 	streams := loopbackStreams(3)
@@ -403,65 +413,62 @@ func TestFeedInPlace(t *testing.T) {
 	}
 
 	// cam-a's frame stallAt is acknowledged, then fed in place — into the
-	// stall. Its next frame sits in the socket.
-	a := conns["cam-a"]
-	a.mustAck(t, stallAt, streams["cam-a"][stallAt])
+	// stall.
+	conns["cam-a"].mustAck(t, stallAt, streams["cam-a"][stallAt])
+	next["cam-a"]++
 	<-stalled
-	if err := a.send(stallAt+1, streams["cam-a"][stallAt+1]); err != nil {
-		t.Fatal(err)
-	}
-	next["cam-a"] = stallAt + 2
-	acked := make(chan error, 1)
-	go func() {
-		code, err := a.reply(stallAt + 1)
-		if err == nil && code != 0 {
-			err = fmt.Errorf("nack code %d", code)
+	// held sends a tenant's next round and reads its answer aside.
+	answered := make(chan error, len(tenants))
+	held := func(id string) {
+		if err := conns[id].send(next[id], streams[id][next[id]]); err != nil {
+			t.Fatal(err)
 		}
-		acked <- err
-	}()
+		go func(seq int) {
+			code, err := conns[id].reply(seq)
+			if err == nil && code != 0 {
+				err = fmt.Errorf("tenant %s seq %d: nack code %d", id, seq, code)
+			}
+			answered <- err
+		}(next[id])
+		next[id]++
+	}
+	held("cam-a") // it sits in the socket
 	// The others meanwhile: QueueCap frames queue behind the pump, each
-	// acknowledged at once; the frames after that are refused.
+	// acknowledged at once; the round after that waits for room, its
+	// connection not reading.
 	for _, id := range tenants[1:] {
 		for i := 0; i < queueCap; i++ {
 			conns[id].mustAck(t, next[id], streams[id][next[id]])
 			next[id]++
 		}
-		for i := 0; i < 2; i++ {
-			if code, err := conns[id].deliver(next[id], streams[id][next[id]]); err != nil || code != NackQueueFull {
-				t.Fatalf("tenant %s seq %d behind a held pump and a full queue: code %d, err %v; want NackQueueFull", id, next[id], code, err)
-			}
-		}
+		held(id)
 	}
 	select {
-	case err := <-acked:
-		t.Fatalf("cam-a was answered (%v) while its connection was feeding a held pump", err)
+	case err := <-answered:
+		t.Fatalf("a round was answered (%v) while the pump was held", err)
 	default:
 	}
-	if s := r.Stats(); s.Processed != sent {
-		t.Fatalf("%d frames processed while the pump was held, want %d", s.Processed, sent)
+	if s := r.Stats(); s.Processed != sent || s.NackedFull != 0 {
+		t.Fatalf("while the pump was held: %d frames processed, %d nacked full; want %d, 0", s.Processed, s.NackedFull, sent)
 	}
 	close(release)
-	if err := <-acked; err != nil {
-		t.Fatalf("cam-a's frame after the stall: %v", err)
+	for range tenants {
+		if err := <-answered; err != nil {
+			t.Fatalf("a round held behind the stall: %v", err)
+		}
 	}
 
-	// The rest flat out, one goroutine per connection; a full queue is
-	// retried, it is back-pressure, not a fault.
+	// The rest flat out, one goroutine per connection; a full queue holds
+	// a round back, it is back-pressure, not a fault.
 	var wg sync.WaitGroup
 	for _, id := range tenants {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := next[id]; i < len(streams[id]); {
-				code, err := conns[id].deliver(i, streams[id][i])
-				switch {
-				case err != nil || (code != 0 && code != NackQueueFull):
+			for i := next[id]; i < len(streams[id]); i++ {
+				if code, err := conns[id].deliver(i, streams[id][i]); err != nil || code != 0 {
 					t.Errorf("tenant %s seq %d: code %d, err %v", id, i, code, err)
 					return
-				case code == 0:
-					i++
-				default:
-					runtime.Gosched()
 				}
 			}
 		}()
@@ -493,7 +500,8 @@ func TestFeedInPlace(t *testing.T) {
 
 // TestServerWithoutRunQueues pins the fallback's other half: over a
 // router nobody Runs a connection never feeds — frames queue up to
-// QueueCap and are NACKed beyond it, and a bare Pump processes them.
+// QueueCap, the round past it waits for room, and a bare Pump processes
+// the queue and lets it in.
 func TestServerWithoutRunQueues(t *testing.T) {
 	const queueCap = 4
 	_, opts := sharedModels()
@@ -503,8 +511,8 @@ func TestServerWithoutRunQueues(t *testing.T) {
 	for i := 0; i < queueCap; i++ {
 		c.mustAck(t, i, stream[i])
 	}
-	if code, err := c.deliver(queueCap, stream[queueCap]); err != nil || code != NackQueueFull {
-		t.Fatalf("frame past QueueCap: code %d, err %v; want NackQueueFull", code, err)
+	if err := c.send(queueCap, stream[queueCap]); err != nil {
+		t.Fatal(err)
 	}
 	if s := r.Stats(); s.Pumps != 0 || s.Processed != 0 || s.Tenants[0].Queued != queueCap {
 		t.Fatalf("no loop running: %d pumps, %d processed, %d queued; want 0, 0, %d", s.Pumps, s.Processed, s.Tenants[0].Queued, queueCap)
@@ -512,8 +520,11 @@ func TestServerWithoutRunQueues(t *testing.T) {
 	if n, err := r.Pump(); err != nil || n != queueCap {
 		t.Fatalf("Pump processed %d (%v), want %d", n, err, queueCap)
 	}
-	if s := r.Stats(); s.PumpsInline != 0 {
-		t.Fatalf("%d in-line pumps without a loop", s.PumpsInline)
+	if code, err := c.reply(queueCap); err != nil || code != 0 {
+		t.Fatalf("the frame past QueueCap: code %d, err %v; want it admitted once the Pump made room", code, err)
+	}
+	if s := r.Stats(); s.PumpsInline != 0 || s.NackedFull != 0 || s.Tenants[0].Queued != 1 {
+		t.Fatalf("%d in-line pumps, %d nacked full, %d queued without a loop; want 0, 0, 1", s.PumpsInline, s.NackedFull, s.Tenants[0].Queued)
 	}
 }
 
@@ -610,8 +621,8 @@ type transport int
 
 const (
 	viaSubmit transport = iota // Router.Submit, then Pump
-	viaConn                    // a loopback connection, every frame answered
-	viaWindow                  // a loopback connection opened with a Sync: window frames, an ask behind the last
+	viaConn                    // a loopback connection: a frame and its ask
+	viaWindow                  // a loopback connection: window frames, an ask behind the last
 )
 
 // warmRounds builds two fleets of the given tenants over the same
@@ -619,9 +630,10 @@ const (
 // have their steady-state capacity. routed submits one more frame per
 // tenant to a router over the first and pumps — or, over a connection,
 // sends it down the tenant's loopback connection to a Server over that
-// router with the loop running, reads the ACK, and waits for the round to
-// be processed; windowed, a round is window frames a tenant and one
-// answer, to the Sync written behind the last. The sender restamps frames
+// router with the loop running, the Sync that asks for it behind it,
+// reads the ACK, and waits for the round to be processed; windowed, a
+// round is window frames a tenant and the ask behind the last. The
+// sender restamps frames
 // encoded up front and reads into a fixed buffer, so it allocates nothing
 // of its own. direct feeds the second fleet the same frames, already
 // decoded, into reused events the way Pump does — one ProcessBatchesInto
@@ -703,29 +715,19 @@ func warmRounds(tb testing.TB, tenants, batch int, via transport) (routed, direc
 			for _, m := range msgs[k] {
 				wires[k] = append(wires[k], append(make([]byte, 0, frameSize(len(m.Tenant), len(m.Condition), len(m.Pixels))+len(syncs[k])), EncodeFrame(m)...))
 			}
-			if via == viaWindow {
-				if _, err := conns[k].Write(syncs[k]); err != nil {
-					tb.Fatal(err)
-				}
-				answer(k, 0)
-			}
 		}
 		deliver = func(k int) {
 			for s := seq; s < seq+per; s++ {
 				b := wires[k][s%frames]
 				restamp(b, ids[k], s)
-				if via == viaWindow && s == seq+per-1 {
+				if s == seq+per-1 {
 					b = append(b, syncs[k]...) // the ask, in the frame's write
 				}
 				if _, err := conns[k].Write(b); err != nil {
 					tb.Fatal(err)
 				}
 			}
-			if via == viaWindow {
-				answer(k, seq+per) // the position: every frame below it admitted
-			} else {
-				answer(k, seq) // the frame's own
-			}
+			answer(k, seq+per) // the position: every frame below it admitted
 		}
 		processed = func() {
 			for fed.Load() < int64(seq)*int64(tenants) {
@@ -805,9 +807,10 @@ func allocsPer(runs int, f func()) (objs, bytes float64) {
 // decoded into a buffer off the router's free list, which the pump takes
 // back once the fleet has processed the frame. That holds for
 // Submit+Pump (no pixel slice, no id slice, no sort, no scratch, no queue
-// re-growth) and for the whole connection loop over loopback (no read
-// buffer, no payload copy, no float32 slice, no strings, no ACK), at any
-// batch size and any number of tenants. A frame's own pixel slice would
+// re-growth) and for the whole connection loop over loopback, a frame
+// and its ask a round or a window's worth (no read buffer, no payload
+// copy, no float32 slice, no strings, no ACK), at any batch size and any
+// number of tenants. A frame's own pixel slice would
 // be one object and 8·W·H bytes a tenant.
 func TestPumpSteadyStateAllocs(t *testing.T) {
 	if raceDetector {
@@ -848,11 +851,12 @@ func BenchmarkRouterSubmitPump(b *testing.B) {
 }
 
 // BenchmarkServeConnFrame is the same arrival through the front door:
-// socket → buffered read → decode → queue → ACK → fed in place →
-// processed, per frame, the sender's write, restamp and ACK read
-// included. Less BenchmarkRouterSubmitPump it is what transport costs.
-// window is one tenant's windowed connection: window frames and the ask
-// behind the last, one answer, per frame.
+// socket → buffered read → decode → queue → the ask's ACK → fed in place
+// → processed, per frame, the sender's write, restamp and ACK read
+// included; a round is one frame and its ask. Less
+// BenchmarkRouterSubmitPump it is what transport costs. window is one
+// tenant's full window: window frames and the ask behind the last, one
+// answer, per frame.
 func BenchmarkServeConnFrame(b *testing.B) {
 	for _, tenants := range []int{1, 8} {
 		b.Run(fmt.Sprintf("tenants=%d", tenants), func(b *testing.B) { benchRounds(b, tenants, viaConn) })

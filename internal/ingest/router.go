@@ -91,7 +91,7 @@ type Router struct {
 	// after appending the frame, so a frame racing a drain costs Run one
 	// empty Pump, never a frame left waiting.
 	wake chan struct{}
-	// room, while a windowed connection waits on a full queue, is closed
+	// room, while a connection waits on a full queue, is closed
 	// by the next Pump to take the queues (under mu; nil otherwise).
 	room chan struct{}
 	// evict fires when the first attached tenant's idle window runs out.
@@ -255,10 +255,10 @@ func (r *Router) insert(t *tenant) {
 }
 
 // Verdict is the router's decision on one submitted frame — what the
-// server turns into an Ack or Nack on the wire.
+// server turns into a Nack on the wire, or an HTTP status.
 type Verdict struct {
 	// Ack reports the frame was queued (or, with Dup, already
-	// processed — the idempotent accept for a resend after a lost ack).
+	// processed — the idempotent accept for a resend after a lost answer).
 	Ack bool
 	Dup bool
 	// Code, RetryAfter and Reason describe the rejection when !Ack.
@@ -274,22 +274,17 @@ func (v Verdict) queued() bool { return v.Ack && !v.Dup }
 // Submit routes one decoded frame and, when it was queued, leaves the
 // wake-up token for Run — it never feeds the fleet itself. First contact
 // with an unknown tenant attaches a shard over the shared models (the
-// dynamic-fleet lifecycle); a returning evicted tenant reattaches. Safe
-// for concurrent use by connection handlers. The pixels widen into a
-// buffer of the router's own; m is not retained.
+// dynamic-fleet lifecycle); a returning evicted tenant reattaches. A
+// full queue rejects the frame (POST /ingest answers 429). Safe for
+// concurrent use. The pixels widen into a buffer of the router's own,
+// which a frame that was not queued gives straight back; m is not
+// retained.
 func (r *Router) Submit(m FrameMsg) Verdict {
-	v := r.admit(m.Tenant, frameOver(r.free.get(len(m.Pixels)), m))
+	f := frameOver(r.free.get(len(m.Pixels)), m)
+	v, _ := r.enqueue(m.Tenant, f, false)
 	if v.queued() {
 		r.signal()
-	}
-	return v
-}
-
-// admit is enqueue for a frame whose pixels the free list lent: a frame
-// that was not queued gives its buffer straight back.
-func (r *Router) admit(tenant string, f vidsim.Frame) Verdict {
-	v, _ := r.enqueue(tenant, f, false)
-	if !v.queued() {
+	} else {
 		r.free.put(f.Pixels)
 	}
 	return v
@@ -298,8 +293,8 @@ func (r *Router) admit(tenant string, f vidsim.Frame) Verdict {
 // Offer admits a frame of an in-process tenant, one fed from inside the
 // server with no socket: f.Index is its sequence number, and its pixels
 // are copied, unquantised, into a buffer of the router's own, so the
-// caller keeps f. Like a windowed connection's frame it is not rejected
-// for a full queue — Offer waits for room, or for done to close. What it
+// caller keeps f. Like a connection's frame it is not rejected for a
+// full queue — Offer waits for room, or for done to close. What it
 // queued waits for the caller's Feed.
 func (r *Router) Offer(tenant string, f vidsim.Frame, done <-chan struct{}) Verdict {
 	px := r.free.get(len(f.Pixels))
@@ -308,10 +303,10 @@ func (r *Router) Offer(tenant string, f vidsim.Frame, done <-chan struct{}) Verd
 	return r.admitWindowed(tenant, f, done)
 }
 
-// admitWindowed is admit for a windowed connection's frame, which a full
-// queue does not reject: nothing answers a windowed frame unless it is
-// rejected, so a NACK among the last frames of a stream would never be
-// resent. Instead the connection stops reading until the tenant's queue
+// admitWindowed admits a connection's frame, whose pixels the free list
+// lent, as Submit does — except that a full queue does not reject it:
+// nothing answers a frame on a connection unless it is rejected, so a
+// NACK among the last frames of a stream would never be resent. Instead the connection stops reading until the tenant's queue
 // has room — TCP carries the backpressure to the client, whose next ask
 // waits — or until done closes (the server is closing: the frame is
 // rejected as an internal fault, which a client resends elsewhere).

@@ -32,11 +32,9 @@ type ServerConfig struct {
 
 // Server accepts tenant connections speaking the wire protocol and
 // routes their frames. Each connection is one goroutine reading one
-// message at a time. A stop-and-wait connection — a client that never
-// sends a Sync — is answered an Ack or Nack per frame; a windowed one —
-// a client whose Sync was answered — only when a frame is rejected, and
-// once per Sync. The answer sent, the connection feeds the fleet the
-// frames it has queued when nobody else is feeding (Router.Feed).
+// message at a time. It answers a frame only when it rejects it, and
+// every Sync with an Ack. The answer sent, the connection feeds the fleet
+// the frames it has queued when nobody else is feeding (Router.Feed).
 // Header-level damage (bad magic, truncation, version skew)
 // desynchronizes the stream, so those close the connection after a
 // best-effort Nack; payload-level damage (CRC mismatch, malformed
@@ -45,13 +43,9 @@ type ServerConfig struct {
 type Server struct {
 	router *Router
 	cfg    ServerConfig
-	// done closes with Close: a windowed connection waiting for room in
-	// its tenant's queue gives up.
+	// done closes with Close: a connection waiting for room in its
+	// tenant's queue gives up.
 	done chan struct{}
-	// stopAndWait, set by tests, makes the server answer as the builds
-	// before Sync did — an unknown message type — so a new client runs
-	// its fallback against it.
-	stopAndWait bool
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -168,7 +162,6 @@ func (s *Server) serveConn(conn net.Conn) {
 	rd := vdif.NewReader(conn, wire.ConnBufSize)
 	dec := frameDecoder{free: &s.router.free}
 	reply := make([]byte, 0, ackSize)
-	windowed := false
 	// unfed: this connection queued a frame it has not fed yet. A queued
 	// frame is fed or signalled whatever becomes of the connection.
 	unfed := false
@@ -208,13 +201,12 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 		switch {
-		case msgType == MsgSync && !s.stopAndWait:
+		case msgType == MsgSync:
 			tenant, seq, err := parseSync(payload)
 			if err != nil {
 				s.writeMsg(conn, EncodeNack(Nack{Code: NackMalformed, Reason: err.Error()}))
 				continue
 			}
-			windowed = true
 			if !s.writeMsg(conn, appendAck(reply[:0], Ack{Seq: s.router.position(tenant, seq)})) {
 				return
 			}
@@ -225,17 +217,17 @@ func (s *Server) serveConn(conn net.Conn) {
 				s.writeMsg(conn, EncodeNack(Nack{Code: NackMalformed, Reason: err.Error()}))
 				continue
 			}
-			var v Verdict
-			if windowed {
-				v = s.router.admitWindowed(tenant, f, s.done)
-			} else {
-				v = s.router.admit(tenant, f)
-			}
+			v := s.router.admitWindowed(tenant, f, s.done)
 			unfed = unfed || v.queued()
-			if windowed && v.Ack {
+			if v.Ack {
 				continue // the next answered Sync confirms it
 			}
-			if !s.writeMsg(conn, verdictWire(reply[:0], uint64(f.Index), v)) {
+			if !s.writeMsg(conn, EncodeNack(Nack{
+				Seq:              uint64(f.Index),
+				Code:             v.Code,
+				RetryAfterMillis: uint32(v.RetryAfter / time.Millisecond),
+				Reason:           v.Reason,
+			})) {
 				return
 			}
 		default:
@@ -253,21 +245,6 @@ func (s *Server) writeMsg(conn net.Conn, b []byte) bool {
 		return false
 	}
 	return true
-}
-
-// verdictWire renders a router verdict as the wire response for seq: an
-// ack — every frame's answer on a healthy stream — into the caller's
-// scratch, a nack into a buffer of its own.
-func verdictWire(scratch []byte, seq uint64, v Verdict) []byte {
-	if v.Ack {
-		return appendAck(scratch, Ack{Seq: seq, Dup: v.Dup})
-	}
-	return EncodeNack(Nack{
-		Seq:              seq,
-		Code:             v.Code,
-		RetryAfterMillis: uint32(v.RetryAfter / time.Millisecond),
-		Reason:           v.Reason,
-	})
 }
 
 // HTTPHandler is the HTTP POST fallback: the request body is one

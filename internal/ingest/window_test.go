@@ -1,8 +1,6 @@
 package ingest
 
 import (
-	"bytes"
-	"io"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -10,70 +8,6 @@ import (
 	"videodrift/internal/faults"
 	"videodrift/internal/vidsim"
 )
-
-// TestLegacyConnection pins what a client that predates Sync sees from
-// this server: frame after frame on one connection, each answered by an
-// Ack of exactly the bytes the builds before the window wrote for it — no
-// connection is windowed until its client sends a Sync.
-func TestLegacyConnection(t *testing.T) {
-	_, opts := sharedModels()
-	r := NewRouter(testFleet(opts), Config{})
-	runPump(t, r)
-	c := dialWire(t, startServer(t, r), "cam-a")
-	for i, f := range testStream(2*window+3, 34) {
-		if err := c.send(i, f); err != nil {
-			t.Fatal(err)
-		}
-		got := make([]byte, ackSize)
-		c.conn.SetReadDeadline(time.Now().Add(30 * time.Second))
-		if _, err := io.ReadFull(c.conn, got); err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if want := EncodeAck(Ack{Seq: uint64(i)}); !bytes.Equal(got, want) {
-			t.Fatalf("frame %d answered % x, the stop-and-wait ack is % x", i, got, want)
-		}
-	}
-	if s := r.Stats(); s.Accepted != 2*window+3 || s.Dups != 0 {
-		t.Fatalf("accepted %d, dups %d; want %d, 0", s.Accepted, s.Dups, 2*window+3)
-	}
-}
-
-// TestClientFallsBackToStopAndWait is the other direction: against a
-// server that answers a Sync as the builds before it did — an unknown
-// message type — a new client runs stop-and-wait, a window of one: every
-// Send returns with its frame confirmed, nothing is left for Flush.
-func TestClientFallsBackToStopAndWait(t *testing.T) {
-	_, opts := sharedModels()
-	r := NewRouter(testFleet(opts), Config{})
-	runPump(t, r)
-	srv := NewServer(r, ServerConfig{})
-	srv.stopAndWait = true
-	go srv.ListenAndServe("127.0.0.1:0")
-	defer srv.Close()
-	for srv.Addr() == nil {
-		time.Sleep(time.Millisecond)
-	}
-	c, err := Dial(ClientConfig{Addr: srv.Addr().String(), Tenant: "cam-old"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	stream := testStream(2*window+3, 35)
-	for i, f := range stream {
-		if err := c.Send(f); err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if st := c.Stats(); st.Acked != int64(i+1) || c.windowed {
-			t.Fatalf("frame %d: %d confirmed, windowed %v; want %d on a stop-and-wait connection", i, st.Acked, c.windowed, i+1)
-		}
-	}
-	if st := c.Stats(); st.Sent != int64(len(stream)) || st.Nacks != 0 || st.Retries != 0 {
-		t.Fatalf("stats %+v: want %d frames sent once each, no nacks", st, len(stream))
-	}
-	if s := r.Stats(); s.Accepted != int64(len(stream)) || s.NackedMalformed != 0 {
-		t.Fatalf("accepted %d, malformed %d; want %d, 0 — the sync is not a malformed frame", s.Accepted, s.NackedMalformed, len(stream))
-	}
-}
 
 // TestWindowedBackpressure pins the fourth admission outcome: a frame
 // arriving at a full queue on a windowed connection is neither queued nor
@@ -237,26 +171,8 @@ func TestSyncAnsweredBeforeFeed(t *testing.T) {
 			close(release)
 		}
 	})
-	sync := EncodeSync(Sync{Tenant: "cam-a"})
-	ask := func(seq int, f vidsim.Frame) {
-		t.Helper()
-		if _, err := c.conn.Write(append(EncodeFrame(MsgFromFrame("cam-a", uint64(seq), f)), sync...)); err != nil {
-			t.Fatal(err)
-		}
-		c.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-		typ, payload, err := ReadMsg(c.conn)
-		if a, _ := DecodeAck(payload); err != nil || typ != MsgAck || a.Seq != uint64(seq+1) {
-			t.Fatalf("frame %d's ask: answer type %d, ack %+v (%v); want an ack of %d", seq, typ, a, err, seq+1)
-		}
-	}
-	if _, err := c.conn.Write(sync); err != nil {
-		t.Fatal(err)
-	}
-	if code, err := c.reply(0); err != nil || code != 0 {
-		t.Fatalf("the opening sync: code %d, err %v", code, err)
-	}
 	for i, f := range testStream(stallAt+1, 39) {
-		ask(i, f) // frame stallAt's answer comes while its feed is still to come
+		c.mustAck(t, i, f) // frame stallAt's answer comes while its feed is still to come
 		if i < stallAt {
 			awaitPumped(t, pumped, "a frame sent alone", func() bool { return r.Stats().Processed == int64(i+1) })
 		}
@@ -306,7 +222,7 @@ func TestClientSendAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(20*window, send); n != 0 {
 		t.Errorf("a warm Send allocates %v objects, want 0", n)
 	}
-	if !c.windowed || c.Stats().Retries != 0 {
-		t.Fatalf("windowed %v, stats %+v: the measured sends were not the window's", c.windowed, c.Stats())
+	if c.Stats().Retries != 0 {
+		t.Fatalf("stats %+v: the measured sends were not the window's", c.Stats())
 	}
 }

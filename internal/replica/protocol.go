@@ -31,8 +31,9 @@ import (
 // Magic is the wire magic number, "VDRP" big-endian.
 const Magic uint32 = 0x56445250
 
-// Version is the protocol version this package speaks.
-const Version = 1
+// Version is the protocol version this package speaks. A peer that
+// speaks another is refused with a *VersionError.
+const Version = 2
 
 // HeaderSize is the fixed size of the wire header in bytes.
 const HeaderSize = wire.HeaderSize

@@ -7,7 +7,6 @@ import (
 	"os"
 	"time"
 
-	"videodrift"
 	"videodrift/internal/ingest"
 	"videodrift/internal/vidsim"
 )
@@ -37,25 +36,6 @@ func (s *Server) pumped(n int, err error) {
 
 // selfTenant names the self-feed's stream k; it serves from slot k.
 func selfTenant(k int) string { return fmt.Sprintf("self-%d", k) }
-
-// adopt returns cp with a tenant on every shard it keeps. A shard without
-// one was checkpointed before shards recorded their tenant: the self-feed
-// takes it over as stream k, at the position its frame count gives; a
-// wire tenant re-attaches afresh, as it did then, so the shard is dropped.
-func (s *Server) adopt(cp *videodrift.Checkpoint) *videodrift.Checkpoint {
-	named := *cp
-	named.Shards = nil
-	for k, sh := range cp.Shards {
-		if sh.Tenant == "" {
-			if s.cfg.IngestAddr != "" {
-				continue
-			}
-			sh.Tenant, sh.Next = selfTenant(k), uint64(sh.Pipeline.Metrics.Frames)
-		}
-		named.Shards = append(named.Shards, sh)
-	}
-	return &named
-}
 
 // startSelfFeed drives n synthetic streams, without -ingest-addr, as
 // in-process tenants of the router until the -frames budget is reached

@@ -1,11 +1,15 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net"
 	"net/http"
+	"os"
 	"reflect"
 	"slices"
 	"strings"
@@ -622,26 +626,33 @@ func TestServeFailover(t *testing.T) {
 
 // TestPromotionFailureVisible: a promotion severs replication and fences
 // the old primary before it builds the fleet, so one whose fleet cannot
-// be built (here: a shard referencing an entry the checkpoint lacks)
-// must not keep answering 200 "standby".
+// be built (a shard referencing an entry the checkpoint lacks, or one
+// with no tenant to resume) must not keep answering 200 "standby".
 func TestPromotionFailureVisible(t *testing.T) {
-	cfg := testConfig()
-	cfg.StandbyOf, cfg.ReplicaAddr = reserveAddr(t), "127.0.0.1:0" // nobody listens: every probe fails
-	cfg.ProbeEvery, cfg.ProbeFails = 5*time.Millisecond, 2
-	s := start(t, cfg)
-	var h Health
-	if code := get(t, s, "/healthz", &h); code != http.StatusOK || h.Status != "standby" {
-		t.Fatalf("with nothing replicated: %d %q, want 200 standby", code, h.Status)
-	}
-	bad := &store.Checkpoint{Gen: 1, Shards: []store.ShardState{{Registry: []int{3}}}}
-	if err := s.sb.Seed(bad, nil); err != nil {
-		t.Fatal(err)
-	}
-	await(t, "the failed promotion to show", func() bool {
-		return get(t, s, "/healthz", &h) == http.StatusServiceUnavailable
-	})
-	if h.Status != "promotion_failed" || !strings.Contains(h.Error, "references entry 3") || h.Mode != "standby" {
-		t.Errorf("/healthz after a failed promotion: %+v", h)
+	for _, tc := range []struct {
+		shard store.ShardState
+		cause string
+	}{
+		{store.ShardState{Tenant: "cam-0", Registry: []int{3}}, "references entry 3"},
+		{store.ShardState{}, "checkpoint shard 0 has no tenant"},
+	} {
+		cfg := testConfig()
+		cfg.StandbyOf, cfg.ReplicaAddr = reserveAddr(t), "127.0.0.1:0" // nobody listens: every probe fails
+		cfg.ProbeEvery, cfg.ProbeFails = 5*time.Millisecond, 2
+		s := start(t, cfg)
+		var h Health
+		if code := get(t, s, "/healthz", &h); code != http.StatusOK || h.Status != "standby" {
+			t.Fatalf("with nothing replicated: %d %q, want 200 standby", code, h.Status)
+		}
+		if err := s.sb.Seed(&store.Checkpoint{Gen: 1, Shards: []store.ShardState{tc.shard}}, nil); err != nil {
+			t.Fatal(err)
+		}
+		await(t, "the failed promotion to show", func() bool {
+			return get(t, s, "/healthz", &h) == http.StatusServiceUnavailable
+		})
+		if h.Status != "promotion_failed" || !strings.Contains(h.Error, tc.cause) || h.Mode != "standby" {
+			t.Errorf("/healthz after a failed promotion: %+v, want the error to hold %q", h, tc.cause)
+		}
 	}
 }
 
@@ -814,6 +825,41 @@ func TestServeWarmRestart(t *testing.T) {
 		}
 	})
 
+	t.Run("previous-version", func(t *testing.T) {
+		// A state directory of format v2, the epoch before store v3 — one
+		// generation with that version in its header — is refused by name,
+		// and the server cold-starts over it.
+		cfg := testConfig()
+		cfg.StateDir, cfg.Frames = t.TempDir(), 30
+		st, err := store.Open(cfg.StateDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := st.Save(&store.Checkpoint{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint16(data[4:], 2)
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var logged bytes.Buffer
+		log.SetOutput(&logged)
+		t.Cleanup(func() { log.SetOutput(os.Stderr) })
+		s := runSelfFeed(t, cfg)
+		log.SetOutput(os.Stderr)
+		if s.boot != nil {
+			t.Fatal("the server resumed a v2 checkpoint")
+		}
+		if want := fmt.Sprintf("checkpoint format v2, this build reads v%d", store.Version); !strings.Contains(logged.String(), want) {
+			t.Errorf("the log does not name the version: want %q in\n%s", want, logged.String())
+		}
+	})
+
 	t.Run("ingest", func(t *testing.T) {
 		const tenants, frames, cut = 3, 200, 90
 		cfg := testConfig()
@@ -904,30 +950,6 @@ func TestServeWarmRestart(t *testing.T) {
 			t.Error("no tenant drifted: the comparison exercised nothing")
 		}
 	})
-}
-
-// TestAdoptUnnamedShards: a checkpoint written before shards recorded
-// their tenant resumes as it did then — the self-feed continues each
-// shard as its stream k, while behind -ingest-addr its tenants re-attach
-// afresh — and a named shard is its tenant's either way.
-func TestAdoptUnnamedShards(t *testing.T) {
-	cp := &store.Checkpoint{Shards: []store.ShardState{{}, {Tenant: "cam-7", Next: 12}}}
-	cp.Shards[0].Pipeline.Metrics.Frames = 40
-	tenants := func(cp *store.Checkpoint) (out []string) {
-		for _, sh := range cp.Shards {
-			out = append(out, fmt.Sprintf("%s@%d", sh.Tenant, sh.Next))
-		}
-		return out
-	}
-	if got := tenants((&Server{}).adopt(cp)); !reflect.DeepEqual(got, []string{"self-0@40", "cam-7@12"}) {
-		t.Errorf("self-fed: %v", got)
-	}
-	if got := tenants((&Server{cfg: Config{IngestAddr: "x"}}).adopt(cp)); !reflect.DeepEqual(got, []string{"cam-7@12"}) {
-		t.Errorf("-ingest-addr: %v", got)
-	}
-	if cp.Shards[0].Tenant != "" || len(cp.Shards) != 2 {
-		t.Error("adopt modified its argument")
-	}
 }
 
 // TestShutdownFlushes is the SIGTERM path: nothing was replicated or

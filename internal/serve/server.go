@@ -269,8 +269,10 @@ func (s *Server) deploy(cp *videodrift.Checkpoint) error {
 	if cp == nil {
 		f.mon = videodrift.NewDynamicSharded(models, s.env.Labeler(), opts)
 	} else {
-		cp = s.adopt(cp)
-		for _, sh := range cp.Shards {
+		for k, sh := range cp.Shards {
+			if sh.Tenant == "" {
+				return fmt.Errorf("checkpoint shard %d has no tenant: a server resumes only the tenants its router attached", k)
+			}
 			opts.Tracers = append(opts.Tracers, s.tracerFor(sh.Tenant))
 		}
 		var err error

@@ -41,8 +41,9 @@ import (
 	"videodrift/internal/vision"
 )
 
-// Version is the current checkpoint format version.
-const Version uint16 = 2
+// Version is the current checkpoint format version. A checkpoint of any
+// other version is refused with a *VersionError: nothing converts one.
+const Version uint16 = 3
 
 // Payload kinds carried by the envelope: full checkpoints and delta
 // checkpoints (the compact diff replication streams between
@@ -101,8 +102,7 @@ type Checkpoint struct {
 	// Epoch is the fencing epoch of the primary that produced the
 	// snapshot; 0 when the process never replicated. A promoted standby
 	// resumes with a strictly higher epoch, which is what fences a
-	// stale primary's stream (see internal/replica). Gob decodes absent
-	// fields to zero, so pre-replication checkpoints still load.
+	// stale primary's stream (see internal/replica).
 	Epoch uint64
 	// Entries is the deduplicated model table.
 	Entries []*core.ModelEntry
@@ -119,8 +119,7 @@ type ShardState struct {
 	Pipeline core.PipelineSnapshot
 	// Forensics is the shard's drift-forensics recorder state. Its
 	// Enabled flag distinguishes a live state from the zero value a
-	// forensics-less checkpoint carries (gob decodes absent fields to
-	// zero, so v1 checkpoints written before forensics still load).
+	// forensics-less checkpoint carries.
 	Forensics forensics.RecorderState
 	// EventCounts is the shard tracer's per-kind event totals at
 	// checkpoint time, informational (drifttool inspect reports them);
@@ -128,9 +127,7 @@ type ShardState struct {
 	EventCounts []telemetry.KindCount
 	// Tenant names the stream the shard serves ("" for a shard attached
 	// without a name) and Next is that stream's position: the stream index
-	// of the frame it is fed next. Since gob decodes absent fields to zero,
-	// both are zero for every shard of a checkpoint written before shards
-	// recorded their tenant.
+	// of the frame it is fed next.
 	Tenant string
 	Next   uint64
 }

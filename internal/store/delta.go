@@ -89,9 +89,8 @@ type FrameRun struct {
 
 // walkFrameLists calls fn with a pointer to every frame list the shards
 // hold, in the canonical order frame references count positions in:
-// shard by shard, the selection buffer, the forensics pre-roll, the two
-// replay bases of a state written before the mark queue, the marks, then
-// each retained declaration's replay base and frames.
+// shard by shard, the selection buffer, the forensics pre-roll, the
+// marks, then each retained declaration's replay base and frames.
 // TestWalkCoversEveryFrameList fails when a frame list is added to the
 // shard state and not here.
 func walkFrameLists(shards []ShardState, fn func(list *[]vidsim.Frame)) {
@@ -99,8 +98,6 @@ func walkFrameLists(shards []ShardState, fn func(list *[]vidsim.Frame)) {
 		sh := &shards[si]
 		fn(&sh.Pipeline.Buffer)
 		fn(&sh.Forensics.Ring)
-		fn(&sh.Forensics.Base.Buffer)
-		fn(&sh.Forensics.Mid.Buffer)
 		for mi := range sh.Forensics.Marks {
 			fn(&sh.Forensics.Marks[mi].Snap.Buffer)
 		}
@@ -163,11 +160,7 @@ func digestCRCs(crcs []uint32) uint32 {
 // EntryCRCs encodes each entry of cp and returns the per-entry CRCs —
 // what DiffCheckpoints and ApplyDelta accept as the base fingerprint.
 // Callers that encoded or decoded the checkpoint through
-// EncodeWithCRCs/DecodeWithCRCs already hold them and skip this — and
-// must, for a checkpoint decoded from bytes an older build wrote: its
-// blobs carried fields the entry no longer has, so a re-encode does not
-// reproduce their CRCs and a delta built against them answers
-// ErrDeltaBase.
+// EncodeWithCRCs/DecodeWithCRCs already hold them and skip this.
 func EntryCRCs(cp *Checkpoint) ([]uint32, error) {
 	crcs := make([]uint32, len(cp.Entries))
 	for i, e := range cp.Entries {

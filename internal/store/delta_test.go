@@ -5,6 +5,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"reflect"
+	"slices"
 	"testing"
 
 	"videodrift/internal/core"
@@ -44,19 +45,27 @@ func nextGeneration(t testing.TB, base *Checkpoint, addEntry bool) *Checkpoint {
 }
 
 // framedGenerations returns two consecutive generations whose shards
-// hold frames the way a live fleet's do: a pre-roll, a selection buffer
-// and a retained declaration, sharing pixel arrays between lists and
-// between shards; next keeps most of base's frames, drops some and adds
-// new ones.
+// hold frames the way a live fleet's do: a pre-roll with its marks, a
+// selection buffer and a retained declaration, sharing pixel arrays
+// between lists and between shards; next keeps most of base's frames,
+// drops some and adds new ones.
 func framedGenerations(t testing.TB) (base, next *Checkpoint) {
 	t.Helper()
 	fr := vidsim.GenerateTraining(testCond(vidsim.Day()), testW, testH, 40, 17)
+	at := func(frames []vidsim.Frame) (out []int) {
+		for _, f := range frames {
+			out = append(out, f.Index)
+		}
+		return out
+	}
 	withFrames := func(cp *Checkpoint, ring, buffer, declared []vidsim.Frame) *Checkpoint {
 		sh := append([]ShardState(nil), cp.Shards...)
 		sh[0].Forensics = forensics.RecorderState{
 			Enabled: true, Window: 8, Keep: 2, Frame: 100,
-			Ring:         append([]vidsim.Frame(nil), ring...),
-			Declarations: []forensics.Declaration{{ID: "drift-00000042", Frame: 42, Frames: declared}},
+			Ring: append([]vidsim.Frame(nil), ring...), At: at(ring),
+			Marks: []forensics.Mark{{Frame: ring[0].Index}},
+			Declarations: []forensics.Declaration{{ID: "drift-00000042", Frame: 42,
+				BaseFrame: declared[0].Index, Frames: declared, At: at(declared)}},
 		}
 		sh[1].Pipeline.Buffer = append([]vidsim.Frame(nil), buffer...)
 		cp.Shards = sh
@@ -79,7 +88,8 @@ func allFrames(cp *Checkpoint) []vidsim.Frame {
 // TestWalkCoversEveryFrameList pins walkFrameLists to the shard state's
 // type: every []vidsim.Frame reachable from ShardState must be a list the
 // walk visits, or a delta would carry it inline (and a full checkpoint's
-// worth of it every cycle).
+// worth of it every cycle). The order is the format's too: a delta's
+// frame runs name a list by its ordinal in the walk.
 func TestWalkCoversEveryFrameList(t *testing.T) {
 	frameList := reflect.TypeOf([]vidsim.Frame(nil))
 	var count func(reflect.Type) int
@@ -104,9 +114,19 @@ func TestWalkCoversEveryFrameList(t *testing.T) {
 		Declarations: make([]forensics.Declaration, 1),
 	}}}
 	got := 0
-	walkFrameLists(shards, func(*[]vidsim.Frame) { got++ })
+	walkFrameLists(shards, func(list *[]vidsim.Frame) {
+		*list = []vidsim.Frame{{Index: got}}
+		got++
+	})
 	if got != want {
 		t.Fatalf("walkFrameLists visits %d frame lists of a one-mark, one-declaration shard, its type holds %d", got, want)
+	}
+	f := shards[0].Forensics
+	lists := [][]vidsim.Frame{shards[0].Pipeline.Buffer, f.Ring, f.Marks[0].Snap.Buffer, f.Declarations[0].Base.Buffer, f.Declarations[0].Frames}
+	for i, list := range lists {
+		if list[0].Index != i {
+			t.Errorf("frame list %d is walked %d", i, list[0].Index)
+		}
 	}
 }
 
@@ -207,8 +227,11 @@ func TestDeltaRoundTrip(t *testing.T) {
 		t.Fatalf("encode base: %v", err)
 	}
 
-	// Generation 2: runtime-only change — the steady state.
+	// Generation 2: runtime-only change — the steady state, in which a
+	// tenant moved on.
 	next := nextGeneration(t, base, false)
+	next.Shards = slices.Clone(next.Shards)
+	next.Shards[1].Tenant, next.Shards[1].Next = "cam-8", 60
 	d, nextCRCs, err := DiffCheckpoints(base, baseCRCs, next)
 	if err != nil {
 		t.Fatalf("diff: %v", err)
@@ -237,6 +260,9 @@ func TestDeltaRoundTrip(t *testing.T) {
 	}
 	if applied.Gen != 2 || applied.Frames != next.Frames || len(applied.Entries) != len(base.Entries) {
 		t.Fatalf("applied gen %d frames %d entries %d", applied.Gen, applied.Frames, len(applied.Entries))
+	}
+	if sh := applied.Shards[1]; sh.Tenant != "cam-8" || sh.Next != 60 {
+		t.Errorf("applied shard 1 serves %q at %d, want cam-8 at 60", sh.Tenant, sh.Next)
 	}
 	if digestCRCs(appliedCRCs) != digestCRCs(nextCRCs) {
 		t.Fatal("applied fingerprint disagrees with the diff's")

@@ -2,9 +2,17 @@ package store
 
 import (
 	"encoding/binary"
-	"hash/crc32"
+	"slices"
 	"testing"
 )
+
+// previousEpoch returns an envelope rewritten to format v2, the epoch
+// before this one's: a decoder must refuse it by version.
+func previousEpoch(envelope []byte) []byte {
+	b := append([]byte(nil), envelope...)
+	binary.LittleEndian.PutUint16(b[4:], 2)
+	return b
+}
 
 // FuzzDecode feeds arbitrary (and mutated-valid) byte strings through the
 // full decode path. The contract under test: Decode either returns a
@@ -29,16 +37,26 @@ func FuzzDecode(f *testing.F) {
 		f.Fatalf("encoding lean seed checkpoint: %v", err)
 	}
 	f.Add(lean)
-	// What a build from before pixel-space Σ left the entry wrote.
-	legacy, _ := legacyEncode(f, testCheckpoint(f))
-	f.Add(legacy)
-	// And one from before the forensics mark queue: two replay bases.
-	premark, _ := legacyRecorderCheckpoint(f, 117)
-	f.Add(premark)
-	// And one from before the recorder skipped what the stride skips:
-	// dense frame lists with no At.
-	dense, _, _, _ := denseGenerations(f)
-	f.Add(dense)
+	// The format epoch before: a v2 header over a valid payload.
+	f.Add(previousEpoch(valid))
+	// Named shards, one holding a live recorder state: kept frames with
+	// their stream positions, a mark and a retained declaration.
+	fbase, _ := framedGenerations(f)
+	fbase.Shards[0].Tenant, fbase.Shards[0].Next = "cam-0", 100
+	framed, err := Encode(fbase)
+	if err != nil {
+		f.Fatalf("encoding framed seed checkpoint: %v", err)
+	}
+	f.Add(framed)
+	// A shard deploying a registry slot it does not have: well formed,
+	// refused by the structural check.
+	bad := testCheckpoint(f)
+	bad.Shards[1].Pipeline.Current = 3
+	unfit, err := Encode(bad)
+	if err != nil {
+		f.Fatalf("encoding seed checkpoint: %v", err)
+	}
+	f.Add(unfit)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cp, err := Decode(data)
@@ -110,27 +128,22 @@ func FuzzDecodeDelta(f *testing.F) {
 		f.Fatalf("encoding lean delta: %v", err)
 	}
 	f.Add(leanDelta)
-	// The same delta as a pre-upgrade primary sends it: the new entry's
-	// blob still carries pixel-space Σ.
-	ld.NewEntries[0] = legacyBlob(f, lnext.Entries[2])
-	ld.NewCRCs[0] = crc32.ChecksumIEEE(ld.NewEntries[0])
-	legacyDelta, err := EncodeDelta(ld)
+	// The lean delta in the format epoch before, and a delta in which a
+	// tenant moved on and another arrived.
+	f.Add(previousEpoch(leanDelta))
+	tnext := nextGeneration(f, base, false)
+	tnext.Shards = slices.Clone(tnext.Shards)
+	tnext.Shards[0].Tenant, tnext.Shards[0].Next = "cam-0", 150
+	tnext.Shards[1].Tenant, tnext.Shards[1].Next = "cam-1", 7
+	td, _, err := DiffCheckpoints(base, crcs, tnext)
 	if err != nil {
-		f.Fatalf("encoding legacy delta: %v", err)
+		f.Fatalf("diffing named generations: %v", err)
 	}
-	f.Add(legacyDelta)
-	// A delta off a dense full: every frame a reference into it, the
-	// stream frame of each in the shard state.
-	_, dbase, dcrcs, dnext := denseGenerations(f)
-	dd, _, err := DiffCheckpoints(dbase, dcrcs, dnext)
+	tenantDelta, err := EncodeDelta(td)
 	if err != nil {
-		f.Fatalf("diffing dense generations: %v", err)
+		f.Fatalf("encoding named delta: %v", err)
 	}
-	denseDelta, err := EncodeDelta(dd)
-	if err != nil {
-		f.Fatalf("encoding dense delta: %v", err)
-	}
-	f.Add(denseDelta)
+	f.Add(tenantDelta)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := DecodeDelta(data)

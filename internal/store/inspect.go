@@ -35,9 +35,8 @@ type ShardInfo struct {
 	Models   int    // registry size
 	Buffered int    // frames held in the selection/training buffer
 	// PreRollKept of the PreRollSpan stream frames the open forensics
-	// pre-roll covers are held: all of them in a state written before the
-	// recorder skipped what the inspector's stride skips, about one in
-	// SampleEvery since (0/0: forensics off, or suspended by a selection).
+	// pre-roll covers are held, about one in SampleEvery (0/0: forensics
+	// off, or suspended by a selection).
 	PreRollKept, PreRollSpan int
 
 	// EventCounts is the shard tracer's per-kind event totals at
@@ -139,12 +138,8 @@ func Inspect(path string) (*Description, error) {
 		}
 		info.Deployed = names[sh.Registry[p.Current]]
 		info.EventCounts = sh.EventCounts
-		if f := sh.Forensics; f.Enabled && !f.Pending {
-			first := f.BaseFrame
-			if len(f.Marks) > 0 {
-				first = f.Marks[0].Frame
-			}
-			info.PreRollKept, info.PreRollSpan = len(f.Ring), f.Frame-first
+		if f := sh.Forensics; f.Enabled && !f.Pending && len(f.Marks) > 0 {
+			info.PreRollKept, info.PreRollSpan = len(f.Ring), f.Frame-f.Marks[0].Frame
 		}
 		if sh.Forensics.Enabled && len(sh.Forensics.Declarations) > 0 {
 			info.Declarations = len(sh.Forensics.Declarations)

@@ -181,6 +181,7 @@ func TestLeanEntryEncoding(t *testing.T) {
 
 func TestRoundTrip(t *testing.T) {
 	cp := testCheckpoint(t)
+	cp.Shards[0].Tenant, cp.Shards[0].Next = "cam-7", 12 // shard 1 stays unnamed
 	data, err := Encode(cp)
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
@@ -194,6 +195,11 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if len(got.Entries) != 2 || len(got.Shards) != 2 {
 		t.Fatalf("shape: %d entries, %d shards", len(got.Entries), len(got.Shards))
+	}
+	for k, sh := range got.Shards {
+		if sh.Tenant != cp.Shards[k].Tenant || sh.Next != cp.Shards[k].Next {
+			t.Errorf("shard %d serves %q at %d, want %q at %d", k, sh.Tenant, sh.Next, cp.Shards[k].Tenant, cp.Shards[k].Next)
+		}
 	}
 
 	for i, e := range got.Entries {
@@ -306,19 +312,23 @@ func TestSaveLoadRotation(t *testing.T) {
 
 // TestCorruptionFallback damages the newest checkpoint in several ways;
 // each must produce a typed error and LoadLatest must fall back to the
-// previous good generation.
+// previous good generation. A checkpoint of another format version —
+// one this build's successor wrote, or its predecessor — is refused by
+// name, and a directory that holds nothing else does not load.
 func TestCorruptionFallback(t *testing.T) {
 	cp := testCheckpoint(t)
 	corruptions := []struct {
 		name    string
 		mutate  func([]byte) []byte
 		wantErr error
+		version uint16 // the *VersionError's Got when wantErr is nil
 	}{
-		{"truncated-header", func(b []byte) []byte { return b[:10] }, ErrTruncated},
-		{"truncated-payload", func(b []byte) []byte { return b[:len(b)/2] }, ErrTruncated},
-		{"flipped-payload-byte", func(b []byte) []byte { b[headerSize+len(b)/3] ^= 0x40; return b }, ErrChecksum},
-		{"bad-magic", func(b []byte) []byte { b[0] = 'X'; return b }, ErrBadMagic},
-		{"future-version", func(b []byte) []byte { b[4], b[5] = 0xff, 0x7f; return b }, nil}, // *VersionError
+		{"truncated-header", func(b []byte) []byte { return b[:10] }, ErrTruncated, 0},
+		{"truncated-payload", func(b []byte) []byte { return b[:len(b)/2] }, ErrTruncated, 0},
+		{"flipped-payload-byte", func(b []byte) []byte { b[headerSize+len(b)/3] ^= 0x40; return b }, ErrChecksum, 0},
+		{"bad-magic", func(b []byte) []byte { b[0] = 'X'; return b }, ErrBadMagic, 0},
+		{"future-version", func(b []byte) []byte { b[4], b[5] = 0xff, 0x7f; return b }, nil, 0x7fff},
+		{"previous-version", previousEpoch, nil, 2},
 	}
 	for _, tc := range corruptions {
 		t.Run(tc.name, func(t *testing.T) {
@@ -328,7 +338,8 @@ func TestCorruptionFallback(t *testing.T) {
 				t.Fatal(err)
 			}
 			cp.Frames = 111
-			if _, err := s.Save(cp); err != nil {
+			good, err := s.Save(cp)
+			if err != nil {
 				t.Fatal(err)
 			}
 			cp.Frames = 222
@@ -350,8 +361,8 @@ func TestCorruptionFallback(t *testing.T) {
 				t.Fatalf("error = %v, want %v", err, tc.wantErr)
 			} else if tc.wantErr == nil {
 				var ve *VersionError
-				if !errors.As(err, &ve) {
-					t.Fatalf("error = %v, want *VersionError", err)
+				if !errors.As(err, &ve) || *ve != (VersionError{Got: tc.version, Want: Version}) {
+					t.Fatalf("error = %v, want *VersionError{Got: %d, Want: %d}", err, tc.version, Version)
 				}
 			}
 
@@ -361,6 +372,16 @@ func TestCorruptionFallback(t *testing.T) {
 			}
 			if got.Frames != 111 {
 				t.Errorf("fell back to frames=%d via %s, want the 111 generation", got.Frames, p)
+			}
+			if tc.wantErr != nil {
+				return
+			}
+			if err := os.Remove(good); err != nil {
+				t.Fatal(err)
+			}
+			var ve *VersionError
+			if _, _, err := s.LoadLatest(); !errors.As(err, &ve) {
+				t.Errorf("LoadLatest over nothing but the other version's generation: %v, want a *VersionError", err)
 			}
 		})
 	}

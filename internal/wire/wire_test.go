@@ -14,8 +14,8 @@ import (
 // declare them (their golden-byte tests hold the encoders to the same
 // messages).
 var (
-	vdif = Format{Magic: 0x56444946, Version: 1, MaxPayload: 4*4096*4096 + 337}
-	vdrp = Format{Magic: 0x56445250, Version: 1, MaxPayload: 1 << 28}
+	vdif = Format{Magic: 0x56444946, Version: 2, MaxPayload: 4*4096*4096 + 337}
+	vdrp = Format{Magic: 0x56445250, Version: 2, MaxPayload: 1 << 28}
 )
 
 func unhex(s string) []byte {
@@ -27,16 +27,17 @@ func unhex(s string) []byte {
 }
 
 // One message of each type of either protocol, byte for byte as the
-// build before this package wrote them.
+// build before this package wrote them but for the version byte (and the
+// ack's duplicate flag, which VDIF v2 dropped).
 var (
-	vdifFrame   = unhex("5644494601010000004a60e172dc0563616d2d30000000000000000700040003036461790000000c000000003e0000003e8000003ec000003f0000003f2000003f4000003f6000003f8000003f9000003fa000003fb00000")
-	vdifAck     = unhex("5644494601020000000937792f8c000001000000000001")
-	vdifNack    = unhex("56444946010300000020845bcddd000000000000000c0200000032001174656e616e742071756575652066756c6c")
-	vdrpHello   = unhex("564452500101000000105361ef4a0000000000000007000000000000002a")
-	vdrpFull    = unhex("56445250010200000032ba149c2900000000000000070000000000000003000000000000002b000000000000002a0000000e656e76656c6f7065206279746573")
-	vdrpDelta   = unhex("56445250010300000032ba149c2900000000000000070000000000000003000000000000002b000000000000002a0000000e656e76656c6f7065206279746573")
-	vdrpApplied = unhex("56445250010400000008c99e2629000000000000002b")
-	vdrpFenced  = unhex("564452500105000000081cfe67cd0000000000000009")
+	vdifFrame   = unhex("5644494602010000004a60e172dc0563616d2d30000000000000000700040003036461790000000c000000003e0000003e8000003ec000003f0000003f2000003f4000003f6000003f8000003f9000003fa000003fb00000")
+	vdifAck     = unhex("56444946020200000008ae7e0ccc0000010000000000")
+	vdifNack    = unhex("56444946020300000020845bcddd000000000000000c0200000032001174656e616e742071756575652066756c6c")
+	vdrpHello   = unhex("564452500201000000105361ef4a0000000000000007000000000000002a")
+	vdrpFull    = unhex("56445250020200000032ba149c2900000000000000070000000000000003000000000000002b000000000000002a0000000e656e76656c6f7065206279746573")
+	vdrpDelta   = unhex("56445250020300000032ba149c2900000000000000070000000000000003000000000000002b000000000000002a0000000e656e76656c6f7065206279746573")
+	vdrpApplied = unhex("56445250020400000008c99e2629000000000000002b")
+	vdrpFenced  = unhex("564452500205000000081cfe67cd0000000000000009")
 )
 
 // protocol is a format with the messages the tests build streams from:
@@ -139,10 +140,13 @@ func TestReadMsgErrors(t *testing.T) {
 			t.Errorf("%s: DecodeMsg of four bytes: %v, want ErrTruncated", p.name, err)
 		}
 
-		var verr *VersionError
-		_, _, err := p.f.ReadMsg(bytes.NewReader(damage(msg, 4, 1^9)))
-		if !errors.As(err, &verr) || verr.Got != 9 || verr.Want != p.f.Version {
-			t.Fatalf("%s: version 9: err %v, want *VersionError{Got:9, Want:%d}", p.name, err, p.f.Version)
+		// A future version and v1, the epoch before both formats' v2.
+		for _, v := range []uint8{9, 1} {
+			var verr *VersionError
+			_, _, err := p.f.ReadMsg(bytes.NewReader(damage(msg, 4, p.f.Version^v)))
+			if !errors.As(err, &verr) || *verr != (VersionError{Got: v, Want: p.f.Version}) {
+				t.Fatalf("%s: version %d: err %v, want *VersionError{Got:%d, Want:%d}", p.name, v, err, v, p.f.Version)
+			}
 		}
 
 		// CRC failure must leave the stream aligned: the next message on the

@@ -8,8 +8,9 @@
 # training with and without the MSBO ensemble, one tenant attach under
 # each selector and the B/tenant it leaves on the heap) and the ingest
 # tier's per-arrival path (Submit + Pump per frame, and the same frame
-# through the front door: socket → ACK → fed in place, 1 and 8 tenants
-# stop-and-wait and one tenant's window of 8 frames and its ask),
+# through the front door: socket → the ask's ACK → fed in place, 1 and
+# 8 tenants a frame and its ask a round, and one tenant's window of 8
+# frames and its ask),
 # the admission scan every frame passes (1024 pixels, against the
 # retained per-pixel loop), what a model costs a checkpoint or a
 # replication delta (encode time and B/entry, lean and full) and what a

@@ -5,7 +5,8 @@
 # experiment-scale classifier fit and one step of it, one serving-time
 # training with and without the MSBO ensemble, one tenant attach under
 # each selector, the ingest router's Submit + Pump per frame and the same
-# frame through a loopback connection, stop-and-wait and windowed, the
+# frame through a loopback connection, one frame or a window of eight
+# and their ask a round, the
 # per-frame admission scan, one model entry's encoding, the forensics
 # recorder's state clone) and fails when any of them
 # lands more than THRESHOLD percent slower than the committed
