@@ -240,17 +240,22 @@ func BenchmarkMartingaleUpdate(b *testing.B) {
 }
 
 // BenchmarkDetectorsPerFrame measures the two detector baselines (the
-// Table 9 per-frame costs).
+// Table 9 per-frame costs; maskrcnn-sim is also the annotator every
+// training labels its frames with). Its allocations are gated: the
+// window-bound tables live on the call's stack, and a detector that
+// allocates them per call shows up as allocs/op.
 func BenchmarkDetectorsPerFrame(b *testing.B) {
 	f := benchFrame()
 	b.Run("maskrcnn-sim", func(b *testing.B) {
 		det := detect.NewMaskRCNNSim()
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			det.Detect(f)
 		}
 	})
 	b.Run("yolo-sim", func(b *testing.B) {
 		det := detect.NewYOLOSim()
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			det.Detect(f)
 		}

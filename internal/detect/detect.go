@@ -14,8 +14,11 @@
 //   - NewYOLOSim: stride-2 search over two scales, no refinement — faster
 //     and less accurate, the drift-oblivious fast baseline.
 //
-// The cost difference between the two is real CPU work, not sleeps, so
-// the end-to-end time comparisons of Table 9 are measured honestly.
+// Both skip the windows that summed-area tables prove cannot pass
+// (cannotPass) and score the rest exactly as an exhaustive scan does, so
+// the output is that scan's, bit for bit. The cost difference between
+// the two is real CPU work, not sleeps, so the end-to-end time
+// comparisons of Table 9 are measured honestly.
 package detect
 
 import (
@@ -104,13 +107,20 @@ func (d *SlidingWindowDetector) Detect(f vidsim.Frame) []Detection {
 	bg, sigma := backgroundEstimate(f)
 	tau := math.Max(d.cfg.ScoreFloor, d.cfg.NoiseMult*sigma)
 
-	var cands []Detection
+	var (
+		cands []Detection
+		buf   [2 * 33 * 33]float64 // room for a 32×32 frame's tables
+		tab   integrals            // built at the first template that fits
+	)
 	for _, t := range d.templates {
 		for _, s := range d.cfg.Scales {
 			w := int(math.Round(float64(t.w) * s))
 			h := int(math.Round(float64(t.h) * s))
 			if w < 2 || h < 2 || w >= f.W-2 || h >= f.H-2 {
 				continue
+			}
+			if tab.sum == nil {
+				tab = integralsOf(f, buf[:])
 			}
 			// Rank = (contrast − 1.5·interior std)·sqrt(area): among windows
 			// over the same object, the largest fully covered template wins
@@ -123,6 +133,9 @@ func (d *SlidingWindowDetector) Detect(f vidsim.Frame) []Detection {
 			areaW := math.Sqrt(float64(w * h))
 			for y := 1; y+h < f.H-1; y += d.cfg.Stride {
 				for x := 1; x+w < f.W-1; x += d.cfg.Stride {
+					if tab.cannotPass(x, y, w, h, bg, tau) {
+						continue
+					}
 					mean, std := windowStats(f, x, y, w, h)
 					contrast := math.Abs(mean-bg) - 1.5*std
 					if contrast > tau {
@@ -138,6 +151,12 @@ func (d *SlidingWindowDetector) Detect(f vidsim.Frame) []Detection {
 			}
 		}
 	}
+	return d.finish(f, cands)
+}
+
+// finish ranks the candidate windows, caps them, suppresses overlaps and,
+// for the refined detector, re-centers what is kept.
+func (d *SlidingWindowDetector) finish(f vidsim.Frame, cands []Detection) []Detection {
 	sort.Slice(cands, func(i, j int) bool { return cands[i].Score > cands[j].Score })
 	if len(cands) > d.cfg.MaxKeep {
 		cands = cands[:d.cfg.MaxKeep]
@@ -149,6 +168,91 @@ func (d *SlidingWindowDetector) Detect(f vidsim.Frame) []Detection {
 		}
 	}
 	return kept
+}
+
+// integrals holds a frame's summed-area tables of p and p², from which
+// cannotPass bounds a window's contrast in constant time. One detector
+// serves many goroutines (set-up labels its sequences concurrently), so
+// the tables are each call's own, on its stack for the datasets' frames.
+type integrals struct {
+	stride     int       // W+1
+	sum, sumSq []float64 // (W+1)·(H+1) entries; row 0 and column 0 are zero
+	slack      float64   // bound on |table window sum − windowStats' sum|
+	slackSq    float64   // the same for the sums of squares
+}
+
+// integralsOf builds the tables for f in buf, or in a new slice when buf
+// is too small. Entry (y, x) is the sum over rows < y of each row's
+// prefix sum up to column x, so it carries at most x+y roundings of the
+// frame's absolute mass A = Σ|p|; a window's four-lookup difference adds
+// three more of at most 4A, and windowStats' own sum at most w·h−1 of A.
+// The slack, (W·H + 4(W+H) + 16)·2⁻⁵² times the mass, covers all of them
+// twice over (2⁻⁵² is twice the unit roundoff); the squares' mass gets an
+// absolute term for squares that underflow. A frame holding a NaN or an
+// infinity has a non-finite slack, and no bound built from it passes
+// cannotPass's test.
+func integralsOf(f vidsim.Frame, buf []float64) integrals {
+	stride := f.W + 1
+	n := stride * (f.H + 1)
+	if len(buf) < 2*n {
+		buf = make([]float64, 2*n)
+	}
+	t := integrals{stride: stride, sum: buf[:n], sumSq: buf[n : 2*n]}
+	clear(t.sum[:t.stride])
+	clear(t.sumSq[:t.stride])
+	mass, massSq := 0.0, 0.0
+	for y := 0; y < f.H; y++ {
+		row := f.Pixels[y*f.W : y*f.W+f.W]
+		above, at := y*t.stride, (y+1)*t.stride
+		t.sum[at], t.sumSq[at] = 0, 0
+		run, runSq := 0.0, 0.0
+		for x, p := range row {
+			q := float64(p * p)
+			run += p
+			runSq += q
+			mass += math.Abs(p)
+			massSq += q
+			t.sum[at+x+1] = t.sum[above+x+1] + run
+			t.sumSq[at+x+1] = t.sumSq[above+x+1] + runSq
+		}
+	}
+	k := float64(f.W*f.H+4*(f.W+f.H)+16) * 0x1p-52
+	t.slack = k * mass
+	t.slackSq = k * (massSq + 0x1p-1020)
+	return t
+}
+
+// cannotPass reports whether windowStats' contrast for the w×h window at
+// (x, y), |mean − bg| − 1.5·std, is provably at most tau, so the window
+// cannot become a candidate. It bounds every value windowStats and Detect
+// compute rather than the exact real ones: the tables and the slack give
+// an interval holding windowStats' floating-point sum (and sum of
+// squares), and each later step is a rounded operation monotone in its
+// inputs, so applying it to an interval's ends bounds the computed value.
+// The last comparison allows 16 roundings of slack because Detect's
+// final subtraction may be fused with its product (the conversion keeps
+// this one unfused), which rounds 1.5·std differently.
+// NaN anywhere makes the bound NaN, which never proves anything.
+func (t *integrals) cannotPass(x, y, w, h int, bg, tau float64) bool {
+	top, bot := y*t.stride+x, (y+h)*t.stride+x
+	s := t.sum[bot+w] - t.sum[top+w] - t.sum[bot] + t.sum[top]
+	n := float64(w * h)
+	lo, hi := (s-t.slack)/n, (s+t.slack)/n
+	dev := max(math.Abs(lo-bg), math.Abs(hi-bg)) // ≥ |mean − bg|
+	if dev < tau {
+		return true // std ≥ 0, so the contrast is at most |mean − bg|
+	}
+	sq := t.sumSq[bot+w] - t.sumSq[top+w] - t.sumSq[bot] + t.sumSq[top]
+	m := max(math.Abs(lo), math.Abs(hi))
+	// mean·mean, rounded or fused, is at most m²(1+2⁻⁵⁰) plus an
+	// underflow's worth; the conversion keeps the subtraction unfused.
+	v := (sq-t.slackSq)/n - float64(m*m*(1+0x1p-50)+0x1p-1020) // ≤ variance
+	std := 0.0
+	if v > 0 {
+		std = math.Sqrt(v)
+	}
+	c := dev - float64(1.5*std)
+	return c+0x1p-49*(dev+1.5*std) < tau
 }
 
 // windowStats returns the mean and standard deviation of the w×h window

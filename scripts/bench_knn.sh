@@ -2,8 +2,9 @@
 # Runs the hot-path benchmarks behind the kNN kernel and the parallel
 # selection engine (kNN scoring brute vs fast, Drift Inspector observe,
 # the two featurizers over 512 wire-quantised night and angle frames,
-# MSBI worker/model scaling, sharded monitoring throughput), the
-# training benchmarks (one Adam step dense and with idle coordinates, one
+# MSBI worker/model scaling, sharded monitoring throughput), the two
+# detectors on one frame (the annotator labels every training's frames),
+# the training benchmarks (one Adam step dense and with idle coordinates, one
 # experiment-scale classifier fit and one step of it, one serving-time
 # training with and without the MSBO ensemble, one tenant attach under
 # each selector and the B/tenant it leaves on the heap) and the ingest
@@ -53,7 +54,7 @@ if [ -n "${PROFILE:-}" ]; then
 fi
 
 raw=$(go test -run=NONE \
-	-bench 'KNNScore|DriftInspectorObserve|Featurize$|QueryFeatures|MSBIParallel|ShardedThroughput|Provision|AttachTenant' \
+	-bench 'KNNScore|DriftInspectorObserve|Featurize$|QueryFeatures|MSBIParallel|ShardedThroughput|Provision|AttachTenant|DetectorsPerFrame' \
 	-benchtime "$benchtime" -count "$count" "${profflags[@]}" .
 	go test -run=NONE -bench 'AdamStep|ClassifierFit|ClassifierTrainStep' \
 		-benchtime "$benchtime" -count "$count" ./internal/nn ./internal/classifier

@@ -2,7 +2,8 @@
 # Bench-regression smoke: re-runs the regression-gated benchmarks (the
 # kNN kernel fast path, the two featurizers, the sharded monitoring
 # fan-out, one Adam step dense and with idle coordinates, one
-# experiment-scale classifier fit and one step of it, one serving-time
+# experiment-scale classifier fit and one step of it, the two detectors
+# on one frame (the annotator labels every training's frames), one serving-time
 # training with and without the MSBO ensemble, one tenant attach under
 # each selector, the ingest router's Submit + Pump per frame and the same
 # frame through a loopback connection, one frame or a window of eight
@@ -45,7 +46,8 @@ fi
 
 # The gated set: kernel-regime kNN scoring, the two featurizers (every
 # frame passes the classifier's front-end, which carries the inspector's
-# features), the sharded fan-out, training (the idle_late step is the one that cost ten dense steps; a
+# features), the sharded fan-out, training (the idle_late step is the one that cost ten dense steps; the
+# annotator near 2× its row means its window bound stopped pruning; a
 # lean Provision near the full one means an MSBI training fits ensembles
 # again, an msbi attach near the msbo one that it calibrates them),
 # the ingest pump and the connection loop, which run once per arrival,
@@ -55,7 +57,7 @@ fi
 # that allocates its whole event ring at attach is 60× over on B/tenant;
 # a recorder that keeps the frames the stride skipped is 9× over on
 # B/declaration).
-raw=$(go test -run=NONE -bench 'KNNScore/sigma512x64|Featurize$|QueryFeatures|ShardedThroughput|Provision|AttachTenant' \
+raw=$(go test -run=NONE -bench 'KNNScore/sigma512x64|Featurize$|QueryFeatures|ShardedThroughput|Provision|AttachTenant|DetectorsPerFrame' \
 	-benchtime "$benchtime" -count "$count" .
 	go test -run=NONE -bench 'AdamStep|ClassifierFit|ClassifierTrainStep' \
 		-benchtime "$benchtime" -count "$count" ./internal/nn ./internal/classifier
