@@ -53,9 +53,7 @@ func testMonitorSteadyStateAllocs(t *testing.T, stream []Frame, forensics bool, 
 	for i := range tracers {
 		tracers[i] = NewTracer(TracerConfig{})
 	}
-	sm := NewShardedMonitor(getLeanCkptModels(), facadeLabeler, ShardedOptions{
-		Options: opts, Shards: shards, Workers: 1, Tracers: tracers,
-	})
+	sm := fixedFleet(getLeanCkptModels(), facadeLabeler, ShardedOptions{Options: opts, Workers: 1}, shards, tracers...)
 	batches := make([][]Frame, shards)
 	var events [][]Event
 	at := 0

@@ -425,7 +425,7 @@ func BenchmarkMSBIParallel(b *testing.B) {
 
 // BenchmarkShardedThroughput measures aggregate monitoring throughput as
 // shards (concurrent camera streams over the shared registry) are added:
-// one ProcessBatch per iteration, steady-state in-distribution frames so
+// one frame per shard per iteration, steady-state in-distribution frames so
 // no drift machinery beyond Algorithm 1 runs. The ns/frame metric is the
 // per-stream cost; flat ns/frame across shard counts means linear
 // aggregate throughput.
@@ -438,7 +438,7 @@ func BenchmarkShardedThroughput(b *testing.B) {
 	frames := facadeFrames(facadeCond(vidsim.Day()), 256, 53)
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards%d", shards), func(b *testing.B) {
-			sm := NewShardedMonitor(models, nil, ShardedOptions{Options: opts, Shards: shards})
+			sm := fixedFleet(models, nil, ShardedOptions{Options: opts}, shards)
 			batch := make([]Frame, shards)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -456,7 +456,7 @@ func BenchmarkShardedThroughput(b *testing.B) {
 // monitoring fan-out fed through ProcessBatches at growing micro-batch
 // sizes. Supervision is batch-granular — one pipeline snapshot per batch
 // instead of per frame — so ns/frame falls as the batch grows; batch1 is
-// the ProcessBatch cadence of BenchmarkShardedThroughput.
+// the cadence of BenchmarkShardedThroughput.
 func BenchmarkShardedThroughputBatched(b *testing.B) {
 	opts := Defaults(facadeDim, facadeClasses)
 	opts.Pipeline.Selector = MSBI
@@ -467,7 +467,7 @@ func BenchmarkShardedThroughputBatched(b *testing.B) {
 	const shards = 4
 	for _, size := range []int{1, 8, 32} {
 		b.Run(fmt.Sprintf("shards%d/batch%d", shards, size), func(b *testing.B) {
-			sm := NewShardedMonitor(models, nil, ShardedOptions{Options: opts, Shards: shards})
+			sm := fixedFleet(models, nil, ShardedOptions{Options: opts}, shards)
 			batches := make([][]Frame, shards)
 			for s := range batches {
 				batches[s] = make([]Frame, size)

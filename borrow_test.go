@@ -1,12 +1,12 @@
 package videodrift
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"reflect"
 	"testing"
 
-	"videodrift/internal/faults"
-	"videodrift/internal/store"
 	"videodrift/internal/vidsim"
 )
 
@@ -86,6 +86,16 @@ func borrowFixture() ([]*Model, Options, [][]Frame) {
 	return getCkptModels()[:1], opts, streams
 }
 
+// gobBytes is v as a checkpoint stores it: gob, which does not tell a nil
+// slice from an empty one.
+func gobBytes(t *testing.T, v any) []byte {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // declared is every shard's retained declarations and their Explain
 // reports.
 func declared(t *testing.T, mons ...*Monitor) (decls [][]DriftDeclaration, reports [][]DriftReport) {
@@ -134,9 +144,9 @@ func TestProcessBorrowsPixels(t *testing.T) {
 		trainings += fresh.Stats().ModelsTrained
 	})
 
-	sopts := ShardedOptions{Options: opts, Shards: len(streams), Workers: 2}
+	sopts := ShardedOptions{Options: opts, Workers: 2}
 	run := func(feed func(sm *ShardedMonitor) [][]Event) ([][]Event, [][]DriftDeclaration, [][]DriftReport) {
-		sm := NewShardedMonitor(models, facadeLabeler, sopts)
+		sm := fixedFleet(models, facadeLabeler, sopts, len(streams))
 		evs := feed(sm)
 		decls, reports := declared(t, sm.Shard(0), sm.Shard(1))
 		return evs, decls, reports
@@ -213,126 +223,5 @@ func TestProcessBorrowsPixels(t *testing.T) {
 
 	if trainings == 0 {
 		t.Error("the stream trained no model: the training window was never held")
-	}
-}
-
-// TestBorrowedRunEqualsFresh holds the supervisor's and the replication
-// tier's paths to the borrow contract: the same fleet, fed once fresh
-// frames and once frames from buffers poisoned after every call, through
-// worker panics that land mid-batch (a chaos batch: restore and re-run
-// from the supervisor's snapshot), a delta chain that ships a capture
-// after every batch, a failover onto the chain's head, and the promoted
-// fleet's continuation. Every event, declaration and Explain report, every
-// full checkpoint's and delta's bytes must be the fresh run's.
-func TestBorrowedRunEqualsFresh(t *testing.T) {
-	models, opts, streams := borrowFixture()
-	const size, killAt = 8, 232
-	type outcome struct {
-		Events  [][]Event
-		Decls   [][]DriftDeclaration
-		Reports [][]DriftReport
-		Full    []byte   // the first capture and the promoted fleet's last
-		Deltas  [][]byte // one per batch after the first
-	}
-	run := func(l *lender) (o outcome) {
-		inj := faults.NewInjector(faults.Schedule{Seed: 3, Faults: []faults.Fault{
-			{Shard: 0, Frame: 43, Kind: faults.KindWorkerPanic},
-			{Shard: 1, Frame: 99, Kind: faults.KindWorkerPanic},
-			{Shard: 0, Frame: 131, Kind: faults.KindWorkerPanic},
-		}})
-		sopts := ShardedOptions{Options: opts, Shards: len(streams), Workers: 2}
-		chaos := sopts
-		chaos.Faults = inj
-		sm := NewShardedMonitor(models, facadeLabeler, chaos)
-		o.Events = make([][]Event, len(streams))
-		feed := func(sm *ShardedMonitor, from, to int) {
-			for at := from; at < to; at += size {
-				batches := make([][]Frame, len(streams))
-				for s := range streams {
-					batches[s] = streams[s][at:min(at+size, to)]
-				}
-				if l != nil {
-					batches = l.lend(batches)
-				}
-				for s, evs := range mustBatches(sm, batches) {
-					o.Events[s] = append(o.Events[s], evs...)
-				}
-				if l != nil {
-					l.poison()
-				}
-			}
-		}
-		capture := func(sm *ShardedMonitor) (*Checkpoint, []byte, []uint32) {
-			cp := sm.Checkpoint()
-			cp.CreatedUnixNano = 0
-			full, crcs, err := store.EncodeWithCRCs(cp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return cp, full, crcs
-		}
-
-		var (
-			prev, chain         *Checkpoint
-			prevCRCs, chainCRCs []uint32
-		)
-		for at := 0; at < killAt; at += size {
-			feed(sm, at, at+size)
-			cp, full, crcs := capture(sm)
-			if prev == nil {
-				o.Full = full
-				var err error
-				if chain, chainCRCs, err = store.DecodeWithCRCs(full); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				d, _, err := store.DiffCheckpoints(prev, prevCRCs, cp)
-				if err != nil {
-					t.Fatalf("frame %d: diff: %v", at, err)
-				}
-				wire, err := store.EncodeDelta(d)
-				if err != nil {
-					t.Fatal(err)
-				}
-				o.Deltas = append(o.Deltas, wire)
-				dd, err := store.DecodeDelta(wire)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if chain, chainCRCs, err = store.ApplyDelta(chain, chainCRCs, dd); err != nil {
-					t.Fatalf("frame %d: apply: %v", at, err)
-				}
-			}
-			prev, prevCRCs = cp, crcs
-		}
-		if h := sm.Health(); h.Shards[0].Restarts+h.Shards[1].Restarts != 3 {
-			t.Fatalf("%d supervised restarts, want 3", h.Shards[0].Restarts+h.Shards[1].Restarts)
-		}
-		// Failover: the standby's chain becomes the live fleet.
-		resumed, err := ResumeSharded(chain, facadeLabeler, sopts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		feed(resumed, killAt, len(streams[0]))
-		o.Decls, o.Reports = declared(t, resumed.Shard(0), resumed.Shard(1))
-		_, last, _ := capture(resumed)
-		o.Full = append(o.Full, last...)
-		if resumed.Stats().ModelsTrained == 0 || len(o.Decls[0]) == 0 {
-			t.Fatal("the continuation trained or declared nothing: the holders were never exercised")
-		}
-		return o
-	}
-	want, got := run(nil), run(&lender{})
-	if !reflect.DeepEqual(got.Events, want.Events) {
-		t.Error("events differ from the fresh-buffer run's")
-	}
-	if !reflect.DeepEqual(got.Decls, want.Decls) || !reflect.DeepEqual(got.Reports, want.Reports) {
-		t.Error("declarations or their Explain reports differ from the fresh-buffer run's")
-	}
-	if !reflect.DeepEqual(got.Full, want.Full) {
-		t.Error("checkpoint bytes differ from the fresh-buffer run's")
-	}
-	if !reflect.DeepEqual(got.Deltas, want.Deltas) {
-		t.Error("delta bytes differ from the fresh-buffer run's")
 	}
 }

@@ -6,10 +6,8 @@ import (
 	"testing"
 	"time"
 
-	"videodrift/internal/core"
 	"videodrift/internal/faults"
 	"videodrift/internal/store"
-	"videodrift/internal/vidsim"
 )
 
 // deliverStreams runs each shard's clean stream through the injector's
@@ -31,125 +29,6 @@ func deliverStreams(inj *faults.Injector, streams [][]Frame) [][]Frame {
 		delivered[s] = delivered[s][:minLen]
 	}
 	return delivered
-}
-
-// survivors drops the frames the admission gate will quarantine,
-// leaving the stream a clean reference monitor should see.
-func survivors(frames []Frame) []Frame {
-	var out []Frame
-	for _, f := range frames {
-		if core.FrameProblem(f, 16, 16) == "" {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// fogStream renders a live clip of a condition novel to both
-// provisioned models (near-invisible objects in uniform mid-gray), so a
-// drift on it must end in training rather than reselection.
-func fogStream(n int, seed int64) []Frame {
-	fog := vidsim.Condition{
-		Name: "fog", Background: 0.50, BgNoise: 0.05, BgDrift: 0.004,
-		CarRate: 5.5, BusRate: 0, Burst: 0.5,
-		CarIntensity: 0.55, BusIntensity: 0.44, ObjNoise: 0.03,
-		ObjScale: 1.2, BandLo: 0.2, BandHi: 0.6, SpeedX: 0.7, SpeedVar: 0.3,
-	}
-	return vidsim.GenerateTrainingStride(fog, 16, 16, n, 1, seed)
-}
-
-// TestChaosEquivalence is the harness's headline guarantee: a seeded
-// chaos run — NaN/Inf pixels, wrong dimensions, dropped and duplicated
-// frames, injected worker panics with supervised restarts — leaves the
-// drift machinery's decisions on the surviving frames bit-identical to
-// a clean run that never saw the faults. Checked for both selectors at
-// 1 and 4 shards.
-func TestChaosEquivalence(t *testing.T) {
-	models := getCkptModels()
-	const total = 200
-
-	for _, tc := range []struct {
-		name     string
-		selector Selector
-		shards   int
-		seed     int64
-	}{
-		{"msbi-shards1", MSBI, 1, 701},
-		{"msbi-shards4", MSBI, 4, 702},
-		{"msbo-shards1", MSBO, 1, 703},
-		{"msbo-shards4", MSBO, 4, 704},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			sched := faults.Generate(tc.seed, faults.GenConfig{
-				Shards: tc.shards, Frames: total,
-				CorruptRate: 0.04, DropRate: 0.02, DupRate: 0.02,
-				Panics: 2,
-			})
-			streams := make([][]Frame, tc.shards)
-			for s := range streams {
-				streams[s] = driftStream(total, 60+10*s, tc.seed+int64(100*s))
-			}
-			inj := faults.NewInjector(sched)
-			delivered := deliverStreams(inj, streams)
-
-			opts := Defaults(facadeDim, facadeClasses)
-			opts.Pipeline.Selector = tc.selector
-			chaos := NewShardedMonitor(models, facadeLabeler, ShardedOptions{
-				Options: opts, Shards: tc.shards, Faults: inj,
-			})
-			events := runBatches(chaos, delivered, 0, len(delivered[0]))
-
-			// The reference fleet never sees faults: same seeds, fed only
-			// the frames that survive the gate.
-			ref := NewShardedMonitor(models, facadeLabeler, ShardedOptions{
-				Options: opts, Shards: tc.shards,
-			})
-			for s := 0; s < tc.shards; s++ {
-				clean := survivors(delivered[s])
-				quarantined := len(delivered[s]) - len(clean)
-				var kept []Event
-				for _, ev := range events[s] {
-					if !ev.Quarantined {
-						kept = append(kept, ev)
-					}
-				}
-				if len(kept) != len(clean) {
-					t.Fatalf("shard %d: %d surviving events for %d surviving frames (quarantined %d)",
-						s, len(kept), len(clean), quarantined)
-				}
-				mon := ref.Shard(s)
-				for j, f := range clean {
-					want := mon.Process(f)
-					if kept[j] != want {
-						t.Fatalf("shard %d frame %d: chaos event %+v, clean event %+v", s, j, kept[j], want)
-					}
-				}
-				if got, want := chaos.Shard(s).Current(), mon.Current(); got != want {
-					t.Errorf("shard %d: deployed %q, clean run deployed %q", s, got, want)
-				}
-				cm, rm := chaos.ShardStats(s), mon.Stats()
-				if cm.QuarantinedFrames != quarantined {
-					t.Errorf("shard %d: QuarantinedFrames = %d, want %d", s, cm.QuarantinedFrames, quarantined)
-				}
-				if cm.Frames != rm.Frames+quarantined || cm.ModelInvocations != rm.ModelInvocations ||
-					cm.DriftsDetected != rm.DriftsDetected {
-					t.Errorf("shard %d: chaos metrics %+v vs clean %+v", s, cm, rm)
-				}
-			}
-			h := chaos.Health()
-			if !h.Serving() || h.State == HealthFailed {
-				t.Errorf("fleet health after recoverable chaos = %+v", h)
-			}
-			wantRestarts := inj.Stats().Count(faults.KindWorkerPanic)
-			gotRestarts := 0
-			for _, sh := range h.Shards {
-				gotRestarts += sh.Restarts
-			}
-			if gotRestarts != wantRestarts {
-				t.Errorf("worker restarts = %d, want %d (fired panics)", gotRestarts, wantRestarts)
-			}
-		})
-	}
 }
 
 // TestChaosReplayDeterminism replays three generated schedules end to
@@ -175,9 +54,7 @@ func TestChaosReplayDeterminism(t *testing.T) {
 			delivered := deliverStreams(inj, streams)
 			opts := Defaults(facadeDim, facadeClasses)
 			opts.Forensics = ForensicsConfig{Enabled: true}
-			sm := NewShardedMonitor(models, facadeLabeler, ShardedOptions{
-				Options: opts, Shards: shards, Faults: inj,
-			})
+			sm := fixedFleet(models, facadeLabeler, ShardedOptions{Options: opts, Faults: inj}, shards)
 			events := runBatches(sm, delivered, 0, len(delivered[0]))
 			deployed := make([]string, shards)
 			for s := range deployed {
@@ -227,10 +104,9 @@ func TestChaosCrashLoopBreaker(t *testing.T) {
 	}})
 	tracers := []*Tracer{NewTracer(TracerConfig{}), NewTracer(TracerConfig{})}
 	opts := Defaults(facadeDim, facadeClasses)
-	sm := NewShardedMonitor(models, facadeLabeler, ShardedOptions{
-		Options: opts, Shards: 2, Tracers: tracers,
-		Faults: inj, MaxRestarts: maxRestarts,
-	})
+	sm := fixedFleet(models, facadeLabeler, ShardedOptions{
+		Options: opts, Faults: inj, MaxRestarts: maxRestarts,
+	}, 2, tracers...)
 	streams := [][]Frame{
 		driftStream(total, 10, 991),
 		driftStream(total, 10, 992),
@@ -294,11 +170,11 @@ func TestChaosStallWatchdog(t *testing.T) {
 	nanos.Store(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC).UnixNano())
 
 	opts := Defaults(facadeDim, facadeClasses)
-	sm := NewShardedMonitor(models, facadeLabeler, ShardedOptions{
-		Options: opts, Shards: 1, Faults: inj,
+	sm := fixedFleet(models, facadeLabeler, ShardedOptions{
+		Options: opts, Faults: inj,
 		StallTimeout: time.Second,
 		Clock:        func() time.Time { return time.Unix(0, nanos.Load()) },
-	})
+	}, 1)
 	stream := driftStream(10, 5, 881)
 	for j := 0; j < stallAt; j++ {
 		mustBatch(sm, []Frame{stream[j]})
@@ -403,9 +279,7 @@ func TestChaosTrainingFailureRecovery(t *testing.T) {
 	opts.Provision.Classifier.Epochs = 30
 	// A day-only registry leaves MSBI no acceptable candidate when the
 	// stream turns to night, forcing a post-drift training.
-	sm := NewShardedMonitor(models[:1], facadeLabeler, ShardedOptions{
-		Options: opts, Shards: 1, Tracers: tracers, Faults: inj,
-	})
+	sm := fixedFleet(models[:1], facadeLabeler, ShardedOptions{Options: opts, Faults: inj}, 1, tracers...)
 	stream := driftStream(total, 60, 71)
 	sawDegraded := false
 	for _, f := range stream {

@@ -166,8 +166,6 @@ func (sm *ShardedMonitor) Checkpoint() *Checkpoint {
 	defer sm.batchMu.Unlock()
 	sm.mu.RLock()
 	defer sm.mu.RUnlock()
-	sm.tableMu.Lock()
-	defer sm.tableMu.Unlock()
 	live := sm.liveModels()
 	cp := &Checkpoint{CreatedUnixNano: time.Now().UnixNano()}
 	seen := make(map[*Model]int, len(live))
@@ -214,21 +212,17 @@ func (sm *ShardedMonitor) Checkpoint() *Checkpoint {
 }
 
 // ResumeSharded rebuilds a ShardedMonitor from a checkpoint. The shard
-// count comes from the checkpoint (an empty dynamic fleet's holds none);
-// opts.Shards must be zero or equal to it. The worker count is free to
-// differ — shard decisions are independent of the fan-out shape, so
-// determinism holds at any Workers setting.
+// count comes from the checkpoint (an empty dynamic fleet's holds none).
+// The worker count is free to differ — shard decisions are independent of
+// the fan-out shape, so determinism holds at any Workers setting.
 func ResumeSharded(cp *Checkpoint, labeler Labeler, opts ShardedOptions) (*ShardedMonitor, error) {
 	n := len(cp.Shards)
-	if opts.Shards != 0 && opts.Shards != n {
-		return nil, fmt.Errorf("videodrift: checkpoint holds %d shards, options ask for %d", n, opts.Shards)
-	}
 	if opts.Tracers != nil && len(opts.Tracers) < n {
 		return nil, fmt.Errorf("videodrift: %d tracers for %d shards", len(opts.Tracers), n)
 	}
 	sm := newSharded(n, labeler, opts)
 	sm.baseModels = cp.Entries // dynamic Attach reuses the shared table
-	// Warm the shared feature matrices once, as NewShardedMonitor does.
+	// Warm the shared feature matrices once, as NewDynamicSharded does.
 	for _, e := range cp.Entries {
 		e.FeatMatrix()
 	}

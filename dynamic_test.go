@@ -12,15 +12,14 @@ import (
 )
 
 // TestDynamicAttachDetach pins the dynamic-fleet lifecycle: a fleet
-// born empty, shards attached on demand with seed-by-slot determinism,
-// detached slots rejecting frames but tolerating empty batches, and
-// freed slots reused with fresh state.
+// born empty, shards attached on demand to the lowest free slot, detached
+// slots rejecting frames but tolerating empty batches, and freed slots
+// reused with fresh state. That an attached slot runs exactly its serial
+// monitor, seeded by slot, is the equivalence harness's (equiv_test.go).
 func TestDynamicAttachDetach(t *testing.T) {
 	opts := Defaults(facadeDim, facadeClasses)
-	day := BuildModel("day", facadeFrames(facadeCond(vidsim.Day()), 200, 1), facadeLabeler, opts)
-	night := BuildModel("night", facadeFrames(facadeCond(vidsim.Night()), 200, 2), facadeLabeler, opts)
-	models := []*Model{day, night}
-	streams := batchTestStreams()
+	models := getCkptModels()
+	frames := driftStream(3, 1, 5)
 
 	sm := NewDynamicSharded(models, facadeLabeler, ShardedOptions{Options: opts, Workers: 2})
 	if sm.Shards() != 0 || sm.Active() != 0 {
@@ -36,31 +35,7 @@ func TestDynamicAttachDetach(t *testing.T) {
 		}
 	}
 
-	// Seed-by-slot: each dynamic slot must behave exactly like the same
-	// slot of a fixed fleet (and therefore like the serial reference).
-	n := len(streams[0])
-	got := make([][]Event, 3)
-	for at := 0; at < n; at += 16 {
-		end := min(at+16, n)
-		batches := make([][]Frame, 3)
-		for s := range batches {
-			batches[s] = streams[s][at:end]
-		}
-		for s, evs := range mustBatches(sm, batches) {
-			got[s] = append(got[s], evs...)
-		}
-	}
-	for s := range streams {
-		want, ref := serialReference(t, models, opts, s, streams[s])
-		for i := range want {
-			if got[s][i] != want[i] {
-				t.Fatalf("slot %d frame %d: event %+v, serial %+v", s, i, got[s][i], want[i])
-			}
-		}
-		if sm.Shard(s).Current() != ref.Current() {
-			t.Fatalf("slot %d: deployed %q, serial %q", s, sm.Shard(s).Current(), ref.Current())
-		}
-	}
+	mustBatches(sm, [][]Frame{{frames[0]}, {frames[1]}, {frames[2]}})
 
 	// Detach the middle slot: it disappears from the roster but keeps
 	// its index; empty batches for it are fine, frames are not.
@@ -73,11 +48,11 @@ func TestDynamicAttachDetach(t *testing.T) {
 	if !sm.Health().Shards[1].Detached {
 		t.Fatal("health does not report slot 1 detached")
 	}
-	if _, err := sm.ProcessBatches([][]Frame{{streams[0][0]}, nil, {streams[2][0]}}); err != nil {
+	if _, err := sm.ProcessBatches([][]Frame{{frames[0]}, nil, {frames[2]}}); err != nil {
 		t.Fatalf("empty batch for a detached slot must pass: %v", err)
 	}
 	var detached *DetachedSlotError
-	_, err := sm.ProcessBatches([][]Frame{nil, {streams[1][0]}, nil})
+	_, err := sm.ProcessBatches([][]Frame{nil, {frames[1]}, nil})
 	if !errors.As(err, &detached) || detached.Slot != 1 {
 		t.Fatalf("frame for a detached slot: err %v, want *DetachedSlotError{Slot:1}", err)
 	}
@@ -96,7 +71,7 @@ func TestDynamicAttachDetach(t *testing.T) {
 	if stats := sm.ShardStats(1); stats.Frames != 0 {
 		t.Fatalf("reused slot kept %d frames of state", stats.Frames)
 	}
-	if sm.Shard(1).Current() != day.Name {
+	if sm.Shard(1).Current() != models[0].Name {
 		t.Fatalf("reused slot deploys %q, want the base model", sm.Shard(1).Current())
 	}
 }

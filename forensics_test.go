@@ -13,23 +13,6 @@ import (
 	"videodrift/internal/telemetry"
 )
 
-// declSummary renders the bit-exact identity of a declaration — float
-// fields as raw bits, slices by length — so restored declarations can be
-// compared against live ones without tripping over gob's empty-slice /
-// nil normalization.
-func declSummary(d DriftDeclaration) string {
-	attrBits := uint64(0)
-	if len(d.Attribution) > 0 {
-		attrBits = math.Float64bits(d.Attribution[0].JS)
-	}
-	return fmt.Sprintf("%s frame=%d model=%s lag=%d sampled=%d mart=%016x wd=%016x meanp=%016x base=%d frames=%d attr=%d attr0js=%016x resolved=%v resframe=%d resmodel=%s trained=%v abandoned=%v cands=%d",
-		d.ID, d.Frame, d.Model, d.Lag, d.Sampled,
-		math.Float64bits(d.Martingale), math.Float64bits(d.WindowDelta), math.Float64bits(d.MeanP),
-		d.BaseFrame, len(d.Frames), len(d.Attribution), attrBits,
-		d.Resolved, d.Resolution.Frame, d.Resolution.Model, d.Resolution.TrainedNew,
-		d.Resolution.Abandoned, len(d.Resolution.Candidates))
-}
-
 // TestForensicsReplayDeterminism is the forensics subsystem's headline
 // guarantee: replaying a declaration's captured pre-roll through a
 // pipeline restored from its base snapshot re-declares the drift on the
@@ -60,13 +43,13 @@ func TestForensicsReplayDeterminism(t *testing.T) {
 			for i := range tracers {
 				tracers[i] = NewTracer(TracerConfig{RingSize: 8192, PerFrame: true})
 			}
-			sopts := ShardedOptions{Options: opts, Shards: tc.shards, Workers: 2, Tracers: tracers}
+			sopts := ShardedOptions{Options: opts, Workers: 2}
 
 			streams := make([][]Frame, tc.shards)
 			for s := range streams {
 				streams[s] = driftStream(total, 60+25*s, int64(900+10*s))
 			}
-			sm := NewShardedMonitor(models, facadeLabeler, sopts)
+			sm := fixedFleet(models, facadeLabeler, sopts, tc.shards, tracers...)
 			runBatches(sm, streams, 0, total)
 
 			declared := 0
@@ -294,10 +277,9 @@ func TestReplayAcrossQuarantine(t *testing.T) {
 		if len(panics) < 3 {
 			t.Fatalf("fixture: %d kept frames of %v leave room for a panic in their batch, want 3", len(panics), d.At)
 		}
-		sm := NewShardedMonitor(models, facadeLabeler, ShardedOptions{
-			Options: opts, Shards: 1,
-			Faults: faults.NewInjector(faults.Schedule{Seed: 7, Faults: panics}),
-		})
+		sm := fixedFleet(models, facadeLabeler, ShardedOptions{
+			Options: opts, Faults: faults.NewInjector(faults.Schedule{Seed: 7, Faults: panics}),
+		}, 1)
 		for at := 0; at < len(stream); at += size {
 			mustBatches(sm, [][]Frame{stream[at:min(at+size, len(stream))]})
 		}

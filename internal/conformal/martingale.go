@@ -7,7 +7,8 @@ import (
 
 // BettingFunc is a betting function over p-values (§4.1–4.2.4). Additive
 // martingales use zero-integral functions (∫₀¹ g = 0); multiplicative
-// martingales use density-like functions (∫₀¹ g = 1).
+// martingales use density-like functions (∫₀¹ g = 1) — the ablation's
+// power martingale (internal/experiments) is the one user of those.
 type BettingFunc func(p float64) float64
 
 // ShiftedOdd returns the paper's zero-integral betting function family
@@ -17,37 +18,6 @@ type BettingFunc func(p float64) float64
 // makes the additive process of Eq. 10 a martingale under exchangeability.
 func ShiftedOdd(kappa float64) BettingFunc {
 	return func(p float64) float64 { return kappa * (0.5 - p) }
-}
-
-// Power returns the classic multiplicative betting function
-// g_ε(p) = ε·p^(ε−1) with 0 < ε < 1, which integrates to one.
-func Power(epsilon float64) BettingFunc {
-	return func(p float64) float64 {
-		p = clampP(p)
-		return epsilon * math.Pow(p, epsilon-1)
-	}
-}
-
-// Mixture returns the simple mixture betting function
-// ∫₀¹ ε·p^(ε−1) dε = (p·ln p − p + 1) / (p·ln²p), the standard
-// parameter-free choice for conformal martingales.
-func Mixture() BettingFunc {
-	return func(p float64) float64 {
-		p = clampP(p)
-		lp := math.Log(p)
-		return (p*lp - p + 1) / (p * lp * lp)
-	}
-}
-
-func clampP(p float64) float64 {
-	const eps = 1e-10
-	if p < eps {
-		return eps
-	}
-	if p > 1-eps {
-		return 1 - eps
-	}
-	return p
 }
 
 // ThresholdMode selects how the windowed drift test derives its threshold
@@ -246,39 +216,3 @@ func (t DriftTest) Threshold(bound float64) float64 {
 func (t DriftTest) Check(c *CUSUM) bool {
 	return c.WindowDelta() > t.Threshold(c.bound)
 }
-
-// PowerMartingale is the classic multiplicative conformal martingale
-// (Eq. 5) kept in log space, provided as the reference implementation DI
-// improves on (§4.2.3 discusses why the product form reacts slowly).
-type PowerMartingale struct {
-	bet  BettingFunc
-	logM float64
-	max  float64
-}
-
-// NewPowerMartingale builds a multiplicative martingale with a
-// unit-integral betting function (e.g. Power or Mixture).
-func NewPowerMartingale(bet BettingFunc) *PowerMartingale {
-	return &PowerMartingale{bet: bet}
-}
-
-// Update folds one p-value in and returns the current log-martingale.
-func (m *PowerMartingale) Update(p float64) float64 {
-	m.logM += math.Log(math.Max(m.bet(p), 1e-300))
-	if m.logM > m.max {
-		m.max = m.logM
-	}
-	return m.logM
-}
-
-// LogValue returns the current log-martingale value.
-func (m *PowerMartingale) LogValue() float64 { return m.logM }
-
-// Exceeds reports whether the martingale has ever exceeded 1/delta —
-// by Ville's inequality (Eq. 4), rejecting exchangeability at level delta.
-func (m *PowerMartingale) Exceeds(delta float64) bool {
-	return m.max > math.Log(1/delta)
-}
-
-// Reset clears the martingale.
-func (m *PowerMartingale) Reset() { m.logM = 0; m.max = 0 }

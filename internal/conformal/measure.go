@@ -1,8 +1,10 @@
 // Package conformal implements the conformal-prediction machinery of
 // paper §4: non-conformity measures, conformal p-values (Eq. 1), betting
-// functions (§4.2.4), exchangeability martingales (additive, as the paper
-// constructs, and the classic multiplicative power martingale for
-// comparison), and the windowed Hoeffding–Azuma drift test (Eq. 15).
+// functions (§4.2.4), the additive exchangeability martingale the paper
+// constructs, and the windowed Hoeffding–Azuma drift test (Eq. 15) — the
+// Drift Inspector's Algorithm 1 plus its kNN scorer. The classic
+// multiplicative power martingale it improves on lives beside its one
+// caller, the ablation in internal/experiments.
 package conformal
 
 import (

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"videodrift/internal/conformal"
@@ -43,12 +44,71 @@ type diAdapter struct{ di *core.DriftInspector }
 func (a diAdapter) observe(f vidsim.Frame) bool { return a.di.ObserveFrame(f) }
 func (a diAdapter) reset()                      { a.di.Reset() }
 
+// power returns the classic multiplicative betting function
+// g_ε(p) = ε·p^(ε−1) with 0 < ε < 1, which integrates to one.
+func power(epsilon float64) conformal.BettingFunc {
+	return func(p float64) float64 {
+		p = clampP(p)
+		return epsilon * math.Pow(p, epsilon-1)
+	}
+}
+
+// mixture returns the simple mixture betting function
+// ∫₀¹ ε·p^(ε−1) dε = (p·ln p − p + 1) / (p·ln²p), the standard
+// parameter-free choice for conformal martingales.
+func mixture() conformal.BettingFunc {
+	return func(p float64) float64 {
+		p = clampP(p)
+		lp := math.Log(p)
+		return (p*lp - p + 1) / (p * lp * lp)
+	}
+}
+
+func clampP(p float64) float64 {
+	const eps = 1e-10
+	if p < eps {
+		return eps
+	}
+	if p > 1-eps {
+		return 1 - eps
+	}
+	return p
+}
+
+// powerMartingale is the classic multiplicative conformal martingale
+// (Eq. 5) kept in log space: the reference the Drift Inspector's additive
+// martingale improves on (§4.2.3 discusses why the product form reacts
+// slowly).
+type powerMartingale struct {
+	bet  conformal.BettingFunc
+	logM float64
+	max  float64
+}
+
+// update folds one p-value in and returns the current log-martingale.
+func (m *powerMartingale) update(p float64) float64 {
+	m.logM += math.Log(math.Max(m.bet(p), 1e-300))
+	if m.logM > m.max {
+		m.max = m.logM
+	}
+	return m.logM
+}
+
+// exceeds reports whether the martingale has ever exceeded 1/delta —
+// by Ville's inequality (Eq. 4), rejecting exchangeability at level delta.
+func (m *powerMartingale) exceeds(delta float64) bool {
+	return m.max > math.Log(1/delta)
+}
+
+// reset clears the martingale.
+func (m *powerMartingale) reset() { m.logM = 0; m.max = 0 }
+
 // powerDetector wraps the classic multiplicative conformal martingale
 // with Ville's inequality as its stopping rule.
 type powerDetector struct {
 	entry   *core.ModelEntry
 	measure conformal.KNN
-	mart    *conformal.PowerMartingale
+	mart    *powerMartingale
 	rng     *stats.RNG
 	delta   float64
 }
@@ -57,7 +117,7 @@ func newPowerDetector(e *core.ModelEntry, rng *stats.RNG) *powerDetector {
 	return &powerDetector{
 		entry:   e,
 		measure: conformal.KNN{K: 5},
-		mart:    conformal.NewPowerMartingale(conformal.Mixture()),
+		mart:    &powerMartingale{bet: mixture()},
 		rng:     rng,
 		delta:   0.01,
 	}
@@ -65,11 +125,11 @@ func newPowerDetector(e *core.ModelEntry, rng *stats.RNG) *powerDetector {
 
 func (p *powerDetector) observe(f vidsim.Frame) bool {
 	a := p.measure.Score(vision.Featurize(f.Pixels, p.entry.W, p.entry.H), p.entry.SampleFeats)
-	p.mart.Update(p.entry.Calib.PValue(a, p.rng.Float64()))
-	return p.mart.Exceeds(p.delta)
+	p.mart.update(p.entry.Calib.PValue(a, p.rng.Float64()))
+	return p.mart.exceeds(p.delta)
 }
 
-func (p *powerDetector) reset() { p.mart.Reset() }
+func (p *powerDetector) reset() { p.mart.reset() }
 
 // ksDetector is the classical non-parametric baseline: a sliding window
 // of recent frames tested against the training sample with per-dimension

@@ -85,8 +85,8 @@ func (e *VersionError) Error() string {
 // deduplicated model table plus per-shard registries and runtime state.
 // Shards reference models by index into Entries so that entries shared
 // across shards (the provisioned base models) are persisted once and
-// restored as one shared object, exactly as NewShardedMonitor wires
-// them.
+// restored as one shared object, exactly as a live fleet shares them
+// (videodrift.NewDynamicSharded).
 //
 //driftlint:snapshot encode=Encode,AppendCheckpoint decode=Decode,DecodeWithCRCs
 type Checkpoint struct {

@@ -62,7 +62,8 @@ func (o Object) Bottom() float64 { return o.Y + o.H/2 }
 // arrays, and delta checkpoints (internal/store) identify a kept frame by
 // its Pixels array to ship it to a standby once. Writing through a kept
 // frame's Pixels would silently desynchronize every list, and the
-// standby from the primary (TestDeltaChainEqualsFull is the tripwire).
+// standby from the primary (the root package's equivalence harness, whose
+// ship op holds the standby to the capture, is the tripwire).
 type Frame struct {
 	Index     int
 	W, H      int

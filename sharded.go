@@ -30,18 +30,17 @@ func (e *DetachedSlotError) Error() string {
 // options plus the fan-out shape and the supervisor's fault policy.
 type ShardedOptions struct {
 	Options
-	// Shards is the number of independent streams (camera feeds) driven
-	// over the shared model registry. Must be >= 1.
-	Shards int
 	// Workers bounds the goroutines ProcessBatches fans out on (<= 0 uses
 	// GOMAXPROCS). Shard decisions are independent of the worker count:
 	// each shard owns its pipeline, RNG stream and martingale state.
 	Workers int
-	// Tracers optionally attaches one telemetry tracer per shard
-	// (len(Tracers) must be >= Shards when set), so per-stream drift
-	// events and stage latencies stay separable. When nil (or for a shard
-	// whose element is nil), the embedded Options.Tracer — which is safe
-	// for concurrent use — is shared, or tracing is off if that is nil too.
+	// Tracers optionally gives ResumeSharded one telemetry tracer per
+	// checkpointed shard (len(Tracers) must be >= the checkpoint's shard
+	// count when set), so per-stream drift events and stage latencies stay
+	// separable; Attach takes a stream's tracer itself. When nil (or for a
+	// shard whose element is nil), the embedded Options.Tracer — which is
+	// safe for concurrent use — is shared, or tracing is off if that is nil
+	// too.
 	Tracers []*Tracer
 	// Faults optionally attaches a deterministic fault injector (chaos
 	// testing): its worker faults fire before each shard's Process call
@@ -108,13 +107,13 @@ type ShardedMonitor struct {
 	baseModels []*Model
 	baseOpts   Options
 
-	// tableMu guards table, the model table of the last Checkpoint. The
-	// next capture numbers its entries in that order and appends the ones
-	// it has not seen, so consecutive checkpoints' tables extend each other
-	// whichever shard trained a model — what lets replication ship a
-	// training as one new entry instead of a full snapshot.
-	tableMu sync.Mutex
-	table   []*Model
+	// table is the model table of the last Checkpoint. The next capture
+	// numbers its entries in that order and appends the ones it has not
+	// seen, so consecutive checkpoints' tables extend each other whichever
+	// shard trained a model — what lets replication ship a training as one
+	// new entry instead of a full snapshot. Only Checkpoint reads or writes
+	// it, under batchMu for its whole body.
+	table []*Model
 
 	faults       *faults.Injector
 	maxRestarts  int
@@ -227,37 +226,13 @@ func (h ShardedHealth) Serving() bool {
 	return h.State != HealthFailed && !h.Stalled
 }
 
-// NewShardedMonitor builds one monitor per shard over the shared models:
-// a dynamic fleet with Shards streams attached. Every shard starts with
-// the registry's first model deployed, exactly like NewMonitor; shard i's
-// pipeline runs on seed Options.Pipeline.Seed + i.
-func NewShardedMonitor(models []*Model, labeler Labeler, opts ShardedOptions) *ShardedMonitor {
-	if opts.Shards < 1 {
-		panic("videodrift: NewShardedMonitor needs Shards >= 1")
-	}
-	if opts.Tracers != nil && len(opts.Tracers) < opts.Shards {
-		panic(fmt.Sprintf("videodrift: %d tracers for %d shards", len(opts.Tracers), opts.Shards))
-	}
-	sm := NewDynamicSharded(models, labeler, opts)
-	for i := 0; i < opts.Shards; i++ {
-		var tr *Tracer
-		if opts.Tracers != nil {
-			tr = opts.Tracers[i]
-		}
-		if _, err := sm.Attach(tr); err != nil {
-			panic(err)
-		}
-	}
-	return sm
-}
-
 // NewDynamicSharded builds a fleet with zero initial shards over the
 // shared models: slots are claimed with Attach as tenants appear and
 // released with Detach as they go idle — the multi-tenant ingestion
 // shape, where the network tier owns the tenant↔slot mapping. The
 // expensive read-only state (feature matrices, calibration, classifier
-// weights) is shared exactly as in NewShardedMonitor, so serving N
-// tenants costs O(models) provisioned state, not O(models × tenants).
+// weights) is shared by every shard, so serving N tenants costs
+// O(models) provisioned state, not O(models × tenants).
 func NewDynamicSharded(models []*Model, labeler Labeler, opts ShardedOptions) *ShardedMonitor {
 	sm := newSharded(0, labeler, opts)
 	sm.baseModels = models

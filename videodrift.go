@@ -206,18 +206,6 @@ func (m *Monitor) Process(f Frame) Event {
 	return out
 }
 
-// ProcessBatch runs a micro-batch of consecutive frames through the
-// monitor and returns one event per frame. It is exactly equivalent to
-// calling Process on each frame in order — batching changes call
-// granularity, never results.
-func (m *Monitor) ProcessBatch(frames []Frame) []Event {
-	events := make([]Event, len(frames))
-	for i, f := range frames {
-		events[i] = m.Process(f)
-	}
-	return events
-}
-
 // Forensics returns the monitor's drift-forensics recorder, nil when
 // Options.Forensics was not enabled. The recorder is safe to read
 // (Declarations, Get, State) from other goroutines while the monitor
