@@ -9,6 +9,7 @@ package videodrift
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -217,7 +218,7 @@ func BenchmarkQueryFeatures(b *testing.B) {
 func BenchmarkDriftInspectorObserve(b *testing.B) {
 	frames := vidsim.GenerateTraining(vidsim.Day(), 32, 32, 300, 10)
 	p := core.DefaultProvisionConfig(1024, 2)
-	entry := core.Provision("day", frames, nil, p)
+	entry := core.Provision("day", slices.Values(frames), nil, p)
 	cfg := core.DefaultDIConfig()
 	cfg.SampleEvery = 1 // measure the full update, not the skip path
 	di := core.NewDriftInspector(entry, cfg, stats.NewRNG(11))
@@ -276,7 +277,7 @@ func BenchmarkAblationSampleSource(b *testing.B) {
 			p := core.DefaultProvisionConfig(1024, 2)
 			p.Source = src.s
 			p.VAEEpochs = 2
-			entry := core.Provision("day", frames, nil, p)
+			entry := core.Provision("day", slices.Values(frames), nil, p)
 			cfg := core.DefaultDIConfig()
 			cfg.SampleEvery = 1
 			di := core.NewDriftInspector(entry, cfg, stats.NewRNG(14))
@@ -408,7 +409,7 @@ func BenchmarkMSBIParallel(b *testing.B) {
 	for _, models := range []int{4, 8, 16} {
 		entries := make([]*core.ModelEntry, models)
 		for i := range entries {
-			frames := vidsim.GenerateTraining(vidsim.Angle(i, 5.5, -1), 16, 16, 150, int64(40+i))
+			frames := vidsim.TrainingStream(vidsim.Angle(i, 5.5, -1), 16, 16, 150, vidsim.TrainingStride, int64(40+i))
 			entries[i] = core.Provision(fmt.Sprintf("angle%d", i), frames, nil, core.DefaultProvisionConfig(16*16, 2))
 		}
 		window := vidsim.GenerateTraining(vidsim.Angle(1, 5.5, -1), 16, 16, 40, 99)
@@ -509,10 +510,26 @@ func BenchmarkProvision(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			p := env.PipelineConfig(tc.sel).Provision.For(tc.sel)
 			for i := 0; i < b.N; i++ {
-				core.Provision("novel", frames, env.Labeler(), p)
+				core.Provision("novel", slices.Values(frames), env.Labeler(), p)
 			}
 		})
 	}
+}
+
+// BenchmarkBuildEnv measures driftserve's set-up under the default
+// -selector msbi (`-scale 0.02 -train 300`): the four BDD sequences
+// provisioned concurrently, each labelled, featurized and fitted straight
+// from its training stream. B/op is what set-up allocates before the
+// first /healthz; a set-up that renders whole clips again is ≈ 20× over.
+func BenchmarkBuildEnv(b *testing.B) {
+	cfg := servingConfig()
+	ds := dataset.BDD(cfg.Scale)
+	b.Run("msbi", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			experiments.BuildEnvFor(ds, cfg, query.Count, MSBI)
+		}
+	})
 }
 
 // BenchmarkAttachTenant measures a tenant's first frame on a dynamic

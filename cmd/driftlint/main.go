@@ -1,10 +1,9 @@
-// Command driftlint is the repo's invariant multichecker: five custom
+// Command driftlint is the repo's invariant multichecker: four custom
 // analyzers that mechanically enforce what the test suite cannot check
 // — restart determinism (no wall clock / global randomness / unordered
 // iteration in replay-critical packages), checkpoint completeness
-// (every snapshot field covered by encode and decode), tolerance-based
-// float comparison in the statistical packages, goroutine stop paths
-// and lock-acquisition-order cycles. The per-package passes and the
+// (every snapshot field covered by encode and decode), goroutine stop
+// paths and lock-acquisition-order cycles. The per-package passes and the
 // whole-program passes share one type-checked load and one
 // cross-package fact layer (DESIGN.md §10, §15).
 //

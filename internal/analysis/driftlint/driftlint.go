@@ -12,9 +12,6 @@
 //     "determinism");
 //   - checkpoint completeness (every snapshot-struct field covered by
 //     both its encode and decode path — analyzer "snapshotsync");
-//   - statistically meaningful float handling (no accidental ==/!= on
-//     p-values, martingale wealth or Brier scores — analyzer
-//     "floatcmp");
 //   - goroutine stop paths and lock-acquisition order, whole-program
 //     (analyzers "goroleak" and "lockorder").
 //

@@ -1,14 +1,12 @@
 // Package analysis assembles the driftlint analyzer suite — the
 // mechanically-enforced invariants no test can check: replay
-// determinism, checkpoint completeness, float handling in the
-// statistical packages, goroutine stop paths and lock-acquisition
-// order (DESIGN.md §10, §15).
+// determinism, checkpoint completeness, goroutine stop paths and
+// lock-acquisition order (DESIGN.md §10, §15).
 package analysis
 
 import (
 	"videodrift/internal/analysis/determinism"
 	"videodrift/internal/analysis/driftlint"
-	"videodrift/internal/analysis/floatcmp"
 	"videodrift/internal/analysis/goroleak"
 	"videodrift/internal/analysis/lockorder"
 	"videodrift/internal/analysis/snapshotsync"
@@ -18,7 +16,6 @@ import (
 func Suite() []*driftlint.Analyzer {
 	return []*driftlint.Analyzer{
 		determinism.Analyzer,
-		floatcmp.Analyzer,
 		goroleak.Analyzer,
 		lockorder.Analyzer,
 		snapshotsync.Analyzer,

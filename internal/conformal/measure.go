@@ -388,7 +388,7 @@ func PValue(calib []float64, a float64, u float64) float64 {
 		switch {
 		case c > a:
 			score++
-		case c == a: //lint:allow floatcmp exact ties are defined behavior: Eq. 1 weights them by the uniform draw u
+		case c == a: // exact ties are defined behaviour: Eq. 1 weights them by the uniform draw u
 			score += u
 		}
 	}

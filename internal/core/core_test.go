@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -82,9 +83,9 @@ func getFixture() fixture {
 		dayFrames := vidsim.GenerateTraining(dayC(), testW, testH, 200, 11)
 		nightFrames := vidsim.GenerateTraining(nightC(), testW, testH, 200, 12)
 		rainFrames := vidsim.GenerateTraining(rainC(), testW, testH, 200, 13)
-		fix.day = Provision("day", dayFrames, testLabeler, quickProvision(21))
-		fix.night = Provision("night", nightFrames, testLabeler, quickProvision(22))
-		fix.rain = Provision("rain", rainFrames, testLabeler, quickProvision(23))
+		fix.day = Provision("day", slices.Values(dayFrames), testLabeler, quickProvision(21))
+		fix.night = Provision("night", slices.Values(nightFrames), testLabeler, quickProvision(22))
+		fix.rain = Provision("rain", slices.Values(rainFrames), testLabeler, quickProvision(23))
 	})
 	return fix
 }
@@ -144,7 +145,7 @@ func TestServedDIConfigIsTested(t *testing.T) {
 
 func TestProvisionUnsupervised(t *testing.T) {
 	frames := streamFrames(dayC(), 60, 13)
-	e := Provision("unsup", frames, nil, quickProvision(23))
+	e := Provision("unsup", slices.Values(frames), nil, quickProvision(23))
 	if e.Classifier != nil || e.Ensemble != nil || e.CalibSample != nil {
 		t.Error("unsupervised entry has supervised artifacts")
 	}
@@ -159,7 +160,7 @@ func TestProvisionEmptyPanics(t *testing.T) {
 			t.Error("Provision with no frames did not panic")
 		}
 	}()
-	Provision("x", nil, nil, quickProvision(1))
+	Provision("x", slices.Values([]vidsim.Frame(nil)), nil, quickProvision(1))
 }
 
 func TestRegistry(t *testing.T) {
@@ -236,7 +237,7 @@ func TestInspectorReadsClassifierFeatures(t *testing.T) {
 		cfg.Selector = SelectorMSBI
 		cfg.Provision = quickProvision(21).For(SelectorMSBI)
 		cfg.Provision.QueryFn = fn
-		entry := Provision("day", training, testLabeler, cfg.Provision)
+		entry := Provision("day", slices.Values(training), testLabeler, cfg.Provision)
 		p := NewPipeline(NewRegistry(entry), testLabeler, cfg)
 		// The pipeline's inspector draws its tie-breaks from the first split
 		// of the pipeline's generator.

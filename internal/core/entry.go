@@ -6,6 +6,8 @@ package core
 
 import (
 	"fmt"
+	"iter"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -120,18 +122,55 @@ type ModelEntry struct {
 // ensemble on labeler-annotated frames (§5.4). A nil labeler produces an
 // unsupervised entry usable by DI and MSBI only. EnsembleSize 0 produces
 // the full entry minus Ensemble, bit for bit: usable by MSBI only too.
-func Provision(name string, frames []vidsim.Frame, labeler Labeler, cfg ProvisionConfig) *ModelEntry {
-	if len(frames) == 0 {
+//
+// Provision walks frames once and borrows each frame only until the
+// next: a frame is featurized (vision.Featurizer.Query, whose appearance
+// slice is what Σ and A_i are measured in), labelled and let go, so the
+// frames may be rendered one at a time into a single buffer
+// (vidsim.TrainingStream). Only SourceVAE, which fits the VAE on the
+// pixels, copies them. Everything random is drawn after the walk, in the
+// order it always was, so the entry does not depend on how frames are
+// produced.
+func Provision(name string, frames iter.Seq[vidsim.Frame], labeler Labeler, cfg ProvisionConfig) *ModelEntry {
+	if labeler != nil && cfg.QueryFn == nil {
+		cfg.QueryFn = vision.QueryFeatures
+	}
+	var (
+		fz      vision.Featurizer
+		w, h    int
+		apps    []float64 // every frame's appearance features, AppearanceDim each
+		labeled []classifier.Sample
+		pixels  []tensor.Vector // SourceVAE's copies
+	)
+	for f := range frames {
+		if apps == nil {
+			w, h = f.W, f.H
+			cfg.VAE.InputDim = len(f.Pixels)
+		}
+		var app tensor.Vector
+		if labeler != nil {
+			var q tensor.Vector
+			q, app = fz.Query(cfg.QueryFn, f.Pixels, w, h)
+			labeled = append(labeled, classifier.Sample{X: slices.Clone(q), Label: labeler(f)})
+		}
+		if app == nil {
+			app = fz.Appearance(f.Pixels, w, h)
+		}
+		apps = append(apps, app...)
+		if cfg.Source == SourceVAE {
+			pixels = append(pixels, slices.Clone(f.Pixels))
+		}
+	}
+	n := len(apps) / vision.AppearanceDim
+	if n == 0 {
 		panic("core: Provision with no training frames")
 	}
-	rng := stats.NewRNG(cfg.Seed)
-	dim := len(frames[0].Pixels)
-	if cfg.VAE.InputDim != dim {
-		cfg.VAE.InputDim = dim
+	appOf := func(i int) tensor.Vector {
+		return apps[i*vision.AppearanceDim : (i+1)*vision.AppearanceDim]
 	}
-	w, h := frames[0].W, frames[0].H
-	if cfg.SampleCount > len(frames) {
-		cfg.SampleCount = len(frames)
+	rng := stats.NewRNG(cfg.Seed)
+	if cfg.SampleCount > n {
+		cfg.SampleCount = n
 	}
 
 	// Calibration scores A_i must come from real frames DISJOINT from the
@@ -143,41 +182,29 @@ func Provision(name string, frames []vidsim.Frame, labeler Labeler, cfg Provisio
 	// real frames instead — the standard inductive-conformal recipe. See
 	// DESIGN.md §2.)
 	var v *vae.VAE
-	var samples []tensor.Vector
-	perm := rng.Perm(len(frames))
+	var feats []tensor.Vector
+	perm := rng.Perm(n)
 	calIdx := perm // frames used for calibration (all of them, in VAE mode)
 	switch cfg.Source {
 	case SourceVAE:
 		v = vae.New(cfg.VAE, rng.Split())
-		data := make([]tensor.Vector, len(frames))
-		for i, f := range frames {
-			data[i] = f.Pixels
-		}
-		v.Fit(data, cfg.VAEEpochs)
-		samples = v.Sample(cfg.SampleCount)
+		v.Fit(pixels, cfg.VAEEpochs)
+		feats = vision.FeaturizeFrames(v.Sample(cfg.SampleCount), w, h)
 	default: // SourceHeldOut
-		nSamp := cfg.SampleCount
-		if max := (len(frames) + 1) / 2; nSamp > max {
-			nSamp = max
-		}
-		samples = make([]tensor.Vector, nSamp)
+		nSamp := min(cfg.SampleCount, (n+1)/2)
+		feats = make([]tensor.Vector, nSamp)
 		for i, idx := range perm[:nSamp] {
-			samples[i] = frames[idx].Pixels
+			feats[i] = slices.Clone(appOf(idx))
 		}
 		if rest := perm[nSamp:]; len(rest) > 0 {
 			calIdx = rest
 		}
 	}
-	feats := vision.FeaturizeFrames(samples, w, h)
-	nCal := len(calIdx)
-	if nCal > 256 {
-		nCal = 256
-	}
+	nCal := min(len(calIdx), 256)
 	scorer := conformal.NewKNNScorer(cfg.K, tensor.FlattenVectors(feats))
-	var fz vision.Featurizer
 	calib := make([]float64, nCal)
-	for i := 0; i < nCal; i++ {
-		calib[i] = scorer.Score(fz.Appearance(frames[calIdx[i]].Pixels, w, h))
+	for i := range calib {
+		calib[i] = scorer.Score(appOf(calIdx[i]))
 	}
 
 	e := &ModelEntry{
@@ -191,14 +218,7 @@ func Provision(name string, frames []vidsim.Frame, labeler Labeler, cfg Provisio
 	}
 
 	if labeler != nil {
-		if cfg.QueryFn == nil {
-			cfg.QueryFn = vision.QueryFeatures
-		}
 		e.queryFn = cfg.QueryFn
-		labeled := make([]classifier.Sample, len(frames))
-		for i, f := range frames {
-			labeled[i] = classifier.Sample{X: cfg.QueryFn(f.Pixels, w, h), Label: labeler(f)}
-		}
 		cfg.Classifier.InputDim = len(labeled[0].X)
 		e.Classifier = classifier.New(cfg.Classifier, rng.Split())
 		e.Classifier.Fit(labeled, rng.Split())
@@ -212,13 +232,9 @@ func Provision(name string, frames []vidsim.Frame, labeler Labeler, cfg Provisio
 			e.Ensemble.Fit(labeled, rng.Split())
 		}
 		// Retain a fixed-size labeled sample for MSBO calibration.
-		n := len(labeled)
-		if n > 32 {
-			n = 32
-		}
 		perm := rng.Perm(len(labeled))
-		e.CalibSample = make([]classifier.Sample, n)
-		for i := 0; i < n; i++ {
+		e.CalibSample = make([]classifier.Sample, min(len(labeled), 32))
+		for i := range e.CalibSample {
 			e.CalibSample[i] = labeled[perm[i]]
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"videodrift/internal/classifier"
@@ -67,7 +68,7 @@ func TestEntryFootprint(t *testing.T) {
 	for _, src := range []SampleSource{SourceHeldOut, SourceVAE} {
 		cfg := quickProvision(5)
 		cfg.Source = src
-		e := Provision("fog", frames, testLabeler, cfg)
+		e := Provision("fog", slices.Values(frames), testLabeler, cfg)
 		// The VAE's own output bias is W·H long by construction.
 		skip := map[uintptr]bool{}
 		if e.VAE != nil {

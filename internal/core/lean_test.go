@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -62,11 +63,11 @@ func TestProvisionWithoutEnsemble(t *testing.T) {
 	frames := vidsim.GenerateTraining(dayC(), testW, testH, 200, 11)
 	cfg := quickProvision(21)
 	cfg.EnsembleSize = 5
-	full := Provision("day", frames, testLabeler, cfg)
+	full := Provision("day", slices.Values(frames), testLabeler, cfg)
 	if full.Ensemble.Size() != 5 {
 		t.Fatalf("the full entry has %d ensemble members, want 5", full.Ensemble.Size())
 	}
-	lean := Provision("day", frames, testLabeler, cfg.For(SelectorMSBI))
+	lean := Provision("day", slices.Values(frames), testLabeler, cfg.For(SelectorMSBI))
 	requireSameButEnsemble(t, lean, full)
 	if got := cfg.For(SelectorMSBO); !reflect.DeepEqual(got.Classifier, cfg.Classifier) || got.EnsembleSize != 5 {
 		t.Errorf("For(MSBO) changed the configuration: %+v", got)
@@ -148,7 +149,7 @@ func TestSelectorModelMismatch(t *testing.T) {
 	}
 	// Unsupervised entries have nothing for MSBO to score and never had;
 	// they stay accepted (and skipped).
-	unsup := Provision("bare", vidsim.GenerateTraining(dayC(), testW, testH, 60, 3), nil, quickProvision(5))
+	unsup := Provision("bare", vidsim.TrainingStream(dayC(), testW, testH, 60, vidsim.TrainingStride, 3), nil, quickProvision(5))
 	if err := CheckSelector(SelectorMSBO, []*ModelEntry{f.day, unsup}); err != nil {
 		t.Errorf("CheckSelector(MSBO) over an unsupervised entry: %v", err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"videodrift/internal/classifier"
@@ -445,7 +446,7 @@ func (p *Pipeline) trainNewModel() (e *ModelEntry, err error) {
 	name := fmt.Sprintf("novel-%d", p.novel+1)
 	cfg := p.cfg.Provision
 	cfg.Seed = p.rng.Int63()
-	e = Provision(name, p.buffer, p.labeler, cfg.For(p.cfg.Selector))
+	e = Provision(name, slices.Values(p.buffer), p.labeler, cfg.For(p.cfg.Selector))
 	p.novel++
 	return e, nil
 }

@@ -10,6 +10,7 @@ package dataset
 
 import (
 	"fmt"
+	"iter"
 	"math"
 
 	"videodrift/internal/stats"
@@ -79,14 +80,25 @@ func (d *Dataset) TransitionStream(seq, preLen, postLen int) *vidsim.Stream {
 }
 
 // TrainingFrames renders n independent training frames for sequence seq —
-// the training data T_i provisioned alongside model M_i. The generator
-// seed differs from the stream seed, standing in for "captured on a
-// previous day".
+// the training data T_i provisioned alongside model M_i: TrainingStream's
+// frames, each a copy of its own.
 func (d *Dataset) TrainingFrames(seq, n int) []vidsim.Frame {
-	if seq < 0 || seq >= len(d.Sequences) {
-		panic(fmt.Sprintf("dataset: TrainingFrames sequence %d out of range", seq))
+	out := make([]vidsim.Frame, 0, n)
+	for f := range d.TrainingStream(seq, n) {
+		out = append(out, f.Clone())
 	}
-	return vidsim.GenerateTraining(d.Sequences[seq], d.W, d.H, n, d.Seed^0x5eed+int64(seq)*104729)
+	return out
+}
+
+// TrainingStream yields sequence seq's n training frames one at a time,
+// each borrowed until the next (vidsim.TrainingStream): what provisioning
+// walks once, without holding the clip. The generator seed differs from
+// the stream seed, standing in for "captured on a previous day".
+func (d *Dataset) TrainingStream(seq, n int) iter.Seq[vidsim.Frame] {
+	if seq < 0 || seq >= len(d.Sequences) {
+		panic(fmt.Sprintf("dataset: training sequence %d out of range", seq))
+	}
+	return vidsim.TrainingStream(d.Sequences[seq], d.W, d.H, n, vidsim.TrainingStride, d.Seed^0x5eed+int64(seq)*104729)
 }
 
 // Stats summarizes a dataset the way the paper's Table 5 does.

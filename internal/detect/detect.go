@@ -24,6 +24,7 @@ package detect
 import (
 	"math"
 	"sort"
+	"sync"
 
 	"videodrift/internal/vidsim"
 )
@@ -102,13 +103,27 @@ func NewYOLOSim() *SlidingWindowDetector {
 // Name implements Detector.
 func (d *SlidingWindowDetector) Name() string { return d.name }
 
+// scratch is one Detect call's working storage: the candidate list and
+// the background sample with its sorted copy. One detector serves many
+// goroutines (set-up labels its sequences concurrently), so a call takes
+// its scratch from scratchPool and hands it back, and labelling a frame
+// leaves nothing behind but the detections it returns.
+type scratch struct {
+	cands          []Detection
+	sample, sorted []float64
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
 // Detect implements Detector.
 func (d *SlidingWindowDetector) Detect(f vidsim.Frame) []Detection {
-	bg, sigma := backgroundEstimate(f)
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	bg, sigma := s.backgroundEstimate(f)
 	tau := math.Max(d.cfg.ScoreFloor, d.cfg.NoiseMult*sigma)
 
 	var (
-		cands []Detection
+		cands = s.cands[:0]
 		buf   [2 * 33 * 33]float64 // room for a 32×32 frame's tables
 		tab   integrals            // built at the first template that fits
 	)
@@ -151,6 +166,7 @@ func (d *SlidingWindowDetector) Detect(f vidsim.Frame) []Detection {
 			}
 		}
 	}
+	s.cands = cands
 	return d.finish(f, cands)
 }
 
@@ -281,20 +297,31 @@ func windowStats(f vidsim.Frame, x, y, w, h int) (mean, std float64) {
 // from a subsample of pixels. Objects cover a minority of the frame, so
 // the median sits on the background.
 func backgroundEstimate(f vidsim.Frame) (bg, sigma float64) {
+	return new(scratch).backgroundEstimate(f)
+}
+
+// backgroundEstimate is the package function's estimate, computed in s's
+// sample and sorted buffers.
+func (s *scratch) backgroundEstimate(f vidsim.Frame) (bg, sigma float64) {
 	const stride = 7
-	sample := make([]float64, 0, len(f.Pixels)/stride+1)
+	sample := s.sample[:0]
 	for i := 0; i < len(f.Pixels); i += stride {
 		sample = append(sample, f.Pixels[i])
 	}
-	med := median(sample)
+	s.sample = sample
+	med := s.median(sample)
 	for i, v := range sample {
 		sample[i] = math.Abs(v - med)
 	}
-	return med, 1.4826 * median(sample)
+	return med, 1.4826 * s.median(sample)
 }
 
-func median(xs []float64) float64 {
-	sorted := append([]float64(nil), xs...)
+func median(xs []float64) float64 { return new(scratch).median(xs) }
+
+// median returns the median of xs, sorting a copy of them in s.sorted.
+func (s *scratch) median(xs []float64) float64 {
+	sorted := append(s.sorted[:0], xs...)
+	s.sorted = sorted
 	sort.Float64s(sorted)
 	n := len(sorted)
 	if n == 0 {

@@ -241,7 +241,7 @@ func RunAblation(cfg Config) AblationResult {
 		p.Source = core.SourceVAE
 		p.VAEEpochs = 4
 		p.Seed = cfg.Seed + int64(i)*31
-		vaeEntries[i] = core.Provision(ds.Sequences[i].Name, ds.TrainingFrames(i, cfg.TrainFrames), nil, p)
+		vaeEntries[i] = core.Provision(ds.Sequences[i].Name, ds.TrainingStream(i, cfg.TrainFrames), nil, p)
 	}
 
 	res := AblationResult{}

@@ -107,7 +107,7 @@ func BuildEnvUnsupervised(ds *dataset.Dataset, cfg Config) *Env {
 	p := core.DefaultProvisionConfig(ds.FrameDim(), 2)
 	for i := range ds.Sequences {
 		p.Seed = cfg.Seed + int64(i)*31
-		entries[i] = core.Provision(ds.Sequences[i].Name, ds.TrainingFrames(i, cfg.TrainFrames), nil, p)
+		entries[i] = core.Provision(ds.Sequences[i].Name, ds.TrainingStream(i, cfg.TrainFrames), nil, p)
 	}
 	env.Registry = core.NewRegistry(entries...)
 	env.Provision = p
@@ -185,7 +185,7 @@ func RunFig4(cfg Config) Fig4Result {
 	// Day model provisioned from the day sequence ("a previous day").
 	p := core.DefaultProvisionConfig(ds.FrameDim(), 2)
 	p.Seed = cfg.Seed
-	dayEntry := core.Provision("day", ds.TrainingFrames(0, cfg.TrainFrames), nil, p)
+	dayEntry := core.Provision("day", ds.TrainingStream(0, cfg.TrainFrames), nil, p)
 
 	// The evaluated stream: day frames, then a gradual transition to night.
 	stream := vidsim.NewStream(ds.W, ds.H, ds.Seed,

@@ -80,8 +80,10 @@ func BuildEnvShell(ds *dataset.Dataset, cfg Config, kind query.Kind) *Env {
 
 // BuildEnv provisions one model per dataset sequence (trained on that
 // condition's training frames, annotated by the oracle — §5.4) and
-// assembles the registry the Model Selector chooses from. The sequences
-// are provisioned concurrently, one goroutine a core; each has its own seed
+// assembles the registry the Model Selector chooses from. Each sequence
+// is provisioned straight from its training stream, so set-up holds one
+// rendered frame a provision, never a sequence's clip. The sequences are
+// provisioned concurrently, one goroutine a core; each has its own seed
 // and the registry keeps dataset order, so the result does not depend on
 // the pool's size.
 func BuildEnv(ds *dataset.Dataset, cfg Config, kind query.Kind) *Env {
@@ -102,10 +104,9 @@ func buildEnv(ds *dataset.Dataset, cfg Config, kind query.Kind, selector core.Se
 
 	entries := make([]*core.ModelEntry, len(ds.Sequences))
 	pool.ForEach(len(entries), func(i int) {
-		frames := ds.TrainingFrames(i, cfg.TrainFrames)
 		p := env.Provision.For(selector)
 		p.Seed = cfg.Seed + int64(i)*31
-		entries[i] = core.Provision(ds.Sequences[i].Name, frames, labeler, p)
+		entries[i] = core.Provision(ds.Sequences[i].Name, ds.TrainingStream(i, cfg.TrainFrames), labeler, p)
 	})
 	env.Registry = core.NewRegistry(entries...)
 	return env

@@ -5,6 +5,7 @@ import (
 	"encoding"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"videodrift/internal/core"
@@ -73,7 +74,7 @@ func TestBuildEnvPoolDeterminism(t *testing.T) {
 	for i := range ds.Sequences {
 		p := serial.Provision
 		p.Seed = cfg.Seed + int64(i)*31
-		entries[i] = core.Provision(ds.Sequences[i].Name, ds.TrainingFrames(i, cfg.TrainFrames), serial.Labeler(), p)
+		entries[i] = core.Provision(ds.Sequences[i].Name, slices.Values(ds.TrainingFrames(i, cfg.TrainFrames)), serial.Labeler(), p)
 	}
 	serial.Registry = core.NewRegistry(entries...)
 

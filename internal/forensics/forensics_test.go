@@ -64,10 +64,10 @@ func getEntries() []*core.ModelEntry {
 	fixOnce.Do(func() {
 		pcfg := provisionConfig(testDim, 3)
 		day := vidsim.GenerateTraining(lightTraffic(vidsim.Day()), testW, testH, 200, 11)
-		fixDay = core.Provision("day", day, testLabeler, pcfg)
+		fixDay = core.Provision("day", slices.Values(day), testLabeler, pcfg)
 		pcfg.Seed = 32
 		night := vidsim.GenerateTraining(lightTraffic(vidsim.Night()), testW, testH, 200, 12)
-		fixNight = core.Provision("night", night, testLabeler, pcfg)
+		fixNight = core.Provision("night", slices.Values(night), testLabeler, pcfg)
 	})
 	return []*core.ModelEntry{fixDay, fixNight}
 }
@@ -594,9 +594,9 @@ func BenchmarkRecorderRetention(b *testing.B) {
 	clip := func(cond vidsim.Condition, n int, seed int64) []vidsim.Frame {
 		return vidsim.GenerateTrainingStride(lightTraffic(cond), w, h, n, 1, seed)
 	}
-	day := core.Provision("day", clip(vidsim.Day(), 200, 11), testLabeler, pcfg)
+	day := core.Provision("day", slices.Values(clip(vidsim.Day(), 200, 11)), testLabeler, pcfg)
 	pcfg.Seed = 32
-	night := core.Provision("night", clip(vidsim.Night(), 200, 12), testLabeler, pcfg)
+	night := core.Provision("night", slices.Values(clip(vidsim.Night(), 200, 12)), testLabeler, pcfg)
 	cfg := core.DefaultPipelineConfig(w*h, testNumClasses)
 	cfg.Selector = core.SelectorMSBI
 	pipe := core.NewPipeline(core.NewRegistry(day, night), testLabeler, cfg)

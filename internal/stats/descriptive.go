@@ -183,10 +183,10 @@ func KLDivergence(p, q []float64) float64 {
 	}
 	d := 0.0
 	for i := range p {
-		if p[i] == 0 { //lint:allow floatcmp exact zero mass is a defined case of discrete KL, not a computed coincidence
+		if p[i] == 0 { // exact zero mass is a defined case of discrete KL
 			continue
 		}
-		if q[i] == 0 { //lint:allow floatcmp exact zero mass yields +Inf by definition
+		if q[i] == 0 { // exact zero mass yields +Inf by definition
 			return math.Inf(1)
 		}
 		d += p[i] * math.Log(p[i]/q[i])

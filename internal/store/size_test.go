@@ -21,7 +21,7 @@ func servedEntry(sel core.SelectorKind) *core.ModelEntry {
 	env := experiments.BuildEnvShell(dataset.BDD(cfg.Scale), cfg, query.Count)
 	p := env.Provision.For(sel)
 	p.Seed = cfg.Seed
-	e := core.Provision(env.DS.Sequences[0].Name, env.DS.TrainingFrames(0, cfg.TrainFrames), env.Labeler(), p)
+	e := core.Provision(env.DS.Sequences[0].Name, env.DS.TrainingStream(0, cfg.TrainFrames), env.Labeler(), p)
 	servedCache[sel] = e
 	return e
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -61,10 +62,10 @@ func getFixtures(t testing.TB) (*core.ModelEntry, *core.ModelEntry) {
 	fixOnce.Do(func() {
 		day := vidsim.GenerateTraining(testCond(vidsim.Day()), testW, testH, 120, 1)
 		night := vidsim.GenerateTraining(testCond(vidsim.Night()), testW, testH, 120, 2)
-		fixDay = core.Provision("day", day, testLabeler, quickProvision(21))
+		fixDay = core.Provision("day", slices.Values(day), testLabeler, quickProvision(21))
 		cfg := quickProvision(22)
 		cfg.Source = core.SourceVAE
-		fixNightVAE = core.Provision("night", night, nil, cfg)
+		fixNightVAE = core.Provision("night", slices.Values(night), nil, cfg)
 	})
 	return fixDay, fixNightVAE
 }
@@ -98,7 +99,7 @@ func testCheckpoint(t testing.TB) *Checkpoint {
 func leanDay(t testing.TB) *core.ModelEntry {
 	t.Helper()
 	day := vidsim.GenerateTraining(testCond(vidsim.Day()), testW, testH, 120, 1)
-	return core.Provision("day", day, testLabeler, quickProvision(21).For(core.SelectorMSBI))
+	return core.Provision("day", slices.Values(day), testLabeler, quickProvision(21).For(core.SelectorMSBI))
 }
 
 // leanCheckpoint is testCheckpoint with a third, supervised but

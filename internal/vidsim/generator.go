@@ -130,21 +130,33 @@ func (g *SceneGenerator) step() {
 
 // Next renders and returns the next frame in the sequence.
 func (g *SceneGenerator) Next() Frame {
+	var f Frame
+	g.nextInto(&f)
+	return f
+}
+
+// nextInto renders the next frame into f, over f's own Pixels and Truth
+// arrays when they are large enough: the frame Next returns, bit for bit,
+// with the same draws, and no allocation once f is warm. Every pixel is
+// written, so what f held before does not matter.
+func (g *SceneGenerator) nextInto(f *Frame) {
 	g.step()
 	c := g.cond
-	px := make(tensor.Vector, g.w*g.h)
+	px := f.Pixels.Resize(g.w * g.h)
 	for i := range px {
 		px[i] = clamp01(g.bg + g.rng.Normal(0, c.BgNoise))
 	}
-	truth := make([]Object, 0, len(g.objects))
+	truth := f.Truth[:0]
+	if truth == nil || cap(truth) < len(g.objects) {
+		truth = make([]Object, 0, len(g.objects))
+	}
 	for _, m := range g.objects {
 		g.drawRect(px, m.obj)
 		truth = append(truth, m.obj)
 	}
 	g.applyWeather(px)
-	f := Frame{Index: g.frame, W: g.w, H: g.h, Pixels: px, Truth: truth, Condition: c.Name}
+	*f = Frame{Index: g.frame, W: g.w, H: g.h, Pixels: px, Truth: truth, Condition: c.Name}
 	g.frame++
-	return f
 }
 
 // drawRect rasterizes an object's bounding box at its intensity with a

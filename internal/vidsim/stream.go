@@ -1,6 +1,10 @@
 package vidsim
 
-import "videodrift/internal/stats"
+import (
+	"iter"
+
+	"videodrift/internal/stats"
+)
 
 // Segment is one scripted portion of a stream: Length frames drawn under
 // Cond. When TransitionLen > 0 the previous segment's condition is
@@ -144,17 +148,26 @@ func (s *Stream) Collect(n int) []Frame {
 // time; a short consecutive clip would miss the count tail and produce
 // conformal false alarms on every live burst).
 func GenerateTraining(cond Condition, w, h, n int, seed int64) []Frame {
-	return GenerateTrainingStride(cond, w, h, n, 5, seed)
+	return GenerateTrainingStride(cond, w, h, n, TrainingStride, seed)
 }
+
+// TrainingStride is GenerateTraining's temporal stride between retained
+// frames; trainingBurnIn is how many frames a training clip's generator
+// renders before its first.
+const (
+	TrainingStride = 5
+	trainingBurnIn = 20
+)
 
 // GenerateTrainingStride is GenerateTraining with an explicit temporal
 // stride between retained frames (stride 1 = consecutive clip).
+// TrainingStream yields the same frames without holding them.
 func GenerateTrainingStride(cond Condition, w, h, n, stride int, seed int64) []Frame {
 	if stride < 1 {
 		stride = 1
 	}
 	g := NewSceneGenerator(cond, w, h, stats.NewRNG(seed))
-	for i := 0; i < 20; i++ { // burn-in
+	for i := 0; i < trainingBurnIn; i++ {
 		g.Next()
 	}
 	out := make([]Frame, n)
@@ -165,4 +178,30 @@ func GenerateTrainingStride(cond Condition, w, h, n, stride int, seed int64) []F
 		out[i] = g.Next()
 	}
 	return out
+}
+
+// TrainingStream yields GenerateTrainingStride's frames, bit for bit, one
+// at a time and rendered into one reused buffer: a yielded frame is
+// borrowed, valid until the next one, and a consumer that keeps it must
+// Clone it. The burn-in and the frames the stride skips are rendered into
+// the same buffer with the same draws, so walking the stream allocates
+// next to nothing whatever n and the stride are.
+func TrainingStream(cond Condition, w, h, n, stride int, seed int64) iter.Seq[Frame] {
+	stride = max(stride, 1)
+	return func(yield func(Frame) bool) {
+		g := NewSceneGenerator(cond, w, h, stats.NewRNG(seed))
+		var f Frame
+		for i := 0; i < trainingBurnIn; i++ {
+			g.nextInto(&f)
+		}
+		for i := 0; i < n; i++ {
+			for s := 1; s < stride; s++ {
+				g.nextInto(&f)
+			}
+			g.nextInto(&f)
+			if !yield(f) {
+				return
+			}
+		}
+	}
 }

@@ -288,6 +288,22 @@ func TestGenerateTraining(t *testing.T) {
 	}
 }
 
+// TestRenderIntoAllocatesNothing: a frame rendered into a warm frame's
+// arrays — every frame a training stream skips, and every one it yields —
+// allocates nothing, under each weather.
+func TestRenderIntoAllocatesNothing(t *testing.T) {
+	for _, c := range []Condition{Day(), RainCond(), SnowCond()} {
+		g := NewSceneGenerator(c, 32, 32, stats.NewRNG(5))
+		var f Frame
+		for i := 0; i < 20; i++ {
+			g.nextInto(&f)
+		}
+		if a := testing.AllocsPerRun(200, func() { g.nextInto(&f) }); a != 0 {
+			t.Errorf("%s: %v allocations a frame, want 0", c.Name, a)
+		}
+	}
+}
+
 func TestWeatherEffectsChangePixels(t *testing.T) {
 	for _, w := range []Weather{Rain, Snow} {
 		cond := RainCond()

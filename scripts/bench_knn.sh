@@ -7,7 +7,8 @@
 # the training benchmarks (one Adam step dense and with idle coordinates, one
 # experiment-scale classifier fit and one step of it, one serving-time
 # training with and without the MSBO ensemble, one tenant attach under
-# each selector and the B/tenant it leaves on the heap) and the ingest
+# each selector and the B/tenant it leaves on the heap, and driftserve's
+# whole msbi set-up with what it allocates) and the ingest
 # tier's per-arrival path (Submit + Pump per frame, and the same frame
 # through the front door: socket → the ask's ACK → fed in place, 1 and
 # 8 tenants a frame and its ask a round, and one tenant's window of 8
@@ -54,7 +55,7 @@ if [ -n "${PROFILE:-}" ]; then
 fi
 
 raw=$(go test -run=NONE \
-	-bench 'KNNScore|DriftInspectorObserve|Featurize$|QueryFeatures|MSBIParallel|ShardedThroughput|Provision|AttachTenant|DetectorsPerFrame' \
+	-bench 'KNNScore|DriftInspectorObserve|Featurize$|QueryFeatures|MSBIParallel|ShardedThroughput|Provision|AttachTenant|DetectorsPerFrame|BuildEnv' \
 	-benchtime "$benchtime" -count "$count" "${profflags[@]}" .
 	go test -run=NONE -bench 'AdamStep|ClassifierFit|ClassifierTrainStep' \
 		-benchtime "$benchtime" -count "$count" ./internal/nn ./internal/classifier

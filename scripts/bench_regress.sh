@@ -9,7 +9,7 @@
 # frame through a loopback connection, one frame or a window of eight
 # and their ask a round, the
 # per-frame admission scan, one model entry's encoding, the forensics
-# recorder's state clone) and fails when any of them
+# recorder's state clone, set-up's four provisions) and fails when any of them
 # lands more than THRESHOLD percent slower than the committed
 # BENCH_knn.json baseline — or, for the entry encoding, the tenant
 # attach and the recorder, more than THRESHOLD percent larger (B/entry,
@@ -21,6 +21,14 @@
 # with the box, and the ingest tier's per-arrival path holds at 0). It
 # prints the box the baseline was recorded on next to this one: across
 # boxes the deltas are differences, not regressions.
+#
+# One row is the exception to the exact allocation gate: set-up
+# (BenchmarkBuildEnv/msbi, driftserve's four-model provisioning under
+# msbi) allocates a few objects more or fewer from run to run. Its four
+# provisions run concurrently, and their labellers take the annotator's
+# scratch from a sync.Pool that a collection may empty mid-op, so a miss
+# allocates. Its B/op is gated under THRESHOLD instead: a set-up that
+# renders its training clips whole again is ≈ 20× over.
 #
 # Usage:  scripts/bench_regress.sh [baseline.json]
 #   THRESHOLD=25 BENCHTIME=300ms COUNT=3 scripts/bench_regress.sh
@@ -56,8 +64,9 @@ fi
 # per model (an entry that carries pixels again is 50× over; a tracer
 # that allocates its whole event ring at attach is 60× over on B/tenant;
 # a recorder that keeps the frames the stride skipped is 9× over on
-# B/declaration).
-raw=$(go test -run=NONE -bench 'KNNScore/sigma512x64|Featurize$|QueryFeatures|ShardedThroughput|Provision|AttachTenant|DetectorsPerFrame' \
+# B/declaration), and set-up (B/op: what boot allocates before the first
+# /healthz).
+raw=$(go test -run=NONE -bench 'KNNScore/sigma512x64|Featurize$|QueryFeatures|ShardedThroughput|Provision|AttachTenant|DetectorsPerFrame|BuildEnv' \
 	-benchtime "$benchtime" -count "$count" .
 	go test -run=NONE -bench 'AdamStep|ClassifierFit|ClassifierTrainStep' \
 		-benchtime "$benchtime" -count "$count" ./internal/nn ./internal/classifier
@@ -90,6 +99,13 @@ BEGIN {
 		if (match(line, /"allocs_per_op":/)) {
 			a = substr(line, RSTART + RLENGTH); sub(/[,}].*/, "", a)
 			baseA[name] = a + 0
+		}
+		# Rows whose object count varies: B/op under the threshold instead.
+		if (name ~ /^BenchmarkBuildEnv\// && match(line, /"bytes_per_op":/)) {
+			b = substr(line, RSTART + RLENGTH); sub(/[,}].*/, "", b)
+			unitB[name] = "B/op"
+			baseB[name] = b + 0
+			delete baseA[name]
 		}
 	}
 }

@@ -24,6 +24,7 @@ package videodrift
 
 import (
 	"fmt"
+	"slices"
 
 	"videodrift/internal/core"
 	"videodrift/internal/dataset"
@@ -171,7 +172,7 @@ func Defaults(frameDim, numClasses int) Options {
 // sample and calibration the Drift Inspector monitors against. A nil
 // labeler builds an unsupervised entry (drift detection and MSBI only).
 func BuildModel(name string, frames []Frame, labeler Labeler, opts Options) *Model {
-	return core.Provision(name, frames, labeler, opts.Provision)
+	return core.Provision(name, slices.Values(frames), labeler, opts.Provision)
 }
 
 // Monitor is the drift-aware processing loop of the paper's Figure 1.
