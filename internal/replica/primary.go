@@ -395,6 +395,11 @@ func (p *Primary) ship(l *standbyLink, cp *store.Checkpoint, prevGen uint64, del
 		}
 		l.seq++
 		ack, err := p.readAck(l)
+		if err == nil && ack.Gen != cp.Gen {
+			// The standby kept what it held and closed the stream; its
+			// next Hello asks for a full.
+			err = fmt.Errorf("replica: standby did not apply generation %d, holds %d", cp.Gen, ack.Gen)
+		}
 		if err != nil {
 			lastErr = err
 			if errors.Is(err, ErrFenced) {

@@ -33,7 +33,7 @@ const Magic uint32 = 0x56445250
 
 // Version is the protocol version this package speaks. A peer that
 // speaks another is refused with a *VersionError.
-const Version = 2
+const Version = 3
 
 // HeaderSize is the fixed size of the wire header in bytes.
 const HeaderSize = wire.HeaderSize
@@ -41,7 +41,7 @@ const HeaderSize = wire.HeaderSize
 // Message types.
 const (
 	MsgHello   = 1 // standby → primary: greeting with epoch + resume generation
-	MsgFull    = 2 // primary → standby: one full checkpoint envelope
+	MsgFull    = 2 // primary → standby: one full checkpoint envelope (the delta from nothing)
 	MsgDelta   = 3 // primary → standby: one delta checkpoint envelope
 	MsgApplied = 4 // standby → primary: generation applied (lag accounting)
 	MsgFenced  = 5 // standby → primary: stream rejected, epoch is stale

@@ -52,18 +52,19 @@ func TestProtocolRoundTrips(t *testing.T) {
 // TestGoldenBytes holds one message of each type to the bytes the build
 // before internal/wire emitted for it (recorded at that commit), but for
 // the version byte: moving the header and the CRC into a shared layer
-// changed nothing on the wire, and VDRP v2 changed the version alone.
+// changed nothing on the wire, and VDRP v2 and v3 changed the version
+// alone.
 func TestGoldenBytes(t *testing.T) {
 	st := State{Epoch: 7, Seq: 3, Gen: 43, BaseGen: 42, Payload: []byte("envelope bytes")}
 	for name, c := range map[string]struct {
 		got  []byte
 		want string
 	}{
-		"hello":   {EncodeHello(Hello{Epoch: 7, Gen: 42}), "564452500201000000105361ef4a0000000000000007000000000000002a"},
-		"full":    {EncodeState(MsgFull, st), "56445250020200000032ba149c2900000000000000070000000000000003000000000000002b000000000000002a0000000e656e76656c6f7065206279746573"},
-		"delta":   {EncodeState(MsgDelta, st), "56445250020300000032ba149c2900000000000000070000000000000003000000000000002b000000000000002a0000000e656e76656c6f7065206279746573"},
-		"applied": {EncodeApplied(Applied{Gen: 43}), "56445250020400000008c99e2629000000000000002b"},
-		"fenced":  {EncodeFenced(Fenced{Epoch: 9}), "564452500205000000081cfe67cd0000000000000009"},
+		"hello":   {EncodeHello(Hello{Epoch: 7, Gen: 42}), "564452500301000000105361ef4a0000000000000007000000000000002a"},
+		"full":    {EncodeState(MsgFull, st), "56445250030200000032ba149c2900000000000000070000000000000003000000000000002b000000000000002a0000000e656e76656c6f7065206279746573"},
+		"delta":   {EncodeState(MsgDelta, st), "56445250030300000032ba149c2900000000000000070000000000000003000000000000002b000000000000002a0000000e656e76656c6f7065206279746573"},
+		"applied": {EncodeApplied(Applied{Gen: 43}), "56445250030400000008c99e2629000000000000002b"},
+		"fenced":  {EncodeFenced(Fenced{Epoch: 9}), "564452500305000000081cfe67cd0000000000000009"},
 	} {
 		if hex.EncodeToString(c.got) != c.want {
 			t.Errorf("%s: encodes to %x, the recorded bytes are %s", name, c.got, c.want)
@@ -86,7 +87,7 @@ func TestReadMsgRejectsDamage(t *testing.T) {
 	badMagic[0] ^= 0xff
 	reject("bad magic", badMagic, ErrBadMagic)
 
-	for _, v := range []uint8{1, Version + 1} { // v1: the epoch before VDRP v2
+	for _, v := range []uint8{Version - 1, Version + 1} { // the epochs either side
 		badVersion := append([]byte(nil), valid...)
 		badVersion[4] = v
 		var verr *VersionError

@@ -279,6 +279,58 @@ func TestDeltaBaseRenegotiation(t *testing.T) {
 	}
 }
 
+// TestUnbuildableGenerationDoesNotFence: a generation the standby cannot
+// apply — here a model entry with no reference features, which encodes
+// but does not rebuild — is answered like a broken chain, not with a
+// fence. The primary's cycle fails, it stays unfenced, and the next good
+// capture is applied from a full.
+func TestUnbuildableGenerationDoesNotFence(t *testing.T) {
+	sb, addr := startStandby(t, StandbyConfig{Logf: t.Logf})
+
+	good, broken := testEntry("m0"), testEntry("broken")
+	broken.SampleFeats = nil
+	entries := []*core.ModelEntry{good}
+	var frames int64
+	var fencedBy uint64
+	prim := NewPrimary(PrimaryConfig{
+		Addrs: []string{addr},
+		Epoch: 5,
+		Capture: func() *store.Checkpoint {
+			frames += 100
+			return testCheckpoint(t, entries, frames)
+		},
+		OnFenced: func(epoch uint64) { fencedBy = epoch },
+		Logf:     t.Logf,
+	})
+	defer prim.Close()
+	if err := prim.Cycle(); err != nil {
+		t.Fatalf("first cycle: %v", err)
+	}
+
+	entries = []*core.ModelEntry{good, broken}
+	if err := prim.Cycle(); err == nil || errors.Is(err, ErrFenced) {
+		t.Fatalf("cycle carrying an unbuildable entry = %v, want an error other than ErrFenced", err)
+	}
+	if prim.Fenced() || fencedBy != 0 {
+		t.Fatalf("primary fenced=%v (OnFenced epoch %d) by a generation its standby could not build", prim.Fenced(), fencedBy)
+	}
+	if got := sb.Gen(); got != 1 {
+		t.Fatalf("standby at gen %d, want it to keep gen 1", got)
+	}
+
+	entries = []*core.ModelEntry{good, testEntry("m1")}
+	if err := prim.Cycle(); err != nil {
+		t.Fatalf("cycle after the unbuildable one: %v", err)
+	}
+	cp := sb.Latest()
+	if cp.Gen != 3 || len(cp.Entries) != 2 || cp.Entries[1].Name != "m1" {
+		t.Fatalf("standby holds gen %d with %d entries, want gen 3 ending in m1", cp.Gen, len(cp.Entries))
+	}
+	if prim.Fenced() || sb.Epoch() != 5 {
+		t.Fatalf("primary fenced=%v, standby epoch %d; want false, 5", prim.Fenced(), sb.Epoch())
+	}
+}
+
 // TestFencingEpochs proves the no-split-brain property: a standby that
 // has seen a newer epoch rejects a staler primary's stream with a
 // Fenced reply, the stale primary demotes itself permanently, and a

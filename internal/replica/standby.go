@@ -212,47 +212,41 @@ func (s *Standby) apply(msgType uint8, st State) (reply []byte, keepOpen bool) {
 	if st.Epoch > s.epoch {
 		s.epoch = st.Epoch
 	}
-	base, baseCRCs := s.cp, s.crcs
+	from, fromCRCs := s.cp, s.crcs
 	s.mu.Unlock()
 
+	// A full is the delta from nothing, so both kinds take one path.
+	kind := "delta"
+	if msgType == MsgFull {
+		kind, from, fromCRCs = "full", &store.Checkpoint{}, nil
+	}
 	var (
 		next     *store.Checkpoint
 		nextCRCs []uint32
-		err      error
-		kind     = "full"
 	)
-	switch msgType {
-	case MsgFull:
-		next, nextCRCs, err = store.DecodeWithCRCs(st.Payload)
-	case MsgDelta:
-		kind = "delta"
-		var d *store.Delta
-		if d, err = store.DecodeDelta(st.Payload); err == nil {
-			if base == nil {
-				err = fmt.Errorf("%w: delta with no base", store.ErrDeltaBase)
-			} else {
-				next, nextCRCs, err = store.ApplyDelta(base, baseCRCs, d)
-			}
-		}
+	d, err := store.DecodeDelta(st.Payload)
+	if err == nil && from == nil {
+		err = fmt.Errorf("%w: delta with no base", store.ErrDeltaBase)
+	}
+	if err == nil {
+		next, nextCRCs, err = store.ApplyDelta(from, fromCRCs, d)
+	}
+	if err == nil && next.Gen != st.Gen {
+		err = fmt.Errorf("envelope gen %d disagrees with stream gen %d", next.Gen, st.Gen)
 	}
 	if err != nil {
+		// Whatever this generation's fault — a broken chain, an entry this
+		// build cannot rebuild — it says nothing of the primary's epoch:
+		// keep the state, renegotiate from a full.
 		s.logf("replica: apply %s gen %d: %v", kind, st.Gen, err)
-		if errors.Is(err, store.ErrDeltaBase) {
-			// The chain broke (base mismatch): renegotiate from a full.
-			s.mu.Lock()
-			s.forceFull = true
-			gen := uint64(0)
-			if s.cp != nil {
-				gen = s.cp.Gen
-			}
-			s.mu.Unlock()
-			return EncodeApplied(Applied{Gen: gen}), false
+		s.mu.Lock()
+		s.forceFull = true
+		gen := uint64(0)
+		if s.cp != nil {
+			gen = s.cp.Gen
 		}
-		return EncodeFenced(Fenced{Epoch: st.Epoch}), false
-	}
-	if next.Gen != st.Gen {
-		s.logf("replica: envelope gen %d disagrees with stream gen %d", next.Gen, st.Gen)
-		return EncodeFenced(Fenced{Epoch: st.Epoch}), false
+		s.mu.Unlock()
+		return EncodeApplied(Applied{Gen: gen}), false
 	}
 
 	s.mu.Lock()

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -826,7 +825,7 @@ func TestServeWarmRestart(t *testing.T) {
 	})
 
 	t.Run("previous-version", func(t *testing.T) {
-		// A state directory of format v2, the epoch before store v3 — one
+		// A state directory of format v3, the epoch before store v4 — one
 		// generation with that version in its header — is refused by name,
 		// and the server cold-starts over it.
 		cfg := testConfig()
@@ -843,7 +842,7 @@ func TestServeWarmRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		binary.LittleEndian.PutUint16(data[4:], 2)
+		data[4] = 3
 		if err := os.WriteFile(p, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -853,9 +852,9 @@ func TestServeWarmRestart(t *testing.T) {
 		s := runSelfFeed(t, cfg)
 		log.SetOutput(os.Stderr)
 		if s.boot != nil {
-			t.Fatal("the server resumed a v2 checkpoint")
+			t.Fatal("the server resumed a v3 checkpoint")
 		}
-		if want := fmt.Sprintf("checkpoint format v2, this build reads v%d", store.Version); !strings.Contains(logged.String(), want) {
+		if want := fmt.Sprintf("store: checkpoint format: wire: protocol version 3 (want %d)", store.Version); !strings.Contains(logged.String(), want) {
 			t.Errorf("the log does not name the version: want %q in\n%s", want, logged.String())
 		}
 	})

@@ -7,29 +7,23 @@
 // bit-identically to the uninterrupted run. It has no dependencies
 // outside the standard library and the repo's own packages.
 //
-// On-disk format (little endian):
-//
-//	offset 0   magic "VDCK" (4 bytes)
-//	offset 4   format version (uint16)
-//	offset 6   payload kind (uint16, 1 = checkpoint)
-//	offset 8   payload length (uint64)
-//	offset 16  CRC-32 (IEEE) of the payload (uint32)
-//	offset 20  payload (gob-encoded checkpointRecord)
-//
-// Inside the payload, every model entry is itself a gob blob with its
-// own CRC-32, so `drifttool inspect` can report per-model integrity and
-// a decode error names the entry it hit. Float64 values round-trip
-// bit-exactly through gob, which is what makes restored kNN scores,
-// p-values and classifier logits identical to the originals.
+// A checkpoint file is one internal/wire message (DESIGN.md §18) under
+// the "VDCK" format, and its payload is the Delta that builds the
+// checkpoint from nothing (layout at appendDelta): every frame once, as a
+// raw little-endian block, however many lists hold it, and every model
+// entry as a gob blob with its own CRC-32, so `drifttool inspect` can
+// report per-model integrity and a decode error names the entry it hit.
+// A replication stream ships the same encoding between generations.
+// Float64 values round-trip bit-exactly, which is what makes restored kNN
+// scores, p-values and classifier logits identical to the originals.
 package store
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"math"
 
 	"videodrift/internal/classifier"
 	"videodrift/internal/conformal"
@@ -39,47 +33,29 @@ import (
 	"videodrift/internal/tensor"
 	"videodrift/internal/vae"
 	"videodrift/internal/vision"
+	"videodrift/internal/wire"
 )
 
 // Version is the current checkpoint format version. A checkpoint of any
 // other version is refused with a *VersionError: nothing converts one.
-const Version uint16 = 3
+const Version = 4
 
-// Payload kinds carried by the envelope: full checkpoints and delta
-// checkpoints (the compact diff replication streams between
-// generations).
-const (
-	kindCheckpoint uint16 = 1
-	kindDelta      uint16 = 2
-)
+// vdck is the checkpoint envelope: "VDCK" big-endian, and no cap on a
+// payload the header can declare.
+var vdck = wire.Format{Magic: 0x5644434b, Version: Version, MaxPayload: math.MaxUint32}
 
-var magic = [4]byte{'V', 'D', 'C', 'K'}
-
-// headerSize is the fixed envelope prefix before the payload.
-const headerSize = 4 + 2 + 2 + 8 + 4
-
-// Typed decode failures. Callers distinguish "file is damaged"
-// (ErrTruncated, ErrBadMagic, ErrChecksum, *VersionError — fall back to
-// an older checkpoint) from harder structural errors.
+// Typed decode failures, the wire package's under either name. Callers
+// distinguish "file is damaged" (ErrTruncated, ErrBadMagic, ErrChecksum,
+// *VersionError — fall back to an older checkpoint) from harder
+// structural errors.
 var (
-	// ErrTruncated reports a file shorter than its header claims.
-	ErrTruncated = errors.New("store: checkpoint truncated")
-	// ErrBadMagic reports a file that is not a checkpoint at all.
-	ErrBadMagic = errors.New("store: bad magic (not a checkpoint file)")
-	// ErrChecksum reports payload bytes that fail the CRC — flipped
-	// bits, torn writes.
-	ErrChecksum = errors.New("store: payload checksum mismatch")
+	ErrTruncated = wire.ErrTruncated
+	ErrBadMagic  = wire.ErrBadMagic
+	ErrChecksum  = wire.ErrChecksum
 )
 
-// VersionError reports a checkpoint written by an incompatible format
-// version.
-type VersionError struct {
-	Got, Want uint16
-}
-
-func (e *VersionError) Error() string {
-	return fmt.Sprintf("store: checkpoint format v%d, this build reads v%d", e.Got, e.Want)
-}
+// VersionError reports a checkpoint written by another format version.
+type VersionError = wire.VersionError
 
 // Checkpoint is the in-memory form of one durable snapshot: the global
 // deduplicated model table plus per-shard registries and runtime state.
@@ -88,7 +64,7 @@ func (e *VersionError) Error() string {
 // restored as one shared object, exactly as a live fleet shares them
 // (videodrift.NewDynamicSharded).
 //
-//driftlint:snapshot encode=Encode,AppendCheckpoint decode=Decode,DecodeWithCRCs
+//driftlint:snapshot encode=Differ.Diff decode=ApplyDelta
 type Checkpoint struct {
 	// CreatedUnixNano stamps when the snapshot was captured.
 	CreatedUnixNano int64
@@ -145,21 +121,6 @@ type entryRecord struct {
 	Ensemble    []byte // classifier.Ensemble.MarshalBinary, nil when unsupervised
 	QueryFn     string // vision.FeatureFuncName, "" when unsupervised
 	CalibSample []classifier.Sample
-}
-
-// checkpointRecord is the gob wire form of the payload. Entries are
-// nested gob blobs with individual checksums so integrity is reportable
-// per model.
-//
-//driftlint:snapshot encode=Encode,AppendCheckpoint decode=decodeRecord,Decode,DecodeWithCRCs
-type checkpointRecord struct {
-	CreatedUnixNano int64
-	Frames          int64
-	Gen             uint64
-	Epoch           uint64
-	Entries         [][]byte
-	EntryCRCs       []uint32
-	Shards          []ShardState
 }
 
 // encodeEntry serializes one model entry. Entries provisioned with an
@@ -273,106 +234,50 @@ func EncodeWithCRCs(cp *Checkpoint) ([]byte, []uint32, error) {
 	return AppendCheckpoint(nil, cp)
 }
 
-// AppendCheckpoint is EncodeWithCRCs appending the envelope to dst,
-// the full-snapshot twin of AppendDelta.
+// AppendCheckpoint is EncodeWithCRCs appending the envelope to dst: the
+// delta from the empty checkpoint, so each frame is written once however
+// many lists hold it.
 func AppendCheckpoint(dst []byte, cp *Checkpoint) ([]byte, []uint32, error) {
-	rec := checkpointRecord{
-		CreatedUnixNano: cp.CreatedUnixNano,
-		Frames:          cp.Frames,
-		Gen:             cp.Gen,
-		Epoch:           cp.Epoch,
-		Entries:         make([][]byte, len(cp.Entries)),
-		EntryCRCs:       make([]uint32, len(cp.Entries)),
-		Shards:          cp.Shards,
+	d, crcs, err := new(Differ).Diff(&Checkpoint{}, nil, cp)
+	if err != nil {
+		return nil, nil, err
 	}
-	for i, e := range cp.Entries {
-		blob, err := encodeEntry(e)
-		if err != nil {
-			return nil, nil, err
-		}
-		rec.Entries[i] = blob
-		rec.EntryCRCs[i] = crc32.ChecksumIEEE(blob)
+	if dst, err = appendDelta(dst, d); err != nil {
+		return nil, nil, err
 	}
-	for si, sh := range cp.Shards {
-		for _, ref := range sh.Registry {
-			if ref < 0 || ref >= len(cp.Entries) {
-				return nil, nil, fmt.Errorf("store: shard %d references entry %d of %d", si, ref, len(cp.Entries))
-			}
-		}
-	}
-	start := len(dst)
-	out := bytes.NewBuffer(append(dst, make([]byte, headerSize)...))
-	if err := gob.NewEncoder(out).Encode(rec); err != nil {
-		return nil, nil, fmt.Errorf("store: encode checkpoint: %w", err)
-	}
-	dst = out.Bytes()
-	sealEnvelope(dst[start:], kindCheckpoint)
-	return dst, rec.EntryCRCs, nil
+	return dst, crcs, nil
 }
 
-// sealEnvelope fills in the versioned, checksummed header of an
-// envelope whose payload was written in place behind headerSize
-// reserved bytes.
-func sealEnvelope(env []byte, kind uint16) {
-	payload := env[headerSize:]
-	copy(env[0:4], magic[:])
-	binary.LittleEndian.PutUint16(env[4:6], Version)
-	binary.LittleEndian.PutUint16(env[6:8], kind)
-	binary.LittleEndian.PutUint64(env[8:16], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(env[16:20], crc32.ChecksumIEEE(payload))
-}
-
-// decodeEnvelope validates the header and checksum and returns the
-// payload bytes. It never panics on malformed input.
-func decodeEnvelope(data []byte, wantKind uint16) ([]byte, error) {
-	if len(data) < headerSize {
-		return nil, ErrTruncated
+// openEnvelope validates a checkpoint's header and CRC and returns its
+// payload; bytes past the payload are refused too. It never panics on
+// malformed input.
+func openEnvelope(data []byte) ([]byte, error) {
+	_, payload, err := vdck.DecodeMsg(data)
+	var ve *VersionError
+	if errors.As(err, &ve) {
+		return nil, fmt.Errorf("store: checkpoint format: %w", err)
 	}
-	if !bytes.Equal(data[0:4], magic[:]) {
-		return nil, ErrBadMagic
+	if err != nil {
+		return nil, err
 	}
-	if v := binary.LittleEndian.Uint16(data[4:6]); v != Version {
-		return nil, &VersionError{Got: v, Want: Version}
-	}
-	if k := binary.LittleEndian.Uint16(data[6:8]); k != wantKind {
-		return nil, fmt.Errorf("store: payload kind %d, want %d", k, wantKind)
-	}
-	n := binary.LittleEndian.Uint64(data[8:16])
-	if n != uint64(len(data)-headerSize) {
-		return nil, fmt.Errorf("%w: header claims %d payload bytes, file has %d", ErrTruncated, n, len(data)-headerSize)
-	}
-	payload := data[headerSize:]
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[16:20]) {
-		return nil, ErrChecksum
+	if have := len(data) - wire.HeaderSize; have != len(payload) {
+		return nil, fmt.Errorf("%w: header claims %d payload bytes, file has %d", ErrTruncated, len(payload), have)
 	}
 	return payload, nil
 }
 
-// decodeRecord parses a validated payload into the wire record.
-func decodeRecord(payload []byte) (*checkpointRecord, error) {
-	var rec checkpointRecord
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
-		return nil, fmt.Errorf("store: decode checkpoint: %w", err)
+// decodeFile decodes a checkpoint file's delta and checks that it builds
+// from nothing.
+func decodeFile(data []byte) (*Delta, error) {
+	d, err := DecodeDelta(data)
+	if err != nil {
+		return nil, err
 	}
-	if len(rec.EntryCRCs) != len(rec.Entries) {
-		return nil, fmt.Errorf("store: checkpoint has %d entry checksums for %d entries", len(rec.EntryCRCs), len(rec.Entries))
+	if d.BaseGen != 0 || d.BaseEntries != 0 || d.BaseFrames != 0 {
+		return nil, fmt.Errorf("%w: a checkpoint builds from nothing, this delta chains off generation %d (%d entries, %d frames)",
+			ErrDeltaBase, d.BaseGen, d.BaseEntries, d.BaseFrames)
 	}
-	for i, blob := range rec.Entries {
-		if crc32.ChecksumIEEE(blob) != rec.EntryCRCs[i] {
-			return nil, fmt.Errorf("%w (entry %d)", ErrChecksum, i)
-		}
-	}
-	for si, sh := range rec.Shards {
-		for _, ref := range sh.Registry {
-			if ref < 0 || ref >= len(rec.Entries) {
-				return nil, fmt.Errorf("store: shard %d references entry %d of %d", si, ref, len(rec.Entries))
-			}
-		}
-		if cur := sh.Pipeline.Current; cur < 0 || cur >= len(sh.Registry) {
-			return nil, fmt.Errorf("store: shard %d deploys registry slot %d of %d", si, cur, len(sh.Registry))
-		}
-	}
-	return &rec, nil
+	return d, nil
 }
 
 // Decode parses and fully reconstructs a checkpoint from envelope
@@ -383,35 +288,12 @@ func Decode(data []byte) (*Checkpoint, error) {
 }
 
 // DecodeWithCRCs is Decode, additionally returning the per-entry blob
-// CRCs as recorded in the envelope. A replication standby keeps them
-// alongside the checkpoint so later deltas can verify their base
-// digest against the exact bytes the primary sent, never against a
-// re-encode.
+// CRCs as recorded in the envelope, which later deltas verify their base
+// digest against.
 func DecodeWithCRCs(data []byte) (*Checkpoint, []uint32, error) {
-	payload, err := decodeEnvelope(data, kindCheckpoint)
+	d, err := decodeFile(data)
 	if err != nil {
 		return nil, nil, err
 	}
-	rec, err := decodeRecord(payload)
-	if err != nil {
-		return nil, nil, err
-	}
-	cp := &Checkpoint{
-		CreatedUnixNano: rec.CreatedUnixNano,
-		Frames:          rec.Frames,
-		Gen:             rec.Gen,
-		Epoch:           rec.Epoch,
-		Entries:         make([]*core.ModelEntry, len(rec.Entries)),
-		Shards:          rec.Shards,
-	}
-	for i, blob := range rec.Entries {
-		er, err := decodeEntryRecord(blob)
-		if err != nil {
-			return nil, nil, err
-		}
-		if cp.Entries[i], err = buildEntry(er); err != nil {
-			return nil, nil, err
-		}
-	}
-	return cp, rec.EntryCRCs, nil
+	return ApplyDelta(&Checkpoint{}, nil, d)
 }

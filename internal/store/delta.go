@@ -13,6 +13,7 @@ import (
 
 	"videodrift/internal/core"
 	"videodrift/internal/vidsim"
+	"videodrift/internal/wire"
 )
 
 // ErrDeltaBase reports a delta that does not chain off the checkpoint
@@ -21,7 +22,8 @@ import (
 // a full snapshot.
 var ErrDeltaBase = errors.New("store: delta base mismatch")
 
-// Delta is the diff between two consecutive checkpoint generations. It
+// Delta is the diff between two consecutive checkpoint generations —
+// and, from the empty checkpoint, a checkpoint file's whole payload. It
 // ships what a generation added and references everything else in the
 // base:
 //
@@ -40,7 +42,7 @@ var ErrDeltaBase = errors.New("store: delta base mismatch")
 // BaseFrameDigest are the correctness check that the base is the one the
 // references were taken against.
 //
-//driftlint:snapshot encode=appendDelta,Differ.Diff decode=DecodeDelta,ApplyDelta
+//driftlint:snapshot encode=appendDelta,Differ.Diff decode=DecodeDelta,ApplyDelta,Delta.buildFrames
 type Delta struct {
 	// BaseGen is the generation this delta applies on; Gen is the
 	// generation the application produces.
@@ -399,6 +401,41 @@ func ApplyDelta(base *Checkpoint, baseCRCs []uint32, d *Delta) (*Checkpoint, []u
 		return nil, nil, err
 	}
 
+	next := &Checkpoint{
+		CreatedUnixNano: d.CreatedUnixNano,
+		Frames:          d.Frames,
+		Gen:             d.Gen,
+		Epoch:           d.Epoch,
+		Entries:         make([]*core.ModelEntry, 0, len(base.Entries)+len(d.NewEntries)),
+		Shards:          cloneShards(d.Shards),
+	}
+	if err := d.buildFrames(base.Shards, next.Shards); err != nil {
+		return nil, nil, err
+	}
+
+	next.Entries = append(next.Entries, base.Entries...)
+	nextCRCs := make([]uint32, 0, len(baseCRCs)+len(d.NewCRCs))
+	nextCRCs = append(nextCRCs, baseCRCs...)
+	for i, blob := range d.NewEntries {
+		er, err := decodeEntryRecord(blob)
+		if err != nil {
+			return nil, nil, err
+		}
+		e, err := buildEntry(er)
+		if err != nil {
+			return nil, nil, err
+		}
+		next.Entries = append(next.Entries, e)
+		nextCRCs = append(nextCRCs, d.NewCRCs[i])
+	}
+	return next, nextCRCs, nil
+}
+
+// buildFrames fills the frame lists of shards, a clone of d.Shards, from
+// d's runs over the frame walk of base, after checking that the walk is
+// the one the references were taken against. It builds no model: Inspect
+// rebuilds a file's lists through it too.
+func (d *Delta) buildFrames(base, shards []ShardState) error {
 	// The base's walk as its lists plus the walk position each starts at.
 	var (
 		baseLists [][]vidsim.Frame
@@ -406,7 +443,7 @@ func ApplyDelta(base *Checkpoint, baseCRCs []uint32, d *Delta) (*Checkpoint, []u
 		walked    int
 		digest    uint32
 	)
-	walkFrameLists(base.Shards, func(list *[]vidsim.Frame) {
+	walkFrameLists(base, func(list *[]vidsim.Frame) {
 		if len(*list) == 0 {
 			return
 		}
@@ -418,7 +455,7 @@ func ApplyDelta(base *Checkpoint, baseCRCs []uint32, d *Delta) (*Checkpoint, []u
 		}
 	})
 	if walked != d.BaseFrames || digest != d.BaseFrameDigest {
-		return nil, nil, fmt.Errorf("%w: base walks %d frames (digest %08x), delta references %d (digest %08x)",
+		return fmt.Errorf("%w: base walks %d frames (digest %08x), delta references %d (digest %08x)",
 			ErrDeltaBase, walked, digest, d.BaseFrames, d.BaseFrameDigest)
 	}
 	// view returns a run's frames as a sub-slice of the one list that
@@ -454,16 +491,8 @@ func ApplyDelta(base *Checkpoint, baseCRCs []uint32, d *Delta) (*Checkpoint, []u
 		return dst
 	}
 
-	next := &Checkpoint{
-		CreatedUnixNano: d.CreatedUnixNano,
-		Frames:          d.Frames,
-		Gen:             d.Gen,
-		Epoch:           d.Epoch,
-		Entries:         make([]*core.ModelEntry, 0, len(base.Entries)+len(d.NewEntries)),
-		Shards:          cloneShards(d.Shards),
-	}
 	runs, listNo := d.Runs, uint32(0)
-	walkFrameLists(next.Shards, func(list *[]vidsim.Frame) {
+	walkFrameLists(shards, func(list *[]vidsim.Frame) {
 		n, total := 0, 0
 		for n < len(runs) && runs[n].List == listNo {
 			total += int(runs[n].N)
@@ -485,27 +514,11 @@ func ApplyDelta(base *Checkpoint, baseCRCs []uint32, d *Delta) (*Checkpoint, []u
 		runs = runs[n:]
 		listNo++
 	})
-
-	next.Entries = append(next.Entries, base.Entries...)
-	nextCRCs := make([]uint32, 0, len(baseCRCs)+len(d.NewCRCs))
-	nextCRCs = append(nextCRCs, baseCRCs...)
-	for i, blob := range d.NewEntries {
-		er, err := decodeEntryRecord(blob)
-		if err != nil {
-			return nil, nil, err
-		}
-		e, err := buildEntry(er)
-		if err != nil {
-			return nil, nil, err
-		}
-		next.Entries = append(next.Entries, e)
-		nextCRCs = append(nextCRCs, d.NewCRCs[i])
-	}
-	return next, nextCRCs, nil
+	return nil
 }
 
-// EncodeDelta serializes a delta into the shared versioned, checksummed
-// envelope under the delta payload kind.
+// EncodeDelta serializes a delta into the checkpoint envelope, the one
+// a checkpoint file is: a file is the delta from the empty checkpoint.
 func EncodeDelta(d *Delta) ([]byte, error) { return AppendDelta(nil, d) }
 
 // AppendDelta is EncodeDelta appending the envelope to dst — what lets
@@ -526,12 +539,12 @@ func AppendDelta(dst []byte, d *Delta) ([]byte, error) {
 //	     i64 index, i64 W, i64 H, u32+bytes condition,
 //	     u32 objects × (i64 class, 5 × f64), u32 pixels × f64
 //
-// all little-endian like the envelope. Pixels are the bulk of a delta;
-// writing them as one block each is a memmove, where gob spends a
+// all little-endian, behind the envelope's header. Pixels are the bulk of
+// a delta; writing them as one block each is a memmove, where gob spends a
 // varint encode per value.
 func appendDelta(dst []byte, d *Delta) ([]byte, error) {
 	start := len(dst)
-	dst = append(dst, make([]byte, headerSize+4)...)
+	dst = append(dst, make([]byte, wire.HeaderSize+4)...)
 	rec := *d
 	rec.NewFrames = nil
 	buf := bytes.NewBuffer(dst)
@@ -539,20 +552,23 @@ func appendDelta(dst []byte, d *Delta) ([]byte, error) {
 		return nil, fmt.Errorf("store: encode delta: %w", err)
 	}
 	dst = buf.Bytes()
-	gobStart := start + headerSize + 4
+	gobStart := start + wire.HeaderSize + 4
 	binary.LittleEndian.PutUint32(dst[gobStart-4:], uint32(len(dst)-gobStart))
 
 	size := 4
 	for i := range d.NewFrames {
 		size += frameWireSize(&d.NewFrames[i])
 	}
+	if payload := len(dst) - start - wire.HeaderSize + size; payload > math.MaxUint32 {
+		return nil, fmt.Errorf("store: a %d-byte payload does not fit the checkpoint envelope", payload)
+	}
 	dst = slices.Grow(dst, size)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(d.NewFrames)))
 	for i := range d.NewFrames {
 		dst = appendFrame(dst, &d.NewFrames[i])
 	}
-	sealEnvelope(dst[start:], kindDelta)
-	return dst, nil
+	// The format has one message, so its type byte is always 0.
+	return vdck.Seal(dst, start, 0), nil
 }
 
 // frameWireSize is the exact size appendFrame writes for f.
@@ -629,7 +645,7 @@ func (r *frameReader) count(size int) int {
 }
 
 // frame decodes one body straight into the arrays the frame keeps.
-// Empty lists decode to nil, as gob decodes them in a full checkpoint.
+// Empty lists decode to nil, as gob decodes them.
 func (r *frameReader) frame() vidsim.Frame {
 	f := vidsim.Frame{Index: int(r.u64()), W: int(r.u64()), H: int(r.u64())}
 	f.Condition = string(r.take(r.count(1)))
@@ -653,11 +669,12 @@ func (r *frameReader) frame() vidsim.Frame {
 	return f
 }
 
-// DecodeDelta parses and validates a delta from envelope bytes,
-// returning typed errors (never panicking) on malformed input. The
-// base digests are checked later, at ApplyDelta time.
+// DecodeDelta parses and validates a delta from envelope bytes — a
+// replicated generation or a checkpoint file, which is the delta from
+// nothing — returning typed errors (never panicking) on malformed input.
+// The base digests are checked later, at ApplyDelta time.
 func DecodeDelta(data []byte) (*Delta, error) {
-	payload, err := decodeEnvelope(data, kindDelta)
+	payload, err := openEnvelope(data)
 	if err != nil {
 		return nil, err
 	}

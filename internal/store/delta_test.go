@@ -3,7 +3,6 @@ package store
 import (
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"reflect"
 	"slices"
 	"testing"
@@ -11,6 +10,7 @@ import (
 	"videodrift/internal/core"
 	"videodrift/internal/forensics"
 	"videodrift/internal/vidsim"
+	"videodrift/internal/wire"
 )
 
 // nextGeneration evolves a checkpoint into its successor the way a
@@ -133,7 +133,8 @@ func TestWalkCoversEveryFrameList(t *testing.T) {
 // TestDeltaFramesShippedOnce is the frame table's contract: a frame the
 // base holds travels as a reference, a new frame travels once however
 // many lists and shards hold it, and the applied checkpoint equals the
-// full round trip while sharing the base's pixel arrays.
+// full round trip while sharing the base's pixel arrays. A file, the
+// delta from nothing, holds each of its frames once too.
 func TestDeltaFramesShippedOnce(t *testing.T) {
 	base, next := framedGenerations(t)
 	full, baseCRCs, err := EncodeWithCRCs(base)
@@ -145,6 +146,35 @@ func TestDeltaFramesShippedOnce(t *testing.T) {
 	sbBase, sbCRCs, err := DecodeWithCRCs(full)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The file is the delta from nothing, so it holds the base's 29 list
+	// slots as its 16 distinct frames, each written once, and the decoded
+	// declaration shares its pre-roll's pixel arrays as the capture's does.
+	distinct, limit := map[*float64]bool{}, 4<<10
+	for _, f := range allFrames(base) {
+		if !distinct[&f.Pixels[0]] {
+			distinct[&f.Pixels[0]] = true
+			limit += frameWireSize(&f)
+		}
+	}
+	if len(allFrames(base)) != 29 || len(distinct) != 16 {
+		t.Fatalf("base holds %d frames over %d pixel arrays, want 29 over 16", len(allFrames(base)), len(distinct))
+	}
+	for _, e := range base.Entries {
+		blob, err := encodeEntry(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		limit += len(blob)
+	}
+	if len(full) > limit {
+		t.Fatalf("the base's file is %d bytes, want at most %d: its entries, 16 frames and 4 KB", len(full), limit)
+	}
+	ring, declared := sbBase.Shards[0].Forensics.Ring, sbBase.Shards[0].Forensics.Declarations[0].Frames
+	for i := range declared {
+		if &declared[i].Pixels[0] != &ring[i+2].Pixels[0] {
+			t.Fatalf("decoded declaration frame %d has pixels of its own, not its pre-roll's", i)
+		}
 	}
 
 	d, _, err := DiffCheckpoints(base, baseCRCs, next)
@@ -413,31 +443,32 @@ func TestDecodeDeltaRejectsDamage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire, err := EncodeDelta(d)
+	env, err := EncodeDelta(d)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	flipped := append([]byte(nil), wire...)
+	flipped := append([]byte(nil), env...)
 	flipped[len(flipped)/2] ^= 0x10
 	if _, err := DecodeDelta(flipped); err == nil {
 		t.Fatal("corrupted delta decoded")
 	}
-	if _, err := DecodeDelta(wire[:headerSize+10]); !errors.Is(err, ErrTruncated) {
+	if _, err := DecodeDelta(env[:wire.HeaderSize+10]); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("truncated delta: %v, want ErrTruncated", err)
 	}
 
-	// Kind confusion: a delta envelope is not a checkpoint and vice
-	// versa — the envelope kind field keeps the decoders honest.
-	if _, err := Decode(wire); err == nil {
-		t.Fatal("Decode accepted a delta envelope")
+	// A file is the delta from nothing: Decode refuses a delta that
+	// chains off a real base, and DecodeDelta reads a file as the delta
+	// it is.
+	if _, err := Decode(env); !errors.Is(err, ErrDeltaBase) {
+		t.Fatalf("Decode of a delta off a real base: %v, want ErrDeltaBase", err)
 	}
 	full, _, err := EncodeWithCRCs(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeDelta(full); err == nil {
-		t.Fatal("DecodeDelta accepted a checkpoint envelope")
+	if fromNothing, err := DecodeDelta(full); err != nil || fromNothing.BaseEntries != 0 {
+		t.Fatalf("DecodeDelta of a file: %v, want a delta from nothing", err)
 	}
 
 	// Damage inside the raw frame section, with the envelope re-sealed so
@@ -455,12 +486,8 @@ func TestDecodeDeltaRejectsDamage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reseal := func(b []byte) []byte {
-		binary.LittleEndian.PutUint64(b[8:16], uint64(len(b)-headerSize))
-		binary.LittleEndian.PutUint32(b[16:20], crc32.ChecksumIEEE(b[headerSize:]))
-		return b
-	}
-	frames := headerSize + 4 + int(binary.LittleEndian.Uint32(fwire[headerSize:])) // the new-frame count
+	reseal := func(b []byte) []byte { return vdck.Seal(b, 0, 0) }
+	frames := wire.HeaderSize + 4 + int(binary.LittleEndian.Uint32(fwire[wire.HeaderSize:])) // the new-frame count
 	if got := binary.LittleEndian.Uint32(fwire[frames:]); got != uint32(len(fd.NewFrames)) {
 		t.Fatalf("frame section starts with %d, want the %d new frames", got, len(fd.NewFrames))
 	}

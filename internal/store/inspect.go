@@ -9,6 +9,7 @@ import (
 
 	"videodrift/internal/classifier"
 	"videodrift/internal/telemetry"
+	"videodrift/internal/wire"
 )
 
 // ModelInfo describes one persisted model entry without rebuilding it.
@@ -78,24 +79,25 @@ func Inspect(path string) (*Description, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	payload, err := decodeEnvelope(data, kindCheckpoint)
+	delta, err := decodeFile(data)
 	if err != nil {
 		return nil, err
 	}
-	rec, err := decodeRecord(payload)
-	if err != nil {
+	shards := cloneShards(delta.Shards)
+	if err := delta.buildFrames(nil, shards); err != nil {
 		return nil, err
 	}
+	payload := data[wire.HeaderSize:]
 	d := &Description{
 		Path:            path,
 		Version:         Version,
 		PayloadBytes:    len(payload),
 		PayloadCRC:      crc32.ChecksumIEEE(payload),
-		CreatedUnixNano: rec.CreatedUnixNano,
-		Frames:          rec.Frames,
+		CreatedUnixNano: delta.CreatedUnixNano,
+		Frames:          delta.Frames,
 	}
-	names := make([]string, len(rec.Entries))
-	for i, blob := range rec.Entries {
+	names := make([]string, len(delta.NewEntries))
+	for i, blob := range delta.NewEntries {
 		er, err := decodeEntryRecord(blob)
 		if err != nil {
 			return nil, err
@@ -111,7 +113,7 @@ func Inspect(path string) (*Description, error) {
 			Supervised:  er.Classifier != nil,
 			QueryFn:     er.QueryFn,
 			Bytes:       len(blob),
-			CRC32:       rec.EntryCRCs[i],
+			CRC32:       delta.NewCRCs[i],
 		}
 		if len(er.SampleFeats) > 0 {
 			info.FeatDim = len(er.SampleFeats[0])
@@ -123,7 +125,7 @@ func Inspect(path string) (*Description, error) {
 		}
 		d.Models = append(d.Models, info)
 	}
-	for _, sh := range rec.Shards {
+	for _, sh := range shards {
 		p := sh.Pipeline
 		info := ShardInfo{
 			Frames:   p.Metrics.Frames,

@@ -15,6 +15,7 @@ import (
 	"videodrift/internal/vae"
 	"videodrift/internal/vidsim"
 	"videodrift/internal/vision"
+	"videodrift/internal/wire"
 )
 
 const (
@@ -322,14 +323,14 @@ func TestCorruptionFallback(t *testing.T) {
 		name    string
 		mutate  func([]byte) []byte
 		wantErr error
-		version uint16 // the *VersionError's Got when wantErr is nil
+		version uint8 // the *VersionError's Got when wantErr is nil
 	}{
 		{"truncated-header", func(b []byte) []byte { return b[:10] }, ErrTruncated, 0},
 		{"truncated-payload", func(b []byte) []byte { return b[:len(b)/2] }, ErrTruncated, 0},
-		{"flipped-payload-byte", func(b []byte) []byte { b[headerSize+len(b)/3] ^= 0x40; return b }, ErrChecksum, 0},
+		{"flipped-payload-byte", func(b []byte) []byte { b[wire.HeaderSize+len(b)/3] ^= 0x40; return b }, ErrChecksum, 0},
 		{"bad-magic", func(b []byte) []byte { b[0] = 'X'; return b }, ErrBadMagic, 0},
-		{"future-version", func(b []byte) []byte { b[4], b[5] = 0xff, 0x7f; return b }, nil, 0x7fff},
-		{"previous-version", previousEpoch, nil, 2},
+		{"future-version", func(b []byte) []byte { b[4] = 0xff; return b }, nil, 0xff},
+		{"previous-version", previousEpoch, nil, 3},
 	}
 	for _, tc := range corruptions {
 		t.Run(tc.name, func(t *testing.T) {
@@ -451,6 +452,26 @@ func TestInspect(t *testing.T) {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("WriteText output missing %q:\n%s", want, buf.String())
 		}
+	}
+
+	// Frame lists come back from the file's runs: the selection buffer,
+	// the pre-roll against its span, and the retained declaration.
+	framed, _ := framedGenerations(t)
+	if p, err = s.Save(framed); err != nil {
+		t.Fatal(err)
+	}
+	if d, err = Inspect(p); err != nil {
+		t.Fatalf("Inspect of a framed checkpoint: %v", err)
+	}
+	rec := framed.Shards[0].Forensics
+	decl := rec.Declarations[0]
+	if sh := d.Shards[0]; sh.PreRollKept != len(rec.Ring) || sh.PreRollSpan != rec.Frame-rec.Marks[0].Frame ||
+		sh.Declarations != 1 || sh.LastDrift != decl.ID || sh.LastDriftFrame != decl.Frame {
+		t.Errorf("framed shard 0 info = %+v, want pre-roll %d/%d and drift %s @ %d",
+			sh, len(rec.Ring), rec.Frame-rec.Marks[0].Frame, decl.ID, decl.Frame)
+	}
+	if sh := d.Shards[1]; sh.Buffered != len(framed.Shards[1].Pipeline.Buffer) || sh.Buffered == 0 || sh.Declarations != 0 {
+		t.Errorf("framed shard 1 info = %+v, want %d buffered frames", sh, len(framed.Shards[1].Pipeline.Buffer))
 	}
 }
 

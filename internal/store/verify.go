@@ -54,21 +54,16 @@ func verifyFile(path string) VerifyResult {
 		return res
 	}
 	res.Bytes = len(data)
-	payload, err := decodeEnvelope(data, kindCheckpoint)
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	// decodeRecord re-checksums every entry blob against its recorded
+	// The decoder re-checksums every entry blob against its recorded
 	// CRC — the per-model half of the verification.
-	rec, err := decodeRecord(payload)
+	d, err := decodeFile(data)
 	if err != nil {
 		res.Err = err
 		return res
 	}
-	res.Gen, res.Epoch = rec.Gen, rec.Epoch
-	res.Entries = len(rec.Entries)
-	res.Shards = len(rec.Shards)
+	res.Gen, res.Epoch = d.Gen, d.Epoch
+	res.Entries = len(d.NewEntries)
+	res.Shards = len(d.Shards)
 	return res
 }
 
