@@ -19,9 +19,9 @@ import (
 // reads the poison, and the run stops equalling the fresh-buffer one.
 type lender struct{ bufs [][]Frame }
 
-// lend returns batches over the lender's buffers: shard s's j-th frame in
+// Lend returns batches over the lender's buffers: shard s's j-th frame in
 // bufs[s][j].
-func (l *lender) lend(batches [][]Frame) [][]Frame {
+func (l *lender) Lend(batches [][]Frame) [][]Frame {
 	out := make([][]Frame, len(batches))
 	for s, b := range batches {
 		out[s] = make([]Frame, len(b))
@@ -50,7 +50,7 @@ func (l *lender) lendAt(s, j int, f Frame) Frame {
 	return *buf
 }
 
-func (l *lender) poison() {
+func (l *lender) Poison() {
 	for _, b := range l.bufs {
 		for j := range b {
 			for i := range b[j].Pixels {
@@ -131,7 +131,7 @@ func TestProcessBorrowsPixels(t *testing.T) {
 		for i, f := range streams[0] {
 			want := fresh.Process(f)
 			got := lent.Process(l.lendAt(0, 0, f))
-			l.poison()
+			l.Poison()
 			if got != want {
 				t.Fatalf("frame %d: event %+v from a borrowed buffer, %+v from a fresh one", i, got, want)
 			}
@@ -161,13 +161,13 @@ func TestProcessBorrowsPixels(t *testing.T) {
 					batches[s] = streams[s][at:min(at+size, len(streams[s]))]
 				}
 				if l != nil {
-					batches = l.lend(batches)
+					batches = l.Lend(batches)
 				}
 				for s, evs := range mustBatches(sm, batches) {
 					got[s] = append(got[s], evs...)
 				}
 				if l != nil {
-					l.poison()
+					l.Poison()
 				}
 			}
 			return got
@@ -205,10 +205,10 @@ func TestProcessBorrowsPixels(t *testing.T) {
 					for s, q := range queues {
 						batches[s] = q[min(r, len(q)):min(r+size, len(q))]
 					}
-					if events, err = sm.ProcessBatchesInto(l.lend(batches), events); err != nil {
+					if events, err = sm.ProcessBatchesInto(l.Lend(batches), events); err != nil {
 						t.Fatal(err)
 					}
-					l.poison()
+					l.Poison()
 					for s, evs := range events {
 						got[s] = append(got[s], evs...)
 					}

@@ -3,6 +3,7 @@ package videodrift
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"videodrift/internal/vidsim"
@@ -167,7 +168,7 @@ func TestCheckpointAnyTime(t *testing.T) {
 	live := fixedFleet(models, facadeLabeler, sopts, shards)
 	stop := make(chan struct{})
 	stopped := make(chan struct{})
-	var captures int
+	var captures atomic.Int64
 	var kept []*Checkpoint // one per distinct stream position
 	go func() {
 		defer close(stopped)
@@ -178,10 +179,10 @@ func TestCheckpointAnyTime(t *testing.T) {
 			default:
 			}
 			cp := live.Checkpoint()
-			captures++
+			n := captures.Add(1)
 			for s, sh := range cp.Shards {
 				if f := int64(sh.Pipeline.Metrics.Frames); f != cp.Frames {
-					t.Errorf("capture %d is torn: shard %d at frame %d, the checkpoint at %d", captures, s, f, cp.Frames)
+					t.Errorf("capture %d is torn: shard %d at frame %d, the checkpoint at %d", n, s, f, cp.Frames)
 				}
 			}
 			if len(kept) == 0 || kept[len(kept)-1].Frames != cp.Frames {
@@ -191,9 +192,19 @@ func TestCheckpointAnyTime(t *testing.T) {
 		}
 	}()
 	// Both sides yield between calls so that on one processor the two
-	// still interleave per batch instead of per 10 ms preemption.
-	got := make([][]Event, shards)
+	// still interleave per batch instead of per 10 ms preemption. At
+	// `resumes` gates spread over the run the feed also waits for the
+	// counter to move twice — a capture that began while it waits — so the
+	// floor of distinct mid-run positions holds however the scheduler runs
+	// the two; between gates captures land wherever they do.
+	got, gate := make([][]Event, shards), 1
 	for step := 0; step < total; step++ {
+		if gate <= resumes && step == gate*total/(resumes+1) {
+			for at := captures.Load(); captures.Load() < at+2; {
+				runtime.Gosched()
+			}
+			gate++
+		}
 		for s, evs := range runBatches(live, streams, step, step+1) {
 			got[s] = append(got[s], evs...)
 		}
@@ -215,7 +226,7 @@ func TestCheckpointAnyTime(t *testing.T) {
 			mid = append(mid, cp)
 		}
 	}
-	t.Logf("%d captures, %d distinct mid-run positions", captures, len(mid))
+	t.Logf("%d captures, %d distinct mid-run positions", captures.Load(), len(mid))
 	st, err := OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)

@@ -1,4 +1,4 @@
-package videodrift
+package videodrift_test
 
 import (
 	"bytes"
@@ -11,19 +11,32 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	_ "unsafe" // go:linkname
 
+	"videodrift"
 	"videodrift/internal/faults"
+	"videodrift/internal/ingest"
 	"videodrift/internal/replica"
 	"videodrift/internal/store"
 	"videodrift/internal/vidsim"
 )
 
-// The spine lives here: a fleet fed batched, from borrowed buffers, through
-// worker panics and corrupt frames, restarted from disk at another worker
-// count, replicated and failed over, with tenants coming and going, must
-// stay the serial run — one Monitor per attached tenant over the full
-// models, seeded as its slot. After every op, check holds it to that oracle.
+// The spine lives here: a fleet fed batched, from borrowed buffers, over
+// the wire, through worker panics and corrupt frames, restarted from disk
+// at another worker count, replicated and failed over, with tenants coming
+// and going, must stay the serial run — one Monitor per attached tenant
+// over the full models, seeded as its slot. After every op, check holds it
+// to that oracle. It is an external test package because the wire op needs
+// internal/ingest, which imports the facade.
+
+// poisonFreed is internal/ingest's borrow-contract tripwire: while set,
+// every pixel buffer the router frees is filled with NaN. The wire op runs
+// with it on.
+//
+//go:linkname poisonFreed videodrift/internal/ingest.poisonFreed
+var poisonFreed atomic.Bool
 
 type opKind uint8
 
@@ -35,10 +48,11 @@ const (
 	opAttach                // a: a named tenant on the lowest free slot
 	opDetach                // d<slot>
 	opFault                 // x<slot>+<k>P|C: a worker panic or a corrupt frame k frames past the slot's next
+	opWire                  // w<slot>:<frames>[N]: a slot its next frames through a loopback server, N under wire faults
 	numOps
 )
 
-const opLetters = "frspadx"
+const opLetters = "frspadxw"
 
 type op struct {
 	kind opKind
@@ -48,13 +62,13 @@ type op struct {
 
 // parseProgram reads "<msbi|msbo> <full|lean> <ops>", skipping what is not
 // an op; lean models run only under MSBI, which reads no ensemble.
-func parseProgram(s string) (sel Selector, lean bool, ops []op) {
+func parseProgram(s string) (sel videodrift.Selector, lean bool, ops []op) {
 	f := append(strings.Fields(s), "", "")
-	if sel, lean = MSBI, f[1] == "lean"; f[0] == "msbo" {
-		sel, lean = MSBO, false
+	if sel, lean = videodrift.MSBI, f[1] == "lean"; f[0] == "msbo" {
+		sel, lean = videodrift.MSBO, false
 	}
 	for _, tok := range f[2:] {
-		body := strings.TrimRight(tok, "LTPC")
+		body := strings.TrimRight(tok, "LTPCN")
 		o := op{kind: opKind(strings.IndexByte(opLetters, (body + "?")[0])), flag: len(body) < len(tok) && !strings.HasSuffix(tok, "C")}
 		if o.kind >= numOps {
 			continue
@@ -70,11 +84,11 @@ func parseProgram(s string) (sel Selector, lean bool, ops []op) {
 }
 
 // equivScripts are the streams, tenant n's n%3: drifts, selections, trainings.
-var equivScripts = sync.OnceValue(func() [][]Frame {
-	seg := func(c Condition, n int, seed int64) []Frame {
-		return vidsim.GenerateTrainingStride(facadeCond(c), 16, 16, n, 1, seed)
+var equivScripts = sync.OnceValue(func() [][]vidsim.Frame {
+	seg := func(c vidsim.Condition, n int, seed int64) []vidsim.Frame {
+		return vidsim.GenerateTrainingStride(videodrift.FacadeCond(c), 16, 16, n, 1, seed)
 	}
-	return [][]Frame{
+	return [][]vidsim.Frame{
 		slices.Concat(seg(vidsim.Day(), 60, 1), seg(vidsim.Night(), 110, 2), seg(vidsim.SnowCond(), 130, 3), seg(vidsim.RainCond(), 130, 4)),
 		slices.Concat(seg(vidsim.Night(), 50, 5), seg(vidsim.RainCond(), 130, 6), seg(vidsim.Day(), 110, 7), seg(vidsim.SnowCond(), 130, 8)),
 		slices.Concat(seg(vidsim.Day(), 90, 9), seg(vidsim.SnowCond(), 130, 10), seg(vidsim.Night(), 110, 11), seg(vidsim.Day(), 100, 12)),
@@ -85,64 +99,67 @@ var equivScripts = sync.OnceValue(func() [][]Frame {
 // the table it was attached over and the restarts its shard must report.
 type tenant struct {
 	ord, seed, next, restarts int
-	base                      []*Model
+	base                      []*videodrift.Model
 }
 
 func (tn *tenant) name() string { return fmt.Sprintf("cam-%d", tn.ord) }
-func (tn *tenant) start() int   { return 1000*tn.ord + 17 }
+func (tn *tenant) start() int   { return 17 * (tn.ord + 1) }
+
+// left is how many frames of its script the tenant has not been sent.
+func (tn *tenant) left() int { return tn.start() + len(equivScripts()[tn.ord%3]) - tn.next }
 
 // link is a primary→standby pair on loopback and the model of it.
 type link struct {
 	sb              *replica.Standby
 	ln              net.Listener
 	prim            *replica.Primary
-	cur             *Checkpoint
+	cur             *store.Checkpoint
 	gen, held, tear int
 	torn            bool
-	snap            []*tenant         // the slots at generation held, the standby's
-	live            map[uint32]*Model // the oracle's models at the last capture
-	fed             int               // frames fed since the last capture
+	snap            []*tenant                    // the slots at generation held, the standby's
+	live            map[uint32]*videodrift.Model // the oracle's models at the last capture
+	fed             int                          // frames fed since the last capture
 	fulls, deltas   uint64
 }
 
 type harness struct {
 	link
-	t              *testing.T
-	opts           Options
-	slots          []*tenant // by fleet slot, nil when detached
-	base           []*Model  // what an attach builds on: the full models, then a resumed table
-	full, models   []*Model  // the oracle's provisioned models and the fleet's (full, or lean)
-	attaches       int
-	epoch          uint64
-	sm             *ShardedMonitor
-	inj            *faults.Injector
-	armed, corrupt map[[2]int]bool // panics yet to fire by (slot, index); corrupt frames by (tenant, index)
-	oracles        map[int]*Monitor
-	keys           map[*Model]uint32
-	ckpts          *CheckpointStore
-	lend           lender
-	events         [][]Event
+	t                     *testing.T
+	opts                  videodrift.Options
+	slots                 []*tenant           // by fleet slot, nil when detached
+	base                  []*videodrift.Model // what an attach builds on: the full models, then a resumed table
+	full, models          []*videodrift.Model // the oracle's provisioned models and the fleet's (full, or lean)
+	attaches              int
+	epoch                 uint64
+	sm                    *videodrift.ShardedMonitor
+	inj                   *faults.Injector
+	armed, corrupt, wired map[[2]int]bool // panics yet to fire by (slot, index); corrupt and wire-fed frames by (tenant, index)
+	oracles               map[int]*videodrift.Monitor
+	keys                  map[*videodrift.Model]uint32
+	ckpts                 *videodrift.CheckpointStore
+	lend                  videodrift.Lender
+	events                [][]videodrift.Event
 }
 
 // runProgram drives a program, returning the ops that acted and final Stats.
-func runProgram(t *testing.T, sel Selector, lean bool, ops []op) (acted []opKind, _ Metrics) {
-	opts := Defaults(facadeDim, facadeClasses)
+func runProgram(t *testing.T, sel videodrift.Selector, lean bool, ops []op) (acted []op, _ videodrift.Metrics) {
+	opts := videodrift.Defaults(videodrift.FacadeDim, videodrift.FacadeClasses)
 	opts.Pipeline.Selector, opts.Pipeline.NewModelFrames, opts.Provision = sel, 48, opts.Provision.For(sel)
 	opts.Provision.VAEEpochs, opts.Provision.SampleCount, opts.Provision.Classifier.Epochs = 2, 60, 10
 	opts.Provision.EnsembleSize = min(opts.Provision.EnsembleSize, 2)
-	opts.Forensics = ForensicsConfig{Enabled: true, Window: 16, Keep: 2}
-	ckpts, err := OpenStore(t.TempDir())
-	h := &harness{t: t, opts: opts, full: getCkptModels(), models: getCkptModels(), epoch: 1, ckpts: ckpts,
-		armed: map[[2]int]bool{}, corrupt: map[[2]int]bool{}, oracles: map[int]*Monitor{}, keys: map[*Model]uint32{}}
+	opts.Forensics = videodrift.ForensicsConfig{Enabled: true, Window: 16, Keep: 2}
+	ckpts, err := videodrift.OpenStore(t.TempDir())
+	h := &harness{t: t, opts: opts, full: videodrift.CkptModels(), models: videodrift.CkptModels(), epoch: 1, ckpts: ckpts,
+		armed: map[[2]int]bool{}, corrupt: map[[2]int]bool{}, wired: map[[2]int]bool{}, oracles: map[int]*videodrift.Monitor{}, keys: map[*videodrift.Model]uint32{}}
 	h.must(err == nil, "open store: %v", err)
 	if h.base = h.full; lean {
-		h.models = getLeanCkptModels()
+		h.models = videodrift.LeanCkptModels()
 	}
-	h.sm = NewDynamicSharded(h.models, facadeLabeler, ShardedOptions{Options: opts, Workers: 2, MaxRestarts: math.MaxInt32})
+	h.sm = videodrift.NewDynamicSharded(h.models, videodrift.FacadeLabeler, videodrift.ShardedOptions{Options: opts, Workers: 2, MaxRestarts: math.MaxInt32})
 	defer h.link.close()
 	for i, o := range ops {
 		if h.apply(o) {
-			acted = append(acted, o.kind)
+			acted = append(acted, o)
 		}
 		h.check(fmt.Sprintf("op %d (%c %v %v)", i, opLetters[o.kind], o.a, o.flag))
 	}
@@ -185,8 +202,8 @@ func (h *harness) apply(o op) bool {
 		if slot < 0 {
 			slot, h.slots = len(h.slots), append(h.slots, nil)
 		}
-		tn := &tenant{ord: h.attaches, seed: slot, next: 1000*h.attaches + 17, base: h.base}
-		h.slots[slot], h.attaches = tn, h.attaches+1
+		tn := &tenant{ord: h.attaches, seed: slot, base: h.base}
+		h.slots[slot], h.attaches, tn.next = tn, h.attaches+1, tn.start()
 		got, err := h.sm.AttachTenant(tn.name(), uint64(tn.next), nil)
 		h.must(err == nil && got == slot, "attach landed on slot %d (%v), want %d", got, err, slot)
 		h.oracles[tn.ord] = h.oracle(tn)
@@ -196,6 +213,8 @@ func (h *harness) apply(o op) bool {
 		}
 		s, tn := at[0], h.slots[at[0]]
 		switch x := tn.next + o.a[1]; {
+		case o.kind == opWire:
+			return h.wire(s, o.a[1], o.flag)
 		case o.kind == opFault && o.flag:
 			// The supervisor reads its injector at every frame: re-arm it.
 			h.armed[[2]int{s, x}] = true
@@ -204,7 +223,7 @@ func (h *harness) apply(o op) bool {
 				sched.Faults = append(sched.Faults, faults.Fault{Shard: k[0], Frame: k[1], Kind: faults.KindWorkerPanic})
 			}
 			h.inj = faults.NewInjector(sched)
-			h.sm.faults = h.inj
+			h.sm.SetFaults(h.inj)
 		case o.kind == opFault:
 			h.corrupt[[2]int{tn.ord, x}] = true
 		default:
@@ -216,17 +235,34 @@ func (h *harness) apply(o op) bool {
 	return true
 }
 
-// frame is tn's frame at stream index x; a corrupt one has the wrong width.
-func (h *harness) frame(tn *tenant, x int) Frame {
+// frame is tn's frame at stream index x. A corrupt one declares a shape
+// the models do not have, which the wire carries and the fleet
+// quarantines; one that went over the wire is what the wire delivered.
+func (h *harness) frame(tn *tenant, x int) vidsim.Frame {
 	f := equivScripts()[tn.ord%3][x-tn.start()]
-	f.Index, f.W = x, f.W+boolInt(h.corrupt[[2]int{tn.ord, x}])
+	if f.Index = x; h.corrupt[[2]int{tn.ord, x}] {
+		f.W, f.H = 2*f.W, f.H/2
+	}
+	if h.wired[[2]int{tn.ord, x}] {
+		f = ingest.FrameFromMsg(ingest.MsgFromFrame(tn.name(), uint64(x), f))
+	}
 	return f
 }
 
-func (h *harness) oracle(tn *tenant) *Monitor {
+func (h *harness) oracle(tn *tenant) *videodrift.Monitor {
 	opts := h.opts
 	opts.Pipeline.Seed += int64(tn.seed)
-	return NewMonitor(tn.base, facadeLabeler, opts)
+	return videodrift.NewMonitor(tn.base, videodrift.FacadeLabeler, opts)
+}
+
+// served hands tn's oracle frame f, which the fleet has been fed, and
+// counts the restart a panic armed at it cost slot s.
+func (h *harness) served(s int, tn *tenant, f vidsim.Frame) videodrift.Event {
+	if h.armed[[2]int{s, f.Index}] {
+		delete(h.armed, [2]int{s, f.Index})
+		tn.restarts++
+	}
+	return h.oracles[tn.ord].Process(f)
 }
 
 // feed sends each slot its next n frames, at most b a slot a call, and holds
@@ -234,11 +270,11 @@ func (h *harness) oracle(tn *tenant) *Monitor {
 func (h *harness) feed(slots []int, n, b int, lent bool) (acted bool) {
 	left, total := make([]int, len(h.slots)), 0
 	for _, s := range slots {
-		left[s] = min(n, h.slots[s].start()+len(equivScripts()[h.slots[s].ord%3])-h.slots[s].next)
+		left[s] = min(n, h.slots[s].left())
 		total += left[s]
 	}
 	for h.fed, acted = h.fed+total, total > 0; total > 0; {
-		batches := make([][]Frame, len(h.slots))
+		batches := make([][]vidsim.Frame, len(h.slots))
 		for _, s := range slots {
 			for k := min(b, left[s]); k > 0; k-- {
 				batches[s] = append(batches[s], h.frame(h.slots[s], h.slots[s].next+len(batches[s])))
@@ -247,20 +283,16 @@ func (h *harness) feed(slots []int, n, b int, lent bool) (acted bool) {
 		}
 		in := batches
 		if lent {
-			in = h.lend.lend(batches)
+			in = h.lend.Lend(batches)
 		}
 		events, err := h.sm.ProcessBatchesInto(in, h.events)
 		h.must(err == nil, "ProcessBatchesInto: %v", err)
-		h.lend.poison()
+		h.lend.Poison()
 		for _, s := range slots {
 			tn := h.slots[s]
 			for j, f := range batches[s] {
-				want := h.oracles[tn.ord].Process(f)
+				want := h.served(s, tn, f)
 				h.must(events[s][j] == want, "slot %d frame %d: event %+v, the oracle's %+v", s, f.Index, events[s][j], want)
-				if h.armed[[2]int{s, f.Index}] {
-					delete(h.armed, [2]int{s, f.Index})
-					tn.restarts++
-				}
 			}
 			tn.next += len(batches[s])
 		}
@@ -269,26 +301,111 @@ func (h *harness) feed(slots []int, n, b int, lent bool) (acted bool) {
 	return acted
 }
 
+// wire sends slot s its next n frames as a server receives them: a fresh
+// Router over the live fleet, behind an ingest.Server on loopback, fed by
+// an ingest.Client. A new client numbers from 0, so it first resends the
+// prefix the slot already has, which the router must acknowledge as
+// duplicates and feed none of. Under faults the transmissions from the
+// slot's next frame on run under a wire-fault schedule — corrupted bytes
+// and torn writes — that costs retries and nothing else. The oracle is fed
+// what the wire delivers.
+func (h *harness) wire(s, n int, faulty bool) bool {
+	tn := h.slots[s]
+	if n = min(n, tn.left()); n == 0 {
+		return false
+	}
+	for x := tn.next; x < tn.next+n; x++ {
+		h.wired[[2]int{tn.ord, x}] = true
+	}
+	var inj *faults.NetInjector
+	if faulty {
+		// Seeded by position, and a fault is due within the first n sends.
+		var sched faults.NetSchedule
+		for seed := int64(tn.next); len(sched.Faults) == 0 || sched.Faults[0].Msg >= n; seed++ {
+			sched = faults.GenerateNet(seed, 3*n, 0.1, 0.05)
+		}
+		inj = faults.NewNetInjector(sched)
+	}
+	poisonFreed.Store(true)
+	defer poisonFreed.Store(false)
+	r := ingest.NewRouter(h.sm, ingest.Config{})
+	srv := ingest.NewServer(r, ingest.ServerConfig{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	h.must(err == nil, "listen: %v", err)
+	var pumpErr error
+	stop, accepting, ran := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() { defer close(accepting); srv.Serve(ln) }()
+	go func() {
+		defer close(ran)
+		r.Run(stop, func(_ int, err error) { pumpErr = firstErr(pumpErr, err) })
+	}()
+	shut := sync.OnceFunc(func() {
+		srv.Close()
+		close(stop)
+		<-accepting
+		<-ran
+	})
+	defer shut()
+	hot, tx := false, 0
+	c, err := ingest.Dial(ingest.ClientConfig{Addr: ln.Addr().String(), Tenant: tn.name(), TxFault: func(_ int, b []byte) ([]byte, bool) {
+		if !hot {
+			return b, false
+		}
+		tx++
+		return inj.Tx(tx-1, b)
+	}})
+	h.must(err == nil, "dial: %v", err)
+	for x := 0; x < tn.next+n && err == nil; x++ {
+		f := vidsim.Frame{W: 1, H: 1, Pixels: []float64{0}} // before the script: any frame
+		if hot = x >= tn.next; x >= tn.start() {
+			f = h.frame(tn, x)
+		}
+		err = c.Send(f)
+	}
+	err = firstErr(err, c.Close())
+	shut()
+	_, perr := r.Pump() // what a connection queued behind the loop's last pump
+	st, cs := r.Stats(), c.Stats()
+	h.must(err == nil && firstErr(pumpErr, perr) == nil, "slot %d over the wire: send %v, pump %v %v", s, err, pumpErr, perr)
+	h.must(st.Accepted == int64(n) && st.Processed == int64(n) && cs.Acked == int64(tn.next+n) && faulty == (cs.Retries > 0) && (faulty || cs.Nacks+cs.Reconnects+st.NackedSeq == 0),
+		"slot %d over the wire: the router accepted %d and fed %d of %d new frames, the client saw %d of %d confirmed with %+v (faults %v)",
+		s, st.Accepted, st.Processed, n, cs.Acked, tn.next+n, cs, faulty)
+	for ; n > 0; n-- {
+		h.served(s, tn, h.frame(tn, tn.next))
+		tn.next++
+		h.fed++
+	}
+	return true
+}
+
+// firstErr is the first of two errors.
+func firstErr(a, b error) error {
+	if a != nil {
+		return a
+	}
+	return b
+}
+
 // resume builds the fleet from cp as a restarted or promoted server does:
 // the attached tenants move to slots in order, on fresh shards.
-func (h *harness) resume(cp *Checkpoint, workers int) {
+func (h *harness) resume(cp *store.Checkpoint, workers int) {
 	var slots []*tenant
 	for _, s := range h.pick(len(h.slots), true) {
 		h.slots[s].restarts, slots = 0, append(slots, h.slots[s])
 	}
-	sm, err := ResumeSharded(cp, facadeLabeler, ShardedOptions{Options: h.opts, Workers: workers, Faults: h.inj, MaxRestarts: math.MaxInt32})
+	sm, err := videodrift.ResumeSharded(cp, videodrift.FacadeLabeler, videodrift.ShardedOptions{Options: h.opts, Workers: workers, Faults: h.inj, MaxRestarts: math.MaxInt32})
 	h.must(err == nil, "ResumeSharded: %v", err)
 	h.slots, h.sm, h.base = slots, sm, append(slices.Clone(h.full), cp.Entries[len(h.full):]...)
 }
 
 // key names a model by its bytes; a provisioned full model goes by the
 // fleet's copy of it, which over lean models has no ensemble.
-func (h *harness) key(e *Model) uint32 {
+func (h *harness) key(e *videodrift.Model) uint32 {
 	if i := slices.Index(h.full, e); i >= 0 {
 		e = h.models[i]
 	}
 	if _, ok := h.keys[e]; !ok {
-		crcs, err := store.EntryCRCs(&Checkpoint{Entries: []*Model{e}})
+		crcs, err := store.EntryCRCs(&store.Checkpoint{Entries: []*videodrift.Model{e}})
 		h.must(err == nil, "encode %s: %v", e.Name, err)
 		h.keys[e] = crcs[0]
 	}
@@ -296,8 +413,8 @@ func (h *harness) key(e *Model) uint32 {
 }
 
 // live is the oracle's model table: the base and the attached registries.
-func (h *harness) live() map[uint32]*Model {
-	out := map[uint32]*Model{}
+func (h *harness) live() map[uint32]*videodrift.Model {
+	out := map[uint32]*videodrift.Model{}
 	for _, e := range h.base {
 		out[h.key(e)] = e
 	}
@@ -311,8 +428,8 @@ func (h *harness) live() map[uint32]*Model {
 
 // expected is the shards cp must hold: each attached tenant's oracle's own,
 // its registry numbered in cp's table.
-func (h *harness) expected(cp *Checkpoint) *Checkpoint {
-	want, at := &Checkpoint{}, map[uint32]int{}
+func (h *harness) expected(cp *store.Checkpoint) *store.Checkpoint {
+	want, at := &store.Checkpoint{}, map[uint32]int{}
 	for j, e := range cp.Entries {
 		at[h.key(e)] = j
 	}
@@ -346,10 +463,10 @@ func (h *harness) check(at string) {
 		h.must(name == tn.name() && next == uint64(tn.next) && h.sm.ShardStats(s) == o.Stats() && got.Current() == o.Current() && health.Shards[s].Restarts == tn.restarts,
 			"%s: slot %d serves %q at %d with %+v deploying %q after %d restarts; want %q at %d with the oracle's %+v deploying %q after %d panics",
 			at, s, name, next, h.sm.ShardStats(s), got.Current(), health.Shards[s].Restarts, tn.name(), tn.next, o.Stats(), o.Current(), tn.restarts)
-		h.must(bytes.Equal(gobBytes(h.t, g), gobBytes(h.t, w)), "%s: slot %d checkpoints registry %v and pipeline and forensics state unlike the oracle's %v", at, s, g.Registry, w.Registry)
-		gd, gr := declared(h.t, got)
-		wd, wr := declared(h.t, o)
-		h.must(bytes.Equal(gobBytes(h.t, gd), gobBytes(h.t, wd)) && bytes.Equal(gobBytes(h.t, gr), gobBytes(h.t, wr)),
+		h.must(bytes.Equal(videodrift.GobBytes(h.t, g), videodrift.GobBytes(h.t, w)), "%s: slot %d checkpoints registry %v and pipeline and forensics state unlike the oracle's %v", at, s, g.Registry, w.Registry)
+		gd, gr := videodrift.Declared(h.t, got)
+		wd, wr := videodrift.Declared(h.t, o)
+		h.must(bytes.Equal(videodrift.GobBytes(h.t, gd), videodrift.GobBytes(h.t, wd)) && bytes.Equal(videodrift.GobBytes(h.t, gr), videodrift.GobBytes(h.t, wr)),
 			"%s: slot %d declarations or their Explain reports differ from the oracle's", at, s)
 		frames += o.Stats().Frames
 	}
@@ -416,12 +533,12 @@ func (h *harness) ship(torn bool) {
 	st := h.prim.Stats()
 	h.must(st.Fulls == h.fulls && st.Deltas == h.deltas, "gen %d: primary shipped %d fulls and %d deltas, want %d and %d", h.gen, st.Fulls, st.Deltas, h.fulls, h.deltas)
 	if got := h.sb.Latest(); !torn {
-		h.must(got.Gen == h.cur.Gen && got.Epoch == h.cur.Epoch && got.Frames == h.cur.Frames && slices.EqualFunc(got.Entries, h.cur.Entries, func(a, b *Model) bool { return h.key(a) == h.key(b) }) &&
-			bytes.Equal(gobBytes(h.t, got.Shards), gobBytes(h.t, h.cur.Shards)), "gen %d: the standby's gen %d differs from the capture", h.gen, got.Gen)
+		h.must(got.Gen == h.cur.Gen && got.Epoch == h.cur.Epoch && got.Frames == h.cur.Frames && slices.EqualFunc(got.Entries, h.cur.Entries, func(a, b *videodrift.Model) bool { return h.key(a) == h.key(b) }) &&
+			bytes.Equal(videodrift.GobBytes(h.t, got.Shards), videodrift.GobBytes(h.t, h.cur.Shards)), "gen %d: the standby's gen %d differs from the capture", h.gen, got.Gen)
 		if delta {
 			added := got.Entries[len(was.Entries):]
-			blobs, err := store.Encode(&Checkpoint{Entries: added})
-			h.must(err == nil && len(added) == len(live)-len(h.link.live) && st.LastBytes <= 2*h.fed*(8*facadeDim+256)+len(blobs)+64<<10,
+			blobs, err := store.Encode(&store.Checkpoint{Entries: added})
+			h.must(err == nil && len(added) == len(live)-len(h.link.live) && st.LastBytes <= 2*h.fed*(8*videodrift.FacadeDim+256)+len(blobs)+64<<10,
 				"gen %d: a %d-byte delta of %d new models for the oracle's %d and %d fed frames", h.gen, st.LastBytes, len(added), len(live)-len(h.link.live), h.fed)
 		}
 	}
@@ -440,7 +557,7 @@ func (h *harness) promote(workers int) {
 	l.prim.Close()
 	cp, epoch, err := l.sb.Promote("harness")
 	h.must(err == nil && cp.Gen == uint64(l.held) && epoch == h.epoch+1, "promoted at gen %d epoch %d (%v), want gen %d epoch %d", cp.Gen, epoch, err, l.held, h.epoch+1)
-	h.oracles = map[int]*Monitor{}
+	h.oracles = map[int]*videodrift.Monitor{}
 	for _, s := range h.pick(len(h.slots), true) {
 		tn := h.slots[s]
 		h.oracles[tn.ord] = h.oracle(tn)
@@ -458,11 +575,19 @@ func (h *harness) promote(workers int) {
 }
 
 // TestFleetEquivalence runs testdata/equiv_corpus.txt, which must select,
-// train and quarantine, and run every ordered pair of op kinds under each
-// selector and model set.
+// train and quarantine, run every ordered pair of op kinds under each
+// selector and model set, and send frames over a clean and a faulty wire
+// under each.
 func TestFleetEquivalence(t *testing.T) {
+	type combo struct {
+		pairs map[[2]opKind]bool
+		wires map[bool]bool
+	}
 	data, err := os.ReadFile("testdata/equiv_corpus.txt")
-	pairs, left, sum := map[string]map[[2]opKind]bool{"msbi full": {}, "msbi lean": {}, "msbo full": {}}, 0, Metrics{}
+	combos, left, sum := map[string]combo{}, 0, videodrift.Metrics{}
+	for _, c := range []string{"msbi full", "msbi lean", "msbo full"} {
+		combos[c] = combo{map[[2]opKind]bool{}, map[bool]bool{}}
+	}
 	for _, line := range strings.Split(string(data), "\n") {
 		if name, prog, _ := strings.Cut(line, " "); err == nil && name != "" && name[0] != '#' {
 			left++
@@ -470,16 +595,22 @@ func TestFleetEquivalence(t *testing.T) {
 				sel, lean, ops := parseProgram(prog)
 				acted, st := runProgram(t, sel, lean, ops)
 				sum.ModelsSelected, sum.ModelsTrained, sum.QuarantinedFrames = sum.ModelsSelected+st.ModelsSelected, sum.ModelsTrained+st.ModelsTrained, sum.QuarantinedFrames+st.QuarantinedFrames
-				for i, seen := 1, pairs[strings.Join(strings.Fields(prog)[:2], " ")]; i < len(acted); i++ {
-					seen[[2]opKind{acted[i-1], acted[i]}] = true
+				seen := combos[strings.Join(strings.Fields(prog)[:2], " ")]
+				for i, o := range acted {
+					if i > 0 {
+						seen.pairs[[2]opKind{acted[i-1].kind, o.kind}] = true
+					}
+					if o.kind == opWire {
+						seen.wires[o.flag] = true
+					}
 				}
 				left--
 			})
 		}
 	}
-	for combo, seen := range pairs {
-		if err != nil || left == 0 && len(seen) < int(numOps*numOps) {
-			t.Errorf("%s: the corpus (%v) runs %d of the %d ordered pairs of op kinds", combo, err, len(seen), numOps*numOps)
+	for name, seen := range combos {
+		if err != nil || left == 0 && (len(seen.pairs) < int(numOps*numOps) || len(seen.wires) < 2) {
+			t.Errorf("%s: the corpus (%v) runs %d of the %d ordered pairs of op kinds, wires %v", name, err, len(seen.pairs), numOps*numOps, seen.wires)
 		}
 	}
 	if left == 0 && (sum.ModelsSelected == 0 || sum.ModelsTrained == 0 || sum.QuarantinedFrames == 0) {
@@ -489,7 +620,7 @@ func TestFleetEquivalence(t *testing.T) {
 
 // FuzzFleetEquivalence runs fuzzed programs of up to 16 ops of 48 frames.
 func FuzzFleetEquivalence(f *testing.F) {
-	f.Add("msbi lean a a f*:40/8 x0+3P s f1:20/4L sT r2 a f*:16/16 x2+1C p1 d0 f*:20/1")
+	f.Add("msbi lean a a f*:40/8 x0+3P s w1:20 sT r2 a f*:16/16 x2+1C w2:12N p1 d0 f*:20/1")
 	f.Fuzz(func(t *testing.T, prog string) {
 		sel, lean, ops := parseProgram(prog)
 		for i := range ops {

@@ -79,11 +79,11 @@ func RunEndToEnd(ds *dataset.Dataset, cfg Config, kind query.Kind) EndToEndResul
 		res.Accuracy[m] = perSequenceAccuracy(ds, preds, truthAt)
 	}
 
-	pipeMSBO := core.NewPipeline(env.Registry, env.Labeler(), env.PipelineConfig(core.SelectorMSBO))
+	// Each pipeline trains into a registry of its own over the provisioned
+	// entries, so the runs stay independent.
+	pipeMSBO := core.NewPipeline(core.NewRegistry(env.Registry.Entries()...), env.Labeler(), env.PipelineConfig(core.SelectorMSBO))
 	run(MethodMSBO, func(f vidsim.Frame) int { return pipeMSBO.Process(f).Prediction })
-
-	envB := BuildEnv(ds, cfg, kind) // fresh registry so runs stay independent
-	pipeMSBI := core.NewPipeline(envB.Registry, envB.Labeler(), envB.PipelineConfig(core.SelectorMSBI))
+	pipeMSBI := core.NewPipeline(core.NewRegistry(env.Registry.Entries()...), env.Labeler(), env.PipelineConfig(core.SelectorMSBI))
 	run(MethodMSBI, func(f vidsim.Frame) int { return pipeMSBI.Process(f).Prediction })
 
 	sys := env.NewODIN()

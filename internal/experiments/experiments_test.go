@@ -2,9 +2,14 @@ package experiments
 
 import (
 	"math"
+	"runtime"
+	"slices"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
+	"videodrift/internal/core"
 	"videodrift/internal/dataset"
 	"videodrift/internal/query"
 )
@@ -196,16 +201,60 @@ func TestEndToEndCountShape(t *testing.T) {
 	// At this miniature scale the pipeline's one-off recovery training is
 	// not amortized (the paper's streams are 100x longer), so MSBO is not
 	// yet cheaper than full-frame Mask R-CNN processing; assert it stays
-	// within a small factor — measured 2.0x plain — and leave the strict
-	// ordering to the committed larger runs in EXPERIMENTS.md. The race
-	// detector taxes the training loops far more than the detector
-	// (6.3x measured), so the ratio is only asserted without it.
-	if !raceDetector && res.Times[MethodMSBO] > 4*res.Times[MethodMaskRCNN] {
-		t.Errorf("MSBO time %v vs maskrcnn %v", res.Times[MethodMSBO], res.Times[MethodMaskRCNN])
+	// within a small factor — measured 3.2–3.5x on a busy two-core box,
+	// 3.8–3.95x on an idle one — and leave the strict ordering to
+	// the committed larger runs in EXPERIMENTS.md. The race detector taxes
+	// the training loops far more than the detector (6.3x measured), so
+	// the ratio is only asserted without it.
+	if !raceDetector {
+		msbo, mrcnn := cpuCost(cfg)
+		t.Logf("MSBO %v, maskrcnn %v: %.2fx", msbo, mrcnn, float64(msbo)/float64(mrcnn))
+		if msbo > 4*mrcnn {
+			t.Errorf("MSBO CPU time %v vs maskrcnn %v", msbo, mrcnn)
+		}
 	}
 	if !strings.Contains(res.Render(), "Table 9") {
 		t.Error("render missing header")
 	}
+}
+
+// cpuCost is MSBO's and Mask R-CNN's cost over the end-to-end stream in
+// process CPU time on one processor, each the median of three runs, MSBO
+// over a fresh registry each time. A wall clock reads a neighbour's load,
+// two processors count MSBO's fan-out on both, and the two are interleaved
+// frame by frame because this machine's speed shifts while they run (a
+// neighbour on the sibling hyperthread starting or stopping): run one
+// after the other, they are timed at different speeds. RunEndToEnd's
+// Table 9 times stay wall-clock.
+func cpuCost(cfg Config) (msbo, mrcnn time.Duration) {
+	ds := dataset.BDD(cfg.Scale)
+	env, frames := BuildEnv(ds, cfg, query.Count), ds.Stream().Collect(-1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var runs [2][3]time.Duration
+	for i := range 3 {
+		pipe := core.NewPipeline(core.NewRegistry(env.Registry.Entries()...), env.Labeler(), env.PipelineConfig(core.SelectorMSBO))
+		oracle := query.NewAnnotator(cfg.MaxCount)
+		runtime.GC()
+		for _, f := range frames {
+			start := cpuTime()
+			pipe.Process(f)
+			mid := cpuTime()
+			oracle.Label(query.Count, f)
+			runs[0][i], runs[1][i] = runs[0][i]+mid-start, runs[1][i]+cpuTime()-mid
+		}
+	}
+	slices.Sort(runs[0][:])
+	slices.Sort(runs[1][:])
+	return runs[0][1], runs[1][1]
+}
+
+// cpuTime is the process's CPU time so far, user and system.
+func cpuTime() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		panic(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 func TestEndToEndSpatialShape(t *testing.T) {

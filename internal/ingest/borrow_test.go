@@ -12,13 +12,13 @@ func poisoned(t *testing.T) {
 	t.Cleanup(func() { poisonFreed.Store(false) })
 }
 
-// TestBorrowedBuffers reruns, tripwire on, the suites that hold a wire run
-// to in-process feeding of the same frames — telemetry event streams,
-// stats and deployments bit-identical, clean and under injected wire
-// faults — and the feeding protocol's: frames fed in place, queued behind
-// a held pump, Submitted without a connection. What the reference computes
-// never touches the free list, so each must come out as it does with the
-// tripwire off.
+// TestBorrowedBuffers reruns, tripwire on, the wire suites — exactly-once
+// delivery, clean and under injected wire faults — and the feeding
+// protocol's, which hold each tenant to in-process feeding of the same
+// frames: fed in place, queued behind a held pump, Submitted without a
+// connection. What the reference computes never touches the free list, so
+// each must come out as it does with the tripwire off. The root package's
+// wire op runs with it on too.
 func TestBorrowedBuffers(t *testing.T) {
 	poisoned(t)
 	t.Run("LoopbackBitIdentical", TestLoopbackBitIdentical)

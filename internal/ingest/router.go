@@ -188,7 +188,7 @@ type drained struct {
 // tenant is one stream's routing state. slot == -1 while detached
 // (idle-evicted); nextSeq persists across evictions so the stream's
 // exactly-once contract survives reattachment. resumed marks a tenant
-// restored from a checkpoint that has queued no frame since.
+// restored from a checkpoint that has queued no frame, answered no Sync.
 type tenant struct {
 	id      string
 	slot    int
@@ -334,20 +334,20 @@ func (r *Router) admitWindowed(tenant string, f vidsim.Frame, done <-chan struct
 // Position is where an in-process tenant's stream resumes: the sequence
 // number the router expects from it next, 0 for a tenant it does not
 // know.
-func (r *Router) Position(tenant string) uint64 { return r.position([]byte(tenant), 0) }
+func (r *Router) Position(tenant string) uint64 { return r.position([]byte(tenant), 0, false) }
 
 // position is the answer to a Sync: the tenant's next expected sequence
 // number — or, for a tenant the router does not know, 0, or with
 // ResumeStreams seq, the client's own, since its first frame will define
-// the position. A restored tenant's client may be ahead of the
-// checkpoint; its own position is then the answer, as enqueue will adopt
-// it. It attaches nothing and moves no counter.
-func (r *Router) position(tenant []byte, seq uint64) uint64 {
+// the position. A Sync from a restored tenant's client, which may be ahead
+// of the checkpoint, sets the position: a frame after a lost one is a gap.
+// It attaches nothing and moves no counter.
+func (r *Router) position(tenant []byte, seq uint64, sync bool) uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if t := r.tenants[string(tenant)]; t != nil {
-		if t.resumed {
-			return max(t.nextSeq, seq)
+		if t.resumed && sync {
+			t.nextSeq, t.resumed = max(t.nextSeq, seq), false
 		}
 		return t.nextSeq
 	}

@@ -207,7 +207,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				s.writeMsg(conn, EncodeNack(Nack{Code: NackMalformed, Reason: err.Error()}))
 				continue
 			}
-			if !s.writeMsg(conn, appendAck(reply[:0], Ack{Seq: s.router.position(tenant, seq)})) {
+			if !s.writeMsg(conn, appendAck(reply[:0], Ack{Seq: s.router.position(tenant, seq, true)})) {
 				return
 			}
 		case msgType == MsgFrame:

@@ -172,36 +172,27 @@ func TestStepChecksShapes(t *testing.T) {
 		{"tensor-grew", []*Param{tensor(8, 8), tensor(4, 4)}, []*Param{tensor(8, 8), tensor(6, 6)}, "tensor 1 has 6 values, its state was sized for 4"},
 		{"tensor-shrank", []*Param{tensor(8, 8), tensor(4, 4)}, []*Param{tensor(8, 8), tensor(2, 2)}, "tensor 1 has 2 values, its state was sized for 4"},
 	}
-	opts := []struct {
-		name string
-		new  func() Optimizer
-	}{
-		{"Adam", func() Optimizer { return NewAdam(1e-3) }},
-		{"SGD", func() Optimizer { return NewSGD(1e-2, 0.9) }},
-	}
-	for _, o := range opts {
-		for _, c := range cases {
-			t.Run(o.name+"/"+c.name, func(t *testing.T) {
-				opt := o.new()
-				if c.first != nil {
-					opt.Step(c.first)
+	for _, c := range cases {
+		t.Run("Adam/"+c.name, func(t *testing.T) {
+			opt := NewAdam(1e-3)
+			if c.first != nil {
+				opt.Step(c.first)
+			}
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if want := "nn: Adam.Step "; !strings.HasPrefix(msg, want) || !strings.Contains(msg, c.want) {
+					t.Errorf("Step panicked with %q, want %q… %q", msg, want, c.want)
 				}
-				defer func() {
-					msg := fmt.Sprint(recover())
-					if want := "nn: " + o.name + ".Step "; !strings.HasPrefix(msg, want) || !strings.Contains(msg, c.want) {
-						t.Errorf("Step panicked with %q, want %q… %q", msg, want, c.want)
-					}
-					for i, p := range c.params {
-						for j, x := range p.Value {
-							if x != 1 {
-								t.Fatalf("tensor %d value %d moved to %v before the panic", i, j, x)
-							}
+				for i, p := range c.params {
+					for j, x := range p.Value {
+						if x != 1 {
+							t.Fatalf("tensor %d value %d moved to %v before the panic", i, j, x)
 						}
 					}
-				}()
-				opt.Step(c.params)
-			})
-		}
+				}
+			}()
+			opt.Step(c.params)
+		})
 	}
 }
 

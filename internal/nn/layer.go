@@ -1,6 +1,6 @@
 // Package nn is a minimal CPU neural-network substrate: dense layers,
 // pointwise activations, stable classification and reconstruction losses,
-// and SGD/Adam optimizers. It exists so that the VAE the Drift Inspector
+// and the Adam optimizer. It exists so that the VAE the Drift Inspector
 // depends on (paper §4.2.2) and the classifier ensembles MSBO depends on
 // (paper §5.2.2) can be trained from scratch with no external dependencies.
 //
@@ -10,14 +10,12 @@
 package nn
 
 import (
-	"math"
-
 	"videodrift/internal/stats"
 	"videodrift/internal/tensor"
 )
 
 // Param is one trainable tensor together with its gradient accumulator.
-// Optimizers mutate Value in place and read/clear Grad.
+// Adam mutates Value in place and reads Grad; callers clear it.
 type Param struct {
 	Value []float64
 	Grad  []float64
@@ -172,75 +170,3 @@ func (r *ReLU) Backward(gradOut tensor.Vector) tensor.Vector {
 
 // Params implements Layer.
 func (r *ReLU) Params() []*Param { return nil }
-
-// Sigmoid is the logistic activation.
-type Sigmoid struct {
-	out tensor.Vector
-}
-
-// Forward implements Layer.
-func (s *Sigmoid) Forward(in tensor.Vector) tensor.Vector {
-	s.out = s.Infer(in)
-	return s.out
-}
-
-// Infer is InferInto a fresh vector.
-func (s *Sigmoid) Infer(in tensor.Vector) tensor.Vector { return s.InferInto(nil, in) }
-
-// InferInto implements Layer.
-func (s *Sigmoid) InferInto(dst, in tensor.Vector) tensor.Vector {
-	out := dst.Resize(len(in))
-	for i, x := range in {
-		out[i] = 1 / (1 + math.Exp(-x))
-	}
-	return out
-}
-
-// Backward implements Layer.
-func (s *Sigmoid) Backward(gradOut tensor.Vector) tensor.Vector {
-	out := make(tensor.Vector, len(gradOut))
-	for i, g := range gradOut {
-		y := s.out[i]
-		out[i] = g * y * (1 - y)
-	}
-	return out
-}
-
-// Params implements Layer.
-func (s *Sigmoid) Params() []*Param { return nil }
-
-// Tanh is the hyperbolic-tangent activation.
-type Tanh struct {
-	out tensor.Vector
-}
-
-// Forward implements Layer.
-func (t *Tanh) Forward(in tensor.Vector) tensor.Vector {
-	t.out = t.Infer(in)
-	return t.out
-}
-
-// Infer is InferInto a fresh vector.
-func (t *Tanh) Infer(in tensor.Vector) tensor.Vector { return t.InferInto(nil, in) }
-
-// InferInto implements Layer.
-func (t *Tanh) InferInto(dst, in tensor.Vector) tensor.Vector {
-	out := dst.Resize(len(in))
-	for i, x := range in {
-		out[i] = math.Tanh(x)
-	}
-	return out
-}
-
-// Backward implements Layer.
-func (t *Tanh) Backward(gradOut tensor.Vector) tensor.Vector {
-	out := make(tensor.Vector, len(gradOut))
-	for i, g := range gradOut {
-		y := t.out[i]
-		out[i] = g * (1 - y*y)
-	}
-	return out
-}
-
-// Params implements Layer.
-func (t *Tanh) Params() []*Param { return nil }

@@ -125,10 +125,6 @@ func (n *Network) ReleaseTraining() {
 			l.GW, l.GB, l.in, l.out, l.gi = nil, nil, nil, nil, nil
 		case *ReLU:
 			*l = ReLU{}
-		case *Sigmoid:
-			*l = Sigmoid{}
-		case *Tanh:
-			*l = Tanh{}
 		}
 	}
 }

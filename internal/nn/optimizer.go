@@ -5,43 +5,6 @@ import (
 	"math"
 )
 
-// Optimizer updates network parameters from accumulated gradients. Step
-// consumes the current gradients; callers clear them (Network.ZeroGrad)
-// before the next accumulation.
-type Optimizer interface {
-	Step(params []*Param)
-}
-
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-
-	velocity [][]float64
-}
-
-// NewSGD returns an SGD optimizer with the given learning rate and
-// momentum (0 for vanilla SGD).
-func NewSGD(lr, momentum float64) *SGD { return &SGD{LR: lr, Momentum: momentum} }
-
-// Step implements Optimizer.
-func (o *SGD) Step(params []*Param) {
-	if o.velocity == nil {
-		o.velocity = make([][]float64, len(params))
-		for i, p := range params {
-			o.velocity[i] = make([]float64, len(p.Value))
-		}
-	}
-	checkParams("SGD", params, o.velocity)
-	for i, p := range params {
-		v := o.velocity[i]
-		for j := range p.Value {
-			v[j] = o.Momentum*v[j] - o.LR*p.Grad[j]
-			p.Value[j] += v[j]
-		}
-	}
-}
-
 // Adam is the Adam optimizer (Kingma & Ba), the optimizer the paper trains
 // its VAE and classifiers with (§6).
 type Adam struct {
@@ -77,7 +40,8 @@ const (
 	minNormalBits = 1 << 52 // bit pattern of 2^-1022
 )
 
-// Step implements Optimizer.
+// Step applies one update from the accumulated gradients, which callers
+// clear (Network.ZeroGrad) before the next accumulation.
 //
 // A coordinate whose gradient is zero (a dead ReLU row, an input feature
 // that is 0 under one condition) is idle: its first moment decays as
@@ -133,7 +97,7 @@ func (o *Adam) Step(params []*Param) {
 	}
 	// The vector kernel takes raw pointers: every length it relies on is
 	// established here, before a coordinate is touched.
-	checkParams("Adam", params, o.m, o.v)
+	checkParams(params, o.m, o.v)
 	o.t++
 	if o.Beta1 != o.restBeta {
 		o.rest, o.restBeta = 0, o.Beta1
@@ -198,19 +162,19 @@ func (o *Adam) stepScalar(x, grad, m, v []float64, k *adamConsts) {
 // checkParams panics unless every tensor's gradient is as long as its
 // value and the optimizer's per-tensor state, sized on the first Step,
 // still has the shape of params.
-func checkParams(opt string, params []*Param, states ...[][]float64) {
+func checkParams(params []*Param, states ...[][]float64) {
 	for _, st := range states {
 		if len(st) != len(params) {
-			panic(fmt.Sprintf("nn: %s.Step with %d tensors, its state was sized for %d", opt, len(params), len(st)))
+			panic(fmt.Sprintf("nn: Adam.Step with %d tensors, its state was sized for %d", len(params), len(st)))
 		}
 	}
 	for i, p := range params {
 		if len(p.Grad) != len(p.Value) {
-			panic(fmt.Sprintf("nn: %s.Step tensor %d has %d gradients for %d values", opt, i, len(p.Grad), len(p.Value)))
+			panic(fmt.Sprintf("nn: Adam.Step tensor %d has %d gradients for %d values", i, len(p.Grad), len(p.Value)))
 		}
 		for _, st := range states {
 			if len(st[i]) != len(p.Value) {
-				panic(fmt.Sprintf("nn: %s.Step tensor %d has %d values, its state was sized for %d", opt, i, len(p.Value), len(st[i])))
+				panic(fmt.Sprintf("nn: Adam.Step tensor %d has %d values, its state was sized for %d", i, len(p.Value), len(st[i])))
 			}
 		}
 	}

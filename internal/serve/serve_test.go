@@ -296,11 +296,10 @@ func TestConfigValidate(t *testing.T) {
 
 // TestServeIngest is the retired scripts/soak.sh in process: three tenants over the
 // wire protocol through a seeded fault schedule, every frame accepted
-// and processed, none dropped, every tenant attached — and each
-// tenant's drift declarations are those of an in-process Monitor fed
-// the same frames. Under -selector msbi the server's models have no MSBO
-// ensembles (the fleet the benchmark runs) while the replay's have them,
-// and the two must still agree.
+// and processed, none dropped, every tenant attached, under either
+// selector — -selector msbi provisions models without MSBO ensembles (the
+// fleet the benchmark runs). That each tenant's run is an in-process
+// Monitor's fed the same frames, TestServeIngestBorrowed holds.
 func TestServeIngest(t *testing.T) {
 	for _, sel := range []string{"msbo", "msbi"} {
 		t.Run(sel, func(t *testing.T) { testServeIngest(t, sel) })
@@ -341,23 +340,6 @@ func testServeIngest(t *testing.T, selector string) {
 		if sh.DroppedFrames != 0 || sh.State != videodrift.HealthOK {
 			t.Errorf("shard %d: %+v", k, sh)
 		}
-	}
-	drifts := 0
-	for _, ts := range h.Ingest.Tenants {
-		var i int
-		fmt.Sscanf(ts.Tenant, "cam-%d", &i)
-		ref := replay(s, ts.Tenant, ts.Slot, streams[i])
-		var got struct {
-			Declarations any `json:"declarations"`
-		}
-		get(t, s, fmt.Sprintf("/drift/?shard=%d", ts.Slot), &got)
-		if want := viaJSON(t, ref.Forensics().Declarations()); !reflect.DeepEqual(got.Declarations, want) {
-			t.Errorf("tenant %s (slot %d): served declarations\n%v\nreplayed\n%v", ts.Tenant, ts.Slot, got.Declarations, want)
-		}
-		drifts += len(ref.Forensics().Declarations())
-	}
-	if drifts == 0 {
-		t.Error("no tenant drifted: the comparison exercised nothing")
 	}
 }
 
@@ -512,9 +494,9 @@ func TestTenantTelemetry(t *testing.T) {
 // failover address list, the primary torn down mid-stream with no final
 // flush once the standby holds every frame it processed. The standby
 // promotes after -probe-fails failed probes, takes every tenant over at
-// the position it reached, and the clients lose no frame: each tenant's
-// events, declarations and metrics across the two servers are an
-// uninterrupted run's.
+// the position it reached, and the clients lose no frame. That a
+// failed-over tenant's run is an uninterrupted one, the root package's
+// fleet equivalence holds (its p op).
 func TestServeFailover(t *testing.T) {
 	const tenants, frames, killAt = 3, 150, 60
 	priHTTP, sbIngest := reserveAddr(t), reserveAddr(t)
@@ -604,19 +586,6 @@ func TestServeFailover(t *testing.T) {
 		if sh.DroppedFrames != 0 {
 			t.Errorf("promoted shard %d dropped %d frames", k, sh.DroppedFrames)
 		}
-	}
-	drifts := 0
-	for _, ts := range h.Ingest.Tenants {
-		var i int
-		fmt.Sscanf(ts.Tenant, "cam-%d", &i)
-		got, want := served(t, sb, ts.Tenant, pri), replayed(t, sb, ts.Tenant, ts.Slot, streams[i])
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("tenant %s: across the failover\n%+v\nuninterrupted\n%+v", ts.Tenant, got, want)
-		}
-		drifts += want.Stats.DriftsDetected
-	}
-	if drifts == 0 {
-		t.Error("no tenant drifted: the comparison exercised nothing")
 	}
 	if got := sb.IngestAddr(); got != sbIngest {
 		t.Errorf("promoted standby ingests on %q, want %q", got, sbIngest)
