@@ -1,7 +1,8 @@
 // Command driftfeed replays synthetic dataset streams to a driftserve
 // network-ingestion endpoint — the load generator and reference client
-// for the wire protocol. Each tenant is one independent camera stream
-// (its own seed schedule, so tenants drift at different times) driven
+// for the wire protocol. Each tenant is one independent, endless camera
+// stream (dataset.TenantStream: its own seed schedule, so tenants drift
+// at different times, and a fresh seed every lap) driven
 // by one connection with exactly-once delivery: frames are resent
 // across reconnects, corruption NACKs and backpressure until the server
 // confirms them, a window of them at a time, and the tenant's last
@@ -99,11 +100,7 @@ func main() {
 			defer wg.Done()
 			tenant := *prefix + "-" + strconv.Itoa(i)
 			results[i].tenant = tenant
-			// The same per-stream seed schedule driftserve's self-feed
-			// uses, so tenant i's stream matches self-driven shard i.
-			tenantDS := *ds
-			tenantDS.Seed = ds.Seed + int64(i)*104729
-			stream := tenantDS.Stream()
+			next := ds.TenantStream(i)
 
 			var inj *faults.NetInjector
 			if *netFaults != 0 {
@@ -111,7 +108,7 @@ func main() {
 					*netFaults+int64(i), *frames*2, 0.02, 0.01))
 			}
 			if *httpURL != "" {
-				results[i].sent, results[i].err = feedHTTP(*httpURL, tenant, stream, *frames, *verbose)
+				results[i].sent, results[i].err = feedHTTP(*httpURL, tenant, next, *frames, *verbose)
 				return
 			}
 			c, err := ingest.Dial(ingest.ClientConfig{
@@ -128,12 +125,7 @@ func main() {
 				if interval > 0 && n > 0 {
 					time.Sleep(interval)
 				}
-				f, ok := stream.Next()
-				if !ok {
-					stream = tenantDS.Stream() // loop the dataset
-					f, _ = stream.Next()
-				}
-				if err := c.Send(f); err != nil {
+				if err := c.Send(next()); err != nil {
 					results[i].stats = c.Stats()
 					results[i].sent = n
 					results[i].err = err
@@ -173,14 +165,10 @@ func main() {
 
 // feedHTTP delivers one tenant's frames through the HTTP POST
 // fallback, honoring Retry-After on backpressure.
-func feedHTTP(url, tenant string, stream *vidsim.Stream, frames int, verbose bool) (int, error) {
+func feedHTTP(url, tenant string, next func() vidsim.Frame, frames int, verbose bool) (int, error) {
 	seq := uint64(0)
 	for n := 0; n < frames; n++ {
-		f, ok := stream.Next()
-		if !ok {
-			return n, fmt.Errorf("stream exhausted at frame %d", n)
-		}
-		wire := ingest.EncodeFrame(ingest.MsgFromFrame(tenant, seq, f))
+		wire := ingest.EncodeFrame(ingest.MsgFromFrame(tenant, seq, next()))
 		for attempt := 0; ; attempt++ {
 			if attempt > 300 {
 				return n, fmt.Errorf("frame seq %d: retry budget exhausted", seq)

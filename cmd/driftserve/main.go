@@ -1,23 +1,25 @@
-// Command driftserve runs the drift-aware monitor over a simulated video
-// stream while serving live telemetry over HTTP — the operational view
-// of the paper's Figure 1: watch the martingale climb, the drift fire,
-// the selector resolve and the per-stage latency distribution move, all
-// without stopping the stream.
+// Command driftserve runs the drift-aware monitor over the camera
+// streams its clients deliver while serving live telemetry over HTTP —
+// the operational view of the paper's Figure 1: watch the martingale
+// climb, the drift fire, the selector resolve and the per-stage latency
+// distribution move, all without stopping the streams.
 //
-// With -shards N it drives N concurrent camera streams over one shared
-// set of provisioned models (the multi-camera deployment shape): each
-// stream is an in-process tenant of the same router network tenants
-// enter through, served by an independent monitor with its own seed,
-// drift state and telemetry tracer, and the expensive read-only state —
+// Frames arrive only over the wire: each camera is a tenant of the
+// network ingestion tier on -ingest-addr (the wire protocol over TCP, or
+// POST /ingest), attached on its first frame to a shard of one fleet
+// over a shared set of provisioned models — the multi-camera deployment
+// shape: every tenant has an independent monitor with its own drift
+// state and telemetry tracer, and the expensive read-only state —
 // reference feature matrices, calibration scores, classifier weights —
-// is shared.
+// is shared. cmd/driftfeed is the load generator (its default -addr is
+// the default -ingest-addr); `drifttool` without a command runs the same
+// monitor in one process.
 //
 // Endpoints:
 //
 //	/metrics   Prometheus text-exposition format (counters, gauges,
 //	           per-stage latency quantiles); ?shard=k selects a shard,
-//	           ?tenant=<id> a tenant (self-k for self-fed stream k),
-//	           neither the base tracer (stream 0's when self-fed)
+//	           ?tenant=<id> a tenant, neither the fleet's base tracer
 //	/snapshot  the same state as one indented JSON document (?shard=k,
 //	           ?tenant=<id>)
 //	/events    the retained structured events (drifts, selections,
@@ -46,35 +48,30 @@
 //
 // Usage:
 //
-//	driftserve [-addr :9090] [-dataset bdd|detrac|tokyo|slow] [-scale 0.02]
-//	           [-selector msbi|msbo] [-train 300] [-shards 1] [-workers 0]
-//	           [-batch 1] [-fps 240] [-frames 0] [-ring 4096] [-perframe] [-v]
-//	           [-state-dir dir] [-checkpoint-every 30s]
-//	           [-chaos seed] [-stall-timeout 10s]
-//	           [-ingest-addr host:port] [-max-tenants 64] [-tenant-queue 256]
-//	           [-idle-evict 2m]
+//	driftserve [-addr :9090] [-ingest-addr :9091] [-dataset bdd|detrac|tokyo|slow]
+//	           [-scale 0.02] [-selector msbi|msbo] [-train 300] [-workers 0]
+//	           [-batch 1] [-ring 4096] [-perframe] [-v]
+//	           [-state-dir dir] [-checkpoint-every 30s] [-stall-timeout 10s]
+//	           [-max-tenants 64] [-tenant-queue 256] [-idle-evict 2m]
 //	           [-replicate-to host:port,...] [-replicate-every 1s]
-//	           [-replica-faults seed]
 //	driftserve -standby-of primaryhost:9090 -replica-addr host:port
-//	           [-probe-every 500ms] [-probe-fails 3] [-ingest-addr host:port]
+//	           [-probe-every 500ms] [-probe-fails 3] [-ingest-addr :9091]
 //
-// Streams loop forever (a fresh seed per lap keeps drifts coming) unless
-// -frames bounds the total; -fps throttles each shard's rate (0 runs
-// unthrottled). The default -selector msbi provisions and trains models
-// without MSBO's deep ensembles, which only MSBO reads: set-up and every
-// serving-time training are a third to a half shorter, and the state
-// such a server checkpoints or replicates serves -selector msbi only (an
-// msbo restart or standby refuses it by name; msbo state serves either).
-// -ingest-addr replaces the synthetic self-feed's tenants with the
-// network ingestion tier's (feed it with cmd/driftfeed; excludes
-// -chaos); -state-dir persists checkpoints, tenants included, and
-// warm-restarts from the newest intact one; -replicate-to streams
-// checkpoints to hot standbys, and -standby-of runs one (excludes
-// -state-dir, -chaos and -replicate-to); -chaos and -replica-faults
-// replay seeded fault schedules against the run and the replication
-// stream. On SIGTERM or SIGINT the feed gets ten seconds to finish its
-// batch before the final flush; if it has not, the process writes every
-// goroutine's stack to stderr and exits 1 rather than ignore the signal.
+// -dataset names the models provisioned at boot (the conditions the
+// clients' streams should start in). The default -selector msbi
+// provisions and trains models without MSBO's deep ensembles, which only
+// MSBO reads: set-up and every serving-time training are a third to a
+// half shorter, and the state such a server checkpoints or replicates
+// serves -selector msbi only (an msbo restart or standby refuses it by
+// name; msbo state serves either). -state-dir persists checkpoints,
+// tenants included, and warm-restarts from the newest intact one;
+// -replicate-to streams checkpoints to hot standbys, and -standby-of
+// runs one (excludes -state-dir and -replicate-to), which opens its
+// -ingest-addr once it promotes. On SIGTERM or SIGINT the pump gets ten
+// seconds to finish its batch; then the server stops admitting frames,
+// drains what it accepted and flushes it to the standbys and the state
+// dir. If the pump has not stopped, the process writes every goroutine's
+// stack to stderr and exits 1 rather than ignore the signal.
 //
 // The server itself is internal/serve; DESIGN.md §17 describes what it
 // brings up, in what order it stops, and the /healthz schema.
@@ -99,26 +96,21 @@ func main() {
 	flag.Float64Var(&cfg.Scale, "scale", 0.02, "dataset stream scale (1.0 = paper sizes)")
 	flag.StringVar(&cfg.Selector, "selector", "msbi", "model selector: msbi or msbo (msbi trains no MSBO ensembles; its checkpoints and standbys are msbi-only)")
 	flag.IntVar(&cfg.Train, "train", 300, "training frames per provisioned condition")
-	flag.IntVar(&cfg.Shards, "shards", 1, "concurrent camera streams over the shared models")
 	flag.IntVar(&cfg.Workers, "workers", 0, "goroutines processing shard frames (0 = GOMAXPROCS)")
-	flag.IntVar(&cfg.Batch, "batch", 1, "max frames per shard per supervised micro-batch; the self-feed feeds every -batch steps (1 = per-frame supervision)")
-	flag.Float64Var(&cfg.FPS, "fps", 240, "per-shard rate limit in frames/second (0 = unthrottled)")
-	flag.IntVar(&cfg.Frames, "frames", 0, "stop after this many frames across all shards (0 = loop forever)")
+	flag.IntVar(&cfg.Batch, "batch", 1, "max frames per shard per supervised micro-batch (1 = per-frame supervision)")
 	flag.IntVar(&cfg.Ring, "ring", 4096, "telemetry event-ring capacity per shard; allocated as events arrive")
 	flag.BoolVar(&cfg.PerFrame, "perframe", false, "also ring per-frame FrameObserved/MartingaleUpdate events")
-	flag.BoolVar(&cfg.Verbose, "v", false, "log self-feed laps and checkpoints to stderr (the drift events are on /events)")
+	flag.BoolVar(&cfg.Verbose, "v", false, "log checkpoints to stderr (the drift events are on /events)")
 	flag.StringVar(&cfg.StateDir, "state-dir", "", "checkpoint directory for persistence and warm restart (empty = off)")
 	flag.DurationVar(&cfg.CheckpointEvery, "checkpoint-every", 30*time.Second, "background checkpoint interval (needs -state-dir)")
-	flag.Int64Var(&cfg.Chaos, "chaos", 0, "replay a seeded fault schedule: pixel corruption, worker panics, training failures (0 = off)")
 	flag.DurationVar(&cfg.StallTimeout, "stall-timeout", 10*time.Second, "how long a shard may sit on one frame before /healthz reports it stalled")
 	flag.BoolVar(&cfg.Forensics, "forensics", true, "record drift declarations with replayable pre-rolls (the frames the inspector read) for /drift and checkpoints")
-	flag.StringVar(&cfg.IngestAddr, "ingest-addr", "", "TCP listen address for the network ingestion tier; replaces the synthetic self-feed (also serves HTTP POST /ingest)")
-	flag.IntVar(&cfg.MaxTenants, "max-tenants", 64, "max concurrently attached ingestion tenants (needs -ingest-addr)")
+	flag.StringVar(&cfg.IngestAddr, "ingest-addr", ":9091", "TCP listen address of the network ingestion tier, the only way frames reach the fleet (HTTP POST /ingest is its fallback; a standby opens it once it promotes)")
+	flag.IntVar(&cfg.MaxTenants, "max-tenants", 64, "max concurrently attached ingestion tenants")
 	flag.IntVar(&cfg.TenantQueue, "tenant-queue", 256, "per-tenant bounded queue capacity")
-	flag.DurationVar(&cfg.IdleEvict, "idle-evict", 2*time.Minute, "detach ingestion tenants idle this long, freeing their shard (0 = never; needs -ingest-addr)")
+	flag.DurationVar(&cfg.IdleEvict, "idle-evict", 2*time.Minute, "detach ingestion tenants idle this long, freeing their shard (0 = never)")
 	flag.StringVar(&cfg.ReplicateTo, "replicate-to", "", "comma-separated standby replication addresses to stream checkpoints to")
 	flag.DurationVar(&cfg.ReplicateEvery, "replicate-every", time.Second, "steady-state replication cadence (needs -replicate-to)")
-	flag.Int64Var(&cfg.ReplicaFaults, "replica-faults", 0, "replay a seeded fault schedule against the outgoing replication stream: torn writes, dropped connections (0 = off; needs -replicate-to)")
 	flag.StringVar(&cfg.StandbyOf, "standby-of", "", "run as a hot standby of the primary at this HTTP address (health-probed for automatic promotion)")
 	flag.StringVar(&cfg.ReplicaAddr, "replica-addr", "", "TCP listen address for the inbound replication stream (needs -standby-of)")
 	flag.DurationVar(&cfg.ProbeEvery, "probe-every", 500*time.Millisecond, "primary health-probe interval (needs -standby-of)")

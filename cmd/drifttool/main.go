@@ -217,7 +217,7 @@ func health(w io.Writer, addr string) int {
 	if h.Error != "" {
 		fmt.Fprintf(w, "  error: %s\n", h.Error)
 	}
-	fmt.Fprintf(w, "  mode: %s   streaming: %v\n", h.Mode, h.Streaming)
+	fmt.Fprintf(w, "  mode: %s\n", h.Mode)
 	fmt.Fprintf(w, "  shards: %d (%d attached)   frames: %d   quarantined: %d   training failures: %d\n",
 		h.Shards, h.ActiveShards, h.Frames, h.Quarantined, h.TrainFails)
 	dropped := 0

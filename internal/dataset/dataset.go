@@ -65,6 +65,31 @@ func (d *Dataset) Stream() *vidsim.Stream {
 	return vidsim.NewStream(d.W, d.H, d.Seed, segs...)
 }
 
+// TenantStream is camera tenant i's endless stream, the one cmd/driftfeed
+// sends as tenant i: the scripted stream looped, lap k rendered under seed
+// Seed + i·104729 + k·7907, so tenants drift at different times and every
+// lap brings fresh drifts. Each call returns the next frame, its Index
+// counting frames across laps.
+func (d *Dataset) TenantStream(i int) func() vidsim.Frame {
+	var s *vidsim.Stream
+	lap, index := 0, 0
+	return func() vidsim.Frame {
+		for {
+			if s != nil {
+				if f, ok := s.Next(); ok {
+					f.Index = index
+					index++
+					return f
+				}
+				lap++
+			}
+			ds := *d
+			ds.Seed += int64(i)*104729 + int64(lap)*7907
+			s = ds.Stream()
+		}
+	}
+}
+
 // TransitionStream builds a two-segment stream for evaluating one drift in
 // isolation: preLen frames of the sequence before index seq, then the
 // sequence seq itself. Its single drift point is at preLen.

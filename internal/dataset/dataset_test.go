@@ -2,7 +2,10 @@ package dataset
 
 import (
 	"math"
+	"reflect"
 	"testing"
+
+	"videodrift/internal/vidsim"
 )
 
 func TestPaperScaleSizes(t *testing.T) {
@@ -200,5 +203,38 @@ func TestSequenceNamesAndFrameDim(t *testing.T) {
 	}
 	if d.FrameDim() != 1024 {
 		t.Errorf("FrameDim = %d", d.FrameDim())
+	}
+}
+
+// TestTenantStreamLaps: lap 0 of tenant i is the scripted stream under
+// seed Seed + i·104729, frame for frame; the next lap is rendered under
+// a fresh seed, and the index runs on across it.
+func TestTenantStreamLaps(t *testing.T) {
+	d := BDD(0.01)
+	const tenant = 2
+	next := d.TenantStream(tenant)
+	ds := *d
+	ds.Seed += tenant * 104729
+	stream := ds.Stream()
+	n := stream.TotalLength()
+	lap0 := make([]vidsim.Frame, n)
+	for k := range lap0 {
+		want, _ := stream.Next()
+		if lap0[k] = next(); !reflect.DeepEqual(lap0[k], want) {
+			t.Fatalf("lap 0 frame %d differs from the scripted stream's", k)
+		}
+	}
+	same := 0
+	for k := range lap0 {
+		f := next()
+		if f.Index != n+k {
+			t.Fatalf("lap 1 frame %d has index %d, want %d", k, f.Index, n+k)
+		}
+		if reflect.DeepEqual(f.Pixels, lap0[k].Pixels) {
+			same++
+		}
+	}
+	if same != 0 {
+		t.Errorf("%d of lap 1's %d frames replay lap 0's", same, n)
 	}
 }

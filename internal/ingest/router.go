@@ -290,19 +290,6 @@ func (r *Router) Submit(m FrameMsg) Verdict {
 	return v
 }
 
-// Offer admits a frame of an in-process tenant, one fed from inside the
-// server with no socket: f.Index is its sequence number, and its pixels
-// are copied, unquantised, into a buffer of the router's own, so the
-// caller keeps f. Like a connection's frame it is not rejected for a
-// full queue — Offer waits for room, or for done to close. What it
-// queued waits for the caller's Feed.
-func (r *Router) Offer(tenant string, f vidsim.Frame, done <-chan struct{}) Verdict {
-	px := r.free.get(len(f.Pixels))
-	copy(px, f.Pixels)
-	f.Pixels = px
-	return r.admitWindowed(tenant, f, done)
-}
-
 // admitWindowed admits a connection's frame, whose pixels the free list
 // lent, as Submit does — except that a full queue does not reject it:
 // nothing answers a frame on a connection unless it is rejected, so a
@@ -321,7 +308,7 @@ func (r *Router) admitWindowed(tenant string, f vidsim.Frame, done <-chan struct
 			}
 			return v
 		}
-		r.Feed()
+		r.feed()
 		select {
 		case <-room:
 		case <-done:
@@ -331,9 +318,10 @@ func (r *Router) admitWindowed(tenant string, f vidsim.Frame, done <-chan struct
 	}
 }
 
-// Position is where an in-process tenant's stream resumes: the sequence
-// number the router expects from it next, 0 for a tenant it does not
-// know.
+// Position is the sequence number the router expects next from a
+// tenant's client — for a tenant restored from a checkpoint, until its
+// client first syncs or sends, the position the checkpoint held — and 0
+// for a tenant it does not know.
 func (r *Router) Position(tenant string) uint64 { return r.position([]byte(tenant), 0, false) }
 
 // position is the answer to a Sync: the tenant's next expected sequence
@@ -365,16 +353,16 @@ func (r *Router) signal() {
 	}
 }
 
-// Feed is what a connection does for the frames it has just queued and
-// acknowledged, and an in-process tenant for the frames it offered: when
-// the pump is free and a Run loop owns draining, it pumps right here, on
-// the goroutine that queued the frame — no hand-off, no wake-up. Otherwise — another connection is feeding, a training holds
-// the pump, or nobody runs a loop — it leaves the token, and the frame
-// waits in its queue for Run (or a bare Pump) as it always did. Either
-// way the wake-up invariant holds: a queued frame implies a token in the
+// feed is what a connection does for the frames it has just queued and
+// acknowledged: when the pump is free and a Run loop owns draining, it
+// pumps right here, on the goroutine that queued the frame — no
+// hand-off, no wake-up. Otherwise — another connection is feeding, a
+// training holds the pump, or nobody runs a loop — it leaves the token,
+// and the frame waits in its queue for Run (or a bare Pump). Either way
+// the wake-up invariant holds: a queued frame implies a token in the
 // channel, a Pump that has not yet taken its queues, or a connection
 // between its enqueue and its feed.
-func (r *Router) Feed() {
+func (r *Router) feed() {
 	if !r.feedInPlace() {
 		r.signal()
 	}

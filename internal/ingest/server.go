@@ -34,7 +34,7 @@ type ServerConfig struct {
 // routes their frames. Each connection is one goroutine reading one
 // message at a time. It answers a frame only when it rejects it, and
 // every Sync with an Ack. The answer sent, the connection feeds the fleet
-// the frames it has queued when nobody else is feeding (Router.Feed).
+// the frames it has queued when nobody else is feeding (Router.feed).
 // Header-level damage (bad magic, truncation, version skew)
 // desynchronizes the stream, so those close the connection after a
 // best-effort Nack; payload-level damage (CRC mismatch, malformed
@@ -151,7 +151,7 @@ func (s *Server) logf(format string, args ...interface{}) {
 // read, one decode into a pixel buffer off the router's free list, the
 // router's queue, an answer (if any) out of a reused scratch — and then,
 // once no further message is waiting in the read buffer, the fleet is fed
-// right here when nobody else is feeding it (Router.Feed), and the
+// right here when nobody else is feeding it (Router.feed), and the
 // buffers go back. So a Sync written behind a frame is answered before
 // the frame is processed, and frames that arrived together are fed by
 // one Pump. While that feed runs a selection or a training this
@@ -167,12 +167,12 @@ func (s *Server) serveConn(conn net.Conn) {
 	unfed := false
 	defer func() {
 		if unfed {
-			s.router.Feed()
+			s.router.feed()
 		}
 	}()
 	for {
 		if unfed && !rd.Buffered() {
-			s.router.Feed()
+			s.router.feed()
 			unfed = false
 		}
 		conn.SetReadDeadline(s.cfg.Now().Add(s.cfg.ReadTimeout))

@@ -30,7 +30,7 @@ func TestServeIngestBorrowed(t *testing.T) {
 		t.Run(sel, func(t *testing.T) {
 			const tenants, frames = 3, 200
 			cfg := testConfig()
-			cfg.IngestAddr, cfg.MaxTenants, cfg.TenantQueue, cfg.Batch = "127.0.0.1:0", 8, 64, 8
+			cfg.MaxTenants, cfg.TenantQueue, cfg.Batch = 8, 64, 8
 			cfg.Selector = sel
 			s := start(t, cfg)
 			streams := make([][]vidsim.Frame, tenants)

@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"videodrift/internal/dataset"
@@ -18,17 +17,13 @@ type Config struct {
 	Scale           float64       // -scale
 	Selector        string        // -selector
 	Train           int           // -train
-	Shards          int           // -shards
 	Workers         int           // -workers
 	Batch           int           // -batch
-	FPS             float64       // -fps
-	Frames          int           // -frames
 	Ring            int           // -ring
 	PerFrame        bool          // -perframe
 	Verbose         bool          // -v
 	StateDir        string        // -state-dir
 	CheckpointEvery time.Duration // -checkpoint-every
-	Chaos           int64         // -chaos
 	StallTimeout    time.Duration // -stall-timeout
 	Forensics       bool          // -forensics
 	IngestAddr      string        // -ingest-addr
@@ -37,7 +32,6 @@ type Config struct {
 	IdleEvict       time.Duration // -idle-evict
 	ReplicateTo     string        // -replicate-to
 	ReplicateEvery  time.Duration // -replicate-every
-	ReplicaFaults   int64         // -replica-faults
 	StandbyOf       string        // -standby-of
 	ReplicaAddr     string        // -replica-addr
 	ProbeEvery      time.Duration // -probe-every
@@ -48,30 +42,25 @@ type Config struct {
 // value is refused here, not met as undefined behavior deep in the
 // pipeline.
 func (c *Config) Validate() error {
-	ingest, standby := c.IngestAddr != "", c.StandbyOf != ""
+	standby := c.StandbyOf != ""
 	for _, rule := range []struct {
 		broken bool
 		usage  string
 	}{
-		{c.Shards < 1, fmt.Sprintf("-shards must be >= 1, got %d", c.Shards)},
 		{c.Batch < 1, fmt.Sprintf("-batch must be >= 1, got %d", c.Batch)},
 		{c.Ring < 1, fmt.Sprintf("-ring must be >= 1, got %d", c.Ring)},
-		{c.FPS < 0 || math.IsNaN(c.FPS) || math.IsInf(c.FPS, 0), fmt.Sprintf("-fps must be a finite rate >= 0, got %v", c.FPS)},
-		{c.Frames < 0, fmt.Sprintf("-frames must be >= 0, got %d", c.Frames)},
 		{c.Train < 1, fmt.Sprintf("-train must be >= 1, got %d", c.Train)},
 		{c.TenantQueue < 1, fmt.Sprintf("-tenant-queue must be >= 1, got %d", c.TenantQueue)},
-		{ingest && c.Chaos != 0, "-chaos drives the synthetic self-feed; with -ingest-addr, inject network faults from the driftfeed side"},
-		{ingest && c.MaxTenants < 1, fmt.Sprintf("-max-tenants must be >= 1, got %d", c.MaxTenants)},
-		{ingest && c.IdleEvict < 0, fmt.Sprintf("-idle-evict must be >= 0, got %v", c.IdleEvict)},
+		{c.IngestAddr == "", "-ingest-addr must name a listen address: frames reach the fleet only over the wire"},
+		{c.MaxTenants < 1, fmt.Sprintf("-max-tenants must be >= 1, got %d", c.MaxTenants)},
+		{c.IdleEvict < 0, fmt.Sprintf("-idle-evict must be >= 0, got %v", c.IdleEvict)},
 		{standby && c.ReplicaAddr == "", "-standby-of needs -replica-addr to accept the primary's replication stream"},
 		{standby && c.ReplicateTo != "", "-standby-of and -replicate-to are exclusive: a standby becomes a primary only by promotion"},
 		{standby && c.StateDir != "", "-state-dir does not combine with -standby-of yet: the standby's state is the replicated stream"},
-		{standby && c.Chaos != 0, "-chaos drives a live fleet; a standby has none until promotion"},
 		{standby && c.ProbeEvery <= 0, fmt.Sprintf("-probe-every must be > 0, got %v", c.ProbeEvery)},
 		{standby && c.ProbeFails < 1, fmt.Sprintf("-probe-fails must be >= 1, got %d", c.ProbeFails)},
 		{!standby && c.ReplicaAddr != "", "-replica-addr needs -standby-of"},
 		{c.ReplicateTo != "" && c.ReplicateEvery <= 0, fmt.Sprintf("-replicate-every must be > 0, got %v", c.ReplicateEvery)},
-		{c.ReplicaFaults != 0 && c.ReplicateTo == "", "-replica-faults needs -replicate-to"},
 	} {
 		if rule.broken {
 			return errors.New(rule.usage)

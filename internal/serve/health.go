@@ -18,15 +18,13 @@ type Health struct {
 	Status string `json:"status"`
 	// Error is why Status is "promotion_failed".
 	Error string `json:"error,omitempty"`
-	// Mode is "selfdrive" or "ingest" (whose tenants the fleet serves) or "standby".
-	Mode string `json:"mode"`
-	// Streaming is false once the self-feed has reached -frames.
-	Streaming    bool  `json:"streaming"`
-	Shards       int   `json:"shards"`
-	ActiveShards int   `json:"active_shards"`
-	Frames       int64 `json:"frames"`
-	Quarantined  int   `json:"quarantined_frames"`
-	TrainFails   int   `json:"training_failures"`
+	// Mode is "ingest" (a fleet serves the wire's tenants) or "standby".
+	Mode         string `json:"mode"`
+	Shards       int    `json:"shards"`
+	ActiveShards int    `json:"active_shards"`
+	Frames       int64  `json:"frames"`
+	Quarantined  int    `json:"quarantined_frames"`
+	TrainFails   int    `json:"training_failures"`
 	// ShardHealth is the supervisor's view of each shard slot.
 	ShardHealth []videodrift.ShardHealth `json:"shard_health,omitempty"`
 	Ingest      *ingest.Stats            `json:"ingest,omitempty"`
@@ -86,11 +84,7 @@ func (s *Server) Health() (Health, int) {
 		return h, code
 	}
 	fh, stats, st := f.mon.Health(), f.mon.Stats(), f.router.Stats()
-	h.Status, h.Mode = fh.State.String(), "selfdrive"
-	if s.cfg.IngestAddr != "" {
-		h.Mode = "ingest"
-	}
-	h.Streaming = !s.feedEnded.Load()
+	h.Status, h.Mode = fh.State.String(), "ingest"
 	h.Shards, h.ActiveShards = f.mon.Shards(), f.mon.Active()
 	h.Frames = s.processed.Load()
 	h.Quarantined, h.TrainFails = stats.QuarantinedFrames, stats.TrainingFailures

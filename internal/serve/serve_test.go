@@ -49,11 +49,11 @@ func TestMain(m *testing.M) {
 }
 
 // testConfig is driftserve's flag defaults on loopback port 0, with a
-// small -train and an unthrottled self-feed.
+// small -train.
 func testConfig() Config {
 	return Config{
-		Addr: "127.0.0.1:0", Dataset: "bdd", Scale: 0.02, Selector: "msbi", Train: 40,
-		Shards: 1, Batch: 1, Ring: 4096, CheckpointEvery: 30 * time.Second,
+		Addr: "127.0.0.1:0", IngestAddr: "127.0.0.1:0", Dataset: "bdd", Scale: 0.02, Selector: "msbi", Train: 40,
+		Batch: 1, Ring: 4096, CheckpointEvery: 30 * time.Second,
 		StallTimeout: 10 * time.Second, Forensics: true,
 		MaxTenants: 64, TenantQueue: 256, IdleEvict: 2 * time.Minute,
 		ReplicateEvery: time.Second, ProbeEvery: 500 * time.Millisecond, ProbeFails: 3,
@@ -141,14 +141,13 @@ func await(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// tenantStream is tenant i's frames as cmd/driftfeed generates them.
+// tenantStream is tenant i's first n frames as cmd/driftfeed generates
+// them.
 func tenantStream(s *Server, i, n int) []vidsim.Frame {
-	ds := *s.ds
-	ds.Seed += int64(i) * 104729
-	stream := ds.Stream()
+	next := s.ds.TenantStream(i)
 	frames := make([]vidsim.Frame, n)
 	for k := range frames {
-		frames[k], _ = stream.Next()
+		frames[k] = next()
 	}
 	return frames
 }
@@ -241,40 +240,32 @@ func viaJSON(t *testing.T, v any) any {
 }
 
 func TestConfigValidate(t *testing.T) {
-	ingestOn := func(c *Config) { c.IngestAddr = "127.0.0.1:0" }
 	standbyOn := func(c *Config) { c.StandbyOf, c.ReplicaAddr = "127.0.0.1:9090", "127.0.0.1:0" }
 	for _, tc := range []struct {
 		want string
 		edit func(*Config)
 	}{
 		{"", func(*Config) {}},
-		{"", ingestOn},
 		{"", standbyOn},
-		{"-shards must be >= 1, got 0", func(c *Config) { c.Shards = 0 }},
 		{"-batch must be >= 1, got 0", func(c *Config) { c.Batch = 0 }},
 		{"-ring must be >= 1, got -1", func(c *Config) { c.Ring = -1 }},
-		{"-fps must be a finite rate >= 0, got -1", func(c *Config) { c.FPS = -1 }},
-		{"-frames must be >= 0, got -5", func(c *Config) { c.Frames = -5 }},
 		{"-train must be >= 1, got 0", func(c *Config) { c.Train = 0 }},
 		{"-tenant-queue must be >= 1, got 0", func(c *Config) { c.TenantQueue = 0 }},
-		{"", func(c *Config) { ingestOn(c); c.StateDir = "d" }},
-		{"-chaos drives the synthetic self-feed; with -ingest-addr, inject network faults from the driftfeed side",
-			func(c *Config) { ingestOn(c); c.Chaos = 7 }},
-		{"-max-tenants must be >= 1, got 0", func(c *Config) { ingestOn(c); c.MaxTenants = 0 }},
-		{"-tenant-queue must be >= 1, got 0", func(c *Config) { ingestOn(c); c.TenantQueue = 0 }},
-		{"-idle-evict must be >= 0, got -1s", func(c *Config) { ingestOn(c); c.IdleEvict = -time.Second }},
+		{"", func(c *Config) { c.StateDir = "d" }},
+		{"-ingest-addr must name a listen address: frames reach the fleet only over the wire", func(c *Config) { c.IngestAddr = "" }},
+		{"-ingest-addr must name a listen address: frames reach the fleet only over the wire", func(c *Config) { standbyOn(c); c.IngestAddr = "" }},
+		{"-max-tenants must be >= 1, got 0", func(c *Config) { c.MaxTenants = 0 }},
+		{"-idle-evict must be >= 0, got -1s", func(c *Config) { c.IdleEvict = -time.Second }},
 		{"-standby-of needs -replica-addr to accept the primary's replication stream",
 			func(c *Config) { c.StandbyOf = "127.0.0.1:9090" }},
 		{"-standby-of and -replicate-to are exclusive: a standby becomes a primary only by promotion",
 			func(c *Config) { standbyOn(c); c.ReplicateTo = "127.0.0.1:9092" }},
 		{"-state-dir does not combine with -standby-of yet: the standby's state is the replicated stream",
 			func(c *Config) { standbyOn(c); c.StateDir = "d" }},
-		{"-chaos drives a live fleet; a standby has none until promotion", func(c *Config) { standbyOn(c); c.Chaos = 7 }},
 		{"-probe-every must be > 0, got 0s", func(c *Config) { standbyOn(c); c.ProbeEvery = 0 }},
 		{"-probe-fails must be >= 1, got 0", func(c *Config) { standbyOn(c); c.ProbeFails = 0 }},
 		{"-replica-addr needs -standby-of", func(c *Config) { c.ReplicaAddr = "127.0.0.1:0" }},
 		{"-replicate-every must be > 0, got 0s", func(c *Config) { c.ReplicateTo = "127.0.0.1:9092"; c.ReplicateEvery = 0 }},
-		{"-replica-faults needs -replicate-to", func(c *Config) { c.ReplicaFaults = 3 }},
 	} {
 		cfg := testConfig()
 		tc.edit(&cfg)
@@ -286,7 +277,7 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("Validate() = %q, want %q", got, tc.want)
 		}
 	}
-	if _, err := New(func() Config { c := testConfig(); c.Shards = 0; return c }()); err == nil {
+	if _, err := New(func() Config { c := testConfig(); c.IngestAddr = ""; return c }()); err == nil {
 		t.Error("New accepted a configuration Validate refuses")
 	}
 	if _, err := New(func() Config { c := testConfig(); c.Dataset = "kitti"; return c }()); err == nil {
@@ -309,7 +300,7 @@ func TestServeIngest(t *testing.T) {
 func testServeIngest(t *testing.T, selector string) {
 	const tenants, frames = 3, 200
 	cfg := testConfig()
-	cfg.IngestAddr, cfg.MaxTenants, cfg.TenantQueue, cfg.Batch = "127.0.0.1:0", 8, 64, 8
+	cfg.MaxTenants, cfg.TenantQueue, cfg.Batch = 8, 64, 8
 	cfg.Selector = selector
 	s := start(t, cfg)
 	for _, e := range s.env.Registry.Entries() {
@@ -349,7 +340,7 @@ func testServeIngest(t *testing.T, selector string) {
 func TestTenantTelemetry(t *testing.T) {
 	const tenants, frames = 2, 120
 	cfg := testConfig()
-	cfg.IngestAddr, cfg.IdleEvict = "127.0.0.1:0", 500*time.Millisecond
+	cfg.IdleEvict = 500 * time.Millisecond
 	s := start(t, cfg)
 	streams := make([][]vidsim.Frame, tenants)
 	for i := range streams {
@@ -510,7 +501,7 @@ func TestServeFailover(t *testing.T) {
 	sb := start(t, scfg)
 
 	pcfg := testConfig()
-	pcfg.Addr, pcfg.IngestAddr = priHTTP, "127.0.0.1:0"
+	pcfg.Addr = priHTTP
 	pcfg.ReplicateTo, pcfg.ReplicateEvery = sb.ReplicaAddr(), 20*time.Millisecond
 	pcfg.MaxTenants, pcfg.TenantQueue, pcfg.Batch = 8, 64, 8
 	pri := start(t, pcfg)
@@ -629,26 +620,28 @@ func TestPromotionFailureVisible(t *testing.T) {
 // none of them. So the state an MSBI server leaves — in its -state-dir,
 // on its standby — is refused by a -selector msbo server with the cause
 // spelt out, at start-up for a warm restart and in /healthz for a
-// promotion; the state an MSBO server leaves serves an MSBI one.
+// promotion; the state an MSBO server leaves serves an MSBI one. A
+// promotion that succeeds serves exactly the checkpoint's tenants, on
+// its own ingest listener.
 func TestSelectorMismatch(t *testing.T) {
 	const cause = "models were provisioned under -selector msbi"
 	life := func(selector string) (Config, *store.Checkpoint) {
 		cfg := testConfig()
-		cfg.Selector, cfg.Frames, cfg.StateDir = selector, 60, t.TempDir()
-		s := runSelfFeed(t, cfg)
+		cfg.Selector, cfg.StateDir = selector, t.TempDir()
+		s := start(t, cfg)
+		feed(t, s.IngestAddr(), [][]vidsim.Frame{tenantStream(s, 0, 60), tenantStream(s, 1, 60)}, 0, nil)
 		if err := s.Shutdown(); err != nil {
 			t.Fatal(err)
 		}
 		cp := s.flt.Load().mon.Checkpoint()
 		cp.Gen = 1
-		cfg.Frames = 120
 		return cfg, cp
 	}
 	// standby starts a standby of a dead primary that holds cp, and waits
 	// for the promotion to end one way or the other.
 	standby := func(selector string, cp *store.Checkpoint) (h Health, code int) {
 		cfg := testConfig()
-		cfg.Selector, cfg.Frames = selector, 120
+		cfg.Selector = selector
 		cfg.StandbyOf, cfg.ReplicaAddr = reserveAddr(t), "127.0.0.1:0"
 		cfg.ProbeEvery, cfg.ProbeFails = 5*time.Millisecond, 2
 		s := start(t, cfg)
@@ -659,6 +652,21 @@ func TestSelectorMismatch(t *testing.T) {
 			code = get(t, s, "/healthz", &h)
 			return h.Status != "standby"
 		})
+		if h.Ingest != nil {
+			var got, want []string
+			for _, ts := range h.Ingest.Tenants {
+				got = append(got, ts.Tenant)
+			}
+			for _, sh := range cp.Shards {
+				want = append(want, sh.Tenant)
+			}
+			if slices.Sort(want); !slices.Equal(got, want) {
+				t.Errorf("the promoted fleet serves tenants %q, want the checkpoint's %q", got, want)
+			}
+			if s.IngestAddr() == "" {
+				t.Error("the promoted fleet opened no ingest listener")
+			}
+		}
 		return h, code
 	}
 
@@ -683,7 +691,7 @@ func TestSelectorMismatch(t *testing.T) {
 
 	msbo, full := life("msbo")
 	msbo.Selector = "msbi"
-	if second := runSelfFeed(t, msbo); second.boot == nil {
+	if second := start(t, msbo); second.boot == nil {
 		t.Error("-selector msbi over an msbo server's -state-dir cold-started")
 	}
 	if h, code := standby("msbi", full); code != http.StatusOK || h.Replication.Role != "promoted" {
@@ -740,65 +748,20 @@ func replayed(t *testing.T, s *Server, tenant string, slot int, frames []vidsim.
 	return outcome{ringed(ref.Telemetry()), viaJSON(t, ref.Forensics().Declarations()), ref.Stats()}
 }
 
-// runSelfFeed runs a self-feed server until its -frames budget is
-// reached and returns it, still serving.
-func runSelfFeed(t *testing.T, cfg Config) *Server {
-	t.Helper()
-	s := start(t, cfg)
-	await(t, "the frame budget", func() bool {
-		h, _ := s.Health()
-		return !h.Streaming
-	})
-	if h, _ := s.Health(); h.Frames != int64(cfg.Frames) {
-		t.Fatalf("stopped at frame %d, want %d", h.Frames, cfg.Frames)
-	}
-	return s
-}
-
-// TestServeWarmRestart: a life cut short and a second life
-// warm-restarted from its state directory leave every tenant — events,
-// declarations, metrics — exactly as one uninterrupted life does. The
-// self-fed tenants' first life shuts down; the wire tenants' is killed
-// (no final flush) right after a checkpoint, and their windowed clients
-// carry on against the second, whose Sync answers hold each tenant's
-// restored position, so every frame is processed exactly once.
+// TestServeWarmRestart: a life killed mid-stream (no final flush) right
+// after a checkpoint and a second life warm-restarted from its state
+// directory leave every tenant — events, declarations, metrics — exactly
+// as one uninterrupted life does: the windowed clients carry on against
+// the second, whose Sync answers hold each tenant's restored position,
+// so every frame is processed exactly once. A state directory of an
+// older format is refused by name.
 func TestServeWarmRestart(t *testing.T) {
-	t.Run("selffeed", func(t *testing.T) {
-		const total, cut = 600, 250
-		cfg := testConfig()
-		cfg.Shards, cfg.Frames = 2, total
-		whole := runSelfFeed(t, cfg)
-		if whole.flt.Load().mon.Stats().DriftsDetected == 0 {
-			t.Fatal("the uninterrupted life never drifted")
-		}
-
-		cfg.StateDir, cfg.Frames = t.TempDir(), cut
-		first := runSelfFeed(t, cfg)
-		if err := first.Shutdown(); err != nil {
-			t.Fatal(err)
-		}
-		cfg.Frames = total
-		second := runSelfFeed(t, cfg)
-		if second.boot == nil || second.boot.Frames != cut/2 {
-			t.Fatalf("the second life did not resume the first's final checkpoint: %+v", second.boot)
-		}
-		for k := range cfg.Shards {
-			if got, want := served(t, second, selfTenant(k), first), served(t, whole, selfTenant(k)); !reflect.DeepEqual(got, want) {
-				t.Errorf("tenant %s: two lives\n%+v\none life\n%+v", selfTenant(k), got, want)
-			}
-		}
-		var h Health
-		if code := get(t, second, "/healthz", &h); code != http.StatusOK || h.StateDir != cfg.StateDir || h.Mode != "selfdrive" {
-			t.Errorf("/healthz: %d, mode %q, state_dir %q", code, h.Mode, h.StateDir)
-		}
-	})
-
 	t.Run("previous-version", func(t *testing.T) {
 		// A state directory of format v3, the epoch before store v4 — one
 		// generation with that version in its header — is refused by name,
 		// and the server cold-starts over it.
 		cfg := testConfig()
-		cfg.StateDir, cfg.Frames = t.TempDir(), 30
+		cfg.StateDir = t.TempDir()
 		st, err := store.Open(cfg.StateDir)
 		if err != nil {
 			t.Fatal(err)
@@ -818,7 +781,7 @@ func TestServeWarmRestart(t *testing.T) {
 		var logged bytes.Buffer
 		log.SetOutput(&logged)
 		t.Cleanup(func() { log.SetOutput(os.Stderr) })
-		s := runSelfFeed(t, cfg)
+		s := start(t, cfg)
 		log.SetOutput(os.Stderr)
 		if s.boot != nil {
 			t.Fatal("the server resumed a v3 checkpoint")
@@ -920,41 +883,84 @@ func TestServeWarmRestart(t *testing.T) {
 	})
 }
 
-// TestShutdownFlushes is the SIGTERM path: nothing was replicated or
-// persisted while the server ran, and after Shutdown the standby holds,
-// and the state directory's newest checkpoint is, the exact stopping
-// point — and no goroutine of either server is left.
+// TestShutdownFlushes is the SIGTERM path under live traffic: two wire
+// tenants keep sending through Shutdown, with a standby attached and
+// nothing replicated or persisted while the server ran. Shutdown stops
+// admitting frames before its final drain, so every frame the router
+// accepted is processed, and the standby and the state directory's
+// newest checkpoint both hold each tenant at the position it reached —
+// which counts every frame its client saw confirmed, and none it did not
+// send. No goroutine of either server is left.
 func TestShutdownFlushes(t *testing.T) {
+	const tenants = 2
 	scfg := testConfig()
 	scfg.StandbyOf, scfg.ReplicaAddr, scfg.ProbeFails = reserveAddr(t), "127.0.0.1:0", 1<<30
 	sb := start(t, scfg)
 
 	cfg := testConfig()
-	cfg.Shards, cfg.FPS = 2, 2000
 	cfg.StateDir, cfg.CheckpointEvery = t.TempDir(), time.Hour
 	cfg.ReplicateTo, cfg.ReplicateEvery = sb.ReplicaAddr(), time.Hour
 	s := start(t, cfg)
+	// Each client sends until the server is gone, then reports what it saw
+	// confirmed and what it sent — the frame whose Send failed included:
+	// it may have been admitted before its connection closed.
+	var confirmed, sent [tenants]uint64
+	var wg sync.WaitGroup
+	for i := range tenants {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c, err := ingest.Dial(ingest.ClientConfig{Addr: s.IngestAddr(), Tenant: fmt.Sprintf("cam-%d", i)})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer c.Close() // fails: the server is gone
+			next := s.ds.TenantStream(i)
+			for c.Send(next()) == nil {
+			}
+			confirmed[i], sent[i] = uint64(c.Stats().Acked), c.Seq()+1
+		}()
+	}
 	await(t, "some frames", func() bool {
 		h, _ := s.Health()
-		return h.Frames >= 100
+		return h.Frames >= 200
 	})
 	if h, _ := sb.Health(); h.Replication.Applied != 0 {
-		t.Fatalf("the standby applied %d generations before the flush", h.Replication.Applied)
+		t.Errorf("the standby applied %d generations before the flush", h.Replication.Applied)
 	}
 	if err := s.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
+	wg.Wait()
 	h, _ := s.Health()
-	perShard := h.Frames / 2
-	if got := sb.sb.Latest(); got == nil || got.Frames != perShard {
-		t.Errorf("the standby holds %+v, want the stopping point, frame %d", got, perShard)
+	if in := h.Ingest; in.Accepted != in.Processed || in.Processed != h.Frames {
+		t.Errorf("after Shutdown the router accepted %d frames and processed %d, the fleet %d", in.Accepted, in.Processed, h.Frames)
 	}
 	st, err := store.Open(cfg.StateDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cp, _, err := st.LoadLatest(); err != nil || cp.Frames != perShard || cp.Gen != 1 {
-		t.Errorf("the final checkpoint: %+v, %v; want frame %d of generation 1", cp, err, perShard)
+	final, _, err := st.LoadLatest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.Gen != 1 {
+		t.Errorf("the final checkpoint is of generation %d, want 1", final.Gen)
+	}
+	for name, cp := range map[string]*store.Checkpoint{"the final checkpoint": final, "the standby": sb.sb.Latest()} {
+		if cp == nil || len(cp.Shards) != tenants {
+			t.Errorf("%s holds %+v, want %d tenants", name, cp, tenants)
+			continue
+		}
+		for _, sh := range cp.Shards {
+			var i int
+			fmt.Sscanf(sh.Tenant, "cam-%d", &i)
+			if at := s.flt.Load().router.Position(sh.Tenant); sh.Next != at || sh.Next < confirmed[i] || sh.Next > sent[i] {
+				t.Errorf("%s holds %s at frame %d; the router stopped it at %d, its client saw %d confirmed of %d sent",
+					name, sh.Tenant, sh.Next, at, confirmed[i], sent[i])
+			}
+		}
 	}
 	if _, err := http.Get("http://" + s.Addr() + "/healthz"); err == nil {
 		t.Error("the HTTP listener outlived Shutdown")
@@ -1024,7 +1030,7 @@ func TestHealthShape(t *testing.T) {
 		return out
 	}
 	always := strings.Fields(`
-		status mode streaming shards active_shards frames quarantined_frames training_failures
+		status mode shards active_shards frames quarantined_frames training_failures
 		shard_health shard_health.state shard_health.stalled shard_health.restarts shard_health.dropped
 		ingest ingest.known_tenants ingest.active_tenants ingest.accepted ingest.processed ingest.dups
 		ingest.nacked_full ingest.nacked_seq ingest.nacked_limit ingest.nacked_malformed

@@ -1,14 +1,15 @@
 // Package serve is driftserve's server: the drift-aware monitor fleet
 // behind one tenant router and an HTTP telemetry surface, its tenants
-// the network ingestion tier's or the synthetic self-feed's, optionally
-// persisting checkpoints, replicating to hot standbys, or running as a
-// hot standby itself.
+// those of the network ingestion tier (the wire protocol over TCP, or
+// POST /ingest), optionally persisting checkpoints, replicating to hot
+// standbys, or running as a hot standby itself.
 // cmd/driftserve is flag parsing over New, Start and Shutdown;
 // DESIGN.md §17 has the lifecycle, the capture rule and the health
 // schema.
 package serve
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -33,20 +34,12 @@ import (
 	"videodrift/internal/telemetry"
 )
 
-// chaosHorizon is the per-shard frame window the -chaos schedule covers;
-// faults land within the first chaosHorizon frames of each shard.
-const chaosHorizon = 5000
-
-// replicaFaultHorizon is the transmission window the -replica-faults
-// schedule covers.
-const replicaFaultHorizon = 1000
-
 // buildEnv provisions the models the selector reads; a variable so the
 // package's tests provision once for all the servers they start.
 var buildEnv = experiments.BuildEnvFor
 
-// fleet is the live serving state: the monitor fleet, its tenant router
-// and wire server, with -ingest-addr a listener. A standby has none.
+// fleet is the live serving state: the monitor fleet, its tenant router,
+// and the wire server with its -ingest-addr listener. A standby has none.
 type fleet struct {
 	mon    *videodrift.ShardedMonitor
 	router *ingest.Router
@@ -62,19 +55,16 @@ type Server struct {
 	ds   *dataset.Dataset
 	sel  core.SelectorKind
 	env  *experiments.Env
-	inj  *faults.Injector            // -chaos schedule, nil when off
 	st   *videodrift.CheckpointStore // -state-dir, nil when off
 	boot *videodrift.Checkpoint      // the warm-restart checkpoint, nil on a cold start
 	// base is the tracer a request without ?shard= or ?tenant= reads: the
-	// fleet's own, which the first self-fed tenant reports through (see
-	// tracerFor); it also carries the replication events.
+	// fleet's own, which carries the replication events.
 	base *telemetry.Tracer
 
 	// flt is published through an atomic pointer because a standby
 	// installs its fleet at promotion, with requests in flight.
 	flt        atomic.Pointer[fleet]
 	processed  atomic.Int64
-	feedEnded  atomic.Bool  // the self-feed reached its -frames budget
 	promoteErr atomic.Value // string: why a promotion could not build its fleet
 
 	prim        *replica.Primary
@@ -88,9 +78,9 @@ type Server struct {
 
 	hsrv     *http.Server
 	hln, rln net.Listener
-	// stop ends every goroutine in run (feed, checkpoint scheduler,
+	// stop ends every goroutine in run (pump loop, checkpoint scheduler,
 	// replication loop, standby probe); the accept loops in serving end
-	// when Shutdown closes their listeners, after the final flush.
+	// when Shutdown closes their listeners.
 	stop    chan struct{}
 	run     sync.WaitGroup
 	serving sync.WaitGroup
@@ -106,9 +96,6 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{cfg: cfg, stop: make(chan struct{}), framesAtSave: -1, sel: core.SelectorMSBI}
-	if cfg.IngestAddr == "" {
-		s.cfg.IdleEvict = 0 // self-fed tenants stop at -frames and keep their slots
-	}
 	build, ok := datasets[cfg.Dataset]
 	if !ok {
 		return nil, fmt.Errorf("unknown dataset %q", cfg.Dataset)
@@ -153,20 +140,6 @@ func New(cfg Config) (*Server, error) {
 		s.env = buildEnv(s.ds, ecfg, query.Count, s.sel)
 	}
 	s.base = s.newTracer()
-	// With -chaos, generate a lockstep-preserving fault schedule (no
-	// drops or duplications: every shard must keep advancing one frame
-	// per batch) and replay it deterministically against the run.
-	if cfg.Chaos != 0 {
-		sched := faults.Generate(cfg.Chaos, faults.GenConfig{
-			Shards: s.cfg.Shards, Frames: chaosHorizon,
-			CorruptRate:   0.002,
-			Panics:        s.cfg.Shards,
-			TrainFailures: 1,
-		})
-		s.inj = faults.NewInjector(sched)
-		fmt.Fprintf(os.Stderr, "chaos seed %d: %d scheduled faults over the first %d frames/shard\n",
-			cfg.Chaos, len(sched.Faults), chaosHorizon)
-	}
 	s.lastCkpt.Store(time.Now().UnixNano()) // freshness clock starts at boot
 	return s, nil
 }
@@ -176,10 +149,11 @@ func (s *Server) newTracer() *telemetry.Tracer {
 }
 
 // Start brings the server up in the order a client may depend on: the
-// fleet and its feed (not on a standby), the checkpoint scheduler, the
-// replication primary, the standby's replication listener and health
-// probe, and last the HTTP listener — so a /healthz that answers means
-// everything before it is up. On an error nothing is left running.
+// fleet, its pump loop and its ingest listener (not on a standby), the
+// checkpoint scheduler, the replication primary, the standby's
+// replication listener and health probe, and last the HTTP listener — so
+// a /healthz that answers means everything before it is up. On an error
+// nothing is left running.
 func (s *Server) Start() (err error) {
 	defer func() {
 		if err != nil {
@@ -235,12 +209,12 @@ func addrOf(ln net.Listener) string {
 	return ln.Addr().String()
 }
 
-// deploy builds the fleet and its router and starts feeding them: at
-// boot from the provisioned models (cp nil) or the warm-restart
-// checkpoint, at promotion from the replicated one. A resumed fleet's
-// router takes the checkpoint's tenants over — martingale, forensics
-// ring, collection in progress and stream position — and tenants it
-// lacks join mid-stream.
+// deploy builds the fleet and its router, starts the pump loop and opens
+// the ingest listener: at boot from the provisioned models (cp nil) or
+// the warm-restart checkpoint, at promotion from the replicated one. A
+// resumed fleet's router takes the checkpoint's tenants over —
+// martingale, forensics ring, collection in progress and stream
+// position — and tenants it lacks join mid-stream.
 func (s *Server) deploy(cp *videodrift.Checkpoint) error {
 	pcfg := s.env.PipelineConfig(s.sel)
 	opts := videodrift.ShardedOptions{
@@ -253,10 +227,9 @@ func (s *Server) deploy(cp *videodrift.Checkpoint) error {
 			Forensics: videodrift.ForensicsConfig{Enabled: s.cfg.Forensics},
 		},
 		Workers:      s.cfg.Workers,
-		Faults:       s.inj,
 		StallTimeout: s.cfg.StallTimeout,
 	}
-	models, shards := s.env.Registry.Entries(), s.cfg.Shards
+	models, shards := s.env.Registry.Entries(), 0
 	if cp != nil {
 		models, shards = cp.Entries, len(cp.Shards)
 	}
@@ -273,7 +246,7 @@ func (s *Server) deploy(cp *videodrift.Checkpoint) error {
 			if sh.Tenant == "" {
 				return fmt.Errorf("checkpoint shard %d has no tenant: a server resumes only the tenants its router attached", k)
 			}
-			opts.Tracers = append(opts.Tracers, s.tracerFor(sh.Tenant))
+			opts.Tracers = append(opts.Tracers, s.newTracer())
 		}
 		var err error
 		if f.mon, err = videodrift.ResumeSharded(cp, s.env.Labeler(), opts); err != nil {
@@ -287,30 +260,30 @@ func (s *Server) deploy(cp *videodrift.Checkpoint) error {
 		BatchSize:     s.cfg.Batch,
 		IdleEvict:     s.cfg.IdleEvict,
 		ResumeStreams: cp != nil,
-		NewTracer:     s.tracerFor,
+		NewTracer:     func(string) *telemetry.Tracer { return s.newTracer() },
 	})
 	f.isrv = ingest.NewServer(f.router, ingest.ServerConfig{Logf: log.Printf})
-	if err := s.listenIngest(f); err != nil {
-		return err
+	var err error
+	if f.iln, err = net.Listen("tcp", s.cfg.IngestAddr); err != nil {
+		return fmt.Errorf("ingest listen: %w", err)
 	}
+	fmt.Fprintf(os.Stderr, "ingesting frames on %s (wire protocol over TCP; HTTP fallback at POST /ingest)\n", f.iln.Addr())
 	s.flt.Store(f)
 	s.run.Add(1)
 	go func() {
 		defer s.run.Done()
 		f.router.Run(s.stop, s.pumped)
 	}()
-	s.startSelfFeed(f.router, shards)
+	s.accept("ingest serve", func() error { return f.isrv.Serve(f.iln) })
 	return nil
 }
 
-// tracerFor builds a tenant's telemetry tracer. The first self-fed
-// tenant reports through the base tracer, so a request without ?shard=
-// reads the stream a single-stream server runs.
-func (s *Server) tracerFor(tenant string) *telemetry.Tracer {
-	if tenant == selfTenant(0) {
-		return s.base
+// pumped accounts for one Router.Pump.
+func (s *Server) pumped(n int, err error) {
+	if err != nil {
+		log.Printf("ingest pump: %v", err)
 	}
-	return s.newTracer()
+	s.processed.Add(int64(n))
 }
 
 // every runs f on each tick of period, on a goroutine of its own, until
@@ -410,7 +383,7 @@ func (s *Server) startPrimary() {
 		epoch = max(epoch, s.boot.Epoch)
 	}
 	addrs := strings.FieldsFunc(s.cfg.ReplicateTo, func(r rune) bool { return r == ',' || r == ' ' })
-	rcfg := replica.PrimaryConfig{
+	s.prim = replica.NewPrimary(replica.PrimaryConfig{
 		Addrs:    addrs,
 		Epoch:    epoch,
 		Capture:  s.flt.Load().mon.Checkpoint,
@@ -418,14 +391,7 @@ func (s *Server) startPrimary() {
 		Tracer:   s.base,
 		Logf:     log.Printf,
 		OnFenced: s.fencedEpoch.Store,
-	}
-	if s.cfg.ReplicaFaults != 0 {
-		sched := faults.GenerateReplica(s.cfg.ReplicaFaults, replicaFaultHorizon, 0.05, 0.02)
-		rcfg.TxFault = faults.NewReplicaInjector(sched).Tx
-		fmt.Fprintf(os.Stderr, "replica faults seed %d: %d scheduled over the first %d transmissions\n",
-			s.cfg.ReplicaFaults, len(sched.Faults), replicaFaultHorizon)
-	}
-	s.prim = replica.NewPrimary(rcfg)
+	})
 	fmt.Fprintf(os.Stderr, "replicating to %s every %v (fencing epoch %d)\n",
 		strings.Join(addrs, ", "), s.cfg.ReplicateEvery, epoch)
 	s.run.Add(1)
@@ -494,14 +460,16 @@ func (s *Server) promote(reason string) error {
 	return s.deploy(cp)
 }
 
-// Shutdown stops the server: the feed and the periodic goroutines
-// first, so the pump has put its last batch into the fleet; then the
-// final drain and, on a primary, a last generation to the standbys, so
-// they hold the exact stopping point; then the listeners; and with
-// -state-dir a final checkpoint. It returns once every goroutine Start
-// or a promotion began has exited — or, if the feed has not stopped
-// within stopTimeout, with an error and every goroutine's stack on
-// stderr, nothing flushed. Call it once, after a successful Start.
+// Shutdown stops the server: the pump loop and the periodic goroutines
+// first; then admission — the HTTP server (it carries POST /ingest) and
+// the ingest server close, and their handlers return — so no frame joins
+// a queue after the final drain; then that drain and, on a primary, a
+// last generation to the standbys, so they hold the exact stopping point;
+// and with -state-dir a final checkpoint. Every frame a client was told
+// was accepted is in both. It returns once every goroutine Start or a
+// promotion began has exited — or, if the pump has not stopped within
+// stopTimeout, with an error and every goroutine's stack on stderr,
+// nothing flushed. Call it once, after a successful Start.
 func (s *Server) Shutdown() error { return s.halt(true) }
 
 // halt is Shutdown; without flush it leaves out the drain, the final
@@ -515,11 +483,21 @@ func (s *Server) halt(flush bool) error {
 		close(stopped)
 	}()
 	if !waitStopped(stopped, stopTimeout, os.Stderr) {
-		return fmt.Errorf("feed still running after %v (goroutine dump above); exiting without a final flush", stopTimeout)
+		return fmt.Errorf("pump still running after %v (goroutine dump above); exiting without a final flush", stopTimeout)
+	}
+	if s.hsrv != nil {
+		ctx, cancel := context.WithTimeout(context.Background(), stopTimeout)
+		if s.hsrv.Shutdown(ctx) != nil {
+			s.hsrv.Close()
+		}
+		cancel()
 	}
 	f := s.flt.Load()
-	if flush && f != nil {
-		s.pumped(f.router.Pump())
+	if f != nil {
+		f.isrv.Close()
+		if flush {
+			s.pumped(f.router.Pump())
+		}
 	}
 	if s.prim != nil {
 		if flush {
@@ -529,12 +507,6 @@ func (s *Server) halt(flush bool) error {
 			}
 		}
 		s.prim.Close()
-	}
-	if s.hsrv != nil {
-		s.hsrv.Close()
-	}
-	if f != nil {
-		f.isrv.Close()
 	}
 	if s.rln != nil {
 		s.rln.Close()
@@ -548,7 +520,7 @@ func (s *Server) halt(flush bool) error {
 	return nil
 }
 
-// stopTimeout is how long Shutdown waits for the feed to finish its
+// stopTimeout is how long Shutdown waits for the pump to finish its
 // batch (and the periodic goroutines their cycle). A pump inside a
 // recovery training returns in well under a second; one that has not
 // returned in ten is wedged, and a process that waits for it ignores
@@ -557,7 +529,7 @@ const stopTimeout = 10 * time.Second
 
 // waitStopped waits for done to close, for at most timeout. When the
 // wait runs out it writes every goroutine's stack to w — what the
-// operator needs to see where the feed is stuck — and reports false.
+// operator needs to see where the pump is stuck — and reports false.
 func waitStopped(done <-chan struct{}, timeout time.Duration, w io.Writer) bool {
 	t := time.NewTimer(timeout)
 	defer t.Stop()

@@ -7,11 +7,13 @@
 #     with no final flush; the standby promotes; every client fails over with
 #     every frame acked; the promoted fleet holds every tenant, dropped
 #     nothing, accepted = processed > 0 ........................... TestServeFailover
-#   a persisting server writes its state dir; a second life resumes it
-#     ....................................... TestServeWarmRestart, TestShutdownFlushes
+#   a promoted standby serves exactly the replicated tenants, on its own
+#     ingest listener ........................ TestSelectorMismatch, TestServeFailover
 #   an ingest server killed mid-stream restarts on its state dir with every
 #     tenant restored at its position; every client resumes, none lost
 #     ....................................... TestServeWarmRestart/ingest, TestRouterRestoresTenants
+#   SIGTERM under live traffic stops admitting before the final drain: every
+#     confirmed frame is in the final checkpoint and on the standby .. TestShutdownFlushes
 #   a writer killed at any point leaves a directory that verifies
 #     ............................... TestCrashPointRecovery, TestVerifyDir (store)
 #   the server is race-clean ...................... go test -race ./internal/serve
@@ -83,6 +85,8 @@ up "$p"
 feed=$!
 sleep 3
 kill -9 "${pids[-1]}" && wait "${pids[-1]}" 2>/dev/null || true
+[ -n "$(ls -A "$bin/istate" 2>/dev/null)" ] || fail "the persisting server wrote no checkpoint"
+"$bin/drifttool" -verify inspect "$bin/istate" >/dev/null || fail "a killed server left a damaged checkpoint"
 serve ingest2 "${ingest[@]}"
 up "$p"
 health=$("$bin/drifttool" health "localhost:$p") || fail "restarted ingest server unhealthy"
@@ -100,13 +104,5 @@ grep -q "total dropped: 0" <<<"$health" || fail "frames were dropped after the r
 read -r acc proc < <(sed -n 's/.*accepted \([0-9]*\)   processed \([0-9]*\).*/\1 \2/p' <<<"$health")
 [ "${acc:-0}" -ge 1 ] && [ "$acc" = "$proc" ] || fail "accepted ${acc:-?} != processed ${proc:-?} after the restart"
 kill -9 "${pids[-1]}" && wait "${pids[-1]}" 2>/dev/null || true
-
-echo "smoke: kill -9 a persisting self-feed server, then verify its state dir"
-serve selffeed -addr "localhost:$p" -state-dir "$bin/state" -checkpoint-every 500ms -shards 2
-up "$p"
-sleep 2 # a few checkpoint intervals, then die mid-whatever
-kill -9 "${pids[-1]}" && wait "${pids[-1]}" 2>/dev/null || true
-[ -n "$(ls -A "$bin/state" 2>/dev/null)" ] || fail "the persisting server wrote no checkpoint"
-"$bin/drifttool" -verify inspect "$bin/state" || fail "a killed server left a damaged checkpoint"
 if grep -il "DATA RACE" "$bin"/*.log; then fail "race detected"; fi
-echo "smoke: ok — primary killed mid-stream, standby promoted, ingest server restarted with its tenants, zero frames lost, state verified"
+echo "smoke: ok — primary killed mid-stream, standby promoted, ingest server killed (state verified) and restarted with its tenants, zero frames lost"
