@@ -353,19 +353,19 @@ func BenchmarkAblationDetectors(b *testing.B) {
 
 // BenchmarkKNNScore compares the retained brute-force non-conformity
 // scorer against the flattened-matrix fast path, at the default Σ shape
-// (SampleCount × AppearanceDim) and in the blocked-kernel regime of
-// larger reference sets. The fast path must stay at 0 allocs/op.
+// (SampleCount × AppearanceDim, the register path every frame runs) and
+// on a larger, wider Σ through the exact SqDistRow loop every other
+// width takes. The fast path must stay at 0 allocs/op.
 func BenchmarkKNNScore(b *testing.B) {
 	for _, shape := range []struct {
 		name   string
 		n, dim int
 	}{
 		{"sigma100x4", 100, 4},   // the default Σ the Drift Inspector scores against
-		{"sigma512x64", 512, 64}, // bounded-kernel regime (dim > inline cutoff)
+		{"sigma512x64", 512, 64}, // the exact loop of every width but 4
 	} {
 		// Reference samples of one provisioned condition concentrate, so
-		// generate Σ as clusters — the regime the bounded kernel's
-		// early-exit is built for — with the probe near one cluster.
+		// generate Σ as clusters, with the probe near one cluster.
 		rng := stats.NewRNG(17)
 		centers := make([]tensor.Vector, 8)
 		for i := range centers {

@@ -1,7 +1,6 @@
 package conformal
 
 import (
-	"math"
 	"testing"
 
 	"videodrift/internal/stats"
@@ -18,78 +17,85 @@ func randomRef(rng *stats.RNG, n, d int) []tensor.Vector {
 }
 
 // TestKNNScorerMatchesBruteForce is the equivalence property test of the
-// optimized score paths: across random dims, K and reference sizes, the
-// quickselect KNN.Score and the flattened-matrix KNNScorer must return
-// the brute-force reference value. The construction preserves the
-// accumulation order of the brute path, so the bar is bit-identity, far
-// inside the issue's ≤1e-12 tolerance.
+// fast scorer: across random widths, K and reference sizes, KNNScorer
+// must return the brute-force reference value, with and without a
+// leave-one-out skip. Widths 1–80 cover the 4-wide register path and the
+// exact SqDistRow loop every other width takes. The construction
+// preserves the accumulation order of the brute path, so the bar is
+// bit-identity.
 func TestKNNScorerMatchesBruteForce(t *testing.T) {
 	rng := stats.NewRNG(101)
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(160)
-		d := 1 + rng.Intn(24)
+		d := 1 + rng.Intn(80)
 		k := 1 + rng.Intn(12) // sometimes > n: exercises clamping
 		ref := randomRef(rng, n, d)
-		flat := tensor.FlattenVectors(ref)
 		m := KNN{K: k}
-		scorer := NewKNNScorer(k, flat)
+		scorer := NewKNNScorer(k, tensor.FlattenVectors(ref))
 		for q := 0; q < 5; q++ {
 			x := tensor.Vector(rng.NormalVec(d, 0, 2))
 			want := m.BruteScore(x, ref)
-			if got := m.Score(x, ref); got != want {
-				t.Fatalf("trial %d (n=%d d=%d k=%d): KNN.Score = %v, brute = %v (Δ=%g)",
-					trial, n, d, k, got, want, got-want)
-			}
 			if got := scorer.Score(x); got != want {
 				t.Fatalf("trial %d (n=%d d=%d k=%d): KNNScorer.Score = %v, brute = %v (Δ=%g)",
 					trial, n, d, k, got, want, got-want)
 			}
-		}
-	}
-}
-
-// TestKNNScorerDuplicateRows pins tie handling: duplicated reference rows
-// produce equal distances straddling the K boundary, and the selected
-// multiset must still sum to the brute value.
-func TestKNNScorerDuplicateRows(t *testing.T) {
-	rng := stats.NewRNG(102)
-	base := randomRef(rng, 8, 3)
-	ref := append(append([]tensor.Vector{}, base...), base...) // every row twice
-	m := KNN{K: 5}
-	scorer := NewKNNScorer(5, tensor.FlattenVectors(ref))
-	for q := 0; q < 20; q++ {
-		x := tensor.Vector(rng.NormalVec(3, 0, 1))
-		want := m.BruteScore(x, ref)
-		if got := scorer.Score(x); got != want {
-			t.Fatalf("tied rows: scorer = %v, brute = %v", got, want)
-		}
-	}
-}
-
-// TestCalibrateFastPathMatchesGeneric verifies the in-place leave-one-out
-// calibration against the original rest-slice construction.
-func TestCalibrateFastPathMatchesGeneric(t *testing.T) {
-	rng := stats.NewRNG(103)
-	for _, n := range []int{2, 3, 17, 80} {
-		for _, k := range []int{1, 3, 5, 90} {
-			ref := randomRef(rng, n, 6)
-			got := Calibrate(KNN{K: k}, ref)
-			// Generic path via a wrapper type that hides the KNN concrete
-			// type from Calibrate's fast-path type switch.
-			want := Calibrate(genericMeasure{KNN{K: k}}, ref)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("n=%d k=%d: Calibrate[%d] = %v, generic = %v", n, k, i, got[i], want[i])
+			if skip := rng.Intn(n); n > 1 {
+				want := m.BruteScore(x, without(ref, skip))
+				if got := scorer.ScoreSkip(x, skip); got != want {
+					t.Fatalf("trial %d (n=%d d=%d k=%d skip=%d): ScoreSkip = %v, brute = %v",
+						trial, n, d, k, skip, got, want)
 				}
 			}
 		}
 	}
 }
 
-type genericMeasure struct{ m Measure }
+// without returns ref less its element i, in a fresh slice.
+func without(ref []tensor.Vector, i int) []tensor.Vector {
+	return append(append([]tensor.Vector{}, ref[:i]...), ref[i+1:]...)
+}
 
-func (g genericMeasure) Score(x tensor.Vector, ref []tensor.Vector) float64 {
-	return g.m.Score(x, ref)
+// TestKNNScorerDuplicateRows pins tie handling, narrow and wide:
+// duplicated reference rows — zero rows among them, probed by the zero
+// vector too — produce equal distances straddling the K boundary, and the
+// selected multiset must still sum to the brute value.
+func TestKNNScorerDuplicateRows(t *testing.T) {
+	rng := stats.NewRNG(102)
+	for _, d := range []int{3, 40} {
+		base := append(randomRef(rng, 8, d), make(tensor.Vector, d))
+		ref := append(append([]tensor.Vector{}, base...), base...) // every row twice
+		m := KNN{K: 5}
+		scorer := NewKNNScorer(5, tensor.FlattenVectors(ref))
+		for q := 0; q < 20; q++ {
+			x := tensor.Vector(rng.NormalVec(d, 0, 1))
+			if q == 0 {
+				x = make(tensor.Vector, d)
+			}
+			want := m.BruteScore(x, ref)
+			if got := scorer.Score(x); got != want {
+				t.Fatalf("d=%d tied rows: scorer = %v, brute = %v", d, got, want)
+			}
+		}
+	}
+}
+
+// TestCalibrateFastPathMatchesGeneric verifies the in-place leave-one-out
+// calibration against the rest-slice construction over BruteScore.
+func TestCalibrateFastPathMatchesGeneric(t *testing.T) {
+	rng := stats.NewRNG(103)
+	for _, n := range []int{2, 3, 17, 80} {
+		for _, k := range []int{1, 3, 5, 90} {
+			for _, d := range []int{4, 6, 40} {
+				ref := randomRef(rng, n, d)
+				got := Calibrate(KNN{K: k}, ref)
+				for i := range ref {
+					if want := (KNN{K: k}).BruteScore(ref[i], without(ref, i)); got[i] != want {
+						t.Fatalf("n=%d k=%d d=%d: Calibrate[%d] = %v, leave-one-out brute = %v", n, k, d, i, got[i], want)
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestKNNScorerScoreSkip pins the leave-one-out primitive directly: a
@@ -107,36 +113,14 @@ func TestKNNScorerScoreSkip(t *testing.T) {
 }
 
 // TestKNNScorerZeroAlloc asserts the acceptance criterion directly:
-// the hot score path allocates nothing.
+// neither distance path allocates.
 func TestKNNScorerZeroAlloc(t *testing.T) {
 	rng := stats.NewRNG(104)
-	ref := randomRef(rng, 100, 4)
-	scorer := NewKNNScorer(5, tensor.FlattenVectors(ref))
-	x := tensor.Vector(rng.NormalVec(4, 0, 1))
-	allocs := testing.AllocsPerRun(200, func() { scorer.Score(x) })
-	if allocs != 0 {
-		t.Errorf("KNNScorer.Score allocates %v objects/op, want 0", allocs)
-	}
-}
-
-// TestSelectSmallest pins the quickselect partial ordering.
-func TestSelectSmallest(t *testing.T) {
-	rng := stats.NewRNG(105)
-	for trial := 0; trial < 100; trial++ {
-		n := 1 + rng.Intn(64)
-		k := 1 + rng.Intn(n)
-		a := rng.UniformVec(n, -10, 10)
-		sorted := append([]float64(nil), a...)
-		insertionSort(sorted)
-		selectSmallest(a, k)
-		max := math.Inf(-1)
-		for _, v := range a[:k] {
-			if v > max {
-				max = v
-			}
-		}
-		if max != sorted[k-1] {
-			t.Fatalf("n=%d k=%d: max of a[:k] = %v, want %v", n, k, max, sorted[k-1])
+	for _, d := range []int{4, 64} {
+		scorer := NewKNNScorer(5, tensor.FlattenVectors(randomRef(rng, 100, d)))
+		x := tensor.Vector(rng.NormalVec(d, 0, 1))
+		if allocs := testing.AllocsPerRun(200, func() { scorer.Score(x) }); allocs != 0 {
+			t.Errorf("d=%d: KNNScorer.Score allocates %v objects/op, want 0", d, allocs)
 		}
 	}
 }
@@ -147,20 +131,11 @@ func benchRef(n, d int) []tensor.Vector {
 	return randomRef(stats.NewRNG(7), n, d)
 }
 
-// BenchmarkCalibrate shows the leave-one-out fix: "generic" is the
-// original quadratic rest-slice rebuild (still used for non-KNN
-// measures), "fast" the in-place skip-index path provisioning now takes.
+// BenchmarkCalibrate is provisioning's leave-one-out calibration of a
+// 256-row, 4-wide Σ.
 func BenchmarkCalibrate(b *testing.B) {
 	ref := benchRef(256, 4)
-	b.Run("generic", func(b *testing.B) {
-		m := genericMeasure{KNN{K: 5}}
-		for i := 0; i < b.N; i++ {
-			Calibrate(m, ref)
-		}
-	})
-	b.Run("fast", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			Calibrate(KNN{K: 5}, ref)
-		}
-	})
+	for i := 0; i < b.N; i++ {
+		Calibrate(KNN{K: 5}, ref)
+	}
 }

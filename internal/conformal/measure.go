@@ -1,8 +1,9 @@
 // Package conformal implements the conformal-prediction machinery of
-// paper §4: non-conformity measures, conformal p-values (Eq. 1), betting
-// functions (§4.2.4), the additive exchangeability martingale the paper
-// constructs, and the windowed Hoeffding–Azuma drift test (Eq. 15) — the
-// Drift Inspector's Algorithm 1 plus its kNN scorer. The classic
+// paper §4: the kNN non-conformity measure (§4.2.3), conformal p-values
+// (Eq. 1), betting functions (§4.2.4), the additive exchangeability
+// martingale the paper constructs, and the windowed Hoeffding–Azuma drift
+// test (Eq. 15) — the Drift Inspector's Algorithm 1. The measure has one
+// fast scorer, KNNScorer, and one reference, KNN.BruteScore. The classic
 // multiplicative power martingale it improves on lives beside its one
 // caller, the ablation in internal/experiments.
 package conformal
@@ -15,50 +16,19 @@ import (
 	"videodrift/internal/tensor"
 )
 
-// Measure maps an observation and a reference sample to a non-conformity
-// score: the larger the score, the stranger the observation is with
-// respect to the reference (paper §4).
-type Measure interface {
-	// Score returns the non-conformity of x against ref.
-	Score(x tensor.Vector, ref []tensor.Vector) float64
-}
-
 // KNN is the k-nearest-neighbour non-conformity measure the paper adopts:
 // the average Euclidean distance from the observation to its K closest
-// elements of the reference sample (§4.2.3 with K from §6.1).
+// elements of the reference sample (§4.2.3 with K from §6.1). The larger
+// the score, the stranger the observation is with respect to the
+// reference. KNNScorer computes it; BruteScore is its reference.
 type KNN struct {
 	K int
 }
 
-// Score implements Measure via bounded selection: it computes all
-// distances once, quickselects the K smallest instead of sorting the
-// whole list, and sums them in ascending order — bit-identical to
-// BruteScore (the retained sort-everything reference) at a fraction of
-// the cost. When the reference holds fewer than K elements, all of them
-// are used. It panics on an empty reference. For the zero-allocation
-// monitoring hot path use KNNScorer, which reuses scratch buffers and a
-// flattened reference matrix across calls.
-func (m KNN) Score(x tensor.Vector, ref []tensor.Vector) float64 {
-	if len(ref) == 0 {
-		panic("conformal: KNN.Score with empty reference")
-	}
-	k := clampK(m.K, len(ref))
-	dists := make([]float64, len(ref))
-	for i, r := range ref {
-		dists[i] = x.Dist(r)
-	}
-	selectSmallest(dists, k)
-	sort.Float64s(dists[:k])
-	sum := 0.0
-	for _, d := range dists[:k] {
-		sum += d
-	}
-	return sum / float64(k)
-}
-
-// BruteScore is the original allocate-and-sort-all implementation,
-// retained as the reference the optimized paths are property-tested
-// against (and as the worked-example baseline of Tables 2–4).
+// BruteScore is the allocate-and-sort-all implementation, the reference
+// KNNScorer is property-tested against (and the worked-example baseline
+// of Tables 2–4). When the reference holds fewer than K elements, all of
+// them are used; K <= 0 means 1. It panics on an empty reference.
 func (m KNN) BruteScore(x tensor.Vector, ref []tensor.Vector) float64 {
 	if len(ref) == 0 {
 		panic("conformal: KNN.BruteScore with empty reference")
@@ -86,65 +56,25 @@ func clampK(k, n int) int {
 	return k
 }
 
-// selectSmallest partially orders a so that a[:k] holds its k smallest
-// elements (in unspecified order) — Hoare quickselect with median-of-three
-// pivoting, O(n) expected, no allocation.
-func selectSmallest(a []float64, k int) {
-	lo, hi := 0, len(a)-1
-	for hi > lo {
-		// Median-of-three pivot, moved to a[lo].
-		mid := lo + (hi-lo)/2
-		if a[mid] < a[lo] {
-			a[mid], a[lo] = a[lo], a[mid]
-		}
-		if a[hi] < a[lo] {
-			a[hi], a[lo] = a[lo], a[hi]
-		}
-		if a[hi] < a[mid] {
-			a[hi], a[mid] = a[mid], a[hi]
-		}
-		a[lo], a[mid] = a[mid], a[lo]
-		pivot := a[lo]
-		i, j := lo, hi+1
-		for {
-			for i++; i <= hi && a[i] < pivot; i++ {
-			}
-			for j--; a[j] > pivot; j-- {
-			}
-			if i >= j {
-				break
-			}
-			a[i], a[j] = a[j], a[i]
-		}
-		a[lo], a[j] = a[j], a[lo]
-		switch {
-		case j >= k:
-			hi = j - 1
-		default:
-			lo = j + 1
-		}
-	}
-}
-
-// KNNScorer is the zero-allocation kNN non-conformity scorer the
-// monitoring hot path runs: squared distances stream out of a flattened
-// contiguous reference matrix, a size-K max-heap of scratch storage keeps
-// the current K nearest, and rows are abandoned early once their partial
-// squared distance exceeds the heap's maximum. Scores are bit-identical
-// to KNN.BruteScore over the same reference (the sqrt/sum arithmetic and
-// its ordering are preserved). A KNNScorer reuses internal scratch and is
-// NOT safe for concurrent use; the RefMatrix it reads is immutable and
-// may be shared by any number of scorers.
+// KNNScorer is the zero-allocation kNN non-conformity scorer every Σ is
+// scored with: squared distances stream out of a flattened contiguous
+// reference matrix and a size-K max-heap of scratch storage keeps the
+// current K nearest. Every Σ the system builds is vision.Featurize
+// output, 4 wide, and that width has a register path of its own; any
+// other width takes one exact loop over RefMatrix.SqDistRow. Scores are
+// bit-identical to KNN.BruteScore over the same reference (the
+// sqrt/sum arithmetic and its ordering are preserved). A KNNScorer reuses
+// internal scratch and is NOT safe for concurrent use; the RefMatrix it
+// reads is immutable and may be shared by any number of scorers.
 type KNNScorer struct {
 	k    int
 	ref  *tensor.RefMatrix
 	heap []float64 // size-k max-heap of the smallest squared distances
-	xsuf []float64 // probe suffix-norm scratch for the dot-product kernel
 }
 
 // NewKNNScorer builds a scorer for k nearest neighbours over the
 // flattened reference. It panics on an empty reference; k is clamped the
-// same way KNN.Score clamps it.
+// same way KNN.BruteScore clamps it.
 func NewKNNScorer(k int, ref *tensor.RefMatrix) *KNNScorer {
 	if ref == nil || ref.Len() == 0 {
 		panic("conformal: NewKNNScorer with empty reference")
@@ -179,8 +109,8 @@ func (s *KNNScorer) ScoreSkip(x tensor.Vector, skip int) float64 {
 	if s.ref.Dim() == 4 && len(x) == 4 {
 		// The default appearance features are exactly 4-dim; hoisting the
 		// probe into locals lets the whole distance drop into registers.
-		// Accumulation order matches the generic loop (ascending j), so
-		// scores stay bit-identical.
+		// Accumulation order matches SqDistRow (ascending j), so scores
+		// stay bit-identical.
 		x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
 		for i := 0; i < n; i++ {
 			if i == skip {
@@ -205,69 +135,18 @@ func (s *KNNScorer) ScoreSkip(x tensor.Vector, skip int) float64 {
 				siftDown(h)
 			}
 		}
-	} else if s.ref.Dim() <= inlineDistDim {
-		// Small rows (the appearance features are 4-dim): the blocked
-		// early-exit kernel cannot prune inside a row this short, so the
-		// per-row function call is pure overhead. Inline the distance loop
-		// — same accumulation order, bit-identical — and compare after.
+	} else {
 		for i := 0; i < n; i++ {
 			if i == skip {
 				continue
 			}
-			row := s.ref.Row(i)[:len(x)]
-			d2 := 0.0
-			for j, xv := range x {
-				d := xv - row[j]
-				d2 += d * d
-			}
+			d2 := s.ref.SqDistRow(x, i)
 			if len(h) < k {
 				h = append(h, d2)
 				siftUp(h)
 				continue
 			}
 			if d2 < h[0] {
-				h[0] = d2
-				siftDown(h)
-			}
-		}
-	} else if s.ref.Dim() >= dotKernelDim {
-		// Wide rows: the dot-product kernel. |x−b|² = |x|²+|b|²−2x·b with
-		// the dot accumulated in four independent lanes is throughput-bound
-		// where the subtract-square chain is latency-bound, and precomputed
-		// row/suffix norms prune hopeless rows block by block. The estimate
-		// is used ONLY as a filter (its lane-parallel accumulation is not
-		// bit-compatible with SqDistRow, and the −2x·b form cancels
-		// catastrophically near zero); any row the filter cannot discard —
-		// with conservative slack — is recomputed exactly, so the k-smallest
-		// multiset, and hence the score, is bit-identical to BruteScore.
-		kd := s.ref.NewDotDist(x, s.xsuf)
-		i := 0
-		for filled := 0; filled < k; i++ {
-			if i == skip {
-				continue
-			}
-			h = append(h, s.ref.SqDistRow(x, i))
-			siftUp(h)
-			filled++
-		}
-		// Remaining rows stream through the filter inside the kernel —
-		// no per-row call — with candidates recomputed exactly there, so
-		// the heap's k-smallest multiset stays bit-identical to a full
-		// exact scan.
-		kd.SelectNearest(i, skip, h)
-		s.xsuf = kd.Scratch()
-	} else {
-		for i := 0; i < n; i++ {
-			if i == skip {
-				continue
-			}
-			if len(h) < k {
-				d2 := s.ref.SqDistRow(x, i)
-				h = append(h, d2)
-				siftUp(h)
-				continue
-			}
-			if d2, ok := s.ref.SqDistRowBounded(x, i, h[0]); ok && d2 < h[0] {
 				h[0] = d2
 				siftDown(h)
 			}
@@ -284,19 +163,6 @@ func (s *KNNScorer) ScoreSkip(x tensor.Vector, skip int) float64 {
 	}
 	return sum / float64(k)
 }
-
-// inlineDistDim is the row width at or below which ScoreSkip computes
-// distances with an inlined loop instead of the blocked early-exit
-// kernel: a row at most two blocks wide gives the bound check at most
-// one chance to fire, which doesn't repay a function call per row.
-const inlineDistDim = 2 * 8
-
-// dotKernelDim is the row width at or above which ScoreSkip switches
-// from the early-exit subtract-square kernel to the dot-product kernel:
-// at four or more tensor.DotBlock blocks the lane-parallel dot plus
-// norm-based pruning amortizes the one-time probe-norm setup; between
-// inlineDistDim and here the early-exit kernel stays ahead.
-const dotKernelDim = 4 * tensor.DotBlock
 
 // siftUp restores the max-heap property after appending to h.
 func siftUp(h []float64) {
@@ -345,32 +211,17 @@ func insertionSort(a []float64) {
 
 // Calibrate returns the leave-one-out non-conformity score of every
 // element of ref against the rest — the precomputed A_i list of
-// Algorithm 1. It panics when ref has fewer than two elements.
-//
-// For the KNN measure the leave-one-out is computed in place over one
-// flattened reference matrix by skipping row i during scoring, replacing
-// the original O(n²) rebuild-the-rest-slice copying (n−1 vector copies
-// per element, n times over). Other measures fall back to the generic
-// rest-slice path.
-func Calibrate(m Measure, ref []tensor.Vector) []float64 {
+// Algorithm 1 — computed in place over one flattened reference matrix by
+// skipping row i during scoring. It panics when ref has fewer than two
+// elements.
+func Calibrate(m KNN, ref []tensor.Vector) []float64 {
 	if len(ref) < 2 {
 		panic(fmt.Sprintf("conformal: Calibrate needs >= 2 reference points, got %d", len(ref)))
 	}
-	if knn, ok := m.(KNN); ok {
-		scorer := NewKNNScorer(knn.K, tensor.FlattenVectors(ref))
-		scores := make([]float64, len(ref))
-		for i, x := range ref {
-			scores[i] = scorer.ScoreSkip(x, i)
-		}
-		return scores
-	}
+	scorer := NewKNNScorer(m.K, tensor.FlattenVectors(ref))
 	scores := make([]float64, len(ref))
-	rest := make([]tensor.Vector, len(ref)-1)
-	for i := range ref {
-		rest = rest[:0]
-		rest = append(rest, ref[:i]...)
-		rest = append(rest, ref[i+1:]...)
-		scores[i] = m.Score(ref[i], rest)
+	for i, x := range ref {
+		scores[i] = scorer.ScoreSkip(x, i)
 	}
 	return scores
 }

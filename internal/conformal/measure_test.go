@@ -34,9 +34,9 @@ func TestKNNScoreReproducesPaperTable4(t *testing.T) {
 	// Table 2 — [9,8] prints 7.6 where exact K=3 arithmetic gives 8.07).
 	inputs := []tensor.Vector{{8, 6}, {9, 8}, {10, 7}, {6, 7}}
 	want := []float64{6.1, 7.6, 8.3, 5.2}
-	m := KNN{K: 3}
+	scorer := NewKNNScorer(3, tensor.FlattenVectors(paperSigma()))
 	for i, f := range inputs {
-		got := m.Score(f, paperSigma())
+		got := scorer.Score(f)
 		if math.Abs(got-want[i]) > 0.5 {
 			t.Errorf("a_f(%v) = %v, paper has %v", f, got, want[i])
 		}
@@ -44,10 +44,9 @@ func TestKNNScoreReproducesPaperTable4(t *testing.T) {
 }
 
 func TestPaperExamplePValuesAreZero(t *testing.T) {
-	m := KNN{K: 3}
+	scorer := NewKNNScorer(3, tensor.FlattenVectors(paperSigma()))
 	for _, f := range []tensor.Vector{{8, 6}, {9, 8}, {10, 7}, {6, 7}} {
-		a := m.Score(f, paperSigma())
-		if p := PValue(paperCalib, a, 0.5); p != 0 {
+		if p := PValue(paperCalib, scorer.Score(f), 0.5); p != 0 {
 			t.Errorf("p-value of %v = %v, paper has 0", f, p)
 		}
 	}
@@ -55,22 +54,37 @@ func TestPaperExamplePValuesAreZero(t *testing.T) {
 
 func TestKNNEdgeCases(t *testing.T) {
 	ref := []tensor.Vector{{0, 0}, {2, 0}}
+	flat := tensor.FlattenVectors(ref)
 	// K larger than the reference uses everything.
-	if got := (KNN{K: 10}).Score(tensor.Vector{1, 0}, ref); got != 1 {
+	if got := NewKNNScorer(10, flat).Score(tensor.Vector{1, 0}); got != 1 {
 		t.Errorf("K>len score = %v, want 1", got)
 	}
+	if got := (KNN{K: 10}).BruteScore(tensor.Vector{1, 0}, ref); got != 1 {
+		t.Errorf("K>len brute score = %v, want 1", got)
+	}
 	// K <= 0 behaves as 1-NN.
-	if got := (KNN{K: 0}).Score(tensor.Vector{0.5, 0}, ref); got != 0.5 {
+	if got := NewKNNScorer(0, flat).Score(tensor.Vector{0.5, 0}); got != 0.5 {
 		t.Errorf("K=0 score = %v, want 0.5", got)
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("empty reference did not panic")
-			}
+	if got := (KNN{K: 0}).BruteScore(tensor.Vector{0.5, 0}, ref); got != 0.5 {
+		t.Errorf("K=0 brute score = %v, want 0.5", got)
+	}
+	for _, c := range []struct {
+		name  string
+		score func()
+	}{
+		{"scorer", func() { NewKNNScorer(1, tensor.FlattenVectors(nil)) }},
+		{"brute", func() { (KNN{K: 1}).BruteScore(tensor.Vector{0}, nil) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: empty reference did not panic", c.name)
+				}
+			}()
+			c.score()
 		}()
-		(KNN{K: 1}).Score(tensor.Vector{0}, nil)
-	}()
+	}
 }
 
 func TestCalibrateValidation(t *testing.T) {
@@ -116,12 +130,12 @@ func TestPValueUniformUnderExchangeability(t *testing.T) {
 	for i := range ref {
 		ref[i] = tensor.Vector(rng.NormalVec(dim, 0, 1))
 	}
-	m := KNN{K: 5}
-	calib := Calibrate(m, ref)
+	calib := Calibrate(KNN{K: 5}, ref)
+	scorer := NewKNNScorer(5, tensor.FlattenVectors(ref))
 	ps := make([]float64, 400)
 	for i := range ps {
 		x := tensor.Vector(rng.NormalVec(dim, 0, 1))
-		ps[i] = PValue(calib, m.Score(x, ref), rng.Float64())
+		ps[i] = PValue(calib, scorer.Score(x), rng.Float64())
 	}
 	// Inductive p-values share one calibration set, so they are only
 	// marginally uniform, not independent; KS over a long dependent
@@ -140,12 +154,12 @@ func TestPValueSmallUnderDrift(t *testing.T) {
 	for i := range ref {
 		ref[i] = tensor.Vector(rng.NormalVec(dim, 0, 1))
 	}
-	m := KNN{K: 5}
-	calib := Calibrate(m, ref)
+	calib := Calibrate(KNN{K: 5}, ref)
+	scorer := NewKNNScorer(5, tensor.FlattenVectors(ref))
 	total := 0.0
 	for i := 0; i < 100; i++ {
 		x := tensor.Vector(rng.NormalVec(dim, 5, 1)) // shifted distribution
-		total += PValue(calib, m.Score(x, ref), rng.Float64())
+		total += PValue(calib, scorer.Score(x), rng.Float64())
 	}
 	if mean := total / 100; mean > 0.05 {
 		t.Errorf("mean p-value under drift = %v, want near 0", mean)

@@ -82,9 +82,6 @@ func NewDriftInspector(entry *ModelEntry, cfg DIConfig, rng *stats.RNG) *DriftIn
 	}
 }
 
-// Entry returns the model entry the inspector monitors.
-func (di *DriftInspector) Entry() *ModelEntry { return di.entry }
-
 // SetTracer attaches a telemetry tracer. A nil tracer (the default)
 // keeps the untraced fast path: one pointer compare per sampled frame.
 func (di *DriftInspector) SetTracer(tr *telemetry.Tracer) { di.tracer = tr }

@@ -347,20 +347,6 @@ func (p *Pipeline) Process(f vidsim.Frame) Outcome {
 	return out
 }
 
-// ProcessBatch runs a micro-batch of consecutive frames through the
-// pipeline and returns one outcome per frame. It is exactly equivalent
-// to calling Process on each frame in order — same state evolution,
-// bit-identical outcomes under any batch size — packaged as one call so
-// supervised callers (the sharded monitor) can amortize per-call
-// snapshot and scheduling cost over the batch.
-func (p *Pipeline) ProcessBatch(frames []vidsim.Frame) []Outcome {
-	out := make([]Outcome, len(frames))
-	for i, f := range frames {
-		out[i] = p.Process(f)
-	}
-	return out
-}
-
 // trainingFailed handles one failed training attempt: retry with capped
 // frame-count backoff while attempts remain, then degrade — abandon the
 // window, keep serving the deployed model, and resume monitoring so a

@@ -106,25 +106,25 @@ func (m *powerMartingale) reset() { m.logM = 0; m.max = 0 }
 // powerDetector wraps the classic multiplicative conformal martingale
 // with Ville's inequality as its stopping rule.
 type powerDetector struct {
-	entry   *core.ModelEntry
-	measure conformal.KNN
-	mart    *powerMartingale
-	rng     *stats.RNG
-	delta   float64
+	entry  *core.ModelEntry
+	scorer *conformal.KNNScorer
+	mart   *powerMartingale
+	rng    *stats.RNG
+	delta  float64
 }
 
 func newPowerDetector(e *core.ModelEntry, rng *stats.RNG) *powerDetector {
 	return &powerDetector{
-		entry:   e,
-		measure: conformal.KNN{K: 5},
-		mart:    &powerMartingale{bet: mixture()},
-		rng:     rng,
-		delta:   0.01,
+		entry:  e,
+		scorer: conformal.NewKNNScorer(5, e.FeatMatrix()),
+		mart:   &powerMartingale{bet: mixture()},
+		rng:    rng,
+		delta:  0.01,
 	}
 }
 
 func (p *powerDetector) observe(f vidsim.Frame) bool {
-	a := p.measure.Score(vision.Featurize(f.Pixels, p.entry.W, p.entry.H), p.entry.SampleFeats)
+	a := p.scorer.Score(vision.Featurize(f.Pixels, p.entry.W, p.entry.H))
 	p.mart.update(p.entry.Calib.PValue(a, p.rng.Float64()))
 	return p.mart.exceeds(p.delta)
 }

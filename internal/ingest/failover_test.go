@@ -140,6 +140,95 @@ func TestClientFailover(t *testing.T) {
 	}
 }
 
+// TestClientFailoverCorruptFirstFrame: the first frame a failed-over
+// client sends the standby arrives corrupted. The stream stays aligned,
+// so the frames behind it reach the router first — and must not define
+// the tenant's position there: the client's opening Sync already did, so
+// they are gaps, and the resend delivers every frame exactly once.
+func TestClientFailoverCorruptFirstFrame(t *testing.T) {
+	_, opts := sharedModels()
+
+	primary := NewServer(NewRouter(testFleet(opts), Config{}), ServerConfig{Logf: t.Logf})
+	go primary.ListenAndServe("127.0.0.1:0")
+	for primary.Addr() == nil {
+		time.Sleep(time.Millisecond)
+	}
+	standbyRouter := NewRouter(testFleet(opts), Config{ResumeStreams: true})
+	standbySrv := NewServer(standbyRouter, ServerConfig{Logf: t.Logf})
+	go standbySrv.ListenAndServe("127.0.0.1:0")
+	defer standbySrv.Close()
+	for standbySrv.Addr() == nil {
+		time.Sleep(time.Millisecond)
+	}
+
+	const confirmed, frames = 5, 10
+	stream := testStream(frames, 25)
+	var c *Client
+	corrupted := false
+	c, err := Dial(ClientConfig{
+		Addr:   primary.Addr().String() + "," + standbySrv.Addr().String(),
+		Tenant: "cam-a",
+		Sleep:  func(time.Duration) {},
+		TxFault: func(_ int, b []byte) ([]byte, bool) {
+			// The first transmission of frame 5 after the failover: its
+			// payload's last byte flipped, the checksum no longer matching.
+			if corrupted || c.Stats().Failovers == 0 {
+				return b, false
+			}
+			_, payload, err := DecodeMsg(b)
+			if err != nil {
+				t.Errorf("a frame the client sealed: %v", err)
+				return b, false
+			}
+			if m, err := DecodeFrameMsg(payload); err != nil || m.Seq != confirmed {
+				return b, false
+			}
+			corrupted = true
+			bad := append([]byte(nil), b...)
+			bad[len(bad)-1] ^= 0xff
+			return bad, false
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < confirmed; i++ {
+		if err := c.Send(stream[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	primary.Close()
+	for i := confirmed; i < frames; i++ {
+		if err := c.Send(stream[i]); err != nil {
+			t.Fatalf("frame %d (after failover): %v", i, err)
+		}
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !corrupted {
+		t.Fatal("no frame was corrupted: the test exercised nothing")
+	}
+	if st := c.Stats(); st.Failovers < 1 || st.Acked != frames || st.Nacks == 0 {
+		t.Fatalf("client stats %+v, want a failover, a nack and all %d frames acked", st, frames)
+	}
+	if _, err := standbyRouter.Pump(); err != nil {
+		t.Fatal(err)
+	}
+	ss := standbyRouter.Stats()
+	if ss.Accepted != frames-confirmed || ss.Processed != frames-confirmed || ss.Dups != 0 {
+		t.Fatalf("standby accepted %d, processed %d (%d dups), want every one of frames %d..%d once",
+			ss.Accepted, ss.Processed, ss.Dups, confirmed, frames-1)
+	}
+	if at := standbyRouter.Position("cam-a"); at != frames {
+		t.Fatalf("standby holds cam-a at %d, want %d", at, frames)
+	}
+}
+
 // TestRouterRestoresTenants: a router over a fleet resumed from a
 // checkpoint takes over the tenants the checkpoint names, at the stream
 // position each had reached, and a client ahead of the checkpoint moves

@@ -131,9 +131,10 @@ type Nack struct {
 // confirmed. The answer is an Ack whose Seq is the tenant's next expected
 // sequence number — every frame below it is admitted, since the router
 // admits strictly in order — or, for a tenant the server does not know,
-// 0 (Seq under Config.ResumeStreams, where the first frame defines the
-// position). A Sync attaches nothing and moves no counter. The server
-// answers a frame only when it rejects it.
+// 0. Under Config.ResumeStreams the Sync of a tenant the server does not
+// know attaches it at Seq, as its first frame would, and the answer is
+// Seq; otherwise a Sync attaches nothing and moves no counter. The
+// server answers a frame only when it rejects it.
 type Sync struct {
 	Tenant string
 	Seq    uint64

@@ -55,10 +55,12 @@ type Config struct {
 	// evict/reattach so the tenant's history survives). Nil shares the
 	// fleet's base tracer.
 	NewTracer func(tenant string) *telemetry.Tracer
-	// ResumeStreams makes a brand-new tenant's first frame define its
+	// ResumeStreams makes a brand-new tenant's first contact define its
 	// stream position instead of requiring seq 0 — the promoted-standby
 	// and warm-restart case, where clients arrive mid-stream at a server
-	// that has not seen them. Only tenant creation adopts the sequence; a
+	// that has not seen them. First contact is a wire client's opening
+	// Sync, which attaches the tenant as a frame would, or an HTTP
+	// client's first frame. Only tenant creation adopts the sequence; a
 	// returning evicted tenant still resumes its retained position, so
 	// the exactly-once contract within one server's lifetime holds.
 	ResumeStreams bool
@@ -85,6 +87,8 @@ type Router struct {
 	mu      sync.Mutex
 	tenants map[string]*tenant
 	order   []*tenant
+	// stopped is set by StopAdmission: no frame is queued after it.
+	stopped bool
 
 	// wake holds at most one token: "a frame was queued that nobody has
 	// fed". Whoever queued a frame and does not feed it leaves the token
@@ -325,24 +329,51 @@ func (r *Router) admitWindowed(tenant string, f vidsim.Frame, done <-chan struct
 func (r *Router) Position(tenant string) uint64 { return r.position([]byte(tenant), 0, false) }
 
 // position is the answer to a Sync: the tenant's next expected sequence
-// number — or, for a tenant the router does not know, 0, or with
-// ResumeStreams seq, the client's own, since its first frame will define
-// the position. A Sync from a restored tenant's client, which may be ahead
-// of the checkpoint, sets the position: a frame after a lost one is a gap.
-// It attaches nothing and moves no counter.
+// number, or 0 for a tenant the router does not know. A Sync sets the
+// position where the client is ahead of what the router holds — a frame
+// after a lost one is then a gap, not the stream's new start: from a
+// restored tenant's client, which may be ahead of the checkpoint, and
+// under ResumeStreams from the client of a tenant the router does not
+// know, which it attaches at seq as that client's first frame would have
+// (the tenant limit holds it as it holds a frame; at the limit, or once
+// admission stopped, the answer is seq and nothing is attached).
+// Otherwise a Sync attaches nothing and moves no counter.
 func (r *Router) position(tenant []byte, seq uint64, sync bool) uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if t := r.tenants[string(tenant)]; t != nil {
-		if t.resumed && sync {
-			t.nextSeq, t.resumed = max(t.nextSeq, seq), false
+	t := r.tenants[string(tenant)]
+	if t == nil && sync && r.cfg.ResumeStreams {
+		if r.stopped {
+			return seq
 		}
-		return t.nextSeq
+		if t, _ = r.attachLocked(string(tenant), seq); t == nil {
+			return seq
+		}
+		t.lastSeen = r.cfg.Now()
+		r.signal() // the next pump arms the tenant's idle eviction
 	}
-	if r.cfg.ResumeStreams {
-		return seq
+	if t == nil {
+		return 0
 	}
-	return 0
+	if t.resumed && sync {
+		t.nextSeq, t.resumed = max(t.nextSeq, seq), false
+	}
+	return t.nextSeq
+}
+
+// StopAdmission closes the router to frames: once it returns, no frame
+// joins a queue over either transport — each is rejected as an internal
+// fault, which a client resends elsewhere — and a connection waiting for
+// room in a queue gives up. What is queued stays for the next Pump, which
+// drains it; a server shutting down calls it before its last one.
+func (r *Router) StopAdmission() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.stopped = true
+	if r.room != nil {
+		close(r.room)
+		r.room = nil
+	}
 }
 
 // signal leaves the wake-up token.
@@ -390,34 +421,15 @@ func (r *Router) enqueue(id string, f vidsim.Frame, wait bool) (Verdict, <-chan 
 	seq := uint64(f.Index)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	t := r.tenants[id]
-	if t == nil || t.slot < 0 {
-		if r.activeLocked() >= r.cfg.MaxTenants {
+	if r.stopped {
+		return Verdict{Code: NackInternal, Reason: "server closing"}, nil
+	}
+	t, v := r.attachLocked(id, seq)
+	if t == nil {
+		if v.Code == NackTenantLimit {
 			r.nackLimit++
-			return Verdict{
-				Code:       NackTenantLimit,
-				RetryAfter: r.cfg.RetryAfter,
-				Reason:     fmt.Sprintf("fleet at max tenants (%d)", r.cfg.MaxTenants),
-			}, nil
 		}
-		if t == nil {
-			t = &tenant{id: id, slot: -1}
-			if r.cfg.ResumeStreams {
-				// A failed-over client arrives mid-stream; its first frame's
-				// sequence number becomes this tenant's stream position.
-				t.nextSeq = seq
-			}
-			if r.cfg.NewTracer != nil {
-				t.tracer = r.cfg.NewTracer(id)
-			}
-			r.insert(t)
-		}
-		slot, err := r.sm.AttachTenant(id, t.nextSeq, t.tracer)
-		if err != nil {
-			return Verdict{Code: NackInternal, Reason: err.Error()}, nil
-		}
-		t.slot = slot
-		r.attaches++
+		return v, nil
 	}
 	t.lastSeen = r.cfg.Now()
 	if t.resumed && seq > t.nextSeq {
@@ -464,6 +476,43 @@ func (r *Router) enqueue(id string, f vidsim.Frame, wait bool) (Verdict, <-chan 
 	t.accepted++
 	r.accepted++
 	return Verdict{Ack: true}, nil
+}
+
+// attachLocked returns tenant id attached to a shard — first contact
+// with an unknown tenant creates it, at seq under ResumeStreams (a
+// failed-over client arrives mid-stream) and at 0 otherwise, and a
+// returning evicted tenant reattaches at its retained position — or nil
+// and the rejection: the fleet is at MaxTenants, or the attach failed.
+// Callers hold r.mu.
+func (r *Router) attachLocked(id string, seq uint64) (*tenant, Verdict) {
+	t := r.tenants[id]
+	if t != nil && t.slot >= 0 {
+		return t, Verdict{}
+	}
+	if r.activeLocked() >= r.cfg.MaxTenants {
+		return nil, Verdict{
+			Code:       NackTenantLimit,
+			RetryAfter: r.cfg.RetryAfter,
+			Reason:     fmt.Sprintf("fleet at max tenants (%d)", r.cfg.MaxTenants),
+		}
+	}
+	if t == nil {
+		t = &tenant{id: id, slot: -1}
+		if r.cfg.ResumeStreams {
+			t.nextSeq = seq
+		}
+		if r.cfg.NewTracer != nil {
+			t.tracer = r.cfg.NewTracer(id)
+		}
+		r.insert(t)
+	}
+	slot, err := r.sm.AttachTenant(id, t.nextSeq, t.tracer)
+	if err != nil {
+		return nil, Verdict{Code: NackInternal, Reason: err.Error()}
+	}
+	t.slot = slot
+	r.attaches++
+	return t, Verdict{}
 }
 
 // activeLocked counts attached tenants. Callers hold r.mu.

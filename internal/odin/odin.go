@@ -16,7 +16,6 @@
 package odin
 
 import (
-	"math"
 	"sort"
 
 	"videodrift/internal/stats"
@@ -61,7 +60,6 @@ type Cluster struct {
 	dists    []float64 // member distances to the centroid (reservoir)
 	sorted   bool
 
-	lastKL    float64
 	lastTouch int // observer frame count at the last member addition
 }
 
@@ -231,8 +229,7 @@ func (d *Detector) Observe(f vidsim.Frame) Result {
 	c.add(x, dist, d.cfg.MaxDistances)
 	if before != nil {
 		after := c.distHistogram(d.cfg.KLBins)
-		c.lastKL = stats.KLDivergence(after.Probabilities(), before.Probabilities())
-		if c.lastKL < d.cfg.KLThreshold {
+		if stats.KLDivergence(after.Probabilities(), before.Probabilities()) < d.cfg.KLThreshold {
 			// The temporary cluster's distribution has stabilized: promote
 			// it — ODIN's drift declaration.
 			c.Permanent = true
@@ -251,13 +248,4 @@ func (d *Detector) TempSize() int {
 		return 0
 	}
 	return d.temp.count
-}
-
-// LastKL returns the most recent promotion-test KL divergence (for
-// diagnostics), or +Inf before any test ran.
-func (d *Detector) LastKL() float64 {
-	if d.temp == nil || d.temp.count <= d.cfg.MinTempSize {
-		return math.Inf(1)
-	}
-	return d.temp.lastKL
 }

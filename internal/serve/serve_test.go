@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -700,9 +701,8 @@ func TestSelectorMismatch(t *testing.T) {
 }
 
 // outcome is what a run left for one tenant: the events its tracer
-// rings, less what differs between runs of one stream (sequence numbers,
-// clock readings, checkpoint saves); its retained declarations; its
-// metrics.
+// rings, less what differs between runs of one stream (sequence numbers
+// and clock readings); its retained declarations; its metrics.
 type outcome struct {
 	Events []telemetry.Event
 	Decls  any
@@ -713,10 +713,8 @@ type outcome struct {
 func ringed(tr *telemetry.Tracer) []telemetry.Event {
 	var out []telemetry.Event
 	for _, e := range tr.Events() {
-		if e.Kind != telemetry.KindCheckpointSaved {
-			e.Seq, e.TimeUnixNano = 0, 0
-			out = append(out, e)
-		}
+		e.Seq, e.TimeUnixNano = 0, 0
+		out = append(out, e)
 	}
 	return out
 }
@@ -970,6 +968,145 @@ func TestShutdownFlushes(t *testing.T) {
 	}
 	if err := leakcheck.Check(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestShutdownServesHealthThroughFlush holds Shutdown inside its final
+// generation — its standby is a listener that takes the connection and
+// says nothing — and looks at the server there: admission has stopped,
+// so neither a frame over POST /ingest nor one over the wire is admitted
+// or attaches a tenant, and /healthz still answers, which is what keeps
+// a standby's probe from promoting past a flush in progress. Let go, the
+// flush ends in the final checkpoint.
+func TestShutdownServesHealthThroughFlush(t *testing.T) {
+	const frames = 30
+	standby, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig()
+	cfg.StateDir, cfg.CheckpointEvery = t.TempDir(), time.Hour
+	cfg.ReplicateTo, cfg.ReplicateEvery = standby.Addr().String(), time.Hour
+	s := start(t, cfg)
+	feed(t, s.IngestAddr(), [][]vidsim.Frame{tenantStream(s, 0, frames)}, 0, nil)
+	await(t, "the pump to drain", func() bool {
+		h, _ := s.Health()
+		return h.Ingest.Processed == frames
+	})
+
+	shut := make(chan error, 1)
+	go func() { shut <- s.Shutdown() }()
+	// Nothing replicates before Shutdown's final generation dials.
+	conn, err := standby.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if code, body := fetch(t, s, "/healthz"); code != http.StatusOK {
+		t.Errorf("/healthz during the flush: HTTP %d %s", code, body)
+	}
+	late := ingest.EncodeFrame(ingest.MsgFromFrame("cam-http", 0, tenantStream(s, 1, 1)[0]))
+	resp, err := http.Post("http://"+s.Addr()+"/ingest", "application/octet-stream", bytes.NewReader(late))
+	if err != nil {
+		t.Fatalf("POST /ingest during the flush: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Errorf("POST /ingest during the flush: HTTP %d, want %d", resp.StatusCode, http.StatusInternalServerError)
+	}
+	c, err := ingest.Dial(ingest.ClientConfig{Addr: s.IngestAddr(), Tenant: "cam-wire", MaxAttempts: 2,
+		Sleep: func(time.Duration) {}})
+	if err != nil {
+		t.Fatalf("dialing the ingest listener during the flush: %v", err)
+	}
+	var nack *ingest.NackError
+	if err := c.Send(tenantStream(s, 2, 1)[0]); !errors.As(err, &nack) || nack.Nack.Code != ingest.NackInternal {
+		t.Errorf("a wire frame during the flush: %v, want an internal-fault nack", err)
+	}
+	c.Close()
+	h, _ := s.Health()
+	if in := h.Ingest; in.Accepted != frames || in.Processed != frames || in.Known != 1 || in.Attaches != 1 {
+		t.Errorf("during the flush the router holds %+v, want %d frames of one tenant and no attach after", in, frames)
+	}
+
+	conn.Close()
+	standby.Close()
+	if err := <-shut; err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(cfg.StateDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, _, err := st.LoadLatest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(final.Shards) != 1 || final.Shards[0].Tenant != "cam-0" || final.Shards[0].Next != frames {
+		t.Errorf("the final checkpoint holds %d shards, want cam-0 alone at %d", len(final.Shards), frames)
+	}
+	if _, err := http.Get("http://" + s.Addr() + "/healthz"); err == nil {
+		t.Error("the HTTP listener outlived Shutdown")
+	}
+}
+
+// TestCheckpointEventsOnBase: a checkpoint is the process's event, not a
+// tenant's. Every save — one before any tenant attached included — is
+// counted once, by the base tracer, with its age gauge; a tenant's
+// tracer, its /metrics and the event counts its checkpoint holds have
+// none.
+func TestCheckpointEventsOnBase(t *testing.T) {
+	const frames, mid = 40, 20
+	cfg := testConfig()
+	cfg.StateDir, cfg.CheckpointEvery = t.TempDir(), time.Hour
+	s := start(t, cfg)
+	s.saveCheckpoint("test") // no tenant attached yet
+	processed := func(n int64) {
+		for deadline := time.Now().Add(time.Minute); ; time.Sleep(5 * time.Millisecond) {
+			if h, _ := s.Health(); h.Ingest.Processed == n {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Errorf("timed out waiting for %d frames", n)
+				return
+			}
+		}
+	}
+	feed(t, s.IngestAddr(), [][]vidsim.Frame{tenantStream(s, 0, frames)}, 0, func(_, k int) {
+		if k == mid {
+			processed(mid)
+			s.saveCheckpoint("test")
+		}
+	})
+	processed(frames)
+	s.saveCheckpoint("test")
+
+	const saves = 3
+	_, base := fetch(t, s, "/metrics")
+	if want := fmt.Sprintf("\nvideodrift_checkpoints_total %d\n", saves); !strings.Contains(base, want) ||
+		!strings.Contains(base, "\nvideodrift_last_checkpoint_age_seconds ") {
+		t.Errorf("/metrics lacks %q or the checkpoint age gauge", strings.TrimSpace(want))
+	}
+	_, tenant := fetch(t, s, "/metrics?tenant=cam-0")
+	if !strings.Contains(tenant, "\nvideodrift_checkpoints_total 0\n") ||
+		strings.Contains(tenant, "videodrift_last_checkpoint_age_seconds") {
+		t.Error("/metrics?tenant=cam-0 counts checkpoints")
+	}
+	st, err := store.Open(cfg.StateDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, _, err := st.LoadLatest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cp.Shards) != 1 {
+		t.Fatalf("the checkpoint holds %d shards, want 1", len(cp.Shards))
+	}
+	for _, kc := range cp.Shards[0].EventCounts {
+		if kc.Kind == telemetry.KindCheckpointSaved.String() || kc.Kind == telemetry.KindCheckpointFailed.String() {
+			t.Errorf("cam-0's checkpointed event counts hold %s %d", kc.Kind, kc.Count)
+		}
 	}
 }
 

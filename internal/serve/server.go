@@ -323,7 +323,9 @@ func (s *Server) accept(what string, serve func() error) {
 // directory — unless no frame arrived since the last save, which then
 // still holds the fleet's state and counts as fresh. A failed write never
 // loses state — the store's atomic temp+rename leaves the previous
-// generation intact — so it is retried with capped backoff.
+// generation intact — so it is retried with capped backoff. Saves and
+// failed attempts are the process's events, not a tenant's: they go to
+// the base tracer, beside the replication events.
 func (s *Server) saveCheckpoint(reason string) {
 	n := s.processed.Load()
 	if n == s.framesAtSave {
@@ -331,19 +333,11 @@ func (s *Server) saveCheckpoint(reason string) {
 		return
 	}
 	start := time.Now()
-	mon := s.flt.Load().mon
-	cp := mon.Checkpoint()
+	cp := s.flt.Load().mon.Checkpoint()
 	if s.prim != nil {
 		// A warm restart of a replicating primary must resume the same
 		// fencing epoch (and generation counter) it streamed under.
 		cp.Gen, cp.Epoch = s.prim.Gen(), s.prim.Epoch()
-	}
-	eachTracer := func(f func(*telemetry.Tracer)) {
-		for k := 0; k < mon.Shards(); k++ {
-			if m := mon.Shard(k); m != nil {
-				f(m.Telemetry())
-			}
-		}
 	}
 	retry := faults.DefaultRetry()
 	var path string
@@ -352,7 +346,7 @@ func (s *Server) saveCheckpoint(reason string) {
 		return serr
 	}, func(attempt int, serr error) {
 		log.Printf("checkpoint (%s) attempt %d: %v", reason, attempt, serr)
-		eachTracer(func(tr *telemetry.Tracer) { tr.CheckpointFailed(attempt, serr.Error()) })
+		s.base.CheckpointFailed(attempt, serr.Error())
 	})
 	if err != nil {
 		log.Printf("checkpoint (%s): giving up after %d attempts: %v", reason, retry.Attempts, err)
@@ -365,7 +359,7 @@ func (s *Server) saveCheckpoint(reason string) {
 	if fi, err := os.Stat(path); err == nil {
 		size = int(fi.Size())
 	}
-	eachTracer(func(tr *telemetry.Tracer) { tr.CheckpointSaved(path, size, d) })
+	s.base.CheckpointSaved(path, size, d)
 	if s.cfg.Verbose {
 		fmt.Fprintf(os.Stderr, "checkpoint (%s): %s, %d bytes in %v\n", reason, path, size, d)
 	}
@@ -461,15 +455,17 @@ func (s *Server) promote(reason string) error {
 }
 
 // Shutdown stops the server: the pump loop and the periodic goroutines
-// first; then admission — the HTTP server (it carries POST /ingest) and
-// the ingest server close, and their handlers return — so no frame joins
-// a queue after the final drain; then that drain and, on a primary, a
-// last generation to the standbys, so they hold the exact stopping point;
-// and with -state-dir a final checkpoint. Every frame a client was told
-// was accepted is in both. It returns once every goroutine Start or a
-// promotion began has exited — or, if the pump has not stopped within
-// stopTimeout, with an error and every goroutine's stack on stderr,
-// nothing flushed. Call it once, after a successful Start.
+// first; then admission, in the router, so no frame joins a queue after
+// the final drain over either transport; then that drain and, on a
+// primary, a last generation to the standbys, so they hold the exact
+// stopping point; and with -state-dir a final checkpoint. Every frame a
+// client was told was accepted is in both. Only then do the listeners
+// close, HTTP last: /healthz answers through the flush, so a standby's
+// probe does not find the primary gone before its final generation has
+// shipped. It returns once every goroutine Start or a promotion began
+// has exited — or, if the pump has not stopped within stopTimeout, with
+// an error and every goroutine's stack on stderr, nothing flushed. Call
+// it once, after a successful Start.
 func (s *Server) Shutdown() error { return s.halt(true) }
 
 // halt is Shutdown; without flush it leaves out the drain, the final
@@ -485,16 +481,9 @@ func (s *Server) halt(flush bool) error {
 	if !waitStopped(stopped, stopTimeout, os.Stderr) {
 		return fmt.Errorf("pump still running after %v (goroutine dump above); exiting without a final flush", stopTimeout)
 	}
-	if s.hsrv != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), stopTimeout)
-		if s.hsrv.Shutdown(ctx) != nil {
-			s.hsrv.Close()
-		}
-		cancel()
-	}
 	f := s.flt.Load()
 	if f != nil {
-		f.isrv.Close()
+		f.router.StopAdmission()
 		if flush {
 			s.pumped(f.router.Pump())
 		}
@@ -508,15 +497,25 @@ func (s *Server) halt(flush bool) error {
 		}
 		s.prim.Close()
 	}
-	if s.rln != nil {
-		s.rln.Close()
-		s.sb.Close()
-	}
-	s.serving.Wait()
 	if flush && s.st != nil {
 		fmt.Fprintf(os.Stderr, "flushing final checkpoint to %s...\n", s.st.Dir())
 		s.saveCheckpoint("shutdown")
 	}
+	if f != nil {
+		f.isrv.Close()
+	}
+	if s.rln != nil {
+		s.rln.Close()
+		s.sb.Close()
+	}
+	if s.hsrv != nil {
+		ctx, cancel := context.WithTimeout(context.Background(), stopTimeout)
+		if s.hsrv.Shutdown(ctx) != nil {
+			s.hsrv.Close()
+		}
+		cancel()
+	}
+	s.serving.Wait()
 	return nil
 }
 

@@ -1,42 +1,15 @@
 package tensor
 
-import (
-	"math"
-	"sync/atomic"
-)
-
 // RefMatrix is a reference sample flattened into one contiguous row-major
-// buffer — the cache-friendly layout the hot kNN kernel iterates over.
+// buffer — the cache-friendly layout the kNN scorer iterates over.
 // A []Vector reference scatters rows across the heap (one allocation per
 // vector, pointer chase per row); flattening puts every row on the same
-// few cache lines so the distance kernel streams through memory linearly.
-// A RefMatrix is safe for concurrent readers, which is what lets many
-// inspectors (and many stream shards) share one provisioned reference
-// sample; the only mutation is SetRow, which must not race with readers.
-//
-// The matrix lazily caches per-row norms for the dot-product distance
-// kernel (see DotDist); SetRow invalidates the cache, so stale norms can
-// never be observed.
+// few cache lines so the distance loop streams through memory linearly.
+// A RefMatrix is immutable once built, which is what lets many inspectors
+// (and many stream shards) share one provisioned reference sample.
 type RefMatrix struct {
 	n, dim int
 	data   []float64
-	norms  atomic.Pointer[normCache]
-}
-
-// normCache holds the precomputed geometry the dot-product kernel prunes
-// with. It is immutable once published (atomically) and rebuilt from
-// scratch after a mutation.
-type normCache struct {
-	// sq[i] is |row_i|², the squared L2 norm.
-	sq []float64
-	// suffix[i*(blocks+1)+t] is |row_i[t*DotBlock:]|, the (sqrt'ed) L2
-	// norm of the row's tail from block boundary t — what Cauchy–Schwarz
-	// bounds the unseen part of a dot product with. suffix[...blocks] = 0.
-	suffix []float64
-	blocks int
-	// maxSq is max_i sq[i], sizing the kernel's conservative slack once
-	// per cache build instead of once per probe.
-	maxSq float64
 }
 
 // FlattenVectors copies equal-length vectors into a contiguous RefMatrix.
@@ -77,375 +50,4 @@ func (m *RefMatrix) SqDistRow(x Vector, i int) float64 {
 		s += d * d
 	}
 	return s
-}
-
-// sqDistBlock is the kernel's early-exit granularity: the partial sum is
-// checked against the bound once per block of coordinates, so pruning
-// costs one extra compare per block instead of one per element.
-const sqDistBlock = 8
-
-// SqDistRowBounded computes the squared distance between x and row i,
-// abandoning the row as soon as the partial sum exceeds bound (partial
-// sums of squares are monotone, so an abandoned row cannot be among the
-// rows within bound). It returns the full squared distance and true when
-// the row completed, or the partial sum and false when it was pruned.
-// Completed distances are bit-identical to SqDistRow: the bound check
-// never alters the accumulation itself.
-func (m *RefMatrix) SqDistRowBounded(x Vector, i int, bound float64) (float64, bool) {
-	row := m.data[i*m.dim : i*m.dim+len(x)]
-	s := 0.0
-	j := 0
-	for blockEnd := sqDistBlock; blockEnd < len(x); blockEnd += sqDistBlock {
-		for ; j < blockEnd; j++ {
-			d := x[j] - row[j]
-			s += d * d
-		}
-		if s > bound {
-			return s, false
-		}
-	}
-	for ; j < len(x); j++ {
-		d := x[j] - row[j]
-		s += d * d
-	}
-	return s, s <= bound
-}
-
-// SetRow overwrites row i with v (which must have the matrix's Dim) and
-// invalidates the cached row norms, so the next dot-kernel call rebuilds
-// them against the new data. SetRow must not race with concurrent
-// readers; it exists for callers that refresh a reference sample in
-// place between scoring passes.
-func (m *RefMatrix) SetRow(i int, v Vector) {
-	if len(v) != m.dim {
-		panic("tensor: SetRow with mismatched dimension")
-	}
-	copy(m.data[i*m.dim:(i+1)*m.dim], v)
-	m.norms.Store(nil)
-}
-
-// DotBlock is the dot-product kernel's granularity: the running lower
-// bound is checked against the pruning bound once per block of
-// coordinates, and the suffix-norm cache keeps one entry per block
-// boundary. A multiple of 4 so blocks split evenly into the kernel's
-// four accumulator lanes.
-const DotBlock = 8
-
-// SelectNearest's unrolled inner block indexes 0..7 literally; these
-// zero-size guards fail to compile if DotBlock drifts from 8.
-var (
-	_ [DotBlock - 8]struct{}
-	_ [8 - DotBlock]struct{}
-)
-
-// dotEps scales the kernel's conservative slack per dimension:
-// |a−b|² = |a|²+|b|²−2a·b suffers catastrophic cancellation the direct
-// subtract-square form does not, so the estimate is only trusted to
-// PRUNE (with this much headroom), never as an exact distance. 64
-// ulp-per-coordinate is orders of magnitude beyond the worst
-// accumulated error of the three dot products involved.
-const dotEps = 64 * 2.220446049250313e-16
-
-// normCache returns the cached row geometry, building it on first use.
-// Concurrent first calls may build twice; both results are identical, so
-// whichever publication wins is correct.
-func (m *RefMatrix) normCache() *normCache {
-	if nc := m.norms.Load(); nc != nil {
-		return nc
-	}
-	blocks := m.dim / DotBlock
-	nc := &normCache{
-		sq:     make([]float64, m.n),
-		suffix: make([]float64, m.n*(blocks+1)),
-		blocks: blocks,
-	}
-	for i := 0; i < m.n; i++ {
-		nc.sq[i] = suffixNorms(m.data[i*m.dim:(i+1)*m.dim], nc.suffix[i*(blocks+1):(i+1)*(blocks+1)], blocks)
-		if nc.sq[i] > nc.maxSq {
-			nc.maxSq = nc.sq[i]
-		}
-	}
-	m.norms.Store(nc)
-	return nc
-}
-
-// suffixNorms fills suf[t] = |v[t*DotBlock:]| (sqrt'ed L2 tail norms at
-// block boundaries; the last block absorbs any overhang, suf[blocks]=0)
-// and returns |v|².
-func suffixNorms(v Vector, suf []float64, blocks int) float64 {
-	suf[blocks] = 0
-	tail := 0.0
-	for t := blocks - 1; t >= 0; t-- {
-		end := (t + 1) * DotBlock
-		if t == blocks-1 {
-			end = len(v)
-		}
-		for j := end - 1; j >= t*DotBlock; j-- {
-			tail += v[j] * v[j]
-		}
-		suf[t] = math.Sqrt(tail)
-	}
-	if blocks == 0 {
-		for _, e := range v {
-			tail += e * e
-		}
-	}
-	return tail
-}
-
-// RowNorms returns |row_i|² for every row, from the lazily built cache.
-// Exposed for the kernel's property tests; the slice is the cache's own
-// storage and must not be mutated.
-func (m *RefMatrix) RowNorms() []float64 { return m.normCache().sq }
-
-// DotDist is a per-probe instance of the dot-product distance kernel:
-// the probe's squared norm and suffix norms plus the matrix's row-norm
-// cache, resolved once so the per-row loop touches no atomics and
-// recomputes no probe geometry. Build one per probe with NewDotDist; it
-// is scratch, valid only until the matrix mutates, and not safe for
-// concurrent use.
-type DotDist struct {
-	m     *RefMatrix
-	nc    *normCache
-	x     Vector
-	xn    float64
-	xsuf  []float64
-	slack float64 // conservative pruning headroom, valid for every row
-}
-
-// NewDotDist prepares the dot-product kernel for one probe. scratch (may
-// be nil) is reused for the probe's suffix norms when it has capacity;
-// retrieve it with Scratch for the next probe.
-func (m *RefMatrix) NewDotDist(x Vector, scratch []float64) DotDist {
-	nc := m.normCache()
-	if cap(scratch) < nc.blocks+1 {
-		scratch = make([]float64, nc.blocks+1)
-	}
-	scratch = scratch[:nc.blocks+1]
-	xn := suffixNorms(x, scratch, nc.blocks)
-	return DotDist{
-		m:    m,
-		nc:   nc,
-		x:    x,
-		xn:   xn,
-		xsuf: scratch,
-		// One slack for all rows, sized for the largest: conservative
-		// (never prunes a row a per-row slack would keep) and off the
-		// per-row path. The +1 keeps it positive for zero vectors.
-		slack: dotEps * float64(m.dim) * (xn + nc.maxSq + 1),
-	}
-}
-
-// Scratch returns the suffix-norm buffer for reuse by the next probe's
-// NewDotDist.
-func (d *DotDist) Scratch() []float64 { return d.xsuf }
-
-// XNormSq returns the probe's squared norm |x|².
-func (d *DotDist) XNormSq() float64 { return d.xn }
-
-// Slack returns the kernel's pruning headroom: an estimate may only
-// discard a row when it exceeds the bound by more than this.
-func (d *DotDist) Slack() float64 { return d.slack }
-
-// SqDist estimates the squared distance between the probe and row i as
-// |x|²+|row|²−2·x·row, the dot product accumulated in four independent
-// lanes per block — a throughput-bound kernel (independent
-// multiply-adds) where the subtract-square form is latency-bound on its
-// single accumulation chain. After each block the unseen tail of the dot
-// product is bounded by Cauchy–Schwarz on the precomputed suffix norms:
-// lb = |x|²+|b|²−2(dot_head + |x_tail||b_tail|) — which equals the
-// partial squared distance plus (|x_tail|−|b_tail|)², so it prunes at
-// least as early as the monotone partial-sum check of SqDistRowBounded.
-//
-// The return value is (estimate, candidate): candidate is false only
-// when the row provably exceeds bound (the lower bound clears it by the
-// kernel's slack), and true otherwise — in which case the caller must
-// recompute the distance exactly (SqDistRow/SqDistRowBounded) before
-// trusting it, because the lane-parallel accumulation order is NOT
-// bit-compatible with the exact kernel and the −2x·b form cancels
-// catastrophically for near-identical vectors.
-func (d *DotDist) SqDist(i int, bound float64) (float64, bool) {
-	m := d.m
-	x := d.x
-	xsuf := d.xsuf
-	row := m.data[i*m.dim : i*m.dim+len(x)]
-	base := d.xn + d.nc.sq[i]
-	// Prune when base − 2(dot + |x_tail||b_tail|) > bound + slack,
-	// rearranged so the per-block check is one multiply, one subtract and
-	// one compare against the running dot: half − dot > |x_tail||b_tail|.
-	half := (base - bound - d.slack) * 0.5
-	blocks := d.nc.blocks
-	sufBase := i * (blocks + 1)
-	suf := d.nc.suffix[sufBase : sufBase+blocks+1]
-	dot := 0.0
-	j := 0
-	// Full blocks except the last, which absorbs the dim%DotBlock
-	// overhang in the tail loops below.
-	for t := 1; t < blocks; t++ {
-		var s0, s1, s2, s3 float64
-		for end := j + DotBlock; j < end; j += 4 {
-			s0 += x[j] * row[j]
-			s1 += x[j+1] * row[j+1]
-			s2 += x[j+2] * row[j+2]
-			s3 += x[j+3] * row[j+3]
-		}
-		dot += (s0 + s1) + (s2 + s3)
-		if half-dot > xsuf[t]*suf[t] {
-			return base - 2*dot, false
-		}
-	}
-	var s0, s1, s2, s3 float64
-	for ; j+4 <= len(x); j += 4 {
-		s0 += x[j] * row[j]
-		s1 += x[j+1] * row[j+1]
-		s2 += x[j+2] * row[j+2]
-		s3 += x[j+3] * row[j+3]
-	}
-	dot += (s0 + s1) + (s2 + s3)
-	for ; j < len(x); j++ {
-		dot += x[j] * row[j]
-	}
-	est := base - 2*dot
-	return est, half-dot <= 0
-}
-
-// SelectNearest streams rows [from, len) except skip through the
-// dot-product filter, maintaining h — the caller's max-heap of the
-// current k smallest exact squared distances (h[0] the largest, len(h)
-// = k, pre-filled from exact distances; len(x) must equal Dim). Per
-// row, in increasing cost:
-//
-//  1. the norm-difference bound (|x|−|b|)² prunes on cached norms alone,
-//     before touching any coordinate;
-//  2. the lane-parallel dot product prunes at each block boundary via
-//     Cauchy–Schwarz on the suffix norms — the bound equals the partial
-//     squared distance plus (|x_tail|−|b_tail|)², so it fires at least
-//     as early as the exact kernel's monotone partial-sum check, at
-//     throughput-bound cost instead of a latency-bound chain;
-//  3. a row that completes the dot is pruned when its full estimate
-//     clears the bound by the kernel's slack — this is what spares the
-//     many near-but-not-improving rows of a clustered reference the
-//     exact recompute;
-//  4. the few rows whose estimate cannot rule them out are recomputed
-//     exactly (ascending single-accumulator order, early-exiting at the
-//     bound), so every value entering the heap is bit-identical to a
-//     full exact scan.
-func (d *DotDist) SelectNearest(from, skip int, h []float64) {
-	m := d.m
-	x := d.x
-	xsuf := d.xsuf
-	nc := d.nc
-	blocks := nc.blocks
-	stride := blocks + 1
-	bound := h[0]
-	// halfBase folds every bound-dependent term, so the per-row prune
-	// threshold is one add and one halving; refreshed when h[0] tightens.
-	halfBase := d.xn - bound - d.slack
-	sufBase := from * stride
-	rowBase := from * m.dim
-	for i := from; i < m.n; i, sufBase, rowBase = i+1, sufBase+stride, rowBase+m.dim {
-		if i == skip {
-			continue
-		}
-		// Prune when base − 2(dot + |x_tail||b_tail|) > bound + slack,
-		// rearranged so each check is one multiply, one subtract and one
-		// compare against the running dot: half − dot > |x_tail||b_tail|.
-		// At t=0 (dot=0) that is the norm-difference bound (|x|−|b|)².
-		half := (halfBase + nc.sq[i]) * 0.5
-		suf := nc.suffix[sufBase : sufBase+stride]
-		if half > xsuf[0]*suf[0] {
-			continue
-		}
-		row := m.data[rowBase : rowBase+len(x)]
-		dot := 0.0
-		j := 0
-		pruned := false
-		for t := 1; t < blocks; t++ {
-			// DotBlock is 8: one explicitly unrolled block per check, the
-			// two bound slices collapsing the bounds checks to one each.
-			xb := x[j : j+DotBlock]
-			rb := row[j : j+DotBlock]
-			s0 := xb[0]*rb[0] + xb[4]*rb[4]
-			s1 := xb[1]*rb[1] + xb[5]*rb[5]
-			s2 := xb[2]*rb[2] + xb[6]*rb[6]
-			s3 := xb[3]*rb[3] + xb[7]*rb[7]
-			dot += (s0 + s1) + (s2 + s3)
-			j += DotBlock
-			if half-dot > xsuf[t]*suf[t] {
-				pruned = true
-				break
-			}
-		}
-		if pruned {
-			continue
-		}
-		// Last block plus the dim%DotBlock overhang, then the full-estimate
-		// check: est > bound+slack ⇔ half − dot > 0 proves the exact
-		// distance exceeds the bound, no exact pass needed.
-		var s0, s1, s2, s3 float64
-		for ; j+4 <= len(x); j += 4 {
-			s0 += x[j] * row[j]
-			s1 += x[j+1] * row[j+1]
-			s2 += x[j+2] * row[j+2]
-			s3 += x[j+3] * row[j+3]
-		}
-		dot += (s0 + s1) + (s2 + s3)
-		for ; j < len(x); j++ {
-			dot += x[j] * row[j]
-		}
-		if half-dot > 0 {
-			continue
-		}
-		// Exact recompute, early-exiting at bound — the same ascending
-		// single-accumulator order as SqDistRow (bit-identical completed
-		// distances), inlined so survivors don't pay a call per row.
-		s := 0.0
-		e := 0
-		for blockEnd := sqDistBlock; blockEnd < len(x); blockEnd += sqDistBlock {
-			for ; e < blockEnd; e++ {
-				dd := x[e] - row[e]
-				s += dd * dd
-			}
-			if s > bound {
-				pruned = true
-				break
-			}
-		}
-		if pruned {
-			continue
-		}
-		for ; e < len(x); e++ {
-			dd := x[e] - row[e]
-			s += dd * dd
-		}
-		if s < bound {
-			h[0] = s
-			siftDownMax(h)
-			bound = h[0]
-			halfBase = d.xn - bound - d.slack
-		}
-	}
-}
-
-// siftDownMax restores the max-heap property after replacing h[0] —
-// the same sift the conformal scorer uses; heap shape only orders
-// comparisons and never changes float values, so it has no bit-identity
-// footprint.
-func siftDownMax(h []float64) {
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		largest := i
-		if l < len(h) && h[l] > h[largest] {
-			largest = l
-		}
-		if r < len(h) && h[r] > h[largest] {
-			largest = r
-		}
-		if largest == i {
-			return
-		}
-		h[i], h[largest] = h[largest], h[i]
-		i = largest
-	}
 }

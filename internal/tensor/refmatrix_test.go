@@ -60,147 +60,3 @@ func TestSqDistRowMatchesDist(t *testing.T) {
 		}
 	}
 }
-
-// TestRowNormsMatchRows pins the norm cache against a direct
-// recomputation, including the suffix norms' block geometry across
-// dims around the DotBlock boundary.
-func TestRowNormsMatchRows(t *testing.T) {
-	rng := stats.NewRNG(7)
-	for _, d := range []int{1, DotBlock - 1, DotBlock, DotBlock + 1, 2 * DotBlock, 2*DotBlock + 5, 64} {
-		rows := randomRows(rng, 15, d)
-		m := FlattenVectors(rows)
-		norms := m.RowNorms()
-		for i, r := range rows {
-			want := 0.0
-			for j := len(r) - 1; j >= 0; j-- {
-				want += r[j] * r[j]
-			}
-			// The cache accumulates backwards block by block; an exact
-			// backwards sum over the last block's span must agree for
-			// single-block rows, and all dims must be within float noise.
-			if math.Abs(norms[i]-want) > 1e-12*(1+want) {
-				t.Fatalf("d=%d row %d: cached norm %v, recomputed %v", d, i, norms[i], want)
-			}
-		}
-	}
-}
-
-// TestSetRowInvalidatesNormCache is the mutate-then-recompute property:
-// after SetRow the cached norms and the dot-kernel's pruning geometry
-// must reflect the new row, never the stale cache.
-func TestSetRowInvalidatesNormCache(t *testing.T) {
-	rng := stats.NewRNG(8)
-	const d = 2 * DotBlock
-	rows := randomRows(rng, 12, d)
-	m := FlattenVectors(rows)
-	_ = m.RowNorms() // build the cache
-	for trial := 0; trial < 20; trial++ {
-		i := rng.Intn(m.Len())
-		v := Vector(rng.NormalVec(d, 0, 3))
-		m.SetRow(i, v)
-		fresh := FlattenVectors(rowsOf(m))
-		gotNorms, wantNorms := m.RowNorms(), fresh.RowNorms()
-		for r := range wantNorms {
-			if gotNorms[r] != wantNorms[r] {
-				t.Fatalf("trial %d: norms[%d] = %v after SetRow, fresh build = %v", trial, r, gotNorms[r], wantNorms[r])
-			}
-		}
-		// The kernel must see the mutation too: exact distances against
-		// the mutated matrix equal a fresh build's.
-		x := Vector(rng.NormalVec(d, 0, 1))
-		kd := m.NewDotDist(x, nil)
-		for r := 0; r < m.Len(); r++ {
-			exact := fresh.SqDistRow(x, r)
-			if got := m.SqDistRow(x, r); got != exact {
-				t.Fatalf("trial %d: SqDistRow(%d) = %v after SetRow, want %v", trial, r, got, exact)
-			}
-			if est, candidate := kd.SqDist(r, exact); !candidate {
-				t.Fatalf("trial %d: dot kernel pruned row %d at its own exact distance (est %v, exact %v)",
-					trial, r, est, exact)
-			}
-		}
-	}
-	if err := func() (err any) {
-		defer func() { err = recover() }()
-		m.SetRow(0, Vector{1})
-		return nil
-	}(); err == nil {
-		t.Error("SetRow with mismatched dimension did not panic")
-	}
-}
-
-// rowsOf copies a matrix back into vectors (test helper for rebuilding
-// an equivalent fresh matrix).
-func rowsOf(m *RefMatrix) []Vector {
-	rows := make([]Vector, m.Len())
-	for i := range rows {
-		rows[i] = m.Row(i).Clone()
-	}
-	return rows
-}
-
-// TestSqDistRowDotNeverPrunesWithinBound is the kernel's safety
-// property: a row whose exact squared distance is within the bound is
-// never discarded by the estimate, for any geometry — the filter may
-// only have false positives (candidates recomputed exactly), never
-// false negatives.
-func TestSqDistRowDotNeverPrunesWithinBound(t *testing.T) {
-	rng := stats.NewRNG(9)
-	for _, d := range []int{DotBlock, DotBlock + 3, 2 * DotBlock, 64, 100} {
-		rows := randomRows(rng, 40, d)
-		m := FlattenVectors(rows)
-		var scratch []float64
-		for q := 0; q < 10; q++ {
-			x := Vector(rng.NormalVec(d, 0, 2))
-			kd := m.NewDotDist(x, scratch)
-			for i := range rows {
-				exact := m.SqDistRow(x, i)
-				for _, bound := range []float64{exact, exact * 1.5, math.Inf(1)} {
-					if _, candidate := kd.SqDist(i, bound); !candidate {
-						t.Fatalf("d=%d row %d: pruned at bound %v with exact %v", d, i, bound, exact)
-					}
-				}
-				// A bound far below the exact distance must not be
-				// certified: a candidate=true there is allowed (the filter
-				// is conservative) but the estimate itself must exceed the
-				// bound, or pruning could never fire.
-				if bound := exact*0.25 - kd.Slack(); bound > 0 {
-					if est, _ := kd.SqDist(i, bound); est <= bound {
-						t.Fatalf("d=%d row %d: estimate %v at bound %v with exact %v", d, i, est, bound, exact)
-					}
-				}
-			}
-			scratch = kd.Scratch()
-		}
-	}
-}
-
-// TestSqDistRowBounded checks both kernel outcomes: completed rows return
-// the exact squared distance, pruned rows report a partial sum that
-// already exceeds the bound.
-func TestSqDistRowBounded(t *testing.T) {
-	rng := stats.NewRNG(3)
-	for _, d := range []int{1, 7, 8, 9, 24, 40} {
-		rows := randomRows(rng, 30, d)
-		m := FlattenVectors(rows)
-		x := Vector(rng.NormalVec(d, 0, 1))
-		for i := range rows {
-			exact := m.SqDistRow(x, i)
-			for _, bound := range []float64{0, exact * 0.5, exact, exact * 2, math.Inf(1)} {
-				got, ok := m.SqDistRowBounded(x, i, bound)
-				if ok {
-					if got != exact {
-						t.Fatalf("d=%d bound=%v: completed dist %v != exact %v", d, bound, got, exact)
-					}
-					if exact > bound {
-						t.Fatalf("d=%d: reported ok with exact %v > bound %v", d, exact, bound)
-					}
-				} else {
-					if got <= bound {
-						t.Fatalf("d=%d: pruned with partial %v <= bound %v", d, got, bound)
-					}
-				}
-			}
-		}
-	}
-}

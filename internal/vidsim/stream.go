@@ -81,15 +81,6 @@ func (s *Stream) DriftPoints() []int {
 	return pts
 }
 
-// SegmentNames returns the condition names of the segments in order.
-func (s *Stream) SegmentNames() []string {
-	names := make([]string, len(s.segments))
-	for i, seg := range s.segments {
-		names[i] = seg.Cond.Name
-	}
-	return names
-}
-
 // Next returns the next frame and true, or a zero Frame and false when the
 // script is exhausted. Frame indices are global stream positions.
 func (s *Stream) Next() (Frame, bool) {

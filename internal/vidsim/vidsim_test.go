@@ -176,10 +176,6 @@ func TestStreamScriptBasics(t *testing.T) {
 	if len(pts) != 2 || pts[0] != 30 || pts[1] != 50 {
 		t.Errorf("DriftPoints = %v", pts)
 	}
-	names := s.SegmentNames()
-	if len(names) != 3 || names[1] != "night" {
-		t.Errorf("SegmentNames = %v", names)
-	}
 	frames := s.Collect(-1)
 	if len(frames) != 60 {
 		t.Fatalf("Collect got %d frames", len(frames))

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Bench-regression smoke: re-runs the regression-gated benchmarks (the
-# kNN kernel fast path, the two featurizers, the sharded monitoring
+# Bench-regression smoke: re-runs the regression-gated benchmarks (kNN
+# scoring at the 100×4 Σ every frame scores against, fast path and
+# brute-force reference, the two featurizers, the sharded monitoring
 # fan-out, one Adam step dense and with idle coordinates, one
 # experiment-scale classifier fit and one step of it, the two detectors
 # on one frame (the annotator labels every training's frames), one serving-time
@@ -52,7 +53,9 @@ if [ ! -f "$baseline" ]; then
 	exit 1
 fi
 
-# The gated set: kernel-regime kNN scoring, the two featurizers (every
+# The gated set: kNN scoring at the served Σ shape (the 4-wide register
+# path; the 512×64 rows run the exact loop no served width reaches and
+# stay ungated), the two featurizers (every
 # frame passes the classifier's front-end, which carries the inspector's
 # features), the sharded fan-out, training (the idle_late step is the one that cost ten dense steps; the
 # annotator near 2× its row means its window bound stopped pruning; a
@@ -66,7 +69,7 @@ fi
 # a recorder that keeps the frames the stride skipped is 9× over on
 # B/declaration), and set-up (B/op: what boot allocates before the first
 # /healthz).
-raw=$(go test -run=NONE -bench 'KNNScore/sigma512x64|Featurize$|QueryFeatures|ShardedThroughput|Provision|AttachTenant|DetectorsPerFrame|BuildEnv' \
+raw=$(go test -run=NONE -bench 'KNNScore/sigma100x4|Featurize$|QueryFeatures|ShardedThroughput|Provision|AttachTenant|DetectorsPerFrame|BuildEnv' \
 	-benchtime "$benchtime" -count "$count" .
 	go test -run=NONE -bench 'AdamStep|ClassifierFit|ClassifierTrainStep' \
 		-benchtime "$benchtime" -count "$count" ./internal/nn ./internal/classifier
