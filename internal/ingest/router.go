@@ -3,7 +3,6 @@ package ingest
 import (
 	"cmp"
 	"fmt"
-	"io"
 	"math"
 	"slices"
 	"sync"
@@ -768,34 +767,29 @@ func (r *Router) Tracer(tenant string) *telemetry.Tracer {
 	return nil
 }
 
-// WritePrometheus emits the router's counters in Prometheus
-// text-exposition format, prefixed ingest_.
-func (r *Router) WritePrometheus(w io.Writer) error {
-	s := r.Stats()
-	var err error
-	p := func(format string, args ...interface{}) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
+// Families is the router's counters as metric families, prefixed
+// ingest_, for the server's exposition.
+func (s Stats) Families() []telemetry.Family {
+	depth := make([]telemetry.Sample, len(s.Tenants))
+	for i, t := range s.Tenants {
+		depth[i] = telemetry.Int(t.Queued, "tenant", t.Tenant)
 	}
-	p("# TYPE ingest_tenants_known gauge\ningest_tenants_known %d\n", s.Known)
-	p("# TYPE ingest_tenants_active gauge\ningest_tenants_active %d\n", s.Active)
-	p("# TYPE ingest_frames_accepted_total counter\ningest_frames_accepted_total %d\n", s.Accepted)
-	p("# TYPE ingest_frames_processed_total counter\ningest_frames_processed_total %d\n", s.Processed)
-	p("# TYPE ingest_frames_dup_total counter\ningest_frames_dup_total %d\n", s.Dups)
-	p("# TYPE ingest_nack_total counter\n")
-	p("ingest_nack_total{code=\"queue_full\"} %d\n", s.NackedFull)
-	p("ingest_nack_total{code=\"bad_seq\"} %d\n", s.NackedSeq)
-	p("ingest_nack_total{code=\"tenant_limit\"} %d\n", s.NackedLimit)
-	p("ingest_nack_total{code=\"malformed\"} %d\n", s.NackedMalformed)
-	p("# TYPE ingest_tenant_attach_total counter\ningest_tenant_attach_total %d\n", s.Attaches)
-	p("# TYPE ingest_tenant_evict_total counter\ningest_tenant_evict_total %d\n", s.Evictions)
-	p("# TYPE ingest_pump_runs_total counter\n")
-	p("ingest_pump_runs_total{by=\"conn\"} %d\n", s.PumpsInline)
-	p("ingest_pump_runs_total{by=\"loop\"} %d\n", s.Pumps-s.PumpsInline)
-	p("# TYPE ingest_tenant_queue_depth gauge\n")
-	for _, t := range s.Tenants {
-		p("ingest_tenant_queue_depth{tenant=%q} %d\n", t.Tenant, t.Queued)
+	return []telemetry.Family{
+		telemetry.Gauge("ingest_tenants_known", "", telemetry.Int(s.Known)),
+		telemetry.Gauge("ingest_tenants_active", "", telemetry.Int(s.Active)),
+		telemetry.Counter("ingest_frames_accepted_total", "", telemetry.Int(s.Accepted)),
+		telemetry.Counter("ingest_frames_processed_total", "", telemetry.Int(s.Processed)),
+		telemetry.Counter("ingest_frames_dup_total", "", telemetry.Int(s.Dups)),
+		telemetry.Counter("ingest_nack_total", "",
+			telemetry.Int(s.NackedFull, "code", "queue_full"),
+			telemetry.Int(s.NackedSeq, "code", "bad_seq"),
+			telemetry.Int(s.NackedLimit, "code", "tenant_limit"),
+			telemetry.Int(s.NackedMalformed, "code", "malformed")),
+		telemetry.Counter("ingest_tenant_attach_total", "", telemetry.Int(s.Attaches)),
+		telemetry.Counter("ingest_tenant_evict_total", "", telemetry.Int(s.Evictions)),
+		telemetry.Counter("ingest_pump_runs_total", "",
+			telemetry.Int(s.PumpsInline, "by", "conn"),
+			telemetry.Int(s.Pumps-s.PumpsInline, "by", "loop")),
+		telemetry.Gauge("ingest_tenant_queue_depth", "", depth...),
 	}
-	return err
 }

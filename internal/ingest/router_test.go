@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"videodrift"
+	"videodrift/internal/telemetry"
 	"videodrift/internal/vidsim"
 )
 
@@ -250,7 +251,7 @@ func TestRouterPrometheus(t *testing.T) {
 	}
 	submitFrames(t, r, "cam-a", stream, 1, 2)
 	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
+	if err := telemetry.WriteFamilies(&sb, r.Stats().Families()); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -269,5 +270,23 @@ func TestRouterPrometheus(t *testing.T) {
 	}
 	if r.Stats().NackedMalformed != 1 {
 		t.Fatal("CountMalformed not reflected in stats")
+	}
+}
+
+// TestRouterPrometheusTenantLabel holds a wire tenant id to the text
+// format's label escaping: the id may be any string, and the page carries
+// it raw but for backslash, double quote and newline, with invalid UTF-8
+// as U+FFFD. Go's %q escapes (\t, \xff, \u200b) are not in the format, and
+// a parser that meets one rejects the whole page.
+func TestRouterPrometheusTenantLabel(t *testing.T) {
+	_, opts := sharedModels()
+	r := NewRouter(testFleet(opts), Config{})
+	submitFrames(t, r, "cam\t\xff\u200b", testStream(2, 19), 0, 2)
+	var sb strings.Builder
+	if err := telemetry.WriteFamilies(&sb, r.Stats().Families()); err != nil {
+		t.Fatal(err)
+	}
+	if want := "\ningest_tenant_queue_depth{tenant=\"cam\t\uFFFD\u200b\"} 2\n"; !strings.Contains(sb.String(), want) {
+		t.Errorf("metrics lack %q:\n%s", want, sb.String())
 	}
 }

@@ -41,8 +41,8 @@ type PrimaryConfig struct {
 	// OnFenced is called once, with the winning epoch, when any standby
 	// fences this primary.
 	OnFenced func(epoch uint64)
-	// TxFault, when set, intercepts every outgoing message (the seeded
-	// replication-fault seam, internal/faults.ReplicaInjector): it may
+	// TxFault, when set, intercepts every outgoing message (the
+	// replication-fault seam; the tests place a tear by hand): it may
 	// rewrite the bytes and report tear=true, in which case the primary
 	// writes the mangled prefix and drops the connection — a torn
 	// stream mid-generation.

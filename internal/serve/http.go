@@ -93,17 +93,13 @@ func (s *Server) traced(h func(http.ResponseWriter, *http.Request, *telemetry.Tr
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, tr *telemetry.Tracer) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := tr.WritePrometheusTo(w); err != nil {
-		log.Printf("/metrics: %v", err)
-	}
+	fams := tr.Snapshot().Families()
 	f := s.flt.Load()
 	if f != nil {
-		if err := f.router.WritePrometheus(w); err != nil {
-			log.Printf("/metrics (ingest): %v", err)
-		}
+		fams = append(fams, f.router.Stats().Families()...)
 	}
-	if err := telemetry.WriteProcessPrometheus(w, s.holders(f)); err != nil {
-		log.Printf("/metrics (process): %v", err)
+	if err := telemetry.WriteFamilies(w, append(fams, s.holders(f).Families()...)); err != nil {
+		log.Printf("/metrics: %v", err)
 	}
 }
 

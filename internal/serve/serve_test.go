@@ -11,11 +11,14 @@ import (
 	"net/http"
 	"os"
 	"reflect"
+	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"videodrift"
 	"videodrift/internal/analysis/leakcheck"
@@ -453,11 +456,12 @@ func TestTenantTelemetry(t *testing.T) {
 	}
 	for _, path := range []string{"/metrics", "/metrics?shard=1", "/metrics?tenant=" + drifted} {
 		_, body := fetch(t, s, path)
+		families := checkExposition(t, path, body)
 		for _, family := range []string{"videodrift_registry_models", "videodrift_forensics_retained_frames", "videodrift_forensics_retained_bytes",
 			"videodrift_events_ring_events", "videodrift_events_ring_capacity", "videodrift_go_heap_objects_bytes", "videodrift_go_gc_cycles_total",
 			"videodrift_go_heap_allocs_bytes_total", "videodrift_frames_total", "ingest_tenants_known"} {
-			if n := strings.Count(body, "# TYPE "+family+" "); n != 1 {
-				t.Errorf("GET %s declares %s %d times, want once", path, family, n)
+			if !families[family] {
+				t.Errorf("GET %s does not declare %s", path, family)
 			}
 		}
 		for _, want := range samples {
@@ -479,6 +483,77 @@ func TestTenantTelemetry(t *testing.T) {
 	if code := get(t, s, "/events?kind=drift_declared&tenant="+drifted, &kept); code != http.StatusOK || len(kept.Events) == 0 {
 		t.Errorf("GET /events?tenant=%s after the eviction: HTTP %d, %d events", drifted, code, len(kept.Events))
 	}
+	// A tenant id off the wire is any string of bytes, and the page must
+	// still parse: it carries the id raw but for the format's escapes, with
+	// invalid UTF-8 as U+FFFD.
+	c, err := ingest.Dial(ingest.ClientConfig{Addr: s.IngestAddr(), Tenant: "cam\t\xff\u200b\"\\\n"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Send(tenantStream(s, tenants, 1)[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	_, body := fetch(t, s, "/metrics")
+	checkExposition(t, "/metrics", body)
+	if want := "\ningest_tenant_queue_depth{tenant=\"cam\t\uFFFD\u200b\\\"\\\\\\n\"} "; !strings.Contains(body, want) {
+		t.Errorf("GET /metrics lacks %q:\n%s", want, body)
+	}
+}
+
+// The text format's line grammar: a HELP or TYPE line, or a sample — a
+// metric name, label pairs whose values escape only backslash, double
+// quote and newline, and a value.
+const labelPair = `[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\[\\"n])*"`
+
+var (
+	metaLine   = regexp.MustCompile(`^# (HELP|TYPE) ([a-zA-Z_:][a-zA-Z0-9_:]*) (.+)$`)
+	sampleLine = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(?:\{` + labelPair + `(?:,` + labelPair + `)*\})? (\S+)$`)
+)
+
+// checkExposition holds a /metrics page to the text format line by line:
+// every line is a HELP, TYPE or sample line of the grammar, in UTF-8;
+// every family is TYPE'd exactly once, after its HELP and before its
+// samples, which carry its name (a summary's or histogram's with their
+// suffixes). The page has one writer, so a family TYPE'd twice is two
+// sources writing one name. It returns the families the page declares.
+func checkExposition(t *testing.T, path, body string) map[string]bool {
+	t.Helper()
+	if !utf8.ValidString(body) || !strings.HasSuffix(body, "\n") {
+		t.Errorf("GET %s: the page is not newline-terminated UTF-8", path)
+	}
+	suffixes := map[string][]string{"counter": {""}, "gauge": {""},
+		"summary": {"", "_sum", "_count"}, "histogram": {"_bucket", "_sum", "_count"}}
+	typed := map[string]bool{}
+	family, kind, help := "", "", ""
+	for n, line := range strings.Split(strings.TrimSuffix(body, "\n"), "\n") {
+		if m := metaLine.FindStringSubmatch(line); m != nil {
+			switch {
+			case m[1] == "HELP" && help == "" && !typed[m[2]]:
+				help = m[2]
+			case m[1] == "TYPE" && (help == "" || help == m[2]) && !typed[m[2]] && suffixes[m[3]] != nil:
+				typed[m[2]], family, kind, help = true, m[2], m[3], ""
+			default:
+				t.Errorf("GET %s line %d: %q out of place", path, n+1, line)
+			}
+			continue
+		}
+		m := sampleLine.FindStringSubmatch(line)
+		if m == nil || help != "" {
+			t.Errorf("GET %s line %d: %q is not a sample line", path, n+1, line)
+			continue
+		}
+		if suffix, ok := strings.CutPrefix(m[1], family); !ok || family == "" || !slices.Contains(suffixes[kind], suffix) {
+			t.Errorf("GET %s line %d: %q is not a sample of the %s family %s", path, n+1, line, kind, family)
+		}
+		if _, err := strconv.ParseFloat(m[2], 64); err != nil {
+			t.Errorf("GET %s line %d: %q: %v", path, n+1, line, err)
+		}
+	}
+	return typed
 }
 
 // TestServeFailover is the retired scripts/failover_soak.sh in process: a

@@ -6,6 +6,7 @@ import (
 	"io"
 	"runtime/metrics"
 	"strconv"
+	"strings"
 )
 
 // BucketCount is one cumulative histogram bucket: how many observations
@@ -148,167 +149,179 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 	return enc.Encode(s)
 }
 
-// promFloat renders a float the way Prometheus expects.
-func promFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+// Family is one metric family of a Prometheus text exposition: its
+// name, type (counter, gauge, summary or histogram), help text (no HELP
+// line when empty) and samples, in the order they are written.
+type Family struct {
+	Name, Type, Help string
+	Samples          []Sample
+}
 
-// WritePrometheus writes the snapshot in Prometheus text-exposition
-// format (version 0.0.4). Stage latencies are emitted as a summary
-// family with p50/p95/p99 quantile series plus _sum and _count; the
-// exact per-stage maximum gets its own gauge family.
-func (s Snapshot) WritePrometheus(w io.Writer) error {
-	var err error
-	p := func(format string, args ...interface{}) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
+// Sample is one line of a family. Suffix follows the family's name (a
+// summary's or histogram's "_sum", "_count", "_bucket"); Labels alternate
+// name and value. The value is Int, in decimal, unless IsFloat is set.
+type Sample struct {
+	Suffix  string
+	Labels  []string
+	Int     int64
+	Float   float64
+	IsFloat bool
+}
+
+// Int is a sample counting v, under the label pairs given.
+func Int[T ~int | ~int64 | ~uint64](v T, labels ...string) Sample {
+	return Sample{Labels: labels, Int: int64(v)}
+}
+
+// Float is a sample of value v, under the label pairs given.
+func Float(v float64, labels ...string) Sample {
+	return Sample{Labels: labels, Float: v, IsFloat: true}
+}
+
+// Counter and Gauge are the families of those types.
+func Counter(name, help string, samples ...Sample) Family {
+	return Family{Name: name, Type: "counter", Help: help, Samples: samples}
+}
+
+func Gauge(name, help string, samples ...Sample) Family {
+	return Family{Name: name, Type: "gauge", Help: help, Samples: samples}
+}
+
+// suffixed is s written under the family's name plus suffix.
+func suffixed(suffix string, s Sample) Sample {
+	s.Suffix = suffix
+	return s
+}
+
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// WriteFamilies writes fams in Prometheus text-exposition format
+// (version 0.0.4), in one Write. It is the only writer of the format:
+// a label value is written with the format's three escapes (backslash,
+// double quote, newline) and any other byte raw, but for invalid UTF-8,
+// which becomes U+FFFD — a tenant id off the wire is a label value.
+func WriteFamilies(w io.Writer, fams []Family) error {
+	var b []byte
+	for _, f := range fams {
+		if f.Help != "" {
+			b = fmt.Appendf(b, "# HELP %s %s\n", f.Name, f.Help)
+		}
+		b = fmt.Appendf(b, "# TYPE %s %s\n", f.Name, f.Type)
+		for _, s := range f.Samples {
+			b = append(append(b, f.Name...), s.Suffix...)
+			sep := byte('{')
+			for i := 0; i+1 < len(s.Labels); i += 2 {
+				b = append(append(append(b, sep), s.Labels[i]...), '=', '"')
+				b = append(append(b, labelEscaper.Replace(strings.ToValidUTF8(s.Labels[i+1], "\uFFFD"))...), '"')
+				sep = ','
+			}
+			if len(s.Labels) > 1 {
+				b = append(b, '}')
+			}
+			b = append(b, ' ')
+			if s.IsFloat {
+				b = append(b, promFloat(s.Float)...)
+			} else {
+				b = strconv.AppendInt(b, s.Int, 10)
+			}
+			b = append(b, '\n')
 		}
 	}
+	_, err := w.Write(b)
+	return err
+}
 
-	p("# HELP videodrift_frames_total Frames processed by the instrumented component.\n")
-	p("# TYPE videodrift_frames_total counter\n")
-	p("videodrift_frames_total %d\n", s.Frames)
+// WritePrometheus writes the snapshot's families (Families) in
+// Prometheus text-exposition format.
+func (s Snapshot) WritePrometheus(w io.Writer) error { return WriteFamilies(w, s.Families()) }
 
-	p("# HELP videodrift_frames_state_total Frames processed, by pipeline state.\n")
-	p("# TYPE videodrift_frames_state_total counter\n")
+// Families is the snapshot as metric families. Stage latencies are a
+// summary family with p50/p95/p99 quantile series plus _sum and _count,
+// a gauge family of each stage's exact maximum and a histogram family
+// of the log buckets.
+func (s Snapshot) Families() []Family {
+	states := make([]Sample, 0, stateCount)
 	for st := State(0); st < stateCount; st++ {
-		p("videodrift_frames_state_total{state=%q} %d\n", st.String(), s.FramesByState[st.String()])
+		states = append(states, Int(s.FramesByState[st.String()], "state", st.String()))
 	}
-
-	p("# HELP videodrift_martingale_updates_total Sampled frames folded into the conformal martingale.\n")
-	p("# TYPE videodrift_martingale_updates_total counter\n")
-	p("videodrift_martingale_updates_total %d\n", s.MartingaleUpdates)
-
-	p("# HELP videodrift_drifts_total Drifts declared by the Drift Inspector.\n")
-	p("# TYPE videodrift_drifts_total counter\n")
-	p("videodrift_drifts_total %d\n", s.Drifts)
-
-	p("# HELP videodrift_selections_started_total Selection windows opened after a drift declaration.\n")
-	p("# TYPE videodrift_selections_started_total counter\n")
-	p("videodrift_selections_started_total %d\n", s.SelectionsStarted)
-
-	p("# HELP videodrift_selections_total Model-selection runs resolved after a drift.\n")
-	p("# TYPE videodrift_selections_total counter\n")
-	p("videodrift_selections_total %d\n", s.Selections)
-
-	p("# HELP videodrift_models_trained_total Models trained mid-stream on novel distributions.\n")
-	p("# TYPE videodrift_models_trained_total counter\n")
-	p("videodrift_models_trained_total %d\n", s.ModelsTrained)
-
-	p("# HELP videodrift_model_deployments_total Model deployments (including the initial one).\n")
-	p("# TYPE videodrift_model_deployments_total counter\n")
-	p("videodrift_model_deployments_total %d\n", s.Deployments)
-
-	p("# HELP videodrift_checkpoints_total Monitor checkpoints persisted to the state store.\n")
-	p("# TYPE videodrift_checkpoints_total counter\n")
-	p("videodrift_checkpoints_total %d\n", s.Checkpoints)
-
-	p("# HELP videodrift_quarantined_frames_total Malformed frames rejected by the admission gate.\n")
-	p("# TYPE videodrift_quarantined_frames_total counter\n")
-	p("videodrift_quarantined_frames_total %d\n", s.Quarantined)
-
-	p("# HELP videodrift_worker_restarts_total Shard workers restarted by the supervisor after a panic.\n")
-	p("# TYPE videodrift_worker_restarts_total counter\n")
-	p("videodrift_worker_restarts_total %d\n", s.WorkerRestarts)
-
-	p("# HELP videodrift_training_failures_total Failed post-drift training attempts.\n")
-	p("# TYPE videodrift_training_failures_total counter\n")
-	p("videodrift_training_failures_total %d\n", s.TrainingFailures)
-
-	p("# HELP videodrift_checkpoint_failures_total Failed checkpoint write attempts.\n")
-	p("# TYPE videodrift_checkpoint_failures_total counter\n")
-	p("videodrift_checkpoint_failures_total %d\n", s.CheckpointFailures)
-
-	p("# HELP videodrift_events_total Structured events recorded, by kind.\n")
-	p("# TYPE videodrift_events_total counter\n")
-	for k := Kind(0); k < kindCount; k++ {
-		// Snapshots decoded from JSON written before EventCounts existed
-		// carry a short (or nil) slice; emit what is known.
-		if int(k) >= len(s.EventCounts) {
-			break
-		}
-		p("videodrift_events_total{kind=%q} %d\n", s.EventCounts[k].Kind, s.EventCounts[k].Count)
+	// Snapshots decoded from JSON written before EventCounts existed carry
+	// a short (or nil) slice; emit what is known.
+	kinds := make([]Sample, 0, len(s.EventCounts))
+	for _, k := range s.EventCounts[:min(len(s.EventCounts), int(kindCount))] {
+		kinds = append(kinds, Int(k.Count, "kind", k.Kind))
+	}
+	fams := []Family{
+		Counter("videodrift_frames_total", "Frames processed by the instrumented component.", Int(s.Frames)),
+		Counter("videodrift_frames_state_total", "Frames processed, by pipeline state.", states...),
+		Counter("videodrift_martingale_updates_total", "Sampled frames folded into the conformal martingale.", Int(s.MartingaleUpdates)),
+		Counter("videodrift_drifts_total", "Drifts declared by the Drift Inspector.", Int(s.Drifts)),
+		Counter("videodrift_selections_started_total", "Selection windows opened after a drift declaration.", Int(s.SelectionsStarted)),
+		Counter("videodrift_selections_total", "Model-selection runs resolved after a drift.", Int(s.Selections)),
+		Counter("videodrift_models_trained_total", "Models trained mid-stream on novel distributions.", Int(s.ModelsTrained)),
+		Counter("videodrift_model_deployments_total", "Model deployments (including the initial one).", Int(s.Deployments)),
+		Counter("videodrift_checkpoints_total", "Monitor checkpoints persisted to the state store.", Int(s.Checkpoints)),
+		Counter("videodrift_quarantined_frames_total", "Malformed frames rejected by the admission gate.", Int(s.Quarantined)),
+		Counter("videodrift_worker_restarts_total", "Shard workers restarted by the supervisor after a panic.", Int(s.WorkerRestarts)),
+		Counter("videodrift_training_failures_total", "Failed post-drift training attempts.", Int(s.TrainingFailures)),
+		Counter("videodrift_checkpoint_failures_total", "Failed checkpoint write attempts.", Int(s.CheckpointFailures)),
+		Counter("videodrift_events_total", "Structured events recorded, by kind.", kinds...),
 	}
 
 	// Replication families are emitted only once the process has
 	// replicated or promoted, so a standalone monitor's exposition is
 	// unchanged.
 	if s.ReplicaDeltasSent+s.ReplicaDeltasApplied+s.Promotions > 0 {
-		p("# HELP videodrift_replica_deltas_total Checkpoint generations replicated (sent by a primary, applied by a standby), by role.\n")
-		p("# TYPE videodrift_replica_deltas_total counter\n")
-		p("videodrift_replica_deltas_total{role=\"primary\"} %d\n", s.ReplicaDeltasSent)
-		p("videodrift_replica_deltas_total{role=\"standby\"} %d\n", s.ReplicaDeltasApplied)
-		p("# HELP videodrift_replica_bytes_total Wire bytes a primary shipped to its standbys, by message kind (a full after first contact is a resync).\n")
-		p("# TYPE videodrift_replica_bytes_total counter\n")
-		p("videodrift_replica_bytes_total{kind=\"full\"} %d\n", s.ReplicaFullBytes)
-		p("videodrift_replica_bytes_total{kind=\"delta\"} %d\n", s.ReplicaDeltaBytes)
-		p("# HELP videodrift_replica_cycle_seconds Duration of the primary's latest replication cycle (capture, diff, encode, send, ack).\n")
-		p("# TYPE videodrift_replica_cycle_seconds gauge\n")
-		p("videodrift_replica_cycle_seconds %s\n", promFloat(s.ReplicaCycleSeconds))
-		p("# HELP videodrift_replica_lag_generations Generations the slowest connected standby trails the primary by.\n")
-		p("# TYPE videodrift_replica_lag_generations gauge\n")
-		p("videodrift_replica_lag_generations %d\n", s.ReplicaLagGens)
-		p("# HELP videodrift_promotions_total Standby-to-primary promotions performed by this process.\n")
-		p("# TYPE videodrift_promotions_total counter\n")
-		p("videodrift_promotions_total %d\n", s.Promotions)
+		fams = append(fams,
+			Counter("videodrift_replica_deltas_total", "Checkpoint generations replicated (sent by a primary, applied by a standby), by role.",
+				Int(s.ReplicaDeltasSent, "role", "primary"), Int(s.ReplicaDeltasApplied, "role", "standby")),
+			Counter("videodrift_replica_bytes_total", "Wire bytes a primary shipped to its standbys, by message kind (a full after first contact is a resync).",
+				Int(s.ReplicaFullBytes, "kind", "full"), Int(s.ReplicaDeltaBytes, "kind", "delta")),
+			Gauge("videodrift_replica_cycle_seconds", "Duration of the primary's latest replication cycle (capture, diff, encode, send, ack).", Float(s.ReplicaCycleSeconds)),
+			Gauge("videodrift_replica_lag_generations", "Generations the slowest connected standby trails the primary by.", Int(s.ReplicaLagGens)),
+			Counter("videodrift_promotions_total", "Standby-to-primary promotions performed by this process.", Int(s.Promotions)))
 	}
 
-	p("# HELP videodrift_degraded Degradation state (0 ok, 1 degraded, 2 failed).\n")
-	p("# TYPE videodrift_degraded gauge\n")
-	p("videodrift_degraded %d\n", int(s.Health))
-
+	fams = append(fams, Gauge("videodrift_degraded", "Degradation state (0 ok, 1 degraded, 2 failed).", Int(int(s.Health))))
 	if s.LastCheckpointUnixNano > 0 {
-		p("# HELP videodrift_last_checkpoint_age_seconds Seconds since the last persisted checkpoint, at snapshot time.\n")
-		p("# TYPE videodrift_last_checkpoint_age_seconds gauge\n")
-		p("videodrift_last_checkpoint_age_seconds %s\n",
-			promFloat(float64(s.TimeUnixNano-s.LastCheckpointUnixNano)/1e9))
+		fams = append(fams, Gauge("videodrift_last_checkpoint_age_seconds", "Seconds since the last persisted checkpoint, at snapshot time.",
+			Float(float64(s.TimeUnixNano-s.LastCheckpointUnixNano)/1e9)))
 	}
-
-	p("# HELP videodrift_martingale_value Current CUSUM martingale value S_l.\n")
-	p("# TYPE videodrift_martingale_value gauge\n")
-	p("videodrift_martingale_value %s\n", promFloat(s.Martingale))
-
-	p("# HELP videodrift_martingale_window_delta Current windowed martingale growth |S_l - S_l-W|.\n")
-	p("# TYPE videodrift_martingale_window_delta gauge\n")
-	p("videodrift_martingale_window_delta %s\n", promFloat(s.WindowDelta))
-
-	p("# HELP videodrift_mean_p_value Mean conformal p-value since the inspector's last reset.\n")
-	p("# TYPE videodrift_mean_p_value gauge\n")
-	p("videodrift_mean_p_value %s\n", promFloat(s.MeanP))
-
+	fams = append(fams,
+		Gauge("videodrift_martingale_value", "Current CUSUM martingale value S_l.", Float(s.Martingale)),
+		Gauge("videodrift_martingale_window_delta", "Current windowed martingale growth |S_l - S_l-W|.", Float(s.WindowDelta)),
+		Gauge("videodrift_mean_p_value", "Mean conformal p-value since the inspector's last reset.", Float(s.MeanP)))
 	if s.Model != "" {
-		p("# HELP videodrift_deployed_model Currently deployed model (value is always 1).\n")
-		p("# TYPE videodrift_deployed_model gauge\n")
-		p("videodrift_deployed_model{model=%q} 1\n", s.Model)
+		fams = append(fams, Gauge("videodrift_deployed_model", "Currently deployed model (value is always 1).", Int(1, "model", s.Model)))
 	}
 
 	if len(s.Stages) > 0 {
-		p("# HELP videodrift_stage_latency_seconds Per-stage latency quantiles (log-bucket interpolated).\n")
-		p("# TYPE videodrift_stage_latency_seconds summary\n")
+		var quantiles, maxima, hist []Sample
 		for _, st := range s.Stages {
-			p("videodrift_stage_latency_seconds{stage=%q,quantile=\"0.5\"} %s\n", st.Stage, promFloat(st.P50Seconds))
-			p("videodrift_stage_latency_seconds{stage=%q,quantile=\"0.95\"} %s\n", st.Stage, promFloat(st.P95Seconds))
-			p("videodrift_stage_latency_seconds{stage=%q,quantile=\"0.99\"} %s\n", st.Stage, promFloat(st.P99Seconds))
-			p("videodrift_stage_latency_seconds_sum{stage=%q} %s\n", st.Stage, promFloat(st.SumSeconds))
-			p("videodrift_stage_latency_seconds_count{stage=%q} %d\n", st.Stage, st.Count)
-		}
-		p("# HELP videodrift_stage_latency_max_seconds Largest single observation per stage.\n")
-		p("# TYPE videodrift_stage_latency_max_seconds gauge\n")
-		for _, st := range s.Stages {
-			p("videodrift_stage_latency_max_seconds{stage=%q} %s\n", st.Stage, promFloat(st.MaxSeconds))
-		}
-		p("# HELP videodrift_stage_latency_hist_seconds Per-stage latency as a cumulative log-bucket histogram.\n")
-		p("# TYPE videodrift_stage_latency_hist_seconds histogram\n")
-		for _, st := range s.Stages {
+			quantiles = append(quantiles,
+				Float(st.P50Seconds, "stage", st.Stage, "quantile", "0.5"),
+				Float(st.P95Seconds, "stage", st.Stage, "quantile", "0.95"),
+				Float(st.P99Seconds, "stage", st.Stage, "quantile", "0.99"),
+				suffixed("_sum", Float(st.SumSeconds, "stage", st.Stage)),
+				suffixed("_count", Int(st.Count, "stage", st.Stage)))
+			maxima = append(maxima, Float(st.MaxSeconds, "stage", st.Stage))
 			for _, b := range st.Buckets {
-				p("videodrift_stage_latency_hist_seconds_bucket{stage=%q,le=%q} %d\n",
-					st.Stage, promFloat(b.LeSeconds), b.Count)
+				hist = append(hist, suffixed("_bucket", Int(b.Count, "stage", st.Stage, "le", promFloat(b.LeSeconds))))
 			}
-			p("videodrift_stage_latency_hist_seconds_bucket{stage=%q,le=\"+Inf\"} %d\n", st.Stage, st.Count)
-			p("videodrift_stage_latency_hist_seconds_sum{stage=%q} %s\n", st.Stage, promFloat(st.SumSeconds))
-			p("videodrift_stage_latency_hist_seconds_count{stage=%q} %d\n", st.Stage, st.Count)
+			hist = append(hist,
+				suffixed("_bucket", Int(st.Count, "stage", st.Stage, "le", "+Inf")),
+				suffixed("_sum", Float(st.SumSeconds, "stage", st.Stage)),
+				suffixed("_count", Int(st.Count, "stage", st.Stage)))
 		}
+		fams = append(fams,
+			Family{Name: "videodrift_stage_latency_seconds", Type: "summary", Help: "Per-stage latency quantiles (log-bucket interpolated).", Samples: quantiles},
+			Gauge("videodrift_stage_latency_max_seconds", "Largest single observation per stage.", maxima...),
+			Family{Name: "videodrift_stage_latency_hist_seconds", Type: "histogram", Help: "Per-stage latency as a cumulative log-bucket histogram.", Samples: hist})
 	}
-	return err
+	return fams
 }
+
+// promFloat renders a float the way Prometheus expects.
+func promFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // Process is what a server holds beyond any one tracer's stream, counted
 // when an exposition is asked for: the models in the fleet's table, the
@@ -322,47 +335,30 @@ type Process struct {
 	RingEvents, RingCapacity      int
 }
 
-// WriteProcessPrometheus writes the families that describe the process
-// rather than one tracer's stream: p's holders, and the heap's object
-// bytes, the collector's cycles and the bytes allocated as the runtime
-// accounts them, read on the spot in one metrics.Read — the cycles and
+// Families are the families that describe the process rather than one
+// tracer's stream: p's holders, and the heap's object bytes, the
+// collector's cycles and the bytes allocated as the runtime accounts
+// them, read on the spot in one metrics.Read — the cycles and
 // allocations read across a window are what tell an operator whether the
 // frame path allocates. An exposition carries them once, whichever tracer
 // it was asked for.
-func WriteProcessPrometheus(w io.Writer, p Process) error {
+func (p Process) Families() []Family {
 	rt := []metrics.Sample{
 		{Name: "/memory/classes/heap/objects:bytes"},
 		{Name: "/gc/cycles/total:gc-cycles"},
 		{Name: "/gc/heap/allocs:bytes"},
 	}
 	metrics.Read(rt)
-	_, err := fmt.Fprintf(w, `# HELP videodrift_registry_models Models in the fleet's shared table: the provisioned ones plus every model trained since.
-# TYPE videodrift_registry_models gauge
-videodrift_registry_models %d
-# HELP videodrift_forensics_retained_frames Frames the forensics recorders hold, in open pre-rolls and retained declarations: the frames kept, the ones the inspector read.
-# TYPE videodrift_forensics_retained_frames gauge
-videodrift_forensics_retained_frames %d
-# HELP videodrift_forensics_retained_bytes Pixel bytes of the frames the forensics recorders hold.
-# TYPE videodrift_forensics_retained_bytes gauge
-videodrift_forensics_retained_bytes %d
-# HELP videodrift_events_ring_events Events held in the tracers' rings.
-# TYPE videodrift_events_ring_events gauge
-videodrift_events_ring_events %d
-# HELP videodrift_events_ring_capacity Events the tracers' rings may hold (-ring per tracer); slots are allocated as events arrive.
-# TYPE videodrift_events_ring_capacity gauge
-videodrift_events_ring_capacity %d
-# HELP videodrift_go_heap_objects_bytes Heap memory occupied by objects, live or not yet swept (runtime/metrics /memory/classes/heap/objects:bytes).
-# TYPE videodrift_go_heap_objects_bytes gauge
-videodrift_go_heap_objects_bytes %d
-# HELP videodrift_go_gc_cycles_total Garbage-collection cycles completed since the process started (runtime/metrics /gc/cycles/total:gc-cycles).
-# TYPE videodrift_go_gc_cycles_total counter
-videodrift_go_gc_cycles_total %d
-# HELP videodrift_go_heap_allocs_bytes_total Bytes allocated on the heap since the process started (runtime/metrics /gc/heap/allocs:bytes).
-# TYPE videodrift_go_heap_allocs_bytes_total counter
-videodrift_go_heap_allocs_bytes_total %d
-`, p.RegistryModels, p.RetainedFrames, p.RetainedBytes, p.RingEvents, p.RingCapacity,
-		rt[0].Value.Uint64(), rt[1].Value.Uint64(), rt[2].Value.Uint64())
-	return err
+	return []Family{
+		Gauge("videodrift_registry_models", "Models in the fleet's shared table: the provisioned ones plus every model trained since.", Int(p.RegistryModels)),
+		Gauge("videodrift_forensics_retained_frames", "Frames the forensics recorders hold, in open pre-rolls and retained declarations: the frames kept, the ones the inspector read.", Int(p.RetainedFrames)),
+		Gauge("videodrift_forensics_retained_bytes", "Pixel bytes of the frames the forensics recorders hold.", Int(p.RetainedBytes)),
+		Gauge("videodrift_events_ring_events", "Events held in the tracers' rings.", Int(p.RingEvents)),
+		Gauge("videodrift_events_ring_capacity", "Events the tracers' rings may hold (-ring per tracer); slots are allocated as events arrive.", Int(p.RingCapacity)),
+		Gauge("videodrift_go_heap_objects_bytes", "Heap memory occupied by objects, live or not yet swept (runtime/metrics /memory/classes/heap/objects:bytes).", Int(rt[0].Value.Uint64())),
+		Counter("videodrift_go_gc_cycles_total", "Garbage-collection cycles completed since the process started (runtime/metrics /gc/cycles/total:gc-cycles).", Int(rt[1].Value.Uint64())),
+		Counter("videodrift_go_heap_allocs_bytes_total", "Bytes allocated on the heap since the process started (runtime/metrics /gc/heap/allocs:bytes).", Int(rt[2].Value.Uint64())),
+	}
 }
 
 // WriteJSONTo is a convenience: snapshot the tracer and write JSON.

@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -12,6 +14,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unicode/utf8"
 	"unsafe"
 )
 
@@ -453,7 +456,7 @@ videodrift_stage_latency_hist_seconds_count{stage="classify"} 1
 // checked for a plausible value, then masked.
 func TestProcessPrometheusGolden(t *testing.T) {
 	var b strings.Builder
-	if err := WriteProcessPrometheus(&b, Process{RegistryModels: 7, RetainedFrames: 72, RetainedBytes: 589824, RingEvents: 5, RingCapacity: 4096}); err != nil {
+	if err := WriteFamilies(&b, Process{RegistryModels: 7, RetainedFrames: 72, RetainedBytes: 589824, RingEvents: 5, RingCapacity: 4096}.Families()); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.SplitAfter(b.String(), "\n")
@@ -509,6 +512,62 @@ videodrift_go_heap_allocs_bytes_total N
 	if masked := strings.Join(lines, ""); masked != golden {
 		t.Errorf("process exposition drifted from golden.\n--- got ---\n%s\n--- want ---\n%s", masked, golden)
 	}
+}
+
+// FuzzLabelValue holds the writer's label escaping to the text format
+// for any bytes a label value may hold — a tenant id arrives off the
+// wire: the family is one sample line, and a strict reader of the format
+// reads the value back with invalid UTF-8 as U+FFFD.
+func FuzzLabelValue(f *testing.F) {
+	for _, v := range []string{"cam-0", "", "cam\t\xff\u200b", `a"b\c`, "x\ny\r", `\n`, "\xff\xfe\"\\", "\ufffd"} {
+		f.Add(v)
+	}
+	f.Fuzz(func(t *testing.T, v string) {
+		var b strings.Builder
+		if err := WriteFamilies(&b, []Family{Gauge("g", "", Int(1, "tenant", v))}); err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.SplitAfter(b.String(), "\n")
+		if len(lines) != 3 || lines[0] != "# TYPE g gauge\n" || lines[2] != "" {
+			t.Fatalf("label value %q: want a TYPE line and one sample line, got %q", v, lines)
+		}
+		body, ok := strings.CutPrefix(lines[1], `g{tenant="`)
+		if body, ok = strings.CutSuffix(body, "\"} 1\n"); !ok {
+			t.Fatalf("label value %q: sample line %q", v, lines[1])
+		}
+		got, err := unescapeLabel(body)
+		if want := strings.ToValidUTF8(v, "\uFFFD"); err != nil || got != want {
+			t.Fatalf("label value %q: written %q, read back %q (%v), want %q", v, body, got, err, want)
+		}
+	})
+}
+
+// unescapeLabel reads a label value's body as the text format defines
+// it: UTF-8, no raw double quote or newline, and a backslash only before
+// a backslash, a double quote or n.
+func unescapeLabel(s string) (string, error) {
+	if !utf8.ValidString(s) {
+		return "", errors.New("invalid UTF-8")
+	}
+	var b strings.Builder
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case c == '"' || c == '\n':
+			return "", fmt.Errorf("raw %q at byte %d", c, i)
+		case c != '\\':
+			b.WriteByte(c)
+		case i+1 < len(s) && (s[i+1] == '\\' || s[i+1] == '"'):
+			i++
+			b.WriteByte(s[i])
+		case i+1 < len(s) && s[i+1] == 'n':
+			i++
+			b.WriteByte('\n')
+		default:
+			return "", fmt.Errorf("bad escape at byte %d", i)
+		}
+	}
+	return b.String(), nil
 }
 
 func TestSnapshotJSONRoundTrip(t *testing.T) {
