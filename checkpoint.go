@@ -23,10 +23,6 @@ type Checkpoint = store.Checkpoint
 // format).
 type CheckpointStore = store.Store
 
-// CheckpointInfo describes a checkpoint file without rebuilding the
-// models in it — what `drifttool inspect` prints.
-type CheckpointInfo = store.Description
-
 // ErrNoCheckpoint reports a store directory with no checkpoint to
 // resume from (a cold start).
 var ErrNoCheckpoint = store.ErrNoCheckpoint
@@ -39,9 +35,6 @@ func OpenStore(dir string) (*CheckpointStore, error) { return store.Open(dir) }
 // (store.ErrTruncated, store.ErrChecksum, *store.VersionError), never a
 // panic.
 func LoadCheckpoint(path string) (*Checkpoint, error) { return store.LoadPath(path) }
-
-// InspectCheckpoint summarizes a checkpoint file cheaply.
-func InspectCheckpoint(path string) (*CheckpointInfo, error) { return store.Inspect(path) }
 
 // Checkpoint captures the monitor's full state. The monitor must not be
 // processing frames concurrently with the capture; the snapshot is a

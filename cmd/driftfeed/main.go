@@ -4,18 +4,16 @@
 // stream (dataset.TenantStream: its own seed schedule, so tenants drift
 // at different times, and a fresh seed every lap) driven
 // by one connection with exactly-once delivery: frames are resent
-// across reconnects, corruption NACKs and backpressure until the server
-// confirms them, a window of them at a time, and the tenant's last
-// window is confirmed before driftfeed reports.
+// across reconnects and corruption NACKs until the server confirms
+// them, a window of them at a time (a full queue at the server holds
+// the sender back), and the tenant's last window is confirmed before
+// driftfeed reports.
 //
 // Usage:
 //
 //	driftfeed [-addr localhost:9091] [-dataset bdd|detrac|tokyo|slow]
 //	          [-scale 0.02] [-tenants 2] [-frames 200] [-prefix cam]
-//	          [-fps 0] [-http url] [-net-faults seed] [-v]
-//
-// With -http the frames go through driftserve's HTTP POST /ingest
-// fallback instead of raw TCP (e.g. -http http://localhost:9090/ingest).
+//	          [-fps 0] [-net-faults seed] [-v]
 //
 // -addr accepts a comma-separated address list for a replicated
 // deployment (primary's ingest address first, standbys' after): when
@@ -32,12 +30,9 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"strconv"
 	"sync"
@@ -46,12 +41,10 @@ import (
 	"videodrift/internal/dataset"
 	"videodrift/internal/faults"
 	"videodrift/internal/ingest"
-	"videodrift/internal/vidsim"
 )
 
 func main() {
 	addr := flag.String("addr", "localhost:9091", "driftserve -ingest-addr to feed (TCP wire protocol); a comma-separated list fails over to the next address when a connection is refused (primary first, standbys after)")
-	httpURL := flag.String("http", "", "feed via HTTP POST to this URL instead of raw TCP (e.g. http://localhost:9090/ingest)")
 	dsName := flag.String("dataset", "bdd", "stream to replay: bdd, detrac, tokyo, slow")
 	scale := flag.Float64("scale", 0.02, "dataset stream scale (1.0 = paper sizes)")
 	tenants := flag.Int("tenants", 2, "concurrent tenant streams")
@@ -107,10 +100,6 @@ func main() {
 				inj = faults.NewNetInjector(faults.GenerateNet(
 					*netFaults+int64(i), *frames*2, 0.02, 0.01))
 			}
-			if *httpURL != "" {
-				results[i].sent, results[i].err = feedHTTP(*httpURL, tenant, next, *frames, *verbose)
-				return
-			}
 			c, err := ingest.Dial(ingest.ClientConfig{
 				Addr:    *addr,
 				Tenant:  tenant,
@@ -161,43 +150,4 @@ func main() {
 	if failed > 0 {
 		os.Exit(1)
 	}
-}
-
-// feedHTTP delivers one tenant's frames through the HTTP POST
-// fallback, honoring Retry-After on backpressure.
-func feedHTTP(url, tenant string, next func() vidsim.Frame, frames int, verbose bool) (int, error) {
-	seq := uint64(0)
-	for n := 0; n < frames; n++ {
-		wire := ingest.EncodeFrame(ingest.MsgFromFrame(tenant, seq, next()))
-		for attempt := 0; ; attempt++ {
-			if attempt > 300 {
-				return n, fmt.Errorf("frame seq %d: retry budget exhausted", seq)
-			}
-			resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(wire))
-			if err != nil {
-				return n, err
-			}
-			var body map[string]interface{}
-			json.NewDecoder(resp.Body).Decode(&body)
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				break
-			}
-			if ra := resp.Header.Get("Retry-After"); ra != "" &&
-				(resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable) {
-				secs, _ := strconv.Atoi(ra)
-				if secs < 1 {
-					secs = 1
-				}
-				time.Sleep(time.Duration(secs) * time.Second)
-				continue
-			}
-			return n, fmt.Errorf("frame seq %d: HTTP %d (%v)", seq, resp.StatusCode, body)
-		}
-		seq++
-		if verbose && (n+1)%100 == 0 {
-			fmt.Fprintf(os.Stderr, "%s: %d/%d frames accepted over HTTP\n", tenant, n+1, frames)
-		}
-	}
-	return frames, nil
 }

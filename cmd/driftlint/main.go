@@ -15,8 +15,7 @@
 //
 // Exit status: 0 clean, 1 findings, 2 load failure. Suppress a finding
 // with `//lint:allow <analyzer> <reason>` on the flagged line or the
-// line above. The identical gate runs in CI and via `drifttool lint`
-// and scripts/lint.sh.
+// line above. The identical gate runs in CI and via scripts/lint.sh.
 package main
 
 import (

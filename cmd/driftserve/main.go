@@ -5,8 +5,8 @@
 // distribution move, all without stopping the streams.
 //
 // Frames arrive only over the wire: each camera is a tenant of the
-// network ingestion tier on -ingest-addr (the wire protocol over TCP, or
-// POST /ingest), attached on its first frame to a shard of one fleet
+// network ingestion tier on -ingest-addr (the wire protocol over TCP),
+// attached on its first frame to a shard of one fleet
 // over a shared set of provisioned models — the multi-camera deployment
 // shape: every tenant has an independent monitor with its own drift
 // state and telemetry tracer, and the expensive read-only state —
@@ -41,9 +41,6 @@
 //	           timeout, or checkpointing is enabled and the state
 //	           dir has lagged the fleet for 3 intervals, this primary
 //	           was fenced, or a promotion failed.
-//	/ingest    the HTTP POST fallback of the wire protocol: the body
-//	           is one complete frame message, verdicts map to
-//	           200/400/409/429/503
 //	/debug/pprof/…  the standard net/http/pprof profiles
 //
 // Usage:
@@ -105,7 +102,7 @@ func main() {
 	flag.DurationVar(&cfg.CheckpointEvery, "checkpoint-every", 30*time.Second, "background checkpoint interval (needs -state-dir)")
 	flag.DurationVar(&cfg.StallTimeout, "stall-timeout", 10*time.Second, "how long a shard may sit on one frame before /healthz reports it stalled")
 	flag.BoolVar(&cfg.Forensics, "forensics", true, "record drift declarations with replayable pre-rolls (the frames the inspector read) for /drift and checkpoints")
-	flag.StringVar(&cfg.IngestAddr, "ingest-addr", ":9091", "TCP listen address of the network ingestion tier, the only way frames reach the fleet (HTTP POST /ingest is its fallback; a standby opens it once it promotes)")
+	flag.StringVar(&cfg.IngestAddr, "ingest-addr", ":9091", "TCP listen address of the network ingestion tier, the only way frames reach the fleet (a standby opens it once it promotes)")
 	flag.IntVar(&cfg.MaxTenants, "max-tenants", 64, "max concurrently attached ingestion tenants")
 	flag.IntVar(&cfg.TenantQueue, "tenant-queue", 256, "per-tenant bounded queue capacity")
 	flag.DurationVar(&cfg.IdleEvict, "idle-evict", 2*time.Minute, "detach ingestion tenants idle this long, freeing their shard (0 = never)")

@@ -9,7 +9,6 @@
 //	drifttool [-verify] inspect <state-dir>
 //	drifttool [-drift id] [-shard n] explain <checkpoint>
 //	drifttool health <addr>
-//	drifttool lint [packages]
 //
 // The inspect subcommand describes a checkpoint file written by
 // driftserve (or any videodrift.CheckpointStore): store format version,
@@ -30,10 +29,6 @@
 // bit-identical replayed martingale trajectory, and how the post-drift
 // selection resolved. -drift narrows to one declaration ID, -shard to
 // one shard.
-//
-// The lint subcommand runs the repo's driftlint analyzer suite (the
-// same multichecker cmd/driftlint wraps) over the given packages,
-// defaulting to ./... — see cmd/driftlint for the analyzer list.
 package main
 
 import (
@@ -47,8 +42,6 @@ import (
 	"strings"
 	"time"
 
-	"videodrift/internal/analysis"
-	"videodrift/internal/analysis/driftlint"
 	"videodrift/internal/core"
 	"videodrift/internal/dataset"
 	"videodrift/internal/experiments"
@@ -69,13 +62,6 @@ func main() {
 	verify := flag.Bool("verify", false, "inspect: re-checksum every full checkpoint in a state dir; exit 1 on damage")
 	flag.Parse()
 
-	if flag.Arg(0) == "lint" {
-		cwd, err := os.Getwd()
-		if err != nil {
-			log.Fatal(err)
-		}
-		os.Exit(driftlint.Main(os.Stderr, cwd, flag.Args()[1:], analysis.Suite()))
-	}
 	if flag.Arg(0) == "inspect" {
 		if flag.NArg() != 2 {
 			log.Fatal("usage: drifttool [-verify] inspect <checkpoint|state-dir>")
@@ -235,8 +221,8 @@ func health(w io.Writer, addr string) int {
 	if in := h.Ingest; in != nil {
 		fmt.Fprintf(w, "  ingest: %d/%d tenants attached   accepted %d   processed %d   dups %d\n",
 			in.Active, in.Known, in.Accepted, in.Processed, in.Dups)
-		fmt.Fprintf(w, "    nacks: queue_full %d, bad_seq %d, tenant_limit %d, malformed %d   attaches %d   evictions %d\n",
-			in.NackedFull, in.NackedSeq, in.NackedLimit, in.NackedMalformed, in.Attaches, in.Evictions)
+		fmt.Fprintf(w, "    nacks: bad_seq %d, tenant_limit %d, malformed %d   attaches %d   evictions %d\n",
+			in.NackedSeq, in.NackedLimit, in.NackedMalformed, in.Attaches, in.Evictions)
 		fmt.Fprintf(w, "    pump: %d runs (%d on the connection that read the frame), %.2f frames per run\n",
 			in.Pumps, in.PumpsInline, float64(in.Processed)/float64(max(in.Pumps, 1)))
 		for _, t := range in.Tenants {
@@ -244,8 +230,8 @@ func health(w io.Writer, addr string) int {
 			if t.Slot < 0 {
 				slot = "evicted"
 			}
-			fmt.Fprintf(w, "    tenant %s: slot %s, queued %d/%d, accepted %d, processed %d, dups %d, nacked_full %d, nacked_seq %d\n",
-				t.Tenant, slot, t.Queued, t.QueueCap, t.Accepted, t.Processed, t.Dups, t.NackedFull, t.NackedSeq)
+			fmt.Fprintf(w, "    tenant %s: slot %s, queued %d/%d, accepted %d, processed %d, dups %d, nacked_seq %d\n",
+				t.Tenant, slot, t.Queued, t.QueueCap, t.Accepted, t.Processed, t.Dups, t.NackedSeq)
 		}
 	}
 	fmt.Fprintf(w, "  total dropped: %d\n", dropped)

@@ -20,17 +20,11 @@ type Timing struct {
 	Packages, Funcs int
 }
 
-// RunPatterns loads every package matching the patterns under the
+// RunPatternsTimed loads every package matching the patterns under the
 // module rooted at root ONCE — one loader, one type-checked package
 // cache, one fact layer — and applies all analyzers over that shared
-// state, returning sorted diagnostics. It is the programmatic core
-// shared by cmd/driftlint and `drifttool lint`.
-func RunPatterns(module, root string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, error) {
-	diags, _, err := RunPatternsTimed(module, root, patterns, analyzers)
-	return diags, err
-}
-
-// RunPatternsTimed is RunPatterns plus the wall-clock split.
+// state, returning sorted diagnostics and the wall-clock split. It is
+// Main's core.
 func RunPatternsTimed(module, root string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, Timing, error) {
 	var tm Timing
 	loader := NewLoader(module, root)

@@ -261,28 +261,19 @@ func (e *ModelEntry) FeatMatrix() *tensor.RefMatrix {
 // Reads are lock-free: the entry list lives in an immutable
 // RegistrySnap published through an atomic pointer (copy-on-write), so
 // the per-frame hot path never contends with a concurrent Add. Writers
-// serialize on mu, copy the entry slice, and publish a new snapshot
-// with a bumped epoch — readers holding the old snapshot keep a
-// consistent prefix view, and epoch comparison lets per-shard caches
-// refresh only when the registry actually grew.
+// serialize on mu, copy the entry slice, and publish a new snapshot —
+// readers holding the old snapshot keep a consistent prefix view.
 type Registry struct {
 	mu   sync.Mutex // serializes writers; readers go through snap only
 	snap atomic.Pointer[RegistrySnap]
 }
 
 // RegistrySnap is one immutable registry generation: the entry list as
-// of a particular epoch. Neither the snapshot nor its slice is ever
-// mutated after publication; callers may hold or iterate it freely
-// without copying.
+// of one Add. Neither the snapshot nor its slice is ever mutated after
+// publication; callers may hold or iterate it freely without copying.
 type RegistrySnap struct {
-	epoch   uint64
 	entries []*ModelEntry
 }
-
-// Epoch returns the snapshot's generation counter. It increases by one
-// per Add, so two snapshots with equal epochs hold identical entry
-// lists.
-func (s *RegistrySnap) Epoch() uint64 { return s.epoch }
 
 // Entries returns the snapshot's entry list in insertion order. The
 // slice is the snapshot's own immutable storage — callers must not
@@ -305,16 +296,14 @@ func NewRegistry(entries ...*ModelEntry) *Registry {
 func (r *Registry) Snapshot() *RegistrySnap { return r.snap.Load() }
 
 // Add appends an entry (e.g. a freshly trained model after a novel
-// drift) by publishing a copy-on-write snapshot with the epoch bumped.
+// drift) by publishing a copy-on-write snapshot.
 func (r *Registry) Add(e *ModelEntry) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	cur := r.snap.Load()
-	next := &RegistrySnap{
-		epoch:   cur.epoch + 1,
+	r.snap.Store(&RegistrySnap{
 		entries: append(append(make([]*ModelEntry, 0, len(cur.entries)+1), cur.entries...), e),
-	}
-	r.snap.Store(next)
+	})
 }
 
 // Entries returns a copy of the registry's entries in insertion order.

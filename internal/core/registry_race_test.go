@@ -69,22 +69,21 @@ func TestRegistryConcurrentGrowth(t *testing.T) {
 }
 
 // TestRegistrySnapshotEpochs pins the copy-on-write contract the
-// per-shard entry caches rely on: epochs increase by exactly one per
-// Add, snapshots are immutable prefix-consistent views, and equal
-// epochs mean identical entry lists.
+// per-shard entry lists rely on: each Add publishes a snapshot one entry
+// longer, and snapshots are immutable prefix-consistent views.
 func TestRegistrySnapshotEpochs(t *testing.T) {
 	f := getFixture()
 	reg := NewRegistry(f.day)
 	s0 := reg.Snapshot()
-	if s0.Epoch() != 0 || s0.Len() != 1 {
-		t.Fatalf("fresh registry snapshot: epoch=%d len=%d, want 0/1", s0.Epoch(), s0.Len())
+	if s0.Len() != 1 {
+		t.Fatalf("fresh registry snapshot: len=%d, want 1", s0.Len())
 	}
 	reg.Add(f.night)
 	s1 := reg.Snapshot()
 	reg.Add(f.rain)
 	s2 := reg.Snapshot()
-	if s1.Epoch() != 1 || s2.Epoch() != 2 {
-		t.Fatalf("epochs after two Adds: %d, %d, want 1, 2", s1.Epoch(), s2.Epoch())
+	if s1.Len() != 2 || s2.Len() != 3 {
+		t.Fatalf("lengths after two Adds: %d, %d, want 2, 3", s1.Len(), s2.Len())
 	}
 	// Prefix stability: every older snapshot is a prefix of every newer
 	// one, entry for entry.
@@ -95,20 +94,19 @@ func TestRegistrySnapshotEpochs(t *testing.T) {
 		}
 		for i, e := range old.Entries() {
 			if new.Entries()[i] != e {
-				t.Fatalf("entry %d differs between epochs %d and %d", i, old.Epoch(), new.Epoch())
+				t.Fatalf("entry %d differs between snapshots of %d and %d entries", i, old.Len(), new.Len())
 			}
 		}
 	}
-	// Same-epoch snapshots are the same view.
-	if again := reg.Snapshot(); again.Epoch() != s2.Epoch() || again.Len() != s2.Len() {
-		t.Errorf("re-taken snapshot differs at same epoch: %d/%d vs %d/%d",
-			again.Epoch(), again.Len(), s2.Epoch(), s2.Len())
+	// Without an Add between them, two snapshots are the same view.
+	if again := reg.Snapshot(); again.Len() != s2.Len() {
+		t.Errorf("re-taken snapshot holds %d entries, want %d", again.Len(), s2.Len())
 	}
 }
 
 // TestRegistrySnapshotConcurrent grows the registry while readers
-// continuously take lock-free snapshots, asserting epoch monotonicity
-// and length consistency under -race.
+// continuously take lock-free snapshots, asserting under -race that a
+// snapshot never shrinks and keeps the entries it started with.
 func TestRegistrySnapshotConcurrent(t *testing.T) {
 	f := getFixture()
 	reg := NewRegistry(f.day)
@@ -119,7 +117,7 @@ func TestRegistrySnapshotConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			lastEpoch := uint64(0)
+			last := 0
 			for {
 				select {
 				case <-stop:
@@ -127,13 +125,13 @@ func TestRegistrySnapshotConcurrent(t *testing.T) {
 				default:
 				}
 				s := reg.Snapshot()
-				if s.Epoch() < lastEpoch {
-					t.Errorf("epoch went backwards: %d after %d", s.Epoch(), lastEpoch)
+				if s.Len() < last {
+					t.Errorf("snapshot shrank: %d entries after %d", s.Len(), last)
 					return
 				}
-				lastEpoch = s.Epoch()
-				if int(s.Epoch()) != s.Len()-1 {
-					t.Errorf("epoch %d inconsistent with %d entries", s.Epoch(), s.Len())
+				last = s.Len()
+				if s.Entries()[0] != f.day {
+					t.Errorf("snapshot of %d entries lost the first", s.Len())
 					return
 				}
 			}
@@ -148,7 +146,7 @@ func TestRegistrySnapshotConcurrent(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if got := reg.Snapshot(); got.Epoch() != 16 || got.Len() != 17 {
-		t.Fatalf("final snapshot epoch=%d len=%d, want 16/17", got.Epoch(), got.Len())
+	if got := reg.Snapshot(); got.Len() != 17 {
+		t.Fatalf("final snapshot len=%d, want 17", got.Len())
 	}
 }

@@ -16,7 +16,9 @@ const (
 	DefaultDialTimeout  = 5 * time.Second
 	DefaultReplyTimeout = 30 * time.Second
 	DefaultMaxAttempts  = 8
-	DefaultMaxBackoff   = 200
+	// DefaultMaxBackoff bounds the waits a Send, Flush or Close spends on
+	// tenant-limit Nacks and on a failover's refused connections.
+	DefaultMaxBackoff = 200
 )
 
 // window is how many frames a connection leaves unconfirmed at most: the
@@ -41,12 +43,10 @@ type ClientConfig struct {
 	ReplyTimeout time.Duration
 	// MaxAttempts bounds transport-level retries per Send, Flush or
 	// Close — reconnects after torn writes, resends after corruption
-	// Nacks (<= 0 means DefaultMaxAttempts). Backpressure Nacks have
-	// their own, larger budget MaxBackoff, because a full queue is the
-	// server working as designed, not failing (<= 0 means
-	// DefaultMaxBackoff).
+	// Nacks (<= 0 means DefaultMaxAttempts). Waits on a server working as
+	// designed — a fleet at its tenant limit, a standby promoting — have
+	// their own, larger budget, DefaultMaxBackoff.
 	MaxAttempts int
-	MaxBackoff  int
 	// Sleep waits out a Nack's retry-after hint (nil means time.Sleep;
 	// tests inject to avoid wall-clock waits).
 	Sleep func(time.Duration)
@@ -83,8 +83,9 @@ func (e *NackError) Error() string {
 // of frames: Send writes its frame and returns, and the frame that leaves
 // window frames unconfirmed — and a stream's first — asks with a Sync
 // written behind it and blocks on the answer, one cumulative Ack for all
-// of them. A frame is resent — across reconnects, corruption rejections
-// and backpressure — until the server confirms it, and only frames the
+// of them. A full queue at the server holds Send back, in its write or
+// its ask. A frame is resent — across reconnects, corruption rejections
+// and a tenant limit — until the server confirms it, and only frames the
 // server reports it lacks are resent (the seq dedup covers a reconnect
 // racing the old connection). A server that speaks another protocol
 // version fails the Send at once with a *VersionError. A Client
@@ -137,9 +138,6 @@ func Dial(cfg ClientConfig) (*Client, error) {
 	}
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = DefaultMaxAttempts
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = DefaultMaxBackoff
 	}
 	if cfg.Sleep == nil {
 		cfg.Sleep = time.Sleep
@@ -239,15 +237,15 @@ func (c *Client) Send(f vidsim.Frame) error {
 func (c *Client) confirm() error {
 	attempts, backoffs := 0, 0
 	var lastErr error
-	for c.base < c.seq && attempts < c.cfg.MaxAttempts && backoffs < c.cfg.MaxBackoff {
+	for c.base < c.seq && attempts < c.cfg.MaxAttempts && backoffs < DefaultMaxBackoff {
 		if c.conn == nil {
 			if err := c.connect(); err != nil {
 				lastErr = err
 				if len(c.addrs) > 1 {
 					// Every address refused. During a failover that is the
 					// expected window while the standby promotes, so it spends
-					// the larger backpressure budget with a capped exponential
-					// wait rather than burning the per-frame attempt budget.
+					// the larger DefaultMaxBackoff budget with a capped
+					// exponential wait rather than the per-frame attempt budget.
 					backoffs++
 					if c.connFails < 10 {
 						c.connFails++
@@ -286,8 +284,9 @@ func (c *Client) confirm() error {
 		}
 		lastErr = &NackError{Nack: *nack}
 		switch nack.Code {
-		case NackQueueFull, NackTenantLimit:
-			// Backpressure: the server told us when to come back.
+		case NackTenantLimit:
+			// No slot for the tenant yet: the server told us when to come
+			// back.
 			backoffs++
 			d := time.Duration(nack.RetryAfterMillis) * time.Millisecond
 			if d <= 0 {

@@ -1,10 +1,7 @@
 package ingest
 
 import (
-	"bytes"
 	"net"
-	"net/http"
-	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -163,51 +160,6 @@ func TestLoopbackBitIdenticalUnderFaults(t *testing.T) {
 	}
 	if s.Nacks == 0 {
 		t.Error("fault run saw no NACKs — no corruption was rejected")
-	}
-}
-
-// TestHTTPFallback pins the HTTP POST surface: the body is the same
-// wire message, the verdicts map onto status codes.
-func TestHTTPFallback(t *testing.T) {
-	_, opts := sharedModels()
-	router := NewRouter(testFleet(opts), Config{QueueCap: 1})
-	hs := httptest.NewServer(NewServer(router, ServerConfig{}).HTTPHandler())
-	defer hs.Close()
-	stream := testStream(3, 78)
-
-	post := func(body []byte) *http.Response {
-		t.Helper()
-		resp, err := http.Post(hs.URL, "application/octet-stream", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp
-	}
-	if resp := post(EncodeFrame(MsgFromFrame("cam-h", 0, stream[0]))); resp.StatusCode != http.StatusOK {
-		t.Fatalf("first frame: HTTP %d", resp.StatusCode)
-	}
-	if resp := post(EncodeFrame(MsgFromFrame("cam-h", 0, stream[0]))); resp.StatusCode != http.StatusOK {
-		t.Fatalf("duplicate frame: HTTP %d, want 200 (idempotent)", resp.StatusCode)
-	}
-	if resp := post(EncodeFrame(MsgFromFrame("cam-h", 5, stream[1]))); resp.StatusCode != http.StatusConflict {
-		t.Fatalf("sequence gap: HTTP %d, want 409", resp.StatusCode)
-	}
-	// Queue cap 1, no pump: the second in-order frame is backpressured.
-	resp := post(EncodeFrame(MsgFromFrame("cam-h", 1, stream[1])))
-	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
-		t.Fatalf("full queue: HTTP %d (Retry-After %q), want 429 with hint", resp.StatusCode, resp.Header.Get("Retry-After"))
-	}
-	wire := EncodeFrame(MsgFromFrame("cam-h", 2, stream[2]))
-	wire[len(wire)-1] ^= 0x10
-	if resp := post(wire); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("corrupt body: HTTP %d, want 400", resp.StatusCode)
-	}
-	if resp := post([]byte("GET / HTTP/1.0")); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("garbage body: HTTP %d, want 400", resp.StatusCode)
-	}
-	if router.Stats().NackedMalformed != 2 {
-		t.Errorf("malformed count %d, want 2", router.Stats().NackedMalformed)
 	}
 }
 

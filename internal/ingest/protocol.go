@@ -1,7 +1,7 @@
 // Package ingest is the network ingestion tier: it accepts frames from
-// external tenants over a compact binary protocol (raw TCP, plus an
-// HTTP POST fallback), routes them through per-tenant bounded queues
-// with explicit backpressure, and feeds them into a dynamic
+// external tenants over a compact binary protocol on TCP, routes them
+// through per-tenant bounded queues — a full queue holds its sender
+// back — and feeds them into a dynamic
 // ShardedMonitor fleet — the front door that turns the single-process
 // monitor into a multi-tenant service (DESIGN.md §14).
 //
@@ -102,11 +102,11 @@ const (
 	// NackMalformed: the message failed to decode; resending the same
 	// bytes will fail again.
 	NackMalformed = 1
-	// NackQueueFull: the tenant's queue is full — backpressure. Retry
-	// after RetryAfter.
-	NackQueueFull = 2
+	// Code 2 is unassigned: a full queue is not rejected, it holds the
+	// sender back.
+
 	// NackTenantLimit: the fleet is at -max-tenants and this tenant is
-	// unknown. Retry after RetryAfter (a slot may free up).
+	// unknown. Retry after RetryAfterMillis (a slot may free up).
 	NackTenantLimit = 3
 	// NackBadSeq: the sequence number leaves a gap (frames would be
 	// silently missing). The expected seq is in Reason.

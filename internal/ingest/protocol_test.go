@@ -41,7 +41,7 @@ func TestGoldenBytes(t *testing.T) {
 		"frame":  {EncodeFrame(m), frame},
 		"sealed": {sealed, frame},
 		"ack":    {EncodeAck(Ack{Seq: 1 << 40}), "56444946020200000008ae7e0ccc0000010000000000"},
-		"nack":   {EncodeNack(Nack{Seq: 12, Code: NackQueueFull, RetryAfterMillis: 50, Reason: "tenant queue full"}), "56444946020300000020845bcddd000000000000000c0200000032001174656e616e742071756575652066756c6c"},
+		"nack":   {EncodeNack(Nack{Seq: 12, Code: NackTenantLimit, RetryAfterMillis: 50, Reason: "fleet at max tenants (64)"}), "5644494602030000002849c31815000000000000000c03000000320019666c656574206174206d61782074656e616e74732028363429"},
 		"sync":   {EncodeSync(Sync{Tenant: "cam-0", Seq: 7}), "5644494602040000000ec46087730563616d2d300000000000000007"},
 	} {
 		if hex.EncodeToString(c.got) != c.want {
@@ -93,7 +93,7 @@ func TestAckNackRoundTrip(t *testing.T) {
 			t.Fatalf("ack round trip %+v -> %+v (%v)", a, got, err)
 		}
 	}
-	n := Nack{Seq: 12, Code: NackQueueFull, RetryAfterMillis: 50, Reason: "tenant queue full"}
+	n := Nack{Seq: 12, Code: NackTenantLimit, RetryAfterMillis: 50, Reason: "fleet at max tenants (64)"}
 	typ, payload, err := DecodeMsg(EncodeNack(n))
 	if err != nil || typ != MsgNack {
 		t.Fatalf("nack: type %d err %v", typ, err)

@@ -20,6 +20,7 @@ const (
 	DefaultMaxTenants = 64
 	DefaultQueueCap   = 256
 	DefaultBatchSize  = 8
+	// DefaultRetryAfter is the backoff hint a tenant-limit NACK carries.
 	DefaultRetryAfter = 50 * time.Millisecond
 )
 
@@ -30,9 +31,9 @@ type Config struct {
 	// limit is NACKed with NackTenantLimit — never queued unboundedly.
 	MaxTenants int
 	// QueueCap bounds each tenant's frame queue (<= 0 means
-	// DefaultQueueCap). A frame arriving at a full queue is NACKed with
-	// NackQueueFull and a retry-after hint: explicit backpressure, no
-	// silent drop, no unbounded buffering.
+	// DefaultQueueCap). A frame arriving at a full queue waits for the
+	// next Pump to make room, holding its sender back: no silent drop,
+	// no unbounded buffering.
 	QueueCap int
 	// BatchSize is the per-shard micro-batch size Pump feeds the fleet
 	// with (<= 0 means DefaultBatchSize).
@@ -42,12 +43,9 @@ type Config struct {
 	// tenant's sequence position is retained, so a returning tenant
 	// resumes its stream on a fresh shard without seq disruption.
 	IdleEvict time.Duration
-	// RetryAfter is the backoff hint attached to queue-full and
-	// tenant-limit NACKs (<= 0 means DefaultRetryAfter).
-	RetryAfter time.Duration
-	// Now is the router's clock, used only for idle-eviction and
-	// retry-after bookkeeping — never for admission or drift decisions,
-	// which keeps replay deterministic. Nil means time.Now.
+	// Now is the router's clock, used only for idle-eviction
+	// bookkeeping — never for admission or drift decisions, which keeps
+	// replay deterministic. Nil means time.Now.
 	Now func() time.Time
 	// NewTracer optionally builds a per-tenant telemetry tracer,
 	// attached to the tenant's shard for its lifetime (re-used across
@@ -57,11 +55,11 @@ type Config struct {
 	// ResumeStreams makes a brand-new tenant's first contact define its
 	// stream position instead of requiring seq 0 — the promoted-standby
 	// and warm-restart case, where clients arrive mid-stream at a server
-	// that has not seen them. First contact is a wire client's opening
-	// Sync, which attaches the tenant as a frame would, or an HTTP
-	// client's first frame. Only tenant creation adopts the sequence; a
-	// returning evicted tenant still resumes its retained position, so
-	// the exactly-once contract within one server's lifetime holds.
+	// that has not seen them. First contact is a client's opening Sync,
+	// which attaches the tenant as a frame would. Only tenant creation
+	// adopts the sequence; a returning evicted tenant still resumes its
+	// retained position, so the exactly-once contract within one
+	// server's lifetime holds.
 	ResumeStreams bool
 }
 
@@ -74,8 +72,9 @@ type Config struct {
 //
 // The backpressure contract: a submitted frame is either queued (and
 // eventually processed, exactly once, in sequence order) or rejected
-// with a typed verdict the sender sees. Nothing in the router drops a
-// frame silently, and no queue grows without bound.
+// with a typed verdict the sender sees; a frame that finds its queue
+// full waits for room. Nothing in the router drops a frame silently,
+// and no queue grows without bound.
 type Router struct {
 	sm  *videodrift.ShardedMonitor
 	cfg Config
@@ -94,8 +93,8 @@ type Router struct {
 	// after appending the frame, so a frame racing a drain costs Run one
 	// empty Pump, never a frame left waiting.
 	wake chan struct{}
-	// room, while a connection waits on a full queue, is closed
-	// by the next Pump to take the queues (under mu; nil otherwise).
+	// room, while a frame waits on a full queue, is closed by the next
+	// Pump to take the queues (under mu; nil otherwise).
 	room chan struct{}
 	// evict fires when the first attached tenant's idle window runs out.
 	// Whoever pumped last re-arms it (under procMu); only Run listens.
@@ -118,8 +117,7 @@ type Router struct {
 
 	// Aggregate counters (under mu).
 	accepted, processed      int64
-	dups                     int64
-	nackFull, nackSeq        int64
+	dups, nackSeq            int64
 	nackLimit, nackMalformed int64
 	evictions, attaches      int64
 	pumps, pumpsInline       int64
@@ -205,16 +203,14 @@ type tenant struct {
 	tracer       *telemetry.Tracer
 
 	accepted, processed int64
-	dups                int64
-	nackFull, nackSeq   int64
+	dups, nackSeq       int64
 }
 
-// NewRouter builds a router over a fleet. The fleet should be a
-// dynamic one (videodrift.NewDynamicSharded); attaching tenants to a
-// fixed fleet works but competes with its preallocated slots. A slot
-// the fleet holds under a tenant's name — a fleet resumed from a
-// checkpoint — stays that tenant's: its stream continues at the
-// position the slot recorded, with the shard's tracer.
+// NewRouter builds a router over a dynamic fleet
+// (videodrift.NewDynamicSharded). A slot the fleet holds under a
+// tenant's name — a fleet resumed from a checkpoint — stays that
+// tenant's: its stream continues at the position the slot recorded,
+// with the shard's tracer.
 func NewRouter(sm *videodrift.ShardedMonitor, cfg Config) *Router {
 	if cfg.MaxTenants <= 0 {
 		cfg.MaxTenants = DefaultMaxTenants
@@ -224,9 +220,6 @@ func NewRouter(sm *videodrift.ShardedMonitor, cfg Config) *Router {
 	}
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = DefaultBatchSize
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = DefaultRetryAfter
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -258,7 +251,7 @@ func (r *Router) insert(t *tenant) {
 }
 
 // Verdict is the router's decision on one submitted frame — what the
-// server turns into a Nack on the wire, or an HTTP status.
+// server turns into a Nack on the wire.
 type Verdict struct {
 	// Ack reports the frame was queued (or, with Dup, already
 	// processed — the idempotent accept for a resend after a lost answer).
@@ -274,37 +267,35 @@ type Verdict struct {
 // duplicate is acknowledged, not queued).
 func (v Verdict) queued() bool { return v.Ack && !v.Dup }
 
-// Submit routes one decoded frame and, when it was queued, leaves the
-// wake-up token for Run — it never feeds the fleet itself. First contact
-// with an unknown tenant attaches a shard over the shared models (the
+// Submit routes one decoded frame through admit and, when it was
+// queued, leaves the wake-up token for Run. First contact with an
+// unknown tenant attaches a shard over the shared models (the
 // dynamic-fleet lifecycle); a returning evicted tenant reattaches. A
-// full queue rejects the frame (POST /ingest answers 429). Safe for
-// concurrent use. The pixels widen into a buffer of the router's own,
-// which a frame that was not queued gives straight back; m is not
-// retained.
+// full queue holds the caller until a Pump on another goroutine makes
+// room, or until StopAdmission rejects the frame. Safe for concurrent
+// use. The pixels widen into a buffer of the router's own, which a
+// frame that was not queued gives straight back; m is not retained.
 func (r *Router) Submit(m FrameMsg) Verdict {
-	f := frameOver(r.free.get(len(m.Pixels)), m)
-	v, _ := r.enqueue(m.Tenant, f, false)
+	v := r.admit(m.Tenant, frameOver(r.free.get(len(m.Pixels)), m), nil)
 	if v.queued() {
 		r.signal()
-	} else {
-		r.free.put(f.Pixels)
 	}
 	return v
 }
 
-// admitWindowed admits a connection's frame, whose pixels the free list
-// lent, as Submit does — except that a full queue does not reject it:
-// nothing answers a frame on a connection unless it is rejected, so a
-// NACK among the last frames of a stream would never be resent. Instead the connection stops reading until the tenant's queue
-// has room — TCP carries the backpressure to the client, whose next ask
-// waits — or until done closes (the server is closing: the frame is
-// rejected as an internal fault, which a client resends elsewhere).
-// Before it waits it feeds, since the frames filling the queue may be
-// this connection's own, read and not yet fed.
-func (r *Router) admitWindowed(tenant string, f vidsim.Frame, done <-chan struct{}) Verdict {
+// admit queues a frame whose pixels the free list lent, giving them
+// back when it is not queued. A full queue does not reject it: nothing
+// answers a frame on a connection unless it is rejected, so a NACK
+// among the last frames of a stream would never be resent. Instead the
+// caller waits until the tenant's queue has room — a connection stops
+// reading, and TCP carries the backpressure to the client, whose next
+// ask waits — or until StopAdmission or done (nil never closes; a
+// Server's Close) rejects the frame as an internal fault, which a
+// client resends elsewhere. Before it waits it feeds, since the frames
+// filling the queue may be the caller's own, read and not yet fed.
+func (r *Router) admit(tenant string, f vidsim.Frame, done <-chan struct{}) Verdict {
 	for {
-		v, room := r.enqueue(tenant, f, true)
+		v, room := r.enqueue(tenant, f)
 		if room == nil {
 			if !v.queued() {
 				r.free.put(f.Pixels)
@@ -361,10 +352,10 @@ func (r *Router) position(tenant []byte, seq uint64, sync bool) uint64 {
 }
 
 // StopAdmission closes the router to frames: once it returns, no frame
-// joins a queue over either transport — each is rejected as an internal
-// fault, which a client resends elsewhere — and a connection waiting for
-// room in a queue gives up. What is queued stays for the next Pump, which
-// drains it; a server shutting down calls it before its last one.
+// joins a queue — each is rejected as an internal fault, which a client
+// resends elsewhere — and a frame waiting for room in a queue gives up.
+// What is queued stays for the next Pump, which drains it; a server
+// shutting down calls it before its last one.
 func (r *Router) StopAdmission() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -410,13 +401,14 @@ func (r *Router) feedInPlace() bool {
 	return true
 }
 
-// enqueue is the admission half of Submit: tenant lookup and attach,
-// the sequence contract, the queue bound. f.Index carries the wire
-// sequence number. A queued frame must then be fed or signalled by the
-// caller. With wait a full queue is not a rejection: the frame is left
-// out and enqueue returns the channel the next Pump to take the queues
-// closes (nil otherwise).
-func (r *Router) enqueue(id string, f vidsim.Frame, wait bool) (Verdict, <-chan struct{}) {
+// enqueue is one try of admit: tenant lookup and attach, the sequence
+// contract, the queue bound. f.Index carries the wire sequence number.
+// It has three outcomes: the frame is queued (and must then be fed or
+// signalled by the caller), answered without queueing (a duplicate's
+// Ack, or a rejection), or — its queue full — left out, and enqueue
+// returns the channel the next Pump to take the queues closes (nil
+// otherwise).
+func (r *Router) enqueue(id string, f vidsim.Frame) (Verdict, <-chan struct{}) {
 	seq := uint64(f.Index)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -455,19 +447,10 @@ func (r *Router) enqueue(id string, f vidsim.Frame, wait bool) (Verdict, <-chan 
 		}, nil
 	}
 	if len(t.queue) >= r.cfg.QueueCap {
-		if wait {
-			if r.room == nil {
-				r.room = make(chan struct{})
-			}
-			return Verdict{}, r.room
+		if r.room == nil {
+			r.room = make(chan struct{})
 		}
-		t.nackFull++
-		r.nackFull++
-		return Verdict{
-			Code:       NackQueueFull,
-			RetryAfter: r.cfg.RetryAfter,
-			Reason:     fmt.Sprintf("tenant queue full (%d)", r.cfg.QueueCap),
-		}, nil
+		return Verdict{}, r.room
 	}
 	t.queue = append(t.queue, f)
 	t.nextSeq++
@@ -491,7 +474,7 @@ func (r *Router) attachLocked(id string, seq uint64) (*tenant, Verdict) {
 	if r.activeLocked() >= r.cfg.MaxTenants {
 		return nil, Verdict{
 			Code:       NackTenantLimit,
-			RetryAfter: r.cfg.RetryAfter,
+			RetryAfter: DefaultRetryAfter,
 			Reason:     fmt.Sprintf("fleet at max tenants (%d)", r.cfg.MaxTenants),
 		}
 	}
@@ -684,13 +667,12 @@ type TenantStats struct {
 	Queued   int `json:"queued"`
 	QueueCap int `json:"queue_cap"`
 	// Accepted counts frames queued; Processed frames that reached the
-	// fleet; Dups idempotent re-acks; NackedFull backpressure
-	// rejections; NackedSeq sequence-gap rejections.
-	Accepted   int64 `json:"accepted"`
-	Processed  int64 `json:"processed"`
-	Dups       int64 `json:"dups"`
-	NackedFull int64 `json:"nacked_full"`
-	NackedSeq  int64 `json:"nacked_seq"`
+	// fleet; Dups idempotent re-acks; NackedSeq sequence-gap
+	// rejections.
+	Accepted  int64 `json:"accepted"`
+	Processed int64 `json:"processed"`
+	Dups      int64 `json:"dups"`
+	NackedSeq int64 `json:"nacked_seq"`
 }
 
 // Stats is the router's aggregate view, for /healthz and /metrics.
@@ -702,7 +684,6 @@ type Stats struct {
 	Accepted        int64 `json:"accepted"`
 	Processed       int64 `json:"processed"`
 	Dups            int64 `json:"dups"`
-	NackedFull      int64 `json:"nacked_full"`
 	NackedSeq       int64 `json:"nacked_seq"`
 	NackedLimit     int64 `json:"nacked_limit"`
 	NackedMalformed int64 `json:"nacked_malformed"`
@@ -730,7 +711,6 @@ func (r *Router) Stats() Stats {
 		Accepted:        r.accepted,
 		Processed:       r.processed,
 		Dups:            r.dups,
-		NackedFull:      r.nackFull,
 		NackedSeq:       r.nackSeq,
 		NackedLimit:     r.nackLimit,
 		NackedMalformed: r.nackMalformed,
@@ -742,15 +722,14 @@ func (r *Router) Stats() Stats {
 	}
 	for _, t := range r.order {
 		s.Tenants = append(s.Tenants, TenantStats{
-			Tenant:     t.id,
-			Slot:       t.slot,
-			Queued:     len(t.queue),
-			QueueCap:   r.cfg.QueueCap,
-			Accepted:   t.accepted,
-			Processed:  t.processed,
-			Dups:       t.dups,
-			NackedFull: t.nackFull,
-			NackedSeq:  t.nackSeq,
+			Tenant:    t.id,
+			Slot:      t.slot,
+			Queued:    len(t.queue),
+			QueueCap:  r.cfg.QueueCap,
+			Accepted:  t.accepted,
+			Processed: t.processed,
+			Dups:      t.dups,
+			NackedSeq: t.nackSeq,
 		})
 	}
 	return s
@@ -781,7 +760,6 @@ func (s Stats) Families() []telemetry.Family {
 		telemetry.Counter("ingest_frames_processed_total", "", telemetry.Int(s.Processed)),
 		telemetry.Counter("ingest_frames_dup_total", "", telemetry.Int(s.Dups)),
 		telemetry.Counter("ingest_nack_total", "",
-			telemetry.Int(s.NackedFull, "code", "queue_full"),
 			telemetry.Int(s.NackedSeq, "code", "bad_seq"),
 			telemetry.Int(s.NackedLimit, "code", "tenant_limit"),
 			telemetry.Int(s.NackedMalformed, "code", "malformed")),

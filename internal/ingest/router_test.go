@@ -128,35 +128,83 @@ func TestRouterSeqContract(t *testing.T) {
 	}
 }
 
-// TestRouterBackpressure pins the no-silent-drop contract: a full
-// queue rejects with NackQueueFull and a retry-after hint, the
-// rejected frame is NOT queued, and after a pump the same frame is
-// accepted — every accepted frame reaches the fleet.
+// submitBlocked submits frame seq of tenant's stream on a goroutine of
+// its own and returns once that Submit waits for room in the full queue,
+// with the channel its verdict arrives on.
+func submitBlocked(t *testing.T, r *Router, tenant string, stream []vidsim.Frame, seq int) <-chan Verdict {
+	t.Helper()
+	res := make(chan Verdict, 1)
+	go func() { res <- r.Submit(MsgFromFrame(tenant, uint64(seq), stream[seq])) }()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		select {
+		case v := <-res:
+			t.Fatalf("Submit past QueueCap answered %+v at once, want it to wait for room", v)
+		default:
+		}
+		r.mu.Lock()
+		waiting := r.room != nil
+		r.mu.Unlock()
+		if waiting {
+			return res
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("Submit past QueueCap neither answered nor waited for room")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRouterBackpressure pins the no-silent-drop contract: a Submit
+// past QueueCap is neither rejected nor queued — it waits until a Pump
+// on another goroutine makes room, and is then admitted exactly once;
+// every accepted frame reaches the fleet.
 func TestRouterBackpressure(t *testing.T) {
 	_, opts := sharedModels()
 	r := NewRouter(testFleet(opts), Config{QueueCap: 4, BatchSize: 2})
 	stream := testStream(6, 14)
 	submitFrames(t, r, "cam-a", stream, 0, 4)
 
-	v := r.Submit(MsgFromFrame("cam-a", 4, stream[4]))
-	if v.Ack || v.Code != NackQueueFull || v.RetryAfter <= 0 {
-		t.Fatalf("full queue: verdict %+v, want NackQueueFull with retry-after", v)
-	}
-	s := r.Stats()
-	if s.Accepted != 4 || s.NackedFull != 1 || s.Tenants[0].Queued != 4 {
-		t.Fatalf("stats %+v, want 4 accepted, 1 nacked_full, 4 queued", s)
+	res := submitBlocked(t, r, "cam-a", stream, 4)
+	if s := r.Stats(); s.Accepted != 4 || s.Tenants[0].Queued != 4 {
+		t.Fatalf("while the frame waits: %d accepted, %d queued; want 4, 4", s.Accepted, s.Tenants[0].Queued)
 	}
 	if n, err := r.Pump(); err != nil || n != 4 {
 		t.Fatalf("Pump processed %d (%v), want 4", n, err)
 	}
-	// The nacked frame retries at the same seq and now fits.
-	submitFrames(t, r, "cam-a", stream, 4, 6)
+	if v := <-res; !v.Ack || v.Dup {
+		t.Fatalf("the frame that waited: verdict %+v, want a clean ack", v)
+	}
+	submitFrames(t, r, "cam-a", stream, 5, 6)
 	if _, err := r.Pump(); err != nil {
 		t.Fatal(err)
 	}
-	s = r.Stats()
-	if s.Accepted != 6 || s.Processed != 6 {
-		t.Fatalf("stats %+v: accepted %d processed %d, want 6/6 — a frame was lost", s, s.Accepted, s.Processed)
+	s := r.Stats()
+	if s.Accepted != 6 || s.Processed != 6 || s.Dups != 0 {
+		t.Fatalf("stats %+v: accepted %d processed %d dups %d, want 6/6/0 — a frame was lost or admitted twice", s, s.Accepted, s.Processed, s.Dups)
+	}
+}
+
+// TestRouterStopAdmissionReleasesSubmit pins the waiting Submit's one
+// other way out: StopAdmission rejects it as an internal fault ("server
+// closing", which a client resends elsewhere), and the frames already
+// queued stay for the last Pump.
+func TestRouterStopAdmissionReleasesSubmit(t *testing.T) {
+	_, opts := sharedModels()
+	r := NewRouter(testFleet(opts), Config{QueueCap: 2})
+	stream := testStream(3, 17)
+	submitFrames(t, r, "cam-a", stream, 0, 2)
+
+	res := submitBlocked(t, r, "cam-a", stream, 2)
+	r.StopAdmission()
+	if v := <-res; v.Ack || v.Code != NackInternal || v.Reason != "server closing" {
+		t.Fatalf("the waiting frame after StopAdmission: verdict %+v, want NackInternal \"server closing\"", v)
+	}
+	if n, err := r.Pump(); err != nil || n != 2 {
+		t.Fatalf("the last Pump processed %d (%v), want the 2 queued", n, err)
+	}
+	if s := r.Stats(); s.Accepted != 2 || s.Processed != 2 {
+		t.Fatalf("accepted %d processed %d, want 2/2", s.Accepted, s.Processed)
 	}
 }
 

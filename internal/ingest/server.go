@@ -1,12 +1,10 @@
 package ingest
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"sync"
 	"time"
 
@@ -217,7 +215,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				s.writeMsg(conn, EncodeNack(Nack{Code: NackMalformed, Reason: err.Error()}))
 				continue
 			}
-			v := s.router.admitWindowed(tenant, f, s.done)
+			v := s.router.admit(tenant, f, s.done)
 			unfed = unfed || v.queued()
 			if v.Ack {
 				continue // the next answered Sync confirms it
@@ -245,66 +243,4 @@ func (s *Server) writeMsg(conn net.Conn, b []byte) bool {
 		return false
 	}
 	return true
-}
-
-// HTTPHandler is the HTTP POST fallback: the request body is one
-// complete wire frame message (header + payload, exactly the bytes a
-// TCP client writes), the response maps the verdict onto HTTP status
-// codes — 200 accepted, 400 malformed, 409 sequence gap, 429 queue
-// full (with Retry-After), 503 tenant limit (with Retry-After).
-// Integrity still rides on the protocol CRC, so a proxy that mangles
-// bodies is caught the same way a flaky wire is.
-func (s *Server) HTTPHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodPost {
-			http.Error(w, "POST one wire frame message", http.StatusMethodNotAllowed)
-			return
-		}
-		body, err := io.ReadAll(io.LimitReader(req.Body, HeaderSize+MaxPayload+1))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		msgType, payload, err := DecodeMsg(body)
-		if err != nil {
-			s.router.CountMalformed()
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if msgType != MsgFrame {
-			http.Error(w, fmt.Sprintf("unexpected message type %d", msgType), http.StatusBadRequest)
-			return
-		}
-		m, err := DecodeFrameMsg(payload)
-		if err != nil {
-			s.router.CountMalformed()
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		v := s.router.Submit(m)
-		w.Header().Set("Content-Type", "application/json")
-		if !v.Ack {
-			if v.RetryAfter > 0 {
-				secs := int((v.RetryAfter + time.Second - 1) / time.Second)
-				w.Header().Set("Retry-After", fmt.Sprint(secs))
-			}
-			code := http.StatusBadRequest
-			switch v.Code {
-			case NackQueueFull:
-				code = http.StatusTooManyRequests
-			case NackTenantLimit:
-				code = http.StatusServiceUnavailable
-			case NackBadSeq:
-				code = http.StatusConflict
-			case NackInternal:
-				code = http.StatusInternalServerError
-			}
-			w.WriteHeader(code)
-			json.NewEncoder(w).Encode(map[string]interface{}{
-				"nack": v.Code, "seq": m.Seq, "reason": v.Reason,
-			})
-			return
-		}
-		json.NewEncoder(w).Encode(map[string]interface{}{"ack": m.Seq, "dup": v.Dup})
-	})
 }

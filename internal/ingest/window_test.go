@@ -79,8 +79,8 @@ func TestWindowedBackpressure(t *testing.T) {
 	if n := sent.Load(); n != window {
 		t.Fatalf("cam-b: %d sends returned behind a full queue, want %d (the window's ask blocks)", n, window)
 	}
-	if s := r.Stats(); s.NackedFull != 0 || s.Processed != processed || queued(r, "cam-b") != queueCap {
-		t.Fatalf("behind the held pump: %d nacked full, %d processed, %d queued; want 0, %d, %d", s.NackedFull, s.Processed, queued(r, "cam-b"), processed, queueCap)
+	if s := r.Stats(); s.Processed != processed || queued(r, "cam-b") != queueCap {
+		t.Fatalf("behind the held pump: %d processed, %d queued; want %d, %d", s.Processed, queued(r, "cam-b"), processed, queueCap)
 	}
 
 	close(release)
@@ -90,8 +90,8 @@ func TestWindowedBackpressure(t *testing.T) {
 	want := int64(len(streams["cam-a"]) + len(streams["cam-b"]))
 	awaitPumped(t, pumped, "the queues to drain", func() bool { return r.Stats().Processed >= want })
 	s := r.Stats()
-	if s.Accepted != want || s.Processed != want || s.Dups != 0 || s.NackedFull != 0 {
-		t.Fatalf("accepted %d processed %d dups %d nacked full %d, want %d/%d/0/0", s.Accepted, s.Processed, s.Dups, s.NackedFull, want, want)
+	if s.Accepted != want || s.Processed != want || s.Dups != 0 {
+		t.Fatalf("accepted %d processed %d dups %d, want %d/%d/0", s.Accepted, s.Processed, s.Dups, want, want)
 	}
 	if st := c.Stats(); st.Nacks != 0 || st.Retries != 0 || st.Reconnects != 0 || st.Acked != int64(len(streams["cam-b"])) {
 		t.Fatalf("cam-b's client: %+v; want every frame confirmed, sent once", st)
@@ -148,8 +148,8 @@ func TestWindowedWaitEndsOnClose(t *testing.T) {
 	if err := <-done; err == nil {
 		t.Fatal("the client's window was confirmed by a server that never took its frames")
 	}
-	if s := r.Stats(); s.Accepted != queueCap || s.NackedFull != 0 || queued(r, "cam-a") != queueCap {
-		t.Fatalf("accepted %d, nacked full %d, queued %d; want %d, 0, %d", s.Accepted, s.NackedFull, queued(r, "cam-a"), queueCap, queueCap)
+	if s := r.Stats(); s.Accepted != queueCap || queued(r, "cam-a") != queueCap {
+		t.Fatalf("accepted %d, queued %d; want %d, %d", s.Accepted, queued(r, "cam-a"), queueCap, queueCap)
 	}
 	c.Close()
 }

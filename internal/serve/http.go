@@ -25,7 +25,6 @@ func (s *Server) handler() http.Handler {
 	mux.HandleFunc("/events", s.traced(s.handleEvents))
 	mux.HandleFunc("/drift/", s.handleDrift)
 	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/ingest", s.handleIngest)
 	mux.Handle("/debug/pprof/", http.DefaultServeMux) // where importing net/http/pprof registers
 	mux.HandleFunc("/", s.handleIndex)
 	return mux
@@ -93,7 +92,7 @@ func (s *Server) traced(h func(http.ResponseWriter, *http.Request, *telemetry.Tr
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, tr *telemetry.Tracer) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	fams := tr.Snapshot().Families()
+	fams := tr.Families()
 	f := s.flt.Load()
 	if f != nil {
 		fams = append(fams, f.router.Stats().Families()...)
@@ -202,17 +201,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleIngest is the HTTP POST fallback of the wire protocol, wherever
-// there is a fleet: not on a standby before it has promoted.
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	f := s.flt.Load()
-	if f == nil {
-		http.Error(w, "standby: no fleet until promotion", http.StatusServiceUnavailable)
-		return
-	}
-	f.isrv.HTTPHandler().ServeHTTP(w, r)
-}
-
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Path != "/" {
 		http.NotFound(w, r)
@@ -220,5 +208,5 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	}
 	h, _ := s.Health()
 	fmt.Fprintf(w, "driftserve: %s mode, %d shards over the %s models, %s selector\n", h.Mode, h.Shards, s.ds.Name, s.sel)
-	fmt.Fprintln(w, "endpoints: /metrics /snapshot /events (?shard=k, ?tenant=id) /drift/ /drift/<id> (?shard=k) /healthz /ingest (POST) /debug/pprof/")
+	fmt.Fprintln(w, "endpoints: /metrics /snapshot /events (?shard=k, ?tenant=id) /drift/ /drift/<id> (?shard=k) /healthz /debug/pprof/")
 }

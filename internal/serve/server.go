@@ -1,8 +1,8 @@
 // Package serve is driftserve's server: the drift-aware monitor fleet
 // behind one tenant router and an HTTP telemetry surface, its tenants
-// those of the network ingestion tier (the wire protocol over TCP, or
-// POST /ingest), optionally persisting checkpoints, replicating to hot
-// standbys, or running as a hot standby itself.
+// those of the network ingestion tier (the wire protocol over TCP),
+// optionally persisting checkpoints, replicating to hot standbys, or
+// running as a hot standby itself.
 // cmd/driftserve is flag parsing over New, Start and Shutdown;
 // DESIGN.md §17 has the lifecycle, the capture rule and the health
 // schema.
@@ -267,7 +267,7 @@ func (s *Server) deploy(cp *videodrift.Checkpoint) error {
 	if f.iln, err = net.Listen("tcp", s.cfg.IngestAddr); err != nil {
 		return fmt.Errorf("ingest listen: %w", err)
 	}
-	fmt.Fprintf(os.Stderr, "ingesting frames on %s (wire protocol over TCP; HTTP fallback at POST /ingest)\n", f.iln.Addr())
+	fmt.Fprintf(os.Stderr, "ingesting frames on %s (wire protocol over TCP)\n", f.iln.Addr())
 	s.flt.Store(f)
 	s.run.Add(1)
 	go func() {
@@ -456,7 +456,7 @@ func (s *Server) promote(reason string) error {
 
 // Shutdown stops the server: the pump loop and the periodic goroutines
 // first; then admission, in the router, so no frame joins a queue after
-// the final drain over either transport; then that drain and, on a
+// the final drain; then that drain and, on a
 // primary, a last generation to the standbys, so they hold the exact
 // stopping point; and with -state-dir a final checkpoint. Every frame a
 // client was told was accepted is in both. Only then do the listeners

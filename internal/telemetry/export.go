@@ -87,9 +87,17 @@ type Snapshot struct {
 	Events []Event         `json:"events,omitempty"`
 }
 
-// Snapshot freezes the tracer's state. A nil tracer yields a zero
-// snapshot.
-func (t *Tracer) Snapshot() Snapshot {
+// Snapshot freezes the tracer's state, its event ring included. A nil
+// tracer yields a zero snapshot.
+func (t *Tracer) Snapshot() Snapshot { return t.snapshot(true) }
+
+// Families is the tracer's state as metric families (Snapshot.Families)
+// from a snapshot that leaves the event ring out: no family reads it,
+// so a scrape costs the same at any ring size.
+func (t *Tracer) Families() []Family { return t.snapshot(false).Families() }
+
+// snapshot is Snapshot; with events false it leaves Events nil.
+func (t *Tracer) snapshot(events bool) Snapshot {
 	if t == nil {
 		return Snapshot{}
 	}
@@ -138,7 +146,9 @@ func (t *Tracer) Snapshot() Snapshot {
 		}
 		s.Stages = append(s.Stages, t.stages[st].snapshot(st.String()))
 	}
-	s.Events = t.events()
+	if events {
+		s.Events = t.events()
+	}
 	return s
 }
 
@@ -364,6 +374,6 @@ func (p Process) Families() []Family {
 // WriteJSONTo is a convenience: snapshot the tracer and write JSON.
 func (t *Tracer) WriteJSONTo(w io.Writer) error { return t.Snapshot().WriteJSON(w) }
 
-// WritePrometheusTo is a convenience: snapshot the tracer and write
+// WritePrometheusTo is a convenience: write the tracer's families in
 // Prometheus text format.
-func (t *Tracer) WritePrometheusTo(w io.Writer) error { return t.Snapshot().WritePrometheus(w) }
+func (t *Tracer) WritePrometheusTo(w io.Writer) error { return WriteFamilies(w, t.Families()) }

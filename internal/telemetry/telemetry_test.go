@@ -172,6 +172,29 @@ func TestTracerRingOnDemand(t *testing.T) {
 	}
 }
 
+// TestScrapeSkipsRing is the scrape's cost gate: no metric family reads
+// the event ring, so what WritePrometheusTo allocates must not grow with
+// the events the ring holds — 16 or 4 096 (≈ 1.2 MB of events to copy).
+func TestScrapeSkipsRing(t *testing.T) {
+	scrape := func(events int) int64 {
+		tr := New(Config{RingSize: 4096})
+		for i := 0; i < events; i++ {
+			tr.DriftDeclared("m", i, 0, 0, 0, 0, nil)
+		}
+		return testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := tr.WritePrometheusTo(io.Discard); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}).AllocedBytesPerOp()
+	}
+	few, full := scrape(16), scrape(4096)
+	if full-few > 4<<10 {
+		t.Errorf("a scrape allocates %d B over a ring of 16 events and %d B over one of 4096: it copies the ring", few, full)
+	}
+}
+
 // TestTracerLast: the newest event of a kind, before and after the ring
 // wraps, absent kinds, and the nil tracer.
 func TestTracerLast(t *testing.T) {

@@ -15,9 +15,15 @@ fi
 
 echo "==> go vet"
 go vet ./...
+# The scalar fallback where internal/nn's .s file does not build.
+GOARCH=arm64 go vet ./internal/nn ./internal/classifier
+GOARCH=arm64 go build ./...
 
 echo "==> driftlint"
-go run ./cmd/driftlint ./...
+go run ./cmd/driftlint -timing ./...
+
+echo "==> driftlint (self-check)"
+go run ./cmd/driftlint ./internal/analysis/...
 
 if command -v staticcheck >/dev/null 2>&1; then
 	echo "==> staticcheck"

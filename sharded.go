@@ -139,13 +139,12 @@ type shardState struct {
 	// tenant names the stream the slot serves ("" if unnamed) and next is
 	// the stream index of the frame fed next; a named stream's frames
 	// carry their index, so its position follows them.
-	tenant   string
-	next     int
-	streak   int // consecutive restarts on the current batch
-	snap     core.PipelineSnapshot
-	rewind   forensics.RecorderState // the recorder at the batch start, for a restore
-	entries  []*core.ModelEntry
-	regEpoch uint64 // registry epoch entries was cached at
+	tenant  string
+	next    int
+	streak  int // consecutive restarts on the current batch
+	snap    core.PipelineSnapshot
+	rewind  forensics.RecorderState // the recorder at the batch start, for a restore
+	entries []*core.ModelEntry
 
 	restarts  atomic.Int64 // total worker restarts
 	dropped   atomic.Int64 // frames discarded after the breaker tripped
@@ -176,17 +175,11 @@ func (st *shardState) loadStats() core.Metrics {
 // save records the shard's post-batch state: the pipeline snapshot plus
 // the registry's entry list. The snapshot is written into the storage of
 // the previous one (restore copies what it reads), so a warm save
-// allocates nothing. The entry list is refreshed only when the
-// registry's epoch moved (a new model was trained); the common batch
-// grows no models, so a save is one pipeline snapshot plus an atomic
-// load — not a per-batch slice copy. Snapshot entry lists are immutable
-// once published, so holding the slice without copying is safe.
+// allocates nothing. The entry list is the registry snapshot's own
+// immutable slice, so holding it is an atomic load, not a copy.
 func (st *shardState) save(m *Monitor) {
 	m.pipe.SnapshotInto(&st.snap)
-	if snap := m.pipe.Registry().Snapshot(); st.entries == nil || snap.Epoch() != st.regEpoch {
-		st.entries = snap.Entries()
-		st.regEpoch = snap.Epoch()
-	}
+	st.entries = m.pipe.Registry().Snapshot().Entries()
 	st.setStats(m.pipe.Metrics())
 }
 
@@ -520,10 +513,6 @@ func (sm *ShardedMonitor) restore(i int) error {
 		return err
 	}
 	sm.shards[i].pipe = pipe
-	// The rebuilt registry restarts its epoch counter with st.entries as
-	// its epoch-0 snapshot; re-sync the cache so a later Add on the new
-	// registry is not masked by an epoch collision with the old one.
-	st.regEpoch = 0
 	return nil
 }
 
