@@ -50,10 +50,9 @@ func (m *Monitor) Checkpoint() *Checkpoint {
 		Frames:          int64(m.pipe.Metrics().Frames),
 		Entries:         entries,
 		Shards: []store.ShardState{{
-			Registry:    refs,
-			Pipeline:    m.pipe.Snapshot(),
-			Forensics:   m.rec.State(),
-			EventCounts: m.pipe.Tracer().KindCounts(),
+			Registry:  refs,
+			Pipeline:  m.pipe.Snapshot(),
+			Forensics: m.rec.State(),
 		}},
 	}
 }
@@ -95,12 +94,12 @@ func resumeShard(cp *Checkpoint, i int, labeler Labeler, opts Options) (*Monitor
 	}
 	m := &Monitor{pipe: pipe}
 	// Forensics resumes from the checkpointed recorder when one was
-	// persisted (so replayable pre-rolls survive the restart); a
-	// checkpoint without one starts a fresh recorder if the resuming
-	// options ask for forensics.
+	// persisted (so replayable pre-rolls survive the restart), sized by
+	// the resuming options; a checkpoint without one starts a fresh
+	// recorder if the resuming options ask for forensics.
 	switch {
 	case sh.Forensics.Enabled:
-		rec, err := forensics.Restore(sh.Forensics, cfg.Tracer)
+		rec, err := forensics.Restore(sh.Forensics, opts.Forensics, cfg.Tracer)
 		if err != nil {
 			return nil, err
 		}
@@ -192,12 +191,11 @@ func (sm *ShardedMonitor) Checkpoint() *Checkpoint {
 			cp.Frames = f
 		}
 		cp.Shards = append(cp.Shards, store.ShardState{
-			Registry:    refs,
-			Pipeline:    m.pipe.Snapshot(),
-			Forensics:   m.rec.State(),
-			EventCounts: m.pipe.Tracer().KindCounts(),
-			Tenant:      sm.states[i].tenant,
-			Next:        uint64(sm.states[i].next),
+			Registry:  refs,
+			Pipeline:  m.pipe.Snapshot(),
+			Forensics: m.rec.State(),
+			Tenant:    sm.states[i].tenant,
+			Next:      uint64(sm.states[i].next),
 		})
 	}
 	sm.table = cp.Entries

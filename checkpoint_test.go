@@ -1,11 +1,14 @@
 package videodrift
 
 import (
+	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"videodrift/internal/store"
 	"videodrift/internal/vidsim"
 )
 
@@ -257,5 +260,82 @@ func TestCheckpointAnyTime(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// keptFrames names every frame list a checkpointed shard holds: the
+// selection/training buffer, the forensics pre-roll, each mark's buffer,
+// and each retained declaration's replay base and frames.
+func keptFrames(cp *Checkpoint) map[string][]Frame {
+	lists := map[string][]Frame{}
+	for i, sh := range cp.Shards {
+		lists[fmt.Sprintf("shard %d buffer", i)] = sh.Pipeline.Buffer
+		lists[fmt.Sprintf("shard %d pre-roll", i)] = sh.Forensics.Ring
+		for j, m := range sh.Forensics.Marks {
+			lists[fmt.Sprintf("shard %d mark %d buffer", i, j)] = m.Snap.Buffer
+		}
+		for _, d := range sh.Forensics.Declarations {
+			lists[fmt.Sprintf("shard %d %s base", i, d.ID)] = d.Base.Buffer
+			lists[fmt.Sprintf("shard %d %s frames", i, d.ID)] = d.Frames
+		}
+	}
+	return lists
+}
+
+// TestCheckpointKeepsPositionAndPixels holds every frame a checkpoint
+// carries to what a holder keeps of a frame — its position and pixels,
+// never the generator's ground truth or condition label — through a
+// drift, the selection that finds no model and the training window after
+// it, and holds the checkpoint file's frames to the captured ones.
+func TestCheckpointKeepsPositionAndPixels(t *testing.T) {
+	models := getCkptModels()[:1] // day only: the night drift trains a model
+	opts := Defaults(facadeDim, facadeClasses)
+	opts.Pipeline.Selector = MSBI
+	opts.Forensics = ForensicsConfig{Enabled: true}
+	const total = 420
+	streams := [][]Frame{driftStream(total, 60, 1300), driftStream(total, 90, 1310)}
+	for _, f := range streams[0][:1] {
+		if f.Truth == nil || f.Condition == "" {
+			t.Fatalf("fixture: stream frame %d carries no labels to drop", f.Index)
+		}
+	}
+	sm := fixedFleet(models, truthOracle(streams...), ShardedOptions{Options: opts}, len(streams))
+	var buffered, training, declared bool
+	for step := 0; step < total; step += 15 {
+		runBatches(sm, streams, step, min(step+15, total))
+		cp := sm.Checkpoint()
+		lists := keptFrames(cp)
+		for name, frames := range lists {
+			for _, f := range frames {
+				if f.Truth != nil || f.Condition != "" {
+					t.Fatalf("step %d: %s keeps frame %d with its labels (%q, %d objects)", step, name, f.Index, f.Condition, len(f.Truth))
+				}
+			}
+		}
+		for _, sh := range cp.Shards {
+			buffered = buffered || len(sh.Pipeline.Buffer) > 0
+			training = training || sh.Pipeline.State == 2 && len(sh.Pipeline.Buffer) > 0
+			declared = declared || len(sh.Forensics.Declarations) > 0
+		}
+		b, err := store.Encode(cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := store.Decode(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded := keptFrames(back)
+		if len(decoded) != len(lists) {
+			t.Fatalf("step %d: the file holds %d frame lists, the capture %d", step, len(decoded), len(lists))
+		}
+		for name, frames := range lists {
+			if got := decoded[name]; len(got) != len(frames) || len(got) > 0 && !reflect.DeepEqual(got, frames) {
+				t.Fatalf("step %d: %s decodes to %d frames unlike the %d captured", step, name, len(got), len(frames))
+			}
+		}
+	}
+	if !buffered || !training || !declared {
+		t.Fatalf("fixture: buffered %v, training %v, declared %v; the run never reached every holder", buffered, training, declared)
 	}
 }

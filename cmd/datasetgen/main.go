@@ -40,13 +40,12 @@ func main() {
 		return
 	}
 	parts := strings.SplitN(*show, ":", 2)
-	ds := byName(parts[0], *scale)
-	if ds == nil {
-		log.Fatalf("unknown dataset %q", parts[0])
+	ds, err := dataset.ByName(parts[0], *scale)
+	if err != nil {
+		log.Fatal(err)
 	}
 	seq := 0
 	if len(parts) == 2 {
-		var err error
 		if seq, err = strconv.Atoi(parts[1]); err != nil || seq < 0 || seq >= len(ds.Sequences) {
 			log.Fatalf("bad sequence index %q", parts[1])
 		}
@@ -59,20 +58,6 @@ func main() {
 		f := g.Next()
 		fmt.Printf("\nframe %d (%d objects):\n%s", i, len(f.Truth), ascii(f))
 	}
-}
-
-func byName(name string, scale float64) *dataset.Dataset {
-	switch name {
-	case "bdd":
-		return dataset.BDD(scale)
-	case "detrac":
-		return dataset.Detrac(scale)
-	case "tokyo":
-		return dataset.Tokyo(scale)
-	case "slow":
-		return dataset.SlowDrift(scale)
-	}
-	return nil
 }
 
 func fullSize(name string) int {

@@ -64,18 +64,9 @@ func main() {
 	if *fps > 0 {
 		interval = time.Duration(float64(time.Second) / *fps)
 	}
-	var ds *dataset.Dataset
-	switch *dsName {
-	case "bdd":
-		ds = dataset.BDD(*scale)
-	case "detrac":
-		ds = dataset.Detrac(*scale)
-	case "tokyo":
-		ds = dataset.Tokyo(*scale)
-	case "slow":
-		ds = dataset.SlowDrift(*scale)
-	default:
-		log.Fatalf("unknown dataset %q", *dsName)
+	ds, err := dataset.ByName(*dsName, *scale)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	type result struct {

@@ -13,8 +13,8 @@
 // The inspect subcommand describes a checkpoint file written by
 // driftserve (or any videodrift.CheckpointStore): store format version,
 // per-model inventory with sizes and checksums, each shard's stream
-// position, its per-kind telemetry event counts, and its last retained
-// drift declaration. Damaged files report typed errors instead of
+// position, its drift, selection and training counts, and its last
+// retained drift declaration. Damaged files report typed errors instead of
 // partial output.
 //
 // Given a directory (or with -verify), inspect instead walks every full
@@ -98,21 +98,12 @@ func main() {
 		os.Exit(health(os.Stdout, flag.Arg(1)))
 	}
 	if flag.NArg() > 0 {
-		log.Fatalf("unknown subcommand %q (subcommands: inspect, explain, health, lint)", flag.Arg(0))
+		log.Fatalf("unknown subcommand %q (subcommands: inspect, explain, health)", flag.Arg(0))
 	}
 
-	var ds *dataset.Dataset
-	switch *dsName {
-	case "bdd":
-		ds = dataset.BDD(*scale)
-	case "detrac":
-		ds = dataset.Detrac(*scale)
-	case "tokyo":
-		ds = dataset.Tokyo(*scale)
-	case "slow":
-		ds = dataset.SlowDrift(*scale)
-	default:
-		log.Fatalf("unknown dataset %q", *dsName)
+	ds, err := dataset.ByName(*dsName, *scale)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	sel := core.SelectorMSBO

@@ -12,24 +12,16 @@ import (
 	"videodrift/internal/vidsim"
 )
 
-const (
-	w, h       = 32, 32
-	numClasses = 16 // car-count buckets
-)
+const w, h = 32, 32
 
-// labeler is the annotation oracle: here we use the simulator's ground
-// truth directly; production code would wire videodrift.NewAnnotator (the
-// detector-based oracle) or a real annotation service.
-func labeler(f videodrift.Frame) int {
-	c := f.CountClass(vidsim.Car) / 2
-	if c >= numClasses {
-		c = numClasses - 1
-	}
-	return c
-}
+// annotator is the annotation oracle: the built-in detector (the Mask
+// R-CNN stand-in) counting cars on the frame's pixels, the only thing a
+// frame the monitor keeps for selection carries.
+var annotator = videodrift.NewAnnotator(30)
 
 func main() {
-	opts := videodrift.Defaults(w*h, numClasses)
+	labeler := annotator.Labeler(videodrift.CountQuery)
+	opts := videodrift.Defaults(w*h, annotator.NumClasses(videodrift.CountQuery))
 
 	// 1. Provision models from per-condition training footage.
 	fmt.Println("training day and night models...")

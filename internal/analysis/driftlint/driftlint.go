@@ -365,16 +365,6 @@ func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// IsFloat reports whether t's underlying type is a floating-point type
-// (including untyped float constants).
-func IsFloat(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsFloat != 0
-}
-
 // NamedOf returns t's *types.Named after stripping pointers, or nil.
 func NamedOf(t types.Type) *types.Named {
 	if t == nil {

@@ -163,33 +163,6 @@ func (c *CUSUM) Reset() {
 	}
 }
 
-// TrajectoryPoint is one step of a captured martingale trajectory.
-type TrajectoryPoint struct {
-	Step        int     `json:"step"` // 1-based observation index (CUSUM.Count at capture)
-	PValue      float64 `json:"p_value"`
-	Value       float64 `json:"martingale"`
-	WindowDelta float64 `json:"window_delta"`
-}
-
-// Trajectory records every update of the martingale it is attached to —
-// the step-by-step evidence trace a forensics replay renders.
-type Trajectory struct {
-	Points []TrajectoryPoint
-}
-
-// Attach wires the trajectory into c's update probe (replacing any
-// existing probe).
-func (t *Trajectory) Attach(c *CUSUM) {
-	c.SetProbe(func(p, value, windowDelta float64) {
-		t.Points = append(t.Points, TrajectoryPoint{
-			Step:        c.Count(),
-			PValue:      p,
-			Value:       value,
-			WindowDelta: windowDelta,
-		})
-	})
-}
-
 // DriftTest is the windowed significance test of Eq. 15.
 type DriftTest struct {
 	W    int

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"math"
 	"reflect"
 	"slices"
@@ -32,6 +33,29 @@ func testLabeler(f vidsim.Frame) int {
 		c = testNumClasses - 1
 	}
 	return c
+}
+
+// truthOracle is testLabeler for the frames a pipeline keeps, which carry
+// position and pixels only (vidsim.Frame.Keep): it recognises each frame
+// of the given streams by its pixels and answers with the label its
+// ground truth gives.
+func truthOracle(streams ...[]vidsim.Frame) Labeler {
+	labels := map[string]int{}
+	for _, s := range streams {
+		for _, f := range s {
+			labels[pixelKey(f.Pixels)] = testLabeler(f)
+		}
+	}
+	return func(f vidsim.Frame) int { return labels[pixelKey(f.Pixels)] }
+}
+
+// pixelKey is a frame's pixels, bit for bit, as a map key.
+func pixelKey(px []float64) string {
+	b := make([]byte, 0, 8*len(px))
+	for _, v := range px {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return string(b)
 }
 
 // lightTraffic scales a condition's vehicle rates down for the 16×16 test
@@ -419,19 +443,20 @@ func TestPipelineSwitchesOnDrift(t *testing.T) {
 	reg := NewRegistry(f.day, f.night)
 	cfg := DefaultPipelineConfig(testDim, testNumClasses)
 	cfg.Provision = quickProvision(41)
-	p := NewPipeline(reg, testLabeler, cfg)
+	day, night := streamFrames(dayC(), 150, 23), streamFrames(nightC(), 120, 24)
+	p := NewPipeline(reg, truthOracle(day, night), cfg)
 	if p.Current() != f.day {
 		t.Fatal("pipeline did not deploy the first entry")
 	}
 
-	for _, frame := range streamFrames(dayC(), 150, 23) {
+	for _, frame := range day {
 		out := p.Process(frame)
 		if out.Drift {
 			t.Fatal("false drift during day phase")
 		}
 	}
 	switched := false
-	for _, frame := range streamFrames(nightC(), 120, 24) {
+	for _, frame := range night {
 		out := p.Process(frame)
 		if out.SwitchedTo == "night" {
 			switched = true

@@ -22,7 +22,9 @@ import (
 )
 
 // Labeler maps a frame to its query label (e.g. the car count bucket) —
-// the role Mask R-CNN annotation plays in the paper (§5.4).
+// the role Mask R-CNN annotation plays in the paper (§5.4). It annotates
+// from the pixels: a selection or training window holds kept frames,
+// which carry position and pixels only (vidsim.Frame.Keep).
 type Labeler func(f vidsim.Frame) int
 
 // SampleSource selects where an entry's reference sample Σ_{T_i} comes

@@ -291,7 +291,7 @@ func (p *Pipeline) Process(f vidsim.Frame) Outcome {
 
 	case stateSelecting:
 		p.metrics.SelectingFrames++
-		p.buffer = append(p.buffer, f.Clone())
+		p.buffer = append(p.buffer, f.Keep())
 		if len(p.buffer) >= p.selectionWindow() {
 			var t0 time.Time
 			if tr != nil {
@@ -317,7 +317,7 @@ func (p *Pipeline) Process(f vidsim.Frame) Outcome {
 
 	case stateTraining:
 		p.metrics.TrainingFrames++
-		p.buffer = append(p.buffer, f.Clone())
+		p.buffer = append(p.buffer, f.Keep())
 		if p.retryWait > 0 {
 			p.retryWait--
 			break

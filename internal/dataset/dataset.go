@@ -227,6 +227,18 @@ func SlowDrift(scale float64) *Dataset {
 	}
 }
 
+// ByName builds the dataset a command line names — bdd, detrac, tokyo or
+// slow — at the given scale.
+func ByName(name string, scale float64) (*Dataset, error) {
+	build, ok := map[string]func(float64) *Dataset{
+		"bdd": BDD, "detrac": Detrac, "tokyo": Tokyo, "slow": SlowDrift,
+	}[name]
+	if !ok {
+		return nil, fmt.Errorf("unknown dataset %q (want bdd, detrac, tokyo or slow)", name)
+	}
+	return build(scale), nil
+}
+
 // All returns the three Table-5 datasets at the given scale.
 func All(scale float64) []*Dataset {
 	return []*Dataset{BDD(scale), Detrac(scale), Tokyo(scale)}

@@ -238,3 +238,21 @@ func TestTenantStreamLaps(t *testing.T) {
 		t.Errorf("%d of lap 1's %d frames replay lap 0's", same, n)
 	}
 }
+
+// TestByName pins the command-line names to their constructors and refuses
+// any other name.
+func TestByName(t *testing.T) {
+	for name, want := range map[string]*Dataset{
+		"bdd": BDD(0.02), "detrac": Detrac(0.02), "tokyo": Tokyo(0.02), "slow": SlowDrift(0.02),
+	} {
+		got, err := ByName(name, 0.02)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("ByName(%q) = %+v, %v; want %+v", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"", "BDD", "lint"} {
+		if ds, err := ByName(name, 0.02); err == nil {
+			t.Errorf("ByName(%q) = %+v, want an error", name, ds)
+		}
+	}
+}

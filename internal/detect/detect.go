@@ -377,22 +377,6 @@ func overlapOverMin(a, b Detection) float64 {
 	return ix * iy / minArea
 }
 
-// iou returns the intersection-over-union of two detections' boxes.
-func iou(a, b Detection) float64 {
-	ax0, ax1 := a.X-a.W/2, a.X+a.W/2
-	ay0, ay1 := a.Y-a.H/2, a.Y+a.H/2
-	bx0, bx1 := b.X-b.W/2, b.X+b.W/2
-	by0, by1 := b.Y-b.H/2, b.Y+b.H/2
-	ix := math.Max(0, math.Min(ax1, bx1)-math.Max(ax0, bx0))
-	iy := math.Max(0, math.Min(ay1, by1)-math.Max(ay0, by0))
-	inter := ix * iy
-	union := a.W*a.H + b.W*b.H - inter
-	if union <= 0 {
-		return 0
-	}
-	return inter / union
-}
-
 // refine is the "mask head": it re-centers a detection on the local
 // intensity mass within a slightly expanded window, tightening boxes that
 // the discrete grid placed a pixel off.

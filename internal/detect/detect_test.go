@@ -151,22 +151,6 @@ func TestDetectorNames(t *testing.T) {
 	}
 }
 
-func TestIoU(t *testing.T) {
-	a := Detection{X: 10, Y: 10, W: 4, H: 4}
-	if got := iou(a, a); math.Abs(got-1) > 1e-12 {
-		t.Errorf("self IoU = %v", got)
-	}
-	b := Detection{X: 100, Y: 100, W: 4, H: 4}
-	if got := iou(a, b); got != 0 {
-		t.Errorf("disjoint IoU = %v", got)
-	}
-	c := Detection{X: 12, Y: 10, W: 4, H: 4} // half-overlap in x
-	got := iou(a, c)
-	if got <= 0 || got >= 1 {
-		t.Errorf("partial IoU = %v", got)
-	}
-}
-
 func TestNMSSuppressesDuplicates(t *testing.T) {
 	cands := []Detection{
 		{X: 10, Y: 10, W: 4, H: 4, Score: 0.9},

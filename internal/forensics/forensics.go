@@ -215,7 +215,7 @@ func (r *Recorder) Record(pipe *core.Pipeline, f vidsim.Frame, out core.Outcome)
 	// which Replay advances from at; a quarantined one must be there for
 	// the gate to reject again, or the count would advance over it.
 	if out.Quarantined || out.Drift || pipe.Inspector().ReadLast() {
-		r.ring = append(r.ring, f.Clone()) // f is borrowed; this copy is what every list shares
+		r.ring = append(r.ring, f.Keep()) // f is borrowed; this copy is what every list shares
 		r.at = append(r.at, frame)
 	}
 	if out.Drift {
@@ -314,13 +314,13 @@ func (r *Recorder) Get(id string) (Declaration, bool) {
 // RecorderState is the serializable copy of a Recorder, persisted per
 // shard inside checkpoints. It is a value type (no pointers) so gob
 // round-trips it unambiguously; Enabled distinguishes a real state from
-// the zero value a forensics-less checkpoint carries.
+// the zero value a forensics-less checkpoint carries. It holds runtime
+// state only: the sizing comes from the Config the recorder resumes
+// under.
 //
 //driftlint:snapshot encode=Recorder.State,Recorder.StateInto decode=Restore,Recorder.Rewind
 type RecorderState struct {
 	Enabled      bool
-	Window       int
-	Keep         int
 	Frame        int
 	Ring         []vidsim.Frame
 	At           []int // stream frame of each Ring frame
@@ -339,8 +339,6 @@ func (r *Recorder) State() RecorderState {
 	defer r.mu.Unlock()
 	return RecorderState{
 		Enabled:      true,
-		Window:       r.cfg.Window,
-		Keep:         r.cfg.Keep,
 		Frame:        r.frame,
 		Ring:         slices.Clone(r.ring),
 		At:           slices.Clone(r.at),
@@ -363,8 +361,6 @@ func (r *Recorder) StateInto(s *RecorderState) {
 	defer r.mu.Unlock()
 	*s = RecorderState{
 		Enabled:      true,
-		Window:       r.cfg.Window,
-		Keep:         r.cfg.Keep,
 		Frame:        r.frame,
 		Ring:         refill(s.Ring, r.ring),
 		At:           refill(s.At, r.at),
@@ -385,16 +381,14 @@ func refill[T any](dst, src []T) []T {
 	return dst
 }
 
-// Restore rebuilds a recorder from a state captured by State. Every
-// subsequent Record call leaves the recorder exactly where the
-// snapshotted recorder would have been — declarations, pre-roll and
-// replay bases included.
-func Restore(s RecorderState, tracer *telemetry.Tracer) (*Recorder, error) {
+// Restore rebuilds a recorder from a state captured by State, sized by
+// cfg (zero fields take their defaults; Enabled is implied). With the
+// sizing the snapshotted recorder ran under, every subsequent Record call
+// leaves the recorder exactly where that recorder would have been —
+// declarations, pre-roll and replay bases included.
+func Restore(s RecorderState, cfg Config, tracer *telemetry.Tracer) (*Recorder, error) {
 	if !s.Enabled {
 		return nil, fmt.Errorf("forensics: restoring a disabled recorder state")
-	}
-	if s.Window <= 0 || s.Keep <= 0 {
-		return nil, fmt.Errorf("forensics: recorder state has invalid sizing (window=%d keep=%d)", s.Window, s.Keep)
 	}
 	// Record cuts the ring at a mark: there is one at least, the marks run
 	// forward to the head, and the kept frames lie from the first of them
@@ -410,7 +404,8 @@ func Restore(s RecorderState, tracer *telemetry.Tracer) (*Recorder, error) {
 	if bad {
 		return nil, fmt.Errorf("forensics: recorder state has inconsistent frames (frame=%d base=%d ring=%d)", s.Frame, first, len(s.Ring))
 	}
-	r := &Recorder{cfg: Config{Enabled: true, Window: s.Window, Keep: s.Keep}, tracer: tracer}
+	cfg.Enabled = true
+	r := &Recorder{cfg: cfg.withDefaults(), tracer: tracer}
 	r.Rewind(s)
 	return r, nil
 }

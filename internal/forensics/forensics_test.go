@@ -127,9 +127,12 @@ func checkKept(t *testing.T, what string, kept []vidsim.Frame, at []int, lo, hi 
 			t.Fatalf("%s: kept frame %d, which the stride skipped", what, a)
 		}
 		k, f := kept[i], frames[a]
-		if k.Index != f.Index || k.W != f.W || k.H != f.H || k.Condition != f.Condition || !reflect.DeepEqual(k.Truth, f.Truth) ||
+		if k.Index != f.Index || k.W != f.W || k.H != f.H ||
 			!slices.EqualFunc(k.Pixels, f.Pixels, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
 			t.Fatalf("%s: kept frame %d is not stream frame %d", what, i, a)
+		}
+		if k.Truth != nil || k.Condition != "" {
+			t.Fatalf("%s: kept frame %d keeps the generator's labels (%q, %d objects)", what, i, k.Condition, len(k.Truth))
 		}
 	}
 }
@@ -211,8 +214,9 @@ func TestPreRollRotation(t *testing.T) {
 			}
 			if every == 1 {
 				dense := s
-				dense.Ring, dense.At = frames[base:s.Frame], nil
+				dense.Ring, dense.At = nil, nil
 				for a := base; a < s.Frame; a++ {
+					dense.Ring = append(dense.Ring, frames[a].Keep())
 					dense.At = append(dense.At, a)
 				}
 				if !reflect.DeepEqual(s, dense) {
@@ -501,7 +505,7 @@ func TestStateRestoreRoundTrip(t *testing.T) {
 	if !s.Enabled {
 		t.Fatal("live recorder state reports disabled")
 	}
-	restored, err := Restore(s, nil)
+	restored, err := Restore(s, Config{Window: 16, Keep: 2}, nil)
 	if err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
@@ -516,27 +520,25 @@ func TestRestoreValidation(t *testing.T) {
 		s    RecorderState
 	}{
 		{"disabled", RecorderState{}},
-		{"bad window", RecorderState{Enabled: true, Window: 0, Keep: 4}},
-		{"bad keep", RecorderState{Enabled: true, Window: 8, Keep: -1}},
-		{"negative frame", RecorderState{Enabled: true, Window: 8, Keep: 4, Frame: -1}},
-		{"no marks", RecorderState{Enabled: true, Window: 8, Keep: 4, Frame: 3}},
-		{"no at for the ring", RecorderState{Enabled: true, Window: 8, Keep: 4, Frame: 6, Ring: make([]vidsim.Frame, 2), Marks: []Mark{{Frame: 4}}}},
-		{"no at for a pending ring", RecorderState{Enabled: true, Window: 8, Keep: 4, Frame: 9, Pending: true, Ring: make([]vidsim.Frame, 3), Marks: []Mark{{Frame: 4}}}},
-		{"mark past head", RecorderState{Enabled: true, Window: 8, Keep: 4, Frame: 3, Ring: make([]vidsim.Frame, 3), Marks: []Mark{{Frame: 0}, {Frame: 5}}}},
-		{"marks out of order", RecorderState{Enabled: true, Window: 8, Keep: 4, Frame: 9, Ring: make([]vidsim.Frame, 5), Marks: []Mark{{Frame: 4}, {Frame: 2}}}},
-		{"at short of the ring", RecorderState{Enabled: true, Window: 8, Keep: 4, Frame: 9, Ring: make([]vidsim.Frame, 2), At: []int{4}, Marks: []Mark{{Frame: 4}, {Frame: 8}}}},
-		{"at repeats", RecorderState{Enabled: true, Window: 8, Keep: 4, Frame: 9, Ring: make([]vidsim.Frame, 2), At: []int{5, 5}, Marks: []Mark{{Frame: 4}, {Frame: 8}}}},
-		{"at runs back", RecorderState{Enabled: true, Window: 8, Keep: 4, Frame: 9, Ring: make([]vidsim.Frame, 2), At: []int{7, 5}, Marks: []Mark{{Frame: 4}, {Frame: 8}}}},
-		{"at before the base", RecorderState{Enabled: true, Window: 8, Keep: 4, Frame: 9, Ring: make([]vidsim.Frame, 2), At: []int{3, 5}, Marks: []Mark{{Frame: 4}, {Frame: 8}}}},
-		{"at past the head", RecorderState{Enabled: true, Window: 8, Keep: 4, Frame: 9, Ring: make([]vidsim.Frame, 2), At: []int{5, 9}, Marks: []Mark{{Frame: 4}, {Frame: 8}}}},
-		{"at past the head, pending", RecorderState{Enabled: true, Window: 8, Keep: 4, Frame: 9, Pending: true, Ring: make([]vidsim.Frame, 2), At: []int{5, 9}, Marks: []Mark{{Frame: 4}, {Frame: 8}}}},
+		{"negative frame", RecorderState{Enabled: true, Frame: -1}},
+		{"no marks", RecorderState{Enabled: true, Frame: 3}},
+		{"no at for the ring", RecorderState{Enabled: true, Frame: 6, Ring: make([]vidsim.Frame, 2), Marks: []Mark{{Frame: 4}}}},
+		{"no at for a pending ring", RecorderState{Enabled: true, Frame: 9, Pending: true, Ring: make([]vidsim.Frame, 3), Marks: []Mark{{Frame: 4}}}},
+		{"mark past head", RecorderState{Enabled: true, Frame: 3, Ring: make([]vidsim.Frame, 3), Marks: []Mark{{Frame: 0}, {Frame: 5}}}},
+		{"marks out of order", RecorderState{Enabled: true, Frame: 9, Ring: make([]vidsim.Frame, 5), Marks: []Mark{{Frame: 4}, {Frame: 2}}}},
+		{"at short of the ring", RecorderState{Enabled: true, Frame: 9, Ring: make([]vidsim.Frame, 2), At: []int{4}, Marks: []Mark{{Frame: 4}, {Frame: 8}}}},
+		{"at repeats", RecorderState{Enabled: true, Frame: 9, Ring: make([]vidsim.Frame, 2), At: []int{5, 5}, Marks: []Mark{{Frame: 4}, {Frame: 8}}}},
+		{"at runs back", RecorderState{Enabled: true, Frame: 9, Ring: make([]vidsim.Frame, 2), At: []int{7, 5}, Marks: []Mark{{Frame: 4}, {Frame: 8}}}},
+		{"at before the base", RecorderState{Enabled: true, Frame: 9, Ring: make([]vidsim.Frame, 2), At: []int{3, 5}, Marks: []Mark{{Frame: 4}, {Frame: 8}}}},
+		{"at past the head", RecorderState{Enabled: true, Frame: 9, Ring: make([]vidsim.Frame, 2), At: []int{5, 9}, Marks: []Mark{{Frame: 4}, {Frame: 8}}}},
+		{"at past the head, pending", RecorderState{Enabled: true, Frame: 9, Pending: true, Ring: make([]vidsim.Frame, 2), At: []int{5, 9}, Marks: []Mark{{Frame: 4}, {Frame: 8}}}},
 	} {
-		if _, err := Restore(tc.s, nil); err == nil {
+		if _, err := Restore(tc.s, Config{}, nil); err == nil {
 			t.Errorf("%s: Restore accepted %+v", tc.name, tc.s)
 		}
 	}
 	// The same ring with its frames where the marks allow them.
-	if _, err := Restore(RecorderState{Enabled: true, Window: 8, Keep: 4, Frame: 9, Ring: make([]vidsim.Frame, 2), At: []int{4, 8}, Marks: []Mark{{Frame: 4}, {Frame: 8}}}, nil); err != nil {
+	if _, err := Restore(RecorderState{Enabled: true, Frame: 9, Ring: make([]vidsim.Frame, 2), At: []int{4, 8}, Marks: []Mark{{Frame: 4}, {Frame: 8}}}, Config{}, nil); err != nil {
 		t.Errorf("Restore refused a sparse ring inside its marks: %v", err)
 	}
 }
@@ -558,7 +560,7 @@ func TestRestoreBeforeFirstKeptFrame(t *testing.T) {
 	if len(s.Ring) != 0 || s.Frame-s.Marks[0].Frame != 3 {
 		t.Fatalf("fixture: %d frames kept of %d, want none of 3", len(s.Ring), s.Frame-s.Marks[0].Frame)
 	}
-	r, err := Restore(s, nil)
+	r, err := Restore(s, Config{Window: 16}, nil)
 	if err != nil {
 		t.Fatalf("Restore: %v", err)
 	}

@@ -13,9 +13,13 @@ import (
 
 // Client defaults.
 const (
+	// DefaultDialTimeout bounds each (re)connection attempt.
 	DefaultDialTimeout  = 5 * time.Second
 	DefaultReplyTimeout = 30 * time.Second
 	DefaultMaxAttempts  = 8
+	// DefaultRetryAfter is how long the client waits after a tenant-limit
+	// Nack before it asks again.
+	DefaultRetryAfter = 50 * time.Millisecond
 	// DefaultMaxBackoff bounds the waits a Send, Flush or Close spends on
 	// tenant-limit Nacks and on a failover's refused connections.
 	DefaultMaxBackoff = 200
@@ -36,10 +40,8 @@ type ClientConfig struct {
 	// Tenant is the stream identity every frame is sent under
 	// (1..MaxTenant bytes).
 	Tenant string
-	// DialTimeout bounds each (re)connection attempt (<= 0 means
-	// DefaultDialTimeout); ReplyTimeout bounds the wait for each answer
-	// (<= 0 means DefaultReplyTimeout).
-	DialTimeout  time.Duration
+	// ReplyTimeout bounds the wait for each answer (<= 0 means
+	// DefaultReplyTimeout).
 	ReplyTimeout time.Duration
 	// MaxAttempts bounds transport-level retries per Send, Flush or
 	// Close — reconnects after torn writes, resends after corruption
@@ -47,8 +49,8 @@ type ClientConfig struct {
 	// designed — a fleet at its tenant limit, a standby promoting — have
 	// their own, larger budget, DefaultMaxBackoff.
 	MaxAttempts int
-	// Sleep waits out a Nack's retry-after hint (nil means time.Sleep;
-	// tests inject to avoid wall-clock waits).
+	// Sleep waits out DefaultRetryAfter and a failover's backoff (nil
+	// means time.Sleep; tests inject to avoid wall-clock waits).
 	Sleep func(time.Duration)
 	// Now is the deadline clock (nil means time.Now).
 	Now func() time.Time
@@ -130,9 +132,6 @@ func Dial(cfg ClientConfig) (*Client, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("%w: no server address", ErrMalformed)
 	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = DefaultDialTimeout
-	}
 	if cfg.ReplyTimeout <= 0 {
 		cfg.ReplyTimeout = DefaultReplyTimeout
 	}
@@ -158,7 +157,7 @@ func (c *Client) connect() error {
 	var lastErr error
 	for i := 0; i < len(c.addrs); i++ {
 		idx := (c.addrIdx + i) % len(c.addrs)
-		conn, err := net.DialTimeout("tcp", c.addrs[idx], c.cfg.DialTimeout)
+		conn, err := net.DialTimeout("tcp", c.addrs[idx], DefaultDialTimeout)
 		if err != nil {
 			lastErr = err
 			continue
@@ -210,10 +209,10 @@ func (c *Client) Seq() uint64 { return c.seq }
 // nothing.
 func (c *Client) Send(f vidsim.Frame) error {
 	slot := &c.slots[c.seq%window]
-	if need := frameSize(len(c.cfg.Tenant), len(f.Condition), len(f.Pixels)) + syncSize(len(c.cfg.Tenant)); cap(*slot) < need {
+	if need := frameSize(len(c.cfg.Tenant), len(f.Pixels)) + syncSize(len(c.cfg.Tenant)); cap(*slot) < need {
 		*slot = make([]byte, 0, need) // room for the Sync an ask appends
 	}
-	*slot = appendFrame((*slot)[:0], c.cfg.Tenant, c.seq, f.W, f.H, f.Condition, f.Pixels)
+	*slot = appendFrame((*slot)[:0], c.cfg.Tenant, c.seq, f.W, f.H, f.Pixels)
 	c.seq++
 	// Quiet: the window has room and the connection is open and in step.
 	// A stream's first frame is never quiet: Dial leaves the opening Sync
@@ -285,14 +284,10 @@ func (c *Client) confirm() error {
 		lastErr = &NackError{Nack: *nack}
 		switch nack.Code {
 		case NackTenantLimit:
-			// No slot for the tenant yet: the server told us when to come
-			// back.
+			// No slot for the tenant yet: come back once one may have
+			// freed up.
 			backoffs++
-			d := time.Duration(nack.RetryAfterMillis) * time.Millisecond
-			if d <= 0 {
-				d = DefaultRetryAfter
-			}
-			c.cfg.Sleep(d)
+			c.cfg.Sleep(DefaultRetryAfter)
 		case NackMalformed, NackInternal:
 			// Wire corruption or a transient server fault: resend.
 			attempts++

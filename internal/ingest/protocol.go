@@ -8,7 +8,7 @@
 // Every message travels in internal/wire's envelope (header, CRC, typed
 // framing errors, the connection reader) under the "VDIF" format. A
 // frame payload carries the tenant id, a per-tenant sequence number, the
-// frame geometry and condition tag, and the pixels as float32 (the wire
+// frame geometry, and the pixels as float32 (the wire
 // quantization — the monitor works on float64, so a frame that crossed
 // the wire is the float32-rounded image of the original; determinism
 // contracts compare against the quantized frame). Dims and lengths are
@@ -38,7 +38,7 @@ const Magic uint32 = 0x56444946
 
 // Version is the protocol version this package speaks. A peer that
 // speaks another is refused with a *VersionError.
-const Version = 2
+const Version = 3
 
 // HeaderSize is the fixed size of the wire header in bytes.
 const HeaderSize = wire.HeaderSize
@@ -59,7 +59,7 @@ const (
 	MaxTenant = 64
 	// MaxPayload bounds a declared payload length: the largest legal
 	// frame (MaxDim² float32 pixels) plus the fixed fields.
-	MaxPayload = 4*MaxDim*MaxDim + 1 + MaxTenant + 8 + 2 + 2 + 1 + 255 + 4
+	MaxPayload = 4*MaxDim*MaxDim + 1 + MaxTenant + 8 + 2 + 2 + 4
 )
 
 // vdif is this protocol's envelope.
@@ -84,11 +84,10 @@ type VersionError = wire.VersionError
 // increases by 1 per frame; the router uses it to detect duplicates
 // (resends after a lost ack) and gaps.
 type FrameMsg struct {
-	Tenant    string
-	Seq       uint64
-	W, H      int
-	Condition string
-	Pixels    []float32
+	Tenant string
+	Seq    uint64
+	W, H   int
+	Pixels []float32
 }
 
 // Ack is a decoded acknowledgment, a Sync's answer: every frame of the
@@ -106,7 +105,8 @@ const (
 	// sender back.
 
 	// NackTenantLimit: the fleet is at -max-tenants and this tenant is
-	// unknown. Retry after RetryAfterMillis (a slot may free up).
+	// unknown. The client retries after DefaultRetryAfter (a slot may
+	// free up).
 	NackTenantLimit = 3
 	// NackBadSeq: the sequence number leaves a gap (frames would be
 	// silently missing). The expected seq is in Reason.
@@ -115,14 +115,12 @@ const (
 	NackInternal = 5
 )
 
-// Nack is a decoded rejection for frame Seq. RetryAfterMillis is the
-// server's backoff hint (0 means not retryable); Reason is a short
+// Nack is a decoded rejection for frame Seq. Reason is a short
 // human-readable diagnostic.
 type Nack struct {
-	Seq              uint64
-	Code             uint8
-	RetryAfterMillis uint32
-	Reason           string
+	Seq    uint64
+	Code   uint8
+	Reason string
 }
 
 // Sync asks where a tenant's stream stands: a client opens every
@@ -142,20 +140,20 @@ type Sync struct {
 
 // EncodeFrame encodes a frame message to wire bytes (header included).
 func EncodeFrame(m FrameMsg) []byte {
-	b := make([]byte, 0, frameSize(len(m.Tenant), len(m.Condition), len(m.Pixels)))
-	return appendFrame(b, m.Tenant, m.Seq, m.W, m.H, m.Condition, m.Pixels)
+	b := make([]byte, 0, frameSize(len(m.Tenant), len(m.Pixels)))
+	return appendFrame(b, m.Tenant, m.Seq, m.W, m.H, m.Pixels)
 }
 
 // frameSize is the wire size of a frame message.
-func frameSize(tenant, cond, pixels int) int {
-	return HeaderSize + 1 + tenant + 8 + 2 + 2 + 1 + cond + 4 + 4*pixels
+func frameSize(tenant, pixels int) int {
+	return HeaderSize + 1 + tenant + 8 + 2 + 2 + 4 + 4*pixels
 }
 
 // appendFrame appends an encoded frame message to b — EncodeFrame over
 // pixels in either precision, narrowed to float32 on the way (a float32
 // pixel is itself), so a client seals a vidsim frame straight into a
 // buffer it reuses with no float32 slice in between.
-func appendFrame[P float32 | float64](b []byte, tenant string, seq uint64, w, h int, cond string, pixels []P) []byte {
+func appendFrame[P float32 | float64](b []byte, tenant string, seq uint64, w, h int, pixels []P) []byte {
 	var hdr [HeaderSize]byte
 	at := len(b)
 	b = append(b, hdr[:]...)
@@ -164,8 +162,6 @@ func appendFrame[P float32 | float64](b []byte, tenant string, seq uint64, w, h 
 	b = binary.BigEndian.AppendUint64(b, seq)
 	b = binary.BigEndian.AppendUint16(b, uint16(w))
 	b = binary.BigEndian.AppendUint16(b, uint16(h))
-	b = append(b, uint8(len(cond)))
-	b = append(b, cond...)
 	b = binary.BigEndian.AppendUint32(b, uint32(len(pixels)))
 	for _, p := range pixels {
 		b = binary.BigEndian.AppendUint32(b, math.Float32bits(float32(p)))
@@ -243,10 +239,9 @@ func EncodeNack(n Nack) []byte {
 	if len(n.Reason) > 65535 {
 		n.Reason = n.Reason[:65535]
 	}
-	b := make([]byte, HeaderSize, HeaderSize+8+1+4+2+len(n.Reason))
+	b := make([]byte, HeaderSize, HeaderSize+8+1+2+len(n.Reason))
 	b = binary.BigEndian.AppendUint64(b, n.Seq)
 	b = append(b, n.Code)
-	b = binary.BigEndian.AppendUint32(b, n.RetryAfterMillis)
 	b = binary.BigEndian.AppendUint16(b, uint16(len(n.Reason)))
 	b = append(b, n.Reason...)
 	return vdif.Seal(b, 0, MsgNack)
@@ -266,10 +261,10 @@ func DecodeMsg(b []byte) (msgType uint8, payload []byte, err error) {
 // byte fields alias the payload; pix is the 4·W·H bytes of big-endian
 // float32 pixels.
 type frameFields struct {
-	tenant, cond []byte
-	seq          uint64
-	w, h         int
-	pix          []byte
+	tenant []byte
+	seq    uint64
+	w, h   int
+	pix    []byte
 }
 
 // parseFrame is the frame parser — the protocol's attack surface. Every
@@ -289,7 +284,7 @@ func parseFrame(payload []byte) (f frameFields, err error) {
 	if tn > MaxTenant {
 		return f, fmt.Errorf("%w: tenant id %d bytes > %d", ErrOversized, tn, MaxTenant)
 	}
-	if len(rest) < tn+8+2+2+1 {
+	if len(rest) < tn+8+2+2+4 {
 		return f, ErrTruncated
 	}
 	f.tenant = rest[:tn]
@@ -297,21 +292,14 @@ func parseFrame(payload []byte) (f frameFields, err error) {
 	f.seq = binary.BigEndian.Uint64(rest[0:8])
 	f.w = int(binary.BigEndian.Uint16(rest[8:10]))
 	f.h = int(binary.BigEndian.Uint16(rest[10:12]))
-	cn := int(rest[12])
-	rest = rest[13:]
+	npix := int(binary.BigEndian.Uint32(rest[12:16]))
+	rest = rest[16:]
 	if f.w < 1 || f.h < 1 {
 		return frameFields{}, fmt.Errorf("%w: %dx%d frame", ErrMalformed, f.w, f.h)
 	}
 	if f.w > MaxDim || f.h > MaxDim {
 		return frameFields{}, fmt.Errorf("%w: %dx%d frame > %dx%d", ErrOversized, f.w, f.h, MaxDim, MaxDim)
 	}
-	if len(rest) < cn+4 {
-		return frameFields{}, ErrTruncated
-	}
-	f.cond = rest[:cn]
-	rest = rest[cn:]
-	npix := int(binary.BigEndian.Uint32(rest[0:4]))
-	rest = rest[4:]
 	if npix != f.w*f.h {
 		return frameFields{}, fmt.Errorf("%w: %d pixels for a %dx%d frame", ErrMalformed, npix, f.w, f.h)
 	}
@@ -340,12 +328,11 @@ func DecodeFrameMsg(payload []byte) (FrameMsg, error) {
 	px := make([]float32, len(f.pix)/4)
 	widen(px, f.pix)
 	return FrameMsg{
-		Tenant:    string(f.tenant),
-		Seq:       f.seq,
-		W:         f.w,
-		H:         f.h,
-		Condition: string(f.cond),
-		Pixels:    px,
+		Tenant: string(f.tenant),
+		Seq:    f.seq,
+		W:      f.w,
+		H:      f.h,
+		Pixels: px,
 	}, nil
 }
 
@@ -354,13 +341,12 @@ func DecodeFrameMsg(payload []byte) (FrameMsg, error) {
 // slice in between: the pixels widen out of the payload into a buffer
 // borrowed from free, the router's free list, which takes it back once
 // the fleet has processed the frame (the holders that keep a frame copy
-// it: vidsim.Frame); a nil free allocates. A connection's frames repeat
-// their tenant and, mostly, their condition, so both strings are reused
-// while their bytes repeat. The zero value is ready; not safe for
-// concurrent use.
+// it: vidsim.Frame.Keep); a nil free allocates. A connection's frames
+// repeat their tenant, so the string is reused while its bytes repeat.
+// The zero value is ready; not safe for concurrent use.
 type frameDecoder struct {
-	tenant, cond string
-	free         *freeList
+	tenant string
+	free   *freeList
 }
 
 func (d *frameDecoder) decode(payload []byte) (tenant string, f vidsim.Frame, err error) {
@@ -371,9 +357,6 @@ func (d *frameDecoder) decode(payload []byte) (tenant string, f vidsim.Frame, er
 	if d.tenant != string(p.tenant) {
 		d.tenant = string(p.tenant)
 	}
-	if d.cond != string(p.cond) {
-		d.cond = string(p.cond)
-	}
 	var px tensor.Vector
 	if d.free != nil {
 		px = d.free.get(len(p.pix) / 4)
@@ -382,11 +365,10 @@ func (d *frameDecoder) decode(payload []byte) (tenant string, f vidsim.Frame, er
 	}
 	widen(px, p.pix)
 	return d.tenant, vidsim.Frame{
-		Index:     int(p.seq),
-		W:         p.w,
-		H:         p.h,
-		Pixels:    px,
-		Condition: d.cond,
+		Index:  int(p.seq),
+		W:      p.w,
+		H:      p.h,
+		Pixels: px,
 	}, nil
 }
 
@@ -400,20 +382,18 @@ func DecodeAck(payload []byte) (Ack, error) {
 
 // DecodeNack decodes a nack payload.
 func DecodeNack(payload []byte) (Nack, error) {
-	if len(payload) < 8+1+4+2 {
+	if len(payload) < 8+1+2 {
 		return Nack{}, ErrTruncated
 	}
-	n := Nack{
-		Seq:              binary.BigEndian.Uint64(payload[0:8]),
-		Code:             payload[8],
-		RetryAfterMillis: binary.BigEndian.Uint32(payload[9:13]),
-	}
-	rn := int(binary.BigEndian.Uint16(payload[13:15]))
-	if len(payload) != 15+rn {
+	rn := int(binary.BigEndian.Uint16(payload[9:11]))
+	if len(payload) != 11+rn {
 		return Nack{}, ErrTruncated
 	}
-	n.Reason = string(payload[15:])
-	return n, nil
+	return Nack{
+		Seq:    binary.BigEndian.Uint64(payload[0:8]),
+		Code:   payload[8],
+		Reason: string(payload[11:]),
+	}, nil
 }
 
 // FrameFromMsg converts a decoded frame message into the monitor's
@@ -431,28 +411,27 @@ func frameOver(px tensor.Vector, m FrameMsg) vidsim.Frame {
 		px[i] = float64(p)
 	}
 	return vidsim.Frame{
-		Index:     int(m.Seq),
-		W:         m.W,
-		H:         m.H,
-		Pixels:    px,
-		Condition: m.Condition,
+		Index:  int(m.Seq),
+		W:      m.W,
+		H:      m.H,
+		Pixels: px,
 	}
 }
 
 // MsgFromFrame builds the wire message for a frame: pixels narrow
-// float64 → float32 (the wire quantization), ground truth does not
-// travel — annotation is the server's job, as in the paper's setting.
+// float64 → float32 (the wire quantization); neither the ground truth
+// nor the condition label travels — annotation is the server's job, as
+// in the paper's setting.
 func MsgFromFrame(tenant string, seq uint64, f vidsim.Frame) FrameMsg {
 	px := make([]float32, len(f.Pixels))
 	for i, p := range f.Pixels {
 		px[i] = float32(p)
 	}
 	return FrameMsg{
-		Tenant:    tenant,
-		Seq:       seq,
-		W:         f.W,
-		H:         f.H,
-		Condition: f.Condition,
-		Pixels:    px,
+		Tenant: tenant,
+		Seq:    seq,
+		W:      f.W,
+		H:      f.H,
+		Pixels: px,
 	}
 }

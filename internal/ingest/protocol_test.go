@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"math"
-	"strings"
 	"testing"
 
 	"videodrift/internal/vidsim"
@@ -19,34 +18,49 @@ func testFrameMsg() FrameMsg {
 	for i := range px {
 		px[i] = float32(i) * 0.125
 	}
-	return FrameMsg{Tenant: "cam-0", Seq: 7, W: 4, H: 3, Condition: "day", Pixels: px}
+	return FrameMsg{Tenant: "cam-0", Seq: 7, W: 4, H: 3, Pixels: px}
 }
 
 // TestGoldenBytes holds one message of each type to the bytes the build
 // before internal/wire emitted for it (recorded at that commit), but for
 // the version byte: moving the header and the CRC into a shared layer
-// changed nothing on the wire, and VDIF v2 changed the version and, in
-// the ack, dropped the duplicate flag (its CRC with it). The sync, which
+// changed nothing on the wire, VDIF v2 changed the version and, in the
+// ack, dropped the duplicate flag (its CRC with it), and VDIF v3 dropped
+// the frame's condition label and the nack's retry hint. The sync, which
 // came later, is held to the bytes it was introduced with; a client seals
 // frames straight from a vidsim frame, and those are the frame message's
 // bytes too.
 func TestGoldenBytes(t *testing.T) {
-	const frame = "5644494602010000004a60e172dc0563616d2d30000000000000000700040003036461790000000c000000003e0000003e8000003ec000003f0000003f2000003f4000003f6000003f8000003f9000003fa000003fb00000"
+	const frame = "56444946030100000046551d81060563616d2d300000000000000007000400030000000c000000003e0000003e8000003ec000003f0000003f2000003f4000003f6000003f8000003f9000003fa000003fb00000"
 	m := testFrameMsg()
-	sealed := appendFrame([]byte("prefix"), m.Tenant, m.Seq, m.W, m.H, m.Condition, FrameFromMsg(m).Pixels)[len("prefix"):]
+	sealed := appendFrame([]byte("prefix"), m.Tenant, m.Seq, m.W, m.H, FrameFromMsg(m).Pixels)[len("prefix"):]
 	for name, c := range map[string]struct {
 		got  []byte
 		want string
 	}{
 		"frame":  {EncodeFrame(m), frame},
 		"sealed": {sealed, frame},
-		"ack":    {EncodeAck(Ack{Seq: 1 << 40}), "56444946020200000008ae7e0ccc0000010000000000"},
-		"nack":   {EncodeNack(Nack{Seq: 12, Code: NackTenantLimit, RetryAfterMillis: 50, Reason: "fleet at max tenants (64)"}), "5644494602030000002849c31815000000000000000c03000000320019666c656574206174206d61782074656e616e74732028363429"},
-		"sync":   {EncodeSync(Sync{Tenant: "cam-0", Seq: 7}), "5644494602040000000ec46087730563616d2d300000000000000007"},
+		"ack":    {EncodeAck(Ack{Seq: 1 << 40}), "56444946030200000008ae7e0ccc0000010000000000"},
+		"nack":   {EncodeNack(Nack{Seq: 12, Code: NackTenantLimit, Reason: "fleet at max tenants (64)"}), "56444946030300000024614e75c5000000000000000c030019666c656574206174206d61782074656e616e74732028363429"},
+		"sync":   {EncodeSync(Sync{Tenant: "cam-0", Seq: 7}), "5644494603040000000ec46087730563616d2d300000000000000007"},
 	} {
 		if hex.EncodeToString(c.got) != c.want {
 			t.Errorf("%s: encodes to %x, the recorded bytes are %s", name, c.got, c.want)
 		}
+	}
+}
+
+// TestMessageSizes pins what a frame and a nack carry: a frame is its
+// tenant, seq, geometry and pixels, a nack its seq, code and reason, and
+// not a byte more.
+func TestMessageSizes(t *testing.T) {
+	m := testFrameMsg()
+	if got, want := len(EncodeFrame(m)), HeaderSize+1+len(m.Tenant)+8+2+2+4+4*len(m.Pixels); got != want {
+		t.Errorf("a frame encodes to %d bytes, want %d", got, want)
+	}
+	n := Nack{Seq: 12, Code: NackTenantLimit, Reason: "fleet at max tenants (64)"}
+	if got, want := len(EncodeNack(n)), HeaderSize+8+1+2+len(n.Reason); got != want {
+		t.Errorf("a nack encodes to %d bytes, want %d", got, want)
 	}
 }
 
@@ -66,7 +80,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Tenant != m.Tenant || got.Seq != m.Seq || got.W != m.W || got.H != m.H || got.Condition != m.Condition {
+	if got.Tenant != m.Tenant || got.Seq != m.Seq || got.W != m.W || got.H != m.H {
 		t.Fatalf("decoded %+v, want %+v", got, m)
 	}
 	for i := range m.Pixels {
@@ -93,7 +107,7 @@ func TestAckNackRoundTrip(t *testing.T) {
 			t.Fatalf("ack round trip %+v -> %+v (%v)", a, got, err)
 		}
 	}
-	n := Nack{Seq: 12, Code: NackTenantLimit, RetryAfterMillis: 50, Reason: "fleet at max tenants (64)"}
+	n := Nack{Seq: 12, Code: NackTenantLimit, Reason: "fleet at max tenants (64)"}
 	typ, payload, err := DecodeMsg(EncodeNack(n))
 	if err != nil || typ != MsgNack {
 		t.Fatalf("nack: type %d err %v", typ, err)
@@ -135,7 +149,7 @@ func TestAckNackRoundTrip(t *testing.T) {
 func TestFrameQuantization(t *testing.T) {
 	f := vidsim.GenerateTrainingStride(vidsim.Day(), 8, 8, 1, 1, 99)[0]
 	q := FrameFromMsg(MsgFromFrame("t", 5, f))
-	if q.Index != 5 || q.W != f.W || q.H != f.H || q.Condition != f.Condition {
+	if q.Index != 5 || q.W != f.W || q.H != f.H || q.Condition != "" || q.Truth != nil {
 		t.Fatalf("quantized frame header %+v, source %+v", q, f)
 	}
 	changed := false
@@ -189,18 +203,18 @@ func TestDecodeFrameMsgErrors(t *testing.T) {
 	reject("oversized height", bigH, ErrOversized)
 
 	wrongN := valid()
-	// npix is after tenant(1+5) + seq(8) + dims(4) + condLen(1) + "day"(3).
-	binary.BigEndian.PutUint32(wrongN[22:26], 5)
+	// npix is after tenant(1+5) + seq(8) + dims(4).
+	binary.BigEndian.PutUint32(wrongN[18:22], 5)
 	reject("pixel count vs geometry", wrongN, ErrMalformed)
 }
 
 // TestFrameDecoderDoesNotAliasTheBuffer pins what "straight out of the
 // read buffer" must not mean: a decoded frame holds no reference to the
 // payload it came from, so the next message overwriting the buffer leaves
-// the queued frame — pixels, tenant and condition — as it was.
+// the queued frame — pixels and tenant — as it was.
 func TestFrameDecoderDoesNotAliasTheBuffer(t *testing.T) {
 	first, second := testFrameMsg(), testFrameMsg()
-	second.Tenant, second.Condition, second.Seq = "cam-1", "fog", 8
+	second.Tenant, second.Seq = "cam-1", 8
 	for i := range second.Pixels {
 		second.Pixels[i] = -1
 	}
@@ -230,7 +244,7 @@ func TestFrameDecoderDoesNotAliasTheBuffer(t *testing.T) {
 		f      vidsim.Frame
 	}{{first, tenant, f}, {second, tenant2, f2}} {
 		want := FrameFromMsg(c.msg)
-		if c.tenant != c.msg.Tenant || c.f.Index != want.Index || c.f.W != want.W || c.f.H != want.H || c.f.Condition != want.Condition {
+		if c.tenant != c.msg.Tenant || c.f.Index != want.Index || c.f.W != want.W || c.f.H != want.H {
 			t.Fatalf("decoded %q %+v, want %q %+v", c.tenant, c.f, c.msg.Tenant, want)
 		}
 		for i := range want.Pixels {
@@ -307,14 +321,10 @@ func FuzzDecodeFrameMsg(f *testing.F) {
 		if m.W < 1 || m.H < 1 || m.W > MaxDim || m.H > MaxDim || len(m.Pixels) != m.W*m.H {
 			t.Fatalf("accepted geometry %dx%d with %d pixels", m.W, m.H, len(m.Pixels))
 		}
-		if strings.Contains(m.Condition, "\x00") {
-			// Conditions are free-form bytes on the wire; just exercise it.
-			_ = m.Condition
-		}
 		ref := FrameFromMsg(m)
-		if tenant != m.Tenant || wide.Index != ref.Index || wide.W != ref.W || wide.H != ref.H || wide.Condition != ref.Condition || len(wide.Pixels) != len(ref.Pixels) {
-			t.Fatalf("the wide decode: tenant %q %dx%d #%d %q, %d pixels; FrameFromMsg(DecodeFrameMsg): %q %dx%d #%d %q, %d pixels",
-				tenant, wide.W, wide.H, wide.Index, wide.Condition, len(wide.Pixels), m.Tenant, ref.W, ref.H, ref.Index, ref.Condition, len(ref.Pixels))
+		if tenant != m.Tenant || wide.Index != ref.Index || wide.W != ref.W || wide.H != ref.H || len(wide.Pixels) != len(ref.Pixels) {
+			t.Fatalf("the wide decode: tenant %q %dx%d #%d, %d pixels; FrameFromMsg(DecodeFrameMsg): %q %dx%d #%d, %d pixels",
+				tenant, wide.W, wide.H, wide.Index, len(wide.Pixels), m.Tenant, ref.W, ref.H, ref.Index, len(ref.Pixels))
 		}
 		for i := range ref.Pixels {
 			if math.Float64bits(wide.Pixels[i]) != math.Float64bits(ref.Pixels[i]) {
@@ -326,7 +336,7 @@ func FuzzDecodeFrameMsg(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded message failed to decode: %v", err)
 		}
-		if m2.Tenant != m.Tenant || m2.Seq != m.Seq || m2.W != m.W || m2.H != m.H || m2.Condition != m.Condition {
+		if m2.Tenant != m.Tenant || m2.Seq != m.Seq || m2.W != m.W || m2.H != m.H {
 			t.Fatalf("re-encode changed the message: %+v vs %+v", m2, m)
 		}
 		for i := range m.Pixels {

@@ -713,7 +713,7 @@ func warmRounds(tb testing.TB, tenants, batch int, via transport) (routed, direc
 			conns[k] = dialWire(tb, addr, ids[k]).conn
 			syncs[k] = EncodeSync(Sync{Tenant: ids[k]})
 			for _, m := range msgs[k] {
-				wires[k] = append(wires[k], append(make([]byte, 0, frameSize(len(m.Tenant), len(m.Condition), len(m.Pixels))+len(syncs[k])), EncodeFrame(m)...))
+				wires[k] = append(wires[k], append(make([]byte, 0, frameSize(len(m.Tenant), len(m.Pixels))+len(syncs[k])), EncodeFrame(m)...))
 			}
 		}
 		deliver = func(k int) {

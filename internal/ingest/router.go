@@ -20,8 +20,6 @@ const (
 	DefaultMaxTenants = 64
 	DefaultQueueCap   = 256
 	DefaultBatchSize  = 8
-	// DefaultRetryAfter is the backoff hint a tenant-limit NACK carries.
-	DefaultRetryAfter = 50 * time.Millisecond
 )
 
 // Config parameterizes a Router.
@@ -257,10 +255,9 @@ type Verdict struct {
 	// processed — the idempotent accept for a resend after a lost answer).
 	Ack bool
 	Dup bool
-	// Code, RetryAfter and Reason describe the rejection when !Ack.
-	Code       uint8
-	RetryAfter time.Duration
-	Reason     string
+	// Code and Reason describe the rejection when !Ack.
+	Code   uint8
+	Reason string
 }
 
 // queued reports whether the verdict put a frame on a tenant's queue (a
@@ -473,9 +470,8 @@ func (r *Router) attachLocked(id string, seq uint64) (*tenant, Verdict) {
 	}
 	if r.activeLocked() >= r.cfg.MaxTenants {
 		return nil, Verdict{
-			Code:       NackTenantLimit,
-			RetryAfter: DefaultRetryAfter,
-			Reason:     fmt.Sprintf("fleet at max tenants (%d)", r.cfg.MaxTenants),
+			Code:   NackTenantLimit,
+			Reason: fmt.Sprintf("fleet at max tenants (%d)", r.cfg.MaxTenants),
 		}
 	}
 	if t == nil {

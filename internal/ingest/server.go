@@ -220,12 +220,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			if v.Ack {
 				continue // the next answered Sync confirms it
 			}
-			if !s.writeMsg(conn, EncodeNack(Nack{
-				Seq:              uint64(f.Index),
-				Code:             v.Code,
-				RetryAfterMillis: uint32(v.RetryAfter / time.Millisecond),
-				Reason:           v.Reason,
-			})) {
+			if !s.writeMsg(conn, EncodeNack(Nack{Seq: uint64(f.Index), Code: v.Code, Reason: v.Reason})) {
 				return
 			}
 		default:

@@ -92,17 +92,3 @@ func BrierScore(probs tensor.Vector, label int) float64 {
 	}
 	return s / float64(len(probs))
 }
-
-// NLL returns the negative log-likelihood −log probs[label], clamped to
-// avoid infinities, the alternative uncertainty estimate mentioned in
-// paper §5.2.2.
-func NLL(probs tensor.Vector, label int) float64 {
-	if label < 0 || label >= len(probs) {
-		panic("nn: NLL label out of range")
-	}
-	p := probs[label]
-	if p < 1e-12 {
-		p = 1e-12
-	}
-	return -math.Log(p)
-}

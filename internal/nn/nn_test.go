@@ -162,15 +162,6 @@ func TestBrierScoreProperties(t *testing.T) {
 	}
 }
 
-func TestNLL(t *testing.T) {
-	if v := NLL(tensor.Vector{1, 0}, 0); v != 0 {
-		t.Errorf("NLL of certain correct = %v", v)
-	}
-	if v := NLL(tensor.Vector{0, 1}, 0); math.IsInf(v, 0) {
-		t.Errorf("NLL should be clamped, got %v", v)
-	}
-}
-
 func TestTrainXORAdam(t *testing.T) {
 	rng := stats.NewRNG(7)
 	net := buildMLP(rng, 2, 8, 2)

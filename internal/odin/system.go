@@ -2,11 +2,9 @@ package odin
 
 import (
 	"fmt"
-	"time"
 
 	"videodrift/internal/classifier"
 	"videodrift/internal/stats"
-	"videodrift/internal/telemetry"
 	"videodrift/internal/tensor"
 	"videodrift/internal/vidsim"
 	"videodrift/internal/vision"
@@ -51,7 +49,6 @@ type System struct {
 	maxBuffer int
 
 	metrics Metrics
-	tracer  *telemetry.Tracer
 }
 
 // NewSystem builds an ODIN system. The labeler annotates frames for
@@ -79,12 +76,6 @@ func (s *System) Detector() *Detector { return s.det }
 // Metrics returns the accumulated statistics.
 func (s *System) Metrics() Metrics { return s.metrics }
 
-// SetTracer attaches a telemetry tracer mirroring the pipeline's
-// instrumentation: per-frame observation counts, detection and
-// classification stage latencies, drift (cluster promotion) and
-// specialization events. A nil tracer keeps the untraced fast path.
-func (s *System) SetTracer(tr *telemetry.Tracer) { s.tracer = tr }
-
 // Bootstrap seeds one permanent cluster and its model from provisioned
 // training frames (the models available before the stream starts).
 func (s *System) Bootstrap(frames []vidsim.Frame) int {
@@ -108,18 +99,9 @@ func (s *System) train(frames []vidsim.Frame) *classifier.Classifier {
 // Specialize, returning the query prediction and the number of model
 // invocations it cost.
 func (s *System) Process(f vidsim.Frame) Outcome {
-	tr := s.tracer
 	s.metrics.Frames++
-	tr.FrameObserved(telemetry.StateMonitoring)
 	tempBefore := s.det.TempSize()
-	var t0 time.Time
-	if tr != nil {
-		t0 = time.Now()
-	}
 	res := s.det.Observe(f)
-	if tr != nil {
-		tr.ObserveStage(telemetry.StageODINDetect, time.Since(t0))
-	}
 	out := Outcome{}
 
 	// Keep the Specialize buffer in sync with the detector's temporary
@@ -134,16 +116,8 @@ func (s *System) Process(f vidsim.Frame) Outcome {
 	if res.Drift {
 		s.metrics.DriftsDetected++
 		out.Drift = true
-		tr.DriftDeclared(fmt.Sprintf("cluster-%d", res.Promoted), tempBefore, s.metrics.Frames, 0, 0, 0, nil)
 		if len(s.tempBuf) > 0 {
-			if tr != nil {
-				t0 = time.Now()
-			}
 			s.models[res.Promoted] = s.train(s.tempBuf)
-			if tr != nil {
-				tr.ObserveStage(telemetry.StageTrain, time.Since(t0))
-			}
-			tr.ModelTrained(fmt.Sprintf("cluster-%d", res.Promoted), len(s.tempBuf))
 			s.metrics.ModelsTrained++
 			out.Specialized = true
 			s.tempBuf = s.tempBuf[:0]
@@ -154,9 +128,6 @@ func (s *System) Process(f vidsim.Frame) Outcome {
 		}
 	}
 
-	if tr != nil {
-		t0 = time.Now()
-	}
 	x := s.features(f.Pixels, s.w, s.h)
 	switch {
 	case len(res.Assigned) == 1:
@@ -184,9 +155,6 @@ func (s *System) Process(f vidsim.Frame) Outcome {
 		}
 		out.Prediction = s.models[s.nearestCluster(f)].Predict(x)
 		out.Invocations = 1
-	}
-	if tr != nil {
-		tr.ObserveStage(telemetry.StageClassify, time.Since(t0))
 	}
 	s.metrics.ModelInvocations += out.Invocations
 	return out

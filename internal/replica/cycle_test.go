@@ -36,7 +36,7 @@ func TestCycleCostFollowsNewFrames(t *testing.T) {
 		for j := range px {
 			px[j] = float64(i) + float64(j)/pixels
 		}
-		return vidsim.Frame{Index: i, W: 32, H: 32, Pixels: px, Condition: "c"}
+		return vidsim.Frame{Index: i, W: 32, H: 32, Pixels: px}
 	}
 
 	measure := func(declarations int) (allocPerCycle, bytesPerCycle uint64) {
@@ -63,7 +63,7 @@ func TestCycleCostFollowsNewFrames(t *testing.T) {
 				stream = stream[max(0, len(stream)-ring):]
 				sh := base.Shards[0]
 				sh.Forensics = forensics.RecorderState{
-					Enabled: true, Window: ring, Keep: len(decls), Frame: next,
+					Enabled: true, Frame: next,
 					Ring:         append([]vidsim.Frame(nil), stream...),
 					Declarations: decls,
 				}

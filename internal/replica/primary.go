@@ -16,6 +16,13 @@ import (
 // (and, in driftserve, stop serving — split-brain prevention).
 var ErrFenced = errors.New("replica: fenced by a newer epoch")
 
+// A primary's dial to a standby, and each hello/ack round trip with it,
+// give up after these.
+const (
+	dialTimeout  = 2 * time.Second
+	replyTimeout = 10 * time.Second
+)
+
 // PrimaryConfig parameterizes a replication primary.
 type PrimaryConfig struct {
 	// Addrs are the standby replication addresses the primary dials.
@@ -30,10 +37,6 @@ type PrimaryConfig struct {
 	// Interval is the steady-state replication cadence of Run
 	// (default 1s).
 	Interval time.Duration
-	// DialTimeout bounds each standby dial (default 2s); ReplyTimeout
-	// bounds each hello/ack round trip (default 10s).
-	DialTimeout  time.Duration
-	ReplyTimeout time.Duration
 	// Tracer records replica_delta_sent events and the lag gauge.
 	Tracer *telemetry.Tracer
 	// Logf logs connection churn; nil is silent.
@@ -151,12 +154,6 @@ type PrimaryStats struct {
 func NewPrimary(cfg PrimaryConfig) *Primary {
 	if cfg.Interval <= 0 {
 		cfg.Interval = time.Second
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 2 * time.Second
-	}
-	if cfg.ReplyTimeout <= 0 {
-		cfg.ReplyTimeout = 10 * time.Second
 	}
 	if cfg.Epoch == 0 {
 		cfg.Epoch = 1
@@ -421,11 +418,11 @@ func (p *Primary) ship(l *standbyLink, cp *store.Checkpoint, prevGen uint64, del
 // standby's applied generation as the resume point. A Hello carrying a
 // newer epoch fences the primary before anything is streamed.
 func (p *Primary) connect(l *standbyLink) error {
-	conn, err := net.DialTimeout("tcp", l.addr, p.cfg.DialTimeout)
+	conn, err := net.DialTimeout("tcp", l.addr, dialTimeout)
 	if err != nil {
 		return err
 	}
-	_ = conn.SetReadDeadline(time.Now().Add(p.cfg.ReplyTimeout))
+	_ = conn.SetReadDeadline(time.Now().Add(replyTimeout))
 	msgType, payload, err := ReadMsg(conn)
 	if err != nil {
 		conn.Close()
@@ -475,7 +472,7 @@ func (p *Primary) send(l *standbyLink, wire []byte) error {
 		}
 		wire = out
 	}
-	_ = conn.SetWriteDeadline(time.Now().Add(p.cfg.ReplyTimeout))
+	_ = conn.SetWriteDeadline(time.Now().Add(replyTimeout))
 	if _, err := conn.Write(wire); err != nil {
 		return err
 	}
@@ -489,7 +486,7 @@ func (p *Primary) readAck(l *standbyLink) (Applied, error) {
 	if conn == nil {
 		return Applied{}, errors.New("replica: connection closed")
 	}
-	_ = conn.SetReadDeadline(time.Now().Add(p.cfg.ReplyTimeout))
+	_ = conn.SetReadDeadline(time.Now().Add(replyTimeout))
 	msgType, payload, err := ReadMsg(conn)
 	if err != nil {
 		return Applied{}, err

@@ -106,13 +106,6 @@ func (s *Standby) Latest() *store.Checkpoint {
 	return s.cp
 }
 
-// Promoted reports whether Promote has run.
-func (s *Standby) Promoted() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.promoted
-}
-
 // logf logs through the configured sink.
 func (s *Standby) logf(format string, args ...any) {
 	if s.cfg.Logf != nil {

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"time"
-
-	"videodrift/internal/dataset"
 )
 
 // Config is driftserve's configuration: one field per command-line
@@ -67,12 +65,4 @@ func (c *Config) Validate() error {
 		}
 	}
 	return nil
-}
-
-// datasets maps -dataset names to the bundled stream analogs.
-var datasets = map[string]func(scale float64) *dataset.Dataset{
-	"bdd":    dataset.BDD,
-	"detrac": dataset.Detrac,
-	"tokyo":  dataset.Tokyo,
-	"slow":   dataset.SlowDrift,
 }

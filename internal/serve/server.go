@@ -96,11 +96,10 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{cfg: cfg, stop: make(chan struct{}), framesAtSave: -1, sel: core.SelectorMSBI}
-	build, ok := datasets[cfg.Dataset]
-	if !ok {
-		return nil, fmt.Errorf("unknown dataset %q", cfg.Dataset)
+	var err error
+	if s.ds, err = dataset.ByName(cfg.Dataset, cfg.Scale); err != nil {
+		return nil, err
 	}
-	s.ds = build(cfg.Scale)
 	if cfg.Selector == "msbo" {
 		s.sel = core.SelectorMSBO
 	}

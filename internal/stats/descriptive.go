@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -61,30 +58,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics. It panics on an empty slice.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Quantile of empty slice")
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
 // Welford accumulates a running mean and variance in a single pass using
@@ -192,13 +165,4 @@ func KLDivergence(p, q []float64) float64 {
 		d += p[i] * math.Log(p[i]/q[i])
 	}
 	return d
-}
-
-// GaussianKL returns the KL divergence KL(N(mu1,var1) || N(mu2,var2))
-// between two univariate Gaussians.
-func GaussianKL(mu1, var1, mu2, var2 float64) float64 {
-	if var1 <= 0 || var2 <= 0 {
-		panic("stats: GaussianKL with non-positive variance")
-	}
-	return 0.5 * (var1/var2 + (mu2-mu1)*(mu2-mu1)/var2 - 1 + math.Log(var2/var1))
 }

@@ -29,7 +29,6 @@ import (
 	"videodrift/internal/conformal"
 	"videodrift/internal/core"
 	"videodrift/internal/forensics"
-	"videodrift/internal/telemetry"
 	"videodrift/internal/tensor"
 	"videodrift/internal/vae"
 	"videodrift/internal/vision"
@@ -38,7 +37,7 @@ import (
 
 // Version is the current checkpoint format version. A checkpoint of any
 // other version is refused with a *VersionError: nothing converts one.
-const Version = 4
+const Version = 5
 
 // vdck is the checkpoint envelope: "VDCK" big-endian, and no cap on a
 // payload the header can declare.
@@ -97,10 +96,6 @@ type ShardState struct {
 	// Enabled flag distinguishes a live state from the zero value a
 	// forensics-less checkpoint carries.
 	Forensics forensics.RecorderState
-	// EventCounts is the shard tracer's per-kind event totals at
-	// checkpoint time, informational (drifttool inspect reports them);
-	// nil when the shard ran untraced.
-	EventCounts []telemetry.KindCount
 	// Tenant names the stream the shard serves ("" for a shard attached
 	// without a name) and Next is that stream's position: the stream index
 	// of the frame it is fed next.

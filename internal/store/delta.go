@@ -137,8 +137,7 @@ func frameKey(f *vidsim.Frame) *float64 {
 // sameFrame reports whether two headers over one pixel array describe
 // the same frame.
 func sameFrame(a, b *vidsim.Frame) bool {
-	return a.Index == b.Index && a.W == b.W && a.H == b.H && len(a.Pixels) == len(b.Pixels) &&
-		a.Condition == b.Condition && slices.Equal(a.Truth, b.Truth)
+	return a.Index == b.Index && a.W == b.W && a.H == b.H && len(a.Pixels) == len(b.Pixels)
 }
 
 // frameDigest folds one walked frame into the base frame digest.
@@ -536,8 +535,7 @@ func AppendDelta(dst []byte, d *Delta) ([]byte, error) {
 //	u32  length of the gob record
 //	gob  the Delta without NewFrames
 //	u32  number of new frames, then each as
-//	     i64 index, i64 W, i64 H, u32+bytes condition,
-//	     u32 objects × (i64 class, 5 × f64), u32 pixels × f64
+//	     i64 index, i64 W, i64 H, u32 pixels × f64
 //
 // all little-endian, behind the envelope's header. Pixels are the bulk of
 // a delta; writing them as one block each is a memmove, where gob spends a
@@ -573,7 +571,7 @@ func appendDelta(dst []byte, d *Delta) ([]byte, error) {
 
 // frameWireSize is the exact size appendFrame writes for f.
 func frameWireSize(f *vidsim.Frame) int {
-	return 3*8 + 4 + len(f.Condition) + 4 + len(f.Truth)*6*8 + 4 + len(f.Pixels)*8
+	return 3*8 + 4 + len(f.Pixels)*8
 }
 
 // appendFrame writes one new frame body (layout at appendDelta).
@@ -582,15 +580,6 @@ func appendFrame(dst []byte, f *vidsim.Frame) []byte {
 	dst = le.AppendUint64(dst, uint64(f.Index))
 	dst = le.AppendUint64(dst, uint64(f.W))
 	dst = le.AppendUint64(dst, uint64(f.H))
-	dst = le.AppendUint32(dst, uint32(len(f.Condition)))
-	dst = append(dst, f.Condition...)
-	dst = le.AppendUint32(dst, uint32(len(f.Truth)))
-	for _, o := range f.Truth {
-		dst = le.AppendUint64(dst, uint64(o.Class))
-		for _, v := range [...]float64{o.X, o.Y, o.W, o.H, o.Intensity} {
-			dst = le.AppendUint64(dst, math.Float64bits(v))
-		}
-	}
 	dst = le.AppendUint32(dst, uint32(len(f.Pixels)))
 	for _, v := range f.Pixels {
 		dst = le.AppendUint64(dst, math.Float64bits(v))
@@ -644,21 +633,10 @@ func (r *frameReader) count(size int) int {
 	return n
 }
 
-// frame decodes one body straight into the arrays the frame keeps.
-// Empty lists decode to nil, as gob decodes them.
+// frame decodes one body straight into the array the frame keeps. No
+// pixels decode to nil, as gob decodes an empty list.
 func (r *frameReader) frame() vidsim.Frame {
 	f := vidsim.Frame{Index: int(r.u64()), W: int(r.u64()), H: int(r.u64())}
-	f.Condition = string(r.take(r.count(1)))
-	if n := r.count(6 * 8); n > 0 {
-		f.Truth = make([]vidsim.Object, n)
-		for i := range f.Truth {
-			o := &f.Truth[i]
-			o.Class = vidsim.Class(r.u64())
-			for _, v := range [...]*float64{&o.X, &o.Y, &o.W, &o.H, &o.Intensity} {
-				*v = math.Float64frombits(r.u64())
-			}
-		}
-	}
 	if n := r.count(8); n > 0 {
 		raw := r.take(8 * n)
 		f.Pixels = make([]float64, n)
@@ -693,10 +671,10 @@ func DecodeDelta(data []byte) (*Delta, error) {
 		}
 	}
 	// New frames come from the raw section only, whatever the gob record
-	// claims. The smallest body is an empty frame: three integers and
-	// three zero counts.
+	// claims. The smallest body is an empty frame: three integers and a
+	// zero pixel count.
 	d.NewFrames = nil
-	if n := r.count(3*8 + 3*4); n > 0 {
+	if n := r.count(3*8 + 4); n > 0 {
 		d.NewFrames = make([]vidsim.Frame, n)
 		for i := range d.NewFrames {
 			d.NewFrames[i] = r.frame()

@@ -52,6 +52,9 @@ func nextGeneration(t testing.TB, base *Checkpoint, addEntry bool) *Checkpoint {
 func framedGenerations(t testing.TB) (base, next *Checkpoint) {
 	t.Helper()
 	fr := vidsim.GenerateTraining(testCond(vidsim.Day()), testW, testH, 40, 17)
+	for i := range fr {
+		fr[i] = fr[i].Keep() // what a holder keeps: position and pixels
+	}
 	at := func(frames []vidsim.Frame) (out []int) {
 		for _, f := range frames {
 			out = append(out, f.Index)
@@ -61,7 +64,7 @@ func framedGenerations(t testing.TB) (base, next *Checkpoint) {
 	withFrames := func(cp *Checkpoint, ring, buffer, declared []vidsim.Frame) *Checkpoint {
 		sh := append([]ShardState(nil), cp.Shards...)
 		sh[0].Forensics = forensics.RecorderState{
-			Enabled: true, Window: 8, Keep: 2, Frame: 100,
+			Enabled: true, Frame: 100,
 			Ring: append([]vidsim.Frame(nil), ring...), At: at(ring),
 			Marks: []forensics.Mark{{Frame: ring[0].Index}},
 			Declarations: []forensics.Declaration{{ID: "drift-00000042", Frame: 42,

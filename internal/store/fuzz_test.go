@@ -8,11 +8,11 @@ import (
 	"videodrift/internal/wire"
 )
 
-// previousEpoch returns an envelope rewritten to format v3, the epoch
+// previousEpoch returns an envelope rewritten to format v4, the epoch
 // before this one's: a decoder must refuse it by version.
 func previousEpoch(envelope []byte) []byte {
 	b := append([]byte(nil), envelope...)
-	b[4] = 3
+	b[4] = 4
 	return b
 }
 
@@ -73,7 +73,7 @@ func FuzzDecode(f *testing.F) {
 		f.Fatalf("encoding lean seed checkpoint: %v", err)
 	}
 	f.Add(lean)
-	// The format epoch before: a v3 header over a valid payload.
+	// The format epoch before: a v4 header over a valid payload.
 	f.Add(previousEpoch(valid))
 	// Named shards, one holding a live recorder state: kept frames with
 	// their stream positions, a mark and a retained declaration.

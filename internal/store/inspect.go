@@ -39,10 +39,9 @@ type ShardInfo struct {
 	// pre-roll covers are held, about one in SampleEvery (0/0: forensics
 	// off, or suspended by a selection).
 	PreRollKept, PreRollSpan int
-
-	// EventCounts is the shard tracer's per-kind event totals at
-	// checkpoint time (nil when the shard ran untraced).
-	EventCounts []telemetry.KindCount
+	// Drifts, Selections and Trainings are the pipeline's counts of
+	// drifts declared, models selected and models trained.
+	Drifts, Selections, Trainings int
 	// Declarations is how many drift declarations the shard's forensics
 	// recorder retained (0 when forensics was disabled).
 	Declarations int
@@ -128,10 +127,13 @@ func Inspect(path string) (*Description, error) {
 	for _, sh := range shards {
 		p := sh.Pipeline
 		info := ShardInfo{
-			Frames:   p.Metrics.Frames,
-			Sampled:  p.DI.Sampled,
-			Models:   len(sh.Registry),
-			Buffered: len(p.Buffer),
+			Frames:     p.Metrics.Frames,
+			Sampled:    p.DI.Sampled,
+			Models:     len(sh.Registry),
+			Buffered:   len(p.Buffer),
+			Drifts:     p.Metrics.DriftsDetected,
+			Selections: p.Metrics.ModelsSelected,
+			Trainings:  p.Metrics.ModelsTrained,
 		}
 		if p.State >= 0 && p.State < len(stateNames) {
 			info.State = stateNames[p.State]
@@ -139,7 +141,6 @@ func Inspect(path string) (*Description, error) {
 			info.State = fmt.Sprintf("state(%d)", p.State)
 		}
 		info.Deployed = names[sh.Registry[p.Current]]
-		info.EventCounts = sh.EventCounts
 		if f := sh.Forensics; f.Enabled && !f.Pending && len(f.Marks) > 0 {
 			info.PreRollKept, info.PreRollSpan = len(f.Ring), f.Frame-f.Marks[0].Frame
 		}
@@ -185,15 +186,8 @@ func (d *Description) WriteText(w io.Writer) {
 	}
 	fmt.Fprintf(w, "  shards (%d):\n", len(d.Shards))
 	for i, s := range d.Shards {
-		fmt.Fprintf(w, "    shard %d: frame %d (sampled %d) state=%s deployed=%q registry=%d buffered=%d pre-roll kept/span=%d/%d\n",
-			i, s.Frames, s.Sampled, s.State, s.Deployed, s.Models, s.Buffered, s.PreRollKept, s.PreRollSpan)
-		if len(s.EventCounts) > 0 {
-			fmt.Fprintf(w, "      events:")
-			for _, kc := range s.EventCounts {
-				fmt.Fprintf(w, " %s=%d", kc.Kind, kc.Count)
-			}
-			fmt.Fprintf(w, "\n")
-		}
+		fmt.Fprintf(w, "    shard %d: frame %d (sampled %d) state=%s deployed=%q registry=%d buffered=%d pre-roll kept/span=%d/%d drifts=%d selections=%d trainings=%d\n",
+			i, s.Frames, s.Sampled, s.State, s.Deployed, s.Models, s.Buffered, s.PreRollKept, s.PreRollSpan, s.Drifts, s.Selections, s.Trainings)
 		if s.Declarations > 0 {
 			fmt.Fprintf(w, "      drifts retained: %d, last %s @ frame %d on %q", s.Declarations, s.LastDrift, s.LastDriftFrame, s.LastDriftModel)
 			for j, a := range s.LastDriftTop {

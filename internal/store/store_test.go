@@ -330,7 +330,7 @@ func TestCorruptionFallback(t *testing.T) {
 		{"flipped-payload-byte", func(b []byte) []byte { b[wire.HeaderSize+len(b)/3] ^= 0x40; return b }, ErrChecksum, 0},
 		{"bad-magic", func(b []byte) []byte { b[0] = 'X'; return b }, ErrBadMagic, 0},
 		{"future-version", func(b []byte) []byte { b[4] = 0xff; return b }, nil, 0xff},
-		{"previous-version", previousEpoch, nil, 3},
+		{"previous-version", previousEpoch, nil, 4},
 	}
 	for _, tc := range corruptions {
 		t.Run(tc.name, func(t *testing.T) {

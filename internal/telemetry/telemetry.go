@@ -223,7 +223,6 @@ const (
 	StageClassify                // deployed model's query prediction
 	StageSelect                  // one full MSBI/MSBO run
 	StageTrain                   // provisioning a new model mid-stream
-	StageODINDetect              // ODIN-Detect clustering per frame
 	StageCheckpoint              // one checkpoint capture + atomic write
 	StageReplicate               // one replication cycle: capture, diff, encode, send, ack
 
@@ -238,7 +237,6 @@ var stageNames = [stageCount]string{
 	"classify",
 	"select",
 	"train",
-	"odin_detect",
 	"checkpoint",
 	"replicate",
 }
@@ -716,29 +714,10 @@ func (t *Tracer) ObserveStage(s Stage, d time.Duration) {
 	t.mu.Unlock()
 }
 
-// KindCount is one event kind's cumulative counter, exported by
-// KindCounts in enum order so downstream consumers (checkpoint state,
-// `drifttool inspect`) see a deterministic sequence.
+// KindCount is one event kind's cumulative counter (Snapshot.EventCounts).
 type KindCount struct {
 	Kind  string `json:"kind"`
 	Count uint64 `json:"count"`
-}
-
-// KindCounts returns the nonzero per-kind event counters, ordered by
-// kind. Counters include events the ring has since evicted.
-func (t *Tracer) KindCounts() []KindCount {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]KindCount, 0, kindCount)
-	for k := Kind(0); k < kindCount; k++ {
-		if t.counts[k] > 0 {
-			out = append(out, KindCount{Kind: k.String(), Count: t.counts[k]})
-		}
-	}
-	return out
 }
 
 // Events returns the retained events, oldest first.

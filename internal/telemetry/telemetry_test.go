@@ -833,19 +833,19 @@ func TestEnumJSONRoundTrip(t *testing.T) {
 			return back, err
 		})
 	}
-	// KindCounts walks every kind: one event of each is one counter each,
-	// in enum order.
+	// Snapshot's EventCounts walks every kind: one event of each is one
+	// counter each, in enum order.
 	tr := New(Config{RingSize: 1})
 	for k := Kind(0); k < kindCount; k++ {
 		tr.emit(Event{Kind: k}, false)
 	}
-	counts := tr.KindCounts()
+	counts := tr.Snapshot().EventCounts
 	if len(counts) != int(kindCount) {
-		t.Fatalf("KindCounts with every kind counted = %d entries, want %d", len(counts), kindCount)
+		t.Fatalf("EventCounts with every kind counted = %d entries, want %d", len(counts), kindCount)
 	}
 	for k, c := range counts {
 		if c.Kind != Kind(k).String() || c.Count != 1 {
-			t.Errorf("KindCounts[%d] = %+v, want {%s 1}", k, c, Kind(k))
+			t.Errorf("EventCounts[%d] = %+v, want {%s 1}", k, c, Kind(k))
 		}
 	}
 	var k Kind

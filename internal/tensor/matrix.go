@@ -116,13 +116,6 @@ func (m *Matrix) Scale(a float64) {
 	}
 }
 
-// Zero resets every element of m to zero.
-func (m *Matrix) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-}
-
 // Transpose returns a new matrix that is the transpose of m.
 func (m *Matrix) Transpose() *Matrix {
 	t := NewMatrix(m.Cols, m.Rows)

@@ -38,16 +38,6 @@ func (v Vector) Add(w Vector) Vector {
 	return out
 }
 
-// Sub returns v - w as a new vector. It panics on length mismatch.
-func (v Vector) Sub(w Vector) Vector {
-	checkLen(len(v), len(w), "Sub")
-	out := make(Vector, len(v))
-	for i := range v {
-		out[i] = v[i] - w[i]
-	}
-	return out
-}
-
 // Scale returns a*v as a new vector.
 func (v Vector) Scale(a float64) Vector {
 	out := make(Vector, len(v))
@@ -65,14 +55,6 @@ func (v Vector) AddInPlace(w Vector) {
 	}
 }
 
-// AXPY accumulates a*w into v (v += a*w). It panics on length mismatch.
-func (v Vector) AXPY(a float64, w Vector) {
-	checkLen(len(v), len(w), "AXPY")
-	for i := range v {
-		v[i] += a * w[i]
-	}
-}
-
 // Dot returns the inner product of v and w. It panics on length mismatch.
 func (v Vector) Dot(w Vector) float64 {
 	checkLen(len(v), len(w), "Dot")
@@ -83,9 +65,6 @@ func (v Vector) Dot(w Vector) float64 {
 	return s
 }
 
-// Norm returns the Euclidean norm of v.
-func (v Vector) Norm() float64 { return math.Sqrt(v.Dot(v)) }
-
 // Dist returns the Euclidean distance between v and w.
 func (v Vector) Dist(w Vector) float64 {
 	checkLen(len(v), len(w), "Dist")
@@ -95,16 +74,6 @@ func (v Vector) Dist(w Vector) float64 {
 		s += d * d
 	}
 	return math.Sqrt(s)
-}
-
-// Hadamard returns the element-wise product of v and w.
-func (v Vector) Hadamard(w Vector) Vector {
-	checkLen(len(v), len(w), "Hadamard")
-	out := make(Vector, len(v))
-	for i := range v {
-		out[i] = v[i] * w[i]
-	}
-	return out
 }
 
 // Sum returns the sum of the elements of v.

@@ -26,20 +26,11 @@ func TestVectorArithmetic(t *testing.T) {
 	if got := v.Add(w); !vecAlmost(got, Vector{5, 7, 9}, 0) {
 		t.Errorf("Add = %v", got)
 	}
-	if got := v.Sub(w); !vecAlmost(got, Vector{-3, -3, -3}, 0) {
-		t.Errorf("Sub = %v", got)
-	}
 	if got := v.Scale(2); !vecAlmost(got, Vector{2, 4, 6}, 0) {
 		t.Errorf("Scale = %v", got)
 	}
 	if got := v.Dot(w); got != 32 {
 		t.Errorf("Dot = %v", got)
-	}
-	if got := v.Hadamard(w); !vecAlmost(got, Vector{4, 10, 18}, 0) {
-		t.Errorf("Hadamard = %v", got)
-	}
-	if got := (Vector{3, 4}).Norm(); got != 5 {
-		t.Errorf("Norm = %v", got)
 	}
 	if got := (Vector{0, 0}).Dist(Vector{3, 4}); got != 5 {
 		t.Errorf("Dist = %v", got)
@@ -51,10 +42,6 @@ func TestVectorInPlaceOps(t *testing.T) {
 	v.AddInPlace(Vector{2, 3})
 	if !vecAlmost(v, Vector{3, 4}, 0) {
 		t.Errorf("AddInPlace = %v", v)
-	}
-	v.AXPY(2, Vector{1, 1})
-	if !vecAlmost(v, Vector{5, 6}, 0) {
-		t.Errorf("AXPY = %v", v)
 	}
 	v.Fill(7)
 	if !vecAlmost(v, Vector{7, 7}, 0) {

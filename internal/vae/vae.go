@@ -226,16 +226,6 @@ func (v *VAE) Sample(n int) []tensor.Vector {
 	return out
 }
 
-// SampleLatent draws n i.i.d. latent vectors z ~ N(0, I). Embedding-space
-// pipelines use these directly instead of decoded pixels.
-func (v *VAE) SampleLatent(n int) []tensor.Vector {
-	out := make([]tensor.Vector, n)
-	for i := range out {
-		out[i] = tensor.Vector(v.rng.NormalVec(v.cfg.LatentDim, 0, 1))
-	}
-	return out
-}
-
 // Reconstruct encodes x deterministically (z = mu) and decodes it back.
 func (v *VAE) Reconstruct(x tensor.Vector) tensor.Vector {
 	return v.Decode(v.Embed(x))

@@ -166,37 +166,6 @@ func TestSampleDistanceSeparatesDistributions(t *testing.T) {
 	}
 }
 
-func TestSampleLatentIID(t *testing.T) {
-	v := New(DefaultConfig(8), stats.NewRNG(14))
-	zs := v.SampleLatent(500)
-	if len(zs) != 500 {
-		t.Fatalf("SampleLatent count = %d", len(zs))
-	}
-	// Mean of each coordinate should be near 0, variance near 1.
-	var w stats.Welford
-	for _, z := range zs {
-		for _, x := range z {
-			w.Add(x)
-		}
-	}
-	if math.Abs(w.Mean()) > 0.1 {
-		t.Errorf("latent mean = %v", w.Mean())
-	}
-	if math.Abs(w.Variance()-1) > 0.15 {
-		t.Errorf("latent variance = %v", w.Variance())
-	}
-	// Lag-1 autocorrelation of first coordinate should be near zero
-	// (i.i.d. check — this is the property conformal p-values rely on).
-	num, den := 0.0, 0.0
-	for i := 1; i < len(zs); i++ {
-		num += zs[i][0] * zs[i-1][0]
-		den += zs[i][0] * zs[i][0]
-	}
-	if ac := num / den; math.Abs(ac) > 0.15 {
-		t.Errorf("lag-1 autocorrelation = %v, want ~0", ac)
-	}
-}
-
 func TestDimensionPanics(t *testing.T) {
 	v := New(DefaultConfig(8), stats.NewRNG(15))
 	cases := []func(){

@@ -18,8 +18,9 @@
 #     ............................... TestCrashPointRecovery, TestVerifyDir (store)
 #   the server is race-clean ...................... go test -race ./internal/serve
 # (per-tenant endpoints: TestTenantTelemetry). Kept here, once, through
-# `drifttool health` and `inspect -verify`: all of it end to end in separate
-# processes (server race-instrumented) and the standby's promotion log line.
+# `drifttool health`, `inspect -verify` and `inspect` on the newest
+# checkpoint file: all of it end to end in separate processes (server
+# race-instrumented) and the standby's promotion log line.
 #
 # Usage:  scripts/smoke.sh        FRAMES=300 PORT=19290 scripts/smoke.sh
 set -euo pipefail
@@ -87,6 +88,10 @@ sleep 3
 kill -9 "${pids[-1]}" && wait "${pids[-1]}" 2>/dev/null || true
 [ -n "$(ls -A "$bin/istate" 2>/dev/null)" ] || fail "the persisting server wrote no checkpoint"
 "$bin/drifttool" -verify inspect "$bin/istate" >/dev/null || fail "a killed server left a damaged checkpoint"
+newest=$(ls "$bin"/istate/checkpoint-*.vdc | tail -n 1) # zero-padded generations sort
+inspect=$("$bin/drifttool" inspect "$newest") || fail "drifttool inspect could not read $newest"
+grep -Eq "shard 0: .* drifts=[0-9]+ selections=[0-9]+ trainings=[0-9]+$" <<<"$inspect" ||
+	fail "inspect printed no shard 0 line with its drift, selection and training counts"
 serve ingest2 "${ingest[@]}"
 up "$p"
 health=$("$bin/drifttool" health "localhost:$p") || fail "restarted ingest server unhealthy"

@@ -103,16 +103,18 @@ func TestFacadeTelemetry(t *testing.T) {
 
 	tracer := NewTracer(TracerConfig{RingSize: 512})
 	opts.Tracer = tracer
-	mon := NewMonitor([]*Model{day, night}, facadeLabeler, opts)
+	dayStream := vidsim.GenerateTrainingStride(facadeCond(vidsim.Day()), 16, 16, 150, 1, 3)
+	nightStream := vidsim.GenerateTrainingStride(facadeCond(vidsim.Night()), 16, 16, 250, 1, 4)
+	mon := NewMonitor([]*Model{day, night}, truthOracle(dayStream, nightStream), opts)
 	if mon.Telemetry() != tracer {
 		t.Fatal("Monitor.Telemetry() did not return the configured tracer")
 	}
 
-	for _, f := range vidsim.GenerateTrainingStride(facadeCond(vidsim.Day()), 16, 16, 150, 1, 3) {
+	for _, f := range dayStream {
 		mon.Process(f)
 	}
 	switched := false
-	for _, f := range vidsim.GenerateTrainingStride(facadeCond(vidsim.Night()), 16, 16, 250, 1, 4) {
+	for _, f := range nightStream {
 		if ev := mon.Process(f); ev.SwitchedTo == "night" {
 			switched = true
 			break

@@ -53,7 +53,9 @@ type Dataset = dataset.Dataset
 type Model = core.ModelEntry
 
 // Labeler annotates a frame with its query label (e.g. a car-count
-// bucket); the bundled Annotator wraps the detector oracle.
+// bucket) from its pixels — the frames a monitor keeps for a selection or
+// training window carry position and pixels only; the bundled Annotator
+// wraps the detector oracle.
 type Labeler = core.Labeler
 
 // Annotator derives query labels from the built-in object detector (the

@@ -1,6 +1,8 @@
 package videodrift
 
 import (
+	"encoding/binary"
+	"math"
 	"testing"
 
 	"videodrift/internal/vidsim"
@@ -19,6 +21,29 @@ func facadeLabeler(f Frame) int {
 	return c
 }
 
+// truthOracle is facadeLabeler for the frames a monitor keeps, which
+// carry position and pixels only (vidsim.Frame.Keep): it recognises each
+// frame of the given streams by its pixels and answers with the label its
+// ground truth gives.
+func truthOracle(streams ...[]Frame) Labeler {
+	labels := map[string]int{}
+	for _, s := range streams {
+		for _, f := range s {
+			labels[pixelKey(f.Pixels)] = facadeLabeler(f)
+		}
+	}
+	return func(f Frame) int { return labels[pixelKey(f.Pixels)] }
+}
+
+// pixelKey is a frame's pixels, bit for bit, as a map key.
+func pixelKey(px []float64) string {
+	b := make([]byte, 0, 8*len(px))
+	for _, v := range px {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return string(b)
+}
+
 func facadeCond(base Condition) Condition {
 	base.CarRate, base.BusRate = 5.5, 0
 	return base
@@ -33,15 +58,17 @@ func TestFacadeEndToEnd(t *testing.T) {
 	day := BuildModel("day", facadeFrames(facadeCond(vidsim.Day()), 200, 1), facadeLabeler, opts)
 	night := BuildModel("night", facadeFrames(facadeCond(vidsim.Night()), 200, 2), facadeLabeler, opts)
 
-	mon := NewMonitor([]*Model{day, night}, facadeLabeler, opts)
+	dayStream := vidsim.GenerateTrainingStride(facadeCond(vidsim.Day()), 16, 16, 150, 1, 3)
+	nightStream := vidsim.GenerateTrainingStride(facadeCond(vidsim.Night()), 16, 16, 250, 1, 4)
+	mon := NewMonitor([]*Model{day, night}, truthOracle(dayStream, nightStream), opts)
 	if mon.Current() != "day" {
 		t.Fatalf("initial model = %q", mon.Current())
 	}
-	for _, f := range vidsim.GenerateTrainingStride(facadeCond(vidsim.Day()), 16, 16, 150, 1, 3) {
+	for _, f := range dayStream {
 		mon.Process(f)
 	}
 	switched := false
-	for _, f := range vidsim.GenerateTrainingStride(facadeCond(vidsim.Night()), 16, 16, 250, 1, 4) {
+	for _, f := range nightStream {
 		if ev := mon.Process(f); ev.SwitchedTo == "night" {
 			switched = true
 			break
