@@ -54,7 +54,7 @@ func TestChaosReplayDeterminism(t *testing.T) {
 			delivered := deliverStreams(inj, streams)
 			opts := Defaults(facadeDim, facadeClasses)
 			opts.Forensics = ForensicsConfig{Enabled: true}
-			sm := fixedFleet(models, facadeLabeler, ShardedOptions{Options: opts, Faults: inj}, shards)
+			sm := fixedFleet(models, truthOracle(t, delivered...), ShardedOptions{Options: opts, Faults: inj}, shards)
 			events := runBatches(sm, delivered, 0, len(delivered[0]))
 			deployed := make([]string, shards)
 			for s := range deployed {
@@ -279,8 +279,8 @@ func TestChaosTrainingFailureRecovery(t *testing.T) {
 	opts.Provision.Classifier.Epochs = 30
 	// A day-only registry leaves MSBI no acceptable candidate when the
 	// stream turns to night, forcing a post-drift training.
-	sm := fixedFleet(models[:1], facadeLabeler, ShardedOptions{Options: opts, Faults: inj}, 1, tracers...)
 	stream := driftStream(total, 60, 71)
+	sm := fixedFleet(models[:1], truthOracle(t, stream), ShardedOptions{Options: opts, Faults: inj}, 1, tracers...)
 	sawDegraded := false
 	for _, f := range stream {
 		mustBatch(sm, []Frame{f})

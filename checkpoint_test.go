@@ -94,14 +94,15 @@ func TestMonitorCheckpointResume(t *testing.T) {
 	models := getCkptModels()
 	opts := Defaults(facadeDim, facadeClasses)
 	stream := driftStream(200, 80, 500)
+	label := truthOracle(t, stream)
 
-	ref := NewMonitor(models, facadeLabeler, opts)
+	ref := NewMonitor(models, label, opts)
 	var want []Event
 	for _, f := range stream {
 		want = append(want, ref.Process(f))
 	}
 
-	m := NewMonitor(models, facadeLabeler, opts)
+	m := NewMonitor(models, label, opts)
 	var got []Event
 	const cut = 90
 	for _, f := range stream[:cut] {
@@ -119,7 +120,7 @@ func TestMonitorCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := Resume(cp, facadeLabeler, opts)
+	resumed, err := Resume(cp, label, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +300,7 @@ func TestCheckpointKeepsPositionAndPixels(t *testing.T) {
 			t.Fatalf("fixture: stream frame %d carries no labels to drop", f.Index)
 		}
 	}
-	sm := fixedFleet(models, truthOracle(streams...), ShardedOptions{Options: opts}, len(streams))
+	sm := fixedFleet(models, truthOracle(t, streams...), ShardedOptions{Options: opts}, len(streams))
 	var buffered, training, declared bool
 	for step := 0; step < total; step += 15 {
 		runBatches(sm, streams, step, min(step+15, total))

@@ -64,11 +64,14 @@
 // tenants included, and warm-restarts from the newest intact one;
 // -replicate-to streams checkpoints to hot standbys, and -standby-of
 // runs one (excludes -state-dir and -replicate-to), which opens its
-// -ingest-addr once it promotes. On SIGTERM or SIGINT the pump gets ten
-// seconds to finish its batch; then the server stops admitting frames,
-// drains what it accepted and flushes it to the standbys and the state
-// dir. If the pump has not stopped, the process writes every goroutine's
-// stack to stderr and exits 1 rather than ignore the signal.
+// -ingest-addr once it promotes. Every frame is fed to the fleet by the
+// connection that read it, or by the one holding the pump when it
+// arrived: there is no pump loop. On SIGTERM or SIGINT the server stops
+// admitting frames and feeding in place, drains what it accepted — after
+// a pump in flight, which gets ten seconds to finish its batch — and
+// flushes it to the standbys and the state dir. If the pump has not
+// stopped by then, the process writes every goroutine's stack to stderr
+// and exits 1 rather than ignore the signal.
 //
 // The server itself is internal/serve; DESIGN.md §17 describes what it
 // brings up, in what order it stops, and the /healthz schema.

@@ -214,8 +214,8 @@ func health(w io.Writer, addr string) int {
 			in.Active, in.Known, in.Accepted, in.Processed, in.Dups)
 		fmt.Fprintf(w, "    nacks: bad_seq %d, tenant_limit %d, malformed %d   attaches %d   evictions %d\n",
 			in.NackedSeq, in.NackedLimit, in.NackedMalformed, in.Attaches, in.Evictions)
-		fmt.Fprintf(w, "    pump: %d runs (%d on the connection that read the frame), %.2f frames per run\n",
-			in.Pumps, in.PumpsInline, float64(in.Processed)/float64(max(in.Pumps, 1)))
+		fmt.Fprintf(w, "    pump: %d runs, %.2f frames per run\n",
+			in.Pumps, float64(in.Processed)/float64(max(in.Pumps, 1)))
 		for _, t := range in.Tenants {
 			slot := fmt.Sprint(t.Slot)
 			if t.Slot < 0 {

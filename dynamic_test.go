@@ -86,8 +86,9 @@ func TestDynamicEmptyFleetCheckpoint(t *testing.T) {
 	models := getCkptModels()
 	opts := ShardedOptions{Options: Defaults(facadeDim, facadeClasses), Workers: 2}
 	stream := driftStream(120, 40, 7)
+	label := truthOracle(t, stream)
 
-	sm := NewDynamicSharded(models, facadeLabeler, opts)
+	sm := NewDynamicSharded(models, label, opts)
 	cp := sm.Checkpoint()
 	if len(cp.Shards) != 0 || !slices.Equal(cp.Entries, models) {
 		t.Fatalf("empty fleet checkpointed %d shards and %d entries, want 0 shards and the %d provisioned models in order",
@@ -101,7 +102,7 @@ func TestDynamicEmptyFleetCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	promoted := NewDynamicSharded(replicated.Entries, facadeLabeler, opts)
+	promoted := NewDynamicSharded(replicated.Entries, label, opts)
 	for _, fleet := range []*ShardedMonitor{sm, promoted} {
 		if slot, err := fleet.Attach(nil); err != nil || slot != 0 {
 			t.Fatalf("attach over %d checkpointed models: slot %d, %v", len(replicated.Entries), slot, err)

@@ -95,6 +95,21 @@ var equivScripts = sync.OnceValue(func() [][]vidsim.Frame {
 	}
 })
 
+// equivLabels is every script frame's label by its pixels, as rendered and
+// as the wire delivers it: what the fleet and the oracles keep of a frame
+// carries pixels only (videodrift.PixelLabeler).
+var equivLabels = sync.OnceValue(func() map[string]int {
+	labels := map[string]int{}
+	for _, script := range equivScripts() {
+		for _, f := range script {
+			l := videodrift.FacadeLabeler(f)
+			labels[videodrift.PixelKey(f.Pixels)] = l
+			labels[videodrift.PixelKey(ingest.FrameFromMsg(ingest.MsgFromFrame("", 0, f)).Pixels)] = l
+		}
+	}
+	return labels
+})
+
 // tenant models a stream: its script, slot at attach (its seed), next index,
 // the table it was attached over and the restarts its shard must report.
 type tenant struct {
@@ -126,6 +141,7 @@ type harness struct {
 	link
 	t                     *testing.T
 	opts                  videodrift.Options
+	label                 videodrift.Labeler  // the fleet's and the oracles'
 	slots                 []*tenant           // by fleet slot, nil when detached
 	base                  []*videodrift.Model // what an attach builds on: the full models, then a resumed table
 	full, models          []*videodrift.Model // the oracle's provisioned models and the fleet's (full, or lean)
@@ -155,7 +171,8 @@ func runProgram(t *testing.T, sel videodrift.Selector, lean bool, ops []op) (act
 	if h.base = h.full; lean {
 		h.models = videodrift.LeanCkptModels()
 	}
-	h.sm = videodrift.NewDynamicSharded(h.models, videodrift.FacadeLabeler, videodrift.ShardedOptions{Options: opts, Workers: 2, MaxRestarts: math.MaxInt32})
+	h.label = videodrift.PixelLabeler(t, equivLabels())
+	h.sm = videodrift.NewDynamicSharded(h.models, h.label, videodrift.ShardedOptions{Options: opts, Workers: 2, MaxRestarts: math.MaxInt32})
 	defer h.link.close()
 	for i, o := range ops {
 		if h.apply(o) {
@@ -252,7 +269,7 @@ func (h *harness) frame(tn *tenant, x int) vidsim.Frame {
 func (h *harness) oracle(tn *tenant) *videodrift.Monitor {
 	opts := h.opts
 	opts.Pipeline.Seed += int64(tn.seed)
-	return videodrift.NewMonitor(tn.base, videodrift.FacadeLabeler, opts)
+	return videodrift.NewMonitor(tn.base, h.label, opts)
 }
 
 // served hands tn's oracle frame f, which the fleet has been fed, and
@@ -332,18 +349,11 @@ func (h *harness) wire(s, n int, faulty bool) bool {
 	srv := ingest.NewServer(r, ingest.ServerConfig{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	h.must(err == nil, "listen: %v", err)
-	var pumpErr error
-	stop, accepting, ran := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	accepting := make(chan struct{})
 	go func() { defer close(accepting); srv.Serve(ln) }()
-	go func() {
-		defer close(ran)
-		r.Run(stop, func(_ int, err error) { pumpErr = firstErr(pumpErr, err) })
-	}()
 	shut := sync.OnceFunc(func() {
 		srv.Close()
-		close(stop)
 		<-accepting
-		<-ran
 	})
 	defer shut()
 	hot, tx := false, 0
@@ -364,9 +374,9 @@ func (h *harness) wire(s, n int, faulty bool) bool {
 	}
 	err = firstErr(err, c.Close())
 	shut()
-	_, perr := r.Pump() // what a connection queued behind the loop's last pump
+	_, perr := r.Pump() // a last drain, as a server shutting down makes
 	st, cs := r.Stats(), c.Stats()
-	h.must(err == nil && firstErr(pumpErr, perr) == nil, "slot %d over the wire: send %v, pump %v %v", s, err, pumpErr, perr)
+	h.must(err == nil && perr == nil, "slot %d over the wire: send %v, pump %v", s, err, perr)
 	h.must(st.Accepted == int64(n) && st.Processed == int64(n) && cs.Acked == int64(tn.next+n) && faulty == (cs.Retries > 0) && (faulty || cs.Nacks+cs.Reconnects+st.NackedSeq == 0),
 		"slot %d over the wire: the router accepted %d and fed %d of %d new frames, the client saw %d of %d confirmed with %+v (faults %v)",
 		s, st.Accepted, st.Processed, n, cs.Acked, tn.next+n, cs, faulty)
@@ -393,7 +403,7 @@ func (h *harness) resume(cp *store.Checkpoint, workers int) {
 	for _, s := range h.pick(len(h.slots), true) {
 		h.slots[s].restarts, slots = 0, append(slots, h.slots[s])
 	}
-	sm, err := videodrift.ResumeSharded(cp, videodrift.FacadeLabeler, videodrift.ShardedOptions{Options: h.opts, Workers: workers, Faults: h.inj, MaxRestarts: math.MaxInt32})
+	sm, err := videodrift.ResumeSharded(cp, h.label, videodrift.ShardedOptions{Options: h.opts, Workers: workers, Faults: h.inj, MaxRestarts: math.MaxInt32})
 	h.must(err == nil, "ResumeSharded: %v", err)
 	h.slots, h.sm, h.base = slots, sm, append(slices.Clone(h.full), cp.Entries[len(h.full):]...)
 }

@@ -13,6 +13,8 @@ const (
 
 var (
 	FacadeLabeler  = facadeLabeler
+	PixelLabeler   = pixelLabeler
+	PixelKey       = pixelKey
 	FacadeCond     = facadeCond
 	CkptModels     = getCkptModels
 	LeanCkptModels = getLeanCkptModels

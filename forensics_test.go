@@ -49,7 +49,7 @@ func TestForensicsReplayDeterminism(t *testing.T) {
 			for s := range streams {
 				streams[s] = driftStream(total, 60+25*s, int64(900+10*s))
 			}
-			sm := fixedFleet(models, facadeLabeler, sopts, tc.shards, tracers...)
+			sm := fixedFleet(models, truthOracle(t, streams...), sopts, tc.shards, tracers...)
 			runBatches(sm, streams, 0, total)
 
 			declared := 0

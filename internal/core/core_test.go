@@ -38,15 +38,27 @@ func testLabeler(f vidsim.Frame) int {
 // truthOracle is testLabeler for the frames a pipeline keeps, which carry
 // position and pixels only (vidsim.Frame.Keep): it recognises each frame
 // of the given streams by its pixels and answers with the label its
-// ground truth gives.
-func truthOracle(streams ...[]vidsim.Frame) Labeler {
+// ground truth gives. A frame that still carries its ground truth — a
+// provisioning clip — it labels from that. A kept frame no stream holds
+// fails the test: labelled 0, it would turn a selection window or a
+// training set into noise unseen.
+func truthOracle(t testing.TB, streams ...[]vidsim.Frame) Labeler {
 	labels := map[string]int{}
 	for _, s := range streams {
 		for _, f := range s {
 			labels[pixelKey(f.Pixels)] = testLabeler(f)
 		}
 	}
-	return func(f vidsim.Frame) int { return labels[pixelKey(f.Pixels)] }
+	return func(f vidsim.Frame) int {
+		if f.Condition != "" {
+			return testLabeler(f)
+		}
+		l, ok := labels[pixelKey(f.Pixels)]
+		if !ok {
+			t.Errorf("labeler asked for frame %d, which no stream of the test holds", f.Index)
+		}
+		return l
+	}
 }
 
 // pixelKey is a frame's pixels, bit for bit, as a map key.
@@ -444,7 +456,7 @@ func TestPipelineSwitchesOnDrift(t *testing.T) {
 	cfg := DefaultPipelineConfig(testDim, testNumClasses)
 	cfg.Provision = quickProvision(41)
 	day, night := streamFrames(dayC(), 150, 23), streamFrames(nightC(), 120, 24)
-	p := NewPipeline(reg, truthOracle(day, night), cfg)
+	p := NewPipeline(reg, truthOracle(t, day, night), cfg)
 	if p.Current() != f.day {
 		t.Fatal("pipeline did not deploy the first entry")
 	}
@@ -484,13 +496,14 @@ func TestPipelineTrainsNewModelOnNovelDrift(t *testing.T) {
 	cfg := DefaultPipelineConfig(testDim, testNumClasses)
 	cfg.Provision = quickProvision(42)
 	cfg.NewModelFrames = 100
-	p := NewPipeline(reg, testLabeler, cfg)
+	day, fog, more := streamFrames(dayC(), 100, 25), streamFrames(fogCond(), 300, 26), streamFrames(fogCond(), 100, 27)
+	p := NewPipeline(reg, truthOracle(t, day, fog, more), cfg)
 
-	for _, frame := range streamFrames(dayC(), 100, 25) {
+	for _, frame := range day {
 		p.Process(frame)
 	}
 	trained := false
-	for _, frame := range streamFrames(fogCond(), 300, 26) {
+	for _, frame := range fog {
 		out := p.Process(frame)
 		if out.TrainedNew {
 			trained = true
@@ -512,7 +525,7 @@ func TestPipelineTrainsNewModelOnNovelDrift(t *testing.T) {
 	// The new model now covers fog: continued fog frames should not
 	// immediately re-trigger training.
 	before := p.Metrics().ModelsTrained
-	for _, frame := range streamFrames(fogCond(), 100, 27) {
+	for _, frame := range more {
 		p.Process(frame)
 	}
 	if p.Metrics().ModelsTrained != before {

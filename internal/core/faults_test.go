@@ -58,10 +58,12 @@ func TestFrameProblem(t *testing.T) {
 // the bad frames.
 func TestAdmissionGateEquivalence(t *testing.T) {
 	fx := getFixture()
+	stream := append(streamFrames(dayC(), 80, 302), streamFrames(nightC(), 120, 303)...)
+	label := truthOracle(t, stream)
 	mkPipe := func() *Pipeline {
 		cfg := DefaultPipelineConfig(testDim, testNumClasses)
 		cfg.Provision = quickProvision(51)
-		return NewPipeline(NewRegistry(fx.day, fx.night), testLabeler, cfg)
+		return NewPipeline(NewRegistry(fx.day, fx.night), label, cfg)
 	}
 	dirty, clean := mkPipe(), mkPipe()
 
@@ -70,10 +72,9 @@ func TestAdmissionGateEquivalence(t *testing.T) {
 		cfg := DefaultPipelineConfig(testDim, testNumClasses)
 		cfg.Provision = quickProvision(51)
 		cfg.Tracer = tr
-		return NewPipeline(NewRegistry(fx.day, fx.night), testLabeler, cfg)
+		return NewPipeline(NewRegistry(fx.day, fx.night), label, cfg)
 	}()
 
-	stream := append(streamFrames(dayC(), 80, 302), streamFrames(nightC(), 120, 303)...)
 	quarantined := 0
 	for i, f := range stream {
 		bad := f
@@ -172,12 +173,13 @@ func TestTrainingRetryThenRecovery(t *testing.T) {
 		}
 		return nil
 	}
-	p := NewPipeline(NewRegistry(fx.day), testLabeler, cfg)
-	for _, f := range streamFrames(dayC(), 60, 306) {
+	day, night := streamFrames(dayC(), 60, 306), streamFrames(nightC(), 600, 307)
+	p := NewPipeline(NewRegistry(fx.day), truthOracle(t, day, night), cfg)
+	for _, f := range day {
 		p.Process(f)
 	}
 	trained := false
-	for _, f := range streamFrames(nightC(), 600, 307) {
+	for _, f := range night {
 		if out := p.Process(f); out.TrainedNew {
 			trained = true
 			break

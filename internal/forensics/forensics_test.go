@@ -1,6 +1,7 @@
 package forensics
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"reflect"
@@ -81,12 +82,41 @@ func newTestPipeline(t *testing.T) (*core.Pipeline, core.PipelineConfig) {
 }
 
 // newStridePipeline is newTestPipeline with the inspector reading one
-// frame in every.
-func newStridePipeline(t *testing.T, every int) (*core.Pipeline, core.PipelineConfig) {
+// frame in every, and the selection windows and trainings of stream
+// labelled by truthOracle.
+func newStridePipeline(t *testing.T, every int, stream []vidsim.Frame) (*core.Pipeline, core.PipelineConfig) {
 	t.Helper()
 	_, cfg := newTestPipeline(t)
 	cfg.DI.SampleEvery = every
-	return core.NewPipeline(core.NewRegistry(getEntries()...), testLabeler, cfg), cfg
+	return core.NewPipeline(core.NewRegistry(getEntries()...), truthOracle(t, stream), cfg), cfg
+}
+
+// truthOracle is testLabeler for the frames a pipeline keeps, which carry
+// position and pixels only (vidsim.Frame.Keep): it recognises each frame
+// of stream by its pixels and answers with the label its ground truth
+// gives. A kept frame stream does not hold fails the test instead of
+// being labelled 0.
+func truthOracle(t testing.TB, stream []vidsim.Frame) core.Labeler {
+	labels := map[string]int{}
+	for _, f := range stream {
+		labels[pixelKey(f.Pixels)] = testLabeler(f)
+	}
+	return func(f vidsim.Frame) int {
+		l, ok := labels[pixelKey(f.Pixels)]
+		if !ok {
+			t.Errorf("labeler asked for frame %d, which the test's stream does not hold", f.Index)
+		}
+		return l
+	}
+}
+
+// pixelKey is a frame's pixels, bit for bit, as a map key.
+func pixelKey(px []float64) string {
+	b := make([]byte, 0, 8*len(px))
+	for _, v := range px {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return string(b)
 }
 
 // feed runs f through pipe and r and reports, from the inspector's frame
@@ -260,9 +290,9 @@ func driftingStream(first, leg, legs int, seed int64) []vidsim.Frame {
 func TestPreRollBounds(t *testing.T) {
 	for _, w := range []int{8, 16, 64} {
 		for _, every := range []int{1, 3, 10} {
-			pipe, cfg := newStridePipeline(t, every)
-			r := NewRecorder(Config{Enabled: true, Window: w, Keep: 16}, nil, pipe)
 			frames := driftingStream(100, 160, 4, int64(400+w))
+			pipe, cfg := newStridePipeline(t, every, frames)
+			r := NewRecorder(Config{Enabled: true, Window: w, Keep: 16}, nil, pipe)
 			keep := make([]bool, len(frames))
 			checked, start := 0, 0 // start: where the open pre-roll began
 			for i, f := range frames {

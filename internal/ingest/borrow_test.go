@@ -15,8 +15,8 @@ func poisoned(t *testing.T) {
 // TestBorrowedBuffers reruns, tripwire on, the wire suites — exactly-once
 // delivery, clean and under injected wire faults — and the feeding
 // protocol's, which hold each tenant to in-process feeding of the same
-// frames: fed in place, queued behind a held pump, Submitted without a
-// connection. What the reference computes never touches the free list, so
+// frames: fed in place, queued behind a held pump and drained by its
+// holder, over a connection and without one. What the reference computes never touches the free list, so
 // each must come out as it does with the tripwire off. The root package's
 // wire op runs with it on too.
 func TestBorrowedBuffers(t *testing.T) {
@@ -25,6 +25,7 @@ func TestBorrowedBuffers(t *testing.T) {
 	t.Run("LoopbackBitIdenticalUnderFaults", TestLoopbackBitIdenticalUnderFaults)
 	t.Run("FeedInPlace", TestFeedInPlace)
 	t.Run("PumpWakesOnSubmit", TestPumpWakesOnSubmit)
+	t.Run("HolderDrainsConnections", TestHolderDrainsConnections)
 }
 
 // TestFreeListBounds pins the free list's contract: a buffer comes back

@@ -264,13 +264,13 @@ func TestRouterRestoresTenants(t *testing.T) {
 	}
 	// A Sync from behind is told the restored position; one from ahead is
 	// told its own.
-	if p := rr.position([]byte("cam-a"), 16, true); p != 20 {
+	if p, _ := rr.position([]byte("cam-a"), 16, true); p != 20 {
 		t.Errorf("Sync at 16: answered %d, want the restored 20", p)
 	}
 	if v := rr.Submit(MsgFromFrame("cam-a", 21, streams["cam-a"][21])); v.Ack || v.Code != NackBadSeq {
 		t.Errorf("a frame past a lost one after the Sync: %+v, want NackBadSeq", v)
 	}
-	if p := rr.position([]byte("cam-b"), 12, true); p != 12 {
+	if p, _ := rr.position([]byte("cam-b"), 12, true); p != 12 {
 		t.Errorf("Sync at 12 past a checkpoint at 10: answered %d, want 12", p)
 	}
 

@@ -50,7 +50,7 @@ func fixedClock() time.Time { return time.Unix(0, 0) }
 func runLoopback(t *testing.T, streams map[string][]vidsim.Frame, faultSeed int64) ClientStats {
 	t.Helper()
 	models, opts := sharedModels()
-	sm := videodrift.NewDynamicSharded(models, testLabeler, videodrift.ShardedOptions{
+	sm := videodrift.NewDynamicSharded(models, wireOracle(t, streams), videodrift.ShardedOptions{
 		Options: opts, Workers: 4,
 	})
 	router := NewRouter(sm, Config{QueueCap: 64, BatchSize: 8})
@@ -60,9 +60,6 @@ func runLoopback(t *testing.T, streams map[string][]vidsim.Frame, faultSeed int6
 	for srv.Addr() == nil {
 		time.Sleep(time.Millisecond)
 	}
-
-	// The pump loop driftserve runs.
-	pumped := runPump(t, router)
 
 	var mu sync.Mutex
 	total := ClientStats{}
@@ -112,7 +109,7 @@ func runLoopback(t *testing.T, streams map[string][]vidsim.Frame, faultSeed int6
 	for _, stream := range streams {
 		want += int64(len(stream))
 	}
-	awaitPumped(t, pumped, "the queues to drain", func() bool { return router.Stats().Processed >= want })
+	await(t, "the queues to drain", func() bool { return router.Stats().Processed >= want })
 
 	rs := router.Stats()
 	if rs.Accepted != want || rs.Processed != want || total.Acked != want {

@@ -1,6 +1,9 @@
 package odin
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
 	"testing"
 
 	"videodrift/internal/classifier"
@@ -25,6 +28,39 @@ func testLabeler(f vidsim.Frame) int {
 		c = 5
 	}
 	return c
+}
+
+// truthOracle is testLabeler for the frames the Specialize buffer keeps,
+// which carry position and pixels only (vidsim.Frame.Keep): it recognises
+// each frame of the given streams by its pixels and answers with the label
+// its ground truth gives. A frame still carrying its labels — a bootstrap
+// clip — it answers from them. A frame it cannot answer fails the test.
+func truthOracle(t testing.TB, streams ...[]vidsim.Frame) Labeler {
+	labels := map[string]int{}
+	for _, s := range streams {
+		for _, f := range s {
+			labels[pixelKey(f.Pixels)] = testLabeler(f)
+		}
+	}
+	return func(f vidsim.Frame) int {
+		if f.Condition != "" {
+			return testLabeler(f)
+		}
+		l, ok := labels[pixelKey(f.Pixels)]
+		if !ok {
+			t.Errorf("labeler asked for frame %d, which no stream of the test holds", f.Index)
+		}
+		return l
+	}
+}
+
+// pixelKey is a frame's pixels, bit for bit, as a map key.
+func pixelKey(px []float64) string {
+	b := make([]byte, 0, 8*len(px))
+	for _, v := range px {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return string(b)
 }
 
 func testClfConfig() classifier.Config {
@@ -112,11 +148,12 @@ func TestDetectorValidation(t *testing.T) {
 func TestSystemServesAndSpecializes(t *testing.T) {
 	day := lightTraffic(vidsim.Day())
 	night := lightTraffic(vidsim.Night())
-	s := NewSystem(DefaultConfig(), testW, testH, vision.QueryFeatures, testLabeler, testClfConfig(), 7)
+	live, snow := liveFrames(day, 150, 10), liveFrames(lightTraffic(vidsim.SnowCond()), 500, 11)
+	s := NewSystem(DefaultConfig(), testW, testH, vision.QueryFeatures, truthOracle(t, live, snow), testClfConfig(), 7)
 	s.Bootstrap(trainFrames(day, 150, 8))
 	s.Bootstrap(trainFrames(night, 150, 9))
 
-	for _, f := range liveFrames(day, 150, 10) {
+	for _, f := range live {
 		out := s.Process(f)
 		if out.Invocations < 1 {
 			t.Fatal("frame processed with no model invocation")
@@ -128,7 +165,7 @@ func TestSystemServesAndSpecializes(t *testing.T) {
 
 	// A novel condition must eventually promote and specialize.
 	specialized := false
-	for _, f := range liveFrames(lightTraffic(vidsim.SnowCond()), 500, 11) {
+	for _, f := range snow {
 		out := s.Process(f)
 		if out.Specialized {
 			specialized = true
@@ -193,5 +230,46 @@ func TestSystemPredictionQuality(t *testing.T) {
 	acc := float64(correct) / float64(total)
 	if acc < 0.35 {
 		t.Errorf("in-distribution ODIN accuracy = %v, suspiciously low", acc)
+	}
+}
+
+// TestSystemKeepsBorrowedFrames: Process borrows its frame — the caller
+// may reuse the pixels once it returns — so the Specialize buffer keeps a
+// copy. A system fed every frame through one buffer, overwritten after
+// each call, answers and specialises exactly as one fed untouched frames.
+func TestSystemKeepsBorrowedFrames(t *testing.T) {
+	day := lightTraffic(vidsim.Day())
+	snow := liveFrames(lightTraffic(vidsim.SnowCond()), 500, 11)
+	build := func() *System {
+		s := NewSystem(DefaultConfig(), testW, testH, vision.QueryFeatures, truthOracle(t, snow), testClfConfig(), 7)
+		s.Bootstrap(trainFrames(day, 150, 8))
+		return s
+	}
+	fresh, lent := build(), build()
+	buf := vidsim.Frame{W: testW, H: testH, Pixels: make([]float64, testW*testH)}
+	specialized := false
+	for _, f := range snow {
+		want := fresh.Process(f)
+		buf.Index = f.Index
+		copy(buf.Pixels, f.Pixels)
+		if got := lent.Process(buf); got != want {
+			t.Fatalf("frame %d: lent %+v, untouched %+v", f.Index, got, want)
+		}
+		for i := range buf.Pixels {
+			buf.Pixels[i] = -1 // the caller's next use of its buffer
+		}
+		if specialized = want.Specialized; specialized {
+			break
+		}
+	}
+	if !specialized {
+		t.Fatal("ODIN never specialised: the comparison exercised nothing")
+	}
+	for id, m := range fresh.models {
+		want, _ := m.MarshalBinary()
+		got, _ := lent.models[id].MarshalBinary()
+		if !bytes.Equal(got, want) {
+			t.Errorf("cluster %d: the model specialised on lent frames differs from the untouched feed's", id)
+		}
 	}
 }

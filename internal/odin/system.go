@@ -97,7 +97,7 @@ func (s *System) train(frames []vidsim.Frame) *classifier.Classifier {
 
 // Process runs one frame through Detect, Select and (on promotion)
 // Specialize, returning the query prediction and the number of model
-// invocations it cost.
+// invocations it cost. f is borrowed: the Specialize buffer keeps a copy.
 func (s *System) Process(f vidsim.Frame) Outcome {
 	s.metrics.Frames++
 	tempBefore := s.det.TempSize()
@@ -149,9 +149,10 @@ func (s *System) Process(f vidsim.Frame) Outcome {
 		s.metrics.EnsembleFrames++
 	default:
 		// Temporary-cluster frame: buffer it for Specialize and serve it
-		// with the nearest permanent cluster's model.
+		// with the nearest permanent cluster's model. The frame is
+		// borrowed: the buffer keeps a copy (DESIGN.md §14).
 		if len(s.tempBuf) < s.maxBuffer {
-			s.tempBuf = append(s.tempBuf, f)
+			s.tempBuf = append(s.tempBuf, f.Keep())
 		}
 		out.Prediction = s.models[s.nearestCluster(f)].Predict(x)
 		out.Invocations = 1

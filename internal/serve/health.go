@@ -86,7 +86,7 @@ func (s *Server) Health() (Health, int) {
 	fh, stats, st := f.mon.Health(), f.mon.Stats(), f.router.Stats()
 	h.Status, h.Mode = fh.State.String(), "ingest"
 	h.Shards, h.ActiveShards = f.mon.Shards(), f.mon.Active()
-	h.Frames = s.processed.Load()
+	h.Frames = f.boot + st.Processed
 	h.Quarantined, h.TrainFails = stats.QuarantinedFrames, stats.TrainingFailures
 	h.ShardHealth = fh.Shards
 	h.Ingest = &st

@@ -1240,7 +1240,7 @@ func TestHealthShape(t *testing.T) {
 		shard_health shard_health.state shard_health.stalled shard_health.restarts shard_health.dropped
 		ingest ingest.known_tenants ingest.active_tenants ingest.accepted ingest.processed ingest.dups
 		ingest.nacked_seq ingest.nacked_limit ingest.nacked_malformed
-		ingest.attaches ingest.evictions ingest.pumps ingest.pumps_inline ingest.tenants
+		ingest.attaches ingest.evictions ingest.pumps ingest.tenants
 		ingest.tenants.tenant ingest.tenants.slot ingest.tenants.queued ingest.tenants.queue_cap
 		ingest.tenants.accepted ingest.tenants.processed ingest.tenants.dups
 		ingest.tenants.nacked_seq

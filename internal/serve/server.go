@@ -38,14 +38,25 @@ import (
 // package's tests provision once for all the servers they start.
 var buildEnv = experiments.BuildEnvFor
 
+// fleetFaults is the fault injector a deployed fleet runs under: nil in
+// the product, a variable so a test can wedge a worker.
+var fleetFaults *faults.Injector
+
 // fleet is the live serving state: the monitor fleet, its tenant router,
 // and the wire server with its -ingest-addr listener. A standby has none.
+// boot is the frames the fleet had processed when it was deployed —
+// nonzero after a warm restart or a promotion.
 type fleet struct {
 	mon    *videodrift.ShardedMonitor
 	router *ingest.Router
 	isrv   *ingest.Server
 	iln    net.Listener
+	boot   int64
 }
+
+// frames is what the fleet has processed in all, over every life its
+// state went through.
+func (f *fleet) frames() int64 { return f.boot + f.router.Stats().Processed }
 
 // Server is one driftserve process's worth of state. Build it with New
 // (which provisions the models), bring it up with Start, stop it with
@@ -64,7 +75,6 @@ type Server struct {
 	// flt is published through an atomic pointer because a standby
 	// installs its fleet at promotion, with requests in flight.
 	flt        atomic.Pointer[fleet]
-	processed  atomic.Int64
 	promoteErr atomic.Value // string: why a promotion could not build its fleet
 
 	prim        *replica.Primary
@@ -78,9 +88,9 @@ type Server struct {
 
 	hsrv     *http.Server
 	hln, rln net.Listener
-	// stop ends every goroutine in run (pump loop, checkpoint scheduler,
-	// replication loop, standby probe); the accept loops in serving end
-	// when Shutdown closes their listeners.
+	// stop ends every goroutine in run (checkpoint scheduler, replication
+	// loop, standby probe); the accept loops in serving end when Shutdown
+	// closes their listeners.
 	stop    chan struct{}
 	run     sync.WaitGroup
 	serving sync.WaitGroup
@@ -148,7 +158,7 @@ func (s *Server) newTracer() *telemetry.Tracer {
 }
 
 // Start brings the server up in the order a client may depend on: the
-// fleet, its pump loop and its ingest listener (not on a standby), the
+// fleet and its ingest listener (not on a standby), the
 // checkpoint scheduler, the replication primary, the standby's
 // replication listener and health probe, and last the HTTP listener — so
 // a /healthz that answers means everything before it is up. On an error
@@ -208,11 +218,11 @@ func addrOf(ln net.Listener) string {
 	return ln.Addr().String()
 }
 
-// deploy builds the fleet and its router, starts the pump loop and opens
-// the ingest listener: at boot from the provisioned models (cp nil) or
-// the warm-restart checkpoint, at promotion from the replicated one. A
-// resumed fleet's router takes the checkpoint's tenants over —
-// martingale, forensics ring, collection in progress and stream
+// deploy builds the fleet and its router and opens the ingest listener,
+// whose connections feed the fleet: at boot from the provisioned models
+// (cp nil) or the warm-restart checkpoint, at promotion from the
+// replicated one. A resumed fleet's router takes the checkpoint's tenants
+// over — martingale, forensics ring, collection in progress and stream
 // position — and tenants it lacks join mid-stream.
 func (s *Server) deploy(cp *videodrift.Checkpoint) error {
 	pcfg := s.env.PipelineConfig(s.sel)
@@ -227,6 +237,7 @@ func (s *Server) deploy(cp *videodrift.Checkpoint) error {
 		},
 		Workers:      s.cfg.Workers,
 		StallTimeout: s.cfg.StallTimeout,
+		Faults:       fleetFaults,
 	}
 	models, shards := s.env.Registry.Entries(), 0
 	if cp != nil {
@@ -252,7 +263,7 @@ func (s *Server) deploy(cp *videodrift.Checkpoint) error {
 			return fmt.Errorf("resuming fleet: %w", err)
 		}
 	}
-	s.processed.Store(int64(f.mon.Stats().Frames)) // nonzero after a warm restart or a promotion
+	f.boot = int64(f.mon.Stats().Frames)
 	f.router = ingest.NewRouter(f.mon, ingest.Config{
 		MaxTenants:    max(s.cfg.MaxTenants, shards),
 		QueueCap:      s.cfg.TenantQueue,
@@ -268,21 +279,8 @@ func (s *Server) deploy(cp *videodrift.Checkpoint) error {
 	}
 	fmt.Fprintf(os.Stderr, "ingesting frames on %s (wire protocol over TCP)\n", f.iln.Addr())
 	s.flt.Store(f)
-	s.run.Add(1)
-	go func() {
-		defer s.run.Done()
-		f.router.Run(s.stop, s.pumped)
-	}()
 	s.accept("ingest serve", func() error { return f.isrv.Serve(f.iln) })
 	return nil
-}
-
-// pumped accounts for one Router.Pump.
-func (s *Server) pumped(n int, err error) {
-	if err != nil {
-		log.Printf("ingest pump: %v", err)
-	}
-	s.processed.Add(int64(n))
 }
 
 // every runs f on each tick of period, on a goroutine of its own, until
@@ -326,13 +324,14 @@ func (s *Server) accept(what string, serve func() error) {
 // failed attempts are the process's events, not a tenant's: they go to
 // the base tracer, beside the replication events.
 func (s *Server) saveCheckpoint(reason string) {
-	n := s.processed.Load()
+	f := s.flt.Load()
+	n := f.frames()
 	if n == s.framesAtSave {
 		s.lastCkpt.Store(time.Now().UnixNano())
 		return
 	}
 	start := time.Now()
-	cp := s.flt.Load().mon.Checkpoint()
+	cp := f.mon.Checkpoint()
 	if s.prim != nil {
 		// A warm restart of a replicating primary must resume the same
 		// fencing epoch (and generation counter) it streamed under.
@@ -453,18 +452,19 @@ func (s *Server) promote(reason string) error {
 	return s.deploy(cp)
 }
 
-// Shutdown stops the server: the pump loop and the periodic goroutines
-// first; then admission, in the router, so no frame joins a queue after
-// the final drain; then that drain and, on a
-// primary, a last generation to the standbys, so they hold the exact
-// stopping point; and with -state-dir a final checkpoint. Every frame a
-// client was told was accepted is in both. Only then do the listeners
-// close, HTTP last: /healthz answers through the flush, so a standby's
-// probe does not find the primary gone before its final generation has
-// shipped. It returns once every goroutine Start or a promotion began
-// has exited — or, if the pump has not stopped within stopTimeout, with
-// an error and every goroutine's stack on stderr, nothing flushed. Call
-// it once, after a successful Start.
+// Shutdown stops the server: the periodic goroutines first; then
+// admission and in-place feeding, in the router, so no frame joins a
+// queue and no connection pumps after the final drain; then that drain
+// and, on a primary, a last generation to the standbys, so they hold the
+// exact stopping point; and with -state-dir a final checkpoint. Every
+// frame a client was told was accepted is in both. Only then do the
+// listeners close, HTTP last: /healthz answers through the flush, so a
+// standby's probe does not find the primary gone before its final
+// generation has shipped. It returns once every goroutine Start or a
+// promotion began has exited — or, if those goroutines and the final
+// drain (which waits for a pump in flight on a connection) have not
+// finished within stopTimeout, with an error and every goroutine's stack
+// on stderr, nothing flushed. Call it once, after a successful Start.
 func (s *Server) Shutdown() error { return s.halt(true) }
 
 // halt is Shutdown; without flush it leaves out the drain, the final
@@ -474,19 +474,21 @@ func (s *Server) halt(flush bool) error {
 	close(s.stop)
 	stopped := make(chan struct{})
 	go func() {
-		s.run.Wait()
-		close(stopped)
+		defer close(stopped)
+		s.run.Wait() // a promotion in flight has deployed its fleet by now
+		if f := s.flt.Load(); f != nil {
+			f.router.StopAdmission()
+			if flush {
+				if _, err := f.router.Pump(); err != nil {
+					log.Printf("ingest pump: %v", err)
+				}
+			}
+		}
 	}()
 	if !waitStopped(stopped, stopTimeout, os.Stderr) {
 		return fmt.Errorf("pump still running after %v (goroutine dump above); exiting without a final flush", stopTimeout)
 	}
 	f := s.flt.Load()
-	if f != nil {
-		f.router.StopAdmission()
-		if flush {
-			s.pumped(f.router.Pump())
-		}
-	}
 	if s.prim != nil {
 		if flush {
 			fmt.Fprintln(os.Stderr, "flushing final generation to standbys...")
@@ -518,12 +520,12 @@ func (s *Server) halt(flush bool) error {
 	return nil
 }
 
-// stopTimeout is how long Shutdown waits for the pump to finish its
-// batch (and the periodic goroutines their cycle). A pump inside a
-// recovery training returns in well under a second; one that has not
-// returned in ten is wedged, and a process that waits for it ignores
-// SIGTERM for good.
-const stopTimeout = 10 * time.Second
+// stopTimeout is how long Shutdown waits for the periodic goroutines to
+// finish their cycle and the final drain its pump, behind a pump in flight.
+// A pump inside a recovery training returns in well under a second; one
+// that has not returned in ten is wedged, and a process that waits for it
+// ignores SIGTERM for good. A variable so a test can wedge one briefly.
+var stopTimeout = 10 * time.Second
 
 // waitStopped waits for done to close, for at most timeout. When the
 // wait runs out it writes every goroutine's stack to w — what the

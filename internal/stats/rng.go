@@ -182,27 +182,3 @@ func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 // Shuffle pseudo-randomly permutes n elements using the provided swap
 // function, mirroring rand.Shuffle.
 func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
-
-// Choice returns a uniform random index weighted by the non-negative
-// weights. It panics if weights is empty or sums to zero.
-func (g *RNG) Choice(weights []float64) int {
-	if len(weights) == 0 {
-		panic("stats: Choice with empty weights")
-	}
-	total := 0.0
-	for _, w := range weights {
-		total += w
-	}
-	if total <= 0 {
-		panic("stats: Choice weights sum to zero")
-	}
-	target := g.r.Float64() * total
-	acc := 0.0
-	for i, w := range weights {
-		acc += w
-		if target < acc {
-			return i
-		}
-	}
-	return len(weights) - 1
-}

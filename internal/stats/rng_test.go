@@ -90,35 +90,6 @@ func TestPoissonZeroLambda(t *testing.T) {
 	}
 }
 
-func TestChoiceRespectsWeights(t *testing.T) {
-	g := NewRNG(8)
-	counts := make([]int, 3)
-	for i := 0; i < 30000; i++ {
-		counts[g.Choice([]float64{1, 2, 7})]++
-	}
-	total := float64(counts[0] + counts[1] + counts[2])
-	for i, want := range []float64{0.1, 0.2, 0.7} {
-		got := float64(counts[i]) / total
-		if math.Abs(got-want) > 0.02 {
-			t.Errorf("Choice frequency[%d] = %v, want ~%v", i, got, want)
-		}
-	}
-}
-
-func TestChoicePanics(t *testing.T) {
-	g := NewRNG(8)
-	for _, weights := range [][]float64{{}, {0, 0}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Choice(%v) did not panic", weights)
-				}
-			}()
-			g.Choice(weights)
-		}()
-	}
-}
-
 func TestNormalVecLen(t *testing.T) {
 	g := NewRNG(2)
 	if got := len(g.NormalVec(17, 0, 1)); got != 17 {

@@ -42,9 +42,6 @@ func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 // Set assigns the element at row i, column j.
 func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
-// Row returns row i as a Vector sharing the matrix's backing storage.
-func (m *Matrix) Row(i int) Vector { return Vector(m.Data[i*m.Cols : (i+1)*m.Cols]) }
-
 // Clone returns a deep copy of m.
 func (m *Matrix) Clone() *Matrix {
 	c := NewMatrix(m.Rows, m.Cols)
@@ -125,28 +122,6 @@ func (m *Matrix) Transpose() *Matrix {
 		}
 	}
 	return t
-}
-
-// MatMul returns m·n. It panics on an inner-dimension mismatch.
-func (m *Matrix) MatMul(n *Matrix) *Matrix {
-	if m.Cols != n.Rows {
-		panic(fmt.Sprintf("tensor: MatMul shape mismatch (%dx%d)·(%dx%d)", m.Rows, m.Cols, n.Rows, n.Cols))
-	}
-	out := NewMatrix(m.Rows, n.Cols)
-	for i := 0; i < m.Rows; i++ {
-		mrow := m.Data[i*m.Cols : (i+1)*m.Cols]
-		orow := out.Data[i*out.Cols : (i+1)*out.Cols]
-		for k, mik := range mrow {
-			if mik == 0 {
-				continue
-			}
-			nrow := n.Data[k*n.Cols : (k+1)*n.Cols]
-			for j, nkj := range nrow {
-				orow[j] += mik * nkj
-			}
-		}
-	}
-	return out
 }
 
 // XavierInit fills m with Glorot-uniform samples scaled by the layer fan-in

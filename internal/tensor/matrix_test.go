@@ -35,36 +35,6 @@ func TestMatVecTMatchesTransposeMatVec(t *testing.T) {
 	}
 }
 
-func TestMatMulKnown(t *testing.T) {
-	a := NewMatrixFrom([][]float64{{1, 2}, {3, 4}})
-	b := NewMatrixFrom([][]float64{{5, 6}, {7, 8}})
-	c := a.MatMul(b)
-	want := NewMatrixFrom([][]float64{{19, 22}, {43, 50}})
-	for i := range c.Data {
-		if c.Data[i] != want.Data[i] {
-			t.Fatalf("MatMul = %+v, want %+v", c, want)
-		}
-	}
-}
-
-func TestMatMulAssociatesWithMatVec(t *testing.T) {
-	g := stats.NewRNG(32)
-	a := NewMatrix(3, 4)
-	b := NewMatrix(4, 2)
-	for i := range a.Data {
-		a.Data[i] = g.Normal(0, 1)
-	}
-	for i := range b.Data {
-		b.Data[i] = g.Normal(0, 1)
-	}
-	v := Vector(g.NormalVec(2, 0, 1))
-	left := a.MatMul(b).MatVec(v)
-	right := a.MatVec(b.MatVec(v))
-	if !vecAlmost(left, right, 1e-12) {
-		t.Errorf("(AB)v = %v, A(Bv) = %v", left, right)
-	}
-}
-
 func TestAddOuterInPlace(t *testing.T) {
 	m := NewMatrix(2, 3)
 	m.AddOuterInPlace(2, Vector{1, 2}, Vector{3, 4, 5})
@@ -95,7 +65,6 @@ func TestMatrixShapePanics(t *testing.T) {
 	cases := []func(){
 		func() { m.MatVec(Vector{1}) },
 		func() { m.MatVecT(Vector{1, 2, 3}) },
-		func() { m.MatMul(NewMatrix(3, 1)) },
 		func() { m.AddOuterInPlace(1, Vector{1}, Vector{1, 2}) },
 		func() { NewMatrixFrom([][]float64{{1, 2}, {3}}) },
 	}
@@ -143,14 +112,5 @@ func TestMatrixCloneZeroScale(t *testing.T) {
 	m.Set(0, 0, math.NaN())
 	if !m.HasNaN() {
 		t.Error("NaN matrix not flagged")
-	}
-}
-
-func TestRowSharesStorage(t *testing.T) {
-	m := NewMatrixFrom([][]float64{{1, 2}, {3, 4}})
-	r := m.Row(1)
-	r[0] = 99
-	if m.At(1, 0) != 99 {
-		t.Error("Row should alias matrix storage")
 	}
 }

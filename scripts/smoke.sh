@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Two-process smoke: the real binaries, one kill -9. What soak.sh and
+# Two-process smoke: the real binaries, two kill -9s and a SIGTERM. What soak.sh and
 # failover_soak.sh asserted, and the Go test that asserts it since PR 14:
 #   under a seeded wire-fault schedule: mode ingest, N/N tenants attached,
 #     accepted = processed = N x frames, no shard dropped a frame .. TestServeIngest
@@ -14,13 +14,16 @@
 #     ....................................... TestServeWarmRestart/ingest, TestRouterRestoresTenants
 #   SIGTERM under live traffic stops admitting before the final drain: every
 #     confirmed frame is in the final checkpoint and on the standby .. TestShutdownFlushes
+#   a pump wedged on a connection still ends SIGTERM, dumped, exit 1 .. TestShutdownWedgedPump
 #   a writer killed at any point leaves a directory that verifies
 #     ............................... TestCrashPointRecovery, TestVerifyDir (store)
 #   the server is race-clean ...................... go test -race ./internal/serve
 # (per-tenant endpoints: TestTenantTelemetry). Kept here, once, through
 # `drifttool health`, `inspect -verify` and `inspect` on the newest
 # checkpoint file: all of it end to end in separate processes (server
-# race-instrumented) and the standby's promotion log line.
+# race-instrumented), the standby's promotion log line, and the shutdown
+# path once: the restarted server is stopped with SIGTERM, exits 0 after
+# flushing its final checkpoint, and leaves a state dir that verifies.
 #
 # Usage:  scripts/smoke.sh        FRAMES=300 PORT=19290 scripts/smoke.sh
 set -euo pipefail
@@ -65,7 +68,7 @@ kill -9 "$pri" && wait "$pri" 2>/dev/null || true
 wait "$feed" || fail "driftfeed lost frames across the failover"
 cat "$bin/feed.out"
 grep -Eq "failovers [1-9]" "$bin/feed.out" || fail "no tenant recorded a failover"
-sleep 1 # the promoted pump drains the tail
+sleep 1 # the promoted fleet's connections drain the tail
 health=$("$bin/drifttool" health "localhost:$((p + 3))") || fail "promoted standby unhealthy"
 printf '%s\n' "$health"
 grep -q "mode: ingest" <<<"$health" || fail "standby never promoted"
@@ -103,11 +106,18 @@ grep -q "ingest: $tenants/$tenants tenants attached" <<<"$health" && grep -q "at
 wait "$feed" || fail "driftfeed lost frames across the restart"
 cat "$bin/ifeed.out"
 grep -q " 0 failed" "$bin/ifeed.out" || fail "driftfeed lost frames across the restart"
-sleep 1 # the pump drains the tail
+sleep 1 # the connections drain the tail
 health=$("$bin/drifttool" health "localhost:$p") || fail "restarted ingest server unhealthy"
 grep -q "total dropped: 0" <<<"$health" || fail "frames were dropped after the restart"
 read -r acc proc < <(sed -n 's/.*accepted \([0-9]*\)   processed \([0-9]*\).*/\1 \2/p' <<<"$health")
 [ "${acc:-0}" -ge 1 ] && [ "$acc" = "$proc" ] || fail "accepted ${acc:-?} != processed ${proc:-?} after the restart"
-kill -9 "${pids[-1]}" && wait "${pids[-1]}" 2>/dev/null || true
+echo "smoke: SIGTERM the restarted ingest server"
+kill -TERM "${pids[-1]}"
+status=0
+wait "${pids[-1]}" || status=$?
+[ "$status" = 0 ] || fail "SIGTERM: the restarted server exited $status"
+grep -q "flushing final checkpoint" "$bin/ingest2.log" || fail "SIGTERM: no final checkpoint flushed"
+grep -q ": exiting$" "$bin/ingest2.log" || fail "SIGTERM: no exiting line"
+"$bin/drifttool" -verify inspect "$bin/istate" >/dev/null || fail "SIGTERM left a damaged checkpoint"
 if grep -il "DATA RACE" "$bin"/*.log; then fail "race detected"; fi
-echo "smoke: ok — primary killed mid-stream, standby promoted, ingest server killed (state verified) and restarted with its tenants, zero frames lost"
+echo "smoke: ok — primary killed mid-stream, standby promoted, ingest server killed (state verified), restarted with its tenants and stopped by SIGTERM (flushed, state verified), zero frames lost"

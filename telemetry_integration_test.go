@@ -105,7 +105,7 @@ func TestFacadeTelemetry(t *testing.T) {
 	opts.Tracer = tracer
 	dayStream := vidsim.GenerateTrainingStride(facadeCond(vidsim.Day()), 16, 16, 150, 1, 3)
 	nightStream := vidsim.GenerateTrainingStride(facadeCond(vidsim.Night()), 16, 16, 250, 1, 4)
-	mon := NewMonitor([]*Model{day, night}, truthOracle(dayStream, nightStream), opts)
+	mon := NewMonitor([]*Model{day, night}, truthOracle(t, dayStream, nightStream), opts)
 	if mon.Telemetry() != tracer {
 		t.Fatal("Monitor.Telemetry() did not return the configured tracer")
 	}

@@ -24,15 +24,32 @@ func facadeLabeler(f Frame) int {
 // truthOracle is facadeLabeler for the frames a monitor keeps, which
 // carry position and pixels only (vidsim.Frame.Keep): it recognises each
 // frame of the given streams by its pixels and answers with the label its
-// ground truth gives.
-func truthOracle(streams ...[]Frame) Labeler {
+// ground truth gives (pixelLabeler).
+func truthOracle(t testing.TB, streams ...[]Frame) Labeler {
 	labels := map[string]int{}
 	for _, s := range streams {
 		for _, f := range s {
 			labels[pixelKey(f.Pixels)] = facadeLabeler(f)
 		}
 	}
-	return func(f Frame) int { return labels[pixelKey(f.Pixels)] }
+	return pixelLabeler(t, labels)
+}
+
+// pixelLabeler answers a kept frame from labels, by its pixels, and a
+// frame that still carries its ground truth — a provisioning clip — from
+// that. A kept frame labels does not hold fails the test: labelled 0, it
+// would turn a selection window or a training set into noise unseen.
+func pixelLabeler(t testing.TB, labels map[string]int) Labeler {
+	return func(f Frame) int {
+		if f.Condition != "" {
+			return facadeLabeler(f)
+		}
+		l, ok := labels[pixelKey(f.Pixels)]
+		if !ok {
+			t.Errorf("labeler asked for frame %d, which no stream of the test holds", f.Index)
+		}
+		return l
+	}
 }
 
 // pixelKey is a frame's pixels, bit for bit, as a map key.
@@ -60,7 +77,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 
 	dayStream := vidsim.GenerateTrainingStride(facadeCond(vidsim.Day()), 16, 16, 150, 1, 3)
 	nightStream := vidsim.GenerateTrainingStride(facadeCond(vidsim.Night()), 16, 16, 250, 1, 4)
-	mon := NewMonitor([]*Model{day, night}, truthOracle(dayStream, nightStream), opts)
+	mon := NewMonitor([]*Model{day, night}, truthOracle(t, dayStream, nightStream), opts)
 	if mon.Current() != "day" {
 		t.Fatalf("initial model = %q", mon.Current())
 	}
