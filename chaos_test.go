@@ -1,13 +1,11 @@
 package videodrift
 
 import (
-	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"videodrift/internal/faults"
-	"videodrift/internal/store"
 )
 
 // deliverStreams runs each shard's clean stream through the injector's
@@ -54,7 +52,7 @@ func TestChaosReplayDeterminism(t *testing.T) {
 			delivered := deliverStreams(inj, streams)
 			opts := Defaults(facadeDim, facadeClasses)
 			opts.Forensics = ForensicsConfig{Enabled: true}
-			sm := fixedFleet(models, truthOracle(t, delivered...), ShardedOptions{Options: opts, Faults: inj}, shards)
+			sm := fixedFleet(models, truthOracle(t, delivered...), ShardedOptions{Options: opts, BeforeProcess: inj.BeforeProcess, TrainFault: inj.TrainFault}, shards)
 			events := runBatches(sm, delivered, 0, len(delivered[0]))
 			deployed := make([]string, shards)
 			for s := range deployed {
@@ -105,7 +103,7 @@ func TestChaosCrashLoopBreaker(t *testing.T) {
 	tracers := []*Tracer{NewTracer(TracerConfig{}), NewTracer(TracerConfig{})}
 	opts := Defaults(facadeDim, facadeClasses)
 	sm := fixedFleet(models, facadeLabeler, ShardedOptions{
-		Options: opts, Faults: inj, MaxRestarts: maxRestarts,
+		Options: opts, BeforeProcess: inj.BeforeProcess, TrainFault: inj.TrainFault, MaxRestarts: maxRestarts,
 	}, 2, tracers...)
 	streams := [][]Frame{
 		driftStream(total, 10, 991),
@@ -171,7 +169,7 @@ func TestChaosStallWatchdog(t *testing.T) {
 
 	opts := Defaults(facadeDim, facadeClasses)
 	sm := fixedFleet(models, facadeLabeler, ShardedOptions{
-		Options: opts, Faults: inj,
+		Options: opts, BeforeProcess: inj.BeforeProcess, TrainFault: inj.TrainFault,
 		StallTimeout: time.Second,
 		Clock:        func() time.Time { return time.Unix(0, nanos.Load()) },
 	}, 1)
@@ -198,65 +196,6 @@ func TestChaosStallWatchdog(t *testing.T) {
 	}
 }
 
-// TestChaosCheckpointRetry drives checkpoint saves through a FlakyFS
-// that tears the first write at a scheduled byte offset, wrapped in the
-// capped-backoff retry policy driftserve uses: the failure is counted
-// and traced, the retry lands, and LoadLatest returns the checkpoint.
-func TestChaosCheckpointRetry(t *testing.T) {
-	models := getCkptModels()
-	opts := Defaults(facadeDim, facadeClasses)
-	mon := NewMonitor(models, facadeLabeler, opts)
-	for _, f := range driftStream(40, 20, 551) {
-		mon.Process(f)
-	}
-	cp := mon.Checkpoint()
-
-	ffs := faults.NewFlakyFS(store.NewMemFS(), faults.Schedule{
-		CheckpointFaults: map[int]int{0: 64},
-	})
-	st, err := store.OpenFS("/ckpt", ffs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := NewTracer(TracerConfig{})
-	var sleeps int
-	policy := faults.Policy{Attempts: 3, Base: time.Millisecond, Cap: time.Millisecond,
-		Sleep: func(time.Duration) { sleeps++ }}
-	err = policy.Do(func() error {
-		_, serr := st.Save(cp)
-		return serr
-	}, func(attempt int, ferr error) {
-		tr.CheckpointFailed(attempt, ferr.Error())
-		if !errors.Is(ferr, faults.ErrInjected) {
-			t.Fatalf("attempt %d failed with a real error: %v", attempt, ferr)
-		}
-	})
-	if err != nil {
-		t.Fatalf("save never succeeded: %v", err)
-	}
-	if ffs.Injured() != 1 || sleeps != 1 {
-		t.Errorf("injured=%d sleeps=%d, want 1 and 1", ffs.Injured(), sleeps)
-	}
-	if snap := tr.Snapshot(); snap.CheckpointFailures != 1 {
-		t.Errorf("telemetry CheckpointFailures = %d", snap.CheckpointFailures)
-	}
-	loaded, _, err := st.LoadLatest()
-	if err != nil {
-		t.Fatalf("LoadLatest after retried save: %v", err)
-	}
-	if loaded.Frames != cp.Frames || len(loaded.Shards) != 1 {
-		t.Errorf("recovered checkpoint frames=%d shards=%d, want %d and 1",
-			loaded.Frames, len(loaded.Shards), cp.Frames)
-	}
-	resumed, err := Resume(loaded, facadeLabeler, opts)
-	if err != nil {
-		t.Fatalf("resume from retried checkpoint: %v", err)
-	}
-	if resumed.Current() != mon.Current() {
-		t.Errorf("resumed deploys %q, original %q", resumed.Current(), mon.Current())
-	}
-}
-
 // TestChaosTrainingFailureRecovery injects post-drift training failures
 // into a sharded run on a novel distribution: the pipeline retries with
 // frame-count backoff, health dips to degraded and recovers once the
@@ -280,7 +219,7 @@ func TestChaosTrainingFailureRecovery(t *testing.T) {
 	// A day-only registry leaves MSBI no acceptable candidate when the
 	// stream turns to night, forcing a post-drift training.
 	stream := driftStream(total, 60, 71)
-	sm := fixedFleet(models[:1], truthOracle(t, stream), ShardedOptions{Options: opts, Faults: inj}, 1, tracers...)
+	sm := fixedFleet(models[:1], truthOracle(t, stream), ShardedOptions{Options: opts, BeforeProcess: inj.BeforeProcess, TrainFault: inj.TrainFault}, 1, tracers...)
 	sawDegraded := false
 	for _, f := range stream {
 		mustBatch(sm, []Frame{f})

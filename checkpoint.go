@@ -222,8 +222,8 @@ func ResumeSharded(cp *Checkpoint, labeler Labeler, opts ShardedOptions) (*Shard
 		if opts.Tracers != nil {
 			shardOpts.Tracer = opts.Tracers[i]
 		}
-		if opts.Faults != nil {
-			shardOpts.Pipeline.TrainFault = opts.Faults.TrainFault(i)
+		if opts.TrainFault != nil {
+			shardOpts.Pipeline.TrainFault = opts.TrainFault(i)
 		}
 		m, err := resumeShard(cp, i, labeler, shardOpts)
 		if err != nil {

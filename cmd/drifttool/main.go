@@ -39,13 +39,12 @@ import (
 	"log"
 	"net/http"
 	"os"
-	"strings"
 	"time"
 
 	"videodrift/internal/core"
 	"videodrift/internal/dataset"
-	"videodrift/internal/experiments"
 	"videodrift/internal/forensics"
+	"videodrift/internal/modelset"
 	"videodrift/internal/query"
 	"videodrift/internal/serve"
 	"videodrift/internal/store"
@@ -101,23 +100,23 @@ func main() {
 		log.Fatalf("unknown subcommand %q (subcommands: inspect, explain, health)", flag.Arg(0))
 	}
 
+	sel, err := modelset.ParseSelector(*selector)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "drifttool: %v\n\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 	ds, err := dataset.ByName(*dsName, *scale)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	sel := core.SelectorMSBO
-	if *selector == "msbi" {
-		sel = core.SelectorMSBI
-	}
-
-	cfg := experiments.DefaultConfig()
-	cfg.Scale = *scale
+	cfg := modelset.DefaultConfig()
 	cfg.TrainFrames = *train
 
 	fmt.Fprintf(os.Stderr, "provisioning %d models for %s (%d training frames each)...\n",
 		len(ds.Sequences), ds.Name, cfg.TrainFrames)
-	env := experiments.BuildEnvFor(ds, cfg, query.Count, sel)
+	env := modelset.Build(ds, cfg, query.Count, sel)
 	pipe := core.NewPipeline(env.Registry, env.Labeler(), env.PipelineConfig(sel))
 
 	fmt.Fprintf(os.Stderr, "streaming %d frames (%d sequences, drifts at %v)...\n",
@@ -171,14 +170,7 @@ func main() {
 // line sums supervised frame drops across shards (breaker-tripped
 // shards discarding frames); scripts/smoke.sh asserts it stays zero.
 func health(w io.Writer, addr string) int {
-	url := addr
-	if !strings.Contains(url, "://") {
-		url = "http://" + url
-	}
-	url = strings.TrimSuffix(url, "/")
-	if !strings.HasSuffix(url, "/healthz") {
-		url += "/healthz"
-	}
+	url := serve.HealthURL(addr)
 	resp, err := http.Get(url)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "drifttool health: %v\n", err)

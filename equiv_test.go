@@ -403,7 +403,7 @@ func (h *harness) resume(cp *store.Checkpoint, workers int) {
 	for _, s := range h.pick(len(h.slots), true) {
 		h.slots[s].restarts, slots = 0, append(slots, h.slots[s])
 	}
-	sm, err := videodrift.ResumeSharded(cp, h.label, videodrift.ShardedOptions{Options: h.opts, Workers: workers, Faults: h.inj, MaxRestarts: math.MaxInt32})
+	sm, err := videodrift.ResumeSharded(cp, h.label, videodrift.ShardedOptions{Options: h.opts, Workers: workers, BeforeProcess: h.inj.BeforeProcess, TrainFault: h.inj.TrainFault, MaxRestarts: math.MaxInt32})
 	h.must(err == nil, "ResumeSharded: %v", err)
 	h.slots, h.sm, h.base = slots, sm, append(slices.Clone(h.full), cp.Entries[len(h.full):]...)
 }

@@ -24,8 +24,10 @@ var (
 
 type Lender = lender
 
-// SetFaults re-arms the fleet's injector between calls: an Injector's
-// schedule is fixed when it is built, and the interpreter arms a panic
-// mid-program. A fleet it builds gets the injector through
-// ShardedOptions.Faults.
-func (sm *ShardedMonitor) SetFaults(in *faults.Injector) { sm.faults = in }
+// SetFaults re-arms the fleet's fault hooks with an injector between
+// calls: an Injector's schedule is fixed when it is built, and the
+// interpreter arms a panic mid-program. A fleet it builds gets the
+// injector's hooks through ShardedOptions.BeforeProcess and TrainFault.
+func (sm *ShardedMonitor) SetFaults(in *faults.Injector) {
+	sm.beforeProcess, sm.trainFault = in.BeforeProcess, in.TrainFault
+}

@@ -278,7 +278,7 @@ func TestReplayAcrossQuarantine(t *testing.T) {
 			t.Fatalf("fixture: %d kept frames of %v leave room for a panic in their batch, want 3", len(panics), d.At)
 		}
 		sm := fixedFleet(models, facadeLabeler, ShardedOptions{
-			Options: opts, Faults: faults.NewInjector(faults.Schedule{Seed: 7, Faults: panics}),
+			Options: opts, BeforeProcess: faults.NewInjector(faults.Schedule{Seed: 7, Faults: panics}).BeforeProcess,
 		}, 1)
 		for at := 0; at < len(stream); at += size {
 			mustBatches(sm, [][]Frame{stream[at:min(at+size, len(stream))]})

@@ -25,6 +25,7 @@ var CriticalPackages = []string{
 	"videodrift/internal/parallel",
 	"videodrift/internal/faults",
 	"videodrift/internal/forensics",
+	"videodrift/internal/modelset",
 	"videodrift/internal/telemetry",
 	"videodrift/internal/wire",
 }

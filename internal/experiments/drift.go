@@ -7,6 +7,7 @@ import (
 
 	"videodrift/internal/core"
 	"videodrift/internal/dataset"
+	"videodrift/internal/modelset"
 	"videodrift/internal/odin"
 	"videodrift/internal/stats"
 	"videodrift/internal/vidsim"
@@ -102,16 +103,13 @@ func RunFig3(ds *dataset.Dataset, cfg Config) Fig3Result {
 // classifiers (drift detection needs no labels), which keeps the
 // drift-only experiments free of annotation cost.
 func BuildEnvUnsupervised(ds *dataset.Dataset, cfg Config) *Env {
-	env := &Env{Cfg: cfg, DS: ds}
 	entries := make([]*core.ModelEntry, len(ds.Sequences))
 	p := core.DefaultProvisionConfig(ds.FrameDim(), 2)
 	for i := range ds.Sequences {
 		p.Seed = cfg.Seed + int64(i)*31
 		entries[i] = core.Provision(ds.Sequences[i].Name, ds.TrainingStream(i, cfg.TrainFrames), nil, p)
 	}
-	env.Registry = core.NewRegistry(entries...)
-	env.Provision = p
-	return env
+	return &Env{Set: &modelset.Set{DS: ds, Registry: core.NewRegistry(entries...), Provision: p}, Cfg: cfg}
 }
 
 // MeanLags returns the average detection lag over the sequences that were

@@ -221,30 +221,3 @@ func TestFlakyFSFailsScheduledSaves(t *testing.T) {
 		t.Errorf("Injured = %d", ffs.Injured())
 	}
 }
-
-func TestRetryPolicy(t *testing.T) {
-	var sleeps []time.Duration
-	p := Policy{Attempts: 4, Base: time.Second, Cap: 2 * time.Second,
-		Sleep: func(d time.Duration) { sleeps = append(sleeps, d) }}
-	calls, failures := 0, 0
-	err := p.Do(func() error {
-		calls++
-		if calls < 3 {
-			return ErrInjected
-		}
-		return nil
-	}, func(attempt int, err error) { failures++ })
-	if err != nil || calls != 3 || failures != 2 {
-		t.Fatalf("err=%v calls=%d failures=%d", err, calls, failures)
-	}
-	want := []time.Duration{time.Second, 2 * time.Second}
-	if !reflect.DeepEqual(sleeps, want) {
-		t.Errorf("backoffs = %v, want %v", sleeps, want)
-	}
-
-	calls = 0
-	err = p.Do(func() error { calls++; return ErrInjected }, nil)
-	if !errors.Is(err, ErrInjected) || calls != 4 {
-		t.Errorf("exhausted policy: err=%v calls=%d", err, calls)
-	}
-}

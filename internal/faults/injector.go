@@ -86,14 +86,6 @@ func NewInjector(s Schedule) *Injector {
 	return in
 }
 
-// Schedule returns the injector's schedule.
-func (in *Injector) Schedule() Schedule {
-	if in == nil {
-		return Schedule{}
-	}
-	return in.sched
-}
-
 // Stats returns the counts of faults fired so far.
 func (in *Injector) Stats() Stats {
 	if in == nil {

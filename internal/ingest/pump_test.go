@@ -182,7 +182,7 @@ func stalledFleet(t testing.TB, stallAt int, streams map[string][]vidsim.Frame) 
 		<-release
 	})
 	sm = videodrift.NewDynamicSharded(models, wireOracle(t, streams), videodrift.ShardedOptions{
-		Options: opts, Workers: 2, Faults: inj,
+		Options: opts, Workers: 2, BeforeProcess: inj.BeforeProcess, TrainFault: inj.TrainFault,
 	})
 	return sm, inj, stalled, release
 }
@@ -293,7 +293,7 @@ func TestHolderLeavesBacklogToTimer(t *testing.T) {
 		<-release
 	})
 	sm := videodrift.NewDynamicSharded(models, wireOracle(t, streams), videodrift.ShardedOptions{
-		Options: opts, Workers: 2, Faults: inj,
+		Options: opts, Workers: 2, BeforeProcess: inj.BeforeProcess, TrainFault: inj.TrainFault,
 	})
 	r := NewRouter(sm, Config{BatchSize: 8})
 	within := func(ch <-chan struct{}, what string) {
@@ -345,7 +345,7 @@ func slowFleet(frames int, stall time.Duration) *videodrift.ShardedMonitor {
 		slow.Faults = append(slow.Faults, faults.Fault{Shard: 0, Frame: i, Kind: faults.KindWorkerStall, Stall: stall})
 	}
 	return videodrift.NewDynamicSharded(models, testLabeler, videodrift.ShardedOptions{
-		Options: opts, Workers: 2, Faults: faults.NewInjector(slow),
+		Options: opts, Workers: 2, BeforeProcess: faults.NewInjector(slow).BeforeProcess,
 	})
 }
 

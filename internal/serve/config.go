@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"time"
+
+	"videodrift/internal/modelset"
 )
 
 // Config is driftserve's configuration: one field per command-line
@@ -41,10 +43,12 @@ type Config struct {
 // pipeline.
 func (c *Config) Validate() error {
 	standby := c.StandbyOf != ""
+	_, badSelector := modelset.ParseSelector(c.Selector)
 	for _, rule := range []struct {
 		broken bool
 		usage  string
 	}{
+		{badSelector != nil, fmt.Sprint(badSelector)},
 		{c.Batch < 1, fmt.Sprintf("-batch must be >= 1, got %d", c.Batch)},
 		{c.Ring < 1, fmt.Sprintf("-ring must be >= 1, got %d", c.Ring)},
 		{c.Train < 1, fmt.Sprintf("-train must be >= 1, got %d", c.Train)},

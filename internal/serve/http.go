@@ -207,6 +207,6 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	h, _ := s.Health()
-	fmt.Fprintf(w, "driftserve: %s mode, %d shards over the %s models, %s selector\n", h.Mode, h.Shards, s.ds.Name, s.sel)
+	fmt.Fprintf(w, "driftserve: %s mode, %d shards over the %s models, %s selector\n", h.Mode, h.Shards, s.env.DS.Name, s.sel)
 	fmt.Fprintln(w, "endpoints: /metrics /snapshot /events (?shard=k, ?tenant=id) /drift/ /drift/<id> (?shard=k) /healthz /debug/pprof/")
 }

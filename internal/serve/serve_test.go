@@ -24,9 +24,9 @@ import (
 	"videodrift/internal/analysis/leakcheck"
 	"videodrift/internal/core"
 	"videodrift/internal/dataset"
-	"videodrift/internal/experiments"
 	"videodrift/internal/faults"
 	"videodrift/internal/ingest"
+	"videodrift/internal/modelset"
 	"videodrift/internal/query"
 	"videodrift/internal/store"
 	"videodrift/internal/telemetry"
@@ -39,13 +39,13 @@ func TestMain(m *testing.M) {
 	// Provision once: every test server runs the same dataset and -train,
 	// and servers only read the provisioned entries.
 	var mu sync.Mutex
-	envs := map[string]*experiments.Env{}
-	buildEnv = func(ds *dataset.Dataset, cfg experiments.Config, kind query.Kind, sel core.SelectorKind) *experiments.Env {
+	envs := map[string]*modelset.Set{}
+	buildEnv = func(ds *dataset.Dataset, cfg modelset.Config, kind query.Kind, sel core.SelectorKind) *modelset.Set {
 		mu.Lock()
 		defer mu.Unlock()
-		key := fmt.Sprintf("%s/%v/%d/%v", ds.Name, cfg.Scale, cfg.TrainFrames, sel)
+		key := fmt.Sprintf("%s/%d/%d/%v", ds.Name, ds.StreamSize(), cfg.TrainFrames, sel)
 		if envs[key] == nil {
-			envs[key] = experiments.BuildEnvFor(ds, cfg, kind, sel)
+			envs[key] = modelset.Build(ds, cfg, kind, sel)
 		}
 		return envs[key]
 	}
@@ -62,6 +62,14 @@ func testConfig() Config {
 		MaxTenants: 64, TenantQueue: 256, IdleEvict: 2 * time.Minute,
 		ReplicateEvery: time.Second, ProbeEvery: 500 * time.Millisecond, ProbeFails: 3,
 	}
+}
+
+// modelSetOf is the model-set configuration New provisions for cfg: the
+// served defaults under -train.
+func modelSetOf(cfg Config) modelset.Config {
+	mcfg := modelset.DefaultConfig()
+	mcfg.TrainFrames = cfg.Train
+	return mcfg
 }
 
 // start builds and starts a server; the test's cleanup shuts it down
@@ -148,7 +156,7 @@ func await(t *testing.T, what string, cond func() bool) {
 // tenantStream is tenant i's first n frames as cmd/driftfeed generates
 // them.
 func tenantStream(s *Server, i, n int) []vidsim.Frame {
-	next := s.ds.TenantStream(i)
+	next := s.env.DS.TenantStream(i)
 	frames := make([]vidsim.Frame, n)
 	for k := range frames {
 		frames[k] = next()
@@ -215,7 +223,7 @@ func feed(t *testing.T, addr string, streams [][]vidsim.Frame, faultSeed int64, 
 func replay(s *Server, tenant string, slot int, frames []vidsim.Frame) *videodrift.Monitor {
 	pcfg := s.env.PipelineConfig(s.sel)
 	pcfg.Seed += int64(slot)
-	full := buildEnv(s.ds, s.env.Cfg, query.Count, core.SelectorMSBO)
+	full := buildEnv(s.env.DS, modelSetOf(s.cfg), query.Count, core.SelectorMSBO)
 	ref := videodrift.NewMonitor(full.Registry.Entries(), s.env.Labeler(), videodrift.Options{
 		Provision: pcfg.Provision,
 		Pipeline:  pcfg,
@@ -251,6 +259,9 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"", func(*Config) {}},
 		{"", standbyOn},
+		{"", func(c *Config) { c.Selector = "msbo" }},
+		{`-selector must be msbi or msbo, got "MSBO"`, func(c *Config) { c.Selector = "MSBO" }},
+		{`-selector must be msbi or msbo, got ""`, func(c *Config) { standbyOn(c); c.Selector = "" }},
 		{"-batch must be >= 1, got 0", func(c *Config) { c.Batch = 0 }},
 		{"-ring must be >= 1, got -1", func(c *Config) { c.Ring = -1 }},
 		{"-train must be >= 1, got 0", func(c *Config) { c.Train = 0 }},
@@ -998,7 +1009,7 @@ func TestShutdownFlushes(t *testing.T) {
 				return
 			}
 			defer c.Close() // fails: the server is gone
-			next := s.ds.TenantStream(i)
+			next := s.env.DS.TenantStream(i)
 			for c.Send(next()) == nil {
 			}
 			confirmed[i], sent[i] = uint64(c.Stats().Acked), c.Seq()+1

@@ -26,9 +26,8 @@ import (
 	"videodrift"
 	"videodrift/internal/core"
 	"videodrift/internal/dataset"
-	"videodrift/internal/experiments"
-	"videodrift/internal/faults"
 	"videodrift/internal/ingest"
+	"videodrift/internal/modelset"
 	"videodrift/internal/query"
 	"videodrift/internal/replica"
 	"videodrift/internal/telemetry"
@@ -36,11 +35,11 @@ import (
 
 // buildEnv provisions the models the selector reads; a variable so the
 // package's tests provision once for all the servers they start.
-var buildEnv = experiments.BuildEnvFor
+var buildEnv = modelset.Build
 
-// fleetFaults is the fault injector a deployed fleet runs under: nil in
-// the product, a variable so a test can wedge a worker.
-var fleetFaults *faults.Injector
+// beforeProcess runs before each frame a deployed fleet's worker
+// processes: nil in the product, a variable so a test can wedge a worker.
+var beforeProcess func(shard, frame int)
 
 // fleet is the live serving state: the monitor fleet, its tenant router,
 // and the wire server with its -ingest-addr listener. A standby has none.
@@ -63,9 +62,8 @@ func (f *fleet) frames() int64 { return f.boot + f.router.Stats().Processed }
 // Shutdown.
 type Server struct {
 	cfg  Config
-	ds   *dataset.Dataset
 	sel  core.SelectorKind
-	env  *experiments.Env
+	env  *modelset.Set
 	st   *videodrift.CheckpointStore // -state-dir, nil when off
 	boot *videodrift.Checkpoint      // the warm-restart checkpoint, nil on a cold start
 	// base is the tracer a request without ?shard= or ?tenant= reads: the
@@ -105,20 +103,17 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Server{cfg: cfg, stop: make(chan struct{}), framesAtSave: -1, sel: core.SelectorMSBI}
-	var err error
-	if s.ds, err = dataset.ByName(cfg.Dataset, cfg.Scale); err != nil {
+	s := &Server{cfg: cfg, stop: make(chan struct{}), framesAtSave: -1}
+	s.sel, _ = modelset.ParseSelector(cfg.Selector) // Validate has checked it
+	ds, err := dataset.ByName(cfg.Dataset, cfg.Scale)
+	if err != nil {
 		return nil, err
-	}
-	if cfg.Selector == "msbo" {
-		s.sel = core.SelectorMSBO
 	}
 	// With -state-dir, try a warm restart from the newest intact
 	// checkpoint before paying for provisioning. LoadLatest already skips
 	// damaged generations; if every generation is damaged we cold-start
 	// rather than refuse to serve.
 	if cfg.StateDir != "" {
-		var err error
 		if s.st, err = videodrift.OpenStore(cfg.StateDir); err != nil {
 			return nil, fmt.Errorf("opening state dir: %w", err)
 		}
@@ -132,11 +127,10 @@ func New(cfg Config) (*Server, error) {
 			log.Printf("no usable checkpoint (%v); cold-starting", err)
 		}
 	}
-	ecfg := experiments.DefaultConfig()
-	ecfg.Scale = cfg.Scale
-	ecfg.TrainFrames = cfg.Train
+	mcfg := modelset.DefaultConfig()
+	mcfg.TrainFrames = cfg.Train
 	if s.boot != nil || cfg.StandbyOf != "" {
-		s.env = experiments.BuildEnvShell(s.ds, ecfg, query.Count)
+		s.env = modelset.Shell(ds, mcfg, query.Count)
 	} else {
 		// Nothing may reach stderr between this line and the end of
 		// provisioning: the benchmark times provisioning from that gap.
@@ -145,8 +139,8 @@ func New(cfg Config) (*Server, error) {
 			what = "msbi: no MSBO ensembles"
 		}
 		fmt.Fprintf(os.Stderr, "provisioning %d models for %s (%d training frames each, %s)...\n",
-			len(s.ds.Sequences), s.ds.Name, ecfg.TrainFrames, what)
-		s.env = buildEnv(s.ds, ecfg, query.Count, s.sel)
+			len(ds.Sequences), ds.Name, mcfg.TrainFrames, what)
+		s.env = buildEnv(ds, mcfg, query.Count, s.sel)
 	}
 	s.base = s.newTracer()
 	s.lastCkpt.Store(time.Now().UnixNano()) // freshness clock starts at boot
@@ -197,6 +191,15 @@ func (s *Server) Start() (err error) {
 	return nil
 }
 
+// HealthURL is the /healthz URL of the server at addr: host:port or a
+// URL, with or without the /healthz path.
+func HealthURL(addr string) string {
+	if !strings.Contains(addr, "://") {
+		addr = "http://" + addr
+	}
+	return strings.TrimSuffix(strings.TrimSuffix(addr, "/"), "/healthz") + "/healthz"
+}
+
 // Addr, IngestAddr and ReplicaAddr return the bound HTTP, ingestion and
 // replication addresses ("" while that listener is not open), so a
 // configuration may name port 0.
@@ -228,16 +231,16 @@ func (s *Server) deploy(cp *videodrift.Checkpoint) error {
 	pcfg := s.env.PipelineConfig(s.sel)
 	opts := videodrift.ShardedOptions{
 		Options: videodrift.Options{
-			// Keep the experiment env's recovery-path provisioning (fewer
+			// Keep the model set's recovery-path provisioning (fewer
 			// epochs, smaller ensemble) rather than the registry defaults.
 			Provision: pcfg.Provision,
 			Pipeline:  pcfg,
 			Tracer:    s.base,
 			Forensics: videodrift.ForensicsConfig{Enabled: s.cfg.Forensics},
 		},
-		Workers:      s.cfg.Workers,
-		StallTimeout: s.cfg.StallTimeout,
-		Faults:       fleetFaults,
+		Workers:       s.cfg.Workers,
+		StallTimeout:  s.cfg.StallTimeout,
+		BeforeProcess: beforeProcess,
 	}
 	models, shards := s.env.Registry.Entries(), 0
 	if cp != nil {
@@ -337,7 +340,7 @@ func (s *Server) saveCheckpoint(reason string) {
 		// fencing epoch (and generation counter) it streamed under.
 		cp.Gen, cp.Epoch = s.prim.Gen(), s.prim.Epoch()
 	}
-	retry := faults.DefaultRetry()
+	retry := defaultRetry()
 	var path string
 	err := retry.Do(func() (serr error) {
 		path, serr = s.st.Save(cp)
@@ -408,11 +411,7 @@ func (s *Server) startStandby() error {
 	fmt.Fprintf(os.Stderr, "standby of %s: accepting replication on %s\n", s.cfg.StandbyOf, s.rln.Addr())
 	s.accept("replica serve", func() error { return s.sb.Serve(s.rln) })
 
-	url := s.cfg.StandbyOf
-	if !strings.Contains(url, "://") {
-		url = "http://" + url
-	}
-	url = strings.TrimSuffix(url, "/") + "/healthz"
+	url := HealthURL(s.cfg.StandbyOf)
 	client := &http.Client{Timeout: s.cfg.ProbeEvery}
 	fails := 0
 	s.every(s.cfg.ProbeEvery, func() bool {

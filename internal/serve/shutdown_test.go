@@ -68,8 +68,8 @@ func TestShutdownWedgedPump(t *testing.T) {
 		close(stalled)
 		<-release
 	})
-	fleetFaults, stopTimeout = inj, 200*time.Millisecond
-	defer func() { fleetFaults, stopTimeout = nil, 10*time.Second }()
+	beforeProcess, stopTimeout = inj.BeforeProcess, 200*time.Millisecond
+	defer func() { beforeProcess, stopTimeout = nil, 10*time.Second }()
 	s := start(t, testConfig())
 	c, err := ingest.Dial(ingest.ClientConfig{Addr: s.IngestAddr(), Tenant: "cam-0", MaxAttempts: 1})
 	if err != nil {
@@ -78,7 +78,7 @@ func TestShutdownWedgedPump(t *testing.T) {
 	sending := make(chan struct{})
 	go func() {
 		defer close(sending)
-		next := s.ds.TenantStream(0)
+		next := s.env.DS.TenantStream(0)
 		for c.Send(next()) == nil {
 		}
 	}()

@@ -5,7 +5,7 @@ import (
 
 	"videodrift/internal/core"
 	"videodrift/internal/dataset"
-	"videodrift/internal/experiments"
+	"videodrift/internal/modelset"
 	"videodrift/internal/query"
 )
 
@@ -16,12 +16,11 @@ func servedEntry(sel core.SelectorKind) *core.ModelEntry {
 	if e := servedCache[sel]; e != nil {
 		return e
 	}
-	cfg := experiments.DefaultConfig()
-	cfg.Scale = 0.02
-	env := experiments.BuildEnvShell(dataset.BDD(cfg.Scale), cfg, query.Count)
-	p := env.Provision.For(sel)
+	cfg := modelset.DefaultConfig()
+	set := modelset.Shell(dataset.BDD(0.02), cfg, query.Count)
+	p := set.Provision.For(sel)
 	p.Seed = cfg.Seed
-	e := core.Provision(env.DS.Sequences[0].Name, env.DS.TrainingStream(0, cfg.TrainFrames), env.Labeler(), p)
+	e := core.Provision(set.DS.Sequences[0].Name, set.DS.TrainingStream(0, cfg.TrainFrames), set.Labeler(), p)
 	servedCache[sel] = e
 	return e
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"videodrift/internal/core"
-	"videodrift/internal/faults"
 	"videodrift/internal/forensics"
 	"videodrift/internal/parallel"
 )
@@ -42,12 +41,12 @@ type ShardedOptions struct {
 	// safe for concurrent use — is shared, or tracing is off if that is nil
 	// too.
 	Tracers []*Tracer
-	// Faults optionally attaches a deterministic fault injector (chaos
-	// testing): its worker faults fire before each shard's Process call
-	// and its per-shard training hooks are wired into every pipeline.
-	// Frame-level corruption is applied by the test harness via
-	// faults.Injector.Apply before frames reach ProcessBatches.
-	Faults *faults.Injector
+	// BeforeProcess and TrainFault are chaos-testing hooks, nil in
+	// production: BeforeProcess runs before each frame a shard worker
+	// processes (a panic or stall in it is a worker fault), and TrainFault
+	// gives each shard's pipeline its core.PipelineConfig.TrainFault.
+	BeforeProcess func(shard, frame int)
+	TrainFault    func(shard int) func() error
 	// MaxRestarts bounds consecutive panic-restarts of one shard worker
 	// on the same frame before the crash-loop breaker trips (<= 0 means
 	// DefaultMaxRestarts). A successful frame resets the count.
@@ -115,10 +114,11 @@ type ShardedMonitor struct {
 	// it, under batchMu for its whole body.
 	table []*Model
 
-	faults       *faults.Injector
-	maxRestarts  int
-	stallTimeout time.Duration
-	clock        func() time.Time
+	beforeProcess func(shard, frame int)
+	trainFault    func(shard int) func() error
+	maxRestarts   int
+	stallTimeout  time.Duration
+	clock         func() time.Time
 
 	// runBatches and runEvents are the ProcessBatches call in flight
 	// (under batchMu) and runSlots the shards it has frames for; runShard
@@ -239,15 +239,16 @@ func NewDynamicSharded(models []*Model, labeler Labeler, opts ShardedOptions) *S
 // and ResumeSharded.
 func newSharded(n int, labeler Labeler, opts ShardedOptions) *ShardedMonitor {
 	sm := &ShardedMonitor{
-		shards:       make([]*Monitor, n),
-		states:       make([]*shardState, n),
-		pool:         parallel.New(opts.Workers),
-		labeler:      labeler,
-		baseOpts:     opts.Options,
-		faults:       opts.Faults,
-		maxRestarts:  opts.MaxRestarts,
-		stallTimeout: opts.StallTimeout,
-		clock:        opts.Clock,
+		shards:        make([]*Monitor, n),
+		states:        make([]*shardState, n),
+		pool:          parallel.New(opts.Workers),
+		labeler:       labeler,
+		baseOpts:      opts.Options,
+		beforeProcess: opts.BeforeProcess,
+		trainFault:    opts.TrainFault,
+		maxRestarts:   opts.MaxRestarts,
+		stallTimeout:  opts.StallTimeout,
+		clock:         opts.Clock,
 	}
 	if sm.maxRestarts <= 0 {
 		sm.maxRestarts = DefaultMaxRestarts
@@ -286,7 +287,7 @@ func (sm *ShardedMonitor) Active() int {
 // use it for per-shard queries (Current, Models, Telemetry). The
 // returned Monitor must not be fed frames concurrently with
 // ProcessBatches; feeding it directly also bypasses the supervisor (no
-// fault injection, panic recovery or snapshotting).
+// BeforeProcess hook, panic recovery or snapshotting).
 func (sm *ShardedMonitor) Shard(i int) *Monitor {
 	sm.mu.RLock()
 	defer sm.mu.RUnlock()
@@ -329,8 +330,8 @@ func (sm *ShardedMonitor) AttachTenant(tenant string, next uint64, tr *Tracer) (
 	if tr != nil {
 		shardOpts.Tracer = tr
 	}
-	if sm.faults != nil {
-		shardOpts.Pipeline.TrainFault = sm.faults.TrainFault(slot)
+	if sm.trainFault != nil {
+		shardOpts.Pipeline.TrainFault = sm.trainFault(slot)
 	}
 	shardOpts.Pipeline.Seed += int64(slot)
 	m := NewMonitor(sm.baseModels, sm.labeler, shardOpts)
@@ -418,7 +419,7 @@ func (sm *ShardedMonitor) ProcessBatchesInto(batches [][]Frame, events [][]Event
 }
 
 // processShardBatch feeds one shard a run of consecutive frames under
-// supervision: injected worker faults fire before each frame, a panic
+// supervision: the BeforeProcess hook runs before each frame, a panic
 // is recovered and the shard restored to the batch start (re-running
 // the batch), and a crash loop trips the breaker. events is filled
 // frame by frame; on failure it is zeroed so partial results never
@@ -479,8 +480,8 @@ func (sm *ShardedMonitor) processShardBatch(i int, frames []Frame, events []Even
 
 // attemptBatch runs one supervised pass over a shard's batch,
 // converting any panic — injected or real — into a recoverable verdict.
-// Worker faults are keyed by absolute stream index (start+j), so a
-// deterministic fault schedule lands on the same frames regardless of
+// The BeforeProcess hook is keyed by absolute stream index (start+j), so
+// a deterministic fault schedule lands on the same frames regardless of
 // how the stream is batched.
 func (sm *ShardedMonitor) attemptBatch(shard, start int, frames []Frame, events []Event) (panicked bool, reason string) {
 	defer func() {
@@ -490,7 +491,9 @@ func (sm *ShardedMonitor) attemptBatch(shard, start int, frames []Frame, events 
 		}
 	}()
 	for j := range frames {
-		sm.faults.BeforeProcess(shard, start+j)
+		if sm.beforeProcess != nil {
+			sm.beforeProcess(shard, start+j)
+		}
 		events[j] = sm.shards[shard].Process(frames[j])
 	}
 	return false, ""
