@@ -122,8 +122,9 @@ func BenchmarkTable7PerFrameSelection(b *testing.B) {
 	})
 	b.Run("MSBI", func(b *testing.B) {
 		msbiCfg := core.DefaultMSBIConfig()
+		held := vidsim.KeepAll(window)
 		for i := 0; i < b.N; i++ {
-			core.MSBI(window, env.Registry.Entries(), msbiCfg, rng.Split())
+			core.MSBI(held, env.Registry.Entries(), msbiCfg, rng.Split())
 		}
 	})
 	b.Run("ODIN-Select", func(b *testing.B) {
@@ -412,7 +413,7 @@ func BenchmarkMSBIParallel(b *testing.B) {
 			frames := vidsim.TrainingStream(vidsim.Angle(i, 5.5, -1), 16, 16, 150, vidsim.TrainingStride, int64(40+i))
 			entries[i] = core.Provision(fmt.Sprintf("angle%d", i), frames, nil, core.DefaultProvisionConfig(16*16, 2))
 		}
-		window := vidsim.GenerateTraining(vidsim.Angle(1, 5.5, -1), 16, 16, 40, 99)
+		window := vidsim.KeepAll(vidsim.GenerateTraining(vidsim.Angle(1, 5.5, -1), 16, 16, 40, 99))
 		b.Run(fmt.Sprintf("models%d/workers1", models), func(b *testing.B) {
 			cfg := core.DefaultMSBIConfig()
 			rng := stats.NewRNG(7)

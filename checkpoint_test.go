@@ -1,7 +1,9 @@
 package videodrift
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"sync"
@@ -267,8 +269,8 @@ func TestCheckpointAnyTime(t *testing.T) {
 // keptFrames names every frame list a checkpointed shard holds: the
 // selection/training buffer, the forensics pre-roll, each mark's buffer,
 // and each retained declaration's replay base and frames.
-func keptFrames(cp *Checkpoint) map[string][]Frame {
-	lists := map[string][]Frame{}
+func keptFrames(cp *Checkpoint) map[string][]vidsim.Held {
+	lists := map[string][]vidsim.Held{}
 	for i, sh := range cp.Shards {
 		lists[fmt.Sprintf("shard %d buffer", i)] = sh.Pipeline.Buffer
 		lists[fmt.Sprintf("shard %d pre-roll", i)] = sh.Forensics.Ring
@@ -285,9 +287,10 @@ func keptFrames(cp *Checkpoint) map[string][]Frame {
 
 // TestCheckpointKeepsPositionAndPixels holds every frame a checkpoint
 // carries to what a holder keeps of a frame — its position and pixels,
-// never the generator's ground truth or condition label — through a
-// drift, the selection that finds no model and the training window after
-// it, and holds the checkpoint file's frames to the captured ones.
+// bit for bit (a vidsim.Held has no field for the generator's ground
+// truth or condition label) — through a drift, the selection that finds
+// no model and the training window after it, and holds the checkpoint
+// file's frames to the captured ones.
 func TestCheckpointKeepsPositionAndPixels(t *testing.T) {
 	models := getCkptModels()[:1] // day only: the night drift trains a model
 	opts := Defaults(facadeDim, facadeClasses)
@@ -295,21 +298,33 @@ func TestCheckpointKeepsPositionAndPixels(t *testing.T) {
 	opts.Forensics = ForensicsConfig{Enabled: true}
 	const total = 420
 	streams := [][]Frame{driftStream(total, 60, 1300), driftStream(total, 90, 1310)}
-	for _, f := range streams[0][:1] {
-		if f.Truth == nil || f.Condition == "" {
-			t.Fatalf("fixture: stream frame %d carries no labels to drop", f.Index)
+	sm := fixedFleet(models, truthOracle(t, streams...), ShardedOptions{Options: opts}, len(streams))
+	// The streams' frames by their pixel bits: a held frame must be one of
+	// them, at its index and geometry.
+	bitsOf := func(px []float64) string {
+		b := make([]byte, 0, 8*len(px))
+		for _, v := range px {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		return string(b)
+	}
+	fed := map[string]Frame{}
+	for _, stream := range streams {
+		for _, f := range stream {
+			fed[bitsOf(f.Pixels)] = f
 		}
 	}
-	sm := fixedFleet(models, truthOracle(t, streams...), ShardedOptions{Options: opts}, len(streams))
 	var buffered, training, declared bool
+	var px []float64
 	for step := 0; step < total; step += 15 {
 		runBatches(sm, streams, step, min(step+15, total))
 		cp := sm.Checkpoint()
 		lists := keptFrames(cp)
 		for name, frames := range lists {
-			for _, f := range frames {
-				if f.Truth != nil || f.Condition != "" {
-					t.Fatalf("step %d: %s keeps frame %d with its labels (%q, %d objects)", step, name, f.Index, f.Condition, len(f.Truth))
+			for _, h := range frames {
+				px = h.PixelsInto(px)
+				if src, ok := fed[bitsOf(px)]; !ok || h.Index != src.Index || h.W != src.W || h.H != src.H {
+					t.Fatalf("step %d: %s keeps frame %d, which is no frame of its stream bit for bit", step, name, h.Index)
 				}
 			}
 		}

@@ -239,8 +239,8 @@ func TestReplayAcrossQuarantine(t *testing.T) {
 	}
 	d := checkReplays(t, ref, tracer)
 	quarantined := 0
-	for _, f := range d.Frames {
-		if core.FrameProblem(f, 16, 16) != "" {
+	for _, h := range d.Frames {
+		if core.FrameProblem(h.Frame(nil), 16, 16) != "" {
 			quarantined++
 		}
 	}

@@ -332,7 +332,7 @@ func TestDriftInspectorValidation(t *testing.T) {
 func TestMSBISelectsMatchingModel(t *testing.T) {
 	f := getFixture()
 	entries := []*ModelEntry{f.day, f.night, f.rain}
-	window := streamFrames(nightC(), 40, 17)
+	window := vidsim.KeepAll(streamFrames(nightC(), 40, 17))
 	res := MSBI(window, entries, DefaultMSBIConfig(), stats.NewRNG(33))
 	if res.Selected != f.night {
 		name := "<nil>"
@@ -349,7 +349,7 @@ func TestMSBISelectsMatchingModel(t *testing.T) {
 func TestMSBIFlagsNovelDistribution(t *testing.T) {
 	f := getFixture()
 	entries := []*ModelEntry{f.day, f.night, f.rain}
-	window := streamFrames(fogCond(), 40, 18)
+	window := vidsim.KeepAll(streamFrames(fogCond(), 40, 18))
 	res := MSBI(window, entries, DefaultMSBIConfig(), stats.NewRNG(34))
 	if res.Selected != nil {
 		t.Errorf("MSBI selected %s for a novel distribution, want nil", res.Selected.Name)
@@ -361,7 +361,7 @@ func TestMSBIEmptyInputs(t *testing.T) {
 	if res := MSBI(nil, []*ModelEntry{f.day}, DefaultMSBIConfig(), stats.NewRNG(35)); res.Selected != nil {
 		t.Error("MSBI on empty window selected a model")
 	}
-	window := streamFrames(dayC(), 5, 19)
+	window := vidsim.KeepAll(streamFrames(dayC(), 5, 19))
 	if res := MSBI(window, nil, DefaultMSBIConfig(), stats.NewRNG(36)); res.Selected != nil {
 		t.Error("MSBI with no entries selected a model")
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"videodrift/internal/classifier"
+	"videodrift/internal/vidsim"
 )
 
 // floatSlices walks everything reachable from roots — unexported fields
@@ -107,19 +108,72 @@ func TestEntryFootprint(t *testing.T) {
 	pcfg.Selector = SelectorMSBI
 	pcfg.Provision = quickProvision(42)
 	p := NewPipeline(NewRegistry(f.day, f.night), testLabeler, pcfg)
-	p.buffer = frames
+	p.buffer = vidsim.KeepAll(frames) // full precision: held as float64
 	e, err := p.trainNewModel()
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.reg.Add(e)
-	collected := map[*float64]int{}
-	for _, fr := range frames {
-		collected[&fr.Pixels[0]] = fr.Index
+	collected := map[*float64]bool{}
+	floatSlices(func(first *float64, _ int) { collected[first] = true }, nil, p.buffer)
+	if len(collected) != len(frames) {
+		t.Fatalf("the walk found %d pixel arrays under a window of %d full-precision frames", len(collected), len(frames))
 	}
 	floatSlices(func(first *float64, _ int) {
-		if idx, ok := collected[first]; ok {
-			t.Errorf("the registry still holds the pixels of collected frame %d after training", idx)
+		if collected[first] {
+			t.Error("the registry still holds the pixels of a collected frame after training")
 		}
 	}, nil, p.reg.Entries())
+}
+
+// TestWindowFootprint pins what a selection/training window costs: a
+// frame off the wire was float32, so the window holds its wire bytes, 4 B
+// a pixel; a full-precision frame is held whole, 8 B a pixel.
+func TestWindowFootprint(t *testing.T) {
+	f := getFixture()
+	day, fog := streamFrames(dayC(), 100, 25), streamFrames(fogCond(), 200, 26)
+	for _, wire := range []bool{true, false} {
+		cfg := DefaultPipelineConfig(testDim, testNumClasses)
+		cfg.Selector = SelectorMSBI
+		cfg.Provision = quickProvision(42)
+		p := NewPipeline(NewRegistry(f.day), testLabeler, cfg)
+		px := make([]float64, testDim)
+		for _, fr := range append(slices.Clone(day), fog...) {
+			if wire {
+				for i, v := range fr.Pixels {
+					px[i] = float64(float32(v))
+				}
+				fr.Pixels = px
+			}
+			p.Process(fr)
+			if p.state == stateTraining && len(p.buffer) >= 50 {
+				break
+			}
+		}
+		if p.state != stateTraining {
+			t.Fatalf("wire %v: the fixture never reached a training window", wire)
+		}
+		perPixel := 8
+		if wire {
+			perPixel = 4
+		}
+		if got, want := pixelBytes(p.buffer), perPixel*testDim*len(p.buffer); got != want {
+			t.Errorf("wire %v: a window of %d frames holds %d pixel bytes, want %d (%d B a pixel)", wire, len(p.buffer), got, want, perPixel)
+		}
+	}
+}
+
+// pixelBytes sums the bytes of every []float32 and []float64 a list of
+// held frames reaches, unexported fields included.
+func pixelBytes(held []vidsim.Held) int {
+	n := 0
+	for _, h := range held {
+		v := reflect.ValueOf(h)
+		for i := 0; i < v.NumField(); i++ {
+			if fv := v.Field(i); fv.Kind() == reflect.Slice {
+				n += fv.Len() * int(fv.Type().Elem().Size())
+			}
+		}
+	}
+	return n
 }

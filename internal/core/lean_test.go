@@ -79,7 +79,7 @@ func TestProvisionWithoutEnsemble(t *testing.T) {
 		pcfg.Selector = sel
 		pcfg.Provision = quickProvision(42)
 		p := NewPipeline(NewRegistry(f.day, f.night), testLabeler, pcfg)
-		p.buffer = streamFrames(fogCond(), 100, 26)
+		p.buffer = vidsim.KeepAll(streamFrames(fogCond(), 100, 26))
 		e, err := p.trainNewModel()
 		if err != nil {
 			t.Fatal(err)

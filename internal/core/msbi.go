@@ -115,7 +115,7 @@ func replayDrifted(ps []float64, cfg DIConfig, r float64) bool {
 // flat or worse at every registry size — DESIGN.md §13), and the
 // escalation rounds replay the memoized p-value traces through fresh
 // martingales instead of consuming fresh randomness.
-func MSBI(window []vidsim.Frame, entries []*ModelEntry, cfg MSBIConfig, rng *stats.RNG) MSBIResult {
+func MSBI(window []vidsim.Held, entries []*ModelEntry, cfg MSBIConfig, rng *stats.RNG) MSBIResult {
 	if len(window) == 0 || len(entries) == 0 {
 		return MSBIResult{}
 	}
@@ -132,12 +132,17 @@ func MSBI(window []vidsim.Frame, entries []*ModelEntry, cfg MSBIConfig, rng *sta
 	}
 
 	// Featurize the sampled frames once — appearance features depend only
-	// on the frame, not on the model being tested.
-	var fz vision.Featurizer
+	// on the frame, not on the model being tested — each widened into one
+	// reused buffer.
+	var (
+		fz vision.Featurizer
+		px tensor.Vector
+	)
 	feats := make([]tensor.Vector, 0, (n+di.SampleEvery-1)/di.SampleEvery)
 	for i := 0; i < n; i += di.SampleEvery {
 		f := frames[i]
-		feats = append(feats, fz.Appearance(f.Pixels, f.W, f.H).Clone())
+		px = f.PixelsInto(px)
+		feats = append(feats, fz.Appearance(px, f.W, f.H).Clone())
 	}
 
 	// Score every model on a stream of its own. One seed per entry is

@@ -38,7 +38,7 @@ func TestMSBIParallelDeterminism(t *testing.T) {
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
 			rng := stats.NewRNG(55)
-			got := MSBI(sc.window, entries, DefaultMSBIConfig(), rng)
+			got := MSBI(vidsim.KeepAll(sc.window), entries, DefaultMSBIConfig(), rng)
 			if name(got.Selected) != sc.selected || got.Escalations != 0 || got.FramesUsed != 30 {
 				t.Fatalf("Selected = %s after %d escalations over %d frames; the parent: %s, 0, 30",
 					name(got.Selected), got.Escalations, got.FramesUsed, sc.selected)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"videodrift/internal/classifier"
@@ -140,9 +139,9 @@ type Pipeline struct {
 	th      MSBOThresholds
 
 	state pipelineState
-	// buffer holds the selection or training window: copies of the
+	// buffer holds the selection or training window: held copies of the
 	// frames, which Process only borrows (vidsim.Frame).
-	buffer  []vidsim.Frame
+	buffer  []vidsim.Held
 	novel   int // counter for naming trained models
 	predict predictScratch
 
@@ -400,9 +399,9 @@ func telemetryState(s pipelineState) telemetry.State {
 // the per-candidate outcomes and the number of window frames consumed.
 func (p *Pipeline) runSelector() (*ModelEntry, []telemetry.Candidate, int) {
 	if p.cfg.Selector == SelectorMSBO {
-		labeled := make([]classifier.Sample, len(p.buffer))
-		for i, f := range p.buffer {
-			labeled[i] = p.current.QuerySample(f, p.labeler(f))
+		labeled := make([]classifier.Sample, 0, len(p.buffer))
+		for f := range vidsim.Lend(p.buffer) {
+			labeled = append(labeled, p.current.QuerySample(f, p.labeler(f)))
 		}
 		res := MSBO(labeled, p.reg.Snapshot().Entries(), p.th, p.cfg.MSBO)
 		return res.Selected, res.Candidates, res.FramesUsed
@@ -432,7 +431,7 @@ func (p *Pipeline) trainNewModel() (e *ModelEntry, err error) {
 	name := fmt.Sprintf("novel-%d", p.novel+1)
 	cfg := p.cfg.Provision
 	cfg.Seed = p.rng.Int63()
-	e = Provision(name, slices.Values(p.buffer), p.labeler, cfg.For(p.cfg.Selector))
+	e = Provision(name, vidsim.Lend(p.buffer), p.labeler, cfg.For(p.cfg.Selector))
 	p.novel++
 	return e, nil
 }

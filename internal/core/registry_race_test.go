@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"videodrift/internal/stats"
+	"videodrift/internal/vidsim"
 )
 
 // TestRegistryConcurrentGrowth exercises the registry under the
@@ -16,7 +17,7 @@ import (
 func TestRegistryConcurrentGrowth(t *testing.T) {
 	f := getFixture()
 	reg := NewRegistry(f.day)
-	window := streamFrames(nightC(), 15, 91)
+	window := vidsim.KeepAll(streamFrames(nightC(), 15, 91))
 
 	const readers = 4
 	var wg sync.WaitGroup

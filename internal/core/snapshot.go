@@ -24,7 +24,7 @@ type PipelineSnapshot struct {
 	State int
 	// Buffer holds the frames collected so far in the selecting or
 	// training state.
-	Buffer []vidsim.Frame
+	Buffer []vidsim.Held
 	// Novel is the counter naming mid-stream-trained models.
 	Novel   int
 	Metrics Metrics
@@ -61,7 +61,7 @@ func (p *Pipeline) SnapshotInto(s *PipelineSnapshot) {
 
 // capture is Snapshot with the buffer's headers appended to buf[:0] and
 // the inspector's state as given.
-func (p *Pipeline) capture(buf []vidsim.Frame, di DISnapshot) PipelineSnapshot {
+func (p *Pipeline) capture(buf []vidsim.Held, di DISnapshot) PipelineSnapshot {
 	cur := -1
 	for i, e := range p.reg.Snapshot().Entries() {
 		if e == p.current {
@@ -112,7 +112,7 @@ func RestorePipeline(reg *Registry, labeler Labeler, cfg PipelineConfig, snap Pi
 		rng:        stats.ResumeRNG(snap.RNG),
 		current:    entries[snap.Current],
 		state:      pipelineState(snap.State),
-		buffer:     append([]vidsim.Frame(nil), snap.Buffer...),
+		buffer:     append([]vidsim.Held(nil), snap.Buffer...),
 		novel:      snap.Novel,
 		metrics:    snap.Metrics,
 		trainFails: snap.TrainFails,

@@ -10,6 +10,7 @@ import (
 	"videodrift/internal/dataset"
 	"videodrift/internal/query"
 	"videodrift/internal/stats"
+	"videodrift/internal/vidsim"
 )
 
 // SelectionOutcome is one model-selection measurement on a post-drift
@@ -65,8 +66,9 @@ func RunTable8(ds *dataset.Dataset, cfg Config) Table8Result {
 		out.MSBOTime = time.Since(start)
 		out.MSBOFrames = msbo.FramesUsed
 
+		held := vidsim.KeepAll(window) // what a pipeline's selection window holds
 		start = time.Now()
-		msbi := core.MSBI(window, env.Registry.Entries(), msbiCfg, rng.Split())
+		msbi := core.MSBI(held, env.Registry.Entries(), msbiCfg, rng.Split())
 		out.MSBITime = time.Since(start)
 		out.MSBIFrames = msbi.FramesUsed
 

@@ -105,7 +105,7 @@ type Declaration struct {
 	// the declaration frame itself.
 	BaseFrame int                   `json:"base_frame"`
 	Base      core.PipelineSnapshot `json:"-"`
-	Frames    []vidsim.Frame        `json:"-"`
+	Frames    []vidsim.Held         `json:"-"`
 	At        []int                 `json:"-"`
 
 	// Resolved reports whether the post-drift selection has concluded;
@@ -140,7 +140,7 @@ type Recorder struct {
 	// one, as soon as Window stream frames follow it — so a declaration's
 	// pre-roll spans at least Window and fewer than Window+step stream
 	// frames once the stream has run that long.
-	ring  []vidsim.Frame
+	ring  []vidsim.Held
 	at    []int
 	marks []Mark
 
@@ -322,7 +322,7 @@ func (r *Recorder) Get(id string) (Declaration, bool) {
 type RecorderState struct {
 	Enabled      bool
 	Frame        int
-	Ring         []vidsim.Frame
+	Ring         []vidsim.Held
 	At           []int // stream frame of each Ring frame
 	Marks        []Mark
 	Pending      bool

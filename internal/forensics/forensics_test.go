@@ -135,7 +135,7 @@ func feed(pipe *core.Pipeline, r *Recorder, every int, f vidsim.Frame) (out core
 // stream's own (same stream index and header, the same pixel bits, NaNs
 // included), and the list is exactly the frames of [lo, hi) that keep
 // marks.
-func checkKept(t *testing.T, what string, kept []vidsim.Frame, at []int, lo, hi int, frames []vidsim.Frame, keep []bool) {
+func checkKept(t *testing.T, what string, kept []vidsim.Held, at []int, lo, hi int, frames []vidsim.Frame, keep []bool) {
 	t.Helper()
 	if len(at) != len(kept) {
 		t.Fatalf("%s: %d frames at %d positions", what, len(kept), len(at))
@@ -158,11 +158,8 @@ func checkKept(t *testing.T, what string, kept []vidsim.Frame, at []int, lo, hi 
 		}
 		k, f := kept[i], frames[a]
 		if k.Index != f.Index || k.W != f.W || k.H != f.H ||
-			!slices.EqualFunc(k.Pixels, f.Pixels, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+			!slices.EqualFunc(k.PixelsInto(nil), f.Pixels, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
 			t.Fatalf("%s: kept frame %d is not stream frame %d", what, i, a)
-		}
-		if k.Truth != nil || k.Condition != "" {
-			t.Fatalf("%s: kept frame %d keeps the generator's labels (%q, %d objects)", what, i, k.Condition, len(k.Truth))
 		}
 	}
 }
@@ -363,10 +360,10 @@ func TestRecorderRetention(t *testing.T) {
 			drifts++
 		}
 		s := r.State()
-		held := map[*float64]bool{}
-		for _, fs := range append([][]vidsim.Frame{s.Ring}, declFrames(s.Declarations)...) {
+		held := map[vidsim.HeldID]bool{}
+		for _, fs := range append([][]vidsim.Held{s.Ring}, declFrames(s.Declarations)...) {
 			for i := range fs {
-				held[&fs[i].Pixels[0]] = true
+				held[fs[i].ID()] = true
 			}
 		}
 		if limit := (keep + 1) * (w + step(w)); len(held) > limit {
@@ -378,8 +375,8 @@ func TestRecorderRetention(t *testing.T) {
 	}
 }
 
-func declFrames(ds []Declaration) [][]vidsim.Frame {
-	out := make([][]vidsim.Frame, len(ds))
+func declFrames(ds []Declaration) [][]vidsim.Held {
+	out := make([][]vidsim.Held, len(ds))
 	for i := range ds {
 		out[i] = ds[i].Frames
 	}
@@ -405,7 +402,7 @@ func TestEvictedDeclarationIsCollectable(t *testing.T) {
 	firstPixels := func() (pixels []weak.Pointer[float64], id string) {
 		d := r.Declarations()[0]
 		for i := range d.Frames {
-			pixels = append(pixels, weak.Make(&d.Frames[i].Pixels[0]))
+			pixels = append(pixels, weak.Make(fullPixels(t, d.Frames[i])))
 		}
 		return pixels, d.ID
 	}
@@ -433,6 +430,20 @@ func TestEvictedDeclarationIsCollectable(t *testing.T) {
 	if pinned > 0 {
 		t.Errorf("%d of the evicted %s's %d frames are still reachable", pinned, id, len(pixels))
 	}
+}
+
+// fullPixels returns the first pixel of a frame held at full precision
+// (a rendered frame is): the array a weak pointer watches.
+func fullPixels(t *testing.T, h vidsim.Held) *float64 {
+	t.Helper()
+	v := reflect.ValueOf(h)
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.Slice && f.Type().Elem().Kind() == reflect.Float64 && f.Len() > 0 {
+			return (*float64)(f.Index(0).Addr().UnsafePointer())
+		}
+	}
+	t.Fatalf("frame %d is not held at full precision", h.Index)
+	return nil
 }
 
 // TestCaptureResolveReplay runs a real drift through the recorder:
@@ -552,23 +563,23 @@ func TestRestoreValidation(t *testing.T) {
 		{"disabled", RecorderState{}},
 		{"negative frame", RecorderState{Enabled: true, Frame: -1}},
 		{"no marks", RecorderState{Enabled: true, Frame: 3}},
-		{"no at for the ring", RecorderState{Enabled: true, Frame: 6, Ring: make([]vidsim.Frame, 2), Marks: []Mark{{Frame: 4}}}},
-		{"no at for a pending ring", RecorderState{Enabled: true, Frame: 9, Pending: true, Ring: make([]vidsim.Frame, 3), Marks: []Mark{{Frame: 4}}}},
-		{"mark past head", RecorderState{Enabled: true, Frame: 3, Ring: make([]vidsim.Frame, 3), Marks: []Mark{{Frame: 0}, {Frame: 5}}}},
-		{"marks out of order", RecorderState{Enabled: true, Frame: 9, Ring: make([]vidsim.Frame, 5), Marks: []Mark{{Frame: 4}, {Frame: 2}}}},
-		{"at short of the ring", RecorderState{Enabled: true, Frame: 9, Ring: make([]vidsim.Frame, 2), At: []int{4}, Marks: []Mark{{Frame: 4}, {Frame: 8}}}},
-		{"at repeats", RecorderState{Enabled: true, Frame: 9, Ring: make([]vidsim.Frame, 2), At: []int{5, 5}, Marks: []Mark{{Frame: 4}, {Frame: 8}}}},
-		{"at runs back", RecorderState{Enabled: true, Frame: 9, Ring: make([]vidsim.Frame, 2), At: []int{7, 5}, Marks: []Mark{{Frame: 4}, {Frame: 8}}}},
-		{"at before the base", RecorderState{Enabled: true, Frame: 9, Ring: make([]vidsim.Frame, 2), At: []int{3, 5}, Marks: []Mark{{Frame: 4}, {Frame: 8}}}},
-		{"at past the head", RecorderState{Enabled: true, Frame: 9, Ring: make([]vidsim.Frame, 2), At: []int{5, 9}, Marks: []Mark{{Frame: 4}, {Frame: 8}}}},
-		{"at past the head, pending", RecorderState{Enabled: true, Frame: 9, Pending: true, Ring: make([]vidsim.Frame, 2), At: []int{5, 9}, Marks: []Mark{{Frame: 4}, {Frame: 8}}}},
+		{"no at for the ring", RecorderState{Enabled: true, Frame: 6, Ring: make([]vidsim.Held, 2), Marks: []Mark{{Frame: 4}}}},
+		{"no at for a pending ring", RecorderState{Enabled: true, Frame: 9, Pending: true, Ring: make([]vidsim.Held, 3), Marks: []Mark{{Frame: 4}}}},
+		{"mark past head", RecorderState{Enabled: true, Frame: 3, Ring: make([]vidsim.Held, 3), Marks: []Mark{{Frame: 0}, {Frame: 5}}}},
+		{"marks out of order", RecorderState{Enabled: true, Frame: 9, Ring: make([]vidsim.Held, 5), Marks: []Mark{{Frame: 4}, {Frame: 2}}}},
+		{"at short of the ring", RecorderState{Enabled: true, Frame: 9, Ring: make([]vidsim.Held, 2), At: []int{4}, Marks: []Mark{{Frame: 4}, {Frame: 8}}}},
+		{"at repeats", RecorderState{Enabled: true, Frame: 9, Ring: make([]vidsim.Held, 2), At: []int{5, 5}, Marks: []Mark{{Frame: 4}, {Frame: 8}}}},
+		{"at runs back", RecorderState{Enabled: true, Frame: 9, Ring: make([]vidsim.Held, 2), At: []int{7, 5}, Marks: []Mark{{Frame: 4}, {Frame: 8}}}},
+		{"at before the base", RecorderState{Enabled: true, Frame: 9, Ring: make([]vidsim.Held, 2), At: []int{3, 5}, Marks: []Mark{{Frame: 4}, {Frame: 8}}}},
+		{"at past the head", RecorderState{Enabled: true, Frame: 9, Ring: make([]vidsim.Held, 2), At: []int{5, 9}, Marks: []Mark{{Frame: 4}, {Frame: 8}}}},
+		{"at past the head, pending", RecorderState{Enabled: true, Frame: 9, Pending: true, Ring: make([]vidsim.Held, 2), At: []int{5, 9}, Marks: []Mark{{Frame: 4}, {Frame: 8}}}},
 	} {
 		if _, err := Restore(tc.s, Config{}, nil); err == nil {
 			t.Errorf("%s: Restore accepted %+v", tc.name, tc.s)
 		}
 	}
 	// The same ring with its frames where the marks allow them.
-	if _, err := Restore(RecorderState{Enabled: true, Frame: 9, Ring: make([]vidsim.Frame, 2), At: []int{4, 8}, Marks: []Mark{{Frame: 4}, {Frame: 8}}}, Config{}, nil); err != nil {
+	if _, err := Restore(RecorderState{Enabled: true, Frame: 9, Ring: make([]vidsim.Held, 2), At: []int{4, 8}, Marks: []Mark{{Frame: 4}, {Frame: 8}}}, Config{}, nil); err != nil {
 		t.Errorf("Restore refused a sparse ring inside its marks: %v", err)
 	}
 }
@@ -649,7 +660,7 @@ func BenchmarkRecorderRetention(b *testing.B) {
 	held := 0
 	for _, d := range decls {
 		for _, f := range d.Frames {
-			held += 8 * len(f.Pixels)
+			held += f.Bytes()
 		}
 	}
 	for b.Loop() {

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"videodrift/internal/core"
+	"videodrift/internal/tensor"
 )
 
 // ReplayPoint is one martingale update observed during a replay: the
@@ -65,7 +66,8 @@ func Replay(entries []*core.ModelEntry, cfg core.PipelineConfig, d Declaration) 
 	di.SetProbe(func(p, value, windowDelta float64) {
 		res.Points = append(res.Points, ReplayPoint{Frame: cur, PValue: p, Martingale: value, WindowDelta: windowDelta})
 	})
-	for i, f := range d.Frames {
+	var px tensor.Vector // each kept frame widened into it, and lent to Process
+	for i, h := range d.Frames {
 		// The stream frames up to the next kept one were counted, not read:
 		// nil pixels go unread too. Were the stride due on one of them — a
 		// wrong At — the inspector quarantines the nil vector and the
@@ -73,6 +75,8 @@ func Replay(entries []*core.ModelEntry, cfg core.PipelineConfig, d Declaration) 
 		for ; cur < d.At[i]; cur++ {
 			di.Observe(nil)
 		}
+		f := h.Frame(px)
+		px = f.Pixels
 		if out := pipe.Process(f); out.Drift {
 			res.DeclaredFrame = cur
 			break

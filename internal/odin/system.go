@@ -2,6 +2,8 @@ package odin
 
 import (
 	"fmt"
+	"iter"
+	"slices"
 
 	"videodrift/internal/classifier"
 	"videodrift/internal/stats"
@@ -45,7 +47,7 @@ type System struct {
 	w, h     int
 
 	models    map[int]*classifier.Classifier
-	tempBuf   []vidsim.Frame // frames of the current temporary cluster
+	tempBuf   []vidsim.Held // frames of the current temporary cluster
 	maxBuffer int
 
 	metrics Metrics
@@ -80,15 +82,15 @@ func (s *System) Metrics() Metrics { return s.metrics }
 // training frames (the models available before the stream starts).
 func (s *System) Bootstrap(frames []vidsim.Frame) int {
 	id := s.det.Bootstrap(frames)
-	s.models[id] = s.train(frames)
+	s.models[id] = s.train(slices.Values(frames))
 	return id
 }
 
 // train fits a classifier on labeler-annotated frames — ODIN-Specialize.
-func (s *System) train(frames []vidsim.Frame) *classifier.Classifier {
-	samples := make([]classifier.Sample, len(frames))
-	for i, f := range frames {
-		samples[i] = classifier.Sample{X: s.features(f.Pixels, s.w, s.h), Label: s.labeler(f)}
+func (s *System) train(frames iter.Seq[vidsim.Frame]) *classifier.Classifier {
+	var samples []classifier.Sample
+	for f := range frames {
+		samples = append(samples, classifier.Sample{X: s.features(f.Pixels, s.w, s.h), Label: s.labeler(f)})
 	}
 	c := classifier.New(s.clfCfg, s.rng.Split())
 	c.Fit(samples, s.rng.Split())
@@ -117,7 +119,7 @@ func (s *System) Process(f vidsim.Frame) Outcome {
 		s.metrics.DriftsDetected++
 		out.Drift = true
 		if len(s.tempBuf) > 0 {
-			s.models[res.Promoted] = s.train(s.tempBuf)
+			s.models[res.Promoted] = s.train(vidsim.Lend(s.tempBuf))
 			s.metrics.ModelsTrained++
 			out.Specialized = true
 			s.tempBuf = s.tempBuf[:0]

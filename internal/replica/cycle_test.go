@@ -3,6 +3,7 @@ package replica
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -44,27 +45,27 @@ func TestCycleCostFollowsNewFrames(t *testing.T) {
 		next := 0
 		var decls []forensics.Declaration
 		for d := 0; d < declarations; d++ {
-			frames := make([]vidsim.Frame, 64)
+			frames := make([]vidsim.Held, 64)
 			for i := range frames {
-				frames[i] = newFrame(next)
+				frames[i] = newFrame(next).Keep()
 				next++
 			}
 			decls = append(decls, forensics.Declaration{ID: telemetry.DriftID(next), Frame: next, Frames: frames})
 		}
-		var stream []vidsim.Frame
+		var stream []vidsim.Held
 		base := testCheckpoint(t, entries, 0)
 		prim := NewPrimary(PrimaryConfig{
 			Addrs: []string{addr},
 			Capture: func() *store.Checkpoint {
 				for i := 0; i < perCycle; i++ {
-					stream = append(stream, newFrame(next))
+					stream = append(stream, newFrame(next).Keep())
 					next++
 				}
 				stream = stream[max(0, len(stream)-ring):]
 				sh := base.Shards[0]
 				sh.Forensics = forensics.RecorderState{
 					Enabled: true, Frame: next,
-					Ring:         append([]vidsim.Frame(nil), stream...),
+					Ring:         append([]vidsim.Held(nil), stream...),
 					Declarations: decls,
 				}
 				return &store.Checkpoint{
@@ -121,6 +122,60 @@ func TestCycleCostFollowsNewFrames(t *testing.T) {
 	}
 	if largeAlloc > smallAlloc+smallAlloc/4 {
 		t.Errorf("ten times the retained frames raise a cycle's allocation from %d to %d bytes", smallAlloc, largeAlloc)
+	}
+}
+
+// TestDeltaBufferBounded ships one delta larger than deltaKeepBytes,
+// then small ones: the large buffer goes once it has shipped, and the
+// small deltas reuse one buffer from then on.
+func TestDeltaBufferBounded(t *testing.T) {
+	_, addr := startStandby(t, StandbyConfig{})
+	entries := []*core.ModelEntry{testEntry("m0")}
+	base := testCheckpoint(t, entries, 0)
+	var ring []vidsim.Held
+	next, arrive := 0, 0
+	prim := NewPrimary(PrimaryConfig{
+		Addrs: []string{addr},
+		Capture: func() *store.Checkpoint {
+			for ; arrive > 0; arrive-- {
+				px := make(tensor.Vector, 1024)
+				for j := range px {
+					px[j] = float64(next) + float64(j)/1024
+				}
+				ring = append(ring, vidsim.Frame{Index: next, W: 32, H: 32, Pixels: px}.Keep())
+				next++
+			}
+			sh := base.Shards[0]
+			sh.Forensics = forensics.RecorderState{Enabled: true, Frame: next, Ring: slices.Clone(ring)}
+			return &store.Checkpoint{Frames: int64(next), Entries: entries, Shards: []store.ShardState{sh}}
+		},
+	})
+	defer prim.Close()
+	cycle := func(frames int) {
+		t.Helper()
+		arrive = frames
+		if err := prim.Cycle(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle(1) // first contact: a full
+	cycle(100)
+	if got := prim.Stats(); got.Deltas != 1 || got.LastBytes <= deltaKeepBytes {
+		t.Fatalf("fixture: %d deltas, the last %d bytes; want one larger than %d", got.Deltas, got.LastBytes, deltaKeepBytes)
+	}
+	if c := cap(prim.deltaMsg); c > deltaKeepBytes {
+		t.Fatalf("after a %d-byte delta shipped the primary keeps a %d-byte buffer, want at most %d", prim.Stats().LastBytes, c, deltaKeepBytes)
+	}
+	cycle(4)
+	kept := cap(prim.deltaMsg)
+	for i := 0; i < 5; i++ {
+		cycle(4)
+		if c := cap(prim.deltaMsg); c != kept || c > deltaKeepBytes {
+			t.Fatalf("small delta %d: the buffer's capacity went from %d to %d (bound %d)", i+2, kept, c, deltaKeepBytes)
+		}
+	}
+	if got := prim.Stats(); got.Fulls != 1 || got.Deltas != 7 {
+		t.Fatalf("%d fulls and %d deltas, want 1 and 7", got.Fulls, got.Deltas)
 	}
 }
 

@@ -111,6 +111,8 @@ type Primary struct {
 	// message the cycle encodes — StateOverhead reserved bytes, then the
 	// store envelope written in place — so a steady-state cycle
 	// allocates for the frames that arrived, not for the state retained.
+	// deltaMsg is kept only while it is at most deltaKeepBytes: the delta
+	// of a cycle that followed a stall ships once and is let go.
 	// All four are touched only by the Cycle goroutine.
 	last     *store.Checkpoint
 	crcs     []uint32
@@ -148,6 +150,12 @@ type PrimaryStats struct {
 	LastCycle, LastCapture time.Duration `json:"-"`
 	LastBytes              int           `json:"last_cycle_bytes"`
 }
+
+// deltaKeepBytes bounds the delta buffer a primary keeps from one cycle
+// to the next, as the ingest router bounds its free list: a steady
+// cycle's delta fits, and the one after a training stall held the pump
+// ships and is let go instead of staying for the life of the process.
+const deltaKeepBytes = 512 << 10
 
 // NewPrimary builds a replication primary. It does not dial; the first
 // Cycle does.
@@ -279,6 +287,9 @@ func (p *Primary) Cycle() error {
 				return fmt.Errorf("replica: encode delta: %w", err)
 			}
 			p.deltaMsg, deltaMsg, nextCRCs = msg, msg, crcs
+			if cap(msg) > deltaKeepBytes {
+				p.deltaMsg = make([]byte, StateOverhead)
+			}
 		} else if !errors.Is(err, store.ErrDeltaBase) {
 			return fmt.Errorf("replica: diff: %w", err)
 		}

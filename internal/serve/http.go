@@ -124,7 +124,7 @@ func (s *Server) holders(f *fleet) telemetry.Process {
 			continue
 		}
 		st := m.Forensics().State()
-		var lists [][]vidsim.Frame
+		var lists [][]vidsim.Held
 		if !st.Pending { // a suspended pre-roll is the newest declaration's
 			lists = append(lists, st.Ring)
 		}
@@ -134,7 +134,7 @@ func (s *Server) holders(f *fleet) telemetry.Process {
 		for _, fs := range lists {
 			p.RetainedFrames += len(fs)
 			for i := range fs {
-				p.RetainedBytes += 8 * len(fs[i].Pixels)
+				p.RetainedBytes += fs[i].Bytes()
 			}
 		}
 		if tr := m.Telemetry(); tr != s.base {

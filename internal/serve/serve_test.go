@@ -445,7 +445,7 @@ func TestTenantTelemetry(t *testing.T) {
 	retained, retainedBytes, spanned, ringed := 0, 0, 0, len(s.base.Events())
 	for k := 0; k < tenants; k++ {
 		st := mon.Shard(k).Forensics().State()
-		lists := [][]vidsim.Frame{st.Ring}
+		lists := [][]vidsim.Held{st.Ring}
 		if st.Pending {
 			lists = nil
 		}
@@ -456,7 +456,7 @@ func TestTenantTelemetry(t *testing.T) {
 		for _, fs := range lists {
 			retained += len(fs)
 			for _, f := range fs {
-				retainedBytes += 8 * len(f.Pixels)
+				retainedBytes += 4 * f.Len() // off the wire: float32, held as such
 			}
 		}
 		ringed += len(mon.Shard(k).Telemetry().Events())

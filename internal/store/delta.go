@@ -12,6 +12,7 @@ import (
 	"sort"
 
 	"videodrift/internal/core"
+	"videodrift/internal/tensor"
 	"videodrift/internal/vidsim"
 	"videodrift/internal/wire"
 )
@@ -29,7 +30,7 @@ var ErrDeltaBase = errors.New("store: delta base mismatch")
 //
 //   - Model entries are immutable once provisioned, so the diff carries
 //     only the entry blobs appended since the base.
-//   - Frames are immutable once submitted (see vidsim.Frame) and make up
+//   - Frames are immutable once held (see vidsim.Held) and make up
 //     nearly all of a shard's runtime bytes — the forensics pre-roll,
 //     the selection buffer, the frames of every retained declaration. A
 //     frame the base already holds travels as a reference into the
@@ -76,7 +77,7 @@ type Delta struct {
 	// NewFrames are the frames first seen in this generation, each once
 	// however many lists (or shards) hold it. On the wire they follow the
 	// gob record as raw little-endian blocks.
-	NewFrames []vidsim.Frame
+	NewFrames []vidsim.Held
 }
 
 // FrameRun is N consecutive frame references making up (part of) one
@@ -95,7 +96,7 @@ type FrameRun struct {
 // marks, then each retained declaration's replay base and frames.
 // TestWalkCoversEveryFrameList fails when a frame list is added to the
 // shard state and not here.
-func walkFrameLists(shards []ShardState, fn func(list *[]vidsim.Frame)) {
+func walkFrameLists(shards []ShardState, fn func(list *[]vidsim.Held)) {
 	for si := range shards {
 		sh := &shards[si]
 		fn(&sh.Pipeline.Buffer)
@@ -123,29 +124,23 @@ func cloneShards(shards []ShardState) []ShardState {
 	return out
 }
 
-// frameKey identifies a frame by its pixel array. Frames are immutable
-// once submitted and every list holding a frame holds a copy of the
-// header over the same array, so while both captures are alive equal
-// keys mean the same pixels; sameFrame settles the header.
-func frameKey(f *vidsim.Frame) *float64 {
-	if len(f.Pixels) == 0 {
-		return nil
-	}
-	return &f.Pixels[0]
-}
-
 // sameFrame reports whether two headers over one pixel array describe
-// the same frame.
-func sameFrame(a, b *vidsim.Frame) bool {
-	return a.Index == b.Index && a.W == b.W && a.H == b.H && len(a.Pixels) == len(b.Pixels)
+// the same frame. Frames are identified by their pixel arrays
+// (vidsim.Held.ID): held frames are immutable and every list holding a
+// frame holds a copy of the header over the same array, so while both
+// captures are alive equal IDs mean the same pixels, and this settles
+// the header.
+func sameFrame(a, b *vidsim.Held) bool {
+	return a.Index == b.Index && a.W == b.W && a.H == b.H && a.Len() == b.Len()
 }
 
-// frameDigest folds one walked frame into the base frame digest.
-func frameDigest(crc uint32, f *vidsim.Frame) uint32 {
-	var b [16]byte
+// frameDigest folds one walked frame into the base frame digest. b is 16
+// bytes of scratch, one buffer a walk: crc32.Update calls through a
+// function value, so an array declared here would escape, once a frame.
+func frameDigest(crc uint32, f *vidsim.Held, b []byte) uint32 {
 	binary.LittleEndian.PutUint64(b[0:8], uint64(f.Index))
-	binary.LittleEndian.PutUint64(b[8:16], uint64(len(f.Pixels)))
-	return crc32.Update(crc, crc32.IEEETable, b[:])
+	binary.LittleEndian.PutUint64(b[8:16], uint64(f.Len()))
+	return crc32.Update(crc, crc32.IEEETable, b[:16])
 }
 
 // digestCRCs collapses a per-entry CRC list into the single base
@@ -177,7 +172,7 @@ func EntryCRCs(cp *Checkpoint) ([]uint32, error) {
 // baseFrame is where the base's walk first met a frame.
 type baseFrame struct {
 	pos uint32
-	hdr *vidsim.Frame
+	hdr *vidsim.Held
 }
 
 // Differ builds deltas. It carries no state from one Diff to the next,
@@ -186,8 +181,8 @@ type baseFrame struct {
 // once per cycle. The zero value is ready to use; a Differ is not safe
 // for concurrent use.
 type Differ struct {
-	base  map[*float64]baseFrame // pixel array → first position in the base's walk
-	fresh map[*float64]uint32    // pixel array → index into the delta's NewFrames
+	base  map[vidsim.HeldID]baseFrame // pixel array → first position in the base's walk
+	fresh map[vidsim.HeldID]uint32    // pixel array → index into the delta's NewFrames
 }
 
 // DiffCheckpoints builds the delta that turns base into next, and
@@ -200,7 +195,7 @@ type Differ struct {
 // Frames are matched by pixel-array identity, which is sound only
 // while base is still alive (no live frame can then reuse an address
 // base holds) and nothing has written a frame's pixels since it was
-// submitted — the invariant stated on vidsim.Frame.
+// held — the invariant stated on vidsim.Held.
 func DiffCheckpoints(base *Checkpoint, baseCRCs []uint32, next *Checkpoint) (*Delta, []uint32, error) {
 	return new(Differ).Diff(base, baseCRCs, next)
 }
@@ -263,7 +258,7 @@ func (df *Differ) Diff(base *Checkpoint, baseCRCs []uint32, next *Checkpoint) (*
 	// two shards fed one stream) then resolve to the same consecutive
 	// positions, which is what keeps the runs long.
 	if df.base == nil {
-		df.base, df.fresh = map[*float64]baseFrame{}, map[*float64]uint32{}
+		df.base, df.fresh = map[vidsim.HeldID]baseFrame{}, map[vidsim.HeldID]uint32{}
 	}
 	// Emptied on the way out, not on the way in: a filled index would pin
 	// the base capture's frames until the next diff.
@@ -271,27 +266,28 @@ func (df *Differ) Diff(base *Checkpoint, baseCRCs []uint32, next *Checkpoint) (*
 		clear(df.base)
 		clear(df.fresh)
 	}()
-	walkFrameLists(base.Shards, func(list *[]vidsim.Frame) {
+	scratch := make([]byte, 16)
+	walkFrameLists(base.Shards, func(list *[]vidsim.Held) {
 		for i := range *list {
 			f := &(*list)[i]
-			if key := frameKey(f); key != nil {
+			if key := f.ID(); key != (vidsim.HeldID{}) {
 				if _, seen := df.base[key]; !seen {
 					df.base[key] = baseFrame{pos: uint32(d.BaseFrames), hdr: f}
 				}
 			}
-			d.BaseFrameDigest = frameDigest(d.BaseFrameDigest, f)
+			d.BaseFrameDigest = frameDigest(d.BaseFrameDigest, f, scratch)
 			d.BaseFrames++
 		}
 	})
 
 	listNo := uint32(0)
-	walkFrameLists(next.Shards, func(list *[]vidsim.Frame) {
+	walkFrameLists(next.Shards, func(list *[]vidsim.Held) {
 		open := false // whether the last run belongs to this list
 		for i := range *list {
 			f := &(*list)[i]
 			ref, known := uint32(0), false
-			key := frameKey(f)
-			if key != nil {
+			key := f.ID()
+			if key != (vidsim.HeldID{}) {
 				if b, ok := df.base[key]; ok && sameFrame(b.hdr, f) {
 					ref, known = b.pos, true
 				} else if n, ok := df.fresh[key]; ok && sameFrame(&d.NewFrames[n], f) {
@@ -300,7 +296,7 @@ func (df *Differ) Diff(base *Checkpoint, baseCRCs []uint32, next *Checkpoint) (*
 			}
 			if !known {
 				ref = uint32(d.BaseFrames + len(d.NewFrames))
-				if key != nil {
+				if key != (vidsim.HeldID{}) {
 					df.fresh[key] = uint32(len(d.NewFrames))
 				}
 				d.NewFrames = append(d.NewFrames, *f)
@@ -320,7 +316,7 @@ func (df *Differ) Diff(base *Checkpoint, baseCRCs []uint32, next *Checkpoint) (*
 		listNo++
 	})
 	d.Shards = cloneShards(next.Shards)
-	walkFrameLists(d.Shards, func(list *[]vidsim.Frame) { *list = nil })
+	walkFrameLists(d.Shards, func(list *[]vidsim.Held) { *list = nil })
 	return d, nextCRCs, nil
 }
 
@@ -348,7 +344,7 @@ func (d *Delta) check() error {
 		return fmt.Errorf("store: delta claims %d base frames", d.BaseFrames)
 	}
 	lists, inline := 0, false
-	walkFrameLists(d.Shards, func(list *[]vidsim.Frame) {
+	walkFrameLists(d.Shards, func(list *[]vidsim.Held) {
 		lists++
 		inline = inline || len(*list) > 0
 	})
@@ -437,12 +433,13 @@ func ApplyDelta(base *Checkpoint, baseCRCs []uint32, d *Delta) (*Checkpoint, []u
 func (d *Delta) buildFrames(base, shards []ShardState) error {
 	// The base's walk as its lists plus the walk position each starts at.
 	var (
-		baseLists [][]vidsim.Frame
+		baseLists [][]vidsim.Held
 		starts    []int
 		walked    int
 		digest    uint32
+		scratch   = make([]byte, 16)
 	)
-	walkFrameLists(base, func(list *[]vidsim.Frame) {
+	walkFrameLists(base, func(list *[]vidsim.Held) {
 		if len(*list) == 0 {
 			return
 		}
@@ -450,7 +447,7 @@ func (d *Delta) buildFrames(base, shards []ShardState) error {
 		starts = append(starts, walked)
 		walked += len(*list)
 		for i := range *list {
-			digest = frameDigest(digest, &(*list)[i])
+			digest = frameDigest(digest, &(*list)[i], scratch)
 		}
 	})
 	if walked != d.BaseFrames || digest != d.BaseFrameDigest {
@@ -460,7 +457,7 @@ func (d *Delta) buildFrames(base, shards []ShardState) error {
 	// view returns a run's frames as a sub-slice of the one list that
 	// holds them all (capacity clipped, so nobody appends into a shared
 	// array), or nil when they span lists.
-	view := func(r FrameRun) []vidsim.Frame {
+	view := func(r FrameRun) []vidsim.Held {
 		lo, n := int(r.Ref), int(r.N)
 		if lo >= d.BaseFrames {
 			lo -= d.BaseFrames
@@ -473,7 +470,7 @@ func (d *Delta) buildFrames(base, shards []ShardState) error {
 		return nil
 	}
 	// gather appends a run's frames to dst, list by list.
-	gather := func(dst []vidsim.Frame, r FrameRun) []vidsim.Frame {
+	gather := func(dst []vidsim.Held, r FrameRun) []vidsim.Held {
 		if v := view(r); v != nil {
 			return append(dst, v...)
 		}
@@ -491,7 +488,7 @@ func (d *Delta) buildFrames(base, shards []ShardState) error {
 	}
 
 	runs, listNo := d.Runs, uint32(0)
-	walkFrameLists(shards, func(list *[]vidsim.Frame) {
+	walkFrameLists(shards, func(list *[]vidsim.Held) {
 		n, total := 0, 0
 		for n < len(runs) && runs[n].List == listNo {
 			total += int(runs[n].N)
@@ -504,7 +501,7 @@ func (d *Delta) buildFrames(base, shards []ShardState) error {
 			*list = view(runs[0])
 		}
 		if n > 0 && *list == nil {
-			out := make([]vidsim.Frame, 0, total)
+			out := make([]vidsim.Held, 0, total)
 			for _, r := range runs[:n] {
 				out = gather(out, r)
 			}
@@ -539,7 +536,8 @@ func AppendDelta(dst []byte, d *Delta) ([]byte, error) {
 //
 // all little-endian, behind the envelope's header. Pixels are the bulk of
 // a delta; writing them as one block each is a memmove, where gob spends a
-// varint encode per value.
+// varint encode per value. A frame held as float32 is widened as it is
+// written, so the bytes do not depend on how a frame is held.
 func appendDelta(dst []byte, d *Delta) ([]byte, error) {
 	start := len(dst)
 	dst = append(dst, make([]byte, wire.HeaderSize+4)...)
@@ -562,26 +560,29 @@ func appendDelta(dst []byte, d *Delta) ([]byte, error) {
 	}
 	dst = slices.Grow(dst, size)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(d.NewFrames)))
+	var px tensor.Vector
 	for i := range d.NewFrames {
-		dst = appendFrame(dst, &d.NewFrames[i])
+		dst = appendFrame(dst, &d.NewFrames[i], &px)
 	}
 	// The format has one message, so its type byte is always 0.
 	return vdck.Seal(dst, start, 0), nil
 }
 
 // frameWireSize is the exact size appendFrame writes for f.
-func frameWireSize(f *vidsim.Frame) int {
-	return 3*8 + 4 + len(f.Pixels)*8
+func frameWireSize(f *vidsim.Held) int {
+	return 3*8 + 4 + f.Len()*8
 }
 
-// appendFrame writes one new frame body (layout at appendDelta).
-func appendFrame(dst []byte, f *vidsim.Frame) []byte {
+// appendFrame writes one new frame body (layout at appendDelta), its
+// pixels widened through px, a buffer the caller reuses across frames.
+func appendFrame(dst []byte, f *vidsim.Held, px *tensor.Vector) []byte {
 	le := binary.LittleEndian
 	dst = le.AppendUint64(dst, uint64(f.Index))
 	dst = le.AppendUint64(dst, uint64(f.W))
 	dst = le.AppendUint64(dst, uint64(f.H))
-	dst = le.AppendUint32(dst, uint32(len(f.Pixels)))
-	for _, v := range f.Pixels {
+	dst = le.AppendUint32(dst, uint32(f.Len()))
+	*px = f.PixelsInto(*px)
+	for _, v := range *px {
 		dst = le.AppendUint64(dst, math.Float64bits(v))
 	}
 	return dst
@@ -594,6 +595,7 @@ func appendFrame(dst []byte, f *vidsim.Frame) []byte {
 type frameReader struct {
 	b   []byte
 	err error
+	px  tensor.Vector // a body's pixels, decoded before they are held
 }
 
 func (r *frameReader) take(n int) []byte {
@@ -633,18 +635,20 @@ func (r *frameReader) count(size int) int {
 	return n
 }
 
-// frame decodes one body straight into the array the frame keeps. No
-// pixels decode to nil, as gob decodes an empty list.
-func (r *frameReader) frame() vidsim.Frame {
+// frame decodes one body into the reader's pixel buffer and holds it
+// (vidsim.Frame.Keep): as float32 when that is exact, the way the frame
+// was held when it was written.
+func (r *frameReader) frame() vidsim.Held {
 	f := vidsim.Frame{Index: int(r.u64()), W: int(r.u64()), H: int(r.u64())}
 	if n := r.count(8); n > 0 {
 		raw := r.take(8 * n)
-		f.Pixels = make([]float64, n)
-		for i := range f.Pixels {
-			f.Pixels[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		r.px = slices.Grow(r.px[:0], n)[:n]
+		for i := range r.px {
+			r.px[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 		}
+		f.Pixels = r.px
 	}
-	return f
+	return f.Keep()
 }
 
 // DecodeDelta parses and validates a delta from envelope bytes — a
@@ -675,7 +679,7 @@ func DecodeDelta(data []byte) (*Delta, error) {
 	// zero pixel count.
 	d.NewFrames = nil
 	if n := r.count(3*8 + 4); n > 0 {
-		d.NewFrames = make([]vidsim.Frame, n)
+		d.NewFrames = make([]vidsim.Held, n)
 		for i := range d.NewFrames {
 			d.NewFrames[i] = r.frame()
 		}

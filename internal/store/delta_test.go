@@ -3,6 +3,8 @@ package store
 import (
 	"encoding/binary"
 	"errors"
+	"math"
+	"os"
 	"reflect"
 	"slices"
 	"testing"
@@ -51,26 +53,24 @@ func nextGeneration(t testing.TB, base *Checkpoint, addEntry bool) *Checkpoint {
 // drops some and adds new ones.
 func framedGenerations(t testing.TB) (base, next *Checkpoint) {
 	t.Helper()
-	fr := vidsim.GenerateTraining(testCond(vidsim.Day()), testW, testH, 40, 17)
-	for i := range fr {
-		fr[i] = fr[i].Keep() // what a holder keeps: position and pixels
-	}
-	at := func(frames []vidsim.Frame) (out []int) {
+	// What a holder keeps: position and pixels.
+	fr := vidsim.KeepAll(vidsim.GenerateTraining(testCond(vidsim.Day()), testW, testH, 40, 17))
+	at := func(frames []vidsim.Held) (out []int) {
 		for _, f := range frames {
 			out = append(out, f.Index)
 		}
 		return out
 	}
-	withFrames := func(cp *Checkpoint, ring, buffer, declared []vidsim.Frame) *Checkpoint {
+	withFrames := func(cp *Checkpoint, ring, buffer, declared []vidsim.Held) *Checkpoint {
 		sh := append([]ShardState(nil), cp.Shards...)
 		sh[0].Forensics = forensics.RecorderState{
 			Enabled: true, Frame: 100,
-			Ring: append([]vidsim.Frame(nil), ring...), At: at(ring),
+			Ring: append([]vidsim.Held(nil), ring...), At: at(ring),
 			Marks: []forensics.Mark{{Frame: ring[0].Index}},
 			Declarations: []forensics.Declaration{{ID: "drift-00000042", Frame: 42,
 				BaseFrame: declared[0].Index, Frames: declared, At: at(declared)}},
 		}
-		sh[1].Pipeline.Buffer = append([]vidsim.Frame(nil), buffer...)
+		sh[1].Pipeline.Buffer = append([]vidsim.Held(nil), buffer...)
 		cp.Shards = sh
 		return cp
 	}
@@ -82,19 +82,19 @@ func framedGenerations(t testing.TB) (base, next *Checkpoint) {
 
 // allFrames collects every frame of a checkpoint's shard state, in walk
 // order.
-func allFrames(cp *Checkpoint) []vidsim.Frame {
-	var out []vidsim.Frame
-	walkFrameLists(cp.Shards, func(list *[]vidsim.Frame) { out = append(out, *list...) })
+func allFrames(cp *Checkpoint) []vidsim.Held {
+	var out []vidsim.Held
+	walkFrameLists(cp.Shards, func(list *[]vidsim.Held) { out = append(out, *list...) })
 	return out
 }
 
 // TestWalkCoversEveryFrameList pins walkFrameLists to the shard state's
-// type: every []vidsim.Frame reachable from ShardState must be a list the
+// type: every []vidsim.Held reachable from ShardState must be a list the
 // walk visits, or a delta would carry it inline (and a full checkpoint's
 // worth of it every cycle). The order is the format's too: a delta's
 // frame runs name a list by its ordinal in the walk.
 func TestWalkCoversEveryFrameList(t *testing.T) {
-	frameList := reflect.TypeOf([]vidsim.Frame(nil))
+	frameList := reflect.TypeOf([]vidsim.Held(nil))
 	var count func(reflect.Type) int
 	count = func(ty reflect.Type) int {
 		switch {
@@ -117,15 +117,15 @@ func TestWalkCoversEveryFrameList(t *testing.T) {
 		Declarations: make([]forensics.Declaration, 1),
 	}}}
 	got := 0
-	walkFrameLists(shards, func(list *[]vidsim.Frame) {
-		*list = []vidsim.Frame{{Index: got}}
+	walkFrameLists(shards, func(list *[]vidsim.Held) {
+		*list = []vidsim.Held{{Index: got}}
 		got++
 	})
 	if got != want {
 		t.Fatalf("walkFrameLists visits %d frame lists of a one-mark, one-declaration shard, its type holds %d", got, want)
 	}
 	f := shards[0].Forensics
-	lists := [][]vidsim.Frame{shards[0].Pipeline.Buffer, f.Ring, f.Marks[0].Snap.Buffer, f.Declarations[0].Base.Buffer, f.Declarations[0].Frames}
+	lists := [][]vidsim.Held{shards[0].Pipeline.Buffer, f.Ring, f.Marks[0].Snap.Buffer, f.Declarations[0].Base.Buffer, f.Declarations[0].Frames}
 	for i, list := range lists {
 		if list[0].Index != i {
 			t.Errorf("frame list %d is walked %d", i, list[0].Index)
@@ -153,10 +153,10 @@ func TestDeltaFramesShippedOnce(t *testing.T) {
 	// The file is the delta from nothing, so it holds the base's 29 list
 	// slots as its 16 distinct frames, each written once, and the decoded
 	// declaration shares its pre-roll's pixel arrays as the capture's does.
-	distinct, limit := map[*float64]bool{}, 4<<10
+	distinct, limit := map[vidsim.HeldID]bool{}, 4<<10
 	for _, f := range allFrames(base) {
-		if !distinct[&f.Pixels[0]] {
-			distinct[&f.Pixels[0]] = true
+		if !distinct[f.ID()] {
+			distinct[f.ID()] = true
 			limit += frameWireSize(&f)
 		}
 	}
@@ -175,7 +175,7 @@ func TestDeltaFramesShippedOnce(t *testing.T) {
 	}
 	ring, declared := sbBase.Shards[0].Forensics.Ring, sbBase.Shards[0].Forensics.Declarations[0].Frames
 	for i := range declared {
-		if &declared[i].Pixels[0] != &ring[i+2].Pixels[0] {
+		if declared[i].ID() != ring[i+2].ID() {
 			t.Fatalf("decoded declaration frame %d has pixels of its own, not its pre-roll's", i)
 		}
 	}
@@ -226,14 +226,14 @@ func TestDeltaFramesShippedOnce(t *testing.T) {
 
 	// Nothing the base held was copied: every pixel array of the applied
 	// checkpoint is the standby base's or one of the eight shipped.
-	held := map[*float64]bool{}
+	held := map[vidsim.HeldID]bool{}
 	for _, f := range allFrames(sbBase) {
-		held[&f.Pixels[0]] = true
+		held[f.ID()] = true
 	}
-	fresh := map[*float64]bool{}
+	fresh := map[vidsim.HeldID]bool{}
 	for _, f := range allFrames(applied) {
-		if !held[&f.Pixels[0]] {
-			fresh[&f.Pixels[0]] = true
+		if !held[f.ID()] {
+			fresh[f.ID()] = true
 		}
 	}
 	if len(fresh) != 8 {
@@ -506,5 +506,89 @@ func TestDecodeDeltaRejectsDamage(t *testing.T) {
 	stray := reseal(append(append([]byte(nil), fwire...), 0, 0, 0))
 	if _, err := DecodeDelta(stray); err == nil {
 		t.Fatal("stray bytes after the frame section decoded")
+	}
+}
+
+// TestDecodesFrameListsWrittenAsFrames reads a checkpoint the store wrote
+// before frames were held compact, when every frame list was a
+// []vidsim.Frame: a 4×4 model, a training buffer of three full-precision
+// frames, a pre-roll of five wire-quantized ones (frame 5 carrying a NaN
+// payload float32 cannot hold) and a declaration over three of them. The
+// format is the same: the file decodes, every pixel keeps its bits, a
+// frame is held as float32 exactly when that is exact, and the
+// declaration still shares its pre-roll's arrays.
+func TestDecodesFrameListsWrittenAsFrames(t *testing.T) {
+	data, err := os.ReadFile("testdata/frame-lists-v5.vdc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := Decode(data)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if len(cp.Shards) != 1 || len(cp.Entries) != 1 || cp.Entries[0].Name != "m0" {
+		t.Fatalf("decoded %d shards over %d entries", len(cp.Shards), len(cp.Entries))
+	}
+	want := func(i int, wire bool) []float64 {
+		px := make([]float64, 16)
+		for j := range px {
+			px[j] = float64(i*16+j) / 3
+			if wire {
+				px[j] = float64(float32(px[j]))
+			}
+		}
+		if i == 5 {
+			px[3] = math.Float64frombits(0x7ff8000000000123)
+		}
+		return px
+	}
+	check := func(what string, list []vidsim.Held, first int, wire bool) {
+		t.Helper()
+		for k, h := range list {
+			i := first + k
+			px := want(i, wire)
+			got := h.PixelsInto(nil)
+			if h.Index != i || h.W != 4 || h.H != 4 || !slices.EqualFunc(got, px, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+				t.Errorf("%s frame %d: %+v with pixels %v, want frame %d of %v", what, k, h, got, i, px)
+			}
+			if compact := wire && i != 5; (h.Bytes() == 4*h.Len()) != compact {
+				t.Errorf("%s frame %d: held in %d bytes, want float32 %v", what, k, h.Bytes(), compact)
+			}
+		}
+	}
+	sh := cp.Shards[0]
+	if sh.Tenant != "cam-1" || sh.Next != 8 || sh.Pipeline.State != 2 || len(sh.Pipeline.Buffer) != 3 || len(sh.Forensics.Ring) != 5 {
+		t.Fatalf("decoded shard: tenant %q next %d state %d, %d buffered and %d pre-roll frames",
+			sh.Tenant, sh.Next, sh.Pipeline.State, len(sh.Pipeline.Buffer), len(sh.Forensics.Ring))
+	}
+	check("buffer", sh.Pipeline.Buffer, 0, false)
+	check("pre-roll", sh.Forensics.Ring, 3, true)
+	d := sh.Forensics.Declarations
+	if len(d) != 1 || d[0].ID != "drift-00000006" || len(d[0].Frames) != 3 {
+		t.Fatalf("decoded declarations %+v", d)
+	}
+	for k, h := range d[0].Frames {
+		if h.ID() != sh.Forensics.Ring[1+k].ID() {
+			t.Errorf("declaration frame %d has an array of its own, not its pre-roll's", k)
+		}
+	}
+	// Written again and read back, it holds the same frames.
+	again, err := Encode(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := Decode(again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, wantAll := allFrames(back), allFrames(cp)
+	if len(got) != len(wantAll) {
+		t.Fatalf("re-encoded, the checkpoint walks %d frames, decoded %d", len(got), len(wantAll))
+	}
+	for i := range got {
+		a, b := got[i], wantAll[i]
+		if a.Index != b.Index || a.Bytes() != b.Bytes() || !slices.EqualFunc(a.PixelsInto(nil), b.PixelsInto(nil), func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+			t.Fatalf("walked frame %d re-encoded as %+v, decoded as %+v", i, a, b)
+		}
 	}
 }

@@ -55,17 +55,14 @@ func (o Object) Bottom() float64 { return o.Y + o.H/2 }
 // call and the caller may reuse its arrays once the call returns (the
 // ingestion tier recycles its pixel buffers that way). The two holders
 // that keep a frame past Process — the pipeline's selection/training
-// buffer and the forensics pre-roll — Keep it once, when they keep it: a
-// holder keeps position and pixels, never the generator's labels, so an
-// in-process feed, a wire feed and a restore leave the same frames. The
-// copy is immutable from then on: every list a holder keeps it in (the
-// pre-roll, the declarations cut from it, the snapshots and checkpoints)
-// holds a copy of the header over the SAME Pixels array, and delta
-// checkpoints (internal/store) identify a kept frame by its Pixels array
-// to ship it to a standby once. Writing through a kept frame's Pixels
-// would silently desynchronize every list, and the standby from the
-// primary (the root package's equivalence harness, whose ship op holds
-// the standby to the capture, is the tripwire).
+// buffer and the forensics pre-roll — Keep it once, when they keep it, as
+// a Held: a holder keeps position and pixels, never the generator's
+// labels, so an in-process feed, a wire feed and a restore leave the same
+// frames. The held copy is immutable from then on: every list a holder
+// keeps it in (the pre-roll, the declarations cut from it, the snapshots
+// and checkpoints) holds a copy of the header over the SAME pixel array,
+// and delta checkpoints (internal/store) identify a held frame by that
+// array to ship it to a standby once.
 type Frame struct {
 	Index     int
 	W, H      int
@@ -80,12 +77,6 @@ func (f Frame) Clone() Frame {
 	f.Pixels = slices.Clone(f.Pixels)
 	f.Truth = slices.Clone(f.Truth)
 	return f
-}
-
-// Keep returns f's position, geometry and a copy of its pixels, and
-// nothing else: what a holder keeps of a borrowed frame.
-func (f Frame) Keep() Frame {
-	return Frame{Index: f.Index, W: f.W, H: f.H, Pixels: slices.Clone(f.Pixels)}
 }
 
 // At returns the pixel value at column x, row y.
